@@ -14,6 +14,9 @@ go build ./...
 echo "== go test ./..."
 go test ./...
 
+echo "== benchmark module (its adapter is the one file outside the tree that imports chet/internal/...)"
+(cd benchmark && go vet ./... && go build ./... && go test ./...)
+
 echo "== go test -race (concurrency-sensitive packages)"
 go test -race ./internal/hisa/... ./internal/htc/... ./internal/ckks/...
 

@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"chet"
+	"chet/internal/hisa"
 	"chet/internal/serve"
 )
 
@@ -213,7 +214,7 @@ func reportMetrics(w io.Writer, m serve.ServerMetrics) {
 	}
 	for _, sm := range m.Sessions {
 		fmt.Fprintf(w, "  session %d: %d requests, %d errors, %d HISA ops (%d rotations, %d ct-ct muls)\n",
-			sm.ID, sm.Requests, sm.Errors, sm.Ops.Total(), sm.Ops.Rotations, sm.Ops.Mul)
+			sm.ID, sm.Requests, sm.Errors, sm.Ops.Total(), sm.Ops.Rotations(), sm.Ops[hisa.OpMul])
 	}
 }
 

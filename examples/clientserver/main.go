@@ -114,6 +114,6 @@ func main() {
 	m := srv.Metrics()
 	for _, sm := range m.Sessions {
 		fmt.Printf("[server] session %d executed %d HISA ops (%d rotations) without ever seeing a secret\n",
-			sm.ID, sm.Ops.Total(), sm.Ops.Rotations)
+			sm.ID, sm.Ops.Total(), sm.Ops.Rotations())
 	}
 }

@@ -164,7 +164,7 @@ func timePacked(config string, comp *core.Compiled, imgs []*tensor.Tensor, worke
 	var out *htc.CipherTensor
 	before := meter.Counts()
 	out = htc.ExecuteOpts(meter, comp.Circuit, enc, comp.Best.Policy, sc, opts)
-	rescales := meter.Counts().Rescale - before.Rescale
+	rescales := meter.Counts()[hisa.OpRescale] - before[hisa.OpRescale]
 
 	// Level the field between rows: the second configuration otherwise starts
 	// with the first one's garbage and pays its collection mid-timing.

@@ -53,9 +53,9 @@ type Analysis struct {
 	// batch amortizes the total cost across packed images (>= 1).
 	batch int
 
-	// boot, when non-nil, mirrors the runtime hisa.Refresher: multiplicative
-	// operands below the level floor are bootstrapped (placement recorded,
-	// cost charged, consumption reset) before the op's transfer function.
+	// boot, when non-nil, makes the analysis a hisa.BootstrapBackend: run
+	// under the runtime's hisa.Refresher (see backend), every refresh it
+	// triggers is recorded as a placement.
 	boot *bootRun
 }
 
@@ -101,11 +101,10 @@ type AnalysisConfig struct {
 	// Batch is the number of images packed per evaluation; CostPerImage
 	// divides the total estimate by it. Values <= 1 mean unbatched.
 	Batch int
-	// Bootstrap enables bootstrap-aware level accounting: a multiplicative
-	// operand whose remaining level (Window minus consumed chain primes)
-	// falls below Floor is bootstrapped — placement recorded, cost charged,
-	// consumption reset — exactly the trigger rule hisa.Refresher applies
-	// at runtime, so placement counts match runtime tallies.
+	// Bootstrap enables bootstrap-aware level accounting: the analysis
+	// reports each ciphertext's remaining level (Window minus consumed chain
+	// primes) as its budget and executes under hisa.Refresher with Floor, so
+	// the compiler's placements are the refreshes the runtime performs.
 	Bootstrap *BootConfig
 }
 
@@ -152,29 +151,48 @@ func NewAnalysis(cfg AnalysisConfig) *Analysis {
 	return a
 }
 
-// maybeBootstrap is the analysis mirror of hisa.Refresher.refreshed: when
-// the operand's remaining level is below the floor, place a bootstrap —
-// record it, charge its instruction inventory, and return a fact reset to
-// the fresh level (consumption zero, scale preserved, exactly what the
-// runtime pipeline produces). op names the triggering HISA instruction.
-func (a *Analysis) maybeBootstrap(cc *analysisCT, op string) *analysisCT {
+// backend returns what the kernels execute against: the analysis itself or,
+// with bootstrap accounting on, the analysis under the same hisa.Refresher
+// the runtime uses — one trigger rule, so placements equal runtime refreshes.
+func (a *Analysis) backend() hisa.Backend {
 	if a.boot == nil {
-		return cc
+		return a
 	}
-	lvl := a.boot.cfg.Window - int(math.Round(cc.consumed/a.rnsPrimeBits))
-	if lvl >= a.boot.cfg.Floor {
-		return cc
+	rf, err := hisa.NewRefresher(a, a.boot.cfg.Floor)
+	if err != nil {
+		panic("core: " + err.Error()) // a is bootstrap-capable whenever boot is set
 	}
+	return rf
+}
+
+// --- hisa.BootstrapBackend ---
+
+func (a *Analysis) BootstrapCapable() bool { return a.boot != nil }
+
+// BudgetOf is the fact's remaining level: the window less the chain primes
+// its lineage has consumed.
+func (a *Analysis) BudgetOf(c hisa.Ciphertext) int {
+	return a.boot.cfg.Window - int(math.Round(a.ct(c).consumed/a.rnsPrimeBits))
+}
+
+func (a *Analysis) FreshBudget() int { return a.boot.cfg.Window }
+
+// DropToFresh is the identity: a fresh fact has consumed nothing.
+func (a *Analysis) DropToFresh(c hisa.Ciphertext) hisa.Ciphertext { return c }
+
+// Bootstrap places a bootstrap: record it, charge its instruction inventory,
+// and return a fact reset to the fresh level (consumption zero, scale
+// preserved, exactly what the runtime pipeline produces).
+func (a *Analysis) Bootstrap(c hisa.Ciphertext) hisa.Ciphertext {
 	a.boot.placements = append(a.boot.placements, BootPlacement{
 		Index:       len(a.boot.placements),
-		Node:        -1, // attributed by the recording pass
-		Op:          op,
-		LevelBefore: lvl,
+		Node:        -1, // attributed, like Op, by the recording pass
+		LevelBefore: a.BudgetOf(c),
 		LevelAfter:  a.boot.cfg.Window,
 		Cost:        a.boot.cost,
 	})
 	a.charge(a.boot.cost)
-	return a.observe(&analysisCT{scale: cc.scale})
+	return a.observe(&analysisCT{scale: a.ct(c).scale})
 }
 
 // Bootstraps returns the number of bootstraps this run placed.
@@ -322,13 +340,8 @@ func (a *Analysis) SubScalar(c hisa.Ciphertext, x float64) hisa.Ciphertext {
 
 func (a *Analysis) Mul(c, c2 hisa.Ciphertext) hisa.Ciphertext {
 	x, y := a.ct(c), a.ct(c2)
-	bx := a.maybeBootstrap(x, "mul")
-	by := bx
-	if y != x {
-		by = a.maybeBootstrap(y, "mul")
-	}
-	a.charge(a.model.CtMul(a.n, a.state(bx)))
-	return a.join(bx, by, bx.scale*by.scale)
+	a.charge(a.model.CtMul(a.n, a.state(x)))
+	return a.join(x, y, x.scale*y.scale)
 }
 
 // LazyRelinCapable marks the analysis interpretation as supporting deferred
@@ -346,13 +359,12 @@ func (a *Analysis) Relinearize(c hisa.Ciphertext) hisa.Ciphertext { return c }
 
 func (a *Analysis) MulPlain(c hisa.Ciphertext, p hisa.Plaintext) hisa.Ciphertext {
 	x, pp := a.ct(c), a.pt(p)
-	x = a.maybeBootstrap(x, "mulPlain")
 	a.charge(a.model.PlainMul(a.n, a.state(x)))
 	return a.observe(&analysisCT{scale: x.scale * pp.scale, consumed: x.consumed})
 }
 
 func (a *Analysis) MulScalar(c hisa.Ciphertext, x float64, f float64) hisa.Ciphertext {
-	cc := a.maybeBootstrap(a.ct(c), "mulScalar")
+	cc := a.ct(c)
 	a.charge(a.model.ScalarMul(a.n, a.state(cc)))
 	return a.observe(&analysisCT{scale: cc.scale * f, consumed: cc.consumed})
 }
@@ -470,7 +482,7 @@ func (a *Analysis) AddPlainC(c hisa.Ciphertext, m []complex128) hisa.Ciphertext 
 }
 
 func (a *Analysis) MulScalarC(c hisa.Ciphertext, z complex128, f float64) hisa.Ciphertext {
-	cc := a.maybeBootstrap(a.ct(c), "mulScalarC")
+	cc := a.ct(c)
 	a.charge(a.model.ScalarMul(a.n, a.state(cc)))
 	return a.observe(&analysisCT{scale: cc.scale * f, consumed: cc.consumed})
 }

@@ -14,15 +14,16 @@ import (
 // secure modulus chain cannot compile at all without bootstrapping; with
 // Options.Bootstrap the compiler instead lays out a bootstrap chain
 // (boot.Spec.ChainBits: base prime, a working window of data levels, the
-// pipeline's own levels, the CoeffToSlot prime on top) and mirrors the
-// runtime hisa.Refresher inside the Analysis interpretation: whenever a
+// pipeline's own levels, the CoeffToSlot prime on top) and executes the
+// Analysis interpretation under the runtime's own hisa.Refresher: whenever a
 // multiplicative operand's remaining level falls below the floor, the
-// analysis records a placement, resets the operand to the fresh level, and
-// charges the bootstrap's full instruction inventory (boot.Spec.Ops) to the
-// cost model. Because the trigger rule, the fresh level, and the rescale
-// quantization are byte-for-byte the ones the Refresher applies over the RNS
-// backend, the number and order of placements the compiler predicts equal
-// the bootstraps the runtime performs.
+// Refresher bootstraps it, and the analysis records a placement, resets the
+// operand to the fresh level, and charges the bootstrap's full instruction
+// inventory (boot.Spec.Ops) to the cost model. The trigger rule is one
+// function shared with the runtime, and the fresh level and the rescale
+// quantization match the RNS backend's, so the number and order of
+// placements the compiler predicts equal the bootstraps the runtime
+// performs.
 
 // BootstrapOptions enables and configures compiler-placed bootstrapping
 // (Options.Bootstrap). Requires SchemeRNS and ScaleGreedy.
@@ -58,7 +59,8 @@ type BootPlacement struct {
 	// "kind:name" label.
 	Node int
 	Name string
-	// Op is the HISA instruction whose operand fell below the floor.
+	// Op is the mnemonic (hisa.OpKind) of the HISA instruction whose
+	// operand fell below the floor.
 	Op string
 	// LevelBefore is the operand's remaining level at the trigger;
 	// LevelAfter is the fresh level it returns at (= Window).
@@ -165,10 +167,18 @@ func recordBootPlan(c *circuit.Circuit, comp *Compiled) (err error) {
 			placements = append(placements, p)
 		}
 	}
+	// An observer above the Refresher sees each instruction complete right
+	// after the refreshes it triggered: those placements take its mnemonic.
+	tagged := 0
+	b := hisa.NewInterposer(a.backend(), "placements", nil, func(op *hisa.Op) {
+		for ps := a.BootPlacements(); tagged < len(ps); tagged++ {
+			ps[tagged].Op = op.Kind.String()
+		}
+	})
 
 	img := tensor.New(c.Input.OutShape...)
-	enc := htc.EncryptTensor(a, img, comp.Plan(), opts.Scales)
-	htc.ExecuteOpts(a, c, enc, comp.Best.Policy, opts.Scales, htc.ExecOptions{
+	enc := htc.EncryptTensor(&b, img, comp.Plan(), opts.Scales)
+	htc.ExecuteOpts(&b, c, enc, comp.Best.Policy, opts.Scales, htc.ExecOptions{
 		OnNode: func(n *circuit.Node, _ *htc.CipherTensor) { attribute(n.ID, names[n.ID]) },
 	})
 	attribute(-1, "(output)")

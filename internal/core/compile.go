@@ -269,8 +269,9 @@ func runAnalysis(c *circuit.Circuit, policy htc.LayoutPolicy, opts Options, a *A
 	// Encrypting an all-zero image is enough: analysis facts are data-
 	// independent.
 	img := tensor.New(in...)
-	enc := htc.EncryptTensor(a, img, plan, sc)
-	htc.Execute(a, c, enc, policy, sc)
+	b := a.backend()
+	enc := htc.EncryptTensor(b, img, plan, sc)
+	htc.Execute(b, c, enc, policy, sc)
 	return nil
 }
 
@@ -286,7 +287,7 @@ func compilePolicy(c *circuit.Circuit, policy htc.LayoutPolicy, opts Options) (P
 
 		// With bootstrapping requested, the chain is laid out from the
 		// bootstrap spec instead of the circuit's consumption, and the
-		// analysis mirrors the runtime refresh trigger.
+		// analysis runs under the runtime's refresh trigger.
 		var bootCfg *BootConfig
 		if opts.Bootstrap != nil {
 			spec, err := bootSpecFor(logN, &opts)

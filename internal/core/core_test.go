@@ -106,9 +106,9 @@ func TestAnalysisMatchesMeterOnRef(t *testing.T) {
 	encR := htc.EncryptTensor(meter, img, plan, sc)
 	htc.Execute(meter, c, encR, policy, sc)
 
-	if a.RotationOps() != meter.Counts().Rotations {
+	if a.RotationOps() != meter.Counts().Rotations() {
 		t.Fatalf("analysis rotations %d != metered rotations %d",
-			a.RotationOps(), meter.Counts().Rotations)
+			a.RotationOps(), meter.Counts().Rotations())
 	}
 	if len(a.Rotations()) == 0 {
 		t.Fatal("no rotation keys collected")

@@ -241,7 +241,7 @@ func recordScalePlan(c *circuit.Circuit, comp *Compiled) (err error) {
 			RNSPrimeBits:  opts.RNSPrimeBits,
 			MagMarginBits: opts.MagMarginBits,
 			// Bootstrap-aware level accounting (greedy-only mode), so the
-			// recording run's consumption mirrors the runtime's resets.
+			// recording run's consumption sees the runtime's resets.
 			Bootstrap: comp.bootConfig(),
 		})
 		rec.reset(a)
@@ -249,20 +249,20 @@ func recordScalePlan(c *circuit.Circuit, comp *Compiled) (err error) {
 		// A Meter around the analysis supplies the per-node relinearization
 		// tallies for the explain report; ciphertext facts pass through it
 		// untouched.
-		meter := hisa.NewMeter(a, nil)
+		meter := hisa.NewMeter(a.backend(), nil)
 		relins = map[int]int{}
-		prevRelin := int64(0)
+		prevRelin := 0
 
 		img := tensor.New(c.Input.OutShape...)
 		enc := htc.EncryptTensor(meter, img, comp.Plan(), opts.Scales)
 		htc.ExecuteOpts(meter, c, enc, comp.Best.Policy, opts.Scales, htc.ExecOptions{
 			Scale: rec,
 			OnNode: func(n *circuit.Node, _ *htc.CipherTensor) {
-				cnt := meter.Counts()
-				if d := int64(cnt.Relinearize) - prevRelin; d > 0 {
-					relins[n.ID] = int(d)
+				relin := meter.Counts()[hisa.OpRelin]
+				if relin > prevRelin {
+					relins[n.ID] = relin - prevRelin
 				}
-				prevRelin = int64(cnt.Relinearize)
+				prevRelin = relin
 			},
 		})
 		if !rec.lazy || a.PeakLogQ() <= comp.Best.LogQ+budgetSlackBits || !rec.pinWorstDeferral() {

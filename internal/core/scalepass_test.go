@@ -124,7 +124,7 @@ func TestLazyEqualsGreedyWaterlineOnRNS(t *testing.T) {
 				t.Fatalf("rns %s output %d: got %g want %g", name, i, got.Data[i], want.Data[i])
 			}
 		}
-		counts[name] = m.Counts().Rescale
+		counts[name] = m.Counts()[hisa.OpRescale]
 	}
 	if counts["greedy"] != counts["lazy"] {
 		t.Fatalf("rescale counts diverge: greedy %d, lazy %d", counts["greedy"], counts["lazy"])

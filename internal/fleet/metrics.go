@@ -87,56 +87,51 @@ func (r *Router) ObservabilityMux() http.Handler {
 // exposition format (version 0.0.4), handwritten because the repo takes no
 // dependencies.
 func writeRouterProm(w io.Writer, m RouterMetrics) {
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	counter("chet_router_sessions_opened_total", "Client sessions admitted by the router.", m.SessionsOpened)
-	counter("chet_router_sessions_evicted_total", "Sessions evicted by the router's LRU table.", m.SessionsEvicted)
-	gauge("chet_router_sessions_active", "Sessions currently tracked by the router.", int64(m.SessionsActive))
-	counter("chet_router_relays_total", "Inference requests relayed to workers.", m.Relays)
-	counter("chet_router_failovers_total", "Relay attempts abandoned after a worker failure.", m.Failovers)
-	counter("chet_router_handoffs_total", "Session-handoff frames acked by workers.", m.Handoffs)
-	counter("chet_router_ring_rebalances_total", "Consistent-hash ring membership changes.", m.Rebalances)
-	counter("chet_router_probe_failures_total", "Health-probe failures.", m.ProbeFailures)
-	counter("chet_router_client_errors_total", "Error frames the router originated toward clients.", m.ClientErrors)
-	counter("chet_router_rejected_shutdown_total", "Opens and requests refused while draining.", m.RejectedShutdown)
-	counter("chet_router_unknown_sessions_total", "Unknown-session errors seen at the router.", m.UnknownSessions)
-	gauge("chet_router_registry_models", "Models in the replicated registry view.", int64(m.RegistryModels))
-	gauge("chet_router_live_workers", "Workers currently on the ring.", int64(m.LiveWorkers))
-	gauge("chet_router_trace_spans", "Spans retained in the router's span ring.", int64(m.TraceSpans))
-	counter("chet_router_trace_spans_dropped_total", "Spans evicted from the router's span ring by wraparound.", m.SpansDropped)
+	p := telemetry.Prom{W: w}
+	p.Counter("chet_router_sessions_opened_total", "Client sessions admitted by the router.", m.SessionsOpened)
+	p.Counter("chet_router_sessions_evicted_total", "Sessions evicted by the router's LRU table.", m.SessionsEvicted)
+	p.Gauge("chet_router_sessions_active", "Sessions currently tracked by the router.", m.SessionsActive)
+	p.Counter("chet_router_relays_total", "Inference requests relayed to workers.", m.Relays)
+	p.Counter("chet_router_failovers_total", "Relay attempts abandoned after a worker failure.", m.Failovers)
+	p.Counter("chet_router_handoffs_total", "Session-handoff frames acked by workers.", m.Handoffs)
+	p.Counter("chet_router_ring_rebalances_total", "Consistent-hash ring membership changes.", m.Rebalances)
+	p.Counter("chet_router_probe_failures_total", "Health-probe failures.", m.ProbeFailures)
+	p.Counter("chet_router_client_errors_total", "Error frames the router originated toward clients.", m.ClientErrors)
+	p.Counter("chet_router_rejected_shutdown_total", "Opens and requests refused while draining.", m.RejectedShutdown)
+	p.Counter("chet_router_unknown_sessions_total", "Unknown-session errors seen at the router.", m.UnknownSessions)
+	p.Gauge("chet_router_registry_models", "Models in the replicated registry view.", m.RegistryModels)
+	p.Gauge("chet_router_live_workers", "Workers currently on the ring.", m.LiveWorkers)
+	p.Gauge("chet_router_trace_spans", "Spans retained in the router's span ring.", m.TraceSpans)
+	p.Counter("chet_router_trace_spans_dropped_total", "Spans evicted from the router's span ring by wraparound.", m.SpansDropped)
 
-	fmt.Fprintf(w, "# HELP chet_router_worker_up Worker ring membership (1 = on the ring).\n# TYPE chet_router_worker_up gauge\n")
+	p.Family("chet_router_worker_up", "Worker ring membership (1 = on the ring).", "gauge")
 	for _, wk := range m.Workers {
 		up := 0
 		if wk.Up {
 			up = 1
 		}
-		fmt.Fprintf(w, "chet_router_worker_up{worker=%q} %d\n", wk.Addr, up)
+		p.Sample("chet_router_worker_up", "worker", wk.Addr, up)
 	}
-	fmt.Fprintf(w, "# HELP chet_router_worker_inflight Requests currently relayed per worker.\n# TYPE chet_router_worker_inflight gauge\n")
+	p.Family("chet_router_worker_inflight", "Requests currently relayed per worker.", "gauge")
 	for _, wk := range m.Workers {
-		fmt.Fprintf(w, "chet_router_worker_inflight{worker=%q} %d\n", wk.Addr, wk.Inflight)
+		p.Sample("chet_router_worker_inflight", "worker", wk.Addr, wk.Inflight)
 	}
-	fmt.Fprintf(w, "# HELP chet_router_worker_relayed_total Responses delivered per worker.\n# TYPE chet_router_worker_relayed_total counter\n")
+	p.Family("chet_router_worker_relayed_total", "Responses delivered per worker.", "counter")
 	for _, wk := range m.Workers {
-		fmt.Fprintf(w, "chet_router_worker_relayed_total{worker=%q} %d\n", wk.Addr, wk.Relayed)
+		p.Sample("chet_router_worker_relayed_total", "worker", wk.Addr, wk.Relayed)
 	}
-	fmt.Fprintf(w, "# HELP chet_router_worker_handoffs_total Sessions handed to each worker.\n# TYPE chet_router_worker_handoffs_total counter\n")
+	p.Family("chet_router_worker_handoffs_total", "Sessions handed to each worker.", "counter")
 	for _, wk := range m.Workers {
-		fmt.Fprintf(w, "chet_router_worker_handoffs_total{worker=%q} %d\n", wk.Addr, wk.Handoffs)
+		p.Sample("chet_router_worker_handoffs_total", "worker", wk.Addr, wk.Handoffs)
 	}
-	fmt.Fprintf(w, "# HELP chet_router_worker_bootstraps_total Bootstrap refreshes per worker (from health acks).\n# TYPE chet_router_worker_bootstraps_total counter\n")
+	p.Family("chet_router_worker_bootstraps_total", "Bootstrap refreshes per worker (from health acks).", "counter")
 	for _, wk := range m.Workers {
-		fmt.Fprintf(w, "chet_router_worker_bootstraps_total{worker=%q} %d\n", wk.Addr, wk.Bootstraps)
+		p.Sample("chet_router_worker_bootstraps_total", "worker", wk.Addr, wk.Bootstraps)
 	}
-	fmt.Fprintf(w, "# HELP chet_router_worker_min_headroom_levels Low-water mark of ciphertext levels above the refresh floor per worker; absent until the worker reports one.\n# TYPE chet_router_worker_min_headroom_levels gauge\n")
+	p.Family("chet_router_worker_min_headroom_levels", "Low-water mark of ciphertext levels above the refresh floor per worker; absent until the worker reports one.", "gauge")
 	for _, wk := range m.Workers {
 		if wk.HeadroomKnown {
-			fmt.Fprintf(w, "chet_router_worker_min_headroom_levels{worker=%q} %d\n", wk.Addr, wk.MinHeadroom)
+			p.Sample("chet_router_worker_min_headroom_levels", "worker", wk.Addr, wk.MinHeadroom)
 		}
 	}
 }

@@ -97,8 +97,8 @@ func TestMeterCountsBootstrap(t *testing.T) {
 	out := bb.Bootstrap(ct)
 	m.Free(out)
 	m.Free(ct)
-	if c := m.Counts(); c.Bootstrap != 1 {
-		t.Fatalf("meter counted %d bootstraps, want 1", c.Bootstrap)
+	if c := m.Counts(); c[OpBootstrap] != 1 {
+		t.Fatalf("meter counted %d bootstraps, want 1", c[OpBootstrap])
 	}
 }
 
@@ -140,8 +140,8 @@ func TestRefresherKeepsDeepCircuitAlive(t *testing.T) {
 	if rf.Bootstraps() == 0 {
 		t.Fatal("deep chain completed without a bootstrap")
 	}
-	if c := meter.Counts(); c.Bootstrap != rf.Bootstraps() {
-		t.Fatalf("meter saw %d bootstraps, refresher %d", c.Bootstrap, rf.Bootstraps())
+	if c := meter.Counts(); c[OpBootstrap] != rf.Bootstraps() {
+		t.Fatalf("meter saw %d bootstraps, refresher %d", c[OpBootstrap], rf.Bootstraps())
 	}
 	got := rf.Decode(rf.Decrypt(ct))
 	for i := range values {

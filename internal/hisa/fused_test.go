@@ -117,17 +117,17 @@ func TestMeterFusedAccounting(t *testing.T) {
 	fr.RelinearizeRescale(prod, d)
 
 	c := m.Counts()
-	if c.Mul != 1 || c.Relinearize != 1 || c.Rescale != 1 {
+	if c[OpMul] != 1 || c[OpRelin] != 1 || c[OpRescale] != 1 {
 		t.Fatalf("after fused drop: mul=%d relin=%d rescale=%d; want 1/1/1",
-			c.Mul, c.Relinearize, c.Rescale)
+			c[OpMul], c[OpRelin], c[OpRescale])
 	}
 
 	// A trivial divisor is a pure relinearization: no rescale tally.
 	fr.RelinearizeRescale(prod, big.NewInt(1))
 	c = m.Counts()
-	if c.Relinearize != 2 || c.Rescale != 1 {
+	if c[OpRelin] != 2 || c[OpRescale] != 1 {
 		t.Fatalf("after trivial-divisor fuse: relin=%d rescale=%d; want 2/1",
-			c.Relinearize, c.Rescale)
+			c[OpRelin], c[OpRescale])
 	}
 }
 

@@ -22,11 +22,11 @@ type Plaintext any
 // (inputs are never mutated) so the same kernel source can be executed under
 // value, cryptographic, and analysis interpretations.
 //
-// Concurrency contract: the executable backends (Ref, Sim, RNS, and the
-// Meter wrapper) are safe for concurrent op execution — any number of
-// goroutines may issue Encode/arith/rotate/rescale calls on one backend,
-// including on shared ciphertext handles, because ciphertexts are immutable
-// once produced. Results are deterministic functions of their inputs, so a
+// Concurrency contract: the executable backends (Ref, Sim, RNS) and the
+// observers over them (Meter, Refresher, telemetry.Tracer) are safe for
+// concurrent op execution — any number of goroutines may issue
+// Encode/arith/rotate/rescale calls on one backend, including on shared
+// ciphertext handles, because ciphertexts are immutable once produced. Results are deterministic functions of their inputs, so a
 // parallel schedule that preserves the per-output accumulation order is
 // bit-identical to the serial one. Encrypt/Decrypt draw from a (possibly
 // seeded) PRNG and are serialized internally; concurrent callers therefore
@@ -115,8 +115,8 @@ type ConjugateBackend interface {
 }
 
 // AsConjugate returns b as a ConjugateBackend when it (not an inner unwrap —
-// wrappers must forward the capability to keep their bookkeeping) supports
-// complex slot operations.
+// the Interposer forwards the capability, so observers keep their
+// bookkeeping) supports complex slot operations.
 func AsConjugate(b Backend) (ConjugateBackend, bool) {
 	cb, ok := b.(ConjugateBackend)
 	return cb, ok
@@ -133,9 +133,9 @@ func AsConjugate(b Backend) (ConjugateBackend, bool) {
 // rotations, conjugation, rescaling, or decryption.
 type LazyRelinBackend interface {
 	// LazyRelinCapable reports whether the instance actually supports the
-	// capability. Wrappers (Meter, telemetry.Tracer) forward these methods
-	// unconditionally to keep their bookkeeping, so the interface assertion
-	// alone is not sufficient — AsLazyRelin checks this flag too.
+	// capability. The Interposer forwards these methods unconditionally, so
+	// the interface assertion alone is not sufficient — AsLazyRelin checks
+	// this flag too.
 	LazyRelinCapable() bool
 	// MulNoRelin multiplies without the closing relinearization.
 	MulNoRelin(c, c2 Ciphertext) Ciphertext
@@ -165,8 +165,8 @@ func AsLazyRelin(b Backend) (LazyRelinBackend, bool) {
 // to plain Relinearize).
 type FusedRescaleBackend interface {
 	// FusedRescaleCapable reports whether the instance actually supports
-	// the capability; wrappers forward the methods unconditionally, so
-	// AsFusedRescale checks this flag too.
+	// the capability; the Interposer forwards the methods unconditionally,
+	// so AsFusedRescale checks this flag too.
 	FusedRescaleCapable() bool
 	// RelinearizeRescale relinearizes c (a MulNoRelin product or a linear
 	// combination of them) and rescales it by divisor x in one fused pass.
@@ -200,9 +200,9 @@ func AsFusedRescale(b Backend) (FusedRescaleBackend, bool) {
 // the real pipeline).
 type BootstrapBackend interface {
 	// BootstrapCapable reports whether the instance actually supports the
-	// capability. Wrappers (Meter, telemetry.Tracer, Refresher) forward these
-	// methods unconditionally to keep their bookkeeping, so the interface
-	// assertion alone is not sufficient — AsBootstrap checks this flag too.
+	// capability. The Interposer forwards these methods unconditionally, so
+	// the interface assertion alone is not sufficient — AsBootstrap checks
+	// this flag too.
 	BootstrapCapable() bool
 	// Bootstrap refreshes c to FreshBudget levels. The input is unchanged
 	// and remains owned by the caller.
@@ -275,17 +275,18 @@ func RotationSteps(x, slots int, available func(int) bool) []int {
 	return steps
 }
 
-// Unwrapper is implemented by wrapper backends (Meter, telemetry.Tracer)
-// that delegate to an inner backend. FindCapability walks Unwrap chains so
-// optional capabilities survive any wrapping order.
+// Unwrapper is implemented by the Interposer (hence by Meter, Refresher and
+// telemetry.Tracer), which delegates to an inner backend. FindCapability
+// walks Unwrap chains so capabilities outside the HISA (level probes, scope
+// hooks) survive any wrapping order.
 type Unwrapper interface {
 	Unwrap() Backend
 }
 
 // FindCapability reports the first backend in b's wrapper chain (b itself,
 // then successive Unwrap results) that satisfies the capability type T.
-// Wrappers that forward a capability (e.g. Meter's RotLeftMany) are found
-// before their inner backend, preserving the wrapper's bookkeeping.
+// An observer that has the capability is found before its inner backend,
+// preserving the observer's bookkeeping.
 func FindCapability[T any](b Backend) (T, bool) {
 	for b != nil {
 		if t, ok := any(b).(T); ok {

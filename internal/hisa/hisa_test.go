@@ -287,16 +287,16 @@ func TestMeterCounts(t *testing.T) {
 	m.Decode(m.Decrypt(ct2))
 
 	c := m.Counts()
-	if c.Encrypt != 1 || c.Decrypt != 1 || c.Encode != 1 || c.Decode != 1 {
+	if c[OpEncrypt] != 1 || c[OpDecrypt] != 1 || c[OpEncode] != 1 || c[OpDecode] != 1 {
 		t.Fatalf("IO counts wrong: %+v", c)
 	}
-	if c.Add != 1 || c.Mul != 1 {
+	if c[OpAdd] != 1 || c[OpMul] != 1 {
 		t.Fatalf("arith counts wrong: %+v", c)
 	}
-	if c.Rotations != 2 {
-		t.Fatalf("rotation steps = %d, want 2", c.Rotations)
+	if c.Rotations() != 2 {
+		t.Fatalf("rotation steps = %d, want 2", c.Rotations())
 	}
-	if c.Rescale != 1 || c.MaxRescaleQueries != 1 {
+	if c[OpRescale] != 1 || c[OpMaxRescale] != 1 {
 		t.Fatalf("rescale counts wrong: %+v", c)
 	}
 	if c.Total() != 7 {

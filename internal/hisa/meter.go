@@ -1,334 +1,76 @@
 package hisa
 
-import (
-	"math/big"
-	"sync/atomic"
-)
+import "sync/atomic"
 
-// OpCounts is a point-in-time tally of HISA instruction executions (a
-// snapshot returned by Meter.Counts). Rotations are counted as executed
-// primitive steps by the wrapped backend's own decomposition, so a backend
-// without the exact key reports the higher power-of-two step count.
-type OpCounts struct {
-	Encrypt, Decrypt           int
-	Encode, Decode             int
-	Rotations                  int
-	Add, AddPlain, AddScalar   int
-	Sub, SubPlain, SubScalar   int
-	Mul, MulPlain, MulScalar   int
-	Rescale, MaxRescaleQueries int
-	// Relinearize counts the key-switches performed to bring
-	// ciphertext-ciphertext products back to degree 1 — inside Mul, as
-	// explicit Relinearize calls, and inside fused RelinearizeRescale calls
-	// (which also bump Rescale: the fused op is one pass but two logical
-	// instructions). It is tallied separately so the scale-management pass's
-	// op accounting (and /metrics) can report relinearizations as their own
-	// series.
-	Relinearize int
-	// Conjugate counts slot-conjugation automorphisms (complex packing).
-	Conjugate int
-	// Bootstrap counts ciphertext refreshes. The pipeline's internal
-	// rotations, multiplications, and rescales run below the HISA layer, so
-	// they are NOT unfolded into the other counters — one bootstrap is one
-	// (very expensive) instruction; boot.Spec.Ops itemizes its interior.
-	Bootstrap int
-}
+// OpCounts is a point-in-time tally of HISA instruction executions by kind
+// (a snapshot returned by Meter.Counts), under the Interposer's accounting
+// rules. Rotations are counted as executed primitive steps by the wrapped
+// backend's own decomposition, so a backend without the exact key reports
+// the higher power-of-two step count. OpRelin counts the key-switches that
+// bring ciphertext-ciphertext products back to degree 1, wherever they run
+// (inside Mul, as explicit Relinearize calls, inside fused
+// RelinearizeRescale calls). One OpBootstrap is one (very expensive)
+// instruction: boot.Spec.Ops itemizes its interior.
+type OpCounts [NumOps]int
+
+// Rotations is the number of primitive rotation steps in either direction.
+func (o OpCounts) Rotations() int { return o[OpRotLeft] + o[OpRotRight] }
 
 // Total returns the total number of homomorphic operations (excluding
 // encode/decode and MaxRescale queries, which are metadata-only; and
-// excluding Relinearize, which is already counted inside Mul).
+// excluding relinearizations, which are already counted inside Mul).
 func (o OpCounts) Total() int {
-	return o.Encrypt + o.Decrypt + o.Rotations +
-		o.Add + o.AddPlain + o.AddScalar +
-		o.Sub + o.SubPlain + o.SubScalar +
-		o.Mul + o.MulPlain + o.MulScalar + o.Rescale + o.Conjugate + o.Bootstrap
+	total := 0
+	for k, n := range o {
+		switch OpKind(k) {
+		case OpEncode, OpDecode, OpMaxRescale, OpRelin:
+		default:
+			total += n
+		}
+	}
+	return total
 }
 
-// Meter wraps a Backend and counts the instructions that flow through it.
-// It implements Backend, so kernels and the compiler are oblivious to it.
-// Counters are atomic, so a Meter may wrap a backend that executes ops from
-// many worker goroutines concurrently; Counts returns a snapshot.
+// Meter counts the instructions that flow through a Backend. It implements
+// Backend, so kernels and the compiler are oblivious to it. Counters are
+// atomic, so a Meter may wrap a backend that executes ops from many worker
+// goroutines concurrently; Counts returns a snapshot.
 type Meter struct {
-	Inner Backend
-
-	encrypt, decrypt           atomic.Int64
-	encode, decode             atomic.Int64
-	rotations                  atomic.Int64
-	add, addPlain, addScalar   atomic.Int64
-	sub, subPlain, subScalar   atomic.Int64
-	mul, mulPlain, mulScalar   atomic.Int64
-	rescale, maxRescaleQueries atomic.Int64
-	relinearize, conjugate     atomic.Int64
-	bootstrap                  atomic.Int64
-
-	// rotationSteps mirrors the step decomposition of the inner backend so
+	Interposer
+	counts [NumOps]atomic.Int64
+	// stepsOf mirrors the step decomposition of the inner backend so
 	// multi-step rotations are counted faithfully.
-	rotationStepsOf func(x int) int
+	stepsOf func(x int) int
 }
 
 // NewMeter wraps inner. stepsOf may be nil, in which case each RotLeft or
 // RotRight call counts as one rotation.
 func NewMeter(inner Backend, stepsOf func(x int) int) *Meter {
-	return &Meter{Inner: inner, rotationStepsOf: stepsOf}
+	m := &Meter{stepsOf: stepsOf}
+	m.Interposer = NewInterposer(inner, "meter", nil, m.count)
+	return m
 }
 
-// Counts returns a consistent-enough snapshot of the tallies: each field is
+func (m *Meter) count(op *Op) {
+	n := 1
+	if m.stepsOf != nil {
+		switch op.Kind {
+		case OpRotLeft:
+			n = m.stepsOf(op.Rot)
+		case OpRotRight:
+			n = m.stepsOf(-op.Rot)
+		}
+	}
+	m.counts[op.Kind].Add(int64(n))
+}
+
+// Counts returns a consistent-enough snapshot of the tallies: each entry is
 // read atomically, so concurrent mutation never corrupts a value (reading
 // while ops are in flight may observe some ops and not others).
 func (m *Meter) Counts() OpCounts {
-	return OpCounts{
-		Encrypt:           int(m.encrypt.Load()),
-		Decrypt:           int(m.decrypt.Load()),
-		Encode:            int(m.encode.Load()),
-		Decode:            int(m.decode.Load()),
-		Rotations:         int(m.rotations.Load()),
-		Add:               int(m.add.Load()),
-		AddPlain:          int(m.addPlain.Load()),
-		AddScalar:         int(m.addScalar.Load()),
-		Sub:               int(m.sub.Load()),
-		SubPlain:          int(m.subPlain.Load()),
-		SubScalar:         int(m.subScalar.Load()),
-		Mul:               int(m.mul.Load()),
-		MulPlain:          int(m.mulPlain.Load()),
-		MulScalar:         int(m.mulScalar.Load()),
-		Rescale:           int(m.rescale.Load()),
-		MaxRescaleQueries: int(m.maxRescaleQueries.Load()),
-		Relinearize:       int(m.relinearize.Load()),
-		Conjugate:         int(m.conjugate.Load()),
-		Bootstrap:         int(m.bootstrap.Load()),
+	var o OpCounts
+	for k := range o {
+		o[k] = int(m.counts[k].Load())
 	}
-}
-
-func (m *Meter) Name() string { return m.Inner.Name() + "+meter" }
-func (m *Meter) Slots() int   { return m.Inner.Slots() }
-
-// Unwrap exposes the wrapped backend for capability discovery
-// (hisa.FindCapability).
-func (m *Meter) Unwrap() Backend { return m.Inner }
-
-func (m *Meter) Encrypt(p Plaintext) Ciphertext {
-	m.encrypt.Add(1)
-	return m.Inner.Encrypt(p)
-}
-
-func (m *Meter) Decrypt(c Ciphertext) Plaintext {
-	m.decrypt.Add(1)
-	return m.Inner.Decrypt(c)
-}
-
-func (m *Meter) Copy(c Ciphertext) Ciphertext { return m.Inner.Copy(c) }
-func (m *Meter) Free(h any)                   { m.Inner.Free(h) }
-
-func (m *Meter) Encode(v []float64, f float64) Plaintext {
-	m.encode.Add(1)
-	return m.Inner.Encode(v, f)
-}
-
-func (m *Meter) Decode(p Plaintext) []float64 {
-	m.decode.Add(1)
-	return m.Inner.Decode(p)
-}
-
-func (m *Meter) countRotation(x int) {
-	if x%m.Slots() == 0 {
-		return
-	}
-	if m.rotationStepsOf != nil {
-		m.rotations.Add(int64(m.rotationStepsOf(x)))
-	} else {
-		m.rotations.Add(1)
-	}
-}
-
-func (m *Meter) RotLeft(c Ciphertext, x int) Ciphertext {
-	m.countRotation(x)
-	return m.Inner.RotLeft(c, x)
-}
-
-func (m *Meter) RotRight(c Ciphertext, x int) Ciphertext {
-	m.countRotation(-x)
-	return m.Inner.RotRight(c, x)
-}
-
-// RotLeftMany counts each amount exactly as the equivalent RotLeft calls
-// would (per executed primitive step) and forwards the batch, so metered
-// and unmetered backends expose the same batch capability and tallies are
-// independent of whether a kernel batched its rotations.
-func (m *Meter) RotLeftMany(c Ciphertext, ks []int) []Ciphertext {
-	for _, x := range ks {
-		m.countRotation(x)
-	}
-	return RotLeftMany(m.Inner, c, ks)
-}
-
-func (m *Meter) Add(c, c2 Ciphertext) Ciphertext {
-	m.add.Add(1)
-	return m.Inner.Add(c, c2)
-}
-
-func (m *Meter) AddPlain(c Ciphertext, p Plaintext) Ciphertext {
-	m.addPlain.Add(1)
-	return m.Inner.AddPlain(c, p)
-}
-
-func (m *Meter) AddScalar(c Ciphertext, x float64) Ciphertext {
-	m.addScalar.Add(1)
-	return m.Inner.AddScalar(c, x)
-}
-
-func (m *Meter) Sub(c, c2 Ciphertext) Ciphertext {
-	m.sub.Add(1)
-	return m.Inner.Sub(c, c2)
-}
-
-func (m *Meter) SubPlain(c Ciphertext, p Plaintext) Ciphertext {
-	m.subPlain.Add(1)
-	return m.Inner.SubPlain(c, p)
-}
-
-func (m *Meter) SubScalar(c Ciphertext, x float64) Ciphertext {
-	m.subScalar.Add(1)
-	return m.Inner.SubScalar(c, x)
-}
-
-func (m *Meter) Mul(c, c2 Ciphertext) Ciphertext {
-	m.mul.Add(1)
-	m.relinearize.Add(1)
-	return m.Inner.Mul(c, c2)
-}
-
-// lazyInner asserts the wrapped backend's deferred-relinearization
-// capability; LazyRelinCapable gates callers before they reach it.
-func (m *Meter) lazyInner() LazyRelinBackend {
-	lb, ok := m.Inner.(LazyRelinBackend)
-	if !ok {
-		panic("hisa: backend " + m.Inner.Name() + " does not support deferred relinearization")
-	}
-	return lb
-}
-
-func (m *Meter) LazyRelinCapable() bool {
-	lb, ok := m.Inner.(LazyRelinBackend)
-	return ok && lb.LazyRelinCapable()
-}
-
-func (m *Meter) MulNoRelin(c, c2 Ciphertext) Ciphertext {
-	m.mul.Add(1)
-	return m.lazyInner().MulNoRelin(c, c2)
-}
-
-func (m *Meter) Relinearize(c Ciphertext) Ciphertext {
-	m.relinearize.Add(1)
-	return m.lazyInner().Relinearize(c)
-}
-
-// FusedRescaleCapable forwards the fused rescale-into-key-switch capability
-// (gated on the inner backend, like LazyRelinCapable).
-func (m *Meter) FusedRescaleCapable() bool {
-	fb, ok := m.Inner.(FusedRescaleBackend)
-	return ok && fb.FusedRescaleCapable()
-}
-
-// RelinearizeRescale counts the fused op as its two logical instructions —
-// one relinearization, plus one rescale when the divisor is non-trivial —
-// so tallies are independent of whether a kernel took the fused path.
-func (m *Meter) RelinearizeRescale(c Ciphertext, x *big.Int) Ciphertext {
-	fb, ok := m.Inner.(FusedRescaleBackend)
-	if !ok {
-		panic("hisa: backend " + m.Inner.Name() + " does not support fused rescale")
-	}
-	m.relinearize.Add(1)
-	if x.Cmp(big.NewInt(1)) != 0 {
-		m.rescale.Add(1)
-	}
-	return fb.RelinearizeRescale(c, x)
-}
-
-func (m *Meter) MulPlain(c Ciphertext, p Plaintext) Ciphertext {
-	m.mulPlain.Add(1)
-	return m.Inner.MulPlain(c, p)
-}
-
-func (m *Meter) MulScalar(c Ciphertext, x float64, f float64) Ciphertext {
-	m.mulScalar.Add(1)
-	return m.Inner.MulScalar(c, x, f)
-}
-
-func (m *Meter) Rescale(c Ciphertext, x *big.Int) Ciphertext {
-	if x.Cmp(big.NewInt(1)) != 0 {
-		m.rescale.Add(1)
-	}
-	return m.Inner.Rescale(c, x)
-}
-
-func (m *Meter) MaxRescale(c Ciphertext, ub *big.Int) *big.Int {
-	m.maxRescaleQueries.Add(1)
-	return m.Inner.MaxRescale(c, ub)
-}
-
-func (m *Meter) Scale(c Ciphertext) float64 { return m.Inner.Scale(c) }
-
-// bootInner asserts the wrapped backend's bootstrap capability;
-// BootstrapCapable gates callers before they reach it.
-func (m *Meter) bootInner() BootstrapBackend {
-	bb, ok := m.Inner.(BootstrapBackend)
-	if !ok {
-		panic("hisa: backend " + m.Inner.Name() + " does not support bootstrapping")
-	}
-	return bb
-}
-
-func (m *Meter) BootstrapCapable() bool {
-	bb, ok := m.Inner.(BootstrapBackend)
-	return ok && bb.BootstrapCapable()
-}
-
-func (m *Meter) Bootstrap(c Ciphertext) Ciphertext {
-	m.bootstrap.Add(1)
-	return m.bootInner().Bootstrap(c)
-}
-
-// BudgetOf, FreshBudget, and DropToFresh are metadata (level bookkeeping,
-// not homomorphic work), so they forward uncounted.
-func (m *Meter) BudgetOf(c Ciphertext) int { return m.bootInner().BudgetOf(c) }
-
-func (m *Meter) FreshBudget() int { return m.bootInner().FreshBudget() }
-
-func (m *Meter) DropToFresh(c Ciphertext) Ciphertext { return m.bootInner().DropToFresh(c) }
-
-// conjInner asserts the wrapped backend's complex capability. The Meter
-// forwards ConjugateBackend unconditionally (like RotLeftMany) so metered
-// and unmetered backends expose the same capability surface; calling a
-// complex op on a backend without it panics with a clear message.
-func (m *Meter) conjInner() ConjugateBackend {
-	cb, ok := m.Inner.(ConjugateBackend)
-	if !ok {
-		panic("hisa: backend " + m.Inner.Name() + " does not support complex slot operations")
-	}
-	return cb
-}
-
-func (m *Meter) Conjugate(c Ciphertext) Ciphertext {
-	m.conjugate.Add(1)
-	return m.conjInner().Conjugate(c)
-}
-
-func (m *Meter) EncryptC(v []complex128, f float64) Ciphertext {
-	m.encrypt.Add(1)
-	return m.conjInner().EncryptC(v, f)
-}
-
-func (m *Meter) DecryptC(c Ciphertext) []complex128 {
-	m.decrypt.Add(1)
-	return m.conjInner().DecryptC(c)
-}
-
-func (m *Meter) AddPlainC(c Ciphertext, v []complex128) Ciphertext {
-	m.addPlain.Add(1)
-	return m.conjInner().AddPlainC(c, v)
-}
-
-func (m *Meter) MulScalarC(c Ciphertext, x complex128, f float64) Ciphertext {
-	m.mulScalar.Add(1)
-	return m.conjInner().MulScalarC(c, x, f)
+	return o
 }

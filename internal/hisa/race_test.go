@@ -47,14 +47,14 @@ func TestMeterConcurrentCounts(t *testing.T) {
 
 		c := m.Counts()
 		n := workers * iters
-		if c.Add != n || c.MulScalar != n || c.Rotations != 2*n {
+		if c[OpAdd] != n || c[OpMulScalar] != n || c.Rotations() != 2*n {
 			t.Fatalf("%s: arith counts lost updates: %+v (want %d each, %d rotations)",
 				inner.Name(), c, n, 2*n)
 		}
-		if c.Rescale != n || c.MaxRescaleQueries != n {
+		if c[OpRescale] != n || c[OpMaxRescale] != n {
 			t.Fatalf("%s: rescale counts lost updates: %+v", inner.Name(), c)
 		}
-		if c.Decrypt != n || c.Encrypt != 1 {
+		if c[OpDecrypt] != n || c[OpEncrypt] != 1 {
 			t.Fatalf("%s: IO counts lost updates: %+v", inner.Name(), c)
 		}
 	}

@@ -3,7 +3,6 @@ package hisa
 import (
 	"fmt"
 	"math"
-	"math/big"
 	"sync/atomic"
 )
 
@@ -21,8 +20,7 @@ import (
 // backend's ownership discipline. Like the backends it wraps, it is safe for
 // concurrent op execution; the bootstrap tally is atomic.
 type Refresher struct {
-	inner Backend
-	bb    BootstrapBackend
+	Interposer
 	floor int
 
 	bootstraps atomic.Int64
@@ -39,14 +37,14 @@ type Refresher struct {
 // operand must have before a multiplicative op; 0 selects 1, the smallest
 // budget that still admits the op's own rescale.
 func NewRefresher(inner Backend, floor int) (*Refresher, error) {
-	bb, ok := AsBootstrap(inner)
-	if !ok {
+	if _, ok := AsBootstrap(inner); !ok {
 		return nil, fmt.Errorf("hisa: backend %s is not bootstrap-capable", inner.Name())
 	}
 	if floor <= 0 {
 		floor = 1
 	}
-	r := &Refresher{inner: inner, bb: bb, floor: floor}
+	r := &Refresher{floor: floor}
+	r.Interposer = NewInterposer(inner, "refresh", r.refreshOperands, r.afterOp)
 	r.minHeadroom.Store(math.MaxInt64)
 	return r, nil
 }
@@ -83,195 +81,44 @@ func (r *Refresher) observeHeadroom(h int64) {
 	}
 }
 
-func (r *Refresher) Name() string { return r.inner.Name() + "+refresh" }
-func (r *Refresher) Slots() int   { return r.inner.Slots() }
+// refreshOperands is the before-hook: the ciphertext operands of a
+// multiplication (ciphertext, plaintext or scalar; relinearized or not) are
+// refreshed when below the floor, an operand that appears twice only once.
+// The budget decision happens at the multiplication, so a deferred
+// Relinearize or RelinearizeRescale sees operands that already passed it.
+func (r *Refresher) refreshOperands(op *Op) {
+	switch op.Kind {
+	case OpMul, OpMulPlain, OpMulScalar:
+	default:
+		return
+	}
+	first := op.In
+	op.In = r.refreshed(first)
+	if op.In2 == first {
+		op.In2 = op.In
+	} else if op.In2 != nil {
+		op.In2 = r.refreshed(op.In2)
+	}
+}
 
-// Unwrap exposes the wrapped backend for capability discovery.
-func (r *Refresher) Unwrap() Backend { return r.inner }
-
-// refreshed bootstraps c when its budget is below the floor. The second
-// return reports whether the result is a Refresher-owned intermediate the
-// caller must free after use.
-func (r *Refresher) refreshed(c Ciphertext) (Ciphertext, bool) {
-	budget := r.bb.BudgetOf(c)
+// refreshed bootstraps c when its budget is below the floor; the Interposer
+// frees the replacement after the multiplication.
+func (r *Refresher) refreshed(c Ciphertext) Ciphertext {
+	budget := r.BudgetOf(c)
 	r.observeHeadroom(int64(budget - r.floor))
 	if budget >= r.floor {
-		return c, false
+		return c
 	}
-	out := r.bb.Bootstrap(c)
-	r.bootstraps.Add(1)
-	return out, true
+	return r.Bootstrap(c)
 }
 
-// Encrypt drops the fresh ciphertext to the backend's fresh level (see the
-// type comment).
-func (r *Refresher) Encrypt(p Plaintext) Ciphertext {
-	raw := r.inner.Encrypt(p)
-	out := r.bb.DropToFresh(raw)
-	r.inner.Free(raw)
-	return out
-}
-
-func (r *Refresher) Decrypt(c Ciphertext) Plaintext { return r.inner.Decrypt(c) }
-func (r *Refresher) Copy(c Ciphertext) Ciphertext   { return r.inner.Copy(c) }
-func (r *Refresher) Free(h any)                     { r.inner.Free(h) }
-
-func (r *Refresher) Encode(m []float64, f float64) Plaintext { return r.inner.Encode(m, f) }
-func (r *Refresher) Decode(p Plaintext) []float64            { return r.inner.Decode(p) }
-
-func (r *Refresher) RotLeft(c Ciphertext, x int) Ciphertext  { return r.inner.RotLeft(c, x) }
-func (r *Refresher) RotRight(c Ciphertext, x int) Ciphertext { return r.inner.RotRight(c, x) }
-
-// RotLeftMany forwards the batch capability so hoisting survives wrapping.
-func (r *Refresher) RotLeftMany(c Ciphertext, ks []int) []Ciphertext {
-	return RotLeftMany(r.inner, c, ks)
-}
-
-func (r *Refresher) Add(c, c2 Ciphertext) Ciphertext { return r.inner.Add(c, c2) }
-func (r *Refresher) Sub(c, c2 Ciphertext) Ciphertext { return r.inner.Sub(c, c2) }
-
-func (r *Refresher) AddPlain(c Ciphertext, p Plaintext) Ciphertext { return r.inner.AddPlain(c, p) }
-func (r *Refresher) SubPlain(c Ciphertext, p Plaintext) Ciphertext { return r.inner.SubPlain(c, p) }
-func (r *Refresher) AddScalar(c Ciphertext, x float64) Ciphertext  { return r.inner.AddScalar(c, x) }
-func (r *Refresher) SubScalar(c Ciphertext, x float64) Ciphertext  { return r.inner.SubScalar(c, x) }
-
-func (r *Refresher) Mul(c, c2 Ciphertext) Ciphertext {
-	a, fa := r.refreshed(c)
-	b, fb := a, false
-	if c2 != c {
-		b, fb = r.refreshed(c2)
+// afterOp tallies bootstraps, triggered and explicit alike, and drops every
+// fresh encryption to the backend's fresh level (see the type comment).
+func (r *Refresher) afterOp(op *Op) {
+	switch op.Kind {
+	case OpBootstrap:
+		r.bootstraps.Add(1)
+	case OpEncrypt:
+		op.Out = r.DropToFresh(op.Out)
 	}
-	out := r.inner.Mul(a, b)
-	if fa {
-		r.inner.Free(a)
-	}
-	if fb {
-		r.inner.Free(b)
-	}
-	return out
 }
-
-func (r *Refresher) MulPlain(c Ciphertext, p Plaintext) Ciphertext {
-	a, fa := r.refreshed(c)
-	out := r.inner.MulPlain(a, p)
-	if fa {
-		r.inner.Free(a)
-	}
-	return out
-}
-
-func (r *Refresher) MulScalar(c Ciphertext, x float64, f float64) Ciphertext {
-	a, fa := r.refreshed(c)
-	out := r.inner.MulScalar(a, x, f)
-	if fa {
-		r.inner.Free(a)
-	}
-	return out
-}
-
-func (r *Refresher) Rescale(c Ciphertext, x *big.Int) Ciphertext { return r.inner.Rescale(c, x) }
-
-func (r *Refresher) MaxRescale(c Ciphertext, ub *big.Int) *big.Int {
-	return r.inner.MaxRescale(c, ub)
-}
-
-func (r *Refresher) Scale(c Ciphertext) float64 { return r.inner.Scale(c) }
-
-// lazyInner asserts the wrapped backend's deferred-relinearization
-// capability; LazyRelinCapable gates callers before they reach it.
-func (r *Refresher) lazyInner() LazyRelinBackend {
-	lb, ok := r.inner.(LazyRelinBackend)
-	if !ok {
-		panic("hisa: backend " + r.inner.Name() + " does not support deferred relinearization")
-	}
-	return lb
-}
-
-func (r *Refresher) LazyRelinCapable() bool {
-	lb, ok := r.inner.(LazyRelinBackend)
-	return ok && lb.LazyRelinCapable()
-}
-
-// MulNoRelin refreshes like Mul: the budget decision happens at the
-// multiplication, not at the deferred relinearization.
-func (r *Refresher) MulNoRelin(c, c2 Ciphertext) Ciphertext {
-	a, fa := r.refreshed(c)
-	b, fb := a, false
-	if c2 != c {
-		b, fb = r.refreshed(c2)
-	}
-	out := r.lazyInner().MulNoRelin(a, b)
-	if fa {
-		r.inner.Free(a)
-	}
-	if fb {
-		r.inner.Free(b)
-	}
-	return out
-}
-
-func (r *Refresher) Relinearize(c Ciphertext) Ciphertext { return r.lazyInner().Relinearize(c) }
-
-func (r *Refresher) FusedRescaleCapable() bool {
-	fb, ok := r.inner.(FusedRescaleBackend)
-	return ok && fb.FusedRescaleCapable()
-}
-
-// RelinearizeRescale forwards: its input is a product whose operands were
-// already refreshed at MulNoRelin time.
-func (r *Refresher) RelinearizeRescale(c Ciphertext, x *big.Int) Ciphertext {
-	fb, ok := r.inner.(FusedRescaleBackend)
-	if !ok {
-		panic("hisa: backend " + r.inner.Name() + " does not support fused rescale")
-	}
-	return fb.RelinearizeRescale(c, x)
-}
-
-// conjInner asserts the wrapped backend's complex capability.
-func (r *Refresher) conjInner() ConjugateBackend {
-	cb, ok := r.inner.(ConjugateBackend)
-	if !ok {
-		panic("hisa: backend " + r.inner.Name() + " does not support complex slot operations")
-	}
-	return cb
-}
-
-func (r *Refresher) Conjugate(c Ciphertext) Ciphertext { return r.conjInner().Conjugate(c) }
-
-// EncryptC drops to the fresh level like Encrypt.
-func (r *Refresher) EncryptC(m []complex128, f float64) Ciphertext {
-	raw := r.conjInner().EncryptC(m, f)
-	out := r.bb.DropToFresh(raw)
-	r.inner.Free(raw)
-	return out
-}
-
-func (r *Refresher) DecryptC(c Ciphertext) []complex128 { return r.conjInner().DecryptC(c) }
-
-func (r *Refresher) AddPlainC(c Ciphertext, m []complex128) Ciphertext {
-	return r.conjInner().AddPlainC(c, m)
-}
-
-func (r *Refresher) MulScalarC(c Ciphertext, x complex128, f float64) Ciphertext {
-	a, fa := r.refreshed(c)
-	out := r.conjInner().MulScalarC(a, x, f)
-	if fa {
-		r.inner.Free(a)
-	}
-	return out
-}
-
-// BootstrapCapable: the Refresher is itself bootstrap-capable; explicit
-// Bootstrap calls count toward its tally like triggered ones.
-func (r *Refresher) BootstrapCapable() bool { return true }
-
-func (r *Refresher) Bootstrap(c Ciphertext) Ciphertext {
-	r.bootstraps.Add(1)
-	return r.bb.Bootstrap(c)
-}
-
-func (r *Refresher) BudgetOf(c Ciphertext) int { return r.bb.BudgetOf(c) }
-
-func (r *Refresher) FreshBudget() int { return r.bb.FreshBudget() }
-
-func (r *Refresher) DropToFresh(c Ciphertext) Ciphertext { return r.bb.DropToFresh(c) }

@@ -70,7 +70,7 @@ func TestRotLeftManyThroughMeter(t *testing.T) {
 			t.Fatalf("metered RotLeftMany k=%d differs from RotLeft", k)
 		}
 	}
-	if got, want := m.Counts().Rotations, 5; got != want {
+	if got, want := m.Counts().Rotations(), 5; got != want {
 		// 1, 2, 8 are one step each; 3 costs two; 0 is free.
 		t.Fatalf("metered rotations = %d, want %d", got, want)
 	}

@@ -93,8 +93,8 @@ func TestRotCachePlanOpCounts(t *testing.T) {
 	if planned != lazy {
 		t.Fatalf("op counts diverge: planned %+v lazy %+v", planned, lazy)
 	}
-	if planned.Rotations != 3 {
-		t.Fatalf("rotations = %d, want 3 (distinct nonzero amounts)", planned.Rotations)
+	if planned.Rotations() != 3 {
+		t.Fatalf("rotations = %d, want 3 (distinct nonzero amounts)", planned.Rotations())
 	}
 	for i := range vPlanned {
 		if vPlanned[i] != vLazy[i] {

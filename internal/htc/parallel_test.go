@@ -133,7 +133,7 @@ func TestRotCacheSingleFlight(t *testing.T) {
 			}
 		}
 	}
-	if n := m.Counts().Rotations; n != amounts {
+	if n := m.Counts().Rotations(); n != amounts {
 		t.Fatalf("backend saw %d rotations, want %d (single-flight violated)", n, amounts)
 	}
 }

@@ -1,13 +1,12 @@
 package serve
 
 import (
-	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/pprof"
 	"sort"
-	"time"
+	"strconv"
 
 	"chet/internal/hisa"
 	"chet/internal/telemetry"
@@ -46,74 +45,46 @@ func (s *Server) metricsHandler(w http.ResponseWriter, _ *http.Request) {
 // defaultScale is the compiled input scale Δ; traced ciphertext scales are
 // reported as log2 drift against it (zero disables the drift series).
 func writePromMetrics(w io.Writer, m ServerMetrics, sessions []*session, defaultScale float64) {
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("chet_sessions_opened_total", "Sessions ever opened.", m.SessionsOpened)
-	counter("chet_sessions_evicted_total", "Sessions evicted by the LRU registry.", m.SessionsEvicted)
-	fmt.Fprintf(w, "# HELP chet_sessions_active Live sessions in the registry.\n# TYPE chet_sessions_active gauge\nchet_sessions_active %d\n",
-		m.SessionsActive)
-	counter("chet_requests_total", "Inference requests admitted to the queue.", m.Requests)
-	counter("chet_requests_completed_total", "Inference requests answered successfully.", m.Completed)
-	counter("chet_eval_errors_total", "Evaluations that failed.", m.Errors)
-	counter("chet_rejected_queue_full_total", "Requests rejected on a full admission queue.", m.RejectedQueueFull)
-	counter("chet_rejected_deadline_total", "Requests rejected past their deadline.", m.RejectedDeadline)
-	counter("chet_rejected_shutdown_total", "Requests rejected during shutdown.", m.RejectedShutdown)
-	fmt.Fprintf(w, "# HELP chet_inflight_requests Admitted requests not yet answered.\n# TYPE chet_inflight_requests gauge\nchet_inflight_requests %d\n",
-		m.Inflight)
-	counter("chet_session_handoffs_total", "Sessions admitted via router handoff.", m.Handoffs)
-	counter("chet_health_probes_total", "Health probes answered.", m.HealthProbes)
-	counter("chet_registry_syncs_total", "Registry-sync frames merged.", m.RegistrySyncs)
-	fmt.Fprintf(w, "# HELP chet_registry_models Models in the replicated registry view.\n# TYPE chet_registry_models gauge\nchet_registry_models %d\n",
-		m.RegistryModels)
+	p := telemetry.Prom{W: w}
+	p.Counter("chet_sessions_opened_total", "Sessions ever opened.", m.SessionsOpened)
+	p.Counter("chet_sessions_evicted_total", "Sessions evicted by the LRU registry.", m.SessionsEvicted)
+	p.Gauge("chet_sessions_active", "Live sessions in the registry.", m.SessionsActive)
+	p.Counter("chet_requests_total", "Inference requests admitted to the queue.", m.Requests)
+	p.Counter("chet_requests_completed_total", "Inference requests answered successfully.", m.Completed)
+	p.Counter("chet_eval_errors_total", "Evaluations that failed.", m.Errors)
+	p.Counter("chet_rejected_queue_full_total", "Requests rejected on a full admission queue.", m.RejectedQueueFull)
+	p.Counter("chet_rejected_deadline_total", "Requests rejected past their deadline.", m.RejectedDeadline)
+	p.Counter("chet_rejected_shutdown_total", "Requests rejected during shutdown.", m.RejectedShutdown)
+	p.Gauge("chet_inflight_requests", "Admitted requests not yet answered.", m.Inflight)
+	p.Counter("chet_session_handoffs_total", "Sessions admitted via router handoff.", m.Handoffs)
+	p.Counter("chet_health_probes_total", "Health probes answered.", m.HealthProbes)
+	p.Counter("chet_registry_syncs_total", "Registry-sync frames merged.", m.RegistrySyncs)
+	p.Gauge("chet_registry_models", "Models in the replicated registry view.", m.RegistryModels)
 
 	summary := func(name, help string, l LatencySummary) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s summary\n", name, help, name)
-		q := func(p float64, d time.Duration) {
-			fmt.Fprintf(w, "%s{quantile=%q} %g\n", name, fmt.Sprintf("%g", p), d.Seconds())
-		}
-		q(0.5, l.P50)
-		q(0.9, l.P90)
-		q(0.99, l.P99)
-		fmt.Fprintf(w, "%s_sum %g\n%s_count %d\n", name, l.Sum.Seconds(), name, l.Count)
+		p.Summary(name, help, l.P50, l.P90, l.P99, l.Sum, l.Count)
 	}
 	summary("chet_request_seconds", "End-to-end request latency (admission to response).", m.Latency)
 	summary("chet_queue_wait_seconds", "Time requests spent queued (admission + coalescing).", m.QueueWait)
 	summary("chet_evaluation_seconds", "Homomorphic evaluation time per circuit execution.", m.Evaluation)
 
-	fmt.Fprintf(w, "# HELP chet_batch_evaluations_total Evaluations by the number of requests they served.\n# TYPE chet_batch_evaluations_total counter\n")
+	p.Family("chet_batch_evaluations_total", "Evaluations by the number of requests they served.", "counter")
 	sizes := make([]int, 0, len(m.BatchSizes))
 	for k := range m.BatchSizes {
 		sizes = append(sizes, k)
 	}
 	sort.Ints(sizes)
 	for _, k := range sizes {
-		fmt.Fprintf(w, "chet_batch_evaluations_total{size=\"%d\"} %d\n", k, m.BatchSizes[k])
+		p.Sample("chet_batch_evaluations_total", "size", strconv.Itoa(k), m.BatchSizes[k])
 	}
 
 	// Per-op HISA instruction counts, summed over the live sessions' Meters.
 	var ops hisa.OpCounts
 	traced := map[string]telemetry.OpTotal{}
 	for _, sess := range sessions {
-		c := sess.meter.Counts()
-		ops.Encrypt += c.Encrypt
-		ops.Decrypt += c.Decrypt
-		ops.Encode += c.Encode
-		ops.Decode += c.Decode
-		ops.Rotations += c.Rotations
-		ops.Add += c.Add
-		ops.AddPlain += c.AddPlain
-		ops.AddScalar += c.AddScalar
-		ops.Sub += c.Sub
-		ops.SubPlain += c.SubPlain
-		ops.SubScalar += c.SubScalar
-		ops.Mul += c.Mul
-		ops.MulPlain += c.MulPlain
-		ops.MulScalar += c.MulScalar
-		ops.Relinearize += c.Relinearize
-		ops.Conjugate += c.Conjugate
-		ops.Rescale += c.Rescale
-		ops.MaxRescaleQueries += c.MaxRescaleQueries
+		for k, n := range sess.meter.Counts() {
+			ops[k] += n
+		}
 		if sess.tracer != nil {
 			for op, tot := range sess.tracer.Totals() {
 				agg := traced[op]
@@ -123,21 +94,17 @@ func writePromMetrics(w io.Writer, m ServerMetrics, sessions []*session, default
 			}
 		}
 	}
-	fmt.Fprintf(w, "# HELP chet_hisa_ops_total HISA instructions executed, by op kind (live sessions).\n# TYPE chet_hisa_ops_total counter\n")
-	for _, kv := range []struct {
-		op string
-		n  int
-	}{
-		{"encrypt", ops.Encrypt}, {"decrypt", ops.Decrypt},
-		{"encode", ops.Encode}, {"decode", ops.Decode},
-		{"rot", ops.Rotations},
-		{"add", ops.Add}, {"addplain", ops.AddPlain}, {"addscalar", ops.AddScalar},
-		{"sub", ops.Sub}, {"subplain", ops.SubPlain}, {"subscalar", ops.SubScalar},
-		{"mul", ops.Mul}, {"mulplain", ops.MulPlain}, {"mulscalar", ops.MulScalar},
-		{"relin", ops.Relinearize}, {"conj", ops.Conjugate},
-		{"rescale", ops.Rescale}, {"maxrescale", ops.MaxRescaleQueries},
-	} {
-		fmt.Fprintf(w, "chet_hisa_ops_total{op=%q} %d\n", kv.op, kv.n)
+	p.Family("chet_hisa_ops_total", "HISA instructions executed, by op kind (live sessions).", "counter")
+	for k, n := range ops {
+		switch kind := hisa.OpKind(k); kind {
+		case hisa.OpRotLeft:
+			// The Meter counts primitive key-switch steps, whichever way the
+			// rotation was written: both directions are the one "rot" row.
+			p.Sample("chet_hisa_ops_total", "op", "rot", ops.Rotations())
+		case hisa.OpRotRight:
+		default:
+			p.Sample("chet_hisa_ops_total", "op", kind.String(), n)
+		}
 	}
 
 	if len(traced) > 0 {
@@ -146,13 +113,13 @@ func writePromMetrics(w io.Writer, m ServerMetrics, sessions []*session, default
 			names = append(names, op)
 		}
 		sort.Strings(names)
-		fmt.Fprintf(w, "# HELP chet_hisa_op_seconds_total Wall time spent in HISA ops, by op kind (traced sessions).\n# TYPE chet_hisa_op_seconds_total counter\n")
+		p.Family("chet_hisa_op_seconds_total", "Wall time spent in HISA ops, by op kind (traced sessions).", "counter")
 		for _, op := range names {
-			fmt.Fprintf(w, "chet_hisa_op_seconds_total{op=%q} %g\n", op, traced[op].Total.Seconds())
+			p.Sample("chet_hisa_op_seconds_total", "op", op, traced[op].Total.Seconds())
 		}
-		fmt.Fprintf(w, "# HELP chet_hisa_op_spans_total Spans recorded by the session tracers, by op kind.\n# TYPE chet_hisa_op_spans_total counter\n")
+		p.Family("chet_hisa_op_spans_total", "Spans recorded by the session tracers, by op kind.", "counter")
 		for _, op := range names {
-			fmt.Fprintf(w, "chet_hisa_op_spans_total{op=%q} %d\n", op, traced[op].Count)
+			p.Sample("chet_hisa_op_spans_total", "op", op, traced[op].Count)
 		}
 	}
 
@@ -160,10 +127,9 @@ func writePromMetrics(w io.Writer, m ServerMetrics, sessions []*session, default
 	// present (zero without a bootstrap plan) so dashboards can rate() it
 	// unconditionally; headroom only appears once a session has done
 	// multiplicative work, because until then the low-water mark is unknown.
-	counter("chet_bootstrap_refreshes_total", "Bootstrap refreshes across live sessions (hisa.Refresher tally).", m.Bootstraps)
+	p.Counter("chet_bootstrap_refreshes_total", "Bootstrap refreshes across live sessions (hisa.Refresher tally).", m.Bootstraps)
 	if m.HeadroomKnown {
-		fmt.Fprintf(w, "# HELP chet_min_headroom_levels Low-water mark of ciphertext levels above the refresh floor.\n# TYPE chet_min_headroom_levels gauge\nchet_min_headroom_levels %d\n",
-			m.MinHeadroom)
+		p.Gauge("chet_min_headroom_levels", "Low-water mark of ciphertext levels above the refresh floor.", m.MinHeadroom)
 	}
 	var wroteSessionBoots bool
 	for _, sess := range sessions {
@@ -172,10 +138,10 @@ func writePromMetrics(w io.Writer, m ServerMetrics, sessions []*session, default
 			continue
 		}
 		if !wroteSessionBoots {
-			fmt.Fprintf(w, "# HELP chet_session_bootstrap_refreshes_total Bootstrap refreshes, by session.\n# TYPE chet_session_bootstrap_refreshes_total counter\n")
+			p.Family("chet_session_bootstrap_refreshes_total", "Bootstrap refreshes, by session.", "counter")
 			wroteSessionBoots = true
 		}
-		fmt.Fprintf(w, "chet_session_bootstrap_refreshes_total{session=\"%d\"} %d\n", sm.ID, sm.Bootstraps)
+		p.Sample("chet_session_bootstrap_refreshes_total", "session", strconv.FormatUint(sm.ID, 10), sm.Bootstraps)
 	}
 
 	// Scale drift: the worst |log2(scale/Δ)| any traced op emitted, a direct
@@ -199,8 +165,7 @@ func writePromMetrics(w io.Writer, m ServerMetrics, sessions []*session, default
 			}
 		}
 		if seen {
-			fmt.Fprintf(w, "# HELP chet_scale_drift_log2_max Max |log2(scale/default)| over traced op outputs.\n# TYPE chet_scale_drift_log2_max gauge\nchet_scale_drift_log2_max %g\n",
-				drift)
+			p.Gauge("chet_scale_drift_log2_max", "Max |log2(scale/default)| over traced op outputs.", drift)
 		}
 	}
 }

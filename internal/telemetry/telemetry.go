@@ -10,14 +10,12 @@
 // same circuit against the plaintext Ref oracle and records the per-layer
 // error the paper's profile-guided scale search consumes.
 //
-// Tracer composes with hisa.Meter in either order: both implement
-// hisa.Unwrapper, and Tracer mirrors Meter's counting semantics exactly
-// (whole-slot rotations and divisor-1 rescales are non-ops; Copy/Free/Scale
-// are metadata and never recorded), so span tallies and op counts agree.
+// Tracer composes with hisa.Meter and hisa.Refresher in any order: all three
+// observe the op stream of a hisa.Interposer, which alone decides what counts
+// as an instruction, so span tallies and op counts agree by construction.
 package telemetry
 
 import (
-	"math/big"
 	"runtime"
 	"strings"
 	"sync"
@@ -103,13 +101,13 @@ type scopeFrame struct {
 	parent  uint64
 }
 
-// Tracer wraps a hisa.Backend and records per-op spans. It implements
-// Backend (kernels are oblivious to it), hisa.Unwrapper, and the
-// RotateManyBackend capability, and is safe for concurrent op execution:
-// the ring and scope stack are mutex-guarded, and the lock is held only for
-// the append — never across the wrapped operation.
+// Tracer wraps a hisa.Backend and records one span per instruction its
+// hisa.Interposer reports. It implements Backend (kernels are oblivious to
+// it) and is safe for concurrent op execution: the ring and scope stack are
+// mutex-guarded, and the lock is held only for the append — never across the
+// wrapped operation.
 type Tracer struct {
-	inner   hisa.Backend
+	hisa.Interposer
 	epoch   time.Time
 	levelOf func(hisa.Ciphertext) int // nil when the chain has no levels
 
@@ -134,11 +132,11 @@ func NewTracer(inner hisa.Backend, cfg Config) *Tracer {
 		cfg.Capacity = 1 << 16
 	}
 	t := &Tracer{
-		inner:  inner,
 		epoch:  time.Now(),
 		ring:   make([]Span, 0, cfg.Capacity),
 		totals: make(map[string]*OpTotal),
 	}
+	t.Interposer = hisa.NewInterposer(inner, "trace", nil, t.record)
 	if lb, ok := hisa.FindCapability[levelBackend](inner); ok {
 		t.levelOf = lb.LevelOf
 	}
@@ -155,9 +153,6 @@ func NewTracer(inner hisa.Backend, cfg Config) *Tracer {
 type stageBackend interface {
 	SetBootstrapStageHook(func(stage string, start, end time.Time))
 }
-
-// Unwrap exposes the wrapped backend for capability discovery.
-func (t *Tracer) Unwrap() hisa.Backend { return t.inner }
 
 // Epoch returns the instant span Start offsets are measured from, so spans
 // from several tracers (or processes) can be rebased onto one timeline.
@@ -257,16 +252,21 @@ func (t *Tracer) RecordManual(kind SpanKind, op string, start time.Time, dur tim
 		}
 	}
 	if kind == KindOp {
-		agg := t.totals[op]
-		if agg == nil {
-			agg = &OpTotal{}
-			t.totals[op] = agg
-		}
-		agg.Count++
-		agg.Total += dur
+		t.tally(op, dur)
 	}
 	t.append(s)
 	t.mu.Unlock()
+}
+
+// tally folds one op span into the cumulative totals. Callers hold t.mu.
+func (t *Tracer) tally(op string, dur time.Duration) {
+	agg := t.totals[op]
+	if agg == nil {
+		agg = &OpTotal{}
+		t.totals[op] = agg
+	}
+	agg.Count++
+	agg.Total += dur
 }
 
 // append inserts a span into the ring. Callers hold t.mu.
@@ -281,28 +281,29 @@ func (t *Tracer) append(s Span) {
 	t.dropped++
 }
 
-// record finishes an op span started at start with operand c and result out
-// (either may be nil for ops without a ciphertext on that side).
-func (t *Tracer) record(op string, rot int, c, out hisa.Ciphertext, start time.Time) {
+// record is the Interposer's after-hook: one span per reported instruction,
+// with the level and scale of its ciphertext operand and result where it has
+// them.
+func (t *Tracer) record(op *hisa.Op) {
 	s := Span{
 		Kind:    KindOp,
-		Op:      op,
-		Start:   start.Sub(t.epoch),
-		Dur:     time.Since(start),
-		Rot:     rot,
+		Op:      op.Kind.String(),
+		Start:   op.Start.Sub(t.epoch),
+		Dur:     op.Dur,
+		Rot:     op.Rot,
 		LevelIn: -1, LevelOut: -1,
 		GID: goroutineID(),
 	}
-	if c != nil {
-		s.ScaleIn = t.inner.Scale(c)
+	if op.In != nil {
+		s.ScaleIn = t.Scale(op.In)
 		if t.levelOf != nil {
-			s.LevelIn = t.levelOf(c)
+			s.LevelIn = t.levelOf(op.In)
 		}
 	}
-	if out != nil {
-		s.ScaleOut = t.inner.Scale(out)
+	if op.Out != nil {
+		s.ScaleOut = t.Scale(op.Out)
 		if t.levelOf != nil {
-			s.LevelOut = t.levelOf(out)
+			s.LevelOut = t.levelOf(op.Out)
 		}
 	}
 	t.mu.Lock()
@@ -311,13 +312,7 @@ func (t *Tracer) record(op string, rot int, c, out hisa.Ciphertext, start time.T
 		s.TraceID = t.stack[n-1].traceID
 		s.Parent = t.stack[n-1].spanID
 	}
-	agg := t.totals[op]
-	if agg == nil {
-		agg = &OpTotal{}
-		t.totals[op] = agg
-	}
-	agg.Count++
-	agg.Total += s.Dur
+	t.tally(s.Op, s.Dur)
 	t.append(s)
 	t.mu.Unlock()
 }
@@ -375,363 +370,6 @@ func (t *Tracer) Reset() {
 	t.full = false
 	t.dropped = 0
 	t.totals = make(map[string]*OpTotal)
-}
-
-// --- hisa.Backend ---
-
-func (t *Tracer) Name() string { return t.inner.Name() + "+trace" }
-func (t *Tracer) Slots() int   { return t.inner.Slots() }
-
-func (t *Tracer) Encrypt(p hisa.Plaintext) hisa.Ciphertext {
-	start := time.Now()
-	out := t.inner.Encrypt(p)
-	t.record("encrypt", 0, nil, out, start)
-	return out
-}
-
-func (t *Tracer) Decrypt(c hisa.Ciphertext) hisa.Plaintext {
-	start := time.Now()
-	out := t.inner.Decrypt(c)
-	t.record("decrypt", 0, c, nil, start)
-	return out
-}
-
-// Copy and Free are metadata-only and never recorded, mirroring Meter.
-func (t *Tracer) Copy(c hisa.Ciphertext) hisa.Ciphertext { return t.inner.Copy(c) }
-func (t *Tracer) Free(h any)                             { t.inner.Free(h) }
-
-func (t *Tracer) Encode(m []float64, f float64) hisa.Plaintext {
-	start := time.Now()
-	out := t.inner.Encode(m, f)
-	t.record("encode", 0, nil, nil, start)
-	return out
-}
-
-func (t *Tracer) Decode(p hisa.Plaintext) []float64 {
-	start := time.Now()
-	out := t.inner.Decode(p)
-	t.record("decode", 0, nil, nil, start)
-	return out
-}
-
-func (t *Tracer) RotLeft(c hisa.Ciphertext, x int) hisa.Ciphertext {
-	start := time.Now()
-	out := t.inner.RotLeft(c, x)
-	if x%t.Slots() != 0 { // whole-slot rotations are non-ops, as in Meter
-		t.record("rotl", x, c, out, start)
-	}
-	return out
-}
-
-func (t *Tracer) RotRight(c hisa.Ciphertext, x int) hisa.Ciphertext {
-	start := time.Now()
-	out := t.inner.RotRight(c, x)
-	if x%t.Slots() != 0 {
-		t.record("rotr", x, c, out, start)
-	}
-	return out
-}
-
-// RotLeftMany forwards the batch (hoisting amortizes shared work across the
-// amounts) and records one span per non-trivial amount with the batch
-// duration split evenly, so per-op totals are comparable whether or not a
-// kernel batched its rotations and span counts mirror Meter's tallies.
-func (t *Tracer) RotLeftMany(c hisa.Ciphertext, ks []int) []hisa.Ciphertext {
-	start := time.Now()
-	outs := hisa.RotLeftMany(t.inner, c, ks)
-	dur := time.Since(start)
-	n := 0
-	for _, k := range ks {
-		if k%t.Slots() != 0 {
-			n++
-		}
-	}
-	if n == 0 {
-		return outs
-	}
-	per := dur / time.Duration(n)
-	at := start
-	for i, k := range ks {
-		if k%t.Slots() == 0 {
-			continue
-		}
-		s := Span{
-			Kind:    KindOp,
-			Op:      "rotl",
-			Start:   at.Sub(t.epoch),
-			Dur:     per,
-			Rot:     k,
-			LevelIn: -1, LevelOut: -1,
-			GID: goroutineID(),
-		}
-		s.ScaleIn = t.inner.Scale(c)
-		s.ScaleOut = t.inner.Scale(outs[i])
-		if t.levelOf != nil {
-			s.LevelIn = t.levelOf(c)
-			s.LevelOut = t.levelOf(outs[i])
-		}
-		t.mu.Lock()
-		s.Scope = t.scope
-		if n := len(t.stack); n > 0 {
-			s.TraceID = t.stack[n-1].traceID
-			s.Parent = t.stack[n-1].spanID
-		}
-		agg := t.totals["rotl"]
-		if agg == nil {
-			agg = &OpTotal{}
-			t.totals["rotl"] = agg
-		}
-		agg.Count++
-		agg.Total += per
-		t.append(s)
-		t.mu.Unlock()
-		at = at.Add(per)
-	}
-	return outs
-}
-
-func (t *Tracer) Add(c, c2 hisa.Ciphertext) hisa.Ciphertext {
-	start := time.Now()
-	out := t.inner.Add(c, c2)
-	t.record("add", 0, c, out, start)
-	return out
-}
-
-func (t *Tracer) AddPlain(c hisa.Ciphertext, p hisa.Plaintext) hisa.Ciphertext {
-	start := time.Now()
-	out := t.inner.AddPlain(c, p)
-	t.record("addplain", 0, c, out, start)
-	return out
-}
-
-func (t *Tracer) AddScalar(c hisa.Ciphertext, x float64) hisa.Ciphertext {
-	start := time.Now()
-	out := t.inner.AddScalar(c, x)
-	t.record("addscalar", 0, c, out, start)
-	return out
-}
-
-func (t *Tracer) Sub(c, c2 hisa.Ciphertext) hisa.Ciphertext {
-	start := time.Now()
-	out := t.inner.Sub(c, c2)
-	t.record("sub", 0, c, out, start)
-	return out
-}
-
-func (t *Tracer) SubPlain(c hisa.Ciphertext, p hisa.Plaintext) hisa.Ciphertext {
-	start := time.Now()
-	out := t.inner.SubPlain(c, p)
-	t.record("subplain", 0, c, out, start)
-	return out
-}
-
-func (t *Tracer) SubScalar(c hisa.Ciphertext, x float64) hisa.Ciphertext {
-	start := time.Now()
-	out := t.inner.SubScalar(c, x)
-	t.record("subscalar", 0, c, out, start)
-	return out
-}
-
-func (t *Tracer) Mul(c, c2 hisa.Ciphertext) hisa.Ciphertext {
-	start := time.Now()
-	out := t.inner.Mul(c, c2)
-	t.record("mul", 0, c, out, start)
-	// Relinearization is intrinsic to every backend's Mul (ct-ct products
-	// relinearize internally), so it surfaces as a distinct zero-duration
-	// span: relin counts become first-class in profiles and /metrics without
-	// double-counting Mul's wall time. Mirrors Meter's Relinearize tally.
-	t.record("relin", 0, nil, out, time.Now())
-	return out
-}
-
-// lazyInner asserts the wrapped backend's deferred-relinearization
-// capability; LazyRelinCapable gates callers before they reach it.
-func (t *Tracer) lazyInner() hisa.LazyRelinBackend {
-	lb, ok := t.inner.(hisa.LazyRelinBackend)
-	if !ok {
-		panic("telemetry: backend " + t.inner.Name() + " does not support deferred relinearization")
-	}
-	return lb
-}
-
-func (t *Tracer) LazyRelinCapable() bool {
-	lb, ok := t.inner.(hisa.LazyRelinBackend)
-	return ok && lb.LazyRelinCapable()
-}
-
-// MulNoRelin records only a mul span; the relin span is emitted — with its
-// real duration, unlike Mul's intrinsic zero-duration marker — when the
-// deferred Relinearize runs.
-func (t *Tracer) MulNoRelin(c, c2 hisa.Ciphertext) hisa.Ciphertext {
-	lb := t.lazyInner()
-	start := time.Now()
-	out := lb.MulNoRelin(c, c2)
-	t.record("mul", 0, c, out, start)
-	return out
-}
-
-func (t *Tracer) Relinearize(c hisa.Ciphertext) hisa.Ciphertext {
-	lb := t.lazyInner()
-	start := time.Now()
-	out := lb.Relinearize(c)
-	t.record("relin", 0, c, out, start)
-	return out
-}
-
-// FusedRescaleCapable forwards the fused rescale-into-key-switch capability
-// (gated on the inner backend, like LazyRelinCapable).
-func (t *Tracer) FusedRescaleCapable() bool {
-	fb, ok := t.inner.(hisa.FusedRescaleBackend)
-	return ok && fb.FusedRescaleCapable()
-}
-
-// RelinearizeRescale records the fused op as a full-duration rescale span
-// plus a zero-duration relin marker (mirroring Mul's intrinsic relin
-// marker): span tallies stay in step with Meter's counts and no wall time
-// is double-counted. Divisor-1 calls are pure relinearizations and record
-// only the relin span, with its real duration.
-func (t *Tracer) RelinearizeRescale(c hisa.Ciphertext, x *big.Int) hisa.Ciphertext {
-	fb, ok := t.inner.(hisa.FusedRescaleBackend)
-	if !ok {
-		panic("telemetry: backend " + t.inner.Name() + " does not support fused rescale")
-	}
-	start := time.Now()
-	out := fb.RelinearizeRescale(c, x)
-	if x.Cmp(bigOne) != 0 {
-		t.record("rescale", 0, c, out, start)
-		t.record("relin", 0, nil, out, time.Now())
-	} else {
-		t.record("relin", 0, c, out, start)
-	}
-	return out
-}
-
-func (t *Tracer) MulPlain(c hisa.Ciphertext, p hisa.Plaintext) hisa.Ciphertext {
-	start := time.Now()
-	out := t.inner.MulPlain(c, p)
-	t.record("mulplain", 0, c, out, start)
-	return out
-}
-
-func (t *Tracer) MulScalar(c hisa.Ciphertext, x float64, f float64) hisa.Ciphertext {
-	start := time.Now()
-	out := t.inner.MulScalar(c, x, f)
-	t.record("mulscalar", 0, c, out, start)
-	return out
-}
-
-func (t *Tracer) Rescale(c hisa.Ciphertext, x *big.Int) hisa.Ciphertext {
-	start := time.Now()
-	out := t.inner.Rescale(c, x)
-	if x.Cmp(bigOne) != 0 { // divisor-1 rescales are non-ops, as in Meter
-		t.record("rescale", 0, c, out, start)
-	}
-	return out
-}
-
-var bigOne = big.NewInt(1)
-
-func (t *Tracer) MaxRescale(c hisa.Ciphertext, ub *big.Int) *big.Int {
-	start := time.Now()
-	out := t.inner.MaxRescale(c, ub)
-	t.record("maxrescale", 0, c, nil, start)
-	return out
-}
-
-func (t *Tracer) Scale(c hisa.Ciphertext) float64 { return t.inner.Scale(c) }
-
-// --- hisa.ConjugateBackend ---
-
-// conjInner resolves the wrapped backend's conjugation capability. Tracer
-// structurally satisfies hisa.ConjugateBackend, so the real capability check
-// happens here, with a clear message when the base backend lacks it.
-func (t *Tracer) conjInner() hisa.ConjugateBackend {
-	cb, ok := hisa.AsConjugate(t.inner)
-	if !ok {
-		panic("telemetry: wrapped backend " + t.inner.Name() + " does not support complex slot operations")
-	}
-	return cb
-}
-
-func (t *Tracer) Conjugate(c hisa.Ciphertext) hisa.Ciphertext {
-	cb := t.conjInner()
-	start := time.Now()
-	out := cb.Conjugate(c)
-	t.record("conj", 0, c, out, start)
-	return out
-}
-
-// The complex encode/decode/plaintext variants record under the same
-// mnemonics as their real counterparts, mirroring Meter's tallies.
-func (t *Tracer) EncryptC(m []complex128, f float64) hisa.Ciphertext {
-	cb := t.conjInner()
-	start := time.Now()
-	out := cb.EncryptC(m, f)
-	t.record("encrypt", 0, nil, out, start)
-	return out
-}
-
-func (t *Tracer) DecryptC(c hisa.Ciphertext) []complex128 {
-	cb := t.conjInner()
-	start := time.Now()
-	out := cb.DecryptC(c)
-	t.record("decrypt", 0, c, nil, start)
-	return out
-}
-
-func (t *Tracer) AddPlainC(c hisa.Ciphertext, m []complex128) hisa.Ciphertext {
-	cb := t.conjInner()
-	start := time.Now()
-	out := cb.AddPlainC(c, m)
-	t.record("addplain", 0, c, out, start)
-	return out
-}
-
-func (t *Tracer) MulScalarC(c hisa.Ciphertext, z complex128, f float64) hisa.Ciphertext {
-	cb := t.conjInner()
-	start := time.Now()
-	out := cb.MulScalarC(c, z, f)
-	t.record("mulscalar", 0, c, out, start)
-	return out
-}
-
-// --- hisa.BootstrapBackend ---
-
-// bootInner resolves the wrapped backend's bootstrap capability;
-// BootstrapCapable gates callers before they reach it.
-func (t *Tracer) bootInner() hisa.BootstrapBackend {
-	bb, ok := hisa.AsBootstrap(t.inner)
-	if !ok {
-		panic("telemetry: wrapped backend " + t.inner.Name() + " does not support bootstrapping")
-	}
-	return bb
-}
-
-// BootstrapCapable forwards the refresh capability (gated on the inner
-// backend, like LazyRelinCapable).
-func (t *Tracer) BootstrapCapable() bool {
-	_, ok := hisa.AsBootstrap(t.inner)
-	return ok
-}
-
-// Bootstrap records one span for the whole refresh pipeline: in profiles a
-// bootstrap is a single (dominant) instruction, matching Meter's tally; its
-// interior rotations and multiplications run below the HISA layer.
-func (t *Tracer) Bootstrap(c hisa.Ciphertext) hisa.Ciphertext {
-	bb := t.bootInner()
-	start := time.Now()
-	out := bb.Bootstrap(c)
-	t.record("bootstrap", 0, c, out, start)
-	return out
-}
-
-// BudgetOf, FreshBudget, and DropToFresh are metadata and record no spans.
-func (t *Tracer) BudgetOf(c hisa.Ciphertext) int { return t.bootInner().BudgetOf(c) }
-
-func (t *Tracer) FreshBudget() int { return t.bootInner().FreshBudget() }
-
-func (t *Tracer) DropToFresh(c hisa.Ciphertext) hisa.Ciphertext {
-	return t.bootInner().DropToFresh(c)
 }
 
 // goroutineID parses the current goroutine's id from its stack header

@@ -57,7 +57,7 @@ const testScale = float64(1 << 40)
 
 // driveOps executes a fixed HISA workload through b, covering every traced
 // mnemonic plus the non-ops (whole-slot rotation, divisor-1 rescale,
-// Copy/Free) that neither Meter nor Tracer may count.
+// Copy/Free) that are never recorded.
 func driveOps(b hisa.Backend, canDecrypt bool) {
 	slots := b.Slots()
 	v := make([]float64, slots)
@@ -91,89 +91,6 @@ func driveOps(b hisa.Backend, canDecrypt bool) {
 	b.Free(b.Copy(c)) // metadata-only, never counted
 	if canDecrypt {
 		b.Decode(b.Decrypt(c))
-	}
-}
-
-// tallyFromCounts maps Meter's OpCounts onto the Tracer's mnemonic space
-// (rotl and rotr both land in Rotations).
-func tallyFromCounts(c hisa.OpCounts) map[string]int64 {
-	m := map[string]int64{
-		"encrypt": int64(c.Encrypt), "decrypt": int64(c.Decrypt),
-		"encode": int64(c.Encode), "decode": int64(c.Decode),
-		"rot": int64(c.Rotations),
-		"add": int64(c.Add), "addplain": int64(c.AddPlain), "addscalar": int64(c.AddScalar),
-		"sub": int64(c.Sub), "subplain": int64(c.SubPlain), "subscalar": int64(c.SubScalar),
-		"mul": int64(c.Mul), "mulplain": int64(c.MulPlain), "mulscalar": int64(c.MulScalar),
-		"rescale": int64(c.Rescale), "maxrescale": int64(c.MaxRescaleQueries),
-		"relin": int64(c.Relinearize), "conj": int64(c.Conjugate),
-	}
-	for k, v := range m {
-		if v == 0 {
-			delete(m, k)
-		}
-	}
-	return m
-}
-
-// tallyFromTotals folds the Tracer's per-op totals into the same space.
-func tallyFromTotals(tot map[string]OpTotal) map[string]int64 {
-	m := map[string]int64{}
-	for op, v := range tot {
-		switch op {
-		case "rotl", "rotr":
-			m["rot"] += v.Count
-		default:
-			m[op] += v.Count
-		}
-	}
-	return m
-}
-
-// TestMeterTracerComposition wraps each backend both ways — Meter(Tracer(b))
-// and Tracer(Meter(b)) — and requires the Meter's op counts and the Tracer's
-// span tallies to agree exactly with each other in both orders.
-func TestMeterTracerComposition(t *testing.T) {
-	for _, tb := range fourBackends(t) {
-		for _, order := range []string{"meter-outside", "tracer-outside"} {
-			t.Run(tb.name+"/"+order, func(t *testing.T) {
-				var outer hisa.Backend
-				var meter *hisa.Meter
-				var tracer *Tracer
-				if order == "meter-outside" {
-					tracer = NewTracer(tb.b, Config{})
-					meter = hisa.NewMeter(tracer, nil)
-					outer = meter
-				} else {
-					meter = hisa.NewMeter(tb.b, nil)
-					tracer = NewTracer(meter, Config{})
-					outer = tracer
-				}
-				driveOps(outer, tb.canDecrypt)
-
-				want := tallyFromCounts(meter.Counts())
-				got := tallyFromTotals(tracer.Totals())
-				if len(want) == 0 {
-					t.Fatal("meter counted nothing; the driver is broken")
-				}
-				for op, n := range want {
-					if got[op] != n {
-						t.Errorf("%s: meter counted %d, tracer recorded %d spans", op, n, got[op])
-					}
-				}
-				for op, n := range got {
-					if want[op] != n {
-						t.Errorf("%s: tracer recorded %d spans, meter counted %d", op, n, want[op])
-					}
-				}
-				var wantSpans int64
-				for _, n := range want {
-					wantSpans += n
-				}
-				if tracer.SpanCount() != wantSpans {
-					t.Errorf("SpanCount %d, want %d", tracer.SpanCount(), wantSpans)
-				}
-			})
-		}
 	}
 }
 

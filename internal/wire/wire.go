@@ -31,16 +31,8 @@ import (
 const (
 	// FrameMagic begins every frame.
 	FrameMagic uint32 = 0xC4E75EF1
-	// Version is the protocol version this package speaks. Version 2 added
-	// the batch fields to the tensor codec and the batched inference frames;
-	// version 3 added the request trace IDs that correlate a client request
-	// with its server-side spans and batch assignment; version 4 added the
-	// fleet control frames (health probes, model-registry sync, and
-	// eval-key session handoff) a router tier exchanges with its workers;
-	// version 5 added the parent-span field to the inference requests (so a
-	// router can interpose its relay span between the client and the worker)
-	// and the trace-dump control frames that collect per-process span rings
-	// into one cross-process trace. Older peers are rejected at the header.
+	// Version is the protocol version this package speaks: only version 5
+	// is accepted, every other peer is rejected at the header.
 	Version byte = 5
 	// HeaderSize is the fixed frame-header length in bytes.
 	HeaderSize = 12
