@@ -234,7 +234,8 @@ func Describe(comp *Compiled) string {
 	s += fmt.Sprintf("  best layout policy: %v\n", b.Policy)
 	s += fmt.Sprintf("  N = 2^%d, log2(Q) = %.0f", b.LogN, b.LogQ)
 	if comp.Options.Scheme == SchemeRNS {
-		s += fmt.Sprintf(", chain %v + special %d", b.RNSChainBits, b.SpecialBits)
+		s += fmt.Sprintf(", chain %v, special %d×%d (%d digits), eval keys %.0f MiB",
+			b.RNSChainBits, b.SpecialPrimes, b.SpecialBits, b.KeySwitchDigits(), float64(b.EvalKeyBytes())/(1<<20))
 	}
 	s += fmt.Sprintf("\n  rotation keys: %d (executing %d rotations)\n",
 		len(b.Rotations), b.RotationOps)

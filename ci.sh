@@ -20,6 +20,9 @@ echo "== benchmark module (its adapter is the one file outside the tree that imp
 echo "== go test -race (concurrency-sensitive packages)"
 go test -race ./internal/hisa/... ./internal/htc/... ./internal/ckks/...
 
+echo "== go test -race (hybrid key switch: α = 1 digests, hoisted/fused/worker parity for α in {1,2,3,L+1}, noise bound, arena gate)"
+go test -race -count=3 -run 'TestAlphaOneMatchesPerPrimeKeySwitch|TestHybridKeySwitch' ./internal/ckks
+
 echo "== go test -race (serving subsystem: wire protocol + batch coalescer + server engine)"
 go test -race ./internal/serve/... ./internal/wire/... ./internal/batch/...
 
@@ -41,6 +44,9 @@ go test -fuzz=FuzzWireFrame -fuzztime=5s ./internal/wire
 echo "== fuzz smoke (fleet control-frame decoders are total over adversarial bytes)"
 go test -fuzz=FuzzControlFrame -fuzztime=5s ./internal/wire
 
+echo "== fuzz smoke (decoded switching keys that pass admission never panic the key switch, α in {1,2,3})"
+go test -fuzz=FuzzUnmarshalRotationKeySet -fuzztime=5s ./internal/ckks
+
 echo "== ring alloc gate (pooled arena kernels stay at 0 allocs/op)"
 go test -run=TestRingKernelAllocs -count=1 ./internal/ring
 
@@ -52,6 +58,9 @@ go test -run=TestRingBenchSmoke ./internal/bench
 
 echo "== chet-bench ring smoke (production parameters, no artifact write)"
 go run ./cmd/chet-bench -exp ring -ringout ""
+
+echo "== chet-bench rotations smoke (hoisted vs serial key switches, no artifact write)"
+go run ./cmd/chet-bench -exp rotations -benchout ""
 
 echo "== bench smoke (served batching throughput sweeps a tiny instance)"
 go test -run=TestBatchingBenchSmoke ./internal/bench

@@ -89,12 +89,36 @@ func compileAndDescribe(w io.Writer, cfg compileConfig) error {
 		fmt.Fprintf(w, "rotation keys (%d): %v\n", len(compiled.Best.Rotations), compiled.Best.Rotations)
 	}
 	if cfg.explain {
+		explainSpecial(w, compiled)
 		explainScale(w, compiled)
 		if compiled.BootPlan != nil {
 			explainBootstrap(w, compiled)
 		}
 	}
 	return nil
+}
+
+// explainSpecial renders the special-prime choice: every count α the
+// security budget admits at the selected ring degree, with the digits it
+// implies and the cost model's total over the circuit's key switches (the
+// figure α minimizes).
+func explainSpecial(w io.Writer, compiled *chet.Compiled) {
+	b := compiled.Best
+	if len(b.SpecialTrace) == 0 {
+		return
+	}
+	fmt.Fprintf(w, "special primes: α = %d of %d admissible (chain %d primes, %d-bit special primes)\n",
+		b.SpecialPrimes, len(b.SpecialTrace), len(b.RNSChainBits), b.SpecialBits)
+	fmt.Fprintf(w, "  %5s  %6s  %12s  %14s\n", "alpha", "digits", "log2(QP)", "key-switch ms")
+	for _, c := range b.SpecialTrace {
+		marker := " "
+		if c.Alpha == b.SpecialPrimes {
+			marker = "*"
+		}
+		digits := (len(b.RNSChainBits) + c.Alpha - 1) / c.Alpha
+		fmt.Fprintf(w, "  %s%4d  %6d  %12.0f  %14.1f\n",
+			marker, c.Alpha, digits, b.LogQ+float64(c.Alpha*b.SpecialBits), c.KeySwitchCost/1000)
+	}
 }
 
 // explainBootstrap renders the bootstrap-placement pass's plan: the spec the
@@ -186,7 +210,7 @@ func main() {
 	flag.StringVar(&cfg.scaleMode, "scale-mode", "greedy",
 		"rescale placement: greedy (op-local protocol) or lazy (graph-level scale-management pass)")
 	flag.BoolVar(&cfg.explain, "explain", false,
-		"print the scale-management pass's per-site plan, per-node relinearization counts, and (with -bootstrap) the bootstrap placements")
+		"print the special-prime candidates, the scale-management pass's per-site plan, per-node relinearization counts, and (with -bootstrap) the bootstrap placements")
 	flag.IntVar(&cfg.bootstrap, "bootstrap", 0,
 		"enable compiler bootstrap placement with this budget window in levels (0 disables; RNS only)")
 	flag.Parse()

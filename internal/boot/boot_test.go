@@ -28,6 +28,12 @@ type bootCtx struct {
 
 func newBootCtx(t testing.TB, logN, logSlots, window int) *bootCtx {
 	t.Helper()
+	return newBootCtxAlpha(t, logN, logSlots, window, 1)
+}
+
+// newBootCtxAlpha is newBootCtx keyed for alpha special primes.
+func newBootCtxAlpha(t testing.TB, logN, logSlots, window, alpha int) *bootCtx {
+	t.Helper()
 	spec, err := DeriveSpec(logN, logSlots, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -36,6 +42,7 @@ func newBootCtx(t testing.TB, logN, logSlots, window int) *bootCtx {
 		LogN:     logN,
 		LogQ:     spec.ChainBits(window),
 		LogP:     60,
+		Alpha:    alpha,
 		LogScale: spec.PrimeBits,
 		LogSlots: logSlots,
 	})
@@ -225,32 +232,43 @@ func TestBootstrapIdentity(t *testing.T) {
 
 // TestBootstrapArenaLeases: a full bootstrap returns every leased poly to
 // the ring arena — the PR 7 pooled-limb contract holds across the longest
-// pipeline in the codebase. (Extends TestRingKernelAllocs' 0-alloc gate to
-// a leak gate.)
+// pipeline in the codebase, basis-extension scratch of grouped key-switch
+// digits included (α = 3 leaves a partial top digit and walks every level
+// below it). (Extends TestRingKernelAllocs' 0-alloc gate to a leak gate.)
+// The refreshed values are checked too: the pipeline is as accurate over
+// grouped digits as over per-prime ones.
 func TestBootstrapArenaLeases(t *testing.T) {
-	ctx := newBootCtx(t, 9, 3, 2)
-	params, ev := ctx.params, ctx.ev
-	r := params.Ring()
-	values := randVec(params.Slots(), 1, 3)
-	pt := ctx.enc.Encode(values, params.DefaultScale(), 0)
-	ct := ctx.encr.Encrypt(pt)
+	for _, alpha := range []int{1, 3} {
+		ctx := newBootCtxAlpha(t, 9, 3, 2, alpha)
+		params, ev := ctx.params, ctx.ev
+		r := params.Ring()
+		values := randVec(params.Slots(), 1, 3)
+		pt := ctx.enc.Encode(values, params.DefaultScale(), 0)
+		ct := ctx.encr.Encrypt(pt)
 
-	// Warm-up builds the plaintext matrix caches (NewPoly storage, never
-	// leased) so the measured run is steady-state.
-	warm, err := ctx.bt.Bootstrap(ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev.Recycle(warm)
+		// Warm-up builds the plaintext matrix caches (NewPoly storage, never
+		// leased) so the measured run is steady-state.
+		warm, err := ctx.bt.Bootstrap(ct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev.Recycle(warm)
 
-	before := r.OutstandingPolys()
-	out, err := ctx.bt.Bootstrap(ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev.Recycle(out)
-	if delta := r.OutstandingPolys() - before; delta != 0 {
-		t.Fatalf("bootstrap leaked %d arena polys", delta)
+		before := r.OutstandingPolys()
+		out, err := ctx.bt.Bootstrap(ct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := ctx.enc.Decode(ctx.decr.Decrypt(out))
+		for i, v := range values {
+			if math.Abs(got[i]-v) > bootEpsilon {
+				t.Fatalf("α=%d: slot %d refreshed to %g, want %g", alpha, i, got[i], v)
+			}
+		}
+		ev.Recycle(out)
+		if delta := r.OutstandingPolys() - before; delta != 0 {
+			t.Fatalf("α=%d: bootstrap leaked %d arena polys", alpha, delta)
+		}
 	}
 }
 

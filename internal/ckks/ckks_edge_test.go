@@ -50,8 +50,8 @@ func TestParametersAccessors(t *testing.T) {
 	if p.Qi(0) == 0 {
 		t.Fatal("QChain leaked internal storage")
 	}
-	if p.PSpecial()>>49 != 1 {
-		t.Fatalf("special prime %d is not 50-bit", p.PSpecial())
+	if sp := p.SpecialPrimes(); len(sp) != 1 || sp[0]>>49 != 1 {
+		t.Fatalf("special primes %v: want one 50-bit prime", sp)
 	}
 }
 

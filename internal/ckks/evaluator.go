@@ -31,11 +31,6 @@ type Evaluator struct {
 	// goroutines). 0 or 1 means serial; set via SetIntraOpWorkers.
 	workers int
 
-	// keyShoup caches Shoup forms of switching-key digit rows, keyed by
-	// *SwitchingKey. Shared across ShallowCopy so the forms are computed
-	// once per key regardless of worker count.
-	keyShoup *sync.Map
-
 	// monoI is the NTT form of the monomial X^(N/2), precomputed at
 	// construction and shared (read-only) across ShallowCopy. Every slot's
 	// evaluation point is an odd power 5^j of the primitive 2N-th root, and
@@ -62,8 +57,7 @@ func NewEvaluator(params *Parameters, rlk *RelinearizationKey, rtks *RotationKey
 		scratch: &sync.Pool{New: func() any {
 			return make([]uint64, n)
 		}},
-		keyShoup: &sync.Map{},
-		monoI:    mono,
+		monoI: mono,
 	}
 }
 
@@ -75,14 +69,13 @@ func (ev *Evaluator) SetIntraOpWorkers(w int) *Evaluator {
 	return ev
 }
 
-// ShallowCopy returns an evaluator that shares this evaluator's keys,
-// parameters, and Shoup-form key cache but owns independent scratch pools.
+// ShallowCopy returns an evaluator that shares this evaluator's keys and
+// parameters but owns independent scratch pools.
 // A single Evaluator is already goroutine-safe; ShallowCopy exists for
 // callers that want explicit per-worker evaluators (e.g. to avoid pool
 // contention on very wide fan-out).
 func (ev *Evaluator) ShallowCopy() *Evaluator {
 	cp := NewEvaluator(ev.params, ev.rlk, ev.rtks)
-	cp.keyShoup = ev.keyShoup
 	cp.workers = ev.workers
 	return cp
 }
@@ -93,8 +86,8 @@ func (ev *Evaluator) putRow(r []uint64) { ev.scratch.Put(r) }
 
 // getAcc leases a full-height scratch poly from the ring arena (contents
 // undefined); putAcc returns it. Full height covers the extended key-switch
-// basis {q_0..q_L, P}, so one pool serves accumulators and digits at every
-// level.
+// basis {q_0..q_L, p_1..p_α}, so one pool serves accumulators and digits at
+// every level.
 func (ev *Evaluator) getAcc() *ring.Poly {
 	r := ev.params.Ring()
 	return r.GetPoly(r.MaxLevel())
@@ -543,18 +536,10 @@ func (ev *Evaluator) Relinearize(ct *Ciphertext) *Ciphertext {
 	if ev.rlk == nil {
 		panic("ckks: evaluator has no relinearization key")
 	}
-	r := ev.params.Ring()
-	level := ct.Lvl
-	dec := ev.hoistedDecompose(ct.C2, level)
-	e0, e1 := ev.keySwitchFromDecomp(dec, nil, ev.rlk.Key)
+	dec := ev.hoistedDecompose(ct.C2, ct.Lvl)
+	d0, d1 := ev.keySwitchFromDecomp(dec, nil, ev.rlk.Key, ct.C0, ct.C1)
 	dec.Release()
-	d0 := r.GetPoly(level)
-	d1 := r.GetPoly(level)
-	r.Add(ct.C0, e0, d0, level)
-	r.Add(ct.C1, e1, d1, level)
-	ev.putAcc(e0)
-	ev.putAcc(e1)
-	return &Ciphertext{C0: d0, C1: d1, Scale: ct.Scale, Lvl: level}
+	return &Ciphertext{C0: d0, C1: d1, Scale: ct.Scale, Lvl: ct.Lvl}
 }
 
 // RotateLeft rotates the slot vector left by k positions (slot i of the
@@ -591,46 +576,6 @@ func (ev *Evaluator) applyGalois(ct *Ciphertext, galEl uint64) *Ciphertext {
 	out := ev.applyGaloisHoisted(ct, dec, galEl)
 	dec.Release()
 	return out
-}
-
-// modDownByP divides acc (rows 0..level valid, plus the special-prime row)
-// by the special prime P with centered rounding, in the NTT domain. The
-// P^{-1} mod q_j constants come precomputed from the parameter set.
-func (ev *Evaluator) modDownByP(acc *ring.Poly, level int) {
-	params := ev.params
-	r := params.Ring()
-	pIdx := params.pIndex()
-	p := r.Moduli[pIdx].Q
-	halfP := p >> 1
-	n := r.N
-
-	pRow := ev.getRow()
-	defer ev.putRow(pRow)
-	copy(pRow, acc.Coeffs[pIdx])
-	r.InvNTTSingle(pIdx, pRow)
-
-	tmp := ev.getRow()
-	defer ev.putRow(tmp)
-	for j := 0; j <= level; j++ {
-		qj := r.Moduli[j].Q
-		for k := 0; k < n; k++ {
-			v := pRow[k]
-			if v > halfP {
-				// Centered representative v - P (negative).
-				tmp[k] = (qj - (p-v)%qj) % qj
-			} else {
-				tmp[k] = v % qj
-			}
-		}
-		r.NTTSingle(j, tmp)
-
-		pInv := params.pInvModQ[j]
-		pInvS := params.pInvModQShoup[j]
-		rowJ := acc.Coeffs[j]
-		for k := 0; k < n; k++ {
-			rowJ[k] = ring.MulModShoup(ring.SubMod(rowJ[k], tmp[k], qj), pInv, pInvS, qj)
-		}
-	}
 }
 
 // Rescale divides ct by its top chain prime, dropping one level and

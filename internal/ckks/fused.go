@@ -21,16 +21,17 @@ import (
 //     linear, so dividing before the spread is bit-identical to rescaling
 //     in the NTT domain first — and the 2·(level) forward transforms the
 //     standalone rescale of C2 would have burned never run.
-//  2. The decomposition then happens at level-1: one digit fewer and one
-//     basis row fewer per digit than relinearize-then-rescale order, which
-//     is where the asymptotic win comes from (ℓ² vs (ℓ+1)² transforms).
+//  2. The decomposition then happens at level-1: one basis row fewer per
+//     digit (and one digit fewer where the dropped prime had a digit to
+//     itself) than relinearize-then-rescale order.
 //  3. C0/C1's rescale correction and the key-switch mod-P correction merge
 //     into a single forward NTT per output row: by linearity,
 //
 //	out_j = C_j·qInv + acc_j·Pinv − NTT((tQ_j·qInv + tP_j·Pinv) mod q_j)
 //
-//     where tQ = centered(InvNTT(C_top)) and tP = centered(InvNTT(acc_P)).
-//     The unfused order computes NTT(tQ_j) and NTT(tP_j) separately.
+//     where tQ = centered(InvNTT(C_top)) and tP is the centered
+//     representative of acc's special-prime rows extended to q_j. The
+//     unfused order computes NTT(tQ_j) and NTT(tP_j) separately.
 //
 // Every intermediate is a canonical representative mod q_j and every
 // transform is exact, so the fusion is bit-identical to the unfused
@@ -66,7 +67,6 @@ func (ev *Evaluator) RelinearizeRescale(ct *Ciphertext) *Ciphertext {
 	qTop := r.Moduli[level].Q
 	halfQ := qTop >> 1
 	newLevel := level - 1
-	rows := params.ksRows(newLevel)
 	qInvRow := params.rescaleQInv[level]
 	qInvSRow := params.rescaleQInvShoup[level]
 
@@ -94,12 +94,7 @@ func (ev *Evaluator) RelinearizeRescale(ct *Ciphertext) *Ciphertext {
 	})
 
 	// Digit decomposition of the rescaled C2 at newLevel (step 2).
-	dec := &HoistedDecomposition{level: newLevel, ev: ev, digits: make([]*ring.Poly, newLevel+1)}
-	ev.forEach(newLevel+1, func(i int) {
-		d := ev.getAcc()
-		ev.spreadDigit(coef.Coeffs[i], i, rows, d)
-		dec.digits[i] = d
-	})
+	dec := ev.modUp(coef, nil, newLevel)
 	ev.putAcc(coef)
 
 	// Inner product against the relinearization key, stopping before the
@@ -119,65 +114,55 @@ func (ev *Evaluator) RelinearizeRescale(ct *Ciphertext) *Ciphertext {
 // fusedOutput computes rescale(c, qTop) + acc/P over rows 0..level-1 with a
 // single forward transform per row: both corrections are combined in the
 // coefficient domain and transformed together (NTT linearity). acc is a
-// key-switch accumulator whose special-prime row is consumed (and clobbered)
-// here; c is read-only.
+// key-switch accumulator whose special-prime rows are consumed (and
+// clobbered) here; c is read-only.
 func (ev *Evaluator) fusedOutput(c, acc *ring.Poly, level int) *ring.Poly {
 	params := ev.params
 	r := params.Ring()
-	n := r.N
 	newLevel := level - 1
-	pIdx := params.pIndex()
-	p := r.Moduli[pIdx].Q
-	halfP := p >> 1
+	tab := params.ksTables(newLevel)
 	qTop := r.Moduli[level].Q
 	halfQ := qTop >> 1
 	qInvRow := params.rescaleQInv[level]
 	qInvSRow := params.rescaleQInvShoup[level]
 
 	// Coefficient-domain correction sources: the key-switch special-prime
-	// row (in place — acc is scratch) and the component's top row (copied —
+	// rows (in place — acc is scratch) and the component's top row (copied —
 	// c belongs to the caller).
-	tP := acc.Coeffs[pIdx]
-	r.InvNTTSingle(pIdx, tP)
+	scratch := ev.modDownPrepare(acc, newLevel)
 	tQ := ev.getRow()
 	defer ev.putRow(tQ)
 	copy(tQ, c.Coeffs[level])
 	r.InvNTTSingle(level, tQ)
 
-	u := ev.getRow()
-	defer ev.putRow(u)
 	out := r.GetPoly(newLevel)
-	for j := 0; j <= newLevel; j++ {
+	ev.forEach(newLevel+1, func(j int) {
 		qj := r.Moduli[j].Q
 		qInv, qInvS := qInvRow[j], qInvSRow[j]
-		pInv, pInvS := params.pInvModQ[j], params.pInvModQShoup[j]
-		for k := 0; k < n; k++ {
-			vq := tQ[k]
+		pInv, pInvS := tab.pInv[j], tab.pInvShoup[j]
+		u := ev.getRow()
+		ev.modDownRow(scratch, newLevel, j, u)
+		for k, vq := range tQ {
 			var a uint64
 			if vq > halfQ {
 				a = (qj - (qTop-vq)%qj) % qj
 			} else {
 				a = vq % qj
 			}
-			vp := tP[k]
-			var b uint64
-			if vp > halfP {
-				b = (qj - (p-vp)%qj) % qj
-			} else {
-				b = vp % qj
-			}
 			u[k] = ring.AddMod(
 				ring.MulModShoup(a, qInv, qInvS, qj),
-				ring.MulModShoup(b, pInv, pInvS, qj), qj)
+				ring.MulModShoup(u[k], pInv, pInvS, qj), qj)
 		}
 		r.NTTSingle(j, u)
 		cj, aj, oj := c.Coeffs[j], acc.Coeffs[j], out.Coeffs[j]
-		for k := 0; k < n; k++ {
+		for k := range oj {
 			s := ring.AddMod(
 				ring.MulModShoup(cj[k], qInv, qInvS, qj),
 				ring.MulModShoup(aj[k], pInv, pInvS, qj), qj)
 			oj[k] = ring.SubMod(s, u[k], qj)
 		}
-	}
+		ev.putRow(u)
+	})
+	r.PutPoly(scratch)
 	return out
 }

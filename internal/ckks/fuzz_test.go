@@ -8,9 +8,14 @@ import (
 
 // fuzzKeys generates one small deterministic key set for seeding.
 func fuzzKeys(f *testing.F) (*Parameters, *KeyGenerator, *SecretKey) {
+	return fuzzKeysAlpha(f, []int{30, 25}, 1)
+}
+
+// fuzzKeysAlpha is fuzzKeys over a given chain and special-prime count.
+func fuzzKeysAlpha(f *testing.F, logQ []int, alpha int) (*Parameters, *KeyGenerator, *SecretKey) {
 	f.Helper()
 	params, err := NewParameters(ParametersLiteral{
-		LogN: 4, LogQ: []int{30, 25}, LogP: 30, LogScale: 25,
+		LogN: 4, LogQ: logQ, LogP: 30, Alpha: alpha, LogScale: 25,
 	})
 	if err != nil {
 		f.Fatal(err)
@@ -56,17 +61,31 @@ func FuzzUnmarshalCiphertext(f *testing.F) {
 }
 
 // FuzzUnmarshalRotationKeySet proves RotationKeySet.UnmarshalBinary is
-// total over adversarial bytes.
+// total over adversarial bytes, and that the admission check stands between
+// decoded keys and the key-switch inner product: whatever decodes and then
+// passes ValidateSwitchingKey for a parameter set (per-prime α = 1, grouped
+// α = 2 with a partial top digit, one digit α = L+1) must rotate a
+// ciphertext at every level without panicking.
 func FuzzUnmarshalRotationKeySet(f *testing.F) {
-	_, kgen, sk := fuzzKeys(f)
-	rtks := kgen.GenRotationKeys(sk, []int{1, 3}, true)
-	seed, err := rtks.MarshalBinary()
-	if err != nil {
-		f.Fatal(err)
+	type target struct {
+		params *Parameters
+		ct     *Ciphertext
 	}
-	f.Add(seed)
+	var targets []target
+	for _, alpha := range []int{1, 2, 3} {
+		params, kgen, sk := fuzzKeysAlpha(f, []int{30, 25, 25}, alpha)
+		rtks := kgen.GenRotationKeys(sk, []int{1, 3}, true)
+		seed, err := rtks.MarshalBinary()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed)
+		f.Add(seed[:len(seed)-7])
+		enc := NewEncryptor(params, kgen.GenPublicKey(sk), ring.NewTestPRNG(13))
+		pt := NewEncoder(params).Encode([]float64{1, -2, 3.5}, params.DefaultScale(), params.MaxLevel())
+		targets = append(targets, target{params, enc.Encrypt(pt)})
+	}
 	f.Add([]byte{})
-	f.Add(seed[:len(seed)-7])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var r RotationKeySet
@@ -88,6 +107,24 @@ func FuzzUnmarshalRotationKeySet(f *testing.F) {
 		}
 		if len(r2.Keys) != len(r.Keys) {
 			t.Fatal("key count not stable across round trip")
+		}
+		for _, tg := range targets {
+			twoN := uint64(2 * tg.params.N())
+			admitted := true
+			for g, k := range r.Keys {
+				if g%2 == 0 || g >= twoN || tg.params.ValidateSwitchingKey(k) != nil {
+					admitted = false
+				}
+			}
+			if !admitted {
+				continue
+			}
+			ev := NewEvaluator(tg.params, nil, &r)
+			for g := range r.Keys {
+				for level := tg.params.MaxLevel(); level >= 0; level-- {
+					ev.ApplyGalois(ev.leaseAt(tg.ct, level), g)
+				}
+			}
 		}
 	})
 }

@@ -19,8 +19,9 @@ type PublicKey struct {
 }
 
 // SwitchingKey re-encrypts a ciphertext component from a source secret s' to
-// the canonical secret s. One (B, A) pair per RNS digit; each pair spans the
-// full prime set including the special prime.
+// the canonical secret s. One (B, A) pair per key-switch digit (a group of α
+// consecutive chain primes, see hoisting.go); each pair spans the full prime
+// set including the special primes.
 type SwitchingKey struct {
 	B, A []*ring.Poly
 }
@@ -91,10 +92,8 @@ func (kg *KeyGenerator) GenPublicKey(sk *SecretKey) *PublicKey {
 func (kg *KeyGenerator) genSwitchingKey(sk *SecretKey, sPrime *ring.Poly) *SwitchingKey {
 	params := kg.params
 	r := params.Ring()
-	full := r.MaxLevel() // chain primes + special prime
-	numDigits := params.MaxLevel() + 1
-	pIdx := params.pIndex()
-	pMod := params.PSpecial()
+	full := r.MaxLevel() // chain primes + special primes
+	numDigits := params.Digits(params.MaxLevel())
 
 	swk := &SwitchingKey{
 		B: make([]*ring.Poly, numDigits),
@@ -109,23 +108,29 @@ func (kg *KeyGenerator) genSwitchingKey(sk *SecretKey, sPrime *ring.Poly) *Switc
 		kg.sampler.GaussianPoly(e, full)
 		r.NTT(e, full)
 
-		// b = -a*s + e + P*F_i*s' where F_i ≡ δ_ij mod q_j and ≡ 0 mod P:
-		// only the i-th chain row receives the (P mod q_i)*s' term.
+		// b = -a*s + e + P*F_i*s' where F_i ≡ 1 modulo the chain primes of
+		// digit i and ≡ 0 modulo every other chain prime: only the digit's
+		// own rows receive the (P mod q_j)*s' term, and the special-prime
+		// rows carry no message term at all (P ≡ 0 there).
 		b := r.NewPoly(full)
 		r.MulCoeffs(a, sk.Value, b, full)
 		r.Neg(b, b, full)
 		r.Add(b, e, b, full)
 
-		qi := r.Moduli[i].Q
-		pModQi := pMod % qi
-		pShoup := ring.MForm(pModQi, qi)
-		rowB := b.Coeffs[i]
-		rowS := sPrime.Coeffs[i]
-		for j := range rowB {
-			term := ring.MulModShoup(rowS[j], pModQi, pShoup, qi)
-			rowB[j] = ring.AddMod(rowB[j], term, qi)
+		lo, hi := params.digitRows(i, params.MaxLevel())
+		for j := lo; j < hi; j++ {
+			qj := r.Moduli[j].Q
+			pModQj := uint64(1)
+			for _, pk := range params.pSpecial {
+				pModQj = ring.MulMod(pModQj, pk%qj, qj)
+			}
+			pShoup := ring.MForm(pModQj, qj)
+			rowB, rowS := b.Coeffs[j], sPrime.Coeffs[j]
+			for k := range rowB {
+				term := ring.MulModShoup(rowS[k], pModQj, pShoup, qj)
+				rowB[k] = ring.AddMod(rowB[k], term, qj)
+			}
 		}
-		_ = pIdx // special-prime row carries no message term by construction
 
 		swk.B[i] = b
 		swk.A[i] = a

@@ -130,6 +130,30 @@ func (r *reader) finish() error {
 	return nil
 }
 
+// polySize is the encoded size of a polynomial of `rows` rows of n
+// coefficients (see writer.poly).
+func polySize(rows, n int) int { return 4 + rows*(4+8*n) }
+
+// CiphertextSize is the MarshalBinary size of a degree-1 ciphertext at the
+// top level — the largest a ciphertext of this parameter set encodes to.
+func (p *Parameters) CiphertextSize() int {
+	return 4 + 4 + 8 + 2*polySize(len(p.qChain), p.N())
+}
+
+// EvaluationKeySizes returns the MarshalBinary sizes of the three key
+// objects a client uploads: the public key, the relinearization key, and a
+// rotation key set holding rotationKeys switching keys. They are exact — the
+// formats carry no variable-length fields — so a server can bound a
+// session-open frame from its parameters alone.
+func (p *Parameters) EvaluationKeySizes(rotationKeys int) (pk, rlk, rtks int) {
+	n := p.N()
+	swk := 4 + p.Digits(p.MaxLevel())*2*polySize(len(p.ring.Moduli), n)
+	pk = 4 + 2*polySize(len(p.qChain), n)
+	rlk = 4 + swk
+	rtks = 4 + 4 + rotationKeys*(8+swk)
+	return pk, rlk, rtks
+}
+
 // MarshalBinary encodes the ciphertext.
 func (ct *Ciphertext) MarshalBinary() ([]byte, error) {
 	w := &writer{}
@@ -235,12 +259,16 @@ func (w *writer) switchingKey(swk *SwitchingKey) {
 	}
 }
 
+// switchingKey decodes a key and insists on the one geometry every valid
+// key has: each digit's B and A span the same rows × coefficients, and there
+// are fewer digits than rows (β ≤ L+1 < L+1+α). Which rows and how many
+// digits a parameter set wants is Parameters.ValidateSwitchingKey's job.
 func (r *reader) switchingKey() *SwitchingKey {
 	digits := int(r.u32())
 	if r.err != nil {
 		return nil
 	}
-	if digits <= 0 || digits > maxPolyRows {
+	if digits <= 0 || digits > maxDigits {
 		r.fail(fmt.Sprintf("implausible digit count %d", digits))
 		return nil
 	}
@@ -248,8 +276,63 @@ func (r *reader) switchingKey() *SwitchingKey {
 	for i := 0; i < digits; i++ {
 		swk.B[i] = r.poly()
 		swk.A[i] = r.poly()
+		if r.err != nil {
+			return nil
+		}
+		for _, p := range []*ring.Poly{swk.B[i], swk.A[i]} {
+			if err := polyShape(p, len(swk.B[0].Coeffs), len(swk.B[0].Coeffs[0])); err != nil {
+				r.fail(fmt.Sprintf("digit %d: %v", i, err))
+				return nil
+			}
+		}
+	}
+	if digits >= len(swk.B[0].Coeffs) {
+		r.fail(fmt.Sprintf("%d digits over %d rows", digits, len(swk.B[0].Coeffs)))
+		return nil
 	}
 	return swk
+}
+
+// polyShape checks that p has exactly `rows` rows of n coefficients.
+func polyShape(p *ring.Poly, rows, n int) error {
+	if p == nil {
+		return fmt.Errorf("nil polynomial")
+	}
+	if len(p.Coeffs) != rows {
+		return fmt.Errorf("%d RNS rows, want %d", len(p.Coeffs), rows)
+	}
+	for i, row := range p.Coeffs {
+		if len(row) != n {
+			return fmt.Errorf("row %d has %d coefficients, want %d", i, len(row), n)
+		}
+	}
+	return nil
+}
+
+// ValidateSwitchingKey checks a (deserialized) switching key against the
+// exact shape this parameter set's key switch indexes: Digits(MaxLevel())
+// digits, each a (B, A) pair over all L+1+α ring rows of N coefficients. An
+// evaluator must only ever be handed keys that pass — the inner product
+// indexes digits and rows without re-checking.
+func (p *Parameters) ValidateSwitchingKey(swk *SwitchingKey) error {
+	if swk == nil {
+		return fmt.Errorf("ckks: nil switching key")
+	}
+	want := p.Digits(p.MaxLevel())
+	if len(swk.B) != want || len(swk.A) != want {
+		return fmt.Errorf("ckks: switching key has %d B and %d A digits, parameters (α=%d over %d chain primes) imply %d",
+			len(swk.B), len(swk.A), p.Alpha(), len(p.qChain), want)
+	}
+	rows := len(p.ring.Moduli)
+	for i := range swk.B {
+		if err := polyShape(swk.B[i], rows, p.N()); err != nil {
+			return fmt.Errorf("ckks: switching key digit %d (B): %v", i, err)
+		}
+		if err := polyShape(swk.A[i], rows, p.N()); err != nil {
+			return fmt.Errorf("ckks: switching key digit %d (A): %v", i, err)
+		}
+	}
+	return nil
 }
 
 // MarshalBinary encodes the relinearization key.
@@ -299,7 +382,12 @@ func (rtks *RotationKeySet) UnmarshalBinary(data []byte) error {
 	if r.err == nil && (n < 0 || n > 1<<16) {
 		r.fail(fmt.Sprintf("implausible key count %d", n))
 	}
-	keys := make(map[uint64]*SwitchingKey, n)
+	if r.err != nil {
+		return r.err // before the count sizes an allocation
+	}
+	// A key is at least a few hundred bytes: cap the map's size hint by what
+	// the buffer could possibly hold, so a lying count cannot allocate.
+	keys := make(map[uint64]*SwitchingKey, min(n, len(data)/64))
 	for i := 0; i < n && r.err == nil; i++ {
 		g := r.u64()
 		keys[g] = r.switchingKey()

@@ -41,6 +41,11 @@ type Analysis struct {
 	consumedFinal float64 // log2 of modulus consumed on the output path
 	peakNeed      float64 // max over live ciphertexts of consumed+scale+margin
 	rotations     map[int]int
+	// keySwitches counts every key switch by kind and by the chain primes
+	// its operand had consumed (the slice index): enough to reprice the
+	// circuit's key-switch work for any special-prime count without running
+	// it again.
+	keySwitches [numKsKinds][]int
 
 	// Cost estimation (active when totals is non-nil).
 	totals    *costTotals
@@ -72,7 +77,19 @@ type bootRun struct {
 type costTotals struct {
 	logQ   float64 // CKKS: total modulus bits
 	primes float64 // RNS: total chain primes
+	alpha  float64 // RNS: special primes (chain primes per key-switch digit)
 }
+
+// ksKind is how the cost model prices a key switch.
+type ksKind int
+
+const (
+	ksRotate     ksKind = iota // CostModel.Rotate: a rotation or conjugation on its own
+	ksHoistSetup               // CostModel.RotateHoistedSetup: a hoisted batch's decomposition
+	ksHoistStep                // CostModel.RotateHoistedStep: one amount of a hoisted batch
+	ksCtMul                    // CostModel.CtMul: the relinearization of a product
+	numKsKinds
+)
 
 // analysisCT is the dataflow fact attached to each ciphertext.
 type analysisCT struct {
@@ -94,7 +111,10 @@ type AnalysisConfig struct {
 	// total chain primes (RNS) from a prior parameter pass.
 	CostLogQ   float64
 	CostPrimes float64
-	Model      *CostModel
+	// CostSpecial is the RNS special-prime count α the key switches are
+	// priced at (0 means 1).
+	CostSpecial int
+	Model       *CostModel
 	// CostThreads is T in the T-thread cost model (see LPTMakespan);
 	// values <= 1 keep the serial sum-of-costs estimate.
 	CostThreads int
@@ -129,7 +149,7 @@ func NewAnalysis(cfg AnalysisConfig) *Analysis {
 		a.magMarginBits = cfg.MagMarginBits
 	}
 	if cfg.CostLogQ > 0 || cfg.CostPrimes > 0 {
-		a.totals = &costTotals{logQ: cfg.CostLogQ, primes: cfg.CostPrimes}
+		a.totals = &costTotals{logQ: cfg.CostLogQ, primes: cfg.CostPrimes, alpha: float64(cfg.CostSpecial)}
 		if cfg.Model != nil {
 			a.model = *cfg.Model
 		} else {
@@ -144,7 +164,7 @@ func NewAnalysis(cfg AnalysisConfig) *Analysis {
 	if cfg.Bootstrap != nil {
 		a.boot = &bootRun{cfg: *cfg.Bootstrap}
 		if a.totals != nil {
-			st := state{logQ: a.totals.logQ, r: a.totals.primes}
+			st := state{logQ: a.totals.logQ, r: a.totals.primes, alpha: a.totals.alpha}
 			a.boot.cost = bootCost(a.boot.cfg.Spec, a.model, a.n, st)
 		}
 	}
@@ -251,8 +271,50 @@ func (a *Analysis) state(c *analysisCT) state {
 	if a.scheme == SchemeCKKS {
 		return state{logQ: math.Max(1, a.totals.logQ-c.consumed)}
 	}
-	used := c.consumed / a.rnsPrimeBits
-	return state{r: math.Max(1, a.totals.primes-used)}
+	return rnsState(a.totals.primes, a.usedPrimes(c), a.totals.alpha)
+}
+
+// usedPrimes is the number of chain primes a fact's lineage has consumed.
+func (a *Analysis) usedPrimes(c *analysisCT) float64 { return c.consumed / a.rnsPrimeBits }
+
+// rnsState is the RNS modulus state of an operand that has consumed `used`
+// of `primes` chain primes, under α special primes.
+func rnsState(primes, used, alpha float64) state {
+	return state{r: math.Max(1, primes-used), alpha: alpha}
+}
+
+// keySwitch records one key switch on operand c in the histogram.
+func (a *Analysis) keySwitch(kind ksKind, c *analysisCT) {
+	used := int(math.Round(a.usedPrimes(c)))
+	h := a.keySwitches[kind]
+	for len(h) <= used {
+		h = append(h, 0)
+	}
+	h[used]++
+	a.keySwitches[kind] = h
+}
+
+// KeySwitchCost reprices every key switch this run executed (and every
+// bootstrap it placed) under the model for a chain of `primes` primes and
+// α = alpha special primes. It reads only the histogram the run recorded,
+// so candidates for α are compared without executing the circuit again.
+func (a *Analysis) KeySwitchCost(m CostModel, primes float64, alpha int) float64 {
+	price := [numKsKinds]func(float64, state) float64{
+		ksRotate: m.Rotate, ksHoistSetup: m.RotateHoistedSetup, ksHoistStep: m.RotateHoistedStep, ksCtMul: m.CtMul,
+	}
+	total := 0.0
+	for kind, h := range a.keySwitches {
+		for used, count := range h {
+			if count > 0 {
+				total += float64(count) * price[kind](a.n, rnsState(primes, float64(used), float64(alpha)))
+			}
+		}
+	}
+	if a.boot != nil {
+		st := rnsState(primes, 0, float64(alpha))
+		total += float64(len(a.boot.placements)) * bootCost(a.boot.cfg.Spec, m, a.n, st)
+	}
+	return total
 }
 
 func (a *Analysis) charge(cost float64) {
@@ -340,6 +402,7 @@ func (a *Analysis) SubScalar(c hisa.Ciphertext, x float64) hisa.Ciphertext {
 
 func (a *Analysis) Mul(c, c2 hisa.Ciphertext) hisa.Ciphertext {
 	x, y := a.ct(c), a.ct(c2)
+	a.keySwitch(ksCtMul, x)
 	a.charge(a.model.CtMul(a.n, a.state(x)))
 	return a.join(x, y, x.scale*y.scale)
 }
@@ -374,6 +437,7 @@ func (a *Analysis) RotLeft(c hisa.Ciphertext, x int) hisa.Ciphertext {
 	steps := hisa.RotationSteps(x, a.slots, a.rotKey)
 	for _, s := range steps {
 		a.rotations[s]++
+		a.keySwitch(ksRotate, cc)
 		a.charge(a.model.Rotate(a.n, a.state(cc)))
 	}
 	out := *cc
@@ -400,10 +464,12 @@ func (a *Analysis) RotLeftMany(c hisa.Ciphertext, ks []int) []hisa.Ciphertext {
 		steps := hisa.RotationSteps(x, a.slots, a.rotKey)
 		if a.scheme == SchemeRNS && len(steps) == 1 {
 			if !setupCharged {
+				a.keySwitch(ksHoistSetup, cc)
 				a.charge(a.model.RotateHoistedSetup(a.n, a.state(cc)))
 				setupCharged = true
 			}
 			a.rotations[steps[0]]++
+			a.keySwitch(ksHoistStep, cc)
 			a.charge(a.model.RotateHoistedStep(a.n, a.state(cc)))
 			out := *cc
 			outs[i] = a.observe(&out)
@@ -458,6 +524,7 @@ func (a *Analysis) Scale(c hisa.Ciphertext) float64 { return a.ct(c).scale }
 
 func (a *Analysis) Conjugate(c hisa.Ciphertext) hisa.Ciphertext {
 	cc := a.ct(c)
+	a.keySwitch(ksRotate, cc)
 	a.charge(a.model.Rotate(a.n, a.state(cc)))
 	out := *cc
 	return a.observe(&out)

@@ -66,12 +66,23 @@ func RNSParameters(comp *Compiled) (*ckks.Parameters, error) {
 	if comp.Options.Scheme != SchemeRNS {
 		return nil, fmt.Errorf("core: scheme %v has no RNS parameters", comp.Options.Scheme)
 	}
-	return ckks.NewParameters(ckks.ParametersLiteral{
+	params, err := ckks.NewParameters(ckks.ParametersLiteral{
 		LogN:     comp.Best.LogN,
 		LogQ:     comp.Best.RNSChainBits,
 		LogP:     comp.Best.SpecialBits,
+		Alpha:    comp.Best.SpecialPrimes,
 		LogScale: int(math.Round(math.Log2(comp.Options.Scales.Pc))),
 	})
+	if err != nil {
+		return nil, err
+	}
+	// The security table bounds the largest modulus any key is published
+	// under — chain and every special prime — not the ciphertext modulus.
+	if sec := comp.Options.SecurityBits; sec > 0 && params.LogQP() > float64(MaxLogQ(comp.Best.LogN, sec)) {
+		return nil, fmt.Errorf("core: logQP %.1f (chain + %d special primes) exceeds the %d-bit budget %d at N=2^%d",
+			params.LogQP(), params.Alpha(), sec, MaxLogQ(comp.Best.LogN, sec), comp.Best.LogN)
+	}
+	return params, nil
 }
 
 func powerOfTwoSet(slots int) map[int]bool {

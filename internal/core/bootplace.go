@@ -147,6 +147,7 @@ func recordBootPlan(c *circuit.Circuit, comp *Compiled) (err error) {
 		RNSPrimeBits:  opts.RNSPrimeBits,
 		MagMarginBits: opts.MagMarginBits,
 		CostPrimes:    float64(len(comp.Best.RNSChainBits)),
+		CostSpecial:   comp.Best.SpecialPrimes,
 		Model:         opts.CostModel,
 		Batch:         opts.Batch,
 		Bootstrap:     cfg,

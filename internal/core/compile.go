@@ -137,7 +137,13 @@ type PolicyResult struct {
 	LogN         int
 	LogQ         float64 // total ciphertext modulus bits
 	RNSChainBits []int   // RNS-CKKS chain prime sizes, q_0 first
-	SpecialBits  int     // RNS-CKKS key-switching special prime size
+	SpecialBits  int     // RNS-CKKS key-switching special prime size (each)
+	// SpecialPrimes is α, the number of key-switching special primes: a key
+	// switch groups α chain primes per digit. The compiler picks the α that
+	// minimizes the cost model's total key-switch cost among those the
+	// security budget at LogN admits; SpecialTrace lists what it weighed.
+	SpecialPrimes int
+	SpecialTrace  []SpecialCandidate
 
 	// Rotation keys the circuit needs (slot amounts, sorted).
 	Rotations []int
@@ -156,6 +162,33 @@ type PolicyResult struct {
 	// Bootstraps is the number of compiler-placed bootstraps this policy's
 	// execution performs (0 without Options.Bootstrap).
 	Bootstraps int
+}
+
+// KeySwitchDigits returns β = ⌈chain primes / α⌉, the number of digits in
+// every switching key (0 for schemes without a prime chain).
+func (r PolicyResult) KeySwitchDigits() int {
+	if r.SpecialPrimes < 1 {
+		return 0
+	}
+	return (len(r.RNSChainBits) + r.SpecialPrimes - 1) / r.SpecialPrimes
+}
+
+// EvalKeyBytes is the size of the evaluation keys a client generates and
+// uploads for this result: one switching key per rotation amount plus the
+// conjugation and relinearization keys, each β digits of two polynomials
+// over all chain and special primes.
+func (r PolicyResult) EvalKeyBytes() int64 {
+	rows := int64(len(r.RNSChainBits) + r.SpecialPrimes)
+	perKey := int64(r.KeySwitchDigits()) * 2 * rows * 8 << uint(r.LogN)
+	return int64(len(r.Rotations)+2) * perKey
+}
+
+// SpecialCandidate is one special-prime count the compiler considered.
+type SpecialCandidate struct {
+	Alpha int
+	// KeySwitchCost is the cost model's total over the circuit's key
+	// switches (and bootstraps) at this α, in microseconds.
+	KeySwitchCost float64
 }
 
 // Compiled is the result of compiling a tensor circuit: the optimized
@@ -372,6 +405,9 @@ func compilePolicy(c *circuit.Circuit, policy htc.LayoutPolicy, opts Options) (P
 		if opts.SecurityBits > 0 && float64(MaxLogQ(logN, opts.SecurityBits)) < logQP {
 			continue // not secure at this ring degree; grow N
 		}
+		if opts.Scheme == SchemeRNS {
+			chooseSpecialPrimes(&res, params, opts)
+		}
 
 		// Pass 2: cost estimation (Section 5.3) at the chosen parameters.
 		cost := NewAnalysis(AnalysisConfig{
@@ -382,6 +418,7 @@ func compilePolicy(c *circuit.Circuit, policy htc.LayoutPolicy, opts Options) (P
 			RotKey:        rotKey,
 			CostLogQ:      res.LogQ,
 			CostPrimes:    costPrimes,
+			CostSpecial:   res.SpecialPrimes,
 			Model:         opts.CostModel,
 			CostThreads:   opts.CostThreads,
 			Batch:         opts.Batch,
@@ -400,6 +437,36 @@ func compilePolicy(c *circuit.Circuit, policy htc.LayoutPolicy, opts Options) (P
 	}
 	return PolicyResult{}, fmt.Errorf("no ring degree in [2^%d, 2^%d] meets %d-bit security",
 		opts.MinLogN, opts.MaxLogN, opts.SecurityBits)
+}
+
+// chooseSpecialPrimes picks res.SpecialPrimes for the chain the parameter
+// pass just fixed. The ring degree is already decided (with one special
+// prime, as ever — α never grows N); whatever the security table leaves
+// above logQ + SpecialBits at that degree is slack, and each further special
+// prime spends SpecialBits of it to cut the key-switch digit count. Among
+// 1 ≤ α ≤ chain length with logQ + α·SpecialBits inside the budget (no
+// bound when the security check is off), α is the argmin of the cost model's
+// total key-switch cost, repriced from the histogram the parameter pass
+// recorded; ties go to the smaller α.
+func chooseSpecialPrimes(res *PolicyResult, params *Analysis, opts Options) {
+	model := DefaultCostModel(opts.Scheme)
+	if opts.CostModel != nil {
+		model = *opts.CostModel
+	}
+	primes := len(res.RNSChainBits)
+	res.SpecialTrace = nil
+	best := 0
+	for alpha := 1; alpha <= primes; alpha++ {
+		if opts.SecurityBits > 0 && res.LogQ+float64(alpha*res.SpecialBits) > float64(MaxLogQ(res.LogN, opts.SecurityBits)) {
+			break
+		}
+		c := SpecialCandidate{Alpha: alpha, KeySwitchCost: params.KeySwitchCost(model, float64(primes), alpha)}
+		res.SpecialTrace = append(res.SpecialTrace, c)
+		if c.KeySwitchCost < res.SpecialTrace[best].KeySwitchCost {
+			best = len(res.SpecialTrace) - 1
+		}
+	}
+	res.SpecialPrimes = res.SpecialTrace[best].Alpha
 }
 
 // splitBits splits a bit budget into primes of at most maxBits each

@@ -78,12 +78,17 @@ func TestCostModelShapes(t *testing.T) {
 			t.Fatalf("%v: cost not monotone in N", scheme)
 		}
 	}
-	// The RNS r^2 law: doubling r quadruples rotation cost.
+	// The RNS key-switch row law: a rotation transforms β = ⌈r/α⌉ digits of
+	// r+k rows each, then 2(r+k) rows in ModDown, over k = min(α, r) special
+	// primes — (r+2)(r+1) per prime, and grouping α primes divides the digits.
 	m := DefaultCostModel(SchemeRNS)
-	c1 := m.Rotate(16384, state{r: 4})
-	c2 := m.Rotate(16384, state{r: 8})
-	if math.Abs(c2/c1-4) > 1e-9 {
-		t.Fatalf("RNS rotation cost ratio = %g, want 4", c2/c1)
+	perRow := m.Rotate(16384, state{r: 1}) / 6
+	for _, c := range []struct{ r, alpha, rows float64 }{
+		{4, 1, 30}, {8, 1, 90}, {8, 0, 90}, {8, 2, 60}, {8, 4, 48}, {8, 8, 48}, {7, 3, 50}, {2, 4, 12},
+	} {
+		if got := m.Rotate(16384, state{r: c.r, alpha: c.alpha}); math.Abs(got/perRow-c.rows) > 1e-9 {
+			t.Fatalf("rotation at r=%g α=%g priced as %g rows, want %g", c.r, c.alpha, got/perRow, c.rows)
+		}
 	}
 }
 
@@ -141,7 +146,10 @@ func TestCompileSelectsParameters(t *testing.T) {
 		// Security: the selected parameters fit the table budget.
 		logQP := best.LogQ
 		if scheme == SchemeRNS {
-			logQP += float64(best.SpecialBits)
+			logQP += float64(best.SpecialPrimes * best.SpecialBits)
+			if best.SpecialPrimes < 1 {
+				t.Fatalf("RNS special-prime count missing")
+			}
 			if len(best.RNSChainBits) == 0 {
 				t.Fatalf("RNS chain missing")
 			}

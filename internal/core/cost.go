@@ -37,9 +37,11 @@ type CostModel struct {
 	CAdd, CScalarMul, CPlainMul, CCtMul, CRotate, CRescale float64
 
 	// Hoisted-rotation constants (RNS only): a batch of rotations of one
-	// ciphertext pays Setup once (the digit decomposition: inverse NTT plus
-	// r forward NTTs per digit, ~ n log n r^2) and Step per rotation amount
-	// (permuted key inner product ~ n r^2 plus modDown ~ n log n r).
+	// ciphertext pays Setup once (the digit decomposition: every row of
+	// every digit is extended and transformed, ~ n log n · digitRows) and
+	// Step per rotation amount (the permuted key inner product, two 128-bit
+	// multiply-accumulates per digit row, plus ModDown's transforms of both
+	// accumulators, ~ n log n · 2·extRows). See state.digitRows.
 	CRotHoistSetup, CRotHoistStep float64
 }
 
@@ -57,10 +59,11 @@ func DefaultCostModel(s Scheme) CostModel {
 		Scheme: s,
 		CAdd:   9e-4, CScalarMul: 1.4e-3, CPlainMul: 1.4e-3,
 		CCtMul: 4.5e-4, CRotate: 4.5e-4, CRescale: 2.2e-4,
-		// Calibrated so setup+step ~ one full rotation at moderate depth
-		// (the decomposition dominates a single key switch) while each
-		// extra amount costs only the inner-product step.
-		CRotHoistSetup: 2.9e-4, CRotHoistStep: 4.8e-4,
+		// In the ratio measured per row at N = 2^15 over levels 0..11
+		// (decomposition row : ModDown row : whole-switch row = 0.75 : 0.98
+		// : 1), so setup+step ~ one full rotation at every depth while each
+		// extra amount costs only the step.
+		CRotHoistSetup: 3.4e-4, CRotHoistStep: 4.4e-4,
 	}
 }
 
@@ -75,9 +78,32 @@ func mulComplexity(logQ float64) float64 {
 
 // state carries the modulus position a cost estimate depends on.
 type state struct {
-	logQ float64 // CKKS: remaining modulus bits
-	r    float64 // RNS: remaining prime count
+	logQ  float64 // CKKS: remaining modulus bits
+	r     float64 // RNS: remaining prime count
+	alpha float64 // RNS: special primes α = chain primes per key-switch digit (0 means 1)
 }
+
+// extRows is the height of the key-switch extended basis: the r live chain
+// primes plus the special primes the switch works over, min(α, r) — no more
+// of them than the largest digit has chain primes.
+func (st state) extRows() float64 {
+	return st.r + math.Min(math.Max(1, st.alpha), st.r)
+}
+
+// digitRows is the size of a hybrid key switch's decomposition at this
+// state: β = ⌈r/α⌉ digits of extRows rows each — the rows ModUp transforms
+// and the inner product accumulates over. With α = 1 it is r(r+1), the
+// per-prime key switch's r² up to the special-prime row; larger α divides the
+// digit count and adds up to α-1 rows to each.
+func (st state) digitRows() float64 {
+	return math.Ceil(st.r/math.Max(1, st.alpha)) * st.extRows()
+}
+
+// keySwitchRows counts the rows a whole key switch transforms: the
+// decomposition's digitRows, then ModDown's pass over the extended basis for
+// each of the two accumulators. ModDown is what keeps small α from being
+// free at the bottom of the chain and large α from being free at the top.
+func (st state) keySwitchRows() float64 { return st.digitRows() + 2*st.extRows() }
 
 // Add returns the cost of a ciphertext addition.
 func (m CostModel) Add(n float64, st state) float64 {
@@ -109,7 +135,7 @@ func (m CostModel) CtMul(n float64, st state) float64 {
 	if m.Scheme == SchemeCKKS {
 		return m.CCtMul * n * math.Log2(n) * mulComplexity(st.logQ)
 	}
-	return m.CCtMul * n * math.Log2(n) * st.r * st.r
+	return m.CCtMul * n * math.Log2(n) * st.keySwitchRows()
 }
 
 // Rotate returns the cost of one primitive rotation (one key switch).
@@ -117,7 +143,7 @@ func (m CostModel) Rotate(n float64, st state) float64 {
 	if m.Scheme == SchemeCKKS {
 		return m.CRotate * n * math.Log2(n) * mulComplexity(st.logQ)
 	}
-	return m.CRotate * n * math.Log2(n) * st.r * st.r
+	return m.CRotate * n * math.Log2(n) * st.keySwitchRows()
 }
 
 // RotateHoistedSetup returns the one-time cost of a hoisted rotation
@@ -128,17 +154,19 @@ func (m CostModel) RotateHoistedSetup(n float64, st state) float64 {
 	if m.Scheme == SchemeCKKS {
 		return 0
 	}
-	return m.CRotHoistSetup * n * math.Log2(n) * st.r * st.r
+	return m.CRotHoistSetup * n * math.Log2(n) * st.digitRows()
 }
 
 // RotateHoistedStep returns the per-amount cost of a hoisted rotation: the
-// permuted key-switch inner product plus the division by the special
-// prime. For CKKS it falls back to a full rotation.
+// permuted key-switch inner product (a digit row's two multiply-accumulates
+// weigh about four butterflies per coefficient) plus the division of both
+// accumulators by the special primes. For CKKS it falls back to a full
+// rotation.
 func (m CostModel) RotateHoistedStep(n float64, st state) float64 {
 	if m.Scheme == SchemeCKKS {
 		return m.Rotate(n, st)
 	}
-	return m.CRotHoistStep * n * (st.r*st.r + math.Log2(n)*st.r)
+	return m.CRotHoistStep * n * (4*st.digitRows() + math.Log2(n)*2*st.extRows())
 }
 
 // LPTMakespan estimates the wall-clock latency of executing operations

@@ -49,7 +49,7 @@ func TestCostThreadsSerialParity(t *testing.T) {
 	}
 	for _, m := range nn.All() {
 		for _, scheme := range []Scheme{SchemeCKKS, SchemeRNS} {
-			base, err := Compile(m.Circuit, Options{Scheme: scheme})
+			base, err := compileZoo(m.Circuit, scheme, 128)
 			if err != nil {
 				t.Fatalf("%s/%v: %v", m.Name, scheme, err)
 			}

@@ -12,7 +12,7 @@ import (
 // fpVersion tags the canonical encoding below; bump it whenever the byte
 // layout of the digest changes so old and new binaries never agree by
 // accident.
-const fpVersion = "chet-fingerprint-v4"
+const fpVersion = "chet-fingerprint-v5"
 
 // Fingerprint returns a stable digest of everything that must match between
 // two parties for their homomorphic executions of this compilation to be
@@ -121,6 +121,9 @@ func (c *Compiled) Fingerprint() [32]byte {
 	f64(b.LogQ)
 	ints(b.RNSChainBits)
 	i64(b.SpecialBits)
+	// α shapes every switching key (digit count, rows per digit): parties
+	// that disagree on it cannot exchange evaluation keys.
+	i64(b.SpecialPrimes)
 	ints(b.Rotations)
 	i64(b.RotationOps)
 	i64(b.Batch)

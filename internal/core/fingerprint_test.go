@@ -53,8 +53,10 @@ func TestFingerprintFlipsOnOptionsChange(t *testing.T) {
 	base := fpCompile(t, fpBaseOptions())
 
 	mutations := map[string]func(*Options){
-		"Scheme":       func(o *Options) { o.Scheme = SchemeCKKS },
-		"Scales.Pc":    func(o *Options) { o.Scales = htc.Scales{Pc: math.Exp2(41), Pw: math.Exp2(35), Pu: math.Exp2(35), Pm: math.Exp2(30)} },
+		"Scheme": func(o *Options) { o.Scheme = SchemeCKKS },
+		"Scales.Pc": func(o *Options) {
+			o.Scales = htc.Scales{Pc: math.Exp2(41), Pw: math.Exp2(35), Pu: math.Exp2(35), Pm: math.Exp2(30)}
+		},
 		"SecurityBits": func(o *Options) { o.SecurityBits = 128; o.MinLogN = 12; o.MaxLogN = 15 },
 		"RNSPrimeBits": func(o *Options) { o.RNSPrimeBits = 35 },
 		"MagMargin":    func(o *Options) { o.MagMarginBits = 14 },
@@ -110,19 +112,19 @@ func TestFingerprintFlipsOnPackingOptions(t *testing.T) {
 	}
 }
 
-// TestFingerprintV4Golden pins the canonical v4 encoding to a known digest.
+// TestFingerprintV5Golden pins the canonical v5 encoding to a known digest.
 // The fingerprint is a wire-visible contract — both sides of the session-open
 // handshake must compute the same bytes — so any change to the byte layout
 // must come with a version bump (fpVersion), not a silent drift. If this test
 // fails and you did not intend an encoding change, you broke compatibility
 // with deployed peers; if you did intend it, bump fpVersion and refresh the
 // constant below.
-func TestFingerprintV4Golden(t *testing.T) {
+func TestFingerprintV5Golden(t *testing.T) {
 	opts := fpBaseOptions()
 	opts.ScaleMode = ScaleLazy
-	const want = "8511b5c92fa2c238ebaf5fc46baa421db4ee62af7422ff45121bd3d92918f4a1"
+	const want = "b71ca62fec91b5c62f96ded8907195bb6aac3166435396606106d1f1f03a49b9"
 	if got := fpCompile(t, opts).FingerprintHex(); got != want {
-		t.Fatalf("fingerprint v4 golden mismatch:\n got %s\nwant %s", got, want)
+		t.Fatalf("fingerprint v5 golden mismatch:\n got %s\nwant %s", got, want)
 	}
 }
 

@@ -34,6 +34,56 @@ type RNSConfig struct {
 	Bootstrap *boot.Spec
 }
 
+// rotationKeyAmounts resolves the configuration to the rotation keys a
+// backend generates: the single-step slot rotations it can serve
+// (normalized, deduplicated; nil Rotations selects the power-of-two defaults)
+// and the amounts handed to key generation, which add the bootstrap
+// pipeline's.
+func (cfg RNSConfig) rotationKeyAmounts() (provisioned map[int]bool, keygenAmounts []int) {
+	rotations := cfg.Rotations
+	slots := cfg.Params.Slots()
+	if rotations == nil {
+		for p := 1; p < slots; p <<= 1 {
+			rotations = append(rotations, p)
+		}
+	}
+	provisioned = make(map[int]bool, len(rotations))
+	for _, k := range rotations {
+		k = ((k % slots) + slots) % slots
+		if k == 0 || provisioned[k] {
+			continue
+		}
+		provisioned[k] = true
+		keygenAmounts = append(keygenAmounts, k)
+	}
+	if cfg.Bootstrap != nil {
+		// Bootstrap rotations ride along AFTER slot normalization: the
+		// pipeline's BSGS steps are ordinary slot rotations, but its sub-ring
+		// trace amounts are multiples of the slot count — identities on the
+		// packed slots, which the normalization above would silently drop —
+		// and key generation maps them to distinct Galois automorphisms.
+		for _, k := range cfg.Bootstrap.RotationAmounts() {
+			if k < slots {
+				if provisioned[k] {
+					continue
+				}
+				provisioned[k] = true
+			}
+			keygenAmounts = append(keygenAmounts, k)
+		}
+	}
+	return provisioned, keygenAmounts
+}
+
+// RotationKeyCount is an upper bound (exact unless two amounts share a
+// Galois element) on the switching keys in the rotation key set a backend
+// built from cfg generates and ships: one per key-generation amount plus
+// the conjugation key.
+func (cfg RNSConfig) RotationKeyCount() int {
+	_, keygenAmounts := cfg.rotationKeyAmounts()
+	return len(keygenAmounts) + 1
+}
+
 // RNSBackend executes HISA instructions with real lattice cryptography: the
 // RNS-CKKS scheme of internal/ckks (the scheme of SEAL v3.1). It is safe
 // for concurrent op execution: the evaluator pools its scratch state, the
@@ -71,40 +121,7 @@ func NewRNSBackend(cfg RNSConfig) *RNSBackend {
 	pk := kgen.GenPublicKey(sk)
 	rlk := kgen.GenRelinearizationKey(sk)
 
-	rotations := cfg.Rotations
-	if rotations == nil {
-		for p := 1; p < params.Slots(); p <<= 1 {
-			rotations = append(rotations, p)
-		}
-	}
-	provisioned := make(map[int]bool, len(rotations))
-	slots := params.Slots()
-	normalized := make([]int, 0, len(rotations))
-	for _, k := range rotations {
-		k = ((k % slots) + slots) % slots
-		if k == 0 || provisioned[k] {
-			continue
-		}
-		provisioned[k] = true
-		normalized = append(normalized, k)
-	}
-	keygenAmounts := normalized
-	if cfg.Bootstrap != nil {
-		// Bootstrap rotations ride along AFTER slot normalization: the
-		// pipeline's BSGS steps are ordinary slot rotations, but its sub-ring
-		// trace amounts are multiples of the slot count — identities on the
-		// packed slots, which the normalization above would silently drop —
-		// and key generation maps them to distinct Galois automorphisms.
-		for _, k := range cfg.Bootstrap.RotationAmounts() {
-			if k < slots {
-				if provisioned[k] {
-					continue
-				}
-				provisioned[k] = true
-			}
-			keygenAmounts = append(keygenAmounts, k)
-		}
-	}
+	provisioned, keygenAmounts := cfg.rotationKeyAmounts()
 	rtks := kgen.GenRotationKeys(sk, keygenAmounts, true)
 
 	b := &RNSBackend{

@@ -26,31 +26,13 @@ func polyShape(p *ring.Poly, rows, n int, what string) error {
 	return nil
 }
 
-func switchingKeyShape(swk *ckks.SwitchingKey, fullRows, n int, what string) error {
-	if swk == nil {
-		return fmt.Errorf("hisa: %s is nil", what)
-	}
-	if len(swk.B) == 0 || len(swk.B) != len(swk.A) {
-		return fmt.Errorf("hisa: %s has mismatched digit counts (%d B, %d A)", what, len(swk.B), len(swk.A))
-	}
-	for i := range swk.B {
-		if err := polyShape(swk.B[i], fullRows, n, fmt.Sprintf("%s digit %d (B)", what, i)); err != nil {
-			return err
-		}
-		if err := polyShape(swk.A[i], fullRows, n, fmt.Sprintf("%s digit %d (A)", what, i)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // ValidateRNSKeys checks received public key material against a parameter
-// set before it is handed to an evaluator: RNS row counts, ring degrees,
-// and Galois elements must all match, and every rotation amount the client
-// claims must have a corresponding key. Deserialized keys are structurally
-// sound but shape-unconstrained; an evaluation server calls this at
-// session-open so a mismatched or corrupted upload is rejected with an
-// error instead of panicking mid-inference.
+// set before it is handed to an evaluator: RNS row counts, key-switch digit
+// counts, ring degrees, and Galois elements must all match, and every
+// rotation amount the client claims must have a corresponding key.
+// Deserialized keys are structurally sound but shape-unconstrained; an
+// evaluation server calls this at session-open so a mismatched or corrupted
+// upload is rejected with an error instead of panicking mid-inference.
 func ValidateRNSKeys(params *ckks.Parameters, keys RNSPublicKeys) error {
 	if keys.PK == nil || keys.RLK == nil || keys.RTKS == nil {
 		return fmt.Errorf("hisa: incomplete key material (pk=%v rlk=%v rtks=%v)",
@@ -58,7 +40,6 @@ func ValidateRNSKeys(params *ckks.Parameters, keys RNSPublicKeys) error {
 	}
 	n := params.N()
 	chainRows := len(params.QChain())
-	fullRows := chainRows + 1 // chain primes plus the key-switching special prime
 
 	// Public key: chain primes only.
 	if err := polyShape(keys.PK.B, chainRows, n, "public key B"); err != nil {
@@ -68,8 +49,11 @@ func ValidateRNSKeys(params *ckks.Parameters, keys RNSPublicKeys) error {
 		return err
 	}
 
-	if err := switchingKeyShape(keys.RLK.Key, fullRows, n, "relinearization key"); err != nil {
-		return err
+	// Switching keys: exactly the digit count and extended-basis height the
+	// key-switch inner product will index (chain primes plus α special
+	// primes, ⌈chain/α⌉ digits).
+	if err := params.ValidateSwitchingKey(keys.RLK.Key); err != nil {
+		return fmt.Errorf("hisa: relinearization key: %w", err)
 	}
 
 	if keys.RTKS.Keys == nil {
@@ -80,8 +64,8 @@ func ValidateRNSKeys(params *ckks.Parameters, keys RNSPublicKeys) error {
 		if g%2 == 0 || g == 0 || g >= twoN {
 			return fmt.Errorf("hisa: invalid Galois element %d (ring degree %d)", g, n)
 		}
-		if err := switchingKeyShape(swk, fullRows, n, fmt.Sprintf("rotation key (Galois %d)", g)); err != nil {
-			return err
+		if err := params.ValidateSwitchingKey(swk); err != nil {
+			return fmt.Errorf("hisa: rotation key (Galois %d): %w", g, err)
 		}
 	}
 

@@ -239,13 +239,8 @@ func TestRingKernelAllocs(t *testing.T) {
 	x := randomPoly(r, level, rng)
 	out := r.NewPoly(level)
 	perm := r.NTTPermutation(r.GaloisElementForRotation(3)) // warm the perm cache
-	q := r.Moduli[0].Q
-	acc := make([]uint64, r.N)
-	w := p.Coeffs[0]
-	ws := make([]uint64, r.N)
-	for k := range ws {
-		ws[k] = MForm(w[k], q)
-	}
+	acc0, acc1 := make([]uint64, r.N), make([]uint64, r.N)
+	ext := r.NewBasisExtender([]int{0, 1})
 
 	checks := []struct {
 		name string
@@ -255,9 +250,18 @@ func TestRingKernelAllocs(t *testing.T) {
 		{"ntt_inverse", func() { r.InvNTT(p, level) }},
 		{"arena_roundtrip", func() { r.PutPoly(r.GetPoly(level)) }},
 		{"poly_copy", func() { out.Copy(p) }},
-		{"vec_muladd_shoup", func() { VecMulAddShoupLazy(acc, x.Coeffs[0], w, ws, q) }},
-		{"vec_muladd_perm", func() { VecMulAddShoupLazyPerm(acc, x.Coeffs[0], perm, w, ws, q) }},
-		{"vec_reduce", func() { VecReduceLazy(acc, q) }},
+		{"ks_inner_product", func() {
+			r.Moduli[0].KeySwitchInnerProduct(acc0, acc1, x.Coeffs[:2], p.Coeffs[:2], p.Coeffs[2:4], nil)
+		}},
+		{"ks_inner_product_perm", func() {
+			r.Moduli[0].KeySwitchInnerProduct(acc0, acc1, x.Coeffs[:2], p.Coeffs[:2], p.Coeffs[2:4], perm)
+		}},
+		{"basis_extension", func() {
+			s := ext.Prepare(x)
+			ext.Row(s, 2, 0, acc0)
+			ext.Row(s, 3, 7, acc1)
+			r.PutPoly(s)
+		}},
 		{"automorphism_ntt", func() { r.AutomorphismNTT(p, r.GaloisElementForRotation(3), out, level) }},
 		{"add", func() { r.Add(p, x, out, level) }},
 		{"mul_coeffs", func() { r.MulCoeffs(p, x, out, level) }},

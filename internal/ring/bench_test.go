@@ -97,12 +97,11 @@ func BenchmarkKeySwitchInnerProduct(b *testing.B) {
 	n := 1 << uint(logN)
 	x := make([]uint64, n)
 	w := make([]uint64, n)
-	wS := make([]uint64, n)
 	acc := make([]uint64, n)
+	acc1 := make([]uint64, n)
 	for i := range x {
 		x[i] = rng.Uint64() % q
 		w[i] = rng.Uint64() % q
-		wS[i] = MForm(w[i], q)
 	}
 
 	b.Run("barrett", func(b *testing.B) {
@@ -113,14 +112,13 @@ func BenchmarkKeySwitchInnerProduct(b *testing.B) {
 			}
 		}
 	})
-	b.Run("shoup-lazy", func(b *testing.B) {
-		for i := range acc {
-			acc[i] = 0
-		}
-		b.SetBytes(int64(8 * n))
-		b.ResetTimer()
+	// Three digits, both key polys: 6n multiply-accumulates per call.
+	b.Run("lazy-128", func(b *testing.B) {
+		xs := [][]uint64{x, x, x}
+		ws := [][]uint64{w, w, w}
+		b.SetBytes(int64(6 * 8 * n))
 		for i := 0; i < b.N; i++ {
-			VecMulAddShoupLazy(acc, x, w, wS, q)
+			m.KeySwitchInnerProduct(acc, acc1, xs, ws, ws, nil)
 		}
 	})
 }

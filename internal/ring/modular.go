@@ -15,27 +15,23 @@ import (
 type Modulus struct {
 	Q uint64 // the prime, q < 2^61
 
-	// BRedConst is floor(2^128 / q), split into high and low 64-bit words.
-	// It drives Barrett reduction of 128-bit products.
-	BRedConst [2]uint64
+	// Barrett constants: b is q's bit length and mu = floor(2^(b+63) / q),
+	// a full 64-bit word. They drive Reduce128.
+	b  uint
+	mu uint64
 }
 
 // NewModulus precomputes reduction constants for the prime q.
 // It panics if q is zero or does not fit the supported range.
 func NewModulus(q uint64) Modulus {
-	if q == 0 || q >= 1<<61 {
-		panic(fmt.Sprintf("ring: modulus %d out of supported range (0, 2^61)", q))
+	if q >= 1<<61 || q&(q-1) == 0 {
+		panic(fmt.Sprintf("ring: modulus %d unsupported (want 0 < q < 2^61, not a power of two)", q))
 	}
-	return Modulus{Q: q, BRedConst: bRedConstant(q)}
-}
-
-// bRedConstant returns floor(2^128/q) as (hi, lo) 64-bit words.
-func bRedConstant(q uint64) [2]uint64 {
-	// hi = floor(2^128/q) >> 64 = floor(2^64/q) since q > 1.
-	hi, r := bits.Div64(1, 0, q) // floor(2^64/q), remainder
-	// lo = floor((r << 64) / q)
-	lo, _ := bits.Div64(r, 0, q)
-	return [2]uint64{hi, lo}
+	b := uint(bits.Len64(q))
+	// As a two-word dividend 2^(b+63) has the high word 2^(b-1), which is
+	// below q for every q that is not a power of two — what Div64 requires.
+	mu, _ := bits.Div64(1<<(b-1), 0, q)
+	return Modulus{Q: q, b: b, mu: mu}
 }
 
 // AddMod returns (x + y) mod q. Inputs must be < q.
@@ -75,24 +71,33 @@ func MulMod(x, y, q uint64) uint64 {
 // BRed returns (x * y) mod q using Barrett reduction with the precomputed
 // constant. Inputs must be < q. The result is fully reduced.
 func (m Modulus) BRed(x, y uint64) uint64 {
-	q := m.Q
-	u0, u1 := m.BRedConst[0], m.BRedConst[1]
-	mhi, mlo := bits.Mul64(x, y)
+	return m.Reduce128(bits.Mul64(x, y))
+}
 
-	// qhat = floor((mhi*2^64 + mlo) * (u0*2^64 + u1) / 2^128), possibly
-	// underestimated by at most 2, corrected below.
-	t1hi, t1lo := bits.Mul64(mhi, u1)
-	t2hi, t2lo := bits.Mul64(mlo, u0)
-	t3hi, _ := bits.Mul64(mlo, u1)
-
-	s, c1 := bits.Add64(t1lo, t2lo, 0)
-	_, c2 := bits.Add64(s, t3hi, 0)
-
-	qhat := mhi*u0 + t1hi + t2hi + c1 + c2
-
-	r := mlo - qhat*q
-	for r >= q {
-		r -= q
+// Reduce128 returns (hi·2^64 + lo) mod q by Barrett reduction, for any value
+// below 2^(b+63) where b is q's bit length (hi < 2^(b-1)). That covers a sum
+// of four products of residues of q plus one more residue, or of three
+// products of a residue with any value below 2^61, so an inner product can
+// accumulate unreduced 128-bit terms and pay for one reduction per
+// coefficient. The result is fully reduced.
+//
+// The quotient estimate is the high word of (value >> (b-1)) · mu — one
+// wide and one narrow multiplication — and undershoots the true quotient by
+// at most 2 over the whole input range, leaving a remainder below 3q. The
+// two corrections are written as selects rather than a loop: whether the
+// estimate is off is a coin flip per input, and a mispredicted branch costs
+// more than the whole reduction.
+func (m Modulus) Reduce128(hi, lo uint64) uint64 {
+	q, b := m.Q, m.b
+	// The shift counts are below 64 for every supported q; the masks only
+	// tell the compiler so.
+	q3, _ := bits.Mul64(hi<<((65-b)&63)|lo>>((b-1)&63), m.mu)
+	r := lo - q3*q
+	if t := r - 2*q; t < r {
+		r = t
+	}
+	if t := r - q; t < r {
+		r = t
 	}
 	return r
 }

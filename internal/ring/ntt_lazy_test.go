@@ -63,53 +63,53 @@ func TestLazyNTTMatchesStrict(t *testing.T) {
 	}
 }
 
-// TestVecMulAddShoupLazy checks the lazy inner-product kernels against a
-// scalar AddMod/MulMod reference, including the permuted variant and the
-// final reduction to [0, q).
-func TestVecMulAddShoupLazy(t *testing.T) {
+// TestKeySwitchInnerProduct checks the 128-bit lazy inner-product kernel
+// against a scalar AddMod/MulMod reference, with and without the gather
+// permutation, for odd and even digit counts (pair passes with and without a
+// trailing single digit) and up to the largest supported prime size, with
+// operands biased toward q-1 so the unreduced sums reach their bound.
+func TestKeySwitchInnerProduct(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
-	primes, err := GenerateNTTPrimes(50, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := primes[0]
 	const n = 64
-	const digits = 12 // enough accumulation passes to stress the invariant
-
-	acc := make([]uint64, n)
-	accPerm := make([]uint64, n)
-	want := make([]uint64, n)
-	wantPerm := make([]uint64, n)
-	perm := rng.Perm(n)
-
-	for d := 0; d < digits; d++ {
-		x := make([]uint64, n)
-		w := make([]uint64, n)
-		wS := make([]uint64, n)
-		for i := 0; i < n; i++ {
-			x[i] = rng.Uint64() % q
-			w[i] = rng.Uint64() % q
-			wS[i] = MForm(w[i], q)
+	for _, bits := range []int{30, 50, 60} {
+		primes, err := GenerateNTTPrimes(bits, 4, 1)
+		if err != nil {
+			t.Fatal(err)
 		}
-		VecMulAddShoupLazy(acc, x, w, wS, q)
-		VecMulAddShoupLazyPerm(accPerm, x, perm, w, wS, q)
-		twoQ := q << 1
-		for i := 0; i < n; i++ {
-			if acc[i] >= twoQ || accPerm[i] >= twoQ {
-				t.Fatalf("digit %d: accumulator escaped [0, 2q)", d)
+		m := NewModulus(primes[0])
+		q := m.Q
+		for _, digits := range []int{1, 3, 8, 9, 23} {
+			rows := func() [][]uint64 {
+				out := make([][]uint64, digits)
+				for d := range out {
+					out[d] = make([]uint64, n)
+					for i := range out[d] {
+						// Bias toward q-1 so sums reach their bound.
+						out[d][i] = q - 1 - rng.Uint64()%3
+					}
+				}
+				return out
 			}
-			want[i] = AddMod(want[i], MulMod(x[i], w[i], q), q)
-			wantPerm[i] = AddMod(wantPerm[i], MulMod(x[perm[i]], w[i], q), q)
-		}
-	}
-	VecReduceLazy(acc, q)
-	VecReduceLazy(accPerm, q)
-	for i := 0; i < n; i++ {
-		if acc[i] != want[i] {
-			t.Fatalf("acc[%d] = %d, want %d", i, acc[i], want[i])
-		}
-		if accPerm[i] != wantPerm[i] {
-			t.Fatalf("accPerm[%d] = %d, want %d", i, accPerm[i], wantPerm[i])
+			xs, b, a := rows(), rows(), rows()
+			for _, perm := range [][]int{nil, rng.Perm(n)} {
+				got0, got1 := make([]uint64, n), make([]uint64, n)
+				m.KeySwitchInnerProduct(got0, got1, xs, b, a, perm)
+				for i := 0; i < n; i++ {
+					src := i
+					if perm != nil {
+						src = perm[i]
+					}
+					var want0, want1 uint64
+					for d := 0; d < digits; d++ {
+						want0 = AddMod(want0, MulMod(xs[d][src], b[d][i], q), q)
+						want1 = AddMod(want1, MulMod(xs[d][src], a[d][i], q), q)
+					}
+					if got0[i] != want0 || got1[i] != want1 {
+						t.Fatalf("%d-bit q, %d digits, perm=%v: out[%d] = (%d, %d), want (%d, %d)",
+							bits, digits, perm != nil, i, got0[i], got1[i], want0, want1)
+					}
+				}
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package ring
 
 import (
 	"math/big"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -492,4 +493,39 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(buf[i:])
+}
+
+// TestReduce128 checks the Barrett reduction against big-integer arithmetic
+// over its whole documented range — values up to 2^(b+63), far beyond a
+// single product — for moduli from 20 to 61 bits.
+func TestReduce128(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, q := range []uint64{786433, 1<<31 - 1, 0xffffffff00000001 >> 4, 1<<61 - 1, 0x1fffffffffe00001} {
+		m := NewModulus(q)
+		bigQ := new(big.Int).SetUint64(q)
+		limit := new(big.Int).Lsh(big.NewInt(1), m.b+63)
+		check := func(x *big.Int) {
+			lo := new(big.Int).And(x, new(big.Int).SetUint64(^uint64(0))).Uint64()
+			hi := new(big.Int).Rsh(x, 64).Uint64()
+			want := new(big.Int).Mod(x, bigQ).Uint64()
+			if got := m.Reduce128(hi, lo); got != want {
+				t.Fatalf("q=%d: Reduce128(%v) = %d, want %d", q, x, got, want)
+			}
+		}
+		check(big.NewInt(0))
+		check(new(big.Int).Sub(limit, big.NewInt(1)))
+		for i := 0; i < 20000; i++ {
+			x := new(big.Int).Rand(rng, limit)
+			if i%2 == 0 {
+				// Cluster near multiples of q, where a quotient estimate
+				// that is off by one shows.
+				x.Sub(x, new(big.Int).Mod(x, bigQ))
+				x.Add(x, big.NewInt(int64(i%5)-2))
+				if x.Sign() < 0 || x.Cmp(limit) >= 0 {
+					continue
+				}
+			}
+			check(x)
+		}
+	}
 }

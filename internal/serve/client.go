@@ -29,7 +29,8 @@ type ClientConfig struct {
 	// Timeout is the per-request deadline sent with every inference.
 	// Zero defers to the server's default.
 	Timeout time.Duration
-	// MaxFrame bounds accepted response frames. Default wire.DefaultMaxFrame.
+	// MaxFrame bounds accepted response frames. The default is sized from the
+	// compiled model, exactly as the server's (see frameLimit).
 	MaxFrame int
 	// Redial bounds reconnect-with-backoff on transient transport failures
 	// (refused dials, connections cut mid-request). The zero value disables
@@ -164,12 +165,12 @@ func NewClient(conn net.Conn, cfg ClientConfig) (*Client, error) {
 		return nil, fmt.Errorf("serve: scheme %v has no transferable keys; compile for core.SchemeRNS",
 			cfg.Compiled.Options.Scheme)
 	}
-	if cfg.MaxFrame == 0 {
-		cfg.MaxFrame = wire.DefaultMaxFrame
-	}
 	params, err := core.RNSParameters(cfg.Compiled)
 	if err != nil {
 		return nil, err
+	}
+	if cfg.MaxFrame == 0 {
+		cfg.MaxFrame = frameLimit(cfg.Compiled, params)
 	}
 	rnsCfg := hisa.RNSConfig{
 		Params:    params,

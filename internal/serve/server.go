@@ -57,7 +57,9 @@ type Config struct {
 	// Parallel is the number of inferences evaluated concurrently (the
 	// executor pool draining the admission queue). Default 1.
 	Parallel int
-	// MaxFrame bounds accepted frame payloads. Default wire.DefaultMaxFrame.
+	// MaxFrame bounds accepted frame payloads. The default is sized from the
+	// compiled model (see frameLimit): what this model's session-open and
+	// largest tensor encode to, never more than wire.DefaultMaxFrame.
 	MaxFrame int
 	// MaxBatch enables request coalescing: up to MaxBatch single-image
 	// requests from the same session are packed into one ciphertext
@@ -120,9 +122,6 @@ func (c *Config) fillDefaults() {
 	if c.Parallel < 1 {
 		c.Parallel = 1
 	}
-	if c.MaxFrame == 0 {
-		c.MaxFrame = wire.DefaultMaxFrame
-	}
 	if c.MaxBatch < 1 {
 		c.MaxBatch = 1
 	}
@@ -135,6 +134,38 @@ func (c *Config) fillDefaults() {
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
+}
+
+// frameMargin is the fixed allowance frameLimit adds over the model's own
+// largest frames, covering message headers and the handoff envelope a router
+// wraps a replayed session-open in.
+const frameMargin = 64 << 10
+
+// frameLimit is the default frame cap of both protocol endpoints for a
+// compiled model: the exact encoded size of the session-open a client of
+// this compilation uploads (evaluation keys dominate), plus the largest
+// tensor the circuit sends in either direction, plus frameMargin — and never
+// more than wire.DefaultMaxFrame. A length prefix beyond it is refused from
+// the header alone, so a peer cannot make the other side allocate more than
+// the model legitimately needs.
+func frameLimit(comp *core.Compiled, params *ckks.Parameters) int {
+	cfg := hisa.RNSConfig{Params: params, Rotations: comp.Best.Rotations}
+	if comp.BootPlan != nil {
+		cfg.Bootstrap = &comp.BootPlan.Spec
+	}
+	keys := cfg.RotationKeyCount()
+	// At most one rotation amount is reported per rotation key.
+	open := wire.SessionOpenSize(params, keys, keys)
+
+	// Requests carry the input tensor (its ciphertext count follows from the
+	// layout); responses carry the output, at most one ciphertext per output
+	// channel or feature.
+	in := comp.Circuit.Input.OutShape
+	meta := htc.NewLayout(comp.Plan(), in[0], in[1], in[2], params.Slots())
+	cts := (in[0] + meta.CPerCT - 1) / meta.CPerCT
+	cts = max(cts, comp.Circuit.Output.OutShape[0])
+	limit := open + wire.CipherTensorSize(params, cts) + frameMargin
+	return min(limit, wire.DefaultMaxFrame)
 }
 
 // job is one admitted inference request.
@@ -231,6 +262,9 @@ func New(cfg Config) (*Server, error) {
 	params, err := core.RNSParameters(cfg.Compiled)
 	if err != nil {
 		return nil, err
+	}
+	if cfg.MaxFrame == 0 {
+		cfg.MaxFrame = frameLimit(cfg.Compiled, params)
 	}
 	capacity := cfg.Compiled.Best.Batch
 	if capacity < 1 {
@@ -449,7 +483,11 @@ func (s *Server) handleConn(conn net.Conn) {
 			// malformed frame earns a best-effort error frame first. Framing
 			// is unrecoverable after a bad header, so the connection drops
 			// either way.
-			if !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.EOF) {
+			switch {
+			case errors.Is(err, net.ErrClosed) || errors.Is(err, io.EOF):
+			case errors.Is(err, wire.ErrFrameTooLarge):
+				s.refuseOversize(conn, t, err, writeErr)
+			default:
 				writeErr(wire.CodeBadMessage, 0, "%v", err)
 			}
 			return
@@ -489,6 +527,30 @@ func (s *Server) handleConn(conn net.Conn) {
 			}
 		}
 	}
+}
+
+// refuseOversize answers a frame whose length prefix exceeds the limit,
+// having read (and allocated) nothing of its payload. The limit is sized for
+// this model's key set, so the usual sender of a larger session-open compiled
+// something else — and the payload's leading 32 bytes, its fingerprint, say
+// so; that case keeps its fingerprint-mismatch diagnosis. The payload the
+// peer is still sending is then discarded for a few seconds, because closing
+// on unread bytes resets the connection and can destroy the answer in
+// flight.
+func (s *Server) refuseOversize(conn net.Conn, t wire.MsgType, cause error, writeErr func(wire.ErrorCode, uint64, string, ...any) bool) {
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var fp [32]byte
+	if t == wire.MsgSessionOpen {
+		if _, err := io.ReadFull(conn, fp[:]); err == nil && fp != s.fingerprint {
+			writeErr(wire.CodeFingerprintMismatch, 0,
+				"session-open: %v, and its fingerprint %x is not this server's %x; recompile with identical model and options",
+				cause, fp[:8], s.fingerprint[:8])
+			io.Copy(io.Discard, conn)
+			return
+		}
+	}
+	writeErr(wire.CodeBadMessage, 0, "%v", cause)
+	io.Copy(io.Discard, conn)
 }
 
 // handleSessionOpen validates keys and registers a session. Returns false

@@ -2,17 +2,21 @@ package serve
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"chet"
 	"chet/internal/circuit"
+	"chet/internal/ckks"
 	"chet/internal/core"
+	"chet/internal/hisa"
 	"chet/internal/ring"
 	"chet/internal/tensor"
 	"chet/internal/wire"
@@ -443,9 +447,9 @@ func TestMalformedFramesDoNotCrash(t *testing.T) {
 
 	for _, junk := range [][]byte{
 		[]byte("GET / HTTP/1.1\r\n\r\n"),
-		{0xF1, 0x5E, 0xE7, 0xC4, 99, 1, 0, 0, 0, 0, 0, 0},                 // bad version
-		{0xF1, 0x5E, 0xE7, 0xC4, 1, 3, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF},     // absurd length
-		{0xF1, 0x5E, 0xE7, 0xC4, 1, 3, 0, 0, 4, 0, 0, 0, 1, 2, 3, 4},     // garbage infer payload
+		{0xF1, 0x5E, 0xE7, 0xC4, 99, 1, 0, 0, 0, 0, 0, 0},               // bad version
+		{0xF1, 0x5E, 0xE7, 0xC4, 1, 3, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF},    // absurd length
+		{0xF1, 0x5E, 0xE7, 0xC4, 1, 3, 0, 0, 4, 0, 0, 0, 1, 2, 3, 4},    // garbage infer payload
 		{0xF1, 0x5E, 0xE7, 0xC4, 1, 1, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0, 0}, // truncated open payload
 	} {
 		conn, err := net.Dial("tcp", addr)
@@ -513,3 +517,144 @@ func TestNewRejectsMockScheme(t *testing.T) {
 	}
 }
 
+// openRaw sends one session-open frame and returns the server's answer.
+func openRaw(t *testing.T, addr string, msg *wire.SessionOpen) (wire.MsgType, []byte) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	payload, err := msg.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wire.WriteFrame(conn, wire.MsgSessionOpen, payload); err != nil {
+		t.Fatal(err)
+	}
+	tp, resp, err := wire.ReadFrame(conn, wire.DefaultMaxFrame)
+	if err != nil {
+		t.Fatalf("reading the server's answer: %v", err)
+	}
+	return tp, resp
+}
+
+func wantErrorFrame(t *testing.T, tp wire.MsgType, resp []byte, code wire.ErrorCode) {
+	t.Helper()
+	if tp != wire.MsgError {
+		t.Fatalf("expected an error frame, got %v", tp)
+	}
+	var ef wire.ErrorFrame
+	if err := ef.Decode(resp); err != nil {
+		t.Fatal(err)
+	}
+	if ef.Code != code {
+		t.Fatalf("code = %v (%s), want %v", ef.Code, ef.Message, code)
+	}
+}
+
+// TestWrongKeyShapeRejected is the admission contract of the hybrid key
+// shape: a switching key must have exactly ⌈(L+1)/α⌉ digits of exactly
+// L+1+α rows for the server's α. Keys generated under another α — honestly
+// fingerprinted or forged — and keys with a digit too many are refused with
+// a typed error frame at session-open; nothing reaches the inner product,
+// and the server keeps serving.
+func TestWrongKeyShapeRejected(t *testing.T) {
+	comp := testCompiled(t)
+	s, err := New(Config{Compiled: comp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := startServer(t, s)
+
+	// A peer whose compilation chose another special-prime count.
+	other := *comp
+	other.Best.SpecialPrimes = comp.Best.SpecialPrimes%len(comp.Best.RNSChainBits) + 1
+	if other.Fingerprint() == comp.Fingerprint() {
+		t.Fatal("the fingerprint does not cover the special-prime count")
+	}
+	params, err := core.RNSParameters(&other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := hisa.NewRNSBackend(hisa.RNSConfig{
+		Params: params, PRNG: ring.NewTestPRNG(261), Rotations: other.Best.Rotations,
+	}).PublicKeys()
+	open := func(fp [32]byte, k hisa.RNSPublicKeys) (wire.MsgType, []byte) {
+		return openRaw(t, addr, &wire.SessionOpen{Fingerprint: fp, Rotations: k.Rotations, PK: k.PK, RLK: k.RLK, RTKS: k.RTKS})
+	}
+	tp, resp := open(other.Fingerprint(), keys)
+	wantErrorFrame(t, tp, resp, wire.CodeFingerprintMismatch)
+	tp, resp = open(comp.Fingerprint(), keys) // forged fingerprint, wrong-shaped keys
+	wantErrorFrame(t, tp, resp, wire.CodeBadMessage)
+
+	// Right α, one digit too many on the relinearization key.
+	good := dialClient(t, addr, comp, 262)
+	rlk := *good.keys.RLK.Key
+	rlk.B = append(append([]*ring.Poly(nil), rlk.B...), rlk.B[0])
+	rlk.A = append(append([]*ring.Poly(nil), rlk.A...), rlk.A[0])
+	padded := good.keys
+	padded.RLK = &ckks.RelinearizationKey{Key: &rlk}
+	tp, resp = open(comp.Fingerprint(), padded)
+	wantErrorFrame(t, tp, resp, wire.CodeBadMessage)
+
+	if _, err := good.Infer(good.Encrypt(randTensor([]int{1, 5, 5}, 1, 9))); err != nil {
+		t.Fatalf("server unhealthy after refused session-opens: %v", err)
+	}
+}
+
+// TestFrameLimitSizedFromModel: with no MaxFrame configured, both endpoints
+// cap frames at what the compiled model's own session-open and tensors
+// encode to — real traffic fits, and a length prefix beyond the cap (far
+// below the protocol's 1 GiB ceiling) is refused from the header alone,
+// before the server allocates anything for it.
+func TestFrameLimitSizedFromModel(t *testing.T) {
+	comp := testCompiled(t)
+	s, err := New(Config{Compiled: comp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := startServer(t, s)
+	c := dialClient(t, addr, comp, 271)
+
+	open, err := (&wire.SessionOpen{Fingerprint: comp.Fingerprint(), Rotations: c.keys.Rotations,
+		PK: c.keys.PK, RLK: c.keys.RLK, RTKS: c.keys.RTKS}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := s.cfg.MaxFrame
+	if limit != c.cfg.MaxFrame {
+		t.Fatalf("server caps frames at %d, client at %d", limit, c.cfg.MaxFrame)
+	}
+	if limit < len(open) || limit > len(open)+frameMargin+(64<<10) {
+		t.Fatalf("frame limit %d for a %d-byte session-open: want the open plus the largest tensor plus %d", limit, len(open), frameMargin)
+	}
+	if _, err := c.Infer(c.Encrypt(randTensor([]int{1, 5, 5}, 1, 9))); err != nil {
+		t.Fatalf("a real request does not fit the derived limit: %v", err)
+	}
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	const claimed = 512 << 20 // the old 1 GiB default would have allocated this
+	hdr := []byte{0xF1, 0x5E, 0xE7, 0xC4, wire.Version, byte(wire.MsgSessionOpen), 0, 0, 0, 0, 0, 0}
+	binary.LittleEndian.PutUint32(hdr[8:], claimed)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fp := comp.Fingerprint()
+	if _, err := conn.Write(append(hdr, fp[:]...)); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	tp, resp, err := wire.ReadFrame(conn, wire.DefaultMaxFrame)
+	if err != nil {
+		t.Fatalf("no answer to an oversize prefix: %v", err)
+	}
+	runtime.ReadMemStats(&after)
+	wantErrorFrame(t, tp, resp, wire.CodeBadMessage)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > claimed/8 {
+		t.Fatalf("server allocated %d bytes answering a %d-byte length prefix", grew, claimed)
+	}
+}

@@ -98,6 +98,14 @@ func (m *SessionOpen) Encode() ([]byte, error) {
 	return e.buf, nil
 }
 
+// SessionOpenSize is the exact payload size of a session-open carrying
+// `rotations` rotation amounts and a rotation key set of rotationKeys
+// switching keys under params. Servers size their frame limit from it.
+func SessionOpenSize(params *ckks.Parameters, rotations, rotationKeys int) int {
+	pk, rlk, rtks := params.EvaluationKeySizes(rotationKeys)
+	return 32 + 4 + 8*rotations + (4 + pk) + (4 + rlk) + (4 + rtks)
+}
+
 // Decode parses a payload produced by Encode. All cryptographic material
 // passes through the bounds-checked ckks unmarshalers.
 func (m *SessionOpen) Decode(data []byte) error {

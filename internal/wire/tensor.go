@@ -63,6 +63,13 @@ func encodeCipherTensor(e *enc, ct *htc.CipherTensor) error {
 	return nil
 }
 
+// CipherTensorSize is the largest encoding of a tensor of `ciphertexts`
+// ciphertexts under params (exact for top-level ciphertexts; lower levels
+// are smaller).
+func CipherTensorSize(params *ckks.Parameters, ciphertexts int) int {
+	return 1 + 10*8 + 4 + ciphertexts*(4+params.CiphertextSize())
+}
+
 // decodeCipherTensor parses what encodeCipherTensor wrote, validating every
 // metadata field against the caps above.
 func decodeCipherTensor(d *dec) (*htc.CipherTensor, error) {

@@ -157,7 +157,9 @@ func WriteFrame(w io.Writer, t MsgType, payload []byte) error {
 
 // ReadFrame reads one frame, rejecting malformed headers and payloads
 // larger than maxFrame (0 selects DefaultMaxFrame). io.EOF is returned
-// verbatim when the stream ends cleanly between frames.
+// verbatim when the stream ends cleanly between frames. An oversized frame
+// is refused from the header alone — ErrFrameTooLarge comes back with the
+// frame's type and nothing of its payload read or allocated.
 func ReadFrame(r io.Reader, maxFrame int) (MsgType, []byte, error) {
 	if maxFrame <= 0 {
 		maxFrame = DefaultMaxFrame
@@ -184,7 +186,7 @@ func ReadFrame(r io.Reader, maxFrame int) (MsgType, []byte, error) {
 	}
 	n := binary.LittleEndian.Uint32(hdr[8:])
 	if int64(n) > int64(maxFrame) {
-		return 0, nil, fmt.Errorf("%w: payload %d > limit %d", ErrFrameTooLarge, n, maxFrame)
+		return t, nil, fmt.Errorf("%w: payload %d > limit %d", ErrFrameTooLarge, n, maxFrame)
 	}
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {

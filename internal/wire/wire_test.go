@@ -335,3 +335,42 @@ func TestInferMessagesRoundTrip(t *testing.T) {
 		t.Fatal("trailing bytes accepted")
 	}
 }
+
+// TestEncodedSizesAreExact pins the size arithmetic servers derive their
+// frame limit from to the encoders themselves, for per-prime and grouped
+// switching keys: a session-open and a fresh cipher tensor encode to exactly
+// the predicted byte counts.
+func TestEncodedSizesAreExact(t *testing.T) {
+	for _, alpha := range []int{1, 2} {
+		params, err := ckks.NewParameters(ckks.ParametersLiteral{
+			LogN: 5, LogQ: []int{30, 25, 25}, LogP: 30, Alpha: alpha, LogScale: 25,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := hisa.RNSConfig{Params: params, PRNG: ring.NewTestPRNG(7), Rotations: []int{1, 2, 5, 5, 0, -1}}
+		b := hisa.NewRNSBackend(cfg)
+		keys := b.PublicKeys()
+		data, err := (&SessionOpen{Rotations: keys.Rotations, PK: keys.PK, RLK: keys.RLK, RTKS: keys.RTKS}).Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := len(keys.RTKS.Keys), cfg.RotationKeyCount(); got != want {
+			t.Fatalf("α=%d: %d rotation keys generated, RotationKeyCount says %d", alpha, got, want)
+		}
+		if want := SessionOpenSize(params, len(keys.Rotations), len(keys.RTKS.Keys)); len(data) != want {
+			t.Fatalf("α=%d: session-open encodes to %d bytes, SessionOpenSize says %d", alpha, len(data), want)
+		}
+		ct := &htc.CipherTensor{
+			Layout: htc.LayoutHW, C: 2, H: 2, W: 3, RowStride: 4, ColStride: 1, CPerCT: 1,
+			CTs: []hisa.Ciphertext{b.Encrypt(b.Encode([]float64{1, 2}, 1<<25)), b.Encrypt(b.Encode([]float64{3}, 1<<25))},
+		}
+		data, err = EncodeCipherTensor(ct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := CipherTensorSize(params, 2); len(data) != want {
+			t.Fatalf("α=%d: tensor encodes to %d bytes, CipherTensorSize says %d", alpha, len(data), want)
+		}
+	}
+}
