@@ -175,15 +175,29 @@ func (s *Session) EncryptBatch(imgs []*Tensor) *CipherTensor {
 }
 
 // DecryptBatch recovers the first n lane predictions of a batched result,
-// flattening 1x1xK predictions exactly as Decrypt does.
+// each in the circuit's output shape as Decrypt returns it.
 func (s *Session) DecryptBatch(out *CipherTensor, n int) []*Tensor {
 	ts := htc.DecryptTensorBatch(s.Backend, out, n)
 	for i, t := range ts {
-		if t.Rank() == 3 && t.Shape[0] == 1 && t.Shape[1] == 1 {
-			ts[i] = t.Reshape(t.Size())
-		}
+		ts[i] = s.outputShaped(t)
 	}
 	return ts
+}
+
+// outputShaped views a decrypted tensor in the circuit's output shape — the
+// slot grid a kernel left it on (a packed Dense's R by G, say) is the
+// CipherTensor's business, not the caller's. A tensor of another size (an
+// intermediate from OnNode, a round-tripped input) keeps its own shape.
+func (s *Session) outputShaped(t *Tensor) *Tensor {
+	shape := s.Compiled.Circuit.Output.OutShape
+	size := 1
+	for _, d := range shape {
+		size *= d
+	}
+	if t.Size() != size {
+		return t
+	}
+	return t.Reshape(shape...)
 }
 
 // RunBatch is the end-to-end batched path: encrypt all images into lanes,
@@ -213,13 +227,9 @@ func (s *Session) Infer(enc *CipherTensor) *CipherTensor {
 		s.Compiled.Options.Scales, opts)
 }
 
-// Decrypt recovers the prediction tensor.
+// Decrypt recovers the prediction tensor in the circuit's output shape.
 func (s *Session) Decrypt(out *CipherTensor) *Tensor {
-	t := htc.DecryptTensor(s.Backend, out)
-	if t.Rank() == 3 && t.Shape[0] == 1 && t.Shape[1] == 1 {
-		return t.Reshape(t.Size())
-	}
-	return t
+	return s.outputShaped(htc.DecryptTensor(s.Backend, out))
 }
 
 // Run is the end-to-end convenience path: encrypt, infer, decrypt.

@@ -98,3 +98,50 @@ func TestPublicAPIRealCryptoTiny(t *testing.T) {
 		}
 	}
 }
+
+// TestPublicAPIResidualMLP: two Dense outputs of one size leave the packed
+// kernel on different slot grids; Compile and Run must add them all the same,
+// on every scheme. Decrypt reshapes the prediction only: a tensor of another
+// size keeps the shape it was decrypted in.
+func TestPublicAPIResidualMLP(t *testing.T) {
+	b := NewCircuit("residual-mlp")
+	x := b.Input(1, 4, 4)
+	weights := func(out, in int, seed float64) *Tensor {
+		w := NewTensor(out, in)
+		for i := range w.Data {
+			w.Data[i] = math.Sin(seed+float64(i)) / 4
+		}
+		return w
+	}
+	d1 := b.Dense(x, weights(8, 16, 1), nil, "d1")
+	d2 := b.Dense(d1, weights(8, 8, 2), nil, "d2")
+	c := b.Build(b.Add(d1, d2, "add"))
+	img := SyntheticImage([]int{1, 4, 4}, 5)
+	want := c.Evaluate(img)
+
+	for _, opts := range []Options{
+		{Scheme: SchemeCKKS},
+		{Scheme: SchemeRNS, SecurityBits: -1, MinLogN: 10, MaxLogN: 11},
+	} {
+		compiled, err := Compile(c, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		session, err := NewSession(compiled, ring.NewTestPRNG(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := session.Run(img)
+		if len(got.Shape) != 1 || got.Shape[0] != 8 {
+			t.Fatalf("%v: prediction shape %v, want [8]", opts.Scheme, got.Shape)
+		}
+		for i := range want.Data {
+			if math.Abs(got.Data[i]-want.Data[i]) > 1e-2 {
+				t.Fatalf("%v: output %d: got %g want %g", opts.Scheme, i, got.Data[i], want.Data[i])
+			}
+		}
+		if back := session.Decrypt(session.Encrypt(img)); len(back.Shape) != 3 || back.Size() != 16 {
+			t.Fatalf("%v: a decrypted input came back as %v, want its own 1x4x4", opts.Scheme, back.Shape)
+		}
+	}
+}

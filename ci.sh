@@ -14,6 +14,10 @@ go build ./...
 echo "== go test ./..."
 go test ./...
 
+echo "== kernel promises (Dense issues the rotations its closed form says, fewer than one fold per neuron; every runtime rotation has a compiled key; refresh counts pinned)"
+go test -count=1 -run 'TestDenseRotationBudget|TestFoldStridedExact' ./internal/htc
+go test -count=1 -run 'TestRuntimeRotationsWithinCompiledKeys|TestBootstrapPlacement' ./internal/core
+
 echo "== benchmark module (its adapter is the one file outside the tree that imports chet/internal/...)"
 (cd benchmark && go vet ./... && go build ./... && go test ./...)
 

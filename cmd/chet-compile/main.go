@@ -16,7 +16,6 @@ import (
 	"io"
 	"log"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -148,7 +147,7 @@ func explainBootstrap(w io.Writer, compiled *chet.Compiled) {
 // per kernel reduce site with the site's RNS level (or "-" under CKKS, whose
 // modulus is not a prime chain), the live scale entering the site, the
 // modulus already consumed, and the defer/rescale decision — followed by the
-// per-node relinearization counts.
+// per-node table.
 func explainScale(w io.Writer, compiled *chet.Compiled) {
 	r := compiled.ScaleReport
 	if r == nil {
@@ -172,24 +171,24 @@ func explainScale(w io.Writer, compiled *chet.Compiled) {
 		fmt.Fprintf(w, "  %4d  %-28s %5s  %11.1f  %8.1f  %v\n",
 			i, s.Name, lvl, s.LogScale, s.Consumed, s.Decision)
 	}
-	if len(r.Relins) > 0 {
-		nodes := make([]int, 0, len(r.Relins))
-		for id := range r.Relins {
-			nodes = append(nodes, id)
-		}
-		sort.Ints(nodes)
-		names := map[int]string{}
-		for _, s := range r.Sites {
-			names[s.Node] = s.Name
-		}
-		fmt.Fprintln(w, "relinearizations (ct-ct multiplications) by node:")
-		for _, id := range nodes {
-			name := names[id]
-			if name == "" {
-				name = fmt.Sprintf("node %d", id)
-			}
-			fmt.Fprintf(w, "  %-28s %d\n", name, r.Relins[id])
-		}
+	explainNodes(w, compiled)
+}
+
+// explainNodes renders the recording run split by circuit node: which kernel
+// the rotations, plaintext multiplications, rescales and relinearizations
+// come from, and each node's share of the estimated cost — the per-layer
+// table of a runtime trace, available at compile time.
+func explainNodes(w io.Writer, compiled *chet.Compiled) {
+	total := 0.0
+	for _, n := range compiled.ScaleReport.Nodes {
+		total += n.Cost
+	}
+	fmt.Fprintf(w, "per-node analysis (layout %v, estimated %.1f ms):\n", compiled.Best.Policy, total/1000)
+	fmt.Fprintf(w, "  %-20s %-16s %6s  %8s  %7s  %5s  %9s  %6s\n",
+		"node", "kernel", "rot", "mulplain", "rescale", "relin", "est ms", "share")
+	for _, n := range compiled.ScaleReport.Nodes {
+		fmt.Fprintf(w, "  %-20s %-16v %6d  %8d  %7d  %5d  %9.1f  %5.1f%%\n",
+			n.Name, n.Kind, n.Rotations, n.MulPlain, n.Rescale, n.Relin, n.Cost/1000, 100*n.Cost/total)
 	}
 }
 
@@ -210,7 +209,7 @@ func main() {
 	flag.StringVar(&cfg.scaleMode, "scale-mode", "greedy",
 		"rescale placement: greedy (op-local protocol) or lazy (graph-level scale-management pass)")
 	flag.BoolVar(&cfg.explain, "explain", false,
-		"print the special-prime candidates, the scale-management pass's per-site plan, per-node relinearization counts, and (with -bootstrap) the bootstrap placements")
+		"print the special-prime candidates, the scale-management pass's per-site plan, each node's instruction counts and share of the estimated cost, and (with -bootstrap) the bootstrap placements")
 	flag.IntVar(&cfg.bootstrap, "bootstrap", 0,
 		"enable compiler bootstrap placement with this budget window in levels (0 disables; RNS only)")
 	flag.Parse()

@@ -58,6 +58,18 @@ func TestBootstrapPlacement(t *testing.T) {
 	if len(p.Placements) == 0 {
 		t.Fatal("deep MLP with window 3 must place bootstraps")
 	}
+	// The counts are pinned: the packed Dense refreshes once per neuron group,
+	// and a kernel edit that moves them must be a decision, not an accident.
+	// TestBootstrapEndToEnd and chet-bench -exp bootstrap hold the runtime's
+	// refresh count equal to these.
+	if len(p.Placements) != 57 {
+		t.Fatalf("NN-6 at window 3 places %d bootstraps, want 57", len(p.Placements))
+	}
+	if c20, err := Compile(nn.NN20().Circuit, bootOptions(4)); err != nil {
+		t.Fatal(err)
+	} else if n := len(c20.BootPlan.Placements); n != 170 {
+		t.Fatalf("NN-20 at window 4 places %d bootstraps, want 170", n)
+	}
 	if comp.Best.Bootstraps != len(p.Placements) {
 		t.Fatalf("Best.Bootstraps = %d, plan has %d placements", comp.Best.Bootstraps, len(p.Placements))
 	}

@@ -102,9 +102,9 @@ type ScaleReport struct {
 	Mode ScaleMode
 	// Sites in execution order (serial recording run).
 	Sites []ScaleSite
-	// Relins counts ciphertext-ciphertext multiplications — each carrying an
-	// implicit relinearization — per circuit node.
-	Relins map[int]int
+	// Nodes is the recording run split by circuit node, in execution order:
+	// what each kernel costs at compile time, before any runtime trace.
+	Nodes []NodeCost
 	// Deferred and Rescaled tally the decisions across Sites.
 	Deferred, Rescaled int
 	// PeakLogQ is the recorded run's peak modulus requirement; Budget is the
@@ -113,6 +113,20 @@ type ScaleReport struct {
 	// Dropped is set when the lazy plan was discarded (budget exceeded):
 	// the runtime falls back to the greedy protocol everywhere.
 	Dropped bool
+}
+
+// NodeCost is one circuit node's share of the recording run: the
+// instructions its kernel issued (layout conversions the node demanded
+// included, as in a runtime trace's node scopes) and their cost-model price.
+type NodeCost struct {
+	Kind circuit.OpKind
+	Name string
+	// Rotations counts primitive rotations; Relin counts ciphertext-
+	// ciphertext multiplications, each carrying a relinearization.
+	Rotations, MulPlain, Rescale, Relin int
+	// Cost is the node's estimated cost (microseconds), bootstraps it
+	// triggered included.
+	Cost float64
 }
 
 // scaleRecorder is the htc.ScalePolicy driving the recording run.
@@ -233,36 +247,50 @@ func recordScalePlan(c *circuit.Circuit, comp *Compiled) (err error) {
 	// rescale and re-record. All-pinned reproduces the greedy protocol,
 	// whose peak fits the budget by construction, so the loop terminates.
 	var a *Analysis
-	var relins map[int]int
+	var nodes []NodeCost
 	for {
 		a = NewAnalysis(AnalysisConfig{
 			Scheme:        opts.Scheme,
 			Slots:         slots,
 			RNSPrimeBits:  opts.RNSPrimeBits,
 			MagMarginBits: opts.MagMarginBits,
+			// Priced at the selected parameters, for the per-node table.
+			CostLogQ:    comp.Best.LogQ,
+			CostPrimes:  float64(len(comp.Best.RNSChainBits)),
+			CostSpecial: comp.Best.SpecialPrimes,
+			Model:       opts.CostModel,
 			// Bootstrap-aware level accounting (greedy-only mode), so the
 			// recording run's consumption sees the runtime's resets.
 			Bootstrap: comp.bootConfig(),
 		})
 		rec.reset(a)
 
-		// A Meter around the analysis supplies the per-node relinearization
+		// A Meter around the analysis supplies the per-node instruction
 		// tallies for the explain report; ciphertext facts pass through it
 		// untouched.
 		meter := hisa.NewMeter(a.backend(), nil)
-		relins = map[int]int{}
-		prevRelin := 0
+		nodes = nodes[:0]
+		var prev hisa.OpCounts
+		prevCost := 0.0
 
 		img := tensor.New(c.Input.OutShape...)
 		enc := htc.EncryptTensor(meter, img, comp.Plan(), opts.Scales)
 		htc.ExecuteOpts(meter, c, enc, comp.Best.Policy, opts.Scales, htc.ExecOptions{
 			Scale: rec,
 			OnNode: func(n *circuit.Node, _ *htc.CipherTensor) {
-				relin := meter.Counts()[hisa.OpRelin]
-				if relin > prevRelin {
-					relins[n.ID] = relin - prevRelin
+				if n.Kind == circuit.OpInput {
+					return // issues no instruction
 				}
-				prevRelin = relin
+				now := meter.Counts()
+				nodes = append(nodes, NodeCost{
+					Kind: n.Kind, Name: n.Name,
+					Rotations: now.Rotations() - prev.Rotations(),
+					MulPlain:  now[hisa.OpMulPlain] - prev[hisa.OpMulPlain],
+					Rescale:   now[hisa.OpRescale] - prev[hisa.OpRescale],
+					Relin:     now[hisa.OpRelin] - prev[hisa.OpRelin],
+					Cost:      a.totalCost - prevCost,
+				})
+				prev, prevCost = now, a.totalCost
 			},
 		})
 		if !rec.lazy || a.PeakLogQ() <= comp.Best.LogQ+budgetSlackBits || !rec.pinWorstDeferral() {
@@ -277,7 +305,7 @@ func recordScalePlan(c *circuit.Circuit, comp *Compiled) (err error) {
 	report := &ScaleReport{
 		Mode:     opts.ScaleMode,
 		Sites:    rec.sites,
-		Relins:   relins,
+		Nodes:    nodes,
 		PeakLogQ: a.PeakLogQ(),
 		Budget:   comp.Best.LogQ,
 	}

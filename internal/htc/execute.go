@@ -115,7 +115,7 @@ func convert(b hisa.Backend, t *CipherTensor, want Layout, sc Scales, opts ExecO
 		return t
 	}
 	if want == LayoutCHW {
-		return ToCHW(b, t)
+		return ToCHWOpts(b, t, opts)
 	}
 	return ToHWOpts(b, t, sc, opts)
 }
@@ -158,6 +158,27 @@ func ExecuteOpts(b hisa.Backend, c *circuit.Circuit, input *CipherTensor, policy
 		}
 		return convert(b, t, policy.opLayout(n.Kind, seenDense), sc, nodeOpts)
 	}
+	// args returns all of a node's inputs on one slot grid: a Dense picks
+	// its output grid from its input's span, so two operands of one shape may
+	// arrive on different grids. The operand computed last keeps its grid —
+	// in a residual block it is the deepest, and the level a regrid costs
+	// the skip connection is one the block has spent anyway.
+	args := func(n *circuit.Node) []*CipherTensor {
+		ins := make([]*CipherTensor, len(n.Inputs))
+		last := 0
+		for i, in := range n.Inputs {
+			ins[i] = arg(n, i)
+			if in.ID > n.Inputs[last].ID {
+				last = i
+			}
+		}
+		for i := range ins {
+			if !sameGrid(ins[last], ins[i]) {
+				ins[i] = regrid(b, ins[i], ins[last], sc, nodeOpts)
+			}
+		}
+		return ins
+	}
 
 	for _, n := range c.Nodes {
 		nodeOpts = opts
@@ -192,13 +213,10 @@ func ExecuteOpts(b hisa.Backend, c *circuit.Circuit, input *CipherTensor, policy
 		case circuit.OpBatchNorm:
 			out = BatchNormOpts(b, arg(n, 0), n.Weights, n.Bias, sc, nodeOpts)
 		case circuit.OpAdd:
-			out = AddOpts(b, arg(n, 0), arg(n, 1), nodeOpts)
+			ins := args(n)
+			out = AddOpts(b, ins[0], ins[1], nodeOpts)
 		case circuit.OpConcat:
-			ins := make([]*CipherTensor, len(n.Inputs))
-			for i := range n.Inputs {
-				ins[i] = arg(n, i)
-			}
-			out = ConcatOpts(b, sc, nodeOpts, ins...)
+			out = ConcatOpts(b, sc, nodeOpts, args(n)...)
 		case circuit.OpFlatten:
 			out = results[n.Inputs[0].ID] // metadata-only
 		case circuit.OpPad2D:

@@ -59,8 +59,8 @@ func TestKernelsHoistedParityRNS(t *testing.T) {
 		requireBitIdentical(t, layout.String()+"/pool",
 			DecryptTensor(b, pool), DecryptTensor(b, poolShim))
 
-		// 3x3 spatial dims at this point are non-powers-of-two, which is
-		// exactly the global-pool path that uses a rotation cache.
+		// 3x3 spatial dims at this point are non-powers-of-two: the global
+		// pool's fold takes its double-and-add path.
 		gap := GlobalAvgPool2DOpts(b, pool, sc, ExecOptions{})
 		gapShim := GlobalAvgPool2DOpts(shim, pool, sc, ExecOptions{})
 		requireBitIdentical(t, layout.String()+"/gap",

@@ -35,19 +35,6 @@ func TestConv2DMultiGroupCHW(t *testing.T) {
 	tensorsClose(t, "multi-group conv", DecryptTensor(b, out), want, 1e-6)
 }
 
-func TestDenseMultiGroupInput(t *testing.T) {
-	b := hisa.NewRefBackend(16)
-	sc := DefaultScales()
-	in := randTensor([]int{6, 2, 2}, 1, 63)
-	w := randTensor([]int{3, 24}, 0.5, 64)
-	want := tensor.MatVec(w, in.Reshape(24), nil)
-
-	ct := EncryptTensor(b, in, Plan{Layout: LayoutCHW}, sc)
-	out := Dense(b, ct, w, nil, sc)
-	got := DecryptTensor(b, out).Reshape(3)
-	tensorsClose(t, "multi-group dense", got, want, 1e-6)
-}
-
 func TestPoolWindowNotEqualStride(t *testing.T) {
 	// Overlapping pooling (window 3, stride 1) exercises independent window
 	// and stride handling.

@@ -2,6 +2,7 @@ package htc
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"chet/internal/hisa"
@@ -15,6 +16,47 @@ func accumulate(b hisa.Backend, acc, t hisa.Ciphertext) hisa.Ciphertext {
 	}
 	x, y := alignScales(b, acc, t)
 	return b.Add(x, y)
+}
+
+// rotateRight rotates c right by k slots, or left by -k when k is negative;
+// zero is the identity and costs nothing.
+func rotateRight(b hisa.Backend, c hisa.Ciphertext, k int) hisa.Ciphertext {
+	switch {
+	case k > 0:
+		return b.RotRight(c, k)
+	case k < 0:
+		return b.RotLeft(c, -k)
+	}
+	return c
+}
+
+// foldStrided sums the n elements of c that sit s slots apart (element i at
+// slot i*s past any origin) into element 0, exactly: no slot beyond element
+// n-1 is ever read into element 0's sum. A padded log-fold would not do —
+// rounding 3 rows up to 4 reads the next channel's row 0 when ChanStride ==
+// H*RowStride. Double-and-add: w holds at every element the sum of the 2^k
+// elements starting there, and the windows matching n's binary digits tile
+// [0, n). A power-of-two n is the plain log-fold (log2 n rotations); any
+// other n costs floor(log2 n) + popcount(n) - 1 (see foldRotations).
+// Elements other than 0 hold partial sums afterwards.
+func foldStrided(b hisa.Backend, c hisa.Ciphertext, n, s int) hisa.Ciphertext {
+	var sum hisa.Ciphertext
+	w, done := c, 0 // elements [0, done) are in sum
+	for k := 1; k <= n; k <<= 1 {
+		if n&k != 0 {
+			sum = accumulate(b, sum, rotateRight(b, w, -done*s))
+			done += k
+		}
+		if 2*k <= n {
+			w = b.Add(w, b.RotLeft(w, k*s))
+		}
+	}
+	return sum
+}
+
+// foldRotations is the number of rotations foldStrided issues for n elements.
+func foldRotations(n int) int {
+	return bits.Len(uint(n)) + bits.OnesCount(uint(n)) - 2
 }
 
 // rotCache caches rotations of one ciphertext by amount. It is safe for
@@ -234,10 +276,10 @@ func Conv2DOpts(b hisa.Backend, in *CipherTensor, filters, bias *tensor.Tensor, 
 			}
 			acc = opts.reduce(b, acc, sc.Pc)
 			// Fold the partial sums of this ciphertext's occupied channels
-			// into channel block 0 (unoccupied blocks hold zeros).
-			for step := 1; step < nextPow2(chInGroup); step <<= 1 {
-				acc = b.Add(acc, b.RotLeft(acc, step*in.ChanStride))
-			}
+			// into channel block 0. Rounding the count up is safe here and
+			// never dearer than the exact fold: the blocks up to the
+			// power-of-two CPerCT lie in this lane and hold zeros.
+			acc = foldStrided(b, acc, nextPow2(chInGroup), in.ChanStride)
 			acc = b.MulPlain(acc, mask)
 			acc = opts.reduce(b, acc, sc.Pc)
 
@@ -320,8 +362,7 @@ func AvgPool2DOpts(b hisa.Backend, in *CipherTensor, window, stride int, sc Scal
 }
 
 // GlobalAvgPool2D averages each channel down to a single value at grid
-// position (0, 0), using logarithmic folding when the spatial dims are
-// powers of two.
+// position (0, 0) by folding the columns, then the rows (foldStrided).
 func GlobalAvgPool2D(b hisa.Backend, in *CipherTensor, sc Scales) *CipherTensor {
 	return GlobalAvgPool2DOpts(b, in, sc, ExecOptions{})
 }
@@ -337,49 +378,14 @@ func GlobalAvgPool2DOpts(b hisa.Backend, in *CipherTensor, sc Scales, opts ExecO
 	mask := b.Encode(validMask(&out, 0, b.Slots(), inv), sc.Pm)
 
 	parallelFor(opts.workers(), len(in.CTs), func(g int) {
-		acc := in.CTs[g]
-		if isPow2(in.W) {
-			for step := 1; step < in.W; step <<= 1 {
-				acc = b.Add(acc, b.RotLeft(acc, step*in.ColStride))
-			}
-		} else {
-			cache := newRotCache(b, acc)
-			colAmounts := make([]int, 0, in.W-1)
-			for x := 1; x < in.W; x++ {
-				colAmounts = append(colAmounts, x*in.ColStride)
-			}
-			cache.planRotations(colAmounts)
-			sum := acc
-			for x := 1; x < in.W; x++ {
-				sum = b.Add(sum, cache.get(x*in.ColStride))
-			}
-			acc = sum
-		}
-		if isPow2(in.H) {
-			for step := 1; step < in.H; step <<= 1 {
-				acc = b.Add(acc, b.RotLeft(acc, step*in.RowStride))
-			}
-		} else {
-			cache := newRotCache(b, acc)
-			rowAmounts := make([]int, 0, in.H-1)
-			for y := 1; y < in.H; y++ {
-				rowAmounts = append(rowAmounts, y*in.RowStride)
-			}
-			cache.planRotations(rowAmounts)
-			sum := acc
-			for y := 1; y < in.H; y++ {
-				sum = b.Add(sum, cache.get(y*in.RowStride))
-			}
-			acc = sum
-		}
+		acc := foldStrided(b, in.CTs[g], in.W, in.ColStride)
+		acc = foldStrided(b, acc, in.H, in.RowStride)
 		acc = b.MulPlain(acc, mask)
 		out.CTs[g] = opts.reduce(b, acc, sc.Pc)
 	})
 	out.validate(b.Slots())
 	return &out
 }
-
-func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
 // Activation applies f(x) = a*x^2 + b*x, computed as x*(a*x + b) to spend
 // one ciphertext multiplication and one scalar multiplication.
@@ -517,10 +523,7 @@ func Add(b hisa.Backend, x, y *CipherTensor) *CipherTensor {
 // AddOpts is Add with an execution-options parameter: ciphertext groups are
 // summed by opts.Workers goroutines.
 func AddOpts(b hisa.Backend, x, y *CipherTensor, opts ExecOptions) *CipherTensor {
-	if x.C != y.C || x.H != y.H || x.W != y.W ||
-		x.Offset != y.Offset || x.RowStride != y.RowStride || x.ColStride != y.ColStride ||
-		x.CPerCT != y.CPerCT || x.B != y.B || x.BatchStride != y.BatchStride ||
-		x.Complex != y.Complex {
+	if x.C != y.C || !sameGrid(x, y) {
 		panic("htc: Add requires identical layouts; insert a layout conversion")
 	}
 	out := metaClone(x)
@@ -551,11 +554,7 @@ func ConcatOpts(b hisa.Backend, sc Scales, opts ExecOptions, ins ...*CipherTenso
 	first := ins[0]
 	totalC := 0
 	for _, in := range ins {
-		if in.H != first.H || in.W != first.W || in.Offset != first.Offset ||
-			in.RowStride != first.RowStride || in.ColStride != first.ColStride ||
-			in.CPerCT != first.CPerCT || in.ChanStride != first.ChanStride ||
-			in.B != first.B || in.BatchStride != first.BatchStride ||
-			in.Complex != first.Complex {
+		if !sameGrid(first, in) {
 			panic("htc: Concat inputs must share geometry")
 		}
 		totalC += in.C
@@ -617,119 +616,13 @@ func ConcatOpts(b hisa.Backend, sc Scales, opts ExecOptions, ins ...*CipherTenso
 		mv := validMask(&single, 0, b.Slots(), 1)
 		t := b.MulPlain(in.CTs[gIn], b.Encode(mv, sc.Pm))
 		t = opts.reduce(b, t, sc.Pc)
-		if shift := (bOut - bIn) * in.ChanStride; shift > 0 {
-			t = b.RotRight(t, shift)
-		} else if shift < 0 {
-			t = b.RotLeft(t, -shift)
-		}
-		isolated[j] = t
+		isolated[j] = rotateRight(b, t, (bOut-bIn)*in.ChanStride)
 	})
 	// Fold in original (input, channel) order for a bit-identical result.
 	for j := range jobs {
 		gOut := jobs[j].och / out.CPerCT
 		out.CTs[gOut] = accumulate(b, out.CTs[gOut], isolated[j])
 	}
-	out.validate(b.Slots())
-	return &out
-}
-
-// Dense computes a fully connected layer out = W*flatten(in) + bias. The
-// flatten order is CHW row-major, matching the plaintext reference. Each
-// output neuron is produced by a plaintext weight multiplication, a
-// logarithmic rotate-and-add reduction, a slot-0 mask, and a placement
-// rotation.
-func Dense(b hisa.Backend, in *CipherTensor, weights, bias *tensor.Tensor, sc Scales) *CipherTensor {
-	return DenseOpts(b, in, weights, bias, sc, ExecOptions{})
-}
-
-// DenseOpts is Dense with an execution-options parameter: output neurons
-// are computed by opts.Workers goroutines and folded into the output in
-// serial neuron order, so the result is bit-identical to a serial run.
-func DenseOpts(b hisa.Backend, in *CipherTensor, weights, bias *tensor.Tensor, sc Scales, opts ExecOptions) *CipherTensor {
-	inSize := in.C * in.H * in.W
-	if weights.Rank() != 2 || weights.Shape[1] != inSize {
-		panic(fmt.Sprintf("htc: dense weights %v incompatible with input size %d", weights.Shape, inSize))
-	}
-	outDim := weights.Shape[0]
-	ls := in.laneStride(b.Slots())
-	if outDim > ls {
-		panic("htc: dense output exceeds batch-lane slot count")
-	}
-
-	// Highest occupied slot bound for the reduction length. Clamped to the
-	// lane stride (both powers of two) so the log-fold at a lane origin only
-	// ever pulls from its own lane.
-	maxPos := in.pos(min(in.C, in.CPerCT)-1, in.H-1, in.W-1)
-	m := nextPow2(maxPos + 1)
-	if m > ls {
-		m = ls
-	}
-
-	out := CipherTensor{
-		Layout: in.Layout, C: 1, H: 1, W: outDim,
-		Offset: 0, RowStride: outDim, ColStride: 1,
-		ChanStride: ls, CPerCT: 1,
-		B: in.B, BatchStride: in.BatchStride,
-		Complex: in.Complex,
-	}
-
-	// One-hot at every lane origin: after the log-fold, each lane's dot
-	// product sits at its lane origin and everything else is garbage.
-	e0 := make([]float64, b.Slots())
-	for lane := 0; lane < in.Lanes(); lane++ {
-		e0[lane*ls] = 1
-	}
-	e0Plain := b.Encode(e0, sc.Pm)
-
-	neurons := make([]hisa.Ciphertext, outDim)
-	parallelFor(opts.workers(), outDim, func(o int) {
-		var total hisa.Ciphertext
-		for g := range in.CTs {
-			wv := make([]float64, b.Slots())
-			for lane := 0; lane < in.Lanes(); lane++ {
-				laneBase := lane * ls
-				for ci := 0; ci < in.CPerCT; ci++ {
-					ch := g*in.CPerCT + ci
-					if ch >= in.C {
-						break
-					}
-					for y := 0; y < in.H; y++ {
-						for x := 0; x < in.W; x++ {
-							logical := ch*in.H*in.W + y*in.W + x
-							wv[laneBase+in.pos(ci, y, x)] = weights.At(o, logical)
-						}
-					}
-				}
-			}
-			t := b.MulPlain(in.CTs[g], b.Encode(wv, sc.Pw))
-			total = accumulate(b, total, t)
-		}
-		total = opts.reduce(b, total, sc.Pc)
-		for step := m / 2; step >= 1; step >>= 1 {
-			total = b.Add(total, b.RotLeft(total, step))
-		}
-		total = b.MulPlain(total, e0Plain)
-		total = opts.reduce(b, total, sc.Pc)
-		if o > 0 {
-			total = b.RotRight(total, o)
-		}
-		neurons[o] = total
-	})
-
-	// Fold in serial neuron order for a bit-identical result.
-	var acc hisa.Ciphertext
-	for o := 0; o < outDim; o++ {
-		acc = accumulate(b, acc, neurons[o])
-	}
-
-	if bias != nil {
-		bv := make([]float64, b.Slots())
-		for lane := 0; lane < in.Lanes(); lane++ {
-			copy(bv[lane*ls:], bias.Data)
-		}
-		acc = addVecBoth(b, in.Complex, acc, bv)
-	}
-	out.CTs = []hisa.Ciphertext{acc}
 	out.validate(b.Slots())
 	return &out
 }
@@ -752,6 +645,13 @@ func Pad2D(in *CipherTensor, pad int) *CipherTensor {
 // ToCHW converts an HW-layout tensor to CHW by shifting each channel into
 // its block and adding (no masks needed: invalid slots are zero).
 func ToCHW(b hisa.Backend, in *CipherTensor) *CipherTensor {
+	return ToCHWOpts(b, in, ExecOptions{})
+}
+
+// ToCHWOpts is ToCHW with an execution-options parameter: channels are
+// shifted by opts.Workers goroutines and folded into their blocks in serial
+// channel order.
+func ToCHWOpts(b hisa.Backend, in *CipherTensor, opts ExecOptions) *CipherTensor {
 	if in.Layout == LayoutCHW {
 		return in
 	}
@@ -759,15 +659,13 @@ func ToCHW(b hisa.Backend, in *CipherTensor) *CipherTensor {
 	out.Layout = LayoutCHW
 	cPerCT := blockCapacity(in.laneStride(b.Slots()), in.ChanStride)
 	out.CPerCT = cPerCT
-	numCTs := (in.C + cPerCT - 1) / cPerCT
-	out.CTs = make([]hisa.Ciphertext, numCTs)
-	for ch := 0; ch < in.C; ch++ {
-		g, blk := ch/cPerCT, ch%cPerCT
-		t := in.CTs[ch]
-		if blk > 0 {
-			t = b.RotRight(t, blk*in.ChanStride)
-		}
-		out.CTs[g] = accumulate(b, out.CTs[g], t)
+	out.CTs = make([]hisa.Ciphertext, (in.C+cPerCT-1)/cPerCT)
+	shifted := make([]hisa.Ciphertext, in.C)
+	parallelFor(opts.workers(), in.C, func(ch int) {
+		shifted[ch] = rotateRight(b, in.CTs[ch], ch%cPerCT*in.ChanStride)
+	})
+	for ch, t := range shifted {
+		out.CTs[ch/cPerCT] = accumulate(b, out.CTs[ch/cPerCT], t)
 	}
 	out.validate(b.Slots())
 	return &out
@@ -779,8 +677,9 @@ func ToHW(b hisa.Backend, in *CipherTensor, sc Scales) *CipherTensor {
 	return ToHWOpts(b, in, sc, ExecOptions{})
 }
 
-// ToHWOpts is ToHW with an execution-options parameter (the conversion's
-// rescale site consults the scale policy like every kernel site).
+// ToHWOpts is ToHW with an execution-options parameter: channels are
+// isolated by opts.Workers goroutines, and the conversion's rescale site
+// consults the scale policy like every kernel site.
 func ToHWOpts(b hisa.Backend, in *CipherTensor, sc Scales, opts ExecOptions) *CipherTensor {
 	if in.Layout == LayoutHW {
 		return in
@@ -793,20 +692,11 @@ func ToHWOpts(b hisa.Backend, in *CipherTensor, sc Scales, opts ExecOptions) *Ci
 	single := metaClone(in)
 	single.C = 1
 	single.CPerCT = 1
-	maskVals := validMask(&single, 0, b.Slots(), 1)
-	var mask hisa.Plaintext
-	for ch := 0; ch < in.C; ch++ {
-		g, blk := ch/in.CPerCT, ch%in.CPerCT
-		t := in.CTs[g]
-		if blk > 0 {
-			t = b.RotLeft(t, blk*in.ChanStride)
-		}
-		if mask == nil {
-			mask = b.Encode(maskVals, sc.Pm)
-		}
-		t = b.MulPlain(t, mask)
-		out.CTs[ch] = opts.reduce(b, t, sc.Pc)
-	}
+	mask := b.Encode(validMask(&single, 0, b.Slots(), 1), sc.Pm)
+	parallelFor(opts.workers(), in.C, func(ch int) {
+		t := rotateRight(b, in.CTs[ch/in.CPerCT], -(ch%in.CPerCT)*in.ChanStride)
+		out.CTs[ch] = opts.reduce(b, b.MulPlain(t, mask), sc.Pc)
+	})
 	out.validate(b.Slots())
 	return &out
 }

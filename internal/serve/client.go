@@ -253,14 +253,10 @@ func (c *Client) Encrypt(img *tensor.Tensor) *htc.CipherTensor {
 	return htc.EncryptTensor(c.backend, img, c.plan, c.cfg.Compiled.Options.Scales)
 }
 
-// Decrypt recovers the prediction tensor from an encrypted result,
-// flattening 1x1xK predictions exactly as chet.Session.Decrypt does.
+// Decrypt recovers the prediction tensor from an encrypted result, in the
+// circuit's output shape exactly as chet.Session.Decrypt does.
 func (c *Client) Decrypt(out *htc.CipherTensor) *tensor.Tensor {
-	t := htc.DecryptTensor(c.backend, out)
-	if t.Rank() == 3 && t.Shape[0] == 1 && t.Shape[1] == 1 {
-		return t.Reshape(t.Size())
-	}
-	return t
+	return htc.DecryptTensor(c.backend, out).Reshape(c.cfg.Compiled.Circuit.Output.OutShape...)
 }
 
 // redialLocked replaces a dead connection and re-runs the session handshake
@@ -334,6 +330,21 @@ func (c *Client) Infer(in *htc.CipherTensor) (*htc.CipherTensor, error) {
 	return out, err
 }
 
+// checkOutput refuses a response tensor that does not hold the circuit's
+// output: Decrypt reshapes to that shape, and a peer must not be able to make
+// it panic on another size.
+func (c *Client) checkOutput(t *htc.CipherTensor) error {
+	want := 1
+	for _, d := range c.cfg.Compiled.Circuit.Output.OutShape {
+		want *= d
+	}
+	if got := t.C * t.H * t.W; got != want {
+		return fmt.Errorf("serve: response tensor %dx%dx%d holds %d elements, the circuit outputs %d",
+			t.C, t.H, t.W, got, want)
+	}
+	return nil
+}
+
 func (c *Client) inferLocked(in *htc.CipherTensor) (*htc.CipherTensor, error) {
 	if c.conn == nil {
 		return nil, errors.New("serve: client is closed")
@@ -375,6 +386,9 @@ func (c *Client) inferLocked(in *htc.CipherTensor) (*htc.CipherTensor, error) {
 		// A coalesced response carries the whole batch's predictions; this
 		// request's is in the indicated lane. The lane view is pure metadata
 		// (origin shift), so demultiplexing costs no homomorphic operations.
+		if err := c.checkOutput(ir.Tensor); err != nil {
+			return nil, err
+		}
 		if ir.Batch > 1 {
 			if int(ir.Lane) >= ir.Tensor.Batches() {
 				return nil, fmt.Errorf("serve: response lane %d out of range for batch capacity %d",
@@ -410,13 +424,11 @@ func (c *Client) EncryptBatch(imgs []*tensor.Tensor) *htc.CipherTensor {
 }
 
 // DecryptBatch recovers the first n lane predictions of a batched result,
-// flattening 1x1xK predictions exactly as Decrypt does.
+// each in the circuit's output shape as Decrypt returns it.
 func (c *Client) DecryptBatch(out *htc.CipherTensor, n int) []*tensor.Tensor {
 	ts := htc.DecryptTensorBatch(c.backend, out, n)
 	for i, t := range ts {
-		if t.Rank() == 3 && t.Shape[0] == 1 && t.Shape[1] == 1 {
-			ts[i] = t.Reshape(t.Size())
-		}
+		ts[i] = t.Reshape(c.cfg.Compiled.Circuit.Output.OutShape...)
 	}
 	return ts
 }
@@ -481,6 +493,9 @@ func (c *Client) inferBatchLocked(in *htc.CipherTensor, count int) (*htc.CipherT
 		}
 		if int(ir.Count) != count {
 			return nil, fmt.Errorf("serve: response carries %d lanes, expected %d", ir.Count, count)
+		}
+		if err := c.checkOutput(ir.Tensor); err != nil {
+			return nil, err
 		}
 		return ir.Tensor, nil
 	case wire.MsgError:
