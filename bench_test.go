@@ -193,7 +193,8 @@ func BenchmarkParallelConv2D(b *testing.B) {
 }
 
 // BenchmarkParallelDense sweeps the worker-pool size for the fully
-// connected kernel (per-output-neuron fan-out) on the real lattice backend.
+// connected kernel (fan-out over input-ciphertext replication and packed
+// neuron groups) on the real lattice backend.
 func BenchmarkParallelDense(b *testing.B) {
 	backend, enc, sc := rnsConvFixture(b)
 	weights := nn.SyntheticImage([]int{16, 4 * 8 * 8}, 47)
@@ -213,7 +214,7 @@ func benchWorkersName(workers int) string {
 
 // BenchmarkEndToEnd_ParallelRNSInference is the serial benchmark above with
 // a worker pool per CPU: the serial-vs-parallel wall-clock ratio is the
-// engine's end-to-end speedup (reported by `chet-bench -exp parallel`).
+// engine's end-to-end speedup.
 func BenchmarkEndToEnd_ParallelRNSInference(b *testing.B) {
 	model := nn.LeNetTiny()
 	comp, err := core.Compile(model.Circuit, core.Options{

@@ -33,7 +33,7 @@ go test -race ./internal/serve/... ./internal/wire/... ./internal/batch/...
 echo "== go test -race (telemetry: tracer ring, scope stack, trace-context propagation, metrics snapshots)"
 go test -race ./internal/telemetry/... ./internal/serve/...
 
-echo "== go test -race (fleet: hash ring churn, registry merge, router + 2 workers, batched e2e, cross-process trace stitching, /metrics scrape)"
+echo "== go test -race (fleet: hash ring churn, registry merge, router + 2 workers, batched e2e, cross-process trace stitching incl. bootstrap spans + router-learned budget, /metrics scrape)"
 go test -race ./internal/fleet/... ./cmd/chet-router
 
 echo "== observability smoke (/metrics exposition + pprof against a live chet-serve)"
@@ -57,31 +57,7 @@ go test -run=TestRingKernelAllocs -count=1 ./internal/ring
 echo "== bench smoke (ring kernels compile and run; -benchmem shows the alloc contract)"
 go test -run=NONE -bench=. -benchtime=1x -benchmem ./internal/ring
 
-echo "== bench smoke (ring rewrite: fused key-switch protocol on a tiny ring)"
-go test -run=TestRingBenchSmoke ./internal/bench
-
-echo "== chet-bench ring smoke (production parameters, no artifact write)"
-go run ./cmd/chet-bench -exp ring -ringout ""
-
-echo "== chet-bench rotations smoke (hoisted vs serial key switches, no artifact write)"
-go run ./cmd/chet-bench -exp rotations -benchout ""
-
-echo "== bench smoke (served batching throughput sweeps a tiny instance)"
-go test -run=TestBatchingBenchSmoke ./internal/bench
-
-echo "== bench smoke (complex packing vs real batching at equal ring size)"
-go test -run=TestPackingBenchSmoke ./internal/bench
-
-echo "== bench smoke (sharded fleet: 1->2 workers behind a router + kill-one-worker failover)"
-go test -run=TestFleetBenchSmoke ./internal/bench
-
 echo "== go test -race (bootstrapping: pipeline, Refresher triggers, arena leak gate)"
 go test -race ./internal/boot/...
-
-echo "== bench smoke (deep-MLP bootstrap: placement parity + precision on a tiny ring)"
-go test -run=TestBootstrapBenchSmoke -timeout=600s ./internal/bench
-
-echo "== bench smoke (fleet observability: traced-vs-untraced bit-exactness + cross-process trace stitching)"
-go test -run=TestObsBenchSmoke -timeout=600s ./internal/bench
 
 echo "CI OK"

@@ -7,7 +7,9 @@
 //	chet-bench -exp all            # every experiment on the small model set
 //	chet-bench -exp table4 -full   # all five evaluation networks
 //	chet-bench -exp fig6           # measured real-crypto latency vs cost model
-//	chet-bench -exp parallel -workers 8   # serial vs worker-pool inference
+//
+// Everything beyond the paper (serving, fleet, tracing, ring kernels) is
+// measured by the benchmark/ module (BENCHMARK.json), not here.
 package main
 
 import (
@@ -16,7 +18,6 @@ import (
 	"io"
 	"log"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -36,128 +37,31 @@ type experiment struct {
 type benchConfig struct {
 	// models drives the analysis-only experiments.
 	models []*nn.Model
-	// fig6Models and fig6LogN size the real-crypto measurements (Figure 6
-	// and the parallel-speedup experiment).
+	// fig6Models and fig6LogN size the Figure 6 real-crypto measurements.
 	fig6Models  []*nn.Model
 	fig6LogN    int
 	table1Sizes [][2]int
 	scaleSearch bool
-	workers     int
-	// rotLogN/rotPrimes/rotAmounts size the hoisted-rotation experiment;
-	// benchOut is where its machine-readable result lands ("" disables).
-	rotLogN    int
-	rotPrimes  int
-	rotAmounts int
-	benchOut   string
-	// ringLogN/ringPrimes size the ring-rewrite experiment (fused
-	// rescale-into-key-switch, blocked NTT, pooled arena); ringOut is its
-	// JSON path ("" disables).
-	ringLogN   int
-	ringPrimes int
-	ringOut    string
-	// batchSizes and batchMinLogN/batchMaxLogN size the served-batching
-	// throughput experiment; batchOut is its JSON path ("" disables).
-	batchSizes                 []int
-	batchMinLogN, batchMaxLogN int
-	batchOut                   string
-	// telemetryLogN/telemetryReps size the tracing-overhead experiment;
-	// telemetryBudgetPct is the overhead ceiling it asserts, telemetryOut
-	// its JSON path ("" disables).
-	telemetryLogN      int
-	telemetryReps      int
-	telemetryBudgetPct float64
-	telemetryOut       string
-	// packingBatch is the real-packing baseline batch (complex runs 2x it);
-	// packingMinSpeedup is the throughput ratio the experiment asserts and
-	// packingErrBudget the per-lane decode-error ceiling. packingOut is the
-	// JSON path ("" disables).
-	packingBatch                   int
-	packingMinLogN, packingMaxLogN int
-	packingMinSpeedup              float64
-	packingErrBudget               float64
-	packingOut                     string
 	// bootLayers/bootLogN/bootWindow size the deep-network bootstrapping
-	// experiment; bootErrBudget is the output-precision ceiling it asserts
-	// and bootOut its JSON path ("" disables).
+	// experiment; bootErrBudget is the output-precision ceiling it asserts.
 	bootLayers    int
 	bootLogN      int
 	bootWindow    int
 	bootErrBudget float64
-	bootOut       string
-	// fleetOpts sizes the sharded-serving scaling sweep; fleetMinSpeedup is
-	// the images/sec ratio asserted at fleetAssertWorkers workers (0 skips
-	// the assertion), fleetOut its JSON path ("" disables").
-	fleetOpts          bench.FleetOptions
-	fleetMinSpeedup    float64
-	fleetAssertWorkers int
-	fleetOut           string
-	// obsOpts sizes the fleet-observability experiment (traced-vs-untraced
-	// overhead plus the cross-process trace stitch); obsOut is its JSON path
-	// ("" disables).
-	obsOpts bench.ObsOptions
-	obsOut  string
 }
 
 func defaultConfig() benchConfig {
 	small, _ := nn.ByName("LeNet-5-small")
 	return benchConfig{
-		models:       bench.SmallModels(),
-		fig6Models:   []*nn.Model{nn.LeNetTiny(), small},
-		fig6LogN:     12,
-		table1Sizes:  [][2]int{{11, 2}, {11, 4}, {11, 8}, {12, 4}, {13, 4}},
-		workers:      runtime.GOMAXPROCS(0),
-		rotLogN:      12,
-		rotPrimes:    5,
-		rotAmounts:   8,
-		benchOut:     "BENCH_rotations.json",
-		ringLogN:     12,
-		ringPrimes:   5,
-		ringOut:      "BENCH_ring.json",
-		batchSizes:   []int{1, 2, 4, 8, 16},
-		batchMinLogN: 11,
-		batchMaxLogN: 13,
-		batchOut:     "BENCH_batching.json",
-
-		telemetryLogN:      12,
-		telemetryReps:      5,
-		telemetryBudgetPct: 5,
-		telemetryOut:       "BENCH_telemetry.json",
-
-		packingBatch:      8,
-		packingMinLogN:    11,
-		packingMaxLogN:    13,
-		packingMinSpeedup: 1.7,
-		packingErrBudget:  5e-2,
-		packingOut:        "BENCH_packing.json",
+		models:      bench.SmallModels(),
+		fig6Models:  []*nn.Model{nn.LeNetTiny(), small},
+		fig6LogN:    12,
+		table1Sizes: [][2]int{{11, 2}, {11, 4}, {11, 8}, {12, 4}, {13, 4}},
 
 		bootLayers:    6,
 		bootLogN:      9,
 		bootWindow:    3,
 		bootErrBudget: 5e-2,
-		bootOut:       "BENCH_bootstrap.json",
-
-		fleetOpts: bench.FleetOptions{
-			Counts:   []int{1, 2, 4, 8},
-			Requests: 16,
-			// The eval floor must dominate the real per-image crypto cost
-			// (~0.3s end to end on the single-core reference box) times the
-			// concurrent worker count, so worker overlap rather than the
-			// shared CPU sets throughput; see internal/bench/fleet.go.
-			ExecDelay:        4800 * time.Millisecond,
-			MinSessions:      5,
-			FailoverAt:       4,
-			FailoverRequests: 10,
-		},
-		fleetMinSpeedup:    3,
-		fleetAssertWorkers: 4,
-		fleetOut:           "BENCH_fleet.json",
-
-		obsOpts: bench.ObsOptions{
-			Layers: 6, LogN: 9, Window: 3,
-			Workers: 2, Sessions: 2, Requests: 2, Reps: 1,
-			OverheadBudget: 0.05,
-		},
-		obsOut: "BENCH_obs.json",
 	}
 }
 
@@ -233,114 +137,6 @@ func experiments(cfg benchConfig) []experiment {
 			fmt.Fprint(w, bench.RenderFigure7(rows))
 			return nil
 		}},
-		{"parallel", func(w io.Writer) error {
-			rows, err := bench.ParallelSpeedup(cfg.fig6Models, cfg.fig6LogN, cfg.workers)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(w, bench.RenderSpeedup(rows))
-			fmt.Fprintf(w, "GOMAXPROCS=%d; parallel output is bit-identical to serial (see internal/htc)\n",
-				runtime.GOMAXPROCS(0))
-			return nil
-		}},
-		{"rotations", func(w io.Writer) error {
-			res, err := bench.RotationsBench(cfg.rotLogN, cfg.rotPrimes, cfg.rotAmounts, cfg.workers)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(w, bench.RenderRotations(res))
-			fmt.Fprintln(w, "hoisted shares one digit decomposition across all amounts (see DESIGN.md)")
-			if cfg.benchOut == "" {
-				return nil
-			}
-			if err := bench.WriteStampedJSON(cfg.benchOut, res); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "wrote %s\n", cfg.benchOut)
-			return nil
-		}},
-		{"ring", func(w io.Writer) error {
-			res, err := bench.RingBench(cfg.ringLogN, cfg.ringPrimes, cfg.workers)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(w, bench.RenderRing(res))
-			fmt.Fprintln(w, "fused path folds the rescale correction into the key-switch mod-P pass (see DESIGN.md)")
-			if cfg.ringOut == "" {
-				return nil
-			}
-			if err := bench.WriteStampedJSON(cfg.ringOut, res); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "wrote %s\n", cfg.ringOut)
-			return nil
-		}},
-		{"batching", func(w io.Writer) error {
-			res, err := bench.BatchingBench(nn.LeNetTiny(), cfg.batchSizes, cfg.batchMinLogN, cfg.batchMaxLogN)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(w, bench.RenderBatching(res))
-			fmt.Fprintln(w, "one homomorphic evaluation serves the whole batch; lanes demultiplex for free (see DESIGN.md)")
-			if cfg.batchOut == "" {
-				return nil
-			}
-			if err := bench.WriteStampedJSON(cfg.batchOut, res); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "wrote %s\n", cfg.batchOut)
-			return nil
-		}},
-		{"packing", func(w io.Writer) error {
-			res, err := bench.PackingBench(nn.LeNetTiny(), cfg.packingBatch,
-				cfg.packingMinLogN, cfg.packingMaxLogN, cfg.workers, cfg.packingErrBudget)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(w, bench.RenderPacking(res))
-			fmt.Fprintln(w, "complex packing doubles lane occupancy (real+imaginary components); lazy relinearization halves activation key-switches")
-			if cfg.packingOut != "" {
-				if err := bench.WriteStampedJSON(cfg.packingOut, res); err != nil {
-					return err
-				}
-				fmt.Fprintf(w, "wrote %s\n", cfg.packingOut)
-			}
-			for _, e := range res.Errors {
-				if !e.Pass {
-					return fmt.Errorf("per-lane decode error %.2e on %s exceeds the %.0e budget",
-						e.MaxErr, e.Backend, res.ErrBudget)
-				}
-			}
-			if res.Speedup < cfg.packingMinSpeedup {
-				return fmt.Errorf("complex packing throughput ratio %.2fx below the %.2fx floor",
-					res.Speedup, cfg.packingMinSpeedup)
-			}
-			return nil
-		}},
-		{"fleet", func(w io.Writer) error {
-			res, err := bench.FleetBench(nn.LeNetTiny(), cfg.fleetOpts)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(w, bench.RenderFleet(res))
-			fmt.Fprintln(w, "sessions are sticky (eval keys live on workers); the router heals a kill by replaying keys to a survivor")
-			if cfg.fleetOut != "" {
-				if err := bench.WriteStampedJSON(cfg.fleetOut, res); err != nil {
-					return err
-				}
-				fmt.Fprintf(w, "wrote %s\n", cfg.fleetOut)
-			}
-			if f := res.Failover; f != nil && f.ClientErrors != 0 {
-				return fmt.Errorf("worker kill leaked %d errors to clients, want 0", f.ClientErrors)
-			}
-			if cfg.fleetMinSpeedup > 0 {
-				if got := res.SpeedupAt(cfg.fleetAssertWorkers); got < cfg.fleetMinSpeedup {
-					return fmt.Errorf("fleet speedup %.2fx at %d workers below the %.2fx floor",
-						got, cfg.fleetAssertWorkers, cfg.fleetMinSpeedup)
-				}
-			}
-			return nil
-		}},
 		{"bootstrap", func(w io.Writer) error {
 			res, err := bench.BootstrapBench(cfg.bootLayers, cfg.bootLogN, cfg.bootWindow, cfg.bootErrBudget)
 			if err != nil {
@@ -348,12 +144,6 @@ func experiments(cfg benchConfig) []experiment {
 			}
 			fmt.Fprint(w, bench.RenderBootstrap(res))
 			fmt.Fprintln(w, "the compiler reserves the pipeline depth on the chain and refreshes exactly where its level model exhausts (see DESIGN.md)")
-			if cfg.bootOut != "" {
-				if err := bench.WriteStampedJSON(cfg.bootOut, res); err != nil {
-					return err
-				}
-				fmt.Fprintf(w, "wrote %s\n", cfg.bootOut)
-			}
 			if !res.PlacementParity {
 				return fmt.Errorf("runtime performed %d bootstraps, compiler placed %d",
 					res.RuntimeBootstraps, res.Placements)
@@ -361,54 +151,6 @@ func experiments(cfg benchConfig) []experiment {
 			if res.MaxErr > res.ErrBudget {
 				return fmt.Errorf("post-bootstrap output error %.2e exceeds the %.0e budget",
 					res.MaxErr, res.ErrBudget)
-			}
-			return nil
-		}},
-		{"obs", func(w io.Writer) error {
-			res, err := bench.ObsBench(cfg.obsOpts)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(w, bench.RenderObs(res))
-			fmt.Fprintln(w, "one trace ID spans client, router, and worker; budget telemetry rides the health probes (see DESIGN.md)")
-			if cfg.obsOut != "" {
-				if err := bench.WriteStampedJSON(cfg.obsOut, res); err != nil {
-					return err
-				}
-				fmt.Fprintf(w, "wrote %s\n", cfg.obsOut)
-			}
-			if !res.BitExact {
-				return fmt.Errorf("traced outputs diverged from untraced")
-			}
-			if !res.Stitch.Stitched || res.Stitch.BootstrapSpans == 0 {
-				return fmt.Errorf("cross-process trace did not stitch (router spans %d, worker spans %d, bootstrap spans %d)",
-					res.Stitch.RouterSpans, res.Stitch.WorkerSpans, res.Stitch.BootstrapSpans)
-			}
-			if res.WallOverhead > res.OverheadBudget {
-				return fmt.Errorf("tracing overhead %.2f%% exceeds the %.0f%% budget",
-					100*res.WallOverhead, 100*res.OverheadBudget)
-			}
-			return nil
-		}},
-		{"telemetry", func(w io.Writer) error {
-			rows, err := bench.TelemetryOverhead(cfg.fig6Models, cfg.telemetryLogN,
-				cfg.workers, cfg.telemetryReps, cfg.telemetryBudgetPct)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(w, bench.RenderTelemetry(rows))
-			fmt.Fprintln(w, "traced output is verified bit-identical to untraced (the tracer observes, never perturbs)")
-			if cfg.telemetryOut != "" {
-				if err := bench.WriteStampedJSON(cfg.telemetryOut, rows); err != nil {
-					return err
-				}
-				fmt.Fprintf(w, "wrote %s\n", cfg.telemetryOut)
-			}
-			for _, r := range rows {
-				if !r.Pass {
-					return fmt.Errorf("tracing overhead %.2f%% on %s exceeds the %.1f%% budget",
-						r.OverheadPct, r.Name, r.BudgetPct)
-				}
 			}
 			return nil
 		}},
@@ -441,54 +183,15 @@ func runExperiments(w io.Writer, want string, cfg benchConfig) error {
 func main() {
 	log.SetFlags(0)
 	exp := flag.String("exp", "all",
-		"experiment: table1, table3, table4, table5, table6, fig5, fig6, fig7, parallel, rotations, ring, batching, packing, fleet, bootstrap, obs, telemetry, or all")
+		"experiment: table1, table3, table4, table5, table6, fig5, fig6, fig7, bootstrap, or all")
 	full := flag.Bool("full", false,
 		"use all five evaluation networks (slower analysis sweeps; fig6 always uses the small set)")
 	scaleSearch := flag.Bool("scalesearch", false,
 		"run the profile-guided scale search for table4 (slow)")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0),
-		"worker-pool size for the parallel experiment (default: one per CPU)")
-	benchOut := flag.String("benchout", "BENCH_rotations.json",
-		"output path for the rotations experiment JSON (empty disables)")
-	ringOut := flag.String("ringout", "BENCH_ring.json",
-		"output path for the ring-rewrite experiment JSON (empty disables)")
-	batchOut := flag.String("batchout", "BENCH_batching.json",
-		"output path for the batching experiment JSON (empty disables)")
-	telemetryOut := flag.String("telemetryout", "BENCH_telemetry.json",
-		"output path for the telemetry experiment JSON (empty disables)")
-	budget := flag.Float64("telemetry-budget", 5,
-		"tracing-overhead budget in percent the telemetry experiment asserts")
-	packingOut := flag.String("packingout", "BENCH_packing.json",
-		"output path for the packing experiment JSON (empty disables)")
-	packingMinSpeedup := flag.Float64("packing-min-speedup", 1.7,
-		"throughput ratio (complex/real) the packing experiment asserts")
-	bootOut := flag.String("bootstrapout", "BENCH_bootstrap.json",
-		"output path for the bootstrapping experiment JSON (empty disables)")
-	fleetOut := flag.String("fleetout", "BENCH_fleet.json",
-		"output path for the fleet experiment JSON (empty disables)")
-	fleetMinSpeedup := flag.Float64("fleet-min-speedup", 3,
-		"images/sec ratio at 4 workers the fleet experiment asserts (0 disables)")
-	obsOut := flag.String("obsout", "BENCH_obs.json",
-		"output path for the observability experiment JSON (empty disables)")
-	obsBudget := flag.Float64("obs-budget", 0.05,
-		"traced-over-untraced wall-time overhead ratio the obs experiment asserts")
 	flag.Parse()
 
 	cfg := defaultConfig()
 	cfg.scaleSearch = *scaleSearch
-	cfg.workers = *workers
-	cfg.benchOut = *benchOut
-	cfg.ringOut = *ringOut
-	cfg.batchOut = *batchOut
-	cfg.telemetryOut = *telemetryOut
-	cfg.telemetryBudgetPct = *budget
-	cfg.packingOut = *packingOut
-	cfg.packingMinSpeedup = *packingMinSpeedup
-	cfg.bootOut = *bootOut
-	cfg.fleetOut = *fleetOut
-	cfg.fleetMinSpeedup = *fleetMinSpeedup
-	cfg.obsOut = *obsOut
-	cfg.obsOpts.OverheadBudget = *obsBudget
 	if *full {
 		cfg.models = bench.EvalModels()
 	}

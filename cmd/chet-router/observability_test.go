@@ -111,7 +111,7 @@ func TestRouterObservabilityEndpoints(t *testing.T) {
 		}
 	}
 
-	// The first request's trace ID is deterministic: TraceBase()+1. The
+	// The first request's trace ID is deterministic: TraceBase+1. The
 	// merged trace must cover the router and the worker that evaluated it.
 	traceURL := fmt.Sprintf("http://%s/trace?id=%016x", addrs[1], traceBase+1)
 	trace := routerHTTPGet(t, traceURL, http.StatusOK)

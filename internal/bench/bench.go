@@ -3,9 +3,10 @@
 // parameters CHET selects (Table 4), per-layout latencies for both schemes
 // (Tables 5 and 6), the CHET-vs-manual comparison (Figure 5), the
 // cost-model-vs-observed correlation (Figure 6), the rotation-keys speedup
-// (Figure 7), and the HISA operation microbenchmarks behind Table 1.
-// Both cmd/chet-bench and the repository's testing.B benchmarks drive these
-// functions.
+// (Figure 7), and the HISA operation microbenchmarks behind Table 1 — plus
+// the deep-MLP bootstrap placement check (bootstrap.go). cmd/chet-bench and
+// the repository's testing.B benchmarks drive these functions; everything
+// beyond the paper is measured by the benchmark/ module instead.
 package bench
 
 import (
@@ -370,92 +371,6 @@ func RenderFigure6(points []Fig6Point) string {
 		fmt.Fprintf(&sb, "%-14s %-20v %14.0f %14.3f\n", p.Name, p.Policy, p.EstUS, p.Observed)
 	}
 	fmt.Fprintf(&sb, "log-log Pearson correlation: %.3f\n", LogLogCorrelation(points))
-	return sb.String()
-}
-
-// ------------------------------------------------------ Parallel execution
-
-// SpeedupRow reports serial-vs-parallel end-to-end homomorphic inference
-// wall-clock for one network, alongside the cost model's serial and
-// T-thread estimates.
-type SpeedupRow struct {
-	Name            string
-	Policy          htc.LayoutPolicy
-	Workers         int
-	SerialSeconds   float64
-	ParallelSeconds float64
-	Speedup         float64
-	SerialEstS      float64 // serial cost-model estimate (s)
-	ThreadEstS      float64 // T-thread cost-model estimate at T=Workers (s)
-}
-
-// ParallelSpeedup measures real RNS-CKKS inference with the serial engine
-// and with a worker pool of the given size, on small insecure rings (the
-// Figure 6 methodology). Parallel execution is bit-identical to serial, so
-// the wall-clock ratio is a pure engine comparison. The measured speedup
-// depends on the machine: a single-core host shows ~1.0x, the paper's
-// 16-core evaluation machine approaches the T-thread cost-model ratio.
-func ParallelSpeedup(models []*nn.Model, logN, workers int) ([]SpeedupRow, error) {
-	var rows []SpeedupRow
-	for _, m := range models {
-		copts := core.Options{
-			Scheme:       core.SchemeRNS,
-			SecurityBits: -1,
-			MinLogN:      logN,
-			MaxLogN:      logN,
-		}
-		comp, err := core.Compile(m.Circuit, copts)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", m.Name, err)
-		}
-		copts.CostThreads = workers
-		compT, err := core.Compile(m.Circuit, copts)
-		if err != nil {
-			return nil, fmt.Errorf("%s (T=%d): %w", m.Name, workers, err)
-		}
-
-		b, err := core.BuildBackend(comp, ring.NewTestPRNG(17))
-		if err != nil {
-			return nil, err
-		}
-		img := nn.SyntheticImage(m.InputShape, 23)
-		sc := comp.Options.Scales
-		policy := comp.Best.Policy
-		plan := htc.PlanFor(m.Circuit, policy)
-		enc := htc.EncryptTensor(b, img, plan, sc)
-
-		start := time.Now()
-		htc.Execute(b, m.Circuit, enc, policy, sc)
-		serial := time.Since(start).Seconds()
-
-		start = time.Now()
-		htc.ExecuteOpts(b, m.Circuit, enc, policy, sc, htc.ExecOptions{Workers: workers})
-		parallel := time.Since(start).Seconds()
-
-		rows = append(rows, SpeedupRow{
-			Name:            m.Name,
-			Policy:          policy,
-			Workers:         workers,
-			SerialSeconds:   serial,
-			ParallelSeconds: parallel,
-			Speedup:         serial / parallel,
-			SerialEstS:      comp.Best.EstimatedCost / 1e6,
-			ThreadEstS:      compT.Best.EstimatedCost / 1e6,
-		})
-	}
-	return rows, nil
-}
-
-// RenderSpeedup formats the serial-vs-parallel comparison.
-func RenderSpeedup(rows []SpeedupRow) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-14s %-20s %3s %10s %10s %8s %11s %11s\n",
-		"Network", "Layout", "T", "serial(s)", "parallel(s)", "speedup", "est T=1(s)", "est T=T(s)")
-	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-14s %-20v %3d %10.3f %10.3f %7.2fx %11.1f %11.1f\n",
-			r.Name, r.Policy, r.Workers, r.SerialSeconds, r.ParallelSeconds,
-			r.Speedup, r.SerialEstS, r.ThreadEstS)
-	}
 	return sb.String()
 }
 

@@ -19,39 +19,38 @@ import (
 // against plaintext-tracking lockstep. The single-bootstrap microbenchmark
 // isolates the refresh cost the placements amortize over the network.
 type BootstrapResult struct {
-	Model  string `json:"model"`
-	Layers int    `json:"layers"`
-	LogN   int    `json:"log_n"`
+	Model  string
+	Layers int
+	LogN   int
 
 	// Chain/spec shape selected by the compiler.
-	Window      int `json:"window"`
-	Floor       int `json:"floor"`
-	Depth       int `json:"boot_depth"`
-	ChainPrimes int `json:"chain_primes"`
+	Window      int
+	Floor       int
+	Depth       int
+	ChainPrimes int
 
 	// Placements is the compiler's count; RuntimeBootstraps is the
 	// Refresher's tally. The subsystem's contract is that they agree.
-	Placements        int  `json:"placements"`
-	RuntimeBootstraps int  `json:"runtime_bootstraps"`
-	PlacementParity   bool `json:"placement_parity"`
+	Placements        int
+	RuntimeBootstraps int
+	PlacementParity   bool
 
 	// BootstrapMS is the single-ciphertext refresh microbenchmark (best of
-	// reps); BootTotalMS estimates the network's total refresh time.
-	BootstrapMS float64 `json:"bootstrap_ms"`
-	BootTotalMS float64 `json:"boot_total_ms"`
+	// reps).
+	BootstrapMS float64
 
-	CompileMS    float64 `json:"compile_ms"`
-	RunMS        float64 `json:"run_ms"`
-	ImagesPerSec float64 `json:"images_per_sec"`
+	CompileMS    float64
+	RunMS        float64
+	ImagesPerSec float64
 	// AmortizedMS is RunMS/Placements — an upper bound on the in-run cost
 	// of one refresh, since it folds in all non-refresh layer work too.
-	AmortizedMS float64 `json:"amortized_ms"`
+	AmortizedMS float64
 
 	// MaxErr is the max abs deviation of the encrypted output from the
 	// plaintext-tracking lockstep; ErrBudget is the asserted ceiling.
-	MaxErr    float64 `json:"max_err"`
-	ErrBudget float64 `json:"err_budget"`
-	Pass      bool    `json:"pass"`
+	MaxErr    float64
+	ErrBudget float64
+	Pass      bool
 }
 
 // BootstrapBench compiles an nn.DeepMLP(layers) with bootstrap placement at
@@ -155,7 +154,6 @@ func BootstrapBench(layers, logN, window int, errBudget float64) (BootstrapResul
 		PlacementParity:   rf.Bootstraps() == len(p.Placements),
 
 		BootstrapMS: bootMS,
-		BootTotalMS: bootMS * float64(len(p.Placements)),
 
 		CompileMS:    compileMS,
 		RunMS:        runMS,

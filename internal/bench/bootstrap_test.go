@@ -32,8 +32,8 @@ func TestBootstrapBenchSmoke(t *testing.T) {
 			t.Fatalf("%s not populated: %v", name, v)
 		}
 	}
-	if res.BootTotalMS != res.BootstrapMS*float64(res.Placements) {
-		t.Fatalf("boot total inconsistent: %+v", res)
+	if res.AmortizedMS != res.RunMS/float64(res.Placements) {
+		t.Fatalf("amortized refresh inconsistent: %+v", res)
 	}
 	if !res.Pass {
 		t.Fatalf("experiment failed: max err %.2e, budget %.0e", res.MaxErr, res.ErrBudget)

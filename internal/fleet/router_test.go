@@ -17,6 +17,8 @@ import (
 	"chet/internal/circuit"
 	"chet/internal/core"
 	"chet/internal/fleet"
+	"chet/internal/htc"
+	"chet/internal/nn"
 	"chet/internal/ring"
 	"chet/internal/serve"
 	"chet/internal/telemetry"
@@ -407,21 +409,72 @@ func TestRouterMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// testBootCompiled compiles a deep MLP whose modulus chain cannot hold the
+// whole circuit, so the compiler places bootstrap refreshes mid-circuit
+// (the smallest geometry that forces them: NN-4 at logN 9, window 2).
+func testBootCompiled(t *testing.T) *core.Compiled {
+	t.Helper()
+	comp, err := core.Compile(nn.DeepMLP(4).Circuit, core.Options{
+		Scheme:       core.SchemeRNS,
+		SecurityBits: -1,
+		MinLogN:      9,
+		MaxLogN:      9,
+		Policies:     []htc.LayoutPolicy{htc.PolicyCHW},
+		Bootstrap:    &core.BootstrapOptions{Window: 2},
+	})
+	if err != nil {
+		t.Fatalf("compiling bootstrapped NN-4: %v", err)
+	}
+	if comp.BootPlan == nil || len(comp.BootPlan.Placements) == 0 {
+		t.Fatal("NN-4 at window 2 placed no bootstraps")
+	}
+	return comp
+}
+
 // TestRouterTraceStitching is the distributed-tracing acceptance test: one
 // request through the router must stitch into a single trace — the router's
 // relay span parents the worker's request scope, CollectTrace merges both
 // processes' rings, and the /trace endpoint serves the merged Chrome JSON
-// with distinct pids.
+// with distinct pids. The bootstrap case additionally requires the
+// request's refreshes to appear as boot:<stage> spans inside that scope and
+// the router to learn the refresh tally and headroom from health acks.
 func TestRouterTraceStitching(t *testing.T) {
-	comp := testCompiled(t)
-	r, addr, _ := startFleet(t, 2, serve.Config{Compiled: comp, Trace: true}, fleet.Config{})
+	for _, tc := range []struct {
+		name    string
+		compile func(*testing.T) *core.Compiled
+		img     *tensor.Tensor
+		boot    bool
+	}{
+		{"cnn", testCompiled, randTensor([]int{1, 5, 5}, 1, 87), false},
+		{"bootstrap", testBootCompiled, nn.SyntheticImage(nn.DeepMLP(4).InputShape, 7), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			comp := tc.compile(t)
+			// The bootstrapped evaluation runs about a minute under -race,
+			// past the default 60s request deadline.
+			r, addr, _ := startFleet(t, 2,
+				serve.Config{Compiled: comp, Trace: true, RequestTimeout: 10 * time.Minute},
+				fleet.Config{})
 
-	cli := dialVia(t, addr, comp, 851)
-	if _, err := cli.Infer(cli.Encrypt(randTensor([]int{1, 5, 5}, 1, 87))); err != nil {
-		t.Fatalf("infer: %v", err)
+			const traceBase = 0x851 << 32
+			cli, err := serve.Dial(addr, serve.ClientConfig{Compiled: comp, PRNG: ring.NewTestPRNG(851), TraceBase: traceBase})
+			if err != nil {
+				t.Fatalf("dial %s: %v", addr, err)
+			}
+			t.Cleanup(func() { cli.Close() })
+			if _, err := cli.Infer(cli.Encrypt(tc.img)); err != nil {
+				t.Fatalf("infer: %v", err)
+			}
+			traceID := uint64(traceBase + 1) // request n carries trace ID TraceBase+n
+			checkStitch(t, r, traceID, tc.boot)
+		})
 	}
-	traceID := cli.TraceBase() + 1 // request n carries trace ID TraceBase()+n
+}
 
+// checkStitch runs TestRouterTraceStitching's assertions on one traced
+// request; boot adds the bootstrap-budget checks.
+func checkStitch(t *testing.T, r *fleet.Router, traceID uint64, boot bool) {
+	t.Helper()
 	procs := r.CollectTrace(traceID)
 	if len(procs) < 2 {
 		t.Fatalf("CollectTrace returned %d processes, want router + at least one worker", len(procs))
@@ -451,6 +504,7 @@ func TestRouterTraceStitching(t *testing.T) {
 	}
 
 	var request, queueWait telemetry.Span
+	var bootSpans []telemetry.Span
 	for _, p := range procs[1:] {
 		for _, s := range p.Spans {
 			if s.TraceID != traceID {
@@ -461,6 +515,8 @@ func TestRouterTraceStitching(t *testing.T) {
 				request = s
 			case s.Op == "queue-wait":
 				queueWait = s
+			case strings.HasPrefix(s.Op, "boot:"):
+				bootSpans = append(bootSpans, s)
 			}
 		}
 	}
@@ -472,6 +528,37 @@ func TestRouterTraceStitching(t *testing.T) {
 	}
 	if queueWait.Parent != relay.SpanID {
 		t.Fatalf("queue-wait parent = %#x, want router relay span %#x", queueWait.Parent, relay.SpanID)
+	}
+
+	if boot {
+		inRequest := 0
+		for _, s := range bootSpans {
+			if strings.HasPrefix(s.Scope, request.Op) {
+				inRequest++
+			}
+		}
+		if inRequest == 0 {
+			t.Fatalf("no boot: stage span inside request scope %q (%d boot: spans in the trace)", request.Op, len(bootSpans))
+		}
+		// The tally and headroom ride the workers' health acks, so the next
+		// probe after the request carries them; the deadline only bounds a
+		// loaded host.
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			var bootstraps uint64
+			known := false
+			for _, w := range r.Metrics().Workers {
+				bootstraps += w.Bootstraps
+				known = known || w.HeadroomKnown
+			}
+			if bootstraps > 0 && known {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("router never learned budget telemetry: bootstraps=%d headroomKnown=%v", bootstraps, known)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
 	}
 
 	// The /trace endpoint must serve the same stitch as Chrome JSON.

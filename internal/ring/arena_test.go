@@ -192,42 +192,6 @@ func TestPolyCopyFastPath(t *testing.T) {
 	}
 }
 
-// TestParallelNTTMatchesSerial pins bit-identity of the per-limb parallel
-// transforms against the serial loops, both under the work cutoff (where
-// the parallel entry points degrade to the serial code) and above it.
-func TestParallelNTTMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, tc := range []struct{ logN, primes, workers int }{
-		{5, 2, 4},  // below cutoff: serial fallback
-		{11, 8, 4}, // above cutoff: real goroutine partitioning
-		{11, 8, 16},
-	} {
-		r := testRing(t, tc.logN, tc.primes)
-		level := tc.primes - 1
-		a := randomPoly(r, level, rng)
-		b := a.CopyNew()
-
-		r.NTT(a, level)
-		r.NTTParallel(b, level, tc.workers)
-		for i := 0; i <= level; i++ {
-			for j := range a.Coeffs[i] {
-				if a.Coeffs[i][j] != b.Coeffs[i][j] {
-					t.Fatalf("logN=%d workers=%d: forward mismatch at (%d,%d)", tc.logN, tc.workers, i, j)
-				}
-			}
-		}
-		r.InvNTT(a, level)
-		r.InvNTTParallel(b, level, tc.workers)
-		for i := 0; i <= level; i++ {
-			for j := range a.Coeffs[i] {
-				if a.Coeffs[i][j] != b.Coeffs[i][j] {
-					t.Fatalf("logN=%d workers=%d: inverse mismatch at (%d,%d)", tc.logN, tc.workers, i, j)
-				}
-			}
-		}
-	}
-}
-
 // TestRingKernelAllocs is the alloc-regression gate for the hot ring
 // kernels: a steady-state Mul/Rotate/key-switch pipeline built on these
 // primitives must not allocate. ci.sh runs this test explicitly.

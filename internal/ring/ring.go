@@ -199,72 +199,6 @@ func (r *Ring) NTTSingle(i int, row []uint64) { r.tables[i].forward(row) }
 // InvNTTSingle applies the inverse NTT for the i-th prime to a raw row.
 func (r *Ring) InvNTTSingle(i int, row []uint64) { r.tables[i].inverse(row) }
 
-// parallelNTTMinWork is the total coefficient count below which the
-// parallel NTT entry points run serially: under ~2^14 butterfly rows the
-// goroutine handoff costs more than the transform itself, which is exactly
-// how the earlier amount-level parallelism ended up losing to serial.
-const parallelNTTMinWork = 1 << 14
-
-// nttWorkers clamps a requested worker count to something the transform can
-// use: at most one worker per limb, and serial whenever the total work is
-// too small to amortize scheduling.
-func nttWorkers(workers, limbs, n int) int {
-	if workers > limbs {
-		workers = limbs
-	}
-	if workers <= 1 || limbs*n < parallelNTTMinWork {
-		return 1
-	}
-	return workers
-}
-
-// forEachLimbParallel runs fn(i) for i in [0, limbs) across `workers`
-// goroutines with limb-granular work partitioning (limb i goes to worker
-// i%workers, so the per-worker load differs by at most one limb). workers
-// must already be clamped by nttWorkers.
-func forEachLimbParallel(limbs, workers int, fn func(i int)) {
-	if workers == 1 {
-		for i := 0; i < limbs; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < limbs; i += workers {
-				fn(i)
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-// NTTParallel is NTT with the per-limb transforms partitioned across up to
-// `workers` goroutines. Below the work cutoff (or with workers <= 1) it runs
-// the exact serial loop, so results are always bit-identical to NTT and
-// small transforms never pay goroutine overhead — the fix for the
-// amount-level parallelism that lost to serial by thrashing shared
-// bandwidth.
-func (r *Ring) NTTParallel(p *Poly, level, workers int) {
-	r.checkLevels(level, p)
-	workers = nttWorkers(workers, level+1, r.N)
-	forEachLimbParallel(level+1, workers, func(i int) {
-		r.tables[i].forward(p.Coeffs[i])
-	})
-}
-
-// InvNTTParallel is InvNTT with per-limb partitioning (see NTTParallel).
-func (r *Ring) InvNTTParallel(p *Poly, level, workers int) {
-	r.checkLevels(level, p)
-	workers = nttWorkers(workers, level+1, r.N)
-	forEachLimbParallel(level+1, workers, func(i int) {
-		r.tables[i].inverse(p.Coeffs[i])
-	})
-}
-
 // Add sets out = a + b at the given level.
 func (r *Ring) Add(a, b, out *Poly, level int) {
 	r.checkLevels(level, a, b, out)

@@ -40,9 +40,9 @@ type ClientConfig struct {
 	// answered, so the transport is fine and the failure is real.
 	Redial RedialPolicy
 	// TraceBase, when nonzero, overrides the random per-stream trace-ID
-	// prefix: request n is sent with trace ID TraceBase+n. Benches and tests
-	// use it to know a request's trace ID before sending, so they can pull
-	// the exact trace back out of the fleet afterwards.
+	// prefix: request n is sent with trace ID TraceBase+n. Tests use it to
+	// know a request's trace ID before sending, so they can pull the exact
+	// trace back out of the fleet afterwards.
 	TraceBase uint64
 }
 
@@ -242,10 +242,6 @@ func (c *Client) open() error {
 		return fmt.Errorf("serve: unexpected %v frame during handshake", t)
 	}
 }
-
-// TraceBase reports this stream's trace-ID prefix: request n carried trace
-// ID TraceBase()+n.
-func (c *Client) TraceBase() uint64 { return c.traceBase }
 
 // Encrypt encodes and encrypts an input image under this client's keys,
 // laid out as the compiled circuit expects.

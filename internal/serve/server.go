@@ -78,14 +78,6 @@ type Config struct {
 	// sparse the deadline grows back to BatchWait to give coalescing a
 	// chance. BatchWait remains the ceiling. Off by default (static waits).
 	BatchAdaptive bool
-	// ExecDelay, when positive, adds an artificial latency floor to every
-	// evaluation (slept inside the executor, after the real circuit runs).
-	// It exists for load and fleet experiments: with a tiny circuit, real
-	// evaluations are too fast to expose queueing or multi-worker scaling
-	// behavior, and a sleeping evaluation occupies an executor slot exactly
-	// like a slow one without burning CPU. Zero (the default) disables it;
-	// production configs must leave it zero.
-	ExecDelay time.Duration
 	// Trace wraps each session's backend in a telemetry.Tracer: /metrics
 	// gains per-op duration series, every evaluation runs under a scope
 	// named by the requests' wire trace IDs, and each dispatch is logged
@@ -1249,9 +1241,6 @@ func (s *Server) evaluate(sess *session, in *htc.CipherTensor, label string, tra
 	}
 	if s.execHook != nil {
 		s.execHook()
-	}
-	if s.cfg.ExecDelay > 0 {
-		time.Sleep(s.cfg.ExecDelay)
 	}
 	comp := s.cfg.Compiled
 	execOpts := htc.ExecOptions{Workers: s.cfg.Workers}

@@ -360,18 +360,6 @@ func (t *Tracer) Dropped() uint64 {
 	return t.dropped
 }
 
-// Reset clears the ring and the cumulative totals; the epoch is preserved
-// so pre- and post-reset spans stay on one timeline.
-func (t *Tracer) Reset() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.ring = t.ring[:0]
-	t.next = 0
-	t.full = false
-	t.dropped = 0
-	t.totals = make(map[string]*OpTotal)
-}
-
 // goroutineID parses the current goroutine's id from its stack header
 // ("goroutine 123 ["). Sub-microsecond against millisecond-scale lattice
 // ops; tests assert the end-to-end tracer overhead budget.
