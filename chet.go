@@ -65,11 +65,6 @@ type (
 	NetModel = nn.Model
 	// ScaleSearch configures profile-guided scale selection.
 	ScaleSearch = core.ScaleSearch
-	// ScaleMode selects rescale placement (greedy op-local protocol or the
-	// graph-level lazy scale-management pass).
-	ScaleMode = core.ScaleMode
-	// ScaleReport is the scale-management pass's per-site explain trace.
-	ScaleReport = core.ScaleReport
 	// BootstrapOptions enables compiler bootstrap placement for circuits
 	// deeper than any affordable modulus chain.
 	BootstrapOptions = core.BootstrapOptions
@@ -86,14 +81,6 @@ const (
 	SchemeCKKS = core.SchemeCKKS
 	// SchemeRNS targets SEAL v3.1's RNS-CKKS (prime modulus chain).
 	SchemeRNS = core.SchemeRNS
-)
-
-// The two rescale-placement modes.
-const (
-	// ScaleGreedy keeps the op-local rescale protocol (the default).
-	ScaleGreedy = core.ScaleGreedy
-	// ScaleLazy runs the graph-level scale-management pass.
-	ScaleLazy = core.ScaleLazy
 )
 
 // NewCircuit starts building a tensor circuit.
@@ -215,16 +202,10 @@ func SelectBatchCapacity(c *Circuit, opts Options, maxBatch int) (int, error) {
 
 // Infer executes the optimized homomorphic tensor circuit on an encrypted
 // input, producing an encrypted prediction. With Workers > 1 the kernels
-// fan independent per-output work across a goroutine pool. When the
-// compilation carries a lazy scale plan, every kernel rescale site consults
-// it; otherwise the greedy op-local protocol applies.
+// fan independent per-output work across a goroutine pool.
 func (s *Session) Infer(enc *CipherTensor) *CipherTensor {
-	opts := htc.ExecOptions{Workers: s.Workers}
-	if s.Compiled.ScalePlan != nil {
-		opts.Scale = htc.PlanPolicy{Plan: s.Compiled.ScalePlan}
-	}
 	return htc.ExecuteOpts(s.Backend, s.Compiled.Circuit, enc, s.Compiled.Best.Policy,
-		s.Compiled.Options.Scales, opts)
+		s.Compiled.Options.Scales, htc.ExecOptions{Workers: s.Workers})
 }
 
 // Decrypt recovers the prediction tensor in the circuit's output shape.

@@ -32,7 +32,6 @@ type compileConfig struct {
 	costThreads int
 	batch       int
 	complex     bool
-	scaleMode   string
 	explain     bool
 	bootstrap   int
 }
@@ -56,14 +55,6 @@ func compileAndDescribe(w io.Writer, cfg compileConfig) error {
 		opts.Scheme = chet.SchemeCKKS
 	default:
 		return fmt.Errorf("unknown scheme %q", cfg.scheme)
-	}
-	switch strings.ToLower(cfg.scaleMode) {
-	case "", "greedy":
-		opts.ScaleMode = chet.ScaleGreedy
-	case "lazy":
-		opts.ScaleMode = chet.ScaleLazy
-	default:
-		return fmt.Errorf("unknown scale mode %q (want greedy or lazy)", cfg.scaleMode)
 	}
 	if cfg.scales != "" {
 		sc, err := parseScales(cfg.scales)
@@ -89,7 +80,7 @@ func compileAndDescribe(w io.Writer, cfg compileConfig) error {
 	}
 	if cfg.explain {
 		explainSpecial(w, compiled)
-		explainScale(w, compiled)
+		explainNodes(w, compiled)
 		if compiled.BootPlan != nil {
 			explainBootstrap(w, compiled)
 		}
@@ -143,50 +134,19 @@ func explainBootstrap(w io.Writer, compiled *chet.Compiled) {
 	fmt.Fprintf(w, "  total refresh estimate: %.1f ms\n", p.EstCost/1000)
 }
 
-// explainScale renders the scale-management pass's per-site trace: one row
-// per kernel reduce site with the site's RNS level (or "-" under CKKS, whose
-// modulus is not a prime chain), the live scale entering the site, the
-// modulus already consumed, and the defer/rescale decision — followed by the
-// per-node table.
-func explainScale(w io.Writer, compiled *chet.Compiled) {
-	r := compiled.ScaleReport
-	if r == nil {
-		fmt.Fprintln(w, "no scale report recorded")
-		return
-	}
-	fmt.Fprintf(w, "scale-management pass (%v): %d sites, %d deferred, %d rescaled\n",
-		r.Mode, len(r.Sites), r.Deferred, r.Rescaled)
-	fmt.Fprintf(w, "  peak log2(Q) %.1f, budget %.1f", r.PeakLogQ, r.Budget)
-	if r.Dropped {
-		fmt.Fprint(w, "  [plan DROPPED: budget exceeded; runtime falls back to greedy]")
-	}
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "  %4s  %-28s %5s  %11s  %8s  %s\n",
-		"site", "node", "level", "log2(scale)", "consumed", "decision")
-	for i, s := range r.Sites {
-		lvl := "-"
-		if s.Level >= 0 {
-			lvl = strconv.Itoa(s.Level)
-		}
-		fmt.Fprintf(w, "  %4d  %-28s %5s  %11.1f  %8.1f  %v\n",
-			i, s.Name, lvl, s.LogScale, s.Consumed, s.Decision)
-	}
-	explainNodes(w, compiled)
-}
-
 // explainNodes renders the recording run split by circuit node: which kernel
 // the rotations, plaintext multiplications, rescales and relinearizations
 // come from, and each node's share of the estimated cost — the per-layer
 // table of a runtime trace, available at compile time.
 func explainNodes(w io.Writer, compiled *chet.Compiled) {
 	total := 0.0
-	for _, n := range compiled.ScaleReport.Nodes {
+	for _, n := range compiled.Nodes {
 		total += n.Cost
 	}
 	fmt.Fprintf(w, "per-node analysis (layout %v, estimated %.1f ms):\n", compiled.Best.Policy, total/1000)
 	fmt.Fprintf(w, "  %-20s %-16s %6s  %8s  %7s  %5s  %9s  %6s\n",
 		"node", "kernel", "rot", "mulplain", "rescale", "relin", "est ms", "share")
-	for _, n := range compiled.ScaleReport.Nodes {
+	for _, n := range compiled.Nodes {
 		fmt.Fprintf(w, "  %-20s %-16v %6d  %8d  %7d  %5d  %9.1f  %5.1f%%\n",
 			n.Name, n.Kind, n.Rotations, n.MulPlain, n.Rescale, n.Relin, n.Cost/1000, 100*n.Cost/total)
 	}
@@ -206,10 +166,8 @@ func main() {
 	flag.IntVar(&cfg.batch, "batch", 1, "images packed per evaluation (batch-axis slot lanes)")
 	flag.BoolVar(&cfg.complex, "complex", false,
 		"complex packing: two images per lane (real+imaginary slot components)")
-	flag.StringVar(&cfg.scaleMode, "scale-mode", "greedy",
-		"rescale placement: greedy (op-local protocol) or lazy (graph-level scale-management pass)")
 	flag.BoolVar(&cfg.explain, "explain", false,
-		"print the special-prime candidates, the scale-management pass's per-site plan, each node's instruction counts and share of the estimated cost, and (with -bootstrap) the bootstrap placements")
+		"print the special-prime candidates, each node's instruction counts and share of the estimated cost, and (with -bootstrap) the bootstrap placements")
 	flag.IntVar(&cfg.bootstrap, "bootstrap", 0,
 		"enable compiler bootstrap placement with this budget window in levels (0 disables; RNS only)")
 	flag.Parse()
@@ -229,6 +187,9 @@ func parseScales(s string) (chet.Scales, error) {
 		v, err := strconv.Atoi(strings.TrimSpace(p))
 		if err != nil {
 			return chet.Scales{}, fmt.Errorf("bad exponent %q: %w", p, err)
+		}
+		if v < 1 || v > 62 {
+			return chet.Scales{}, fmt.Errorf("exponent %d outside [1, 62]", v)
 		}
 		exps[i] = float64(int64(1) << uint(v))
 	}

@@ -31,17 +31,23 @@ func TestCompileAndDescribeSmoke(t *testing.T) {
 }
 
 func TestCompileAndDescribeErrors(t *testing.T) {
-	var sb strings.Builder
-	if err := compileAndDescribe(&sb, compileConfig{model: "nope", scheme: "seal"}); err == nil {
-		t.Fatal("expected an error for an unknown model")
+	tiny := func(scales string) compileConfig {
+		return compileConfig{model: "LeNet-tiny", scheme: "heaan", security: -1, scales: scales}
 	}
-	if err := compileAndDescribe(&sb, compileConfig{model: "LeNet-tiny", scheme: "bgv"}); err == nil {
-		t.Fatal("expected an error for an unknown scheme")
-	}
-	if _, err := parseScales("40,35,35"); err == nil {
-		t.Fatal("expected an error for three exponents")
-	}
-	if _, err := parseScales("40,35,x,30"); err == nil {
-		t.Fatal("expected an error for a non-numeric exponent")
+	for name, cfg := range map[string]compileConfig{
+		"unknown model":        {model: "nope", scheme: "seal"},
+		"unknown scheme":       {model: "LeNet-tiny", scheme: "bgv"},
+		"three exponents":      tiny("40,35,35"),
+		"non-numeric exponent": tiny("40,35,x,30"),
+		// A shift by these would wrap to a scale of 0 or 1 — a compile the
+		// core would otherwise be handed.
+		"zero exponent":     tiny("40,35,35,0"),
+		"negative exponent": tiny("40,35,35,-1"),
+		"exponent over 62":  tiny("40,35,35,64"),
+	} {
+		var sb strings.Builder
+		if err := compileAndDescribe(&sb, cfg); err == nil {
+			t.Errorf("%s: expected an error, got:\n%s", name, sb.String())
+		}
 	}
 }

@@ -505,8 +505,7 @@ func (ev *Evaluator) Mul(a, b *Ciphertext) *Ciphertext {
 // relinearization key-switch to a later explicit Relinearize. Linear
 // operations (Add, Sub, MulScalar, MulByI) act componentwise on degree-2
 // ciphertexts, so several products that are only combined linearly can
-// share a single relinearization — the lazy-relinearize half of the
-// graph-level scale pass.
+// share a single relinearization (lazy relinearization).
 func (ev *Evaluator) MulNoRelin(a, b *Ciphertext) *Ciphertext {
 	if a.C2 != nil || b.C2 != nil {
 		panic("ckks: MulNoRelin operands must be degree 1 (relinearize first)")

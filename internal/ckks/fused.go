@@ -7,7 +7,7 @@ import (
 // Fused rescale-into-key-switch.
 //
 // The sequence Rescale-then-Relinearize — the tail of every ciphertext
-// multiplication under a scale-management policy — performs three full
+// multiplication under the rescale protocol — performs three full
 // passes over the ciphertext limbs when run as separate operations: the
 // rescale pass (one forward NTT per surviving row, per component), the
 // digit decomposition of the rescaled C2, and the mod-P correction of the

@@ -554,10 +554,6 @@ func (a *Analysis) MulScalarC(c hisa.Ciphertext, z complex128, f float64) hisa.C
 	return a.observe(&analysisCT{scale: cc.scale * f, consumed: cc.consumed})
 }
 
-// ConsumedOf exposes a ciphertext fact's consumed modulus bits; the scale-
-// management pass uses it to bound deferrals against the modulus budget.
-func (a *Analysis) ConsumedOf(c hisa.Ciphertext) float64 { return a.ct(c).consumed }
-
 // --- Results ---
 
 // PeakLogQ returns the modulus requirement discovered by the run: the

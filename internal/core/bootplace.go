@@ -4,10 +4,7 @@ import (
 	"fmt"
 
 	"chet/internal/boot"
-	"chet/internal/circuit"
 	"chet/internal/hisa"
-	"chet/internal/htc"
-	"chet/internal/tensor"
 )
 
 // This file is the bootstrap-placement pass. A circuit deeper than any
@@ -26,7 +23,7 @@ import (
 // performs.
 
 // BootstrapOptions enables and configures compiler-placed bootstrapping
-// (Options.Bootstrap). Requires SchemeRNS and ScaleGreedy.
+// (Options.Bootstrap). Requires SchemeRNS.
 type BootstrapOptions struct {
 	// Window is the number of working levels between bootstraps — the data
 	// band of the modulus chain. Larger windows bootstrap less often but
@@ -123,81 +120,6 @@ func bootCost(spec boot.Spec, m CostModel, n float64, st state) float64 {
 		float64(ops.CtMuls)*m.CtMul(n, st) +
 		float64(ops.ScalarMuls)*m.ScalarMul(n, st) +
 		float64(ops.Rescales)*m.Rescale(n, st)
-}
-
-// recordBootPlan executes the compiled circuit once more under a bootstrap-
-// aware analysis and attaches the placement report: each placement the
-// analysis triggers is attributed to the circuit node whose kernel was
-// executing. The run is serial, so placement order is deterministic and
-// identical to the parameter pass that sized the chain.
-func recordBootPlan(c *circuit.Circuit, comp *Compiled) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("recording run aborted: %v", r)
-		}
-	}()
-	cfg := comp.bootConfig()
-	if cfg == nil {
-		return nil
-	}
-	opts := comp.Options
-	a := NewAnalysis(AnalysisConfig{
-		Scheme:        opts.Scheme,
-		Slots:         1 << uint(comp.Best.LogN-1),
-		RNSPrimeBits:  opts.RNSPrimeBits,
-		MagMarginBits: opts.MagMarginBits,
-		CostPrimes:    float64(len(comp.Best.RNSChainBits)),
-		CostSpecial:   comp.Best.SpecialPrimes,
-		Model:         opts.CostModel,
-		Batch:         opts.Batch,
-		Bootstrap:     cfg,
-	})
-
-	names := make(map[int]string, len(c.Nodes))
-	for _, n := range c.Nodes {
-		names[n.ID] = fmt.Sprintf("%v:%s", n.Kind, n.Name)
-	}
-	var placements []BootPlacement
-	prev := 0
-	attribute := func(node int, name string) {
-		ps := a.BootPlacements()
-		for ; prev < len(ps); prev++ {
-			p := ps[prev]
-			p.Node = node
-			p.Name = name
-			placements = append(placements, p)
-		}
-	}
-	// An observer above the Refresher sees each instruction complete right
-	// after the refreshes it triggered: those placements take its mnemonic.
-	tagged := 0
-	b := hisa.NewInterposer(a.backend(), "placements", nil, func(op *hisa.Op) {
-		for ps := a.BootPlacements(); tagged < len(ps); tagged++ {
-			ps[tagged].Op = op.Kind.String()
-		}
-	})
-
-	img := tensor.New(c.Input.OutShape...)
-	enc := htc.EncryptTensor(&b, img, comp.Plan(), opts.Scales)
-	htc.ExecuteOpts(&b, c, enc, comp.Best.Policy, opts.Scales, htc.ExecOptions{
-		OnNode: func(n *circuit.Node, _ *htc.CipherTensor) { attribute(n.ID, names[n.ID]) },
-	})
-	attribute(-1, "(output)")
-
-	total := 0.0
-	for _, p := range placements {
-		total += p.Cost
-	}
-	comp.BootPlan = &BootReport{
-		Spec:       cfg.Spec,
-		Window:     cfg.Window,
-		Floor:      cfg.Floor,
-		FreshLevel: cfg.Window,
-		Depth:      cfg.Spec.Depth(),
-		Placements: placements,
-		EstCost:    total,
-	}
-	return nil
 }
 
 // BootBackend wraps a compiled circuit's runtime backend with the

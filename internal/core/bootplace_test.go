@@ -31,11 +31,6 @@ func TestBootstrapCompileValidation(t *testing.T) {
 		t.Fatal("bootstrap with CKKS scheme must fail")
 	}
 	opts = bootOptions(3)
-	opts.ScaleMode = ScaleLazy
-	if _, err := Compile(m.Circuit, opts); err == nil {
-		t.Fatal("bootstrap with lazy scale mode must fail")
-	}
-	opts = bootOptions(3)
 	opts.Bootstrap.Floor = 5
 	if _, err := Compile(m.Circuit, opts); err == nil {
 		t.Fatal("window below floor must fail")

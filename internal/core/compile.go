@@ -55,15 +55,11 @@ type Options struct {
 	// hisa.ConjugateBackend (all three executable backends do); ct-ct
 	// products spend one extra Pu depth on the conjugation identity.
 	Complex bool
-	// ScaleMode selects rescale placement: ScaleGreedy (default) keeps the
-	// op-local kernel protocol; ScaleLazy runs the graph-level scale-
-	// management pass and ships a per-site defer/rescale plan in Compiled.
-	ScaleMode ScaleMode
 	// Bootstrap enables compiler-placed bootstrapping for circuits deeper
-	// than any secure modulus chain (see bootplace.go). Requires SchemeRNS
-	// and ScaleGreedy; the modulus chain is laid out from the bootstrap
-	// spec instead of the circuit's consumption, and Compiled.BootPlan
-	// reports where bootstraps land.
+	// than any secure modulus chain (see bootplace.go). Requires SchemeRNS;
+	// the modulus chain is laid out from the bootstrap spec instead of the
+	// circuit's consumption, and Compiled.BootPlan reports where bootstraps
+	// land.
 	Bootstrap *BootstrapOptions
 }
 
@@ -201,13 +197,10 @@ type Compiled struct {
 	Best    PolicyResult
 	Trace   []PolicyResult
 
-	// ScalePlan is the graph-level rescale placement recorded by the scale-
-	// management pass (Options.ScaleMode == ScaleLazy); nil means every
-	// kernel reduce site uses the greedy op-local protocol. Sessions thread
-	// it into execution as an htc.PlanPolicy.
-	ScalePlan *htc.ScalePlan
-	// ScaleReport is the pass's per-site trace (chet-compile -explain).
-	ScaleReport *ScaleReport
+	// Nodes is the winning policy's recording run split by circuit node, in
+	// execution order: what each kernel costs at compile time, before any
+	// runtime trace (chet-compile -explain).
+	Nodes []NodeCost
 
 	// BootPlan is the bootstrap-placement report (Options.Bootstrap set):
 	// the spec the chain was laid out for and every placement, attributed
@@ -222,12 +215,18 @@ type Compiled struct {
 // model, and returns the cheapest policy along with its rotation-key set.
 func Compile(c *circuit.Circuit, opts Options) (*Compiled, error) {
 	opts.fillDefaults()
+	// A factor at or below 1 never grows a scale the rescale protocol can
+	// repay, so the analysis would size a chain for a circuit that cannot run.
+	sc := opts.Scales
+	factors := []float64{sc.Pc, sc.Pw, sc.Pu, sc.Pm}
+	for i, f := range factors {
+		if !(f > 1 && f < math.Inf(1)) {
+			return nil, fmt.Errorf("core: scale %s = %g must be a finite factor > 1", [...]string{"Pc", "Pw", "Pu", "Pm"}[i], f)
+		}
+	}
 	if opts.Bootstrap != nil {
 		if opts.Scheme != SchemeRNS {
 			return nil, fmt.Errorf("core: bootstrap placement requires the RNS scheme (got %v)", opts.Scheme)
-		}
-		if opts.ScaleMode != ScaleGreedy {
-			return nil, fmt.Errorf("core: bootstrap placement requires greedy scale mode (deferred scales desynchronize the level accounting the placement trigger relies on)")
 		}
 		if opts.Bootstrap.Window < opts.Bootstrap.Floor {
 			return nil, fmt.Errorf("core: bootstrap window %d below floor %d: fresh ciphertexts would re-trigger immediately",
@@ -240,7 +239,7 @@ func Compile(c *circuit.Circuit, opts Options) (*Compiled, error) {
 		// ciphertext can carry to level 0, where its residue mod q0
 		// overflows and the message can no longer be bootstrapped.
 		prime := math.Exp2(float64(opts.RNSPrimeBits))
-		for _, s := range []float64{opts.Scales.Pc, opts.Scales.Pw, opts.Scales.Pu, opts.Scales.Pm} {
+		for _, s := range factors {
 			if math.Abs(s-prime) > 1e-6*prime {
 				return nil, fmt.Errorf("core: bootstrap placement requires prime-aligned scales (all factors 2^%d, got %v)",
 					opts.RNSPrimeBits, opts.Scales)
@@ -272,16 +271,8 @@ func Compile(c *circuit.Circuit, opts Options) (*Compiled, error) {
 		}
 	}
 	out.Best = best
-	// The scale-management pass runs on the winning policy's parameters: it
-	// records the per-site rescale plan (lazy mode) and the explain report
-	// without changing parameters, keys, or the layout decision.
-	if err := recordScalePlan(c, out); err != nil {
-		return nil, fmt.Errorf("core: scale-management pass: %w", err)
-	}
-	// The bootstrap-placement pass attributes each placement the winning
-	// policy's analysis triggered to the circuit node that caused it.
-	if err := recordBootPlan(c, out); err != nil {
-		return nil, fmt.Errorf("core: bootstrap-placement pass: %w", err)
+	if err := record(c, out); err != nil {
+		return nil, fmt.Errorf("core: recording run: %w", err)
 	}
 	return out, nil
 }

@@ -105,7 +105,9 @@ func (c *Compiled) Fingerprint() [32]byte {
 	} else {
 		i64(0)
 	}
-	i64(int(o.ScaleMode))
+	// Retired field (the rescale mode), hashed as its only remaining value
+	// so deployed v5 peers keep agreeing.
+	i64(0)
 	if o.Bootstrap == nil {
 		i64(-1)
 	} else {
@@ -155,21 +157,9 @@ func (c *Compiled) Fingerprint() [32]byte {
 		}
 	}
 
-	// The scale plan: runtime rescale placement is part of what both parties
-	// must agree on — a deferred site changes every downstream scale, so two
-	// executions under different plans are not interchangeable. Hashed as
-	// sorted (node, scaleBits, decision) triples; nil (greedy) hashes as -1.
-	if c.ScalePlan == nil {
-		i64(-1)
-	} else {
-		keys := sortedPlanKeys(c.ScalePlan)
-		i64(len(keys))
-		for _, k := range keys {
-			i64(k.Node)
-			i64(k.ScaleBits)
-			i64(int(c.ScalePlan.Decisions[k]))
-		}
-	}
+	// Retired field (the rescale plan), hashed as its only remaining value,
+	// none, so deployed v5 peers keep agreeing.
+	i64(-1)
 
 	// The circuit: structure, attributes, and weight values. Two circuits
 	// that differ only in weights execute compatibly but predict different

@@ -70,7 +70,6 @@ func TestFingerprintFlipsOnOptionsChange(t *testing.T) {
 		},
 		"PowerOfTwoRotationsOnly": func(o *Options) { o.PowerOfTwoRotationsOnly = true },
 		"CostThreads":             func(o *Options) { o.CostThreads = 4 },
-		"ScaleMode":               func(o *Options) { o.ScaleMode = ScaleLazy },
 	}
 
 	for name, mutate := range mutations {
@@ -123,10 +122,8 @@ func TestFingerprintFlipsOnPackingOptions(t *testing.T) {
 // did) moves it with the byte layout and the version unchanged; paste the
 // digest the failing run prints.
 func TestFingerprintV5Golden(t *testing.T) {
-	opts := fpBaseOptions()
-	opts.ScaleMode = ScaleLazy
-	const want = "23255b7d01d83012c28eb534253ae3817b2a4a089271082a965030551c7b2859"
-	if got := fpCompile(t, opts).FingerprintHex(); got != want {
+	const want = "1b143fe4bebf57412b005df16391f999359968fb566a889e3d52eaaf2636a6ab"
+	if got := fpCompile(t, fpBaseOptions()).FingerprintHex(); got != want {
 		t.Fatalf("fingerprint v5 golden mismatch:\n got %s\nwant %s", got, want)
 	}
 }

@@ -58,7 +58,7 @@ func TestRuntimeRotationsWithinCompiledKeys(t *testing.T) {
 		for _, policy := range htc.AllPolicies {
 			comp, err := Compile(c, Options{
 				Scheme: SchemeRNS, SecurityBits: -1, MinLogN: 10,
-				Policies: []htc.LayoutPolicy{policy}, ScaleMode: ScaleLazy,
+				Policies: []htc.LayoutPolicy{policy},
 			})
 			if err != nil {
 				t.Fatalf("%s/%v: %v", c.Name, policy, err)
@@ -89,9 +89,7 @@ func TestRuntimeRotationsWithinCompiledKeys(t *testing.T) {
 				}
 			})
 			enc := htc.EncryptTensor(&b, tensor.New(c.Input.OutShape...), comp.Plan(), comp.Options.Scales)
-			htc.ExecuteOpts(&b, c, enc, policy, comp.Options.Scales, htc.ExecOptions{
-				Workers: 4, Scale: htc.PlanPolicy{Plan: comp.ScalePlan},
-			})
+			htc.ExecuteOpts(&b, c, enc, policy, comp.Options.Scales, htc.ExecOptions{Workers: 4})
 			if len(missing) > 0 {
 				t.Errorf("%s/%v: runtime rotated by %v, not among the %d compiled keys", c.Name, policy, missing, len(keys))
 			}

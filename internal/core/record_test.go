@@ -1,0 +1,78 @@
+package core
+
+import (
+	"math"
+	"strings"
+	"testing"
+
+	"chet/internal/circuit"
+	"chet/internal/hisa"
+	"chet/internal/htc"
+	"chet/internal/nn"
+	"chet/internal/ring"
+	"chet/internal/tensor"
+)
+
+// TestNodeTableMatchesRuntime holds the compiler's per-node table to the
+// runtime: summed over Compiled.Nodes, the rotations, plaintext
+// multiplications, rescales and relinearizations the recording run counted
+// equal what a parallel execution on the real RNS backend issues.
+func TestNodeTableMatchesRuntime(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real lattice execution is slow; run without -short")
+	}
+	cnn, img := testCNN()
+	tiny := nn.LeNetTiny()
+	for _, tc := range []struct {
+		c    *circuit.Circuit
+		img  *tensor.Tensor
+		logN int
+	}{
+		{cnn, img, 11},
+		{tiny.Circuit, nn.SyntheticImage(tiny.InputShape, 7), 12},
+	} {
+		comp, err := Compile(tc.c, Options{Scheme: SchemeRNS, SecurityBits: -1, MinLogN: tc.logN, MaxLogN: tc.logN})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.c.Name, err)
+		}
+		var table [4]int
+		for _, n := range comp.Nodes {
+			table[0] += n.Rotations
+			table[1] += n.MulPlain
+			table[2] += n.Rescale
+			table[3] += n.Relin
+		}
+
+		b, err := BuildBackend(comp, ring.NewTestPRNG(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := hisa.NewMeter(b, nil)
+		enc := htc.EncryptTensor(m, tc.img, comp.Plan(), comp.Options.Scales)
+		htc.ExecuteOpts(m, comp.Circuit, enc, comp.Best.Policy, comp.Options.Scales, htc.ExecOptions{Workers: 4})
+		got := m.Counts()
+		runtime := [4]int{got.Rotations(), got[hisa.OpMulPlain], got[hisa.OpRescale], got[hisa.OpRelin]}
+
+		t.Logf("%s: {rot, mulplain, rescale, relin} = %v", tc.c.Name, table)
+		if table != runtime {
+			t.Errorf("%s: node table {rot, mulplain, rescale, relin} = %v, runtime %v", tc.c.Name, table, runtime)
+		}
+		if table[0] == 0 || table[2] == 0 {
+			t.Errorf("%s: node table %v counts no rotations or rescales", tc.c.Name, table)
+		}
+	}
+}
+
+// TestCompileRejectsBadScales: a fixed-point factor that is not finite and
+// greater than 1 is an input error naming the field, not a chain sized for a
+// circuit that decrypts to garbage or a panic deep inside the analysis.
+func TestCompileRejectsBadScales(t *testing.T) {
+	c, _ := testCNN()
+	for _, pm := range []float64{0, -math.Exp2(30), math.NaN(), math.Inf(1)} {
+		sc := htc.Scales{Pc: math.Exp2(40), Pw: math.Exp2(35), Pu: math.Exp2(35), Pm: pm}
+		_, err := Compile(c, Options{Scheme: SchemeCKKS, Scales: sc})
+		if err == nil || !strings.Contains(err.Error(), "Pm") {
+			t.Errorf("Pm = %g: got error %v, want one naming Pm", pm, err)
+		}
+	}
+}

@@ -126,8 +126,7 @@ func AsConjugate(b Backend) (ConjugateBackend, bool) {
 // ciphertext-ciphertext products carry an explicit relinearization step can
 // expose it, letting kernels keep a product at degree 2 through linear
 // operations (Add, Sub, MulScalar, MulScalarC) and fold several products
-// into a single relinearization — the lazy-relinearize half of the
-// graph-level scale pass. Semantics: Relinearize(MulNoRelin(x, y)) is
+// into a single relinearization. Semantics: Relinearize(MulNoRelin(x, y)) is
 // exactly Mul(x, y), and linear ops on degree-2 ciphertexts act
 // componentwise. Degree-2 ciphertexts must be relinearized before
 // rotations, conjugation, rescaling, or decryption.

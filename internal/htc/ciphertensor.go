@@ -419,6 +419,28 @@ func tryRescale(b hisa.Backend, c hisa.Ciphertext, base float64) hisa.Ciphertext
 	return b.Rescale(c, d)
 }
 
+// reduceRelin closes a ciphertext-ciphertext product — a lazy degree-2 one or
+// an eager degree-1 one: it relinearizes and applies tryRescale, fused into
+// one pass over the limbs when the backend supports it
+// (hisa.FusedRescaleBackend).
+func reduceRelin(b hisa.Backend, c hisa.Ciphertext, base float64) hisa.Ciphertext {
+	lr, lazy := hisa.AsLazyRelin(b)
+	if !lazy {
+		// Eager backends already returned degree 1; only the scale moves.
+		return tryRescale(b, c, base)
+	}
+	fr, fused := hisa.AsFusedRescale(b)
+	if !fused {
+		return tryRescale(b, lr.Relinearize(c), base)
+	}
+	if s := b.Scale(c); s > base*1.0001 {
+		if ub, _ := big.NewFloat(s / base).Int(nil); ub.Sign() > 0 {
+			return fr.RelinearizeRescale(c, b.MaxRescale(c, ub))
+		}
+	}
+	return lr.Relinearize(c)
+}
+
 // alignScales brings two ciphertexts to a common scale before addition,
 // multiplying the lower-scaled one by 1 at the ratio when they diverge.
 func alignScales(b hisa.Backend, x, y hisa.Ciphertext) (hisa.Ciphertext, hisa.Ciphertext) {

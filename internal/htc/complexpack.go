@@ -110,17 +110,16 @@ func mulPairwiseY(b hisa.Backend, x, y, ybar hisa.Ciphertext) hisa.Ciphertext {
 //
 // gives (A − i·B)/4 = Re(t)·Re(x) + Im(t)·Im(x)·i, the componentwise
 // product, with no trailing conjugation at all. The scalar multiplications
-// mirror the real path's sites — same node, same scales — so the recorded
-// scale plan replays identically, and invalid slots stay zero because S and
-// D vanish there. Cost versus the real path: one extra Mul+relin, one
-// conjugation, and two exact /4 constant multiplications.
-func activationPairwise(b hisa.Backend, x hisa.Ciphertext, a, bias float64, sc Scales, opts ExecOptions) hisa.Ciphertext {
+// mirror the real path's, at the same scales, and invalid slots stay zero
+// because S and D vanish there. Cost versus the real path: one extra
+// Mul+relin, one conjugation, and two exact /4 constant multiplications.
+func activationPairwise(b hisa.Backend, x hisa.Ciphertext, a, bias float64, sc Scales) hisa.Ciphertext {
 	cb := mustConjugate(b)
 	xbar := cb.Conjugate(x)
 	sum := b.Add(x, xbar)
 	dif := b.Sub(x, xbar)
-	ts := opts.reduce(b, b.MulScalar(sum, a, sc.Pu), sc.Pc)
-	td := opts.reduce(b, b.MulScalar(dif, a, sc.Pu), sc.Pc)
+	ts := tryRescale(b, b.MulScalar(sum, a, sc.Pu), sc.Pc)
+	td := tryRescale(b, b.MulScalar(dif, a, sc.Pu), sc.Pc)
 	if bias != 0 {
 		ts = b.AddScalar(ts, 2*bias)
 		m := make([]complex128, b.Slots())

@@ -96,11 +96,11 @@ func DenseOpts(b hisa.Backend, in *CipherTensor, weights, bias *tensor.Tensor, s
 			}
 			acc = accumulate(b, acc, b.MulPlain(copies[g], b.Encode(wv, sc.Pw)))
 		}
-		acc = opts.reduce(b, acc, sc.Pc)
+		acc = tryRescale(b, acc, sc.Pc)
 		acc = foldStrided(b, acc, in.W, in.ColStride)
 		acc = foldStrided(b, acc, in.H, in.RowStride)
 		acc = foldStrided(b, acc, chIn, in.ChanStride)
-		acc = opts.reduce(b, b.MulPlain(acc, mask), sc.Pc)
+		acc = tryRescale(b, b.MulPlain(acc, mask), sc.Pc)
 		groups[q] = rotateRight(b, acc, q-in.Offset)
 	})
 
@@ -205,7 +205,7 @@ func regrid(b hisa.Backend, t, like *CipherTensor, sc Scales, opts ExecOptions) 
 	parallelFor(opts.workers(), len(moves), func(i int) {
 		mv := moves[i]
 		c := b.MulPlain(t.CTs[mv.src], b.Encode(masks[mv], sc.Pm))
-		moved[i] = rotateRight(b, opts.reduce(b, c, sc.Pc), mv.by)
+		moved[i] = rotateRight(b, tryRescale(b, c, sc.Pc), mv.by)
 	})
 	// Fold in serial element order for a bit-identical result.
 	for i, mv := range moves {

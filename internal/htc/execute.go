@@ -127,12 +127,6 @@ func Execute(b hisa.Backend, c *circuit.Circuit, input *CipherTensor, policy Lay
 	return ExecuteOpts(b, c, input, policy, sc, ExecOptions{})
 }
 
-// ExecuteOpts runs the circuit homomorphically with the given execution
-// options. With opts.Workers > 1 the kernels fan their independent
-// per-output work across a worker pool; the backend must satisfy the
-// concurrency contract of hisa.Backend (all executable backends do — the
-// compiler's analysis backends do not, and must use Execute). The result is
-// bit-identical to a serial run on every executable backend.
 // scoper is the structural capability a tracing backend
 // (telemetry.Tracer) exposes for attributing ops to the circuit node that
 // issued them. It is probed structurally, through any wrapper chain, so htc
@@ -141,6 +135,12 @@ type scoper interface {
 	StartScope(label string) func()
 }
 
+// ExecuteOpts runs the circuit homomorphically with the given execution
+// options. With opts.Workers > 1 the kernels fan their independent
+// per-output work across a worker pool; the backend must satisfy the
+// concurrency contract of hisa.Backend (all executable backends do — the
+// compiler's analysis backends do not, and must run serially). The result
+// is bit-identical to a serial run on every executable backend.
 func ExecuteOpts(b hisa.Backend, c *circuit.Circuit, input *CipherTensor, policy LayoutPolicy, sc Scales, opts ExecOptions) *CipherTensor {
 	results := make(map[int]*CipherTensor, len(c.Nodes))
 	seenDense := false
@@ -148,15 +148,12 @@ func ExecuteOpts(b hisa.Backend, c *circuit.Circuit, input *CipherTensor, policy
 	if tb, ok := hisa.FindCapability[scoper](b); ok {
 		startScope = tb.StartScope
 	}
-	// nodeOpts is the per-node options copy handed to kernels: it carries
-	// the executing node's ID so scale policies can key decisions by site.
-	nodeOpts := opts
 	arg := func(n *circuit.Node, i int) *CipherTensor {
 		t, ok := results[n.Inputs[i].ID]
 		if !ok {
 			panic(fmt.Sprintf("htc: node %q input not yet computed (circuit not topological?)", n.Name))
 		}
-		return convert(b, t, policy.opLayout(n.Kind, seenDense), sc, nodeOpts)
+		return convert(b, t, policy.opLayout(n.Kind, seenDense), sc, opts)
 	}
 	// args returns all of a node's inputs on one slot grid: a Dense picks
 	// its output grid from its input's span, so two operands of one shape may
@@ -174,15 +171,13 @@ func ExecuteOpts(b hisa.Backend, c *circuit.Circuit, input *CipherTensor, policy
 		}
 		for i := range ins {
 			if !sameGrid(ins[last], ins[i]) {
-				ins[i] = regrid(b, ins[i], ins[last], sc, nodeOpts)
+				ins[i] = regrid(b, ins[i], ins[last], sc, opts)
 			}
 		}
 		return ins
 	}
 
 	for _, n := range c.Nodes {
-		nodeOpts = opts
-		nodeOpts.node = n.ID
 		var out *CipherTensor
 		// The node scope opens before arg() runs so the layout conversions
 		// a node demands are billed to it, not to the gap between nodes.
@@ -198,25 +193,25 @@ func ExecuteOpts(b hisa.Backend, c *circuit.Circuit, input *CipherTensor, policy
 			}
 			out = input
 		case circuit.OpConv2D:
-			out = Conv2DOpts(b, arg(n, 0), n.Weights, n.Bias, n.Stride, n.Pad, sc, nodeOpts)
+			out = Conv2DOpts(b, arg(n, 0), n.Weights, n.Bias, n.Stride, n.Pad, sc, opts)
 		case circuit.OpDense:
-			out = DenseOpts(b, arg(n, 0), n.Weights, n.Bias, sc, nodeOpts)
+			out = DenseOpts(b, arg(n, 0), n.Weights, n.Bias, sc, opts)
 			seenDense = true
 		case circuit.OpAvgPool2D:
-			out = AvgPool2DOpts(b, arg(n, 0), n.Window, n.Stride, sc, nodeOpts)
+			out = AvgPool2DOpts(b, arg(n, 0), n.Window, n.Stride, sc, opts)
 		case circuit.OpGlobalAvgPool2D:
-			out = GlobalAvgPool2DOpts(b, arg(n, 0), sc, nodeOpts)
+			out = GlobalAvgPool2DOpts(b, arg(n, 0), sc, opts)
 		case circuit.OpActivation:
-			out = ActivationOpts(b, arg(n, 0), n.ActA, n.ActB, sc, nodeOpts)
+			out = ActivationOpts(b, arg(n, 0), n.ActA, n.ActB, sc, opts)
 		case circuit.OpPolyEval:
-			out = PolyEvalOpts(b, arg(n, 0), n.Coeffs, sc, nodeOpts)
+			out = PolyEvalOpts(b, arg(n, 0), n.Coeffs, sc, opts)
 		case circuit.OpBatchNorm:
-			out = BatchNormOpts(b, arg(n, 0), n.Weights, n.Bias, sc, nodeOpts)
+			out = BatchNormOpts(b, arg(n, 0), n.Weights, n.Bias, sc, opts)
 		case circuit.OpAdd:
 			ins := args(n)
-			out = AddOpts(b, ins[0], ins[1], nodeOpts)
+			out = AddOpts(b, ins[0], ins[1], opts)
 		case circuit.OpConcat:
-			out = ConcatOpts(b, sc, nodeOpts, args(n)...)
+			out = ConcatOpts(b, sc, opts, args(n)...)
 		case circuit.OpFlatten:
 			out = results[n.Inputs[0].ID] // metadata-only
 		case circuit.OpPad2D:

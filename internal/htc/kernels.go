@@ -212,9 +212,9 @@ func Conv2DOpts(b hisa.Backend, in *CipherTensor, filters, bias *tensor.Tensor, 
 					}
 				}
 			}
-			acc = opts.reduce(b, acc, sc.Pc)
+			acc = tryRescale(b, acc, sc.Pc)
 			acc = b.MulPlain(acc, mask)
-			acc = opts.reduce(b, acc, sc.Pc)
+			acc = tryRescale(b, acc, sc.Pc)
 			if bias != nil {
 				bv := validMask(&out, 0, b.Slots(), bias.Data[oc])
 				acc = addVecBoth(b, out.Complex, acc, bv)
@@ -274,14 +274,14 @@ func Conv2DOpts(b hisa.Backend, in *CipherTensor, filters, bias *tensor.Tensor, 
 					acc = accumulate(b, acc, t)
 				}
 			}
-			acc = opts.reduce(b, acc, sc.Pc)
+			acc = tryRescale(b, acc, sc.Pc)
 			// Fold the partial sums of this ciphertext's occupied channels
 			// into channel block 0. Rounding the count up is safe here and
 			// never dearer than the exact fold: the blocks up to the
 			// power-of-two CPerCT lie in this lane and hold zeros.
 			acc = foldStrided(b, acc, nextPow2(chInGroup), in.ChanStride)
 			acc = b.MulPlain(acc, mask)
-			acc = opts.reduce(b, acc, sc.Pc)
+			acc = tryRescale(b, acc, sc.Pc)
 
 			if bOut := oc % outCPerCT; bOut != 0 {
 				acc = b.RotRight(acc, bOut*in.ChanStride)
@@ -355,7 +355,7 @@ func AvgPool2DOpts(b hisa.Backend, in *CipherTensor, window, stride int, sc Scal
 			}
 		}
 		acc = b.MulPlain(acc, masks[min(in.C-g*in.CPerCT, in.CPerCT)])
-		out.CTs[g] = opts.reduce(b, acc, sc.Pc)
+		out.CTs[g] = tryRescale(b, acc, sc.Pc)
 	})
 	out.validate(b.Slots())
 	return &out
@@ -381,7 +381,7 @@ func GlobalAvgPool2DOpts(b hisa.Backend, in *CipherTensor, sc Scales, opts ExecO
 		acc := foldStrided(b, in.CTs[g], in.W, in.ColStride)
 		acc = foldStrided(b, acc, in.H, in.RowStride)
 		acc = b.MulPlain(acc, mask)
-		out.CTs[g] = opts.reduce(b, acc, sc.Pc)
+		out.CTs[g] = tryRescale(b, acc, sc.Pc)
 	})
 	out.validate(b.Slots())
 	return &out
@@ -402,15 +402,15 @@ func ActivationOpts(b hisa.Backend, in *CipherTensor, a, bb float64, sc Scales, 
 		x := in.CTs[g]
 		if a == 0 {
 			y := b.MulScalar(x, bb, sc.Pu)
-			out.CTs[g] = opts.reduce(b, y, sc.Pc)
+			out.CTs[g] = tryRescale(b, y, sc.Pc)
 			return
 		}
 		var y hisa.Ciphertext
 		if in.Complex {
-			y = activationPairwise(b, x, a, bb, sc, opts)
+			y = activationPairwise(b, x, a, bb, sc)
 		} else {
 			t := b.MulScalar(x, a, sc.Pu)
-			t = opts.reduce(b, t, sc.Pc)
+			t = tryRescale(b, t, sc.Pc)
 			// Adding b everywhere is safe: invalid slots of x are zero, so
 			// the final product restores the zero invariant.
 			t = b.AddScalar(t, bb)
@@ -420,11 +420,11 @@ func ActivationOpts(b hisa.Backend, in *CipherTensor, a, bb float64, sc Scales, 
 				y = b.Mul(t, x)
 			}
 		}
-		// reduceRelin closes the product: the site's rescale decision and
-		// the relinearization run as one fused limb pass on backends that
+		// reduceRelin closes the product: the rescale and the
+		// relinearization run as one fused limb pass on backends that
 		// support it, and in the conventional order everywhere else. The
 		// complex path's two shared-relin products land here too.
-		out.CTs[g] = opts.reduceRelin(b, y, sc.Pc)
+		out.CTs[g] = reduceRelin(b, y, sc.Pc)
 	})
 	return &out
 }
@@ -456,21 +456,21 @@ func PolyEvalOpts(b hisa.Backend, in *CipherTensor, coeffs []float64, sc Scales,
 		}
 		// acc = c_d * x, then repeatedly acc = (acc + c_i) * x.
 		acc := b.MulScalar(x, coeffs[d], sc.Pu)
-		acc = opts.reduce(b, acc, sc.Pc)
+		acc = tryRescale(b, acc, sc.Pc)
 		for i := d - 1; i >= 1; i-- {
 			// AddScalar touches invalid slots too, but the following
 			// multiplication by x (zero there) restores the invariant.
 			acc = addScalarBoth(b, in.Complex, acc, coeffs[i])
 			if in.Complex {
 				acc = mulPairwiseY(b, acc, x, xbar)
-				acc = opts.reduce(b, acc, sc.Pc)
+				acc = tryRescale(b, acc, sc.Pc)
 			} else {
 				if lr, ok := hisa.AsLazyRelin(b); ok {
 					acc = lr.MulNoRelin(acc, x)
 				} else {
 					acc = b.Mul(acc, x)
 				}
-				acc = opts.reduceRelin(b, acc, sc.Pc)
+				acc = reduceRelin(b, acc, sc.Pc)
 			}
 		}
 		if coeffs[0] != 0 {
@@ -506,7 +506,7 @@ func BatchNormOpts(b hisa.Backend, in *CipherTensor, gamma, beta *tensor.Tensor,
 			gv := perChannelVector(in, g, b.Slots(), func(ch int) float64 { return gamma.Data[ch] })
 			t = b.MulPlain(in.CTs[g], b.Encode(gv, sc.Pw))
 		}
-		t = opts.reduce(b, t, sc.Pc)
+		t = tryRescale(b, t, sc.Pc)
 		bv := perChannelVector(in, g, b.Slots(), func(ch int) float64 { return beta.Data[ch] })
 		t = addVecBoth(b, in.Complex, t, bv)
 		out.CTs[g] = t
@@ -615,7 +615,7 @@ func ConcatOpts(b hisa.Backend, sc Scales, opts ExecOptions, ins ...*CipherTenso
 		single.Offset = in.Offset + bIn*in.ChanStride
 		mv := validMask(&single, 0, b.Slots(), 1)
 		t := b.MulPlain(in.CTs[gIn], b.Encode(mv, sc.Pm))
-		t = opts.reduce(b, t, sc.Pc)
+		t = tryRescale(b, t, sc.Pc)
 		isolated[j] = rotateRight(b, t, (bOut-bIn)*in.ChanStride)
 	})
 	// Fold in original (input, channel) order for a bit-identical result.
@@ -678,8 +678,7 @@ func ToHW(b hisa.Backend, in *CipherTensor, sc Scales) *CipherTensor {
 }
 
 // ToHWOpts is ToHW with an execution-options parameter: channels are
-// isolated by opts.Workers goroutines, and the conversion's rescale site
-// consults the scale policy like every kernel site.
+// isolated by opts.Workers goroutines.
 func ToHWOpts(b hisa.Backend, in *CipherTensor, sc Scales, opts ExecOptions) *CipherTensor {
 	if in.Layout == LayoutHW {
 		return in
@@ -695,7 +694,7 @@ func ToHWOpts(b hisa.Backend, in *CipherTensor, sc Scales, opts ExecOptions) *Ci
 	mask := b.Encode(validMask(&single, 0, b.Slots(), 1), sc.Pm)
 	parallelFor(opts.workers(), in.C, func(ch int) {
 		t := rotateRight(b, in.CTs[ch/in.CPerCT], -(ch%in.CPerCT)*in.ChanStride)
-		out.CTs[ch] = opts.reduce(b, b.MulPlain(t, mask), sc.Pc)
+		out.CTs[ch] = tryRescale(b, b.MulPlain(t, mask), sc.Pc)
 	})
 	out.validate(b.Slots())
 	return &out

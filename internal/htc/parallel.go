@@ -24,16 +24,6 @@ type ExecOptions struct {
 	// telemetry precision profiler uses it to compare every layer against
 	// the plaintext oracle; observers must not mutate the tensor.
 	OnNode func(n *circuit.Node, out *CipherTensor)
-
-	// Scale routes every kernel rescale site through a policy (see
-	// scale.go). nil means the op-local greedy protocol, which preserves
-	// the pre-pass behavior exactly.
-	Scale ScalePolicy
-
-	// node is the circuit node ID currently executing; the executor stamps
-	// it into the per-node options copy it hands each kernel so scale
-	// policies can key decisions by site.
-	node int
 }
 
 // DefaultExecOptions uses one worker per available CPU.

@@ -146,8 +146,8 @@ func writePromMetrics(w io.Writer, m ServerMetrics, sessions []*session, default
 
 	// Scale drift: the worst |log2(scale/Δ)| any traced op emitted, a direct
 	// reading of how far waterline management let ciphertext scales wander
-	// from the compiled default. Stays near zero under the scale plan; growth
-	// here means rescale placement is drifting.
+	// from the compiled default. Stays near zero under the op-local rescale
+	// protocol; growth here means rescale placement is drifting.
 	if defaultScale > 0 {
 		drift, seen := 0.0, false
 		for _, sess := range sessions {

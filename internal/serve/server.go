@@ -1243,12 +1243,8 @@ func (s *Server) evaluate(sess *session, in *htc.CipherTensor, label string, tra
 		s.execHook()
 	}
 	comp := s.cfg.Compiled
-	execOpts := htc.ExecOptions{Workers: s.cfg.Workers}
-	if comp.ScalePlan != nil {
-		execOpts.Scale = htc.PlanPolicy{Plan: comp.ScalePlan}
-	}
 	out = htc.ExecuteOpts(sess.backend, comp.Circuit, in, comp.Best.Policy,
-		comp.Options.Scales, execOpts)
+		comp.Options.Scales, htc.ExecOptions{Workers: s.cfg.Workers})
 	return out, nil
 }
 
