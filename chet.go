@@ -121,12 +121,17 @@ type Session struct {
 	Compiled *Compiled
 	Backend  Backend
 
-	// Workers sets the worker-pool size Infer fans kernel work across:
-	// 0 or 1 executes serially, runtime.GOMAXPROCS(0) uses every CPU.
-	// Parallel inference is bit-identical to serial on every backend.
+	// Workers sets the worker-pool size Infer fans kernel work across, and
+	// how many goroutines one RNS instruction fans its limbs across: 0 or 1
+	// executes serially, runtime.GOMAXPROCS(0) uses every CPU. Parallel
+	// inference is bit-identical to serial on every backend.
 	Workers int
 
 	plan htc.Plan
+	// constants holds the program's encoded weights, masks and biases, so
+	// only the first Infer encodes them. A Session built as a struct literal
+	// has none and encodes them on every Infer.
+	constants *htc.Constants
 }
 
 // NewSession instantiates the backend the compiler chose (CKKS mock or real
@@ -144,9 +149,10 @@ func NewSession(comp *Compiled, prng ring.PRNG) (*Session, error) {
 		return nil, err
 	}
 	return &Session{
-		Compiled: comp,
-		Backend:  b,
-		plan:     comp.Plan(),
+		Compiled:  comp,
+		Backend:   b,
+		plan:      comp.Plan(),
+		constants: htc.NewConstants(),
 	}, nil
 }
 
@@ -202,10 +208,11 @@ func SelectBatchCapacity(c *Circuit, opts Options, maxBatch int) (int, error) {
 
 // Infer executes the optimized homomorphic tensor circuit on an encrypted
 // input, producing an encrypted prediction. With Workers > 1 the kernels
-// fan independent per-output work across a goroutine pool.
+// fan independent per-output work across a goroutine pool. Infer is safe
+// for concurrent use.
 func (s *Session) Infer(enc *CipherTensor) *CipherTensor {
 	return htc.ExecuteOpts(s.Backend, s.Compiled.Circuit, enc, s.Compiled.Best.Policy,
-		s.Compiled.Options.Scales, htc.ExecOptions{Workers: s.Workers})
+		s.Compiled.Options.Scales, htc.ExecOptions{Workers: s.Workers, Constants: s.constants})
 }
 
 // Decrypt recovers the prediction tensor in the circuit's output shape.

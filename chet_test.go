@@ -1,10 +1,13 @@
 package chet
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
+	"chet/internal/hisa"
+	"chet/internal/htc"
 	"chet/internal/ring"
 )
 
@@ -142,6 +145,71 @@ func TestPublicAPIResidualMLP(t *testing.T) {
 		}
 		if back := session.Decrypt(session.Encrypt(img)); len(back.Shape) != 3 || back.Size() != 16 {
 			t.Fatalf("%v: a decrypted input came back as %v, want its own 1x4x4", opts.Scheme, back.Shape)
+		}
+	}
+}
+
+// TestSessionEncodesConstantsOnce: a Session's first Infer encodes the
+// program's weights, masks and biases into its constant store; every later
+// Infer finds them there and issues no encode at all, and computes the same
+// bits. Checked on a CHW and an HW program and on a batched one.
+func TestSessionEncodesConstantsOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real lattice execution is slow; run without -short")
+	}
+	for _, tc := range []struct {
+		model  string
+		policy LayoutPolicy
+		batch  int
+	}{
+		{"LeNet-tiny", htc.PolicyCHW, 0},
+		{"LeNet-5-small", htc.PolicyHW, 0},
+		{"LeNet-tiny", htc.PolicyCHW, 4},
+	} {
+		model, err := Model(tc.model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compiled, err := Compile(model.Circuit, Options{
+			Scheme: SchemeRNS, SecurityBits: -1, MinLogN: 11, MaxLogN: 13,
+			Policies: []LayoutPolicy{tc.policy}, Batch: tc.batch,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		session, err := NewSession(compiled, ring.NewTestPRNG(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		meter := hisa.NewMeter(session.Backend, nil)
+		session.Backend = meter
+		session.Workers = 2
+		var enc *CipherTensor
+		if tc.batch > 1 {
+			var imgs []*Tensor
+			for i := 0; i < tc.batch; i++ {
+				imgs = append(imgs, SyntheticImage(model.InputShape, uint64(i)))
+			}
+			enc = session.EncryptBatch(imgs)
+		} else {
+			enc = session.Encrypt(SyntheticImage(model.InputShape, 1))
+		}
+		name := fmt.Sprintf("%s/%v/batch %d", tc.model, tc.policy, tc.batch)
+		var encodes [2]int
+		var outs [2]*Tensor
+		for i := range encodes {
+			before := meter.Counts()[hisa.OpEncode]
+			out := session.Infer(enc)
+			encodes[i] = meter.Counts()[hisa.OpEncode] - before
+			outs[i] = session.Decrypt(out)
+		}
+		if encodes[0] == 0 || encodes[1] != 0 {
+			t.Fatalf("%s: Infer encoded %d then %d constants, want some then none", name, encodes[0], encodes[1])
+		}
+		for i := range outs[0].Data {
+			if math.Float64bits(outs[0].Data[i]) != math.Float64bits(outs[1].Data[i]) {
+				t.Fatalf("%s: output %d: %v then %v", name, i, outs[0].Data[i], outs[1].Data[i])
+			}
 		}
 	}
 }

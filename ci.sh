@@ -14,9 +14,11 @@ go build ./...
 echo "== go test ./..."
 go test ./...
 
-echo "== kernel promises (Dense issues the rotations its closed form says, fewer than one fold per neuron; every runtime rotation has a compiled key; the compiler's node table equals the runtime's op counts; impossible scales are rejected; refresh counts pinned)"
-go test -count=1 -run 'TestDenseRotationBudget|TestFoldStridedExact' ./internal/htc
-go test -count=1 -run 'TestRuntimeRotationsWithinCompiledKeys|TestNodeTableMatchesRuntime|TestCompileRejectsBadScales|TestBootstrapPlacement' ./internal/core
+echo "== kernel promises (Dense issues the rotations its closed form says, fewer than one fold per neuron; every runtime rotation has a compiled key; the compiler's node table equals the runtime's op counts; impossible scales are rejected; refresh counts pinned; constants are encoded once, at their use level, bit-identically, also under bootstrapping; input scales are admitted exactly)"
+go test -count=1 -run 'TestDenseRotationBudget|TestFoldStridedExact|TestConstantStore|TestParallelExecuteDeterministic' ./internal/htc
+go test -count=1 -run 'TestRuntimeRotationsWithinCompiledKeys|TestNodeTableMatchesRuntime|TestCompileRejectsBadScales|TestBootstrapPlacement|TestBootstrapEndToEnd' ./internal/core
+go test -count=1 -run 'TestSessionEncodesConstantsOnce' .
+go test -count=1 -run 'TestInputScaleAdmittedExactly' ./internal/serve
 
 echo "== benchmark module (its adapter is the one file outside the tree that imports chet/internal/...)"
 (cd benchmark && go vet ./... && go build ./... && go test ./...)

@@ -164,7 +164,7 @@ func main() {
 	flag.Uint64Var(&cfg.seed, "seed", 7, "synthetic image seed")
 	flag.IntVar(&cfg.images, "images", 1, "number of images to infer")
 	flag.BoolVar(&cfg.insecure, "insecure", false, "use a small demo ring without the security check (fast real-crypto runs)")
-	flag.IntVar(&cfg.workers, "workers", runtime.GOMAXPROCS(0), "worker-pool size for inference (default: one per CPU)")
+	flag.IntVar(&cfg.workers, "workers", runtime.GOMAXPROCS(0), "worker-pool size for inference, across kernel items and each instruction's limbs (default: one per CPU)")
 	flag.StringVar(&cfg.tracePath, "trace", "", "write per-op spans as Chrome trace_event JSON to this file")
 	flag.BoolVar(&cfg.profile, "profile", false, "run the per-layer precision profiler (plaintext oracle in lockstep) and print its report")
 	flag.Parse()

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/big"
 	"sync"
+	"sync/atomic"
 
 	"chet/internal/ring"
 )
@@ -26,10 +27,12 @@ type Evaluator struct {
 	// never share a buffer.
 	scratch *sync.Pool
 
-	// workers bounds intra-op parallelism (hoisted decomposition digits and
-	// key-switch inner-product rows are partitioned across this many
-	// goroutines). 0 or 1 means serial; set via SetIntraOpWorkers.
-	workers int
+	// workers bounds intra-op parallelism (hoisted decomposition digits,
+	// ModUp and ModDown rows and key-switch inner-product rows are
+	// partitioned across this many goroutines). 0 or 1 means serial; set via
+	// SetIntraOpWorkers. Atomic because concurrent inferences share one
+	// evaluator and each hands it its bound.
+	workers atomic.Int32
 
 	// monoI is the NTT form of the monomial X^(N/2), precomputed at
 	// construction and shared (read-only) across ShallowCopy. Every slot's
@@ -63,9 +66,11 @@ func NewEvaluator(params *Parameters, rlk *RelinearizationKey, rtks *RotationKey
 
 // SetIntraOpWorkers sets how many goroutines a single operation may use for
 // its decomposition and inner-product loops. Values <= 1 select the serial
-// path. Returns the evaluator for chaining.
+// path. Safe to call while operations run: an operation in flight finishes
+// with the bound it started each stage with. Returns the evaluator for
+// chaining.
 func (ev *Evaluator) SetIntraOpWorkers(w int) *Evaluator {
-	ev.workers = w
+	ev.workers.Store(int32(w))
 	return ev
 }
 
@@ -76,7 +81,7 @@ func (ev *Evaluator) SetIntraOpWorkers(w int) *Evaluator {
 // contention on very wide fan-out).
 func (ev *Evaluator) ShallowCopy() *Evaluator {
 	cp := NewEvaluator(ev.params, ev.rlk, ev.rtks)
-	cp.workers = ev.workers
+	cp.workers.Store(ev.workers.Load())
 	return cp
 }
 
@@ -99,7 +104,7 @@ func (ev *Evaluator) putAcc(p *ring.Poly) { ev.params.Ring().PutPoly(p) }
 // a stride partition, so iteration order within a worker is ascending and
 // results are bit-identical to serial as long as iterations are independent.
 func (ev *Evaluator) forEach(count int, fn func(i int)) {
-	w := ev.workers
+	w := int(ev.workers.Load())
 	if w > count {
 		w = count
 	}

@@ -127,8 +127,8 @@ func TestBootstrapPlacement(t *testing.T) {
 // TestBootstrapEndToEnd is the subsystem's closing property: a deep MLP
 // compiles with compiler-placed bootstraps, runs end-to-end encrypted on the
 // real RNS backend under the Refresher, matches the Ref-backend lockstep
-// within the bootstrap epsilon, performs exactly as many bootstraps as the
-// compiler placed, and leaks no ring polynomials.
+// within the bootstrap epsilon, and performs exactly as many bootstraps as
+// the compiler placed — with and without a constant store.
 func TestBootstrapEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-lattice bootstrap run")
@@ -175,4 +175,19 @@ func TestBootstrapEndToEnd(t *testing.T) {
 		}
 	}
 
+	// Through a constant store, whose plaintexts sit at the fresh level
+	// because the Refresher may swap a refreshed operand in: the run raises
+	// no level panic, refreshes as often and computes the same bits.
+	before := rf.Bootstraps()
+	stored := htc.DecryptTensor(backend, htc.ExecuteOpts(backend, m.Circuit, enc, comp.Best.Policy,
+		comp.Options.Scales, htc.ExecOptions{Constants: htc.NewConstants()}))
+	if n := rf.Bootstraps() - before; n != len(comp.BootPlan.Placements) {
+		t.Fatalf("runtime performed %d bootstraps through the store, compiler placed %d",
+			n, len(comp.BootPlan.Placements))
+	}
+	for i := range got.Data {
+		if math.Float64bits(stored.Data[i]) != math.Float64bits(got.Data[i]) {
+			t.Fatalf("output %d: %g through the store, %g without", i, stored.Data[i], got.Data[i])
+		}
+	}
 }

@@ -227,6 +227,34 @@ func AsBootstrap(b Backend) (BootstrapBackend, bool) {
 	return bb, true
 }
 
+// LeveledEncodeBackend is an optional backend capability: backends whose
+// plaintexts carry a modulus level (RNS-CKKS, where a plaintext holds one
+// row per chain prime) can encode at a chosen level instead of the top of
+// the chain. A plaintext at level ℓ serves every ciphertext at level ≤ ℓ,
+// and encoding is row-independent, so a product with a plaintext encoded at
+// the ciphertext's own level is bit-identical to one with a top-level
+// plaintext — at a fraction of the encoding work and memory.
+type LeveledEncodeBackend interface {
+	// LeveledEncodeCapable reports whether the instance actually supports
+	// the capability; the Interposer forwards EncodeAt unconditionally, so
+	// AsLeveledEncode checks this flag too.
+	LeveledEncodeCapable() bool
+	// EncodeAt is Encode at the given level.
+	EncodeAt(m []float64, f float64, level int) Plaintext
+	// LevelOf reports a ciphertext's level. It is metadata, like Scale.
+	LevelOf(c Ciphertext) int
+}
+
+// AsLeveledEncode returns b as a LeveledEncodeBackend when b (including every
+// layer of a wrapper chain) can encode at a chosen level.
+func AsLeveledEncode(b Backend) (LeveledEncodeBackend, bool) {
+	lb, ok := b.(LeveledEncodeBackend)
+	if !ok || !lb.LeveledEncodeCapable() {
+		return nil, false
+	}
+	return lb, true
+}
+
 // RotateManyBackend is an optional backend capability: backends that can
 // amortize shared work across a batch of rotations of one ciphertext
 // (Halevi-Shoup hoisting in the RNS backend) implement it. RotLeftMany must

@@ -64,7 +64,7 @@ type Op struct {
 	Dur   time.Duration
 }
 
-// Interposer is the single forwarding implementation of Backend and the five
+// Interposer is the single forwarding implementation of Backend and the six
 // capability interfaces: it turns every call into an Op and hands it to a
 // before-hook (ahead of the wrapped call, single-result instructions only)
 // and an after-hook. Meter, Refresher and telemetry.Tracer are observers
@@ -79,11 +79,13 @@ type Op struct {
 //     marker, or, with divisor 1, just the relin;
 //   - RotLeftMany is one rotl per non-trivial amount, the batch's duration
 //     split evenly between them;
-//   - Bootstrap is one instruction: its interior runs below the HISA.
+//   - Bootstrap is one instruction: its interior runs below the HISA;
+//   - EncodeAt is an encode, like Encode.
 //
 // The capability methods exist whatever the wrapped backend supports, so
-// callers gate on AsLazyRelin, AsFusedRescale and AsBootstrap (which consult
-// the Capable flags forwarded here); calling one the backend lacks panics.
+// callers gate on AsLazyRelin, AsFusedRescale, AsBootstrap and
+// AsLeveledEncode (which consult the Capable flags forwarded here); calling
+// one the backend lacks panics.
 // An Interposer is as safe for concurrent use as its hooks are.
 type Interposer struct {
 	inner  Backend
@@ -95,16 +97,18 @@ type Interposer struct {
 	lazy  LazyRelinBackend
 	fused FusedRescaleBackend
 	boot  BootstrapBackend
+	level LeveledEncodeBackend
 }
 
 var (
-	_ Backend             = (*Interposer)(nil)
-	_ ConjugateBackend    = (*Interposer)(nil)
-	_ LazyRelinBackend    = (*Interposer)(nil)
-	_ FusedRescaleBackend = (*Interposer)(nil)
-	_ BootstrapBackend    = (*Interposer)(nil)
-	_ RotateManyBackend   = (*Interposer)(nil)
-	_ Unwrapper           = (*Interposer)(nil)
+	_ Backend              = (*Interposer)(nil)
+	_ ConjugateBackend     = (*Interposer)(nil)
+	_ LazyRelinBackend     = (*Interposer)(nil)
+	_ FusedRescaleBackend  = (*Interposer)(nil)
+	_ BootstrapBackend     = (*Interposer)(nil)
+	_ LeveledEncodeBackend = (*Interposer)(nil)
+	_ RotateManyBackend    = (*Interposer)(nil)
+	_ Unwrapper            = (*Interposer)(nil)
 )
 
 // NewInterposer wraps inner; tag is appended to its name. Either hook may be
@@ -115,6 +119,7 @@ func NewInterposer(inner Backend, tag string, before, after func(*Op)) Interpose
 	ip.lazy, _ = inner.(LazyRelinBackend)
 	ip.fused, _ = inner.(FusedRescaleBackend)
 	ip.boot, _ = inner.(BootstrapBackend)
+	ip.level, _ = inner.(LeveledEncodeBackend)
 	return ip
 }
 
@@ -180,6 +185,9 @@ func (ip *Interposer) lazyInner() LazyRelinBackend {
 }
 func (ip *Interposer) fusedInner() FusedRescaleBackend { return have(ip, ip.fused, "fused rescale") }
 func (ip *Interposer) bootInner() BootstrapBackend     { return have(ip, ip.boot, "bootstrapping") }
+func (ip *Interposer) levelInner() LeveledEncodeBackend {
+	return have(ip, ip.level, "leveled encoding")
+}
 
 func (ip *Interposer) Encrypt(p Plaintext) Ciphertext {
 	return ip.run(&Op{Kind: OpEncrypt}, func(_, _ Ciphertext) Ciphertext { return ip.inner.Encrypt(p) })
@@ -194,6 +202,18 @@ func (ip *Interposer) Encode(m []float64, f float64) (p Plaintext) {
 	ip.run(&Op{Kind: OpEncode}, func(_, _ Ciphertext) Ciphertext { p = ip.inner.Encode(m, f); return nil })
 	return p
 }
+
+func (ip *Interposer) LeveledEncodeCapable() bool {
+	return ip.level != nil && ip.level.LeveledEncodeCapable()
+}
+
+func (ip *Interposer) EncodeAt(m []float64, f float64, level int) (p Plaintext) {
+	enc := ip.levelInner()
+	ip.run(&Op{Kind: OpEncode}, func(_, _ Ciphertext) Ciphertext { p = enc.EncodeAt(m, f, level); return nil })
+	return p
+}
+
+func (ip *Interposer) LevelOf(c Ciphertext) int { return ip.levelInner().LevelOf(c) }
 
 func (ip *Interposer) Decode(p Plaintext) (m []float64) {
 	ip.run(&Op{Kind: OpDecode}, func(_, _ Ciphertext) Ciphertext { m = ip.inner.Decode(p); return nil })

@@ -21,10 +21,6 @@ type RNSConfig struct {
 	// produced by CHET's rotation-keys selection pass). nil provisions the
 	// power-of-two defaults the paper compares against.
 	Rotations []int
-	// IntraOpWorkers bounds how many goroutines a single operation may use
-	// for its limb-parallel stages (hoisted decomposition digits, key-switch
-	// inner-product rows). 0 or 1 selects the serial path.
-	IntraOpWorkers int
 	// Bootstrap, when set, provisions the bootstrap pipeline's rotation keys
 	// alongside Rotations and attaches a bootstrapper (internal/boot), making
 	// the backend hisa.BootstrapCapable. Params must have been laid out with
@@ -129,7 +125,7 @@ func NewRNSBackend(cfg RNSConfig) *RNSBackend {
 		encoder:     ckks.NewEncoder(params),
 		encryptor:   ckks.NewEncryptor(params, pk, prng),
 		decryptor:   ckks.NewDecryptor(params, sk),
-		evaluator:   ckks.NewEvaluator(params, rlk, rtks).SetIntraOpWorkers(cfg.IntraOpWorkers),
+		evaluator:   ckks.NewEvaluator(params, rlk, rtks),
 		provisioned: provisioned,
 		pk:          pk,
 		rlk:         rlk,
@@ -252,6 +248,21 @@ func (b *RNSBackend) pt(p Plaintext) *ckks.Plaintext {
 func (b *RNSBackend) Encode(m []float64, f float64) Plaintext {
 	return b.encoder.Encode(m, f, b.params.MaxLevel())
 }
+
+// LeveledEncodeCapable marks the real lattice backend as supporting
+// encode-at-a-level (see hisa.LeveledEncodeBackend).
+func (b *RNSBackend) LeveledEncodeCapable() bool { return true }
+
+// EncodeAt encodes m at scale f over the chain primes 0..level only.
+func (b *RNSBackend) EncodeAt(m []float64, f float64, level int) Plaintext {
+	return b.encoder.Encode(m, f, level)
+}
+
+// SetLimbWorkers bounds the goroutines one instruction fans its per-limb
+// stages across — decomposition digits, ModUp and ModDown rows, key-switch
+// rows; 1 is serial and the partition is bit-identical to it. The
+// bootstrapper shares the evaluator, so the bound covers refreshes too.
+func (b *RNSBackend) SetLimbWorkers(n int) { b.evaluator.SetIntraOpWorkers(n) }
 
 func (b *RNSBackend) Decode(p Plaintext) []float64 {
 	return b.encoder.Decode(b.pt(p))
@@ -467,7 +478,7 @@ func (b *RNSBackend) Rescale(c Ciphertext, x *big.Int) Ciphertext {
 
 func (b *RNSBackend) Scale(c Ciphertext) float64 { return b.ct(c).Scale }
 
-// LevelOf exposes the ciphertext level (for tests and harnesses).
+// LevelOf reports the ciphertext's RNS level.
 func (b *RNSBackend) LevelOf(c Ciphertext) int { return b.ct(c).Level() }
 
 // BootstrapCapable reports whether a bootstrapper is attached (RNSConfig.

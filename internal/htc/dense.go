@@ -74,7 +74,7 @@ func DenseOpts(b hisa.Backend, in *CipherTensor, weights, bias *tensor.Tensor, s
 	// sit there and everything else is partial sums.
 	origins := out
 	origins.W, origins.Offset = 1, in.Offset
-	mask := b.Encode(validMask(&origins, 0, b.Slots(), 1), sc.Pm)
+	mask := opts.constant(b, validMask(&origins, 0, b.Slots(), 1), sc.Pm)
 
 	groups := make([]hisa.Ciphertext, G)
 	parallelFor(opts.workers(), G, func(q int) {
@@ -94,13 +94,13 @@ func DenseOpts(b hisa.Backend, in *CipherTensor, weights, bias *tensor.Tensor, s
 					}
 				}
 			}
-			acc = accumulate(b, acc, b.MulPlain(copies[g], b.Encode(wv, sc.Pw)))
+			acc = accumulate(b, acc, b.MulPlain(copies[g], opts.constant(b, wv, sc.Pw).at(copies[g])))
 		}
 		acc = tryRescale(b, acc, sc.Pc)
 		acc = foldStrided(b, acc, in.W, in.ColStride)
 		acc = foldStrided(b, acc, in.H, in.RowStride)
 		acc = foldStrided(b, acc, chIn, in.ChanStride)
-		acc = tryRescale(b, b.MulPlain(acc, mask), sc.Pc)
+		acc = tryRescale(b, b.MulPlain(acc, mask.at(acc)), sc.Pc)
 		groups[q] = rotateRight(b, acc, q-in.Offset)
 	})
 
@@ -117,7 +117,7 @@ func DenseOpts(b hisa.Backend, in *CipherTensor, weights, bias *tensor.Tensor, s
 				bv[lane*ls+o/G*m+o%G] = v
 			}
 		}
-		acc = addVecBoth(b, in.Complex, acc, bv)
+		acc = addVecBoth(b, opts, in.Complex, acc, bv)
 	}
 	out.CTs = []hisa.Ciphertext{acc}
 	out.validate(b.Slots())
@@ -204,7 +204,7 @@ func regrid(b hisa.Backend, t, like *CipherTensor, sc Scales, opts ExecOptions) 
 	moved := make([]hisa.Ciphertext, len(moves))
 	parallelFor(opts.workers(), len(moves), func(i int) {
 		mv := moves[i]
-		c := b.MulPlain(t.CTs[mv.src], b.Encode(masks[mv], sc.Pm))
+		c := b.MulPlain(t.CTs[mv.src], opts.constant(b, masks[mv], sc.Pm).at(t.CTs[mv.src]))
 		moved[i] = rotateRight(b, tryRescale(b, c, sc.Pc), mv.by)
 	})
 	// Fold in serial element order for a bit-identical result.

@@ -127,6 +127,14 @@ func Execute(b hisa.Backend, c *circuit.Circuit, input *CipherTensor, policy Lay
 	return ExecuteOpts(b, c, input, policy, sc, ExecOptions{})
 }
 
+// limbParallel is the structural capability of a backend whose single
+// instructions fan independent per-limb stages across goroutines
+// (hisa.RNSBackend). It is not an instruction, so it is probed through the
+// wrapper chain rather than forwarded.
+type limbParallel interface {
+	SetLimbWorkers(n int)
+}
+
 // scoper is the structural capability a tracing backend
 // (telemetry.Tracer) exposes for attributing ops to the circuit node that
 // issued them. It is probed structurally, through any wrapper chain, so htc
@@ -137,11 +145,15 @@ type scoper interface {
 
 // ExecuteOpts runs the circuit homomorphically with the given execution
 // options. With opts.Workers > 1 the kernels fan their independent
-// per-output work across a worker pool; the backend must satisfy the
-// concurrency contract of hisa.Backend (all executable backends do — the
-// compiler's analysis backends do not, and must run serially). The result
-// is bit-identical to a serial run on every executable backend.
+// per-output work across a worker pool and the backend's instructions fan
+// their limbs across as many goroutines (limbParallel); the backend must
+// satisfy the concurrency contract of hisa.Backend (all executable backends
+// do — the compiler's analysis backends do not, and must run serially). The
+// result is bit-identical to a serial run on every executable backend.
 func ExecuteOpts(b hisa.Backend, c *circuit.Circuit, input *CipherTensor, policy LayoutPolicy, sc Scales, opts ExecOptions) *CipherTensor {
+	if lp, ok := hisa.FindCapability[limbParallel](b); ok {
+		lp.SetLimbWorkers(opts.workers())
+	}
 	results := make(map[int]*CipherTensor, len(c.Nodes))
 	seenDense := false
 	var startScope func(string) func()

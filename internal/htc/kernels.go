@@ -18,6 +18,21 @@ func accumulate(b hisa.Backend, acc, t hisa.Ciphertext) hisa.Ciphertext {
 	return b.Add(x, y)
 }
 
+// accumulateOwned is accumulate for an acc and t the caller owns: both are
+// freed once their sum exists, so the next product reuses their limbs. A
+// convolution's per-tap products are most of what an inference allocates,
+// and left to the garbage collector they would set the process's peak
+// memory.
+func accumulateOwned(b hisa.Backend, acc, t hisa.Ciphertext) hisa.Ciphertext {
+	if acc == nil {
+		return t
+	}
+	sum := accumulate(b, acc, t)
+	b.Free(acc)
+	b.Free(t)
+	return sum
+}
+
 // rotateRight rotates c right by k slots, or left by -k when k is negative;
 // zero is the identity and costs nothing.
 func rotateRight(b hisa.Backend, c hisa.Ciphertext, k int) hisa.Ciphertext {
@@ -201,23 +216,23 @@ func Conv2DOpts(b hisa.Backend, in *CipherTensor, filters, bias *tensor.Tensor, 
 			caches[ic] = newRotCache(b, in.CTs[ic])
 			caches[ic].planRotations(amounts)
 		}
-		mask := b.Encode(validMask(&out, 0, b.Slots(), 1), sc.Pm)
+		mask := opts.constant(b, validMask(&out, 0, b.Slots(), 1), sc.Pm)
 		parallelFor(opts.workers(), cout, func(oc int) {
 			var acc hisa.Ciphertext
 			for ic := 0; ic < in.C; ic++ {
 				for ky := 0; ky < kh; ky++ {
 					for kx := 0; kx < kw; kx++ {
 						t := b.MulScalar(caches[ic].get(rot(ky, kx)), filters.At(oc, ic, ky, kx), sc.Pu)
-						acc = accumulate(b, acc, t)
+						acc = accumulateOwned(b, acc, t)
 					}
 				}
 			}
 			acc = tryRescale(b, acc, sc.Pc)
-			acc = b.MulPlain(acc, mask)
+			acc = b.MulPlain(acc, mask.at(acc))
 			acc = tryRescale(b, acc, sc.Pc)
 			if bias != nil {
 				bv := validMask(&out, 0, b.Slots(), bias.Data[oc])
-				acc = addVecBoth(b, out.Complex, acc, bv)
+				acc = addVecBoth(b, opts, out.Complex, acc, bv)
 			}
 			out.CTs[oc] = acc
 		})
@@ -238,7 +253,7 @@ func Conv2DOpts(b hisa.Backend, in *CipherTensor, filters, bias *tensor.Tensor, 
 	blockMask := metaClone(&out)
 	blockMask.C = 1
 	blockMask.CPerCT = 1
-	mask := b.Encode(validMask(&blockMask, 0, b.Slots(), 1), sc.Pm)
+	mask := opts.constant(b, validMask(&blockMask, 0, b.Slots(), 1), sc.Pm)
 
 	for g := 0; g < numInCTs; g++ {
 		cache := newRotCache(b, in.CTs[g])
@@ -270,8 +285,8 @@ func Conv2DOpts(b hisa.Backend, in *CipherTensor, filters, bias *tensor.Tensor, 
 							}
 						}
 					}
-					t := b.MulPlain(cache.get(rot(ky, kx)), b.Encode(wv, sc.Pw))
-					acc = accumulate(b, acc, t)
+					x := cache.get(rot(ky, kx))
+					acc = accumulateOwned(b, acc, b.MulPlain(x, opts.constant(b, wv, sc.Pw).at(x)))
 				}
 			}
 			acc = tryRescale(b, acc, sc.Pc)
@@ -280,7 +295,7 @@ func Conv2DOpts(b hisa.Backend, in *CipherTensor, filters, bias *tensor.Tensor, 
 			// never dearer than the exact fold: the blocks up to the
 			// power-of-two CPerCT lie in this lane and hold zeros.
 			acc = foldStrided(b, acc, nextPow2(chInGroup), in.ChanStride)
-			acc = b.MulPlain(acc, mask)
+			acc = b.MulPlain(acc, mask.at(acc))
 			acc = tryRescale(b, acc, sc.Pc)
 
 			if bOut := oc % outCPerCT; bOut != 0 {
@@ -299,7 +314,7 @@ func Conv2DOpts(b hisa.Backend, in *CipherTensor, filters, bias *tensor.Tensor, 
 	if bias != nil {
 		for gOut := range out.CTs {
 			bv := perChannelVector(&out, gOut, b.Slots(), func(ch int) float64 { return bias.Data[ch] })
-			out.CTs[gOut] = addVecBoth(b, out.Complex, out.CTs[gOut], bv)
+			out.CTs[gOut] = addVecBoth(b, opts, out.Complex, out.CTs[gOut], bv)
 		}
 	}
 	out.validate(b.Slots())
@@ -330,12 +345,12 @@ func AvgPool2DOpts(b hisa.Backend, in *CipherTensor, window, stride int, sc Scal
 
 	inv := 1.0 / float64(window*window)
 	// Groups share a mask except a possibly ragged final group. Masks are
-	// encoded up front so the worker pool reads the map without locking.
-	masks := map[int]hisa.Plaintext{}
+	// prepared up front so the worker pool reads the map without locking.
+	masks := map[int]constant{}
 	for g := range in.CTs {
 		chInGroup := min(in.C-g*in.CPerCT, in.CPerCT)
 		if _, ok := masks[chInGroup]; !ok {
-			masks[chInGroup] = b.Encode(validMask(&out, g, b.Slots(), inv), sc.Pm)
+			masks[chInGroup] = opts.constant(b, validMask(&out, g, b.Slots(), inv), sc.Pm)
 		}
 	}
 
@@ -354,7 +369,7 @@ func AvgPool2DOpts(b hisa.Backend, in *CipherTensor, window, stride int, sc Scal
 				acc = accumulate(b, acc, cache.get(ky*in.RowStride+kx*in.ColStride))
 			}
 		}
-		acc = b.MulPlain(acc, masks[min(in.C-g*in.CPerCT, in.CPerCT)])
+		acc = b.MulPlain(acc, masks[min(in.C-g*in.CPerCT, in.CPerCT)].at(acc))
 		out.CTs[g] = tryRescale(b, acc, sc.Pc)
 	})
 	out.validate(b.Slots())
@@ -375,12 +390,12 @@ func GlobalAvgPool2DOpts(b hisa.Backend, in *CipherTensor, sc Scales, opts ExecO
 	out.CTs = make([]hisa.Ciphertext, in.NumCTs())
 
 	inv := 1.0 / float64(in.H*in.W)
-	mask := b.Encode(validMask(&out, 0, b.Slots(), inv), sc.Pm)
+	mask := opts.constant(b, validMask(&out, 0, b.Slots(), inv), sc.Pm)
 
 	parallelFor(opts.workers(), len(in.CTs), func(g int) {
 		acc := foldStrided(b, in.CTs[g], in.W, in.ColStride)
 		acc = foldStrided(b, acc, in.H, in.RowStride)
-		acc = b.MulPlain(acc, mask)
+		acc = b.MulPlain(acc, mask.at(acc))
 		out.CTs[g] = tryRescale(b, acc, sc.Pc)
 	})
 	out.validate(b.Slots())
@@ -475,7 +490,7 @@ func PolyEvalOpts(b hisa.Backend, in *CipherTensor, coeffs []float64, sc Scales,
 		}
 		if coeffs[0] != 0 {
 			cv := perChannelVector(in, g, b.Slots(), func(int) float64 { return coeffs[0] })
-			acc = addVecBoth(b, in.Complex, acc, cv)
+			acc = addVecBoth(b, opts, in.Complex, acc, cv)
 		}
 		out.CTs[g] = acc
 	})
@@ -504,11 +519,11 @@ func BatchNormOpts(b hisa.Backend, in *CipherTensor, gamma, beta *tensor.Tensor,
 			t = b.MulScalar(in.CTs[g], gamma.Data[g], sc.Pu)
 		} else {
 			gv := perChannelVector(in, g, b.Slots(), func(ch int) float64 { return gamma.Data[ch] })
-			t = b.MulPlain(in.CTs[g], b.Encode(gv, sc.Pw))
+			t = b.MulPlain(in.CTs[g], opts.constant(b, gv, sc.Pw).at(in.CTs[g]))
 		}
 		t = tryRescale(b, t, sc.Pc)
 		bv := perChannelVector(in, g, b.Slots(), func(ch int) float64 { return beta.Data[ch] })
-		t = addVecBoth(b, in.Complex, t, bv)
+		t = addVecBoth(b, opts, in.Complex, t, bv)
 		out.CTs[g] = t
 	})
 	return &out
@@ -614,7 +629,7 @@ func ConcatOpts(b hisa.Backend, sc Scales, opts ExecOptions, ins ...*CipherTenso
 		single.CPerCT = 1
 		single.Offset = in.Offset + bIn*in.ChanStride
 		mv := validMask(&single, 0, b.Slots(), 1)
-		t := b.MulPlain(in.CTs[gIn], b.Encode(mv, sc.Pm))
+		t := b.MulPlain(in.CTs[gIn], opts.constant(b, mv, sc.Pm).at(in.CTs[gIn]))
 		t = tryRescale(b, t, sc.Pc)
 		isolated[j] = rotateRight(b, t, (bOut-bIn)*in.ChanStride)
 	})
@@ -691,10 +706,10 @@ func ToHWOpts(b hisa.Backend, in *CipherTensor, sc Scales, opts ExecOptions) *Ci
 	single := metaClone(in)
 	single.C = 1
 	single.CPerCT = 1
-	mask := b.Encode(validMask(&single, 0, b.Slots(), 1), sc.Pm)
+	mask := opts.constant(b, validMask(&single, 0, b.Slots(), 1), sc.Pm)
 	parallelFor(opts.workers(), in.C, func(ch int) {
 		t := rotateRight(b, in.CTs[ch/in.CPerCT], -(ch%in.CPerCT)*in.ChanStride)
-		out.CTs[ch] = tryRescale(b, b.MulPlain(t, mask), sc.Pc)
+		out.CTs[ch] = tryRescale(b, b.MulPlain(t, mask.at(t)), sc.Pc)
 	})
 	out.validate(b.Slots())
 	return &out

@@ -13,11 +13,20 @@ import (
 // backends, which are not goroutine-safe).
 type ExecOptions struct {
 	// Workers is the number of goroutines the kernels fan independent
-	// ciphertext operations across. Values <= 1 execute serially. Parallel
+	// ciphertext operations across, and — on backends whose instructions
+	// have per-limb stages (RNS-CKKS) — the number one instruction fans
+	// those stages across. Values <= 1 execute serially. Parallel
 	// execution is bit-identical to serial execution on every executable
 	// backend: per-output work is computed concurrently but accumulated in
-	// the serial program order.
+	// the serial program order, and limbs are independent.
 	Workers int
+
+	// Constants, when non-nil, is the store the kernels take their encoded
+	// weights, masks and biases from on a backend with leveled plaintexts,
+	// so each is encoded once per program rather than once per execution.
+	// nil encodes every constant per call, as the compiler's analysis and
+	// recording runs do.
+	Constants *Constants
 
 	// OnNode, when non-nil, observes each circuit node's output tensor as
 	// it is computed, on the executing goroutine in circuit order. The

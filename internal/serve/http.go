@@ -60,6 +60,8 @@ func writePromMetrics(w io.Writer, m ServerMetrics, sessions []*session, default
 	p.Counter("chet_health_probes_total", "Health probes answered.", m.HealthProbes)
 	p.Counter("chet_registry_syncs_total", "Registry-sync frames merged.", m.RegistrySyncs)
 	p.Gauge("chet_registry_models", "Models in the replicated registry view.", m.RegistryModels)
+	p.Gauge("chet_constant_plaintexts", "Encoded kernel constants in the shared store.", m.ConstantPlaintexts)
+	p.Gauge("chet_constant_bytes", "Bytes held by the shared store of encoded kernel constants.", m.ConstantBytes)
 
 	summary := func(name, help string, l LatencySummary) {
 		p.Summary(name, help, l.P50, l.P90, l.P99, l.Sum, l.Count)

@@ -18,7 +18,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from th
 // counters. The session is untraced, since span durations are not
 // reproducible. The golden page was rendered by the hand-written exposition
 // code this package had before telemetry.Prom, plus the op="bootstrap" row
-// that code left out of chet_hisa_ops_total.
+// that code left out of chet_hisa_ops_total and the constant-store gauges.
 func TestWorkerScrapeGolden(t *testing.T) {
 	ref := hisa.NewRefBackend(8)
 	meter := hisa.NewMeter(ref, nil)
@@ -51,7 +51,8 @@ func TestWorkerScrapeGolden(t *testing.T) {
 		Inflight: 2, Handoffs: 5, HealthProbes: 60, RegistrySyncs: 7, RegistryModels: 1,
 		Bootstraps: 1, MinHeadroom: 63, HeadroomKnown: true,
 		Latency: lat(37, 250), QueueWait: lat(37, 40), Evaluation: lat(9, 200),
-		BatchSizes: map[int]uint64{1: 2, 8: 4, 4: 3},
+		BatchSizes:         map[int]uint64{1: 2, 8: 4, 4: 3},
+		ConstantPlaintexts: 61, ConstantBytes: 551 << 18,
 	}
 	sess := &session{id: 7, backend: rf, meter: meter, refresher: rf, latency: newLatencyRecorder()}
 	var got bytes.Buffer

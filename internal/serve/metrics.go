@@ -148,5 +148,11 @@ type ServerMetrics struct {
 	// BatchSizes[4] == 7 means seven evaluations each packed four requests.
 	BatchSizes map[int]uint64
 
+	// ConstantPlaintexts and ConstantBytes size the server's store of
+	// encoded weights, masks and biases (htc.Constants), which every session
+	// shares.
+	ConstantPlaintexts int
+	ConstantBytes      int64
+
 	Sessions []SessionMetrics
 }

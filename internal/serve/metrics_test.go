@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"chet/internal/htc"
 )
 
 // TestLatencySummaryInterpolatedQuantiles pins the recorder's quantiles on
@@ -105,6 +107,7 @@ func TestLatencyQuantilesAfterWraparound(t *testing.T) {
 func newMetricsTestServer() *Server {
 	return &Server{
 		reg:         newRegistry(4),
+		constants:   htc.NewConstants(),
 		latency:     newLatencyRecorder(),
 		queueWait:   newLatencyRecorder(),
 		evalLatency: newLatencyRecorder(),

@@ -52,7 +52,8 @@ type Config struct {
 	// evaluation); a request may tighten it via TimeoutMillis. Default 60s.
 	RequestTimeout time.Duration
 	// Workers is the htc worker-pool size each inference fans kernel work
-	// across (PR 1's executor). Values <= 1 evaluate serially. Default 1.
+	// across, and the number of goroutines one RNS instruction fans its
+	// limbs across. Values <= 1 evaluate serially. Default 1.
 	Workers int
 	// Parallel is the number of inferences evaluated concurrently (the
 	// executor pool draining the admission queue). Default 1.
@@ -200,6 +201,11 @@ type Server struct {
 	// network tensors are checked against it field by field.
 	wantMeta htc.CipherTensor
 
+	// constants holds the program's encoded weights, masks and biases for
+	// every session and batch lane: plaintexts depend only on the
+	// parameters, not on a client's keys.
+	constants *htc.Constants
+
 	reg  *registry
 	jobs chan *batchJob
 	quit chan struct{} // closed by Shutdown after the drain completes
@@ -273,6 +279,7 @@ func New(cfg Config) (*Server, error) {
 		fingerprint: cfg.Compiled.Fingerprint(),
 		wantMeta:    htc.NewLayout(cfg.Compiled.Plan(), in[0], in[1], in[2], params.Slots()),
 		reg:         newRegistry(cfg.MaxSessions),
+		constants:   htc.NewConstants(),
 		jobs:        make(chan *batchJob, cfg.QueueDepth),
 		quit:        make(chan struct{}),
 		conns:       map[net.Conn]struct{}{},
@@ -433,6 +440,7 @@ func (s *Server) Metrics() ServerMetrics {
 		Evaluation:        s.evalLatency.summary(),
 		BatchSizes:        map[int]uint64{},
 	}
+	m.ConstantPlaintexts, m.ConstantBytes = s.constants.Plaintexts(), s.constants.Bytes()
 	m.Bootstraps, m.MinHeadroom, m.HeadroomKnown = s.budgetTelemetry()
 	s.batchMu.Lock()
 	for k, v := range s.batchSizes {
@@ -989,11 +997,14 @@ func (s *Server) checkTensor(ct *htc.CipherTensor) error {
 		// Inputs are fresh encryptions: full level and the compiled input
 		// scale. Both are cleartext metadata a poisoned request could lie
 		// about; admitting either lie would feed the circuit (or a packed
-		// batch-mate) silent garbage rather than a detectable failure.
+		// batch-mate) silent garbage rather than a detectable failure. The
+		// scale must match exactly: encoding sets it bit for bit and the wire
+		// carries the float64, and every distinct input scale would add bias
+		// plaintexts to the server's shared constant store.
 		if cc.Lvl != maxLvl {
 			return fmt.Errorf("ciphertext %d at level %d, fresh inputs are at level %d", i, cc.Lvl, maxLvl)
 		}
-		if diff := cc.Scale - wantScale; diff > 1e-6*wantScale || diff < -1e-6*wantScale {
+		if cc.Scale != wantScale {
 			return fmt.Errorf("ciphertext %d at scale %g, compiled input scale is %g", i, cc.Scale, wantScale)
 		}
 		for _, p := range []*htcPoly{{cc.C0, "c0"}, {cc.C1, "c1"}} {
@@ -1244,7 +1255,7 @@ func (s *Server) evaluate(sess *session, in *htc.CipherTensor, label string, tra
 	}
 	comp := s.cfg.Compiled
 	out = htc.ExecuteOpts(sess.backend, comp.Circuit, in, comp.Best.Policy,
-		comp.Options.Scales, htc.ExecOptions{Workers: s.cfg.Workers})
+		comp.Options.Scales, htc.ExecOptions{Workers: s.cfg.Workers, Constants: s.constants})
 	return out, nil
 }
 

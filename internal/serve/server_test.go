@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -656,5 +657,42 @@ func TestFrameLimitSizedFromModel(t *testing.T) {
 	wantErrorFrame(t, tp, resp, wire.CodeBadMessage)
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > claimed/8 {
 		t.Fatalf("server allocated %d bytes answering a %d-byte length prefix", grew, claimed)
+	}
+}
+
+// TestInputScaleAdmittedExactly: every admitted input scale adds bias
+// plaintexts to the server's shared constant store, so admission demands
+// the compiled input scale bit for bit — honest clients encode at exactly
+// that scale — and the store stops growing after a session's first request.
+func TestInputScaleAdmittedExactly(t *testing.T) {
+	comp := testCompiled(t)
+	s, err := New(Config{Compiled: comp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := startServer(t, s)
+	c := dialClient(t, addr, comp, 261)
+
+	off := c.Encrypt(randTensor([]int{1, 5, 5}, 1, 20))
+	off.CTs[0].(*ckks.Ciphertext).Scale = comp.Options.Scales.Pc * (1 + 1e-9)
+	_, err = c.Infer(off)
+	if code := errCode(t, err); code != wire.CodeBadMessage || !strings.Contains(err.Error(), "compiled input scale") {
+		t.Fatalf("a tensor at Pc·(1+1e-9) got %v, want %v naming the compiled input scale", err, wire.CodeBadMessage)
+	}
+
+	var after1 int
+	for req := 0; req < 20; req++ {
+		if _, err := c.Infer(c.Encrypt(randTensor([]int{1, 5, 5}, 1, int64(21+req)))); err != nil {
+			t.Fatalf("request %d: %v", req, err)
+		}
+		if req == 0 {
+			after1 = s.Metrics().ConstantPlaintexts
+		}
+	}
+	if after1 == 0 {
+		t.Fatal("the first request stored no constants")
+	}
+	if n := s.Metrics().ConstantPlaintexts; n != after1 {
+		t.Fatalf("store holds %d plaintexts after 20 requests, %d after the first", n, after1)
 	}
 }

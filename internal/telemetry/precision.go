@@ -52,7 +52,7 @@ func PrecisionProfile(b hisa.Backend, c *circuit.Circuit, img *tensor.Tensor,
 	})
 
 	var levelOf func(hisa.Ciphertext) int
-	if lb, ok := hisa.FindCapability[levelBackend](b); ok {
+	if lb, ok := hisa.AsLeveledEncode(b); ok {
 		levelOf = lb.LevelOf
 	}
 

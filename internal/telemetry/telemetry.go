@@ -86,12 +86,6 @@ type Config struct {
 	Capacity int
 }
 
-// levelBackend is the optional capability (RNSBackend) for reading a
-// ciphertext's remaining level.
-type levelBackend interface {
-	LevelOf(c hisa.Ciphertext) int
-}
-
 // scopeFrame is one open scope: its label plus the trace context every op
 // and nested scope recorded under it inherits.
 type scopeFrame struct {
@@ -121,12 +115,13 @@ type Tracer struct {
 	totals  map[string]*OpTotal
 }
 
-// NewTracer wraps inner. The level probe is resolved once, through any
-// Unwrap chain, so Tracer(Meter(RNS)) still records levels. When the chain
-// exposes bootstrap stage hooks (RNSBackend with bootstrapping enabled or
-// enabled later), the tracer installs one so each refresh records its
-// pipeline stages ("boot:modraise", "boot:coeff-to-slot", ...) as child
-// spans under whatever scope the refresh ran in.
+// NewTracer wraps inner. The level probe is resolved once, through the
+// wrapper chain (every Interposer forwards it), so Tracer(Meter(RNS)) still
+// records levels. When the chain exposes bootstrap stage hooks (RNSBackend
+// with bootstrapping enabled or enabled later), the tracer installs one so
+// each refresh records its pipeline stages ("boot:modraise",
+// "boot:coeff-to-slot", ...) as child spans under whatever scope the refresh
+// ran in.
 func NewTracer(inner hisa.Backend, cfg Config) *Tracer {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = 1 << 16
@@ -137,7 +132,7 @@ func NewTracer(inner hisa.Backend, cfg Config) *Tracer {
 		totals: make(map[string]*OpTotal),
 	}
 	t.Interposer = hisa.NewInterposer(inner, "trace", nil, t.record)
-	if lb, ok := hisa.FindCapability[levelBackend](inner); ok {
+	if lb, ok := hisa.AsLeveledEncode(inner); ok {
 		t.levelOf = lb.LevelOf
 	}
 	if sb, ok := hisa.FindCapability[stageBackend](inner); ok {
