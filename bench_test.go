@@ -271,7 +271,7 @@ func BenchmarkHISABackends(b *testing.B) {
 		LogN: 12, LogQ: []int{50, 40, 40, 40}, LogP: 50, LogScale: 40,
 	}); err == nil {
 		backends = append(backends, hisa.NewRNSBackend(hisa.RNSConfig{
-			Params: params, PRNG: ring.NewTestPRNG(37), Rotations: []int{1},
+			Params: params, PRNG: ring.NewTestPRNG(37), Keys: hisa.FullChainKeys(params, 1),
 		}))
 	}
 	vals := make([]float64, 2048)

@@ -213,3 +213,55 @@ func TestSessionEncodesConstantsOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestPlannedKeysMatchFullKeys: keys cut at the compiler's planned levels
+// compute exactly what full-chain keys compute. A LeNet-tiny session at
+// 128-bit parameters with the planned keys and one from the same seed whose
+// plan has every level raised to the top draw the same key seeds and the
+// same encryption noise, so their outputs must agree bit for bit.
+func TestPlannedKeysMatchFullKeys(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real lattice execution at N = 2^15 is slow; run without -short")
+	}
+	model, err := Model("LeNet-tiny")
+	if err != nil {
+		t.Fatal(err)
+	}
+	planned, err := Compile(model.Circuit, Options{Scheme: SchemeRNS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := len(planned.Best.RNSChainBits) - 1
+	raised := *planned.Keys
+	raised.Rotations = map[int]int{}
+	below := 0
+	for k, level := range planned.Keys.Rotations {
+		raised.Rotations[k] = top
+		if level < top {
+			below++
+		}
+	}
+	raised.Relin = top
+	if below == 0 || planned.Keys.Relin == top {
+		t.Fatalf("nothing to compare: %d of %d rotation keys and the relinearization key (level %d) below the top level %d",
+			below, len(planned.Keys.Rotations), planned.Keys.Relin, top)
+	}
+	full := *planned
+	full.Keys = &raised
+
+	img := SyntheticImage(model.InputShape, 3)
+	var outs [2]*Tensor
+	for i, comp := range []*Compiled{planned, &full} {
+		session, err := NewSession(comp, ring.NewTestPRNG(25))
+		if err != nil {
+			t.Fatal(err)
+		}
+		session.Workers = 2
+		outs[i] = session.Run(img)
+	}
+	for i := range outs[0].Data {
+		if math.Float64bits(outs[0].Data[i]) != math.Float64bits(outs[1].Data[i]) {
+			t.Fatalf("output %d: planned keys give %v, full-chain keys %v", i, outs[0].Data[i], outs[1].Data[i])
+		}
+	}
+}

@@ -14,10 +14,11 @@ go build ./...
 echo "== go test ./..."
 go test ./...
 
-echo "== kernel promises (Dense issues the rotations its closed form says, fewer than one fold per neuron; every runtime rotation has a compiled key; the compiler's node table equals the runtime's op counts; impossible scales are rejected; refresh counts pinned; constants are encoded once, at their use level, bit-identically, also under bootstrapping; input scales are admitted exactly)"
+echo "== kernel promises (Dense issues the rotations its closed form says, fewer than one fold per neuron; every runtime rotation has a compiled key, at or below the key's planned level; keys cut at a level compute what full keys compute and do not depend on the core count; the conjugation key only when used; the compiler's node table equals the runtime's op counts; impossible scales are rejected; refresh counts pinned; constants are encoded once, at their use level, bit-identically, also under bootstrapping; input scales are admitted exactly)"
 go test -count=1 -run 'TestDenseRotationBudget|TestFoldStridedExact|TestConstantStore|TestParallelExecuteDeterministic' ./internal/htc
-go test -count=1 -run 'TestRuntimeRotationsWithinCompiledKeys|TestNodeTableMatchesRuntime|TestCompileRejectsBadScales|TestBootstrapPlacement|TestBootstrapEndToEnd' ./internal/core
-go test -count=1 -run 'TestSessionEncodesConstantsOnce' .
+go test -count=1 -run 'TestRuntimeRotationsWithinCompiledKeys|TestConjugationKeyOnlyWhenUsed|TestNodeTableMatchesRuntime|TestCompileRejectsBadScales|TestBootstrapPlacement|TestBootstrapEndToEnd' ./internal/core
+go test -count=1 -run 'TestLeveledKeyParity|TestKeyGenDeterministicAcrossProcs|TestOverLevelKeySwitchIsDescriptive' ./internal/ckks
+go test -count=1 -run 'TestSessionEncodesConstantsOnce|TestPlannedKeysMatchFullKeys' .
 go test -count=1 -run 'TestInputScaleAdmittedExactly' ./internal/serve
 
 echo "== benchmark module (its adapter is the one file outside the tree that imports chet/internal/...)"
@@ -50,7 +51,7 @@ go test -fuzz=FuzzWireFrame -fuzztime=5s ./internal/wire
 echo "== fuzz smoke (fleet control-frame decoders are total over adversarial bytes)"
 go test -fuzz=FuzzControlFrame -fuzztime=5s ./internal/wire
 
-echo "== fuzz smoke (decoded switching keys that pass admission never panic the key switch, α in {1,2,3})"
+echo "== fuzz smoke (decoded switching keys that pass admission never panic the key switch at their levels and fail descriptively above them, α in {1,2,3}; truncated, over-long and wrong-level frames seeded)"
 go test -fuzz=FuzzUnmarshalRotationKeySet -fuzztime=5s ./internal/ckks
 
 echo "== ring alloc gate (pooled arena kernels stay at 0 allocs/op)"

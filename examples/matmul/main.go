@@ -40,7 +40,7 @@ func main() {
 		PRNG:   ring.NewCryptoPRNG(),
 		// Exactly the rotations this circuit needs — what CHET's
 		// rotation-keys selection pass would provision.
-		Rotations: []int{2, slots - 1, slots - 4},
+		Keys: hisa.FullChainKeys(params, 2, slots-1, slots-4),
 	})
 
 	a := [2][2]float64{{1.5, -2.0}, {0.25, 3.0}}

@@ -479,9 +479,9 @@ func measureOps(logN, primes int) (Table1Row, error) {
 		return Table1Row{}, err
 	}
 	b := hisa.NewRNSBackend(hisa.RNSConfig{
-		Params:    params,
-		PRNG:      ring.NewTestPRNG(29),
-		Rotations: []int{3},
+		Params: params,
+		PRNG:   ring.NewTestPRNG(29),
+		Keys:   hisa.FullChainKeys(params, 3),
 	})
 	slots := b.Slots()
 	vals := make([]float64, slots)

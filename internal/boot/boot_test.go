@@ -53,7 +53,7 @@ func newBootCtxAlpha(t testing.TB, logN, logSlots, window, alpha int) *bootCtx {
 	kgen := ckks.NewKeyGenerator(params, prng)
 	sk := kgen.GenSecretKey()
 	pk := kgen.GenPublicKey(sk)
-	rlk := kgen.GenRelinearizationKey(sk)
+	rlk := kgen.GenRelinearizationKey(sk, params.MaxLevel())
 	rtks := kgen.GenRotationKeys(sk, spec.RotationAmounts(), true)
 	ev := ckks.NewEvaluator(params, rlk, rtks)
 	enc := ckks.NewEncoder(params)

@@ -35,7 +35,7 @@ func newTestContext(t testing.TB) *testContext {
 	kgen := NewKeyGenerator(params, prng)
 	sk := kgen.GenSecretKey()
 	pk := kgen.GenPublicKey(sk)
-	rlk := kgen.GenRelinearizationKey(sk)
+	rlk := kgen.GenRelinearizationKey(sk, params.MaxLevel())
 	return &testContext{
 		params: params,
 		enc:    NewEncoder(params),

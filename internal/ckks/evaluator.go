@@ -537,11 +537,9 @@ func (ev *Evaluator) Relinearize(ct *Ciphertext) *Ciphertext {
 	if ct.C2 == nil {
 		return ct
 	}
-	if ev.rlk == nil {
-		panic("ckks: evaluator has no relinearization key")
-	}
+	swk := ev.relinKey(ct.Lvl)
 	dec := ev.hoistedDecompose(ct.C2, ct.Lvl)
-	d0, d1 := ev.keySwitchFromDecomp(dec, nil, ev.rlk.Key, ct.C0, ct.C1)
+	d0, d1 := ev.keySwitchFromDecomp(dec, nil, swk, ct.C0, ct.C1)
 	dec.Release()
 	return &Ciphertext{C0: d0, C1: d1, Scale: ct.Scale, Lvl: ct.Lvl}
 }

@@ -57,9 +57,7 @@ func (ev *Evaluator) RelinearizeRescale(ct *Ciphertext) *Ciphertext {
 		ev.Rescale(out)
 		return out
 	}
-	if ev.rlk == nil {
-		panic("ckks: evaluator has no relinearization key")
-	}
+	swk := ev.relinKey(level - 1)
 
 	params := ev.params
 	r := params.Ring()
@@ -99,7 +97,7 @@ func (ev *Evaluator) RelinearizeRescale(ct *Ciphertext) *Ciphertext {
 
 	// Inner product against the relinearization key, stopping before the
 	// division by P — the special-prime rows feed the merged output pass.
-	acc0, acc1 := ev.ksInnerProduct(dec, nil, ev.rlk.Key)
+	acc0, acc1 := ev.ksInnerProduct(dec, nil, swk)
 	dec.Release()
 
 	// Merged rescale + mod-P output pass (step 3).

@@ -1,6 +1,9 @@
 package ckks
 
 import (
+	"encoding/binary"
+	"fmt"
+	"strings"
 	"testing"
 
 	"chet/internal/ring"
@@ -63,9 +66,13 @@ func FuzzUnmarshalCiphertext(f *testing.F) {
 // FuzzUnmarshalRotationKeySet proves RotationKeySet.UnmarshalBinary is
 // total over adversarial bytes, and that the admission check stands between
 // decoded keys and the key-switch inner product: whatever decodes and then
-// passes ValidateSwitchingKey for a parameter set (per-prime α = 1, grouped
-// α = 2 with a partial top digit, one digit α = L+1) must rotate a
-// ciphertext at every level without panicking.
+// passes ValidateSwitchingKey at its own level for a parameter set
+// (per-prime α = 1, grouped α = 2 with a partial top digit, one digit
+// α = L+1) must rotate a ciphertext at every level it serves without
+// panicking, and refuse every level above with the descriptive error. The
+// seeds are full-chain and cut key sets and, for each, a truncated, an
+// over-long and two wrong-level frames (one key's level field one too high
+// and one too low).
 func FuzzUnmarshalRotationKeySet(f *testing.F) {
 	type target struct {
 		params *Parameters
@@ -74,13 +81,28 @@ func FuzzUnmarshalRotationKeySet(f *testing.F) {
 	var targets []target
 	for _, alpha := range []int{1, 2, 3} {
 		params, kgen, sk := fuzzKeysAlpha(f, []int{30, 25, 25}, alpha)
-		rtks := kgen.GenRotationKeys(sk, []int{1, 3}, true)
-		seed, err := rtks.MarshalBinary()
-		if err != nil {
-			f.Fatal(err)
+		r := params.Ring()
+		full := kgen.GenRotationKeys(sk, []int{1, 3}, true)
+		cut := kgen.GenGaloisKeys(sk, map[uint64]int{
+			r.GaloisElementForRotation(1): 0, r.GaloisElementForRotation(3): 1, r.GaloisElementConjugate(): 2,
+		})
+		for _, rtks := range []*RotationKeySet{full, cut} {
+			seed, err := rtks.MarshalBinary()
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(seed)
+			f.Add(seed[:len(seed)-7])
+			f.Add(append(append([]byte(nil), seed...), 0, 0, 0, 0))
+			// The first key's level field follows the magic, the key count,
+			// its Galois element and its digit count.
+			const levelAt = 4 + 4 + 8 + 4
+			for _, delta := range []int{1, -1} {
+				wrong := append([]byte(nil), seed...)
+				binary.LittleEndian.PutUint32(wrong[levelAt:], uint32(int(binary.LittleEndian.Uint32(wrong[levelAt:]))+delta))
+				f.Add(wrong)
+			}
 		}
-		f.Add(seed)
-		f.Add(seed[:len(seed)-7])
 		enc := NewEncryptor(params, kgen.GenPublicKey(sk), ring.NewTestPRNG(13))
 		pt := NewEncoder(params).Encode([]float64{1, -2, 3.5}, params.DefaultScale(), params.MaxLevel())
 		targets = append(targets, target{params, enc.Encrypt(pt)})
@@ -112,7 +134,7 @@ func FuzzUnmarshalRotationKeySet(f *testing.F) {
 			twoN := uint64(2 * tg.params.N())
 			admitted := true
 			for g, k := range r.Keys {
-				if g%2 == 0 || g >= twoN || tg.params.ValidateSwitchingKey(k) != nil {
+				if g%2 == 0 || g >= twoN || tg.params.ValidateSwitchingKey(k, k.Level) != nil {
 					admitted = false
 				}
 			}
@@ -120,13 +142,30 @@ func FuzzUnmarshalRotationKeySet(f *testing.F) {
 				continue
 			}
 			ev := NewEvaluator(tg.params, nil, &r)
-			for g := range r.Keys {
+			for g, k := range r.Keys {
 				for level := tg.params.MaxLevel(); level >= 0; level-- {
-					ev.ApplyGalois(ev.leaseAt(tg.ct, level), g)
+					if level <= k.Level {
+						ev.ApplyGalois(ev.leaseAt(tg.ct, level), g)
+						continue
+					}
+					mustPanicWith(t, "serves levels up to", func() { ev.ApplyGalois(ev.leaseAt(tg.ct, level), g) })
 				}
 			}
 		}
 	})
+}
+
+// mustPanicWith fails the test unless fn panics with a message containing
+// want.
+func mustPanicWith(t *testing.T, want string, fn func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), want) {
+			t.Fatalf("panic %v, want one naming %q", r, want)
+		}
+	}()
+	fn()
 }
 
 // FuzzUnmarshalPublicKey covers the remaining session-open object.

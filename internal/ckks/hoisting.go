@@ -199,12 +199,12 @@ func (ev *Evaluator) RotateLeftHoisted(ct *Ciphertext, dec *HoistedDecomposition
 // automorphism's NTT permutation during the key inner product, the result
 // is divided by P, and the automorphism of c0 is added in.
 func (ev *Evaluator) applyGaloisHoisted(ct *Ciphertext, dec *HoistedDecomposition, galEl uint64) *Ciphertext {
-	swk, err := ev.rtks.RotationKeyFor(galEl)
+	r := ev.params.Ring()
+	level := ct.Lvl
+	swk, err := ev.rtks.RotationKeyFor(galEl, level)
 	if err != nil {
 		panic(err)
 	}
-	r := ev.params.Ring()
-	level := ct.Lvl
 	if dec.level != level {
 		panic(fmt.Sprintf("ckks: hoisted decomposition at level %d applied to ciphertext at level %d", dec.level, level))
 	}

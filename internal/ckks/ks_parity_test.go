@@ -35,6 +35,12 @@ func ctDigest(cts ...*Ciphertext) string {
 // fixed PRNG, every key-switching operation must reproduce the digests
 // recorded from that implementation (commit df51211). The per-prime code is
 // gone; these digests are what keeps it the oracle.
+//
+// They were re-pinned once, when switching keys moved to per-key seeded
+// ChaCha8 streams: the keys (and the PRNG state encryption starts from)
+// changed, the key-switch arithmetic in hoisting.go, fused.go and the
+// evaluator did not — the same diff touched only their key lookups. Re-pin
+// them again only in a diff that leaves that arithmetic alone.
 func TestAlphaOneMatchesPerPrimeKeySwitch(t *testing.T) {
 	tc := newTestContext(t)
 	rtks := tc.kgen.GenRotationKeys(tc.sk, []int{1, 5, 64}, true)
@@ -54,11 +60,11 @@ func TestAlphaOneMatchesPerPrimeKeySwitch(t *testing.T) {
 		"rotate-hoisted":      ctDigest(append(ev.RotateHoisted(cta, []int{1, 5, 64}), ev.RotateHoisted(low, []int{64, 1})...)...),
 	}
 	want := map[string]string{
-		"rotate":              "0de12c16236de3bd95c97bc9bf3ee05d8a6f694a2f0035b3199e4c29cc2d466d",
-		"conjugate":           "f490031db7b854b4ab771595adf0b1506220dc989a2cc77fe9f52811ade753c7",
-		"relinearize":         "1eeb012b71d4237c657c3e60c79923fb2c6432de2771ba7679184bbf19062102",
-		"relinearize-rescale": "9080cc09d40a7992a31c34fc58ee236d84092da0d105094731273cbf0ae79ef3",
-		"rotate-hoisted":      "d4e1e239465d0551f2eaa8885df4c4aeb92b468c0efff6d6f8023eed5cfecb05",
+		"rotate":              "4c0d9c5c3612ea7b72d544857361c3ed5cb5a256ab921e075566d2a0dbe4b16c",
+		"conjugate":           "29e5a3fe9163188e9f24c92bc91a60cf33b491b846e23a966b214fd58a60f912",
+		"relinearize":         "2f50de1676c6fd48338e9cab109f73f6250cb5b3d741d832111e04884b1a4a0c",
+		"relinearize-rescale": "781798b67000944faf147d90e557200264df358bb616c0ea8d60b28a9b4c7fa8",
+		"rotate-hoisted":      "0358940d4ae6ac7f425b35e07216c4ca17bb378ea283458467b626df35389d0c",
 	}
 	for op, digest := range got {
 		if want[op] != digest {
@@ -92,7 +98,7 @@ func alphaContext(t testing.TB, alpha int) (*testContext, *Evaluator) {
 		kgen:   kgen,
 		sk:     sk,
 		pk:     pk,
-		rlk:    kgen.GenRelinearizationKey(sk),
+		rlk:    kgen.GenRelinearizationKey(sk, params.MaxLevel()),
 		encr:   NewEncryptor(params, pk, prng),
 		decr:   NewDecryptor(params, sk),
 	}

@@ -33,6 +33,8 @@ func (w *writer) f64(v float64) {
 	w.u64(math.Float64bits(v))
 }
 
+// poly writes the row count, then every row as its length and its
+// coefficients; an absent (nil) row of a switching key is written as length 0.
 func (w *writer) poly(p *ring.Poly) {
 	w.u32(uint32(len(p.Coeffs)))
 	for _, row := range p.Coeffs {
@@ -86,7 +88,11 @@ func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
 
 const maxPolyRows = 64
 
-func (r *reader) poly() *ring.Poly {
+func (r *reader) poly() *ring.Poly { return r.polyRows(false) }
+
+// polyRows decodes a polynomial; with holes, a row of length 0 decodes to an
+// absent (nil) row, as switching keys cut below the full chain have.
+func (r *reader) polyRows(holes bool) *ring.Poly {
 	rows := int(r.u32())
 	if r.err != nil {
 		return nil
@@ -100,6 +106,9 @@ func (r *reader) poly() *ring.Poly {
 		n := int(r.u32())
 		if r.err != nil {
 			return nil
+		}
+		if n == 0 && holes {
+			continue
 		}
 		if n <= 0 || n > 1<<17 {
 			r.fail(fmt.Sprintf("implausible row length %d", n))
@@ -140,17 +149,28 @@ func (p *Parameters) CiphertextSize() int {
 	return 4 + 4 + 8 + 2*polySize(len(p.qChain), p.N())
 }
 
+// switchingKeySize is the encoded size of a switching key serving levels
+// 0..level (see writer.switchingKey): Digits(level) (B, A) pairs over every
+// ring row, of which the ksRows(level) rows carry N coefficients.
+func (p *Parameters) switchingKeySize(level int) int {
+	rows := len(p.ring.Moduli)
+	poly := 4 + 4*rows + 8*p.N()*len(p.ksRows(level))
+	return 4 + 4 + p.Digits(level)*2*poly
+}
+
 // EvaluationKeySizes returns the MarshalBinary sizes of the three key
-// objects a client uploads: the public key, the relinearization key, and a
-// rotation key set holding rotationKeys switching keys. They are exact — the
+// objects a client uploads: the public key, a relinearization key serving
+// levels 0..relinLevel, and a rotation key set holding one switching key per
+// Galois element of galoisLevels, each cut at its level. They are exact — the
 // formats carry no variable-length fields — so a server can bound a
-// session-open frame from its parameters alone.
-func (p *Parameters) EvaluationKeySizes(rotationKeys int) (pk, rlk, rtks int) {
-	n := p.N()
-	swk := 4 + p.Digits(p.MaxLevel())*2*polySize(len(p.ring.Moduli), n)
-	pk = 4 + 2*polySize(len(p.qChain), n)
-	rlk = 4 + swk
-	rtks = 4 + 4 + rotationKeys*(8+swk)
+// session-open frame from its parameters and key plan alone.
+func (p *Parameters) EvaluationKeySizes(relinLevel int, galoisLevels map[uint64]int) (pk, rlk, rtks int) {
+	pk = 4 + 2*polySize(len(p.qChain), p.N())
+	rlk = 4 + p.switchingKeySize(relinLevel)
+	rtks = 4 + 4
+	for _, level := range galoisLevels {
+		rtks += 8 + p.switchingKeySize(level)
+	}
 	return pk, rlk, rtks
 }
 
@@ -253,18 +273,21 @@ func (pk *PublicKey) UnmarshalBinary(data []byte) error {
 
 func (w *writer) switchingKey(swk *SwitchingKey) {
 	w.u32(uint32(len(swk.B)))
+	w.u32(uint32(swk.Level))
 	for i := range swk.B {
 		w.poly(swk.B[i])
 		w.poly(swk.A[i])
 	}
 }
 
-// switchingKey decodes a key and insists on the one geometry every valid
-// key has: each digit's B and A span the same rows × coefficients, and there
-// are fewer digits than rows (β ≤ L+1 < L+1+α). Which rows and how many
-// digits a parameter set wants is Parameters.ValidateSwitchingKey's job.
+// switchingKey decodes a key and insists on the geometry every valid key
+// has: each digit's B and A have the same rows present, of the same length,
+// the level is below the row count, and there are at most level+1 digits.
+// Which rows, how many digits and which level a parameter set and key plan
+// want is Parameters.ValidateSwitchingKey's job.
 func (r *reader) switchingKey() *SwitchingKey {
 	digits := int(r.u32())
+	level := int(r.u32())
 	if r.err != nil {
 		return nil
 	}
@@ -272,63 +295,88 @@ func (r *reader) switchingKey() *SwitchingKey {
 		r.fail(fmt.Sprintf("implausible digit count %d", digits))
 		return nil
 	}
-	swk := &SwitchingKey{B: make([]*ring.Poly, digits), A: make([]*ring.Poly, digits)}
+	swk := &SwitchingKey{B: make([]*ring.Poly, digits), A: make([]*ring.Poly, digits), Level: level}
 	for i := 0; i < digits; i++ {
-		swk.B[i] = r.poly()
-		swk.A[i] = r.poly()
+		swk.B[i] = r.polyRows(true)
+		swk.A[i] = r.polyRows(true)
 		if r.err != nil {
 			return nil
 		}
 		for _, p := range []*ring.Poly{swk.B[i], swk.A[i]} {
-			if err := polyShape(p, len(swk.B[0].Coeffs), len(swk.B[0].Coeffs[0])); err != nil {
+			if err := sameRows(p, swk.B[0]); err != nil {
 				r.fail(fmt.Sprintf("digit %d: %v", i, err))
 				return nil
 			}
 		}
 	}
-	if digits >= len(swk.B[0].Coeffs) {
-		r.fail(fmt.Sprintf("%d digits over %d rows", digits, len(swk.B[0].Coeffs)))
+	if rows := len(swk.B[0].Coeffs); level < 0 || level >= rows || digits > level+1 {
+		r.fail(fmt.Sprintf("%d digits at level %d over %d rows", digits, level, rows))
 		return nil
 	}
 	return swk
 }
 
-// polyShape checks that p has exactly `rows` rows of n coefficients.
-func polyShape(p *ring.Poly, rows, n int) error {
-	if p == nil {
-		return fmt.Errorf("nil polynomial")
-	}
-	if len(p.Coeffs) != rows {
-		return fmt.Errorf("%d RNS rows, want %d", len(p.Coeffs), rows)
+// sameRows checks that p has the rows of ref: as many, present in the same
+// places, of the same lengths.
+func sameRows(p, ref *ring.Poly) error {
+	if len(p.Coeffs) != len(ref.Coeffs) {
+		return fmt.Errorf("%d RNS rows, want %d", len(p.Coeffs), len(ref.Coeffs))
 	}
 	for i, row := range p.Coeffs {
-		if len(row) != n {
-			return fmt.Errorf("row %d has %d coefficients, want %d", i, len(row), n)
+		if len(row) != len(ref.Coeffs[i]) {
+			return fmt.Errorf("row %d has %d coefficients, want %d", i, len(row), len(ref.Coeffs[i]))
 		}
 	}
 	return nil
 }
 
 // ValidateSwitchingKey checks a (deserialized) switching key against the
-// exact shape this parameter set's key switch indexes: Digits(MaxLevel())
-// digits, each a (B, A) pair over all L+1+α ring rows of N coefficients. An
-// evaluator must only ever be handed keys that pass — the inner product
-// indexes digits and rows without re-checking.
-func (p *Parameters) ValidateSwitchingKey(swk *SwitchingKey) error {
+// exact shape a key serving levels 0..level has under this parameter set:
+// that level, Digits(level) digits, each a (B, A) pair of N coefficients in
+// exactly the ksRows(level) ring rows and no others. An evaluator must only
+// ever be handed keys that pass — the inner product indexes digits and rows
+// without re-checking, and the evaluator trusts the level.
+func (p *Parameters) ValidateSwitchingKey(swk *SwitchingKey, level int) error {
 	if swk == nil {
 		return fmt.Errorf("ckks: nil switching key")
 	}
-	want := p.Digits(p.MaxLevel())
-	if len(swk.B) != want || len(swk.A) != want {
-		return fmt.Errorf("ckks: switching key has %d B and %d A digits, parameters (α=%d over %d chain primes) imply %d",
-			len(swk.B), len(swk.A), p.Alpha(), len(p.qChain), want)
+	if level < 0 || level > p.MaxLevel() {
+		return fmt.Errorf("ckks: switching key level %d outside the chain [0, %d]", level, p.MaxLevel())
 	}
-	rows := len(p.ring.Moduli)
+	if swk.Level != level {
+		return fmt.Errorf("ckks: switching key serves levels up to %d, the key plan says %d", swk.Level, level)
+	}
+	want := p.Digits(level)
+	if len(swk.B) != want || len(swk.A) != want {
+		return fmt.Errorf("ckks: switching key has %d B and %d A digits, parameters (α=%d) at level %d imply %d",
+			len(swk.B), len(swk.A), p.Alpha(), level, want)
+	}
+	live := make([]bool, len(p.ring.Moduli))
+	for _, j := range p.ksRows(level) {
+		live[j] = true
+	}
+	shape := func(poly *ring.Poly) error {
+		if poly == nil {
+			return fmt.Errorf("nil polynomial")
+		}
+		if len(poly.Coeffs) != len(live) {
+			return fmt.Errorf("%d RNS rows, want %d", len(poly.Coeffs), len(live))
+		}
+		for j, row := range poly.Coeffs {
+			switch {
+			case live[j] && len(row) != p.N():
+				return fmt.Errorf("row %d has %d coefficients, want %d", j, len(row), p.N())
+			case !live[j] && row != nil:
+				return fmt.Errorf("row %d is present, a level-%d key has none", j, level)
+			}
+		}
+		return nil
+	}
 	for i := range swk.B {
-		if err := polyShape(swk.B[i], rows, p.N()); err != nil {
+		if err := shape(swk.B[i]); err != nil {
 			return fmt.Errorf("ckks: switching key digit %d (B): %v", i, err)
 		}
-		if err := polyShape(swk.A[i], rows, p.N()); err != nil {
+		if err := shape(swk.A[i]); err != nil {
 			return fmt.Errorf("ckks: switching key digit %d (A): %v", i, err)
 		}
 	}

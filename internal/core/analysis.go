@@ -46,6 +46,10 @@ type Analysis struct {
 	// circuit's key-switch work for any special-prime count without running
 	// it again.
 	keySwitches [numKsKinds][]int
+	// keyUse is, per switching key (a rotation amount, keyRelin or keyConj),
+	// the fewest chain primes an operand it was applied to had consumed:
+	// the key's highest level once the chain is known (KeyPlan).
+	keyUse map[int]int
 
 	// Cost estimation (active when totals is non-nil).
 	totals    *costTotals
@@ -89,6 +93,13 @@ const (
 	ksHoistStep                // CostModel.RotateHoistedStep: one amount of a hoisted batch
 	ksCtMul                    // CostModel.CtMul: the relinearization of a product
 	numKsKinds
+)
+
+// The keyUse names of the relinearization and conjugation keys; rotation
+// keys are named by their amount, which is positive.
+const (
+	keyRelin = -1
+	keyConj  = -2
 )
 
 // analysisCT is the dataflow fact attached to each ciphertext.
@@ -141,6 +152,7 @@ func NewAnalysis(cfg AnalysisConfig) *Analysis {
 		magMarginBits: 12,
 		rotKey:        cfg.RotKey,
 		rotations:     map[int]int{},
+		keyUse:        map[int]int{},
 	}
 	if cfg.RNSPrimeBits > 0 {
 		a.rnsPrimeBits = float64(cfg.RNSPrimeBits)
@@ -294,6 +306,32 @@ func (a *Analysis) keySwitch(kind ksKind, c *analysisCT) {
 	a.keySwitches[kind] = h
 }
 
+// useKey records that the named key was applied to operand c.
+func (a *Analysis) useKey(key int, c *analysisCT) {
+	used := int(math.Round(a.usedPrimes(c)))
+	if u, ok := a.keyUse[key]; !ok || used < u {
+		a.keyUse[key] = used
+	}
+}
+
+// KeyPlan is the run's key plan for a chain whose fresh ciphertexts sit at
+// level top: every key the run applied, at the highest level it was applied
+// at.
+func (a *Analysis) KeyPlan(top int) *hisa.KeyPlan {
+	plan := &hisa.KeyPlan{Rotations: map[int]int{}, Relin: -1, Conjugate: -1}
+	for key, used := range a.keyUse {
+		switch level := top - used; key {
+		case keyRelin:
+			plan.Relin = level
+		case keyConj:
+			plan.Conjugate = level
+		default:
+			plan.Rotations[key] = level
+		}
+	}
+	return plan
+}
+
 // KeySwitchCost reprices every key switch this run executed (and every
 // bootstrap it placed) under the model for a chain of `primes` primes and
 // α = alpha special primes. It reads only the histogram the run recorded,
@@ -403,6 +441,8 @@ func (a *Analysis) SubScalar(c hisa.Ciphertext, x float64) hisa.Ciphertext {
 func (a *Analysis) Mul(c, c2 hisa.Ciphertext) hisa.Ciphertext {
 	x, y := a.ct(c), a.ct(c2)
 	a.keySwitch(ksCtMul, x)
+	// The product, at the lower operand's level, is what is relinearized.
+	a.useKey(keyRelin, &analysisCT{consumed: math.Max(x.consumed, y.consumed)})
 	a.charge(a.model.CtMul(a.n, a.state(x)))
 	return a.join(x, y, x.scale*y.scale)
 }
@@ -437,6 +477,7 @@ func (a *Analysis) RotLeft(c hisa.Ciphertext, x int) hisa.Ciphertext {
 	steps := hisa.RotationSteps(x, a.slots, a.rotKey)
 	for _, s := range steps {
 		a.rotations[s]++
+		a.useKey(s, cc)
 		a.keySwitch(ksRotate, cc)
 		a.charge(a.model.Rotate(a.n, a.state(cc)))
 	}
@@ -469,6 +510,7 @@ func (a *Analysis) RotLeftMany(c hisa.Ciphertext, ks []int) []hisa.Ciphertext {
 				setupCharged = true
 			}
 			a.rotations[steps[0]]++
+			a.useKey(steps[0], cc)
 			a.keySwitch(ksHoistStep, cc)
 			a.charge(a.model.RotateHoistedStep(a.n, a.state(cc)))
 			out := *cc
@@ -524,6 +566,7 @@ func (a *Analysis) Scale(c hisa.Ciphertext) float64 { return a.ct(c).scale }
 
 func (a *Analysis) Conjugate(c hisa.Ciphertext) hisa.Ciphertext {
 	cc := a.ct(c)
+	a.useKey(keyConj, cc)
 	a.keySwitch(ksRotate, cc)
 	a.charge(a.model.Rotate(a.n, a.state(cc)))
 	out := *cc

@@ -36,25 +36,39 @@ func BuildBackend(comp *Compiled, prng ring.PRNG) (hisa.Backend, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: building RNS parameters: %w", err)
 		}
-		rotations := best.Rotations
-		if comp.Options.PowerOfTwoRotationsOnly {
-			rotations = nil // backend provisions power-of-two defaults
-		}
-		cfg := hisa.RNSConfig{
-			Params:    params,
-			PRNG:      prng,
-			Rotations: rotations,
-		}
-		if comp.BootPlan != nil {
-			// Provision the bootstrapper (and its extra rotation keys)
-			// against the exact spec the chain was laid out for.
-			spec := comp.BootPlan.Spec
-			cfg.Bootstrap = &spec
-		}
+		cfg := comp.KeyConfig(params)
+		cfg.PRNG = prng
 		return hisa.NewRNSBackend(cfg), nil
 	default:
 		return nil, fmt.Errorf("core: unknown scheme %v", comp.Options.Scheme)
 	}
+}
+
+// KeyConfig is the RNS backend configuration realizing the compilation's
+// keys under params (from RNSParameters): the key plan and, when the
+// compilation places bootstraps, the bootstrapper and its keys, provisioned
+// against the exact spec the chain was laid out for. Clients generate keys
+// from it, servers admit uploads against it and size frames from it.
+func (c *Compiled) KeyConfig(params *ckks.Parameters) hisa.RNSConfig {
+	cfg := hisa.RNSConfig{Params: params, Keys: c.Keys}
+	if c.BootPlan != nil {
+		spec := c.BootPlan.Spec
+		cfg.Bootstrap = &spec
+	}
+	return cfg
+}
+
+// EvalKeyBytes is the size of the evaluation keys a client of this
+// compilation generates and uploads — the public key and every switching key,
+// each cut at its planned level — or 0 for a scheme without transferable
+// keys.
+func (c *Compiled) EvalKeyBytes() int64 {
+	params, err := RNSParameters(c)
+	if err != nil {
+		return 0
+	}
+	pk, rlk, rtks := c.KeyConfig(params).EvaluationKeySizes()
+	return int64(pk + rlk + rtks)
 }
 
 // RNSParameters materializes the RNS-CKKS parameter set a compilation

@@ -128,7 +128,8 @@ func TestBootstrapPlacement(t *testing.T) {
 // compiles with compiler-placed bootstraps, runs end-to-end encrypted on the
 // real RNS backend under the Refresher, matches the Ref-backend lockstep
 // within the bootstrap epsilon, and performs exactly as many bootstraps as
-// the compiler placed — with and without a constant store.
+// the compiler placed — with and without a constant store — with no key
+// switch above its key's planned level.
 func TestBootstrapEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-lattice bootstrap run")
@@ -156,7 +157,6 @@ func TestBootstrapEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	rf := backend.(*hisa.Refresher)
-	_ = raw
 
 	enc := htc.EncryptTensor(backend, img, comp.Plan(), comp.Options.Scales)
 	out := htc.Execute(backend, m.Circuit, enc, comp.Best.Policy, comp.Options.Scales)
@@ -168,6 +168,9 @@ func TestBootstrapEndToEnd(t *testing.T) {
 	}
 	if rf.Bootstraps() == 0 {
 		t.Fatal("deep MLP ran without bootstrapping")
+	}
+	if n := raw.(*hisa.RNSBackend).KeyLevelMisses(); n != 0 {
+		t.Fatalf("%d key switches above their key's planned level", n)
 	}
 	for i := range want.Data {
 		if d := math.Abs(got.Data[i] - want.Data[i]); d > 5e-2 {

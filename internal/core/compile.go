@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"chet/internal/circuit"
+	"chet/internal/hisa"
 	"chet/internal/htc"
 	"chet/internal/tensor"
 )
@@ -160,23 +161,14 @@ type PolicyResult struct {
 	Bootstraps int
 }
 
-// KeySwitchDigits returns β = ⌈chain primes / α⌉, the number of digits in
-// every switching key (0 for schemes without a prime chain).
+// KeySwitchDigits returns β = ⌈chain primes / α⌉, the number of digits of
+// a switching key over the full chain (0 for schemes without a prime chain);
+// a key cut at a lower level has fewer.
 func (r PolicyResult) KeySwitchDigits() int {
 	if r.SpecialPrimes < 1 {
 		return 0
 	}
 	return (len(r.RNSChainBits) + r.SpecialPrimes - 1) / r.SpecialPrimes
-}
-
-// EvalKeyBytes is the size of the evaluation keys a client generates and
-// uploads for this result: one switching key per rotation amount plus the
-// conjugation and relinearization keys, each β digits of two polynomials
-// over all chain and special primes.
-func (r PolicyResult) EvalKeyBytes() int64 {
-	rows := int64(len(r.RNSChainBits) + r.SpecialPrimes)
-	perKey := int64(r.KeySwitchDigits()) * 2 * rows * 8 << uint(r.LogN)
-	return int64(len(r.Rotations)+2) * perKey
 }
 
 // SpecialCandidate is one special-prime count the compiler considered.
@@ -201,6 +193,11 @@ type Compiled struct {
 	// execution order: what each kernel costs at compile time, before any
 	// runtime trace (chet-compile -explain).
 	Nodes []NodeCost
+
+	// Keys is the key plan (RNS only): every switching key the program
+	// applies and the highest level it applies it at, from the same
+	// recording run. The backend cuts each key there (KeyConfig).
+	Keys *hisa.KeyPlan
 
 	// BootPlan is the bootstrap-placement report (Options.Bootstrap set):
 	// the spec the chain was laid out for and every placement, attributed

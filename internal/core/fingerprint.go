@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"sort"
 
 	"chet/internal/tensor"
 )
@@ -12,7 +13,7 @@ import (
 // fpVersion tags the canonical encoding below; bump it whenever the byte
 // layout of the digest changes so old and new binaries never agree by
 // accident.
-const fpVersion = "chet-fingerprint-v5"
+const fpVersion = "chet-fingerprint-v6"
 
 // Fingerprint returns a stable digest of everything that must match between
 // two parties for their homomorphic executions of this compilation to be
@@ -105,9 +106,6 @@ func (c *Compiled) Fingerprint() [32]byte {
 	} else {
 		i64(0)
 	}
-	// Retired field (the rescale mode), hashed as its only remaining value
-	// so deployed v5 peers keep agreeing.
-	i64(0)
 	if o.Bootstrap == nil {
 		i64(-1)
 	} else {
@@ -157,9 +155,24 @@ func (c *Compiled) Fingerprint() [32]byte {
 		}
 	}
 
-	// Retired field (the rescale plan), hashed as its only remaining value,
-	// none, so deployed v5 peers keep agreeing.
-	i64(-1)
+	// The key plan: every switching key's level shapes the key (digits,
+	// rows), and the server admits uploads only in the planned shape.
+	if k := c.Keys; k == nil {
+		i64(-1)
+	} else {
+		amounts := make([]int, 0, len(k.Rotations))
+		for a := range k.Rotations {
+			amounts = append(amounts, a)
+		}
+		sort.Ints(amounts)
+		i64(len(amounts))
+		for _, a := range amounts {
+			i64(a)
+			i64(k.Rotations[a])
+		}
+		i64(k.Relin)
+		i64(k.Conjugate)
+	}
 
 	// The circuit: structure, attributes, and weight values. Two circuits
 	// that differ only in weights execute compatibly but predict different

@@ -111,20 +111,37 @@ func TestFingerprintFlipsOnPackingOptions(t *testing.T) {
 	}
 }
 
-// TestFingerprintV5Golden pins the canonical v5 encoding to a known digest.
+// TestFingerprintV6Golden pins the canonical v6 encoding to a known digest.
 // The fingerprint is a wire-visible contract — both sides of the session-open
 // handshake must compute the same bytes — so any change to the byte layout
 // must come with a version bump (fpVersion), not a silent drift. If this test
 // fails and you did not intend an encoding change, you broke compatibility
 // with deployed peers; if you did intend it, bump fpVersion and refresh the
 // constant below. The digest also covers what the compiler decided — a kernel
-// change that moves this compilation's rotation-key set (the packed Dense
-// did) moves it with the byte layout and the version unchanged; paste the
-// digest the failing run prints.
-func TestFingerprintV5Golden(t *testing.T) {
-	const want = "1b143fe4bebf57412b005df16391f999359968fb566a889e3d52eaaf2636a6ab"
+// change that moves this compilation's rotation-key set or key plan (the
+// packed Dense did) moves it with the byte layout and the version unchanged;
+// paste the digest the failing run prints.
+func TestFingerprintV6Golden(t *testing.T) {
+	const want = "0bde875e4f4ddbeccda597e1a4586993f8fab5d571b96095b9eae1d55a49923e"
 	if got := fpCompile(t, fpBaseOptions()).FingerprintHex(); got != want {
-		t.Fatalf("fingerprint v5 golden mismatch:\n got %s\nwant %s", got, want)
+		t.Fatalf("fingerprint v6 golden mismatch:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestFingerprintFlipsOnKeyPlan: parties that would cut one key at another
+// level cannot exchange keys, so their fingerprints differ.
+func TestFingerprintFlipsOnKeyPlan(t *testing.T) {
+	comp := fpCompile(t, fpBaseOptions())
+	if comp.Keys == nil || len(comp.Keys.Rotations) == 0 {
+		t.Fatal("an RNS compilation has no key plan")
+	}
+	before := comp.FingerprintHex()
+	for k, level := range comp.Keys.Rotations {
+		comp.Keys.Rotations[k] = level + 1
+		break
+	}
+	if comp.FingerprintHex() == before {
+		t.Fatal("the fingerprint does not cover the key plan")
 	}
 }
 

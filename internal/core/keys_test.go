@@ -10,6 +10,7 @@ import (
 	"chet/internal/hisa"
 	"chet/internal/htc"
 	"chet/internal/nn"
+	"chet/internal/ring"
 	"chet/internal/tensor"
 )
 
@@ -45,16 +46,21 @@ func denseHeavyCircuit(seed int64) *circuit.Circuit {
 // TestRuntimeRotationsWithinCompiledKeys is the rotation-keys promise
 // (Section 5.4) as a property: every rotation amount a parallel runtime
 // execution asks its backend for is a key the compiler selected, under each
-// of the four layout policies.
+// of the four layout policies, and the key plan names exactly those keys.
+// Its level half: on the real lattice backend, whose keys are cut where the
+// plan says, no key switch of LeNet-tiny, LeNet-5-small, NN-6 or the
+// generated Dense-heavy circuits runs above its key's level
+// (TestBootstrapEndToEnd checks the same of NN-6 under bootstrapping).
 func TestRuntimeRotationsWithinCompiledKeys(t *testing.T) {
 	circuits := []*circuit.Circuit{
 		nn.LeNetTiny().Circuit, nn.LeNet5Small().Circuit, nn.DeepMLP(6).Circuit,
 		denseHeavyCircuit(1), denseHeavyCircuit(2), denseHeavyCircuit(3),
 	}
+	onLattice := len(circuits) // the larger networks below take minutes there
 	if !testing.Short() {
 		circuits = append(circuits, nn.LeNet5Medium().Circuit, nn.Industrial().Circuit, nn.SqueezeNetCIFAR().Circuit)
 	}
-	for _, c := range circuits {
+	for i, c := range circuits {
 		for _, policy := range htc.AllPolicies {
 			comp, err := Compile(c, Options{
 				Scheme: SchemeRNS, SecurityBits: -1, MinLogN: 10,
@@ -63,10 +69,19 @@ func TestRuntimeRotationsWithinCompiledKeys(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%v: %v", c.Name, policy, err)
 			}
+			if i < onLattice {
+				keyLevelsWithinPlan(t, fmt.Sprintf("%s/%v", c.Name, policy), comp, c)
+			}
 			slots := 1 << uint(comp.Best.LogN-1)
 			keys := make(map[int]bool, len(comp.Best.Rotations))
 			for _, r := range comp.Best.Rotations {
 				keys[r] = true
+				if _, ok := comp.Keys.Rotations[r]; !ok {
+					t.Errorf("%s/%v: compiled rotation key %d is not in the key plan", c.Name, policy, r)
+				}
+			}
+			if len(comp.Keys.Rotations) != len(keys) {
+				t.Errorf("%s/%v: key plan holds %d rotations, the compiler selected %d", c.Name, policy, len(comp.Keys.Rotations), len(keys))
 			}
 
 			var mu sync.Mutex
@@ -96,6 +111,44 @@ func TestRuntimeRotationsWithinCompiledKeys(t *testing.T) {
 			if issued != comp.Best.RotationOps {
 				t.Errorf("%s/%v: runtime issued %d rotations, the compiler counted %d", c.Name, policy, issued, comp.Best.RotationOps)
 			}
+		}
+	}
+}
+
+// keyLevelsWithinPlan runs a compiled program on the real lattice backend
+// with its planned keys: a key switch above its key's level would be served
+// off-plan and counted (hisa.RNSBackend.KeyLevelMisses).
+func keyLevelsWithinPlan(t *testing.T, name string, comp *Compiled, c *circuit.Circuit) {
+	t.Helper()
+	b, err := BuildBackend(comp, ring.NewTestPRNG(0x1E7E1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := htc.EncryptTensor(b, tensor.New(c.Input.OutShape...), comp.Plan(), comp.Options.Scales)
+	htc.ExecuteOpts(b, c, enc, comp.Best.Policy, comp.Options.Scales, htc.ExecOptions{Workers: 2})
+	if n := b.(*hisa.RNSBackend).KeyLevelMisses(); n != 0 {
+		t.Errorf("%s: %d key switches above their key's planned level", name, n)
+	}
+}
+
+// TestConjugationKeyOnlyWhenUsed: the key plan provisions the conjugation
+// key only for a program that conjugates — a real-packed compilation gets
+// none, a complex-packed one does.
+func TestConjugationKeyOnlyWhenUsed(t *testing.T) {
+	c := nn.LeNetTiny().Circuit
+	for _, complexPack := range []bool{false, true} {
+		comp, err := Compile(c, Options{Scheme: SchemeRNS, SecurityBits: -1, MinLogN: 10, Batch: 2, Complex: complexPack})
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := BuildBackend(comp, ring.NewTestPRNG(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := raw.(*hisa.RNSBackend)
+		_, has := b.PublicKeys().RTKS.Keys[b.Params().Ring().GaloisElementConjugate()]
+		if planned := comp.Keys.Conjugate >= 0; has != complexPack || planned != complexPack {
+			t.Errorf("complex packing %v: conjugation planned %v, key provisioned %v", complexPack, planned, has)
 		}
 	}
 }

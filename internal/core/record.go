@@ -24,10 +24,11 @@ type NodeCost struct {
 }
 
 // record executes the winning policy's circuit once more, serially, under an
-// analysis priced at the selected parameters, and attaches what only a
-// node-attributed run can tell: the per-node table (comp.Nodes) and, for a
-// bootstrap compilation, the placement plan with every refresh attributed to
-// the circuit node and the instruction that triggered it (comp.BootPlan).
+// analysis priced at the selected parameters, and attaches what only a run at
+// those parameters can tell: the per-node table (comp.Nodes), the key plan
+// (comp.Keys, RNS only) and, for a bootstrap compilation, the placement plan
+// with every refresh attributed to the circuit node and the instruction that
+// triggered it (comp.BootPlan).
 // The run replays the parameter pass's refresh trigger, so its placements
 // are the ones that sized the chain.
 func record(c *circuit.Circuit, comp *Compiled) (err error) {
@@ -94,6 +95,9 @@ func record(c *circuit.Circuit, comp *Compiled) (err error) {
 	img := tensor.New(c.Input.OutShape...)
 	enc := htc.EncryptTensor(&b, img, comp.Plan(), opts.Scales)
 	htc.ExecuteOpts(&b, c, enc, comp.Best.Policy, opts.Scales, htc.ExecOptions{OnNode: onNode})
+	if opts.Scheme == SchemeRNS {
+		comp.Keys = keyPlan(comp, a, cfg)
+	}
 	if cfg == nil {
 		return nil
 	}
@@ -113,4 +117,30 @@ func record(c *circuit.Circuit, comp *Compiled) (err error) {
 		EstCost:    total,
 	}
 	return nil
+}
+
+// keyPlan is the recording run's key plan at the compiled chain: every key
+// at the highest level the program applies it at. Two kinds of key span the
+// full chain instead: the batch lanes' packing rotations, which act on fresh
+// encryptions, and the library-default power-of-two keys of
+// PowerOfTwoRotationsOnly, the paper's baseline. The bootstrap pipeline's
+// keys are the backend's to add (hisa.RNSConfig.KeyShape).
+func keyPlan(comp *Compiled, a *Analysis, cfg *BootConfig) *hisa.KeyPlan {
+	top := len(comp.Best.RNSChainBits) - 1
+	fresh := top
+	if cfg != nil {
+		fresh = cfg.Window
+	}
+	plan := a.KeyPlan(fresh)
+	slots := 1 << uint(comp.Best.LogN-1)
+	if comp.Options.PowerOfTwoRotationsOnly {
+		plan.Rotations = map[int]int{}
+		for p := 1; p < slots; p <<= 1 {
+			plan.Rotations[p] = top
+		}
+	}
+	for _, k := range packRotations(comp.Options.lanes(), slots) {
+		plan.Rotations[k] = top
+	}
+	return plan
 }

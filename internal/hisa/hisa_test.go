@@ -21,11 +21,11 @@ func newRNSTestBackend(t testing.TB, rotations []int) *RNSBackend {
 	if err != nil {
 		t.Fatalf("NewParameters: %v", err)
 	}
-	return NewRNSBackend(RNSConfig{
-		Params:    params,
-		PRNG:      ring.NewTestPRNG(0xABCDEF),
-		Rotations: rotations,
-	})
+	cfg := RNSConfig{Params: params, PRNG: ring.NewTestPRNG(0xABCDEF)}
+	if rotations != nil { // nil keeps the power-of-two defaults
+		cfg.Keys = FullChainKeys(params, rotations...)
+	}
+	return NewRNSBackend(cfg)
 }
 
 // backendsUnderTest returns each backend with a matching slot count and a

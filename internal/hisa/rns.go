@@ -3,7 +3,9 @@ package hisa
 import (
 	"fmt"
 	"math/big"
+	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"chet/internal/boot"
@@ -17,12 +19,14 @@ type RNSConfig struct {
 	// PRNG supplies key-generation and encryption randomness; nil selects a
 	// cryptographically secure source.
 	PRNG ring.PRNG
-	// Rotations is the set of provisioned single-step rotation keys (as
-	// produced by CHET's rotation-keys selection pass). nil provisions the
-	// power-of-two defaults the paper compares against.
-	Rotations []int
+	// Keys is the compiler's key plan: the switching keys the program uses
+	// and the highest level each is applied at, which is where each key is
+	// cut. nil provisions the library defaults the paper compares against:
+	// power-of-two rotations, relinearization and conjugation, all over the
+	// full chain.
+	Keys *KeyPlan
 	// Bootstrap, when set, provisions the bootstrap pipeline's rotation keys
-	// alongside Rotations and attaches a bootstrapper (internal/boot), making
+	// alongside the plan's and attaches a bootstrapper (internal/boot), making
 	// the backend hisa.BootstrapCapable. Params must have been laid out with
 	// Bootstrap.ChainBits. Construction panics if the spec and parameters
 	// disagree — a mis-provisioned bootstrap must not fail silently at
@@ -30,54 +34,109 @@ type RNSConfig struct {
 	Bootstrap *boot.Spec
 }
 
-// rotationKeyAmounts resolves the configuration to the rotation keys a
-// backend generates: the single-step slot rotations it can serve
-// (normalized, deduplicated; nil Rotations selects the power-of-two defaults)
-// and the amounts handed to key generation, which add the bootstrap
-// pipeline's.
-func (cfg RNSConfig) rotationKeyAmounts() (provisioned map[int]bool, keygenAmounts []int) {
-	rotations := cfg.Rotations
-	slots := cfg.Params.Slots()
-	if rotations == nil {
-		for p := 1; p < slots; p <<= 1 {
-			rotations = append(rotations, p)
-		}
-	}
-	provisioned = make(map[int]bool, len(rotations))
-	for _, k := range rotations {
-		k = ((k % slots) + slots) % slots
-		if k == 0 || provisioned[k] {
-			continue
-		}
-		provisioned[k] = true
-		keygenAmounts = append(keygenAmounts, k)
-	}
-	if cfg.Bootstrap != nil {
-		// Bootstrap rotations ride along AFTER slot normalization: the
-		// pipeline's BSGS steps are ordinary slot rotations, but its sub-ring
-		// trace amounts are multiples of the slot count — identities on the
-		// packed slots, which the normalization above would silently drop —
-		// and key generation maps them to distinct Galois automorphisms.
-		for _, k := range cfg.Bootstrap.RotationAmounts() {
-			if k < slots {
-				if provisioned[k] {
-					continue
-				}
-				provisioned[k] = true
-			}
-			keygenAmounts = append(keygenAmounts, k)
-		}
-	}
-	return provisioned, keygenAmounts
+// KeyPlan states which switching keys a program uses and the highest
+// ciphertext level each is applied at. A key generated for level ℓ serves
+// every level up to ℓ and holds Digits(ℓ) digits over ℓ+1 chain rows plus
+// the special rows — a fraction of the full-chain key.
+type KeyPlan struct {
+	// Rotations maps every single-step rotation amount the program applies
+	// to the highest level it is applied at.
+	Rotations map[int]int
+	// Relin and Conjugate are the highest levels a relinearization and a
+	// conjugation run at; -1 when the program performs none. Without
+	// relinearizations the backend still generates the smallest, level-0
+	// relinearization key, because the session-open frame carries one.
+	Relin, Conjugate int
 }
 
-// RotationKeyCount is an upper bound (exact unless two amounts share a
-// Galois element) on the switching keys in the rotation key set a backend
-// built from cfg generates and ships: one per key-generation amount plus
-// the conjugation key.
-func (cfg RNSConfig) RotationKeyCount() int {
-	_, keygenAmounts := cfg.rotationKeyAmounts()
-	return len(keygenAmounts) + 1
+// FullChainKeys is the plan that provisions the given rotations,
+// relinearization and conjugation over the whole chain of params — keys for
+// code that is not a compiled program, such as hand-written kernels.
+func FullChainKeys(params *ckks.Parameters, rotations ...int) *KeyPlan {
+	top := params.MaxLevel()
+	plan := &KeyPlan{Rotations: make(map[int]int, len(rotations)), Relin: top, Conjugate: top}
+	for _, k := range rotations {
+		plan.Rotations[k] = top
+	}
+	return plan
+}
+
+// KeyShape is exactly the key material a backend built from a configuration
+// generates, uploads and admits.
+type KeyShape struct {
+	// Relin is the relinearization key's level.
+	Relin int
+	// Galois is the level of every Galois key, by Galois element.
+	Galois map[uint64]int
+	// Rotations are the single-step slot rotations the keys serve
+	// (normalized to [1, slots), ascending).
+	Rotations []int
+}
+
+// KeyShape resolves the configuration to the keys a backend generates. The
+// bootstrap pipeline runs above every level the program reaches, so its
+// rotations, its conjugation and the relinearization key span the full
+// chain; its sub-ring trace amounts are multiples of the slot count —
+// identities on the packed slots, which slot normalization would silently
+// drop — and map to distinct Galois automorphisms of their own.
+func (cfg RNSConfig) KeyShape() KeyShape {
+	params := cfg.Params
+	r := params.Ring()
+	slots := params.Slots()
+	top := params.MaxLevel()
+	plan := cfg.Keys
+	if plan == nil {
+		plan = &KeyPlan{Rotations: map[int]int{}, Relin: top, Conjugate: top}
+		for p := 1; p < slots; p <<= 1 {
+			plan.Rotations[p] = top
+		}
+	}
+	shape := KeyShape{Relin: max(plan.Relin, 0), Galois: make(map[uint64]int, len(plan.Rotations)+1)}
+	use := func(g uint64, level int) {
+		if l, ok := shape.Galois[g]; !ok || level > l {
+			shape.Galois[g] = level
+		}
+	}
+	provisioned := map[int]bool{}
+	rotate := func(k, level int) {
+		if k < slots {
+			provisioned[k] = true
+		}
+		use(r.GaloisElementForRotation(k), level)
+	}
+	for k, level := range plan.Rotations {
+		if k = ((k % slots) + slots) % slots; k != 0 {
+			rotate(k, level)
+		}
+	}
+	if plan.Conjugate >= 0 {
+		use(r.GaloisElementConjugate(), plan.Conjugate)
+	}
+	if cfg.Bootstrap != nil {
+		for _, k := range cfg.Bootstrap.RotationAmounts() {
+			rotate(k, top)
+		}
+		use(r.GaloisElementConjugate(), top)
+		shape.Relin = top
+	}
+	for k := range provisioned {
+		shape.Rotations = append(shape.Rotations, k)
+	}
+	sort.Ints(shape.Rotations)
+	return shape
+}
+
+// RotationKeyCount is the number of switching keys in the rotation key set
+// a backend built from cfg generates and ships, the conjugation key
+// included.
+func (cfg RNSConfig) RotationKeyCount() int { return len(cfg.KeyShape().Galois) }
+
+// EvaluationKeySizes returns the exact MarshalBinary sizes of the public
+// key, the relinearization key and the rotation key set a backend built from
+// cfg uploads.
+func (cfg RNSConfig) EvaluationKeySizes() (pk, rlk, rtks int) {
+	shape := cfg.KeyShape()
+	return cfg.Params.EvaluationKeySizes(shape.Relin, shape.Galois)
 }
 
 // RNSBackend executes HISA instructions with real lattice cryptography: the
@@ -93,6 +152,9 @@ type RNSBackend struct {
 	decryptor   *ckks.Decryptor // nil on evaluation-only (server) instances
 	evaluator   *ckks.Evaluator
 	provisioned map[int]bool
+	rotations   []int // the provisioned amounts, as PublicKeys reports them
+
+	keyLevelMisses atomic.Int64
 
 	// btMu guards bt and stageHook: EnableBootstrap and the telemetry
 	// layer's SetBootstrapStageHook may arrive in either order.
@@ -105,20 +167,20 @@ type RNSBackend struct {
 	rtks *ckks.RotationKeySet
 }
 
-// NewRNSBackend generates all keys and returns a ready backend.
+// NewRNSBackend generates all keys, each cut at its planned level, and
+// returns a ready backend.
 func NewRNSBackend(cfg RNSConfig) *RNSBackend {
 	params := cfg.Params
 	prng := cfg.PRNG
 	if prng == nil {
 		prng = ring.NewCryptoPRNG()
 	}
+	shape := cfg.KeyShape()
 	kgen := ckks.NewKeyGenerator(params, prng)
 	sk := kgen.GenSecretKey()
 	pk := kgen.GenPublicKey(sk)
-	rlk := kgen.GenRelinearizationKey(sk)
-
-	provisioned, keygenAmounts := cfg.rotationKeyAmounts()
-	rtks := kgen.GenRotationKeys(sk, keygenAmounts, true)
+	rlk := kgen.GenRelinearizationKey(sk, shape.Relin)
+	rtks := kgen.GenGaloisKeys(sk, shape.Galois)
 
 	b := &RNSBackend{
 		params:      params,
@@ -126,7 +188,8 @@ func NewRNSBackend(cfg RNSConfig) *RNSBackend {
 		encryptor:   ckks.NewEncryptor(params, pk, prng),
 		decryptor:   ckks.NewDecryptor(params, sk),
 		evaluator:   ckks.NewEvaluator(params, rlk, rtks),
-		provisioned: provisioned,
+		provisioned: rotationSet(params, shape.Rotations),
+		rotations:   shape.Rotations,
 		pk:          pk,
 		rlk:         rlk,
 		rtks:        rtks,
@@ -137,6 +200,18 @@ func NewRNSBackend(cfg RNSConfig) *RNSBackend {
 		}
 	}
 	return b
+}
+
+// rotationSet is the set of single-step slot rotations amounts realize.
+func rotationSet(params *ckks.Parameters, amounts []int) map[int]bool {
+	slots := params.Slots()
+	set := make(map[int]bool, len(amounts))
+	for _, k := range amounts {
+		if k = ((k % slots) + slots) % slots; k != 0 {
+			set[k] = true
+		}
+	}
+	return set
 }
 
 // EnableBootstrap attaches a bootstrapper built over this backend's
@@ -185,11 +260,7 @@ type RNSPublicKeys struct {
 // PublicKeys exports this backend's public key material for transfer to an
 // evaluation-only server.
 func (b *RNSBackend) PublicKeys() RNSPublicKeys {
-	rotations := make([]int, 0, len(b.provisioned))
-	for k := range b.provisioned {
-		rotations = append(rotations, k)
-	}
-	return RNSPublicKeys{PK: b.pk, RLK: b.rlk, RTKS: b.rtks, Rotations: rotations}
+	return RNSPublicKeys{PK: b.pk, RLK: b.rlk, RTKS: b.rtks, Rotations: b.rotations}
 }
 
 // NewRNSBackendFromKeys builds an evaluation-only backend from received
@@ -199,21 +270,14 @@ func NewRNSBackendFromKeys(params *ckks.Parameters, keys RNSPublicKeys, prng rin
 	if prng == nil {
 		prng = ring.NewCryptoPRNG()
 	}
-	provisioned := make(map[int]bool, len(keys.Rotations))
-	slots := params.Slots()
-	for _, k := range keys.Rotations {
-		k = ((k % slots) + slots) % slots
-		if k != 0 {
-			provisioned[k] = true
-		}
-	}
 	return &RNSBackend{
 		params:      params,
 		encoder:     ckks.NewEncoder(params),
 		encryptor:   ckks.NewEncryptor(params, keys.PK, prng),
 		decryptor:   nil,
 		evaluator:   ckks.NewEvaluator(params, keys.RLK, keys.RTKS),
-		provisioned: provisioned,
+		provisioned: rotationSet(params, keys.Rotations),
+		rotations:   keys.Rotations,
 		pk:          keys.PK,
 		rlk:         keys.RLK,
 		rtks:        keys.RTKS,
@@ -294,12 +358,54 @@ func (b *RNSBackend) Free(h any) {
 	}
 }
 
+// keyed returns cc or, when cc sits above the levels swk serves, a copy
+// dropped to the key's level. A compiled program never needs the drop — its
+// key plan cuts every key at the highest level the program applies it at —
+// but an instruction issued outside the program, such as a unit-cost probe
+// on a fresh ciphertext, is served at the key's level instead of failing:
+// dropping chain primes leaves the message and the scale unchanged. A missing
+// key passes cc through for the evaluator to report.
+func (b *RNSBackend) keyed(cc *ckks.Ciphertext, swk *ckks.SwitchingKey) *ckks.Ciphertext {
+	if swk == nil || cc.Level() <= swk.Level {
+		return cc
+	}
+	b.keyLevelMisses.Add(1)
+	out := cc.CopyNew()
+	b.evaluator.DropToLevel(out, swk.Level)
+	return out
+}
+
+// KeyLevelMisses counts the key switches this backend served at a key's
+// level below their operand's (see keyed). It stays 0 under a compiled
+// program: the compiler plans every key for the highest level the program
+// applies it at.
+func (b *RNSBackend) KeyLevelMisses() int64 { return b.keyLevelMisses.Load() }
+
+// galoisKey is the key of a Galois element, nil when there is none.
+func (b *RNSBackend) galoisKey(g uint64) *ckks.SwitchingKey {
+	if b.rtks == nil {
+		return nil
+	}
+	return b.rtks.Keys[g]
+}
+
+func (b *RNSBackend) rotationKey(k int) *ckks.SwitchingKey {
+	return b.galoisKey(b.params.Ring().GaloisElementForRotation(k))
+}
+
+func (b *RNSBackend) relinKey() *ckks.SwitchingKey {
+	if b.rlk == nil {
+		return nil
+	}
+	return b.rlk.Key
+}
+
 func (b *RNSBackend) RotLeft(c Ciphertext, x int) Ciphertext {
 	cc := b.ct(c)
 	steps := RotationSteps(x, b.Slots(), func(k int) bool { return b.provisioned[k] })
 	out := cc
 	for _, s := range steps {
-		out = b.evaluator.RotateLeft(out, s)
+		out = b.evaluator.RotateLeft(b.keyed(out, b.rotationKey(s)), s)
 	}
 	if out == cc {
 		out = cc.CopyNew()
@@ -327,6 +433,10 @@ func (b *RNSBackend) RotLeftMany(c Ciphertext, ks []int) []Ciphertext {
 		case 0:
 			outs[i] = cc.CopyNew()
 		case 1:
+			if swk := b.rotationKey(steps[0]); swk != nil && cc.Level() > swk.Level {
+				outs[i] = b.RotLeft(c, x) // off-plan: served at the key's level
+				continue
+			}
 			if dec == nil {
 				dec = b.evaluator.HoistedDecompose(cc)
 			}
@@ -343,7 +453,9 @@ func (b *RNSBackend) RotLeftMany(c Ciphertext, ks []int) []Ciphertext {
 
 func (b *RNSBackend) Add(c, c2 Ciphertext) Ciphertext { return b.evaluator.Add(b.ct(c), b.ct(c2)) }
 func (b *RNSBackend) Sub(c, c2 Ciphertext) Ciphertext { return b.evaluator.Sub(b.ct(c), b.ct(c2)) }
-func (b *RNSBackend) Mul(c, c2 Ciphertext) Ciphertext { return b.evaluator.Mul(b.ct(c), b.ct(c2)) }
+func (b *RNSBackend) Mul(c, c2 Ciphertext) Ciphertext {
+	return b.evaluator.Mul(b.keyed(b.ct(c), b.relinKey()), b.keyed(b.ct(c2), b.relinKey()))
+}
 
 // LazyRelinCapable marks the real lattice backend as supporting deferred
 // relinearization (see hisa.LazyRelinBackend).
@@ -357,7 +469,11 @@ func (b *RNSBackend) MulNoRelin(c, c2 Ciphertext) Ciphertext {
 
 // Relinearize folds a lazy product back to degree 1.
 func (b *RNSBackend) Relinearize(c Ciphertext) Ciphertext {
-	return b.evaluator.Relinearize(b.ct(c))
+	cc := b.ct(c)
+	if cc.Degree() == 1 {
+		return b.evaluator.Relinearize(cc)
+	}
+	return b.evaluator.Relinearize(b.keyed(cc, b.relinKey()))
 }
 
 // FusedRescaleCapable marks the real lattice backend as supporting the
@@ -377,7 +493,15 @@ func (b *RNSBackend) RelinearizeRescale(c Ciphertext, x *big.Int) Ciphertext {
 		if cc.Degree() == 1 {
 			return cc.CopyNew()
 		}
-		return b.evaluator.Relinearize(cc)
+		return b.Relinearize(cc)
+	}
+	if swk := b.relinKey(); swk != nil && cc.Degree() > 1 && cc.Level()-drops > swk.Level {
+		// Off-plan (see keyed): rescale, then relinearize at the key's level.
+		tmp := cc.CopyNew()
+		b.evaluator.RescaleMany(tmp, drops)
+		out := b.Relinearize(tmp)
+		b.evaluator.Recycle(tmp)
+		return out
 	}
 	if drops == 1 {
 		return b.evaluator.RelinearizeRescale(cc)
@@ -555,10 +679,11 @@ func (b *RNSBackend) DropToFresh(c Ciphertext) Ciphertext {
 }
 
 // Conjugate conjugates every slot via the Galois conjugation automorphism.
-// The conjugation key is always part of the rotation key set this backend
-// was built with, on both full and evaluation-only instances.
+// The conjugation key exists when the key plan says the program conjugates
+// (complex packing, bootstrapping) or no plan was given.
 func (b *RNSBackend) Conjugate(c Ciphertext) Ciphertext {
-	return b.evaluator.Conjugate(b.ct(c))
+	swk := b.galoisKey(b.params.Ring().GaloisElementConjugate())
+	return b.evaluator.Conjugate(b.keyed(b.ct(c), swk))
 }
 
 // EncryptC encrypts a complex slot vector at scale f.

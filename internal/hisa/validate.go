@@ -3,7 +3,6 @@ package hisa
 import (
 	"fmt"
 
-	"chet/internal/ckks"
 	"chet/internal/ring"
 )
 
@@ -26,18 +25,22 @@ func polyShape(p *ring.Poly, rows, n int, what string) error {
 	return nil
 }
 
-// ValidateRNSKeys checks received public key material against a parameter
-// set before it is handed to an evaluator: RNS row counts, key-switch digit
-// counts, ring degrees, and Galois elements must all match, and every
-// rotation amount the client claims must have a corresponding key.
-// Deserialized keys are structurally sound but shape-unconstrained; an
-// evaluation server calls this at session-open so a mismatched or corrupted
-// upload is rejected with an error instead of panicking mid-inference.
-func ValidateRNSKeys(params *ckks.Parameters, keys RNSPublicKeys) error {
+// ValidateRNSKeys checks received public key material against the key
+// shape a backend built from cfg generates, before it is handed to an
+// evaluator: RNS row counts, ring degrees, and — per switching key — the
+// planned level and the digit count and rows it implies. The rotation key
+// set must hold exactly the planned Galois elements, and every rotation
+// amount the client claims must have a corresponding key. Deserialized keys
+// are structurally sound but shape-unconstrained; an evaluation server calls
+// this at session-open so a mismatched or corrupted upload is rejected with
+// an error instead of panicking mid-inference.
+func ValidateRNSKeys(cfg RNSConfig, keys RNSPublicKeys) error {
 	if keys.PK == nil || keys.RLK == nil || keys.RTKS == nil {
 		return fmt.Errorf("hisa: incomplete key material (pk=%v rlk=%v rtks=%v)",
 			keys.PK != nil, keys.RLK != nil, keys.RTKS != nil)
 	}
+	params := cfg.Params
+	shape := cfg.KeyShape()
 	n := params.N()
 	chainRows := len(params.QChain())
 
@@ -49,23 +52,27 @@ func ValidateRNSKeys(params *ckks.Parameters, keys RNSPublicKeys) error {
 		return err
 	}
 
-	// Switching keys: exactly the digit count and extended-basis height the
-	// key-switch inner product will index (chain primes plus α special
-	// primes, ⌈chain/α⌉ digits).
-	if err := params.ValidateSwitchingKey(keys.RLK.Key); err != nil {
+	// Switching keys: exactly the level, digit count and rows the plan cuts
+	// each at, which are all the key-switch inner product will index.
+	if err := params.ValidateSwitchingKey(keys.RLK.Key, shape.Relin); err != nil {
 		return fmt.Errorf("hisa: relinearization key: %w", err)
 	}
 
 	if keys.RTKS.Keys == nil {
 		return fmt.Errorf("hisa: rotation key set has no key map")
 	}
-	twoN := uint64(2 * n)
 	for g, swk := range keys.RTKS.Keys {
-		if g%2 == 0 || g == 0 || g >= twoN {
-			return fmt.Errorf("hisa: invalid Galois element %d (ring degree %d)", g, n)
+		level, ok := shape.Galois[g]
+		if !ok {
+			return fmt.Errorf("hisa: rotation key for Galois element %d is not in the key plan", g)
 		}
-		if err := params.ValidateSwitchingKey(swk); err != nil {
+		if err := params.ValidateSwitchingKey(swk, level); err != nil {
 			return fmt.Errorf("hisa: rotation key (Galois %d): %w", g, err)
+		}
+	}
+	for g := range shape.Galois {
+		if _, ok := keys.RTKS.Keys[g]; !ok {
+			return fmt.Errorf("hisa: key plan's rotation key for Galois element %d is missing", g)
 		}
 	}
 

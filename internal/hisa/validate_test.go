@@ -9,33 +9,41 @@ import (
 )
 
 // TestValidateRNSKeysPinsHybridShape: admission accepts exactly the key
-// shape the parameters' key switch indexes — ⌈(L+1)/α⌉ digits of L+1+α rows —
-// and names what is wrong otherwise.
+// shape the parameters' key switch indexes at each key's planned level —
+// ⌈(ℓ+1)/α⌉ digits over ℓ+1 chain rows plus the special rows — and names
+// what is wrong otherwise.
 func TestValidateRNSKeysPinsHybridShape(t *testing.T) {
-	mk := func(alpha int) (*ckks.Parameters, RNSPublicKeys) {
+	mk := func(alpha int) (RNSConfig, RNSPublicKeys) {
 		params, err := ckks.NewParameters(ckks.ParametersLiteral{
 			LogN: 5, LogQ: []int{30, 25, 25, 25, 25}, LogP: 30, Alpha: alpha, LogScale: 25,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := NewRNSBackend(RNSConfig{Params: params, PRNG: ring.NewTestPRNG(7), Rotations: []int{1, 2}})
-		return params, b.PublicKeys()
+		cfg := RNSConfig{Params: params, PRNG: ring.NewTestPRNG(7),
+			Keys: &KeyPlan{Rotations: map[int]int{1: 4, 2: 2}, Relin: 3, Conjugate: -1}}
+		return cfg, NewRNSBackend(cfg).PublicKeys()
 	}
 	p1, k1 := mk(1)
-	p2, k2 := mk(2) // 3 digits (2+2+1) of 7 rows
+	p2, k2 := mk(2) // full chain: 3 digits (2+2+1) of 7 rows
+	lower := p2
+	lower.Keys = &KeyPlan{Rotations: map[int]int{1: 3, 2: 2}, Relin: 3, Conjugate: -1}
+	extra := p2
+	extra.Keys = &KeyPlan{Rotations: map[int]int{1: 4, 2: 2}, Relin: 3, Conjugate: 4}
 	for _, c := range []struct {
-		name   string
-		params *ckks.Parameters
-		keys   RNSPublicKeys
-		want   string // "" accepts
+		name string
+		cfg  RNSConfig
+		keys RNSPublicKeys
+		want string // "" accepts
 	}{
 		{"α=1 keys under α=1", p1, k1, ""},
 		{"α=2 keys under α=2", p2, k2, ""},
 		{"α=1 keys under α=2", p2, k1, "digits"},
 		{"α=2 keys under α=1", p1, k2, "digits"},
+		{"a key above its planned level", lower, k2, "the key plan says 3"},
+		{"a planned key missing", extra, k2, "missing"},
 	} {
-		err := ValidateRNSKeys(c.params, c.keys)
+		err := ValidateRNSKeys(c.cfg, c.keys)
 		switch {
 		case c.want == "" && err != nil:
 			t.Errorf("%s: rejected: %v", c.name, err)

@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"math"
+	"math/bits"
 )
 
 // PRNG is the source of randomness used by the samplers. Implementations
@@ -69,38 +70,25 @@ func NewSampler(r *Ring, prng PRNG) *Sampler {
 	return &Sampler{r: r, prng: prng, sigma: DefaultSigma, bound: 6 * DefaultSigma}
 }
 
-// uniform64Below returns a uniform value in [0, q) by rejection.
-func (s *Sampler) uniform64Below(q uint64) uint64 {
-	mask := uint64(1)<<uint(64-clz64(q)) - 1
-	for {
+// UniformRow fills row with independent uniform residues modulo the ring's
+// i-th prime (valid in either domain, since the uniform distribution is
+// NTT-invariant), by rejection on the bits of the prime.
+func (s *Sampler) UniformRow(i int, row []uint64) {
+	q := s.r.Moduli[i].Q
+	mask := uint64(1)<<uint(bits.Len64(q)) - 1
+	for j := range row {
 		v := s.prng.Uint64() & mask
-		if v < q {
-			return v
+		for v >= q {
+			v = s.prng.Uint64() & mask
 		}
+		row[j] = v
 	}
 }
 
-func clz64(x uint64) int {
-	n := 0
-	for x < 1<<63 {
-		x <<= 1
-		n++
-		if n == 64 {
-			break
-		}
-	}
-	return n
-}
-
-// UniformPoly fills out with independent uniform residues (valid in either
-// domain, since the uniform distribution is NTT-invariant).
+// UniformPoly fills rows 0..level of out with independent uniform residues.
 func (s *Sampler) UniformPoly(out *Poly, level int) {
 	for i := 0; i <= level; i++ {
-		q := s.r.Moduli[i].Q
-		row := out.Coeffs[i]
-		for j := range row {
-			row[j] = s.uniform64Below(q)
-		}
+		s.UniformRow(i, out.Coeffs[i])
 	}
 }
 
@@ -126,6 +114,20 @@ func (s *Sampler) TernaryPoly(out *Poly, level int) {
 // GaussianPoly fills out (coefficient domain) with centered discrete
 // Gaussian coefficients of parameter sigma, truncated at 6 sigma.
 func (s *Sampler) GaussianPoly(out *Poly, level int) {
+	s.setSigned(out, s.gaussian(), level)
+}
+
+// GaussianRows is GaussianPoly over the listed residue rows only: one
+// Gaussian polynomial, written into each of them.
+func (s *Sampler) GaussianRows(out *Poly, rows []int) {
+	vals := s.gaussian()
+	for _, i := range rows {
+		s.setSignedRow(out.Coeffs[i], i, vals)
+	}
+}
+
+// gaussian draws the N signed coefficients of one Gaussian polynomial.
+func (s *Sampler) gaussian() []int8 {
 	n := s.r.N
 	vals := make([]int8, n)
 	for j := 0; j < n; j += 2 {
@@ -135,7 +137,7 @@ func (s *Sampler) GaussianPoly(out *Poly, level int) {
 			vals[j+1] = clampInt8(math.Round(y * s.sigma))
 		}
 	}
-	s.setSigned(out, vals, level)
+	return vals
 }
 
 // normalPair returns two independent standard normal samples (Box-Muller),
@@ -169,14 +171,18 @@ func clampInt8(v float64) int8 {
 // setSigned writes small signed coefficients into every residue row of out.
 func (s *Sampler) setSigned(out *Poly, vals []int8, level int) {
 	for i := 0; i <= level; i++ {
-		q := s.r.Moduli[i].Q
-		row := out.Coeffs[i]
-		for j, v := range vals {
-			if v >= 0 {
-				row[j] = uint64(v)
-			} else {
-				row[j] = q - uint64(-v)
-			}
-		}
+		s.setSignedRow(out.Coeffs[i], i, vals)
+	}
+}
+
+// setSignedRow writes small signed coefficients into row, the residues
+// modulo the ring's i-th prime.
+func (s *Sampler) setSignedRow(row []uint64, i int, vals []int8) {
+	q := s.r.Moduli[i].Q
+	for j, v := range vals {
+		// v, or q+v for negative v: adding q under the sign mask wraps the
+		// two's-complement value back into [0, q) without a branch.
+		x := int64(v)
+		row[j] = uint64(x) + q&uint64(x>>63)
 	}
 }

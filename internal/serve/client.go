@@ -172,17 +172,12 @@ func NewClient(conn net.Conn, cfg ClientConfig) (*Client, error) {
 	if cfg.MaxFrame == 0 {
 		cfg.MaxFrame = frameLimit(cfg.Compiled, params)
 	}
-	rnsCfg := hisa.RNSConfig{
-		Params:    params,
-		PRNG:      cfg.PRNG,
-		Rotations: cfg.Compiled.Best.Rotations,
-	}
-	// A bootstrap-compiled circuit is evaluated on the server through the
-	// refresh pipeline; the client's rotation-key set must carry the
-	// pipeline's amounts or the handed-off keys cannot bootstrap.
-	if cfg.Compiled.BootPlan != nil {
-		rnsCfg.Bootstrap = &cfg.Compiled.BootPlan.Spec
-	}
+	// The keys are cut where the compiler's key plan says; a
+	// bootstrap-compiled circuit is evaluated on the server through the
+	// refresh pipeline, so the key set also carries the pipeline's keys, or
+	// the handed-off keys could not bootstrap.
+	rnsCfg := cfg.Compiled.KeyConfig(params)
+	rnsCfg.PRNG = cfg.PRNG
 	backend := hisa.NewRNSBackend(rnsCfg)
 	traceBase := cfg.TraceBase
 	if traceBase == 0 {

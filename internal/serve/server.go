@@ -142,13 +142,7 @@ const frameMargin = 64 << 10
 // the header alone, so a peer cannot make the other side allocate more than
 // the model legitimately needs.
 func frameLimit(comp *core.Compiled, params *ckks.Parameters) int {
-	cfg := hisa.RNSConfig{Params: params, Rotations: comp.Best.Rotations}
-	if comp.BootPlan != nil {
-		cfg.Bootstrap = &comp.BootPlan.Spec
-	}
-	keys := cfg.RotationKeyCount()
-	// At most one rotation amount is reported per rotation key.
-	open := wire.SessionOpenSize(params, keys, keys)
+	open := wire.SessionOpenSize(comp.KeyConfig(params))
 
 	// Requests carry the input tensor (its ciphertext count follows from the
 	// layout); responses carry the output, at most one ciphertext per output
@@ -588,7 +582,7 @@ func (s *Server) admitSession(payload []byte) (uint64, wire.ErrorCode, error) {
 			msg.Fingerprint[:8], s.fingerprint[:8])
 	}
 	keys := hisa.RNSPublicKeys{PK: msg.PK, RLK: msg.RLK, RTKS: msg.RTKS, Rotations: msg.Rotations}
-	if err := hisa.ValidateRNSKeys(s.params, keys); err != nil {
+	if err := hisa.ValidateRNSKeys(s.cfg.Compiled.KeyConfig(s.params), keys); err != nil {
 		return 0, wire.CodeBadMessage, err
 	}
 

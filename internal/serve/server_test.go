@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"maps"
 	"math"
 	"math/rand"
 	"net"
@@ -554,12 +555,13 @@ func wantErrorFrame(t *testing.T, tp wire.MsgType, resp []byte, code wire.ErrorC
 	}
 }
 
-// TestWrongKeyShapeRejected is the admission contract of the hybrid key
-// shape: a switching key must have exactly ⌈(L+1)/α⌉ digits of exactly
-// L+1+α rows for the server's α. Keys generated under another α — honestly
-// fingerprinted or forged — and keys with a digit too many are refused with
-// a typed error frame at session-open; nothing reaches the inner product,
-// and the server keeps serving.
+// TestWrongKeyShapeRejected is the admission contract of the planned key
+// shape: a switching key planned for level ℓ must serve exactly ℓ, with
+// exactly ⌈(ℓ+1)/α⌉ digits over its ℓ+1 chain rows and the special rows, for
+// the server's α. Keys generated under another α — honestly fingerprinted
+// or forged — keys with a digit too many, and keys cut one level above or
+// below the plan are refused with a typed error frame at session-open;
+// nothing reaches the inner product, and the server keeps serving.
 func TestWrongKeyShapeRejected(t *testing.T) {
 	comp := testCompiled(t)
 	s, err := New(Config{Compiled: comp})
@@ -578,9 +580,9 @@ func TestWrongKeyShapeRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := hisa.NewRNSBackend(hisa.RNSConfig{
-		Params: params, PRNG: ring.NewTestPRNG(261), Rotations: other.Best.Rotations,
-	}).PublicKeys()
+	cfg := other.KeyConfig(params)
+	cfg.PRNG = ring.NewTestPRNG(261)
+	keys := hisa.NewRNSBackend(cfg).PublicKeys()
 	open := func(fp [32]byte, k hisa.RNSPublicKeys) (wire.MsgType, []byte) {
 		return openRaw(t, addr, &wire.SessionOpen{Fingerprint: fp, Rotations: k.Rotations, PK: k.PK, RLK: k.RLK, RTKS: k.RTKS})
 	}
@@ -598,6 +600,28 @@ func TestWrongKeyShapeRejected(t *testing.T) {
 	padded.RLK = &ckks.RelinearizationKey{Key: &rlk}
 	tp, resp = open(comp.Fingerprint(), padded)
 	wantErrorFrame(t, tp, resp, wire.CodeBadMessage)
+
+	// Right α, one rotation key cut one level above its plan, then one below.
+	own, err := core.RNSParameters(comp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, delta := range []int{1, -1} {
+		plan := *comp.Keys
+		plan.Rotations = maps.Clone(comp.Keys.Rotations)
+		for k, level := range plan.Rotations {
+			if l := level + delta; l >= 0 && l <= own.MaxLevel() {
+				plan.Rotations[k] = l
+				break
+			}
+		}
+		shifted := *comp
+		shifted.Keys = &plan
+		cfg := shifted.KeyConfig(own)
+		cfg.PRNG = ring.NewTestPRNG(263)
+		tp, resp = open(comp.Fingerprint(), hisa.NewRNSBackend(cfg).PublicKeys())
+		wantErrorFrame(t, tp, resp, wire.CodeBadMessage)
+	}
 
 	if _, err := good.Infer(good.Encrypt(randTensor([]int{1, 5, 5}, 1, 9))); err != nil {
 		t.Fatalf("server unhealthy after refused session-opens: %v", err)

@@ -40,9 +40,9 @@ func fourBackends(t testing.TB) []testBackend {
 	}
 	rotations := []int{1, 2, 3, params.Slots() - 1}
 	rns := hisa.NewRNSBackend(hisa.RNSConfig{
-		Params:    params,
-		PRNG:      ring.NewTestPRNG(0xABCDEF),
-		Rotations: rotations,
+		Params: params,
+		PRNG:   ring.NewTestPRNG(0xABCDEF),
+		Keys:   hisa.FullChainKeys(params, rotations...),
 	})
 	evalOnly := hisa.NewRNSBackendFromKeys(params, rns.PublicKeys(), ring.NewTestPRNG(0xF00D))
 	return []testBackend{

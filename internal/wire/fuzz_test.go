@@ -22,7 +22,7 @@ func fuzzSeedFrames(f *testing.F) {
 		f.Fatal(err)
 	}
 	b := hisa.NewRNSBackend(hisa.RNSConfig{
-		Params: params, PRNG: ring.NewTestPRNG(3), Rotations: []int{1},
+		Params: params, PRNG: ring.NewTestPRNG(3), Keys: hisa.FullChainKeys(params, 1),
 	})
 	keys := b.PublicKeys()
 	ct := &htc.CipherTensor{

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"chet/internal/ckks"
+	"chet/internal/hisa"
 	"chet/internal/htc"
 )
 
@@ -98,11 +99,12 @@ func (m *SessionOpen) Encode() ([]byte, error) {
 	return e.buf, nil
 }
 
-// SessionOpenSize is the exact payload size of a session-open carrying
-// `rotations` rotation amounts and a rotation key set of rotationKeys
-// switching keys under params. Servers size their frame limit from it.
-func SessionOpenSize(params *ckks.Parameters, rotations, rotationKeys int) int {
-	pk, rlk, rtks := params.EvaluationKeySizes(rotationKeys)
+// SessionOpenSize is the exact payload size of the session-open a client
+// whose backend is built from cfg sends: its rotation amounts and its keys,
+// each cut at its planned level. Servers size their frame limit from it.
+func SessionOpenSize(cfg hisa.RNSConfig) int {
+	rotations := len(cfg.KeyShape().Rotations)
+	pk, rlk, rtks := cfg.EvaluationKeySizes()
 	return 32 + 4 + 8*rotations + (4 + pk) + (4 + rlk) + (4 + rtks)
 }
 

@@ -23,9 +23,9 @@ func testBackend(t *testing.T) *hisa.RNSBackend {
 		t.Fatal(err)
 	}
 	return hisa.NewRNSBackend(hisa.RNSConfig{
-		Params:    params,
-		PRNG:      ring.NewTestPRNG(7),
-		Rotations: []int{1, 2, 5},
+		Params: params,
+		PRNG:   ring.NewTestPRNG(7),
+		Keys:   hisa.FullChainKeys(params, 1, 2, 5),
 	})
 }
 
@@ -122,7 +122,8 @@ func TestSessionOpenRoundTrip(t *testing.T) {
 		t.Fatalf("rotation key set size %d != %d", len(got.RTKS.Keys), len(msg.RTKS.Keys))
 	}
 	// The decoded keys must validate against the generating parameters.
-	if err := hisa.ValidateRNSKeys(b.Params(), hisa.RNSPublicKeys{
+	cfg := hisa.RNSConfig{Params: b.Params(), Keys: hisa.FullChainKeys(b.Params(), 1, 2, 5)}
+	if err := hisa.ValidateRNSKeys(cfg, hisa.RNSPublicKeys{
 		PK: got.PK, RLK: got.RLK, RTKS: got.RTKS, Rotations: got.Rotations,
 	}); err != nil {
 		t.Fatalf("decoded keys do not validate: %v", err)
@@ -338,27 +339,31 @@ func TestInferMessagesRoundTrip(t *testing.T) {
 
 // TestEncodedSizesAreExact pins the size arithmetic servers derive their
 // frame limit from to the encoders themselves, for per-prime and grouped
-// switching keys: a session-open and a fresh cipher tensor encode to exactly
-// the predicted byte counts.
+// switching keys cut at mixed levels: a session-open and a fresh cipher
+// tensor encode to exactly the predicted byte counts.
 func TestEncodedSizesAreExact(t *testing.T) {
-	for _, alpha := range []int{1, 2} {
+	for _, alpha := range []int{1, 2, 3} {
 		params, err := ckks.NewParameters(ckks.ParametersLiteral{
-			LogN: 5, LogQ: []int{30, 25, 25}, LogP: 30, Alpha: alpha, LogScale: 25,
+			LogN: 5, LogQ: []int{30, 25, 25, 25}, LogP: 30, Alpha: alpha, LogScale: 25,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := hisa.RNSConfig{Params: params, PRNG: ring.NewTestPRNG(7), Rotations: []int{1, 2, 5, 5, 0, -1}}
+		plan := &hisa.KeyPlan{Rotations: map[int]int{1: 3, 2: 0, 5: 1, -1: 2}, Relin: 2, Conjugate: -1}
+		cfg := hisa.RNSConfig{Params: params, PRNG: ring.NewTestPRNG(7), Keys: plan}
 		b := hisa.NewRNSBackend(cfg)
 		keys := b.PublicKeys()
 		data, err := (&SessionOpen{Rotations: keys.Rotations, PK: keys.PK, RLK: keys.RLK, RTKS: keys.RTKS}).Encode()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := len(keys.RTKS.Keys), cfg.RotationKeyCount(); got != want {
-			t.Fatalf("α=%d: %d rotation keys generated, RotationKeyCount says %d", alpha, got, want)
+		if got, want := len(keys.RTKS.Keys), cfg.RotationKeyCount(); got != want || want != 4 {
+			t.Fatalf("α=%d: %d rotation keys generated, RotationKeyCount says %d, the plan has 4", alpha, got, want)
 		}
-		if want := SessionOpenSize(params, len(keys.Rotations), len(keys.RTKS.Keys)); len(data) != want {
+		if err := hisa.ValidateRNSKeys(cfg, keys); err != nil {
+			t.Fatalf("α=%d: planned keys do not validate: %v", alpha, err)
+		}
+		if want := SessionOpenSize(cfg); len(data) != want {
 			t.Fatalf("α=%d: session-open encodes to %d bytes, SessionOpenSize says %d", alpha, len(data), want)
 		}
 		ct := &htc.CipherTensor{
