@@ -14,10 +14,11 @@ go build ./...
 echo "== go test ./..."
 go test ./...
 
-echo "== kernel promises (Dense issues the rotations its closed form says, fewer than one fold per neuron; every runtime rotation has a compiled key, at or below the key's planned level; keys cut at a level compute what full keys compute and do not depend on the core count; the conjugation key only when used; the compiler's node table equals the runtime's op counts; impossible scales are rejected; refresh counts pinned; constants are encoded once, at their use level, bit-identically, also under bootstrapping; input scales are admitted exactly)"
-go test -count=1 -run 'TestDenseRotationBudget|TestFoldStridedExact|TestConstantStore|TestParallelExecuteDeterministic' ./internal/htc
-go test -count=1 -run 'TestRuntimeRotationsWithinCompiledKeys|TestConjugationKeyOnlyWhenUsed|TestNodeTableMatchesRuntime|TestCompileRejectsBadScales|TestBootstrapPlacement|TestBootstrapEndToEnd' ./internal/core
-go test -count=1 -run 'TestLeveledKeyParity|TestKeyGenDeterministicAcrossProcs|TestOverLevelKeySwitchIsDescriptive' ./internal/ckks
+echo "== kernel promises (Dense issues the rotations its closed form says, fewer than one fold per neuron; every runtime rotation has a compiled key, at or below the key's planned level; keys cut at a level compute what full keys compute and do not depend on the core count; the conjugation key only when used; the compiler's node table equals the runtime's op counts; impossible scales are rejected; refresh counts pinned; constants are encoded once, at their use level, bit-identically, also under bootstrapping; input scales are admitted exactly; sums of rotations match the unfused sequence — bit for bit on Ref/Sim, within the rounding bound on RNS, op for op in the Meter — and divide by P once per output)"
+go test -count=1 -run 'TestDenseRotationBudget|TestFoldStridedExact|TestConstantStore|TestParallelExecuteDeterministic|TestKernelsHoistedParityRNS' ./internal/htc
+go test -count=1 -run 'TestRuntimeRotationsWithinCompiledKeys|TestConjugationKeyOnlyWhenUsed|TestNodeTableMatchesRuntime|TestModDownsPerInference|TestCompileRejectsBadScales|TestBootstrapPlacement|TestBootstrapEndToEnd' ./internal/core
+go test -count=1 -run 'TestLeveledKeyParity|TestKeyGenDeterministicAcrossProcs|TestOverLevelKeySwitchIsDescriptive|TestRotSum' ./internal/ckks
+go test -count=1 -run 'TestRotSum' ./internal/hisa
 go test -count=1 -run 'TestSessionEncodesConstantsOnce|TestPlannedKeysMatchFullKeys' .
 go test -count=1 -run 'TestInputScaleAdmittedExactly' ./internal/serve
 
@@ -27,8 +28,8 @@ echo "== benchmark module (its adapter is the one file outside the tree that imp
 echo "== go test -race (concurrency-sensitive packages)"
 go test -race ./internal/hisa/... ./internal/htc/... ./internal/ckks/...
 
-echo "== go test -race (hybrid key switch: α = 1 digests, hoisted/fused/worker parity for α in {1,2,3,L+1}, noise bound, arena gate)"
-go test -race -count=3 -run 'TestAlphaOneMatchesPerPrimeKeySwitch|TestHybridKeySwitch' ./internal/ckks
+echo "== go test -race (hybrid key switch: α = 1 digests, hoisted/fused/worker parity for α in {1,2,3,L+1}, noise bound, arena gate; fused sums of rotations against the unfused sequence for α in {1,2,3}, 1 ≡ 4 workers)"
+go test -race -count=3 -run 'TestAlphaOneMatchesPerPrimeKeySwitch|TestHybridKeySwitch|TestRotSumMatchesUnfused' ./internal/ckks
 
 echo "== go test -race (serving subsystem: wire protocol + batch coalescer + server engine)"
 go test -race ./internal/serve/... ./internal/wire/... ./internal/batch/...

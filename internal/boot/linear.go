@@ -94,55 +94,35 @@ func (b *Bootstrapper) matrixFor(kind matKind, fold float64, level int) (*bsgsMa
 	return m, nil
 }
 
-// applyBSGS multiplies ct's slot vector by the cached matrix using one
-// hoisted decomposition for all baby steps (PR 2's key inner-product
-// fusion) and one rescale at the end, consuming exactly one level.
+// applyBSGS multiplies ct's slot vector by the cached matrix as two sums of
+// rotations (ckks.Evaluator.RotSum), each kept in the extended basis with
+// one ModDown per output: the baby steps share one decomposition of ct and
+// give one inner sum per giant step, Σ_j pts[k][j]·rot_j(ct); the giant
+// steps rotate and add the inner sums. One rescale at the end consumes
+// exactly one level.
 func (b *Bootstrapper) applyBSGS(ct *ckks.Ciphertext, mat *bsgsMatrix) (*ckks.Ciphertext, error) {
 	ev := b.ev
-	babies := ev.RotateHoisted(ct, mat.baby)
-	defer func() {
-		for _, bb := range babies {
-			ev.Recycle(bb)
-		}
-	}()
-
-	var total *ckks.Ciphertext
+	var inner [][]ckks.SumTerm
+	var outer []ckks.SumTerm
 	for k := 0; k < mat.n2; k++ {
-		var acc *ckks.Ciphertext
+		var terms []ckks.SumTerm
 		for j := 0; j < mat.n1; j++ {
-			pt := mat.pts[k][j]
-			if pt == nil {
-				continue
-			}
-			term := ev.MulPlain(babies[j], pt)
-			if acc == nil {
-				acc = term
-			} else {
-				s := ev.Add(acc, term)
-				ev.Recycle(acc)
-				ev.Recycle(term)
-				acc = s
+			if pt := mat.pts[k][j]; pt != nil {
+				terms = append(terms, ckks.SumTerm{Rot: mat.baby[j], Pt: pt})
 			}
 		}
-		if acc == nil {
-			continue
-		}
-		if k > 0 {
-			rot := ev.RotateLeft(acc, k*mat.n1)
-			ev.Recycle(acc)
-			acc = rot
-		}
-		if total == nil {
-			total = acc
-		} else {
-			s := ev.Add(total, acc)
-			ev.Recycle(total)
-			ev.Recycle(acc)
-			total = s
+		if len(terms) > 0 {
+			outer = append(outer, ckks.SumTerm{Src: len(inner), Rot: k * mat.n1})
+			inner = append(inner, terms)
 		}
 	}
-	if total == nil {
+	if len(inner) == 0 {
 		return nil, fmt.Errorf("boot: linear transform has no nonzero diagonals")
+	}
+	giants := ev.RotSum([]*ckks.Ciphertext{ct}, inner)
+	total := ev.RotSum(giants, [][]ckks.SumTerm{outer})[0]
+	for _, g := range giants {
+		ev.Recycle(g)
 	}
 	ev.Rescale(total)
 	return total, nil

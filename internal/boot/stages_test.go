@@ -206,7 +206,7 @@ func TestLeakByOp(t *testing.T) {
 		ev.Recycle(m)
 	})
 	check("hoisted", func() {
-		ms := ev.RotateHoisted(ct, []int{0, 1, 2, 3})
+		ms := ev.RotSum([]*ckks.Ciphertext{ct}, [][]ckks.SumTerm{{{Rot: 0}}, {{Rot: 1}}, {{Rot: 2}}, {{Rot: 3}}})
 		for _, m := range ms {
 			ev.Recycle(m)
 		}

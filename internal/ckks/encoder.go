@@ -6,6 +6,7 @@ import (
 	"math/big"
 	"math/bits"
 	"math/cmplx"
+	"sync/atomic"
 
 	"chet/internal/ring"
 )
@@ -16,6 +17,10 @@ type Plaintext struct {
 	Value *ring.Poly // NTT domain
 	Scale float64
 	Lvl   int
+
+	// special caches the plaintext's rows modulo the special primes, which
+	// a RotSum weight needs and an encoding does not carry (specialRows).
+	special atomic.Pointer[[][]uint64]
 }
 
 // Level returns the plaintext level.

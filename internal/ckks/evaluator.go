@@ -34,6 +34,10 @@ type Evaluator struct {
 	// evaluator and each hands it its bound.
 	workers atomic.Int32
 
+	// modDowns counts the key-switch accumulators modDown has divided by
+	// the special modulus (ModDowns).
+	modDowns atomic.Int64
+
 	// monoI is the NTT form of the monomial X^(N/2), precomputed at
 	// construction and shared (read-only) across ShallowCopy. Every slot's
 	// evaluation point is an odd power 5^j of the primitive 2N-th root, and
@@ -73,6 +77,13 @@ func (ev *Evaluator) SetIntraOpWorkers(w int) *Evaluator {
 	ev.workers.Store(int32(w))
 	return ev
 }
+
+// ModDowns reports how many key-switch accumulators the evaluator has
+// divided by the special modulus: two per rotation, conjugation or
+// unfused relinearization, and two per RotSum output however many rotations
+// it sums. The fused relinearize-rescale divides inside its rescale pass and
+// is not counted.
+func (ev *Evaluator) ModDowns() int64 { return ev.modDowns.Load() }
 
 // ShallowCopy returns an evaluator that shares this evaluator's keys and
 // parameters but owns independent scratch pools.
@@ -383,11 +394,11 @@ func scalarResiduesInto(out []uint64, x, scale float64, r *ring.Ring, level int)
 	if math.Abs(c) < (1 << 62) {
 		ci := int64(c)
 		for i := 0; i <= level; i++ {
-			q := r.Moduli[i].Q
+			m := r.Moduli[i]
 			if ci >= 0 {
-				out[i] = uint64(ci) % q
+				out[i] = m.Reduce128(0, uint64(ci))
 			} else {
-				out[i] = (q - uint64(-ci)%q) % q
+				out[i] = ring.NegMod(m.Reduce128(0, uint64(-ci)), m.Q)
 			}
 		}
 		return
@@ -606,13 +617,14 @@ func (ev *Evaluator) Rescale(ct *Ciphertext) {
 		copy(top, c.Coeffs[level])
 		r.InvNTTSingle(level, top)
 		for j := 0; j < level; j++ {
-			qj := r.Moduli[j].Q
+			mj := r.Moduli[j]
+			qj := mj.Q
 			for k := 0; k < n; k++ {
 				v := top[k]
 				if v > halfQ {
-					tmp[k] = (qj - (qTop-v)%qj) % qj
+					tmp[k] = ring.NegMod(mj.Reduce128(0, qTop-v), qj)
 				} else {
-					tmp[k] = v % qj
+					tmp[k] = mj.Reduce128(0, v)
 				}
 			}
 			r.NTTSingle(j, tmp)

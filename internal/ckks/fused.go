@@ -135,7 +135,8 @@ func (ev *Evaluator) fusedOutput(c, acc *ring.Poly, level int) *ring.Poly {
 
 	out := r.GetPoly(newLevel)
 	ev.forEach(newLevel+1, func(j int) {
-		qj := r.Moduli[j].Q
+		mj := r.Moduli[j]
+		qj := mj.Q
 		qInv, qInvS := qInvRow[j], qInvSRow[j]
 		pInv, pInvS := tab.pInv[j], tab.pInvShoup[j]
 		u := ev.getRow()
@@ -143,9 +144,9 @@ func (ev *Evaluator) fusedOutput(c, acc *ring.Poly, level int) *ring.Poly {
 		for k, vq := range tQ {
 			var a uint64
 			if vq > halfQ {
-				a = (qj - (qTop-vq)%qj) % qj
+				a = ring.NegMod(mj.Reduce128(0, qTop-vq), qj)
 			} else {
-				a = vq % qj
+				a = mj.Reduce128(0, vq)
 			}
 			u[k] = ring.AddMod(
 				ring.MulModShoup(a, qInv, qInvS, qj),

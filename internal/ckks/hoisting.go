@@ -42,55 +42,44 @@ import (
 //
 // Hoisting: the decomposition depends only on the source ciphertext, not on
 // the rotation amount, and the Galois automorphism acts on the decomposed
-// digits as a per-row NTT-domain permutation. A batch of rotations of one
-// ciphertext therefore decomposes once and reuses the digits for every
-// amount, which is the dominant cost of the HTC conv, pool, and dense
-// kernels (they rotate one ciphertext by many amounts).
+// digits as a per-row NTT-domain permutation. The rotations of one
+// ciphertext therefore decompose it once and reuse the digits for every
+// amount. RotSum (rotsum.go) goes one step further for sums of rotations,
+// the inner loop of the HTC conv, pool and dense kernels: it also keeps the
+// weighted sum in the extended basis and divides by P once per output.
 //
-// Every key switch — rotations single or batched, conjugation,
+// Every key switch — rotations single or summed, conjugation,
 // relinearization, the fused relinearize-rescale, bootstrapping — runs
-// through this one path, so hoisted and per-amount rotations are
-// bit-identical by construction.
+// through this one path, so a sum holding one unit-weight rotation is
+// bit-identical to RotateLeft by construction.
 
 // maxDigits bounds the digit count of a switching key (the unmarshalers
 // enforce it), which lets the inner product gather its per-digit row
 // headers on the stack.
 const maxDigits = maxPolyRows
 
-// HoistedDecomposition holds the extended-basis NTT digits of a
-// polynomial: digits[i] carries, in rows {0..level} ∪ {live special rows}, the
-// NTT of c's i-th digit extended to that row's prime. It is read-only once
-// built, so one decomposition may serve concurrent RotateLeftHoisted calls.
-type HoistedDecomposition struct {
+// decomposition holds the extended-basis NTT digits of a polynomial:
+// digits[i] carries, in rows {0..level} ∪ {live special rows}, the NTT of c's
+// i-th digit extended to that row's prime. It is read-only once built, so
+// every rotation of a RotSum shares one.
+type decomposition struct {
 	level  int
 	digits []*ring.Poly
 	ev     *Evaluator
 }
 
-// Level returns the ciphertext level the decomposition was taken at.
-func (dec *HoistedDecomposition) Level() int { return dec.level }
-
 // Release returns the decomposition's digit storage to the evaluator's
-// scratch pool. The decomposition must not be used afterwards. Calling
-// Release is optional (the GC reclaims unreleased digits) but recommended
-// on hot paths.
-func (dec *HoistedDecomposition) Release() {
+// scratch pool. The decomposition must not be used afterwards.
+func (dec *decomposition) Release() {
 	for _, d := range dec.digits {
 		dec.ev.putAcc(d)
 	}
 	dec.digits = nil
 }
 
-// HoistedDecompose computes the digit decomposition of ct's degree-one
-// component once, for reuse across any number of rotation amounts via
-// RotateLeftHoisted.
-func (ev *Evaluator) HoistedDecompose(ct *Ciphertext) *HoistedDecomposition {
-	return ev.hoistedDecompose(ct.C1, ct.Lvl)
-}
-
 // hoistedDecompose decomposes an NTT-domain polynomial; the input is never
 // mutated.
-func (ev *Evaluator) hoistedDecompose(c *ring.Poly, level int) *HoistedDecomposition {
+func (ev *Evaluator) hoistedDecompose(c *ring.Poly, level int) *decomposition {
 	r := ev.params.Ring()
 	coef := ev.getAcc()
 	ev.forEach(level+1, func(i int) {
@@ -106,7 +95,7 @@ func (ev *Evaluator) hoistedDecompose(c *ring.Poly, level int) *HoistedDecomposi
 // rows 0..level are in coef (scratch: it may be rescaled in place). ntt,
 // when non-nil, is the same polynomial in the NTT domain: a digit's own rows
 // are then taken from it instead of being transformed again.
-func (ev *Evaluator) modUp(coef, ntt *ring.Poly, level int) *HoistedDecomposition {
+func (ev *Evaluator) modUp(coef, ntt *ring.Poly, level int) *decomposition {
 	params := ev.params
 	r := params.Ring()
 	rows := params.ksRows(level)
@@ -127,7 +116,7 @@ func (ev *Evaluator) modUp(coef, ntt *ring.Poly, level int) *HoistedDecompositio
 		ev.forEach(level+1, func(j int) { scale(j, coef.Coeffs[j], coef.Coeffs[j]) })
 	}
 
-	dec := &HoistedDecomposition{level: level, ev: ev, digits: make([]*ring.Poly, beta)}
+	dec := &decomposition{level: level, ev: ev, digits: make([]*ring.Poly, beta)}
 	scratch := make([]*ring.Poly, beta)
 	ev.forEach(beta, func(i int) {
 		scratch[i] = params.digitExtender(i, level).Prepare(coef)
@@ -157,48 +146,11 @@ func (ev *Evaluator) modUp(coef, ntt *ring.Poly, level int) *HoistedDecompositio
 	return dec
 }
 
-// RotateHoisted rotates ct left by every amount in ks, sharing one digit
-// decomposition across all of them. Each output is bit-identical to the
-// corresponding RotateLeft(ct, k) call; only the decomposition work is
-// amortized. Amounts that reduce to 0 mod slots yield copies.
-func (ev *Evaluator) RotateHoisted(ct *Ciphertext, ks []int) []*Ciphertext {
-	outs := make([]*Ciphertext, len(ks))
-	slots := ev.params.Slots()
-	var dec *HoistedDecomposition
-	for idx, k := range ks {
-		kk := ((k % slots) + slots) % slots
-		if kk == 0 {
-			outs[idx] = ev.copyCt(ct)
-			continue
-		}
-		if dec == nil {
-			dec = ev.HoistedDecompose(ct)
-		}
-		outs[idx] = ev.applyGaloisHoisted(ct, dec, ev.params.Ring().GaloisElementForRotation(kk))
-	}
-	if dec != nil {
-		dec.Release()
-	}
-	return outs
-}
-
-// RotateLeftHoisted rotates ct left by k using a decomposition previously
-// taken from the same ciphertext with HoistedDecompose. The caller owns
-// dec's lifetime; concurrent calls sharing one dec are safe.
-func (ev *Evaluator) RotateLeftHoisted(ct *Ciphertext, dec *HoistedDecomposition, k int) *Ciphertext {
-	slots := ev.params.Slots()
-	k = ((k % slots) + slots) % slots
-	if k == 0 {
-		return ev.copyCt(ct)
-	}
-	return ev.applyGaloisHoisted(ct, dec, ev.params.Ring().GaloisElementForRotation(k))
-}
-
 // applyGaloisHoisted produces the automorphic image of ct for galEl from
 // ct's hoisted decomposition: the digit rows are gathered through the
 // automorphism's NTT permutation during the key inner product, the result
 // is divided by P, and the automorphism of c0 is added in.
-func (ev *Evaluator) applyGaloisHoisted(ct *Ciphertext, dec *HoistedDecomposition, galEl uint64) *Ciphertext {
+func (ev *Evaluator) applyGaloisHoisted(ct *Ciphertext, dec *decomposition, galEl uint64) *Ciphertext {
 	r := ev.params.Ring()
 	level := ct.Lvl
 	swk, err := ev.rtks.RotationKeyFor(galEl, level)
@@ -218,7 +170,7 @@ func (ev *Evaluator) applyGaloisHoisted(ct *Ciphertext, dec *HoistedDecompositio
 // division by P. It returns base0 + acc0/P and base1 + acc1/P as fresh
 // arena polys at the decomposition's level; base0 is read through perm as
 // well (the automorphism of a rotation's c0), and base1 may be nil.
-func (ev *Evaluator) keySwitchFromDecomp(dec *HoistedDecomposition, perm []int, swk *SwitchingKey, base0, base1 *ring.Poly) (*ring.Poly, *ring.Poly) {
+func (ev *Evaluator) keySwitchFromDecomp(dec *decomposition, perm []int, swk *SwitchingKey, base0, base1 *ring.Poly) (*ring.Poly, *ring.Poly) {
 	acc0, acc1 := ev.ksInnerProduct(dec, perm, swk)
 	return ev.modDown(acc0, dec.level, base0, perm), ev.modDown(acc1, dec.level, base1, nil)
 }
@@ -229,7 +181,7 @@ func (ev *Evaluator) keySwitchFromDecomp(dec *HoistedDecomposition, perm []int, 
 // else goes through keySwitchFromDecomp. Each extended-basis row
 // accumulates over all digits independently, so rows partition cleanly
 // across intra-op workers and the result is bit-identical to serial.
-func (ev *Evaluator) ksInnerProduct(dec *HoistedDecomposition, perm []int, swk *SwitchingKey) (*ring.Poly, *ring.Poly) {
+func (ev *Evaluator) ksInnerProduct(dec *decomposition, perm []int, swk *SwitchingKey) (*ring.Poly, *ring.Poly) {
 	r := ev.params.Ring()
 	rows := ev.params.ksRows(dec.level)
 	beta := len(dec.digits)
@@ -289,6 +241,7 @@ func (ev *Evaluator) modDown(acc *ring.Poly, level int, base *ring.Poly, perm []
 	params := ev.params
 	r := params.Ring()
 	tab := params.ksTables(level)
+	ev.modDowns.Add(1)
 	scratch := ev.modDownPrepare(acc, level)
 	out := r.GetPoly(level)
 	ev.forEach(level+1, func(j int) {

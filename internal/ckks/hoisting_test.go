@@ -29,9 +29,19 @@ func ctEqual(a, b *Ciphertext) bool {
 	return true
 }
 
+// rotateHoisted rotates ct by every amount in ks with one RotSum of
+// single unit-weight terms: hoisted rotations, one decomposition for all.
+func rotateHoisted(ev *Evaluator, ct *Ciphertext, ks []int) []*Ciphertext {
+	sums := make([][]SumTerm, len(ks))
+	for i, k := range ks {
+		sums[i] = []SumTerm{{Rot: k}}
+	}
+	return ev.RotSum([]*Ciphertext{ct}, sums)
+}
+
 // TestRotateHoistedMatchesRotateLeft is the hoisting property test: for
 // random ciphertexts, random levels, and random rotation sets (including
-// zero, negative, and repeated amounts), RotateHoisted must produce
+// zero, negative, and repeated amounts), hoisted rotations must produce
 // byte-identical ciphertexts to per-amount RotateLeft calls.
 func TestRotateHoistedMatchesRotateLeft(t *testing.T) {
 	tc := newTestContext(t)
@@ -60,11 +70,11 @@ func TestRotateHoistedMatchesRotateLeft(t *testing.T) {
 		}
 		ks = append(ks, ks[len(ks)-1]) // repeated amount
 
-		hoisted := ev.RotateHoisted(ct, ks)
+		hoisted := rotateHoisted(ev, ct, ks)
 		for i, k := range ks {
 			want := ev.RotateLeft(ct, k)
 			if !ctEqual(hoisted[i], want) {
-				t.Fatalf("trial %d level %d: RotateHoisted k=%d differs from RotateLeft", trial, level, k)
+				t.Fatalf("trial %d level %d: hoisted k=%d differs from RotateLeft", trial, level, k)
 			}
 		}
 	}
@@ -83,7 +93,7 @@ func TestRotateHoistedDecrypts(t *testing.T) {
 	pt := tc.enc.Encode(values, tc.params.DefaultScale(), tc.params.MaxLevel())
 	ct := tc.encr.Encrypt(pt)
 
-	outs := ev.RotateHoisted(ct, rotations)
+	outs := rotateHoisted(ev, ct, rotations)
 	for i, k := range rotations {
 		got := tc.enc.Decode(tc.decr.Decrypt(outs[i]))
 		want := make([]float64, slots)
@@ -110,13 +120,14 @@ func TestHoistedDecompositionReuse(t *testing.T) {
 	pt := tc.enc.Encode(values, tc.params.DefaultScale(), tc.params.MaxLevel())
 	ct := tc.encr.Encrypt(pt)
 
-	dec := ev.HoistedDecompose(ct)
-	if dec.Level() != ct.Lvl {
-		t.Fatalf("decomposition level %d, want %d", dec.Level(), ct.Lvl)
+	r := tc.params.Ring()
+	dec := ev.hoistedDecompose(ct.C1, ct.Lvl)
+	if dec.level != ct.Lvl {
+		t.Fatalf("decomposition level %d, want %d", dec.level, ct.Lvl)
 	}
-	first := ev.RotateLeftHoisted(ct, dec, 1)
-	_ = ev.RotateLeftHoisted(ct, dec, 5)
-	second := ev.RotateLeftHoisted(ct, dec, 1)
+	first := ev.applyGaloisHoisted(ct, dec, r.GaloisElementForRotation(1))
+	_ = ev.applyGaloisHoisted(ct, dec, r.GaloisElementForRotation(5))
+	second := ev.applyGaloisHoisted(ct, dec, r.GaloisElementForRotation(1))
 	if !ctEqual(first, second) {
 		t.Fatal("decomposition reuse changed the result of rotation by 1")
 	}
@@ -124,6 +135,12 @@ func TestHoistedDecompositionReuse(t *testing.T) {
 	want := ev.RotateLeft(ct, 1)
 	if !ctEqual(first, want) {
 		t.Fatal("hoisted rotation differs from RotateLeft after Release")
+	}
+	// A RotSum drawing on one (source, amount) pair from two outputs, with
+	// another amount between them, shares the pair's inner product.
+	outs := ev.RotSum([]*Ciphertext{ct}, [][]SumTerm{{{Rot: 1}}, {{Rot: 5}}, {{Rot: 1}}})
+	if !ctEqual(outs[0], want) || !ctEqual(outs[2], want) {
+		t.Fatal("a shared RotSum rotation differs from RotateLeft")
 	}
 }
 
@@ -137,7 +154,7 @@ func TestHoistedLevelMismatchPanics(t *testing.T) {
 	values := randomVector(tc.params.Slots(), 4, 9)
 	pt := tc.enc.Encode(values, tc.params.DefaultScale(), tc.params.MaxLevel())
 	ct := tc.encr.Encrypt(pt)
-	dec := ev.HoistedDecompose(ct)
+	dec := ev.hoistedDecompose(ct.C1, ct.Lvl)
 	ev.DropToLevel(ct, ct.Lvl-1)
 
 	defer func() {
@@ -145,5 +162,5 @@ func TestHoistedLevelMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic on level mismatch")
 		}
 	}()
-	ev.RotateLeftHoisted(ct, dec, 1)
+	ev.applyGaloisHoisted(ct, dec, tc.params.Ring().GaloisElementForRotation(1))
 }

@@ -57,7 +57,7 @@ func TestAlphaOneMatchesPerPrimeKeySwitch(t *testing.T) {
 		"conjugate":           ctDigest(ev.Conjugate(cta), ev.Conjugate(low)),
 		"relinearize":         ctDigest(ev.Relinearize(ev.MulNoRelin(cta, ctb)), ev.Relinearize(ev.MulNoRelin(low, ctb))),
 		"relinearize-rescale": ctDigest(ev.RelinearizeRescale(ev.MulNoRelin(cta, ctb)), ev.RelinearizeRescale(ev.MulNoRelin(low, ctb))),
-		"rotate-hoisted":      ctDigest(append(ev.RotateHoisted(cta, []int{1, 5, 64}), ev.RotateHoisted(low, []int{64, 1})...)...),
+		"rotate-hoisted":      ctDigest(append(rotateHoisted(ev, cta, []int{1, 5, 64}), rotateHoisted(ev, low, []int{64, 1})...)...),
 	}
 	want := map[string]string{
 		"rotate":              "4c0d9c5c3612ea7b72d544857361c3ed5cb5a256ab921e075566d2a0dbe4b16c",
@@ -138,8 +138,8 @@ func TestHybridKeySwitchParity(t *testing.T) {
 			}
 
 			ks := []int{1, 3, 16}
-			hoisted := ev.RotateHoisted(a, ks)
-			hoistedPar := par.RotateHoisted(a, ks)
+			hoisted := rotateHoisted(ev, a, ks)
+			hoistedPar := rotateHoisted(par, a, ks)
 			for i, k := range ks {
 				seq := ev.RotateLeft(a, k)
 				if !ctEqual(hoisted[i], seq) {

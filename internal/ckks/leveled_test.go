@@ -71,7 +71,7 @@ func TestLeveledKeyParity(t *testing.T) {
 				continue
 			}
 			same("rotate", func(ev *Evaluator) []*Ciphertext { return []*Ciphertext{ev.RotateLeft(a, 1)} })
-			same("rotate-hoisted", func(ev *Evaluator) []*Ciphertext { return ev.RotateHoisted(a, []int{1, 5}) })
+			same("rotate-hoisted", func(ev *Evaluator) []*Ciphertext { return rotateHoisted(ev, a, []int{1, 5}) })
 			same("conjugate", func(ev *Evaluator) []*Ciphertext { return []*Ciphertext{ev.Conjugate(a)} })
 			same("relinearize", func(ev *Evaluator) []*Ciphertext {
 				return []*Ciphertext{ev.Relinearize(ev.MulNoRelin(a, b))}
@@ -145,7 +145,7 @@ func TestOverLevelKeySwitchIsDescriptive(t *testing.T) {
 	conj := "Galois element " + strconv.FormatUint(r.GaloisElementConjugate(), 10) + " serves levels up to 1, ciphertext is at level 2"
 	relin := "relinearization key serves levels up to 1, ciphertext is at level 2"
 	mustPanicWith(t, galois, func() { ev.RotateLeft(ct, 5) })
-	mustPanicWith(t, galois, func() { ev.RotateHoisted(ct, []int{5, 1}) })
+	mustPanicWith(t, galois, func() { rotateHoisted(ev, ct, []int{5, 1}) })
 	mustPanicWith(t, conj, func() { ev.Conjugate(ct) })
 	mustPanicWith(t, relin, func() { ev.Relinearize(ev.MulNoRelin(ct, ct)) })
 	hi := encr.Encrypt(tc.enc.Encode(randomVector(params.Slots(), 1, 24), params.DefaultScale(), params.MaxLevel()))

@@ -168,6 +168,8 @@ func (p *Parameters) precomputeKeySwitch() {
 			half:      make([]uint64, len(r.Moduli)),
 			pInv:      make([]uint64, chain),
 			pInvShoup: make([]uint64, chain),
+			p:         make([]uint64, chain),
+			pShoup:    make([]uint64, chain),
 		}
 		half := new(big.Int).Rsh(pLive, 1)
 		for j := range r.Moduli {
@@ -179,7 +181,9 @@ func (p *Parameters) precomputeKeySwitch() {
 			t.liftShoup = make([]uint64, chain)
 		}
 		for j, qj := range p.qChain {
-			t.pInv[j] = ring.InvMod(mod(pLive, qj), qj)
+			t.p[j] = mod(pLive, qj)
+			t.pShoup[j] = ring.MForm(t.p[j], qj)
+			t.pInv[j] = ring.InvMod(t.p[j], qj)
 			t.pInvShoup[j] = ring.MForm(t.pInv[j], qj)
 			if k < alpha {
 				t.lift[j] = ring.InvMod(mod(rest, qj), qj)
@@ -222,6 +226,7 @@ type modDownTables struct {
 	ext             *ring.BasisExtender // the k special rows to every other ring row
 	half            []uint64            // ⌊P_k/2⌋ modulo every ring row: added before and removed after the extension, so the division rounds to nearest
 	pInv, pInvShoup []uint64            // P_k^{-1} mod q_j per chain prime
+	p, pShoup       []uint64            // P_k mod q_j per chain prime: lifts a chain-basis value into the extended basis, where ModDown returns it unchanged
 	// lift is (P/P_k)^{-1} mod q_j per chain prime, nil when k = α. The keys
 	// encrypt P·s'; multiplying the polynomial by lift before it is
 	// decomposed turns them into encryptions of P_k·s' for it.

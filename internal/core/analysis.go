@@ -489,21 +489,31 @@ func (a *Analysis) RotRight(c hisa.Ciphertext, x int) hisa.Ciphertext {
 	return a.RotLeft(c, -x)
 }
 
-// RotLeftMany is the analysis transfer function for hoisted rotation
-// batches (hisa.RotateManyBackend): with the RNS target, amounts served by
-// an exact key share one digit decomposition — setup is charged once and
-// each amount adds only the cheap inner-product step. Amounts that
-// decompose into several primitive steps, and the CKKS target, fall back
-// to per-step rotation charges. The recorded rotation steps are identical
-// to the equivalent RotLeft sequence, so rotation-key selection and op
-// counts are independent of whether a kernel batched its rotations.
-func (a *Analysis) RotLeftMany(c hisa.Ciphertext, ks []int) []hisa.Ciphertext {
+// RotSumCapable: the analysis interprets sums of rotations itself (RotSum).
+func (a *Analysis) RotSumCapable() bool { return true }
+
+// RotSum is the analysis transfer function for sums of rotations
+// (hisa.RotateSumBackend): the unfused sequence, with the rotations of a
+// source drawn at two or more amounts priced as one hoisted batch — with the
+// RNS target, amounts served by an exact key share one digit decomposition,
+// so setup is charged once and each amount adds only the inner-product step.
+// Amounts that decompose into several primitive steps, a source rotated by
+// a single amount, and the CKKS target are charged per step. The recorded
+// rotation steps are identical to the equivalent RotLeft sequence, so
+// rotation-key selection and op counts do not depend on the pricing.
+func (a *Analysis) RotSum(srcs []hisa.Ciphertext, sums [][]hisa.Term) []hisa.Ciphertext {
+	return hisa.RotSumUnfused(a, srcs, sums, nil, a.rotateBatch)
+}
+
+// rotateBatch rotates c by every amount in ks, hoisting them as RotSum
+// describes.
+func (a *Analysis) rotateBatch(c hisa.Ciphertext, ks []int) []hisa.Ciphertext {
 	cc := a.ct(c)
 	outs := make([]hisa.Ciphertext, len(ks))
 	setupCharged := false
 	for i, x := range ks {
 		steps := hisa.RotationSteps(x, a.slots, a.rotKey)
-		if a.scheme == SchemeRNS && len(steps) == 1 {
+		if a.scheme == SchemeRNS && len(steps) == 1 && len(ks) > 1 {
 			if !setupCharged {
 				a.keySwitch(ksHoistSetup, cc)
 				a.charge(a.model.RotateHoistedSetup(a.n, a.state(cc)))

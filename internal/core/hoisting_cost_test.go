@@ -40,8 +40,9 @@ func TestHoistedRotationPricing(t *testing.T) {
 	}
 }
 
-// TestAnalysisRotLeftManyConsistency checks the batch transfer function
-// against the sequential one: identical rotation-step records (so key
+// TestAnalysisRotLeftManyConsistency checks the transfer function of a
+// rotation batch (a RotSum of single unit-weight terms) against the
+// sequential one: identical rotation-step records (so key
 // selection and op counts don't depend on batching) and a strictly lower
 // cost estimate on the RNS target, including amounts that fall back to
 // multi-step decomposition.
@@ -58,7 +59,7 @@ func TestAnalysisRotLeftManyConsistency(t *testing.T) {
 
 	batch := mk()
 	ct := batch.Encrypt(batch.Encode(nil, 1<<20))
-	batch.RotLeftMany(ct, ks)
+	hisa.RotLeftMany(batch, ct, ks)
 
 	seq := mk()
 	ct2 := seq.Encrypt(seq.Encode(nil, 1<<20))
@@ -86,6 +87,6 @@ func TestAnalysisRotLeftManyConsistency(t *testing.T) {
 	}
 }
 
-// Compile-time check: Analysis exposes the batch capability, so kernels
-// drive the same batched instruction stream through analysis and runtime.
-var _ hisa.RotateManyBackend = (*Analysis)(nil)
+// Compile-time check: Analysis exposes the sum-of-rotations capability, so
+// kernels drive the same instruction stream through analysis and runtime.
+var _ hisa.RotateSumBackend = (*Analysis)(nil)

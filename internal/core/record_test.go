@@ -22,7 +22,7 @@ func TestNodeTableMatchesRuntime(t *testing.T) {
 		t.Skip("real lattice execution is slow; run without -short")
 	}
 	cnn, img := testCNN()
-	tiny := nn.LeNetTiny()
+	tiny, small := nn.LeNetTiny(), nn.LeNet5Small()
 	for _, tc := range []struct {
 		c    *circuit.Circuit
 		img  *tensor.Tensor
@@ -30,6 +30,7 @@ func TestNodeTableMatchesRuntime(t *testing.T) {
 	}{
 		{cnn, img, 11},
 		{tiny.Circuit, nn.SyntheticImage(tiny.InputShape, 7), 12},
+		{small.Circuit, nn.SyntheticImage(small.InputShape, 7), 11},
 	} {
 		comp, err := Compile(tc.c, Options{Scheme: SchemeRNS, SecurityBits: -1, MinLogN: tc.logN, MaxLogN: tc.logN})
 		if err != nil {
@@ -60,6 +61,40 @@ func TestNodeTableMatchesRuntime(t *testing.T) {
 		if table[0] == 0 || table[2] == 0 {
 			t.Errorf("%s: node table %v counts no rotations or rescales", tc.c.Name, table)
 		}
+	}
+}
+
+// TestModDownsPerInference pins what summing rotations in the extended basis
+// buys at secure parameters: a LeNet-tiny inference at 128-bit security
+// (N = 2^15) divides its key-switch accumulators by the special modulus once
+// per sum output instead of once per rotation — at most 44 ModDowns where
+// rotating one amount at a time took 72, two for each of its 36 rotations —
+// while the Meter still counts every rotation the unfused sequence stands
+// for.
+func TestModDownsPerInference(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real lattice execution at N = 2^15 is slow; run without -short")
+	}
+	tiny := nn.LeNetTiny()
+	comp, err := Compile(tiny.Circuit, Options{Scheme: SchemeRNS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := BuildBackend(comp, ring.NewTestPRNG(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rns := b.(*hisa.RNSBackend)
+	m := hisa.NewMeter(b, nil)
+	enc := htc.EncryptTensor(m, nn.SyntheticImage(tiny.InputShape, 7), comp.Plan(), comp.Options.Scales)
+	before := rns.ModDowns()
+	htc.ExecuteOpts(m, comp.Circuit, enc, comp.Best.Policy, comp.Options.Scales, htc.ExecOptions{Workers: 2})
+	got := rns.ModDowns() - before
+	counts := m.Counts()
+	unfused := int64(2 * counts.Rotations())
+	t.Logf("N = 2^%d: %d ModDowns, %d one rotation at a time", comp.Best.LogN, got, unfused)
+	if got > 44 || got >= unfused {
+		t.Fatalf("%d ModDowns per inference, want at most 44 and fewer than the unfused %d", got, unfused)
 	}
 }
 

@@ -255,30 +255,6 @@ func AsLeveledEncode(b Backend) (LeveledEncodeBackend, bool) {
 	return lb, true
 }
 
-// RotateManyBackend is an optional backend capability: backends that can
-// amortize shared work across a batch of rotations of one ciphertext
-// (Halevi-Shoup hoisting in the RNS backend) implement it. RotLeftMany must
-// return exactly what the corresponding sequence of RotLeft calls would —
-// element i is bit-identical to RotLeft(c, ks[i]) — so callers may batch
-// opportunistically without changing results.
-type RotateManyBackend interface {
-	RotLeftMany(c Ciphertext, ks []int) []Ciphertext
-}
-
-// RotLeftMany rotates c left by every amount in ks, using the backend's
-// batch capability when present and falling back to sequential RotLeft
-// calls otherwise.
-func RotLeftMany(b Backend, c Ciphertext, ks []int) []Ciphertext {
-	if rb, ok := b.(RotateManyBackend); ok {
-		return rb.RotLeftMany(c, ks)
-	}
-	outs := make([]Ciphertext, len(ks))
-	for i, k := range ks {
-		outs[i] = b.RotLeft(c, k)
-	}
-	return outs
-}
-
 // RotationSteps decomposes a left rotation by x (mod slots) into the
 // primitive rotations a backend will actually execute given the provisioned
 // rotation keys. With the exact key available the result is {x}; otherwise

@@ -77,14 +77,17 @@ type Op struct {
 //     Relinearize the relin, with its real duration;
 //   - RelinearizeRescale is a full-duration rescale followed by a relin
 //     marker, or, with divisor 1, just the relin;
-//   - RotLeftMany is one rotl per non-trivial amount, the batch's duration
-//     split evenly between them;
+//   - RotSum is the instructions RotSumUnfused issues for it — one rotl
+//     per distinct rotation, one mulplain or mulscalar per weighted term, an
+//     add per term after a sum's first — the call's duration split evenly
+//     between them; a backend without the capability runs that sequence
+//     through the Interposer, op by op;
 //   - Bootstrap is one instruction: its interior runs below the HISA;
 //   - EncodeAt is an encode, like Encode.
 //
 // The capability methods exist whatever the wrapped backend supports, so
-// callers gate on AsLazyRelin, AsFusedRescale, AsBootstrap and
-// AsLeveledEncode (which consult the Capable flags forwarded here); calling
+// callers gate on AsLazyRelin, AsFusedRescale, AsBootstrap, AsLeveledEncode
+// and AsRotSum (which consult the Capable flags forwarded here); calling
 // one the backend lacks panics.
 // An Interposer is as safe for concurrent use as its hooks are.
 type Interposer struct {
@@ -98,6 +101,7 @@ type Interposer struct {
 	fused FusedRescaleBackend
 	boot  BootstrapBackend
 	level LeveledEncodeBackend
+	sum   RotateSumBackend
 }
 
 var (
@@ -107,7 +111,7 @@ var (
 	_ FusedRescaleBackend  = (*Interposer)(nil)
 	_ BootstrapBackend     = (*Interposer)(nil)
 	_ LeveledEncodeBackend = (*Interposer)(nil)
-	_ RotateManyBackend    = (*Interposer)(nil)
+	_ RotateSumBackend     = (*Interposer)(nil)
 	_ Unwrapper            = (*Interposer)(nil)
 )
 
@@ -120,6 +124,7 @@ func NewInterposer(inner Backend, tag string, before, after func(*Op)) Interpose
 	ip.fused, _ = inner.(FusedRescaleBackend)
 	ip.boot, _ = inner.(BootstrapBackend)
 	ip.level, _ = inner.(LeveledEncodeBackend)
+	ip.sum, _ = inner.(RotateSumBackend)
 	return ip
 }
 
@@ -234,27 +239,19 @@ func (ip *Interposer) RotRight(c Ciphertext, x int) Ciphertext {
 	return ip.run(&Op{Kind: OpRotRight, In: c, Rot: x}, func(c, _ Ciphertext) Ciphertext { return ip.inner.RotRight(c, x) })
 }
 
-// RotLeftMany forwards the batch whole, so hoisting survives wrapping.
-func (ip *Interposer) RotLeftMany(c Ciphertext, ks []int) []Ciphertext {
+func (ip *Interposer) RotSumCapable() bool { return ip.sum != nil && ip.sum.RotSumCapable() }
+
+// RotSum forwards the sums whole to a capable backend and reports them as
+// their unfused sequence; without the capability it runs that sequence
+// through the Interposer.
+func (ip *Interposer) RotSum(srcs []Ciphertext, sums [][]Term) []Ciphertext {
+	if !ip.RotSumCapable() {
+		return RotSumUnfused(ip, srcs, sums, nil, nil)
+	}
 	start := time.Now()
-	outs := RotLeftMany(ip.inner, c, ks)
-	dur := time.Since(start)
-	slots, n := ip.Slots(), 0
-	for _, k := range ks {
-		if k%slots != 0 {
-			n++
-		}
-	}
-	if ip.after == nil || n == 0 {
-		return outs
-	}
-	per := dur / time.Duration(n)
-	for i, k := range ks {
-		if k%slots == 0 {
-			continue
-		}
-		ip.after(&Op{Kind: OpRotLeft, In: c, Out: outs[i], Rot: k, Start: start, Dur: per})
-		start = start.Add(per)
+	outs := ip.sum.RotSum(srcs, sums)
+	if ip.after != nil {
+		ip.reportRotSum(srcs, sums, outs, start, time.Since(start))
 	}
 	return outs
 }

@@ -122,3 +122,30 @@ func (r *Refresher) afterOp(op *Op) {
 		op.Out = r.DropToFresh(op.Out)
 	}
 }
+
+// RotSum keeps the sums fused when no weighted term's source is below the
+// floor — rotation leaves a budget unchanged, so no product of the unfused
+// sequence would have been refreshed — and observes each such product's
+// headroom as that sequence would. Otherwise it runs the unfused sequence
+// through the Refresher, whose multiplications refresh their rotated
+// operands one by one, as they always have; its rotations stay one
+// unit-weight RotSum per source.
+func (r *Refresher) RotSum(srcs []Ciphertext, sums [][]Term) []Ciphertext {
+	refresh := false
+	for _, terms := range sums {
+		for _, t := range terms {
+			if t.Plain == nil && t.F == 0 {
+				continue
+			}
+			budget := r.BudgetOf(srcs[t.Src])
+			r.observeHeadroom(int64(budget - r.floor))
+			refresh = refresh || budget < r.floor
+		}
+	}
+	if !refresh {
+		return r.Interposer.RotSum(srcs, sums)
+	}
+	return RotSumUnfused(r, srcs, sums, nil, func(src Ciphertext, ks []int) []Ciphertext {
+		return RotLeftMany(r, src, ks)
+	})
+}

@@ -375,6 +375,10 @@ func (b *RNSBackend) keyed(cc *ckks.Ciphertext, swk *ckks.SwitchingKey) *ckks.Ci
 	return out
 }
 
+// ModDowns counts the key-switch accumulators this backend has divided by
+// the special modulus (ckks.Evaluator.ModDowns), refreshes included.
+func (b *RNSBackend) ModDowns() int64 { return b.evaluator.ModDowns() }
+
 // KeyLevelMisses counts the key switches this backend served at a key's
 // level below their operand's (see keyed). It stays 0 under a compiled
 // program: the compiler plans every key for the highest level the program
@@ -417,38 +421,61 @@ func (b *RNSBackend) RotRight(c Ciphertext, x int) Ciphertext {
 	return b.RotLeft(c, -x)
 }
 
-// RotLeftMany rotates c by every amount in ks with Halevi-Shoup hoisting:
-// amounts whose provisioned-key decomposition is a single step share one
-// digit decomposition of c, so the per-rotation cost drops to the key inner
-// product. Amounts needing multiple steps (no exact key) fall back to the
-// sequential path. Every output is bit-identical to RotLeft(c, ks[i]).
-func (b *RNSBackend) RotLeftMany(c Ciphertext, ks []int) []Ciphertext {
-	cc := b.ct(c)
-	outs := make([]Ciphertext, len(ks))
+// RotSumCapable marks the real lattice backend as computing sums of
+// rotations in the extended basis (see hisa.RotateSumBackend).
+func (b *RNSBackend) RotSumCapable() bool { return true }
+
+// RotSum computes the sums with one ModDown per output
+// (ckks.Evaluator.RotSum). A rotation the keys serve in one step at its
+// source's level is fused; an off-plan one — several steps, or a key below
+// its source's level — is computed by RotLeft first and enters the sum as an
+// unrotated term, which puts the call's outputs at its level.
+func (b *RNSBackend) RotSum(srcs []Ciphertext, sums [][]Term) []Ciphertext {
 	slots := b.Slots()
-	var dec *ckks.HoistedDecomposition
-	for i, x := range ks {
-		steps := RotationSteps(x, slots, func(k int) bool { return b.provisioned[k] })
-		switch len(steps) {
-		case 0:
-			outs[i] = cc.CopyNew()
-		case 1:
-			if swk := b.rotationKey(steps[0]); swk != nil && cc.Level() > swk.Level {
-				outs[i] = b.RotLeft(c, x) // off-plan: served at the key's level
-				continue
+	cs := make([]*ckks.Ciphertext, len(srcs))
+	for i, c := range srcs {
+		cs[i] = b.ct(c)
+	}
+	var offPlan []*ckks.Ciphertext
+	served := map[[2]int]int{} // off-plan (source, amount mod slots) → index in cs
+	terms := make([][]ckks.SumTerm, len(sums))
+	for o, ts := range sums {
+		terms[o] = make([]ckks.SumTerm, len(ts))
+		for i, t := range ts {
+			st := ckks.SumTerm{Src: t.Src, Rot: t.Rot, X: t.X, F: t.F}
+			if t.Plain != nil {
+				st.Pt = b.pt(t.Plain)
 			}
-			if dec == nil {
-				dec = b.evaluator.HoistedDecompose(cc)
+			steps := RotationSteps(t.Rot, slots, func(k int) bool { return b.provisioned[k] })
+			off := len(steps) > 1
+			if len(steps) == 1 {
+				swk := b.rotationKey(steps[0])
+				off = swk == nil || swk.Level < cs[t.Src].Level()
 			}
-			outs[i] = b.evaluator.RotateLeftHoisted(cc, dec, steps[0])
-		default:
-			outs[i] = b.RotLeft(c, x)
+			if off {
+				key := [2]int{t.Src, ((t.Rot % slots) + slots) % slots}
+				j, ok := served[key]
+				if !ok {
+					rot := b.ct(b.RotLeft(srcs[t.Src], t.Rot))
+					j = len(cs)
+					cs = append(cs, rot)
+					offPlan = append(offPlan, rot)
+					served[key] = j
+				}
+				st.Src, st.Rot = j, 0
+			}
+			terms[o][i] = st
 		}
 	}
-	if dec != nil {
-		dec.Release()
+	outs := b.evaluator.RotSum(cs, terms)
+	for _, c := range offPlan {
+		b.evaluator.Recycle(c)
 	}
-	return outs
+	res := make([]Ciphertext, len(outs))
+	for i, c := range outs {
+		res[i] = c
+	}
+	return res
 }
 
 func (b *RNSBackend) Add(c, c2 Ciphertext) Ciphertext { return b.evaluator.Add(b.ct(c), b.ct(c2)) }

@@ -1,0 +1,247 @@
+package hisa
+
+import "time"
+
+// Term is one summand of a sum of rotations (RotSum): the source srcs[Src]
+// rotated left by Rot slots, times a weight — the plaintext Plain when it is
+// non-nil, otherwise the scalar X at scale F (MulScalar's operands) when F
+// is non-zero, otherwise 1.
+type Term struct {
+	Src   int
+	Rot   int
+	Plain Plaintext
+	X, F  float64
+}
+
+// RotateSumBackend is an optional backend capability: a linear combination
+// of rotations as one instruction, out[o] = Σ_t w_t · rot_{Rot_t}(srcs[Src_t])
+// over the terms of sums[o]. It is the inner loop of the convolution,
+// pooling and dense kernels. The RNS backend decomposes every source once,
+// runs each distinct (source, amount) key inner product once, and keeps each
+// sum in the extended basis so that it divides by the special modulus once
+// per output instead of once per rotation (internal/ckks rotsum.go).
+//
+// Semantics: RotSum is RotSumUnfused — exactly on backends that compute
+// exactly, within the key switch's rounding on lattice backends, where the
+// fused sum rounds once per output and the unfused sequence once per
+// rotation. Outputs are fresh ciphertexts; the sources stay the caller's.
+type RotateSumBackend interface {
+	// RotSumCapable reports whether the instance actually supports the
+	// capability; the Interposer forwards RotSum unconditionally, so
+	// AsRotSum checks this flag too.
+	RotSumCapable() bool
+	RotSum(srcs []Ciphertext, sums [][]Term) []Ciphertext
+}
+
+// AsRotSum returns b as a RotateSumBackend when b (including every layer of
+// a wrapper chain) computes sums of rotations as one instruction.
+func AsRotSum(b Backend) (RotateSumBackend, bool) {
+	rb, ok := b.(RotateSumBackend)
+	if !ok || !rb.RotSumCapable() {
+		return nil, false
+	}
+	return rb, true
+}
+
+// RotSum computes the sums with b's RotateSumBackend capability, or with
+// RotSumUnfused on a backend without it, which spreads its rotations and its
+// sums with each (nil: one after another).
+func RotSum(b Backend, srcs []Ciphertext, sums [][]Term, each func(n int, fn func(i int))) []Ciphertext {
+	if rb, ok := AsRotSum(b); ok {
+		return rb.RotSum(srcs, sums)
+	}
+	return RotSumUnfused(b, srcs, sums, each, nil)
+}
+
+// RotLeftMany rotates c left by every amount in ks as one RotSum of single
+// unit-weight terms: element i is RotLeft(c, ks[i]), bit for bit on every
+// backend, with one decomposition of c shared by all amounts on RNS.
+func RotLeftMany(b Backend, c Ciphertext, ks []int) []Ciphertext {
+	sums := make([][]Term, len(ks))
+	for i, k := range ks {
+		sums[i] = []Term{{Rot: k}}
+	}
+	return RotSum(b, []Ciphertext{c}, sums, nil)
+}
+
+// sumRotations lists, per source, the rotations the unfused sequence of a
+// RotSum issues: each amount that is not a multiple of slots, once per
+// distinct amount mod slots, as the first term drawing on it wrote it.
+func sumRotations(slots, nsrc int, sums [][]Term) [][]int {
+	rots := make([][]int, nsrc)
+	seen := map[[2]int]bool{}
+	for _, terms := range sums {
+		for _, t := range terms {
+			k := ((t.Rot % slots) + slots) % slots
+			if k == 0 || seen[[2]int{t.Src, k}] {
+				continue
+			}
+			seen[[2]int{t.Src, k}] = true
+			rots[t.Src] = append(rots[t.Src], t.Rot)
+		}
+	}
+	return rots
+}
+
+// RotSumUnfused computes the sums with b's own instructions — the sequence a
+// RotSum stands for. First the rotations, each distinct one once: by
+// rotate(src, ks), which returns rot_k(src) for every amount in ks, once per
+// source with rotated terms, or — with rotate nil — by one RotLeft per
+// rotation. Then every sum in term order: each term's MulPlain or MulScalar
+// (none for a unit weight), added to the running sum. each spreads the
+// rotations (the sources, when rotate is given) and then the sums across
+// goroutines (nil: one after another); every sum runs on one goroutine in
+// term order, so results do not depend on it. Products and partial sums are
+// freed as they are consumed, rotations once every sum is done; an output
+// that would be a source, or a rotation another output already is, is a
+// Copy.
+func RotSumUnfused(b Backend, srcs []Ciphertext, sums [][]Term, each func(n int, fn func(i int)), rotate func(src Ciphertext, ks []int) []Ciphertext) []Ciphertext {
+	if each == nil {
+		each = func(n int, fn func(i int)) {
+			for i := 0; i < n; i++ {
+				fn(i)
+			}
+		}
+	}
+	slots := b.Slots()
+	norm := func(k int) int { return ((k % slots) + slots) % slots }
+	rots := sumRotations(slots, len(srcs), sums)
+	rotated := make([]map[int]Ciphertext, len(srcs))
+	if rotate != nil {
+		each(len(srcs), func(s int) {
+			if len(rots[s]) == 0 {
+				return
+			}
+			rotated[s] = make(map[int]Ciphertext, len(rots[s]))
+			for i, c := range rotate(srcs[s], rots[s]) {
+				rotated[s][norm(rots[s][i])] = c
+			}
+		})
+	} else {
+		type job struct{ src, k int }
+		var jobs []job
+		for s, ks := range rots {
+			for _, k := range ks {
+				jobs = append(jobs, job{s, k})
+			}
+		}
+		outs := make([]Ciphertext, len(jobs))
+		each(len(jobs), func(i int) { outs[i] = b.RotLeft(srcs[jobs[i].src], jobs[i].k) })
+		for i, j := range jobs {
+			if rotated[j.src] == nil {
+				rotated[j.src] = map[int]Ciphertext{}
+			}
+			rotated[j.src][norm(j.k)] = outs[i]
+		}
+	}
+	shared := map[Ciphertext]bool{}
+	for _, m := range rotated {
+		for _, c := range m {
+			shared[c] = true
+		}
+	}
+	outs := make([]Ciphertext, len(sums))
+	fresh := make([]bool, len(sums)) // outs[o] is a product or a sum, not a source or rotation
+	each(len(sums), func(o int) {
+		var acc Ciphertext
+		for _, t := range sums[o] {
+			x := srcs[t.Src]
+			if k := norm(t.Rot); k != 0 {
+				x = rotated[t.Src][k]
+			}
+			owned := true
+			switch {
+			case t.Plain != nil:
+				x = b.MulPlain(x, t.Plain)
+			case t.F != 0:
+				x = b.MulScalar(x, t.X, t.F)
+			default:
+				owned = false
+			}
+			if acc == nil {
+				acc, fresh[o] = x, owned
+				continue
+			}
+			sum := b.Add(acc, x)
+			if fresh[o] {
+				b.Free(acc)
+			}
+			if owned {
+				b.Free(x)
+			}
+			acc, fresh[o] = sum, true
+		}
+		outs[o] = acc
+	})
+	for o, acc := range outs {
+		switch {
+		case fresh[o]:
+		case shared[acc]:
+			delete(shared, acc) // this output owns the rotation now
+		default:
+			outs[o] = b.Copy(acc)
+		}
+	}
+	for c := range shared {
+		b.Free(c)
+	}
+	return outs
+}
+
+// reportRotSum hands the after-hook the instructions RotSumUnfused would
+// have issued for a sum the wrapped backend computed whole, the call's
+// duration split evenly between them: one rotl per distinct rotation, then
+// per sum each term's mulplain or mulscalar and an add per term after the
+// first. The last op of each sum carries the sum's output.
+func (ip *Interposer) reportRotSum(srcs []Ciphertext, sums [][]Term, outs []Ciphertext, start time.Time, dur time.Duration) {
+	rots := sumRotations(ip.Slots(), len(srcs), sums)
+	n := 0
+	for _, ks := range rots {
+		n += len(ks)
+	}
+	for _, terms := range sums {
+		for i, t := range terms {
+			if t.Plain != nil || t.F != 0 {
+				n++
+			}
+			if i > 0 {
+				n++
+			}
+		}
+	}
+	if n == 0 {
+		return
+	}
+	per := dur / time.Duration(n)
+	emit := func(op Op) {
+		op.Start, op.Dur = start, per
+		start = start.Add(per)
+		ip.after(&op)
+	}
+	for s, ks := range rots {
+		for _, k := range ks {
+			emit(Op{Kind: OpRotLeft, In: srcs[s], Rot: k})
+		}
+	}
+	for o, terms := range sums {
+		last := len(terms) - 1
+		for i, t := range terms {
+			var out, mulOut Ciphertext
+			if i == last {
+				out = outs[o]
+			}
+			if i == 0 {
+				mulOut = out // a lone product is the sum
+			}
+			switch {
+			case t.Plain != nil:
+				emit(Op{Kind: OpMulPlain, In: srcs[t.Src], Out: mulOut})
+			case t.F != 0:
+				emit(Op{Kind: OpMulScalar, In: srcs[t.Src], Out: mulOut})
+			}
+			if i > 0 {
+				emit(Op{Kind: OpAdd, Out: out})
+			}
+		}
+	}
+}

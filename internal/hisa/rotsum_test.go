@@ -1,0 +1,175 @@
+package hisa
+
+import (
+	"reflect"
+	"sync"
+	"testing"
+
+	"chet/internal/ring"
+)
+
+// noSum hides a backend's sum-of-rotations capability, so RotSum runs the
+// unfused sequence on it.
+type noSum struct{ Backend }
+
+// testSums is the sum set of the parity tests: two sources; plaintext,
+// scalar and unit weights; unrotated terms, a negative amount, an amount
+// past the slot count, a rotation shared by two sums, a repeated single
+// rotation, and 3 — two steps where only power-of-two keys exist.
+func testSums(b Backend) ([]Ciphertext, [][]Term) {
+	slots := b.Slots()
+	a := b.Encrypt(b.Encode(rv(slots, 1, 41), testScale))
+	c := b.Encrypt(b.Encode(rv(slots, 1, 42), testScale))
+	const wScale = 1 << 30
+	pa, pc := b.Encode(rv(slots, 1, 43), wScale), b.Encode(rv(slots, 0.5, 44), wScale)
+	return []Ciphertext{a, c}, [][]Term{
+		{{Src: 0, Rot: 1, Plain: pa}, {Src: 1, Rot: -2, Plain: pc}, {Src: 0, Plain: pc}},
+		{{Src: 0, Rot: 8, X: 0.5, F: wScale}, {Src: 1, Rot: 1 + slots, X: -1.25, F: wScale}, {Src: 1, X: 2, F: wScale}},
+		{{Src: 0, Rot: 1}, {Src: 0, Rot: 3}, {Src: 1}},
+		{{Src: 1, Rot: 2}},
+		{{Src: 1, Rot: 2}},
+		{{Src: 0}},
+	}
+}
+
+// unfusedByHand is testSums' sequence written out op by op, as the kernels
+// issued it before RotSum existed.
+func unfusedByHand(b Backend, srcs []Ciphertext, sums [][]Term) []Ciphertext {
+	a, c := srcs[0], srcs[1]
+	pa, pc := sums[0][0].Plain, sums[0][1].Plain
+	const wScale = 1 << 30
+	slots := b.Slots()
+	return []Ciphertext{
+		b.Add(b.Add(b.MulPlain(b.RotLeft(a, 1), pa), b.MulPlain(b.RotLeft(c, -2), pc)), b.MulPlain(a, pc)),
+		b.Add(b.Add(b.MulScalar(b.RotLeft(a, 8), 0.5, wScale), b.MulScalar(b.RotLeft(c, 1+slots), -1.25, wScale)), b.MulScalar(c, 2, wScale)),
+		b.Add(b.Add(b.RotLeft(a, 1), b.RotLeft(a, 3)), c),
+		b.RotLeft(c, 2),
+		b.RotLeft(c, 2),
+		b.Copy(a),
+	}
+}
+
+// TestRotSumRefSimBitIdentical checks the backends without the capability:
+// RotSum is the unfused sequence there, and its results are bit-identical to
+// the same ops written out by hand, whether its rotations and sums run one
+// after another or all at once.
+func TestRotSumRefSimBitIdentical(t *testing.T) {
+	concurrently := func(n int, fn func(i int)) {
+		var wg sync.WaitGroup
+		wg.Add(n)
+		for i := 0; i < n; i++ {
+			go func(i int) {
+				defer wg.Done()
+				fn(i)
+			}(i)
+		}
+		wg.Wait()
+	}
+	for _, b := range []Backend{NewRefBackend(512), NewSimBackend(SimParams{LogN: 10, LogQ: 240, Seed: 9})} {
+		if _, ok := AsRotSum(b); ok {
+			t.Fatalf("%s: unexpected RotSum capability", b.Name())
+		}
+		srcs, sums := testSums(b)
+		want := unfusedByHand(b, srcs, sums)
+		for _, each := range []func(int, func(int)){nil, concurrently} {
+			got := RotSum(b, srcs, sums, each)
+			for o := range want {
+				if !reflect.DeepEqual(got[o], want[o]) {
+					t.Fatalf("%s: sum %d differs from the unfused sequence", b.Name(), o)
+				}
+			}
+			if got[3] == got[4] || got[5] == srcs[0] {
+				t.Fatalf("%s: RotSum outputs alias each other or a source", b.Name())
+			}
+		}
+	}
+}
+
+// TestRotSumOpCountsMatchUnfused checks the accounting contract: a Meter
+// over the fused RNS instruction tallies exactly what a Meter over the
+// unfused sequence on the same backend tallies — distinct rotations once,
+// in primitive steps, products per weighted term, additions per extra term —
+// and a Ref backend's unfused run agrees.
+func TestRotSumOpCountsMatchUnfused(t *testing.T) {
+	b := newRNSTestBackend(t, nil) // power-of-two keys: 3 takes two steps
+	slots := b.Slots()
+	stepsOf := func(x int) int { return len(RotationSteps(x, slots, func(k int) bool { return b.provisioned[k] })) }
+	count := func(inner Backend) OpCounts {
+		m := NewMeter(inner, stepsOf)
+		srcs, sums := testSums(inner)
+		before := m.Counts()
+		RotSum(m, srcs, sums, nil)
+		after := m.Counts()
+		for k := range after {
+			after[k] -= before[k]
+		}
+		return after
+	}
+	fused, unfused, ref := count(b), count(noSum{b}), count(NewRefBackend(slots))
+	if fused != unfused || fused != ref {
+		t.Fatalf("op counts: fused %v, unfused %v, ref %v", fused, unfused, ref)
+	}
+	// Rotations: a by 1, 8, 3 (two steps); c by −2 (= slots−2: many steps),
+	// 1+slots (= 1), 2.
+	want := 1 + 1 + 2 + stepsOf(-2) + 1 + 1
+	if fused.Rotations() != want || fused[OpMulPlain] != 3 || fused[OpMulScalar] != 3 || fused[OpAdd] != 6 {
+		t.Fatalf("op counts %v: want %d rotations, 3 mulplain, 3 mulscalar, 6 add", fused, want)
+	}
+}
+
+// TestRotSumRNSMatchesUnfused checks the RNS instruction against the
+// unfused sequence on the same backend — within the rounding bound of
+// internal/ckks TestRotSumMatchesUnfused for weighted sums, bit-identical
+// for single unit-weight rotations (off-plan multi-step ones included) and
+// unrotated sums — and that four limb workers reproduce one bit for bit.
+func TestRotSumRNSMatchesUnfused(t *testing.T) {
+	b := newRNSTestBackend(t, nil)
+	n := float64(b.Params().N())
+	srcs, sums := testSums(b)
+	fused := RotSum(b, srcs, sums, nil)
+	unfused := RotSum(noSum{b}, srcs, sums, nil)
+	for _, o := range []int{3, 4, 5} {
+		equalRNSCiphertexts(t, b, "single-term sum", fused[o], unfused[o])
+	}
+	for o, ws := range []float64{1 + 0.5 + 0.5, 0.5 + 1.25 + 2, 3} {
+		bound := (1 + ws) * n * (n + 1) / testScale
+		got, want := b.Decode(b.Decrypt(fused[o])), b.Decode(b.Decrypt(unfused[o]))
+		for j := range got {
+			if d := got[j] - want[j]; d > bound || d < -bound {
+				t.Fatalf("sum %d slot %d: %g from the unfused sequence, bound %g", o, j, d, bound)
+			}
+		}
+	}
+	b.SetLimbWorkers(4)
+	defer b.SetLimbWorkers(1)
+	for o, c := range RotSum(b, srcs, sums, nil) {
+		equalRNSCiphertexts(t, b, "4 limb workers", c, fused[o])
+	}
+}
+
+// TestRotSumRNSKeyBelowLevel checks the other off-plan case: a rotation
+// whose key stops below its source's level is served at the key's level,
+// counted as a key-level miss, and takes the whole call to that level.
+func TestRotSumRNSKeyBelowLevel(t *testing.T) {
+	params := newRNSTestBackend(t, nil).Params()
+	top := params.MaxLevel()
+	b := NewRNSBackend(RNSConfig{Params: params, PRNG: ring.NewTestPRNG(7), Keys: &KeyPlan{Rotations: map[int]int{1: top, 2: 1}, Relin: top, Conjugate: -1}})
+	slots := b.Slots()
+	va := rv(slots, 1, 45)
+	a := b.Encrypt(b.Encode(va, testScale))
+	out := RotSum(b, []Ciphertext{a}, [][]Term{{{Rot: 1}, {Rot: 2}}, {{Rot: 1}}}, nil)
+	if b.KeyLevelMisses() != 1 {
+		t.Fatalf("key-level misses = %d, want 1", b.KeyLevelMisses())
+	}
+	for o, c := range out {
+		if lvl := b.LevelOf(c); lvl != 1 {
+			t.Fatalf("sum %d at level %d, want the key's level 1", o, lvl)
+		}
+	}
+	got := b.Decode(b.Decrypt(out[0]))
+	for j := range got {
+		if d := got[j] - va[(j+1)%slots] - va[(j+2)%slots]; d > 1e-6 || d < -1e-6 {
+			t.Fatalf("slot %d of rot1(a)+rot2(a) off by %g", j, d)
+		}
+	}
+}

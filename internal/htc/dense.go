@@ -100,14 +100,18 @@ func DenseOpts(b hisa.Backend, in *CipherTensor, weights, bias *tensor.Tensor, s
 		acc = foldStrided(b, acc, in.W, in.ColStride)
 		acc = foldStrided(b, acc, in.H, in.RowStride)
 		acc = foldStrided(b, acc, chIn, in.ChanStride)
-		acc = tryRescale(b, b.MulPlain(acc, mask.at(acc)), sc.Pc)
-		groups[q] = rotateRight(b, acc, q-in.Offset)
+		groups[q] = tryRescale(b, b.MulPlain(acc, mask.at(acc)), sc.Pc)
 	})
 
-	// Fold in serial group order for a bit-identical result.
-	var acc hisa.Ciphertext
-	for _, t := range groups {
-		acc = accumulate(b, acc, t)
+	// Place every group's dot products at its output column: one sum of
+	// rotations, in group order.
+	place := make([]hisa.Term, G)
+	for q := range place {
+		place[q] = hisa.Term{Src: q, Rot: in.Offset - q}
+	}
+	acc := hisa.RotSum(b, groups, [][]hisa.Term{place}, opts.each)[0]
+	for _, g := range groups {
+		b.Free(g)
 	}
 
 	if bias != nil {

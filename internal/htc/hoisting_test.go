@@ -7,19 +7,26 @@ import (
 	"chet/internal/ckks"
 	"chet/internal/hisa"
 	"chet/internal/ring"
+	"chet/internal/tensor"
 )
 
-// noBatchShim hides a backend's batch-rotation capability: embedding the
+// noSumShim hides a backend's sum-of-rotations capability: embedding the
 // Backend interface promotes only its methods, so the shim never satisfies
-// hisa.RotateManyBackend even when the wrapped backend does. Kernels run on
-// it take the per-amount rotation path.
-type noBatchShim struct{ hisa.Backend }
+// hisa.RotateSumBackend even when the wrapped backend does. Kernels run on
+// it take the unfused sequence.
+type noSumShim struct{ hisa.Backend }
 
 // TestKernelsHoistedParityRNS runs the rotation-heavy kernels on the real
-// RNS backend twice — once with the RotateMany capability visible (hoisted
-// batches) and once behind a capability-hiding shim (per-amount rotations)
-// — and requires bit-identical decrypted outputs. This pins the end-to-end
-// guarantee that hoisting is a pure execution-cost optimization.
+// RNS backend twice — once with the RotSum capability visible (sums kept in
+// the extended basis, one ModDown per output) and once behind a
+// capability-hiding shim (one rotation, product and addition at a time) —
+// and requires the decrypted outputs to agree within the rounding bound of
+// the fused sum (ckks TestRotSumMatchesUnfused): (1 + Σ|w|)·N(N+1)/Δ per sum,
+// with Σ|w| taken over every tap and channel of the filter and every term of
+// the placement sum. The global pool, which sums no rotations, stays
+// bit-identical. Rotation-only and plaintext-free sums are bit-identical in
+// principle too; what the bound pins is that fusion is an execution-cost
+// optimization, not a change of result.
 func TestKernelsHoistedParityRNS(t *testing.T) {
 	params, err := ckks.NewParameters(ckks.ParametersLiteral{
 		LogN:     11,
@@ -31,18 +38,24 @@ func TestKernelsHoistedParityRNS(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := hisa.NewRNSBackend(hisa.RNSConfig{Params: params, PRNG: ring.NewTestPRNG(41)})
-	if _, ok := any(b).(hisa.RotateManyBackend); !ok {
-		t.Fatal("RNS backend should expose the batch-rotation capability")
+	if _, ok := hisa.AsRotSum(b); !ok {
+		t.Fatal("RNS backend should expose the sum-of-rotations capability")
 	}
-	shim := noBatchShim{b}
-	if _, ok := any(shim).(hisa.RotateManyBackend); ok {
-		t.Fatal("shim should hide the batch-rotation capability")
+	shim := noSumShim{b}
+	if _, ok := hisa.AsRotSum(shim); ok {
+		t.Fatal("shim should hide the sum-of-rotations capability")
 	}
 
 	sc := Scales{Pc: math.Exp2(40), Pw: math.Exp2(40), Pu: math.Exp2(40), Pm: math.Exp2(40)}
 	img := randTensor([]int{2, 7, 7}, 1, 11)
 	filters := randTensor([]int{3, 2, 3, 3}, 0.5, 12)
 	bias := randTensor([]int{3}, 0.2, 13)
+	n := float64(params.N())
+	rounding := n * (n + 1) / sc.Pc
+	sumW := 0.0
+	for _, w := range filters.Data {
+		sumW += math.Abs(w)
+	}
 
 	for _, layout := range []Layout{LayoutHW, LayoutCHW} {
 		// One encryption shared by both runs: kernels are functional, so
@@ -51,13 +64,12 @@ func TestKernelsHoistedParityRNS(t *testing.T) {
 
 		conv := Conv2DOpts(b, in, filters, bias, 1, 1, sc, ExecOptions{Workers: 4})
 		convShim := Conv2DOpts(shim, in, filters, bias, 1, 1, sc, ExecOptions{Workers: 4})
-		requireBitIdentical(t, layout.String()+"/conv",
-			DecryptTensor(b, conv), DecryptTensor(b, convShim))
+		requireWithin(t, layout.String()+"/conv", DecryptTensor(b, conv), DecryptTensor(b, convShim),
+			(2+sumW+float64(filters.Shape[0]))*rounding)
 
 		pool := AvgPool2DOpts(b, conv, 2, 2, sc, ExecOptions{})
 		poolShim := AvgPool2DOpts(shim, conv, 2, 2, sc, ExecOptions{})
-		requireBitIdentical(t, layout.String()+"/pool",
-			DecryptTensor(b, pool), DecryptTensor(b, poolShim))
+		requireWithin(t, layout.String()+"/pool", DecryptTensor(b, pool), DecryptTensor(b, poolShim), 5*rounding)
 
 		// 3x3 spatial dims at this point are non-powers-of-two: the global
 		// pool's fold takes its double-and-add path.
@@ -68,37 +80,15 @@ func TestKernelsHoistedParityRNS(t *testing.T) {
 	}
 }
 
-// TestRotCachePlanOpCounts checks that planned (batched) and unplanned
-// (lazy) cache use report identical meter tallies: the plan holds exactly
-// the distinct nonzero amounts the kernel draws, so batching must not
-// change what an op-counting interpretation observes.
-func TestRotCachePlanOpCounts(t *testing.T) {
-	run := func(plan bool) (hisa.OpCounts, []float64) {
-		inner := hisa.NewRefBackend(64)
-		m := hisa.NewMeter(inner, func(x int) int { return 1 })
-		base := m.Encrypt(m.Encode([]float64{1, 2, 3, 4, 5}, 1<<20))
-		rc := newRotCache(m, base)
-		amounts := []int{0, 1, 3, 3, 0, 5, 1}
-		if plan {
-			rc.planRotations(amounts)
-		}
-		var last hisa.Ciphertext
-		for _, k := range amounts {
-			last = rc.get(k)
-		}
-		return m.Counts(), m.Decode(m.Decrypt(last))
+// requireWithin fails unless every element of got is within tol of want.
+func requireWithin(t *testing.T, name string, got, want *tensor.Tensor, tol float64) {
+	t.Helper()
+	if got.Size() != want.Size() {
+		t.Fatalf("%s: size mismatch: %d vs %d", name, got.Size(), want.Size())
 	}
-	planned, vPlanned := run(true)
-	lazy, vLazy := run(false)
-	if planned != lazy {
-		t.Fatalf("op counts diverge: planned %+v lazy %+v", planned, lazy)
-	}
-	if planned.Rotations() != 3 {
-		t.Fatalf("rotations = %d, want 3 (distinct nonzero amounts)", planned.Rotations())
-	}
-	for i := range vPlanned {
-		if vPlanned[i] != vLazy[i] {
-			t.Fatalf("slot %d: planned %g != lazy %g", i, vPlanned[i], vLazy[i])
+	for i := range got.Data {
+		if d := math.Abs(got.Data[i] - want.Data[i]); d > tol {
+			t.Fatalf("%s: element %d: %v is %g from the unfused %v, bound %g", name, i, got.Data[i], d, want.Data[i], tol)
 		}
 	}
 }

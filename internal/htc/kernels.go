@@ -3,7 +3,6 @@ package htc
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"chet/internal/hisa"
 	"chet/internal/tensor"
@@ -16,21 +15,6 @@ func accumulate(b hisa.Backend, acc, t hisa.Ciphertext) hisa.Ciphertext {
 	}
 	x, y := alignScales(b, acc, t)
 	return b.Add(x, y)
-}
-
-// accumulateOwned is accumulate for an acc and t the caller owns: both are
-// freed once their sum exists, so the next product reuses their limbs. A
-// convolution's per-tap products are most of what an inference allocates,
-// and left to the garbage collector they would set the process's peak
-// memory.
-func accumulateOwned(b hisa.Backend, acc, t hisa.Ciphertext) hisa.Ciphertext {
-	if acc == nil {
-		return t
-	}
-	sum := accumulate(b, acc, t)
-	b.Free(acc)
-	b.Free(t)
-	return sum
 }
 
 // rotateRight rotates c right by k slots, or left by -k when k is negative;
@@ -74,96 +58,6 @@ func foldRotations(n int) int {
 	return bits.Len(uint(n)) + bits.OnesCount(uint(n)) - 2
 }
 
-// rotCache caches rotations of one ciphertext by amount. It is safe for
-// concurrent use: each rotation amount is computed exactly once
-// (single-flight), so parallel workers sharing a cache never duplicate a
-// rotation and the op count matches a serial run.
-//
-// A kernel that knows its rotation amounts up front registers them with
-// planRotations; the first get then executes the whole plan as one
-// RotLeftMany batch, which backends with the hisa.RotateManyBackend
-// capability serve with one shared hoisted decomposition. Amounts outside
-// the plan still take the lazy per-amount path. Because RotLeftMany is
-// bit-identical to sequential RotLeft and the plan holds exactly the
-// amounts the kernel draws, results and op counts are unchanged.
-type rotCache struct {
-	b    hisa.Backend
-	base hisa.Ciphertext
-	mu   sync.Mutex
-	m    map[int]*rotEntry
-
-	planned  []int
-	planOnce sync.Once
-}
-
-type rotEntry struct {
-	once sync.Once
-	ct   hisa.Ciphertext
-}
-
-func newRotCache(b hisa.Backend, base hisa.Ciphertext) *rotCache {
-	return &rotCache{b: b, base: base, m: map[int]*rotEntry{}}
-}
-
-// planRotations registers the amounts the kernel will request from this
-// cache. Zero amounts and duplicates are dropped (get(0) is the base and
-// the serial path computes each distinct amount once, so the batch must
-// too). Must be called before the first get; later calls are ignored.
-func (rc *rotCache) planRotations(ks []int) {
-	seen := make(map[int]bool, len(ks))
-	for _, k := range ks {
-		if k == 0 || seen[k] {
-			continue
-		}
-		seen[k] = true
-		rc.planned = append(rc.planned, k)
-	}
-}
-
-// runPlan executes the registered plan as one batch. It runs inside
-// planOnce.Do, so every get blocks until the batch lands and no worker can
-// race a per-amount computation against it (which would skew op counts).
-func (rc *rotCache) runPlan() {
-	if len(rc.planned) == 0 {
-		return
-	}
-	if _, ok := rc.b.(hisa.RotateManyBackend); !ok {
-		// No batch capability: stay lazy so unused plans (there are none
-		// today, but the contract allows them) cost nothing.
-		return
-	}
-	outs := hisa.RotLeftMany(rc.b, rc.base, rc.planned)
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	for i, k := range rc.planned {
-		e, ok := rc.m[k]
-		if !ok {
-			e = &rotEntry{}
-			rc.m[k] = e
-		}
-		ct := outs[i]
-		e.once.Do(func() { e.ct = ct })
-	}
-}
-
-func (rc *rotCache) get(r int) hisa.Ciphertext {
-	if r == 0 {
-		return rc.base
-	}
-	rc.planOnce.Do(rc.runPlan)
-	rc.mu.Lock()
-	e, ok := rc.m[r]
-	if !ok {
-		e = &rotEntry{}
-		rc.m[r] = e
-	}
-	rc.mu.Unlock()
-	// The rotation runs outside the map lock so workers waiting on other
-	// amounts aren't serialized behind it; Once guarantees one flight.
-	e.once.Do(func() { e.ct = rc.b.RotLeft(rc.base, r) })
-	return e.ct
-}
-
 // Conv2D computes a homomorphic convolution with plaintext OIHW filters,
 // optional per-channel bias, stride, and symmetric zero padding. The output
 // stays on the input's slot grid with strides multiplied by the conv stride
@@ -199,35 +93,28 @@ func Conv2DOpts(b hisa.Backend, in *CipherTensor, filters, bias *tensor.Tensor, 
 	rot := func(ky, kx int) int {
 		return (ky-pad)*in.RowStride + (kx-pad)*in.ColStride
 	}
-	// Every filter tap's rotation amount, known before any rotation runs —
-	// the hoisting opportunity of the conv kernel.
-	amounts := make([]int, 0, kh*kw)
-	for ky := 0; ky < kh; ky++ {
-		for kx := 0; kx < kw; kx++ {
-			amounts = append(amounts, rot(ky, kx))
-		}
-	}
 
 	if in.Layout == LayoutHW {
+		// Output channel oc is one sum of rotations of the input channels,
+		// each filter tap a scalar weight.
 		out.CPerCT = 1
-		out.CTs = make([]hisa.Ciphertext, cout)
-		caches := make([]*rotCache, in.C)
-		for ic := range caches {
-			caches[ic] = newRotCache(b, in.CTs[ic])
-			caches[ic].planRotations(amounts)
-		}
-		mask := opts.constant(b, validMask(&out, 0, b.Slots(), 1), sc.Pm)
-		parallelFor(opts.workers(), cout, func(oc int) {
-			var acc hisa.Ciphertext
+		sums := make([][]hisa.Term, cout)
+		terms := make([]hisa.Term, 0, cout*in.C*kh*kw)
+		for oc := range sums {
+			terms = terms[len(terms):]
 			for ic := 0; ic < in.C; ic++ {
 				for ky := 0; ky < kh; ky++ {
 					for kx := 0; kx < kw; kx++ {
-						t := b.MulScalar(caches[ic].get(rot(ky, kx)), filters.At(oc, ic, ky, kx), sc.Pu)
-						acc = accumulateOwned(b, acc, t)
+						terms = append(terms, hisa.Term{Src: ic, Rot: rot(ky, kx), X: filters.At(oc, ic, ky, kx), F: sc.Pu})
 					}
 				}
 			}
-			acc = tryRescale(b, acc, sc.Pc)
+			sums[oc] = terms
+		}
+		out.CTs = hisa.RotSum(b, in.CTs, sums, opts.each)
+		mask := opts.constant(b, validMask(&out, 0, b.Slots(), 1), sc.Pm)
+		parallelFor(opts.workers(), cout, func(oc int) {
+			acc := tryRescale(b, out.CTs[oc], sc.Pc)
 			acc = b.MulPlain(acc, mask.at(acc))
 			acc = tryRescale(b, acc, sc.Pc)
 			if bias != nil {
@@ -256,21 +143,20 @@ func Conv2DOpts(b hisa.Backend, in *CipherTensor, filters, bias *tensor.Tensor, 
 	mask := opts.constant(b, validMask(&blockMask, 0, b.Slots(), 1), sc.Pm)
 
 	for g := 0; g < numInCTs; g++ {
-		cache := newRotCache(b, in.CTs[g])
-		cache.planRotations(amounts)
-		// Partial sums of this ciphertext's occupied channels, folded to
-		// block 0, masked, and placed at the output channel block.
+		// Partial sums of this ciphertext's occupied channels, one sum of
+		// rotations per output channel with the weight plaintexts
+		// w[oc][ic][ky][kx] spread over channel ic's whole block (invalid
+		// input slots hold zeros, so the product is zero there), then folded
+		// to block 0, masked, and placed at the output channel block.
 		chInGroup := min(in.C-g*in.CPerCT, in.CPerCT)
-		partial := make([]hisa.Ciphertext, cout)
-		// Weight plaintexts per (oc, ky, kx): w[oc][ic][ky][kx] spread over
-		// channel ic's whole block (invalid input slots hold zeros, so the
-		// product is zero there).
-		parallelFor(opts.workers(), cout, func(oc int) {
-			var acc hisa.Ciphertext
+		ls := in.laneStride(b.Slots())
+		sums := make([][]hisa.Term, cout)
+		terms := make([]hisa.Term, 0, cout*kh*kw)
+		for oc := range sums {
+			terms = terms[len(terms):]
 			for ky := 0; ky < kh; ky++ {
 				for kx := 0; kx < kw; kx++ {
 					wv := make([]float64, b.Slots())
-					ls := in.laneStride(b.Slots())
 					for lane := 0; lane < in.Lanes(); lane++ {
 						laneBase := lane * ls
 						for ci := 0; ci < in.CPerCT; ci++ {
@@ -285,29 +171,41 @@ func Conv2DOpts(b hisa.Backend, in *CipherTensor, filters, bias *tensor.Tensor, 
 							}
 						}
 					}
-					x := cache.get(rot(ky, kx))
-					acc = accumulateOwned(b, acc, b.MulPlain(x, opts.constant(b, wv, sc.Pw).at(x)))
+					pt := opts.constant(b, wv, sc.Pw).at(in.CTs[g])
+					terms = append(terms, hisa.Term{Rot: rot(ky, kx), Plain: pt})
 				}
 			}
-			acc = tryRescale(b, acc, sc.Pc)
+			sums[oc] = terms
+		}
+		partial := hisa.RotSum(b, in.CTs[g:g+1], sums, opts.each)
+		parallelFor(opts.workers(), cout, func(oc int) {
+			acc := tryRescale(b, partial[oc], sc.Pc)
 			// Fold the partial sums of this ciphertext's occupied channels
 			// into channel block 0. Rounding the count up is safe here and
 			// never dearer than the exact fold: the blocks up to the
 			// power-of-two CPerCT lie in this lane and hold zeros.
 			acc = foldStrided(b, acc, nextPow2(chInGroup), in.ChanStride)
 			acc = b.MulPlain(acc, mask.at(acc))
-			acc = tryRescale(b, acc, sc.Pc)
-
-			if bOut := oc % outCPerCT; bOut != 0 {
-				acc = b.RotRight(acc, bOut*in.ChanStride)
-			}
-			partial[oc] = acc
+			partial[oc] = tryRescale(b, acc, sc.Pc)
 		})
-		// Fold in serial channel order so the accumulation sequence — and
-		// hence every rounding decision — matches a serial run exactly.
+		// Place every output channel at its block of its output ciphertext:
+		// one sum of rotations per output ciphertext, continuing the previous
+		// input ciphertext's sum, with the terms in channel order.
+		srcs := partial
+		sums = make([][]hisa.Term, numOutCTs)
+		for gOut, c := range out.CTs {
+			if c != nil {
+				sums[gOut] = []hisa.Term{{Src: len(srcs)}}
+				srcs = append(srcs, c)
+			}
+		}
 		for oc := 0; oc < cout; oc++ {
 			gOut := oc / outCPerCT
-			out.CTs[gOut] = accumulate(b, out.CTs[gOut], partial[oc])
+			sums[gOut] = append(sums[gOut], hisa.Term{Src: oc, Rot: -(oc % outCPerCT) * in.ChanStride})
+		}
+		out.CTs = hisa.RotSum(b, srcs, sums, opts.each)
+		for _, c := range srcs {
+			b.Free(c)
 		}
 	}
 
@@ -341,7 +239,6 @@ func AvgPool2DOpts(b hisa.Backend, in *CipherTensor, window, stride int, sc Scal
 	out.H, out.W = hout, wout
 	out.RowStride = in.RowStride * stride
 	out.ColStride = in.ColStride * stride
-	out.CTs = make([]hisa.Ciphertext, in.NumCTs())
 
 	inv := 1.0 / float64(window*window)
 	// Groups share a mask except a possibly ragged final group. Masks are
@@ -354,22 +251,18 @@ func AvgPool2DOpts(b hisa.Backend, in *CipherTensor, window, stride int, sc Scal
 		}
 	}
 
-	windowAmounts := make([]int, 0, window*window)
-	for ky := 0; ky < window; ky++ {
-		for kx := 0; kx < window; kx++ {
-			windowAmounts = append(windowAmounts, ky*in.RowStride+kx*in.ColStride)
-		}
-	}
-	parallelFor(opts.workers(), len(in.CTs), func(g int) {
-		cache := newRotCache(b, in.CTs[g])
-		cache.planRotations(windowAmounts)
-		var acc hisa.Ciphertext
+	// Each group's window sum is one sum of rotations.
+	sums := make([][]hisa.Term, len(in.CTs))
+	for g := range sums {
 		for ky := 0; ky < window; ky++ {
 			for kx := 0; kx < window; kx++ {
-				acc = accumulate(b, acc, cache.get(ky*in.RowStride+kx*in.ColStride))
+				sums[g] = append(sums[g], hisa.Term{Src: g, Rot: ky*in.RowStride + kx*in.ColStride})
 			}
 		}
-		acc = b.MulPlain(acc, masks[min(in.C-g*in.CPerCT, in.CPerCT)].at(acc))
+	}
+	out.CTs = hisa.RotSum(b, in.CTs, sums, opts.each)
+	parallelFor(opts.workers(), len(in.CTs), func(g int) {
+		acc := b.MulPlain(out.CTs[g], masks[min(in.C-g*in.CPerCT, in.CPerCT)].at(out.CTs[g]))
 		out.CTs[g] = tryRescale(b, acc, sc.Pc)
 	})
 	out.validate(b.Slots())

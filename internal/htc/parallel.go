@@ -47,6 +47,11 @@ func (o ExecOptions) workers() int {
 	return o.Workers
 }
 
+// each runs fn(i) for i in [0, n) on the options' worker pool: the spread
+// hisa.RotSum gives the unfused sequence on a backend without the
+// capability.
+func (o ExecOptions) each(n int, fn func(i int)) { parallelFor(o.workers(), n, fn) }
+
 // parallelFor runs fn(i) for i in [0, n) on up to `workers` goroutines,
 // returning when all iterations are done. Iterations are claimed from a
 // shared atomic counter, so uneven per-iteration cost balances itself

@@ -2,7 +2,6 @@ package htc
 
 import (
 	"math"
-	"sync"
 	"testing"
 
 	"chet/internal/circuit"
@@ -129,42 +128,5 @@ func TestParallelExecuteDeterministicRNS(t *testing.T) {
 			t.Fatalf("rns parallel output diverges from plaintext reference at %d: %v vs %v",
 				i, got.Data[i], want.Data[i])
 		}
-	}
-}
-
-// TestRotCacheSingleFlight hammers one rotation cache from 8 goroutines
-// (run with -race): every worker must observe the same ciphertext per
-// amount, and the backend must see each rotation exactly once.
-func TestRotCacheSingleFlight(t *testing.T) {
-	inner := hisa.NewRefBackend(64)
-	m := hisa.NewMeter(inner, func(x int) int { return 1 })
-	base := m.Encrypt(m.Encode([]float64{1, 2, 3, 4}, 1<<20))
-	rc := newRotCache(m, base)
-
-	const workers, amounts = 8, 5
-	got := make([][amounts]hisa.Ciphertext, workers)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for iter := 0; iter < 50; iter++ {
-				for r := 1; r <= amounts; r++ {
-					got[w][r-1] = rc.get(r)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	for r := 0; r < amounts; r++ {
-		for w := 1; w < workers; w++ {
-			if got[w][r] != got[0][r] {
-				t.Fatalf("rotation %d: worker %d saw a different ciphertext than worker 0", r+1, w)
-			}
-		}
-	}
-	if n := m.Counts().Rotations(); n != amounts {
-		t.Fatalf("backend saw %d rotations, want %d (single-flight violated)", n, amounts)
 	}
 }

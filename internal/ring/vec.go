@@ -29,6 +29,20 @@ func (m Modulus) KeySwitchInnerProduct(out0, out1 []uint64, xs, b, a [][]uint64,
 	}
 }
 
+// MulAdd adds Σ_i w[i]⊙b[i] into out0 and Σ_i w[i]⊙a[i] into out1: the
+// inner product's kernel accumulating into its outputs, for two
+// polynomials weighted alike — the two components of a ciphertext times one
+// plaintext per term. Inputs must be < q; outputs stay canonical.
+func (m Modulus) MulAdd(out0, out1 []uint64, w, b, a [][]uint64) {
+	i := 0
+	for ; i+1 < len(w); i += 2 {
+		m.ksDigitPair(out0, out1, w[i], w[i+1], b[i], b[i+1], a[i], a[i+1], nil, true)
+	}
+	if i < len(w) {
+		m.ksDigit(out0, out1, w[i], b[i], a[i], nil, true)
+	}
+}
+
 // ksDigit is one single-digit pass of KeySwitchInnerProduct: it sets (or,
 // with add, adds to) out0 and out1.
 func (m Modulus) ksDigit(out0, out1, x, b, a []uint64, perm []int, add bool) {

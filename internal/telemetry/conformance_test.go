@@ -18,21 +18,21 @@ var (
 	_ hisa.LazyRelinBackend    = (*hisa.Meter)(nil)
 	_ hisa.FusedRescaleBackend = (*hisa.Meter)(nil)
 	_ hisa.BootstrapBackend    = (*hisa.Meter)(nil)
-	_ hisa.RotateManyBackend   = (*hisa.Meter)(nil)
+	_ hisa.RotateSumBackend    = (*hisa.Meter)(nil)
 
 	_ hisa.Backend             = (*hisa.Refresher)(nil)
 	_ hisa.ConjugateBackend    = (*hisa.Refresher)(nil)
 	_ hisa.LazyRelinBackend    = (*hisa.Refresher)(nil)
 	_ hisa.FusedRescaleBackend = (*hisa.Refresher)(nil)
 	_ hisa.BootstrapBackend    = (*hisa.Refresher)(nil)
-	_ hisa.RotateManyBackend   = (*hisa.Refresher)(nil)
+	_ hisa.RotateSumBackend    = (*hisa.Refresher)(nil)
 
 	_ hisa.Backend             = (*Tracer)(nil)
 	_ hisa.ConjugateBackend    = (*Tracer)(nil)
 	_ hisa.LazyRelinBackend    = (*Tracer)(nil)
 	_ hisa.FusedRescaleBackend = (*Tracer)(nil)
 	_ hisa.BootstrapBackend    = (*Tracer)(nil)
-	_ hisa.RotateManyBackend   = (*Tracer)(nil)
+	_ hisa.RotateSumBackend    = (*Tracer)(nil)
 )
 
 // observed is one arrangement of the observers over a backend.
