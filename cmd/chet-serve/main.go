@@ -46,11 +46,9 @@ type serveConfig struct {
 	maxSessions    int
 	queueDepth     int
 	requestTimeout time.Duration
-	batch          int
-	batchWait      time.Duration
-	// batchAdaptive shrinks the coalescer's flush deadline as queue wait
-	// grows relative to evaluation time; off, batchWait is a fixed deadline.
-	batchAdaptive bool
+	// batch is the compiled batch capacity: the images a client may pack
+	// into one request (0 auto-selects).
+	batch int
 	// metricsAddr, when non-empty, serves /metrics (Prometheus text) and
 	// /debug/pprof/* on a second listener.
 	metricsAddr string
@@ -103,9 +101,6 @@ func buildServer(w io.Writer, cfg serveConfig) (*serve.Server, *chet.Compiled, e
 		RequestTimeout: cfg.requestTimeout,
 		Workers:        cfg.workers,
 		Parallel:       cfg.parallel,
-		MaxBatch:       cfg.batch,
-		BatchWait:      cfg.batchWait,
-		BatchAdaptive:  cfg.batchAdaptive,
 		Trace:          cfg.trace,
 		ProcessLabel:   cfg.processLabel,
 		Logger:         structuredLogger(cfg.logStructured),
@@ -203,7 +198,7 @@ func reportMetrics(w io.Writer, m serve.ServerMetrics) {
 	}
 	sort.Ints(sizes)
 	for _, size := range sizes {
-		fmt.Fprintf(w, "  batches of %d: %d evaluations\n", size, m.BatchSizes[size])
+		fmt.Fprintf(w, "  evaluations of %d image(s): %d\n", size, m.BatchSizes[size])
 	}
 	if m.Bootstraps > 0 || m.HeadroomKnown {
 		fmt.Fprintf(w, "  budget:   %d bootstrap refreshes", m.Bootstraps)
@@ -229,9 +224,7 @@ func main() {
 	flag.IntVar(&cfg.maxSessions, "max-sessions", 64, "session-registry cap (LRU eviction beyond it)")
 	flag.IntVar(&cfg.queueDepth, "queue-depth", 64, "admission-queue depth (requests beyond it are rejected)")
 	flag.DurationVar(&cfg.requestTimeout, "request-timeout", 60*time.Second, "default per-request deadline")
-	flag.IntVar(&cfg.batch, "batch", 1, "batch capacity: coalesce up to this many same-session requests per evaluation (1 disables, 0 auto-selects up to 16)")
-	flag.DurationVar(&cfg.batchWait, "batch-wait", 20*time.Millisecond, "how long a partial batch waits for more requests before evaluating")
-	flag.BoolVar(&cfg.batchAdaptive, "batch-adaptive", false, "scale the batch wait down as queue pressure rises (batch-wait becomes the ceiling)")
+	flag.IntVar(&cfg.batch, "batch", 1, "compiled batch capacity: images a client may pack into one request (1 unbatched, 0 auto-selects up to 16)")
 	flag.StringVar(&cfg.metricsAddr, "metrics-addr", "", "serve /metrics (Prometheus text) and /debug/pprof/ on this address (empty disables)")
 	flag.BoolVar(&cfg.trace, "trace", false, "trace session backends: per-op durations on /metrics, trace-ID dispatch logs")
 	flag.StringVar(&cfg.processLabel, "process-label", "", "name for this worker in merged cross-process traces (empty: labeled by address)")

@@ -75,7 +75,7 @@ func TestServeRoundTrip(t *testing.T) {
 	mu.Lock()
 	report := out.String()
 	mu.Unlock()
-	for _, want := range []string{"circuit fingerprint", "draining", "sessions: 1 opened", "1 completed"} {
+	for _, want := range []string{"circuit fingerprint", "draining", "sessions: 1 opened", "1 completed", "evaluations of 1 image(s): 1"} {
 		if !strings.Contains(report, want) {
 			t.Fatalf("report missing %q:\n%s", want, report)
 		}

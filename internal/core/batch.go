@@ -18,26 +18,6 @@ func (c *Compiled) Plan() htc.Plan {
 	return plan
 }
 
-// packRotations returns the rotation-key amounts (normalized to left
-// rotations) that htc.PackBatch needs to coalesce single-lane tensors into
-// the physical lanes: tensor i is rotated right by i*laneSlots, and a right
-// rotation by x is a left rotation by slots-x. The count is the lane count,
-// not the image count — under complex packing the coalescer fills one image
-// per lane (rotations cannot cross slot components).
-func packRotations(lanes, slots int) []int {
-	if lanes <= 1 {
-		return nil
-	}
-	laneSlots := slots / nextPow2(lanes)
-	out := make([]int, 0, lanes-1)
-	for i := 1; i < lanes; i++ {
-		if k := (slots - i*laneSlots) % slots; k != 0 {
-			out = append(out, k)
-		}
-	}
-	return out
-}
-
 // mergeRotations unions two sorted-or-unsorted rotation lists into one
 // sorted, deduplicated key set.
 func mergeRotations(a, b []int) []int {
@@ -54,14 +34,6 @@ func mergeRotations(a, b []int) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
 }
 
 // SelectBatchCapacity finds the largest power-of-two batch size <= maxBatch

@@ -46,9 +46,9 @@ type Options struct {
 	// (nGraph-HE2-style batching): each image occupies a lane of
 	// slots/nextPow2(Batch) slots, one evaluation serves the whole batch,
 	// and CostPerImage amortizes the estimate by Batch. The layout search
-	// only admits ring degrees whose lanes fit the per-image footprint, and
-	// the rotation-key set grows by the Batch-1 lane-packing rotations the
-	// serving layer uses to coalesce requests. 0 or 1 means unbatched.
+	// only admits ring degrees whose lanes fit the per-image footprint. The
+	// client fills the lanes when it encrypts, so batching provisions no
+	// rotation key of its own. 0 or 1 means unbatched.
 	Batch int
 	// Complex packs two images per batch lane — one in the real and one in
 	// the imaginary slot component (nGraph-HE2's complex packing) — doubling
@@ -62,19 +62,6 @@ type Options struct {
 	// circuit's consumption, and Compiled.BootPlan reports where bootstraps
 	// land.
 	Bootstrap *BootstrapOptions
-}
-
-// lanes is the number of physical batch lanes the options imply (complex
-// packing halves the lane count for the same image capacity).
-func (o *Options) lanes() int {
-	b := o.Batch
-	if b < 1 {
-		b = 1
-	}
-	if o.Complex {
-		return (b + 1) / 2
-	}
-	return b
 }
 
 func (o *Options) fillDefaults() {
@@ -342,7 +329,7 @@ func compilePolicy(c *circuit.Circuit, policy htc.LayoutPolicy, opts Options) (P
 			Policy:      policy,
 			LogN:        logN,
 			LogQ:        math.Ceil(params.PeakLogQ()),
-			Rotations:   mergeRotations(params.Rotations(), packRotations(opts.lanes(), slots)),
+			Rotations:   params.Rotations(),
 			RotationOps: params.RotationOps(),
 			Batch:       opts.Batch,
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 
@@ -46,10 +47,13 @@ func denseHeavyCircuit(seed int64) *circuit.Circuit {
 // TestRuntimeRotationsWithinCompiledKeys is the rotation-keys promise
 // (Section 5.4) as a property: every rotation amount a parallel runtime
 // execution asks its backend for is a key the compiler selected, under each
-// of the four layout policies, and the key plan names exactly those keys.
-// Its level half: on the real lattice backend, whose keys are cut where the
-// plan says, no key switch of LeNet-tiny, LeNet-5-small, NN-6 or the
-// generated Dense-heavy circuits runs above its key's level
+// of the four layout policies, the key plan names exactly those keys, and
+// the program applies every one of them — also for batched compiles
+// (LeNet-tiny, Batch 8 at N = 2^11, real and complex packing), whose lanes
+// the client fills, so no key exists only to pack them. Its level half: on
+// the real lattice backend, whose keys are cut where the plan says, no key
+// switch of LeNet-tiny, LeNet-5-small, NN-6, the generated Dense-heavy
+// circuits or the batched compiles runs above its key's level
 // (TestBootstrapEndToEnd checks the same of NN-6 under bootstrapping).
 func TestRuntimeRotationsWithinCompiledKeys(t *testing.T) {
 	circuits := []*circuit.Circuit{
@@ -69,49 +73,84 @@ func TestRuntimeRotationsWithinCompiledKeys(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%v: %v", c.Name, policy, err)
 			}
+			name := fmt.Sprintf("%s/%v", c.Name, policy)
 			if i < onLattice {
-				keyLevelsWithinPlan(t, fmt.Sprintf("%s/%v", c.Name, policy), comp, c)
+				keyLevelsWithinPlan(t, name, comp, c)
 			}
-			slots := 1 << uint(comp.Best.LogN-1)
-			keys := make(map[int]bool, len(comp.Best.Rotations))
-			for _, r := range comp.Best.Rotations {
-				keys[r] = true
-				if _, ok := comp.Keys.Rotations[r]; !ok {
-					t.Errorf("%s/%v: compiled rotation key %d is not in the key plan", c.Name, policy, r)
-				}
-			}
-			if len(comp.Keys.Rotations) != len(keys) {
-				t.Errorf("%s/%v: key plan holds %d rotations, the compiler selected %d", c.Name, policy, len(comp.Keys.Rotations), len(keys))
-			}
-
-			var mu sync.Mutex
-			missing := map[int]bool{}
-			issued := 0
-			b := hisa.NewInterposer(hisa.NewRefBackend(slots), "keys", nil, func(op *hisa.Op) {
-				amount := op.Rot
-				switch op.Kind {
-				case hisa.OpRotRight:
-					amount = -amount
-				case hisa.OpRotLeft:
-				default:
-					return
-				}
-				mu.Lock()
-				defer mu.Unlock()
-				issued++
-				if amount = (amount%slots + slots) % slots; !keys[amount] {
-					missing[amount] = true
-				}
-			})
-			enc := htc.EncryptTensor(&b, tensor.New(c.Input.OutShape...), comp.Plan(), comp.Options.Scales)
-			htc.ExecuteOpts(&b, c, enc, policy, comp.Options.Scales, htc.ExecOptions{Workers: 4})
-			if len(missing) > 0 {
-				t.Errorf("%s/%v: runtime rotated by %v, not among the %d compiled keys", c.Name, policy, missing, len(keys))
-			}
-			if issued != comp.Best.RotationOps {
-				t.Errorf("%s/%v: runtime issued %d rotations, the compiler counted %d", c.Name, policy, issued, comp.Best.RotationOps)
-			}
+			runtimeRotationsWithinKeys(t, name, comp, c)
 		}
+	}
+	c := nn.LeNetTiny().Circuit
+	for _, complexPack := range []bool{false, true} {
+		comp, err := Compile(c, Options{
+			Scheme: SchemeRNS, SecurityBits: -1, MinLogN: 11, MaxLogN: 11,
+			Batch: 8, Complex: complexPack,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("%s/batch 8/complex %v", c.Name, complexPack)
+		keyLevelsWithinPlan(t, name, comp, c)
+		runtimeRotationsWithinKeys(t, name, comp, c)
+	}
+}
+
+// runtimeRotationsWithinKeys executes comp on the plaintext backend with 4
+// workers and checks every rotation it issues against the compiled keys and
+// the compiler's rotation count, and that every planned key is applied at
+// least once.
+func runtimeRotationsWithinKeys(t *testing.T, name string, comp *Compiled, c *circuit.Circuit) {
+	t.Helper()
+	slots := 1 << uint(comp.Best.LogN-1)
+	keys := make(map[int]bool, len(comp.Best.Rotations))
+	for _, r := range comp.Best.Rotations {
+		keys[r] = true
+		if _, ok := comp.Keys.Rotations[r]; !ok {
+			t.Errorf("%s: compiled rotation key %d is not in the key plan", name, r)
+		}
+	}
+	if len(comp.Keys.Rotations) != len(keys) {
+		t.Errorf("%s: key plan holds %d rotations, the compiler selected %d", name, len(comp.Keys.Rotations), len(keys))
+	}
+
+	var mu sync.Mutex
+	missing, used := map[int]bool{}, map[int]bool{}
+	issued := 0
+	b := hisa.NewInterposer(hisa.NewRefBackend(slots), "keys", nil, func(op *hisa.Op) {
+		amount := op.Rot
+		switch op.Kind {
+		case hisa.OpRotRight:
+			amount = -amount
+		case hisa.OpRotLeft:
+		default:
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		issued++
+		amount = (amount%slots + slots) % slots
+		used[amount] = true
+		if !keys[amount] {
+			missing[amount] = true
+		}
+	})
+	enc := htc.EncryptTensor(&b, tensor.New(c.Input.OutShape...), comp.Plan(), comp.Options.Scales)
+	htc.ExecuteOpts(&b, c, enc, comp.Best.Policy, comp.Options.Scales, htc.ExecOptions{Workers: 4})
+	if len(missing) > 0 {
+		t.Errorf("%s: runtime rotated by %v, not among the %d compiled keys", name, missing, len(keys))
+	}
+	if issued != comp.Best.RotationOps {
+		t.Errorf("%s: runtime issued %d rotations, the compiler counted %d", name, issued, comp.Best.RotationOps)
+	}
+	var unused []int
+	for k := range comp.Keys.Rotations {
+		if !used[k] {
+			unused = append(unused, k)
+		}
+	}
+	if len(unused) > 0 {
+		sort.Ints(unused)
+		t.Errorf("%s: %d of %d planned rotation keys are never applied: %v", name, len(unused), len(comp.Keys.Rotations), unused)
 	}
 }
 

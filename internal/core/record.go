@@ -120,11 +120,11 @@ func record(c *circuit.Circuit, comp *Compiled) (err error) {
 }
 
 // keyPlan is the recording run's key plan at the compiled chain: every key
-// at the highest level the program applies it at. Two kinds of key span the
-// full chain instead: the batch lanes' packing rotations, which act on fresh
-// encryptions, and the library-default power-of-two keys of
-// PowerOfTwoRotationsOnly, the paper's baseline. The bootstrap pipeline's
-// keys are the backend's to add (hisa.RNSConfig.KeyShape).
+// the program applies, at the highest level it applies it at — batched or
+// not, the plan is exactly the program's rotations. Only the library-default
+// power-of-two keys of PowerOfTwoRotationsOnly, the paper's baseline, span
+// the full chain instead. The bootstrap pipeline's keys are the backend's to
+// add (hisa.RNSConfig.KeyShape).
 func keyPlan(comp *Compiled, a *Analysis, cfg *BootConfig) *hisa.KeyPlan {
 	top := len(comp.Best.RNSChainBits) - 1
 	fresh := top
@@ -138,9 +138,6 @@ func keyPlan(comp *Compiled, a *Analysis, cfg *BootConfig) *hisa.KeyPlan {
 		for p := 1; p < slots; p <<= 1 {
 			plan.Rotations[p] = top
 		}
-	}
-	for _, k := range packRotations(comp.Options.lanes(), slots) {
-		plan.Rotations[k] = top
 	}
 	return plan
 }

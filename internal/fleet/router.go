@@ -501,12 +501,12 @@ func (r *Router) probeFailed(w *workerState, err error) {
 
 // --- client connection handling ---
 
-// Fixed offsets of the mutable header fields shared by InferRequest and
-// InferBatchRequest payloads (sess u64, req u64, trace u64, parent u64,
-// timeout u32). The router rewrites the session ID (router-scoped to
-// worker-scoped), the parent span (its own relay span interposes between
-// the client's span and the worker's), and the timeout (remaining budget
-// on retry) in place, and never decodes the ciphertexts that follow.
+// Fixed offsets of the mutable header fields of an InferBatchRequest payload
+// (sess u64, req u64, trace u64, parent u64, timeout u32). The router
+// rewrites the session ID (router-scoped to worker-scoped), the parent span
+// (its own relay span interposes between the client's span and the
+// worker's), and the timeout (remaining budget on retry) in place, and never
+// decodes the ciphertexts that follow.
 const (
 	offSessionID = 0
 	offRequestID = 8
@@ -553,8 +553,8 @@ func (r *Router) handleConn(conn net.Conn) {
 			if !h.handleOpen(payload) {
 				return
 			}
-		case wire.MsgInferRequest, wire.MsgInferBatchRequest:
-			if !h.handleInfer(t, payload) {
+		case wire.MsgInferBatchRequest:
+			if !h.handleInfer(payload) {
 				return
 			}
 		default:
@@ -740,10 +740,10 @@ func (h *relayHandler) handleOpen(payload []byte) bool {
 // around failure: a dead or draining owner is removed from the ring and the
 // request retried on the session's new owner (keys replayed via handoff), so
 // a worker loss never surfaces to the client while any worker survives.
-func (h *relayHandler) handleInfer(t wire.MsgType, payload []byte) bool {
+func (h *relayHandler) handleInfer(payload []byte) bool {
 	r := h.r
 	if len(payload) < inferHdrLen {
-		return h.writeErr(wire.CodeBadMessage, 0, "%v payload of %d bytes has no request header", t, len(payload))
+		return h.writeErr(wire.CodeBadMessage, 0, "%v payload of %d bytes has no request header", wire.MsgInferBatchRequest, len(payload))
 	}
 	reqID := binary.LittleEndian.Uint64(payload[offRequestID:])
 	if r.draining.Load() {
@@ -823,7 +823,7 @@ func (h *relayHandler) handleInfer(t wire.MsgType, payload []byte) bool {
 			continue
 		}
 		w.inflight.Add(1)
-		err = wire.WriteFrame(c, t, payload)
+		err = wire.WriteFrame(c, wire.MsgInferBatchRequest, payload)
 		var (
 			rt   wire.MsgType
 			resp []byte

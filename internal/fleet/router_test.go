@@ -299,12 +299,12 @@ func TestRouterReplaysEvictedSessions(t *testing.T) {
 // TestRouterFingerprintGateAndBatch covers the replicated registry and the
 // batched relay path: once the probe loop has learned the fleet's model, a
 // client compiled against anything else is refused at the router with a
-// typed fingerprint error, while a matching client can run batched
+// typed fingerprint error, a frame of the retired single-image type (code
+// 3) earns an unexpected-frame error, and a matching client can run batched
 // inference straight through.
 func TestRouterFingerprintGateAndBatch(t *testing.T) {
 	comp := testBatchCompiled(t)
-	r, addr, _ := startFleet(t, 2,
-		serve.Config{Compiled: comp, MaxBatch: 2, BatchWait: 20 * time.Millisecond},
+	r, addr, _ := startFleet(t, 2, serve.Config{Compiled: comp},
 		fleet.Config{ProbeInterval: 10 * time.Millisecond})
 
 	deadline := time.Now().Add(10 * time.Second)
@@ -322,6 +322,21 @@ func TestRouterFingerprintGateAndBatch(t *testing.T) {
 		if !errors.As(err, &ef) || ef.Code != wire.CodeFingerprintMismatch {
 			t.Fatalf("mismatched compilation: got %v, want CodeFingerprintMismatch", err)
 		}
+	}
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := wire.WriteFrame(conn, 3, make([]byte, 64)); err != nil {
+		t.Fatal(err)
+	}
+	tp, resp, err := wire.ReadFrame(conn, 0)
+	var ef wire.ErrorFrame
+	if err != nil || tp != wire.MsgError || ef.Decode(resp) != nil ||
+		ef.Code != wire.CodeBadMessage || !strings.Contains(ef.Message, "unexpected") {
+		t.Fatalf("retired frame type 3: got %v %+v (err %v), want an unexpected-frame %v", tp, ef, err, wire.CodeBadMessage)
 	}
 
 	cli := dialVia(t, addr, comp, 822)

@@ -151,70 +151,3 @@ func DecryptTensorBatch(b hisa.Backend, ct *CipherTensor, n int) []*tensor.Tenso
 	}
 	return out
 }
-
-// LaneView returns metadata addressing a single physical lane of a batched
-// tensor as an unbatched view: same ciphertexts, origin shifted into the
-// lane. The view shares the underlying ciphertexts with ct. Decrypting the
-// view yields exactly that lane's image; other lanes' slots are simply never
-// read. Under complex packing the index is a physical lane (of Lanes(), not
-// Batches()); a real Decode of the view reads the lane's real component,
-// which is how the server-side coalescing path (PackBatch) addresses its
-// real-only occupants.
-func LaneView(ct *CipherTensor, lane, slots int) *CipherTensor {
-	if lane < 0 || lane >= ct.Lanes() {
-		panic(fmt.Sprintf("htc: lane %d out of range for %d lanes", lane, ct.Lanes()))
-	}
-	v := *ct
-	v.Offset += lane * ct.laneStride(slots)
-	v.B = 1
-	v.BatchStride = 0
-	v.Complex = false
-	return &v
-}
-
-// PackBatch combines n single-lane tensors (each carrying its image in lane
-// 0 of a batch-capacity layout) into one batched tensor by rotating tensor i
-// right into lane i and adding. This is the server-side coalescing path:
-// clients encrypt unbatched-at-lane-0 under the batched layout, and the
-// server packs compatible requests homomorphically. The rotation amounts
-// i*BatchStride must be covered by the session's rotation keys (the compiler
-// provisions them when Options.Batch > 1).
-//
-// The additions are deliberately strict (no scale alignment): all inputs
-// were encrypted at the same scale by construction, and a request whose
-// ciphertexts arrive scale-poisoned must fail loudly here rather than be
-// silently "repaired" into corrupting its batch-mates.
-func PackBatch(b hisa.Backend, ts []*CipherTensor) *CipherTensor {
-	if len(ts) == 0 {
-		panic("htc: PackBatch wants at least one tensor")
-	}
-	// Rotation cannot move data between the real and imaginary slot
-	// components, so homomorphic packing fills one image per physical lane
-	// (its real part) even under a complex plan: coalescing capacity is
-	// Lanes(). Full complex occupancy is the client-side path
-	// (EncryptTensorBatch), which packs components at encode time.
-	first := ts[0]
-	if len(ts) > first.Lanes() {
-		panic(fmt.Sprintf("htc: cannot pack %d tensors into %d batch lanes", len(ts), first.Lanes()))
-	}
-	for i, t := range ts {
-		if t.C != first.C || t.H != first.H || t.W != first.W ||
-			t.Offset != first.Offset || t.RowStride != first.RowStride ||
-			t.ColStride != first.ColStride || t.ChanStride != first.ChanStride ||
-			t.CPerCT != first.CPerCT || t.B != first.B || t.BatchStride != first.BatchStride ||
-			t.Complex != first.Complex || t.NumCTs() != first.NumCTs() {
-			panic(fmt.Sprintf("htc: PackBatch tensor %d has incompatible geometry", i))
-		}
-	}
-	out := metaClone(first)
-	out.CTs = make([]hisa.Ciphertext, first.NumCTs())
-	for g := 0; g < first.NumCTs(); g++ {
-		acc := ts[0].CTs[g]
-		for i := 1; i < len(ts); i++ {
-			acc = b.Add(acc, b.RotRight(ts[i].CTs[g], i*first.BatchStride))
-		}
-		out.CTs[g] = acc
-	}
-	out.validate(b.Slots())
-	return &out
-}

@@ -93,47 +93,3 @@ func TestBatchedParityRNS(t *testing.T) {
 		return hisa.NewRNSBackend(hisa.RNSConfig{Params: params, PRNG: ring.NewTestPRNG(101)})
 	}, sc, 1e-2)
 }
-
-// TestPackBatchRoundTrip proves the server-side coalescing primitive: images
-// encrypted independently at lane 0 of a batch-capacity layout, packed
-// homomorphically, decrypt per-lane to the original images.
-func TestPackBatchRoundTrip(t *testing.T) {
-	const B = 4
-	b := refBackend()
-	sc := DefaultScales()
-	plan := Plan{Layout: LayoutCHW, Batch: B}
-
-	imgs := make([]*tensor.Tensor, B)
-	lanes := make([]*CipherTensor, B)
-	for i := range imgs {
-		imgs[i] = randTensor([]int{3, 5, 5}, 1, int64(520+i))
-		lanes[i] = EncryptTensor(b, imgs[i], plan, sc)
-	}
-	packed := PackBatch(b, lanes)
-	for i, img := range imgs {
-		tensorsClose(t, "packed lane", DecryptTensorLane(b, packed, i), img, 1e-9)
-	}
-	// A lane view of the packed tensor addresses the same image without any
-	// homomorphic work.
-	view := LaneView(packed, 2, b.Slots())
-	tensorsClose(t, "lane view", DecryptTensor(b, view), imgs[2], 1e-9)
-}
-
-// TestPackBatchRejectsScaleMismatch: the pack adds strictly, so a tensor
-// whose declared scale disagrees must panic rather than be silently aligned
-// into corrupting its batch-mates.
-func TestPackBatchRejectsScaleMismatch(t *testing.T) {
-	const B = 2
-	b := hisa.NewSimBackend(hisa.SimParams{LogN: 10, LogQ: 300, Seed: 9})
-	sc := DefaultScales()
-	plan := Plan{Layout: LayoutCHW, Batch: B}
-	good := EncryptTensor(b, randTensor([]int{1, 3, 3}, 1, 530), plan, sc)
-	bad := EncryptTensor(b, randTensor([]int{1, 3, 3}, 1, 531),
-		plan, Scales{Pc: sc.Pc * 4, Pw: sc.Pw, Pu: sc.Pu, Pm: sc.Pm})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("PackBatch accepted a scale-mismatched tensor")
-		}
-	}()
-	PackBatch(b, []*CipherTensor{good, bad})
-}

@@ -3,16 +3,12 @@ package serve
 import (
 	"math"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"chet"
 	"chet/internal/circuit"
-	"chet/internal/ckks"
 	"chet/internal/core"
 	"chet/internal/tensor"
-	"chet/internal/wire"
 )
 
 var (
@@ -22,7 +18,7 @@ var (
 )
 
 // testBatchCompiled compiles the same tiny CNN as testCompiled but with a
-// batch capacity of 4, shared by every batching test in this package.
+// batch capacity of 8, shared by every batching test in this package.
 func testBatchCompiled(t *testing.T) *core.Compiled {
 	t.Helper()
 	batchCompileOnce.Do(func() {
@@ -37,7 +33,7 @@ func testBatchCompiled(t *testing.T) *core.Compiled {
 			SecurityBits: -1,
 			MinLogN:      5,
 			MaxLogN:      11,
-			Batch:        4,
+			Batch:        8,
 		})
 	})
 	if batchCompileErr != nil {
@@ -58,112 +54,35 @@ func closeEnough(t *testing.T, got, want []float64, tol float64, ctx string) {
 	}
 }
 
-// TestCoalescedBatchE2E is the tentpole acceptance test for server-side
-// coalescing: four concurrent requests on streams of one session are packed
-// into a single evaluation (flush on MaxBatch), and each stream's
-// demultiplexed lane decrypts to its own prediction.
-func TestCoalescedBatchE2E(t *testing.T) {
-	comp := testBatchCompiled(t)
-	s, err := New(Config{Compiled: comp, MaxBatch: 4, BatchWait: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := startServer(t, s)
-
-	root := dialClient(t, addr, comp, 301)
-	clients := []*Client{root}
-	for len(clients) < 4 {
-		st, err := root.NewStream()
-		if err != nil {
-			t.Fatalf("stream %d: %v", len(clients), err)
-		}
-		t.Cleanup(func() { st.Close() })
-		clients = append(clients, st)
-	}
-
-	local := &chet.Session{Compiled: comp, Backend: root.backend}
-	var wg sync.WaitGroup
-	for i, c := range clients {
-		img := randTensor([]int{1, 5, 5}, 1, int64(400+i))
-		enc := c.Encrypt(img)
-		want := local.Decrypt(local.Infer(enc))
-		wg.Add(1)
-		go func(i int, c *Client) {
-			defer wg.Done()
-			out, err := c.Infer(enc)
-			if err != nil {
-				t.Errorf("stream %d: %v", i, err)
-				return
-			}
-			got := c.Decrypt(out)
-			closeEnough(t, got.Data, want.Data, 1e-3, "coalesced stream")
-		}(i, c)
-	}
-	wg.Wait()
-
-	m := s.Metrics()
-	if m.Completed != 4 || m.BatchSizes[4] != 1 {
-		t.Fatalf("completed=%d batchSizes=%v, want 4 completions in one batch of 4", m.Completed, m.BatchSizes)
-	}
-	if m.Evaluation.Count != 1 {
-		t.Fatalf("Evaluation.Count = %d, want 1 (one circuit execution for the whole batch)", m.Evaluation.Count)
-	}
-	if m.QueueWait.Count != 4 {
-		t.Fatalf("QueueWait.Count = %d, want 4 (one sample per request)", m.QueueWait.Count)
-	}
-}
-
-// TestCoalesceFlushOnDeadline sends only two requests against a capacity-4
-// coalescer: the partial batch must flush at the BatchWait deadline and
-// still evaluate as one packed execution.
-func TestCoalesceFlushOnDeadline(t *testing.T) {
-	comp := testBatchCompiled(t)
-	s, err := New(Config{Compiled: comp, MaxBatch: 4, BatchWait: 500 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := startServer(t, s)
-
-	root := dialClient(t, addr, comp, 311)
-	st, err := root.NewStream()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { st.Close() })
-
-	var wg sync.WaitGroup
-	for i, c := range []*Client{root, st} {
-		enc := c.Encrypt(randTensor([]int{1, 5, 5}, 1, int64(410+i)))
-		wg.Add(1)
-		go func(i int, c *Client) {
-			defer wg.Done()
-			if _, err := c.Infer(enc); err != nil {
-				t.Errorf("stream %d: %v", i, err)
-			}
-		}(i, c)
-	}
-	wg.Wait()
-
-	m := s.Metrics()
-	if m.Completed != 2 || m.BatchSizes[2] != 1 || m.Evaluation.Count != 1 {
-		t.Fatalf("completed=%d batchSizes=%v evaluations=%d, want one deadline-flushed batch of 2",
-			m.Completed, m.BatchSizes, m.Evaluation.Count)
-	}
-}
-
-// TestClientBatchRequestE2E exercises the client-packed path: three images
-// encrypted into the lanes of one tensor, one InferBatch round-trip, and a
-// per-lane parity check against local single-image inference.
+// TestClientBatchRequestE2E exercises the one inference path on a
+// capacity-8 compile: k client-packed images in the lanes of one tensor, one
+// round trip, one evaluation. For k = 1 (Client.Infer) the prediction is
+// bit-identical to local inference on the same ciphertext; for a partial
+// batch (3 of 8 lanes) each lane matches local single-image inference within
+// rounding. The evaluation tally counts images per evaluation.
 func TestClientBatchRequestE2E(t *testing.T) {
 	comp := testBatchCompiled(t)
-	s, err := New(Config{Compiled: comp, MaxBatch: 4})
+	s, err := New(Config{Compiled: comp})
 	if err != nil {
 		t.Fatal(err)
 	}
 	addr := startServer(t, s)
 	c := dialClient(t, addr, comp, 321)
-
 	local := &chet.Session{Compiled: comp, Backend: c.backend}
+
+	enc := c.Encrypt(randTensor([]int{1, 5, 5}, 1, 419))
+	want := local.Decrypt(local.Infer(enc))
+	out, err := c.Infer(enc)
+	if err != nil {
+		t.Fatalf("Infer: %v", err)
+	}
+	got := c.Decrypt(out)
+	for k := range got.Data {
+		if math.Float64bits(got.Data[k]) != math.Float64bits(want.Data[k]) {
+			t.Fatalf("one-image output %d: server %v != local %v (not bit-identical)", k, got.Data[k], want.Data[k])
+		}
+	}
+
 	var wantOut [][]float64
 	var inputs []*tensor.Tensor
 	for i := 0; i < 3; i++ {
@@ -171,131 +90,19 @@ func TestClientBatchRequestE2E(t *testing.T) {
 		inputs = append(inputs, img)
 		wantOut = append(wantOut, local.Decrypt(local.Infer(c.Encrypt(img))).Data)
 	}
-	got, err := c.RunBatch(inputs)
+	lanes, err := c.RunBatch(inputs)
 	if err != nil {
 		t.Fatalf("RunBatch: %v", err)
 	}
-	if len(got) != 3 {
-		t.Fatalf("RunBatch returned %d tensors, want 3", len(got))
+	if len(lanes) != 3 {
+		t.Fatalf("RunBatch returned %d tensors, want 3", len(lanes))
 	}
-	for i := range got {
-		closeEnough(t, got[i].Data, wantOut[i], 1e-3, "batch lane")
-	}
-	if m := s.Metrics(); m.Completed != 1 || m.BatchSizes[1] != 1 {
-		t.Fatalf("completed=%d batchSizes=%v, want one pre-packed evaluation", m.Completed, m.BatchSizes)
-	}
-}
-
-// TestPoisonedTensorRejected sends a scale-poisoned request under an active
-// coalescer: scale and level are cleartext metadata, so admission rejects
-// the lie outright (it would otherwise feed silent garbage into a packed
-// batch), while a healthy request coalesced in the same window is served
-// bit-identically.
-func TestPoisonedTensorRejected(t *testing.T) {
-	comp := testBatchCompiled(t)
-	s, err := New(Config{Compiled: comp, MaxBatch: 2, BatchWait: 200 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := startServer(t, s)
-
-	root := dialClient(t, addr, comp, 331)
-	st, err := root.NewStream()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { st.Close() })
-
-	local := &chet.Session{Compiled: comp, Backend: root.backend}
-	healthyEnc := root.Encrypt(randTensor([]int{1, 5, 5}, 1, 430))
-	want := local.Decrypt(local.Infer(healthyEnc))
-
-	poisonEnc := st.Encrypt(randTensor([]int{1, 5, 5}, 1, 431))
-	poisonEnc.CTs[0].(*ckks.Ciphertext).Scale = math.Exp2(200)
-
-	_, poisonErr := st.Infer(poisonEnc)
-	if code := errCode(t, poisonErr); code != wire.CodeBadMessage {
-		t.Fatalf("poisoned request: code = %v, want %v", code, wire.CodeBadMessage)
-	}
-
-	out, err := root.Infer(healthyEnc) // deadline-flushes as a batch of one
-	if err != nil {
-		t.Fatalf("healthy request failed alongside a poisoned one: %v", err)
-	}
-	got := root.Decrypt(out)
-	for k := range got.Data {
-		if math.Float64bits(got.Data[k]) != math.Float64bits(want.Data[k]) {
-			t.Fatalf("healthy output %d: %v != %v (not bit-identical)", k, got.Data[k], want.Data[k])
-		}
-	}
-	if m := s.Metrics(); m.Completed != 1 || m.BatchSizes[1] != 1 {
-		t.Fatalf("completed=%d batchSizes=%v, want the healthy request alone", m.Completed, m.BatchSizes)
-	}
-}
-
-// TestBatchPanicIsolationFallback injects a panic into the packed evaluation
-// of a coalesced batch (and into the first request's retry): the engine must
-// fall back to per-request evaluation, fail only the first request, and
-// serve its batch-mate bit-identically.
-func TestBatchPanicIsolationFallback(t *testing.T) {
-	comp := testBatchCompiled(t)
-	s, err := New(Config{Compiled: comp, MaxBatch: 2, BatchWait: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var calls atomic.Int32
-	s.execHook = func() {
-		// Call 1 is the packed batch, call 2 the first request's isolated
-		// retry; call 3 (the second request's retry) runs free.
-		if calls.Add(1) <= 2 {
-			panic("injected poison")
-		}
-	}
-	addr := startServer(t, s)
-
-	root := dialClient(t, addr, comp, 341)
-	st, err := root.NewStream()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { st.Close() })
-
-	local := &chet.Session{Compiled: comp, Backend: root.backend}
-	encA := root.Encrypt(randTensor([]int{1, 5, 5}, 1, 440))
-	encB := st.Encrypt(randTensor([]int{1, 5, 5}, 1, 441))
-	wantB := local.Decrypt(local.Infer(encB))
-
-	resA := make(chan error, 1)
-	go func() {
-		_, err := root.Infer(encA)
-		resA <- err
-	}()
-	// Admit A first so the fallback order (and therefore which request the
-	// injected panic fails) is deterministic.
-	for i := 0; s.requests.Load() < 1; i++ {
-		if i > 5000 {
-			t.Fatal("first request never admitted")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	outB, errB := st.Infer(encB) // completes the batch of two
-
-	if code := errCode(t, <-resA); code != wire.CodeInternal {
-		t.Fatalf("poisoned request: code = %v, want %v", code, wire.CodeInternal)
-	}
-	if errB != nil {
-		t.Fatalf("batch-mate failed alongside the poisoned request: %v", errB)
-	}
-	gotB := st.Decrypt(outB)
-	for k := range gotB.Data {
-		if math.Float64bits(gotB.Data[k]) != math.Float64bits(wantB.Data[k]) {
-			t.Fatalf("batch-mate output %d: %v != %v (isolated retry should be bit-identical)",
-				k, gotB.Data[k], wantB.Data[k])
-		}
+	for i := range lanes {
+		closeEnough(t, lanes[i].Data, wantOut[i], 1e-3, "batch lane")
 	}
 	m := s.Metrics()
-	if m.Completed != 1 || m.Errors != 1 || m.BatchSizes[2] != 1 || m.Evaluation.Count != 3 {
-		t.Fatalf("completed=%d errors=%d batchSizes=%v evaluations=%d, want 1/1/{2:1}/3",
-			m.Completed, m.Errors, m.BatchSizes, m.Evaluation.Count)
+	if m.Completed != 2 || m.Evaluation.Count != 2 || len(m.BatchSizes) != 2 || m.BatchSizes[1] != 1 || m.BatchSizes[3] != 1 {
+		t.Fatalf("completed=%d evaluations=%d batchSizes=%v, want two evaluations of 1 and 3 images",
+			m.Completed, m.Evaluation.Count, m.BatchSizes)
 	}
 }

@@ -127,11 +127,11 @@ func Dial(addr string, cfg ClientConfig) (*Client, error) {
 
 // NewStream opens an additional connection that shares this client's keys
 // and server-side session. Requests on one Client serialize over its single
-// connection, so a tenant that wants the server to coalesce its requests
-// into one batched evaluation needs several in flight at once — one stream
-// per concurrent request. Streams skip the session handshake entirely (the
-// server's registry is keyed by session ID, not connection); only clients
-// created with Dial can open them. Close each stream independently.
+// connection, so a tenant that wants several requests evaluated at once
+// (a server with Config.Parallel > 1) needs one stream per concurrent
+// request. Streams skip the session handshake entirely (the server's
+// registry is keyed by session ID, not connection); only clients created
+// with Dial can open them. Close each stream independently.
 func (c *Client) NewStream() (*Client, error) {
 	c.mu.Lock()
 	addr, sessID := c.addr, c.sessionID
@@ -302,23 +302,10 @@ func (c *Client) retryTransport(op func() (*htc.CipherTensor, error)) (*htc.Ciph
 	return nil, err
 }
 
-// Infer ships an encrypted tensor to the server and returns the encrypted
-// result. If the server reports the session unknown (evicted under the
-// session cap), the client transparently re-opens once and retries; with a
-// RedialPolicy configured, transient transport failures reconnect and retry.
+// Infer ships one encrypted image (from Encrypt) to the server and returns
+// the encrypted result: InferBatch with a count of one.
 func (c *Client) Infer(in *htc.CipherTensor) (*htc.CipherTensor, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	op := func() (*htc.CipherTensor, error) { return c.inferLocked(in) }
-	out, err := c.retryTransport(op)
-	var ef *wire.ErrorFrame
-	if errors.As(err, &ef) && ef.Code == wire.CodeUnknownSession {
-		if err := c.open(); err != nil {
-			return nil, fmt.Errorf("serve: re-opening evicted session: %w", err)
-		}
-		return c.retryTransport(op)
-	}
-	return out, err
+	return c.InferBatch(in, 1)
 }
 
 // checkOutput refuses a response tensor that does not hold the circuit's
@@ -336,76 +323,13 @@ func (c *Client) checkOutput(t *htc.CipherTensor) error {
 	return nil
 }
 
-func (c *Client) inferLocked(in *htc.CipherTensor) (*htc.CipherTensor, error) {
-	if c.conn == nil {
-		return nil, errors.New("serve: client is closed")
-	}
-	c.nextReq++
-	msg := &wire.InferRequest{
-		SessionID:  c.sessionID,
-		RequestID:  c.nextReq,
-		TraceID:    c.traceBase + c.nextReq,
-		ParentSpan: telemetry.NewSpanID(),
-		Tensor:     in,
-	}
-	if c.cfg.Timeout > 0 {
-		msg.TimeoutMillis = uint32(min(c.cfg.Timeout.Milliseconds(), int64(^uint32(0))))
-	}
-	payload, err := msg.Encode()
-	if err != nil {
-		return nil, fmt.Errorf("serve: encoding infer-request: %w", err)
-	}
-	if err := wire.WriteFrame(c.conn, wire.MsgInferRequest, payload); err != nil {
-		return nil, fmt.Errorf("serve: sending infer-request: %w", err)
-	}
-	t, resp, err := wire.ReadFrame(c.conn, c.cfg.MaxFrame)
-	if err != nil {
-		return nil, fmt.Errorf("serve: reading infer-response: %w", err)
-	}
-	switch t {
-	case wire.MsgInferResponse:
-		var ir wire.InferResponse
-		if err := ir.Decode(resp); err != nil {
-			return nil, fmt.Errorf("serve: infer-response: %w", err)
-		}
-		if ir.RequestID != msg.RequestID {
-			return nil, fmt.Errorf("serve: response for request %d, expected %d", ir.RequestID, msg.RequestID)
-		}
-		if ir.TraceID != msg.TraceID {
-			return nil, fmt.Errorf("serve: response trace %016x, expected %016x", ir.TraceID, msg.TraceID)
-		}
-		// A coalesced response carries the whole batch's predictions; this
-		// request's is in the indicated lane. The lane view is pure metadata
-		// (origin shift), so demultiplexing costs no homomorphic operations.
-		if err := c.checkOutput(ir.Tensor); err != nil {
-			return nil, err
-		}
-		if ir.Batch > 1 {
-			if int(ir.Lane) >= ir.Tensor.Batches() {
-				return nil, fmt.Errorf("serve: response lane %d out of range for batch capacity %d",
-					ir.Lane, ir.Tensor.Batches())
-			}
-			return htc.LaneView(ir.Tensor, int(ir.Lane), c.backend.Slots()), nil
-		}
-		return ir.Tensor, nil
-	case wire.MsgError:
-		var ef wire.ErrorFrame
-		if err := ef.Decode(resp); err != nil {
-			return nil, fmt.Errorf("serve: undecodable error frame: %w", err)
-		}
-		return nil, &ef
-	default:
-		return nil, fmt.Errorf("serve: unexpected %v frame", t)
-	}
-}
-
-// Run is the full client loop for one input: encrypt, send, decrypt.
+// Run is the full client loop for one input: RunBatch of one image.
 func (c *Client) Run(img *tensor.Tensor) (*tensor.Tensor, error) {
-	out, err := c.Infer(c.Encrypt(img))
+	out, err := c.RunBatch([]*tensor.Tensor{img})
 	if err != nil {
 		return nil, err
 	}
-	return c.Decrypt(out), nil
+	return out[0], nil
 }
 
 // EncryptBatch encrypts up to the compiled batch capacity of images into the
@@ -424,10 +348,12 @@ func (c *Client) DecryptBatch(out *htc.CipherTensor, n int) []*tensor.Tensor {
 	return ts
 }
 
-// InferBatch ships a client-packed batch (count images in the leading lanes
-// of one tensor, from EncryptBatch) and returns the encrypted batched
-// result. Like Infer, it transparently re-opens once if the session was
-// evicted.
+// InferBatch ships a client-packed request (count >= 1 images in the leading
+// lanes of one tensor, from EncryptBatch or, for one image, Encrypt) and
+// returns the encrypted result. If the server reports the session unknown
+// (evicted under the session cap), the client transparently re-opens once
+// and retries; with a RedialPolicy configured, transient transport failures
+// reconnect and retry.
 func (c *Client) InferBatch(in *htc.CipherTensor, count int) (*htc.CipherTensor, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

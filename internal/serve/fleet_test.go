@@ -2,6 +2,7 @@ package serve
 
 import (
 	"net"
+	"strings"
 	"testing"
 
 	"chet/internal/wire"
@@ -98,16 +99,28 @@ func TestWorkerControlFrames(t *testing.T) {
 		t.Fatalf("handoff ack %+v: want router id echoed and a live worker session", hack)
 	}
 
+	// A frame of the retired single-image type (code 3) is answered as
+	// unexpected, and the connection keeps serving.
+	if err := wire.WriteFrame(conn, 3, make([]byte, 64)); err != nil {
+		t.Fatal(err)
+	}
+	tp, resp, err := wire.ReadFrame(conn, 0)
+	var ef wire.ErrorFrame
+	if err != nil || tp != wire.MsgError || ef.Decode(resp) != nil ||
+		ef.Code != wire.CodeBadMessage || !strings.Contains(ef.Message, "unexpected") {
+		t.Fatalf("retired frame type 3: got %v %+v (err %v), want an unexpected-frame %v", tp, ef, err, wire.CodeBadMessage)
+	}
+
 	enc := cli.Encrypt(randTensor([]int{1, 5, 5}, 1, 9))
-	resp = roundTrip(wire.MsgInferRequest, &wire.InferRequest{
-		SessionID: hack.WorkerSessionID, RequestID: 1, Tensor: enc,
-	}, wire.MsgInferResponse)
-	var ir wire.InferResponse
+	resp = roundTrip(wire.MsgInferBatchRequest, &wire.InferBatchRequest{
+		SessionID: hack.WorkerSessionID, RequestID: 1, Count: 1, Tensor: enc,
+	}, wire.MsgInferBatchResponse)
+	var ir wire.InferBatchResponse
 	if err := ir.Decode(resp); err != nil {
 		t.Fatal(err)
 	}
-	if ir.RequestID != 1 || ir.Tensor == nil {
-		t.Fatalf("relayed inference response %+v: want request 1 with a tensor", ir)
+	if ir.RequestID != 1 || ir.Count != 1 || ir.Tensor == nil {
+		t.Fatalf("relayed inference response %+v: want request 1 with one image's tensor", ir)
 	}
 
 	m := s.Metrics()

@@ -67,10 +67,10 @@ func writePromMetrics(w io.Writer, m ServerMetrics, sessions []*session, default
 		p.Summary(name, help, l.P50, l.P90, l.P99, l.Sum, l.Count)
 	}
 	summary("chet_request_seconds", "End-to-end request latency (admission to response).", m.Latency)
-	summary("chet_queue_wait_seconds", "Time requests spent queued (admission + coalescing).", m.QueueWait)
+	summary("chet_queue_wait_seconds", "Time requests spent in the admission queue.", m.QueueWait)
 	summary("chet_evaluation_seconds", "Homomorphic evaluation time per circuit execution.", m.Evaluation)
 
-	p.Family("chet_batch_evaluations_total", "Evaluations by the number of requests they served.", "counter")
+	p.Family("chet_batch_evaluations_total", "Evaluations by the number of images they carried.", "counter")
 	sizes := make([]int, 0, len(m.BatchSizes))
 	for k := range m.BatchSizes {
 		sizes = append(sizes, k)

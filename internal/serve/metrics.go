@@ -19,10 +19,6 @@ type latencyRecorder struct {
 	next  int
 	count uint64        // total ever recorded
 	sum   time.Duration // total duration ever recorded
-	// ewma tracks an exponentially-weighted moving average (alpha 1/8) of
-	// the recorded durations — cheap enough to consult on every admission,
-	// unlike the sort the quantile summary pays.
-	ewma time.Duration
 }
 
 const latencyWindow = 1024
@@ -36,24 +32,12 @@ func (l *latencyRecorder) record(d time.Duration) {
 	defer l.mu.Unlock()
 	l.count++
 	l.sum += d
-	if l.count == 1 {
-		l.ewma = d
-	} else {
-		l.ewma += (d - l.ewma) / 8
-	}
 	if len(l.ring) < cap(l.ring) {
 		l.ring = append(l.ring, d)
 		return
 	}
 	l.ring[l.next] = d
 	l.next = (l.next + 1) % len(l.ring)
-}
-
-// average returns the moving average (zero until the first sample).
-func (l *latencyRecorder) average() time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.ewma
 }
 
 // LatencySummary is a quantile snapshot over the recent-latency window.
@@ -135,17 +119,16 @@ type ServerMetrics struct {
 	HeadroomKnown bool
 
 	// Latency is the end-to-end per-request view (admission to response);
-	// QueueWait and Evaluation split it into the time a request spent
-	// waiting (admission queue + batch coalescing) and the time its
-	// homomorphic evaluation ran. Evaluation is recorded once per
-	// evaluation, so under batching its Count is the number of circuit
-	// executions, not the number of requests they served.
+	// QueueWait and Evaluation split it into the time a request spent in
+	// the admission queue and the time its homomorphic evaluation ran.
+	// Evaluation counts every circuit execution, including failed ones.
 	Latency    LatencySummary
 	QueueWait  LatencySummary
 	Evaluation LatencySummary
 
-	// BatchSizes counts evaluations by the number of requests they served:
-	// BatchSizes[4] == 7 means seven evaluations each packed four requests.
+	// BatchSizes counts evaluations by the number of images they carried
+	// (the request's client-packed Count): BatchSizes[8] == 7 means seven
+	// evaluations of eight images each — the batch lanes' fill.
 	BatchSizes map[int]uint64
 
 	// ConstantPlaintexts and ConstantBytes size the server's store of

@@ -19,12 +19,10 @@ import (
 	"log/slog"
 	"math"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"chet/internal/batch"
 	"chet/internal/ckks"
 	"chet/internal/core"
 	"chet/internal/hisa"
@@ -62,32 +60,14 @@ type Config struct {
 	// compiled model (see frameLimit): what this model's session-open and
 	// largest tensor encode to, never more than wire.DefaultMaxFrame.
 	MaxFrame int
-	// MaxBatch enables request coalescing: up to MaxBatch single-image
-	// requests from the same session are packed into one ciphertext
-	// evaluation. Requires the circuit to be compiled with Options.Batch >=
-	// MaxBatch (the compiled batch capacity provisions the slot lanes and
-	// packing rotation keys). Values <= 1 disable coalescing. Default 1.
-	MaxBatch int
-	// BatchWait bounds how long a partial batch waits for more requests
-	// before being evaluated anyway. Only meaningful with MaxBatch > 1.
-	// Default 20ms; negative flushes immediately (coalescing off in effect).
-	BatchWait time.Duration
-	// BatchAdaptive derives the flush deadline from live load instead of
-	// using BatchWait verbatim: when requests are already queueing about as
-	// long as an evaluation takes, batches form on their own and added wait
-	// is pure latency, so the deadline shrinks toward zero; when traffic is
-	// sparse the deadline grows back to BatchWait to give coalescing a
-	// chance. BatchWait remains the ceiling. Off by default (static waits).
-	BatchAdaptive bool
 	// Trace wraps each session's backend in a telemetry.Tracer: /metrics
 	// gains per-op duration series, every evaluation runs under a scope
-	// named by the requests' wire trace IDs, and each dispatch is logged
-	// with its trace IDs and batch assignment. With tracing on, evaluation
-	// scopes also carry the requests' wire trace context (trace ID + parent
-	// span), queue waits and batch flushes are recorded as spans, and the
-	// worker answers trace-dump frames with its merged span rings. Off by
-	// default (the tracer costs a few percent and a bounded span ring per
-	// session).
+	// named by the request's wire trace ID, and each dispatch is logged
+	// with its trace ID and image count. With tracing on, evaluation scopes
+	// also carry the request's wire trace context (trace ID + parent span),
+	// queue waits are recorded as spans, and the worker answers trace-dump
+	// frames with its merged span rings. Off by default (the tracer costs a
+	// few percent and a bounded span ring per session).
 	Trace bool
 	// ProcessLabel names this worker in merged cross-process traces
 	// (TraceDumpAck.Process). Empty lets the collector label the worker by
@@ -114,12 +94,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.Parallel < 1 {
 		c.Parallel = 1
-	}
-	if c.MaxBatch < 1 {
-		c.MaxBatch = 1
-	}
-	if c.BatchWait == 0 {
-		c.BatchWait = 20 * time.Millisecond
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -155,34 +129,23 @@ func frameLimit(comp *core.Compiled, params *ckks.Parameters) int {
 	return min(limit, wire.DefaultMaxFrame)
 }
 
-// job is one admitted inference request.
+// job is one admitted inference request: a tensor carrying count images in
+// its leading batch lanes, evaluated once.
 type job struct {
 	sess       *session
 	tensor     *htc.CipherTensor
+	count      int
 	reqID      uint64
 	traceID    uint64 // client-chosen correlation id (0 = none)
 	parentSpan uint64 // upstream span (client call or router relay; 0 = none)
 	arrived    time.Time
 	deadline   time.Time
-	respond    chan jobResult // buffered(1); runBatch always sends exactly once
+	respond    chan jobResult // buffered(1); run always sends exactly once
 }
 
 type jobResult struct {
 	tensor *htc.CipherTensor
-	// batch/lane tell a coalesced requester how many requests shared the
-	// evaluation and which slot lane holds its prediction (batch <= 1 means
-	// the tensor is this request's alone).
-	batch, lane int
-	errf        *wire.ErrorFrame
-}
-
-// batchJob is the executor's unit of work: one or more requests of the same
-// session evaluated together. Coalesced jobs carry one single-image tensor
-// per item and are packed homomorphically before evaluation; pre-packed
-// jobs (MsgInferBatchRequest) arrive as a single item whose tensor already
-// holds several images in its batch lanes.
-type batchJob struct {
-	items []*job
+	errf   *wire.ErrorFrame
 }
 
 // Server is a concurrent encrypted-inference server for one compiled
@@ -196,16 +159,13 @@ type Server struct {
 	wantMeta htc.CipherTensor
 
 	// constants holds the program's encoded weights, masks and biases for
-	// every session and batch lane: plaintexts depend only on the
-	// parameters, not on a client's keys.
+	// every session: plaintexts depend only on the parameters, not on a
+	// client's keys.
 	constants *htc.Constants
 
 	reg  *registry
-	jobs chan *batchJob
+	jobs chan *job
 	quit chan struct{} // closed by Shutdown after the drain completes
-	// coal groups compatible single-image requests (same session) into
-	// batches; nil when MaxBatch <= 1.
-	coal *batch.Coalescer[uint64, *job]
 
 	draining  atomic.Bool
 	inflight  sync.WaitGroup // admitted jobs not yet responded
@@ -258,14 +218,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxFrame == 0 {
 		cfg.MaxFrame = frameLimit(cfg.Compiled, params)
 	}
-	capacity := cfg.Compiled.Best.Batch
-	if capacity < 1 {
-		capacity = 1
-	}
-	if cfg.MaxBatch > capacity {
-		return nil, fmt.Errorf("serve: MaxBatch %d exceeds the compiled batch capacity %d; recompile with Options.Batch >= MaxBatch",
-			cfg.MaxBatch, capacity)
-	}
 	in := cfg.Compiled.Circuit.Input.OutShape
 	s := &Server{
 		cfg:         cfg,
@@ -274,7 +226,7 @@ func New(cfg Config) (*Server, error) {
 		wantMeta:    htc.NewLayout(cfg.Compiled.Plan(), in[0], in[1], in[2], params.Slots()),
 		reg:         newRegistry(cfg.MaxSessions),
 		constants:   htc.NewConstants(),
-		jobs:        make(chan *batchJob, cfg.QueueDepth),
+		jobs:        make(chan *job, cfg.QueueDepth),
 		quit:        make(chan struct{}),
 		conns:       map[net.Conn]struct{}{},
 		latency:     newLatencyRecorder(),
@@ -287,16 +239,9 @@ func New(cfg Config) (*Server, error) {
 		Fingerprint: s.fingerprint,
 		Model:       cfg.Compiled.Circuit.Name,
 		LogN:        uint32(cfg.Compiled.Best.LogN),
-		Batch:       uint32(capacity),
+		Batch:       uint32(max(cfg.Compiled.Best.Batch, 1)),
 	}
 	s.fleet.merge([]wire.RegistryEntry{s.selfEntry})
-	if cfg.MaxBatch > 1 {
-		bc := batch.Config{MaxBatch: cfg.MaxBatch, MaxWait: cfg.BatchWait}
-		if cfg.BatchAdaptive {
-			bc.WaitFor = s.adaptiveWait
-		}
-		s.coal = batch.New[uint64, *job](bc, s.enqueueBatch)
-	}
 	return s, nil
 }
 
@@ -362,12 +307,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if ln != nil {
 		ln.Close()
 	}
-	// Flush partial batches held by the coalescer into the queue so the
-	// drain below covers them; handlers racing this see ErrClosed on Add
-	// and reject their request as shutting-down.
-	if s.coal != nil {
-		s.coal.Close()
-	}
 
 	drained := make(chan struct{})
 	go func() {
@@ -393,8 +332,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	go func() {
 		for {
 			select {
-			case bj := <-s.jobs:
-				s.rejectBatchShutdown(bj)
+			case j := <-s.jobs:
+				s.rejectShutdown(j)
 			case <-reaperDone:
 				return
 			}
@@ -491,12 +430,8 @@ func (s *Server) handleConn(conn net.Conn) {
 			if !s.handleSessionOpen(conn, payload, writeErr) {
 				return
 			}
-		case wire.MsgInferRequest:
-			if !s.handleInfer(conn, payload, writeErr) {
-				return
-			}
 		case wire.MsgInferBatchRequest:
-			if !s.handleInferBatch(conn, payload, writeErr) {
+			if !s.handleInfer(conn, payload, writeErr) {
 				return
 			}
 		case wire.MsgHealthProbe:
@@ -772,80 +707,6 @@ func (s *Server) handleSessionHandoff(conn net.Conn, payload []byte, writeErr fu
 	return wire.WriteFrame(conn, wire.MsgSessionHandoffAck, out) == nil
 }
 
-// handleInfer admits a request to the queue and relays its result. Returns
-// false when the connection is beyond use.
-func (s *Server) handleInfer(conn net.Conn, payload []byte, writeErr func(wire.ErrorCode, uint64, string, ...any) bool) bool {
-	var msg wire.InferRequest
-	if err := msg.Decode(payload); err != nil {
-		return writeErr(wire.CodeBadMessage, 0, "infer-request: %v", err)
-	}
-	if s.draining.Load() {
-		s.rejShutdown.Add(1)
-		return writeErr(wire.CodeShuttingDown, msg.RequestID, "server is draining")
-	}
-	sess, ok := s.reg.get(msg.SessionID)
-	if !ok {
-		return writeErr(wire.CodeUnknownSession, msg.RequestID,
-			"session %d unknown or evicted; re-open", msg.SessionID)
-	}
-	if err := s.checkTensor(msg.Tensor); err != nil {
-		sess.errors.Add(1)
-		return writeErr(wire.CodeBadMessage, msg.RequestID, "infer-request: %v", err)
-	}
-
-	j := s.newJob(sess, msg.Tensor, msg.RequestID, msg.TraceID, msg.ParentSpan, msg.TimeoutMillis)
-
-	// Admission: the queue never blocks the handler. Full queue means the
-	// server is saturated past its configured buffer — reject now so the
-	// client can back off, rather than letting latency grow unboundedly.
-	// The inflight count is held by this handler until the response hits
-	// the wire, so a graceful Shutdown never cuts a connection mid-reply.
-	// With coalescing on, the request instead joins its session's pending
-	// batch; queue-full is then decided at flush time (enqueueBatch).
-	s.admitOne()
-	if s.coal != nil {
-		if err := s.coal.Add(msg.SessionID, j); err != nil {
-			s.doneOne()
-			s.rejShutdown.Add(1)
-			return writeErr(wire.CodeShuttingDown, msg.RequestID, "server is draining")
-		}
-		s.requests.Add(1)
-		sess.requests.Add(1)
-	} else {
-		select {
-		case s.jobs <- &batchJob{items: []*job{j}}:
-			s.requests.Add(1)
-			sess.requests.Add(1)
-		default:
-			s.doneOne()
-			s.rejQueueFull.Add(1)
-			return writeErr(wire.CodeQueueFull, msg.RequestID,
-				"admission queue full (%d deep); retry with backoff", s.cfg.QueueDepth)
-		}
-	}
-
-	res := <-j.respond
-	wrote := func() bool {
-		if res.errf != nil {
-			return writeErr(res.errf.Code, msg.RequestID, "%s", res.errf.Message)
-		}
-		resp := &wire.InferResponse{RequestID: msg.RequestID, TraceID: msg.TraceID, Tensor: res.tensor}
-		if res.batch > 1 {
-			resp.Batch = uint32(res.batch)
-			resp.Lane = uint32(res.lane)
-		} else {
-			resp.Batch = 1
-		}
-		out, err := resp.Encode()
-		if err != nil {
-			return writeErr(wire.CodeInternal, msg.RequestID, "encoding response: %v", err)
-		}
-		return wire.WriteFrame(conn, wire.MsgInferResponse, out) == nil
-	}()
-	s.doneOne()
-	return wrote
-}
-
 // admitOne/doneOne track admitted-but-unanswered requests twice over: the
 // WaitGroup gates graceful shutdown, the atomic gauge feeds health acks and
 // /metrics (a WaitGroup cannot be read without racing it).
@@ -860,47 +721,31 @@ func (s *Server) doneOne() {
 }
 
 // newJob builds an admitted job with the effective deadline.
-func (s *Server) newJob(sess *session, ct *htc.CipherTensor, reqID, traceID, parentSpan uint64, timeoutMillis uint32) *job {
+func (s *Server) newJob(sess *session, msg *wire.InferBatchRequest) *job {
 	timeout := s.cfg.RequestTimeout
-	if timeoutMillis != 0 {
-		if t := time.Duration(timeoutMillis) * time.Millisecond; t < timeout {
+	if msg.TimeoutMillis != 0 {
+		if t := time.Duration(msg.TimeoutMillis) * time.Millisecond; t < timeout {
 			timeout = t
 		}
 	}
 	now := time.Now()
 	return &job{
 		sess:       sess,
-		tensor:     ct,
-		reqID:      reqID,
-		traceID:    traceID,
-		parentSpan: parentSpan,
+		tensor:     msg.Tensor,
+		count:      int(msg.Count),
+		reqID:      msg.RequestID,
+		traceID:    msg.TraceID,
+		parentSpan: msg.ParentSpan,
 		arrived:    now,
 		deadline:   now.Add(timeout),
 		respond:    make(chan jobResult, 1),
 	}
 }
 
-// enqueueBatch is the coalescer's flush callback: it moves one formed batch
-// into the executor queue. A full queue rejects the whole batch — the same
-// backpressure contract as the unbatched path, decided at flush time.
-func (s *Server) enqueueBatch(_ uint64, items []*job) {
-	select {
-	case s.jobs <- &batchJob{items: items}:
-	default:
-		for _, j := range items {
-			s.rejQueueFull.Add(1)
-			j.respond <- jobResult{errf: &wire.ErrorFrame{
-				Code: wire.CodeQueueFull, RequestID: j.reqID,
-				Message: fmt.Sprintf("admission queue full (%d deep); retry with backoff", s.cfg.QueueDepth)}}
-		}
-	}
-}
-
-// handleInferBatch admits a client-packed batch request (one tensor, Count
-// images in its leading lanes) directly to the queue — it is already a
-// batch, so it bypasses the coalescer. Returns false when the connection is
-// beyond use.
-func (s *Server) handleInferBatch(conn net.Conn, payload []byte, writeErr func(wire.ErrorCode, uint64, string, ...any) bool) bool {
+// handleInfer admits a request (one tensor, Count client-packed images in its
+// leading lanes) to the queue and relays its result. Returns false when the
+// connection is beyond use.
+func (s *Server) handleInfer(conn net.Conn, payload []byte, writeErr func(wire.ErrorCode, uint64, string, ...any) bool) bool {
 	var msg wire.InferBatchRequest
 	if err := msg.Decode(payload); err != nil {
 		return writeErr(wire.CodeBadMessage, 0, "infer-batch-request: %v", err)
@@ -924,10 +769,15 @@ func (s *Server) handleInferBatch(conn net.Conn, payload []byte, writeErr func(w
 			"batch count %d exceeds compiled capacity %d", msg.Count, s.wantMeta.Batches())
 	}
 
-	j := s.newJob(sess, msg.Tensor, msg.RequestID, msg.TraceID, msg.ParentSpan, msg.TimeoutMillis)
+	// Admission: the queue never blocks the handler. Full queue means the
+	// server is saturated past its configured buffer — reject now so the
+	// client can back off, rather than letting latency grow unboundedly.
+	// The inflight count is held by this handler until the response hits
+	// the wire, so a graceful Shutdown never cuts a connection mid-reply.
+	j := s.newJob(sess, &msg)
 	s.admitOne()
 	select {
-	case s.jobs <- &batchJob{items: []*job{j}}:
+	case s.jobs <- j:
 		s.requests.Add(1)
 		sess.requests.Add(1)
 	default:
@@ -955,8 +805,9 @@ func (s *Server) handleInferBatch(conn net.Conn, payload []byte, writeErr func(w
 
 // checkTensor validates a network-received tensor against this server's
 // parameters before any kernel touches it. Geometry must match the compiled
-// input layout exactly — coalescing adds ciphertexts of different requests
-// together, so admitting "close enough" layouts would corrupt batch-mates.
+// input layout exactly: the kernels derive every rotation amount and mask
+// from it, so a "close enough" layout would compute garbage for every image
+// packed in the tensor.
 func (s *Server) checkTensor(ct *htc.CipherTensor) error {
 	if ct == nil {
 		return errors.New("missing tensor")
@@ -990,11 +841,11 @@ func (s *Server) checkTensor(ct *htc.CipherTensor) error {
 		}
 		// Inputs are fresh encryptions: full level and the compiled input
 		// scale. Both are cleartext metadata a poisoned request could lie
-		// about; admitting either lie would feed the circuit (or a packed
-		// batch-mate) silent garbage rather than a detectable failure. The
-		// scale must match exactly: encoding sets it bit for bit and the wire
-		// carries the float64, and every distinct input scale would add bias
-		// plaintexts to the server's shared constant store.
+		// about; admitting either lie would feed the circuit silent garbage
+		// rather than a detectable failure. The scale must match exactly:
+		// encoding sets it bit for bit and the wire carries the float64, and
+		// every distinct input scale would add bias plaintexts to the
+		// server's shared constant store.
 		if cc.Lvl != maxLvl {
 			return fmt.Errorf("ciphertext %d at level %d, fresh inputs are at level %d", i, cc.Lvl, maxLvl)
 		}
@@ -1018,18 +869,18 @@ func (s *Server) checkTensor(ct *htc.CipherTensor) error {
 // --- execution ---
 
 // executor drains the admission queue. After quit it answers any remaining
-// queued batches with shutting-down errors (forced-shutdown path) and exits.
+// queued requests with shutting-down errors (forced-shutdown path) and exits.
 func (s *Server) executor() {
 	defer s.execWG.Done()
 	for {
 		select {
-		case bj := <-s.jobs:
-			s.runBatch(bj)
+		case j := <-s.jobs:
+			s.run(j)
 		case <-s.quit:
 			for {
 				select {
-				case bj := <-s.jobs:
-					s.rejectBatchShutdown(bj)
+				case j := <-s.jobs:
+					s.rejectShutdown(j)
 				default:
 					return
 				}
@@ -1038,130 +889,56 @@ func (s *Server) executor() {
 	}
 }
 
-// rejectBatchShutdown answers every request of a queued batch with a
-// shutting-down error frame.
-func (s *Server) rejectBatchShutdown(bj *batchJob) {
-	for _, j := range bj.items {
-		s.rejShutdown.Add(1)
-		j.respond <- jobResult{errf: &wire.ErrorFrame{
-			Code: wire.CodeShuttingDown, RequestID: j.reqID,
-			Message: "server shut down before the request ran"}}
-	}
+// rejectShutdown answers a queued request with a shutting-down error frame.
+func (s *Server) rejectShutdown(j *job) {
+	s.rejShutdown.Add(1)
+	j.respond <- jobResult{errf: &wire.ErrorFrame{
+		Code: wire.CodeShuttingDown, RequestID: j.reqID,
+		Message: "server shut down before the request ran"}}
 }
 
-// runBatch evaluates one admitted batch, enforcing each request's deadline at
-// the two points the engine controls: before starting (queue expiry) and
-// after finishing (evaluation overrun). A homomorphic evaluation cannot be
+// run evaluates one admitted request, enforcing its deadline at the two
+// points the engine controls: before starting (queue expiry) and after
+// finishing (evaluation overrun). A homomorphic evaluation cannot be
 // preempted mid-circuit, so an overrunning result is discarded rather than
 // returned late.
-//
-// Multi-request batches (all from one session, formed by the coalescer) are
-// packed homomorphically into one ciphertext and evaluated once. If packing
-// or the packed evaluation fails — the designed failure mode for a request
-// whose ciphertexts arrive scale-poisoned, since PackBatch adds strictly —
-// the batch falls back to evaluating each request alone, so only the
-// poisoned request fails and its batch-mates still get answers.
-func (s *Server) runBatch(bj *batchJob) {
+func (s *Server) run(j *job) {
 	now := time.Now()
-	live := bj.items[:0]
-	for _, j := range bj.items {
-		if !now.Before(j.deadline) {
-			s.rejDeadline.Add(1)
-			j.sess.errors.Add(1)
-			j.respond <- jobResult{errf: &wire.ErrorFrame{
-				Code: wire.CodeDeadlineExceeded, RequestID: j.reqID,
-				Message: fmt.Sprintf("deadline expired after %v in queue", time.Since(j.arrived).Round(time.Millisecond))}}
-			continue
-		}
-		s.queueWait.record(now.Sub(j.arrived))
-		// The queue-wait span attaches under the request's upstream span
-		// (client call or router relay), so the merged trace shows time
-		// spent queued apart from time spent evaluating.
-		if j.sess.tracer != nil {
-			j.sess.tracer.RecordManual(telemetry.KindOp, "queue-wait",
-				j.arrived, now.Sub(j.arrived), j.traceID, 0, j.parentSpan)
-		}
-		live = append(live, j)
-	}
-	if len(live) == 0 {
+	if !now.Before(j.deadline) {
+		s.rejDeadline.Add(1)
+		j.sess.errors.Add(1)
+		j.respond <- jobResult{errf: &wire.ErrorFrame{
+			Code: wire.CodeDeadlineExceeded, RequestID: j.reqID,
+			Message: fmt.Sprintf("deadline expired after %v in queue", time.Since(j.arrived).Round(time.Millisecond))}}
 		return
+	}
+	s.queueWait.record(now.Sub(j.arrived))
+	// The queue-wait span attaches under the request's upstream span (client
+	// call or router relay), so the merged trace shows time spent queued
+	// apart from time spent evaluating.
+	if j.sess.tracer != nil {
+		j.sess.tracer.RecordManual(telemetry.KindOp, "queue-wait",
+			j.arrived, now.Sub(j.arrived), j.traceID, 0, j.parentSpan)
 	}
 	s.batchMu.Lock()
-	s.batchSizes[len(live)]++
+	s.batchSizes[j.count]++
 	s.batchMu.Unlock()
 
+	label := fmt.Sprintf("infer trace=%016x", j.traceID)
 	if s.cfg.Trace {
-		s.cfg.Logf("serve: session %d dispatching batch of %d [%s]",
-			live[0].sess.id, len(live), traceList(live))
+		s.cfg.Logf("serve: session %d dispatching %d image(s) [trace=%016x]", j.sess.id, j.count, j.traceID)
 	}
 	s.cfg.Logger.Debug("dispatch",
-		"trace_id", fmt.Sprintf("%016x", live[0].traceID),
-		"session", live[0].sess.id, "batch", len(live))
-	if len(live) == 1 {
-		j := live[0]
-		out, err := s.evaluateTimed(j.sess, j.tensor, evalLabel(live), j.traceID, j.parentSpan)
-		s.finish(j, out, err, 1, 0)
-		return
-	}
-
-	sess := live[0].sess // coalescing is keyed by session; all items share it
-	// A coalesced evaluation is one flush of the batch collector; the span
-	// covers the window from the earliest admission to dispatch.
-	if sess.tracer != nil {
-		earliest := live[0].arrived
-		for _, j := range live[1:] {
-			if j.arrived.Before(earliest) {
-				earliest = j.arrived
-			}
-		}
-		sess.tracer.RecordManual(telemetry.KindOp, "batch-flush",
-			earliest, now.Sub(earliest), live[0].traceID, 0, live[0].parentSpan)
-	}
-	tensors := make([]*htc.CipherTensor, len(live))
-	for i, j := range live {
-		tensors[i] = j.tensor
-	}
-	packed, err := s.pack(sess, tensors)
-	if err == nil {
-		var out *htc.CipherTensor
-		out, err = s.evaluateTimed(sess, packed, evalLabel(live), live[0].traceID, live[0].parentSpan)
-		if err == nil {
-			for i, j := range live {
-				s.finish(j, out, nil, len(live), i)
-			}
-			return
-		}
-	}
-	s.cfg.Logf("serve: batch of %d failed (%v); isolating — retrying requests individually [%s]",
-		len(live), err, traceList(live))
-	for _, j := range live {
-		out, err := s.evaluateTimed(j.sess, j.tensor, evalLabel([]*job{j}), j.traceID, j.parentSpan)
-		s.finish(j, out, err, 1, 0)
-	}
-}
-
-// traceList renders the wire trace IDs of a batch's requests for log lines,
-// in admission order, so a client-held trace ID finds its batch assignment.
-func traceList(items []*job) string {
-	var sb strings.Builder
-	for i, j := range items {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		fmt.Fprintf(&sb, "trace=%016x", j.traceID)
-	}
-	return sb.String()
-}
-
-// evalLabel names one evaluation's tracer scope after the requests it
-// serves, correlating client trace IDs with the spans recorded under it.
-func evalLabel(items []*job) string {
-	return "infer " + traceList(items)
+		"trace_id", fmt.Sprintf("%016x", j.traceID), "session", j.sess.id, "images", j.count)
+	start := time.Now()
+	out, err := s.evaluate(j.sess, j.tensor, label, j.traceID, j.parentSpan)
+	s.evalLatency.record(time.Since(start))
+	s.finish(j, out, err)
 }
 
 // finish delivers one request's result, applying the post-evaluation
 // deadline check and recording completion metrics.
-func (s *Server) finish(j *job, out *htc.CipherTensor, err error, batchSize, lane int) {
+func (s *Server) finish(j *job, out *htc.CipherTensor, err error) {
 	switch {
 	case err != nil:
 		s.evalErrors.Add(1)
@@ -1183,30 +960,9 @@ func (s *Server) finish(j *job, out *htc.CipherTensor, err error, batchSize, lan
 		j.sess.latency.record(d)
 		s.cfg.Logger.Debug("completed",
 			"trace_id", fmt.Sprintf("%016x", j.traceID), "request", j.reqID,
-			"batch", batchSize, "dur", d.Round(time.Microsecond))
-		j.respond <- jobResult{tensor: out, batch: batchSize, lane: lane}
+			"images", j.count, "dur", d.Round(time.Microsecond))
+		j.respond <- jobResult{tensor: out}
 	}
-}
-
-// evaluateTimed wraps evaluate with the evaluation-latency recorder (one
-// sample per circuit execution, however many requests it serves).
-func (s *Server) evaluateTimed(sess *session, in *htc.CipherTensor, label string, traceID, parent uint64) (*htc.CipherTensor, error) {
-	start := time.Now()
-	out, err := s.evaluate(sess, in, label, traceID, parent)
-	s.evalLatency.record(time.Since(start))
-	return out, err
-}
-
-// pack combines the single-lane tensors of coalesced requests into one
-// batched ciphertext, converting PackBatch's strict-failure panics (the
-// poison-isolation trip wire) into errors.
-func (s *Server) pack(sess *session, ts []*htc.CipherTensor) (out *htc.CipherTensor, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("packing failed: %v", r)
-		}
-	}()
-	return htc.PackBatch(sess.backend, ts), nil
 }
 
 // evaluate runs the compiled circuit on the session's backend, converting

@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,6 +20,7 @@ import (
 	"chet/internal/ckks"
 	"chet/internal/core"
 	"chet/internal/hisa"
+	"chet/internal/htc"
 	"chet/internal/ring"
 	"chet/internal/tensor"
 	"chet/internal/wire"
@@ -211,11 +213,11 @@ func TestUnknownSessionErrorFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	payload, err := (&wire.InferRequest{SessionID: 777, RequestID: 1, Tensor: enc}).Encode()
+	payload, err := (&wire.InferBatchRequest{SessionID: 777, RequestID: 1, Count: 1, Tensor: enc}).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := wire.WriteFrame(conn, wire.MsgInferRequest, payload); err != nil {
+	if err := wire.WriteFrame(conn, wire.MsgInferBatchRequest, payload); err != nil {
 		t.Fatal(err)
 	}
 	tp, resp, err := wire.ReadFrame(conn, wire.DefaultMaxFrame)
@@ -374,6 +376,47 @@ func TestDeadlineExpiry(t *testing.T) {
 	}
 }
 
+// TestEvalPanicFailsOnlyItsRequest: a panic inside one evaluation (here
+// injected through execHook) answers that request with an internal error,
+// and the server keeps serving — the next request decrypts bit-identically
+// to local inference.
+func TestEvalPanicFailsOnlyItsRequest(t *testing.T) {
+	comp := testCompiled(t)
+	s, err := New(Config{Compiled: comp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var calls atomic.Int32
+	s.execHook = func() {
+		if calls.Add(1) == 1 {
+			panic("injected poison")
+		}
+	}
+	addr := startServer(t, s)
+	c := dialClient(t, addr, comp, 341)
+	local := &chet.Session{Compiled: comp, Backend: c.backend}
+
+	_, err = c.Infer(c.Encrypt(randTensor([]int{1, 5, 5}, 1, 440)))
+	if code := errCode(t, err); code != wire.CodeInternal {
+		t.Fatalf("panicking request: code = %v, want %v", code, wire.CodeInternal)
+	}
+	enc := c.Encrypt(randTensor([]int{1, 5, 5}, 1, 441))
+	want := local.Decrypt(local.Infer(enc))
+	out, err := c.Infer(enc)
+	if err != nil {
+		t.Fatalf("request after the panic: %v", err)
+	}
+	got := c.Decrypt(out)
+	for k := range got.Data {
+		if math.Float64bits(got.Data[k]) != math.Float64bits(want.Data[k]) {
+			t.Fatalf("output %d after the panic: %v != %v (not bit-identical)", k, got.Data[k], want.Data[k])
+		}
+	}
+	if m := s.Metrics(); m.Errors != 1 || m.Completed != 1 || m.Evaluation.Count != 2 {
+		t.Fatalf("errors=%d completed=%d evaluations=%d, want 1/1/2", m.Errors, m.Completed, m.Evaluation.Count)
+	}
+}
+
 // TestGracefulShutdownDrain starts an inference, begins Shutdown while it
 // is executing, and checks that (1) requests arriving during the drain get
 // shutting-down error frames, (2) the in-flight inference completes and its
@@ -494,6 +537,52 @@ func TestBadTensorRejected(t *testing.T) {
 	_, err = c.Infer(&bad)
 	if code := errCode(t, err); code != wire.CodeBadMessage {
 		t.Fatalf("code = %v, want %v", code, wire.CodeBadMessage)
+	}
+}
+
+// TestPoisonedTensorRejected: two sessions send at once, one of them a
+// tensor whose cleartext scale lies. Scale and level are metadata a request
+// could forge, so admission refuses the lie outright rather than feed the
+// circuit silent garbage, and the other session's request is served
+// bit-identically.
+func TestPoisonedTensorRejected(t *testing.T) {
+	comp := testBatchCompiled(t)
+	s, err := New(Config{Compiled: comp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := startServer(t, s)
+	healthy := dialClient(t, addr, comp, 331)
+	poisoner := dialClient(t, addr, comp, 332)
+
+	local := &chet.Session{Compiled: comp, Backend: healthy.backend}
+	healthyEnc := healthy.Encrypt(randTensor([]int{1, 5, 5}, 1, 430))
+	want := local.Decrypt(local.Infer(healthyEnc))
+	poisonEnc := poisoner.Encrypt(randTensor([]int{1, 5, 5}, 1, 431))
+	poisonEnc.CTs[0].(*ckks.Ciphertext).Scale = math.Exp2(200)
+
+	var wg sync.WaitGroup
+	var out *htc.CipherTensor
+	var poisonErr, healthyErr error
+	wg.Add(2)
+	go func() { defer wg.Done(); _, poisonErr = poisoner.Infer(poisonEnc) }()
+	go func() { defer wg.Done(); out, healthyErr = healthy.Infer(healthyEnc) }()
+	wg.Wait()
+
+	if code := errCode(t, poisonErr); code != wire.CodeBadMessage {
+		t.Fatalf("poisoned request: code = %v, want %v", code, wire.CodeBadMessage)
+	}
+	if healthyErr != nil {
+		t.Fatalf("healthy request failed alongside a poisoned one: %v", healthyErr)
+	}
+	got := healthy.Decrypt(out)
+	for k := range got.Data {
+		if math.Float64bits(got.Data[k]) != math.Float64bits(want.Data[k]) {
+			t.Fatalf("healthy output %d: %v != %v (not bit-identical)", k, got.Data[k], want.Data[k])
+		}
+	}
+	if m := s.Metrics(); m.Completed != 1 || m.Evaluation.Count != 1 {
+		t.Fatalf("completed=%d evaluations=%d, want the healthy request alone", m.Completed, m.Evaluation.Count)
 	}
 }
 

@@ -178,7 +178,7 @@ func (t *Tracer) StartScope(label string) func() {
 // everything recorded under it) is stamped with traceID and parented under
 // parent — for a serve-side request scope, the span ID the router wrote
 // into the wire frame. It returns the scope's own span ID so callers can
-// parent siblings (queue-wait spans, batch flush spans) under it. A zero
+// parent siblings (queue-wait spans) under it. A zero
 // traceID inherits the enclosing scope's context instead.
 func (t *Tracer) StartScopeCtx(label string, traceID, parent uint64) (func(), uint64) {
 	start := time.Now()
@@ -223,7 +223,7 @@ func (t *Tracer) StartScopeCtx(label string, traceID, parent uint64) (func(), ui
 }
 
 // RecordManual records a span the backend wrapper cannot see — a queue
-// wait, a batch flush, a bootstrap pipeline stage. A zero traceID inherits
+// wait, a bootstrap pipeline stage. A zero traceID inherits
 // the current scope's trace context (like an op span would); an explicit
 // one stands alone.
 func (t *Tracer) RecordManual(kind SpanKind, op string, start time.Time, dur time.Duration, traceID, spanID, parent uint64) {

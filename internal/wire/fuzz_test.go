@@ -55,17 +55,16 @@ func fuzzSeedFrames(f *testing.F) {
 	f.Add(frame(MsgSessionOpen, p, err))
 	p, err = (&SessionAccept{SessionID: 1}).Encode()
 	f.Add(frame(MsgSessionAccept, p, err))
-	p, err = (&InferRequest{SessionID: 1, RequestID: 2, TraceID: 0xABCD, ParentSpan: 0x1234, Tensor: ct}).Encode()
-	f.Add(frame(MsgInferRequest, p, err))
-	p, err = (&InferResponse{RequestID: 2, Tensor: ct}).Encode()
-	f.Add(frame(MsgInferResponse, p, err))
-	p, err = (&InferResponse{RequestID: 2, Batch: 2, Lane: 1, Tensor: bct}).Encode()
-	f.Add(frame(MsgInferResponse, p, err))
 	p, err = (&ErrorFrame{Code: CodeInternal, Message: "boom"}).Encode()
 	f.Add(frame(MsgError, p, err))
 	p, err = (&InferBatchRequest{SessionID: 1, RequestID: 3, TraceID: 0xEF01, ParentSpan: 0x5678, Count: 2, Tensor: bct}).Encode()
 	f.Add(frame(MsgInferBatchRequest, p, err))
 	p, err = (&InferBatchResponse{RequestID: 3, Count: 2, Tensor: bct}).Encode()
+	f.Add(frame(MsgInferBatchResponse, p, err))
+	// A single image travels as a batch of one over an unbatched tensor.
+	p, err = (&InferBatchRequest{SessionID: 1, RequestID: 2, TraceID: 0xABCD, ParentSpan: 0x1234, Count: 1, Tensor: ct}).Encode()
+	f.Add(frame(MsgInferBatchRequest, p, err))
+	p, err = (&InferBatchResponse{RequestID: 2, Count: 1, Tensor: ct}).Encode()
 	f.Add(frame(MsgInferBatchResponse, p, err))
 	p, err = (&HealthProbe{Nonce: 99}).Encode()
 	f.Add(frame(MsgHealthProbe, p, err))
@@ -93,6 +92,10 @@ func fuzzSeedFrames(f *testing.F) {
 			TraceID: 0xABCD, SpanID: 0x1234, Parent: 0x5678,
 		}}}).Encode()
 	f.Add(frame(MsgTraceDumpAck, p, err))
+	// Code 3 is the retired single-image infer request: it frames, and no
+	// decoder claims it.
+	p, err = (&InferBatchRequest{SessionID: 1, RequestID: 2, Count: 1, Tensor: ct}).Encode()
+	f.Add(frame(3, p, err))
 	f.Add([]byte{})
 	f.Add([]byte{0xF1, 0x5E, 0xE7, 0xC4, 1, 1, 0, 0, 0xFF, 0xFF, 0xFF, 0x7F})
 }
@@ -125,20 +128,6 @@ func FuzzWireFrame(f *testing.F) {
 		case MsgSessionAccept:
 			var m SessionAccept
 			_ = m.Decode(payload)
-		case MsgInferRequest:
-			var m InferRequest
-			if m.Decode(payload) == nil {
-				if _, err := m.Encode(); err != nil {
-					t.Fatalf("decoded infer-request does not re-encode: %v", err)
-				}
-			}
-		case MsgInferResponse:
-			var m InferResponse
-			if m.Decode(payload) == nil {
-				if _, err := m.Encode(); err != nil {
-					t.Fatalf("decoded infer-response does not re-encode: %v", err)
-				}
-			}
 		case MsgError:
 			var m ErrorFrame
 			_ = m.Decode(payload)

@@ -14,7 +14,7 @@ import (
 const (
 	maxRotations  = 1 << 16
 	maxMessage    = 1 << 16 // error-message bytes
-	maxBatchLanes = 1 << 12 // batch counts / lane indices on the wire
+	maxBatchLanes = 1 << 12 // batch counts on the wire
 )
 
 // ErrorCode classifies server-side failures on the wire.
@@ -164,126 +164,23 @@ func (m *SessionAccept) Decode(data []byte) error {
 	return d.finish()
 }
 
-// InferRequest asks the server to evaluate the compiled circuit on one
-// encrypted input under an open session.
-type InferRequest struct {
+// InferBatchRequest asks the server to evaluate the compiled circuit under an
+// open session on a tensor the client packed with Count images in its
+// leading batch lanes — the one inference request of the protocol (one
+// image is Count 1). Count must not exceed the tensor's compiled batch
+// capacity; the server answers with one InferBatchResponse (or an
+// ErrorFrame).
+type InferBatchRequest struct {
 	SessionID uint64
 	RequestID uint64
-	// TraceID correlates this request with the server-side spans and batch
-	// assignment it produces (logged and echoed in the response). Zero
-	// means the client did not ask for correlation.
+	// TraceID correlates this request with the server-side spans it
+	// produces (logged and echoed in the response). Zero means the client
+	// did not ask for correlation.
 	TraceID uint64
 	// ParentSpan is the span the receiver should parent its request scope
 	// under: the client's call span, or — after a router rewrote the header
 	// in flight — the router's relay span, which is what stitches router
 	// and worker span trees into one trace. Zero means "no parent".
-	ParentSpan uint64
-	// TimeoutMillis caps this request's total latency (queue + execution).
-	// Zero defers to the server's configured default.
-	TimeoutMillis uint32
-	Tensor        *htc.CipherTensor
-}
-
-// Encode serializes the message payload.
-func (m *InferRequest) Encode() ([]byte, error) {
-	e := &enc{}
-	e.u64(m.SessionID)
-	e.u64(m.RequestID)
-	e.u64(m.TraceID)
-	e.u64(m.ParentSpan)
-	e.u32(m.TimeoutMillis)
-	if err := encodeCipherTensor(e, m.Tensor); err != nil {
-		return nil, err
-	}
-	return e.buf, nil
-}
-
-// Decode parses a payload produced by Encode.
-func (m *InferRequest) Decode(data []byte) error {
-	d := &dec{buf: data}
-	m.SessionID = d.u64()
-	m.RequestID = d.u64()
-	m.TraceID = d.u64()
-	m.ParentSpan = d.u64()
-	m.TimeoutMillis = d.u32()
-	ct, err := decodeCipherTensor(d)
-	if err != nil {
-		return err
-	}
-	if err := d.finish(); err != nil {
-		return err
-	}
-	m.Tensor = ct
-	return nil
-}
-
-// InferResponse returns the encrypted prediction for one request. When the
-// server coalesced the request into a batch, Batch carries the number of
-// co-packed requests and Lane the slot lane holding this request's
-// prediction; the client extracts its lane before decrypting. Batch <= 1
-// means the prediction occupies lane 0 (the unbatched wire shape).
-type InferResponse struct {
-	RequestID uint64
-	// TraceID echoes the request's trace ID.
-	TraceID uint64
-	Batch   uint32
-	Lane    uint32
-	Tensor  *htc.CipherTensor
-}
-
-// Encode serializes the message payload.
-func (m *InferResponse) Encode() ([]byte, error) {
-	if m.Batch > maxBatchLanes || m.Lane >= maxBatchLanes {
-		return nil, fmt.Errorf("wire: infer-response batch %d / lane %d exceed cap %d",
-			m.Batch, m.Lane, maxBatchLanes)
-	}
-	e := &enc{}
-	e.u64(m.RequestID)
-	e.u64(m.TraceID)
-	e.u32(m.Batch)
-	e.u32(m.Lane)
-	if err := encodeCipherTensor(e, m.Tensor); err != nil {
-		return nil, err
-	}
-	return e.buf, nil
-}
-
-// Decode parses a payload produced by Encode.
-func (m *InferResponse) Decode(data []byte) error {
-	d := &dec{buf: data}
-	m.RequestID = d.u64()
-	m.TraceID = d.u64()
-	batch := d.u32()
-	lane := d.u32()
-	if d.err == nil && (batch > maxBatchLanes || lane >= maxBatchLanes) {
-		d.fail(fmt.Sprintf("implausible batch %d / lane %d", batch, lane))
-	}
-	if d.err == nil && batch > 1 && lane >= batch {
-		d.fail(fmt.Sprintf("lane %d outside batch %d", lane, batch))
-	}
-	ct, err := decodeCipherTensor(d)
-	if err != nil {
-		return err
-	}
-	if err := d.finish(); err != nil {
-		return err
-	}
-	m.Batch, m.Lane, m.Tensor = batch, lane, ct
-	return nil
-}
-
-// InferBatchRequest asks the server to evaluate the compiled circuit on a
-// tensor the client already packed with Count images in its leading batch
-// lanes. Count must not exceed the tensor's compiled batch capacity; the
-// server answers with one InferBatchResponse (or an ErrorFrame).
-type InferBatchRequest struct {
-	SessionID uint64
-	RequestID uint64
-	// TraceID correlates this request with its server-side spans in logs
-	// and traces; echoed in the response. Zero disables correlation.
-	TraceID uint64
-	// ParentSpan parents the receiver's request scope (see
-	// InferRequest.ParentSpan); routers rewrite it in flight.
 	ParentSpan uint64
 	// TimeoutMillis caps this request's total latency (queue + execution).
 	// Zero defers to the server's configured default.

@@ -10,7 +10,7 @@
 //
 //	offset  size  field
 //	0       4     magic   0xC4E75EF1
-//	4       1     version (currently 5)
+//	4       1     version (currently 6)
 //	5       1     type    (MsgType)
 //	6       2     flags   (reserved, must be zero)
 //	8       4     payload length in bytes
@@ -31,9 +31,9 @@ import (
 const (
 	// FrameMagic begins every frame.
 	FrameMagic uint32 = 0xC4E75EF1
-	// Version is the protocol version this package speaks: only version 5
+	// Version is the protocol version this package speaks: only version 6
 	// is accepted, every other peer is rejected at the header.
-	Version byte = 5
+	Version byte = 6
 	// HeaderSize is the fixed frame-header length in bytes.
 	HeaderSize = 12
 	// DefaultMaxFrame bounds a frame's payload when the caller does not
@@ -45,50 +45,49 @@ const (
 // MsgType identifies a frame's payload.
 type MsgType uint8
 
-// The frame types of the serving protocol.
+// The frame types of the serving protocol. Codes are pinned: code 3 (the
+// single-image infer request) and code 4 (its response) are retired — an
+// inference is one MsgInferBatchRequest of k >= 1 client-packed images — and
+// a peer that still sends them is answered with an unexpected-frame error.
 const (
 	// MsgSessionOpen (client → server): evaluation keys plus the compiled
 	// circuit fingerprint.
-	MsgSessionOpen MsgType = 1 + iota
+	MsgSessionOpen MsgType = 1
 	// MsgSessionAccept (server → client): the session ID to quote on
 	// subsequent requests.
-	MsgSessionAccept
-	// MsgInferRequest (client → server): an encrypted input tensor.
-	MsgInferRequest
-	// MsgInferResponse (server → client): the encrypted prediction.
-	MsgInferResponse
+	MsgSessionAccept MsgType = 2
 	// MsgError (server → client): a typed failure for one request or for
 	// the connection.
-	MsgError
-	// MsgInferBatchRequest (client → server): one tensor carrying several
-	// images pre-packed into batch lanes, evaluated as a single request.
-	MsgInferBatchRequest
+	MsgError MsgType = 5
+	// MsgInferBatchRequest (client → server): one tensor carrying k >= 1
+	// images packed into its leading batch lanes, evaluated as one request.
+	MsgInferBatchRequest MsgType = 6
 	// MsgInferBatchResponse (server → client): the encrypted predictions of
-	// a batched request, one per lane.
-	MsgInferBatchResponse
+	// a request, one per occupied lane.
+	MsgInferBatchResponse MsgType = 7
 	// MsgHealthProbe (router → worker): a liveness/readiness probe.
-	MsgHealthProbe
+	MsgHealthProbe MsgType = 8
 	// MsgHealthAck (worker → router): the probe echo plus worker status.
-	MsgHealthAck
+	MsgHealthAck MsgType = 9
 	// MsgRegistrySync (router → worker): the router's replicated
 	// compiled-model registry, pushed so every worker holds a copy.
-	MsgRegistrySync
+	MsgRegistrySync MsgType = 10
 	// MsgRegistrySyncAck (worker → router): the models this worker serves,
 	// merged into the router's registry.
-	MsgRegistrySyncAck
+	MsgRegistrySyncAck MsgType = 11
 	// MsgSessionHandoff (router → worker): a session's evaluation-key
 	// frames replayed to a (possibly new) owner worker.
-	MsgSessionHandoff
+	MsgSessionHandoff MsgType = 12
 	// MsgSessionHandoffAck (worker → router): the worker-local session ID
 	// the handed-off session evaluates under.
-	MsgSessionHandoffAck
+	MsgSessionHandoffAck MsgType = 13
 	// MsgTraceDump (router → worker): ask for the worker's retained spans,
 	// optionally filtered to one trace ID.
-	MsgTraceDump
+	MsgTraceDump MsgType = 14
 	// MsgTraceDumpAck (worker → router): the worker's span ring plus the
 	// epoch its span offsets measure from, ready to merge into a
 	// cross-process trace.
-	MsgTraceDumpAck
+	MsgTraceDumpAck MsgType = 15
 )
 
 func (t MsgType) String() string {
@@ -97,10 +96,6 @@ func (t MsgType) String() string {
 		return "session-open"
 	case MsgSessionAccept:
 		return "session-accept"
-	case MsgInferRequest:
-		return "infer-request"
-	case MsgInferResponse:
-		return "infer-response"
 	case MsgError:
 		return "error"
 	case MsgInferBatchRequest:
@@ -177,6 +172,8 @@ func ReadFrame(r io.Reader, maxFrame int) (MsgType, []byte, error) {
 	if v := hdr[4]; v != Version {
 		return 0, nil, fmt.Errorf("%w: unsupported version %d", ErrBadFrame, v)
 	}
+	// The retired codes inside the range pass framing; endpoints answer them
+	// as unexpected frames and the connection survives.
 	t := MsgType(hdr[5])
 	if t < MsgSessionOpen || t > MsgTraceDumpAck {
 		return 0, nil, fmt.Errorf("%w: unknown type %d", ErrBadFrame, hdr[5])

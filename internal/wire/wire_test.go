@@ -32,14 +32,14 @@ func testBackend(t *testing.T) *hisa.RNSBackend {
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payload := []byte("the payload")
-	if err := WriteFrame(&buf, MsgInferRequest, payload); err != nil {
+	if err := WriteFrame(&buf, MsgInferBatchRequest, payload); err != nil {
 		t.Fatal(err)
 	}
 	tp, got, err := ReadFrame(&buf, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tp != MsgInferRequest || !bytes.Equal(got, payload) {
+	if tp != MsgInferBatchRequest || !bytes.Equal(got, payload) {
 		t.Fatalf("round trip gave type %v payload %q", tp, got)
 	}
 	// Clean EOF between frames.
@@ -58,6 +58,7 @@ func TestFrameRejectsMalformedHeaders(t *testing.T) {
 	cases := map[string]func([]byte) []byte{
 		"bad magic":      func(b []byte) []byte { b[0] ^= 0xFF; return b },
 		"bad version":    func(b []byte) []byte { b[4] = 99; return b },
+		"v5 header":      func(b []byte) []byte { b[4] = 5; return b },
 		"unknown type 0": func(b []byte) []byte { b[5] = 0; return b },
 		"unknown type":   func(b []byte) []byte { b[5] = 200; return b },
 		"nonzero flags":  func(b []byte) []byte { b[6] = 1; return b },
@@ -82,7 +83,7 @@ func TestFrameSizeLimit(t *testing.T) {
 	var hdr [HeaderSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:], FrameMagic)
 	hdr[4] = Version
-	hdr[5] = byte(MsgInferRequest)
+	hdr[5] = byte(MsgInferBatchRequest)
 	binary.LittleEndian.PutUint32(hdr[8:], 1<<31-1) // claims a ~2 GiB payload
 	_, _, err := ReadFrame(bytes.NewReader(hdr[:]), 1<<20)
 	if !errors.Is(err, ErrFrameTooLarge) {
@@ -287,29 +288,37 @@ func TestInferMessagesRoundTrip(t *testing.T) {
 		RowStride: 2, ColStride: 1, ChanStride: 2, CPerCT: 1,
 		CTs: []hisa.Ciphertext{b.Encrypt(b.Encode([]float64{5, 6}, 1<<25))},
 	}
-	req := &InferRequest{SessionID: 42, RequestID: 7, TimeoutMillis: 1500, Tensor: ct}
+	req := &InferBatchRequest{SessionID: 42, RequestID: 7, TraceID: 0xAB, ParentSpan: 0xCD, TimeoutMillis: 1500, Count: 1, Tensor: ct}
 	data, err := req.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var gotReq InferRequest
+	var gotReq InferBatchRequest
 	if err := gotReq.Decode(data); err != nil {
 		t.Fatal(err)
 	}
-	if gotReq.SessionID != 42 || gotReq.RequestID != 7 || gotReq.TimeoutMillis != 1500 {
+	if gotReq.SessionID != 42 || gotReq.RequestID != 7 || gotReq.TraceID != 0xAB ||
+		gotReq.ParentSpan != 0xCD || gotReq.TimeoutMillis != 1500 || gotReq.Count != 1 {
 		t.Fatalf("header fields mangled: %+v", gotReq)
 	}
+	req.Count = 2 // more images than the tensor has lanes
+	if data, err = req.Encode(); err != nil {
+		t.Fatal(err)
+	}
+	if err := gotReq.Decode(data); err == nil {
+		t.Fatal("a count above the tensor's batch capacity decoded")
+	}
 
-	resp := &InferResponse{RequestID: 7, Tensor: ct}
+	resp := &InferBatchResponse{RequestID: 7, TraceID: 0xAB, Count: 1, Tensor: ct}
 	data, err = resp.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var gotResp InferResponse
+	var gotResp InferBatchResponse
 	if err := gotResp.Decode(data); err != nil {
 		t.Fatal(err)
 	}
-	if gotResp.RequestID != 7 || gotResp.Tensor.NumCTs() != 1 {
+	if gotResp.RequestID != 7 || gotResp.TraceID != 0xAB || gotResp.Count != 1 || gotResp.Tensor.NumCTs() != 1 {
 		t.Fatalf("response mangled: %+v", gotResp)
 	}
 
