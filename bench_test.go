@@ -9,6 +9,7 @@ package chet
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"chet/internal/bench"
@@ -147,7 +148,7 @@ func BenchmarkEndToEnd_RealRNSInference(b *testing.B) {
 	enc := htc.EncryptTensor(backend, img, plan, sc)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		htc.Execute(backend, model.Circuit, enc, comp.Best.Policy, sc)
+		htc.Execute(backend, model.Circuit, enc, comp.Best.Policy, sc, htc.ExecOptions{})
 	}
 }
 
@@ -185,7 +186,7 @@ func BenchmarkParallelConv2D(b *testing.B) {
 	for _, workers := range workerSweep {
 		b.Run(benchWorkersName(workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				htc.Conv2DOpts(backend, enc, filters, nil, 1, 0, sc,
+				htc.Conv2D(backend, enc, filters, nil, 1, 0, sc,
 					htc.ExecOptions{Workers: workers})
 			}
 		})
@@ -201,7 +202,7 @@ func BenchmarkParallelDense(b *testing.B) {
 	for _, workers := range workerSweep {
 		b.Run(benchWorkersName(workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				htc.DenseOpts(backend, enc, weights, nil, sc,
+				htc.Dense(backend, enc, weights, nil, sc,
 					htc.ExecOptions{Workers: workers})
 			}
 		})
@@ -234,10 +235,10 @@ func BenchmarkEndToEnd_ParallelRNSInference(b *testing.B) {
 	sc := comp.Options.Scales
 	plan := htc.PlanFor(model.Circuit, comp.Best.Policy)
 	enc := htc.EncryptTensor(backend, img, plan, sc)
-	opts := htc.DefaultExecOptions()
+	opts := htc.ExecOptions{Workers: runtime.GOMAXPROCS(0)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		htc.ExecuteOpts(backend, model.Circuit, enc, comp.Best.Policy, sc, opts)
+		htc.Execute(backend, model.Circuit, enc, comp.Best.Policy, sc, opts)
 	}
 }
 

@@ -86,7 +86,7 @@ func fidelity(m *nn.Model) float64 {
 	sc := comp.Options.Scales
 	plan := htc.PlanFor(m.Circuit, comp.Best.Policy)
 	enc := htc.EncryptTensor(b, img, plan, sc)
-	got := htc.DecryptTensor(b, htc.Execute(b, m.Circuit, enc, comp.Best.Policy, sc))
+	got := htc.DecryptTensor(b, htc.Execute(b, m.Circuit, enc, comp.Best.Policy, sc, htc.ExecOptions{}))
 	maxErr := 0.0
 	for i := range want.Data {
 		if e := math.Abs(got.Data[i] - want.Data[i]); e > maxErr {
@@ -325,7 +325,7 @@ func Figure6(models []*nn.Model, logN int) ([]Fig6Point, error) {
 			plan := htc.PlanFor(m.Circuit, policy)
 			enc := htc.EncryptTensor(b, img, plan, sc)
 			start := time.Now()
-			htc.Execute(b, m.Circuit, enc, policy, sc)
+			htc.Execute(b, m.Circuit, enc, policy, sc, htc.ExecOptions{})
 			elapsed := time.Since(start).Seconds()
 			points = append(points, Fig6Point{
 				Name:     m.Name,

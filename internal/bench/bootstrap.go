@@ -85,7 +85,7 @@ func BootstrapBench(layers, logN, window int, errBudget float64) (BootstrapResul
 	ref := hisa.NewRefBackend(1 << (comp.Best.LogN - 1))
 	refOut := htc.Execute(ref, m.Circuit,
 		htc.EncryptTensor(ref, img, comp.Plan(), comp.Options.Scales),
-		comp.Best.Policy, comp.Options.Scales)
+		comp.Best.Policy, comp.Options.Scales, htc.ExecOptions{})
 	want := htc.DecryptTensor(ref, refOut)
 
 	raw, err := core.BuildBackend(comp, ring.NewTestPRNG(0xB007))
@@ -127,7 +127,7 @@ func BootstrapBench(layers, logN, window int, errBudget float64) (BootstrapResul
 	start = time.Now()
 	out := htc.Execute(backend, m.Circuit,
 		htc.EncryptTensor(backend, img, comp.Plan(), comp.Options.Scales),
-		comp.Best.Policy, comp.Options.Scales)
+		comp.Best.Policy, comp.Options.Scales, htc.ExecOptions{})
 	runMS := float64(time.Since(start).Nanoseconds()) / 1e6
 	got := htc.DecryptTensor(backend, out)
 

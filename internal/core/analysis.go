@@ -447,11 +447,6 @@ func (a *Analysis) Mul(c, c2 hisa.Ciphertext) hisa.Ciphertext {
 	return a.join(x, y, x.scale*y.scale)
 }
 
-// LazyRelinCapable marks the analysis interpretation as supporting deferred
-// relinearization, so recording runs walk the same kernel branches as the
-// real backend (hisa.LazyRelinBackend).
-func (a *Analysis) LazyRelinCapable() bool { return true }
-
 // MulNoRelin charges like Mul: the dataflow facts (scale, consumed modulus)
 // are identical, and the relinearization cost estimate stays attached to the
 // product for a conservative op model.
@@ -459,6 +454,12 @@ func (a *Analysis) MulNoRelin(c, c2 hisa.Ciphertext) hisa.Ciphertext { return a.
 
 // Relinearize is a dataflow no-op: scale and modulus are untouched.
 func (a *Analysis) Relinearize(c hisa.Ciphertext) hisa.Ciphertext { return c }
+
+// RelinearizeRescale is Rescale, priced identically: the relinearization is
+// charged to the product (MulNoRelin).
+func (a *Analysis) RelinearizeRescale(c hisa.Ciphertext, x *big.Int) hisa.Ciphertext {
+	return a.Rescale(c, x)
+}
 
 func (a *Analysis) MulPlain(c hisa.Ciphertext, p hisa.Plaintext) hisa.Ciphertext {
 	x, pp := a.ct(c), a.pt(p)
@@ -489,11 +490,8 @@ func (a *Analysis) RotRight(c hisa.Ciphertext, x int) hisa.Ciphertext {
 	return a.RotLeft(c, -x)
 }
 
-// RotSumCapable: the analysis interprets sums of rotations itself (RotSum).
-func (a *Analysis) RotSumCapable() bool { return true }
-
-// RotSum is the analysis transfer function for sums of rotations
-// (hisa.RotateSumBackend): the unfused sequence, with the rotations of a
+// RotSum is the analysis transfer function for sums of rotations: the
+// unfused sequence, run serially (each is unused), with the rotations of a
 // source drawn at two or more amounts priced as one hoisted batch — with the
 // RNS target, amounts served by an exact key share one digit decomposition,
 // so setup is charged once and each amount adds only the inner-product step.
@@ -501,7 +499,7 @@ func (a *Analysis) RotSumCapable() bool { return true }
 // a single amount, and the CKKS target are charged per step. The recorded
 // rotation steps are identical to the equivalent RotLeft sequence, so
 // rotation-key selection and op counts do not depend on the pricing.
-func (a *Analysis) RotSum(srcs []hisa.Ciphertext, sums [][]hisa.Term) []hisa.Ciphertext {
+func (a *Analysis) RotSum(srcs []hisa.Ciphertext, sums [][]hisa.Term, _ func(n int, fn func(i int))) []hisa.Ciphertext {
 	return hisa.RotSumUnfused(a, srcs, sums, nil, a.rotateBatch)
 }
 
@@ -566,13 +564,12 @@ func (a *Analysis) Rescale(c hisa.Ciphertext, x *big.Int) hisa.Ciphertext {
 
 func (a *Analysis) Scale(c hisa.Ciphertext) float64 { return a.ct(c).scale }
 
-// --- hisa.ConjugateBackend ---
+// --- Complex slot instructions ---
 //
 // The complex-packing operations have straightforward transfer functions:
 // conjugation is a key switch (priced like a rotation) that leaves both
 // scale and consumption unchanged, and the complex encode/plaintext variants
-// mirror their real counterparts. Implementing the capability here lets the
-// compiler analyze complex-packed circuits with the same unmodified kernels.
+// mirror their real counterparts.
 
 func (a *Analysis) Conjugate(c hisa.Ciphertext) hisa.Ciphertext {
 	cc := a.ct(c)

@@ -145,7 +145,7 @@ func TestBootstrapEndToEnd(t *testing.T) {
 	// Plaintext-tracking reference over the same circuit.
 	ref := hisa.NewRefBackend(1 << (comp.Best.LogN - 1))
 	refEnc := htc.EncryptTensor(ref, img, comp.Plan(), comp.Options.Scales)
-	refOut := htc.Execute(ref, m.Circuit, refEnc, comp.Best.Policy, comp.Options.Scales)
+	refOut := htc.Execute(ref, m.Circuit, refEnc, comp.Best.Policy, comp.Options.Scales, htc.ExecOptions{})
 	want := htc.DecryptTensor(ref, refOut)
 
 	raw, err := BuildBackend(comp, ring.NewTestPRNG(0xDEE9))
@@ -159,7 +159,7 @@ func TestBootstrapEndToEnd(t *testing.T) {
 	rf := backend.(*hisa.Refresher)
 
 	enc := htc.EncryptTensor(backend, img, comp.Plan(), comp.Options.Scales)
-	out := htc.Execute(backend, m.Circuit, enc, comp.Best.Policy, comp.Options.Scales)
+	out := htc.Execute(backend, m.Circuit, enc, comp.Best.Policy, comp.Options.Scales, htc.ExecOptions{})
 	got := htc.DecryptTensor(backend, out)
 
 	if rf.Bootstraps() != len(comp.BootPlan.Placements) {
@@ -182,7 +182,7 @@ func TestBootstrapEndToEnd(t *testing.T) {
 	// because the Refresher may swap a refreshed operand in: the run raises
 	// no level panic, refreshes as often and computes the same bits.
 	before := rf.Bootstraps()
-	stored := htc.DecryptTensor(backend, htc.ExecuteOpts(backend, m.Circuit, enc, comp.Best.Policy,
+	stored := htc.DecryptTensor(backend, htc.Execute(backend, m.Circuit, enc, comp.Best.Policy,
 		comp.Options.Scales, htc.ExecOptions{Constants: htc.NewConstants()}))
 	if n := rf.Bootstraps() - before; n != len(comp.BootPlan.Placements) {
 		t.Fatalf("runtime performed %d bootstraps through the store, compiler placed %d",

@@ -52,9 +52,8 @@ type Options struct {
 	Batch int
 	// Complex packs two images per batch lane — one in the real and one in
 	// the imaginary slot component (nGraph-HE2's complex packing) — doubling
-	// Batch capacity at constant ring size. The runtime backend must expose
-	// hisa.ConjugateBackend (all three executable backends do); ct-ct
-	// products spend one extra Pu depth on the conjugation identity.
+	// Batch capacity at constant ring size. Ct-ct products spend one extra
+	// Pu depth on the conjugation identity.
 	Complex bool
 	// Bootstrap enables compiler-placed bootstrapping for circuits deeper
 	// than any secure modulus chain (see bootplace.go). Requires SchemeRNS;
@@ -279,7 +278,7 @@ func runAnalysis(c *circuit.Circuit, policy htc.LayoutPolicy, opts Options, a *A
 	img := tensor.New(in...)
 	b := a.backend()
 	enc := htc.EncryptTensor(b, img, plan, sc)
-	htc.Execute(b, c, enc, policy, sc)
+	htc.Execute(b, c, enc, policy, sc, htc.ExecOptions{})
 	return nil
 }
 

@@ -18,7 +18,7 @@ func TestAnalysisResultsAreDeterministic(t *testing.T) {
 		sc := htc.DefaultScales()
 		plan := htc.PlanFor(c, htc.PolicyCHW)
 		enc := htc.EncryptTensor(a, tensor.New(1, 8, 8), plan, sc)
-		htc.Execute(a, c, enc, htc.PolicyCHW, sc)
+		htc.Execute(a, c, enc, htc.PolicyCHW, sc, htc.ExecOptions{})
 		return a.Rotations(), a.PeakLogQ(), a.ConsumedLogQ()
 	}
 	r1, p1, c1 := run()
@@ -40,7 +40,7 @@ func TestPeakCoversConsumption(t *testing.T) {
 		sc := htc.DefaultScales()
 		plan := htc.PlanFor(c, htc.PolicyHW)
 		enc := htc.EncryptTensor(a, tensor.New(1, 8, 8), plan, sc)
-		htc.Execute(a, c, enc, htc.PolicyHW, sc)
+		htc.Execute(a, c, enc, htc.PolicyHW, sc, htc.ExecOptions{})
 		if a.PeakLogQ() < a.ConsumedLogQ() {
 			t.Fatalf("%v: peak %g below consumption %g", scheme, a.PeakLogQ(), a.ConsumedLogQ())
 		}
@@ -151,7 +151,7 @@ func TestDeeperCircuitConsumesMoreModulus(t *testing.T) {
 		a := NewAnalysis(AnalysisConfig{Scheme: SchemeCKKS, Slots: 64})
 		sc := htc.DefaultScales()
 		enc := htc.EncryptTensor(a, tensor.New(1, 4, 4), htc.PlanFor(c, htc.PolicyCHW), sc)
-		htc.Execute(a, c, enc, htc.PolicyCHW, sc)
+		htc.Execute(a, c, enc, htc.PolicyCHW, sc, htc.ExecOptions{})
 		return a.ConsumedLogQ()
 	}
 	if !(measure(build(1)) < measure(build(3)) && measure(build(3)) < measure(build(6))) {

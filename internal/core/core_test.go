@@ -104,12 +104,12 @@ func TestAnalysisMatchesMeterOnRef(t *testing.T) {
 	a := NewAnalysis(AnalysisConfig{Scheme: SchemeCKKS, Slots: slots})
 	plan := htc.PlanFor(c, policy)
 	encA := htc.EncryptTensor(a, tensor.New(img.Shape...), plan, sc)
-	htc.Execute(a, c, encA, policy, sc)
+	htc.Execute(a, c, encA, policy, sc, htc.ExecOptions{})
 
 	ref := hisa.NewRefBackend(slots)
 	meter := hisa.NewMeter(ref, nil)
 	encR := htc.EncryptTensor(meter, img, plan, sc)
-	htc.Execute(meter, c, encR, policy, sc)
+	htc.Execute(meter, c, encR, policy, sc, htc.ExecOptions{})
 
 	if a.RotationOps() != meter.Counts().Rotations() {
 		t.Fatalf("analysis rotations %d != metered rotations %d",
@@ -184,7 +184,7 @@ func TestCompiledSimBackendMeetsPrecision(t *testing.T) {
 	sc := comp.Options.Scales
 	plan := htc.PlanFor(c, comp.Best.Policy)
 	enc := htc.EncryptTensor(b, img, plan, sc)
-	out := htc.Execute(b, c, enc, comp.Best.Policy, sc)
+	out := htc.Execute(b, c, enc, comp.Best.Policy, sc, htc.ExecOptions{})
 	got := htc.DecryptTensor(b, out)
 	for i := range want.Data {
 		if math.Abs(got.Data[i]-want.Data[i]) > 1e-2 {
@@ -218,7 +218,7 @@ func TestCompiledRNSBackendMeetsPrecision(t *testing.T) {
 	sc := comp.Options.Scales
 	plan := htc.PlanFor(c, comp.Best.Policy)
 	enc := htc.EncryptTensor(b, img, plan, sc)
-	out := htc.Execute(b, c, enc, comp.Best.Policy, sc)
+	out := htc.Execute(b, c, enc, comp.Best.Policy, sc, htc.ExecOptions{})
 	got := htc.DecryptTensor(b, out)
 	for i := range want.Data {
 		if math.Abs(got.Data[i]-want.Data[i]) > 1e-2 {
@@ -278,7 +278,7 @@ func TestSelectScales(t *testing.T) {
 	want := c.Evaluate(img)
 	plan := htc.PlanFor(c, comp.Best.Policy)
 	enc := htc.EncryptTensor(b, img, plan, sc)
-	got := htc.DecryptTensor(b, htc.Execute(b, c, enc, comp.Best.Policy, sc))
+	got := htc.DecryptTensor(b, htc.Execute(b, c, enc, comp.Best.Policy, sc, htc.ExecOptions{}))
 	for i := range want.Data {
 		if math.Abs(got.Data[i]-want.Data[i]) > 0.05 {
 			t.Fatalf("selected scales violate tolerance at output %d: %g vs %g",

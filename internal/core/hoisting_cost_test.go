@@ -86,7 +86,3 @@ func TestAnalysisRotLeftManyConsistency(t *testing.T) {
 		t.Fatalf("8 single-step amounts should be >=1.5x cheaper hoisted: %g vs %g", batch.Cost(), seq.Cost())
 	}
 }
-
-// Compile-time check: Analysis exposes the sum-of-rotations capability, so
-// kernels drive the same instruction stream through analysis and runtime.
-var _ hisa.RotateSumBackend = (*Analysis)(nil)

@@ -39,18 +39,7 @@ func record(c *circuit.Circuit, comp *Compiled) (err error) {
 	}()
 	opts := comp.Options
 	cfg := comp.bootConfig()
-	a := NewAnalysis(AnalysisConfig{
-		Scheme:        opts.Scheme,
-		Slots:         1 << uint(comp.Best.LogN-1),
-		RNSPrimeBits:  opts.RNSPrimeBits,
-		MagMarginBits: opts.MagMarginBits,
-		CostLogQ:      comp.Best.LogQ,
-		CostPrimes:    float64(len(comp.Best.RNSChainBits)),
-		CostSpecial:   comp.Best.SpecialPrimes,
-		Model:         opts.CostModel,
-		Batch:         opts.Batch,
-		Bootstrap:     cfg,
-	})
+	a := recordAnalysis(comp, cfg)
 
 	// One observer above the Refresher tallies every instruction for the
 	// node table and sees each one complete right after the refreshes it
@@ -94,7 +83,7 @@ func record(c *circuit.Circuit, comp *Compiled) (err error) {
 
 	img := tensor.New(c.Input.OutShape...)
 	enc := htc.EncryptTensor(&b, img, comp.Plan(), opts.Scales)
-	htc.ExecuteOpts(&b, c, enc, comp.Best.Policy, opts.Scales, htc.ExecOptions{OnNode: onNode})
+	htc.Execute(&b, c, enc, comp.Best.Policy, opts.Scales, htc.ExecOptions{OnNode: onNode})
 	if opts.Scheme == SchemeRNS {
 		comp.Keys = keyPlan(comp, a, cfg)
 	}
@@ -117,6 +106,25 @@ func record(c *circuit.Circuit, comp *Compiled) (err error) {
 		EstCost:    total,
 	}
 	return nil
+}
+
+// recordAnalysis is the analysis the recording run executes against: priced
+// at the selected parameters, with bootstrap accounting under cfg (nil:
+// none).
+func recordAnalysis(comp *Compiled, cfg *BootConfig) *Analysis {
+	opts := comp.Options
+	return NewAnalysis(AnalysisConfig{
+		Scheme:        opts.Scheme,
+		Slots:         1 << uint(comp.Best.LogN-1),
+		RNSPrimeBits:  opts.RNSPrimeBits,
+		MagMarginBits: opts.MagMarginBits,
+		CostLogQ:      comp.Best.LogQ,
+		CostPrimes:    float64(len(comp.Best.RNSChainBits)),
+		CostSpecial:   comp.Best.SpecialPrimes,
+		Model:         opts.CostModel,
+		Batch:         opts.Batch,
+		Bootstrap:     cfg,
+	})
 }
 
 // keyPlan is the recording run's key plan at the compiled chain: every key

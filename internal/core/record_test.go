@@ -50,7 +50,7 @@ func TestNodeTableMatchesRuntime(t *testing.T) {
 		}
 		m := hisa.NewMeter(b, nil)
 		enc := htc.EncryptTensor(m, tc.img, comp.Plan(), comp.Options.Scales)
-		htc.ExecuteOpts(m, comp.Circuit, enc, comp.Best.Policy, comp.Options.Scales, htc.ExecOptions{Workers: 4})
+		htc.Execute(m, comp.Circuit, enc, comp.Best.Policy, comp.Options.Scales, htc.ExecOptions{Workers: 4})
 		got := m.Counts()
 		runtime := [4]int{got.Rotations(), got[hisa.OpMulPlain], got[hisa.OpRescale], got[hisa.OpRelin]}
 
@@ -60,6 +60,55 @@ func TestNodeTableMatchesRuntime(t *testing.T) {
 		}
 		if table[0] == 0 || table[2] == 0 {
 			t.Errorf("%s: node table %v counts no rotations or rescales", tc.c.Name, table)
+		}
+	}
+}
+
+// TestAnalysisIssuesRuntimeStream holds the compiler's recording run to the
+// runtime it plans for: the instructions the kernels issue against the
+// recording analysis are, kind for kind and in order, the ones they issue
+// against the real RNS backend (encodes and encryptions aside, which differ
+// by how the input and constants reach the backend, not by the circuit).
+func TestAnalysisIssuesRuntimeStream(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real lattice execution is slow; run without -short")
+	}
+	stream := func(b hisa.Backend, comp *Compiled, img *tensor.Tensor, opts htc.ExecOptions) []hisa.OpKind {
+		var kinds []hisa.OpKind
+		rec := hisa.NewInterposer(b, "stream", nil, func(op *hisa.Op) {
+			if op.Kind != hisa.OpEncode && op.Kind != hisa.OpEncrypt {
+				kinds = append(kinds, op.Kind)
+			}
+		})
+		enc := htc.EncryptTensor(&rec, img, comp.Plan(), comp.Options.Scales)
+		htc.Execute(&rec, comp.Circuit, enc, comp.Best.Policy, comp.Options.Scales, opts)
+		return kinds
+	}
+	for _, model := range []*nn.Model{nn.LeNetTiny(), nn.LeNet5Small()} {
+		for _, complexPack := range []bool{false, true} {
+			opts := Options{Scheme: SchemeRNS, SecurityBits: -1, MinLogN: 11, MaxLogN: 14}
+			if complexPack {
+				opts.Batch, opts.Complex = 2, true
+			}
+			comp, err := Compile(model.Circuit, opts)
+			if err != nil {
+				t.Fatalf("%s complex=%v: %v", model.Name, complexPack, err)
+			}
+			img := nn.SyntheticImage(model.InputShape, 7)
+			runtime, err := BuildBackend(comp, ring.NewTestPRNG(7))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := stream(recordAnalysis(comp, nil).backend(), comp, img, htc.ExecOptions{})
+			want := stream(runtime, comp, img, htc.ExecOptions{Workers: 1, Constants: htc.NewConstants()})
+			for i := 0; i < len(got) && i < len(want); i++ {
+				if got[i] != want[i] {
+					t.Fatalf("%s complex=%v: op %d is %v in the analysis, %v at run time", model.Name, complexPack, i, got[i], want[i])
+				}
+			}
+			if len(got) != len(want) || len(got) == 0 {
+				t.Fatalf("%s complex=%v: analysis issues %d ops, runtime %d", model.Name, complexPack, len(got), len(want))
+			}
 		}
 	}
 }
@@ -88,7 +137,7 @@ func TestModDownsPerInference(t *testing.T) {
 	m := hisa.NewMeter(b, nil)
 	enc := htc.EncryptTensor(m, nn.SyntheticImage(tiny.InputShape, 7), comp.Plan(), comp.Options.Scales)
 	before := rns.ModDowns()
-	htc.ExecuteOpts(m, comp.Circuit, enc, comp.Best.Policy, comp.Options.Scales, htc.ExecOptions{Workers: 2})
+	htc.Execute(m, comp.Circuit, enc, comp.Best.Policy, comp.Options.Scales, htc.ExecOptions{Workers: 2})
 	got := rns.ModDowns() - before
 	counts := m.Counts()
 	unfused := int64(2 * counts.Rotations())

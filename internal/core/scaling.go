@@ -123,7 +123,7 @@ func scalesAcceptable(c *circuit.Circuit, inputs, refs []*tensor.Tensor,
 	plan := htc.PlanFor(c, policy)
 	for i, in := range inputs {
 		enc := htc.EncryptTensor(b, in, plan, sc)
-		out := htc.Execute(b, c, enc, policy, sc)
+		out := htc.Execute(b, c, enc, policy, sc, htc.ExecOptions{})
 		noiseBound := 0.0
 		for _, ct := range out.CTs {
 			if n := 6 * b.NoiseOf(ct); n > noiseBound {

@@ -206,7 +206,7 @@ func (t *sessionTable) stats() (opened, evicted uint64, active int) {
 type Router struct {
 	cfg        Config
 	ring       *Ring
-	registry   *Registry
+	registry   *wire.Registry
 	workers    map[string]*workerState
 	workerList []*workerState // stable iteration order (config order)
 	sessions   *sessionTable
@@ -244,7 +244,7 @@ func New(cfg Config) (*Router, error) {
 	r := &Router{
 		cfg:       cfg,
 		ring:      NewRing(cfg.Replicas),
-		registry:  NewRegistry(),
+		registry:  wire.NewRegistry(),
 		workers:   map[string]*workerState{},
 		sessions:  newSessionTable(cfg.MaxSessions),
 		spans:     telemetry.NewSpanRing(cfg.SpanCap),

@@ -3,6 +3,7 @@ package hisa
 import (
 	"math"
 	"math/big"
+	"reflect"
 	"testing"
 )
 
@@ -96,16 +97,11 @@ func TestRNSFusedRescaleParity(t *testing.T) {
 	})
 }
 
-// TestMeterFusedAccounting checks that the Meter forwards the fused
-// capability and counts RelinearizeRescale as its two logical instructions.
+// TestMeterFusedAccounting checks that the Meter counts RelinearizeRescale
+// as its two logical instructions.
 func TestMeterFusedAccounting(t *testing.T) {
 	inner := newRNSTestBackend(t, nil)
 	m := NewMeter(inner, nil)
-
-	fr, ok := AsFusedRescale(m)
-	if !ok {
-		t.Fatal("AsFusedRescale should discover the capability through a Meter")
-	}
 
 	slots := m.Slots()
 	cta := m.Encrypt(m.Encode(rv(slots, 2, 21), testScale))
@@ -114,7 +110,7 @@ func TestMeterFusedAccounting(t *testing.T) {
 
 	ub, _ := big.NewFloat(m.Scale(prod) / testScale).Int(nil)
 	d := m.MaxRescale(prod, ub)
-	fr.RelinearizeRescale(prod, d)
+	m.RelinearizeRescale(prod, d)
 
 	c := m.Counts()
 	if c[OpMul] != 1 || c[OpRelin] != 1 || c[OpRescale] != 1 {
@@ -123,7 +119,7 @@ func TestMeterFusedAccounting(t *testing.T) {
 	}
 
 	// A trivial divisor is a pure relinearization: no rescale tally.
-	fr.RelinearizeRescale(prod, big.NewInt(1))
+	m.RelinearizeRescale(prod, big.NewInt(1))
 	c = m.Counts()
 	if c[OpRelin] != 2 || c[OpRescale] != 1 {
 		t.Fatalf("after trivial-divisor fuse: relin=%d rescale=%d; want 2/1",
@@ -155,14 +151,25 @@ func TestFreeRecyclesIntoArena(t *testing.T) {
 	b.Free(freed)
 }
 
-// TestSimBackendLacksFusedRescale pins the capability gate: backends without
-// the fused pass must not be discovered as FusedRescaleBackend, so kernels
-// fall back to the unfused order.
-func TestSimBackendLacksFusedRescale(t *testing.T) {
-	if _, ok := AsFusedRescale(NewSimBackend(SimParams{LogN: 10, LogQ: 240, Seed: 7})); ok {
-		t.Fatal("sim backend should not expose FusedRescaleBackend")
-	}
-	if _, ok := AsFusedRescale(NewRefBackend(512)); ok {
-		t.Fatal("ref backend should not expose FusedRescaleBackend")
+// TestRefSimRelinearizeRescaleIsRescale pins what the mock backends execute
+// for a deferred product: RelinearizeRescale(MulNoRelin(x, y), d) is
+// bit-identical to Rescale(Mul(x, y), d), so kernels that close every
+// product with the deferred instructions compute on the mocks exactly what
+// Mul and Rescale compute.
+func TestRefSimRelinearizeRescaleIsRescale(t *testing.T) {
+	for _, b := range []Backend{NewRefBackend(512), NewSimBackend(SimParams{LogN: 10, LogQ: 240, Seed: 7})} {
+		slots := b.Slots()
+		x := b.Encrypt(b.Encode(rv(slots, 2, 51), testScale))
+		y := b.Encrypt(b.Encode(rv(slots, 2, 52), testScale))
+		ub, _ := big.NewFloat(testScale).Int(nil)
+		want := b.Rescale(b.Mul(x, y), b.MaxRescale(b.Mul(x, y), ub))
+		lazy := b.MulNoRelin(x, y)
+		got := b.RelinearizeRescale(lazy, b.MaxRescale(lazy, ub))
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: RelinearizeRescale(MulNoRelin) differs from Rescale(Mul)", b.Name())
+		}
+		if !reflect.DeepEqual(b.Relinearize(lazy), b.Mul(x, y)) {
+			t.Fatalf("%s: Relinearize(MulNoRelin) differs from Mul", b.Name())
+		}
 	}
 }

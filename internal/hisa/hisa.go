@@ -6,6 +6,12 @@
 // high-fidelity mock scheme), and RNS (the real RNS-CKKS lattice scheme of
 // internal/ckks). The CHET compiler adds further backends that reinterpret
 // ciphertexts as dataflow facts (modulus consumption, cost, rotation sets).
+//
+// Every backend implements the whole instruction set (Backend), so the
+// kernels issue one instruction stream whatever interprets it. Exactly two
+// capabilities stay optional, because backends genuinely differ in them:
+// bootstrapping (BootstrapBackend) and encoding at a chosen modulus level
+// (LeveledEncodeBackend).
 package hisa
 
 import "math/big"
@@ -18,9 +24,13 @@ type Ciphertext any
 // Plaintext is an opaque handle to an encoded (unencrypted) vector.
 type Plaintext any
 
-// Backend implements the HISA primitives. All operations are functional
+// Backend implements the HISA instructions. All operations are functional
 // (inputs are never mutated) so the same kernel source can be executed under
-// value, cryptographic, and analysis interpretations.
+// value, cryptographic, and analysis interpretations. A backend without a
+// separate relinearization or a fused sum of rotations implements those
+// instructions by their definitions (MulNoRelin is Mul, Relinearize the
+// identity, RelinearizeRescale a Rescale, RotSum is RotSumUnfused), so a
+// kernel never branches on what the backend can do.
 //
 // Concurrency contract: the executable backends (Ref, Sim, RNS) and the
 // observers over them (Meter, Refresher, telemetry.Tracer) are safe for
@@ -60,6 +70,18 @@ type Backend interface {
 	RotLeft(c Ciphertext, x int) Ciphertext
 	RotRight(c Ciphertext, x int) Ciphertext
 
+	// RotSum computes a linear combination of rotations as one instruction,
+	// out[o] = Σ_t w_t · rot_{Rot_t}(srcs[Src_t]) over the terms of sums[o]:
+	// the inner loop of the convolution, pooling and dense kernels. Its
+	// semantics are RotSumUnfused — exactly on backends that compute
+	// exactly, within the key switch's rounding on lattice backends, where
+	// the RNS backend divides by the special modulus once per output instead
+	// of once per rotation (internal/ckks rotsum.go). each spreads an
+	// unfused sequence's rotations and sums across goroutines (nil: one
+	// after another); a backend that computes the sums whole ignores it.
+	// Outputs are fresh ciphertexts; the sources stay the caller's.
+	RotSum(srcs []Ciphertext, sums [][]Term, each func(n int, fn func(i int))) []Ciphertext
+
 	Add(c, c2 Ciphertext) Ciphertext
 	AddPlain(c Ciphertext, p Plaintext) Ciphertext
 	AddScalar(c Ciphertext, x float64) Ciphertext
@@ -73,6 +95,22 @@ type Backend interface {
 	// MulScalar multiplies every slot by x, encoded at scale f.
 	MulScalar(c Ciphertext, x float64, f float64) Ciphertext
 
+	// MulNoRelin multiplies without the closing relinearization, so a kernel
+	// can keep products at degree 2 through linear operations (Add, Sub,
+	// MulScalar, MulScalarC) and fold several into one relinearization.
+	// Relinearize(MulNoRelin(x, y)) is exactly Mul(x, y). Degree-2
+	// ciphertexts must be relinearized before rotations, conjugation,
+	// rescaling, or decryption.
+	MulNoRelin(c, c2 Ciphertext) Ciphertext
+	// Relinearize reduces a MulNoRelin product to a normal ciphertext; it
+	// passes already-linear ciphertexts through unchanged.
+	Relinearize(c Ciphertext) Ciphertext
+	// RelinearizeRescale is exactly Relinearize(Rescale(c, x)), with x
+	// obtained from MaxRescale like any rescale divisor; the RNS backend
+	// fuses the division by the top prime into the relinearization key
+	// switch, running the decomposition at the post-rescale level.
+	RelinearizeRescale(c Ciphertext, x *big.Int) Ciphertext
+
 	// Rescale rescales c by the divisor x, which must have been obtained
 	// from MaxRescale. Undefined otherwise.
 	Rescale(c Ciphertext, x *big.Int) Ciphertext
@@ -82,106 +120,30 @@ type Backend interface {
 
 	// Scale returns the current fixed-point scale of c.
 	Scale(c Ciphertext) float64
-}
 
-// ConjugateBackend is an optional backend capability: backends whose slot
-// algebra is genuinely complex (CKKS-family schemes, where slots are the
-// canonical embedding's complex coordinates) expose conjugation and
-// complex-valued encode/decode. The htc complex packing mode — two batch
-// lanes sharing one slot as real and imaginary parts — is gated on it.
-//
-// All complex vectors are slot-indexed like the real Encode/Decode vectors;
-// the real Backend operations act on complex slots exactly as the underlying
-// scheme does (Add/Sub/rotations are componentwise, Mul/MulPlain are complex
-// slot products, real plaintexts and scalars multiply both components).
-type ConjugateBackend interface {
+	// Slots are the complex coordinates of the CKKS canonical embedding; the
+	// operations above act on them as the scheme does (Add, Sub and
+	// rotations componentwise, Mul and MulPlain as complex slot products,
+	// real plaintexts and scalars multiplying both components). The htc
+	// complex packing mode — two batch lanes sharing one slot as real and
+	// imaginary parts — is built on the five complex instructions below.
+	// Complex vectors are slot-indexed like the real Encode/Decode vectors.
+
 	// Conjugate conjugates every slot (a key-switching automorphism on
 	// lattice backends, so it costs about as much as one rotation).
 	Conjugate(c Ciphertext) Ciphertext
-
 	// EncryptC encrypts a complex slot vector (len <= Slots, zero-padded)
 	// at fixed-point scale f.
 	EncryptC(m []complex128, f float64) Ciphertext
 	// DecryptC decrypts both slot components. Panics on evaluation-only
 	// instances, exactly like Decrypt.
 	DecryptC(c Ciphertext) []complex128
-
 	// AddPlainC adds a complex vector, encoded at the ciphertext's scale
 	// (so the addition is scale-neutral, like AddScalar).
 	AddPlainC(c Ciphertext, m []complex128) Ciphertext
 	// MulScalarC multiplies every slot by the complex constant x encoded at
 	// scale f; the result scale is Scale(c) * f.
 	MulScalarC(c Ciphertext, x complex128, f float64) Ciphertext
-}
-
-// AsConjugate returns b as a ConjugateBackend when it (not an inner unwrap —
-// the Interposer forwards the capability, so observers keep their
-// bookkeeping) supports complex slot operations.
-func AsConjugate(b Backend) (ConjugateBackend, bool) {
-	cb, ok := b.(ConjugateBackend)
-	return cb, ok
-}
-
-// LazyRelinBackend is an optional backend capability: backends whose
-// ciphertext-ciphertext products carry an explicit relinearization step can
-// expose it, letting kernels keep a product at degree 2 through linear
-// operations (Add, Sub, MulScalar, MulScalarC) and fold several products
-// into a single relinearization. Semantics: Relinearize(MulNoRelin(x, y)) is
-// exactly Mul(x, y), and linear ops on degree-2 ciphertexts act
-// componentwise. Degree-2 ciphertexts must be relinearized before
-// rotations, conjugation, rescaling, or decryption.
-type LazyRelinBackend interface {
-	// LazyRelinCapable reports whether the instance actually supports the
-	// capability. The Interposer forwards these methods unconditionally, so
-	// the interface assertion alone is not sufficient — AsLazyRelin checks
-	// this flag too.
-	LazyRelinCapable() bool
-	// MulNoRelin multiplies without the closing relinearization.
-	MulNoRelin(c, c2 Ciphertext) Ciphertext
-	// Relinearize reduces a MulNoRelin product to a normal ciphertext; it
-	// passes already-linear ciphertexts through unchanged.
-	Relinearize(c Ciphertext) Ciphertext
-}
-
-// AsLazyRelin returns b as a LazyRelinBackend when b (including every layer
-// of a wrapper chain) supports deferred relinearization. Callers fall back
-// to plain Mul when it reports false.
-func AsLazyRelin(b Backend) (LazyRelinBackend, bool) {
-	lb, ok := b.(LazyRelinBackend)
-	if !ok || !lb.LazyRelinCapable() {
-		return nil, false
-	}
-	return lb, true
-}
-
-// FusedRescaleBackend is an optional backend capability: backends whose
-// rescale and relinearization can share one pass over the ciphertext limbs
-// (the RNS backend fuses the division by the top prime into the
-// relinearization key switch, running the decomposition at the post-rescale
-// level) expose the fused form. Semantics: RelinearizeRescale(c, x) is
-// exactly Relinearize(Rescale(c, x)) — bit-identical on lattice backends —
-// with x obtained from MaxRescale like any rescale divisor (x = 1 degrades
-// to plain Relinearize).
-type FusedRescaleBackend interface {
-	// FusedRescaleCapable reports whether the instance actually supports
-	// the capability; the Interposer forwards the methods unconditionally,
-	// so AsFusedRescale checks this flag too.
-	FusedRescaleCapable() bool
-	// RelinearizeRescale relinearizes c (a MulNoRelin product or a linear
-	// combination of them) and rescales it by divisor x in one fused pass.
-	RelinearizeRescale(c Ciphertext, x *big.Int) Ciphertext
-}
-
-// AsFusedRescale returns b as a FusedRescaleBackend when b (including every
-// layer of a wrapper chain) supports the fused rescale-into-key-switch.
-// Callers fall back to Rescale followed by Relinearize when it reports
-// false.
-func AsFusedRescale(b Backend) (FusedRescaleBackend, bool) {
-	fb, ok := b.(FusedRescaleBackend)
-	if !ok || !fb.FusedRescaleCapable() {
-		return nil, false
-	}
-	return fb, true
 }
 
 // BootstrapBackend is an optional backend capability: backends that can
@@ -196,7 +158,8 @@ func AsFusedRescale(b Backend) (FusedRescaleBackend, bool) {
 // ciphertext can still absorb. Bootstrap's output always has FreshBudget
 // levels; semantically it is the identity on the message within the
 // backend's documented precision (see internal/boot for the error budget of
-// the real pipeline).
+// the real pipeline). It stays optional because an instance has it only
+// when a bootstrapper is configured.
 type BootstrapBackend interface {
 	// BootstrapCapable reports whether the instance actually supports the
 	// capability. The Interposer forwards these methods unconditionally, so
@@ -233,7 +196,11 @@ func AsBootstrap(b Backend) (BootstrapBackend, bool) {
 // the chain. A plaintext at level ℓ serves every ciphertext at level ≤ ℓ,
 // and encoding is row-independent, so a product with a plaintext encoded at
 // the ciphertext's own level is bit-identical to one with a top-level
-// plaintext — at a fraction of the encoding work and memory.
+// plaintext — at a fraction of the encoding work and memory. It stays
+// optional because only RNS plaintexts carry a level: the kernels encode
+// their constants through the session's store (htc.Constants) only on a
+// backend that has it, and routing the mocks through that store would keep
+// every mock plaintext alive for the session's lifetime to save no work.
 type LeveledEncodeBackend interface {
 	// LeveledEncodeCapable reports whether the instance actually supports
 	// the capability; the Interposer forwards EncodeAt unconditionally, so
@@ -303,10 +270,4 @@ func FindCapability[T any](b Backend) (T, bool) {
 	}
 	var zero T
 	return zero, false
-}
-
-// SubScalarVia expresses subtraction of a scalar through AddScalar, for
-// backends where that is the natural implementation.
-func SubScalarVia(b Backend, c Ciphertext, x float64) Ciphertext {
-	return b.AddScalar(c, -x)
 }

@@ -64,8 +64,8 @@ type Op struct {
 	Dur   time.Duration
 }
 
-// Interposer is the single forwarding implementation of Backend and the six
-// capability interfaces: it turns every call into an Op and hands it to a
+// Interposer is the single forwarding implementation of Backend and the two
+// optional capabilities: it turns every call into an Op and hands it to a
 // before-hook (ahead of the wrapped call, single-result instructions only)
 // and an after-hook. Meter, Refresher and telemetry.Tracer are observers
 // that embed one. The accounting rules live here and nowhere else:
@@ -80,15 +80,13 @@ type Op struct {
 //   - RotSum is the instructions RotSumUnfused issues for it — one rotl
 //     per distinct rotation, one mulplain or mulscalar per weighted term, an
 //     add per term after a sum's first — the call's duration split evenly
-//     between them; a backend without the capability runs that sequence
-//     through the Interposer, op by op;
+//     between them, whether the wrapped backend fuses the sums or not;
 //   - Bootstrap is one instruction: its interior runs below the HISA;
 //   - EncodeAt is an encode, like Encode.
 //
 // The capability methods exist whatever the wrapped backend supports, so
-// callers gate on AsLazyRelin, AsFusedRescale, AsBootstrap, AsLeveledEncode
-// and AsRotSum (which consult the Capable flags forwarded here); calling
-// one the backend lacks panics.
+// callers gate on AsBootstrap and AsLeveledEncode (which consult the Capable
+// flags forwarded here); calling one the backend lacks panics.
 // An Interposer is as safe for concurrent use as its hooks are.
 type Interposer struct {
 	inner  Backend
@@ -96,22 +94,14 @@ type Interposer struct {
 	before func(*Op)
 	after  func(*Op)
 
-	conj  ConjugateBackend
-	lazy  LazyRelinBackend
-	fused FusedRescaleBackend
 	boot  BootstrapBackend
 	level LeveledEncodeBackend
-	sum   RotateSumBackend
 }
 
 var (
 	_ Backend              = (*Interposer)(nil)
-	_ ConjugateBackend     = (*Interposer)(nil)
-	_ LazyRelinBackend     = (*Interposer)(nil)
-	_ FusedRescaleBackend  = (*Interposer)(nil)
 	_ BootstrapBackend     = (*Interposer)(nil)
 	_ LeveledEncodeBackend = (*Interposer)(nil)
-	_ RotateSumBackend     = (*Interposer)(nil)
 	_ Unwrapper            = (*Interposer)(nil)
 )
 
@@ -119,12 +109,8 @@ var (
 // nil.
 func NewInterposer(inner Backend, tag string, before, after func(*Op)) Interposer {
 	ip := Interposer{inner: inner, tag: tag, before: before, after: after}
-	ip.conj, _ = inner.(ConjugateBackend)
-	ip.lazy, _ = inner.(LazyRelinBackend)
-	ip.fused, _ = inner.(FusedRescaleBackend)
 	ip.boot, _ = inner.(BootstrapBackend)
 	ip.level, _ = inner.(LeveledEncodeBackend)
-	ip.sum, _ = inner.(RotateSumBackend)
 	return ip
 }
 
@@ -182,14 +168,7 @@ func have[T comparable](ip *Interposer, t T, what string) T {
 	return t
 }
 
-func (ip *Interposer) conjInner() ConjugateBackend {
-	return have(ip, ip.conj, "complex slot operations")
-}
-func (ip *Interposer) lazyInner() LazyRelinBackend {
-	return have(ip, ip.lazy, "deferred relinearization")
-}
-func (ip *Interposer) fusedInner() FusedRescaleBackend { return have(ip, ip.fused, "fused rescale") }
-func (ip *Interposer) bootInner() BootstrapBackend     { return have(ip, ip.boot, "bootstrapping") }
+func (ip *Interposer) bootInner() BootstrapBackend { return have(ip, ip.boot, "bootstrapping") }
 func (ip *Interposer) levelInner() LeveledEncodeBackend {
 	return have(ip, ip.level, "leveled encoding")
 }
@@ -239,17 +218,10 @@ func (ip *Interposer) RotRight(c Ciphertext, x int) Ciphertext {
 	return ip.run(&Op{Kind: OpRotRight, In: c, Rot: x}, func(c, _ Ciphertext) Ciphertext { return ip.inner.RotRight(c, x) })
 }
 
-func (ip *Interposer) RotSumCapable() bool { return ip.sum != nil && ip.sum.RotSumCapable() }
-
-// RotSum forwards the sums whole to a capable backend and reports them as
-// their unfused sequence; without the capability it runs that sequence
-// through the Interposer.
-func (ip *Interposer) RotSum(srcs []Ciphertext, sums [][]Term) []Ciphertext {
-	if !ip.RotSumCapable() {
-		return RotSumUnfused(ip, srcs, sums, nil, nil)
-	}
+// RotSum forwards the sums whole and reports them as their unfused sequence.
+func (ip *Interposer) RotSum(srcs []Ciphertext, sums [][]Term, each func(n int, fn func(i int))) []Ciphertext {
 	start := time.Now()
-	outs := ip.sum.RotSum(srcs, sums)
+	outs := ip.inner.RotSum(srcs, sums, each)
 	if ip.after != nil {
 		ip.reportRotSum(srcs, sums, outs, start, time.Since(start))
 	}
@@ -309,25 +281,16 @@ func (ip *Interposer) MaxRescale(c Ciphertext, ub *big.Int) (d *big.Int) {
 	return d
 }
 
-func (ip *Interposer) LazyRelinCapable() bool { return ip.lazy != nil && ip.lazy.LazyRelinCapable() }
-
 func (ip *Interposer) MulNoRelin(c, c2 Ciphertext) Ciphertext {
-	lazy := ip.lazyInner()
-	return ip.run(&Op{Kind: OpMul, In: c, In2: c2}, lazy.MulNoRelin)
+	return ip.run(&Op{Kind: OpMul, In: c, In2: c2}, ip.inner.MulNoRelin)
 }
 
 func (ip *Interposer) Relinearize(c Ciphertext) Ciphertext {
-	lazy := ip.lazyInner()
-	return ip.run(&Op{Kind: OpRelin, In: c}, func(c, _ Ciphertext) Ciphertext { return lazy.Relinearize(c) })
-}
-
-func (ip *Interposer) FusedRescaleCapable() bool {
-	return ip.fused != nil && ip.fused.FusedRescaleCapable()
+	return ip.run(&Op{Kind: OpRelin, In: c}, func(c, _ Ciphertext) Ciphertext { return ip.inner.Relinearize(c) })
 }
 
 func (ip *Interposer) RelinearizeRescale(c Ciphertext, x *big.Int) Ciphertext {
-	fused := ip.fusedInner()
-	call := func(c, _ Ciphertext) Ciphertext { return fused.RelinearizeRescale(c, x) }
+	call := func(c, _ Ciphertext) Ciphertext { return ip.inner.RelinearizeRescale(c, x) }
 	if x.Cmp(bigOne) == 0 {
 		return ip.run(&Op{Kind: OpRelin, In: c}, call)
 	}
@@ -338,29 +301,24 @@ func (ip *Interposer) RelinearizeRescale(c Ciphertext, x *big.Int) Ciphertext {
 }
 
 func (ip *Interposer) Conjugate(c Ciphertext) Ciphertext {
-	conj := ip.conjInner()
-	return ip.run(&Op{Kind: OpConj, In: c}, func(c, _ Ciphertext) Ciphertext { return conj.Conjugate(c) })
+	return ip.run(&Op{Kind: OpConj, In: c}, func(c, _ Ciphertext) Ciphertext { return ip.inner.Conjugate(c) })
 }
 
 func (ip *Interposer) EncryptC(m []complex128, f float64) Ciphertext {
-	conj := ip.conjInner()
-	return ip.run(&Op{Kind: OpEncrypt}, func(_, _ Ciphertext) Ciphertext { return conj.EncryptC(m, f) })
+	return ip.run(&Op{Kind: OpEncrypt}, func(_, _ Ciphertext) Ciphertext { return ip.inner.EncryptC(m, f) })
 }
 
 func (ip *Interposer) DecryptC(c Ciphertext) (m []complex128) {
-	conj := ip.conjInner()
-	ip.run(&Op{Kind: OpDecrypt, In: c}, func(c, _ Ciphertext) Ciphertext { m = conj.DecryptC(c); return nil })
+	ip.run(&Op{Kind: OpDecrypt, In: c}, func(c, _ Ciphertext) Ciphertext { m = ip.inner.DecryptC(c); return nil })
 	return m
 }
 
 func (ip *Interposer) AddPlainC(c Ciphertext, m []complex128) Ciphertext {
-	conj := ip.conjInner()
-	return ip.run(&Op{Kind: OpAddPlain, In: c}, func(c, _ Ciphertext) Ciphertext { return conj.AddPlainC(c, m) })
+	return ip.run(&Op{Kind: OpAddPlain, In: c}, func(c, _ Ciphertext) Ciphertext { return ip.inner.AddPlainC(c, m) })
 }
 
 func (ip *Interposer) MulScalarC(c Ciphertext, x complex128, f float64) Ciphertext {
-	conj := ip.conjInner()
-	return ip.run(&Op{Kind: OpMulScalar, In: c}, func(c, _ Ciphertext) Ciphertext { return conj.MulScalarC(c, x, f) })
+	return ip.run(&Op{Kind: OpMulScalar, In: c}, func(c, _ Ciphertext) Ciphertext { return ip.inner.MulScalarC(c, x, f) })
 }
 
 func (ip *Interposer) BootstrapCapable() bool { return ip.boot != nil && ip.boot.BootstrapCapable() }

@@ -88,18 +88,6 @@ func TestCopyIsIndependent(t *testing.T) {
 	}
 }
 
-func TestSubScalarViaHelper(t *testing.T) {
-	b := NewRefBackend(64)
-	a := rv(64, 2, 108)
-	ct := b.Encrypt(b.Encode(a, testScale))
-	got := b.Decode(b.Decrypt(SubScalarVia(b, ct, 1.5)))
-	for i := range a {
-		if math.Abs(got[i]-(a[i]-1.5)) > 1e-9 {
-			t.Fatalf("slot %d", i)
-		}
-	}
-}
-
 func TestEvaluationOnlyRNSBackendCannotDecrypt(t *testing.T) {
 	full := newRNSTestBackend(t, []int{1})
 	srv := NewRNSBackendFromKeys(full.Params(), full.PublicKeys(), nil)

@@ -171,6 +171,22 @@ func (b *RefBackend) Mul(c, c2 Ciphertext) Ciphertext {
 	return &refCT{vals: vals, ivals: ivals, scale: x.scale * y.scale}
 }
 
+// MulNoRelin is Mul: the oracle's products are never degree 2.
+func (b *RefBackend) MulNoRelin(c, c2 Ciphertext) Ciphertext { return b.Mul(c, c2) }
+
+// Relinearize is the identity.
+func (b *RefBackend) Relinearize(c Ciphertext) Ciphertext { return c }
+
+// RelinearizeRescale is Rescale.
+func (b *RefBackend) RelinearizeRescale(c Ciphertext, x *big.Int) Ciphertext {
+	return b.Rescale(c, x)
+}
+
+// RotSum is the unfused sequence, spread by each.
+func (b *RefBackend) RotSum(srcs []Ciphertext, sums [][]Term, each func(n int, fn func(i int))) []Ciphertext {
+	return RotSumUnfused(b, srcs, sums, each, nil)
+}
+
 func (b *RefBackend) AddPlain(c Ciphertext, p Plaintext) Ciphertext {
 	x, y := b.ct(c), b.pt(p)
 	vals := make([]float64, b.slots)

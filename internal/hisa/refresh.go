@@ -130,7 +130,7 @@ func (r *Refresher) afterOp(op *Op) {
 // through the Refresher, whose multiplications refresh their rotated
 // operands one by one, as they always have; its rotations stay one
 // unit-weight RotSum per source.
-func (r *Refresher) RotSum(srcs []Ciphertext, sums [][]Term) []Ciphertext {
+func (r *Refresher) RotSum(srcs []Ciphertext, sums [][]Term, each func(n int, fn func(i int))) []Ciphertext {
 	refresh := false
 	for _, terms := range sums {
 		for _, t := range terms {
@@ -143,7 +143,7 @@ func (r *Refresher) RotSum(srcs []Ciphertext, sums [][]Term) []Ciphertext {
 		}
 	}
 	if !refresh {
-		return r.Interposer.RotSum(srcs, sums)
+		return r.Interposer.RotSum(srcs, sums, each)
 	}
 	return RotSumUnfused(r, srcs, sums, nil, func(src Ciphertext, ks []int) []Ciphertext {
 		return RotLeftMany(r, src, ks)

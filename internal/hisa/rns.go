@@ -421,16 +421,13 @@ func (b *RNSBackend) RotRight(c Ciphertext, x int) Ciphertext {
 	return b.RotLeft(c, -x)
 }
 
-// RotSumCapable marks the real lattice backend as computing sums of
-// rotations in the extended basis (see hisa.RotateSumBackend).
-func (b *RNSBackend) RotSumCapable() bool { return true }
-
 // RotSum computes the sums with one ModDown per output
 // (ckks.Evaluator.RotSum). A rotation the keys serve in one step at its
 // source's level is fused; an off-plan one — several steps, or a key below
 // its source's level — is computed by RotLeft first and enters the sum as an
-// unrotated term, which puts the call's outputs at its level.
-func (b *RNSBackend) RotSum(srcs []Ciphertext, sums [][]Term) []Ciphertext {
+// unrotated term, which puts the call's outputs at its level. each is
+// unused: the sums run whole, and the limb workers spread every one of them.
+func (b *RNSBackend) RotSum(srcs []Ciphertext, sums [][]Term, _ func(n int, fn func(i int))) []Ciphertext {
 	slots := b.Slots()
 	cs := make([]*ckks.Ciphertext, len(srcs))
 	for i, c := range srcs {
@@ -484,10 +481,6 @@ func (b *RNSBackend) Mul(c, c2 Ciphertext) Ciphertext {
 	return b.evaluator.Mul(b.keyed(b.ct(c), b.relinKey()), b.keyed(b.ct(c2), b.relinKey()))
 }
 
-// LazyRelinCapable marks the real lattice backend as supporting deferred
-// relinearization (see hisa.LazyRelinBackend).
-func (b *RNSBackend) LazyRelinCapable() bool { return true }
-
 // MulNoRelin multiplies without the closing relinearization key-switch; the
 // degree-2 result supports linear ops and a later Relinearize.
 func (b *RNSBackend) MulNoRelin(c, c2 Ciphertext) Ciphertext {
@@ -502,10 +495,6 @@ func (b *RNSBackend) Relinearize(c Ciphertext) Ciphertext {
 	}
 	return b.evaluator.Relinearize(b.keyed(cc, b.relinKey()))
 }
-
-// FusedRescaleCapable marks the real lattice backend as supporting the
-// fused rescale-into-key-switch (see hisa.FusedRescaleBackend).
-func (b *RNSBackend) FusedRescaleCapable() bool { return true }
 
 // RelinearizeRescale relinearizes and rescales in one fused pass. The final
 // prime drop rides inside the relinearization key switch (the decomposition
@@ -541,8 +530,8 @@ func (b *RNSBackend) RelinearizeRescale(c Ciphertext, x *big.Int) Ciphertext {
 }
 
 // dropsFor translates a MaxRescale divisor into a level-drop count,
-// panicking on divisors that are not top-prime products (same contract as
-// Rescale).
+// panicking on divisors that are not top-prime products (the contract of
+// Rescale and RelinearizeRescale).
 func (b *RNSBackend) dropsFor(cc *ckks.Ciphertext, x *big.Int) int {
 	if x.Cmp(big.NewInt(1)) == 0 {
 		return 0
@@ -607,24 +596,12 @@ func (b *RNSBackend) MaxRescale(c Ciphertext, ub *big.Int) *big.Int {
 // returned by MaxRescale.
 func (b *RNSBackend) Rescale(c Ciphertext, x *big.Int) Ciphertext {
 	cc := b.ct(c)
-	if x.Cmp(big.NewInt(1)) == 0 {
-		return cc.CopyNew()
+	drops := b.dropsFor(cc, x)
+	out := cc.CopyNew()
+	if drops > 0 {
+		b.evaluator.RescaleMany(out, drops)
 	}
-	prod := big.NewInt(1)
-	drops := 0
-	for lvl := cc.Level(); lvl >= 1; lvl-- {
-		prod.Mul(prod, new(big.Int).SetUint64(b.params.Qi(lvl)))
-		drops++
-		if prod.Cmp(x) == 0 {
-			out := cc.CopyNew()
-			b.evaluator.RescaleMany(out, drops)
-			return out
-		}
-		if prod.Cmp(x) > 0 {
-			break
-		}
-	}
-	panic(fmt.Sprintf("hisa: rescale divisor %v is not a top-prime product at level %d", x, cc.Level()))
+	return out
 }
 
 func (b *RNSBackend) Scale(c Ciphertext) float64 { return b.ct(c).Scale }

@@ -46,8 +46,8 @@ func TestRotLeftManyMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestRotLeftManyThroughMeter checks that the Meter exposes the batch
-// capability transparently: outputs stay bit-identical and the rotation
+// TestRotLeftManyThroughMeter checks that the Meter forwards the sum of
+// rotations transparently: outputs stay bit-identical and the rotation
 // tally equals what the equivalent RotLeft sequence would record (primitive
 // steps, identity rotations free).
 func TestRotLeftManyThroughMeter(t *testing.T) {
@@ -76,8 +76,8 @@ func TestRotLeftManyThroughMeter(t *testing.T) {
 	}
 }
 
-// TestRotLeftManyFallbackBackends checks the helper on backends without the
-// batch capability: the sequential fallback must decrypt to the rotated
+// TestRotLeftManyFallbackBackends checks the helper on the backends that run
+// RotSum unfused: the rotations one by one must decrypt to the rotated
 // vector within each backend's noise tolerance (Sim injects fresh noise per
 // op, so we compare against the plaintext, not a second RotLeft call).
 func TestRotLeftManyFallbackBackends(t *testing.T) {

@@ -2,7 +2,7 @@ package hisa
 
 import "time"
 
-// Term is one summand of a sum of rotations (RotSum): the source srcs[Src]
+// Term is one summand of a sum of rotations (Backend.RotSum): the source srcs[Src]
 // rotated left by Rot slots, times a weight — the plaintext Plain when it is
 // non-nil, otherwise the scalar X at scale F (MulScalar's operands) when F
 // is non-zero, otherwise 1.
@@ -13,46 +13,6 @@ type Term struct {
 	X, F  float64
 }
 
-// RotateSumBackend is an optional backend capability: a linear combination
-// of rotations as one instruction, out[o] = Σ_t w_t · rot_{Rot_t}(srcs[Src_t])
-// over the terms of sums[o]. It is the inner loop of the convolution,
-// pooling and dense kernels. The RNS backend decomposes every source once,
-// runs each distinct (source, amount) key inner product once, and keeps each
-// sum in the extended basis so that it divides by the special modulus once
-// per output instead of once per rotation (internal/ckks rotsum.go).
-//
-// Semantics: RotSum is RotSumUnfused — exactly on backends that compute
-// exactly, within the key switch's rounding on lattice backends, where the
-// fused sum rounds once per output and the unfused sequence once per
-// rotation. Outputs are fresh ciphertexts; the sources stay the caller's.
-type RotateSumBackend interface {
-	// RotSumCapable reports whether the instance actually supports the
-	// capability; the Interposer forwards RotSum unconditionally, so
-	// AsRotSum checks this flag too.
-	RotSumCapable() bool
-	RotSum(srcs []Ciphertext, sums [][]Term) []Ciphertext
-}
-
-// AsRotSum returns b as a RotateSumBackend when b (including every layer of
-// a wrapper chain) computes sums of rotations as one instruction.
-func AsRotSum(b Backend) (RotateSumBackend, bool) {
-	rb, ok := b.(RotateSumBackend)
-	if !ok || !rb.RotSumCapable() {
-		return nil, false
-	}
-	return rb, true
-}
-
-// RotSum computes the sums with b's RotateSumBackend capability, or with
-// RotSumUnfused on a backend without it, which spreads its rotations and its
-// sums with each (nil: one after another).
-func RotSum(b Backend, srcs []Ciphertext, sums [][]Term, each func(n int, fn func(i int))) []Ciphertext {
-	if rb, ok := AsRotSum(b); ok {
-		return rb.RotSum(srcs, sums)
-	}
-	return RotSumUnfused(b, srcs, sums, each, nil)
-}
-
 // RotLeftMany rotates c left by every amount in ks as one RotSum of single
 // unit-weight terms: element i is RotLeft(c, ks[i]), bit for bit on every
 // backend, with one decomposition of c shared by all amounts on RNS.
@@ -61,7 +21,7 @@ func RotLeftMany(b Backend, c Ciphertext, ks []int) []Ciphertext {
 	for i, k := range ks {
 		sums[i] = []Term{{Rot: k}}
 	}
-	return RotSum(b, []Ciphertext{c}, sums, nil)
+	return b.RotSum([]Ciphertext{c}, sums, nil)
 }
 
 // sumRotations lists, per source, the rotations the unfused sequence of a

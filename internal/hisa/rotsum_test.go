@@ -8,10 +8,6 @@ import (
 	"chet/internal/ring"
 )
 
-// noSum hides a backend's sum-of-rotations capability, so RotSum runs the
-// unfused sequence on it.
-type noSum struct{ Backend }
-
 // testSums is the sum set of the parity tests: two sources; plaintext,
 // scalar and unit weights; unrotated terms, a negative amount, an amount
 // past the slot count, a rotation shared by two sums, a repeated single
@@ -49,8 +45,8 @@ func unfusedByHand(b Backend, srcs []Ciphertext, sums [][]Term) []Ciphertext {
 	}
 }
 
-// TestRotSumRefSimBitIdentical checks the backends without the capability:
-// RotSum is the unfused sequence there, and its results are bit-identical to
+// TestRotSumRefSimBitIdentical checks the backends that do not fuse: RotSum
+// is the unfused sequence there, and its results are bit-identical to
 // the same ops written out by hand, whether its rotations and sums run one
 // after another or all at once.
 func TestRotSumRefSimBitIdentical(t *testing.T) {
@@ -66,13 +62,10 @@ func TestRotSumRefSimBitIdentical(t *testing.T) {
 		wg.Wait()
 	}
 	for _, b := range []Backend{NewRefBackend(512), NewSimBackend(SimParams{LogN: 10, LogQ: 240, Seed: 9})} {
-		if _, ok := AsRotSum(b); ok {
-			t.Fatalf("%s: unexpected RotSum capability", b.Name())
-		}
 		srcs, sums := testSums(b)
 		want := unfusedByHand(b, srcs, sums)
 		for _, each := range []func(int, func(int)){nil, concurrently} {
-			got := RotSum(b, srcs, sums, each)
+			got := b.RotSum(srcs, sums, each)
 			for o := range want {
 				if !reflect.DeepEqual(got[o], want[o]) {
 					t.Fatalf("%s: sum %d differs from the unfused sequence", b.Name(), o)
@@ -86,26 +79,30 @@ func TestRotSumRefSimBitIdentical(t *testing.T) {
 }
 
 // TestRotSumOpCountsMatchUnfused checks the accounting contract: a Meter
-// over the fused RNS instruction tallies exactly what a Meter over the
-// unfused sequence on the same backend tallies — distinct rotations once,
-// in primitive steps, products per weighted term, additions per extra term —
-// and a Ref backend's unfused run agrees.
+// over the fused RNS instruction tallies exactly what a Meter tallies when
+// the unfused sequence runs through it op by op on the same backend —
+// distinct rotations once, in primitive steps, products per weighted term,
+// additions per extra term — and a Meter over Ref agrees.
 func TestRotSumOpCountsMatchUnfused(t *testing.T) {
 	b := newRNSTestBackend(t, nil) // power-of-two keys: 3 takes two steps
 	slots := b.Slots()
 	stepsOf := func(x int) int { return len(RotationSteps(x, slots, func(k int) bool { return b.provisioned[k] })) }
-	count := func(inner Backend) OpCounts {
+	count := func(inner Backend, fused bool) OpCounts {
 		m := NewMeter(inner, stepsOf)
 		srcs, sums := testSums(inner)
 		before := m.Counts()
-		RotSum(m, srcs, sums, nil)
+		if fused {
+			m.RotSum(srcs, sums, nil)
+		} else {
+			RotSumUnfused(m, srcs, sums, nil, nil)
+		}
 		after := m.Counts()
 		for k := range after {
 			after[k] -= before[k]
 		}
 		return after
 	}
-	fused, unfused, ref := count(b), count(noSum{b}), count(NewRefBackend(slots))
+	fused, unfused, ref := count(b, true), count(b, false), count(NewRefBackend(slots), true)
 	if fused != unfused || fused != ref {
 		t.Fatalf("op counts: fused %v, unfused %v, ref %v", fused, unfused, ref)
 	}
@@ -126,8 +123,8 @@ func TestRotSumRNSMatchesUnfused(t *testing.T) {
 	b := newRNSTestBackend(t, nil)
 	n := float64(b.Params().N())
 	srcs, sums := testSums(b)
-	fused := RotSum(b, srcs, sums, nil)
-	unfused := RotSum(noSum{b}, srcs, sums, nil)
+	fused := b.RotSum(srcs, sums, nil)
+	unfused := RotSumUnfused(b, srcs, sums, nil, nil)
 	for _, o := range []int{3, 4, 5} {
 		equalRNSCiphertexts(t, b, "single-term sum", fused[o], unfused[o])
 	}
@@ -142,7 +139,7 @@ func TestRotSumRNSMatchesUnfused(t *testing.T) {
 	}
 	b.SetLimbWorkers(4)
 	defer b.SetLimbWorkers(1)
-	for o, c := range RotSum(b, srcs, sums, nil) {
+	for o, c := range b.RotSum(srcs, sums, nil) {
 		equalRNSCiphertexts(t, b, "4 limb workers", c, fused[o])
 	}
 }
@@ -157,7 +154,7 @@ func TestRotSumRNSKeyBelowLevel(t *testing.T) {
 	slots := b.Slots()
 	va := rv(slots, 1, 45)
 	a := b.Encrypt(b.Encode(va, testScale))
-	out := RotSum(b, []Ciphertext{a}, [][]Term{{{Rot: 1}, {Rot: 2}}, {{Rot: 1}}}, nil)
+	out := b.RotSum([]Ciphertext{a}, [][]Term{{{Rot: 1}, {Rot: 2}}, {{Rot: 1}}}, nil)
 	if b.KeyLevelMisses() != 1 {
 		t.Fatalf("key-level misses = %d, want 1", b.KeyLevelMisses())
 	}

@@ -438,6 +438,23 @@ func (b *SimBackend) Mul(c, c2 Ciphertext) Ciphertext {
 	return out
 }
 
+// MulNoRelin is Mul: the mock charges the relinearization's key-switch
+// noise to the product itself.
+func (b *SimBackend) MulNoRelin(c, c2 Ciphertext) Ciphertext { return b.Mul(c, c2) }
+
+// Relinearize is the identity.
+func (b *SimBackend) Relinearize(c Ciphertext) Ciphertext { return c }
+
+// RelinearizeRescale is Rescale.
+func (b *SimBackend) RelinearizeRescale(c Ciphertext, x *big.Int) Ciphertext {
+	return b.Rescale(c, x)
+}
+
+// RotSum is the unfused sequence, spread by each.
+func (b *SimBackend) RotSum(srcs []Ciphertext, sums [][]Term, each func(n int, fn func(i int))) []Ciphertext {
+	return RotSumUnfused(b, srcs, sums, each, nil)
+}
+
 func (b *SimBackend) MulPlain(c Ciphertext, p Plaintext) Ciphertext {
 	x, y := b.ct(c), b.pt(p)
 	vals := make([]float64, b.slots)

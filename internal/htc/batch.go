@@ -39,7 +39,6 @@ func EncryptTensorBatch(b hisa.Backend, ts []*tensor.Tensor, plan Plan, sc Scale
 		// Complex packing: image i lives in the real (i even) or imaginary
 		// (i odd) slot component of physical lane i/2 — twice the images at
 		// the same ring size.
-		cb := mustConjugate(b)
 		for g := 0; g < numCTs; g++ {
 			cvals := make([]complex128, b.Slots())
 			for i, t := range ts {
@@ -62,7 +61,7 @@ func EncryptTensorBatch(b hisa.Backend, ts []*tensor.Tensor, plan Plan, sc Scale
 					}
 				}
 			}
-			meta.CTs[g] = cb.EncryptC(cvals, sc.Pc)
+			meta.CTs[g] = b.EncryptC(cvals, sc.Pc)
 		}
 		meta.validate(b.Slots())
 		return &meta
@@ -98,11 +97,10 @@ func DecryptTensorLane(b hisa.Backend, ct *CipherTensor, lane int) *tensor.Tenso
 	}
 	out := tensor.New(ct.C, ct.H, ct.W)
 	if ct.Complex {
-		cb := mustConjugate(b)
 		base := (lane / 2) * ct.laneStride(b.Slots())
 		imPart := lane%2 == 1
 		for g := 0; g < ct.NumCTs(); g++ {
-			vals := cb.DecryptC(ct.CTs[g])
+			vals := b.DecryptC(ct.CTs[g])
 			for ci := 0; ci < ct.CPerCT; ci++ {
 				ch := g*ct.CPerCT + ci
 				if ch >= ct.C {

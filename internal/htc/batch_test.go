@@ -37,14 +37,14 @@ func batchParity(t *testing.T, name string, mkBackend func() hisa.Backend, sc Sc
 
 	b := mkBackend()
 	in := EncryptTensorBatch(b, imgs, plan, sc)
-	out := Execute(b, c, in, PolicyCHW, sc)
+	out := Execute(b, c, in, PolicyCHW, sc, ExecOptions{})
 	batched := DecryptTensorBatch(b, out, B)
 
 	unplan := PlanFor(c, PolicyCHW) // same geometry decisions, batch 1
 	for i, img := range imgs {
 		ub := mkBackend()
 		uin := EncryptTensor(ub, img, unplan, sc)
-		uout := Execute(ub, c, uin, PolicyCHW, sc)
+		uout := Execute(ub, c, uin, PolicyCHW, sc, ExecOptions{})
 		want := DecryptTensor(ub, uout)
 		got := batched[i]
 		if got.Size() != want.Size() {

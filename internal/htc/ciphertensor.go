@@ -72,7 +72,7 @@ type Plan struct {
 	// Complex packs two images per batch lane, one in the real and one in
 	// the imaginary slot component (nGraph-HE2's complex packing). Batch
 	// still counts images; the lane count halves, doubling capacity at
-	// constant ring size. Requires a hisa.ConjugateBackend.
+	// constant ring size.
 	Complex bool
 }
 
@@ -404,41 +404,38 @@ func perChannelVector(ct *CipherTensor, g, slots int, val func(ch int) float64) 
 // under scale/base. Works for both power-of-two (CKKS) and prime-product
 // (RNS-CKKS) divisor rules.
 func tryRescale(b hisa.Backend, c hisa.Ciphertext, base float64) hisa.Ciphertext {
+	if d := rescaleDivisor(b, c, base); d != nil {
+		return b.Rescale(c, d)
+	}
+	return c
+}
+
+// reduceRelin closes a MulNoRelin product (or a linear combination of them):
+// it relinearizes and applies tryRescale's protocol, as one
+// RelinearizeRescale when the protocol rescales.
+func reduceRelin(b hisa.Backend, c hisa.Ciphertext, base float64) hisa.Ciphertext {
+	if d := rescaleDivisor(b, c, base); d != nil {
+		return b.RelinearizeRescale(c, d)
+	}
+	return b.Relinearize(c)
+}
+
+// rescaleDivisor is the divisor the rescaling protocol divides c by, or nil
+// when c's scale has not grown past base or the scheme offers no divisor
+// under scale/base.
+func rescaleDivisor(b hisa.Backend, c hisa.Ciphertext, base float64) *big.Int {
 	s := b.Scale(c)
 	if s <= base*1.0001 {
-		return c
+		return nil
 	}
 	ub, _ := big.NewFloat(s / base).Int(nil)
 	if ub.Sign() <= 0 {
-		return c
+		return nil
 	}
-	d := b.MaxRescale(c, ub)
-	if d.Cmp(big.NewInt(1)) == 0 {
-		return c
+	if d := b.MaxRescale(c, ub); d.Cmp(big.NewInt(1)) != 0 {
+		return d
 	}
-	return b.Rescale(c, d)
-}
-
-// reduceRelin closes a ciphertext-ciphertext product — a lazy degree-2 one or
-// an eager degree-1 one: it relinearizes and applies tryRescale, fused into
-// one pass over the limbs when the backend supports it
-// (hisa.FusedRescaleBackend).
-func reduceRelin(b hisa.Backend, c hisa.Ciphertext, base float64) hisa.Ciphertext {
-	lr, lazy := hisa.AsLazyRelin(b)
-	if !lazy {
-		// Eager backends already returned degree 1; only the scale moves.
-		return tryRescale(b, c, base)
-	}
-	fr, fused := hisa.AsFusedRescale(b)
-	if !fused {
-		return tryRescale(b, lr.Relinearize(c), base)
-	}
-	if s := b.Scale(c); s > base*1.0001 {
-		if ub, _ := big.NewFloat(s / base).Int(nil); ub.Sign() > 0 {
-			return fr.RelinearizeRescale(c, b.MaxRescale(c, ub))
-		}
-	}
-	return lr.Relinearize(c)
+	return nil
 }
 
 // alignScales brings two ciphertexts to a common scale before addition,

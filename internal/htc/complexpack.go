@@ -1,10 +1,6 @@
 package htc
 
-import (
-	"fmt"
-
-	"chet/internal/hisa"
-)
+import "chet/internal/hisa"
 
 // This file holds the arithmetic that makes complex packing work. Under a
 // complex plan two images share each slot — one in the real and one in the
@@ -16,18 +12,6 @@ import (
 //     terms) must reach both components, so the real value v becomes v(1+i);
 //   - ciphertext-ciphertext products must be componentwise rather than
 //     complex, which takes the conjugation identity below.
-//
-// Both need the hisa.ConjugateBackend capability; executing a complex-packed
-// tensor on a backend without it panics with a clear message.
-
-// mustConjugate returns the backend's conjugation capability or panics.
-func mustConjugate(b hisa.Backend) hisa.ConjugateBackend {
-	cb, ok := hisa.AsConjugate(b)
-	if !ok {
-		panic(fmt.Sprintf("htc: complex packing requires a hisa.ConjugateBackend (backend %T lacks conjugation)", b))
-	}
-	return cb
-}
 
 // addVecBoth adds the real vector v into ciphertext c: plainly for real
 // packing, and as v(1+i) — reaching both slot components — for complex
@@ -39,12 +23,11 @@ func addVecBoth(b hisa.Backend, opts ExecOptions, complexPacked bool, c hisa.Cip
 	if !complexPacked {
 		return b.AddPlain(c, opts.constant(b, v, b.Scale(c)).at(c))
 	}
-	cb := mustConjugate(b)
 	m := make([]complex128, len(v))
 	for i, x := range v {
 		m[i] = complex(x, x)
 	}
-	return cb.AddPlainC(c, m)
+	return b.AddPlainC(c, m)
 }
 
 // addScalarBoth adds the scalar s to every slot: plainly for real packing,
@@ -53,12 +36,11 @@ func addScalarBoth(b hisa.Backend, complexPacked bool, c hisa.Ciphertext, s floa
 	if !complexPacked {
 		return b.AddScalar(c, s)
 	}
-	cb := mustConjugate(b)
 	m := make([]complex128, b.Slots())
 	for i := range m {
 		m[i] = complex(s, s)
 	}
-	return cb.AddPlainC(c, m)
+	return b.AddPlainC(c, m)
 }
 
 // mulPairwise computes the componentwise product of two complex-packed
@@ -68,7 +50,7 @@ func addScalarBoth(b hisa.Backend, complexPacked bool, c hisa.Ciphertext, s floa
 // mulPairwiseY, and the activation kernels use activationPairwise, which
 // gets by with a single conjugation.
 func mulPairwise(b hisa.Backend, x, y hisa.Ciphertext) hisa.Ciphertext {
-	return mulPairwiseY(b, x, y, mustConjugate(b).Conjugate(y))
+	return mulPairwiseY(b, x, y, b.Conjugate(y))
 }
 
 // mulPairwiseY is mulPairwise with conj(y) supplied by the caller — one
@@ -93,12 +75,11 @@ func mulPairwise(b hisa.Backend, x, y hisa.Ciphertext) hisa.Ciphertext {
 // exact constant multiplications — the price nGraph-HE2 pays for doubling
 // batch capacity.
 func mulPairwiseY(b hisa.Backend, x, y, ybar hisa.Ciphertext) hisa.Ciphertext {
-	cb := mustConjugate(b)
 	z := b.Mul(x, y)
 	w := b.Mul(x, ybar)
-	p := cb.MulScalarC(b.Add(z, w), complex(0.25, 0), 4)
-	q := cb.MulScalarC(b.Sub(w, z), complex(0, 0.25), 4)
-	return b.Add(b.Add(p, q), cb.Conjugate(b.Sub(p, q)))
+	p := b.MulScalarC(b.Add(z, w), complex(0.25, 0), 4)
+	q := b.MulScalarC(b.Sub(w, z), complex(0, 0.25), 4)
+	return b.Add(b.Add(p, q), b.Conjugate(b.Sub(p, q)))
 }
 
 // activationPairwise evaluates the complex-packed quadratic activation
@@ -116,8 +97,7 @@ func mulPairwiseY(b hisa.Backend, x, y, ybar hisa.Ciphertext) hisa.Ciphertext {
 // because S and D vanish there. Cost versus the real path: one extra
 // Mul+relin, one conjugation, and two exact /4 constant multiplications.
 func activationPairwise(b hisa.Backend, x hisa.Ciphertext, a, bias float64, sc Scales) hisa.Ciphertext {
-	cb := mustConjugate(b)
-	xbar := cb.Conjugate(x)
+	xbar := b.Conjugate(x)
 	sum := b.Add(x, xbar)
 	dif := b.Sub(x, xbar)
 	ts := tryRescale(b, b.MulScalar(sum, a, sc.Pu), sc.Pc)
@@ -128,24 +108,17 @@ func activationPairwise(b hisa.Backend, x hisa.Ciphertext, a, bias float64, sc S
 		for i := range m {
 			m[i] = complex(0, 2*bias)
 		}
-		td = cb.AddPlainC(td, m)
+		td = b.AddPlainC(td, m)
 	}
 	// Everything between the two products and the activation's final rescale
-	// is linear, so on backends with deferred relinearization both products
-	// stay at degree 2 and share a single relinearization — halving the
-	// relin key-switches the complex path pays per activation. The caller
-	// performs it after its reduce (relinearization commutes with rescale),
-	// where the ciphertext is one limb lighter and the key-switch cheaper.
-	if lr, ok := hisa.AsLazyRelin(b); ok {
-		A := lr.MulNoRelin(ts, sum)
-		B := lr.MulNoRelin(td, dif)
-		p := cb.MulScalarC(A, complex(0.25, 0), 4)
-		q := cb.MulScalarC(B, complex(0, -0.25), 4)
-		return b.Add(p, q)
-	}
-	A := b.Mul(ts, sum)
-	B := b.Mul(td, dif)
-	p := cb.MulScalarC(A, complex(0.25, 0), 4)
-	q := cb.MulScalarC(B, complex(0, -0.25), 4)
+	// is linear, so both products stay at degree 2 and share a single
+	// relinearization — halving the relin key-switches the complex path pays
+	// per activation. The caller performs it after its reduce
+	// (relinearization commutes with rescale), where the ciphertext is one
+	// limb lighter and the key-switch cheaper.
+	A := b.MulNoRelin(ts, sum)
+	B := b.MulNoRelin(td, dif)
+	p := b.MulScalarC(A, complex(0.25, 0), 4)
+	q := b.MulScalarC(B, complex(0, -0.25), 4)
 	return b.Add(p, q)
 }

@@ -34,14 +34,14 @@ func complexParity(t *testing.T, name string, mkBackend func() hisa.Backend, sc 
 	if !in.Complex {
 		t.Fatalf("%s: encrypted batch lost the Complex flag", name)
 	}
-	out := Execute(b, c, in, PolicyCHW, sc)
+	out := Execute(b, c, in, PolicyCHW, sc, ExecOptions{})
 	batched := DecryptTensorBatch(b, out, B)
 
 	unplan := PlanFor(c, PolicyCHW) // same geometry, batch 1, real packing
 	for i, img := range imgs {
 		ub := mkBackend()
 		uin := EncryptTensor(ub, img, unplan, sc)
-		uout := Execute(ub, c, uin, PolicyCHW, sc)
+		uout := Execute(ub, c, uin, PolicyCHW, sc, ExecOptions{})
 		want := DecryptTensor(ub, uout)
 		got := batched[i]
 		if got.Size() != want.Size() {

@@ -51,7 +51,7 @@ func TestConstantStoreLevels(t *testing.T) {
 	for _, policy := range []LayoutPolicy{PolicyCHW, PolicyHW} {
 		store := NewConstants()
 		in := EncryptTensor(b, img, PlanFor(m.Circuit, policy), sc)
-		ExecuteOpts(b, m.Circuit, in, policy, sc, ExecOptions{Workers: 2, Constants: store})
+		Execute(b, m.Circuit, in, policy, sc, ExecOptions{Workers: 2, Constants: store})
 		count, bytes := store.Plaintexts(), store.Bytes()
 		if count == 0 || bytes%(n*8) != 0 {
 			t.Fatalf("%v: store holds %d plaintexts in %d bytes", policy, count, bytes)
@@ -76,7 +76,7 @@ func TestConstantStoreConcurrentExecutions(t *testing.T) {
 	m := nn.LeNetTiny()
 	sc := Scales{Pc: math.Exp2(40), Pw: math.Exp2(40), Pu: math.Exp2(40), Pm: math.Exp2(40)}
 	in := EncryptTensor(b, nn.SyntheticImage(m.InputShape, 5), PlanFor(m.Circuit, PolicyCHW), sc)
-	want := DecryptTensor(b, Execute(b, m.Circuit, in, PolicyCHW, sc))
+	want := DecryptTensor(b, Execute(b, m.Circuit, in, PolicyCHW, sc, ExecOptions{}))
 
 	store := NewConstants()
 	outs := make([]*CipherTensor, 2)
@@ -85,7 +85,7 @@ func TestConstantStoreConcurrentExecutions(t *testing.T) {
 	for i := range outs {
 		go func(i int) {
 			defer wg.Done()
-			outs[i] = ExecuteOpts(b, m.Circuit, in, PolicyCHW, sc, ExecOptions{Workers: 2, Constants: store})
+			outs[i] = Execute(b, m.Circuit, in, PolicyCHW, sc, ExecOptions{Workers: 2, Constants: store})
 		}(i)
 	}
 	wg.Wait()

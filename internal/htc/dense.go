@@ -25,15 +25,11 @@ import (
 // it as it stands. The grid follows from the input's span, so two Dense
 // outputs of one size need not share it; the executor moves the operands of
 // an Add or Concat onto one grid (regrid) when they differ.
-func Dense(b hisa.Backend, in *CipherTensor, weights, bias *tensor.Tensor, sc Scales) *CipherTensor {
-	return DenseOpts(b, in, weights, bias, sc, ExecOptions{})
-}
-
-// DenseOpts is Dense with an execution-options parameter: input ciphertexts
-// are replicated and neuron groups computed by opts.Workers goroutines, and
-// the groups are added in serial order, so the result is bit-identical to a
-// serial run.
-func DenseOpts(b hisa.Backend, in *CipherTensor, weights, bias *tensor.Tensor, sc Scales, opts ExecOptions) *CipherTensor {
+//
+// Input ciphertexts are replicated and neuron groups computed by
+// opts.Workers goroutines, and the groups are added in serial order, so the
+// result is bit-identical to a serial run.
+func Dense(b hisa.Backend, in *CipherTensor, weights, bias *tensor.Tensor, sc Scales, opts ExecOptions) *CipherTensor {
 	inSize := in.C * in.H * in.W
 	if weights.Rank() != 2 || weights.Shape[1] != inSize {
 		panic(fmt.Sprintf("htc: dense weights %v incompatible with input size %d", weights.Shape, inSize))
@@ -109,7 +105,7 @@ func DenseOpts(b hisa.Backend, in *CipherTensor, weights, bias *tensor.Tensor, s
 	for q := range place {
 		place[q] = hisa.Term{Src: q, Rot: in.Offset - q}
 	}
-	acc := hisa.RotSum(b, groups, [][]hisa.Term{place}, opts.each)[0]
+	acc := b.RotSum(groups, [][]hisa.Term{place}, opts.each)[0]
 	for _, g := range groups {
 		b.Free(g)
 	}

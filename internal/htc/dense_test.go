@@ -108,7 +108,7 @@ func denseParity(t *testing.T, mk func(logN int) hisa.Backend, sc Scales, tol fl
 		in := EncryptTensorBatch(b, imgs, dc.plan(), sc)
 
 		var gotR []int
-		serial := ExecuteOpts(b, c, in, dc.policy(), sc, ExecOptions{
+		serial := Execute(b, c, in, dc.policy(), sc, ExecOptions{
 			OnNode: func(n *circuit.Node, out *CipherTensor) {
 				if n.Kind == circuit.OpDense {
 					gotR = append(gotR, out.H)
@@ -118,7 +118,7 @@ func denseParity(t *testing.T, mk func(logN int) hisa.Backend, sc Scales, tol fl
 		if fmt.Sprint(gotR) != fmt.Sprint(dc.wantR) {
 			t.Errorf("%s: layers packed R = %v neurons per plaintext, want %v", dc.name, gotR, dc.wantR)
 		}
-		parallel := ExecuteOpts(b, c, in, dc.policy(), sc, ExecOptions{Workers: 4})
+		parallel := Execute(b, c, in, dc.policy(), sc, ExecOptions{Workers: 4})
 
 		got := DecryptTensorBatch(b, serial, len(imgs))
 		gotPar := DecryptTensorBatch(b, parallel, len(imgs))
@@ -175,7 +175,7 @@ func TestRegrid(t *testing.T) {
 			t.Fatalf("regrid left a %dx%dx%d tensor off the target grid", got.C, got.H, got.W)
 		}
 		tensorsClose(t, "regrid", DecryptTensor(b, got), src.Reshape(3, 2, 4), 1e-9)
-		cat := DecryptTensor(b, Concat(b, sc, like, got))
+		cat := DecryptTensor(b, Concat(b, sc, ExecOptions{}, like, got))
 		tensorsClose(t, "concat after regrid", cat, tensor.ConcatChannels(peer, src.Reshape(3, 2, 4)), 1e-9)
 	}
 	assertPanics(t, "regrid onto a grid the elements do not fill", func() {
@@ -240,7 +240,7 @@ func TestDenseRotationBudget(t *testing.T) {
 		enc := EncryptTensor(m, tensor.New(tc.c.Input.OutShape...), PlanFor(tc.c, tc.policy), sc)
 		outs := map[int]*CipherTensor{}
 		before := 0
-		ExecuteOpts(m, tc.c, enc, tc.policy, sc, ExecOptions{OnNode: func(n *circuit.Node, out *CipherTensor) {
+		Execute(m, tc.c, enc, tc.policy, sc, ExecOptions{OnNode: func(n *circuit.Node, out *CipherTensor) {
 			outs[n.ID] = out
 			got := m.Counts().Rotations() - before
 			before += got

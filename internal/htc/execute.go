@@ -115,16 +115,9 @@ func convert(b hisa.Backend, t *CipherTensor, want Layout, sc Scales, opts ExecO
 		return t
 	}
 	if want == LayoutCHW {
-		return ToCHWOpts(b, t, opts)
+		return ToCHW(b, t, opts)
 	}
-	return ToHWOpts(b, t, sc, opts)
-}
-
-// Execute runs the circuit homomorphically on backend b, serially. The
-// input must have been encrypted with PlanFor(c, policy). All layout
-// conversions demanded by the policy are inserted automatically.
-func Execute(b hisa.Backend, c *circuit.Circuit, input *CipherTensor, policy LayoutPolicy, sc Scales) *CipherTensor {
-	return ExecuteOpts(b, c, input, policy, sc, ExecOptions{})
+	return ToHW(b, t, sc, opts)
 }
 
 // limbParallel is the structural capability of a backend whose single
@@ -143,14 +136,17 @@ type scoper interface {
 	StartScope(label string) func()
 }
 
-// ExecuteOpts runs the circuit homomorphically with the given execution
-// options. With opts.Workers > 1 the kernels fan their independent
-// per-output work across a worker pool and the backend's instructions fan
-// their limbs across as many goroutines (limbParallel); the backend must
-// satisfy the concurrency contract of hisa.Backend (all executable backends
-// do — the compiler's analysis backends do not, and must run serially). The
-// result is bit-identical to a serial run on every executable backend.
-func ExecuteOpts(b hisa.Backend, c *circuit.Circuit, input *CipherTensor, policy LayoutPolicy, sc Scales, opts ExecOptions) *CipherTensor {
+// Execute runs the circuit homomorphically on backend b with the given
+// execution options. The input must have been encrypted with
+// PlanFor(c, policy). All layout conversions demanded by the policy are
+// inserted automatically. With opts.Workers > 1 the kernels fan their
+// independent per-output work across a worker pool and the backend's
+// instructions fan their limbs across as many goroutines (limbParallel); the
+// backend must satisfy the concurrency contract of hisa.Backend (all
+// executable backends do — the compiler's analysis backends do not, and must
+// run serially). The result is bit-identical to a serial run on every
+// executable backend.
+func Execute(b hisa.Backend, c *circuit.Circuit, input *CipherTensor, policy LayoutPolicy, sc Scales, opts ExecOptions) *CipherTensor {
 	if lp, ok := hisa.FindCapability[limbParallel](b); ok {
 		lp.SetLimbWorkers(opts.workers())
 	}
@@ -205,25 +201,25 @@ func ExecuteOpts(b hisa.Backend, c *circuit.Circuit, input *CipherTensor, policy
 			}
 			out = input
 		case circuit.OpConv2D:
-			out = Conv2DOpts(b, arg(n, 0), n.Weights, n.Bias, n.Stride, n.Pad, sc, opts)
+			out = Conv2D(b, arg(n, 0), n.Weights, n.Bias, n.Stride, n.Pad, sc, opts)
 		case circuit.OpDense:
-			out = DenseOpts(b, arg(n, 0), n.Weights, n.Bias, sc, opts)
+			out = Dense(b, arg(n, 0), n.Weights, n.Bias, sc, opts)
 			seenDense = true
 		case circuit.OpAvgPool2D:
-			out = AvgPool2DOpts(b, arg(n, 0), n.Window, n.Stride, sc, opts)
+			out = AvgPool2D(b, arg(n, 0), n.Window, n.Stride, sc, opts)
 		case circuit.OpGlobalAvgPool2D:
-			out = GlobalAvgPool2DOpts(b, arg(n, 0), sc, opts)
+			out = GlobalAvgPool2D(b, arg(n, 0), sc, opts)
 		case circuit.OpActivation:
-			out = ActivationOpts(b, arg(n, 0), n.ActA, n.ActB, sc, opts)
+			out = Activation(b, arg(n, 0), n.ActA, n.ActB, sc, opts)
 		case circuit.OpPolyEval:
-			out = PolyEvalOpts(b, arg(n, 0), n.Coeffs, sc, opts)
+			out = PolyEval(b, arg(n, 0), n.Coeffs, sc, opts)
 		case circuit.OpBatchNorm:
-			out = BatchNormOpts(b, arg(n, 0), n.Weights, n.Bias, sc, opts)
+			out = BatchNorm(b, arg(n, 0), n.Weights, n.Bias, sc, opts)
 		case circuit.OpAdd:
 			ins := args(n)
-			out = AddOpts(b, ins[0], ins[1], opts)
+			out = Add(b, ins[0], ins[1], opts)
 		case circuit.OpConcat:
-			out = ConcatOpts(b, sc, opts, args(n)...)
+			out = Concat(b, sc, opts, args(n)...)
 		case circuit.OpFlatten:
 			out = results[n.Inputs[0].ID] // metadata-only
 		case circuit.OpPad2D:

@@ -10,16 +10,17 @@ import (
 	"chet/internal/tensor"
 )
 
-// noSumShim hides a backend's sum-of-rotations capability: embedding the
-// Backend interface promotes only its methods, so the shim never satisfies
-// hisa.RotateSumBackend even when the wrapped backend does. Kernels run on
-// it take the unfused sequence.
+// noSumShim runs every sum of rotations as its unfused sequence over the
+// wrapped backend: one rotation, product and addition at a time.
 type noSumShim struct{ hisa.Backend }
 
+func (s noSumShim) RotSum(srcs []hisa.Ciphertext, sums [][]hisa.Term, each func(n int, fn func(i int))) []hisa.Ciphertext {
+	return hisa.RotSumUnfused(s.Backend, srcs, sums, each, nil)
+}
+
 // TestKernelsHoistedParityRNS runs the rotation-heavy kernels on the real
-// RNS backend twice — once with the RotSum capability visible (sums kept in
-// the extended basis, one ModDown per output) and once behind a
-// capability-hiding shim (one rotation, product and addition at a time) —
+// RNS backend twice — once directly (sums kept in the extended basis, one
+// ModDown per output) and once behind noSumShim —
 // and requires the decrypted outputs to agree within the rounding bound of
 // the fused sum (ckks TestRotSumMatchesUnfused): (1 + Σ|w|)·N(N+1)/Δ per sum,
 // with Σ|w| taken over every tap and channel of the filter and every term of
@@ -38,13 +39,7 @@ func TestKernelsHoistedParityRNS(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := hisa.NewRNSBackend(hisa.RNSConfig{Params: params, PRNG: ring.NewTestPRNG(41)})
-	if _, ok := hisa.AsRotSum(b); !ok {
-		t.Fatal("RNS backend should expose the sum-of-rotations capability")
-	}
 	shim := noSumShim{b}
-	if _, ok := hisa.AsRotSum(shim); ok {
-		t.Fatal("shim should hide the sum-of-rotations capability")
-	}
 
 	sc := Scales{Pc: math.Exp2(40), Pw: math.Exp2(40), Pu: math.Exp2(40), Pm: math.Exp2(40)}
 	img := randTensor([]int{2, 7, 7}, 1, 11)
@@ -62,19 +57,19 @@ func TestKernelsHoistedParityRNS(t *testing.T) {
 		// the two executions see the very same input ciphertexts.
 		in := EncryptTensor(b, img, Plan{Layout: layout, Apron: 1}, sc)
 
-		conv := Conv2DOpts(b, in, filters, bias, 1, 1, sc, ExecOptions{Workers: 4})
-		convShim := Conv2DOpts(shim, in, filters, bias, 1, 1, sc, ExecOptions{Workers: 4})
+		conv := Conv2D(b, in, filters, bias, 1, 1, sc, ExecOptions{Workers: 4})
+		convShim := Conv2D(shim, in, filters, bias, 1, 1, sc, ExecOptions{Workers: 4})
 		requireWithin(t, layout.String()+"/conv", DecryptTensor(b, conv), DecryptTensor(b, convShim),
 			(2+sumW+float64(filters.Shape[0]))*rounding)
 
-		pool := AvgPool2DOpts(b, conv, 2, 2, sc, ExecOptions{})
-		poolShim := AvgPool2DOpts(shim, conv, 2, 2, sc, ExecOptions{})
+		pool := AvgPool2D(b, conv, 2, 2, sc, ExecOptions{})
+		poolShim := AvgPool2D(shim, conv, 2, 2, sc, ExecOptions{})
 		requireWithin(t, layout.String()+"/pool", DecryptTensor(b, pool), DecryptTensor(b, poolShim), 5*rounding)
 
 		// 3x3 spatial dims at this point are non-powers-of-two: the global
 		// pool's fold takes its double-and-add path.
-		gap := GlobalAvgPool2DOpts(b, pool, sc, ExecOptions{})
-		gapShim := GlobalAvgPool2DOpts(shim, pool, sc, ExecOptions{})
+		gap := GlobalAvgPool2D(b, pool, sc, ExecOptions{})
+		gapShim := GlobalAvgPool2D(shim, pool, sc, ExecOptions{})
 		requireBitIdentical(t, layout.String()+"/gap",
 			DecryptTensor(b, gap), DecryptTensor(b, gapShim))
 	}

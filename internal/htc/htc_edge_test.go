@@ -31,7 +31,7 @@ func TestConv2DMultiGroupCHW(t *testing.T) {
 	if ct.NumCTs() < 2 {
 		t.Fatalf("expected multi-ciphertext packing, got %d cts (CPerCT=%d)", ct.NumCTs(), ct.CPerCT)
 	}
-	out := Conv2D(b, ct, filters, nil, 1, 0, sc)
+	out := Conv2D(b, ct, filters, nil, 1, 0, sc, ExecOptions{})
 	tensorsClose(t, "multi-group conv", DecryptTensor(b, out), want, 1e-6)
 }
 
@@ -43,7 +43,7 @@ func TestPoolWindowNotEqualStride(t *testing.T) {
 	for _, layout := range []Layout{LayoutHW, LayoutCHW} {
 		got := roundTrip(t, layout, 0, in,
 			func(b hisa.Backend, ct *CipherTensor, sc Scales) *CipherTensor {
-				return AvgPool2D(b, ct, 3, 1, sc)
+				return AvgPool2D(b, ct, 3, 1, sc, ExecOptions{})
 			})
 		tensorsClose(t, layout.String(), got, want, 1e-6)
 	}
@@ -57,14 +57,14 @@ func TestScaleProtocolKeepsWorkingScale(t *testing.T) {
 	in := randTensor([]int{2, 6, 6}, 1, 66)
 	ct := EncryptTensor(b, in, Plan{Layout: LayoutCHW}, sc)
 
-	conv := Conv2D(b, ct, randTensor([]int{2, 2, 3, 3}, 0.5, 67), nil, 1, 0, sc)
+	conv := Conv2D(b, ct, randTensor([]int{2, 2, 3, 3}, 0.5, 67), nil, 1, 0, sc, ExecOptions{})
 	for _, c := range conv.CTs {
 		if s := b.Scale(c); math.Abs(math.Log2(s)-math.Log2(sc.Pc)) > 1 {
 			t.Fatalf("conv output scale 2^%.1f drifted from base 2^%.1f",
 				math.Log2(s), math.Log2(sc.Pc))
 		}
 	}
-	act := Activation(b, conv, 0.25, 1, sc)
+	act := Activation(b, conv, 0.25, 1, sc, ExecOptions{})
 	for _, c := range act.CTs {
 		if s := b.Scale(c); math.Abs(math.Log2(s)-math.Log2(sc.Pc)) > 1 {
 			t.Fatalf("activation output scale 2^%.1f drifted", math.Log2(s))
@@ -79,25 +79,25 @@ func TestKernelValidationPanics(t *testing.T) {
 	ct := EncryptTensor(b, in, Plan{Layout: LayoutCHW}, sc)
 
 	assertPanics(t, "conv filter channels", func() {
-		Conv2D(b, ct, randTensor([]int{2, 3, 3, 3}, 1, 69), nil, 1, 0, sc)
+		Conv2D(b, ct, randTensor([]int{2, 3, 3, 3}, 1, 69), nil, 1, 0, sc, ExecOptions{})
 	})
 	assertPanics(t, "conv without apron", func() {
-		Conv2D(b, ct, randTensor([]int{2, 2, 3, 3}, 1, 70), nil, 1, 1, sc)
+		Conv2D(b, ct, randTensor([]int{2, 2, 3, 3}, 1, 70), nil, 1, 1, sc, ExecOptions{})
 	})
 	assertPanics(t, "pool empty output", func() {
-		AvgPool2D(b, ct, 5, 1, sc)
+		AvgPool2D(b, ct, 5, 1, sc, ExecOptions{})
 	})
 	assertPanics(t, "dense weight size", func() {
-		Dense(b, ct, randTensor([]int{2, 5}, 1, 71), nil, sc)
+		Dense(b, ct, randTensor([]int{2, 5}, 1, 71), nil, sc, ExecOptions{})
 	})
 	assertPanics(t, "polyeval degree 0", func() {
-		PolyEval(b, ct, []float64{1}, sc)
+		PolyEval(b, ct, []float64{1}, sc, ExecOptions{})
 	})
 	assertPanics(t, "pad without apron", func() {
 		Pad2D(ct, 1)
 	})
 	assertPanics(t, "batchnorm size", func() {
-		BatchNorm(b, ct, tensor.New(3), tensor.New(3), sc)
+		BatchNorm(b, ct, tensor.New(3), tensor.New(3), sc, ExecOptions{})
 	})
 	assertPanics(t, "encrypt non-CHW", func() {
 		EncryptTensor(b, tensor.New(4), Plan{Layout: LayoutHW}, sc)
@@ -109,11 +109,11 @@ func TestKernelValidationPanics(t *testing.T) {
 
 	other := EncryptTensor(b, randTensor([]int{2, 4, 4}, 1, 73), Plan{Layout: LayoutHW}, sc)
 	assertPanics(t, "add layout mismatch", func() {
-		Add(b, ct, other)
+		Add(b, ct, other, ExecOptions{})
 	})
 	assertPanics(t, "concat geometry mismatch", func() {
-		pooled := AvgPool2D(b, ct, 2, 2, sc)
-		Concat(b, sc, ct, pooled)
+		pooled := AvgPool2D(b, ct, 2, 2, sc, ExecOptions{})
+		Concat(b, sc, ExecOptions{}, ct, pooled)
 	})
 }
 
@@ -123,7 +123,7 @@ func TestExecutePolicyInputMismatchPanics(t *testing.T) {
 	sc := DefaultScales()
 	in := EncryptTensor(b, img, PlanFor(c, PolicyCHW), sc)
 	assertPanics(t, "wrong input layout", func() {
-		Execute(b, c, in, PolicyHW, sc)
+		Execute(b, c, in, PolicyHW, sc, ExecOptions{})
 	})
 }
 
@@ -137,7 +137,7 @@ func TestConcatThreeWay(t *testing.T) {
 		xs[i] = EncryptTensor(b, plains[i], Plan{Layout: LayoutCHW}, sc)
 	}
 	want := tensor.ConcatChannels(plains...)
-	got := DecryptTensor(b, Concat(b, sc, xs...))
+	got := DecryptTensor(b, Concat(b, sc, ExecOptions{}, xs...))
 	tensorsClose(t, "3-way concat", got, want, 1e-6)
 }
 
@@ -148,7 +148,7 @@ func TestPolyEvalWithConstantTermKeepsZeroInvariant(t *testing.T) {
 	sc := DefaultScales()
 	in := randTensor([]int{1, 3, 3}, 1, 90)
 	ct := EncryptTensor(b, in, Plan{Layout: LayoutCHW}, sc)
-	out := PolyEval(b, ct, []float64{1, 0, 1}, sc)
+	out := PolyEval(b, ct, []float64{1, 0, 1}, sc, ExecOptions{})
 
 	// Reference values.
 	want := in.Clone()
@@ -203,14 +203,14 @@ func TestZeroInvariantAfterEveryKernel(t *testing.T) {
 		}
 	}
 
-	conv := Conv2D(b, ct, randTensor([]int{3, 2, 3, 3}, 0.5, 92), randTensor([]int{3}, 0.2, 93), 1, 1, sc)
+	conv := Conv2D(b, ct, randTensor([]int{3, 2, 3, 3}, 0.5, 92), randTensor([]int{3}, 0.2, 93), 1, 1, sc, ExecOptions{})
 	check("conv", conv)
-	act := Activation(b, conv, 0.25, 1, sc)
+	act := Activation(b, conv, 0.25, 1, sc, ExecOptions{})
 	check("activation", act)
-	pool := AvgPool2D(b, act, 2, 2, sc)
+	pool := AvgPool2D(b, act, 2, 2, sc, ExecOptions{})
 	check("pool", pool)
-	bn := BatchNorm(b, pool, randTensor([]int{3}, 1, 94), randTensor([]int{3}, 1, 95), sc)
+	bn := BatchNorm(b, pool, randTensor([]int{3}, 1, 94), randTensor([]int{3}, 1, 95), sc, ExecOptions{})
 	check("batchnorm", bn)
-	gap := GlobalAvgPool2D(b, bn, sc)
+	gap := GlobalAvgPool2D(b, bn, sc, ExecOptions{})
 	check("globalpool", gap)
 }

@@ -78,7 +78,7 @@ func TestConv2DMatchesReference(t *testing.T) {
 			want := tensor.AddBiasPerChannel(tensor.Conv2D(in, filters, tc.stride, tc.pad), bias)
 			got := roundTrip(t, layout, tc.pad, in,
 				func(b hisa.Backend, ct *CipherTensor, sc Scales) *CipherTensor {
-					return Conv2D(b, ct, filters, bias, tc.stride, tc.pad, sc)
+					return Conv2D(b, ct, filters, bias, tc.stride, tc.pad, sc, ExecOptions{})
 				})
 			tensorsClose(t, layout.String()+"/"+tc.name, got, want, 1e-6)
 		}
@@ -95,8 +95,8 @@ func TestConv2DStacked(t *testing.T) {
 	for _, layout := range []Layout{LayoutHW, LayoutCHW} {
 		got := roundTrip(t, layout, 0, in,
 			func(b hisa.Backend, ct *CipherTensor, sc Scales) *CipherTensor {
-				c1 := Conv2D(b, ct, f1, nil, 2, 0, sc)
-				return Conv2D(b, c1, f2, nil, 1, 0, sc)
+				c1 := Conv2D(b, ct, f1, nil, 2, 0, sc, ExecOptions{})
+				return Conv2D(b, c1, f2, nil, 1, 0, sc, ExecOptions{})
 			})
 		tensorsClose(t, layout.String(), got, want, 1e-6)
 	}
@@ -108,7 +108,7 @@ func TestAvgPool2DMatchesReference(t *testing.T) {
 	for _, layout := range []Layout{LayoutHW, LayoutCHW} {
 		got := roundTrip(t, layout, 0, in,
 			func(b hisa.Backend, ct *CipherTensor, sc Scales) *CipherTensor {
-				return AvgPool2D(b, ct, 2, 2, sc)
+				return AvgPool2D(b, ct, 2, 2, sc, ExecOptions{})
 			})
 		tensorsClose(t, layout.String(), got, want, 1e-6)
 	}
@@ -121,7 +121,7 @@ func TestGlobalAvgPoolMatchesReference(t *testing.T) {
 		for _, layout := range []Layout{LayoutHW, LayoutCHW} {
 			got := roundTrip(t, layout, 0, in,
 				func(b hisa.Backend, ct *CipherTensor, sc Scales) *CipherTensor {
-					return GlobalAvgPool2D(b, ct, sc)
+					return GlobalAvgPool2D(b, ct, sc, ExecOptions{})
 				})
 			got = got.Reshape(got.Size())
 			tensorsClose(t, layout.String(), got, want, 1e-6)
@@ -135,7 +135,7 @@ func TestActivationMatchesReference(t *testing.T) {
 	for _, layout := range []Layout{LayoutHW, LayoutCHW} {
 		got := roundTrip(t, layout, 0, in,
 			func(b hisa.Backend, ct *CipherTensor, sc Scales) *CipherTensor {
-				return Activation(b, ct, 0.3, -0.7, sc)
+				return Activation(b, ct, 0.3, -0.7, sc, ExecOptions{})
 			})
 		tensorsClose(t, layout.String(), got, want, 1e-6)
 	}
@@ -143,7 +143,7 @@ func TestActivationMatchesReference(t *testing.T) {
 	wantLin := tensor.PolyActivation(in, 0, 2)
 	got := roundTrip(t, LayoutCHW, 0, in,
 		func(b hisa.Backend, ct *CipherTensor, sc Scales) *CipherTensor {
-			return Activation(b, ct, 0, 2, sc)
+			return Activation(b, ct, 0, 2, sc, ExecOptions{})
 		})
 	tensorsClose(t, "linear", got, wantLin, 1e-6)
 }
@@ -156,7 +156,7 @@ func TestBatchNormMatchesReference(t *testing.T) {
 	for _, layout := range []Layout{LayoutHW, LayoutCHW} {
 		got := roundTrip(t, layout, 0, in,
 			func(b hisa.Backend, ct *CipherTensor, sc Scales) *CipherTensor {
-				return BatchNorm(b, ct, gamma, beta, sc)
+				return BatchNorm(b, ct, gamma, beta, sc, ExecOptions{})
 			})
 		tensorsClose(t, layout.String(), got, want, 1e-6)
 	}
@@ -174,9 +174,9 @@ func TestAddAndConcat(t *testing.T) {
 		plan := Plan{Layout: layout}
 		cx := EncryptTensor(b, x, plan, sc)
 		cy := EncryptTensor(b, y, plan, sc)
-		gotSum := DecryptTensor(b, Add(b, cx, cy))
+		gotSum := DecryptTensor(b, Add(b, cx, cy, ExecOptions{}))
 		tensorsClose(t, layout.String()+"/add", gotSum, wantSum, 1e-9)
-		gotCat := DecryptTensor(b, Concat(b, sc, cx, cy))
+		gotCat := DecryptTensor(b, Concat(b, sc, ExecOptions{}, cx, cy))
 		tensorsClose(t, layout.String()+"/concat", gotCat, wantCat, 1e-6)
 	}
 }
@@ -193,7 +193,7 @@ func TestConcatUnalignedCHW(t *testing.T) {
 	if cx.CPerCT < 2 {
 		t.Skip("slot budget too small to pack channels")
 	}
-	got := DecryptTensor(b, Concat(b, sc, cx, cy))
+	got := DecryptTensor(b, Concat(b, sc, ExecOptions{}, cx, cy))
 	tensorsClose(t, "unaligned concat", got, tensor.ConcatChannels(x, y), 1e-6)
 }
 
@@ -205,7 +205,7 @@ func TestDenseMatchesReference(t *testing.T) {
 	for _, layout := range []Layout{LayoutHW, LayoutCHW} {
 		got := roundTrip(t, layout, 0, in,
 			func(b hisa.Backend, ct *CipherTensor, sc Scales) *CipherTensor {
-				return Dense(b, ct, w, bias, sc)
+				return Dense(b, ct, w, bias, sc, ExecOptions{})
 			})
 		tensorsClose(t, layout.String(), got, want, 1e-6)
 	}
@@ -221,8 +221,8 @@ func TestDenseAfterStridedConv(t *testing.T) {
 	for _, layout := range []Layout{LayoutHW, LayoutCHW} {
 		got := roundTrip(t, layout, 0, in,
 			func(b hisa.Backend, ct *CipherTensor, sc Scales) *CipherTensor {
-				c := Conv2D(b, ct, f, nil, 2, 0, sc)
-				return Dense(b, c, w, nil, sc)
+				c := Conv2D(b, ct, f, nil, 2, 0, sc, ExecOptions{})
+				return Dense(b, c, w, nil, sc, ExecOptions{})
 			})
 		tensorsClose(t, layout.String(), got, want, 1e-6)
 	}
@@ -248,12 +248,12 @@ func TestLayoutConversions(t *testing.T) {
 	b := refBackend()
 	sc := DefaultScales()
 	hw := EncryptTensor(b, in, Plan{Layout: LayoutHW}, sc)
-	chw := ToCHW(b, hw)
+	chw := ToCHW(b, hw, ExecOptions{})
 	if chw.Layout != LayoutCHW {
 		t.Fatal("ToCHW did not change layout")
 	}
 	tensorsClose(t, "hw->chw", DecryptTensor(b, chw), in, 1e-9)
-	back := ToHW(b, chw, sc)
+	back := ToHW(b, chw, sc, ExecOptions{})
 	if back.Layout != LayoutHW || back.NumCTs() != 4 {
 		t.Fatalf("ToHW produced layout %v with %d cts", back.Layout, back.NumCTs())
 	}
@@ -287,7 +287,7 @@ func TestExecuteAllPoliciesOnRef(t *testing.T) {
 		b := refBackend()
 		sc := DefaultScales()
 		in := EncryptTensor(b, img, PlanFor(c, policy), sc)
-		out := Execute(b, c, in, policy, sc)
+		out := Execute(b, c, in, policy, sc, ExecOptions{})
 		got := DecryptTensor(b, out)
 		got = got.Reshape(got.Size())
 		tensorsClose(t, policy.String(), got, want, 1e-5)
@@ -318,7 +318,7 @@ func TestExecuteOnSimBackend(t *testing.T) {
 	b := hisa.NewSimBackend(hisa.SimParams{LogN: 13, LogQ: 900, Seed: 5})
 	sc := Scales{Pc: math.Exp2(40), Pw: math.Exp2(30), Pu: math.Exp2(30), Pm: math.Exp2(25)}
 	in := EncryptTensor(b, img, PlanFor(c, PolicyCHW), sc)
-	out := Execute(b, c, in, PolicyCHW, sc)
+	out := Execute(b, c, in, PolicyCHW, sc, ExecOptions{})
 	got := DecryptTensor(b, out)
 	got = got.Reshape(got.Size())
 	tensorsClose(t, "sim", got, want, 5e-2)
@@ -350,7 +350,7 @@ func TestExecuteOnRealRNSCKKS(t *testing.T) {
 	b := hisa.NewRNSBackend(hisa.RNSConfig{Params: params, PRNG: ring.NewTestPRNG(99)})
 	sc := Scales{Pc: math.Exp2(40), Pw: math.Exp2(40), Pu: math.Exp2(40), Pm: math.Exp2(40)}
 	in := EncryptTensor(b, img, PlanFor(c, PolicyCHW), sc)
-	out := Execute(b, c, in, PolicyCHW, sc)
+	out := Execute(b, c, in, PolicyCHW, sc, ExecOptions{})
 	got := DecryptTensor(b, out)
 	got = got.Reshape(got.Size())
 	tensorsClose(t, "rns", got, want, 1e-2)

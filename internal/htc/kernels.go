@@ -63,14 +63,11 @@ func foldRotations(n int) int {
 // stays on the input's slot grid with strides multiplied by the conv stride
 // (reshapes are metadata-only, performed lazily). Figure 4 of the paper is
 // the HW instance of this kernel.
-func Conv2D(b hisa.Backend, in *CipherTensor, filters, bias *tensor.Tensor, stride, pad int, sc Scales) *CipherTensor {
-	return Conv2DOpts(b, in, filters, bias, stride, pad, sc, ExecOptions{})
-}
-
-// Conv2DOpts is Conv2D with an execution-options parameter: output channels
-// are computed by opts.Workers goroutines and folded into the output in
-// serial channel order, so the result is bit-identical to a serial run.
-func Conv2DOpts(b hisa.Backend, in *CipherTensor, filters, bias *tensor.Tensor, stride, pad int, sc Scales, opts ExecOptions) *CipherTensor {
+//
+// Output channels are computed by opts.Workers goroutines and folded into
+// the output in serial channel order, so the result is bit-identical to a
+// serial run.
+func Conv2D(b hisa.Backend, in *CipherTensor, filters, bias *tensor.Tensor, stride, pad int, sc Scales, opts ExecOptions) *CipherTensor {
 	if filters.Rank() != 4 || filters.Shape[1] != in.C {
 		panic(fmt.Sprintf("htc: conv filters %v incompatible with input channels %d", filters.Shape, in.C))
 	}
@@ -111,7 +108,7 @@ func Conv2DOpts(b hisa.Backend, in *CipherTensor, filters, bias *tensor.Tensor, 
 			}
 			sums[oc] = terms
 		}
-		out.CTs = hisa.RotSum(b, in.CTs, sums, opts.each)
+		out.CTs = b.RotSum(in.CTs, sums, opts.each)
 		mask := opts.constant(b, validMask(&out, 0, b.Slots(), 1), sc.Pm)
 		parallelFor(opts.workers(), cout, func(oc int) {
 			acc := tryRescale(b, out.CTs[oc], sc.Pc)
@@ -177,7 +174,7 @@ func Conv2DOpts(b hisa.Backend, in *CipherTensor, filters, bias *tensor.Tensor, 
 			}
 			sums[oc] = terms
 		}
-		partial := hisa.RotSum(b, in.CTs[g:g+1], sums, opts.each)
+		partial := b.RotSum(in.CTs[g:g+1], sums, opts.each)
 		parallelFor(opts.workers(), cout, func(oc int) {
 			acc := tryRescale(b, partial[oc], sc.Pc)
 			// Fold the partial sums of this ciphertext's occupied channels
@@ -203,7 +200,7 @@ func Conv2DOpts(b hisa.Backend, in *CipherTensor, filters, bias *tensor.Tensor, 
 			gOut := oc / outCPerCT
 			sums[gOut] = append(sums[gOut], hisa.Term{Src: oc, Rot: -(oc % outCPerCT) * in.ChanStride})
 		}
-		out.CTs = hisa.RotSum(b, srcs, sums, opts.each)
+		out.CTs = b.RotSum(srcs, sums, opts.each)
 		for _, c := range srcs {
 			b.Free(c)
 		}
@@ -223,13 +220,9 @@ func Conv2DOpts(b hisa.Backend, in *CipherTensor, filters, bias *tensor.Tensor, 
 // collected with rotations shared across channels; the division by the
 // window size is folded into the output mask, so pooling costs a single
 // mask-depth multiplication.
-func AvgPool2D(b hisa.Backend, in *CipherTensor, window, stride int, sc Scales) *CipherTensor {
-	return AvgPool2DOpts(b, in, window, stride, sc, ExecOptions{})
-}
-
-// AvgPool2DOpts is AvgPool2D with an execution-options parameter:
-// ciphertext groups are pooled by opts.Workers goroutines.
-func AvgPool2DOpts(b hisa.Backend, in *CipherTensor, window, stride int, sc Scales, opts ExecOptions) *CipherTensor {
+//
+// Ciphertext groups are pooled by opts.Workers goroutines.
+func AvgPool2D(b hisa.Backend, in *CipherTensor, window, stride int, sc Scales, opts ExecOptions) *CipherTensor {
 	hout := (in.H-window)/stride + 1
 	wout := (in.W-window)/stride + 1
 	if hout <= 0 || wout <= 0 {
@@ -260,7 +253,7 @@ func AvgPool2DOpts(b hisa.Backend, in *CipherTensor, window, stride int, sc Scal
 			}
 		}
 	}
-	out.CTs = hisa.RotSum(b, in.CTs, sums, opts.each)
+	out.CTs = b.RotSum(in.CTs, sums, opts.each)
 	parallelFor(opts.workers(), len(in.CTs), func(g int) {
 		acc := b.MulPlain(out.CTs[g], masks[min(in.C-g*in.CPerCT, in.CPerCT)].at(out.CTs[g]))
 		out.CTs[g] = tryRescale(b, acc, sc.Pc)
@@ -271,13 +264,9 @@ func AvgPool2DOpts(b hisa.Backend, in *CipherTensor, window, stride int, sc Scal
 
 // GlobalAvgPool2D averages each channel down to a single value at grid
 // position (0, 0) by folding the columns, then the rows (foldStrided).
-func GlobalAvgPool2D(b hisa.Backend, in *CipherTensor, sc Scales) *CipherTensor {
-	return GlobalAvgPool2DOpts(b, in, sc, ExecOptions{})
-}
-
-// GlobalAvgPool2DOpts is GlobalAvgPool2D with an execution-options
-// parameter: ciphertext groups are reduced by opts.Workers goroutines.
-func GlobalAvgPool2DOpts(b hisa.Backend, in *CipherTensor, sc Scales, opts ExecOptions) *CipherTensor {
+//
+// Ciphertext groups are reduced by opts.Workers goroutines.
+func GlobalAvgPool2D(b hisa.Backend, in *CipherTensor, sc Scales, opts ExecOptions) *CipherTensor {
 	out := metaClone(in)
 	out.H, out.W = 1, 1
 	out.CTs = make([]hisa.Ciphertext, in.NumCTs())
@@ -297,13 +286,9 @@ func GlobalAvgPool2DOpts(b hisa.Backend, in *CipherTensor, sc Scales, opts ExecO
 
 // Activation applies f(x) = a*x^2 + b*x, computed as x*(a*x + b) to spend
 // one ciphertext multiplication and one scalar multiplication.
-func Activation(b hisa.Backend, in *CipherTensor, a, bb float64, sc Scales) *CipherTensor {
-	return ActivationOpts(b, in, a, bb, sc, ExecOptions{})
-}
-
-// ActivationOpts is Activation with an execution-options parameter:
-// ciphertext groups are transformed by opts.Workers goroutines.
-func ActivationOpts(b hisa.Backend, in *CipherTensor, a, bb float64, sc Scales, opts ExecOptions) *CipherTensor {
+//
+// Ciphertext groups are transformed by opts.Workers goroutines.
+func Activation(b hisa.Backend, in *CipherTensor, a, bb float64, sc Scales, opts ExecOptions) *CipherTensor {
 	out := metaClone(in)
 	out.CTs = make([]hisa.Ciphertext, in.NumCTs())
 	parallelFor(opts.workers(), len(in.CTs), func(g int) {
@@ -322,16 +307,11 @@ func ActivationOpts(b hisa.Backend, in *CipherTensor, a, bb float64, sc Scales, 
 			// Adding b everywhere is safe: invalid slots of x are zero, so
 			// the final product restores the zero invariant.
 			t = b.AddScalar(t, bb)
-			if lr, ok := hisa.AsLazyRelin(b); ok {
-				y = lr.MulNoRelin(t, x)
-			} else {
-				y = b.Mul(t, x)
-			}
+			y = b.MulNoRelin(t, x)
 		}
 		// reduceRelin closes the product: the rescale and the
-		// relinearization run as one fused limb pass on backends that
-		// support it, and in the conventional order everywhere else. The
-		// complex path's two shared-relin products land here too.
+		// relinearization run as one instruction. The complex path's two
+		// shared-relin products land here too.
 		out.CTs[g] = reduceRelin(b, y, sc.Pc)
 	})
 	return &out
@@ -341,13 +321,9 @@ func ActivationOpts(b hisa.Backend, in *CipherTensor, a, bb float64, sc Scales, 
 // Horner's rule: degree-1 ciphertext multiplications plus one scalar
 // multiplication. The constant term is added only at valid positions so the
 // zero-slot invariant survives.
-func PolyEval(b hisa.Backend, in *CipherTensor, coeffs []float64, sc Scales) *CipherTensor {
-	return PolyEvalOpts(b, in, coeffs, sc, ExecOptions{})
-}
-
-// PolyEvalOpts is PolyEval with an execution-options parameter: ciphertext
-// groups are evaluated by opts.Workers goroutines.
-func PolyEvalOpts(b hisa.Backend, in *CipherTensor, coeffs []float64, sc Scales, opts ExecOptions) *CipherTensor {
+//
+// Ciphertext groups are evaluated by opts.Workers goroutines.
+func PolyEval(b hisa.Backend, in *CipherTensor, coeffs []float64, sc Scales, opts ExecOptions) *CipherTensor {
 	d := len(coeffs) - 1
 	if d < 1 {
 		panic("htc: PolyEval needs degree >= 1")
@@ -360,7 +336,7 @@ func PolyEvalOpts(b hisa.Backend, in *CipherTensor, coeffs []float64, sc Scales,
 		// conjugates x once per group and shares it across iterations.
 		var xbar hisa.Ciphertext
 		if in.Complex {
-			xbar = mustConjugate(b).Conjugate(x)
+			xbar = b.Conjugate(x)
 		}
 		// acc = c_d * x, then repeatedly acc = (acc + c_i) * x.
 		acc := b.MulScalar(x, coeffs[d], sc.Pu)
@@ -373,12 +349,7 @@ func PolyEvalOpts(b hisa.Backend, in *CipherTensor, coeffs []float64, sc Scales,
 				acc = mulPairwiseY(b, acc, x, xbar)
 				acc = tryRescale(b, acc, sc.Pc)
 			} else {
-				if lr, ok := hisa.AsLazyRelin(b); ok {
-					acc = lr.MulNoRelin(acc, x)
-				} else {
-					acc = b.Mul(acc, x)
-				}
-				acc = reduceRelin(b, acc, sc.Pc)
+				acc = reduceRelin(b, b.MulNoRelin(acc, x), sc.Pc)
 			}
 		}
 		if coeffs[0] != 0 {
@@ -394,13 +365,9 @@ func PolyEvalOpts(b hisa.Backend, in *CipherTensor, coeffs []float64, sc Scales,
 // y = gamma[c]*x + beta[c]. In HW layout the per-channel scale is a cheap
 // scalar multiplication; in CHW it requires a plaintext vector — the
 // layout-dependent cost difference the paper highlights.
-func BatchNorm(b hisa.Backend, in *CipherTensor, gamma, beta *tensor.Tensor, sc Scales) *CipherTensor {
-	return BatchNormOpts(b, in, gamma, beta, sc, ExecOptions{})
-}
-
-// BatchNormOpts is BatchNorm with an execution-options parameter:
-// ciphertext groups are normalized by opts.Workers goroutines.
-func BatchNormOpts(b hisa.Backend, in *CipherTensor, gamma, beta *tensor.Tensor, sc Scales, opts ExecOptions) *CipherTensor {
+//
+// Ciphertext groups are normalized by opts.Workers goroutines.
+func BatchNorm(b hisa.Backend, in *CipherTensor, gamma, beta *tensor.Tensor, sc Scales, opts ExecOptions) *CipherTensor {
 	if gamma.Size() != in.C || beta.Size() != in.C {
 		panic("htc: batchnorm parameter size mismatch")
 	}
@@ -424,13 +391,9 @@ func BatchNormOpts(b hisa.Backend, in *CipherTensor, gamma, beta *tensor.Tensor,
 
 // Add computes the elementwise sum of two CipherTensors with identical
 // metadata (residual connections).
-func Add(b hisa.Backend, x, y *CipherTensor) *CipherTensor {
-	return AddOpts(b, x, y, ExecOptions{})
-}
-
-// AddOpts is Add with an execution-options parameter: ciphertext groups are
-// summed by opts.Workers goroutines.
-func AddOpts(b hisa.Backend, x, y *CipherTensor, opts ExecOptions) *CipherTensor {
+//
+// Ciphertext groups are summed by opts.Workers goroutines.
+func Add(b hisa.Backend, x, y *CipherTensor, opts ExecOptions) *CipherTensor {
 	if x.C != y.C || !sameGrid(x, y) {
 		panic("htc: Add requires identical layouts; insert a layout conversion")
 	}
@@ -447,15 +410,11 @@ func AddOpts(b hisa.Backend, x, y *CipherTensor, opts ExecOptions) *CipherTensor
 // input's channel count is a multiple of the block capacity the
 // concatenation is free (ciphertext list append); otherwise channels are
 // moved individually with mask-and-rotate.
-func Concat(b hisa.Backend, sc Scales, ins ...*CipherTensor) *CipherTensor {
-	return ConcatOpts(b, sc, ExecOptions{}, ins...)
-}
-
-// ConcatOpts is Concat with an execution-options parameter: on the
-// mask-and-rotate path, per-channel isolation runs on opts.Workers
+//
+// On the mask-and-rotate path, per-channel isolation runs on opts.Workers
 // goroutines and the isolated channels are folded into the output in serial
 // channel order.
-func ConcatOpts(b hisa.Backend, sc Scales, opts ExecOptions, ins ...*CipherTensor) *CipherTensor {
+func Concat(b hisa.Backend, sc Scales, opts ExecOptions, ins ...*CipherTensor) *CipherTensor {
 	if len(ins) < 2 {
 		panic("htc: Concat needs at least two inputs")
 	}
@@ -552,14 +511,10 @@ func Pad2D(in *CipherTensor, pad int) *CipherTensor {
 
 // ToCHW converts an HW-layout tensor to CHW by shifting each channel into
 // its block and adding (no masks needed: invalid slots are zero).
-func ToCHW(b hisa.Backend, in *CipherTensor) *CipherTensor {
-	return ToCHWOpts(b, in, ExecOptions{})
-}
-
-// ToCHWOpts is ToCHW with an execution-options parameter: channels are
-// shifted by opts.Workers goroutines and folded into their blocks in serial
-// channel order.
-func ToCHWOpts(b hisa.Backend, in *CipherTensor, opts ExecOptions) *CipherTensor {
+//
+// Channels are shifted by opts.Workers goroutines and folded into their
+// blocks in serial channel order.
+func ToCHW(b hisa.Backend, in *CipherTensor, opts ExecOptions) *CipherTensor {
 	if in.Layout == LayoutCHW {
 		return in
 	}
@@ -581,13 +536,9 @@ func ToCHWOpts(b hisa.Backend, in *CipherTensor, opts ExecOptions) *CipherTensor
 
 // ToHW converts a CHW-layout tensor to HW: each channel is rotated to block
 // zero and isolated with a mask (the conversion that costs depth).
-func ToHW(b hisa.Backend, in *CipherTensor, sc Scales) *CipherTensor {
-	return ToHWOpts(b, in, sc, ExecOptions{})
-}
-
-// ToHWOpts is ToHW with an execution-options parameter: channels are
-// isolated by opts.Workers goroutines.
-func ToHWOpts(b hisa.Backend, in *CipherTensor, sc Scales, opts ExecOptions) *CipherTensor {
+//
+// Channels are isolated by opts.Workers goroutines.
+func ToHW(b hisa.Backend, in *CipherTensor, sc Scales, opts ExecOptions) *CipherTensor {
 	if in.Layout == LayoutHW {
 		return in
 	}

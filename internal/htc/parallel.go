@@ -1,7 +1,6 @@
 package htc
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -35,11 +34,6 @@ type ExecOptions struct {
 	OnNode func(n *circuit.Node, out *CipherTensor)
 }
 
-// DefaultExecOptions uses one worker per available CPU.
-func DefaultExecOptions() ExecOptions {
-	return ExecOptions{Workers: runtime.GOMAXPROCS(0)}
-}
-
 func (o ExecOptions) workers() int {
 	if o.Workers < 1 {
 		return 1
@@ -48,8 +42,8 @@ func (o ExecOptions) workers() int {
 }
 
 // each runs fn(i) for i in [0, n) on the options' worker pool: the spread
-// hisa.RotSum gives the unfused sequence on a backend without the
-// capability.
+// the kernels hand Backend.RotSum for a backend that runs the unfused
+// sequence.
 func (o ExecOptions) each(n int, fn func(i int)) { parallelFor(o.workers(), n, fn) }
 
 // parallelFor runs fn(i) for i in [0, n) on up to `workers` goroutines,

@@ -29,7 +29,7 @@ func execVariants(b hisa.Backend, c *circuit.Circuit, img *tensor.Tensor, policy
 		{"parallel+store", ExecOptions{Workers: workers, Constants: store}},
 	} {
 		names = append(names, v.name)
-		outs = append(outs, DecryptTensor(b, ExecuteOpts(b, c, in, policy, sc, v.opts)))
+		outs = append(outs, DecryptTensor(b, Execute(b, c, in, policy, sc, v.opts)))
 	}
 	return names, outs
 }

@@ -107,7 +107,7 @@ func TestModelsRunHomomorphicallyOnRef(t *testing.T) {
 		sc := htc.DefaultScales()
 		policy := htc.PolicyCHW
 		in := htc.EncryptTensor(b, img, htc.PlanFor(m.Circuit, policy), sc)
-		out := htc.Execute(b, m.Circuit, in, policy, sc)
+		out := htc.Execute(b, m.Circuit, in, policy, sc, htc.ExecOptions{})
 		got := htc.DecryptTensor(b, out)
 		if got.Size() != want.Size() {
 			t.Fatalf("%s: output size %d want %d", m.Name, got.Size(), want.Size())

@@ -138,7 +138,7 @@ func TestPolyEvalKernelMatchesReference(t *testing.T) {
 		back := hisa.NewRefBackend(256)
 		sc := htc.DefaultScales()
 		enc := htc.EncryptTensor(back, img, htc.PlanFor(c, policy), sc)
-		got := htc.DecryptTensor(back, htc.Execute(back, c, enc, policy, sc))
+		got := htc.DecryptTensor(back, htc.Execute(back, c, enc, policy, sc, htc.ExecOptions{}))
 		for i := range want.Data {
 			if math.Abs(got.Data[i]-want.Data[i]) > 1e-6 {
 				t.Fatalf("%v: element %d = %g, want %g", policy, i, got.Data[i], want.Data[i])
@@ -178,7 +178,7 @@ func TestPolyEvalOnSimBackend(t *testing.T) {
 	back := hisa.NewSimBackend(hisa.SimParams{LogN: 12, LogQ: 400, Seed: 9})
 	sc := htc.Scales{Pc: math.Exp2(40), Pw: math.Exp2(30), Pu: math.Exp2(30), Pm: math.Exp2(25)}
 	enc := htc.EncryptTensor(back, img, htc.PlanFor(c, htc.PolicyCHW), sc)
-	got := htc.DecryptTensor(back, htc.Execute(back, c, enc, htc.PolicyCHW, sc))
+	got := htc.DecryptTensor(back, htc.Execute(back, c, enc, htc.PolicyCHW, sc, htc.ExecOptions{}))
 	for i := range want.Data {
 		if math.Abs(got.Data[i]-want.Data[i]) > 1e-3 {
 			t.Fatalf("element %d = %g, want %g", i, got.Data[i], want.Data[i])

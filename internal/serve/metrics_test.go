@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"chet/internal/htc"
+	"chet/internal/wire"
 )
 
 // TestLatencySummaryInterpolatedQuantiles pins the recorder's quantiles on
@@ -112,7 +113,7 @@ func newMetricsTestServer() *Server {
 		queueWait:   newLatencyRecorder(),
 		evalLatency: newLatencyRecorder(),
 		batchSizes:  map[int]uint64{},
-		fleet:       newFleetStore(),
+		fleet:       wire.NewRegistry(),
 	}
 }
 

@@ -176,7 +176,7 @@ type Server struct {
 	// fleet is this worker's replica of the fleet-wide compiled-model
 	// registry (seeded with the model this server itself serves and merged
 	// with every registry-sync a router pushes).
-	fleet     *fleetStore
+	fleet     *wire.Registry
 	selfEntry wire.RegistryEntry
 
 	mu       sync.Mutex
@@ -233,7 +233,7 @@ func New(cfg Config) (*Server, error) {
 		queueWait:   newLatencyRecorder(),
 		evalLatency: newLatencyRecorder(),
 		batchSizes:  map[int]uint64{},
-		fleet:       newFleetStore(),
+		fleet:       wire.NewRegistry(),
 	}
 	s.selfEntry = wire.RegistryEntry{
 		Fingerprint: s.fingerprint,
@@ -241,7 +241,7 @@ func New(cfg Config) (*Server, error) {
 		LogN:        uint32(cfg.Compiled.Best.LogN),
 		Batch:       uint32(max(cfg.Compiled.Best.Batch, 1)),
 	}
-	s.fleet.merge([]wire.RegistryEntry{s.selfEntry})
+	s.fleet.Merge([]wire.RegistryEntry{s.selfEntry})
 	return s, nil
 }
 
@@ -367,7 +367,7 @@ func (s *Server) Metrics() ServerMetrics {
 		Handoffs:          s.handoffs.Load(),
 		HealthProbes:      s.probes.Load(),
 		RegistrySyncs:     s.registrySyncs.Load(),
-		RegistryModels:    s.fleet.size(),
+		RegistryModels:    s.fleet.Size(),
 		Latency:           s.latency.summary(),
 		QueueWait:         s.queueWait.summary(),
 		Evaluation:        s.evalLatency.summary(),
@@ -673,8 +673,8 @@ func (s *Server) handleRegistrySync(conn net.Conn, payload []byte, writeErr func
 		return writeErr(wire.CodeBadMessage, 0, "registry-sync: %v", err)
 	}
 	s.registrySyncs.Add(1)
-	s.fleet.merge(msg.Entries)
-	ack := &wire.RegistrySyncAck{Entries: s.fleet.snapshot()}
+	s.fleet.Merge(msg.Entries)
+	ack := &wire.RegistrySyncAck{Entries: s.fleet.Snapshot()}
 	out, err := ack.Encode()
 	if err != nil {
 		return writeErr(wire.CodeInternal, 0, "encoding registry-sync-ack: %v", err)
@@ -1004,7 +1004,7 @@ func (s *Server) evaluate(sess *session, in *htc.CipherTensor, label string, tra
 		s.execHook()
 	}
 	comp := s.cfg.Compiled
-	out = htc.ExecuteOpts(sess.backend, comp.Circuit, in, comp.Best.Policy,
+	out = htc.Execute(sess.backend, comp.Circuit, in, comp.Best.Policy,
 		comp.Options.Scales, htc.ExecOptions{Workers: s.cfg.Workers, Constants: s.constants})
 	return out, nil
 }

@@ -13,26 +13,14 @@ import (
 
 // The observers inherit the whole HISA surface from hisa.Interposer.
 var (
-	_ hisa.Backend             = (*hisa.Meter)(nil)
-	_ hisa.ConjugateBackend    = (*hisa.Meter)(nil)
-	_ hisa.LazyRelinBackend    = (*hisa.Meter)(nil)
-	_ hisa.FusedRescaleBackend = (*hisa.Meter)(nil)
-	_ hisa.BootstrapBackend    = (*hisa.Meter)(nil)
-	_ hisa.RotateSumBackend    = (*hisa.Meter)(nil)
+	_ hisa.Backend          = (*hisa.Meter)(nil)
+	_ hisa.BootstrapBackend = (*hisa.Meter)(nil)
 
-	_ hisa.Backend             = (*hisa.Refresher)(nil)
-	_ hisa.ConjugateBackend    = (*hisa.Refresher)(nil)
-	_ hisa.LazyRelinBackend    = (*hisa.Refresher)(nil)
-	_ hisa.FusedRescaleBackend = (*hisa.Refresher)(nil)
-	_ hisa.BootstrapBackend    = (*hisa.Refresher)(nil)
-	_ hisa.RotateSumBackend    = (*hisa.Refresher)(nil)
+	_ hisa.Backend          = (*hisa.Refresher)(nil)
+	_ hisa.BootstrapBackend = (*hisa.Refresher)(nil)
 
-	_ hisa.Backend             = (*Tracer)(nil)
-	_ hisa.ConjugateBackend    = (*Tracer)(nil)
-	_ hisa.LazyRelinBackend    = (*Tracer)(nil)
-	_ hisa.FusedRescaleBackend = (*Tracer)(nil)
-	_ hisa.BootstrapBackend    = (*Tracer)(nil)
-	_ hisa.RotateSumBackend    = (*Tracer)(nil)
+	_ hisa.Backend          = (*Tracer)(nil)
+	_ hisa.BootstrapBackend = (*Tracer)(nil)
 )
 
 // observed is one arrangement of the observers over a backend.
@@ -159,7 +147,7 @@ type conformanceRun struct {
 	ints   []int64
 }
 
-// driveEverything calls every Backend and capability method b offers.
+// driveEverything calls every Backend method and the bootstrap capability.
 // refreshing says b tops a Refresher: the multiplication on in.low is then
 // left to trigger its own bootstrap, and is preceded by an explicit one
 // otherwise, so both passes compute the same thing.
@@ -202,28 +190,20 @@ func driveEverything(t *testing.T, b hisa.Backend, in conformanceInputs, refresh
 	ct(b.Rescale(prod, d))
 	ct(b.Rescale(c, big.NewInt(1)))
 
-	cb, ok := hisa.AsConjugate(b)
-	if !ok {
-		t.Fatalf("%s: no complex slot operations", b.Name())
-	}
 	z := make([]complex128, slots)
 	for i := range z {
 		z[i] = complex(in.values[i], -in.values[slots-1-i])
 	}
-	ct(cb.Conjugate(c))
-	b.Free(cb.EncryptC(z, testScale))
-	r.cplain = append(r.cplain, cb.DecryptC(c))
-	ct(cb.AddPlainC(c, z))
-	ct(cb.MulScalarC(c, complex(0.5, -0.25), testScale))
+	ct(b.Conjugate(c))
+	b.Free(b.EncryptC(z, testScale))
+	r.cplain = append(r.cplain, b.DecryptC(c))
+	ct(b.AddPlainC(c, z))
+	ct(b.MulScalarC(c, complex(0.5, -0.25), testScale))
 
-	if lr, ok := hisa.AsLazyRelin(b); ok {
-		ct(lr.Relinearize(lr.MulNoRelin(c, c2)))
-		if fr, ok := hisa.AsFusedRescale(b); ok {
-			deg2 := lr.MulNoRelin(c, c2)
-			ct(fr.RelinearizeRescale(deg2, b.MaxRescale(deg2, ub)))
-			ct(fr.RelinearizeRescale(deg2, big.NewInt(1)))
-		}
-	}
+	ct(b.Relinearize(b.MulNoRelin(c, c2)))
+	deg2 := b.MulNoRelin(c, c2)
+	ct(b.RelinearizeRescale(deg2, b.MaxRescale(deg2, ub)))
+	ct(b.RelinearizeRescale(deg2, big.NewInt(1)))
 
 	bb, ok := hisa.AsBootstrap(b)
 	if !ok {
@@ -252,7 +232,6 @@ func TestObserverConformance(t *testing.T) {
 	for _, bare := range conformanceBackends(t) {
 		in := newConformanceInputs(bare)
 		want := driveEverything(t, bare, in, false)
-		cb, _ := hisa.AsConjugate(bare)
 		bb, _ := hisa.AsBootstrap(bare)
 		finite := bb.BudgetOf(in.low) == 0
 
@@ -265,7 +244,7 @@ func TestObserverConformance(t *testing.T) {
 					t.Fatalf("%d ciphertext results, bare backend %d", len(got.cts), len(want.cts))
 				}
 				for i := range want.cts {
-					g, w := cb.DecryptC(got.cts[i]), cb.DecryptC(want.cts[i])
+					g, w := bare.DecryptC(got.cts[i]), bare.DecryptC(want.cts[i])
 					for j := range w {
 						if math.Float64bits(real(g[j])) != math.Float64bits(real(w[j])) ||
 							math.Float64bits(imag(g[j])) != math.Float64bits(imag(w[j])) {

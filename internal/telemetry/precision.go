@@ -46,7 +46,7 @@ func PrecisionProfile(b hisa.Backend, c *circuit.Circuit, img *tensor.Tensor,
 	// Pass 1: the profiled backend, collecting each node's output tensor.
 	outs := make(map[int]*htc.CipherTensor, len(c.Nodes))
 	encB := htc.EncryptTensor(b, img, plan, sc)
-	htc.ExecuteOpts(b, c, encB, policy, sc, htc.ExecOptions{
+	htc.Execute(b, c, encB, policy, sc, htc.ExecOptions{
 		Workers: workers,
 		OnNode:  func(n *circuit.Node, out *htc.CipherTensor) { outs[n.ID] = out },
 	})
@@ -59,7 +59,7 @@ func PrecisionProfile(b hisa.Backend, c *circuit.Circuit, img *tensor.Tensor,
 	// Pass 2: the oracle in lockstep, comparing node by node.
 	var rows []LayerPrecision
 	encR := htc.EncryptTensor(ref, img, plan, sc)
-	htc.ExecuteOpts(ref, c, encR, policy, sc, htc.ExecOptions{
+	htc.Execute(ref, c, encR, policy, sc, htc.ExecOptions{
 		OnNode: func(n *circuit.Node, refOut *htc.CipherTensor) {
 			bOut := outs[n.ID]
 			if bOut == nil {

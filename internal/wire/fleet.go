@@ -1,6 +1,11 @@
 package wire
 
-import "fmt"
+import (
+	"bytes"
+	"fmt"
+	"slices"
+	"sync"
+)
 
 // Fleet control-plane messages: the frames a router tier exchanges with its
 // chet-serve workers. They ride the same versioned framing as the inference
@@ -27,6 +32,66 @@ type RegistryEntry struct {
 	Model       string
 	LogN        uint32
 	Batch       uint32
+}
+
+// Registry is one process's replica of the fleet-wide compiled-model
+// registry, keyed by compilation fingerprint. The router pushes its merged
+// view to every worker on each probe cycle and merges each worker's ack back
+// in, so any single surviving process — router or worker — can rebuild the
+// full view. Fingerprints are content hashes of the compilation, so two
+// entries with the same key describe the same model and last-writer-wins is
+// safe. It is safe for concurrent use.
+type Registry struct {
+	mu      sync.Mutex
+	entries map[[32]byte]RegistryEntry
+}
+
+// NewRegistry creates an empty registry.
+func NewRegistry() *Registry {
+	return &Registry{entries: map[[32]byte]RegistryEntry{}}
+}
+
+// Merge folds entries in, returning how many were previously unknown.
+func (r *Registry) Merge(entries []RegistryEntry) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	added := 0
+	for _, e := range entries {
+		if _, ok := r.entries[e.Fingerprint]; !ok {
+			added++
+		}
+		r.entries[e.Fingerprint] = e
+	}
+	return added
+}
+
+// Has reports whether a fingerprint is a known compiled model.
+func (r *Registry) Has(fp [32]byte) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	_, ok := r.entries[fp]
+	return ok
+}
+
+// Size returns the number of known models.
+func (r *Registry) Size() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.entries)
+}
+
+// Snapshot returns the entries sorted by fingerprint, so two replicas with
+// the same contents serialize identically byte for byte, whatever order they
+// merged in.
+func (r *Registry) Snapshot() []RegistryEntry {
+	r.mu.Lock()
+	out := make([]RegistryEntry, 0, len(r.entries))
+	for _, e := range r.entries {
+		out = append(out, e)
+	}
+	r.mu.Unlock()
+	slices.SortFunc(out, func(a, b RegistryEntry) int { return bytes.Compare(a.Fingerprint[:], b.Fingerprint[:]) })
+	return out
 }
 
 func (e *RegistryEntry) encode(enc *enc) error {

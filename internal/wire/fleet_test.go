@@ -85,6 +85,41 @@ func TestRegistrySyncRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRegistryReplicasSerializeAlike merges the same entries into two
+// replicas in opposite orders: the snapshots are fingerprint-ordered and
+// encode to the same bytes, and Merge counts only unknown fingerprints.
+func TestRegistryReplicasSerializeAlike(t *testing.T) {
+	entries := make([]RegistryEntry, 5)
+	for i := range entries {
+		entries[i].Fingerprint[0] = byte(7 * (5 - i))
+		entries[i].Model = string(rune('a' + i))
+	}
+	a, b := NewRegistry(), NewRegistry()
+	if n := a.Merge(entries); n != 5 {
+		t.Fatalf("first merge added %d, want 5", n)
+	}
+	for i := len(entries) - 1; i >= 0; i-- {
+		b.Merge(entries[i : i+1])
+	}
+	if n := b.Merge(entries[:2]); n != 0 || b.Size() != 5 || !b.Has(entries[3].Fingerprint) {
+		t.Fatalf("re-merge added %d, size %d", n, b.Size())
+	}
+	pa, err := (&RegistrySync{Entries: a.Snapshot()}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pb, _ := (&RegistrySync{Entries: b.Snapshot()}).Encode()
+	if !bytes.Equal(pa, pb) {
+		t.Fatal("replicas with the same entries serialize differently")
+	}
+	snap := a.Snapshot()
+	for i := 1; i < len(snap); i++ {
+		if bytes.Compare(snap[i-1].Fingerprint[:], snap[i].Fingerprint[:]) >= 0 {
+			t.Fatalf("snapshot not in fingerprint order at %d", i)
+		}
+	}
+}
+
 func TestRegistrySyncRejectsOversize(t *testing.T) {
 	long := make([]byte, maxModelName+1)
 	in := &RegistrySync{Entries: []RegistryEntry{{Model: string(long)}}}
