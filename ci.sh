@@ -22,6 +22,10 @@ go test -count=1 -run 'TestRotSum' ./internal/hisa
 go test -count=1 -run 'TestSessionEncodesConstantsOnce|TestPlannedKeysMatchFullKeys' .
 go test -count=1 -run 'TestInputScaleAdmittedExactly|TestPoisonedTensorRejected|TestEvalPanicFailsOnlyItsRequest' ./internal/serve
 
+echo "== endpoint promises (worker and router serve through one wire.Endpoint: junk frames end their connection promptly and leave it serving, on a worker and on a router fronting one; a worker answers the router's control frames; both drain in-flight work on shutdown and refuse new work)"
+go test -count=1 -run 'TestMalformedFramesDoNotCrash|TestWorkerControlFrames|TestGracefulShutdownDrain' ./internal/serve
+go test -count=1 -run 'TestRouterMalformedFramesDoNotCrash|TestRouterShutdownDrains' ./internal/fleet
+
 echo "== benchmark module (its adapter is the one file outside the tree that imports chet/internal/...)"
 (cd benchmark && go vet ./... && go build ./... && go test ./...)
 

@@ -48,8 +48,8 @@ type routerConfig struct {
 	probeFailures int
 	relayAttempts int
 	metricsAddr   string
-	// logStructured emits slog lines (placements, relays, failovers, keyed
-	// by trace_id) to stderr.
+	// logStructured lowers the log level to Debug, adding a record per
+	// relayed request (keyed by trace_id).
 	logStructured bool
 }
 
@@ -63,9 +63,9 @@ func buildRouter(w io.Writer, cfg routerConfig) (*fleet.Router, error) {
 	if len(workers) == 0 {
 		return nil, errors.New("chet-router: -workers requires at least one address")
 	}
-	var logger *slog.Logger
+	level := slog.LevelInfo
 	if cfg.logStructured {
-		logger = slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelDebug}))
+		level = slog.LevelDebug
 	}
 	return fleet.New(fleet.Config{
 		Workers:       workers,
@@ -75,10 +75,7 @@ func buildRouter(w io.Writer, cfg routerConfig) (*fleet.Router, error) {
 		ProbeTimeout:  cfg.probeTimeout,
 		ProbeFailures: cfg.probeFailures,
 		RelayAttempts: cfg.relayAttempts,
-		Logger:        logger,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(w, format+"\n", args...)
-		},
+		Logger:        slog.New(slog.NewTextHandler(w, &slog.HandlerOptions{Level: level})),
 	})
 }
 
@@ -169,7 +166,7 @@ func main() {
 	flag.IntVar(&cfg.probeFailures, "probe-failures", 3, "consecutive probe failures that remove a worker from the ring")
 	flag.IntVar(&cfg.relayAttempts, "relay-attempts", 3, "workers one request may be tried against before the client sees an error")
 	flag.StringVar(&cfg.metricsAddr, "metrics-addr", "", "serve /metrics (Prometheus text) and /debug/pprof/ on this address (empty disables)")
-	flag.BoolVar(&cfg.logStructured, "log", false, "emit structured per-relay logs (trace_id-keyed slog lines) to stderr")
+	flag.BoolVar(&cfg.logStructured, "log", false, "log at Debug: a trace_id-keyed record per relayed request")
 	flag.Parse()
 
 	stop := make(chan os.Signal, 1)

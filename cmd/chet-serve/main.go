@@ -58,8 +58,8 @@ type serveConfig struct {
 	// processLabel names this worker in merged cross-process traces; empty
 	// lets trace collectors label it by address.
 	processLabel string
-	// logStructured emits slog lines (dispatches, completions, failures,
-	// keyed by trace_id) to stderr.
+	// logStructured lowers the log level to Debug, adding a record per
+	// request (dispatch, completion, keyed by trace_id).
 	logStructured bool
 }
 
@@ -94,6 +94,10 @@ func buildServer(w io.Writer, cfg serveConfig) (*serve.Server, *chet.Compiled, e
 	}
 	fmt.Fprintf(w, "chet-serve: compiled %s in %v (N=2^%d, %d rotation keys per session, batch capacity %d)\n",
 		m.Name, time.Since(start).Round(time.Millisecond), comp.Best.LogN, len(comp.Best.Rotations), comp.Best.Batch)
+	level := slog.LevelInfo
+	if cfg.logStructured {
+		level = slog.LevelDebug
+	}
 	s, err := serve.New(serve.Config{
 		Compiled:       comp,
 		MaxSessions:    cfg.maxSessions,
@@ -103,26 +107,12 @@ func buildServer(w io.Writer, cfg serveConfig) (*serve.Server, *chet.Compiled, e
 		Parallel:       cfg.parallel,
 		Trace:          cfg.trace,
 		ProcessLabel:   cfg.processLabel,
-		Logger:         structuredLogger(cfg.logStructured),
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(w, format+"\n", args...)
-		},
+		Logger:         slog.New(slog.NewTextHandler(w, &slog.HandlerOptions{Level: level})),
 	})
 	if err != nil {
 		return nil, nil, err
 	}
 	return s, comp, nil
-}
-
-// structuredLogger builds the slog sink for per-request events: stderr at
-// debug level when enabled (every dispatch and completion carries its
-// trace_id, correlating log lines with the distributed trace), nil otherwise
-// (the engine falls back to its discard default).
-func structuredLogger(enabled bool) *slog.Logger {
-	if !enabled {
-		return nil
-	}
-	return slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelDebug}))
 }
 
 // run starts the server and blocks until a stop signal, then drains and
@@ -228,7 +218,7 @@ func main() {
 	flag.StringVar(&cfg.metricsAddr, "metrics-addr", "", "serve /metrics (Prometheus text) and /debug/pprof/ on this address (empty disables)")
 	flag.BoolVar(&cfg.trace, "trace", false, "trace session backends: per-op durations on /metrics, trace-ID dispatch logs")
 	flag.StringVar(&cfg.processLabel, "process-label", "", "name for this worker in merged cross-process traces (empty: labeled by address)")
-	flag.BoolVar(&cfg.logStructured, "log", false, "emit structured per-request logs (trace_id-keyed slog lines) to stderr")
+	flag.BoolVar(&cfg.logStructured, "log", false, "log at Debug: a trace_id-keyed record per request dispatch and completion")
 	flag.Parse()
 
 	stop := make(chan os.Signal, 1)

@@ -109,7 +109,7 @@ func TestObservabilityEndpoints(t *testing.T) {
 	mu.Lock()
 	report := out.String()
 	mu.Unlock()
-	if !strings.Contains(report, "trace=") {
+	if !strings.Contains(report, "trace_id=") {
 		t.Errorf("server log has no trace-ID dispatch line:\n%s", report)
 	}
 	if !strings.Contains(report, "observability on http://") {

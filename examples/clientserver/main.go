@@ -18,8 +18,10 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"log/slog"
 	"math"
 	"net"
+	"os"
 	"runtime"
 	"time"
 
@@ -61,9 +63,7 @@ func main() {
 	srv, err := serve.New(serve.Config{
 		Compiled: compileShared(),
 		Workers:  runtime.GOMAXPROCS(0),
-		Logf: func(format string, args ...any) {
-			fmt.Printf("[server] "+format+"\n", args...)
-		},
+		Logger:   slog.New(slog.NewTextHandler(os.Stdout, nil)).With("party", "server"),
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/pprof"
 	"strconv"
 
 	"chet/internal/telemetry"
@@ -55,7 +54,7 @@ type WorkerMetrics struct {
 // and /debug/pprof/*, mirroring the worker-side mux so the same scrape
 // config covers the whole fleet.
 func (r *Router) ObservabilityMux() http.Handler {
-	mux := http.NewServeMux()
+	mux := telemetry.DebugMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		writeRouterProm(w, r.Metrics())
@@ -75,11 +74,6 @@ func (r *Router) ObservabilityMux() http.Handler {
 			r.cfg.Logger.Warn("trace export failed", "err", err.Error())
 		}
 	})
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }
 

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"container/list"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -32,11 +31,6 @@ type Config struct {
 	// Beyond it the least recently used session is evicted and its client
 	// re-opens, exactly like the worker-side registry. Default 256.
 	MaxSessions int
-	// MaxFrame bounds accepted frame payloads on both sides.
-	// Default wire.DefaultMaxFrame.
-	MaxFrame int
-	// DialTimeout bounds upstream dials from relay handlers. Default 5s.
-	DialTimeout time.Duration
 	// ProbeInterval is the health-probe cadence per worker. Default 250ms.
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one probe exchange (dial, probe, ack, registry
@@ -50,15 +44,15 @@ type Config struct {
 	// RelayAttempts bounds how many workers one request may be tried
 	// against before the client sees an error. Default 3.
 	RelayAttempts int
-	// Logf, when set, receives one line per notable router event.
-	Logf func(format string, args ...any)
-	// Logger, when set, receives structured per-request events (relay
-	// outcomes, failovers, handoffs) with trace_id attributes, so log lines
-	// join the distributed trace the span ring records. Default discards.
+	// Logger receives one record per notable router event — ring changes,
+	// registry growth, session placements — and, at Debug, one per relayed
+	// request, with trace_id attributes so log lines join the distributed
+	// trace the span ring records. Default discards.
 	Logger *slog.Logger
-	// SpanCap bounds the router's span ring. Default 1<<16.
-	SpanCap int
 }
+
+// dialTimeout bounds the router's dials to workers outside the probe loop.
+const dialTimeout = 5 * time.Second
 
 func (c *Config) fillDefaults() {
 	if c.Replicas <= 0 {
@@ -66,12 +60,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.MaxSessions == 0 {
 		c.MaxSessions = 256
-	}
-	if c.MaxFrame == 0 {
-		c.MaxFrame = wire.DefaultMaxFrame
-	}
-	if c.DialTimeout == 0 {
-		c.DialTimeout = 5 * time.Second
 	}
 	if c.ProbeInterval == 0 {
 		c.ProbeInterval = 250 * time.Millisecond
@@ -84,9 +72,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.RelayAttempts == 0 {
 		c.RelayAttempts = 3
-	}
-	if c.Logf == nil {
-		c.Logf = func(string, ...any) {}
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -139,65 +124,6 @@ func (s *routerSession) invalidate(workerID uint64) {
 	s.mu.Unlock()
 }
 
-// sessionTable is the router's LRU session store (same shape as the worker's
-// registry: the stored payloads are a key cache, eviction forces a re-open).
-type sessionTable struct {
-	mu      sync.Mutex
-	cap     int
-	ll      *list.List // front = most recently used; values are *routerSession
-	byID    map[uint64]*list.Element
-	nextID  uint64
-	opened  uint64
-	evicted uint64
-}
-
-func newSessionTable(cap int) *sessionTable {
-	return &sessionTable{cap: cap, ll: list.New(), byID: map[uint64]*list.Element{}}
-}
-
-func (t *sessionTable) add(open []byte) *routerSession {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.nextID++
-	t.opened++
-	s := &routerSession{id: t.nextID, open: open}
-	t.byID[s.id] = t.ll.PushFront(s)
-	for t.ll.Len() > t.cap {
-		last := t.ll.Back()
-		victim := last.Value.(*routerSession)
-		t.ll.Remove(last)
-		delete(t.byID, victim.id)
-		t.evicted++
-	}
-	return s
-}
-
-func (t *sessionTable) get(id uint64) (*routerSession, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	el, ok := t.byID[id]
-	if !ok {
-		return nil, false
-	}
-	t.ll.MoveToFront(el)
-	return el.Value.(*routerSession), true
-}
-
-func (t *sessionTable) remove(id uint64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if el, ok := t.byID[id]; ok {
-		t.ll.Remove(el)
-		delete(t.byID, id)
-	}
-}
-
-func (t *sessionTable) stats() (opened, evicted uint64, active int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.opened, t.evicted, t.ll.Len()
-}
-
 // Router is the fleet's front door: it accepts ordinary wire-protocol client
 // connections, places each session on a worker via the consistent-hash ring,
 // relays inference requests to the session's owner, and heals around worker
@@ -209,27 +135,23 @@ type Router struct {
 	registry   *wire.Registry
 	workers    map[string]*workerState
 	workerList []*workerState // stable iteration order (config order)
-	sessions   *sessionTable
+	sessions   *wire.SessionTable[*routerSession]
 	// spans retains the router's side of every traced request: admission,
 	// handoff, failover, and relay spans, stitched to client and worker
 	// spans by trace ID (see CollectTrace).
 	spans *telemetry.SpanRing
+	// ep serves client connections: a frame loop per connection dispatching
+	// to a relayHandler; its error-frame count is ClientErrors.
+	ep *wire.Endpoint
 
-	draining  atomic.Bool
-	relayWG   sync.WaitGroup // client requests being relayed
-	connWG    sync.WaitGroup // connection handlers
-	probeWG   sync.WaitGroup
-	probeQuit chan struct{}
-
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[net.Conn]struct{}
-	started  bool
-	shutdown bool
+	relayWG    sync.WaitGroup // client requests being relayed
+	probeWG    sync.WaitGroup
+	probeQuit  chan struct{}
+	startProbe sync.Once // the probe loop starts on the first Serve
 
 	relays, failovers, handoffs  atomic.Uint64
 	rebalances, probeFails       atomic.Uint64
-	clientErrors, rejShutdown    atomic.Uint64
+	rejShutdown                  atomic.Uint64
 	registryAdds, unknownSession atomic.Uint64
 }
 
@@ -246,11 +168,11 @@ func New(cfg Config) (*Router, error) {
 		ring:      NewRing(cfg.Replicas),
 		registry:  wire.NewRegistry(),
 		workers:   map[string]*workerState{},
-		sessions:  newSessionTable(cfg.MaxSessions),
-		spans:     telemetry.NewSpanRing(cfg.SpanCap),
+		sessions:  wire.NewSessionTable[*routerSession](cfg.MaxSessions),
+		spans:     telemetry.NewSpanRing(0),
 		probeQuit: make(chan struct{}),
-		conns:     map[net.Conn]struct{}{},
 	}
+	r.ep = wire.NewEndpoint(wire.DefaultMaxFrame, r.routes, nil)
 	for _, addr := range cfg.Workers {
 		if _, dup := r.workers[addr]; dup {
 			return nil, fmt.Errorf("fleet: worker %s configured twice", addr)
@@ -268,36 +190,13 @@ func New(cfg Config) (*Router, error) {
 // error). It always returns a non-nil error; after a clean Shutdown the
 // error wraps net.ErrClosed and can be ignored.
 func (r *Router) Serve(ln net.Listener) error {
-	r.mu.Lock()
-	if r.shutdown {
-		r.mu.Unlock()
-		return errors.New("fleet: router already shut down")
-	}
-	r.ln = ln
-	if !r.started {
-		r.started = true
+	r.startProbe.Do(func() {
 		r.probeWG.Add(1)
 		go r.probeLoop()
-	}
-	r.mu.Unlock()
-	r.cfg.Logf("fleet: router listening on %v (%d workers, %d vnodes each)",
-		ln.Addr(), len(r.workerList), r.cfg.Replicas)
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return fmt.Errorf("fleet: accept: %w", err)
-		}
-		r.mu.Lock()
-		if r.shutdown || r.draining.Load() {
-			r.mu.Unlock()
-			conn.Close()
-			continue
-		}
-		r.conns[conn] = struct{}{}
-		r.mu.Unlock()
-		r.connWG.Add(1)
-		go r.handleConn(conn)
-	}
+	})
+	r.cfg.Logger.Info("router listening", "addr", ln.Addr().String(),
+		"workers", len(r.workerList), "vnodes", r.cfg.Replicas)
+	return r.ep.Serve(ln)
 }
 
 // Shutdown drains the router: new connections and requests are rejected,
@@ -305,18 +204,8 @@ func (r *Router) Serve(ln net.Listener) error {
 // delivered, then client connections close and the probe loop stops. If ctx
 // expires first, remaining work is abandoned and ctx.Err() returned.
 func (r *Router) Shutdown(ctx context.Context) error {
-	r.mu.Lock()
-	if r.shutdown {
-		r.mu.Unlock()
+	if !r.ep.BeginDrain() {
 		return nil
-	}
-	r.shutdown = true
-	ln := r.ln
-	r.mu.Unlock()
-
-	r.draining.Store(true)
-	if ln != nil {
-		ln.Close()
 	}
 	drained := make(chan struct{})
 	go func() {
@@ -329,15 +218,10 @@ func (r *Router) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 		err = ctx.Err()
 	}
-	r.mu.Lock()
-	for c := range r.conns {
-		c.Close()
-	}
-	r.mu.Unlock()
-	r.connWG.Wait()
+	r.ep.CloseAll()
 	close(r.probeQuit)
 	r.probeWG.Wait()
-	r.cfg.Logf("fleet: router shutdown complete (%d sessions placed)", r.Metrics().SessionsOpened)
+	r.cfg.Logger.Info("router shutdown complete", "sessions", r.Metrics().SessionsOpened)
 	return err
 }
 
@@ -350,7 +234,7 @@ func (r *Router) markDown(addr string, cause error) {
 	if w.up.CompareAndSwap(true, false) {
 		r.ring.Remove(addr)
 		r.rebalances.Add(1)
-		r.cfg.Logf("fleet: worker %s removed from ring: %v", addr, cause)
+		r.cfg.Logger.Info("worker removed from ring", "worker", addr, "err", cause.Error())
 	}
 }
 
@@ -363,7 +247,7 @@ func (r *Router) markUp(addr string) {
 	if w.up.CompareAndSwap(false, true) {
 		r.ring.Add(addr)
 		r.rebalances.Add(1)
-		r.cfg.Logf("fleet: worker %s readmitted to ring", addr)
+		r.cfg.Logger.Info("worker readmitted to ring", "worker", addr)
 	}
 }
 
@@ -420,31 +304,13 @@ func (r *Router) probe(w *workerState) {
 		w.probeConn = nil
 		r.probeFailed(w, err)
 	}
-	p, err := (&wire.HealthProbe{Nonce: w.nonce}).Encode()
-	if err != nil {
-		fail(err)
-		return
-	}
-	if err := wire.WriteFrame(c, wire.MsgHealthProbe, p); err != nil {
-		fail(err)
-		return
-	}
-	t, resp, err := wire.ReadFrame(c, r.cfg.MaxFrame)
-	if err != nil {
-		fail(err)
-		return
-	}
 	var ack wire.HealthAck
-	if t != wire.MsgHealthAck {
-		fail(fmt.Errorf("probe answered with %v frame", t))
-		return
+	err := wire.Call(c, wire.DefaultMaxFrame, wire.MsgHealthProbe, &wire.HealthProbe{Nonce: w.nonce}, wire.MsgHealthAck, &ack)
+	if err == nil && ack.Nonce != w.nonce {
+		err = fmt.Errorf("probe ack nonce %d, sent %d", ack.Nonce, w.nonce)
 	}
-	if err := ack.Decode(resp); err != nil {
+	if err != nil {
 		fail(err)
-		return
-	}
-	if ack.Nonce != w.nonce {
-		fail(fmt.Errorf("probe ack nonce %d, sent %d", ack.Nonce, w.nonce))
 		return
 	}
 	w.failures = 0
@@ -460,32 +326,15 @@ func (r *Router) probe(w *workerState) {
 		return
 	}
 
-	sync, err := (&wire.RegistrySync{Entries: r.registry.Snapshot()}).Encode()
-	if err != nil {
-		fail(err)
-		return
-	}
-	if err := wire.WriteFrame(c, wire.MsgRegistrySync, sync); err != nil {
-		fail(err)
-		return
-	}
-	t, resp, err = wire.ReadFrame(c, r.cfg.MaxFrame)
-	if err != nil {
-		fail(err)
-		return
-	}
-	if t != wire.MsgRegistrySyncAck {
-		fail(fmt.Errorf("registry sync answered with %v frame", t))
-		return
-	}
 	var sack wire.RegistrySyncAck
-	if err := sack.Decode(resp); err != nil {
+	if err := wire.Call(c, wire.DefaultMaxFrame, wire.MsgRegistrySync, &wire.RegistrySync{Entries: r.registry.Snapshot()},
+		wire.MsgRegistrySyncAck, &sack); err != nil {
 		fail(err)
 		return
 	}
 	if added := r.registry.Merge(sack.Entries); added > 0 {
 		r.registryAdds.Add(uint64(added))
-		r.cfg.Logf("fleet: learned %d model(s) from %s (registry now %d)", added, w.addr, r.registry.Size())
+		r.cfg.Logger.Info("learned model(s)", "added", added, "worker", w.addr, "registry", r.registry.Size())
 	}
 	c.SetDeadline(time.Time{})
 	r.markUp(w.addr)
@@ -523,57 +372,25 @@ const (
 // so many handlers can quote the same worker session concurrently.
 type relayHandler struct {
 	r        *Router
-	client   net.Conn
 	upstream map[string]net.Conn
 }
 
-func (r *Router) handleConn(conn net.Conn) {
-	h := &relayHandler{r: r, client: conn, upstream: map[string]net.Conn{}}
-	defer func() {
-		for _, c := range h.upstream {
-			c.Close()
-		}
-		r.mu.Lock()
-		delete(r.conns, conn)
-		r.mu.Unlock()
-		conn.Close()
-		r.connWG.Done()
-	}()
-
-	for {
-		t, payload, err := wire.ReadFrame(conn, r.cfg.MaxFrame)
-		if err != nil {
-			if !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.EOF) {
-				h.writeErr(wire.CodeBadMessage, 0, "%v", err)
-			}
-			return
-		}
-		switch t {
-		case wire.MsgSessionOpen:
-			if !h.handleOpen(payload) {
-				return
-			}
-		case wire.MsgInferBatchRequest:
-			if !h.handleInfer(payload) {
-				return
-			}
-		default:
-			if !h.writeErr(wire.CodeBadMessage, 0, "unexpected %v frame at the router", t) {
-				return
-			}
-		}
-	}
+// routes opens one client connection: its relayHandler serves the two frame
+// types a client sends and closes its upstream connections when the client's
+// ends.
+func (r *Router) routes(*wire.Conn) (map[wire.MsgType]wire.Handler, func()) {
+	h := &relayHandler{r: r, upstream: map[string]net.Conn{}}
+	return map[wire.MsgType]wire.Handler{
+		wire.MsgSessionOpen:       h.handleOpen,
+		wire.MsgInferBatchRequest: h.handleInfer,
+	}, h.close
 }
 
-// writeErr sends an error frame to the client; false means the connection is
-// beyond use.
-func (h *relayHandler) writeErr(code wire.ErrorCode, reqID uint64, format string, args ...any) bool {
-	h.r.clientErrors.Add(1)
-	payload, err := (&wire.ErrorFrame{Code: code, RequestID: reqID, Message: fmt.Sprintf(format, args...)}).Encode()
-	if err != nil {
-		return false
+// close drops every upstream connection of this handler.
+func (h *relayHandler) close() {
+	for _, c := range h.upstream {
+		c.Close()
 	}
-	return wire.WriteFrame(h.client, wire.MsgError, payload) == nil
 }
 
 // conn returns this handler's connection to a worker, dialing if needed.
@@ -581,7 +398,7 @@ func (h *relayHandler) conn(addr string) (net.Conn, error) {
 	if c, ok := h.upstream[addr]; ok {
 		return c, nil
 	}
-	c, err := net.DialTimeout("tcp", addr, h.r.cfg.DialTimeout)
+	c, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -618,70 +435,49 @@ func (h *relayHandler) handoff(sess *routerSession, owner string, traceID, paren
 	if err != nil {
 		return 0, nil, err
 	}
-	payload, err := (&wire.SessionHandoff{RouterSessionID: sess.id, Open: sess.open}).Encode()
+	var ack wire.SessionHandoffAck
+	err = wire.Call(c, wire.DefaultMaxFrame, wire.MsgSessionHandoff, &wire.SessionHandoff{RouterSessionID: sess.id, Open: sess.open},
+		wire.MsgSessionHandoffAck, &ack)
+	var ef *wire.ErrorFrame
+	if errors.As(err, &ef) {
+		return 0, ef, nil
+	}
+	if err == nil && ack.RouterSessionID != sess.id {
+		err = fmt.Errorf("handoff ack for session %d, sent %d", ack.RouterSessionID, sess.id)
+	}
 	if err != nil {
-		return 0, nil, err
-	}
-	if err := wire.WriteFrame(c, wire.MsgSessionHandoff, payload); err != nil {
 		h.drop(owner)
 		return 0, nil, err
 	}
-	t, resp, err := wire.ReadFrame(c, h.r.cfg.MaxFrame)
-	if err != nil {
-		h.drop(owner)
-		return 0, nil, err
+	sess.owner, sess.workerID = owner, ack.WorkerSessionID
+	h.r.handoffs.Add(1)
+	if w := h.r.workers[owner]; w != nil {
+		w.handoffs.Add(1)
 	}
-	switch t {
-	case wire.MsgSessionHandoffAck:
-		var ack wire.SessionHandoffAck
-		if err := ack.Decode(resp); err != nil {
-			h.drop(owner)
-			return 0, nil, err
-		}
-		if ack.RouterSessionID != sess.id {
-			h.drop(owner)
-			return 0, nil, fmt.Errorf("handoff ack for session %d, sent %d", ack.RouterSessionID, sess.id)
-		}
-		sess.owner, sess.workerID = owner, ack.WorkerSessionID
-		h.r.handoffs.Add(1)
-		if w := h.r.workers[owner]; w != nil {
-			w.handoffs.Add(1)
-		}
-		return ack.WorkerSessionID, nil, nil
-	case wire.MsgError:
-		var ef wire.ErrorFrame
-		if err := ef.Decode(resp); err != nil {
-			h.drop(owner)
-			return 0, nil, err
-		}
-		return 0, &ef, nil
-	default:
-		h.drop(owner)
-		return 0, nil, fmt.Errorf("handoff answered with %v frame", t)
-	}
+	return ack.WorkerSessionID, nil, nil
 }
 
 // handleOpen admits a client session: it peeks the compiled-circuit
 // fingerprint (first 32 payload bytes) without decoding the keys, stores the
 // raw payload for later replays, and places the session on its ring owner
 // before accepting — the client's accept means the keys are on a worker.
-func (h *relayHandler) handleOpen(payload []byte) bool {
+func (h *relayHandler) handleOpen(c *wire.Conn, payload []byte) bool {
 	r := h.r
-	if r.draining.Load() {
+	if r.ep.Draining() {
 		r.rejShutdown.Add(1)
-		return h.writeErr(wire.CodeShuttingDown, 0, "router is draining")
+		return c.Fail(wire.CodeShuttingDown, 0, "router is draining")
 	}
 	if len(payload) < 32 {
-		return h.writeErr(wire.CodeBadMessage, 0, "session-open payload of %d bytes has no fingerprint", len(payload))
+		return c.Fail(wire.CodeBadMessage, 0, "session-open payload of %d bytes has no fingerprint", len(payload))
 	}
 	var fp [32]byte
 	copy(fp[:], payload[:32])
 	if r.registry.Size() > 0 && !r.registry.Has(fp) {
-		return h.writeErr(wire.CodeFingerprintMismatch, 0,
+		return c.Fail(wire.CodeFingerprintMismatch, 0,
 			"no worker serves compilation %x (registry holds %d model(s)); recompile against a served model",
 			fp[:8], r.registry.Size())
 	}
-	sess := r.sessions.add(payload)
+	sess := r.sessions.Add(func(id uint64) *routerSession { return &routerSession{id: id, open: payload} })
 
 	// Session opens carry no trace ID (tracing is per-request); the
 	// admission span anchors the session's placement work under trace 0.
@@ -700,7 +496,7 @@ func (h *relayHandler) handleOpen(payload []byte) bool {
 			break
 		}
 		r.spans.Record(telemetry.KindOp, "placement:"+owner, placeStart, time.Now(), 0, telemetry.NewSpanID(), admitSpan)
-		wid, errf, err := h.handoff(sess, owner, 0, admitSpan)
+		_, errf, err := h.handoff(sess, owner, 0, admitSpan)
 		if err != nil {
 			r.markDown(owner, err)
 			r.failovers.Add(1)
@@ -718,21 +514,15 @@ func (h *relayHandler) handleOpen(payload []byte) bool {
 			}
 			// A typed refusal (bad keys, fingerprint mismatch) is the
 			// session's real answer; placement elsewhere cannot help.
-			r.sessions.remove(sess.id)
-			return h.writeErr(errf.Code, 0, "%s", errf.Message)
+			r.sessions.Remove(sess.id)
+			return c.Fail(errf.Code, 0, "%s", errf.Message)
 		}
-		_ = wid
-		accept, err := (&wire.SessionAccept{SessionID: sess.id}).Encode()
-		if err != nil {
-			return h.writeErr(wire.CodeInternal, 0, "encoding accept: %v", err)
-		}
-		r.cfg.Logf("fleet: session %d placed on %s", sess.id, owner)
 		r.cfg.Logger.Info("session placed", "session", sess.id, "worker", owner,
 			"attempts", attempt+1)
-		return wire.WriteFrame(h.client, wire.MsgSessionAccept, accept) == nil
+		return c.Reply(wire.MsgSessionAccept, &wire.SessionAccept{SessionID: sess.id})
 	}
-	r.sessions.remove(sess.id)
-	return h.writeErr(wire.CodeInternal, 0, "no worker could admit the session after %d attempts: %v",
+	r.sessions.Remove(sess.id)
+	return c.Fail(wire.CodeInternal, 0, "no worker could admit the session after %d attempts: %v",
 		r.cfg.RelayAttempts, lastErr)
 }
 
@@ -740,21 +530,21 @@ func (h *relayHandler) handleOpen(payload []byte) bool {
 // around failure: a dead or draining owner is removed from the ring and the
 // request retried on the session's new owner (keys replayed via handoff), so
 // a worker loss never surfaces to the client while any worker survives.
-func (h *relayHandler) handleInfer(payload []byte) bool {
+func (h *relayHandler) handleInfer(c *wire.Conn, payload []byte) bool {
 	r := h.r
 	if len(payload) < inferHdrLen {
-		return h.writeErr(wire.CodeBadMessage, 0, "%v payload of %d bytes has no request header", wire.MsgInferBatchRequest, len(payload))
+		return c.Fail(wire.CodeBadMessage, 0, "%v payload of %d bytes has no request header", wire.MsgInferBatchRequest, len(payload))
 	}
 	reqID := binary.LittleEndian.Uint64(payload[offRequestID:])
-	if r.draining.Load() {
+	if r.ep.Draining() {
 		r.rejShutdown.Add(1)
-		return h.writeErr(wire.CodeShuttingDown, reqID, "router is draining")
+		return c.Fail(wire.CodeShuttingDown, reqID, "router is draining")
 	}
 	sid := binary.LittleEndian.Uint64(payload[offSessionID:])
-	sess, ok := r.sessions.get(sid)
+	sess, ok := r.sessions.Get(sid)
 	if !ok {
 		r.unknownSession.Add(1)
-		return h.writeErr(wire.CodeUnknownSession, reqID, "session %d unknown or evicted at the router; re-open", sid)
+		return c.Fail(wire.CodeUnknownSession, reqID, "session %d unknown or evicted at the router; re-open", sid)
 	}
 	traceID := binary.LittleEndian.Uint64(payload[offTraceID:])
 	clientParent := binary.LittleEndian.Uint64(payload[offParent:])
@@ -797,7 +587,7 @@ func (h *relayHandler) handleInfer(payload []byte) bool {
 				lastErr = errf
 				continue
 			}
-			return h.writeErr(errf.Code, reqID, "%s", errf.Message)
+			return c.Fail(errf.Code, reqID, "%s", errf.Message)
 		}
 
 		// Rewrite the mutable header fields for this attempt: the owner's
@@ -808,13 +598,13 @@ func (h *relayHandler) handleInfer(payload []byte) bool {
 		if origTimeout != 0 {
 			rem := int64(origTimeout) - time.Since(start).Milliseconds()
 			if rem <= 0 {
-				return h.writeErr(wire.CodeDeadlineExceeded, reqID,
+				return c.Fail(wire.CodeDeadlineExceeded, reqID,
 					"deadline expired after %v at the router", time.Since(start).Round(time.Millisecond))
 			}
 			binary.LittleEndian.PutUint32(payload[offTimeout:], uint32(rem))
 		}
 
-		c, err := h.conn(owner)
+		up, err := h.conn(owner)
 		if err != nil {
 			r.markDown(owner, err)
 			r.failovers.Add(1)
@@ -823,13 +613,13 @@ func (h *relayHandler) handleInfer(payload []byte) bool {
 			continue
 		}
 		w.inflight.Add(1)
-		err = wire.WriteFrame(c, wire.MsgInferBatchRequest, payload)
+		err = wire.WriteFrame(up, wire.MsgInferBatchRequest, payload)
 		var (
 			rt   wire.MsgType
 			resp []byte
 		)
 		if err == nil {
-			rt, resp, err = wire.ReadFrame(c, r.cfg.MaxFrame)
+			rt, resp, err = wire.ReadFrame(up, wire.DefaultMaxFrame)
 		}
 		w.inflight.Add(-1)
 		if err != nil {
@@ -849,7 +639,8 @@ func (h *relayHandler) handleInfer(payload []byte) bool {
 					// keys and retry the same owner.
 					sess.invalidate(wid)
 					r.unknownSession.Add(1)
-					r.cfg.Logf("fleet: session %d (trace %016x) evicted on %s; replaying keys", sid, traceID, owner)
+					r.cfg.Logger.Info("session evicted on worker; replaying keys", "session", sid,
+						"trace_id", fmt.Sprintf("%016x", traceID), "worker", owner)
 					lastErr = &ef
 					continue
 				case wire.CodeShuttingDown:
@@ -866,16 +657,16 @@ func (h *relayHandler) handleInfer(payload []byte) bool {
 		w.relayed.Add(1)
 		r.spans.Record(telemetry.KindScope, "relay:"+owner, start, time.Now(),
 			traceID, relaySpan, clientParent)
-		r.cfg.Logger.Info("relayed",
+		r.cfg.Logger.Debug("relayed",
 			"trace_id", fmt.Sprintf("%016x", traceID),
 			"request", reqID, "worker", owner, "attempts", attempt+1,
 			"dur", time.Since(start).Round(time.Microsecond))
-		return wire.WriteFrame(h.client, rt, resp) == nil
+		return wire.WriteFrame(c, rt, resp) == nil
 	}
 	r.cfg.Logger.Warn("relay failed",
 		"trace_id", fmt.Sprintf("%016x", traceID),
 		"request", reqID, "attempts", r.cfg.RelayAttempts, "err", fmt.Sprint(lastErr))
-	return h.writeErr(wire.CodeInternal, reqID,
+	return c.Fail(wire.CodeInternal, reqID,
 		"no worker could serve request %d (trace %016x) after %d attempts: %v",
 		reqID, traceID, r.cfg.RelayAttempts, lastErr)
 }
@@ -888,7 +679,7 @@ func (r *Router) recordFailover(owner string, start time.Time, traceID, parent u
 
 // Metrics snapshots router and per-worker counters.
 func (r *Router) Metrics() RouterMetrics {
-	opened, evicted, active := r.sessions.stats()
+	opened, evicted, active := r.sessions.Stats()
 	m := RouterMetrics{
 		SessionsOpened:   opened,
 		SessionsEvicted:  evicted,
@@ -898,7 +689,7 @@ func (r *Router) Metrics() RouterMetrics {
 		Handoffs:         r.handoffs.Load(),
 		Rebalances:       r.rebalances.Load(),
 		ProbeFailures:    r.probeFails.Load(),
-		ClientErrors:     r.clientErrors.Load(),
+		ClientErrors:     r.ep.ErrorFrames(),
 		RejectedShutdown: r.rejShutdown.Load(),
 		UnknownSessions:  r.unknownSession.Load(),
 		RegistryModels:   r.registry.Size(),
@@ -955,28 +746,14 @@ func (r *Router) CollectTrace(traceID uint64) []telemetry.ProcessTrace {
 // dumpWorker runs one trace-dump exchange against a worker.
 func (r *Router) dumpWorker(addr string, traceID uint64) (telemetry.ProcessTrace, error) {
 	var pt telemetry.ProcessTrace
-	c, err := net.DialTimeout("tcp", addr, r.cfg.DialTimeout)
+	c, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return pt, err
 	}
 	defer c.Close()
 	c.SetDeadline(time.Now().Add(r.cfg.ProbeTimeout))
-	req, err := (&wire.TraceDump{TraceID: traceID}).Encode()
-	if err != nil {
-		return pt, err
-	}
-	if err := wire.WriteFrame(c, wire.MsgTraceDump, req); err != nil {
-		return pt, err
-	}
-	t, resp, err := wire.ReadFrame(c, r.cfg.MaxFrame)
-	if err != nil {
-		return pt, err
-	}
-	if t != wire.MsgTraceDumpAck {
-		return pt, fmt.Errorf("trace dump answered with %v frame", t)
-	}
 	var ack wire.TraceDumpAck
-	if err := ack.Decode(resp); err != nil {
+	if err := wire.Call(c, wire.DefaultMaxFrame, wire.MsgTraceDump, &wire.TraceDump{TraceID: traceID}, wire.MsgTraceDumpAck, &ack); err != nil {
 		return pt, err
 	}
 	name := ack.Process

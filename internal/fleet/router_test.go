@@ -383,6 +383,45 @@ func TestRouterShutdownDrains(t *testing.T) {
 	}
 }
 
+// TestRouterMalformedFramesDoNotCrash throws the junk the worker's
+// TestMalformedFramesDoNotCrash sends at a router fronting one worker: each
+// connection must end promptly (an error frame or a hang-up, never a stall),
+// and a real client must still round-trip through the router afterwards.
+func TestRouterMalformedFramesDoNotCrash(t *testing.T) {
+	comp := testCompiled(t)
+	_, addr, _ := startFleet(t, 1, serve.Config{Compiled: comp}, fleet.Config{})
+
+	for i, junk := range [][]byte{
+		[]byte("GET / HTTP/1.1\r\n\r\n"),
+		{0xF1, 0x5E, 0xE7, 0xC4, 99, 1, 0, 0, 0, 0, 0, 0},               // bad version
+		{0xF1, 0x5E, 0xE7, 0xC4, 1, 3, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF},    // absurd length
+		{0xF1, 0x5E, 0xE7, 0xC4, 1, 3, 0, 0, 4, 0, 0, 0, 1, 2, 3, 4},    // garbage infer payload
+		{0xF1, 0x5E, 0xE7, 0xC4, 1, 1, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0, 0}, // truncated open payload
+	} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.Write(junk)
+		deadline := time.Now().Add(5 * time.Second)
+		conn.SetReadDeadline(deadline)
+		for {
+			if _, _, err := wire.ReadFrame(conn, wire.DefaultMaxFrame); err != nil {
+				break
+			}
+		}
+		if !time.Now().Before(deadline) {
+			t.Fatalf("junk %d: the router kept the connection open until the read deadline", i)
+		}
+		conn.Close()
+	}
+
+	cli := dialVia(t, addr, comp, 851)
+	if _, err := cli.Infer(cli.Encrypt(randTensor([]int{1, 5, 5}, 1, 86))); err != nil {
+		t.Fatalf("router unhealthy after junk: %v", err)
+	}
+}
+
 // TestRouterMetricsEndpoint scrapes the router's Prometheus surface and
 // checks the fleet series render, including the per-worker breakdown.
 func TestRouterMetricsEndpoint(t *testing.T) {

@@ -29,9 +29,6 @@ type ClientConfig struct {
 	// Timeout is the per-request deadline sent with every inference.
 	// Zero defers to the server's default.
 	Timeout time.Duration
-	// MaxFrame bounds accepted response frames. The default is sized from the
-	// compiled model, exactly as the server's (see frameLimit).
-	MaxFrame int
 	// Redial bounds reconnect-with-backoff on transient transport failures
 	// (refused dials, connections cut mid-request). The zero value disables
 	// reconnection: transport errors surface immediately, the pre-fleet
@@ -67,6 +64,8 @@ type Client struct {
 	keys    hisa.RNSPublicKeys
 	plan    htc.Plan
 	addr    string // set by Dial; empty for NewClient-wrapped connections
+	// maxFrame bounds accepted response frames: frameLimit, as the server's.
+	maxFrame int
 
 	// traceBase is this stream's random trace-ID prefix: request n is sent
 	// with trace ID traceBase+n, so server-side span scopes and dispatch
@@ -149,6 +148,7 @@ func (c *Client) NewStream() (*Client, error) {
 		keys:      c.keys,
 		plan:      c.plan,
 		addr:      addr,
+		maxFrame:  c.maxFrame,
 		traceBase: newTraceBase(),
 		conn:      conn,
 		sessionID: sessID,
@@ -169,9 +169,6 @@ func NewClient(conn net.Conn, cfg ClientConfig) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.MaxFrame == 0 {
-		cfg.MaxFrame = frameLimit(cfg.Compiled, params)
-	}
 	// The keys are cut where the compiler's key plan says; a
 	// bootstrap-compiled circuit is evaluated on the server through the
 	// refresh pipeline, so the key set also carries the pipeline's keys, or
@@ -188,6 +185,7 @@ func NewClient(conn net.Conn, cfg ClientConfig) (*Client, error) {
 		backend:   backend,
 		keys:      backend.PublicKeys(),
 		plan:      cfg.Compiled.Plan(),
+		maxFrame:  frameLimit(cfg.Compiled, params),
 		traceBase: traceBase,
 		conn:      conn,
 	}
@@ -200,42 +198,19 @@ func NewClient(conn net.Conn, cfg ClientConfig) (*Client, error) {
 // open performs the session handshake on the current connection.
 // Callers hold c.mu or are the constructor.
 func (c *Client) open() error {
-	fp := c.cfg.Compiled.Fingerprint()
 	msg := &wire.SessionOpen{
-		Fingerprint: fp,
+		Fingerprint: c.cfg.Compiled.Fingerprint(),
 		Rotations:   c.keys.Rotations,
 		PK:          c.keys.PK,
 		RLK:         c.keys.RLK,
 		RTKS:        c.keys.RTKS,
 	}
-	payload, err := msg.Encode()
-	if err != nil {
-		return fmt.Errorf("serve: encoding session-open: %w", err)
+	var accept wire.SessionAccept
+	if err := wire.Call(c.conn, c.maxFrame, wire.MsgSessionOpen, msg, wire.MsgSessionAccept, &accept); err != nil {
+		return err
 	}
-	if err := wire.WriteFrame(c.conn, wire.MsgSessionOpen, payload); err != nil {
-		return fmt.Errorf("serve: sending session-open: %w", err)
-	}
-	t, resp, err := wire.ReadFrame(c.conn, c.cfg.MaxFrame)
-	if err != nil {
-		return fmt.Errorf("serve: reading session-accept: %w", err)
-	}
-	switch t {
-	case wire.MsgSessionAccept:
-		var accept wire.SessionAccept
-		if err := accept.Decode(resp); err != nil {
-			return fmt.Errorf("serve: session-accept: %w", err)
-		}
-		c.sessionID = accept.SessionID
-		return nil
-	case wire.MsgError:
-		var ef wire.ErrorFrame
-		if err := ef.Decode(resp); err != nil {
-			return fmt.Errorf("serve: undecodable error frame: %w", err)
-		}
-		return &ef
-	default:
-		return fmt.Errorf("serve: unexpected %v frame during handshake", t)
-	}
+	c.sessionID = accept.SessionID
+	return nil
 }
 
 // Encrypt encodes and encrypts an input image under this client's keys,
@@ -385,45 +360,23 @@ func (c *Client) inferBatchLocked(in *htc.CipherTensor, count int) (*htc.CipherT
 	if c.cfg.Timeout > 0 {
 		msg.TimeoutMillis = uint32(min(c.cfg.Timeout.Milliseconds(), int64(^uint32(0))))
 	}
-	payload, err := msg.Encode()
-	if err != nil {
-		return nil, fmt.Errorf("serve: encoding infer-batch-request: %w", err)
+	var ir wire.InferBatchResponse
+	if err := wire.Call(c.conn, c.maxFrame, wire.MsgInferBatchRequest, msg, wire.MsgInferBatchResponse, &ir); err != nil {
+		return nil, err
 	}
-	if err := wire.WriteFrame(c.conn, wire.MsgInferBatchRequest, payload); err != nil {
-		return nil, fmt.Errorf("serve: sending infer-batch-request: %w", err)
+	if ir.RequestID != msg.RequestID {
+		return nil, fmt.Errorf("serve: response for request %d, expected %d", ir.RequestID, msg.RequestID)
 	}
-	t, resp, err := wire.ReadFrame(c.conn, c.cfg.MaxFrame)
-	if err != nil {
-		return nil, fmt.Errorf("serve: reading infer-batch-response: %w", err)
+	if ir.TraceID != msg.TraceID {
+		return nil, fmt.Errorf("serve: response trace %016x, expected %016x", ir.TraceID, msg.TraceID)
 	}
-	switch t {
-	case wire.MsgInferBatchResponse:
-		var ir wire.InferBatchResponse
-		if err := ir.Decode(resp); err != nil {
-			return nil, fmt.Errorf("serve: infer-batch-response: %w", err)
-		}
-		if ir.RequestID != msg.RequestID {
-			return nil, fmt.Errorf("serve: response for request %d, expected %d", ir.RequestID, msg.RequestID)
-		}
-		if ir.TraceID != msg.TraceID {
-			return nil, fmt.Errorf("serve: response trace %016x, expected %016x", ir.TraceID, msg.TraceID)
-		}
-		if int(ir.Count) != count {
-			return nil, fmt.Errorf("serve: response carries %d lanes, expected %d", ir.Count, count)
-		}
-		if err := c.checkOutput(ir.Tensor); err != nil {
-			return nil, err
-		}
-		return ir.Tensor, nil
-	case wire.MsgError:
-		var ef wire.ErrorFrame
-		if err := ef.Decode(resp); err != nil {
-			return nil, fmt.Errorf("serve: undecodable error frame: %w", err)
-		}
-		return nil, &ef
-	default:
-		return nil, fmt.Errorf("serve: unexpected %v frame", t)
+	if int(ir.Count) != count {
+		return nil, fmt.Errorf("serve: response carries %d lanes, expected %d", ir.Count, count)
 	}
+	if err := c.checkOutput(ir.Tensor); err != nil {
+		return nil, err
+	}
+	return ir.Tensor, nil
 }
 
 // RunBatch is the full client loop for several inputs at once: encrypt into

@@ -4,7 +4,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"net/http/pprof"
 	"sort"
 	"strconv"
 
@@ -22,20 +21,15 @@ import (
 // The mux is safe to serve while inference traffic is live; every series is
 // derived from the same snapshots Metrics returns.
 func (s *Server) ObservabilityMux() http.Handler {
-	mux := http.NewServeMux()
+	mux := telemetry.DebugMux()
 	mux.HandleFunc("/metrics", s.metricsHandler)
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }
 
 func (s *Server) metricsHandler(w http.ResponseWriter, _ *http.Request) {
 	m := s.Metrics()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	writePromMetrics(w, m, s.reg.sessions(), s.cfg.Compiled.Options.Scales.Pc)
+	writePromMetrics(w, m, s.reg.Snapshot(), s.cfg.Compiled.Options.Scales.Pc)
 }
 
 // writePromMetrics renders a ServerMetrics snapshot in the Prometheus text

@@ -107,7 +107,7 @@ func TestLatencyQuantilesAfterWraparound(t *testing.T) {
 // without a compiled circuit.
 func newMetricsTestServer() *Server {
 	return &Server{
-		reg:         newRegistry(4),
+		reg:         wire.NewSessionTable[*session](4),
 		constants:   htc.NewConstants(),
 		latency:     newLatencyRecorder(),
 		queueWait:   newLatencyRecorder(),

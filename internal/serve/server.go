@@ -56,10 +56,6 @@ type Config struct {
 	// Parallel is the number of inferences evaluated concurrently (the
 	// executor pool draining the admission queue). Default 1.
 	Parallel int
-	// MaxFrame bounds accepted frame payloads. The default is sized from the
-	// compiled model (see frameLimit): what this model's session-open and
-	// largest tensor encode to, never more than wire.DefaultMaxFrame.
-	MaxFrame int
 	// Trace wraps each session's backend in a telemetry.Tracer: /metrics
 	// gains per-op duration series, every evaluation runs under a scope
 	// named by the request's wire trace ID, and each dispatch is logged
@@ -74,11 +70,11 @@ type Config struct {
 	// its address, which keeps multi-worker fleets distinguishable without
 	// configuration.
 	ProcessLabel string
-	// Logf, when set, receives one line per notable server event.
-	Logf func(format string, args ...any)
-	// Logger, when set, receives structured per-request events (dispatches,
-	// completions, failures) with trace_id attributes, correlating log lines
-	// with the distributed trace. Default discards.
+	// Logger receives one record per notable event: listening, sessions
+	// opened and handed off, and per request its dispatch, completion or
+	// failure with a trace_id attribute that correlates the record with the
+	// distributed trace. Dispatches are logged at Info with Trace set and at
+	// Debug otherwise. Default discards.
 	Logger *slog.Logger
 }
 
@@ -95,9 +91,6 @@ func (c *Config) fillDefaults() {
 	if c.Parallel < 1 {
 		c.Parallel = 1
 	}
-	if c.Logf == nil {
-		c.Logf = func(string, ...any) {}
-	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
@@ -108,8 +101,8 @@ func (c *Config) fillDefaults() {
 // wraps a replayed session-open in.
 const frameMargin = 64 << 10
 
-// frameLimit is the default frame cap of both protocol endpoints for a
-// compiled model: the exact encoded size of the session-open a client of
+// frameLimit is the frame cap of both protocol endpoints for a compiled
+// model: the exact encoded size of the session-open a client of
 // this compilation uploads (evaluation keys dominate), plus the largest
 // tensor the circuit sends in either direction, plus frameMargin — and never
 // more than wire.DefaultMaxFrame. A length prefix beyond it is refused from
@@ -163,27 +156,23 @@ type Server struct {
 	// client's keys.
 	constants *htc.Constants
 
-	reg  *registry
+	// ep serves the protocol: listener, connections, draining flag, and a
+	// frame loop per connection dispatching to the handle* methods.
+	ep   *wire.Endpoint
+	reg  *wire.SessionTable[*session]
 	jobs chan *job
 	quit chan struct{} // closed by Shutdown after the drain completes
 
-	draining  atomic.Bool
 	inflight  sync.WaitGroup // admitted jobs not yet responded
 	inflightN atomic.Int64   // gauge twin of the WaitGroup, for health acks
 	execWG    sync.WaitGroup // executor goroutines
-	connWG    sync.WaitGroup // per-connection handlers
+	startExec sync.Once      // executors start on the first Serve
 
 	// fleet is this worker's replica of the fleet-wide compiled-model
 	// registry (seeded with the model this server itself serves and merged
 	// with every registry-sync a router pushes).
 	fleet     *wire.Registry
 	selfEntry wire.RegistryEntry
-
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[net.Conn]struct{}
-	started  bool
-	shutdown bool
 
 	// Counters (atomic; see Metrics).
 	requests, completed, evalErrors        atomic.Uint64
@@ -215,20 +204,16 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.MaxFrame == 0 {
-		cfg.MaxFrame = frameLimit(cfg.Compiled, params)
-	}
 	in := cfg.Compiled.Circuit.Input.OutShape
 	s := &Server{
 		cfg:         cfg,
 		params:      params,
 		fingerprint: cfg.Compiled.Fingerprint(),
 		wantMeta:    htc.NewLayout(cfg.Compiled.Plan(), in[0], in[1], in[2], params.Slots()),
-		reg:         newRegistry(cfg.MaxSessions),
+		reg:         wire.NewSessionTable[*session](cfg.MaxSessions),
 		constants:   htc.NewConstants(),
 		jobs:        make(chan *job, cfg.QueueDepth),
 		quit:        make(chan struct{}),
-		conns:       map[net.Conn]struct{}{},
 		latency:     newLatencyRecorder(),
 		queueWait:   newLatencyRecorder(),
 		evalLatency: newLatencyRecorder(),
@@ -242,6 +227,17 @@ func New(cfg Config) (*Server, error) {
 		Batch:       uint32(max(cfg.Compiled.Best.Batch, 1)),
 	}
 	s.fleet.Merge([]wire.RegistryEntry{s.selfEntry})
+	handlers := map[wire.MsgType]wire.Handler{
+		wire.MsgSessionOpen:       s.handleSessionOpen,
+		wire.MsgInferBatchRequest: s.handleInfer,
+		wire.MsgHealthProbe:       s.handleHealthProbe,
+		wire.MsgRegistrySync:      s.handleRegistrySync,
+		wire.MsgSessionHandoff:    s.handleSessionHandoff,
+		wire.MsgTraceDump:         s.handleTraceDump,
+	}
+	s.ep = wire.NewEndpoint(frameLimit(cfg.Compiled, params),
+		func(*wire.Conn) (map[wire.MsgType]wire.Handler, func()) { return handlers, nil },
+		s.refuseOversize)
 	return s, nil
 }
 
@@ -253,39 +249,16 @@ func (s *Server) Fingerprint() [32]byte { return s.fingerprint }
 // It always returns a non-nil error; after a clean Shutdown the error is
 // net.ErrClosed-wrapped and can be ignored.
 func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	if s.shutdown {
-		s.mu.Unlock()
-		return errors.New("serve: server already shut down")
-	}
-	s.ln = ln
-	if !s.started {
-		s.started = true
+	s.startExec.Do(func() {
 		s.execWG.Add(s.cfg.Parallel)
 		for i := 0; i < s.cfg.Parallel; i++ {
 			go s.executor()
 		}
-	}
-	s.mu.Unlock()
-	s.cfg.Logf("serve: listening on %v (model %q, N=2^%d, %d-deep queue, %d executor(s) x %d worker(s))",
-		ln.Addr(), s.cfg.Compiled.Circuit.Name, s.cfg.Compiled.Best.LogN,
-		s.cfg.QueueDepth, s.cfg.Parallel, s.cfg.Workers)
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return fmt.Errorf("serve: accept: %w", err)
-		}
-		s.mu.Lock()
-		if s.shutdown || s.draining.Load() {
-			s.mu.Unlock()
-			conn.Close()
-			continue
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.connWG.Add(1)
-		go s.handleConn(conn)
-	}
+	})
+	s.cfg.Logger.Info("listening", "addr", ln.Addr().String(), "model", s.cfg.Compiled.Circuit.Name,
+		"logn", s.cfg.Compiled.Best.LogN, "queue_depth", s.cfg.QueueDepth,
+		"executors", s.cfg.Parallel, "workers", s.cfg.Workers)
+	return s.ep.Serve(ln)
 }
 
 // Shutdown drains the server: new sessions and requests are rejected with
@@ -294,20 +267,9 @@ func (s *Server) Serve(ln net.Listener) error {
 // If ctx expires first, remaining queued jobs are answered with
 // shutting-down errors and ctx.Err() is returned.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	if s.shutdown {
-		s.mu.Unlock()
+	if !s.ep.BeginDrain() {
 		return nil
 	}
-	s.shutdown = true
-	ln := s.ln
-	s.mu.Unlock()
-
-	s.draining.Store(true)
-	if ln != nil {
-		ln.Close()
-	}
-
 	drained := make(chan struct{})
 	go func() {
 		s.inflight.Wait()
@@ -339,20 +301,15 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			}
 		}
 	}()
-	s.mu.Lock()
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	s.connWG.Wait()
+	s.ep.CloseAll()
 	close(reaperDone)
-	s.cfg.Logf("serve: shutdown complete (%d sessions served)", s.Metrics().SessionsOpened)
+	s.cfg.Logger.Info("shutdown complete", "sessions", s.Metrics().SessionsOpened)
 	return err
 }
 
 // Metrics snapshots server and per-session counters.
 func (s *Server) Metrics() ServerMetrics {
-	opened, evicted, active := s.reg.stats()
+	opened, evicted, active := s.reg.Stats()
 	m := ServerMetrics{
 		SessionsOpened:    opened,
 		SessionsEvicted:   evicted,
@@ -380,83 +337,13 @@ func (s *Server) Metrics() ServerMetrics {
 		m.BatchSizes[k] = v
 	}
 	s.batchMu.Unlock()
-	for _, sess := range s.reg.sessions() {
+	for _, sess := range s.reg.Snapshot() {
 		m.Sessions = append(m.Sessions, sess.metrics())
 	}
 	return m
 }
 
-// --- connection handling ---
-
-// handleConn processes one client connection: frames are handled strictly
-// in order, and this goroutine is the connection's only writer, so
-// responses never interleave.
-func (s *Server) handleConn(conn net.Conn) {
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		conn.Close()
-		s.connWG.Done()
-	}()
-
-	writeErr := func(code wire.ErrorCode, reqID uint64, format string, args ...any) bool {
-		msg := fmt.Sprintf(format, args...)
-		payload, err := (&wire.ErrorFrame{Code: code, RequestID: reqID, Message: msg}).Encode()
-		if err != nil {
-			return false
-		}
-		return wire.WriteFrame(conn, wire.MsgError, payload) == nil
-	}
-
-	for {
-		t, payload, err := wire.ReadFrame(conn, s.cfg.MaxFrame)
-		if err != nil {
-			// Clean EOF and closed connections end the handler silently; a
-			// malformed frame earns a best-effort error frame first. Framing
-			// is unrecoverable after a bad header, so the connection drops
-			// either way.
-			switch {
-			case errors.Is(err, net.ErrClosed) || errors.Is(err, io.EOF):
-			case errors.Is(err, wire.ErrFrameTooLarge):
-				s.refuseOversize(conn, t, err, writeErr)
-			default:
-				writeErr(wire.CodeBadMessage, 0, "%v", err)
-			}
-			return
-		}
-		switch t {
-		case wire.MsgSessionOpen:
-			if !s.handleSessionOpen(conn, payload, writeErr) {
-				return
-			}
-		case wire.MsgInferBatchRequest:
-			if !s.handleInfer(conn, payload, writeErr) {
-				return
-			}
-		case wire.MsgHealthProbe:
-			if !s.handleHealthProbe(conn, payload, writeErr) {
-				return
-			}
-		case wire.MsgRegistrySync:
-			if !s.handleRegistrySync(conn, payload, writeErr) {
-				return
-			}
-		case wire.MsgSessionHandoff:
-			if !s.handleSessionHandoff(conn, payload, writeErr) {
-				return
-			}
-		case wire.MsgTraceDump:
-			if !s.handleTraceDump(conn, payload, writeErr) {
-				return
-			}
-		default:
-			if !writeErr(wire.CodeBadMessage, 0, "unexpected %v frame", t) {
-				return
-			}
-		}
-	}
-}
+// --- frame handlers ---
 
 // refuseOversize answers a frame whose length prefix exceeds the limit,
 // having read (and allocated) nothing of its payload. The limit is sized for
@@ -466,37 +353,33 @@ func (s *Server) handleConn(conn net.Conn) {
 // peer is still sending is then discarded for a few seconds, because closing
 // on unread bytes resets the connection and can destroy the answer in
 // flight.
-func (s *Server) refuseOversize(conn net.Conn, t wire.MsgType, cause error, writeErr func(wire.ErrorCode, uint64, string, ...any) bool) {
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+func (s *Server) refuseOversize(c *wire.Conn, t wire.MsgType, cause error) {
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
 	var fp [32]byte
 	if t == wire.MsgSessionOpen {
-		if _, err := io.ReadFull(conn, fp[:]); err == nil && fp != s.fingerprint {
-			writeErr(wire.CodeFingerprintMismatch, 0,
+		if _, err := io.ReadFull(c, fp[:]); err == nil && fp != s.fingerprint {
+			c.Fail(wire.CodeFingerprintMismatch, 0,
 				"session-open: %v, and its fingerprint %x is not this server's %x; recompile with identical model and options",
 				cause, fp[:8], s.fingerprint[:8])
-			io.Copy(io.Discard, conn)
+			io.Copy(io.Discard, c)
 			return
 		}
 	}
-	writeErr(wire.CodeBadMessage, 0, "%v", cause)
-	io.Copy(io.Discard, conn)
+	c.Fail(wire.CodeBadMessage, 0, "%v", cause)
+	io.Copy(io.Discard, c)
 }
 
 // handleSessionOpen validates keys and registers a session. Returns false
 // when the connection is beyond use.
-func (s *Server) handleSessionOpen(conn net.Conn, payload []byte, writeErr func(wire.ErrorCode, uint64, string, ...any) bool) bool {
+func (s *Server) handleSessionOpen(c *wire.Conn, payload []byte) bool {
 	id, code, err := s.admitSession(payload)
 	if err != nil {
 		if code == wire.CodeShuttingDown {
 			s.rejShutdown.Add(1)
 		}
-		return writeErr(code, 0, "session-open: %v", err)
+		return c.Fail(code, 0, "session-open: %v", err)
 	}
-	accept, err := (&wire.SessionAccept{SessionID: id}).Encode()
-	if err != nil {
-		return writeErr(wire.CodeInternal, 0, "encoding accept: %v", err)
-	}
-	return wire.WriteFrame(conn, wire.MsgSessionAccept, accept) == nil
+	return c.Reply(wire.MsgSessionAccept, &wire.SessionAccept{SessionID: id})
 }
 
 // admitSession validates a session-open payload and registers the session,
@@ -504,7 +387,7 @@ func (s *Server) handleSessionOpen(conn net.Conn, payload []byte, writeErr func(
 // client opens and router-driven handoffs (which replay a stored session-open
 // payload); on failure the returned code classifies the rejection.
 func (s *Server) admitSession(payload []byte) (uint64, wire.ErrorCode, error) {
-	if s.draining.Load() {
+	if s.ep.Draining() {
 		return 0, wire.CodeShuttingDown, errors.New("server is draining")
 	}
 	var msg wire.SessionOpen
@@ -557,38 +440,35 @@ func (s *Server) admitSession(payload []byte) (uint64, wire.ErrorCode, error) {
 		}
 		refresher, top = rf, rf
 	}
-	sess := &session{backend: top, meter: meter, tracer: tracer, refresher: refresher, latency: newLatencyRecorder()}
-	id := s.reg.add(sess)
-	s.cfg.Logf("serve: session %d opened (%d rotation keys)", id, len(msg.RTKS.Keys))
-	return id, 0, nil
+	sess := s.reg.Add(func(id uint64) *session {
+		return &session{id: id, backend: top, meter: meter, tracer: tracer, refresher: refresher, latency: newLatencyRecorder()}
+	})
+	s.cfg.Logger.Info("session opened", "session", sess.id, "rotation_keys", len(msg.RTKS.Keys))
+	return sess.id, 0, nil
 }
 
 // handleHealthProbe answers a router's liveness probe with this worker's
 // status. Probes are answered even while draining — Draining=true is exactly
 // what tells the router to stop routing here while the drain completes.
-func (s *Server) handleHealthProbe(conn net.Conn, payload []byte, writeErr func(wire.ErrorCode, uint64, string, ...any) bool) bool {
+func (s *Server) handleHealthProbe(c *wire.Conn, payload []byte) bool {
 	var msg wire.HealthProbe
 	if err := msg.Decode(payload); err != nil {
-		return writeErr(wire.CodeBadMessage, 0, "health-probe: %v", err)
+		return c.Fail(wire.CodeBadMessage, 0, "health-probe: %v", err)
 	}
 	s.probes.Add(1)
-	_, _, active := s.reg.stats()
+	_, _, active := s.reg.Stats()
 	boots, headroom, known := s.budgetTelemetry()
 	ack := &wire.HealthAck{
 		Nonce:          msg.Nonce,
 		Fingerprint:    s.fingerprint,
 		ActiveSessions: uint32(active),
 		Inflight:       uint32(min(s.inflightN.Load(), int64(^uint32(0)))),
-		Draining:       s.draining.Load(),
+		Draining:       s.ep.Draining(),
 		Bootstraps:     boots,
 		MinHeadroom:    headroom,
 		HeadroomKnown:  known,
 	}
-	out, err := ack.Encode()
-	if err != nil {
-		return writeErr(wire.CodeInternal, 0, "encoding health-ack: %v", err)
-	}
-	return wire.WriteFrame(conn, wire.MsgHealthAck, out) == nil
+	return c.Reply(wire.MsgHealthAck, ack)
 }
 
 // budgetTelemetry aggregates the live sessions' ciphertext-budget state:
@@ -597,7 +477,7 @@ func (s *Server) handleHealthProbe(conn net.Conn, payload []byte, writeErr func(
 // multiplicative op).
 func (s *Server) budgetTelemetry() (bootstraps uint64, minHeadroom int64, known bool) {
 	minHeadroom = math.MaxInt64
-	for _, sess := range s.reg.sessions() {
+	for _, sess := range s.reg.Snapshot() {
 		if sess.refresher == nil {
 			continue
 		}
@@ -620,12 +500,12 @@ func (s *Server) budgetTelemetry() (bootstraps uint64, minHeadroom int64, known 
 // (the earliest session epoch) so the collector can merge workers onto a
 // single timeline. An untraced server answers with an empty ring rather
 // than an error — collection must not depend on configuration agreement.
-func (s *Server) handleTraceDump(conn net.Conn, payload []byte, writeErr func(wire.ErrorCode, uint64, string, ...any) bool) bool {
+func (s *Server) handleTraceDump(c *wire.Conn, payload []byte) bool {
 	var msg wire.TraceDump
 	if err := msg.Decode(payload); err != nil {
-		return writeErr(wire.CodeBadMessage, 0, "trace-dump: %v", err)
+		return c.Fail(wire.CodeBadMessage, 0, "trace-dump: %v", err)
 	}
-	sessions := s.reg.sessions()
+	sessions := s.reg.Snapshot()
 	var base time.Time
 	for _, sess := range sessions {
 		if sess.tracer == nil {
@@ -655,56 +535,42 @@ func (s *Server) handleTraceDump(conn net.Conn, payload []byte, writeErr func(wi
 	if base.IsZero() {
 		base = time.Now()
 	}
-	ack := &wire.TraceDumpAck{Process: s.cfg.ProcessLabel, EpochUnixNano: base.UnixNano(), Spans: spans}
-	out, err := ack.Encode()
-	if err != nil {
-		return writeErr(wire.CodeInternal, 0, "encoding trace-dump-ack: %v", err)
-	}
-	return wire.WriteFrame(conn, wire.MsgTraceDumpAck, out) == nil
+	return c.Reply(wire.MsgTraceDumpAck,
+		&wire.TraceDumpAck{Process: s.cfg.ProcessLabel, EpochUnixNano: base.UnixNano(), Spans: spans})
 }
 
 // handleRegistrySync merges the router's pushed registry view into this
 // worker's replica and acks with the merged set (which always includes the
 // model this worker itself serves), so a restarted router can rebuild the
 // fleet-wide registry from any single worker.
-func (s *Server) handleRegistrySync(conn net.Conn, payload []byte, writeErr func(wire.ErrorCode, uint64, string, ...any) bool) bool {
+func (s *Server) handleRegistrySync(c *wire.Conn, payload []byte) bool {
 	var msg wire.RegistrySync
 	if err := msg.Decode(payload); err != nil {
-		return writeErr(wire.CodeBadMessage, 0, "registry-sync: %v", err)
+		return c.Fail(wire.CodeBadMessage, 0, "registry-sync: %v", err)
 	}
 	s.registrySyncs.Add(1)
 	s.fleet.Merge(msg.Entries)
-	ack := &wire.RegistrySyncAck{Entries: s.fleet.Snapshot()}
-	out, err := ack.Encode()
-	if err != nil {
-		return writeErr(wire.CodeInternal, 0, "encoding registry-sync-ack: %v", err)
-	}
-	return wire.WriteFrame(conn, wire.MsgRegistrySyncAck, out) == nil
+	return c.Reply(wire.MsgRegistrySyncAck, &wire.RegistrySyncAck{Entries: s.fleet.Snapshot()})
 }
 
 // handleSessionHandoff replays a router-stored session-open payload through
 // the ordinary admission path and acks with the worker-local session ID the
 // router must quote on relayed requests.
-func (s *Server) handleSessionHandoff(conn net.Conn, payload []byte, writeErr func(wire.ErrorCode, uint64, string, ...any) bool) bool {
+func (s *Server) handleSessionHandoff(c *wire.Conn, payload []byte) bool {
 	var msg wire.SessionHandoff
 	if err := msg.Decode(payload); err != nil {
-		return writeErr(wire.CodeBadMessage, 0, "session-handoff: %v", err)
+		return c.Fail(wire.CodeBadMessage, 0, "session-handoff: %v", err)
 	}
 	id, code, err := s.admitSession(msg.Open)
 	if err != nil {
 		if code == wire.CodeShuttingDown {
 			s.rejShutdown.Add(1)
 		}
-		return writeErr(code, msg.RouterSessionID, "session-handoff: %v", err)
+		return c.Fail(code, msg.RouterSessionID, "session-handoff: %v", err)
 	}
 	s.handoffs.Add(1)
-	s.cfg.Logf("serve: session %d admitted via handoff (router session %d)", id, msg.RouterSessionID)
-	ack := &wire.SessionHandoffAck{RouterSessionID: msg.RouterSessionID, WorkerSessionID: id}
-	out, err := ack.Encode()
-	if err != nil {
-		return writeErr(wire.CodeInternal, msg.RouterSessionID, "encoding handoff-ack: %v", err)
-	}
-	return wire.WriteFrame(conn, wire.MsgSessionHandoffAck, out) == nil
+	s.cfg.Logger.Info("session admitted via handoff", "session", id, "router_session", msg.RouterSessionID)
+	return c.Reply(wire.MsgSessionHandoffAck, &wire.SessionHandoffAck{RouterSessionID: msg.RouterSessionID, WorkerSessionID: id})
 }
 
 // admitOne/doneOne track admitted-but-unanswered requests twice over: the
@@ -745,27 +611,27 @@ func (s *Server) newJob(sess *session, msg *wire.InferBatchRequest) *job {
 // handleInfer admits a request (one tensor, Count client-packed images in its
 // leading lanes) to the queue and relays its result. Returns false when the
 // connection is beyond use.
-func (s *Server) handleInfer(conn net.Conn, payload []byte, writeErr func(wire.ErrorCode, uint64, string, ...any) bool) bool {
+func (s *Server) handleInfer(c *wire.Conn, payload []byte) bool {
 	var msg wire.InferBatchRequest
 	if err := msg.Decode(payload); err != nil {
-		return writeErr(wire.CodeBadMessage, 0, "infer-batch-request: %v", err)
+		return c.Fail(wire.CodeBadMessage, 0, "infer-batch-request: %v", err)
 	}
-	if s.draining.Load() {
+	if s.ep.Draining() {
 		s.rejShutdown.Add(1)
-		return writeErr(wire.CodeShuttingDown, msg.RequestID, "server is draining")
+		return c.Fail(wire.CodeShuttingDown, msg.RequestID, "server is draining")
 	}
-	sess, ok := s.reg.get(msg.SessionID)
+	sess, ok := s.reg.Get(msg.SessionID)
 	if !ok {
-		return writeErr(wire.CodeUnknownSession, msg.RequestID,
+		return c.Fail(wire.CodeUnknownSession, msg.RequestID,
 			"session %d unknown or evicted; re-open", msg.SessionID)
 	}
 	if err := s.checkTensor(msg.Tensor); err != nil {
 		sess.errors.Add(1)
-		return writeErr(wire.CodeBadMessage, msg.RequestID, "infer-batch-request: %v", err)
+		return c.Fail(wire.CodeBadMessage, msg.RequestID, "infer-batch-request: %v", err)
 	}
 	if int(msg.Count) > s.wantMeta.Batches() {
 		sess.errors.Add(1)
-		return writeErr(wire.CodeBadMessage, msg.RequestID,
+		return c.Fail(wire.CodeBadMessage, msg.RequestID,
 			"batch count %d exceeds compiled capacity %d", msg.Count, s.wantMeta.Batches())
 	}
 
@@ -783,22 +649,17 @@ func (s *Server) handleInfer(conn net.Conn, payload []byte, writeErr func(wire.E
 	default:
 		s.doneOne()
 		s.rejQueueFull.Add(1)
-		return writeErr(wire.CodeQueueFull, msg.RequestID,
+		return c.Fail(wire.CodeQueueFull, msg.RequestID,
 			"admission queue full (%d deep); retry with backoff", s.cfg.QueueDepth)
 	}
 
-	res := <-j.respond
-	wrote := func() bool {
-		if res.errf != nil {
-			return writeErr(res.errf.Code, msg.RequestID, "%s", res.errf.Message)
-		}
-		out, err := (&wire.InferBatchResponse{
-			RequestID: msg.RequestID, TraceID: msg.TraceID, Count: msg.Count, Tensor: res.tensor}).Encode()
-		if err != nil {
-			return writeErr(wire.CodeInternal, msg.RequestID, "encoding response: %v", err)
-		}
-		return wire.WriteFrame(conn, wire.MsgInferBatchResponse, out) == nil
-	}()
+	var wrote bool
+	if res := <-j.respond; res.errf != nil {
+		wrote = c.Fail(res.errf.Code, msg.RequestID, "%s", res.errf.Message)
+	} else {
+		wrote = c.Reply(wire.MsgInferBatchResponse, &wire.InferBatchResponse{
+			RequestID: msg.RequestID, TraceID: msg.TraceID, Count: msg.Count, Tensor: res.tensor})
+	}
 	s.doneOne()
 	return wrote
 }
@@ -925,10 +786,11 @@ func (s *Server) run(j *job) {
 	s.batchMu.Unlock()
 
 	label := fmt.Sprintf("infer trace=%016x", j.traceID)
+	level := slog.LevelDebug
 	if s.cfg.Trace {
-		s.cfg.Logf("serve: session %d dispatching %d image(s) [trace=%016x]", j.sess.id, j.count, j.traceID)
+		level = slog.LevelInfo
 	}
-	s.cfg.Logger.Debug("dispatch",
+	s.cfg.Logger.Log(context.Background(), level, "dispatch",
 		"trace_id", fmt.Sprintf("%016x", j.traceID), "session", j.sess.id, "images", j.count)
 	start := time.Now()
 	out, err := s.evaluate(j.sess, j.tensor, label, j.traceID, j.parentSpan)

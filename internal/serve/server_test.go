@@ -455,7 +455,7 @@ func TestGracefulShutdownDrain(t *testing.T) {
 		defer cancel()
 		shutdownDone <- s.Shutdown(ctx)
 	}()
-	for i := 0; !s.draining.Load(); i++ {
+	for i := 0; !s.ep.Draining(); i++ {
 		if i > 5000 {
 			t.Fatal("server never started draining")
 		}
@@ -717,11 +717,11 @@ func TestWrongKeyShapeRejected(t *testing.T) {
 	}
 }
 
-// TestFrameLimitSizedFromModel: with no MaxFrame configured, both endpoints
-// cap frames at what the compiled model's own session-open and tensors
-// encode to — real traffic fits, and a length prefix beyond the cap (far
-// below the protocol's 1 GiB ceiling) is refused from the header alone,
-// before the server allocates anything for it.
+// TestFrameLimitSizedFromModel: both endpoints cap frames at what the
+// compiled model's own session-open and tensors encode to — real traffic
+// fits, and a length prefix beyond the cap (far below the protocol's 1 GiB
+// ceiling) is refused from the header alone, before the server allocates
+// anything for it.
 func TestFrameLimitSizedFromModel(t *testing.T) {
 	comp := testCompiled(t)
 	s, err := New(Config{Compiled: comp})
@@ -736,9 +736,9 @@ func TestFrameLimitSizedFromModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	limit := s.cfg.MaxFrame
-	if limit != c.cfg.MaxFrame {
-		t.Fatalf("server caps frames at %d, client at %d", limit, c.cfg.MaxFrame)
+	limit := s.ep.MaxFrame()
+	if limit != c.maxFrame {
+		t.Fatalf("server caps frames at %d, client at %d", limit, c.maxFrame)
 	}
 	if limit < len(open) || limit > len(open)+frameMargin+(64<<10) {
 		t.Fatalf("frame limit %d for a %d-byte session-open: want the open plus the largest tensor plus %d", limit, len(open), frameMargin)

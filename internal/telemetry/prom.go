@@ -3,8 +3,23 @@ package telemetry
 import (
 	"fmt"
 	"io"
+	"net/http"
+	"net/http/pprof"
 	"time"
 )
+
+// DebugMux returns a mux serving the standard Go profiling endpoints under
+// /debug/pprof/; the worker and the router add their /metrics (and the
+// router its /trace) to it.
+func DebugMux() *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
+}
 
 // Prom writes the Prometheus text exposition format (version 0.0.4) to W,
 // handwritten because the repo takes no dependencies. Sample values are

@@ -96,23 +96,19 @@ type scopeFrame struct {
 }
 
 // Tracer wraps a hisa.Backend and records one span per instruction its
-// hisa.Interposer reports. It implements Backend (kernels are oblivious to
-// it) and is safe for concurrent op execution: the ring and scope stack are
-// mutex-guarded, and the lock is held only for the append — never across the
-// wrapped operation.
+// hisa.Interposer reports into a SpanRing. It implements Backend (kernels are
+// oblivious to it) and is safe for concurrent op execution: the scope stack
+// and totals are mutex-guarded, and the lock is held only for the append —
+// never across the wrapped operation.
 type Tracer struct {
 	hisa.Interposer
-	epoch   time.Time
 	levelOf func(hisa.Ciphertext) int // nil when the chain has no levels
+	spans   *SpanRing
 
-	mu      sync.Mutex
-	ring    []Span
-	next    int    // write cursor once the ring is full
-	full    bool   // ring has wrapped at least once
-	dropped uint64 // spans overwritten after wrap
-	stack   []scopeFrame
-	scope   string // joined stack labels, cached
-	totals  map[string]*OpTotal
+	mu     sync.Mutex
+	stack  []scopeFrame
+	scope  string // joined stack labels, cached
+	totals map[string]*OpTotal
 }
 
 // NewTracer wraps inner. The level probe is resolved once, through the
@@ -123,12 +119,8 @@ type Tracer struct {
 // "boot:coeff-to-slot", ...) as child spans under whatever scope the refresh
 // ran in.
 func NewTracer(inner hisa.Backend, cfg Config) *Tracer {
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = 1 << 16
-	}
 	t := &Tracer{
-		epoch:  time.Now(),
-		ring:   make([]Span, 0, cfg.Capacity),
+		spans:  NewSpanRing(cfg.Capacity),
 		totals: make(map[string]*OpTotal),
 	}
 	t.Interposer = hisa.NewInterposer(inner, "trace", nil, t.record)
@@ -151,7 +143,7 @@ type stageBackend interface {
 
 // Epoch returns the instant span Start offsets are measured from, so spans
 // from several tracers (or processes) can be rebased onto one timeline.
-func (t *Tracer) Epoch() time.Time { return t.epoch }
+func (t *Tracer) Epoch() time.Time { return t.spans.epoch }
 
 // joinFrames rebuilds the cached scope path from the stack labels.
 func joinFrames(stack []scopeFrame) string {
@@ -206,11 +198,11 @@ func (t *Tracer) StartScopeCtx(label string, traceID, parent uint64) (func(), ui
 			}
 		}
 		parentScope := t.scope
-		t.append(Span{
+		t.spans.put(Span{
 			Kind:    KindScope,
 			Op:      label,
 			Scope:   parentScope,
-			Start:   start.Sub(t.epoch),
+			Start:   start.Sub(t.spans.epoch),
 			Dur:     end.Sub(start),
 			LevelIn: -1, LevelOut: -1,
 			GID:     goroutineID(),
@@ -230,7 +222,7 @@ func (t *Tracer) RecordManual(kind SpanKind, op string, start time.Time, dur tim
 	s := Span{
 		Kind:    kind,
 		Op:      op,
-		Start:   start.Sub(t.epoch),
+		Start:   start.Sub(t.spans.epoch),
 		Dur:     dur,
 		LevelIn: -1, LevelOut: -1,
 		GID:     goroutineID(),
@@ -249,7 +241,7 @@ func (t *Tracer) RecordManual(kind SpanKind, op string, start time.Time, dur tim
 	if kind == KindOp {
 		t.tally(op, dur)
 	}
-	t.append(s)
+	t.spans.put(s)
 	t.mu.Unlock()
 }
 
@@ -264,18 +256,6 @@ func (t *Tracer) tally(op string, dur time.Duration) {
 	agg.Total += dur
 }
 
-// append inserts a span into the ring. Callers hold t.mu.
-func (t *Tracer) append(s Span) {
-	if len(t.ring) < cap(t.ring) {
-		t.ring = append(t.ring, s)
-		return
-	}
-	t.ring[t.next] = s
-	t.next = (t.next + 1) % len(t.ring)
-	t.full = true
-	t.dropped++
-}
-
 // record is the Interposer's after-hook: one span per reported instruction,
 // with the level and scale of its ciphertext operand and result where it has
 // them.
@@ -283,7 +263,7 @@ func (t *Tracer) record(op *hisa.Op) {
 	s := Span{
 		Kind:    KindOp,
 		Op:      op.Kind.String(),
-		Start:   op.Start.Sub(t.epoch),
+		Start:   op.Start.Sub(t.spans.epoch),
 		Dur:     op.Dur,
 		Rot:     op.Rot,
 		LevelIn: -1, LevelOut: -1,
@@ -308,22 +288,12 @@ func (t *Tracer) record(op *hisa.Op) {
 		s.Parent = t.stack[n-1].spanID
 	}
 	t.tally(s.Op, s.Dur)
-	t.append(s)
+	t.spans.put(s)
 	t.mu.Unlock()
 }
 
 // Snapshot copies the retained spans in chronological order.
-func (t *Tracer) Snapshot() []Span {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.full {
-		return append([]Span(nil), t.ring...)
-	}
-	out := make([]Span, 0, len(t.ring))
-	out = append(out, t.ring[t.next:]...)
-	out = append(out, t.ring[:t.next]...)
-	return out
-}
+func (t *Tracer) Snapshot() []Span { return t.spans.Snapshot() }
 
 // Totals copies the cumulative per-op tallies (never truncated by the ring).
 func (t *Tracer) Totals() map[string]OpTotal {
@@ -349,11 +319,7 @@ func (t *Tracer) SpanCount() int64 {
 }
 
 // Dropped reports how many spans the ring has overwritten.
-func (t *Tracer) Dropped() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
+func (t *Tracer) Dropped() uint64 { return t.spans.Dropped() }
 
 // goroutineID parses the current goroutine's id from its stack header
 // ("goroutine 123 ["). Sub-microsecond against millisecond-scale lattice

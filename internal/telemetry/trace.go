@@ -34,10 +34,10 @@ func NewSpanID() uint64 {
 	return spanIDBase + spanIDCtr.Add(1)
 }
 
-// SpanRing is a standalone bounded span recorder for processes that have no
-// hisa.Backend to wrap — the router records its admission, placement,
-// relay, failover, and handoff spans here. Like the Tracer's ring it is
-// mutex-guarded, overwrite-on-wrap, and snapshot-in-order.
+// SpanRing is the bounded span recorder: every Tracer records into one, and
+// processes with no hisa.Backend to wrap use one directly — the router
+// records its admission, placement, relay, failover, and handoff spans here.
+// It is mutex-guarded, overwrite-on-wrap, and snapshot-in-order.
 type SpanRing struct {
 	epoch time.Time
 
@@ -64,7 +64,7 @@ func (r *SpanRing) Epoch() time.Time { return r.epoch }
 // stores the epoch offset so its spans merge with Tracer spans on one
 // timeline.
 func (r *SpanRing) Record(kind SpanKind, op string, start, end time.Time, traceID, spanID, parent uint64) {
-	s := Span{
+	r.put(Span{
 		Kind:    kind,
 		Op:      op,
 		Start:   start.Sub(r.epoch),
@@ -74,7 +74,11 @@ func (r *SpanRing) Record(kind SpanKind, op string, start, end time.Time, traceI
 		TraceID: traceID,
 		SpanID:  spanID,
 		Parent:  parent,
-	}
+	})
+}
+
+// put appends one span, overwriting the oldest once the ring is full.
+func (r *SpanRing) put(s Span) {
 	r.mu.Lock()
 	if len(r.ring) < cap(r.ring) {
 		r.ring = append(r.ring, s)

@@ -18,6 +18,11 @@
 // Every decoder in this package is total: corrupted, truncated, or
 // adversarial bytes yield an error, never a panic, and oversized frames are
 // rejected from the header alone before any payload allocation.
+//
+// The package also holds the mechanism both serving processes share: the
+// worker and the router serve through one Endpoint, every decoded
+// request/response exchange is one Call, and both keep their sessions in a
+// SessionTable.
 package wire
 
 import (
