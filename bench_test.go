@@ -145,7 +145,7 @@ func BenchmarkEndToEnd_RealRNSInference(b *testing.B) {
 	img := nn.SyntheticImage(model.InputShape, 13)
 	sc := comp.Options.Scales
 	plan := htc.PlanFor(model.Circuit, comp.Best.Policy)
-	enc := htc.EncryptTensor(backend, img, plan, sc)
+	enc := htc.EncryptTensor(backend, plan, sc, img)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		htc.Execute(backend, model.Circuit, enc, comp.Best.Policy, sc, htc.ExecOptions{})
@@ -169,7 +169,7 @@ func rnsConvFixture(b *testing.B) (hisa.Backend, *htc.CipherTensor, htc.Scales) 
 	backend := hisa.NewRNSBackend(hisa.RNSConfig{Params: params, PRNG: ring.NewTestPRNG(41)})
 	sc := htc.DefaultScales()
 	img := nn.SyntheticImage([]int{4, 8, 8}, 19)
-	enc := htc.EncryptTensor(backend, img, htc.Plan{Layout: htc.LayoutCHW}, sc)
+	enc := htc.EncryptTensor(backend, htc.Plan{Layout: htc.LayoutCHW}, sc, img)
 	return backend, enc, sc
 }
 
@@ -234,7 +234,7 @@ func BenchmarkEndToEnd_ParallelRNSInference(b *testing.B) {
 	img := nn.SyntheticImage(model.InputShape, 13)
 	sc := comp.Options.Scales
 	plan := htc.PlanFor(model.Circuit, comp.Best.Policy)
-	enc := htc.EncryptTensor(backend, img, plan, sc)
+	enc := htc.EncryptTensor(backend, plan, sc, img)
 	opts := htc.ExecOptions{Workers: runtime.GOMAXPROCS(0)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -127,7 +127,6 @@ type Session struct {
 	// inference is bit-identical to serial on every backend.
 	Workers int
 
-	plan htc.Plan
 	// constants holds the program's encoded weights, masks and biases, so
 	// only the first Infer encodes them. A Session built as a struct literal
 	// has none and encodes them on every Infer.
@@ -151,46 +150,23 @@ func NewSession(comp *Compiled, prng ring.PRNG) (*Session, error) {
 	return &Session{
 		Compiled:  comp,
 		Backend:   b,
-		plan:      comp.Plan(),
 		constants: htc.NewConstants(),
 	}, nil
 }
 
 // Encrypt encodes and encrypts an input image under the compiled layout.
-func (s *Session) Encrypt(img *Tensor) *CipherTensor {
-	return htc.EncryptTensor(s.Backend, img, s.plan, s.Compiled.Options.Scales)
-}
+func (s *Session) Encrypt(img *Tensor) *CipherTensor { return s.Compiled.Encrypt(s.Backend, img) }
 
 // EncryptBatch encrypts up to Options.Batch images into the slot lanes of
 // one cipher tensor. A single Infer then serves the whole batch.
 func (s *Session) EncryptBatch(imgs []*Tensor) *CipherTensor {
-	return htc.EncryptTensorBatch(s.Backend, imgs, s.plan, s.Compiled.Options.Scales)
+	return s.Compiled.Encrypt(s.Backend, imgs...)
 }
 
 // DecryptBatch recovers the first n lane predictions of a batched result,
 // each in the circuit's output shape as Decrypt returns it.
 func (s *Session) DecryptBatch(out *CipherTensor, n int) []*Tensor {
-	ts := htc.DecryptTensorBatch(s.Backend, out, n)
-	for i, t := range ts {
-		ts[i] = s.outputShaped(t)
-	}
-	return ts
-}
-
-// outputShaped views a decrypted tensor in the circuit's output shape — the
-// slot grid a kernel left it on (a packed Dense's R by G, say) is the
-// CipherTensor's business, not the caller's. A tensor of another size (an
-// intermediate from OnNode, a round-tripped input) keeps its own shape.
-func (s *Session) outputShaped(t *Tensor) *Tensor {
-	shape := s.Compiled.Circuit.Output.OutShape
-	size := 1
-	for _, d := range shape {
-		size *= d
-	}
-	if t.Size() != size {
-		return t
-	}
-	return t.Reshape(shape...)
+	return s.Compiled.Decrypt(s.Backend, out, n)
 }
 
 // RunBatch is the end-to-end batched path: encrypt all images into lanes,
@@ -216,9 +192,7 @@ func (s *Session) Infer(enc *CipherTensor) *CipherTensor {
 }
 
 // Decrypt recovers the prediction tensor in the circuit's output shape.
-func (s *Session) Decrypt(out *CipherTensor) *Tensor {
-	return s.outputShaped(htc.DecryptTensor(s.Backend, out))
-}
+func (s *Session) Decrypt(out *CipherTensor) *Tensor { return s.Compiled.Decrypt(s.Backend, out, 1)[0] }
 
 // Run is the end-to-end convenience path: encrypt, infer, decrypt.
 func (s *Session) Run(img *Tensor) *Tensor {

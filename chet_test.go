@@ -149,6 +149,42 @@ func TestPublicAPIResidualMLP(t *testing.T) {
 	}
 }
 
+// TestLiteralSessionUsesCompiledPlan: a Session built as a struct literal
+// (no NewSession) encrypts under the compiled plan — the geometry
+// NewSession's encryption has — and its Run on the CKKS mock matches the
+// plaintext circuit as closely as the quick-start flow does.
+func TestLiteralSessionUsesCompiledPlan(t *testing.T) {
+	model, err := Model("LeNet-tiny")
+	if err != nil {
+		t.Fatal(err)
+	}
+	compiled, err := Compile(model.Circuit, Options{Scheme: SchemeCKKS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	session, err := NewSession(compiled, ring.NewTestPRNG(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	literal := &Session{Compiled: compiled, Backend: session.Backend}
+	img := SyntheticImage(model.InputShape, 9)
+	want, got := *session.Encrypt(img), *literal.Encrypt(img)
+	want.CTs, got.CTs = nil, nil
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("literal session encrypts as %+v, NewSession as %+v", got, want)
+	}
+	plain := model.Circuit.Evaluate(img)
+	out := literal.Run(img)
+	if out.Size() != plain.Size() {
+		t.Fatalf("output size %d want %d", out.Size(), plain.Size())
+	}
+	for i := range plain.Data {
+		if e := math.Abs(out.Data[i] - plain.Data[i]); e > 0.05 {
+			t.Fatalf("output %d: got %g want %g", i, out.Data[i], plain.Data[i])
+		}
+	}
+}
+
 // TestSessionEncodesConstantsOnce: a Session's first Infer encodes the
 // program's weights, masks and biases into its constant store; every later
 // Infer finds them there and issues no encode at all, and computes the same

@@ -5,6 +5,9 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+echo "== gofmt (the tree stays formatted)"
+test -z "$(gofmt -l .)"
+
 echo "== go vet ./..."
 go vet ./...
 
@@ -14,13 +17,13 @@ go build ./...
 echo "== go test ./..."
 go test ./...
 
-echo "== kernel promises (Dense issues the rotations its closed form says, fewer than one fold per neuron; every runtime rotation has a compiled key, at or below the key's planned level, and every planned key is applied, batched compiles included; keys cut at a level compute what full keys compute and do not depend on the core count; the conjugation key only when used; the compiler's node table equals the runtime's op counts; the compiler's analysis issues the runtime's instruction stream; impossible scales are rejected; refresh counts pinned; constants are encoded once, at their use level, bit-identically, also under bootstrapping; input scales are admitted exactly; a lying input scale is refused without harming a concurrent session, and a panicking evaluation fails only its own request; sums of rotations match the unfused sequence — bit for bit on Ref/Sim, within the rounding bound on RNS, op for op in the Meter — and divide by P once per output)"
+echo "== kernel promises (Dense issues the rotations its closed form says, fewer than one fold per neuron; every runtime rotation has a compiled key, at or below the key's planned level, and every planned key is applied, batched compiles included; keys cut at a level compute what full keys compute and do not depend on the core count; the conjugation key only when used; the compiler's node table equals the runtime's op counts; the compiler's analysis issues the runtime's instruction stream; impossible scales are rejected; refresh counts pinned; constants are encoded once, at their use level, bit-identically, also under bootstrapping; input scales are admitted exactly; a lying input scale is refused without harming a concurrent session; a tensor off the compiled input layout, complex flag and batch metadata included, is refused at admission; and a panicking evaluation fails only its own request; sums of rotations match the unfused sequence — bit for bit on Ref/Sim, within the rounding bound on RNS, op for op in the Meter — and divide by P once per output)"
 go test -count=1 -run 'TestDenseRotationBudget|TestFoldStridedExact|TestConstantStore|TestParallelExecuteDeterministic|TestKernelsHoistedParityRNS' ./internal/htc
 go test -count=1 -run 'TestRuntimeRotationsWithinCompiledKeys|TestConjugationKeyOnlyWhenUsed|TestNodeTableMatchesRuntime|TestAnalysisIssuesRuntimeStream|TestModDownsPerInference|TestCompileRejectsBadScales|TestBootstrapPlacement|TestBootstrapEndToEnd' ./internal/core
 go test -count=1 -run 'TestLeveledKeyParity|TestKeyGenDeterministicAcrossProcs|TestOverLevelKeySwitchIsDescriptive|TestRotSum' ./internal/ckks
 go test -count=1 -run 'TestRotSum' ./internal/hisa
 go test -count=1 -run 'TestSessionEncodesConstantsOnce|TestPlannedKeysMatchFullKeys' .
-go test -count=1 -run 'TestInputScaleAdmittedExactly|TestPoisonedTensorRejected|TestEvalPanicFailsOnlyItsRequest' ./internal/serve
+go test -count=1 -run 'TestInputScaleAdmittedExactly|TestPoisonedTensorRejected|TestEvalPanicFailsOnlyItsRequest|TestBadTensorRejected' ./internal/serve
 
 echo "== endpoint promises (worker and router serve through one wire.Endpoint: junk frames end their connection promptly and leave it serving, on a worker and on a router fronting one; a worker answers the router's control frames; both drain in-flight work on shutdown and refuse new work)"
 go test -count=1 -run 'TestMalformedFramesDoNotCrash|TestWorkerControlFrames|TestGracefulShutdownDrain' ./internal/serve

@@ -85,8 +85,8 @@ func fidelity(m *nn.Model) float64 {
 	want := m.Circuit.Evaluate(img)
 	sc := comp.Options.Scales
 	plan := htc.PlanFor(m.Circuit, comp.Best.Policy)
-	enc := htc.EncryptTensor(b, img, plan, sc)
-	got := htc.DecryptTensor(b, htc.Execute(b, m.Circuit, enc, comp.Best.Policy, sc, htc.ExecOptions{}))
+	enc := htc.EncryptTensor(b, plan, sc, img)
+	got := htc.DecryptTensor(b, htc.Execute(b, m.Circuit, enc, comp.Best.Policy, sc, htc.ExecOptions{}), 1)[0]
 	maxErr := 0.0
 	for i := range want.Data {
 		if e := math.Abs(got.Data[i] - want.Data[i]); e > maxErr {
@@ -323,7 +323,7 @@ func Figure6(models []*nn.Model, logN int) ([]Fig6Point, error) {
 			img := nn.SyntheticImage(m.InputShape, 23)
 			sc := comp.Options.Scales
 			plan := htc.PlanFor(m.Circuit, policy)
-			enc := htc.EncryptTensor(b, img, plan, sc)
+			enc := htc.EncryptTensor(b, plan, sc, img)
 			start := time.Now()
 			htc.Execute(b, m.Circuit, enc, policy, sc, htc.ExecOptions{})
 			elapsed := time.Since(start).Seconds()

@@ -4,7 +4,9 @@ import (
 	"sort"
 
 	"chet/internal/circuit"
+	"chet/internal/hisa"
 	"chet/internal/htc"
+	"chet/internal/tensor"
 )
 
 // Plan returns the physical layout plan the compiled circuit executes under,
@@ -16,6 +18,34 @@ func (c *Compiled) Plan() htc.Plan {
 	plan.Batch = c.Best.Batch
 	plan.Complex = c.Options.Complex
 	return plan
+}
+
+// Encrypt encrypts 1 <= len(imgs) <= Best.Batch input images on b into the
+// lanes of one cipher tensor under the compiled plan and input scale: the
+// client side of every session, local (chet.Session) or remote
+// (serve.Client).
+func (c *Compiled) Encrypt(b hisa.Backend, imgs ...*tensor.Tensor) *htc.CipherTensor {
+	return htc.EncryptTensor(b, c.Plan(), c.Options.Scales, imgs...)
+}
+
+// Decrypt recovers the first n images of an encrypted result on b, each in
+// the circuit's output shape: the slot grid a kernel left it on (a packed
+// Dense's R by G, say) is the CipherTensor's business, not the caller's. A
+// tensor of another size (an intermediate from OnNode, a round-tripped
+// input) keeps its own shape.
+func (c *Compiled) Decrypt(b hisa.Backend, ct *htc.CipherTensor, n int) []*tensor.Tensor {
+	shape := c.Circuit.Output.OutShape
+	size := 1
+	for _, d := range shape {
+		size *= d
+	}
+	ts := htc.DecryptTensor(b, ct, n)
+	for i, t := range ts {
+		if t.Size() == size {
+			ts[i] = t.Reshape(shape...)
+		}
+	}
+	return ts
 }
 
 // mergeRotations unions two sorted-or-unsorted rotation lists into one

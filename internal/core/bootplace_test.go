@@ -144,9 +144,9 @@ func TestBootstrapEndToEnd(t *testing.T) {
 
 	// Plaintext-tracking reference over the same circuit.
 	ref := hisa.NewRefBackend(1 << (comp.Best.LogN - 1))
-	refEnc := htc.EncryptTensor(ref, img, comp.Plan(), comp.Options.Scales)
+	refEnc := htc.EncryptTensor(ref, comp.Plan(), comp.Options.Scales, img)
 	refOut := htc.Execute(ref, m.Circuit, refEnc, comp.Best.Policy, comp.Options.Scales, htc.ExecOptions{})
-	want := htc.DecryptTensor(ref, refOut)
+	want := htc.DecryptTensor(ref, refOut, 1)[0]
 
 	raw, err := BuildBackend(comp, ring.NewTestPRNG(0xDEE9))
 	if err != nil {
@@ -158,9 +158,9 @@ func TestBootstrapEndToEnd(t *testing.T) {
 	}
 	rf := backend.(*hisa.Refresher)
 
-	enc := htc.EncryptTensor(backend, img, comp.Plan(), comp.Options.Scales)
+	enc := htc.EncryptTensor(backend, comp.Plan(), comp.Options.Scales, img)
 	out := htc.Execute(backend, m.Circuit, enc, comp.Best.Policy, comp.Options.Scales, htc.ExecOptions{})
-	got := htc.DecryptTensor(backend, out)
+	got := htc.DecryptTensor(backend, out, 1)[0]
 
 	if rf.Bootstraps() != len(comp.BootPlan.Placements) {
 		t.Fatalf("runtime performed %d bootstraps, compiler placed %d",
@@ -183,7 +183,8 @@ func TestBootstrapEndToEnd(t *testing.T) {
 	// no level panic, refreshes as often and computes the same bits.
 	before := rf.Bootstraps()
 	stored := htc.DecryptTensor(backend, htc.Execute(backend, m.Circuit, enc, comp.Best.Policy,
-		comp.Options.Scales, htc.ExecOptions{Constants: htc.NewConstants()}))
+		comp.Options.Scales, htc.ExecOptions{Constants: htc.NewConstants()}), 1)[0]
+
 	if n := rf.Bootstraps() - before; n != len(comp.BootPlan.Placements) {
 		t.Fatalf("runtime performed %d bootstraps through the store, compiler placed %d",
 			n, len(comp.BootPlan.Placements))

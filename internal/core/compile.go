@@ -277,7 +277,7 @@ func runAnalysis(c *circuit.Circuit, policy htc.LayoutPolicy, opts Options, a *A
 	// independent.
 	img := tensor.New(in...)
 	b := a.backend()
-	enc := htc.EncryptTensor(b, img, plan, sc)
+	enc := htc.EncryptTensor(b, plan, sc, img)
 	htc.Execute(b, c, enc, policy, sc, htc.ExecOptions{})
 	return nil
 }

@@ -17,7 +17,7 @@ func TestAnalysisResultsAreDeterministic(t *testing.T) {
 		a := NewAnalysis(AnalysisConfig{Scheme: SchemeCKKS, Slots: 2048})
 		sc := htc.DefaultScales()
 		plan := htc.PlanFor(c, htc.PolicyCHW)
-		enc := htc.EncryptTensor(a, tensor.New(1, 8, 8), plan, sc)
+		enc := htc.EncryptTensor(a, plan, sc, tensor.New(1, 8, 8))
 		htc.Execute(a, c, enc, htc.PolicyCHW, sc, htc.ExecOptions{})
 		return a.Rotations(), a.PeakLogQ(), a.ConsumedLogQ()
 	}
@@ -39,7 +39,7 @@ func TestPeakCoversConsumption(t *testing.T) {
 		a := NewAnalysis(AnalysisConfig{Scheme: scheme, Slots: 2048})
 		sc := htc.DefaultScales()
 		plan := htc.PlanFor(c, htc.PolicyHW)
-		enc := htc.EncryptTensor(a, tensor.New(1, 8, 8), plan, sc)
+		enc := htc.EncryptTensor(a, plan, sc, tensor.New(1, 8, 8))
 		htc.Execute(a, c, enc, htc.PolicyHW, sc, htc.ExecOptions{})
 		if a.PeakLogQ() < a.ConsumedLogQ() {
 			t.Fatalf("%v: peak %g below consumption %g", scheme, a.PeakLogQ(), a.ConsumedLogQ())
@@ -150,7 +150,7 @@ func TestDeeperCircuitConsumesMoreModulus(t *testing.T) {
 	measure := func(c *circuit.Circuit) float64 {
 		a := NewAnalysis(AnalysisConfig{Scheme: SchemeCKKS, Slots: 64})
 		sc := htc.DefaultScales()
-		enc := htc.EncryptTensor(a, tensor.New(1, 4, 4), htc.PlanFor(c, htc.PolicyCHW), sc)
+		enc := htc.EncryptTensor(a, htc.PlanFor(c, htc.PolicyCHW), sc, tensor.New(1, 4, 4))
 		htc.Execute(a, c, enc, htc.PolicyCHW, sc, htc.ExecOptions{})
 		return a.ConsumedLogQ()
 	}

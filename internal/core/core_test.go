@@ -103,12 +103,12 @@ func TestAnalysisMatchesMeterOnRef(t *testing.T) {
 
 	a := NewAnalysis(AnalysisConfig{Scheme: SchemeCKKS, Slots: slots})
 	plan := htc.PlanFor(c, policy)
-	encA := htc.EncryptTensor(a, tensor.New(img.Shape...), plan, sc)
+	encA := htc.EncryptTensor(a, plan, sc, tensor.New(img.Shape...))
 	htc.Execute(a, c, encA, policy, sc, htc.ExecOptions{})
 
 	ref := hisa.NewRefBackend(slots)
 	meter := hisa.NewMeter(ref, nil)
-	encR := htc.EncryptTensor(meter, img, plan, sc)
+	encR := htc.EncryptTensor(meter, plan, sc, img)
 	htc.Execute(meter, c, encR, policy, sc, htc.ExecOptions{})
 
 	if a.RotationOps() != meter.Counts().Rotations() {
@@ -183,9 +183,9 @@ func TestCompiledSimBackendMeetsPrecision(t *testing.T) {
 	}
 	sc := comp.Options.Scales
 	plan := htc.PlanFor(c, comp.Best.Policy)
-	enc := htc.EncryptTensor(b, img, plan, sc)
+	enc := htc.EncryptTensor(b, plan, sc, img)
 	out := htc.Execute(b, c, enc, comp.Best.Policy, sc, htc.ExecOptions{})
-	got := htc.DecryptTensor(b, out)
+	got := htc.DecryptTensor(b, out, 1)[0]
 	for i := range want.Data {
 		if math.Abs(got.Data[i]-want.Data[i]) > 1e-2 {
 			t.Fatalf("output %d: got %g want %g", i, got.Data[i], want.Data[i])
@@ -217,9 +217,9 @@ func TestCompiledRNSBackendMeetsPrecision(t *testing.T) {
 	}
 	sc := comp.Options.Scales
 	plan := htc.PlanFor(c, comp.Best.Policy)
-	enc := htc.EncryptTensor(b, img, plan, sc)
+	enc := htc.EncryptTensor(b, plan, sc, img)
 	out := htc.Execute(b, c, enc, comp.Best.Policy, sc, htc.ExecOptions{})
-	got := htc.DecryptTensor(b, out)
+	got := htc.DecryptTensor(b, out, 1)[0]
 	for i := range want.Data {
 		if math.Abs(got.Data[i]-want.Data[i]) > 1e-2 {
 			t.Fatalf("output %d: got %g want %g", i, got.Data[i], want.Data[i])
@@ -277,8 +277,8 @@ func TestSelectScales(t *testing.T) {
 	}
 	want := c.Evaluate(img)
 	plan := htc.PlanFor(c, comp.Best.Policy)
-	enc := htc.EncryptTensor(b, img, plan, sc)
-	got := htc.DecryptTensor(b, htc.Execute(b, c, enc, comp.Best.Policy, sc, htc.ExecOptions{}))
+	enc := htc.EncryptTensor(b, plan, sc, img)
+	got := htc.DecryptTensor(b, htc.Execute(b, c, enc, comp.Best.Policy, sc, htc.ExecOptions{}), 1)[0]
 	for i := range want.Data {
 		if math.Abs(got.Data[i]-want.Data[i]) > 0.05 {
 			t.Fatalf("selected scales violate tolerance at output %d: %g vs %g",

@@ -134,7 +134,7 @@ func runtimeRotationsWithinKeys(t *testing.T, name string, comp *Compiled, c *ci
 			missing[amount] = true
 		}
 	})
-	enc := htc.EncryptTensor(&b, tensor.New(c.Input.OutShape...), comp.Plan(), comp.Options.Scales)
+	enc := htc.EncryptTensor(&b, comp.Plan(), comp.Options.Scales, tensor.New(c.Input.OutShape...))
 	htc.Execute(&b, c, enc, comp.Best.Policy, comp.Options.Scales, htc.ExecOptions{Workers: 4})
 	if len(missing) > 0 {
 		t.Errorf("%s: runtime rotated by %v, not among the %d compiled keys", name, missing, len(keys))
@@ -163,7 +163,7 @@ func keyLevelsWithinPlan(t *testing.T, name string, comp *Compiled, c *circuit.C
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc := htc.EncryptTensor(b, tensor.New(c.Input.OutShape...), comp.Plan(), comp.Options.Scales)
+	enc := htc.EncryptTensor(b, comp.Plan(), comp.Options.Scales, tensor.New(c.Input.OutShape...))
 	htc.Execute(b, c, enc, comp.Best.Policy, comp.Options.Scales, htc.ExecOptions{Workers: 2})
 	if n := b.(*hisa.RNSBackend).KeyLevelMisses(); n != 0 {
 		t.Errorf("%s: %d key switches above their key's planned level", name, n)

@@ -82,7 +82,7 @@ func record(c *circuit.Circuit, comp *Compiled) (err error) {
 	}
 
 	img := tensor.New(c.Input.OutShape...)
-	enc := htc.EncryptTensor(&b, img, comp.Plan(), opts.Scales)
+	enc := htc.EncryptTensor(&b, comp.Plan(), opts.Scales, img)
 	htc.Execute(&b, c, enc, comp.Best.Policy, opts.Scales, htc.ExecOptions{OnNode: onNode})
 	if opts.Scheme == SchemeRNS {
 		comp.Keys = keyPlan(comp, a, cfg)

@@ -49,7 +49,7 @@ func TestNodeTableMatchesRuntime(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := hisa.NewMeter(b, nil)
-		enc := htc.EncryptTensor(m, tc.img, comp.Plan(), comp.Options.Scales)
+		enc := htc.EncryptTensor(m, comp.Plan(), comp.Options.Scales, tc.img)
 		htc.Execute(m, comp.Circuit, enc, comp.Best.Policy, comp.Options.Scales, htc.ExecOptions{Workers: 4})
 		got := m.Counts()
 		runtime := [4]int{got.Rotations(), got[hisa.OpMulPlain], got[hisa.OpRescale], got[hisa.OpRelin]}
@@ -80,7 +80,7 @@ func TestAnalysisIssuesRuntimeStream(t *testing.T) {
 				kinds = append(kinds, op.Kind)
 			}
 		})
-		enc := htc.EncryptTensor(&rec, img, comp.Plan(), comp.Options.Scales)
+		enc := htc.EncryptTensor(&rec, comp.Plan(), comp.Options.Scales, img)
 		htc.Execute(&rec, comp.Circuit, enc, comp.Best.Policy, comp.Options.Scales, opts)
 		return kinds
 	}
@@ -135,7 +135,7 @@ func TestModDownsPerInference(t *testing.T) {
 	}
 	rns := b.(*hisa.RNSBackend)
 	m := hisa.NewMeter(b, nil)
-	enc := htc.EncryptTensor(m, nn.SyntheticImage(tiny.InputShape, 7), comp.Plan(), comp.Options.Scales)
+	enc := htc.EncryptTensor(m, comp.Plan(), comp.Options.Scales, nn.SyntheticImage(tiny.InputShape, 7))
 	before := rns.ModDowns()
 	htc.Execute(m, comp.Circuit, enc, comp.Best.Policy, comp.Options.Scales, htc.ExecOptions{Workers: 2})
 	got := rns.ModDowns() - before

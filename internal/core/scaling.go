@@ -122,7 +122,7 @@ func scalesAcceptable(c *circuit.Circuit, inputs, refs []*tensor.Tensor,
 	policy := best.Policy
 	plan := htc.PlanFor(c, policy)
 	for i, in := range inputs {
-		enc := htc.EncryptTensor(b, in, plan, sc)
+		enc := htc.EncryptTensor(b, plan, sc, in)
 		out := htc.Execute(b, c, enc, policy, sc, htc.ExecOptions{})
 		noiseBound := 0.0
 		for _, ct := range out.CTs {
@@ -130,7 +130,7 @@ func scalesAcceptable(c *circuit.Circuit, inputs, refs []*tensor.Tensor,
 				noiseBound = n
 			}
 		}
-		dec := htc.DecryptTensor(b, out)
+		dec := htc.DecryptTensor(b, out, 1)[0]
 		for j := range refs[i].Data {
 			if math.Abs(dec.Data[j]-refs[i].Data[j])+noiseBound > tol {
 				return false

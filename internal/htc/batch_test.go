@@ -36,16 +36,16 @@ func batchParity(t *testing.T, name string, mkBackend func() hisa.Backend, sc Sc
 	}
 
 	b := mkBackend()
-	in := EncryptTensorBatch(b, imgs, plan, sc)
+	in := EncryptTensor(b, plan, sc, imgs...)
 	out := Execute(b, c, in, PolicyCHW, sc, ExecOptions{})
-	batched := DecryptTensorBatch(b, out, B)
+	batched := DecryptTensor(b, out, B)
 
 	unplan := PlanFor(c, PolicyCHW) // same geometry decisions, batch 1
 	for i, img := range imgs {
 		ub := mkBackend()
-		uin := EncryptTensor(ub, img, unplan, sc)
+		uin := EncryptTensor(ub, unplan, sc, img)
 		uout := Execute(ub, c, uin, PolicyCHW, sc, ExecOptions{})
-		want := DecryptTensor(ub, uout)
+		want := DecryptTensor(ub, uout, 1)[0]
 		got := batched[i]
 		if got.Size() != want.Size() {
 			t.Fatalf("%s lane %d: %d outputs, want %d", name, i, got.Size(), want.Size())

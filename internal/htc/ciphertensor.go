@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"slices"
 
 	"chet/internal/hisa"
 	"chet/internal/tensor"
@@ -109,14 +110,16 @@ type CipherTensor struct {
 	ChanStride int
 	CPerCT     int
 
-	// Batch axis: the slot vector is split into nextPow2(B) lanes of
-	// BatchStride slots each, and image b occupies slots
-	// [b*BatchStride, (b+1)*BatchStride). All per-image geometry above is
+	// Batch axis: the slot vector is split into nextPow2(Lanes()) lanes of
+	// BatchStride slots each, and lane l occupies slots
+	// [l*BatchStride, (l+1)*BatchStride). Every tensor holds B >= 1 images
+	// in lanes of BatchStride >= 1 slots (an unbatched tensor is B = 1 with
+	// one lane of all the slots); EncryptTensor and DecryptTensor are the one
+	// place that maps images onto lanes. All per-image geometry above is
 	// lane-relative (lane 0); kernels are batch-oblivious because every
-	// homomorphic rotation they issue is smaller than BatchStride and the
-	// apron/mask invariant keeps taps from crossing lane boundaries.
-	// B == 0 means an unbatched legacy tensor (treated as B == 1 with
-	// BatchStride == slots).
+	// homomorphic rotation they issue is smaller than BatchStride, the
+	// apron/mask invariant keeps taps from crossing lane boundaries, and
+	// replicate copies each constant's lane-0 vector into every lane.
 	B           int
 	BatchStride int
 
@@ -130,31 +133,48 @@ type CipherTensor struct {
 	CTs []hisa.Ciphertext
 }
 
-// Batches returns the number of packed images, treating the zero value as 1.
-func (ct *CipherTensor) Batches() int {
-	if ct.B < 1 {
-		return 1
+// Lanes returns the number of physical batch lanes: B for real packing,
+// halved (rounded up) for complex packing.
+func (ct *CipherTensor) Lanes() int {
+	if ct.Complex {
+		return (ct.B + 1) / 2
 	}
 	return ct.B
 }
 
-// Lanes returns the number of physical batch lanes: equal to Batches for
-// real packing, halved (rounded up) for complex packing.
-func (ct *CipherTensor) Lanes() int {
-	b := ct.Batches()
+// lane returns where image i lives: the first slot of its lane and the slot
+// component holding it (0 real, 1 imaginary). Real packing puts image i in
+// lane i; complex packing puts it in lane i/2, component i%2.
+func (ct *CipherTensor) lane(i int) (base, part int) {
 	if ct.Complex {
-		return (b + 1) / 2
+		return i / 2 * ct.BatchStride, i % 2
 	}
-	return b
+	return i * ct.BatchStride, 0
 }
 
-// laneStride returns the slot span of one batch lane: BatchStride when set,
-// otherwise the full slot vector (legacy unbatched tensors).
-func (ct *CipherTensor) laneStride(slots int) int {
-	if ct.BatchStride > 0 {
-		return ct.BatchStride
+// replicate copies lane 0 of vec, a constant's slot vector, into every other
+// lane in place, so one plaintext serves every packed image. Kernels build
+// only lane 0; an unbatched tensor copies nothing.
+func (ct *CipherTensor) replicate(vec []float64) []float64 {
+	if ct.Lanes() > 1 {
+		lane0 := vec[:ct.BatchStride]
+		for l := 1; l < ct.Lanes(); l++ {
+			copy(vec[l*ct.BatchStride:], lane0)
+		}
 	}
-	return slots
+	return vec
+}
+
+// forEach calls f with every logical element (ch, y, x) that ciphertext g
+// holds and its slot in lane 0.
+func (ct *CipherTensor) forEach(g int, f func(ch, y, x, slot int)) {
+	for ci := 0; ci < ct.CPerCT && g*ct.CPerCT+ci < ct.C; ci++ {
+		for y := 0; y < ct.H; y++ {
+			for x := 0; x < ct.W; x++ {
+				f(g*ct.CPerCT+ci, y, x, ct.pos(ci, y, x))
+			}
+		}
+	}
 }
 
 // NumCTs returns the number of ciphertexts.
@@ -169,7 +189,8 @@ func (ct *CipherTensor) pos(cInCT, y, x int) int {
 func (ct *CipherTensor) Shape() []int { return []int{ct.C, ct.H, ct.W} }
 
 // Validate checks the metadata against itself and a backend's slot count
-// without panicking: every logical position must land in [0, slots) and the
+// without panicking: B and BatchStride must be at least 1, every logical
+// position must land in its lane and every lane in [0, slots), and the
 // ciphertext count must match the channel blocking. The serving layer calls
 // this on tensors received from the network before touching a kernel, where
 // the panicking internal checks would take the whole server down.
@@ -189,21 +210,17 @@ func (ct *CipherTensor) Validate(slots int) error {
 	if maxPos < 0 || maxPos >= slots {
 		return fmt.Errorf("htc: CipherTensor overflows %d slots (max position %d)", slots, maxPos)
 	}
-	if ct.B < 0 || ct.BatchStride < 0 {
-		return fmt.Errorf("htc: negative batch metadata (B %d, batchStride %d)", ct.B, ct.BatchStride)
+	if ct.B < 1 || ct.BatchStride < 1 || ct.BatchStride > slots {
+		return fmt.Errorf("htc: CipherTensor batch metadata (B %d, batchStride %d) outside [1, %d slots]",
+			ct.B, ct.BatchStride, slots)
 	}
-	if ct.B > 1 {
-		if ct.BatchStride < 1 {
-			return fmt.Errorf("htc: batched CipherTensor (B=%d) without a batch stride", ct.B)
-		}
-		if maxPos >= ct.BatchStride {
-			return fmt.Errorf("htc: CipherTensor lane overflows batch stride %d (max position %d)",
-				ct.BatchStride, maxPos)
-		}
-		if last := (ct.Lanes()-1)*ct.BatchStride + maxPos; last >= slots {
-			return fmt.Errorf("htc: %d batch lanes of stride %d overflow %d slots",
-				ct.Lanes(), ct.BatchStride, slots)
-		}
+	if maxPos >= ct.BatchStride {
+		return fmt.Errorf("htc: CipherTensor lane overflows batch stride %d (max position %d)",
+			ct.BatchStride, maxPos)
+	}
+	if last := (ct.Lanes()-1)*ct.BatchStride + maxPos; last >= slots {
+		return fmt.Errorf("htc: %d batch lanes of stride %d overflow %d slots",
+			ct.Lanes(), ct.BatchStride, slots)
 	}
 	want := (ct.C + ct.CPerCT - 1) / ct.CPerCT
 	if len(ct.CTs) != want {
@@ -293,53 +310,72 @@ func blockCapacity(slots, chanStride int) int {
 	return c
 }
 
-// EncryptTensor encodes and encrypts a plaintext CHW tensor under the plan
-// at scale sc.Pc.
-func EncryptTensor(b hisa.Backend, t *tensor.Tensor, plan Plan, sc Scales) *CipherTensor {
-	if t.Rank() != 3 {
-		panic(fmt.Sprintf("htc: EncryptTensor wants CHW input, got %v", t.Shape))
+// EncryptTensor encodes and encrypts 1 <= len(imgs) <= plan.Batch CHW images
+// of one shape into the batch lanes of one CipherTensor under the plan, at
+// scale sc.Pc: image i goes where CipherTensor.lane puts it. Unused lanes
+// stay zero, preserving the zero-outside-valid-slots invariant for partial
+// batches. Real plans encrypt with Encrypt(Encode), complex plans with
+// EncryptC.
+func EncryptTensor(b hisa.Backend, plan Plan, sc Scales, imgs ...*tensor.Tensor) *CipherTensor {
+	if len(imgs) < 1 || len(imgs) > plan.batches() {
+		panic(fmt.Sprintf("htc: %d images for a plan of batch capacity %d", len(imgs), plan.batches()))
 	}
-	c, h, w := t.Shape[0], t.Shape[1], t.Shape[2]
-	meta := NewLayout(plan, c, h, w, b.Slots())
-
-	numCTs := (c + meta.CPerCT - 1) / meta.CPerCT
-	meta.CTs = make([]hisa.Ciphertext, numCTs)
-	for g := 0; g < numCTs; g++ {
-		vals := make([]float64, b.Slots())
-		for ci := 0; ci < meta.CPerCT; ci++ {
-			ch := g*meta.CPerCT + ci
-			if ch >= c {
-				break
-			}
-			for y := 0; y < h; y++ {
-				for x := 0; x < w; x++ {
-					vals[meta.pos(ci, y, x)] = t.At(ch, y, x)
-				}
-			}
+	shape := imgs[0].Shape
+	for i, t := range imgs {
+		if t.Rank() != 3 || !slices.Equal(t.Shape, shape) {
+			panic(fmt.Sprintf("htc: EncryptTensor image %d has shape %v, want CHW %v", i, t.Shape, shape))
 		}
-		meta.CTs[g] = b.Encrypt(b.Encode(vals, sc.Pc))
+	}
+	meta := NewLayout(plan, shape[0], shape[1], shape[2], b.Slots())
+	meta.CTs = make([]hisa.Ciphertext, (meta.C+meta.CPerCT-1)/meta.CPerCT)
+	for g := range meta.CTs {
+		parts := [2][]float64{make([]float64, b.Slots())}
+		if meta.Complex {
+			parts[1] = make([]float64, b.Slots())
+		}
+		for i, t := range imgs {
+			base, part := meta.lane(i)
+			meta.forEach(g, func(ch, y, x, slot int) { parts[part][base+slot] = t.At(ch, y, x) })
+		}
+		if !meta.Complex {
+			meta.CTs[g] = b.Encrypt(b.Encode(parts[0], sc.Pc))
+			continue
+		}
+		vals := make([]complex128, b.Slots())
+		for s := range vals {
+			vals[s] = complex(parts[0][s], parts[1][s])
+		}
+		meta.CTs[g] = b.EncryptC(vals, sc.Pc)
 	}
 	meta.validate(b.Slots())
 	return &meta
 }
 
-// DecryptTensor decrypts a CipherTensor back into a logical CHW tensor
-// (or a vector when H == W == 1 ... the CHW shape is always returned;
-// callers reshape as needed).
-func DecryptTensor(b hisa.Backend, ct *CipherTensor) *tensor.Tensor {
-	out := tensor.New(ct.C, ct.H, ct.W)
-	for g := 0; g < ct.NumCTs(); g++ {
-		vals := b.Decode(b.Decrypt(ct.CTs[g]))
-		for ci := 0; ci < ct.CPerCT; ci++ {
-			ch := g*ct.CPerCT + ci
-			if ch >= ct.C {
-				break
+// DecryptTensor decrypts the first n images of ct, each in its logical CHW
+// shape (callers reshape as needed), reading image i where EncryptTensor put
+// it. Real tensors decrypt with Decode(Decrypt), complex ones with DecryptC.
+func DecryptTensor(b hisa.Backend, ct *CipherTensor, n int) []*tensor.Tensor {
+	if n < 1 || n > ct.B {
+		panic(fmt.Sprintf("htc: cannot decrypt %d images of a batch-%d tensor", n, ct.B))
+	}
+	out := make([]*tensor.Tensor, n)
+	for i := range out {
+		out[i] = tensor.New(ct.C, ct.H, ct.W)
+	}
+	for g, c := range ct.CTs {
+		var parts [2][]float64
+		if ct.Complex {
+			vals := b.DecryptC(c)
+			parts = [2][]float64{make([]float64, len(vals)), make([]float64, len(vals))}
+			for s, v := range vals {
+				parts[0][s], parts[1][s] = real(v), imag(v)
 			}
-			for y := 0; y < ct.H; y++ {
-				for x := 0; x < ct.W; x++ {
-					out.Set(vals[ct.pos(ci, y, x)], ch, y, x)
-				}
-			}
+		} else {
+			parts[0] = b.Decode(b.Decrypt(c))
+		}
+		for i, t := range out {
+			base, part := ct.lane(i)
+			ct.forEach(g, func(ch, y, x, slot int) { t.Set(parts[part][base+slot], ch, y, x) })
 		}
 	}
 	return out
@@ -352,52 +388,17 @@ func metaClone(src *CipherTensor) CipherTensor {
 	return out
 }
 
-// validMask builds a 0/1 vector marking the valid positions of the channels
-// in ciphertext group g, scaled by value. The pattern is replicated into
-// every batch lane so one plaintext multiplication serves all packed images.
-func validMask(ct *CipherTensor, g, slots int, value float64) []float64 {
-	vals := make([]float64, slots)
-	ls := ct.laneStride(slots)
-	for lane := 0; lane < ct.Lanes(); lane++ {
-		base := lane * ls
-		for ci := 0; ci < ct.CPerCT; ci++ {
-			ch := g*ct.CPerCT + ci
-			if ch >= ct.C {
-				break
-			}
-			for y := 0; y < ct.H; y++ {
-				for x := 0; x < ct.W; x++ {
-					vals[base+ct.pos(ci, y, x)] = value
-				}
-			}
-		}
-	}
-	return vals
-}
-
 // perChannelVector builds a plaintext vector assigning val(ch) to every
 // valid position of each channel in group g, replicated into every batch
 // lane (the same weights apply to every packed image).
 func perChannelVector(ct *CipherTensor, g, slots int, val func(ch int) float64) []float64 {
 	vals := make([]float64, slots)
-	ls := ct.laneStride(slots)
-	for lane := 0; lane < ct.Lanes(); lane++ {
-		base := lane * ls
-		for ci := 0; ci < ct.CPerCT; ci++ {
-			ch := g*ct.CPerCT + ci
-			if ch >= ct.C {
-				break
-			}
-			v := val(ch)
-			for y := 0; y < ct.H; y++ {
-				for x := 0; x < ct.W; x++ {
-					vals[base+ct.pos(ci, y, x)] = v
-				}
-			}
-		}
-	}
-	return vals
+	ct.forEach(g, func(ch, _, _, slot int) { vals[slot] = val(ch) })
+	return ct.replicate(vals)
 }
+
+// uniform is the channel value function of a mask: v in every channel.
+func uniform(v float64) func(int) float64 { return func(int) float64 { return v } }
 
 // tryRescale applies the HISA rescaling protocol: if the ciphertext's scale
 // has grown past base, rescale by the largest divisor the scheme offers

@@ -30,19 +30,19 @@ func complexParity(t *testing.T, name string, mkBackend func() hisa.Backend, sc 
 	}
 
 	b := mkBackend()
-	in := EncryptTensorBatch(b, imgs, plan, sc)
+	in := EncryptTensor(b, plan, sc, imgs...)
 	if !in.Complex {
 		t.Fatalf("%s: encrypted batch lost the Complex flag", name)
 	}
 	out := Execute(b, c, in, PolicyCHW, sc, ExecOptions{})
-	batched := DecryptTensorBatch(b, out, B)
+	batched := DecryptTensor(b, out, B)
 
 	unplan := PlanFor(c, PolicyCHW) // same geometry, batch 1, real packing
 	for i, img := range imgs {
 		ub := mkBackend()
-		uin := EncryptTensor(ub, img, unplan, sc)
+		uin := EncryptTensor(ub, unplan, sc, img)
 		uout := Execute(ub, c, uin, PolicyCHW, sc, ExecOptions{})
-		want := DecryptTensor(ub, uout)
+		want := DecryptTensor(ub, uout, 1)[0]
 		got := batched[i]
 		if got.Size() != want.Size() {
 			t.Fatalf("%s lane %d: %d outputs, want %d", name, i, got.Size(), want.Size())
@@ -105,8 +105,8 @@ func TestMulPairwiseComponentwise(t *testing.T) {
 	for i := range ts {
 		ts[i] = randTensor([]int{2, 3, 3}, 1, int64(710+i))
 	}
-	x := EncryptTensorBatch(b, ts[:2], plan, sc)
-	y := EncryptTensorBatch(b, ts[2:], plan, sc)
+	x := EncryptTensor(b, plan, sc, ts[:2]...)
+	y := EncryptTensor(b, plan, sc, ts[2:]...)
 
 	out := metaClone(x)
 	out.CTs = make([]hisa.Ciphertext, x.NumCTs())
@@ -114,11 +114,11 @@ func TestMulPairwiseComponentwise(t *testing.T) {
 		out.CTs[g] = mulPairwise(b, x.CTs[g], y.CTs[g])
 	}
 
-	for lane := 0; lane < 2; lane++ {
+	for lane, got := range DecryptTensor(b, &out, 2) {
 		want := tensor.New(ts[lane].Shape...)
 		for k := range want.Data {
 			want.Data[k] = ts[lane].Data[k] * ts[2+lane].Data[k]
 		}
-		tensorsClose(t, "pairwise product lane", DecryptTensorLane(b, &out, lane), want, 1e-9)
+		tensorsClose(t, "pairwise product lane", got, want, 1e-9)
 	}
 }

@@ -50,7 +50,7 @@ func TestConstantStoreLevels(t *testing.T) {
 	topRows := int64(rns.Params().MaxLevel() + 1)
 	for _, policy := range []LayoutPolicy{PolicyCHW, PolicyHW} {
 		store := NewConstants()
-		in := EncryptTensor(b, img, PlanFor(m.Circuit, policy), sc)
+		in := EncryptTensor(b, PlanFor(m.Circuit, policy), sc, img)
 		Execute(b, m.Circuit, in, policy, sc, ExecOptions{Workers: 2, Constants: store})
 		count, bytes := store.Plaintexts(), store.Bytes()
 		if count == 0 || bytes%(n*8) != 0 {
@@ -75,8 +75,8 @@ func TestConstantStoreConcurrentExecutions(t *testing.T) {
 	b := rnsTestBackend(t)
 	m := nn.LeNetTiny()
 	sc := Scales{Pc: math.Exp2(40), Pw: math.Exp2(40), Pu: math.Exp2(40), Pm: math.Exp2(40)}
-	in := EncryptTensor(b, nn.SyntheticImage(m.InputShape, 5), PlanFor(m.Circuit, PolicyCHW), sc)
-	want := DecryptTensor(b, Execute(b, m.Circuit, in, PolicyCHW, sc, ExecOptions{}))
+	in := EncryptTensor(b, PlanFor(m.Circuit, PolicyCHW), sc, nn.SyntheticImage(m.InputShape, 5))
+	want := DecryptTensor(b, Execute(b, m.Circuit, in, PolicyCHW, sc, ExecOptions{}), 1)[0]
 
 	store := NewConstants()
 	outs := make([]*CipherTensor, 2)
@@ -90,6 +90,6 @@ func TestConstantStoreConcurrentExecutions(t *testing.T) {
 	}
 	wg.Wait()
 	for i, out := range outs {
-		requireBitIdentical(t, "concurrent execution "+string(rune('A'+i)), want, DecryptTensor(b, out))
+		requireBitIdentical(t, "concurrent execution "+string(rune('A'+i)), want, DecryptTensor(b, out, 1)[0])
 	}
 }

@@ -35,7 +35,7 @@ func Dense(b hisa.Backend, in *CipherTensor, weights, bias *tensor.Tensor, sc Sc
 		panic(fmt.Sprintf("htc: dense weights %v incompatible with input size %d", weights.Shape, inSize))
 	}
 	outDim := weights.Shape[0]
-	ls := in.laneStride(b.Slots())
+	ls := in.BatchStride
 	if outDim > ls {
 		panic("htc: dense output exceeds batch-lane slot count")
 	}
@@ -70,27 +70,19 @@ func Dense(b hisa.Backend, in *CipherTensor, weights, bias *tensor.Tensor, sc Sc
 	// sit there and everything else is partial sums.
 	origins := out
 	origins.W, origins.Offset = 1, in.Offset
-	mask := opts.constant(b, validMask(&origins, 0, b.Slots(), 1), sc.Pm)
+	mask := opts.constant(b, perChannelVector(&origins, 0, b.Slots(), uniform(1)), sc.Pm)
 
 	groups := make([]hisa.Ciphertext, G)
 	parallelFor(opts.workers(), G, func(q int) {
 		var acc hisa.Ciphertext
 		for g := range copies {
 			wv := make([]float64, b.Slots())
-			for lane := 0; lane < in.Lanes(); lane++ {
+			in.forEach(g, func(ch, y, x, slot int) {
 				for r := 0; r < R; r++ {
-					base := lane*ls + r*m
-					for ci := 0; ci < in.CPerCT && g*in.CPerCT+ci < in.C; ci++ {
-						logical := (g*in.CPerCT + ci) * in.H * in.W
-						for y := 0; y < in.H; y++ {
-							for x := 0; x < in.W; x++ {
-								wv[base+in.pos(ci, y, x)] = weights.At(r*G+q, logical+y*in.W+x)
-							}
-						}
-					}
+					wv[r*m+slot] = weights.At(r*G+q, (ch*in.H+y)*in.W+x)
 				}
-			}
-			acc = accumulate(b, acc, b.MulPlain(copies[g], opts.constant(b, wv, sc.Pw).at(copies[g])))
+			})
+			acc = accumulate(b, acc, b.MulPlain(copies[g], opts.constant(b, in.replicate(wv), sc.Pw).at(copies[g])))
 		}
 		acc = tryRescale(b, acc, sc.Pc)
 		acc = foldStrided(b, acc, in.W, in.ColStride)
@@ -112,12 +104,10 @@ func Dense(b hisa.Backend, in *CipherTensor, weights, bias *tensor.Tensor, sc Sc
 
 	if bias != nil {
 		bv := make([]float64, b.Slots())
-		for lane := 0; lane < in.Lanes(); lane++ {
-			for o, v := range bias.Data {
-				bv[lane*ls+o/G*m+o%G] = v
-			}
+		for o, v := range bias.Data {
+			bv[o/G*m+o%G] = v
 		}
-		acc = addVecBoth(b, opts, in.Complex, acc, bv)
+		acc = addVecBoth(b, opts, in.Complex, acc, out.replicate(bv))
 	}
 	out.CTs = []hisa.Ciphertext{acc}
 	out.validate(b.Slots())
@@ -174,8 +164,7 @@ func sameGrid(x, y *CipherTensor) bool {
 // rescale and one rotation per such move, one multiplicative level in all.
 func regrid(b hisa.Backend, t, like *CipherTensor, sc Scales, opts ExecOptions) *CipherTensor {
 	size, grid := t.C*t.H*t.W, like.H*like.W
-	ls := t.laneStride(b.Slots())
-	if size%grid != 0 || t.B != like.B || ls != like.laneStride(b.Slots()) || t.Complex != like.Complex {
+	if size%grid != 0 || t.B != like.B || t.BatchStride != like.BatchStride || t.Complex != like.Complex {
 		panic(fmt.Sprintf("htc: no common grid for a %dx%dx%d and a %dx%dx%d tensor; insert a layout conversion",
 			t.C, t.H, t.W, like.C, like.H, like.W))
 	}
@@ -196,9 +185,10 @@ func regrid(b hisa.Backend, t, like *CipherTensor, sc Scales, opts ExecOptions) 
 			masks[mv] = make([]float64, b.Slots())
 			moves = append(moves, mv)
 		}
-		for lane := 0; lane < t.Lanes(); lane++ {
-			masks[mv][lane*ls+from] = 1
-		}
+		masks[mv][from] = 1
+	}
+	for _, mv := range moves {
+		t.replicate(masks[mv])
 	}
 
 	moved := make([]hisa.Ciphertext, len(moves))

@@ -105,7 +105,7 @@ func denseParity(t *testing.T, mk func(logN int) hisa.Backend, sc Scales, tol fl
 		if b.Slots() != dc.slots {
 			t.Fatalf("%s: backend has %d slots, case wants %d", dc.name, b.Slots(), dc.slots)
 		}
-		in := EncryptTensorBatch(b, imgs, dc.plan(), sc)
+		in := EncryptTensor(b, dc.plan(), sc, imgs...)
 
 		var gotR []int
 		serial := Execute(b, c, in, dc.policy(), sc, ExecOptions{
@@ -120,8 +120,8 @@ func denseParity(t *testing.T, mk func(logN int) hisa.Backend, sc Scales, tol fl
 		}
 		parallel := Execute(b, c, in, dc.policy(), sc, ExecOptions{Workers: 4})
 
-		got := DecryptTensorBatch(b, serial, len(imgs))
-		gotPar := DecryptTensorBatch(b, parallel, len(imgs))
+		got := DecryptTensor(b, serial, len(imgs))
+		gotPar := DecryptTensor(b, parallel, len(imgs))
 		for lane, img := range imgs {
 			name := fmt.Sprintf("%s/%s lane %d", b.Name(), dc.name, lane)
 			tensorsClose(t, name, got[lane], c.Evaluate(img), tol)
@@ -167,19 +167,19 @@ func TestRegrid(t *testing.T) {
 	sc := DefaultScales()
 	src := randTensor([]int{6, 2, 2}, 1, 730)
 	peer := randTensor([]int{3, 2, 4}, 1, 731)
-	from := EncryptTensor(b, src, Plan{Layout: LayoutCHW, Apron: 1}, sc) // 4 channels per ciphertext, 2 ciphertexts
-	like := EncryptTensor(b, peer, Plan{Layout: LayoutCHW}, sc)          // 8 per ciphertext
+	from := EncryptTensor(b, Plan{Layout: LayoutCHW, Apron: 1}, sc, src) // 4 channels per ciphertext, 2 ciphertexts
+	like := EncryptTensor(b, Plan{Layout: LayoutCHW}, sc, peer)          // 8 per ciphertext
 	for _, workers := range []int{1, 4} {
 		got := regrid(b, from, like, sc, ExecOptions{Workers: workers})
 		if !sameGrid(got, like) || got.C != 3 {
 			t.Fatalf("regrid left a %dx%dx%d tensor off the target grid", got.C, got.H, got.W)
 		}
-		tensorsClose(t, "regrid", DecryptTensor(b, got), src.Reshape(3, 2, 4), 1e-9)
-		cat := DecryptTensor(b, Concat(b, sc, ExecOptions{}, like, got))
+		tensorsClose(t, "regrid", DecryptTensor(b, got, 1)[0], src.Reshape(3, 2, 4), 1e-9)
+		cat := DecryptTensor(b, Concat(b, sc, ExecOptions{}, like, got), 1)[0]
 		tensorsClose(t, "concat after regrid", cat, tensor.ConcatChannels(peer, src.Reshape(3, 2, 4)), 1e-9)
 	}
 	assertPanics(t, "regrid onto a grid the elements do not fill", func() {
-		odd := EncryptTensor(b, randTensor([]int{1, 1, 5}, 1, 732), Plan{Layout: LayoutCHW}, sc)
+		odd := EncryptTensor(b, Plan{Layout: LayoutCHW}, sc, randTensor([]int{1, 1, 5}, 1, 732))
 		regrid(b, from, odd, sc, ExecOptions{})
 	})
 }
@@ -237,7 +237,7 @@ func TestDenseRotationBudget(t *testing.T) {
 	for _, tc := range cases {
 		m := hisa.NewMeter(hisa.NewRefBackend(tc.slots), nil)
 		sc := DefaultScales()
-		enc := EncryptTensor(m, tensor.New(tc.c.Input.OutShape...), PlanFor(tc.c, tc.policy), sc)
+		enc := EncryptTensor(m, PlanFor(tc.c, tc.policy), sc, tensor.New(tc.c.Input.OutShape...))
 		outs := map[int]*CipherTensor{}
 		before := 0
 		Execute(m, tc.c, enc, tc.policy, sc, ExecOptions{OnNode: func(n *circuit.Node, out *CipherTensor) {

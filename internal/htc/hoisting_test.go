@@ -55,23 +55,23 @@ func TestKernelsHoistedParityRNS(t *testing.T) {
 	for _, layout := range []Layout{LayoutHW, LayoutCHW} {
 		// One encryption shared by both runs: kernels are functional, so
 		// the two executions see the very same input ciphertexts.
-		in := EncryptTensor(b, img, Plan{Layout: layout, Apron: 1}, sc)
+		in := EncryptTensor(b, Plan{Layout: layout, Apron: 1}, sc, img)
 
 		conv := Conv2D(b, in, filters, bias, 1, 1, sc, ExecOptions{Workers: 4})
 		convShim := Conv2D(shim, in, filters, bias, 1, 1, sc, ExecOptions{Workers: 4})
-		requireWithin(t, layout.String()+"/conv", DecryptTensor(b, conv), DecryptTensor(b, convShim),
+		requireWithin(t, layout.String()+"/conv", DecryptTensor(b, conv, 1)[0], DecryptTensor(b, convShim, 1)[0],
 			(2+sumW+float64(filters.Shape[0]))*rounding)
 
 		pool := AvgPool2D(b, conv, 2, 2, sc, ExecOptions{})
 		poolShim := AvgPool2D(shim, conv, 2, 2, sc, ExecOptions{})
-		requireWithin(t, layout.String()+"/pool", DecryptTensor(b, pool), DecryptTensor(b, poolShim), 5*rounding)
+		requireWithin(t, layout.String()+"/pool", DecryptTensor(b, pool, 1)[0], DecryptTensor(b, poolShim, 1)[0], 5*rounding)
 
 		// 3x3 spatial dims at this point are non-powers-of-two: the global
 		// pool's fold takes its double-and-add path.
 		gap := GlobalAvgPool2D(b, pool, sc, ExecOptions{})
 		gapShim := GlobalAvgPool2D(shim, pool, sc, ExecOptions{})
 		requireBitIdentical(t, layout.String()+"/gap",
-			DecryptTensor(b, gap), DecryptTensor(b, gapShim))
+			DecryptTensor(b, gap, 1)[0], DecryptTensor(b, gapShim, 1)[0])
 	}
 }
 

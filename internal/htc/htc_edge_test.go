@@ -27,12 +27,12 @@ func TestConv2DMultiGroupCHW(t *testing.T) {
 	filters := randTensor([]int{3, 6, 1, 1}, 0.5, 62)
 	want := tensor.Conv2D(in, filters, 1, 0)
 
-	ct := EncryptTensor(b, in, Plan{Layout: LayoutCHW}, sc)
+	ct := EncryptTensor(b, Plan{Layout: LayoutCHW}, sc, in)
 	if ct.NumCTs() < 2 {
 		t.Fatalf("expected multi-ciphertext packing, got %d cts (CPerCT=%d)", ct.NumCTs(), ct.CPerCT)
 	}
 	out := Conv2D(b, ct, filters, nil, 1, 0, sc, ExecOptions{})
-	tensorsClose(t, "multi-group conv", DecryptTensor(b, out), want, 1e-6)
+	tensorsClose(t, "multi-group conv", DecryptTensor(b, out, 1)[0], want, 1e-6)
 }
 
 func TestPoolWindowNotEqualStride(t *testing.T) {
@@ -55,7 +55,7 @@ func TestScaleProtocolKeepsWorkingScale(t *testing.T) {
 	b := hisa.NewRefBackend(1024)
 	sc := DefaultScales()
 	in := randTensor([]int{2, 6, 6}, 1, 66)
-	ct := EncryptTensor(b, in, Plan{Layout: LayoutCHW}, sc)
+	ct := EncryptTensor(b, Plan{Layout: LayoutCHW}, sc, in)
 
 	conv := Conv2D(b, ct, randTensor([]int{2, 2, 3, 3}, 0.5, 67), nil, 1, 0, sc, ExecOptions{})
 	for _, c := range conv.CTs {
@@ -76,7 +76,7 @@ func TestKernelValidationPanics(t *testing.T) {
 	b := hisa.NewRefBackend(1024)
 	sc := DefaultScales()
 	in := randTensor([]int{2, 4, 4}, 1, 68)
-	ct := EncryptTensor(b, in, Plan{Layout: LayoutCHW}, sc)
+	ct := EncryptTensor(b, Plan{Layout: LayoutCHW}, sc, in)
 
 	assertPanics(t, "conv filter channels", func() {
 		Conv2D(b, ct, randTensor([]int{2, 3, 3, 3}, 1, 69), nil, 1, 0, sc, ExecOptions{})
@@ -100,14 +100,14 @@ func TestKernelValidationPanics(t *testing.T) {
 		BatchNorm(b, ct, tensor.New(3), tensor.New(3), sc, ExecOptions{})
 	})
 	assertPanics(t, "encrypt non-CHW", func() {
-		EncryptTensor(b, tensor.New(4), Plan{Layout: LayoutHW}, sc)
+		EncryptTensor(b, Plan{Layout: LayoutHW}, sc, tensor.New(4))
 	})
 	assertPanics(t, "layout too big for slots", func() {
 		small := hisa.NewRefBackend(16)
-		EncryptTensor(small, randTensor([]int{1, 8, 8}, 1, 72), Plan{Layout: LayoutHW}, sc)
+		EncryptTensor(small, Plan{Layout: LayoutHW}, sc, randTensor([]int{1, 8, 8}, 1, 72))
 	})
 
-	other := EncryptTensor(b, randTensor([]int{2, 4, 4}, 1, 73), Plan{Layout: LayoutHW}, sc)
+	other := EncryptTensor(b, Plan{Layout: LayoutHW}, sc, randTensor([]int{2, 4, 4}, 1, 73))
 	assertPanics(t, "add layout mismatch", func() {
 		Add(b, ct, other, ExecOptions{})
 	})
@@ -121,7 +121,7 @@ func TestExecutePolicyInputMismatchPanics(t *testing.T) {
 	c, img := testCNN()
 	b := refBackend()
 	sc := DefaultScales()
-	in := EncryptTensor(b, img, PlanFor(c, PolicyCHW), sc)
+	in := EncryptTensor(b, PlanFor(c, PolicyCHW), sc, img)
 	assertPanics(t, "wrong input layout", func() {
 		Execute(b, c, in, PolicyHW, sc, ExecOptions{})
 	})
@@ -134,10 +134,10 @@ func TestConcatThreeWay(t *testing.T) {
 	plains := make([]*tensor.Tensor, 3)
 	for i := range xs {
 		plains[i] = randTensor([]int{2, 3, 3}, 1, int64(80+i))
-		xs[i] = EncryptTensor(b, plains[i], Plan{Layout: LayoutCHW}, sc)
+		xs[i] = EncryptTensor(b, Plan{Layout: LayoutCHW}, sc, plains[i])
 	}
 	want := tensor.ConcatChannels(plains...)
-	got := DecryptTensor(b, Concat(b, sc, ExecOptions{}, xs...))
+	got := DecryptTensor(b, Concat(b, sc, ExecOptions{}, xs...), 1)[0]
 	tensorsClose(t, "3-way concat", got, want, 1e-6)
 }
 
@@ -147,7 +147,7 @@ func TestPolyEvalWithConstantTermKeepsZeroInvariant(t *testing.T) {
 	b := hisa.NewRefBackend(256)
 	sc := DefaultScales()
 	in := randTensor([]int{1, 3, 3}, 1, 90)
-	ct := EncryptTensor(b, in, Plan{Layout: LayoutCHW}, sc)
+	ct := EncryptTensor(b, Plan{Layout: LayoutCHW}, sc, in)
 	out := PolyEval(b, ct, []float64{1, 0, 1}, sc, ExecOptions{})
 
 	// Reference values.
@@ -155,7 +155,7 @@ func TestPolyEvalWithConstantTermKeepsZeroInvariant(t *testing.T) {
 	for i, v := range want.Data {
 		want.Data[i] = v*v + 1
 	}
-	tensorsClose(t, "values", DecryptTensor(b, out), want, 1e-6)
+	tensorsClose(t, "values", DecryptTensor(b, out, 1)[0], want, 1e-6)
 
 	// Invariant: decode the raw ciphertext and check invalid slots ~ 0.
 	raw := b.Decode(b.Decrypt(out.CTs[0]))
@@ -178,7 +178,7 @@ func TestZeroInvariantAfterEveryKernel(t *testing.T) {
 	b := hisa.NewRefBackend(1024)
 	sc := DefaultScales()
 	in := randTensor([]int{2, 6, 6}, 1, 91)
-	ct := EncryptTensor(b, in, Plan{Layout: LayoutCHW, Apron: 1}, sc)
+	ct := EncryptTensor(b, Plan{Layout: LayoutCHW, Apron: 1}, sc, in)
 
 	check := func(name string, x *CipherTensor) {
 		t.Helper()

@@ -41,9 +41,9 @@ func roundTrip(t *testing.T, layout Layout, apron int, in *tensor.Tensor,
 	t.Helper()
 	b := refBackend()
 	sc := DefaultScales()
-	ct := EncryptTensor(b, in, Plan{Layout: layout, Apron: apron}, sc)
+	ct := EncryptTensor(b, Plan{Layout: layout, Apron: apron}, sc, in)
 	out := f(b, ct, sc)
-	res := DecryptTensor(b, out)
+	res := DecryptTensor(b, out, 1)[0]
 	if out.H == 1 && out.W > 1 && out.C == 1 {
 		return res.Reshape(res.Size())
 	}
@@ -172,11 +172,11 @@ func TestAddAndConcat(t *testing.T) {
 		b := refBackend()
 		sc := DefaultScales()
 		plan := Plan{Layout: layout}
-		cx := EncryptTensor(b, x, plan, sc)
-		cy := EncryptTensor(b, y, plan, sc)
-		gotSum := DecryptTensor(b, Add(b, cx, cy, ExecOptions{}))
+		cx := EncryptTensor(b, plan, sc, x)
+		cy := EncryptTensor(b, plan, sc, y)
+		gotSum := DecryptTensor(b, Add(b, cx, cy, ExecOptions{}), 1)[0]
 		tensorsClose(t, layout.String()+"/add", gotSum, wantSum, 1e-9)
-		gotCat := DecryptTensor(b, Concat(b, sc, ExecOptions{}, cx, cy))
+		gotCat := DecryptTensor(b, Concat(b, sc, ExecOptions{}, cx, cy), 1)[0]
 		tensorsClose(t, layout.String()+"/concat", gotCat, wantCat, 1e-6)
 	}
 }
@@ -188,12 +188,12 @@ func TestConcatUnalignedCHW(t *testing.T) {
 	x := randTensor([]int{3, 2, 2}, 1, 16)
 	y := randTensor([]int{2, 2, 2}, 1, 17)
 	plan := Plan{Layout: LayoutCHW}
-	cx := EncryptTensor(b, x, plan, sc)
-	cy := EncryptTensor(b, y, plan, sc)
+	cx := EncryptTensor(b, plan, sc, x)
+	cy := EncryptTensor(b, plan, sc, y)
 	if cx.CPerCT < 2 {
 		t.Skip("slot budget too small to pack channels")
 	}
-	got := DecryptTensor(b, Concat(b, sc, ExecOptions{}, cx, cy))
+	got := DecryptTensor(b, Concat(b, sc, ExecOptions{}, cx, cy), 1)[0]
 	tensorsClose(t, "unaligned concat", got, tensor.ConcatChannels(x, y), 1e-6)
 }
 
@@ -234,30 +234,30 @@ func TestPad2DIsFree(t *testing.T) {
 	b := refBackend()
 	sc := DefaultScales()
 	m := hisa.NewMeter(b, nil)
-	ct := EncryptTensor(m, in, Plan{Layout: LayoutCHW, Apron: 1}, sc)
+	ct := EncryptTensor(m, Plan{Layout: LayoutCHW, Apron: 1}, sc, in)
 	before := m.Counts().Total()
 	out := Pad2D(ct, 1)
 	if m.Counts().Total() != before {
 		t.Fatal("Pad2D executed homomorphic operations; it must be metadata-only")
 	}
-	tensorsClose(t, "pad", DecryptTensor(m, out), want, 1e-9)
+	tensorsClose(t, "pad", DecryptTensor(m, out, 1)[0], want, 1e-9)
 }
 
 func TestLayoutConversions(t *testing.T) {
 	in := randTensor([]int{4, 3, 3}, 1, 25)
 	b := refBackend()
 	sc := DefaultScales()
-	hw := EncryptTensor(b, in, Plan{Layout: LayoutHW}, sc)
+	hw := EncryptTensor(b, Plan{Layout: LayoutHW}, sc, in)
 	chw := ToCHW(b, hw, ExecOptions{})
 	if chw.Layout != LayoutCHW {
 		t.Fatal("ToCHW did not change layout")
 	}
-	tensorsClose(t, "hw->chw", DecryptTensor(b, chw), in, 1e-9)
+	tensorsClose(t, "hw->chw", DecryptTensor(b, chw, 1)[0], in, 1e-9)
 	back := ToHW(b, chw, sc, ExecOptions{})
 	if back.Layout != LayoutHW || back.NumCTs() != 4 {
 		t.Fatalf("ToHW produced layout %v with %d cts", back.Layout, back.NumCTs())
 	}
-	tensorsClose(t, "chw->hw", DecryptTensor(b, back), in, 1e-6)
+	tensorsClose(t, "chw->hw", DecryptTensor(b, back, 1)[0], in, 1e-6)
 }
 
 // testCNN builds a LeNet-style circuit small enough for every backend.
@@ -286,9 +286,9 @@ func TestExecuteAllPoliciesOnRef(t *testing.T) {
 	for _, policy := range AllPolicies {
 		b := refBackend()
 		sc := DefaultScales()
-		in := EncryptTensor(b, img, PlanFor(c, policy), sc)
+		in := EncryptTensor(b, PlanFor(c, policy), sc, img)
 		out := Execute(b, c, in, policy, sc, ExecOptions{})
-		got := DecryptTensor(b, out)
+		got := DecryptTensor(b, out, 1)[0]
 		got = got.Reshape(got.Size())
 		tensorsClose(t, policy.String(), got, want, 1e-5)
 	}
@@ -317,9 +317,9 @@ func TestExecuteOnSimBackend(t *testing.T) {
 	want := c.Evaluate(img)
 	b := hisa.NewSimBackend(hisa.SimParams{LogN: 13, LogQ: 900, Seed: 5})
 	sc := Scales{Pc: math.Exp2(40), Pw: math.Exp2(30), Pu: math.Exp2(30), Pm: math.Exp2(25)}
-	in := EncryptTensor(b, img, PlanFor(c, PolicyCHW), sc)
+	in := EncryptTensor(b, PlanFor(c, PolicyCHW), sc, img)
 	out := Execute(b, c, in, PolicyCHW, sc, ExecOptions{})
-	got := DecryptTensor(b, out)
+	got := DecryptTensor(b, out, 1)[0]
 	got = got.Reshape(got.Size())
 	tensorsClose(t, "sim", got, want, 5e-2)
 }
@@ -349,9 +349,9 @@ func TestExecuteOnRealRNSCKKS(t *testing.T) {
 	}
 	b := hisa.NewRNSBackend(hisa.RNSConfig{Params: params, PRNG: ring.NewTestPRNG(99)})
 	sc := Scales{Pc: math.Exp2(40), Pw: math.Exp2(40), Pu: math.Exp2(40), Pm: math.Exp2(40)}
-	in := EncryptTensor(b, img, PlanFor(c, PolicyCHW), sc)
+	in := EncryptTensor(b, PlanFor(c, PolicyCHW), sc, img)
 	out := Execute(b, c, in, PolicyCHW, sc, ExecOptions{})
-	got := DecryptTensor(b, out)
+	got := DecryptTensor(b, out, 1)[0]
 	got = got.Reshape(got.Size())
 	tensorsClose(t, "rns", got, want, 1e-2)
 }

@@ -109,13 +109,13 @@ func Conv2D(b hisa.Backend, in *CipherTensor, filters, bias *tensor.Tensor, stri
 			sums[oc] = terms
 		}
 		out.CTs = b.RotSum(in.CTs, sums, opts.each)
-		mask := opts.constant(b, validMask(&out, 0, b.Slots(), 1), sc.Pm)
+		mask := opts.constant(b, perChannelVector(&out, 0, b.Slots(), uniform(1)), sc.Pm)
 		parallelFor(opts.workers(), cout, func(oc int) {
 			acc := tryRescale(b, out.CTs[oc], sc.Pc)
 			acc = b.MulPlain(acc, mask.at(acc))
 			acc = tryRescale(b, acc, sc.Pc)
 			if bias != nil {
-				bv := validMask(&out, 0, b.Slots(), bias.Data[oc])
+				bv := perChannelVector(&out, 0, b.Slots(), uniform(bias.Data[oc]))
 				acc = addVecBoth(b, opts, out.Complex, acc, bv)
 			}
 			out.CTs[oc] = acc
@@ -126,7 +126,7 @@ func Conv2D(b hisa.Backend, in *CipherTensor, filters, bias *tensor.Tensor, stri
 
 	// CHW layout. Channel blocking is computed against one batch lane so the
 	// fold and placement rotations below stay lane-local.
-	outCPerCT := blockCapacity(in.laneStride(b.Slots()), in.ChanStride)
+	outCPerCT := blockCapacity(in.BatchStride, in.ChanStride)
 	out.CPerCT = outCPerCT
 	numOutCTs := (cout + outCPerCT - 1) / outCPerCT
 	out.CTs = make([]hisa.Ciphertext, numOutCTs)
@@ -137,7 +137,7 @@ func Conv2D(b hisa.Backend, in *CipherTensor, filters, bias *tensor.Tensor, stri
 	blockMask := metaClone(&out)
 	blockMask.C = 1
 	blockMask.CPerCT = 1
-	mask := opts.constant(b, validMask(&blockMask, 0, b.Slots(), 1), sc.Pm)
+	mask := opts.constant(b, perChannelVector(&blockMask, 0, b.Slots(), uniform(1)), sc.Pm)
 
 	for g := 0; g < numInCTs; g++ {
 		// Partial sums of this ciphertext's occupied channels, one sum of
@@ -146,7 +146,6 @@ func Conv2D(b hisa.Backend, in *CipherTensor, filters, bias *tensor.Tensor, stri
 		// input slots hold zeros, so the product is zero there), then folded
 		// to block 0, masked, and placed at the output channel block.
 		chInGroup := min(in.C-g*in.CPerCT, in.CPerCT)
-		ls := in.laneStride(b.Slots())
 		sums := make([][]hisa.Term, cout)
 		terms := make([]hisa.Term, 0, cout*kh*kw)
 		for oc := range sums {
@@ -154,21 +153,13 @@ func Conv2D(b hisa.Backend, in *CipherTensor, filters, bias *tensor.Tensor, stri
 			for ky := 0; ky < kh; ky++ {
 				for kx := 0; kx < kw; kx++ {
 					wv := make([]float64, b.Slots())
-					for lane := 0; lane < in.Lanes(); lane++ {
-						laneBase := lane * ls
-						for ci := 0; ci < in.CPerCT; ci++ {
-							ic := g*in.CPerCT + ci
-							if ic >= in.C {
-								break
-							}
-							w := filters.At(oc, ic, ky, kx)
-							base := laneBase + ci*in.ChanStride
-							for s := base; s < base+in.ChanStride && s < b.Slots(); s++ {
-								wv[s] = w
-							}
+					for ci := 0; ci < chInGroup; ci++ {
+						w := filters.At(oc, g*in.CPerCT+ci, ky, kx)
+						for s := ci * in.ChanStride; s < (ci+1)*in.ChanStride; s++ {
+							wv[s] = w
 						}
 					}
-					pt := opts.constant(b, wv, sc.Pw).at(in.CTs[g])
+					pt := opts.constant(b, in.replicate(wv), sc.Pw).at(in.CTs[g])
 					terms = append(terms, hisa.Term{Rot: rot(ky, kx), Plain: pt})
 				}
 			}
@@ -240,7 +231,7 @@ func AvgPool2D(b hisa.Backend, in *CipherTensor, window, stride int, sc Scales, 
 	for g := range in.CTs {
 		chInGroup := min(in.C-g*in.CPerCT, in.CPerCT)
 		if _, ok := masks[chInGroup]; !ok {
-			masks[chInGroup] = opts.constant(b, validMask(&out, g, b.Slots(), inv), sc.Pm)
+			masks[chInGroup] = opts.constant(b, perChannelVector(&out, g, b.Slots(), uniform(inv)), sc.Pm)
 		}
 	}
 
@@ -272,7 +263,7 @@ func GlobalAvgPool2D(b hisa.Backend, in *CipherTensor, sc Scales, opts ExecOptio
 	out.CTs = make([]hisa.Ciphertext, in.NumCTs())
 
 	inv := 1.0 / float64(in.H*in.W)
-	mask := opts.constant(b, validMask(&out, 0, b.Slots(), inv), sc.Pm)
+	mask := opts.constant(b, perChannelVector(&out, 0, b.Slots(), uniform(inv)), sc.Pm)
 
 	parallelFor(opts.workers(), len(in.CTs), func(g int) {
 		acc := foldStrided(b, in.CTs[g], in.W, in.ColStride)
@@ -353,7 +344,7 @@ func PolyEval(b hisa.Backend, in *CipherTensor, coeffs []float64, sc Scales, opt
 			}
 		}
 		if coeffs[0] != 0 {
-			cv := perChannelVector(in, g, b.Slots(), func(int) float64 { return coeffs[0] })
+			cv := perChannelVector(in, g, b.Slots(), uniform(coeffs[0]))
 			acc = addVecBoth(b, opts, in.Complex, acc, cv)
 		}
 		out.CTs[g] = acc
@@ -480,7 +471,7 @@ func Concat(b hisa.Backend, sc Scales, opts ExecOptions, ins ...*CipherTensor) *
 		single.C = 1
 		single.CPerCT = 1
 		single.Offset = in.Offset + bIn*in.ChanStride
-		mv := validMask(&single, 0, b.Slots(), 1)
+		mv := perChannelVector(&single, 0, b.Slots(), uniform(1))
 		t := b.MulPlain(in.CTs[gIn], opts.constant(b, mv, sc.Pm).at(in.CTs[gIn]))
 		t = tryRescale(b, t, sc.Pc)
 		isolated[j] = rotateRight(b, t, (bOut-bIn)*in.ChanStride)
@@ -520,7 +511,7 @@ func ToCHW(b hisa.Backend, in *CipherTensor, opts ExecOptions) *CipherTensor {
 	}
 	out := metaClone(in)
 	out.Layout = LayoutCHW
-	cPerCT := blockCapacity(in.laneStride(b.Slots()), in.ChanStride)
+	cPerCT := blockCapacity(in.BatchStride, in.ChanStride)
 	out.CPerCT = cPerCT
 	out.CTs = make([]hisa.Ciphertext, (in.C+cPerCT-1)/cPerCT)
 	shifted := make([]hisa.Ciphertext, in.C)
@@ -550,7 +541,7 @@ func ToHW(b hisa.Backend, in *CipherTensor, sc Scales, opts ExecOptions) *Cipher
 	single := metaClone(in)
 	single.C = 1
 	single.CPerCT = 1
-	mask := opts.constant(b, validMask(&single, 0, b.Slots(), 1), sc.Pm)
+	mask := opts.constant(b, perChannelVector(&single, 0, b.Slots(), uniform(1)), sc.Pm)
 	parallelFor(opts.workers(), in.C, func(ch int) {
 		t := rotateRight(b, in.CTs[ch/in.CPerCT], -(ch%in.CPerCT)*in.ChanStride)
 		out.CTs[ch] = tryRescale(b, b.MulPlain(t, mask.at(t)), sc.Pc)

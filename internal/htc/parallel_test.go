@@ -17,7 +17,7 @@ import (
 // store (one store, shared by both runs that use it), and returns the
 // decrypted outputs, the serial run without a store first.
 func execVariants(b hisa.Backend, c *circuit.Circuit, img *tensor.Tensor, policy LayoutPolicy, sc Scales, workers int) (names []string, outs []*tensor.Tensor) {
-	in := EncryptTensor(b, img, PlanFor(c, policy), sc)
+	in := EncryptTensor(b, PlanFor(c, policy), sc, img)
 	store := NewConstants()
 	for _, v := range []struct {
 		name string
@@ -29,7 +29,7 @@ func execVariants(b hisa.Backend, c *circuit.Circuit, img *tensor.Tensor, policy
 		{"parallel+store", ExecOptions{Workers: workers, Constants: store}},
 	} {
 		names = append(names, v.name)
-		outs = append(outs, DecryptTensor(b, Execute(b, c, in, policy, sc, v.opts)))
+		outs = append(outs, DecryptTensor(b, Execute(b, c, in, policy, sc, v.opts), 1)[0])
 	}
 	return names, outs
 }

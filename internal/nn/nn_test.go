@@ -106,9 +106,9 @@ func TestModelsRunHomomorphicallyOnRef(t *testing.T) {
 		b := hisa.NewRefBackend(8192)
 		sc := htc.DefaultScales()
 		policy := htc.PolicyCHW
-		in := htc.EncryptTensor(b, img, htc.PlanFor(m.Circuit, policy), sc)
+		in := htc.EncryptTensor(b, htc.PlanFor(m.Circuit, policy), sc, img)
 		out := htc.Execute(b, m.Circuit, in, policy, sc, htc.ExecOptions{})
-		got := htc.DecryptTensor(b, out)
+		got := htc.DecryptTensor(b, out, 1)[0]
 		if got.Size() != want.Size() {
 			t.Fatalf("%s: output size %d want %d", m.Name, got.Size(), want.Size())
 		}

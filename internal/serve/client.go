@@ -62,7 +62,6 @@ type Client struct {
 	cfg     ClientConfig
 	backend *hisa.RNSBackend
 	keys    hisa.RNSPublicKeys
-	plan    htc.Plan
 	addr    string // set by Dial; empty for NewClient-wrapped connections
 	// maxFrame bounds accepted response frames: frameLimit, as the server's.
 	maxFrame int
@@ -146,7 +145,6 @@ func (c *Client) NewStream() (*Client, error) {
 		cfg:       c.cfg,
 		backend:   c.backend,
 		keys:      c.keys,
-		plan:      c.plan,
 		addr:      addr,
 		maxFrame:  c.maxFrame,
 		traceBase: newTraceBase(),
@@ -184,7 +182,6 @@ func NewClient(conn net.Conn, cfg ClientConfig) (*Client, error) {
 		cfg:       cfg,
 		backend:   backend,
 		keys:      backend.PublicKeys(),
-		plan:      cfg.Compiled.Plan(),
 		maxFrame:  frameLimit(cfg.Compiled, params),
 		traceBase: traceBase,
 		conn:      conn,
@@ -216,13 +213,13 @@ func (c *Client) open() error {
 // Encrypt encodes and encrypts an input image under this client's keys,
 // laid out as the compiled circuit expects.
 func (c *Client) Encrypt(img *tensor.Tensor) *htc.CipherTensor {
-	return htc.EncryptTensor(c.backend, img, c.plan, c.cfg.Compiled.Options.Scales)
+	return c.cfg.Compiled.Encrypt(c.backend, img)
 }
 
 // Decrypt recovers the prediction tensor from an encrypted result, in the
 // circuit's output shape exactly as chet.Session.Decrypt does.
 func (c *Client) Decrypt(out *htc.CipherTensor) *tensor.Tensor {
-	return htc.DecryptTensor(c.backend, out).Reshape(c.cfg.Compiled.Circuit.Output.OutShape...)
+	return c.cfg.Compiled.Decrypt(c.backend, out, 1)[0]
 }
 
 // redialLocked replaces a dead connection and re-runs the session handshake
@@ -284,8 +281,8 @@ func (c *Client) Infer(in *htc.CipherTensor) (*htc.CipherTensor, error) {
 }
 
 // checkOutput refuses a response tensor that does not hold the circuit's
-// output: Decrypt reshapes to that shape, and a peer must not be able to make
-// it panic on another size.
+// output: a peer must not be able to pass off a tensor of another size as a
+// prediction.
 func (c *Client) checkOutput(t *htc.CipherTensor) error {
 	want := 1
 	for _, d := range c.cfg.Compiled.Circuit.Output.OutShape {
@@ -310,17 +307,13 @@ func (c *Client) Run(img *tensor.Tensor) (*tensor.Tensor, error) {
 // EncryptBatch encrypts up to the compiled batch capacity of images into the
 // lanes of one cipher tensor, for InferBatch.
 func (c *Client) EncryptBatch(imgs []*tensor.Tensor) *htc.CipherTensor {
-	return htc.EncryptTensorBatch(c.backend, imgs, c.plan, c.cfg.Compiled.Options.Scales)
+	return c.cfg.Compiled.Encrypt(c.backend, imgs...)
 }
 
 // DecryptBatch recovers the first n lane predictions of a batched result,
 // each in the circuit's output shape as Decrypt returns it.
 func (c *Client) DecryptBatch(out *htc.CipherTensor, n int) []*tensor.Tensor {
-	ts := htc.DecryptTensorBatch(c.backend, out, n)
-	for i, t := range ts {
-		ts[i] = t.Reshape(c.cfg.Compiled.Circuit.Output.OutShape...)
-	}
-	return ts
+	return c.cfg.Compiled.Decrypt(c.backend, out, n)
 }
 
 // InferBatch ships a client-packed request (count >= 1 images in the leading

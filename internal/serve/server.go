@@ -224,7 +224,7 @@ func New(cfg Config) (*Server, error) {
 		Fingerprint: s.fingerprint,
 		Model:       cfg.Compiled.Circuit.Name,
 		LogN:        uint32(cfg.Compiled.Best.LogN),
-		Batch:       uint32(max(cfg.Compiled.Best.Batch, 1)),
+		Batch:       uint32(cfg.Compiled.Best.Batch),
 	}
 	s.fleet.Merge([]wire.RegistryEntry{s.selfEntry})
 	handlers := map[wire.MsgType]wire.Handler{
@@ -629,10 +629,10 @@ func (s *Server) handleInfer(c *wire.Conn, payload []byte) bool {
 		sess.errors.Add(1)
 		return c.Fail(wire.CodeBadMessage, msg.RequestID, "infer-batch-request: %v", err)
 	}
-	if int(msg.Count) > s.wantMeta.Batches() {
+	if int(msg.Count) > s.wantMeta.B {
 		sess.errors.Add(1)
 		return c.Fail(wire.CodeBadMessage, msg.RequestID,
-			"batch count %d exceeds compiled capacity %d", msg.Count, s.wantMeta.Batches())
+			"batch count %d exceeds compiled capacity %d", msg.Count, s.wantMeta.B)
 	}
 
 	// Admission: the queue never blocks the handler. Full queue means the
@@ -678,19 +678,13 @@ func (s *Server) checkTensor(ct *htc.CipherTensor) error {
 		return err
 	}
 	w := &s.wantMeta
-	laneOf := func(c *htc.CipherTensor) int {
-		if c.BatchStride > 0 {
-			return c.BatchStride
-		}
-		return slots
-	}
 	if ct.Layout != w.Layout || ct.C != w.C || ct.H != w.H || ct.W != w.W ||
 		ct.Offset != w.Offset || ct.RowStride != w.RowStride ||
 		ct.ColStride != w.ColStride || ct.ChanStride != w.ChanStride ||
-		ct.CPerCT != w.CPerCT || ct.Batches() != w.Batches() || laneOf(ct) != laneOf(w) {
-		return fmt.Errorf("tensor geometry %dx%dx%d (offset %d, strides %d/%d/%d, batch %dx%d) does not match the compiled input layout %dx%dx%d (offset %d, strides %d/%d/%d, batch %dx%d)",
-			ct.C, ct.H, ct.W, ct.Offset, ct.RowStride, ct.ColStride, ct.ChanStride, ct.Batches(), laneOf(ct),
-			w.C, w.H, w.W, w.Offset, w.RowStride, w.ColStride, w.ChanStride, w.Batches(), laneOf(w))
+		ct.CPerCT != w.CPerCT || ct.B != w.B || ct.BatchStride != w.BatchStride || ct.Complex != w.Complex {
+		return fmt.Errorf("tensor geometry %dx%dx%d (offset %d, strides %d/%d/%d, batch %dx%d, complex %t) does not match the compiled input layout %dx%dx%d (offset %d, strides %d/%d/%d, batch %dx%d, complex %t)",
+			ct.C, ct.H, ct.W, ct.Offset, ct.RowStride, ct.ColStride, ct.ChanStride, ct.B, ct.BatchStride, ct.Complex,
+			w.C, w.H, w.W, w.Offset, w.RowStride, w.ColStride, w.ChanStride, w.B, w.BatchStride, w.Complex)
 	}
 	n := s.params.N()
 	maxLvl := s.params.MaxLevel()

@@ -520,8 +520,9 @@ func TestMalformedFramesDoNotCrash(t *testing.T) {
 	}
 }
 
-// TestBadTensorRejected sends a structurally valid request whose tensor
-// metadata lies about its ciphertext count.
+// TestBadTensorRejected sends well-framed requests whose tensor metadata
+// does not match the compiled input layout: each is refused with bad-message
+// at admission and none reaches an evaluation.
 func TestBadTensorRejected(t *testing.T) {
 	comp := testCompiled(t)
 	s, err := New(Config{Compiled: comp})
@@ -532,11 +533,27 @@ func TestBadTensorRejected(t *testing.T) {
 	c := dialClient(t, addr, comp, 251)
 
 	enc := c.Encrypt(randTensor([]int{1, 5, 5}, 1, 9))
-	bad := *enc
-	bad.W = bad.W * 1024 // origin stays fine; extent overflows the slot count
-	_, err = c.Infer(&bad)
-	if code := errCode(t, err); code != wire.CodeBadMessage {
-		t.Fatalf("code = %v, want %v", code, wire.CodeBadMessage)
+	for _, tc := range []struct {
+		name   string
+		mutate func(*htc.CipherTensor)
+	}{
+		// The origin stays fine; the extent overflows the slot count.
+		{"W overflow", func(ct *htc.CipherTensor) { ct.W *= 1024 }},
+		// A real-packed program has no conjugation key, so a complex tensor
+		// must be refused before it reaches the evaluation.
+		{"complex flipped", func(ct *htc.CipherTensor) { ct.Complex = !ct.Complex }},
+		{"B = 0", func(ct *htc.CipherTensor) { ct.B = 0 }},
+		{"BatchStride = 0", func(ct *htc.CipherTensor) { ct.BatchStride = 0 }},
+	} {
+		bad := *enc
+		tc.mutate(&bad)
+		_, err = c.Infer(&bad)
+		if code := errCode(t, err); code != wire.CodeBadMessage {
+			t.Fatalf("%s: code = %v, want %v (%v)", tc.name, code, wire.CodeBadMessage, err)
+		}
+	}
+	if n := s.Metrics().Evaluation.Count; n != 0 {
+		t.Fatalf("%d evaluations, want every bad tensor refused at admission", n)
 	}
 }
 

@@ -45,7 +45,7 @@ func PrecisionProfile(b hisa.Backend, c *circuit.Circuit, img *tensor.Tensor,
 
 	// Pass 1: the profiled backend, collecting each node's output tensor.
 	outs := make(map[int]*htc.CipherTensor, len(c.Nodes))
-	encB := htc.EncryptTensor(b, img, plan, sc)
+	encB := htc.EncryptTensor(b, plan, sc, img)
 	htc.Execute(b, c, encB, policy, sc, htc.ExecOptions{
 		Workers: workers,
 		OnNode:  func(n *circuit.Node, out *htc.CipherTensor) { outs[n.ID] = out },
@@ -58,15 +58,15 @@ func PrecisionProfile(b hisa.Backend, c *circuit.Circuit, img *tensor.Tensor,
 
 	// Pass 2: the oracle in lockstep, comparing node by node.
 	var rows []LayerPrecision
-	encR := htc.EncryptTensor(ref, img, plan, sc)
+	encR := htc.EncryptTensor(ref, plan, sc, img)
 	htc.Execute(ref, c, encR, policy, sc, htc.ExecOptions{
 		OnNode: func(n *circuit.Node, refOut *htc.CipherTensor) {
 			bOut := outs[n.ID]
 			if bOut == nil {
 				return
 			}
-			got := htc.DecryptTensor(b, bOut)
-			want := htc.DecryptTensor(ref, refOut)
+			got := htc.DecryptTensor(b, bOut, 1)[0]
+			want := htc.DecryptTensor(ref, refOut, 1)[0]
 			row := LayerPrecision{
 				Node:     fmt.Sprintf("%v:%s", n.Kind, n.Name),
 				Scale:    b.Scale(bOut.CTs[0]),

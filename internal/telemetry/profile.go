@@ -63,7 +63,7 @@ type Profile struct {
 	// ScopeTotal sums the top-level scope spans (nested scopes excluded,
 	// so serial kernels sum to ~the executor's wall time).
 	ScopeTotal time.Duration
-	Ops        []OpProfile   // sorted by Total descending
+	Ops        []OpProfile    // sorted by Total descending
 	Scopes     []ScopeProfile // in first-seen (execution) order
 }
 

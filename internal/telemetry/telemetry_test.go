@@ -144,10 +144,10 @@ func TestTracedExecutionBitExact(t *testing.T) {
 	plan := htc.PlanFor(m.Circuit, policy)
 	for _, tb := range backends {
 		t.Run(tb.name, func(t *testing.T) {
-			enc := htc.EncryptTensor(tb.b, img, plan, sc)
-			bare := htc.DecryptTensor(tb.b, htc.Execute(tb.b, m.Circuit, enc, policy, sc, htc.ExecOptions{}))
+			enc := htc.EncryptTensor(tb.b, plan, sc, img)
+			bare := htc.DecryptTensor(tb.b, htc.Execute(tb.b, m.Circuit, enc, policy, sc, htc.ExecOptions{}), 1)[0]
 			tracer := NewTracer(tb.b, Config{})
-			traced := htc.DecryptTensor(tb.b, htc.Execute(tracer, m.Circuit, enc, policy, sc, htc.ExecOptions{}))
+			traced := htc.DecryptTensor(tb.b, htc.Execute(tracer, m.Circuit, enc, policy, sc, htc.ExecOptions{}), 1)[0]
 			if len(bare.Data) != len(traced.Data) {
 				t.Fatalf("output sizes differ: %d vs %d", len(bare.Data), len(traced.Data))
 			}

@@ -28,6 +28,7 @@ func fuzzSeedFrames(f *testing.F) {
 	ct := &htc.CipherTensor{
 		Layout: htc.LayoutHW, C: 1, H: 1, W: 2,
 		RowStride: 2, ColStride: 1, CPerCT: 1,
+		B: 1, BatchStride: 8,
 		CTs: []hisa.Ciphertext{b.Encrypt(b.Encode([]float64{1, 2}, 1<<20))},
 	}
 
@@ -320,6 +321,7 @@ func FuzzDecodeCipherTensor(f *testing.F) {
 	ct := &htc.CipherTensor{
 		Layout: htc.LayoutHW, C: 1, H: 2, W: 2,
 		RowStride: 2, ColStride: 1, CPerCT: 1,
+		B: 1, BatchStride: 8,
 		CTs: []hisa.Ciphertext{b.Encrypt(b.Encode([]float64{1, 2, 3, 4}, 1<<20))},
 	}
 	seed, err := EncodeCipherTensor(ct)

@@ -227,9 +227,9 @@ func (m *InferBatchRequest) Decode(data []byte) error {
 	if err := d.finish(); err != nil {
 		return err
 	}
-	if int(count) > ct.Batches() {
+	if int(count) > ct.B {
 		return fmt.Errorf("wire: infer-batch-request count %d exceeds tensor batch capacity %d",
-			count, ct.Batches())
+			count, ct.B)
 	}
 	m.Count, m.Tensor = count, ct
 	return nil
@@ -276,9 +276,9 @@ func (m *InferBatchResponse) Decode(data []byte) error {
 	if err := d.finish(); err != nil {
 		return err
 	}
-	if int(count) > ct.Batches() {
+	if int(count) > ct.B {
 		return fmt.Errorf("wire: infer-batch-response count %d exceeds tensor batch capacity %d",
-			count, ct.Batches())
+			count, ct.B)
 	}
 	m.Count, m.Tensor = count, ct
 	return nil

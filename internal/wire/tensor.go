@@ -37,14 +37,8 @@ func encodeCipherTensor(e *enc, ct *htc.CipherTensor) error {
 		lb |= tensorComplexFlag
 	}
 	e.u8(lb)
-	// B is normalized on encode (0 and 1 both mean unbatched), so the wire
-	// form of a legacy tensor and an explicit batch-1 tensor is identical.
-	b := ct.B
-	if b < 1 {
-		b = 1
-	}
 	for _, v := range []int{ct.C, ct.H, ct.W, ct.Offset, ct.RowStride,
-		ct.ColStride, ct.ChanStride, ct.CPerCT, b, ct.BatchStride} {
+		ct.ColStride, ct.ChanStride, ct.CPerCT, ct.B, ct.BatchStride} {
 		e.i64(v)
 	}
 	if len(ct.CTs) > maxTensorCTs {
@@ -103,10 +97,8 @@ func decodeCipherTensor(d *dec) (*htc.CipherTensor, error) {
 			offset, rowS, colS, chanS)
 	case batch < 1 || batch > maxBatchLanes:
 		return nil, fmt.Errorf("wire: implausible tensor batch %d", batch)
-	case batchS < 0 || batchS > maxSlotIndex:
+	case batchS < 1 || batchS > maxSlotIndex:
 		return nil, fmt.Errorf("wire: implausible tensor batch stride %d", batchS)
-	case batch > 1 && batchS < 1:
-		return nil, fmt.Errorf("wire: batched tensor (B=%d) without a batch stride", batch)
 	case n < 0 || n > maxTensorCTs:
 		return nil, fmt.Errorf("wire: implausible ciphertext count %d", n)
 	}

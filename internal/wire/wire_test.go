@@ -153,6 +153,7 @@ func TestCipherTensorRoundTrip(t *testing.T) {
 	ct := &htc.CipherTensor{
 		Layout: htc.LayoutHW, C: 2, H: 2, W: 3,
 		Offset: 1, RowStride: 4, ColStride: 1, ChanStride: 0, CPerCT: 1,
+		B: 1, BatchStride: 16,
 		CTs: []hisa.Ciphertext{enc([]float64{1, 2}), enc([]float64{3, 4})},
 	}
 	data, err := EncodeCipherTensor(ct)
@@ -245,6 +246,7 @@ func TestCipherTensorRejectsBadMetadata(t *testing.T) {
 	good := &htc.CipherTensor{
 		Layout: htc.LayoutHW, C: 1, H: 2, W: 2,
 		RowStride: 2, ColStride: 1, CPerCT: 1,
+		B: 1, BatchStride: 16,
 		CTs: []hisa.Ciphertext{b.Encrypt(b.Encode([]float64{1}, 1<<25))},
 	}
 	data, err := EncodeCipherTensor(good)
@@ -263,10 +265,12 @@ func TestCipherTensorRejectsBadMetadata(t *testing.T) {
 		return d
 	}
 	cases := map[string][]byte{
-		"zero C":          mutate(func(c *htc.CipherTensor) { c.C = 0 }),
-		"negative offset": mutate(func(c *htc.CipherTensor) { c.Offset = -1 }),
-		"huge stride":     mutate(func(c *htc.CipherTensor) { c.RowStride = 1 << 40 }),
-		"count mismatch":  mutate(func(c *htc.CipherTensor) { c.C = 5 }),
+		"zero C":            mutate(func(c *htc.CipherTensor) { c.C = 0 }),
+		"negative offset":   mutate(func(c *htc.CipherTensor) { c.Offset = -1 }),
+		"huge stride":       mutate(func(c *htc.CipherTensor) { c.RowStride = 1 << 40 }),
+		"count mismatch":    mutate(func(c *htc.CipherTensor) { c.C = 5 }),
+		"zero batch":        mutate(func(c *htc.CipherTensor) { c.B = 0 }),
+		"zero batch stride": mutate(func(c *htc.CipherTensor) { c.BatchStride = 0 }),
 	}
 	for name, d := range cases {
 		if _, err := DecodeCipherTensor(d); err == nil {
@@ -286,6 +290,7 @@ func TestInferMessagesRoundTrip(t *testing.T) {
 	ct := &htc.CipherTensor{
 		Layout: htc.LayoutCHW, C: 1, H: 1, W: 2,
 		RowStride: 2, ColStride: 1, ChanStride: 2, CPerCT: 1,
+		B: 1, BatchStride: 16,
 		CTs: []hisa.Ciphertext{b.Encrypt(b.Encode([]float64{5, 6}, 1<<25))},
 	}
 	req := &InferBatchRequest{SessionID: 42, RequestID: 7, TraceID: 0xAB, ParentSpan: 0xCD, TimeoutMillis: 1500, Count: 1, Tensor: ct}
@@ -377,6 +382,7 @@ func TestEncodedSizesAreExact(t *testing.T) {
 		}
 		ct := &htc.CipherTensor{
 			Layout: htc.LayoutHW, C: 2, H: 2, W: 3, RowStride: 4, ColStride: 1, CPerCT: 1,
+			B: 1, BatchStride: 16,
 			CTs: []hisa.Ciphertext{b.Encrypt(b.Encode([]float64{1, 2}, 1<<25)), b.Encrypt(b.Encode([]float64{3}, 1<<25))},
 		}
 		data, err = EncodeCipherTensor(ct)
