@@ -41,6 +41,14 @@ func ctDigest(cts ...*Ciphertext) string {
 // changed, the key-switch arithmetic in hoisting.go, fused.go and the
 // evaluator did not — the same diff touched only their key lookups. Re-pin
 // them again only in a diff that leaves that arithmetic alone.
+//
+// The pins from rotsum-qp on were recorded before the ring kernels under
+// them were rewritten for modulus-sized lazy reductions and the NTT's
+// merged passes: sums of rotations in QP (plaintext, scalar and unit
+// weights, more pairs per source than one pass of any kernel takes) and in
+// the chain basis, a sum whose keys are cut below one source's level,
+// Rescale, and hoisted batches for α = 2, 3 and 7. Every reduction those
+// rewrites change is exact, so the digests must not move.
 func TestAlphaOneMatchesPerPrimeKeySwitch(t *testing.T) {
 	tc := newTestContext(t)
 	rtks := tc.kgen.GenRotationKeys(tc.sk, []int{1, 5, 64}, true)
@@ -52,7 +60,53 @@ func TestAlphaOneMatchesPerPrimeKeySwitch(t *testing.T) {
 	low := cta.CopyNew()
 	ev.DropToLevel(low, 1)
 
+	// Sums of rotations under keys for seven amounts, drawn after the
+	// ciphertexts so the pins above keep their PRNG state; cut keys serve
+	// levels 0..1 only.
+	r := tc.params.Ring()
+	wide := NewEvaluator(tc.params, nil, tc.kgen.GenRotationKeys(tc.sk, []int{1, 2, 3, 5, 7, 9, 64}, false))
+	cut := NewEvaluator(tc.params, nil, tc.kgen.GenGaloisKeys(tc.sk, map[uint64]int{
+		r.GaloisElementForRotation(1): 1, r.GaloisElementForRotation(3): 1,
+	}))
+	const wScale = 1 << 30
+	pa := tc.enc.Encode(randomVector(slots, 1, 9), wScale, tc.params.MaxLevel())
+	pb := tc.enc.Encode(randomVector(slots, 1, 10), wScale, tc.params.MaxLevel())
+	qpSums := [][]SumTerm{
+		{{Rot: 1, Pt: pa}, {Rot: 2, Pt: pb}, {Rot: 3, Pt: pa}, {Rot: 5, Pt: pb}, {Rot: 7, Pt: pa}, {Rot: 9, Pt: pb}, {Pt: pa}, {Src: 1, Rot: 64, Pt: pb}},
+		{{Rot: 1, X: 0.5, F: wScale}, {Rot: 2, X: -1.25, F: wScale}, {Rot: 3, X: 2, F: wScale}, {Rot: 5, X: 3, F: wScale}, {Rot: 7, X: -0.75, F: wScale}, {Rot: 9, X: 1.5, F: wScale}, {Src: 1, X: 2, F: wScale}},
+		{{Rot: 1}, {Rot: 2}, {Rot: 3}, {Rot: 5}, {Rot: 7}, {Rot: 9}, {Rot: 64}, {}, {Src: 1, Rot: 3}, {Src: 1}},
+		{{Rot: 9, Pt: pa}, {Rot: 2, X: 0.25, F: wScale}, {Rot: 5, X: 1, F: wScale}, {Src: 1, Rot: 1, Pt: pb}},
+	}
+	chainSums := [][]SumTerm{
+		{{Pt: pa}, {Src: 1, Pt: pb}, {X: 1.5, F: wScale}},
+		{{}, {Src: 1}},
+	}
+	cutSums := [][]SumTerm{
+		{{Rot: 1, Pt: pa}, {Src: 1, Rot: 3, X: 0.5, F: wScale}, {Src: 1, X: -2, F: wScale}},
+		{{Rot: 3}, {Src: 1, Rot: 1}},
+	}
+	rescaled := cta.CopyNew()
+	ev.Rescale(rescaled)
+	rescaledLow := ev.MulNoRelin(low, ctb)
+	ev.Rescale(rescaledLow)
+	hoistedAlpha := func(alpha int) string {
+		atc, aev := alphaContext(t, alpha)
+		ct := atc.encr.Encrypt(atc.enc.Encode(randomVector(atc.params.Slots(), 1, 13), atc.params.DefaultScale(), atc.params.MaxLevel()))
+		out := rotateHoisted(aev, ct, []int{1, 3, 16, 0})
+		for _, level := range []int{alpha - 1, 0} {
+			out = append(out, rotateHoisted(aev, aev.leaseAt(ct, max(level-1, 0)), []int{16, 1, 3})...)
+		}
+		return ctDigest(out...)
+	}
+
 	got := map[string]string{
+		"rotsum-qp":           ctDigest(append(wide.RotSum([]*Ciphertext{cta, ctb}, qpSums), wide.RotSum([]*Ciphertext{low, ctb}, qpSums)...)...),
+		"rotsum-chain":        ctDigest(wide.RotSum([]*Ciphertext{cta, ctb}, chainSums)...),
+		"rotsum-cut-key":      ctDigest(cut.RotSum([]*Ciphertext{low, cta}, cutSums)...),
+		"rescale":             ctDigest(rescaled, rescaledLow),
+		"hoisted-alpha2":      hoistedAlpha(2),
+		"hoisted-alpha3":      hoistedAlpha(3),
+		"hoisted-alpha7":      hoistedAlpha(7),
 		"rotate":              ctDigest(ev.RotateLeft(cta, 5), ev.RotateLeft(low, 64)),
 		"conjugate":           ctDigest(ev.Conjugate(cta), ev.Conjugate(low)),
 		"relinearize":         ctDigest(ev.Relinearize(ev.MulNoRelin(cta, ctb)), ev.Relinearize(ev.MulNoRelin(low, ctb))),
@@ -65,6 +119,13 @@ func TestAlphaOneMatchesPerPrimeKeySwitch(t *testing.T) {
 		"relinearize":         "2f50de1676c6fd48338e9cab109f73f6250cb5b3d741d832111e04884b1a4a0c",
 		"relinearize-rescale": "781798b67000944faf147d90e557200264df358bb616c0ea8d60b28a9b4c7fa8",
 		"rotate-hoisted":      "0358940d4ae6ac7f425b35e07216c4ca17bb378ea283458467b626df35389d0c",
+		"rotsum-qp":           "69e459fb9ddd68e832e2c1be3fc6a804f7a255e3602692d43ec4621b7bea709b",
+		"rotsum-chain":        "bcadd21f21a2866861137efb00107881ca9e0d55ef4ea245cfa3a21311aad195",
+		"rotsum-cut-key":      "352c6f8fa02e019bccbce124a1d3e072df1497acc0000254b1ccc7d5eb7e8ddf",
+		"rescale":             "3707bee9943b4d5a9c58830156ea656a8fb02d6825d1a08e38010d0d88e9b244",
+		"hoisted-alpha2":      "2e627e2885f9ecdca933b2f0fe571e4b38a858aff4b2e9d95806c0b8542f81f5",
+		"hoisted-alpha3":      "6b79db1e56ab7cc5c24c53c8bb8ed3c5a303cb761f0c868a87e82c430f72343a",
+		"hoisted-alpha7":      "a0da212b11fa80cb8f375eb029815b2ff51660d4c2ac331175bc53753e14f171",
 	}
 	for op, digest := range got {
 		if want[op] != digest {
