@@ -137,13 +137,47 @@ func TestModDownsPerInference(t *testing.T) {
 	m := hisa.NewMeter(b, nil)
 	enc := htc.EncryptTensor(m, comp.Plan(), comp.Options.Scales, nn.SyntheticImage(tiny.InputShape, 7))
 	before := rns.ModDowns()
+	fwd0, inv0 := rns.NTTs()
 	htc.Execute(m, comp.Circuit, enc, comp.Best.Policy, comp.Options.Scales, htc.ExecOptions{Workers: 2})
 	got := rns.ModDowns() - before
+	fwd1, inv1 := rns.NTTs()
 	counts := m.Counts()
 	unfused := int64(2 * counts.Rotations())
-	t.Logf("N = 2^%d: %d ModDowns, %d one rotation at a time", comp.Best.LogN, got, unfused)
+	t.Logf("N = 2^%d: %d ModDowns, %d one rotation at a time; %d forward and %d inverse NTTs", comp.Best.LogN, got, unfused, fwd1-fwd0, inv1-inv0)
 	if got > 44 || got >= unfused {
 		t.Fatalf("%d ModDowns per inference, want at most 44 and fewer than the unfused %d", got, unfused)
+	}
+}
+
+// TestNTTsPerInference pins how many one-row transforms a LeNet-tiny
+// inference runs on RNS-CKKS at N = 2^11, forward and inverse, counted on
+// the backend's ring from encrypted input to encrypted output. The count is
+// fixed by the instruction stream and the key-switch structure (digits,
+// special primes, one ModDown per sum output), not by how a transform or a
+// multiply-accumulate is computed, so a kernel rewrite must leave it alone;
+// a change of the count is a change of what the runtime does.
+func TestNTTsPerInference(t *testing.T) {
+	tiny := nn.LeNetTiny()
+	comp, err := Compile(tiny.Circuit, Options{Scheme: SchemeRNS, SecurityBits: -1, MinLogN: 11, MaxLogN: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if comp.Best.LogN != 11 {
+		t.Fatalf("compiled at N = 2^%d, want 2^11", comp.Best.LogN)
+	}
+	b, err := BuildBackend(comp, ring.NewTestPRNG(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rns := b.(*hisa.RNSBackend)
+	enc := htc.EncryptTensor(b, comp.Plan(), comp.Options.Scales, nn.SyntheticImage(tiny.InputShape, 7))
+	fwd0, inv0 := rns.NTTs()
+	htc.Execute(b, comp.Circuit, enc, comp.Best.Policy, comp.Options.Scales, htc.ExecOptions{Workers: 2})
+	fwd1, inv1 := rns.NTTs()
+	fwd, inv := fwd1-fwd0, inv1-inv0
+	t.Logf("N = 2^11: %d forward and %d inverse NTTs per inference", fwd, inv)
+	if want := [2]int64{1935, 584}; [2]int64{fwd, inv} != want {
+		t.Fatalf("%d forward and %d inverse NTTs per inference, want %d and %d", fwd, inv, want[0], want[1])
 	}
 }
 

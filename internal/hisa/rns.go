@@ -379,6 +379,11 @@ func (b *RNSBackend) keyed(cc *ckks.Ciphertext, swk *ckks.SwitchingKey) *ckks.Ci
 // the special modulus (ckks.Evaluator.ModDowns), refreshes included.
 func (b *RNSBackend) ModDowns() int64 { return b.evaluator.ModDowns() }
 
+// NTTs counts the one-row forward and inverse transforms run on this
+// backend's ring (ring.Ring.NTTs): the evaluator's, and the encryptor's
+// and decryptor's on the same parameters.
+func (b *RNSBackend) NTTs() (forward, inverse int64) { return b.params.Ring().NTTs() }
+
 // KeyLevelMisses counts the key switches this backend served at a key's
 // level below their operand's (see keyed). It stays 0 under a compiled
 // program: the compiler plans every key for the highest level the program

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 )
 
 // Ring represents the family of residue rings Z_{q_i}[X]/(X^N+1) for a chain
@@ -22,6 +23,9 @@ type Ring struct {
 
 	autoMu    sync.Mutex
 	autoPerms map[uint64][]int // NTT-domain permutation per Galois element
+
+	// forwards and inverses count the row transforms run so far (NTTs).
+	forwards, inverses atomic.Int64
 }
 
 // NewRing constructs a Ring with degree 2^logN and the given prime chain.
@@ -183,6 +187,7 @@ func (r *Ring) NTT(p *Poly, level int) {
 	for i := 0; i <= level; i++ {
 		r.tables[i].forward(p.Coeffs[i])
 	}
+	r.forwards.Add(int64(level + 1))
 }
 
 // InvNTT transforms p (levels 0..level) back to coefficient domain in place.
@@ -191,13 +196,24 @@ func (r *Ring) InvNTT(p *Poly, level int) {
 	for i := 0; i <= level; i++ {
 		r.tables[i].inverse(p.Coeffs[i])
 	}
+	r.inverses.Add(int64(level + 1))
 }
 
 // NTTSingle applies the forward NTT for the i-th prime to a raw row.
-func (r *Ring) NTTSingle(i int, row []uint64) { r.tables[i].forward(row) }
+func (r *Ring) NTTSingle(i int, row []uint64) {
+	r.tables[i].forward(row)
+	r.forwards.Add(1)
+}
 
 // InvNTTSingle applies the inverse NTT for the i-th prime to a raw row.
-func (r *Ring) InvNTTSingle(i int, row []uint64) { r.tables[i].inverse(row) }
+func (r *Ring) InvNTTSingle(i int, row []uint64) {
+	r.tables[i].inverse(row)
+	r.inverses.Add(1)
+}
+
+// NTTs reports how many one-row forward and inverse transforms the ring has
+// run, over every caller since it was built.
+func (r *Ring) NTTs() (forward, inverse int64) { return r.forwards.Load(), r.inverses.Load() }
 
 // Add sets out = a + b at the given level.
 func (r *Ring) Add(a, b, out *Poly, level int) {
