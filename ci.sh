@@ -17,9 +17,9 @@ go build ./...
 echo "== go test ./..."
 go test ./...
 
-echo "== kernel promises (Dense issues the rotations its closed form says, fewer than one fold per neuron; every runtime rotation has a compiled key, at or below the key's planned level, and every planned key is applied, batched compiles included; keys cut at a level compute what full keys compute and do not depend on the core count; the conjugation key only when used; the compiler's node table equals the runtime's op counts; the compiler's analysis issues the runtime's instruction stream; impossible scales are rejected; refresh counts pinned; constants are encoded once, at their use level, bit-identically, also under bootstrapping; input scales are admitted exactly; a lying input scale is refused without harming a concurrent session; a tensor off the compiled input layout, complex flag and batch metadata included, is refused at admission; and a panicking evaluation fails only its own request; sums of rotations match the unfused sequence — bit for bit on Ref/Sim, within the rounding bound on RNS, op for op in the Meter — and divide by P once per output)"
+echo "== kernel promises (Dense issues the rotations its closed form says, fewer than one fold per neuron; every runtime rotation has a compiled key, at or below the key's planned level, and every planned key is applied, batched compiles included; keys cut at a level compute what full keys compute and do not depend on the core count; the conjugation key only when used; the compiler's node table equals the runtime's op counts; the compiler's analysis issues the runtime's instruction stream; impossible scales are rejected; refresh counts pinned; constants are encoded once, at their use level, bit-identically, also under bootstrapping; input scales are admitted exactly; a lying input scale is refused without harming a concurrent session; a tensor off the compiled input layout, complex flag and batch metadata included, is refused at admission; and a panicking evaluation fails only its own request; sums of rotations match the unfused sequence — bit for bit on Ref/Sim, within the rounding bound on RNS, op for op in the Meter — and divide by P once per output; the NTTs per inference are pinned)"
 go test -count=1 -run 'TestDenseRotationBudget|TestFoldStridedExact|TestConstantStore|TestParallelExecuteDeterministic|TestKernelsHoistedParityRNS' ./internal/htc
-go test -count=1 -run 'TestRuntimeRotationsWithinCompiledKeys|TestConjugationKeyOnlyWhenUsed|TestNodeTableMatchesRuntime|TestAnalysisIssuesRuntimeStream|TestModDownsPerInference|TestCompileRejectsBadScales|TestBootstrapPlacement|TestBootstrapEndToEnd' ./internal/core
+go test -count=1 -run 'TestRuntimeRotationsWithinCompiledKeys|TestConjugationKeyOnlyWhenUsed|TestNodeTableMatchesRuntime|TestAnalysisIssuesRuntimeStream|TestModDownsPerInference|TestNTTsPerInference|TestCompileRejectsBadScales|TestBootstrapPlacement|TestBootstrapEndToEnd' ./internal/core
 go test -count=1 -run 'TestLeveledKeyParity|TestKeyGenDeterministicAcrossProcs|TestOverLevelKeySwitchIsDescriptive|TestRotSum' ./internal/ckks
 go test -count=1 -run 'TestRotSum' ./internal/hisa
 go test -count=1 -run 'TestSessionEncodesConstantsOnce|TestPlannedKeysMatchFullKeys' .
@@ -62,8 +62,8 @@ go test -fuzz=FuzzControlFrame -fuzztime=5s ./internal/wire
 echo "== fuzz smoke (decoded switching keys that pass admission never panic the key switch at their levels and fail descriptively above them, α in {1,2,3}; truncated, over-long and wrong-level frames seeded)"
 go test -fuzz=FuzzUnmarshalRotationKeySet -fuzztime=5s ./internal/ckks
 
-echo "== ring alloc gate (pooled arena kernels stay at 0 allocs/op)"
-go test -run=TestRingKernelAllocs -count=1 ./internal/ring
+echo "== ring kernels (pooled arena kernels stay at 0 allocs/op; each modulus's lazy pass width reduces exactly at its edge and one more term would not; the multiply-accumulate kernels and the basis extension match big-integer arithmetic at every pass boundary and one past it; the radix-4 and folded NTT passes are bit-identical to the strict transforms from N = 2 to 2^15)"
+go test -run='TestRingKernelAllocs|TestLazyTermsAtTheBound|TestKeySwitchInnerProduct|TestBasisExtenderMatchesCRT|TestLazyNTTMatchesStrict' -count=1 ./internal/ring
 
 echo "== bench smoke (ring kernels compile and run; -benchmem shows the alloc contract)"
 go test -run=NONE -bench=. -benchtime=1x -benchmem ./internal/ring
