@@ -110,6 +110,20 @@ func (ev *Evaluator) getAcc() *ring.Poly {
 }
 func (ev *Evaluator) putAcc(p *ring.Poly) { ev.params.Ring().PutPoly(p) }
 
+// getRows leases n N-length scratch rows, cut from full-height arena polys
+// so that they share one pool with the accumulators and digits; the caller
+// returns the polys with putAcc.
+func (ev *Evaluator) getRows(n int) ([][]uint64, []*ring.Poly) {
+	rows := make([][]uint64, 0, n)
+	var polys []*ring.Poly
+	for len(rows) < n {
+		p := ev.getAcc()
+		polys = append(polys, p)
+		rows = append(rows, p.Coeffs[:min(len(p.Coeffs), n-len(rows))]...)
+	}
+	return rows, polys
+}
+
 // forEach partitions [0, count) across the evaluator's intra-op workers.
 // With workers <= 1 (the default) it is a plain loop; the parallel split is
 // a stride partition, so iteration order within a worker is ascending and
