@@ -182,23 +182,27 @@ func (ev *Evaluator) keySwitchFromDecomp(dec *decomposition, perm []int, swk *Sw
 // accumulates over all digits independently, so rows partition cleanly
 // across intra-op workers and the result is bit-identical to serial.
 func (ev *Evaluator) ksInnerProduct(dec *decomposition, perm []int, swk *SwitchingKey) (*ring.Poly, *ring.Poly) {
-	r := ev.params.Ring()
 	rows := ev.params.ksRows(dec.level)
-	beta := len(dec.digits)
-
 	acc0 := ev.getAcc()
 	acc1 := ev.getAcc()
 	ev.forEach(len(rows), func(ri int) {
 		j := rows[ri]
-		var xs, b, a [maxDigits][]uint64
-		for i := 0; i < beta; i++ {
-			xs[i] = dec.digits[i].Coeffs[j]
-			b[i] = swk.B[i].Coeffs[j]
-			a[i] = swk.A[i].Coeffs[j]
-		}
-		r.Moduli[j].KeySwitchInnerProduct(acc0.Coeffs[j], acc1.Coeffs[j], xs[:beta], b[:beta], a[:beta], perm)
+		dec.innerProductRow(j, perm, swk, acc0.Coeffs[j], acc1.Coeffs[j])
 	})
 	return acc0, acc1
+}
+
+// innerProductRow is the key inner product on extended-basis row j alone,
+// written into out0 and out1.
+func (dec *decomposition) innerProductRow(j int, perm []int, swk *SwitchingKey, out0, out1 []uint64) {
+	var xs, b, a [maxDigits][]uint64
+	beta := len(dec.digits)
+	for i := 0; i < beta; i++ {
+		xs[i] = dec.digits[i].Coeffs[j]
+		b[i] = swk.B[i].Coeffs[j]
+		a[i] = swk.A[i].Coeffs[j]
+	}
+	dec.ev.params.Ring().Moduli[j].KeySwitchInnerProduct(out0, out1, xs[:beta], b[:beta], a[:beta], perm)
 }
 
 // modDownPrepare starts the division of a level's key-switch accumulator by
