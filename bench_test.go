@@ -142,13 +142,10 @@ func BenchmarkEndToEnd_RealRNSInference(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	img := nn.SyntheticImage(model.InputShape, 13)
-	sc := comp.Options.Scales
-	plan := htc.PlanFor(model.Circuit, comp.Best.Policy)
-	enc := htc.EncryptTensor(backend, plan, sc, img)
+	enc := comp.Encrypt(backend, nn.SyntheticImage(model.InputShape, 13))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		htc.Execute(backend, model.Circuit, enc, comp.Best.Policy, sc, htc.ExecOptions{})
+		comp.Execute(backend, enc, htc.ExecOptions{})
 	}
 }
 
@@ -186,7 +183,7 @@ func BenchmarkParallelConv2D(b *testing.B) {
 	for _, workers := range workerSweep {
 		b.Run(benchWorkersName(workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				htc.Conv2D(backend, enc, filters, nil, 1, 0, sc,
+				htc.Conv2D(backend, enc, filters, nil, 1, 0, true, sc,
 					htc.ExecOptions{Workers: workers})
 			}
 		})
@@ -231,14 +228,11 @@ func BenchmarkEndToEnd_ParallelRNSInference(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	img := nn.SyntheticImage(model.InputShape, 13)
-	sc := comp.Options.Scales
-	plan := htc.PlanFor(model.Circuit, comp.Best.Policy)
-	enc := htc.EncryptTensor(backend, plan, sc, img)
+	enc := comp.Encrypt(backend, nn.SyntheticImage(model.InputShape, 13))
 	opts := htc.ExecOptions{Workers: runtime.GOMAXPROCS(0)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		htc.Execute(backend, model.Circuit, enc, comp.Best.Policy, sc, opts)
+		comp.Execute(backend, enc, opts)
 	}
 }
 

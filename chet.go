@@ -187,8 +187,7 @@ func SelectBatchCapacity(c *Circuit, opts Options, maxBatch int) (int, error) {
 // fan independent per-output work across a goroutine pool. Infer is safe
 // for concurrent use.
 func (s *Session) Infer(enc *CipherTensor) *CipherTensor {
-	return htc.Execute(s.Backend, s.Compiled.Circuit, enc, s.Compiled.Best.Policy,
-		s.Compiled.Options.Scales, htc.ExecOptions{Workers: s.Workers, Constants: s.constants})
+	return s.Compiled.Execute(s.Backend, enc, htc.ExecOptions{Workers: s.Workers, Constants: s.constants})
 }
 
 // Decrypt recovers the prediction tensor in the circuit's output shape.

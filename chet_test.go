@@ -257,13 +257,17 @@ func TestSessionEncodesConstantsOnce(t *testing.T) {
 // same encryption noise, so their outputs must agree bit for bit.
 func TestPlannedKeysMatchFullKeys(t *testing.T) {
 	if testing.Short() {
-		t.Skip("real lattice execution at N = 2^15 is slow; run without -short")
+		t.Skip("real lattice execution at 128-bit parameters is slow; run without -short")
 	}
 	model, err := Model("LeNet-tiny")
 	if err != nil {
 		t.Fatal(err)
 	}
-	planned, err := Compile(model.Circuit, Options{Scheme: SchemeRNS})
+	// Scalar taps at a whole prime make conv1 rescale before act1, so the
+	// relinearization key, like most rotation keys, sits below the top level
+	// (at the default scales act1 relinearizes there).
+	sc := Scales{Pc: math.Exp2(40), Pw: math.Exp2(35), Pu: math.Exp2(40), Pm: math.Exp2(35)}
+	planned, err := Compile(model.Circuit, Options{Scheme: SchemeRNS, Scales: sc})
 	if err != nil {
 		t.Fatal(err)
 	}

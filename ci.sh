@@ -17,9 +17,11 @@ go build ./...
 echo "== go test ./..."
 go test ./...
 
-echo "== kernel promises (Dense issues the rotations its closed form says, fewer than one fold per neuron; every runtime rotation has a compiled key, at or below the key's planned level, and every planned key is applied, batched compiles included; keys cut at a level compute what full keys compute and do not depend on the core count; the conjugation key only when used; the compiler's node table equals the runtime's op counts; the compiler's analysis issues the runtime's instruction stream; impossible scales are rejected; refresh counts pinned; constants are encoded once, at their use level, bit-identically, also under bootstrapping; input scales are admitted exactly; a lying input scale is refused without harming a concurrent session; a tensor off the compiled input layout, complex flag and batch metadata included, is refused at admission; and a panicking evaluation fails only its own request; sums of rotations match the unfused sequence — bit for bit on Ref/Sim, within the rounding bound on RNS, op for op in the Meter — and divide by P once per output; the NTTs per inference are pinned)"
+echo "== kernel promises (Dense issues the rotations its closed form says, fewer than one fold per neuron; every runtime rotation has a compiled key, at or below the key's planned level, and every planned key is applied, batched compiles included; keys cut at a level compute what full keys compute and do not depend on the core count; the conjugation key only when used; the compiler's node table equals the runtime's op counts; the compiler's analysis issues the runtime's instruction stream; impossible scales are rejected; refresh counts pinned; constants are encoded once, at their use level, bit-identically, also under bootstrapping; input scales are admitted exactly; a lying input scale is refused without harming a concurrent session; a tensor off the compiled input layout, complex flag and batch metadata included, is refused at admission; and a panicking evaluation fails only its own request; sums of rotations match the unfused sequence — bit for bit on Ref/Sim, within the rounding bound on RNS, op for op in the Meter — and divide by P once per output; the NTTs per inference are pinned; the circuit rewrite preserves what every circuit computes; LeNet-tiny at the default 128-bit options compiles to N = 2^14; every zoo model under every policy matches Circuit.Evaluate on Ref, with zero invalid output slots and as many mask products per node as Compiled.Nodes reports, and LeNet-tiny does on RNS, batched and complex; BatchNorm folds into its convolution and the result matches on Ref, Sim and RNS; LeNet-5-small at the lenet5-small options holds no more constants under CHW than under HW; -explain names the masks kept and the factors absorbed)"
+go test -count=1 -run 'TestFoldPreservesEvaluate|TestFoldFactors' ./internal/circuit
+go test -count=1 -run 'TestExplainNamesMasksAndFactors' ./cmd/chet-compile
 go test -count=1 -run 'TestDenseRotationBudget|TestFoldStridedExact|TestConstantStore|TestParallelExecuteDeterministic|TestKernelsHoistedParityRNS' ./internal/htc
-go test -count=1 -run 'TestRuntimeRotationsWithinCompiledKeys|TestConjugationKeyOnlyWhenUsed|TestNodeTableMatchesRuntime|TestAnalysisIssuesRuntimeStream|TestModDownsPerInference|TestNTTsPerInference|TestCompileRejectsBadScales|TestBootstrapPlacement|TestBootstrapEndToEnd' ./internal/core
+go test -count=1 -run 'TestRuntimeRotationsWithinCompiledKeys|TestConjugationKeyOnlyWhenUsed|TestNodeTableMatchesRuntime|TestAnalysisIssuesRuntimeStream|TestModDownsPerInference|TestNTTsPerInference|TestCompileRejectsBadScales|TestBootstrapPlacement|TestBootstrapEndToEnd|TestLeNetTinySecureOnHalfRing|TestZooMatchesEvaluateOnRef|TestLeNetTinyBatchedComplexRNS|TestBatchNormFoldsIntoConv|TestCHWHoldsNoMoreConstantsThanHW' ./internal/core
 go test -count=1 -run 'TestLeveledKeyParity|TestKeyGenDeterministicAcrossProcs|TestOverLevelKeySwitchIsDescriptive|TestRotSum' ./internal/ckks
 go test -count=1 -run 'TestRotSum' ./internal/hisa
 go test -count=1 -run 'TestSessionEncodesConstantsOnce|TestPlannedKeysMatchFullKeys' .
@@ -33,7 +35,7 @@ echo "== benchmark module (its adapter is the one file outside the tree that imp
 (cd benchmark && go vet ./... && go build ./... && go test ./...)
 
 echo "== go test -race (concurrency-sensitive packages)"
-go test -race ./internal/hisa/... ./internal/htc/... ./internal/ckks/...
+go test -race ./internal/ring/... ./internal/hisa/... ./internal/htc/... ./internal/ckks/...
 
 echo "== go test -race (hybrid key switch: α = 1 digests, hoisted/fused/worker parity for α in {1,2,3,L+1}, noise bound, arena gate; fused sums of rotations against the unfused sequence for α in {1,2,3}, 1 ≡ 4 workers)"
 go test -race -count=3 -run 'TestAlphaOneMatchesPerPrimeKeySwitch|TestHybridKeySwitch|TestRotSumMatchesUnfused' ./internal/ckks

@@ -30,6 +30,36 @@ func TestCompileAndDescribeSmoke(t *testing.T) {
 	}
 }
 
+// TestExplainNamesMasksAndFactors: -explain's per-node table says which
+// nodes keep a mask and what each does with the factors the rewrite carries.
+// In LeNet-tiny the first convolution and the pool drop their masks (no
+// reader looks at their invalid slots), the second convolution keeps one
+// per output channel, the Dense keeps its output mask, and conv2 and fc
+// absorb the factors the activations and the pool leave.
+func TestExplainNamesMasksAndFactors(t *testing.T) {
+	var sb strings.Builder
+	if err := compileAndDescribe(&sb, compileConfig{model: "LeNet-tiny", scheme: "seal", security: -1, explain: true}); err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string][]string{}
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if f := strings.Fields(line); len(f) > 1 {
+			rows[f[0]] = f
+		}
+	}
+	for _, want := range []struct{ node, masks, factor string }{
+		{"conv1", "0", "-"},
+		{"pool1", "0", "0.125"},
+		{"conv2", "4", "absorbs"},
+		{"fc", "", "absorbs"}, // one mask per neuron group; the layout sets the groups
+	} {
+		r := rows[want.node]
+		if len(r) < 9 || (want.masks != "" && r[4] != want.masks) || r[4] == "0" && want.masks == "" || r[7] != want.factor {
+			t.Errorf("%s row %v: want masks %q and factor %q", want.node, r, want.masks, want.factor)
+		}
+	}
+}
+
 func TestCompileAndDescribeErrors(t *testing.T) {
 	tiny := func(scales string) compileConfig {
 		return compileConfig{model: "LeNet-tiny", scheme: "heaan", security: -1, scales: scales}

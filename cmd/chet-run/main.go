@@ -129,7 +129,7 @@ func runInference(w io.Writer, cfg runConfig) error {
 			prof.ScopeTotal.Round(time.Millisecond), inferWall.Round(time.Millisecond))
 	}
 	if cfg.profile {
-		rows := telemetry.PrecisionProfile(session.Backend, compiled.Circuit,
+		rows := telemetry.PrecisionProfile(session.Backend, compiled.Program.Circuit,
 			chet.SyntheticImage(m.InputShape, cfg.seed),
 			compiled.Best.Policy, compiled.Options.Scales, cfg.workers)
 		fmt.Fprint(w, telemetry.RenderPrecision(rows))

@@ -83,10 +83,7 @@ func fidelity(m *nn.Model) float64 {
 	}
 	img := nn.SyntheticImage(m.InputShape, 11)
 	want := m.Circuit.Evaluate(img)
-	sc := comp.Options.Scales
-	plan := htc.PlanFor(m.Circuit, comp.Best.Policy)
-	enc := htc.EncryptTensor(b, plan, sc, img)
-	got := htc.DecryptTensor(b, htc.Execute(b, m.Circuit, enc, comp.Best.Policy, sc, htc.ExecOptions{}), 1)[0]
+	got := comp.Decrypt(b, comp.Execute(b, comp.Encrypt(b, img), htc.ExecOptions{}), 1)[0]
 	maxErr := 0.0
 	for i := range want.Data {
 		if e := math.Abs(got.Data[i] - want.Data[i]); e > maxErr {
@@ -320,12 +317,9 @@ func Figure6(models []*nn.Model, logN int) ([]Fig6Point, error) {
 			if err != nil {
 				return nil, err
 			}
-			img := nn.SyntheticImage(m.InputShape, 23)
-			sc := comp.Options.Scales
-			plan := htc.PlanFor(m.Circuit, policy)
-			enc := htc.EncryptTensor(b, plan, sc, img)
+			enc := comp.Encrypt(b, nn.SyntheticImage(m.InputShape, 23))
 			start := time.Now()
-			htc.Execute(b, m.Circuit, enc, policy, sc, htc.ExecOptions{})
+			comp.Execute(b, enc, htc.ExecOptions{})
 			elapsed := time.Since(start).Seconds()
 			points = append(points, Fig6Point{
 				Name:     m.Name,

@@ -83,10 +83,8 @@ func BootstrapBench(layers, logN, window int, errBudget float64) (BootstrapResul
 
 	// Plaintext-tracking lockstep over the same circuit and layout.
 	ref := hisa.NewRefBackend(1 << (comp.Best.LogN - 1))
-	refOut := htc.Execute(ref, m.Circuit,
-		htc.EncryptTensor(ref, comp.Plan(), comp.Options.Scales, img),
-		comp.Best.Policy, comp.Options.Scales, htc.ExecOptions{})
-	want := htc.DecryptTensor(ref, refOut, 1)[0]
+	refOut := comp.Execute(ref, comp.Encrypt(ref, img), htc.ExecOptions{})
+	want := comp.Decrypt(ref, refOut, 1)[0]
 
 	raw, err := core.BuildBackend(comp, ring.NewTestPRNG(0xB007))
 	if err != nil {
@@ -125,11 +123,9 @@ func BootstrapBench(layers, logN, window int, errBudget float64) (BootstrapResul
 	raw.Free(ct)
 
 	start = time.Now()
-	out := htc.Execute(backend, m.Circuit,
-		htc.EncryptTensor(backend, comp.Plan(), comp.Options.Scales, img),
-		comp.Best.Policy, comp.Options.Scales, htc.ExecOptions{})
+	out := comp.Execute(backend, comp.Encrypt(backend, img), htc.ExecOptions{})
 	runMS := float64(time.Since(start).Nanoseconds()) / 1e6
-	got := htc.DecryptTensor(backend, out, 1)[0]
+	got := comp.Decrypt(backend, out, 1)[0]
 
 	maxErr := 0.0
 	for i := range want.Data {

@@ -29,6 +29,7 @@ const (
 	OpFlatten
 	OpPad2D
 	OpPolyEval
+	OpSumPool2D
 )
 
 func (k OpKind) String() string {
@@ -57,6 +58,8 @@ func (k OpKind) String() string {
 		return "pad2d"
 	case OpPolyEval:
 		return "polyeval"
+	case OpSumPool2D:
+		return "sumpool2d"
 	default:
 		return fmt.Sprintf("op(%d)", int(k))
 	}
@@ -167,6 +170,17 @@ func (b *Builder) Dense(x *Node, weights, bias *tensor.Tensor, name string) *Nod
 
 // AvgPool2D appends average pooling (valid padding).
 func (b *Builder) AvgPool2D(x *Node, window, stride int, name string) *Node {
+	return b.pool(OpAvgPool2D, x, window, stride, name)
+}
+
+// SumPool2D appends window sums (valid padding): average pooling without its
+// division by the window size, the form the compiler rewrites AvgPool2D into
+// when it carries the division forward to a layer that absorbs it.
+func (b *Builder) SumPool2D(x *Node, window, stride int, name string) *Node {
+	return b.pool(OpSumPool2D, x, window, stride, name)
+}
+
+func (b *Builder) pool(kind OpKind, x *Node, window, stride int, name string) *Node {
 	c, h, w := shapeCHW(x)
 	hout := (h-window)/stride + 1
 	wout := (w-window)/stride + 1
@@ -174,7 +188,7 @@ func (b *Builder) AvgPool2D(x *Node, window, stride int, name string) *Node {
 		panic(fmt.Sprintf("circuit: pool %q produces empty output", name))
 	}
 	return b.add(&Node{
-		Kind: OpAvgPool2D, Name: name, Inputs: []*Node{x},
+		Kind: kind, Name: name, Inputs: []*Node{x},
 		Window: window, Stride: stride, OutShape: []int{c, hout, wout},
 	})
 }

@@ -31,6 +31,8 @@ func (c *Circuit) Evaluate(input *tensor.Tensor) *tensor.Tensor {
 			out = tensor.MatVec(n.Weights, in.Reshape(in.Size()), n.Bias)
 		case OpAvgPool2D:
 			out = tensor.AvgPool2D(results[n.Inputs[0].ID], n.Window, n.Stride)
+		case OpSumPool2D:
+			out = tensor.SumPool2D(results[n.Inputs[0].ID], n.Window, n.Stride)
 		case OpGlobalAvgPool2D:
 			out = tensor.GlobalAvgPool2D(results[n.Inputs[0].ID])
 		case OpActivation:
@@ -86,7 +88,7 @@ func (c *Circuit) Flops() int64 {
 			if n.Bias != nil {
 				total += int64(n.OutShape[0])
 			}
-		case OpAvgPool2D:
+		case OpAvgPool2D, OpSumPool2D:
 			in := n.Inputs[0].OutShape
 			total += tensor.AvgPool2DFlops(in[0], in[1], in[2], n.Window, n.Stride)
 		case OpGlobalAvgPool2D:
@@ -134,7 +136,7 @@ func (c *Circuit) CountLayers() LayerCounts {
 			lc.Dense++
 		case OpActivation:
 			lc.Act++
-		case OpAvgPool2D, OpGlobalAvgPool2D:
+		case OpAvgPool2D, OpSumPool2D, OpGlobalAvgPool2D:
 			lc.Pool++
 		case OpBatchNorm:
 			lc.BN++

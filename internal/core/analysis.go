@@ -62,6 +62,9 @@ type Analysis struct {
 	// batch amortizes the total cost across packed images (>= 1).
 	batch int
 
+	// masks counts the mask products the kernels announced (TallyMask).
+	masks int
+
 	// boot, when non-nil, makes the analysis a hisa.BootstrapBackend: run
 	// under the runtime's hisa.Refresher (see backend), every refresh it
 	// triggers is recorded as a placement.
@@ -196,6 +199,11 @@ func (a *Analysis) backend() hisa.Backend {
 	}
 	return rf
 }
+
+// TallyMask counts one mask product: the kernels announce each one to a
+// backend that has this method, so the recording run can attribute masks to
+// circuit nodes.
+func (a *Analysis) TallyMask() { a.masks++ }
 
 // --- hisa.BootstrapBackend ---
 

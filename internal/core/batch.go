@@ -28,11 +28,20 @@ func (c *Compiled) Encrypt(b hisa.Backend, imgs ...*tensor.Tensor) *htc.CipherTe
 	return htc.EncryptTensor(b, c.Plan(), c.Options.Scales, imgs...)
 }
 
+// Execute runs the compiled program on b under the compiled layout policy
+// and scales: the server side of every session. The input must come from
+// Encrypt.
+func (c *Compiled) Execute(b hisa.Backend, in *htc.CipherTensor, opts htc.ExecOptions) *htc.CipherTensor {
+	return htc.Execute(b, c.Program.Circuit, in, c.Best.Policy, c.Options.Scales, opts)
+}
+
 // Decrypt recovers the first n images of an encrypted result on b, each in
 // the circuit's output shape: the slot grid a kernel left it on (a packed
-// Dense's R by G, say) is the CipherTensor's business, not the caller's. A
-// tensor of another size (an intermediate from OnNode, a round-tripped
-// input) keeps its own shape.
+// Dense's R by G, say) is the CipherTensor's business, not the caller's. The
+// program's output differs from the circuit's by the factor no layer
+// absorbed (Program.OutFactor); Decrypt applies it here, on the client, where
+// it costs no level. A tensor of another size (an intermediate from OnNode,
+// a round-tripped input) keeps its own shape and values.
 func (c *Compiled) Decrypt(b hisa.Backend, ct *htc.CipherTensor, n int) []*tensor.Tensor {
 	shape := c.Circuit.Output.OutShape
 	size := 1
@@ -41,8 +50,14 @@ func (c *Compiled) Decrypt(b hisa.Backend, ct *htc.CipherTensor, n int) []*tenso
 	}
 	ts := htc.DecryptTensor(b, ct, n)
 	for i, t := range ts {
-		if t.Size() == size {
-			ts[i] = t.Reshape(shape...)
+		if t.Size() != size {
+			continue
+		}
+		ts[i] = t.Reshape(shape...)
+		if f := c.Program.OutFactor; f != 1 {
+			for j := range ts[i].Data {
+				ts[i].Data[j] *= f
+			}
 		}
 	}
 	return ts

@@ -57,13 +57,13 @@ func TestBootstrapPlacement(t *testing.T) {
 	// and a kernel edit that moves them must be a decision, not an accident.
 	// TestBootstrapEndToEnd and chet-bench -exp bootstrap hold the runtime's
 	// refresh count equal to these.
-	if len(p.Placements) != 57 {
-		t.Fatalf("NN-6 at window 3 places %d bootstraps, want 57", len(p.Placements))
+	if len(p.Placements) != 51 {
+		t.Fatalf("NN-6 at window 3 places %d bootstraps, want 51", len(p.Placements))
 	}
 	if c20, err := Compile(nn.NN20().Circuit, bootOptions(4)); err != nil {
 		t.Fatal(err)
-	} else if n := len(c20.BootPlan.Placements); n != 170 {
-		t.Fatalf("NN-20 at window 4 places %d bootstraps, want 170", n)
+	} else if n := len(c20.BootPlan.Placements); n != 95 {
+		t.Fatalf("NN-20 at window 4 places %d bootstraps, want 95", n)
 	}
 	if comp.Best.Bootstraps != len(p.Placements) {
 		t.Fatalf("Best.Bootstraps = %d, plan has %d placements", comp.Best.Bootstraps, len(p.Placements))
@@ -145,8 +145,8 @@ func TestBootstrapEndToEnd(t *testing.T) {
 	// Plaintext-tracking reference over the same circuit.
 	ref := hisa.NewRefBackend(1 << (comp.Best.LogN - 1))
 	refEnc := htc.EncryptTensor(ref, comp.Plan(), comp.Options.Scales, img)
-	refOut := htc.Execute(ref, m.Circuit, refEnc, comp.Best.Policy, comp.Options.Scales, htc.ExecOptions{})
-	want := htc.DecryptTensor(ref, refOut, 1)[0]
+	refOut := comp.Execute(ref, refEnc, htc.ExecOptions{})
+	want := comp.Decrypt(ref, refOut, 1)[0]
 
 	raw, err := BuildBackend(comp, ring.NewTestPRNG(0xDEE9))
 	if err != nil {
@@ -159,8 +159,8 @@ func TestBootstrapEndToEnd(t *testing.T) {
 	rf := backend.(*hisa.Refresher)
 
 	enc := htc.EncryptTensor(backend, comp.Plan(), comp.Options.Scales, img)
-	out := htc.Execute(backend, m.Circuit, enc, comp.Best.Policy, comp.Options.Scales, htc.ExecOptions{})
-	got := htc.DecryptTensor(backend, out, 1)[0]
+	out := comp.Execute(backend, enc, htc.ExecOptions{})
+	got := comp.Decrypt(backend, out, 1)[0]
 
 	if rf.Bootstraps() != len(comp.BootPlan.Placements) {
 		t.Fatalf("runtime performed %d bootstraps, compiler placed %d",
@@ -182,8 +182,7 @@ func TestBootstrapEndToEnd(t *testing.T) {
 	// because the Refresher may swap a refreshed operand in: the run raises
 	// no level panic, refreshes as often and computes the same bits.
 	before := rf.Bootstraps()
-	stored := htc.DecryptTensor(backend, htc.Execute(backend, m.Circuit, enc, comp.Best.Policy,
-		comp.Options.Scales, htc.ExecOptions{Constants: htc.NewConstants()}), 1)[0]
+	stored := comp.Decrypt(backend, comp.Execute(backend, enc, htc.ExecOptions{Constants: htc.NewConstants()}), 1)[0]
 
 	if n := rf.Bootstraps() - before; n != len(comp.BootPlan.Placements) {
 		t.Fatalf("runtime performed %d bootstraps through the store, compiler placed %d",

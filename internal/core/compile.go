@@ -104,9 +104,11 @@ func (o *Options) fillDefaults() {
 			o.Scales = htc.Scales{Pc: p, Pw: p, Pu: p, Pm: p}
 		} else {
 			// Conservative defaults near the paper's 2^40 search start; the
-			// profile-guided SelectScales shrinks them per circuit.
+			// profile-guided SelectScales shrinks them per circuit. Masks are
+			// encoded as finely as weights: with the factors folded and most
+			// masks dropped, the last mask product sets the output precision.
 			o.Scales = htc.Scales{
-				Pc: math.Exp2(40), Pw: math.Exp2(35), Pu: math.Exp2(35), Pm: math.Exp2(30),
+				Pc: math.Exp2(40), Pw: math.Exp2(35), Pu: math.Exp2(35), Pm: math.Exp2(35),
 			}
 		}
 	}
@@ -171,6 +173,9 @@ type SpecialCandidate struct {
 // trace.
 type Compiled struct {
 	Circuit *circuit.Circuit
+	// Program is the circuit as the runtime executes it (circuit.Fold): analyzed,
+	// priced and recorded by the compiler, executed by every session.
+	Program *circuit.Program
 	Options Options
 	Best    PolicyResult
 	Trace   []PolicyResult
@@ -192,9 +197,10 @@ type Compiled struct {
 	BootPlan *BootReport
 }
 
-// Compile runs CHET's compilation pipeline on a tensor circuit: for every
+// Compile runs CHET's compilation pipeline on a tensor circuit: it rewrites
+// the circuit so that constant factors cost no level (circuit.Fold), then for every
 // candidate data layout it selects encryption parameters with the
-// modulus-consumption analysis, prices the circuit with the scheme cost
+// modulus-consumption analysis, prices the program with the scheme cost
 // model, and returns the cheapest policy along with its rotation-key set.
 func Compile(c *circuit.Circuit, opts Options) (*Compiled, error) {
 	opts.fillDefaults()
@@ -229,10 +235,11 @@ func Compile(c *circuit.Circuit, opts Options) (*Compiled, error) {
 			}
 		}
 	}
-	out := &Compiled{Circuit: c, Options: opts}
+	prog := circuit.Fold(c)
+	out := &Compiled{Circuit: c, Program: prog, Options: opts}
 	var firstErr error
 	for _, policy := range opts.Policies {
-		res, err := compilePolicy(c, policy, opts)
+		res, err := compilePolicy(prog.Circuit, policy, opts)
 		if err != nil {
 			// A policy can be infeasible (e.g. its layout consumes too much
 			// modulus for any secure ring degree) while others still work;
@@ -254,7 +261,7 @@ func Compile(c *circuit.Circuit, opts Options) (*Compiled, error) {
 		}
 	}
 	out.Best = best
-	if err := record(c, out); err != nil {
+	if err := record(prog.Circuit, out); err != nil {
 		return nil, fmt.Errorf("core: recording run: %w", err)
 	}
 	return out, nil

@@ -12,7 +12,7 @@ import (
 )
 
 func TestAnalysisResultsAreDeterministic(t *testing.T) {
-	c, _ := testCNN()
+	c := testProgram()
 	run := func() ([]int, float64, float64) {
 		a := NewAnalysis(AnalysisConfig{Scheme: SchemeCKKS, Slots: 2048})
 		sc := htc.DefaultScales()
@@ -34,7 +34,7 @@ func TestAnalysisResultsAreDeterministic(t *testing.T) {
 }
 
 func TestPeakCoversConsumption(t *testing.T) {
-	c, _ := testCNN()
+	c := testProgram()
 	for _, scheme := range []Scheme{SchemeCKKS, SchemeRNS} {
 		a := NewAnalysis(AnalysisConfig{Scheme: scheme, Slots: 2048})
 		sc := htc.DefaultScales()
@@ -145,7 +145,7 @@ func TestDeeperCircuitConsumesMoreModulus(t *testing.T) {
 		for i := 0; i < depth; i++ {
 			x = b.Activation(x, 0.25, 1, "act")
 		}
-		return b.Build(x)
+		return circuit.Fold(b.Build(x)).Circuit
 	}
 	measure := func(c *circuit.Circuit) float64 {
 		a := NewAnalysis(AnalysisConfig{Scheme: SchemeCKKS, Slots: 64})

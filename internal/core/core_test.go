@@ -35,6 +35,12 @@ func testCNN() (*circuit.Circuit, *tensor.Tensor) {
 	return b.Build(x), randTensor([]int{1, 8, 8}, 1, 6)
 }
 
+// testProgram is testCNN as the runtime executes it.
+func testProgram() *circuit.Circuit {
+	c, _ := testCNN()
+	return circuit.Fold(c).Circuit
+}
+
 func TestSecurityTable(t *testing.T) {
 	if MaxLogQ(13, 128) != 218 {
 		t.Fatalf("MaxLogQ(13,128) = %d", MaxLogQ(13, 128))
@@ -96,7 +102,8 @@ func TestAnalysisMatchesMeterOnRef(t *testing.T) {
 	// The analysis interpretation must execute exactly the same instruction
 	// stream as a real backend: compare rotation-step counts with a metered
 	// reference run.
-	c, img := testCNN()
+	src, img := testCNN()
+	c := circuit.Fold(src).Circuit
 	sc := htc.DefaultScales()
 	policy := htc.PolicyCHW
 	slots := 2048
@@ -181,11 +188,7 @@ func TestCompiledSimBackendMeetsPrecision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := comp.Options.Scales
-	plan := htc.PlanFor(c, comp.Best.Policy)
-	enc := htc.EncryptTensor(b, plan, sc, img)
-	out := htc.Execute(b, c, enc, comp.Best.Policy, sc, htc.ExecOptions{})
-	got := htc.DecryptTensor(b, out, 1)[0]
+	got := comp.Decrypt(b, comp.Execute(b, comp.Encrypt(b, img), htc.ExecOptions{}), 1)[0]
 	for i := range want.Data {
 		if math.Abs(got.Data[i]-want.Data[i]) > 1e-2 {
 			t.Fatalf("output %d: got %g want %g", i, got.Data[i], want.Data[i])
@@ -215,11 +218,7 @@ func TestCompiledRNSBackendMeetsPrecision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := comp.Options.Scales
-	plan := htc.PlanFor(c, comp.Best.Policy)
-	enc := htc.EncryptTensor(b, plan, sc, img)
-	out := htc.Execute(b, c, enc, comp.Best.Policy, sc, htc.ExecOptions{})
-	got := htc.DecryptTensor(b, out, 1)[0]
+	got := comp.Decrypt(b, comp.Execute(b, comp.Encrypt(b, img), htc.ExecOptions{}), 1)[0]
 	for i := range want.Data {
 		if math.Abs(got.Data[i]-want.Data[i]) > 1e-2 {
 			t.Fatalf("output %d: got %g want %g", i, got.Data[i], want.Data[i])
@@ -276,9 +275,7 @@ func TestSelectScales(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := c.Evaluate(img)
-	plan := htc.PlanFor(c, comp.Best.Policy)
-	enc := htc.EncryptTensor(b, plan, sc, img)
-	got := htc.DecryptTensor(b, htc.Execute(b, c, enc, comp.Best.Policy, sc, htc.ExecOptions{}), 1)[0]
+	got := comp.Decrypt(b, comp.Execute(b, comp.Encrypt(b, img), htc.ExecOptions{}), 1)[0]
 	for i := range want.Data {
 		if math.Abs(got.Data[i]-want.Data[i]) > 0.05 {
 			t.Fatalf("selected scales violate tolerance at output %d: %g vs %g",

@@ -11,9 +11,10 @@ import (
 )
 
 // fpVersion tags the canonical encoding below; bump it whenever the byte
-// layout of the digest changes so old and new binaries never agree by
-// accident.
-const fpVersion = "chet-fingerprint-v6"
+// layout of the digest changes, or the program the same inputs compile to
+// (v7: circuit.Fold and the executor's dirty-slot rule), so old and new binaries
+// never agree by accident.
+const fpVersion = "chet-fingerprint-v7"
 
 // Fingerprint returns a stable digest of everything that must match between
 // two parties for their homomorphic executions of this compilation to be

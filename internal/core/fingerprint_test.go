@@ -111,7 +111,7 @@ func TestFingerprintFlipsOnPackingOptions(t *testing.T) {
 	}
 }
 
-// TestFingerprintV6Golden pins the canonical v6 encoding to a known digest.
+// TestFingerprintV7Golden pins the canonical v7 encoding to a known digest.
 // The fingerprint is a wire-visible contract — both sides of the session-open
 // handshake must compute the same bytes — so any change to the byte layout
 // must come with a version bump (fpVersion), not a silent drift. If this test
@@ -121,10 +121,10 @@ func TestFingerprintFlipsOnPackingOptions(t *testing.T) {
 // change that moves this compilation's rotation-key set or key plan (the
 // packed Dense did) moves it with the byte layout and the version unchanged;
 // paste the digest the failing run prints.
-func TestFingerprintV6Golden(t *testing.T) {
-	const want = "0bde875e4f4ddbeccda597e1a4586993f8fab5d571b96095b9eae1d55a49923e"
+func TestFingerprintV7Golden(t *testing.T) {
+	const want = "fcf7e79bff2b97c1ff3749796a2e661aa469d62e44cd90ed0a886aabc7e021f4"
 	if got := fpCompile(t, fpBaseOptions()).FingerprintHex(); got != want {
-		t.Fatalf("fingerprint v6 golden mismatch:\n got %s\nwant %s", got, want)
+		t.Fatalf("fingerprint v7 golden mismatch:\n got %s\nwant %s", got, want)
 	}
 }
 

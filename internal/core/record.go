@@ -16,8 +16,14 @@ type NodeCost struct {
 	Kind circuit.OpKind
 	Name string
 	// Rotations counts primitive rotations; Relin counts ciphertext-
-	// ciphertext multiplications, each carrying a relinearization.
-	Rotations, MulPlain, Rescale, Relin int
+	// ciphertext multiplications, each carrying a relinearization. Masks
+	// counts the plaintext multiplications that zero invalid slots: a node
+	// with none dropped its mask (htc's dirty-slot rule) or never had one.
+	Rotations, MulPlain, Rescale, Relin, Masks int
+	// Factor is what the node did with the factors circuit.Fold carries:
+	// absorbed Factor.In when Factor.Out is 1, passed it on when they are
+	// equal, set a new one otherwise.
+	Factor circuit.Factor
 	// Cost is the node's estimated cost (microseconds), bootstraps it
 	// triggered included.
 	Cost float64
@@ -63,7 +69,7 @@ func record(c *circuit.Circuit, comp *Compiled) (err error) {
 		}
 	}
 	var prev hisa.OpCounts
-	prevCost := 0.0
+	prevCost, prevMasks := 0.0, 0
 	onNode := func(n *circuit.Node, _ *htc.CipherTensor) {
 		name := fmt.Sprintf("%v:%s", n.Kind, n.Name)
 		attribute(n.ID, name)
@@ -76,9 +82,11 @@ func record(c *circuit.Circuit, comp *Compiled) (err error) {
 			MulPlain:  counts[hisa.OpMulPlain] - prev[hisa.OpMulPlain],
 			Rescale:   counts[hisa.OpRescale] - prev[hisa.OpRescale],
 			Relin:     counts[hisa.OpRelin] - prev[hisa.OpRelin],
+			Masks:     a.masks - prevMasks,
+			Factor:    comp.Program.Factors[n.ID],
 			Cost:      a.totalCost - prevCost,
 		})
-		prev, prevCost = counts, a.totalCost
+		prev, prevCost, prevMasks = counts, a.totalCost, a.masks
 	}
 
 	img := tensor.New(c.Input.OutShape...)

@@ -50,7 +50,7 @@ func TestNodeTableMatchesRuntime(t *testing.T) {
 		}
 		m := hisa.NewMeter(b, nil)
 		enc := htc.EncryptTensor(m, comp.Plan(), comp.Options.Scales, tc.img)
-		htc.Execute(m, comp.Circuit, enc, comp.Best.Policy, comp.Options.Scales, htc.ExecOptions{Workers: 4})
+		comp.Execute(m, enc, htc.ExecOptions{Workers: 4})
 		got := m.Counts()
 		runtime := [4]int{got.Rotations(), got[hisa.OpMulPlain], got[hisa.OpRescale], got[hisa.OpRelin]}
 
@@ -81,7 +81,7 @@ func TestAnalysisIssuesRuntimeStream(t *testing.T) {
 			}
 		})
 		enc := htc.EncryptTensor(&rec, comp.Plan(), comp.Options.Scales, img)
-		htc.Execute(&rec, comp.Circuit, enc, comp.Best.Policy, comp.Options.Scales, opts)
+		comp.Execute(&rec, enc, opts)
 		return kinds
 	}
 	for _, model := range []*nn.Model{nn.LeNetTiny(), nn.LeNet5Small()} {
@@ -115,14 +115,14 @@ func TestAnalysisIssuesRuntimeStream(t *testing.T) {
 
 // TestModDownsPerInference pins what summing rotations in the extended basis
 // buys at secure parameters: a LeNet-tiny inference at 128-bit security
-// (N = 2^15) divides its key-switch accumulators by the special modulus once
-// per sum output instead of once per rotation — at most 44 ModDowns where
-// rotating one amount at a time took 72, two for each of its 36 rotations —
-// while the Meter still counts every rotation the unfused sequence stands
-// for.
+// (N = 2^14) divides its key-switch accumulators by the special modulus once
+// per sum output instead of once per rotation — at most 40 ModDowns where
+// rotating one amount at a time would take 84, two for each of its 42
+// rotations — while the Meter still counts every rotation the unfused
+// sequence stands for.
 func TestModDownsPerInference(t *testing.T) {
 	if testing.Short() {
-		t.Skip("real lattice execution at N = 2^15 is slow; run without -short")
+		t.Skip("real lattice execution at 128-bit parameters is slow; run without -short")
 	}
 	tiny := nn.LeNetTiny()
 	comp, err := Compile(tiny.Circuit, Options{Scheme: SchemeRNS})
@@ -138,14 +138,14 @@ func TestModDownsPerInference(t *testing.T) {
 	enc := htc.EncryptTensor(m, comp.Plan(), comp.Options.Scales, nn.SyntheticImage(tiny.InputShape, 7))
 	before := rns.ModDowns()
 	fwd0, inv0 := rns.NTTs()
-	htc.Execute(m, comp.Circuit, enc, comp.Best.Policy, comp.Options.Scales, htc.ExecOptions{Workers: 2})
+	comp.Execute(m, enc, htc.ExecOptions{Workers: 2})
 	got := rns.ModDowns() - before
 	fwd1, inv1 := rns.NTTs()
 	counts := m.Counts()
 	unfused := int64(2 * counts.Rotations())
 	t.Logf("N = 2^%d: %d ModDowns, %d one rotation at a time; %d forward and %d inverse NTTs", comp.Best.LogN, got, unfused, fwd1-fwd0, inv1-inv0)
-	if got > 44 || got >= unfused {
-		t.Fatalf("%d ModDowns per inference, want at most 44 and fewer than the unfused %d", got, unfused)
+	if got > 40 || got >= unfused {
+		t.Fatalf("%d ModDowns per inference, want at most 40 and fewer than the unfused %d", got, unfused)
 	}
 }
 
@@ -172,11 +172,11 @@ func TestNTTsPerInference(t *testing.T) {
 	rns := b.(*hisa.RNSBackend)
 	enc := htc.EncryptTensor(b, comp.Plan(), comp.Options.Scales, nn.SyntheticImage(tiny.InputShape, 7))
 	fwd0, inv0 := rns.NTTs()
-	htc.Execute(b, comp.Circuit, enc, comp.Best.Policy, comp.Options.Scales, htc.ExecOptions{Workers: 2})
+	comp.Execute(b, enc, htc.ExecOptions{Workers: 2})
 	fwd1, inv1 := rns.NTTs()
 	fwd, inv := fwd1-fwd0, inv1-inv0
 	t.Logf("N = 2^11: %d forward and %d inverse NTTs per inference", fwd, inv)
-	if want := [2]int64{1935, 584}; [2]int64{fwd, inv} != want {
+	if want := [2]int64{842, 355}; [2]int64{fwd, inv} != want {
 		t.Fatalf("%d forward and %d inverse NTTs per inference, want %d and %d", fwd, inv, want[0], want[1])
 	}
 }

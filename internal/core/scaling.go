@@ -123,14 +123,15 @@ func scalesAcceptable(c *circuit.Circuit, inputs, refs []*tensor.Tensor,
 	plan := htc.PlanFor(c, policy)
 	for i, in := range inputs {
 		enc := htc.EncryptTensor(b, plan, sc, in)
-		out := htc.Execute(b, c, enc, policy, sc, htc.ExecOptions{})
+		out := htc.Execute(b, comp.Program.Circuit, enc, policy, sc, htc.ExecOptions{})
 		noiseBound := 0.0
 		for _, ct := range out.CTs {
 			if n := 6 * b.NoiseOf(ct); n > noiseBound {
 				noiseBound = n
 			}
 		}
-		dec := htc.DecryptTensor(b, out, 1)[0]
+		noiseBound *= math.Abs(comp.Program.OutFactor)
+		dec := comp.Decrypt(b, out, 1)[0]
 		for j := range refs[i].Data {
 			if math.Abs(dec.Data[j]-refs[i].Data[j])+noiseBound > tol {
 				return false

@@ -44,52 +44,56 @@ func compileZoo(c *circuit.Circuit, scheme Scheme, security int) (*Compiled, err
 	return comp, err
 }
 
-// preHybridParams is the ring degree and chain every layout policy of every
-// zoo network compiled to before digits could group primes (commit df51211,
-// one special prime always). Choosing more special primes spends slack the
-// security table leaves at that ring degree; it may never buy itself a
-// larger N or a longer chain.
-var preHybridParams = []struct {
+// oneSpecialParams is the ring degree and chain every layout policy of every
+// zoo network compiles to with one special prime: the parameters the
+// compiler fixes before it weighs α (pinned when digits first grouped
+// primes, re-pinned when the circuit rewrite and the dirty-slot rule cut
+// the chains). Choosing more special primes spends slack the security table
+// leaves at that ring degree; it may never buy itself a larger N or a longer
+// chain.
+var oneSpecialParams = []struct {
 	model        string
 	security     int
 	policy       string
 	logN, primes int
 	logQ         float64
 }{
-	{"LeNet-5-small", 128, "HW", 15, 18, 727},
-	{"LeNet-5-small", 128, "CHW", 15, 18, 727},
-	{"LeNet-5-small", 128, "HW-conv/CHW-rest", 15, 19, 767},
-	{"LeNet-5-small", 128, "CHW-fc/HW-before", 15, 18, 727},
-	{"LeNet-5-small", 192, "HW", 16, 18, 727},
-	{"LeNet-5-small", 192, "CHW", 16, 18, 727},
-	{"LeNet-5-small", 192, "HW-conv/CHW-rest", 16, 19, 767},
-	{"LeNet-5-small", 192, "CHW-fc/HW-before", 16, 18, 727},
-	{"LeNet-5-medium", 128, "HW", 15, 18, 727},
-	{"LeNet-5-medium", 128, "CHW", 15, 18, 727},
-	{"LeNet-5-medium", 128, "HW-conv/CHW-rest", 15, 19, 767},
-	{"LeNet-5-medium", 128, "CHW-fc/HW-before", 15, 18, 727},
-	{"LeNet-5-medium", 192, "HW", 16, 18, 727},
-	{"LeNet-5-medium", 192, "CHW", 16, 18, 727},
-	{"LeNet-5-medium", 192, "HW-conv/CHW-rest", 16, 19, 767},
-	{"LeNet-5-medium", 192, "CHW-fc/HW-before", 16, 18, 727},
-	{"LeNet-5-large", 128, "HW", 15, 18, 727},
-	{"LeNet-5-large", 128, "CHW", 15, 18, 727},
-	{"LeNet-5-large", 128, "HW-conv/CHW-rest", 15, 19, 767},
-	{"LeNet-5-large", 128, "CHW-fc/HW-before", 15, 18, 727},
-	{"LeNet-5-large", 192, "HW", 16, 18, 727},
-	{"LeNet-5-large", 192, "CHW", 16, 18, 727},
-	{"LeNet-5-large", 192, "HW-conv/CHW-rest", 16, 19, 767},
-	{"LeNet-5-large", 192, "CHW-fc/HW-before", 16, 18, 727},
-	{"Industrial", 128, "HW", 16, 27, 1072},
-	{"Industrial", 128, "CHW", 16, 27, 1072},
-	{"Industrial", 128, "HW-conv/CHW-rest", 16, 30, 1192},
-	{"Industrial", 128, "CHW-fc/HW-before", 16, 27, 1072},
-	{"Industrial", 192, "HW", 16, 27, 1072},
-	{"Industrial", 192, "CHW", 16, 27, 1072},
-	{"Industrial", 192, "CHW-fc/HW-before", 16, 27, 1072},
-	{"SqueezeNet-CIFAR", 128, "HW", 16, 41, 1622},
-	{"SqueezeNet-CIFAR", 128, "CHW", 16, 41, 1622},
-	{"SqueezeNet-CIFAR", 128, "CHW-fc/HW-before", 16, 41, 1622},
+	{"LeNet-5-small", 128, "HW", 15, 14, 572},
+	{"LeNet-5-small", 128, "CHW", 15, 14, 572},
+	{"LeNet-5-small", 128, "HW-conv/CHW-rest", 15, 16, 652},
+	{"LeNet-5-small", 128, "CHW-fc/HW-before", 15, 14, 572},
+	{"LeNet-5-small", 192, "HW", 16, 14, 572},
+	{"LeNet-5-small", 192, "CHW", 16, 14, 572},
+	{"LeNet-5-small", 192, "HW-conv/CHW-rest", 16, 16, 652},
+	{"LeNet-5-small", 192, "CHW-fc/HW-before", 16, 14, 572},
+	{"LeNet-5-medium", 128, "HW", 15, 14, 572},
+	{"LeNet-5-medium", 128, "CHW", 15, 14, 572},
+	{"LeNet-5-medium", 128, "HW-conv/CHW-rest", 15, 16, 652},
+	{"LeNet-5-medium", 128, "CHW-fc/HW-before", 15, 14, 572},
+	{"LeNet-5-medium", 192, "HW", 16, 14, 572},
+	{"LeNet-5-medium", 192, "CHW", 16, 14, 572},
+	{"LeNet-5-medium", 192, "HW-conv/CHW-rest", 16, 16, 652},
+	{"LeNet-5-medium", 192, "CHW-fc/HW-before", 16, 14, 572},
+	{"LeNet-5-large", 128, "HW", 15, 14, 572},
+	{"LeNet-5-large", 128, "CHW", 15, 14, 572},
+	{"LeNet-5-large", 128, "HW-conv/CHW-rest", 15, 16, 652},
+	{"LeNet-5-large", 128, "CHW-fc/HW-before", 15, 14, 572},
+	{"LeNet-5-large", 192, "HW", 16, 14, 572},
+	{"LeNet-5-large", 192, "CHW", 16, 14, 572},
+	{"LeNet-5-large", 192, "HW-conv/CHW-rest", 16, 16, 652},
+	{"LeNet-5-large", 192, "CHW-fc/HW-before", 16, 14, 572},
+	{"Industrial", 128, "HW", 16, 22, 862},
+	{"Industrial", 128, "CHW", 16, 22, 862},
+	{"Industrial", 128, "HW-conv/CHW-rest", 16, 26, 1042},
+	{"Industrial", 128, "CHW-fc/HW-before", 16, 22, 862},
+	{"Industrial", 192, "HW", 16, 22, 862},
+	{"Industrial", 192, "CHW", 16, 22, 862},
+	{"Industrial", 192, "HW-conv/CHW-rest", 16, 26, 1042},
+	{"Industrial", 192, "CHW-fc/HW-before", 16, 22, 862},
+	{"SqueezeNet-CIFAR", 128, "HW", 16, 30, 1192},
+	{"SqueezeNet-CIFAR", 128, "CHW", 16, 31, 1257},
+	{"SqueezeNet-CIFAR", 128, "HW-conv/CHW-rest", 16, 43, 1702},
+	{"SqueezeNet-CIFAR", 128, "CHW-fc/HW-before", 16, 30, 1192},
 	// SqueezeNet-CIFAR at 192 bits: no ring degree up to 2^16 is secure.
 }
 
@@ -173,7 +177,7 @@ func TestSpecialPrimesSpendOnlySlack(t *testing.T) {
 		}
 	}
 
-	for _, want := range preHybridParams {
+	for _, want := range oneSpecialParams {
 		comp, err := compileZoo(nnByName(t, want.model), SchemeRNS, want.security)
 		if err != nil {
 			t.Fatalf("%s at %d bits: %v", want.model, want.security, err)
@@ -185,17 +189,17 @@ func TestSpecialPrimesSpendOnlySlack(t *testing.T) {
 			}
 			found = true
 			if r.LogN != want.logN || len(r.RNSChainBits) != want.primes || math.Abs(r.LogQ-want.logQ) > 1e-9 {
-				t.Errorf("%s/%d/%s: N=2^%d with %d chain primes (%.0f bits); before hybrid switching N=2^%d with %d (%.0f bits)",
+				t.Errorf("%s/%d/%s: N=2^%d with %d chain primes (%.0f bits); with one special prime N=2^%d with %d (%.0f bits)",
 					want.model, want.security, want.policy, r.LogN, len(r.RNSChainBits), r.LogQ, want.logN, want.primes, want.logQ)
 			}
 		}
 		if !found {
-			t.Errorf("%s/%d/%s compiled before hybrid switching and no longer does", want.model, want.security, want.policy)
+			t.Errorf("%s/%d/%s compiles with one special prime and no longer does", want.model, want.security, want.policy)
 		}
 		delete(seen, rowKey{want.model, want.security, want.policy})
 	}
 	for k := range seen {
-		t.Errorf("%s/%d/%s compiles but has no pinned pre-hybrid parameters", k.model, k.security, k.policy)
+		t.Errorf("%s/%d/%s compiles but has no pinned one-special-prime parameters", k.model, k.security, k.policy)
 	}
 }
 
@@ -255,8 +259,8 @@ func TestSpecialPrimesDeterministic(t *testing.T) {
 // when it actually runs at that α — the histogram is a faithful stand-in for
 // one analysis run per candidate.
 func TestKeySwitchCostMatchesCostPass(t *testing.T) {
-	c, _ := testCNN()
-	comp, err := Compile(c, Options{Scheme: SchemeRNS})
+	src, _ := testCNN()
+	comp, err := Compile(src, Options{Scheme: SchemeRNS})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +272,7 @@ func TestKeySwitchCostMatchesCostPass(t *testing.T) {
 			RNSPrimeBits: opts.RNSPrimeBits, MagMarginBits: opts.MagMarginBits,
 			CostPrimes: float64(len(best.RNSChainBits)), CostSpecial: special, Model: model,
 		})
-		if err := runAnalysis(c, best.Policy, opts, a, opts.Scales); err != nil {
+		if err := runAnalysis(comp.Program.Circuit, best.Policy, opts, a, opts.Scales); err != nil {
 			t.Fatal(err)
 		}
 		return a

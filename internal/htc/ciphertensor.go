@@ -6,10 +6,13 @@
 // the plaintext reference backend, both CKKS backends, and the compiler's
 // analysis interpretations.
 //
-// Invariant maintained by every kernel: all ciphertext slots outside a
-// CipherTensor's valid positions are (approximately) zero. Kernels restore
-// the invariant with mask multiplications, which is why masks appear in the
-// multiplicative depth — exactly the trade-off the paper describes.
+// Invariant: all ciphertext slots outside a CipherTensor's valid positions
+// are (approximately) zero wherever a reader needs them so. Kernels restore
+// it with mask multiplications, which is why masks appear in the
+// multiplicative depth — the trade-off the paper describes — and Execute
+// asks for a mask only where some reader looks at those slots before the
+// next one (cleanOutputs, the dirty-slot rule). The circuit output is
+// always clean.
 package htc
 
 import (
@@ -412,13 +415,21 @@ func tryRescale(b hisa.Backend, c hisa.Ciphertext, base float64) hisa.Ciphertext
 }
 
 // reduceRelin closes a MulNoRelin product (or a linear combination of them):
-// it relinearizes and applies tryRescale's protocol, as one
-// RelinearizeRescale when the protocol rescales.
+// it relinearizes and applies tryRescale's protocol. Rescaling a degree-2
+// ciphertext also rounds the part decryption multiplies by s², noise far
+// above a degree-1 rescale's, so when the protocol's divisor spans several
+// steps the fused RelinearizeRescale takes only the steps down to
+// √(scale·base) and a plain Rescale takes the rest: the noise then lands at
+// a scale where it is negligible. A one-step divisor is fused whole.
 func reduceRelin(b hisa.Backend, c hisa.Ciphertext, base float64) hisa.Ciphertext {
-	if d := rescaleDivisor(b, c, base); d != nil {
-		return b.RelinearizeRescale(c, d)
+	d := rescaleDivisor(b, c, math.Sqrt(b.Scale(c)*base))
+	if d == nil {
+		d = rescaleDivisor(b, c, base)
 	}
-	return b.Relinearize(c)
+	if d == nil {
+		return b.Relinearize(c)
+	}
+	return tryRescale(b, b.RelinearizeRescale(c, d), base)
 }
 
 // rescaleDivisor is the divisor the rescaling protocol divides c by, or nil

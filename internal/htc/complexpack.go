@@ -82,31 +82,29 @@ func mulPairwiseY(b hisa.Backend, x, y, ybar hisa.Ciphertext) hisa.Ciphertext {
 	return b.Add(b.Add(p, q), b.Conjugate(b.Sub(p, q)))
 }
 
-// activationPairwise evaluates the complex-packed quadratic activation
-// (a·x + bias)·x componentwise with a single conjugation. Conjugation
+// activationPairwise evaluates the complex-packed monic activation
+// (x + shift)·x componentwise with a single conjugation. Conjugation
 // commutes with every real-scalar operation, so both factors' conjugates
 // derive from conj(x) alone; working directly with the real combinations
 //
 //	S = x + x̄ = 2p            D = x − x̄ = 2qi
-//	ts = a·S + 2·bias = t+t̄   td = a·D + 2i·bias = t−t̄
+//	ts = S + 2·shift = t+t̄    td = D + 2i·shift = t−t̄
 //	A = ts·S = 4·Re(t)·p      B = td·D = −4·Im(t)·q
 //
 // gives (A − i·B)/4 = Re(t)·Re(x) + Im(t)·Im(x)·i, the componentwise
-// product, with no trailing conjugation at all. The scalar multiplications
-// mirror the real path's, at the same scales, and invalid slots stay zero
+// product, with no trailing conjugation at all, and invalid slots stay zero
 // because S and D vanish there. Cost versus the real path: one extra
 // Mul+relin, one conjugation, and two exact /4 constant multiplications.
-func activationPairwise(b hisa.Backend, x hisa.Ciphertext, a, bias float64, sc Scales) hisa.Ciphertext {
+func activationPairwise(b hisa.Backend, x hisa.Ciphertext, shift float64) hisa.Ciphertext {
 	xbar := b.Conjugate(x)
 	sum := b.Add(x, xbar)
 	dif := b.Sub(x, xbar)
-	ts := tryRescale(b, b.MulScalar(sum, a, sc.Pu), sc.Pc)
-	td := tryRescale(b, b.MulScalar(dif, a, sc.Pu), sc.Pc)
-	if bias != 0 {
-		ts = b.AddScalar(ts, 2*bias)
+	ts, td := sum, dif
+	if shift != 0 {
+		ts = b.AddScalar(ts, 2*shift)
 		m := make([]complex128, b.Slots())
 		for i := range m {
-			m[i] = complex(0, 2*bias)
+			m[i] = complex(0, 2*shift)
 		}
 		td = b.AddPlainC(td, m)
 	}

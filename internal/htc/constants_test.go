@@ -1,6 +1,7 @@
 package htc
 
 import (
+	"chet/internal/circuit"
 	"math"
 	"sync"
 	"testing"
@@ -44,14 +45,15 @@ func TestConstantStoreLevels(t *testing.T) {
 	rns := rnsTestBackend(t)
 	b := levelChecker{RNSBackend: rns, t: t}
 	m := nn.LeNetTiny()
+	prog := circuit.Fold(m.Circuit).Circuit
 	img := nn.SyntheticImage(m.InputShape, 3)
 	sc := Scales{Pc: math.Exp2(40), Pw: math.Exp2(40), Pu: math.Exp2(40), Pm: math.Exp2(40)}
 	n := int64(2 * b.Slots())
 	topRows := int64(rns.Params().MaxLevel() + 1)
 	for _, policy := range []LayoutPolicy{PolicyCHW, PolicyHW} {
 		store := NewConstants()
-		in := EncryptTensor(b, PlanFor(m.Circuit, policy), sc, img)
-		Execute(b, m.Circuit, in, policy, sc, ExecOptions{Workers: 2, Constants: store})
+		in := EncryptTensor(b, PlanFor(prog, policy), sc, img)
+		Execute(b, prog, in, policy, sc, ExecOptions{Workers: 2, Constants: store})
 		count, bytes := store.Plaintexts(), store.Bytes()
 		if count == 0 || bytes%(n*8) != 0 {
 			t.Fatalf("%v: store holds %d plaintexts in %d bytes", policy, count, bytes)
@@ -74,9 +76,10 @@ func TestConstantStoreConcurrentExecutions(t *testing.T) {
 	}
 	b := rnsTestBackend(t)
 	m := nn.LeNetTiny()
+	prog := circuit.Fold(m.Circuit).Circuit
 	sc := Scales{Pc: math.Exp2(40), Pw: math.Exp2(40), Pu: math.Exp2(40), Pm: math.Exp2(40)}
-	in := EncryptTensor(b, PlanFor(m.Circuit, PolicyCHW), sc, nn.SyntheticImage(m.InputShape, 5))
-	want := DecryptTensor(b, Execute(b, m.Circuit, in, PolicyCHW, sc, ExecOptions{}), 1)[0]
+	in := EncryptTensor(b, PlanFor(prog, PolicyCHW), sc, nn.SyntheticImage(m.InputShape, 5))
+	want := DecryptTensor(b, Execute(b, prog, in, PolicyCHW, sc, ExecOptions{}), 1)[0]
 
 	store := NewConstants()
 	outs := make([]*CipherTensor, 2)
@@ -85,7 +88,7 @@ func TestConstantStoreConcurrentExecutions(t *testing.T) {
 	for i := range outs {
 		go func(i int) {
 			defer wg.Done()
-			outs[i] = Execute(b, m.Circuit, in, PolicyCHW, sc, ExecOptions{Workers: 2, Constants: store})
+			outs[i] = Execute(b, prog, in, PolicyCHW, sc, ExecOptions{Workers: 2, Constants: store})
 		}(i)
 	}
 	wg.Wait()

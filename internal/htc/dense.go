@@ -88,7 +88,7 @@ func Dense(b hisa.Backend, in *CipherTensor, weights, bias *tensor.Tensor, sc Sc
 		acc = foldStrided(b, acc, in.W, in.ColStride)
 		acc = foldStrided(b, acc, in.H, in.RowStride)
 		acc = foldStrided(b, acc, chIn, in.ChanStride)
-		groups[q] = tryRescale(b, b.MulPlain(acc, mask.at(acc)), sc.Pc)
+		groups[q] = tryRescale(b, opts.masked(b, acc, mask), sc.Pc)
 	})
 
 	// Place every group's dot products at its output column: one sum of
@@ -194,7 +194,7 @@ func regrid(b hisa.Backend, t, like *CipherTensor, sc Scales, opts ExecOptions) 
 	moved := make([]hisa.Ciphertext, len(moves))
 	parallelFor(opts.workers(), len(moves), func(i int) {
 		mv := moves[i]
-		c := b.MulPlain(t.CTs[mv.src], opts.constant(b, masks[mv], sc.Pm).at(t.CTs[mv.src]))
+		c := opts.masked(b, t.CTs[mv.src], opts.constant(b, masks[mv], sc.Pm))
 		moved[i] = rotateRight(b, tryRescale(b, c, sc.Pc), mv.by)
 	})
 	// Fold in serial element order for a bit-identical result.

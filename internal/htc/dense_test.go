@@ -228,9 +228,11 @@ func TestDenseRotationBudget(t *testing.T) {
 		slots  int
 		want   map[string]int // Dense node -> rotations
 	}{
-		{"lenet-tiny@2^15", nn.LeNetTiny().Circuit, PolicyCHW, 1 << 14, map[string]int{"fc": 9}},
-		{"lenet5-small@2^11", nn.LeNet5Small().Circuit, PolicyHW, 1 << 10, map[string]int{"fc1": 87, "fc2": 59}},
-		{"nn20@2^9", nn.NN20().Circuit, PolicyCHW, 1 << 8, map[string]int{"fc1": 8, "fc2": 79, "fc3": 8, "fc20": 79, "out": 8}},
+		// Under CHW LeNet-tiny's convolutions hold one channel per ciphertext
+		// (Conv2D's HW path), so fc reads four ciphertexts.
+		{"lenet-tiny@2^14", circuit.Fold(nn.LeNetTiny().Circuit).Circuit, PolicyCHW, 1 << 13, map[string]int{"fc": 18}},
+		{"lenet5-small@2^11", circuit.Fold(nn.LeNet5Small().Circuit).Circuit, PolicyHW, 1 << 10, map[string]int{"fc1": 87, "fc2": 59}},
+		{"nn20@2^9", circuit.Fold(nn.NN20().Circuit).Circuit, PolicyCHW, 1 << 8, map[string]int{"fc1": 8, "fc2": 79, "fc3": 8, "fc20": 79, "out": 8}},
 		{"128x512-hw@2^13", wide, PolicyHW, 1 << 12, map[string]int{"fc": 61}},
 		{"13x16-prime-no-fit@2^7", prime, PolicyHW, 1 << 6, map[string]int{"fc": 64}},
 	}

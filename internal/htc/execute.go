@@ -92,7 +92,7 @@ func RequiredApron(c *circuit.Circuit) int {
 				apron = need
 			}
 			s *= n.Stride
-		case circuit.OpAvgPool2D:
+		case circuit.OpAvgPool2D, circuit.OpSumPool2D:
 			s *= n.Stride
 		case circuit.OpPad2D:
 			if need := n.Pad * s; need > apron {
@@ -146,10 +146,19 @@ type scoper interface {
 // executable backends do — the compiler's analysis backends do not, and must
 // run serially). The result is bit-identical to a serial run on every
 // executable backend.
+//
+// The circuit must be in the form the compiler's rewrite (circuit.Fold) leaves
+// it in: every activation monic (a = 1) and every pool a window sum. The
+// output tensor's invalid slots are zero; an intermediate's are zero only
+// where a reader needs them so (see cleanOutputs).
 func Execute(b hisa.Backend, c *circuit.Circuit, input *CipherTensor, policy LayoutPolicy, sc Scales, opts ExecOptions) *CipherTensor {
 	if lp, ok := hisa.FindCapability[limbParallel](b); ok {
 		lp.SetLimbWorkers(opts.workers())
 	}
+	if t, ok := hisa.FindCapability[maskTally](b); ok {
+		opts.tally = t.TallyMask
+	}
+	clean := cleanOutputs(c, policy)
 	results := make(map[int]*CipherTensor, len(c.Nodes))
 	seenDense := false
 	var startScope func(string) func()
@@ -201,16 +210,19 @@ func Execute(b hisa.Backend, c *circuit.Circuit, input *CipherTensor, policy Lay
 			}
 			out = input
 		case circuit.OpConv2D:
-			out = Conv2D(b, arg(n, 0), n.Weights, n.Bias, n.Stride, n.Pad, sc, opts)
+			out = Conv2D(b, arg(n, 0), n.Weights, n.Bias, n.Stride, n.Pad, clean[n.ID], sc, opts)
 		case circuit.OpDense:
 			out = Dense(b, arg(n, 0), n.Weights, n.Bias, sc, opts)
 			seenDense = true
-		case circuit.OpAvgPool2D:
-			out = AvgPool2D(b, arg(n, 0), n.Window, n.Stride, sc, opts)
+		case circuit.OpSumPool2D:
+			out = SumPool2D(b, arg(n, 0), n.Window, n.Stride, clean[n.ID], sc, opts)
 		case circuit.OpGlobalAvgPool2D:
 			out = GlobalAvgPool2D(b, arg(n, 0), sc, opts)
 		case circuit.OpActivation:
-			out = Activation(b, arg(n, 0), n.ActA, n.ActB, sc, opts)
+			if n.ActA != 1 {
+				panic(fmt.Sprintf("htc: activation %q has a = %g: fold the circuit first (circuit.Fold)", n.Name, n.ActA))
+			}
+			out = Activation(b, arg(n, 0), n.ActB, sc, opts)
 		case circuit.OpPolyEval:
 			out = PolyEval(b, arg(n, 0), n.Coeffs, sc, opts)
 		case circuit.OpBatchNorm:
@@ -224,6 +236,8 @@ func Execute(b hisa.Backend, c *circuit.Circuit, input *CipherTensor, policy Lay
 			out = results[n.Inputs[0].ID] // metadata-only
 		case circuit.OpPad2D:
 			out = Pad2D(results[n.Inputs[0].ID], n.Pad)
+		case circuit.OpAvgPool2D:
+			panic(fmt.Sprintf("htc: average pool %q: fold the circuit first (circuit.Fold)", n.Name))
 		default:
 			panic(fmt.Sprintf("htc: unhandled op %v", n.Kind))
 		}
@@ -236,4 +250,68 @@ func Execute(b hisa.Backend, c *circuit.Circuit, input *CipherTensor, policy Lay
 		}
 	}
 	return results[c.Output.ID]
+}
+
+// cleanOutputs decides, per node ID, whether the node's output must have zero
+// invalid slots: the dirty-slot rule. It must when some reader looks at
+// those slots before the next mask, and the circuit output always must. A
+// reader does not look when it reads only valid positions:
+//
+//   - a window sum reads each window inside the grid;
+//   - a global pool folds exactly the H by W grid (foldStrided);
+//   - a convolution without padding reads, for every valid output, the taps
+//     inside the grid; on the CHW path the channel fold adds block-aligned
+//     partials and its own mask isolates block 0.
+//
+// An activation, flatten, BatchNorm, polynomial, add or concatenation maps
+// a zero invalid slot to zero and a nonzero one to garbage, so it looks
+// exactly when its own output must be clean. Everything else looks: a padded
+// convolution or Pad2D reads the apron, a Dense replicates its whole input
+// span, and a layout conversion (HW to CHW) adds channels on top of each
+// other. Only the HW path of Conv2D and SumPool2D drop their masks on
+// this; every other kernel masks as ever. The decision depends on nothing
+// but the circuit and the policy, so the compiler's analysis, the recording
+// run and every session make it alike.
+func cleanOutputs(c *circuit.Circuit, policy LayoutPolicy) map[int]bool {
+	// The layout each node's kernel reads its inputs in, and the one its
+	// output is in: the same except for the metadata-only nodes, which keep
+	// their input's.
+	reads := make(map[int]Layout, len(c.Nodes))
+	outs := make(map[int]Layout, len(c.Nodes))
+	seenDense := false
+	for _, n := range c.Nodes {
+		switch n.Kind {
+		case circuit.OpInput:
+			outs[n.ID] = policy.inputLayout()
+		case circuit.OpFlatten, circuit.OpPad2D:
+			reads[n.ID] = outs[n.Inputs[0].ID]
+			outs[n.ID] = reads[n.ID]
+		default:
+			reads[n.ID] = policy.opLayout(n.Kind, seenDense)
+			outs[n.ID] = reads[n.ID]
+			seenDense = seenDense || n.Kind == circuit.OpDense
+		}
+	}
+	clean := map[int]bool{c.Output.ID: true}
+	for i := len(c.Nodes) - 1; i >= 0; i-- {
+		r := c.Nodes[i]
+		var looks bool
+		switch r.Kind {
+		case circuit.OpSumPool2D, circuit.OpGlobalAvgPool2D:
+			looks = false
+		case circuit.OpConv2D:
+			looks = r.Pad > 0
+		case circuit.OpActivation, circuit.OpFlatten, circuit.OpBatchNorm, circuit.OpPolyEval,
+			circuit.OpAdd, circuit.OpConcat:
+			looks = clean[r.ID]
+		default:
+			looks = true
+		}
+		for _, in := range r.Inputs {
+			if looks || outs[in.ID] != reads[r.ID] {
+				clean[in.ID] = true
+			}
+		}
+	}
+	return clean
 }

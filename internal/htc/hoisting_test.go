@@ -57,13 +57,13 @@ func TestKernelsHoistedParityRNS(t *testing.T) {
 		// the two executions see the very same input ciphertexts.
 		in := EncryptTensor(b, Plan{Layout: layout, Apron: 1}, sc, img)
 
-		conv := Conv2D(b, in, filters, bias, 1, 1, sc, ExecOptions{Workers: 4})
-		convShim := Conv2D(shim, in, filters, bias, 1, 1, sc, ExecOptions{Workers: 4})
+		conv := Conv2D(b, in, filters, bias, 1, 1, true, sc, ExecOptions{Workers: 4})
+		convShim := Conv2D(shim, in, filters, bias, 1, 1, true, sc, ExecOptions{Workers: 4})
 		requireWithin(t, layout.String()+"/conv", DecryptTensor(b, conv, 1)[0], DecryptTensor(b, convShim, 1)[0],
 			(2+sumW+float64(filters.Shape[0]))*rounding)
 
-		pool := AvgPool2D(b, conv, 2, 2, sc, ExecOptions{})
-		poolShim := AvgPool2D(shim, conv, 2, 2, sc, ExecOptions{})
+		pool := SumPool2D(b, conv, 2, 2, true, sc, ExecOptions{})
+		poolShim := SumPool2D(shim, conv, 2, 2, true, sc, ExecOptions{})
 		requireWithin(t, layout.String()+"/pool", DecryptTensor(b, pool, 1)[0], DecryptTensor(b, poolShim, 1)[0], 5*rounding)
 
 		// 3x3 spatial dims at this point are non-powers-of-two: the global

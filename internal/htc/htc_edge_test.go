@@ -31,7 +31,7 @@ func TestConv2DMultiGroupCHW(t *testing.T) {
 	if ct.NumCTs() < 2 {
 		t.Fatalf("expected multi-ciphertext packing, got %d cts (CPerCT=%d)", ct.NumCTs(), ct.CPerCT)
 	}
-	out := Conv2D(b, ct, filters, nil, 1, 0, sc, ExecOptions{})
+	out := Conv2D(b, ct, filters, nil, 1, 0, true, sc, ExecOptions{})
 	tensorsClose(t, "multi-group conv", DecryptTensor(b, out, 1)[0], want, 1e-6)
 }
 
@@ -39,11 +39,11 @@ func TestPoolWindowNotEqualStride(t *testing.T) {
 	// Overlapping pooling (window 3, stride 1) exercises independent window
 	// and stride handling.
 	in := randTensor([]int{2, 5, 5}, 1, 65)
-	want := tensor.AvgPool2D(in, 3, 1)
+	want := tensor.SumPool2D(in, 3, 1)
 	for _, layout := range []Layout{LayoutHW, LayoutCHW} {
 		got := roundTrip(t, layout, 0, in,
 			func(b hisa.Backend, ct *CipherTensor, sc Scales) *CipherTensor {
-				return AvgPool2D(b, ct, 3, 1, sc, ExecOptions{})
+				return SumPool2D(b, ct, 3, 1, true, sc, ExecOptions{})
 			})
 		tensorsClose(t, layout.String(), got, want, 1e-6)
 	}
@@ -57,14 +57,14 @@ func TestScaleProtocolKeepsWorkingScale(t *testing.T) {
 	in := randTensor([]int{2, 6, 6}, 1, 66)
 	ct := EncryptTensor(b, Plan{Layout: LayoutCHW}, sc, in)
 
-	conv := Conv2D(b, ct, randTensor([]int{2, 2, 3, 3}, 0.5, 67), nil, 1, 0, sc, ExecOptions{})
+	conv := Conv2D(b, ct, randTensor([]int{2, 2, 3, 3}, 0.5, 67), nil, 1, 0, true, sc, ExecOptions{})
 	for _, c := range conv.CTs {
 		if s := b.Scale(c); math.Abs(math.Log2(s)-math.Log2(sc.Pc)) > 1 {
 			t.Fatalf("conv output scale 2^%.1f drifted from base 2^%.1f",
 				math.Log2(s), math.Log2(sc.Pc))
 		}
 	}
-	act := Activation(b, conv, 0.25, 1, sc, ExecOptions{})
+	act := Activation(b, conv, 4, sc, ExecOptions{})
 	for _, c := range act.CTs {
 		if s := b.Scale(c); math.Abs(math.Log2(s)-math.Log2(sc.Pc)) > 1 {
 			t.Fatalf("activation output scale 2^%.1f drifted", math.Log2(s))
@@ -79,13 +79,13 @@ func TestKernelValidationPanics(t *testing.T) {
 	ct := EncryptTensor(b, Plan{Layout: LayoutCHW}, sc, in)
 
 	assertPanics(t, "conv filter channels", func() {
-		Conv2D(b, ct, randTensor([]int{2, 3, 3, 3}, 1, 69), nil, 1, 0, sc, ExecOptions{})
+		Conv2D(b, ct, randTensor([]int{2, 3, 3, 3}, 1, 69), nil, 1, 0, true, sc, ExecOptions{})
 	})
 	assertPanics(t, "conv without apron", func() {
-		Conv2D(b, ct, randTensor([]int{2, 2, 3, 3}, 1, 70), nil, 1, 1, sc, ExecOptions{})
+		Conv2D(b, ct, randTensor([]int{2, 2, 3, 3}, 1, 70), nil, 1, 1, true, sc, ExecOptions{})
 	})
 	assertPanics(t, "pool empty output", func() {
-		AvgPool2D(b, ct, 5, 1, sc, ExecOptions{})
+		SumPool2D(b, ct, 5, 1, true, sc, ExecOptions{})
 	})
 	assertPanics(t, "dense weight size", func() {
 		Dense(b, ct, randTensor([]int{2, 5}, 1, 71), nil, sc, ExecOptions{})
@@ -112,7 +112,7 @@ func TestKernelValidationPanics(t *testing.T) {
 		Add(b, ct, other, ExecOptions{})
 	})
 	assertPanics(t, "concat geometry mismatch", func() {
-		pooled := AvgPool2D(b, ct, 2, 2, sc, ExecOptions{})
+		pooled := SumPool2D(b, ct, 2, 2, true, sc, ExecOptions{})
 		Concat(b, sc, ExecOptions{}, ct, pooled)
 	})
 }
@@ -174,7 +174,8 @@ func TestPolyEvalWithConstantTermKeepsZeroInvariant(t *testing.T) {
 
 func TestZeroInvariantAfterEveryKernel(t *testing.T) {
 	// The documented invariant: all slots outside valid positions stay zero
-	// after every kernel (checked on the exact Ref backend).
+	// after every kernel asked for a clean output (checked on the exact Ref
+	// backend).
 	b := hisa.NewRefBackend(1024)
 	sc := DefaultScales()
 	in := randTensor([]int{2, 6, 6}, 1, 91)
@@ -203,11 +204,11 @@ func TestZeroInvariantAfterEveryKernel(t *testing.T) {
 		}
 	}
 
-	conv := Conv2D(b, ct, randTensor([]int{3, 2, 3, 3}, 0.5, 92), randTensor([]int{3}, 0.2, 93), 1, 1, sc, ExecOptions{})
+	conv := Conv2D(b, ct, randTensor([]int{3, 2, 3, 3}, 0.5, 92), randTensor([]int{3}, 0.2, 93), 1, 1, true, sc, ExecOptions{})
 	check("conv", conv)
-	act := Activation(b, conv, 0.25, 1, sc, ExecOptions{})
+	act := Activation(b, conv, 4, sc, ExecOptions{})
 	check("activation", act)
-	pool := AvgPool2D(b, act, 2, 2, sc, ExecOptions{})
+	pool := SumPool2D(b, act, 2, 2, true, sc, ExecOptions{})
 	check("pool", pool)
 	bn := BatchNorm(b, pool, randTensor([]int{3}, 1, 94), randTensor([]int{3}, 1, 95), sc, ExecOptions{})
 	check("batchnorm", bn)

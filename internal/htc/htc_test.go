@@ -73,20 +73,26 @@ func TestConv2DMatchesReference(t *testing.T) {
 		{"valid-s2", 2, 0},
 		{"same-s2", 2, 1},
 	}
+	// Without its mask a convolution's valid slots hold the same values: the
+	// mask only zeroes the rest.
 	for _, layout := range []Layout{LayoutHW, LayoutCHW} {
 		for _, tc := range cases {
-			want := tensor.AddBiasPerChannel(tensor.Conv2D(in, filters, tc.stride, tc.pad), bias)
-			got := roundTrip(t, layout, tc.pad, in,
-				func(b hisa.Backend, ct *CipherTensor, sc Scales) *CipherTensor {
-					return Conv2D(b, ct, filters, bias, tc.stride, tc.pad, sc, ExecOptions{})
-				})
-			tensorsClose(t, layout.String()+"/"+tc.name, got, want, 1e-6)
+			for _, clean := range []bool{true, false} {
+				want := tensor.AddBiasPerChannel(tensor.Conv2D(in, filters, tc.stride, tc.pad), bias)
+				got := roundTrip(t, layout, tc.pad, in,
+					func(b hisa.Backend, ct *CipherTensor, sc Scales) *CipherTensor {
+						return Conv2D(b, ct, filters, bias, tc.stride, tc.pad, clean, sc, ExecOptions{})
+					})
+				tensorsClose(t, layout.String()+"/"+tc.name, got, want, 1e-6)
+			}
 		}
 	}
 }
 
 func TestConv2DStacked(t *testing.T) {
-	// Two convolutions in sequence exercise the strided-grid metadata.
+	// Two convolutions in sequence exercise the strided-grid metadata. The
+	// second has no padding, so it reads only the first one's valid slots and
+	// the first may leave the others unmasked.
 	in := randTensor([]int{2, 9, 9}, 1, 5)
 	f1 := randTensor([]int{3, 2, 3, 3}, 0.4, 6)
 	f2 := randTensor([]int{2, 3, 2, 2}, 0.4, 7)
@@ -95,22 +101,30 @@ func TestConv2DStacked(t *testing.T) {
 	for _, layout := range []Layout{LayoutHW, LayoutCHW} {
 		got := roundTrip(t, layout, 0, in,
 			func(b hisa.Backend, ct *CipherTensor, sc Scales) *CipherTensor {
-				c1 := Conv2D(b, ct, f1, nil, 2, 0, sc, ExecOptions{})
-				return Conv2D(b, c1, f2, nil, 1, 0, sc, ExecOptions{})
+				c1 := Conv2D(b, ct, f1, nil, 2, 0, false, sc, ExecOptions{})
+				return Conv2D(b, c1, f2, nil, 1, 0, true, sc, ExecOptions{})
 			})
 		tensorsClose(t, layout.String(), got, want, 1e-6)
 	}
 }
 
+// TestAvgPool2DMatchesReference: an average pool runs as a window sum whose
+// 1/window² the compiler folds into a later constant; the sum, masked or
+// not, times that factor is the average.
 func TestAvgPool2DMatchesReference(t *testing.T) {
 	in := randTensor([]int{3, 6, 6}, 1, 8)
 	want := tensor.AvgPool2D(in, 2, 2)
 	for _, layout := range []Layout{LayoutHW, LayoutCHW} {
-		got := roundTrip(t, layout, 0, in,
-			func(b hisa.Backend, ct *CipherTensor, sc Scales) *CipherTensor {
-				return AvgPool2D(b, ct, 2, 2, sc, ExecOptions{})
-			})
-		tensorsClose(t, layout.String(), got, want, 1e-6)
+		for _, clean := range []bool{true, false} {
+			got := roundTrip(t, layout, 0, in,
+				func(b hisa.Backend, ct *CipherTensor, sc Scales) *CipherTensor {
+					return SumPool2D(b, ct, 2, 2, clean, sc, ExecOptions{})
+				})
+			for i := range got.Data {
+				got.Data[i] /= 4
+			}
+			tensorsClose(t, layout.String(), got, want, 1e-6)
+		}
 	}
 }
 
@@ -129,23 +143,28 @@ func TestGlobalAvgPoolMatchesReference(t *testing.T) {
 	}
 }
 
+// TestActivationMatchesReference: 0.3·x² − 0.7·x is 0.3 times the monic
+// x·(x − 0.7/0.3) the kernel computes (the compiler folds the 0.3 into a
+// later constant); the plain square is the monic form with no shift.
 func TestActivationMatchesReference(t *testing.T) {
 	in := randTensor([]int{2, 4, 4}, 1, 10)
 	want := tensor.PolyActivation(in, 0.3, -0.7)
 	for _, layout := range []Layout{LayoutHW, LayoutCHW} {
 		got := roundTrip(t, layout, 0, in,
 			func(b hisa.Backend, ct *CipherTensor, sc Scales) *CipherTensor {
-				return Activation(b, ct, 0.3, -0.7, sc, ExecOptions{})
+				return Activation(b, ct, -0.7/0.3, sc, ExecOptions{})
 			})
+		for i := range got.Data {
+			got.Data[i] *= 0.3
+		}
 		tensorsClose(t, layout.String(), got, want, 1e-6)
 	}
-	// Linear-only activation path.
-	wantLin := tensor.PolyActivation(in, 0, 2)
+	wantSq := tensor.PolyActivation(in, 1, 0)
 	got := roundTrip(t, LayoutCHW, 0, in,
 		func(b hisa.Backend, ct *CipherTensor, sc Scales) *CipherTensor {
-			return Activation(b, ct, 0, 2, sc, ExecOptions{})
+			return Activation(b, ct, 0, sc, ExecOptions{})
 		})
-	tensorsClose(t, "linear", got, wantLin, 1e-6)
+	tensorsClose(t, "square", got, wantSq, 1e-6)
 }
 
 func TestBatchNormMatchesReference(t *testing.T) {
@@ -221,7 +240,7 @@ func TestDenseAfterStridedConv(t *testing.T) {
 	for _, layout := range []Layout{LayoutHW, LayoutCHW} {
 		got := roundTrip(t, layout, 0, in,
 			func(b hisa.Backend, ct *CipherTensor, sc Scales) *CipherTensor {
-				c := Conv2D(b, ct, f, nil, 2, 0, sc, ExecOptions{})
+				c := Conv2D(b, ct, f, nil, 2, 0, true, sc, ExecOptions{})
 				return Dense(b, c, w, nil, sc, ExecOptions{})
 			})
 		tensorsClose(t, layout.String(), got, want, 1e-6)
@@ -260,7 +279,9 @@ func TestLayoutConversions(t *testing.T) {
 	tensorsClose(t, "chw->hw", DecryptTensor(b, back, 1)[0], in, 1e-6)
 }
 
-// testCNN builds a LeNet-style circuit small enough for every backend.
+// testCNN builds a LeNet-style circuit small enough for every backend, in
+// the form the executor runs (circuit.Fold): monic activations, window sums,
+// their factors folded into the next layer's weights.
 func testCNN() (*circuit.Circuit, *tensor.Tensor) {
 	b := circuit.NewBuilder("test-cnn")
 	x := b.Input(1, 8, 8)
@@ -275,7 +296,7 @@ func testCNN() (*circuit.Circuit, *tensor.Tensor) {
 	x = b.Dense(x, randTensor([]int{10, 16}, 0.4, 33), randTensor([]int{10}, 0.2, 34), "fc1")
 	x = b.Activation(x, 0.2, 0.8, "act3")
 	x = b.Dense(x, randTensor([]int{3, 10}, 0.4, 35), nil, "fc2")
-	c := b.Build(x)
+	c := circuit.Fold(b.Build(x)).Circuit
 	img := randTensor([]int{1, 8, 8}, 1, 36)
 	return c, img
 }
@@ -331,9 +352,9 @@ func TestExecuteOnRealRNSCKKS(t *testing.T) {
 	c, img := testCNN()
 	want := c.Evaluate(img)
 
-	// The circuit performs 15 rescales (each conv/dense costs two: weights
-	// plus mask; activations two; pooling one), so the chain needs 16
-	// primes. Security is irrelevant for this functional test.
+	// The circuit spends ten levels (conv1, act1, conv2 and its mask, act2,
+	// fc1 and its mask, act3, fc2 and its mask); a 16-prime chain leaves
+	// room to spare. Security is irrelevant for this functional test.
 	logQ := []int{50}
 	for i := 0; i < 15; i++ {
 		logQ = append(logQ, 40)

@@ -64,10 +64,19 @@ func foldRotations(n int) int {
 // (reshapes are metadata-only, performed lazily). Figure 4 of the paper is
 // the HW instance of this kernel.
 //
+// Every input ciphertext that holds one channel — the HW layout, and a CHW
+// tensor with one channel per ciphertext or one channel in all — takes the
+// HW path: scalar taps, one sum of rotations per output channel. Its output
+// keeps invalid slots at zero with a mask only when clean is set; otherwise
+// they hold partial sums (see Execute's dirty-slot rule). A CHW input with
+// several channels per ciphertext multiplies weight plaintexts, folds the
+// channel blocks and masks block 0 before placing it, whatever clean says:
+// that mask is what keeps the other blocks' partial sums out.
+//
 // Output channels are computed by opts.Workers goroutines and folded into
 // the output in serial channel order, so the result is bit-identical to a
 // serial run.
-func Conv2D(b hisa.Backend, in *CipherTensor, filters, bias *tensor.Tensor, stride, pad int, sc Scales, opts ExecOptions) *CipherTensor {
+func Conv2D(b hisa.Backend, in *CipherTensor, filters, bias *tensor.Tensor, stride, pad int, clean bool, sc Scales, opts ExecOptions) *CipherTensor {
 	if filters.Rank() != 4 || filters.Shape[1] != in.C {
 		panic(fmt.Sprintf("htc: conv filters %v incompatible with input channels %d", filters.Shape, in.C))
 	}
@@ -91,7 +100,7 @@ func Conv2D(b hisa.Backend, in *CipherTensor, filters, bias *tensor.Tensor, stri
 		return (ky-pad)*in.RowStride + (kx-pad)*in.ColStride
 	}
 
-	if in.Layout == LayoutHW {
+	if in.Layout == LayoutHW || min(in.C, in.CPerCT) == 1 {
 		// Output channel oc is one sum of rotations of the input channels,
 		// each filter tap a scalar weight.
 		out.CPerCT = 1
@@ -109,11 +118,15 @@ func Conv2D(b hisa.Backend, in *CipherTensor, filters, bias *tensor.Tensor, stri
 			sums[oc] = terms
 		}
 		out.CTs = b.RotSum(in.CTs, sums, opts.each)
-		mask := opts.constant(b, perChannelVector(&out, 0, b.Slots(), uniform(1)), sc.Pm)
+		var mask constant
+		if clean {
+			mask = opts.constant(b, perChannelVector(&out, 0, b.Slots(), uniform(1)), sc.Pm)
+		}
 		parallelFor(opts.workers(), cout, func(oc int) {
 			acc := tryRescale(b, out.CTs[oc], sc.Pc)
-			acc = b.MulPlain(acc, mask.at(acc))
-			acc = tryRescale(b, acc, sc.Pc)
+			if clean {
+				acc = tryRescale(b, opts.masked(b, acc, mask), sc.Pc)
+			}
 			if bias != nil {
 				bv := perChannelVector(&out, 0, b.Slots(), uniform(bias.Data[oc]))
 				acc = addVecBoth(b, opts, out.Complex, acc, bv)
@@ -173,8 +186,7 @@ func Conv2D(b hisa.Backend, in *CipherTensor, filters, bias *tensor.Tensor, stri
 			// never dearer than the exact fold: the blocks up to the
 			// power-of-two CPerCT lie in this lane and hold zeros.
 			acc = foldStrided(b, acc, nextPow2(chInGroup), in.ChanStride)
-			acc = b.MulPlain(acc, mask.at(acc))
-			partial[oc] = tryRescale(b, acc, sc.Pc)
+			partial[oc] = tryRescale(b, opts.masked(b, acc, mask), sc.Pc)
 		})
 		// Place every output channel at its block of its output ciphertext:
 		// one sum of rotations per output ciphertext, continuing the previous
@@ -207,13 +219,15 @@ func Conv2D(b hisa.Backend, in *CipherTensor, filters, bias *tensor.Tensor, stri
 	return &out
 }
 
-// AvgPool2D applies average pooling (valid padding). The window sum is
-// collected with rotations shared across channels; the division by the
-// window size is folded into the output mask, so pooling costs a single
-// mask-depth multiplication.
+// SumPool2D sums every pooling window (valid padding): an average pool whose
+// division by the window size the compiler carried forward to a layer that
+// absorbs it. The window sum is one sum of rotations per ciphertext group,
+// shared across its channels; it costs no level. The slots around the
+// output grid hold sums of their own windows, so a mask product (one level)
+// zeroes them only when clean is set.
 //
-// Ciphertext groups are pooled by opts.Workers goroutines.
-func AvgPool2D(b hisa.Backend, in *CipherTensor, window, stride int, sc Scales, opts ExecOptions) *CipherTensor {
+// Ciphertext groups are masked by opts.Workers goroutines.
+func SumPool2D(b hisa.Backend, in *CipherTensor, window, stride int, clean bool, sc Scales, opts ExecOptions) *CipherTensor {
 	hout := (in.H-window)/stride + 1
 	wout := (in.W-window)/stride + 1
 	if hout <= 0 || wout <= 0 {
@@ -224,18 +238,6 @@ func AvgPool2D(b hisa.Backend, in *CipherTensor, window, stride int, sc Scales, 
 	out.RowStride = in.RowStride * stride
 	out.ColStride = in.ColStride * stride
 
-	inv := 1.0 / float64(window*window)
-	// Groups share a mask except a possibly ragged final group. Masks are
-	// prepared up front so the worker pool reads the map without locking.
-	masks := map[int]constant{}
-	for g := range in.CTs {
-		chInGroup := min(in.C-g*in.CPerCT, in.CPerCT)
-		if _, ok := masks[chInGroup]; !ok {
-			masks[chInGroup] = opts.constant(b, perChannelVector(&out, g, b.Slots(), uniform(inv)), sc.Pm)
-		}
-	}
-
-	// Each group's window sum is one sum of rotations.
 	sums := make([][]hisa.Term, len(in.CTs))
 	for g := range sums {
 		for ky := 0; ky < window; ky++ {
@@ -245,8 +247,21 @@ func AvgPool2D(b hisa.Backend, in *CipherTensor, window, stride int, sc Scales, 
 		}
 	}
 	out.CTs = b.RotSum(in.CTs, sums, opts.each)
+	if !clean {
+		out.validate(b.Slots())
+		return &out
+	}
+	// Groups share a mask except a possibly ragged final group. Masks are
+	// prepared up front so the worker pool reads the map without locking.
+	masks := map[int]constant{}
+	for g := range in.CTs {
+		chInGroup := min(in.C-g*in.CPerCT, in.CPerCT)
+		if _, ok := masks[chInGroup]; !ok {
+			masks[chInGroup] = opts.constant(b, perChannelVector(&out, g, b.Slots(), uniform(1)), sc.Pm)
+		}
+	}
 	parallelFor(opts.workers(), len(in.CTs), func(g int) {
-		acc := b.MulPlain(out.CTs[g], masks[min(in.C-g*in.CPerCT, in.CPerCT)].at(out.CTs[g]))
+		acc := opts.masked(b, out.CTs[g], masks[min(in.C-g*in.CPerCT, in.CPerCT)])
 		out.CTs[g] = tryRescale(b, acc, sc.Pc)
 	})
 	out.validate(b.Slots())
@@ -268,37 +283,29 @@ func GlobalAvgPool2D(b hisa.Backend, in *CipherTensor, sc Scales, opts ExecOptio
 	parallelFor(opts.workers(), len(in.CTs), func(g int) {
 		acc := foldStrided(b, in.CTs[g], in.W, in.ColStride)
 		acc = foldStrided(b, acc, in.H, in.RowStride)
-		acc = b.MulPlain(acc, mask.at(acc))
-		out.CTs[g] = tryRescale(b, acc, sc.Pc)
+		out.CTs[g] = tryRescale(b, opts.masked(b, acc, mask), sc.Pc)
 	})
 	out.validate(b.Slots())
 	return &out
 }
 
-// Activation applies f(x) = a*x^2 + b*x, computed as x*(a*x + b) to spend
-// one ciphertext multiplication and one scalar multiplication.
+// Activation applies the monic quadratic f(x) = x·(x + shift), the form the
+// compiler rewrites every activation a·x² + b·x into (shift = b/a, the factor
+// a carried forward to a layer that absorbs it): one ciphertext product and
+// one level. Adding shift touches every slot, but the product is zero
+// wherever x is, so a tensor with zero invalid slots keeps them.
 //
 // Ciphertext groups are transformed by opts.Workers goroutines.
-func Activation(b hisa.Backend, in *CipherTensor, a, bb float64, sc Scales, opts ExecOptions) *CipherTensor {
+func Activation(b hisa.Backend, in *CipherTensor, shift float64, sc Scales, opts ExecOptions) *CipherTensor {
 	out := metaClone(in)
 	out.CTs = make([]hisa.Ciphertext, in.NumCTs())
 	parallelFor(opts.workers(), len(in.CTs), func(g int) {
 		x := in.CTs[g]
-		if a == 0 {
-			y := b.MulScalar(x, bb, sc.Pu)
-			out.CTs[g] = tryRescale(b, y, sc.Pc)
-			return
-		}
 		var y hisa.Ciphertext
 		if in.Complex {
-			y = activationPairwise(b, x, a, bb, sc)
+			y = activationPairwise(b, x, shift)
 		} else {
-			t := b.MulScalar(x, a, sc.Pu)
-			t = tryRescale(b, t, sc.Pc)
-			// Adding b everywhere is safe: invalid slots of x are zero, so
-			// the final product restores the zero invariant.
-			t = b.AddScalar(t, bb)
-			y = b.MulNoRelin(t, x)
+			y = b.MulNoRelin(b.AddScalar(x, shift), x)
 		}
 		// reduceRelin closes the product: the rescale and the
 		// relinearization run as one instruction. The complex path's two
@@ -472,8 +479,7 @@ func Concat(b hisa.Backend, sc Scales, opts ExecOptions, ins ...*CipherTensor) *
 		single.CPerCT = 1
 		single.Offset = in.Offset + bIn*in.ChanStride
 		mv := perChannelVector(&single, 0, b.Slots(), uniform(1))
-		t := b.MulPlain(in.CTs[gIn], opts.constant(b, mv, sc.Pm).at(in.CTs[gIn]))
-		t = tryRescale(b, t, sc.Pc)
+		t := tryRescale(b, opts.masked(b, in.CTs[gIn], opts.constant(b, mv, sc.Pm)), sc.Pc)
 		isolated[j] = rotateRight(b, t, (bOut-bIn)*in.ChanStride)
 	})
 	// Fold in original (input, channel) order for a bit-identical result.
@@ -544,7 +550,7 @@ func ToHW(b hisa.Backend, in *CipherTensor, sc Scales, opts ExecOptions) *Cipher
 	mask := opts.constant(b, perChannelVector(&single, 0, b.Slots(), uniform(1)), sc.Pm)
 	parallelFor(opts.workers(), in.C, func(ch int) {
 		t := rotateRight(b, in.CTs[ch/in.CPerCT], -(ch%in.CPerCT)*in.ChanStride)
-		out.CTs[ch] = tryRescale(b, b.MulPlain(t, mask.at(t)), sc.Pc)
+		out.CTs[ch] = tryRescale(b, opts.masked(b, t, mask), sc.Pc)
 	})
 	out.validate(b.Slots())
 	return &out

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"chet/internal/circuit"
+	"chet/internal/hisa"
 )
 
 // ExecOptions configures homomorphic execution. The zero value executes
@@ -32,6 +33,28 @@ type ExecOptions struct {
 	// telemetry precision profiler uses it to compare every layer against
 	// the plaintext oracle; observers must not mutate the tensor.
 	OnNode func(n *circuit.Node, out *CipherTensor)
+
+	// tally, set by Execute on a backend that counts mask products (see
+	// maskTally), is called once per mask product.
+	tally func()
+}
+
+// maskTally is the structural capability of a backend that counts the mask
+// products it executes: the compiler's recording analysis, which attributes
+// them to circuit nodes. Like scoper it is probed through any wrapper chain,
+// and like every analysis it runs serially.
+type maskTally interface {
+	TallyMask()
+}
+
+// masked multiplies c by the mask m: a constant at Pm that keeps c's valid
+// slots (scaled, for a global pool) and zeroes the rest. Every mask product
+// of the runtime goes through it.
+func (o ExecOptions) masked(b hisa.Backend, c hisa.Ciphertext, m constant) hisa.Ciphertext {
+	if o.tally != nil {
+		o.tally()
+	}
+	return b.MulPlain(c, m.at(c))
 }
 
 func (o ExecOptions) workers() int {

@@ -64,10 +64,11 @@ func requireBitIdentical(t *testing.T, name string, serial, parallel *tensor.Ten
 // call whether or not they get one).
 func TestParallelExecuteDeterministicRef(t *testing.T) {
 	m := nn.LeNet5Small()
+	prog := circuit.Fold(m.Circuit).Circuit
 	img := nn.SyntheticImage(m.InputShape, 7)
 	for _, policy := range AllPolicies {
 		b := hisa.NewRefBackend(4096)
-		names, outs := execVariants(b, m.Circuit, img, policy, DefaultScales(), 8)
+		names, outs := execVariants(b, prog, img, policy, DefaultScales(), 8)
 		requireVariantsBitIdentical(t, "ref/"+policy.String(), names, outs)
 	}
 }
@@ -77,11 +78,12 @@ func TestParallelExecuteDeterministicRef(t *testing.T) {
 // NoNoise decryption keeps the comparison exact.
 func TestParallelExecuteDeterministicSim(t *testing.T) {
 	m := nn.LeNet5Small()
+	prog := circuit.Fold(m.Circuit).Circuit
 	img := nn.SyntheticImage(m.InputShape, 7)
 	sc := Scales{Pc: math.Exp2(40), Pw: math.Exp2(30), Pu: math.Exp2(30), Pm: math.Exp2(25)}
 	for _, policy := range AllPolicies {
 		b := hisa.NewSimBackend(hisa.SimParams{LogN: 13, LogQ: 2400, Seed: 5, NoNoise: true})
-		names, outs := execVariants(b, m.Circuit, img, policy, sc, 8)
+		names, outs := execVariants(b, prog, img, policy, sc, 8)
 		requireVariantsBitIdentical(t, "sim/"+policy.String(), names, outs)
 	}
 }
@@ -116,12 +118,13 @@ func TestParallelExecuteDeterministicRNS(t *testing.T) {
 	b := rnsTestBackend(t)
 	sc := Scales{Pc: math.Exp2(40), Pw: math.Exp2(40), Pu: math.Exp2(40), Pm: math.Exp2(40)}
 	m := nn.LeNetTiny()
+	prog := circuit.Fold(m.Circuit).Circuit
 	img := nn.SyntheticImage(m.InputShape, 7)
-	names, outs := execVariants(b, m.Circuit, img, PolicyCHW, sc, 4)
+	names, outs := execVariants(b, prog, img, PolicyCHW, sc, 4)
 	requireVariantsBitIdentical(t, "rns/CHW", names, outs)
 
 	// And the values are right, not merely consistent with each other.
-	want := m.Circuit.Evaluate(img)
+	want := m.Circuit.Evaluate(img) // LeNet-tiny ends in a Dense: the fold leaves no output factor
 	got := outs[len(outs)-1]
 	for i := range want.Data {
 		if math.Abs(got.Data[i]-want.Data[i]) > 1e-2 {

@@ -98,7 +98,9 @@ func TestSyntheticImageDeterministic(t *testing.T) {
 
 func TestModelsRunHomomorphicallyOnRef(t *testing.T) {
 	// Every evaluation network must execute through the homomorphic tensor
-	// runtime (functional oracle backend) and match plaintext inference.
+	// runtime (functional oracle backend), in the form the compiler rewrites
+	// it into, and match plaintext inference once the output factor the
+	// rewrite left is applied.
 	for _, m := range []*Model{LeNet5Small(), Industrial(), SqueezeNetCIFAR()} {
 		img := SyntheticImage(m.InputShape, 2)
 		want := m.Circuit.Evaluate(img)
@@ -106,9 +108,13 @@ func TestModelsRunHomomorphicallyOnRef(t *testing.T) {
 		b := hisa.NewRefBackend(8192)
 		sc := htc.DefaultScales()
 		policy := htc.PolicyCHW
-		in := htc.EncryptTensor(b, htc.PlanFor(m.Circuit, policy), sc, img)
-		out := htc.Execute(b, m.Circuit, in, policy, sc, htc.ExecOptions{})
+		prog := circuit.Fold(m.Circuit)
+		in := htc.EncryptTensor(b, htc.PlanFor(prog.Circuit, policy), sc, img)
+		out := htc.Execute(b, prog.Circuit, in, policy, sc, htc.ExecOptions{})
 		got := htc.DecryptTensor(b, out, 1)[0]
+		for i := range got.Data {
+			got.Data[i] *= prog.OutFactor
+		}
 		if got.Size() != want.Size() {
 			t.Fatalf("%s: output size %d want %d", m.Name, got.Size(), want.Size())
 		}

@@ -860,8 +860,7 @@ func (s *Server) evaluate(sess *session, in *htc.CipherTensor, label string, tra
 		s.execHook()
 	}
 	comp := s.cfg.Compiled
-	out = htc.Execute(sess.backend, comp.Circuit, in, comp.Best.Policy,
-		comp.Options.Scales, htc.ExecOptions{Workers: s.cfg.Workers, Constants: s.constants})
+	out = comp.Execute(sess.backend, in, htc.ExecOptions{Workers: s.cfg.Workers, Constants: s.constants})
 	return out, nil
 }
 

@@ -80,16 +80,26 @@ func MatVec(weights *Tensor, x *Tensor, bias *Tensor) *Tensor {
 // AvgPool2D applies average pooling with the given window and stride to a
 // CHW tensor (valid padding).
 func AvgPool2D(input *Tensor, window, stride int) *Tensor {
+	out := SumPool2D(input, window, stride)
+	inv := 1.0 / float64(window*window)
+	for i, v := range out.Data {
+		out.Data[i] = v * inv
+	}
+	return out
+}
+
+// SumPool2D sums every window of a CHW tensor (valid padding): average
+// pooling without its division by the window size.
+func SumPool2D(input *Tensor, window, stride int) *Tensor {
 	if input.Rank() != 3 {
-		panic(fmt.Sprintf("tensor: AvgPool2D input must be CHW, got %v", input.Shape))
+		panic(fmt.Sprintf("tensor: pooling input must be CHW, got %v", input.Shape))
 	}
 	c, h, w := input.Shape[0], input.Shape[1], input.Shape[2]
 	hout := (h-window)/stride + 1
 	wout := (w-window)/stride + 1
 	if hout <= 0 || wout <= 0 {
-		panic("tensor: AvgPool2D output would be empty")
+		panic("tensor: pooling output would be empty")
 	}
-	inv := 1.0 / float64(window*window)
 	out := New(c, hout, wout)
 	for ic := 0; ic < c; ic++ {
 		for oy := 0; oy < hout; oy++ {
@@ -100,7 +110,7 @@ func AvgPool2D(input *Tensor, window, stride int) *Tensor {
 						acc += input.At(ic, oy*stride+ky, ox*stride+kx)
 					}
 				}
-				out.Set(acc*inv, ic, oy, ox)
+				out.Set(acc, ic, oy, ox)
 			}
 		}
 	}
