@@ -32,13 +32,13 @@ func TestCompileAndDescribeSmoke(t *testing.T) {
 
 // TestExplainNamesMasksAndFactors: -explain's per-node table says which
 // nodes keep a mask and what each does with the factors the rewrite carries.
-// In LeNet-tiny the first convolution and the pool drop their masks (no
-// reader looks at their invalid slots), the second convolution keeps one
-// per output channel, the Dense keeps its output mask, and conv2 and fc
-// absorb the factors the activations and the pool leave.
+// In LeNet-tiny at 128 bits (HW convolutions) the first convolution and the
+// pool drop their masks (no reader looks at their invalid slots), the second
+// convolution keeps one per output channel, the Dense keeps its output mask,
+// and conv2 and fc absorb the factors the activations and the pool leave.
 func TestExplainNamesMasksAndFactors(t *testing.T) {
 	var sb strings.Builder
-	if err := compileAndDescribe(&sb, compileConfig{model: "LeNet-tiny", scheme: "seal", security: -1, explain: true}); err != nil {
+	if err := compileAndDescribe(&sb, compileConfig{model: "LeNet-tiny", scheme: "seal", security: 128, explain: true}); err != nil {
 		t.Fatal(err)
 	}
 	rows := map[string][]string{}

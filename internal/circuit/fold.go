@@ -73,10 +73,10 @@ func Fold(c *Circuit) *Program {
 		f float64
 	}
 	vals := make(map[int]value, len(c.Nodes))
-	factors := map[int]Factor{}
+	var factors []Factor // by program node ID: every node is emitted as it is built
 	b := NewBuilder(c.Name)
 	emit := func(n *Node, in, out float64) value {
-		factors[n.ID] = Factor{In: in, Out: out}
+		factors = append(factors, Factor{In: in, Out: out})
 		return value{n, out}
 	}
 
@@ -159,15 +159,7 @@ func Fold(c *Circuit) *Program {
 	}
 
 	res := vals[c.Output.ID]
-	p := &Program{Circuit: b.Build(res.n), OutFactor: res.f}
-	p.Factors = make([]Factor, len(p.Circuit.Nodes))
-	for i := range p.Factors {
-		p.Factors[i] = Factor{In: 1, Out: 1}
-		if f, ok := factors[i]; ok {
-			p.Factors[i] = f
-		}
-	}
-	return p
+	return &Program{Circuit: b.Build(res.n), OutFactor: res.f, Factors: factors}
 }
 
 // scaled returns a copy of t with every entry multiplied by f (t itself when

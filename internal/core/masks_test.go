@@ -58,7 +58,7 @@ func TestZooMatchesEvaluateOnRef(t *testing.T) {
 			var masks []int // per node after the input, in execution order
 			cur := 0
 			b := hisa.NewInterposer(ref, "masks", nil, func(op *hisa.Op) {
-				if op.Kind == hisa.OpMulPlain && ref.Scale(op.Out) == ref.Scale(op.In)*maskScales.Pm {
+				if op.Kind == hisa.OpMulPlain && op.Out != nil && ref.Scale(op.Out) == ref.Scale(op.In)*maskScales.Pm {
 					cur++
 				}
 			})

@@ -75,11 +75,11 @@ var oneSpecialParams = []struct {
 	{"LeNet-5-medium", 192, "HW-conv/CHW-rest", 16, 16, 652},
 	{"LeNet-5-medium", 192, "CHW-fc/HW-before", 16, 14, 572},
 	{"LeNet-5-large", 128, "HW", 15, 14, 572},
-	{"LeNet-5-large", 128, "CHW", 15, 14, 572},
+	{"LeNet-5-large", 128, "CHW", 15, 16, 652},
 	{"LeNet-5-large", 128, "HW-conv/CHW-rest", 15, 16, 652},
 	{"LeNet-5-large", 128, "CHW-fc/HW-before", 15, 14, 572},
 	{"LeNet-5-large", 192, "HW", 16, 14, 572},
-	{"LeNet-5-large", 192, "CHW", 16, 14, 572},
+	{"LeNet-5-large", 192, "CHW", 16, 16, 652},
 	{"LeNet-5-large", 192, "HW-conv/CHW-rest", 16, 16, 652},
 	{"LeNet-5-large", 192, "CHW-fc/HW-before", 16, 14, 572},
 	{"Industrial", 128, "HW", 16, 22, 862},

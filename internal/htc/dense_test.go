@@ -228,9 +228,7 @@ func TestDenseRotationBudget(t *testing.T) {
 		slots  int
 		want   map[string]int // Dense node -> rotations
 	}{
-		// Under CHW LeNet-tiny's convolutions hold one channel per ciphertext
-		// (Conv2D's HW path), so fc reads four ciphertexts.
-		{"lenet-tiny@2^14", circuit.Fold(nn.LeNetTiny().Circuit).Circuit, PolicyCHW, 1 << 13, map[string]int{"fc": 18}},
+		{"lenet-tiny@2^14", circuit.Fold(nn.LeNetTiny().Circuit).Circuit, PolicyCHW, 1 << 13, map[string]int{"fc": 9}},
 		{"lenet5-small@2^11", circuit.Fold(nn.LeNet5Small().Circuit).Circuit, PolicyHW, 1 << 10, map[string]int{"fc1": 87, "fc2": 59}},
 		{"nn20@2^9", circuit.Fold(nn.NN20().Circuit).Circuit, PolicyCHW, 1 << 8, map[string]int{"fc1": 8, "fc2": 79, "fc3": 8, "fc20": 79, "out": 8}},
 		{"128x512-hw@2^13", wide, PolicyHW, 1 << 12, map[string]int{"fc": 61}},

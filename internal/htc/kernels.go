@@ -64,14 +64,15 @@ func foldRotations(n int) int {
 // (reshapes are metadata-only, performed lazily). Figure 4 of the paper is
 // the HW instance of this kernel.
 //
-// Every input ciphertext that holds one channel — the HW layout, and a CHW
-// tensor with one channel per ciphertext or one channel in all — takes the
-// HW path: scalar taps, one sum of rotations per output channel. Its output
-// keeps invalid slots at zero with a mask only when clean is set; otherwise
-// they hold partial sums (see Execute's dirty-slot rule). A CHW input with
-// several channels per ciphertext multiplies weight plaintexts, folds the
-// channel blocks and masks block 0 before placing it, whatever clean says:
-// that mask is what keeps the other blocks' partial sums out.
+// An input whose ciphertexts hold one channel each — the HW layout, and a
+// CHW tensor whose lane fits one channel block — takes the HW path: scalar
+// taps, one sum of rotations per output channel. Its output keeps invalid
+// slots at zero with a mask only when clean is set; otherwise they hold
+// partial sums (see Execute's dirty-slot rule). A CHW input that packs
+// channels multiplies weight plaintexts (scalar taps for a ciphertext that
+// holds a single channel), folds the channel blocks, and masks block 0
+// before placing it, whatever clean says: that mask is what keeps the other
+// blocks' partial sums out, and the output stays packed for the next layer.
 //
 // Output channels are computed by opts.Workers goroutines and folded into
 // the output in serial channel order, so the result is bit-identical to a
@@ -100,7 +101,7 @@ func Conv2D(b hisa.Backend, in *CipherTensor, filters, bias *tensor.Tensor, stri
 		return (ky-pad)*in.RowStride + (kx-pad)*in.ColStride
 	}
 
-	if in.Layout == LayoutHW || min(in.C, in.CPerCT) == 1 {
+	if in.Layout == LayoutHW || in.CPerCT == 1 {
 		// Output channel oc is one sum of rotations of the input channels,
 		// each filter tap a scalar weight.
 		out.CPerCT = 1
@@ -165,6 +166,12 @@ func Conv2D(b hisa.Backend, in *CipherTensor, filters, bias *tensor.Tensor, stri
 			terms = terms[len(terms):]
 			for ky := 0; ky < kh; ky++ {
 				for kx := 0; kx < kw; kx++ {
+					if chInGroup == 1 {
+						// One channel: the block-0 mask below does what a
+						// weight plaintext spread over its block would.
+						terms = append(terms, hisa.Term{Rot: rot(ky, kx), X: filters.At(oc, g*in.CPerCT, ky, kx), F: sc.Pu})
+						continue
+					}
 					wv := make([]float64, b.Slots())
 					for ci := 0; ci < chInGroup; ci++ {
 						w := filters.At(oc, g*in.CPerCT+ci, ky, kx)
