@@ -119,11 +119,8 @@ func scalesAcceptable(c *circuit.Circuit, inputs, refs []*tensor.Tensor,
 		LogQ:    int(best.LogQ),
 		NoNoise: true, // deterministic values; noise enters via the 6-sigma bound
 	})
-	policy := best.Policy
-	plan := htc.PlanFor(c, policy)
 	for i, in := range inputs {
-		enc := htc.EncryptTensor(b, plan, sc, in)
-		out := htc.Execute(b, comp.Program.Circuit, enc, policy, sc, htc.ExecOptions{})
+		out := comp.Execute(b, comp.Encrypt(b, in), htc.ExecOptions{})
 		noiseBound := 0.0
 		for _, ct := range out.CTs {
 			if n := 6 * b.NoiseOf(ct); n > noiseBound {

@@ -236,10 +236,8 @@ func Execute(b hisa.Backend, c *circuit.Circuit, input *CipherTensor, policy Lay
 			out = results[n.Inputs[0].ID] // metadata-only
 		case circuit.OpPad2D:
 			out = Pad2D(results[n.Inputs[0].ID], n.Pad)
-		case circuit.OpAvgPool2D:
-			panic(fmt.Sprintf("htc: average pool %q: fold the circuit first (circuit.Fold)", n.Name))
-		default:
-			panic(fmt.Sprintf("htc: unhandled op %v", n.Kind))
+		default: // an AvgPool2D included: the executor runs circuit.Fold's output
+			panic(fmt.Sprintf("htc: unhandled op %v in %q", n.Kind, n.Name))
 		}
 		if endScope != nil {
 			endScope()
