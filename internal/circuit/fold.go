@@ -95,7 +95,9 @@ func Fold(c *Circuit) *Program {
 		case OpDense:
 			out = emit(b.Dense(x.n, scaled(n.Weights, x.f), n.Bias, n.Name), x.f, 1)
 		case OpBatchNorm:
-			if x.n.Kind == OpConv2D && x.f == 1 && readers[n.Inputs[0].ID] == 1 &&
+			// Only the BatchNorm may see the convolution's own output: one
+			// reader, and not the circuit's output either.
+			if x.n.Kind == OpConv2D && x.f == 1 && readers[n.Inputs[0].ID] == 1 && n.Inputs[0] != c.Output &&
 				(n.Inputs[0].Kind == OpConv2D || n.Inputs[0].Kind == OpBatchNorm) {
 				foldBatchNorm(x.n, n)
 				out = x

@@ -21,8 +21,8 @@ func randTensor(shape []int, bound float64, seed int64) *tensor.Tensor {
 
 // foldCases are circuits that exercise every rule of the rewrite: the zoo,
 // a chain of activations that outgrows the factor bound, a linear
-// activation, BatchNorms folded and kept, and adds and concatenations whose
-// operands arrive with different factors.
+// activation, BatchNorms folded and kept, adds and concatenations whose
+// operands arrive with different factors, and a BatchNorm beside the output.
 func foldCases() []*circuit.Circuit {
 	var cs []*circuit.Circuit
 	for _, m := range append(nn.All(), nn.LeNetTiny(), nn.NN20()) {
@@ -49,6 +49,13 @@ func foldCases() []*circuit.Circuit {
 	sum := b.Add(pool, skip, "add")
 	cat := b.Concat("cat", sum, pool, b.BatchNorm(pool, randTensor([]int{3}, 1, 8), randTensor([]int{3}, 0.3, 9), "bn-kept"))
 	cs = append(cs, b.Build(b.PolyEval(cat, []float64{0.1, 0.5, 0.2}, "poly")))
+
+	// The output is a convolution that a dangling BatchNorm also reads: the
+	// BatchNorm must not fold into it.
+	b = circuit.NewBuilder("bn-beside-output")
+	conv = b.Conv2D(b.Input(1, 4, 4), randTensor([]int{2, 1, 3, 3}, 0.5, 10), nil, 1, 1, "conv")
+	b.BatchNorm(conv, randTensor([]int{2}, 1, 11), randTensor([]int{2}, 0.3, 12), "bn")
+	cs = append(cs, b.Build(conv))
 	return cs
 }
 
