@@ -34,8 +34,9 @@ func TestCompileAndDescribeSmoke(t *testing.T) {
 // nodes keep a mask and what each does with the factors the rewrite carries.
 // In LeNet-tiny at 128 bits (HW convolutions) the first convolution and the
 // pool drop their masks (no reader looks at their invalid slots), the second
-// convolution keeps one per output channel, the Dense keeps its output mask,
-// and conv2 and fc absorb the factors the activations and the pool leave.
+// convolution keeps one per output channel and the Dense its output mask.
+// conv1 scales its output by √(1/8)/2 so that act1 and the pool compute
+// true values, conv2 by √(1/8) for act2, and fc absorbs nothing.
 func TestExplainNamesMasksAndFactors(t *testing.T) {
 	var sb strings.Builder
 	if err := compileAndDescribe(&sb, compileConfig{model: "LeNet-tiny", scheme: "seal", security: 128, explain: true}); err != nil {
@@ -48,13 +49,18 @@ func TestExplainNamesMasksAndFactors(t *testing.T) {
 		}
 	}
 	for _, want := range []struct{ node, masks, factor string }{
-		{"conv1", "0", "-"},
-		{"pool1", "0", "0.125"},
-		{"conv2", "4", "absorbs"},
-		{"fc", "", "absorbs"}, // one mask per neuron group; the layout sets the groups
+		{"conv1", "0", "1 -> 5.657"},
+		{"act1", "0", "5.657 -> 4"},
+		{"pool1", "0", "absorbs 4"},
+		{"conv2", "4", "1 -> 2.828"},
+		{"fc", "", "-"}, // one mask per neuron group; the layout sets the groups
 	} {
 		r := rows[want.node]
-		if len(r) < 9 || (want.masks != "" && r[4] != want.masks) || r[4] == "0" && want.masks == "" || r[7] != want.factor {
+		if len(r) < 10 {
+			t.Fatalf("%s row %v", want.node, r)
+		}
+		factor := strings.Join(r[7:len(r)-2], " ")
+		if (want.masks != "" && r[4] != want.masks) || (want.masks == "" && r[4] == "0") || factor != want.factor {
 			t.Errorf("%s row %v: want masks %q and factor %q", want.node, r, want.masks, want.factor)
 		}
 	}

@@ -58,15 +58,47 @@ const maxFactorBits = 8
 // degree-1 polynomial, the one place the rewrite spends a level; no circuit
 // of the zoo has one.
 //
+// Where it is cheaper, a factor is paid for before it arises. A Conv2D or
+// Dense whose only reader is an activation, followed by nothing but window
+// sums before some other layer reads the result, scales its weights and
+// bias by s = √|a| / Π window: the activation squares 1/s back into a
+// factor ±Π window², and the window sums cancel it. Their readers then see
+// true values. A factor that reaches a weight plaintext costs precision —
+// the plaintext's rounding error meets the inflated input — while scalar
+// taps and the client's decryption absorb one exactly, so when the chain
+// ends at the output the factor is carried to it instead.
+//
 // Factors are folded into constants, never into a ciphertext's scale: every
 // scale stays the product of the compiled factors, prime-aligned under
 // bootstrapping.
 func Fold(c *Circuit) *Program {
-	readers := map[int]int{}
+	readers := map[int][]*Node{}
 	for _, n := range c.Nodes {
 		for _, in := range n.Inputs {
-			readers[in.ID]++
+			readers[in.ID] = append(readers[in.ID], n)
 		}
+	}
+	// sole is n's only reader, or nil when n has several or is the output.
+	sole := func(n *Node) *Node {
+		if r := readers[n.ID]; len(r) == 1 && n != c.Output {
+			return r[0]
+		}
+		return nil
+	}
+	// prescale is the s a Conv2D or Dense scales its output by (see above).
+	prescale := func(n *Node) float64 {
+		act := sole(n)
+		if act == nil || act.Kind != OpActivation || act.ActA == 0 {
+			return 1
+		}
+		s, r := math.Sqrt(math.Abs(act.ActA)), sole(act)
+		for ; r != nil && r.Kind == OpAvgPool2D; r = sole(r) {
+			s /= float64(r.Window)
+		}
+		if r == nil {
+			return 1 // the chain ends at the output, which absorbs for free
+		}
+		return s
 	}
 	type value struct {
 		n *Node
@@ -76,6 +108,9 @@ func Fold(c *Circuit) *Program {
 	var factors []Factor // by program node ID: every node is emitted as it is built
 	b := NewBuilder(c.Name)
 	emit := func(n *Node, in, out float64) value {
+		if sameFactor(math.Abs(out), 1) {
+			out = math.Copysign(1, out) // a factor paid for in advance cancels to ±1, up to rounding
+		}
 		factors = append(factors, Factor{In: in, Out: out})
 		return value{n, out}
 	}
@@ -91,13 +126,14 @@ func Fold(c *Circuit) *Program {
 			s := n.OutShape
 			out = emit(b.Input(s[0], s[1], s[2]), 1, 1)
 		case OpConv2D:
-			out = emit(b.Conv2D(x.n, scaled(n.Weights, x.f), n.Bias, n.Stride, n.Pad, n.Name), x.f, 1)
+			s := prescale(n)
+			out = emit(b.Conv2D(x.n, scaled(n.Weights, x.f*s), scaled(n.Bias, s), n.Stride, n.Pad, n.Name), x.f, 1/s)
 		case OpDense:
-			out = emit(b.Dense(x.n, scaled(n.Weights, x.f), n.Bias, n.Name), x.f, 1)
+			s := prescale(n)
+			out = emit(b.Dense(x.n, scaled(n.Weights, x.f*s), scaled(n.Bias, s), n.Name), x.f, 1/s)
 		case OpBatchNorm:
-			// Only the BatchNorm may see the convolution's own output: one
-			// reader, and not the circuit's output either.
-			if x.n.Kind == OpConv2D && x.f == 1 && readers[n.Inputs[0].ID] == 1 && n.Inputs[0] != c.Output &&
+			// Only the BatchNorm may see the convolution's own output.
+			if x.n.Kind == OpConv2D && x.f == 1 && sole(n.Inputs[0]) == n &&
 				(n.Inputs[0].Kind == OpConv2D || n.Inputs[0].Kind == OpBatchNorm) {
 				foldBatchNorm(x.n, n)
 				out = x
@@ -165,9 +201,9 @@ func Fold(c *Circuit) *Program {
 }
 
 // scaled returns a copy of t with every entry multiplied by f (t itself when
-// f is 1, which no rewrite mutates).
+// f is 1 or t is nil; no rewrite mutates it).
 func scaled(t *tensor.Tensor, f float64) *tensor.Tensor {
-	if f == 1 {
+	if f == 1 || t == nil {
 		return t
 	}
 	s := t.Clone()

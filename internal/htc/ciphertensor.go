@@ -417,19 +417,18 @@ func tryRescale(b hisa.Backend, c hisa.Ciphertext, base float64) hisa.Ciphertext
 // reduceRelin closes a MulNoRelin product (or a linear combination of them):
 // it relinearizes and applies tryRescale's protocol. Rescaling a degree-2
 // ciphertext also rounds the part decryption multiplies by s², noise far
-// above a degree-1 rescale's, so when the protocol's divisor spans several
-// steps the fused RelinearizeRescale takes only the steps down to
-// √(scale·base) and a plain Rescale takes the rest: the noise then lands at
-// a scale where it is negligible. A one-step divisor is fused whole.
+// above a degree-1 rescale's, so the fused RelinearizeRescale takes only the
+// steps that keep the scale at or above √(scale·base), where that noise is
+// negligible, and a plain Rescale takes the rest. When no step does, the
+// ciphertext is relinearized first and the whole divisor rescales a
+// degree-1 ciphertext.
 func reduceRelin(b hisa.Backend, c hisa.Ciphertext, base float64) hisa.Ciphertext {
-	d := rescaleDivisor(b, c, math.Sqrt(b.Scale(c)*base))
-	if d == nil {
-		d = rescaleDivisor(b, c, base)
+	if d := rescaleDivisor(b, c, math.Sqrt(b.Scale(c)*base)); d != nil {
+		c = b.RelinearizeRescale(c, d)
+	} else {
+		c = b.Relinearize(c)
 	}
-	if d == nil {
-		return b.Relinearize(c)
-	}
-	return tryRescale(b, b.RelinearizeRescale(c, d), base)
+	return tryRescale(b, c, base)
 }
 
 // rescaleDivisor is the divisor the rescaling protocol divides c by, or nil
