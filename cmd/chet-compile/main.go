@@ -89,10 +89,10 @@ func compileAndDescribe(w io.Writer, cfg compileConfig) error {
 	return nil
 }
 
-// explainSpecial renders the special-prime choice: every count α the
-// security budget admits at the selected ring degree, with the digits it
-// implies and the cost model's total over the circuit's key switches (the
-// figure α minimizes).
+// explainSpecial renders the special-prime choice: every count α admitted
+// at the selected ring degree, with the digits it implies, the size of its
+// special primes, its own log2(QP) and the cost model's total over the
+// circuit's key switches (the figure α minimizes).
 func explainSpecial(w io.Writer, compiled *chet.Compiled) {
 	b := compiled.Best
 	if len(b.SpecialTrace) == 0 {
@@ -100,15 +100,15 @@ func explainSpecial(w io.Writer, compiled *chet.Compiled) {
 	}
 	fmt.Fprintf(w, "special primes: α = %d of %d admissible (chain %d primes, %d-bit special primes)\n",
 		b.SpecialPrimes, len(b.SpecialTrace), len(b.RNSChainBits), b.SpecialBits)
-	fmt.Fprintf(w, "  %5s  %6s  %12s  %14s\n", "alpha", "digits", "log2(QP)", "key-switch ms")
+	fmt.Fprintf(w, "  %5s  %6s  %4s  %8s  %14s\n", "alpha", "digits", "bits", "log2(QP)", "key-switch ms")
 	for _, c := range b.SpecialTrace {
 		marker := " "
 		if c.Alpha == b.SpecialPrimes {
 			marker = "*"
 		}
 		digits := (len(b.RNSChainBits) + c.Alpha - 1) / c.Alpha
-		fmt.Fprintf(w, "  %s%4d  %6d  %12.0f  %14.1f\n",
-			marker, c.Alpha, digits, b.LogQ+float64(c.Alpha*b.SpecialBits), c.KeySwitchCost/1000)
+		fmt.Fprintf(w, "  %s%4d  %6d  %4d  %8.0f  %14.1f\n",
+			marker, c.Alpha, digits, c.Bits, b.LogQ+float64(c.Alpha*c.Bits), c.KeySwitchCost/1000)
 	}
 }
 

@@ -66,6 +66,43 @@ func TestExplainNamesMasksAndFactors(t *testing.T) {
 	}
 }
 
+// TestExplainSpecialPrimes: -explain's special-prime table gives every α its
+// own prime size and its own log2(QP) = log2(Q) + α·bits. LeNet-tiny at 128
+// bits (N = 2^14, log2(Q) = 332) admits α = 1 at 60 bits and α = 2 at 53 bits,
+// whose 438 bits are exactly the security table's budget, and picks α = 2.
+func TestExplainSpecialPrimes(t *testing.T) {
+	var sb strings.Builder
+	if err := compileAndDescribe(&sb, compileConfig{model: "LeNet-tiny", scheme: "seal", security: 128, explain: true}); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	if !strings.Contains(out, "log2(Q) = 332,") || !strings.Contains(out, "special 2×53 (4 digits)") {
+		t.Fatalf("parameters changed:\n%s", out)
+	}
+	lines := strings.Split(out, "\n")
+	start := -1
+	for i, line := range lines {
+		if strings.HasPrefix(line, "special primes:") {
+			start = i + 2 // past the header row
+		}
+	}
+	if start < 0 {
+		t.Fatalf("no special-prime table:\n%s", out)
+	}
+	var got []string
+	for _, line := range lines[start:] {
+		f := strings.Fields(line)
+		if len(f) < 5 || f[0] == "per-node" {
+			break
+		}
+		got = append(got, strings.Join(f[:len(f)-1], " ")) // without the cost column
+	}
+	want := []string{"1 8 60 392", "* 2 4 53 438"}
+	if strings.Join(got, "|") != strings.Join(want, "|") {
+		t.Errorf("special-prime rows %q, want %q", got, want)
+	}
+}
+
 func TestCompileAndDescribeErrors(t *testing.T) {
 	tiny := func(scales string) compileConfig {
 		return compileConfig{model: "LeNet-tiny", scheme: "heaan", security: -1, scales: scales}

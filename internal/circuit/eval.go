@@ -11,6 +11,11 @@ import (
 // reference inference engine: the ground truth for validating homomorphic
 // execution and for the profile-guided scale selection.
 func (c *Circuit) Evaluate(input *tensor.Tensor) *tensor.Tensor {
+	return c.EvaluateNodes(input)[c.Output.ID]
+}
+
+// EvaluateNodes is Evaluate returning every node's output, keyed by node ID.
+func (c *Circuit) EvaluateNodes(input *tensor.Tensor) map[int]*tensor.Tensor {
 	results := make(map[int]*tensor.Tensor, len(c.Nodes))
 	for _, n := range c.Nodes {
 		var out *tensor.Tensor
@@ -67,7 +72,7 @@ func (c *Circuit) Evaluate(input *tensor.Tensor) *tensor.Tensor {
 		}
 		results[n.ID] = out
 	}
-	return results[c.Output.ID]
+	return results
 }
 
 // Flops returns the total floating-point operation count of one inference,

@@ -34,8 +34,8 @@ func equalCiphertexts(t *testing.T, a, b *Ciphertext) {
 }
 
 // TestRelinearizeRescaleMatchesUnfused pins the fused op's contract: at
-// every level down to 1, the fused pass is bit-identical to rescale
-// followed by relinearize.
+// every level down to 1, the fused pass is bit-identical to relinearize
+// followed by rescale.
 func TestRelinearizeRescaleMatchesUnfused(t *testing.T) {
 	tc := newTestContext(t)
 	ev := NewEvaluator(tc.params, tc.rlk, nil)
@@ -48,9 +48,8 @@ func TestRelinearizeRescaleMatchesUnfused(t *testing.T) {
 	for level := tc.params.MaxLevel(); level >= 1; level-- {
 		d2 := ev.MulNoRelin(cta, ctb)
 
-		unfused := d2.CopyNew()
+		unfused := ev.Relinearize(d2)
 		ev.Rescale(unfused)
-		unfused = ev.Relinearize(unfused)
 
 		fused := ev.RelinearizeRescale(d2)
 		equalCiphertexts(t, fused, unfused)
@@ -87,20 +86,39 @@ func TestRelinearizeRescaleDegreeOne(t *testing.T) {
 }
 
 // TestRelinearizeRescaleWithWorkers pins that intra-op parallelism does not
-// change a single bit of the fused output.
+// change a single bit of RelinearizeRescale or of Rescale (degree 1 and
+// degree 2) at any level, and that neither leaves an arena lease behind.
 func TestRelinearizeRescaleWithWorkers(t *testing.T) {
 	tc := newTestContext(t)
 	serial := NewEvaluator(tc.params, tc.rlk, nil)
 	par := NewEvaluator(tc.params, tc.rlk, nil).SetIntraOpWorkers(4)
+	r := tc.params.Ring()
 	scale := tc.params.DefaultScale()
 	slots := tc.params.Slots()
 	cta := tc.encr.Encrypt(tc.enc.Encode(randomVector(slots, 1, 44), scale, tc.params.MaxLevel()))
 	ctb := tc.encr.Encrypt(tc.enc.Encode(randomVector(slots, 1, 45), scale, tc.params.MaxLevel()))
 
-	d2 := serial.MulNoRelin(cta, ctb)
-	a := serial.RelinearizeRescale(d2)
-	b := par.RelinearizeRescale(d2)
-	equalCiphertexts(t, a, b)
+	for level := tc.params.MaxLevel(); level >= 1; level-- {
+		a, b := serial.leaseAt(cta, level), serial.leaseAt(ctb, level)
+		d2 := serial.MulNoRelin(a, b)
+		leased := r.OutstandingPolys()
+		fused, fusedPar := serial.RelinearizeRescale(d2), par.RelinearizeRescale(d2)
+		equalCiphertexts(t, fused, fusedPar)
+		for _, in := range []*Ciphertext{a, d2} {
+			x, y := in.CopyNew(), in.CopyNew()
+			serial.Rescale(x)
+			par.Rescale(y)
+			equalCiphertexts(t, x, y)
+		}
+		serial.Recycle(fused)
+		serial.Recycle(fusedPar)
+		if got := r.OutstandingPolys(); got != leased {
+			t.Fatalf("level %d: %d arena polys still leased after the rescales", level, got-leased)
+		}
+		for _, ct := range []*Ciphertext{a, b, d2} {
+			serial.Recycle(ct)
+		}
+	}
 }
 
 // TestRecycleRoundTrip checks that recycled ciphertext storage is reused

@@ -57,8 +57,8 @@ func TestMulNoRelinDegree2Decrypts(t *testing.T) {
 // relinearization rests on: Add, Sub, MulScalar, MulByI, and Rescale act
 // componentwise on degree-2 ciphertexts, so applying them before the single
 // Relinearize must decode to the same values as relinearizing each product
-// first. Rescale-then-relin is exactly the ordering the activation kernel
-// uses (one limb lighter at the key switch).
+// first. (The kernels themselves relinearize before they rescale, in one
+// RelinearizeRescale; the property keeps a degree-2 rescale correct.)
 func TestDegree2LinearOpsCommuteWithRelin(t *testing.T) {
 	tc := newTestContext(t)
 	ev := NewEvaluator(tc.params, tc.rlk, nil)

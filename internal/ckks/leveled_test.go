@@ -62,13 +62,13 @@ func TestLeveledKeyParity(t *testing.T) {
 					t.Errorf("α=%d level %d: %s with the cut keys differs from the full keys", alpha, level, op)
 				}
 			}
-			if level >= 1 { // the fused switch runs at level-1 ≤ cut
+			if level > cut {
+				continue
+			}
+			if level >= 1 { // the relinearization switches at the product's level
 				same("relinearize-rescale", func(ev *Evaluator) []*Ciphertext {
 					return []*Ciphertext{ev.RelinearizeRescale(ev.MulNoRelin(a, b))}
 				})
-			}
-			if level > cut {
-				continue
 			}
 			same("rotate", func(ev *Evaluator) []*Ciphertext { return []*Ciphertext{ev.RotateLeft(a, 1)} })
 			same("rotate-hoisted", func(ev *Evaluator) []*Ciphertext { return rotateHoisted(ev, a, []int{1, 5}) })
@@ -149,8 +149,8 @@ func TestOverLevelKeySwitchIsDescriptive(t *testing.T) {
 	mustPanicWith(t, conj, func() { ev.Conjugate(ct) })
 	mustPanicWith(t, relin, func() { ev.Relinearize(ev.MulNoRelin(ct, ct)) })
 	hi := encr.Encrypt(tc.enc.Encode(randomVector(params.Slots(), 1, 24), params.DefaultScale(), params.MaxLevel()))
-	ev.DropToLevel(hi, 3)
-	mustPanicWith(t, relin, func() { ev.RelinearizeRescale(ev.MulNoRelin(hi, hi)) }) // switches at level 2
+	ev.DropToLevel(hi, 2)
+	mustPanicWith(t, relin, func() { ev.RelinearizeRescale(ev.MulNoRelin(hi, hi)) }) // switches at level 2, then rescales
 
 	// At the key's own level every operation is served.
 	ev.DropToLevel(ct, 1)

@@ -94,8 +94,15 @@ func TestRNSChainSumsToLogQ(t *testing.T) {
 	if math.Abs(sum-comp.Best.LogQ) > 1e-9 {
 		t.Fatalf("chain bits sum %g != LogQ %g", sum, comp.Best.LogQ)
 	}
-	if comp.Best.SpecialBits != 60 {
-		t.Fatalf("special prime bits = %d", comp.Best.SpecialBits)
+	// The special primes are sized by the chosen α's candidate.
+	chosen := SpecialCandidate{}
+	for _, c := range comp.Best.SpecialTrace {
+		if c.Alpha == comp.Best.SpecialPrimes {
+			chosen = c
+		}
+	}
+	if comp.Best.SpecialBits != chosen.Bits || chosen.Bits < 20 || chosen.Bits > 60 {
+		t.Fatalf("special prime bits = %d, chosen candidate %+v", comp.Best.SpecialBits, chosen)
 	}
 }
 

@@ -122,7 +122,7 @@ func TestFingerprintFlipsOnPackingOptions(t *testing.T) {
 // packed Dense did) moves it with the byte layout and the version unchanged;
 // paste the digest the failing run prints.
 func TestFingerprintV7Golden(t *testing.T) {
-	const want = "fcf7e79bff2b97c1ff3749796a2e661aa469d62e44cd90ed0a886aabc7e021f4"
+	const want = "10907a14a98d007ad7db856d8530383e9518a652f9738ad49ef287adce9ea547"
 	if got := fpCompile(t, fpBaseOptions()).FingerprintHex(); got != want {
 		t.Fatalf("fingerprint v7 golden mismatch:\n got %s\nwant %s", got, want)
 	}

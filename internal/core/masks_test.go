@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/big"
 	"testing"
 
 	"chet/internal/circuit"
@@ -17,18 +18,43 @@ import (
 // product at Pm is a mask product.
 var maskScales = htc.Scales{Pc: math.Exp2(40), Pw: math.Exp2(35), Pu: math.Exp2(35), Pm: math.Exp2(33)}
 
-// TestLeNetTinySecureOnHalfRing: with the activation's factor folded forward
-// and masks only where a reader looks, LeNet-tiny at the default 128-bit
-// options fits N = 2^14 with a 9-prime chain (N = 2^15 and 12 primes when
-// every layer spent two levels).
+// TestLeNetTinySecureOnHalfRing: with the activation's factor folded forward,
+// masks only where a reader looks and prime-aligned scales, LeNet-tiny at the
+// default 128-bit options fits N = 2^14 with an 8-prime chain (N = 2^15 and
+// 12 primes when every layer spent two levels, 9 primes at 2^40/2^35
+// scales), and the slack left above it holds α = 2 special primes: four
+// key-switch digits, log2(QP) within the 438-bit budget, and P at least 2^8
+// times the largest digit.
 func TestLeNetTinySecureOnHalfRing(t *testing.T) {
 	comp, err := Compile(nn.LeNetTiny().Circuit, Options{Scheme: SchemeRNS})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if comp.Options.SecurityBits != 128 || comp.Best.LogN != 14 || len(comp.Best.RNSChainBits) != 9 {
-		t.Fatalf("compiled at %d bits to N = 2^%d with %d primes, want 128 bits, 2^14 and 9",
+	if comp.Options.SecurityBits != 128 || comp.Best.LogN != 14 || len(comp.Best.RNSChainBits) != 8 {
+		t.Fatalf("compiled at %d bits to N = 2^%d with %d primes, want 128 bits, 2^14 and 8",
 			comp.Options.SecurityBits, comp.Best.LogN, len(comp.Best.RNSChainBits))
+	}
+	params, err := RNSParameters(comp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if params.Alpha() != 2 || comp.Best.KeySwitchDigits() != 4 || params.LogQP() > float64(MaxLogQ(14, 128)) {
+		t.Fatalf("α = %d with %d digits and log2(QP) = %.1f, want α = 2, 4 digits and at most %d",
+			params.Alpha(), comp.Best.KeySwitchDigits(), params.LogQP(), MaxLogQ(14, 128))
+	}
+	bigP := big.NewInt(1)
+	for _, p := range params.SpecialPrimes() {
+		bigP.Mul(bigP, new(big.Int).SetUint64(p))
+	}
+	chain := params.QChain()
+	for lo := 0; lo < len(chain); lo += 2 {
+		digit := new(big.Int).Lsh(big.NewInt(1), 8)
+		for _, q := range chain[lo:min(lo+2, len(chain))] {
+			digit.Mul(digit, new(big.Int).SetUint64(q))
+		}
+		if bigP.Cmp(digit) < 0 {
+			t.Errorf("P (%d bits) is below 2^8 times the digit at chain row %d", bigP.BitLen(), lo)
+		}
 	}
 }
 

@@ -105,10 +105,10 @@ type Backend interface {
 	// Relinearize reduces a MulNoRelin product to a normal ciphertext; it
 	// passes already-linear ciphertexts through unchanged.
 	Relinearize(c Ciphertext) Ciphertext
-	// RelinearizeRescale is exactly Relinearize(Rescale(c, x)), with x
+	// RelinearizeRescale is exactly Rescale(Relinearize(c), x), with x
 	// obtained from MaxRescale like any rescale divisor; the RNS backend
-	// fuses the division by the top prime into the relinearization key
-	// switch, running the decomposition at the post-rescale level.
+	// relinearizes at c's level and divides by the top prime inside the key
+	// switch's output pass.
 	RelinearizeRescale(c Ciphertext, x *big.Int) Ciphertext
 
 	// Rescale rescales c by the divisor x, which must have been obtained

@@ -415,20 +415,13 @@ func tryRescale(b hisa.Backend, c hisa.Ciphertext, base float64) hisa.Ciphertext
 }
 
 // reduceRelin closes a MulNoRelin product (or a linear combination of them):
-// it relinearizes and applies tryRescale's protocol. Rescaling a degree-2
-// ciphertext also rounds the part decryption multiplies by s², noise far
-// above a degree-1 rescale's, so the fused RelinearizeRescale takes only the
-// steps that keep the scale at or above √(scale·base), where that noise is
-// negligible, and a plain Rescale takes the rest. When no step does, the
-// ciphertext is relinearized first and the whole divisor rescales a
-// degree-1 ciphertext.
+// it relinearizes at the product's level and applies tryRescale's protocol,
+// as one RelinearizeRescale when there is a divisor.
 func reduceRelin(b hisa.Backend, c hisa.Ciphertext, base float64) hisa.Ciphertext {
-	if d := rescaleDivisor(b, c, math.Sqrt(b.Scale(c)*base)); d != nil {
-		c = b.RelinearizeRescale(c, d)
-	} else {
-		c = b.Relinearize(c)
+	if d := rescaleDivisor(b, c, base); d != nil {
+		return b.RelinearizeRescale(c, d)
 	}
-	return tryRescale(b, c, base)
+	return b.Relinearize(c)
 }
 
 // rescaleDivisor is the divisor the rescaling protocol divides c by, or nil

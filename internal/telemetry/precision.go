@@ -19,7 +19,8 @@ import (
 type LayerPrecision struct {
 	Node string // "conv2d:conv1"
 	// MaxErr/RMSErr compare the decrypted node output against the Ref
-	// oracle's, element-wise over the node's logical tensor.
+	// oracle's, element-wise over the node's logical tensor, in true units:
+	// both sides are scaled by the node's output factor (circuit.Program).
 	MaxErr, RMSErr float64
 	// Scale and RefScale are the fixed-point scales of the first output
 	// ciphertext on the profiled backend and the oracle; ScaleDrift is
@@ -32,14 +33,17 @@ type LayerPrecision struct {
 	Elems int
 }
 
-// PrecisionProfile executes the circuit twice — once on b, once on a fresh
-// plaintext Ref oracle — and compares every node's decrypted output. The
-// backend must hold decryption capability (a session backend, not an
-// eval-only one); run it behind a flag, since decrypting every intermediate
-// costs a decrypt+decode per ciphertext per layer.
-func PrecisionProfile(b hisa.Backend, c *circuit.Circuit, img *tensor.Tensor,
+// PrecisionProfile executes the program twice — once on b, once on a fresh
+// plaintext Ref oracle — and compares every node's decrypted output. A
+// node computes its true value divided by its output factor, so each
+// difference is multiplied by that factor. The backend must hold decryption
+// capability (a session backend, not an eval-only one); run it behind a flag,
+// since decrypting every intermediate costs a decrypt+decode per ciphertext
+// per layer.
+func PrecisionProfile(b hisa.Backend, prog *circuit.Program, img *tensor.Tensor,
 	policy htc.LayoutPolicy, sc htc.Scales, workers int) []LayerPrecision {
 
+	c := prog.Circuit
 	plan := htc.PlanFor(c, policy)
 	ref := hisa.NewRefBackend(b.Slots())
 
@@ -81,8 +85,9 @@ func PrecisionProfile(b hisa.Backend, c *circuit.Circuit, img *tensor.Tensor,
 				row.Level = levelOf(bOut.CTs[0])
 			}
 			var sumSq float64
+			factor := math.Abs(prog.Factors[n.ID].Out)
 			for i := range want.Data {
-				e := math.Abs(got.Data[i] - want.Data[i])
+				e := factor * math.Abs(got.Data[i]-want.Data[i])
 				if e > row.MaxErr {
 					row.MaxErr = e
 				}
