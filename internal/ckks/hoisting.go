@@ -26,10 +26,10 @@ import (
 //     level+1 forward transforms each.
 //
 // The noise a switch adds is a digit's magnitude over the special modulus,
-// so the switch needs as many special primes as its largest digit has chain
-// primes: k = min(α, level+1) (Parameters.liveSpecial). From level α-1 up
+// so the switch needs enough special primes for P_k to exceed its largest
+// digit by KeySwitchMarginBits (Parameters.LiveSpecial). From level α-1 up
 // that is all α of them. Below it the single remaining digit has only
-// level+1 primes, and the switch reads the keys — RLWE samples modulo every
+// level+1 primes, k is as many or a few more, and the switch reads the keys — RLWE samples modulo every
 // prime, so modulo any subset — over the first k special primes alone; what
 // they encrypt, P·s', is P_k·s' for the polynomial c·(P/P_k)^{-1}, which is
 // what gets decomposed there.
@@ -101,7 +101,7 @@ func (ev *Evaluator) modUp(coef, ntt *ring.Poly, level int) *decomposition {
 	rows := params.ksRows(level)
 	beta := params.Digits(level)
 
-	// Below level α-1 the switch leaves special primes out (liveSpecial),
+	// Below level α-1 the switch leaves special primes out (LiveSpecial),
 	// and the polynomial is multiplied by the inverse of their product so
 	// the keys' P·s' reads as P_k·s'.
 	tab := params.ksTables(level)
@@ -215,7 +215,7 @@ func (ev *Evaluator) modDownPrepare(acc *ring.Poly, level int) *ring.Poly {
 	r := params.Ring()
 	tab := params.ksTables(level)
 	chain := len(params.qChain)
-	ev.forEach(params.liveSpecial(level), func(k int) {
+	ev.forEach(params.LiveSpecial(level), func(k int) {
 		j := chain + k
 		p, half := r.Moduli[j].Q, tab.half[j]
 		row := acc.Coeffs[j]

@@ -3,6 +3,8 @@ package ckks
 import (
 	"math/rand"
 	"testing"
+
+	"chet/internal/ring"
 )
 
 // ctEqual reports whether two ciphertexts are bit-identical.
@@ -163,4 +165,50 @@ func TestHoistedLevelMismatchPanics(t *testing.T) {
 		}
 	}()
 	ev.applyGaloisHoisted(ct, dec, tc.params.Ring().GaloisElementForRotation(1))
+}
+
+// TestLiveSpecialKeepsMargin: a key switch below level α-1 works over as
+// many special primes as its one digit has chain primes, and more while
+// P_k is not KeySwitchMarginBits above that digit — special primes sized to
+// the slack can be smaller than the base prime. A rotation at level 0 under
+// such primes still decrypts.
+func TestLiveSpecialKeepsMargin(t *testing.T) {
+	chain := []int{52, 40, 40, 40}
+	for _, c := range []struct {
+		alpha, logP int
+		live        []int
+	}{
+		{1, 60, []int{1, 1, 1, 1}},
+		{2, 60, []int{1, 2, 2, 2}}, // 60 ≥ 52+8: one special prime at level 0
+		{2, 53, []int{2, 2, 2, 2}}, // 53 < 52+8: both
+		{3, 45, []int{2, 3, 3, 3}}, // 90 ≥ 60 at level 0; 90 < 92+8 at level 1
+	} {
+		params, err := NewParameters(ParametersLiteral{LogN: 10, LogQ: chain, LogP: c.logP, Alpha: c.alpha, LogScale: 40})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for level, want := range c.live {
+			if got := params.LiveSpecial(level); got != want {
+				t.Errorf("α = %d, %d-bit special primes: %d live at level %d, want %d", c.alpha, c.logP, got, level, want)
+			}
+		}
+		if c.logP != 53 {
+			continue
+		}
+		prng := ring.NewTestPRNG(0x5EC1A1)
+		kgen := NewKeyGenerator(params, prng)
+		sk := kgen.GenSecretKey()
+		enc, encr, decr := NewEncoder(params), NewEncryptor(params, kgen.GenPublicKey(sk), prng), NewDecryptor(params, sk)
+		ev := NewEvaluator(params, nil, kgen.GenRotationKeys(sk, []int{3}, false))
+		values := randomVector(params.Slots(), 4, 78)
+		ct := encr.Encrypt(enc.Encode(values, params.DefaultScale(), 0))
+		got := enc.Decode(decr.Decrypt(ev.RotateLeft(ct, 3)))
+		want := make([]float64, len(values))
+		for j := range want {
+			want[j] = values[(j+3)%len(values)]
+		}
+		if d := maxAbsDiff(want, got); d > 1e-4 {
+			t.Errorf("rotation at level 0 under %d-bit special primes: error %g", c.logP, d)
+		}
+	}
 }

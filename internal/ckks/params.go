@@ -32,10 +32,12 @@ type Parameters struct {
 	//
 	// modUp[i][a-1] extends digit i restricted to its first a primes to
 	// every other ring row. modDown[k-1] holds the ModDown constants of a key
-	// switch that works over the first k special primes (see liveSpecial),
-	// and ksRowsByLevel the extended-basis rows of a key switch per level.
+	// switch that works over the first k special primes, live the k of a key
+	// switch per level (see LiveSpecial), and ksRowsByLevel its
+	// extended-basis rows.
 	modUp         [][]*ring.BasisExtender
 	modDown       []modDownTables
+	live          []int
 	ksRowsByLevel [][]int
 
 	// Rescale invariants: (q_level mod q_j)^{-1} mod q_j for j < level,
@@ -193,9 +195,33 @@ func (p *Parameters) precomputeKeySwitch() {
 		p.modDown[k-1] = t
 	}
 
+	// Special primes a key switch works over, per level: k = min(α, level+1)
+	// to start with, raised while P_k is not KeySwitchMarginBits above the
+	// level's largest digit. D_level grows with the level, so k does too, and
+	// a key cut at one level holds the rows of every level below it.
+	p.live = make([]int, chain)
+	digit := big.NewInt(1) // q_0···q_level, the largest digit below level α-1
+	for level := range p.live {
+		if level >= alpha {
+			p.live[level] = alpha
+			continue
+		}
+		digit.Mul(digit, new(big.Int).SetUint64(p.qChain[level]))
+		k := min(alpha, level+1)
+		for ; k < alpha; k++ {
+			pk := big.NewInt(1)
+			for _, s := range p.pSpecial[:k] {
+				pk.Mul(pk, new(big.Int).SetUint64(s))
+			}
+			if pk.BitLen() >= digit.BitLen()+KeySwitchMarginBits {
+				break
+			}
+		}
+		p.live[level] = k
+	}
 	p.ksRowsByLevel = make([][]int, chain)
 	for level := range p.ksRowsByLevel {
-		p.ksRowsByLevel[level] = append(rowRange(0, level+1), rowRange(chain, chain+p.liveSpecial(level))...)
+		p.ksRowsByLevel[level] = append(rowRange(0, level+1), rowRange(chain, chain+p.live[level])...)
 	}
 	p.rescaleQInv = make([][]uint64, chain)
 	p.rescaleQInvShoup = make([][]uint64, chain)
@@ -233,17 +259,26 @@ type modDownTables struct {
 	lift, liftShoup []uint64
 }
 
-// liveSpecial returns how many special primes a key switch at the given
-// level works over: as many as the largest digit has chain primes,
-// min(α, level+1). P_k = p_1···p_k then still exceeds every digit, which is
-// all the noise bound asks, and a switch low in the chain does not pay for
-// special rows it has no use for — below level α-1 the one remaining digit
-// shrinks with the level, and the extended basis shrinks with it.
-func (p *Parameters) liveSpecial(level int) int { return min(len(p.pSpecial), level+1) }
+// KeySwitchMarginBits is how far, in bits, the special modulus a key switch
+// works over must exceed its largest digit when α > 1. The switch's noise is
+// about N times a digit over that modulus, so 2^8 keeps it under ModDown's
+// own rounding; it is the margin a 60-bit special prime has over a 52-bit
+// base prime, and the compiler admits an α only when P has it over every
+// full digit.
+const KeySwitchMarginBits = 8
+
+// LiveSpecial returns how many special primes k a key switch at the given
+// level works over. From level α-1 up it is all α of them. Below it the one
+// remaining digit is q_0···q_level, and the switch takes as many special
+// primes as that digit has chain primes, more while P_k = p_1···p_k is not
+// KeySwitchMarginBits above it (special primes sized to the slack can be
+// smaller than the base prime), so a switch low in the chain keeps the noise
+// bound without paying for special rows it has no use for.
+func (p *Parameters) LiveSpecial(level int) int { return p.live[level] }
 
 // ksTables returns the ModDown constants for a key switch at the level.
 func (p *Parameters) ksTables(level int) *modDownTables {
-	return &p.modDown[p.liveSpecial(level)-1]
+	return &p.modDown[p.LiveSpecial(level)-1]
 }
 
 // ksRows returns the extended-basis row indices a key switch at the given

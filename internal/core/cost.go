@@ -85,7 +85,9 @@ type state struct {
 
 // extRows is the height of the key-switch extended basis: the r live chain
 // primes plus the special primes the switch works over, min(α, r) — no more
-// of them than the largest digit has chain primes.
+// of them than the largest digit has chain primes. (ckks takes more below
+// level α-1 when special primes sized to the slack lack the 2^8
+// margin over the partial digit there; the model does not price that.)
 func (st state) extRows() float64 {
 	return st.r + math.Min(math.Max(1, st.alpha), st.r)
 }
