@@ -8,7 +8,6 @@ package chet
 // available via `go run ./cmd/chet-bench -exp all`.
 
 import (
-	"fmt"
 	"runtime"
 	"testing"
 
@@ -16,7 +15,6 @@ import (
 	"chet/internal/ckks"
 	"chet/internal/core"
 	"chet/internal/hisa"
-	"chet/internal/htc"
 	"chet/internal/nn"
 	"chet/internal/ring"
 )
@@ -145,69 +143,8 @@ func BenchmarkEndToEnd_RealRNSInference(b *testing.B) {
 	enc := comp.Encrypt(backend, nn.SyntheticImage(model.InputShape, 13))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		comp.Execute(backend, enc, htc.ExecOptions{})
+		comp.Execute(backend, enc, 1)
 	}
-}
-
-// rnsConvFixture builds a real RNS-CKKS backend and an encrypted CHW input
-// for the parallel kernel benchmarks.
-func rnsConvFixture(b *testing.B) (hisa.Backend, *htc.CipherTensor, htc.Scales) {
-	b.Helper()
-	logQ := []int{50}
-	for i := 0; i < 7; i++ {
-		logQ = append(logQ, 40)
-	}
-	params, err := ckks.NewParameters(ckks.ParametersLiteral{
-		LogN: 11, LogQ: logQ, LogP: 50, LogScale: 40,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	backend := hisa.NewRNSBackend(hisa.RNSConfig{Params: params, PRNG: ring.NewTestPRNG(41)})
-	sc := htc.DefaultScales()
-	img := nn.SyntheticImage([]int{4, 8, 8}, 19)
-	enc := htc.EncryptTensor(backend, htc.Plan{Layout: htc.LayoutCHW}, sc, img)
-	return backend, enc, sc
-}
-
-// workerSweep is the Workers axis of the parallel kernel benchmarks.
-var workerSweep = []int{1, 2, 4, 8}
-
-// BenchmarkParallelConv2D sweeps the worker-pool size for the convolution
-// kernel on the real lattice backend. On a single-core machine all points
-// coincide; on a multi-core machine the marginal speedup per doubling is
-// the quantity of interest.
-func BenchmarkParallelConv2D(b *testing.B) {
-	backend, enc, sc := rnsConvFixture(b)
-	filters := nn.SyntheticImage([]int{8, 4, 3, 3}, 43)
-	for _, workers := range workerSweep {
-		b.Run(benchWorkersName(workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				htc.Conv2D(backend, enc, filters, nil, 1, 0, true, sc,
-					htc.ExecOptions{Workers: workers})
-			}
-		})
-	}
-}
-
-// BenchmarkParallelDense sweeps the worker-pool size for the fully
-// connected kernel (fan-out over input-ciphertext replication and packed
-// neuron groups) on the real lattice backend.
-func BenchmarkParallelDense(b *testing.B) {
-	backend, enc, sc := rnsConvFixture(b)
-	weights := nn.SyntheticImage([]int{16, 4 * 8 * 8}, 47)
-	for _, workers := range workerSweep {
-		b.Run(benchWorkersName(workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				htc.Dense(backend, enc, weights, nil, sc,
-					htc.ExecOptions{Workers: workers})
-			}
-		})
-	}
-}
-
-func benchWorkersName(workers int) string {
-	return fmt.Sprintf("workers=%d", workers)
 }
 
 // BenchmarkEndToEnd_ParallelRNSInference is the serial benchmark above with
@@ -229,10 +166,9 @@ func BenchmarkEndToEnd_ParallelRNSInference(b *testing.B) {
 		b.Fatal(err)
 	}
 	enc := comp.Encrypt(backend, nn.SyntheticImage(model.InputShape, 13))
-	opts := htc.ExecOptions{Workers: runtime.GOMAXPROCS(0)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		comp.Execute(backend, enc, opts)
+		comp.Execute(backend, enc, runtime.GOMAXPROCS(0))
 	}
 }
 

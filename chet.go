@@ -121,16 +121,11 @@ type Session struct {
 	Compiled *Compiled
 	Backend  Backend
 
-	// Workers sets the worker-pool size Infer fans kernel work across, and
-	// how many goroutines one RNS instruction fans its limbs across: 0 or 1
-	// executes serially, runtime.GOMAXPROCS(0) uses every CPU. Parallel
-	// inference is bit-identical to serial on every backend.
+	// Workers sets how many goroutines Infer runs ready instructions on, and
+	// how many one RNS instruction fans its limbs across: 0 or 1 executes
+	// serially, runtime.GOMAXPROCS(0) uses every CPU. Parallel inference is
+	// bit-identical to serial on every backend.
 	Workers int
-
-	// constants holds the program's encoded weights, masks and biases, so
-	// only the first Infer encodes them. A Session built as a struct literal
-	// has none and encodes them on every Infer.
-	constants *htc.Constants
 }
 
 // NewSession instantiates the backend the compiler chose (CKKS mock or real
@@ -141,17 +136,7 @@ func NewSession(comp *Compiled, prng ring.PRNG) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Bootstrap compilations run under the Refresher so ciphertext budgets
-	// are kept above the placement floor; without a plan this is a no-op.
-	b, err = core.BootBackend(comp, b)
-	if err != nil {
-		return nil, err
-	}
-	return &Session{
-		Compiled:  comp,
-		Backend:   b,
-		constants: htc.NewConstants(),
-	}, nil
+	return &Session{Compiled: comp, Backend: b}, nil
 }
 
 // Encrypt encodes and encrypts an input image under the compiled layout.
@@ -182,12 +167,11 @@ func SelectBatchCapacity(c *Circuit, opts Options, maxBatch int) (int, error) {
 	return core.SelectBatchCapacity(c, opts, maxBatch)
 }
 
-// Infer executes the optimized homomorphic tensor circuit on an encrypted
-// input, producing an encrypted prediction. With Workers > 1 the kernels
-// fan independent per-output work across a goroutine pool. Infer is safe
-// for concurrent use.
+// Infer replays the compiled program on an encrypted input, producing an
+// encrypted prediction; the program's bootstraps, when it has any, are its
+// own instructions. Infer is safe for concurrent use.
 func (s *Session) Infer(enc *CipherTensor) *CipherTensor {
-	return s.Compiled.Execute(s.Backend, enc, htc.ExecOptions{Workers: s.Workers, Constants: s.constants})
+	return s.Compiled.Execute(s.Backend, enc, s.Workers)
 }
 
 // Decrypt recovers the prediction tensor in the circuit's output shape.

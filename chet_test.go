@@ -188,9 +188,9 @@ func TestLiteralSessionUsesCompiledPlan(t *testing.T) {
 }
 
 // TestSessionEncodesConstantsOnce: a Session's first Infer encodes the
-// program's weights, masks and biases into its constant store; every later
-// Infer finds them there and issues no encode at all, and computes the same
-// bits. Checked on a CHW and an HW program and on a batched one.
+// program's weights, masks and biases (its constant table); every later
+// Infer finds them encoded and issues no encode at all, and computes the
+// same bits. Checked on a CHW and an HW program and on a batched one.
 func TestSessionEncodesConstantsOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real lattice execution is slow; run without -short")

@@ -7,7 +7,6 @@
 //
 //	chet-compile -model LeNet-5-small -scheme seal
 //	chet-compile -model SqueezeNet-CIFAR -scheme heaan -security 128
-//	chet-compile -model LeNet-5-small -scheme seal -costthreads 16
 package main
 
 import (
@@ -21,20 +20,20 @@ import (
 
 	"chet"
 	"chet/internal/circuit"
+	"chet/internal/htc"
 )
 
 // compileConfig holds everything main parses from flags.
 type compileConfig struct {
-	model       string
-	scheme      string
-	security    int
-	scales      string
-	showKeys    bool
-	costThreads int
-	batch       int
-	complex     bool
-	explain     bool
-	bootstrap   int
+	model     string
+	scheme    string
+	security  int
+	scales    string
+	showKeys  bool
+	batch     int
+	complex   bool
+	explain   bool
+	bootstrap int
 }
 
 // compileAndDescribe runs the compiler and writes the decision report to w.
@@ -45,7 +44,6 @@ func compileAndDescribe(w io.Writer, cfg compileConfig) error {
 	}
 	opts := chet.Options{
 		SecurityBits: cfg.security,
-		CostThreads:  cfg.costThreads,
 		Batch:        cfg.batch,
 		Complex:      cfg.complex,
 	}
@@ -72,9 +70,6 @@ func compileAndDescribe(w io.Writer, cfg compileConfig) error {
 	if err != nil {
 		return err
 	}
-	if cfg.costThreads > 1 {
-		fmt.Fprintf(w, "cost model: %d-thread makespan (LPT binning)\n", cfg.costThreads)
-	}
 	fmt.Fprint(w, chet.Describe(compiled))
 	if cfg.showKeys {
 		fmt.Fprintf(w, "rotation keys (%d): %v\n", len(compiled.Best.Rotations), compiled.Best.Rotations)
@@ -82,6 +77,7 @@ func compileAndDescribe(w io.Writer, cfg compileConfig) error {
 	if cfg.explain {
 		explainSpecial(w, compiled)
 		explainNodes(w, compiled)
+		explainProgram(w, compiled)
 		if compiled.BootPlan != nil {
 			explainBootstrap(w, compiled)
 		}
@@ -158,6 +154,35 @@ func explainNodes(w io.Writer, compiled *chet.Compiled) {
 	}
 }
 
+// explainProgram renders the recorded program every execution replays: its
+// instructions by kind, the most registers live at once in a serial run,
+// and the constant table — its entries, the bytes their nonzero runs take,
+// and what their plaintexts take once encoded at their levels, (ℓ+1)·N·8
+// bytes each (leveled targets only; the mock encodes per use).
+func explainProgram(w io.Writer, compiled *chet.Compiled) {
+	p := compiled.Code
+	var kinds [htc.NumOps]int
+	for _, in := range p.Instrs {
+		kinds[in.Op]++
+	}
+	var runs, bill int64
+	for _, k := range p.Consts {
+		runs += int64(16 * (len(k.Re) + len(k.Im)))
+		if k.Level >= 0 {
+			bill += int64(k.Level+1) << compiled.Best.LogN * 8
+		}
+	}
+	fmt.Fprintf(w, "program: %d instructions, peak %d live registers, %d constants (%.1f KiB of runs, %.1f MiB of plaintexts)\n",
+		len(p.Instrs), p.PeakLive(), len(p.Consts), float64(runs)/(1<<10), float64(bill)/(1<<20))
+	fmt.Fprint(w, " ")
+	for op, n := range kinds {
+		if n > 0 {
+			fmt.Fprintf(w, " %v %d", htc.Op(op), n)
+		}
+	}
+	fmt.Fprintln(w)
+}
+
 // factorNote says what a node did with the factor on its input: absorbed it
 // into its constants, passed it on, or left a new one on its output.
 func factorNote(f circuit.Factor) string {
@@ -182,13 +207,11 @@ func main() {
 	flag.IntVar(&cfg.security, "security", 128, "security level in bits (128/192/256; -1 disables the check)")
 	flag.StringVar(&cfg.scales, "scales", "", "fixed-point scale exponents as Pc,Pw,Pu,Pm (e.g. 40,35,35,30); empty = defaults")
 	flag.BoolVar(&cfg.showKeys, "keys", false, "print the full rotation-key list")
-	flag.IntVar(&cfg.costThreads, "costthreads", 1,
-		"T in the T-thread cost model: estimates become the makespan over T threads (1 = serial sum)")
 	flag.IntVar(&cfg.batch, "batch", 1, "images packed per evaluation (batch-axis slot lanes)")
 	flag.BoolVar(&cfg.complex, "complex", false,
 		"complex packing: two images per lane (real+imaginary slot components)")
 	flag.BoolVar(&cfg.explain, "explain", false,
-		"print the special-prime candidates, each node's instruction counts and share of the estimated cost, and (with -bootstrap) the bootstrap placements")
+		"print the special-prime candidates, each node's instruction counts and share of the estimated cost, the recorded program and its constants, and (with -bootstrap) the bootstrap placements")
 	flag.IntVar(&cfg.bootstrap, "bootstrap", 0,
 		"enable compiler bootstrap placement with this budget window in levels (0 disables; RNS only)")
 	flag.Parse()

@@ -1,28 +1,28 @@
 package main
 
 import (
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 )
 
 // TestCompileAndDescribeSmoke compiles the demo network for both schemes
-// and checks the decision report is rendered, including the T-thread cost
-// model banner.
+// and checks the decision report is rendered.
 func TestCompileAndDescribeSmoke(t *testing.T) {
 	for _, scheme := range []string{"seal", "heaan"} {
 		var sb strings.Builder
 		err := compileAndDescribe(&sb, compileConfig{
-			model:       "LeNet-tiny",
-			scheme:      scheme,
-			security:    -1,
-			showKeys:    true,
-			costThreads: 16,
+			model:    "LeNet-tiny",
+			scheme:   scheme,
+			security: -1,
+			showKeys: true,
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", scheme, err)
 		}
 		out := sb.String()
-		for _, want := range []string{"best layout policy", "rotation keys", "16-thread makespan"} {
+		for _, want := range []string{"best layout policy", "rotation keys"} {
 			if !strings.Contains(out, want) {
 				t.Fatalf("%s: output missing %q:\n%s", scheme, want, out)
 			}
@@ -36,7 +36,8 @@ func TestCompileAndDescribeSmoke(t *testing.T) {
 // pool drop their masks (no reader looks at their invalid slots), the second
 // convolution keeps one per output channel and the Dense its output mask.
 // conv1 scales its output by √(1/8)/2 so that act1 and the pool compute
-// true values, conv2 by √(1/8) for act2, and fc absorbs nothing.
+// true values, conv2 by √(1/8) for act2, and fc absorbs nothing. The
+// program section sums its instructions by kind and bills its constants.
 func TestExplainNamesMasksAndFactors(t *testing.T) {
 	var sb strings.Builder
 	if err := compileAndDescribe(&sb, compileConfig{model: "LeNet-tiny", scheme: "seal", security: 128, explain: true}); err != nil {
@@ -64,6 +65,32 @@ func TestExplainNamesMasksAndFactors(t *testing.T) {
 			t.Errorf("%s row %v: want masks %q and factor %q", want.node, r, want.masks, want.factor)
 		}
 	}
+
+	// The program: 6 constants whose plaintexts take 3.1 MiB at their
+	// levels, and instructions by kind that add up to the total.
+	lines := strings.Split(sb.String(), "\n")
+	for i, line := range lines {
+		var n, peak, consts int
+		var runs, bill float64
+		if _, err := fmt.Sscanf(line, "program: %d instructions, peak %d live registers, %d constants (%f KiB of runs, %f MiB of plaintexts)",
+			&n, &peak, &consts, &runs, &bill); err != nil {
+			continue
+		}
+		if consts != 6 || fmt.Sprintf("%.1f", bill) != "3.1" || peak < 1 || runs <= 0 {
+			t.Errorf("program line %q: want 6 constants in 3.1 MiB of plaintexts", line)
+		}
+		f := strings.Fields(lines[i+1])
+		sum := 0
+		for j := 1; j < len(f); j += 2 {
+			k, _ := strconv.Atoi(f[j])
+			sum += k
+		}
+		if sum != n || !strings.Contains(lines[i+1], "rotsum") {
+			t.Errorf("instructions by kind %q add up to %d, not %d", lines[i+1], sum, n)
+		}
+		return
+	}
+	t.Errorf("no program line:\n%s", sb.String())
 }
 
 // TestExplainSpecialPrimes: -explain's special-prime table gives every α its

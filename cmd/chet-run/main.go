@@ -131,7 +131,7 @@ func runInference(w io.Writer, cfg runConfig) error {
 	if cfg.profile {
 		rows := telemetry.PrecisionProfile(session.Backend, compiled.Program,
 			chet.SyntheticImage(m.InputShape, cfg.seed),
-			compiled.Best.Policy, compiled.Options.Scales, cfg.workers)
+			compiled.Best.Policy, compiled.Options.Scales)
 		fmt.Fprint(w, telemetry.RenderPrecision(rows))
 	}
 	return nil
@@ -164,7 +164,7 @@ func main() {
 	flag.Uint64Var(&cfg.seed, "seed", 7, "synthetic image seed")
 	flag.IntVar(&cfg.images, "images", 1, "number of images to infer")
 	flag.BoolVar(&cfg.insecure, "insecure", false, "use a small demo ring without the security check (fast real-crypto runs)")
-	flag.IntVar(&cfg.workers, "workers", runtime.GOMAXPROCS(0), "worker-pool size for inference, across kernel items and each instruction's limbs (default: one per CPU)")
+	flag.IntVar(&cfg.workers, "workers", runtime.GOMAXPROCS(0), "worker-pool size for inference, across ready instructions and each instruction's limbs (default: one per CPU)")
 	flag.StringVar(&cfg.tracePath, "trace", "", "write per-op spans as Chrome trace_event JSON to this file")
 	flag.BoolVar(&cfg.profile, "profile", false, "run the per-layer precision profiler (plaintext oracle in lockstep) and print its report")
 	flag.Parse()

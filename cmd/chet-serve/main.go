@@ -209,7 +209,7 @@ func main() {
 	flag.StringVar(&cfg.addr, "addr", "127.0.0.1:7002", "address to listen on")
 	flag.StringVar(&cfg.model, "model", "LeNet-tiny", "network to serve")
 	flag.BoolVar(&cfg.insecure, "insecure", false, "use a small demo ring without the security check")
-	flag.IntVar(&cfg.workers, "workers", runtime.GOMAXPROCS(0), "worker-pool size per inference, across kernel items and each instruction's limbs (default: one per CPU)")
+	flag.IntVar(&cfg.workers, "workers", runtime.GOMAXPROCS(0), "worker-pool size per inference, across ready instructions and each instruction's limbs (default: one per CPU)")
 	flag.IntVar(&cfg.parallel, "parallel", 1, "inferences evaluated concurrently")
 	flag.IntVar(&cfg.maxSessions, "max-sessions", 64, "session-registry cap (LRU eviction beyond it)")
 	flag.IntVar(&cfg.queueDepth, "queue-depth", 64, "admission-queue depth (requests beyond it are rejected)")

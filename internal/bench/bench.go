@@ -83,7 +83,7 @@ func fidelity(m *nn.Model) float64 {
 	}
 	img := nn.SyntheticImage(m.InputShape, 11)
 	want := m.Circuit.Evaluate(img)
-	got := comp.Decrypt(b, comp.Execute(b, comp.Encrypt(b, img), htc.ExecOptions{}), 1)[0]
+	got := comp.Decrypt(b, comp.Execute(b, comp.Encrypt(b, img), 1), 1)[0]
 	maxErr := 0.0
 	for i := range want.Data {
 		if e := math.Abs(got.Data[i] - want.Data[i]); e > maxErr {
@@ -319,7 +319,7 @@ func Figure6(models []*nn.Model, logN int) ([]Fig6Point, error) {
 			}
 			enc := comp.Encrypt(b, nn.SyntheticImage(m.InputShape, 23))
 			start := time.Now()
-			comp.Execute(b, enc, htc.ExecOptions{})
+			comp.Execute(b, enc, 1)
 			elapsed := time.Since(start).Seconds()
 			points = append(points, Fig6Point{
 				Name:     m.Name,

@@ -15,7 +15,8 @@ import (
 
 // BootstrapResult records the deep-network bootstrapping experiment: a
 // synthetic MLP too deep for its modulus chain compiles with compiler-placed
-// bootstraps, runs end-to-end encrypted under the Refresher, and is compared
+// bootstraps, runs end-to-end encrypted (the bootstraps are instructions of
+// its program), and is compared
 // against plaintext-tracking lockstep. The single-bootstrap microbenchmark
 // isolates the refresh cost the placements amortize over the network.
 type BootstrapResult struct {
@@ -29,8 +30,9 @@ type BootstrapResult struct {
 	Depth       int
 	ChainPrimes int
 
-	// Placements is the compiler's count; RuntimeBootstraps is the
-	// Refresher's tally. The subsystem's contract is that they agree.
+	// Placements is the compiler's count; RuntimeBootstraps is the Meter's
+	// bootstrap tally over the run. The subsystem's contract is that they
+	// agree.
 	Placements        int
 	RuntimeBootstraps int
 	PlacementParity   bool
@@ -83,21 +85,14 @@ func BootstrapBench(layers, logN, window int, errBudget float64) (BootstrapResul
 
 	// Plaintext-tracking lockstep over the same circuit and layout.
 	ref := hisa.NewRefBackend(1 << (comp.Best.LogN - 1))
-	refOut := comp.Execute(ref, comp.Encrypt(ref, img), htc.ExecOptions{})
-	want := comp.Decrypt(ref, refOut, 1)[0]
+	want := comp.Decrypt(ref, htc.Execute(ref, comp.Program.Circuit, comp.Encrypt(ref, img),
+		comp.Best.Policy, comp.Options.Scales, htc.ExecOptions{}), 1)[0]
 
 	raw, err := core.BuildBackend(comp, ring.NewTestPRNG(0xB007))
 	if err != nil {
 		return BootstrapResult{}, err
 	}
-	backend, err := core.BootBackend(comp, raw)
-	if err != nil {
-		return BootstrapResult{}, err
-	}
-	rf, ok := backend.(*hisa.Refresher)
-	if !ok {
-		return BootstrapResult{}, fmt.Errorf("bench: BootBackend returned %T, want *hisa.Refresher", backend)
-	}
+	backend := hisa.NewMeter(raw, nil)
 
 	// Single-refresh microbenchmark: one ciphertext through the full
 	// ModRaise / CoeffToSlot / EvalMod / SlotToCoeff pipeline.
@@ -123,7 +118,7 @@ func BootstrapBench(layers, logN, window int, errBudget float64) (BootstrapResul
 	raw.Free(ct)
 
 	start = time.Now()
-	out := comp.Execute(backend, comp.Encrypt(backend, img), htc.ExecOptions{})
+	out := comp.Execute(backend, comp.Encrypt(backend, img), 1)
 	runMS := float64(time.Since(start).Nanoseconds()) / 1e6
 	got := comp.Decrypt(backend, out, 1)[0]
 
@@ -146,8 +141,8 @@ func BootstrapBench(layers, logN, window int, errBudget float64) (BootstrapResul
 		ChainPrimes: len(comp.Best.RNSChainBits),
 
 		Placements:        len(p.Placements),
-		RuntimeBootstraps: rf.Bootstraps(),
-		PlacementParity:   rf.Bootstraps() == len(p.Placements),
+		RuntimeBootstraps: backend.Counts()[hisa.OpBootstrap],
+		PlacementParity:   backend.Counts()[hisa.OpBootstrap] == len(p.Placements),
 
 		BootstrapMS: bootMS,
 

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"chet/internal/hisa"
+	"chet/internal/htc"
 )
 
 // Analysis is the compiler's reinterpretation of the HISA (Section 5.1): it
@@ -55,10 +56,6 @@ type Analysis struct {
 	totals    *costTotals
 	model     CostModel
 	totalCost float64
-	// threads is T in the T-thread cost model; opCosts records per-op
-	// costs for the makespan computation when threads > 1.
-	threads int
-	opCosts []float64
 	// batch amortizes the total cost across packed images (>= 1).
 	batch int
 
@@ -66,9 +63,14 @@ type Analysis struct {
 	masks int
 
 	// boot, when non-nil, makes the analysis a hisa.BootstrapBackend: run
-	// under the runtime's hisa.Refresher (see backend), every refresh it
-	// triggers is recorded as a placement.
+	// under a hisa.Refresher (see backend), every refresh it triggers is
+	// recorded as a placement.
 	boot *bootRun
+
+	// rec, when non-nil, records the program the run issues (record); top is
+	// the level its inputs start at, -1 for a target without levels.
+	rec *htc.Recording
+	top int
 }
 
 // bootRun is the bootstrap-placement state of one analysis run.
@@ -109,9 +111,15 @@ const (
 type analysisCT struct {
 	scale    float64
 	consumed float64 // log2 of modulus consumed so far (CKKS bits; RNS primes*bits)
+	reg      int32
 }
 
-type analysisPT struct{ scale float64 }
+// analysisCT and analysisPT name, in a recording run, their register and
+// constant (-1: none).
+type analysisPT struct {
+	scale float64
+	k     int32
+}
 
 // AnalysisConfig parameterizes an analysis run.
 type AnalysisConfig struct {
@@ -129,9 +137,6 @@ type AnalysisConfig struct {
 	// priced at (0 means 1).
 	CostSpecial int
 	Model       *CostModel
-	// CostThreads is T in the T-thread cost model (see LPTMakespan);
-	// values <= 1 keep the serial sum-of-costs estimate.
-	CostThreads int
 	// Batch is the number of images packed per evaluation; CostPerImage
 	// divides the total estimate by it. Values <= 1 mean unbatched.
 	Batch int
@@ -170,7 +175,6 @@ func NewAnalysis(cfg AnalysisConfig) *Analysis {
 		} else {
 			a.model = DefaultCostModel(cfg.Scheme)
 		}
-		a.threads = cfg.CostThreads
 	}
 	a.batch = cfg.Batch
 	if a.batch < 1 {
@@ -187,8 +191,8 @@ func NewAnalysis(cfg AnalysisConfig) *Analysis {
 }
 
 // backend returns what the kernels execute against: the analysis itself or,
-// with bootstrap accounting on, the analysis under the same hisa.Refresher
-// the runtime uses — one trigger rule, so placements equal runtime refreshes.
+// with bootstrap accounting on, the analysis under a hisa.Refresher, whose
+// refreshes a recording run records as bootstrap instructions.
 func (a *Analysis) backend() hisa.Backend {
 	if a.boot == nil {
 		return a
@@ -217,8 +221,11 @@ func (a *Analysis) BudgetOf(c hisa.Ciphertext) int {
 
 func (a *Analysis) FreshBudget() int { return a.boot.cfg.Window }
 
-// DropToFresh is the identity: a fresh fact has consumed nothing.
-func (a *Analysis) DropToFresh(c hisa.Ciphertext) hisa.Ciphertext { return c }
+// DropToFresh changes no fact: a fresh fact has consumed nothing.
+func (a *Analysis) DropToFresh(c hisa.Ciphertext) hisa.Ciphertext {
+	out := *a.ct(c)
+	return a.emit(htc.Instr{Op: htc.OpDropToFresh}, &out, a.ct(c))
+}
 
 // Bootstrap places a bootstrap: record it, charge its instruction inventory,
 // and return a fact reset to the fresh level (consumption zero, scale
@@ -232,7 +239,7 @@ func (a *Analysis) Bootstrap(c hisa.Ciphertext) hisa.Ciphertext {
 		Cost:        a.boot.cost,
 	})
 	a.charge(a.boot.cost)
-	return a.observe(&analysisCT{scale: a.ct(c).scale})
+	return a.emit(htc.Instr{Op: htc.OpBootstrap}, a.observe(&analysisCT{scale: a.ct(c).scale}), a.ct(c))
 }
 
 // Bootstraps returns the number of bootstraps this run placed.
@@ -296,6 +303,80 @@ func (a *Analysis) state(c *analysisCT) state {
 
 // usedPrimes is the number of chain primes a fact's lineage has consumed.
 func (a *Analysis) usedPrimes(c *analysisCT) float64 { return c.consumed / a.rnsPrimeBits }
+
+// level is the level a fact sits at in a recording run (-1 without levels).
+func (a *Analysis) level(c *analysisCT) int {
+	if a.top < 0 {
+		return -1
+	}
+	return a.top - int(math.Round(a.usedPrimes(c)))
+}
+
+// Recording is the program a recording run records into (nil: none).
+func (a *Analysis) Recording() *htc.Recording { return a.rec }
+
+// emit records instruction in, with operands args and result out, a fresh
+// fact, when the run records; the result is out.
+func (a *Analysis) emit(in htc.Instr, out *analysisCT, args ...*analysisCT) *analysisCT {
+	if a.rec == nil {
+		return out
+	}
+	return a.emitMany(in, []hisa.Ciphertext{out}, args...)[0].(*analysisCT)
+}
+
+// emitMany records an instruction with results outs, as emit does, and
+// returns them in its registers. A rotsum's operands are its Sums entry.
+func (a *Analysis) emitMany(in htc.Instr, outs []hisa.Ciphertext, args ...*analysisCT) []hisa.Ciphertext {
+	if a.rec == nil {
+		return outs
+	}
+	regs := make([]int32, len(args))
+	for i, x := range args {
+		regs[i] = x.reg
+	}
+	first := a.ct(outs[0])
+	in.Level, in.Scale = int32(a.level(first)), first.scale
+	r := a.rec.Emit(in, len(outs), regs...)
+	named := make([]hisa.Ciphertext, len(outs))
+	for i, c := range outs {
+		f := *a.ct(c)
+		if f.reg = -1; r >= 0 {
+			f.reg = r + int32(i)
+		}
+		named[i] = &f
+	}
+	return named
+}
+
+// Decided records a scale decision as one instruction (htc's decide).
+func (a *Analysis) Decided(in htc.Instr, vec []float64, args, outs []hisa.Ciphertext) []hisa.Ciphertext {
+	if in.K = -1; vec != nil {
+		in.K = a.constant(vec, nil, 0)
+		a.rec.Use(in.K, a.level(a.ct(args[0])))
+	}
+	facts := make([]*analysisCT, len(args))
+	for i, c := range args {
+		facts[i] = a.ct(c)
+	}
+	return a.emitMany(in, outs, facts...)
+}
+
+// constant adds a constant to a recording run's table (-1: none).
+func (a *Analysis) constant(re, im []float64, scale float64) int32 {
+	if a.rec == nil {
+		return -1
+	}
+	return a.rec.Constant(re, im, scale)
+}
+
+// plain is instruction op with the plaintext operand p, which meets x.
+func (a *Analysis) plain(op htc.Op, x *analysisCT, p hisa.Plaintext) htc.Instr {
+	k := a.pt(p).k
+	if a.rec != nil {
+		a.rec.Use(k, a.level(x))
+	}
+	return htc.Instr{Op: op, K: k}
+}
 
 // rnsState is the RNS modulus state of an operand that has consumed `used`
 // of `primes` chain primes, under α special primes.
@@ -364,12 +445,8 @@ func (a *Analysis) KeySwitchCost(m CostModel, primes float64, alpha int) float64
 }
 
 func (a *Analysis) charge(cost float64) {
-	if a.totals == nil {
-		return
-	}
-	a.totalCost += cost
-	if a.threads > 1 {
-		a.opCosts = append(a.opCosts, cost)
+	if a.totals != nil {
+		a.totalCost += cost
 	}
 }
 
@@ -379,22 +456,30 @@ func (a *Analysis) Encode(m []float64, f float64) hisa.Plaintext {
 	if len(m) > a.slots {
 		panic(fmt.Sprintf("core: %d values exceed %d slots", len(m), a.slots))
 	}
-	return &analysisPT{scale: f}
+	return &analysisPT{scale: f, k: a.constant(m, nil, f)}
 }
 
 func (a *Analysis) Decode(hisa.Plaintext) []float64 { return make([]float64, a.slots) }
 
-func (a *Analysis) Encrypt(p hisa.Plaintext) hisa.Ciphertext {
-	return a.observe(&analysisCT{scale: a.pt(p).scale})
+// Encrypt makes an input: in a recording run, the program's next input
+// register.
+func (a *Analysis) Encrypt(p hisa.Plaintext) hisa.Ciphertext { return a.input(a.pt(p).scale) }
+
+func (a *Analysis) input(scale float64) *analysisCT {
+	c := a.observe(&analysisCT{scale: scale, reg: -1})
+	if a.rec != nil {
+		c.reg = a.rec.Input()
+	}
+	return c
 }
 
 func (a *Analysis) Decrypt(c hisa.Ciphertext) hisa.Plaintext {
-	return &analysisPT{scale: a.ct(c).scale}
+	return &analysisPT{scale: a.ct(c).scale, k: -1}
 }
 
 func (a *Analysis) Copy(c hisa.Ciphertext) hisa.Ciphertext {
 	cc := *a.ct(c)
-	return &cc
+	return a.emit(htc.Instr{Op: htc.OpCopy}, &cc, a.ct(c))
 }
 
 func (a *Analysis) Free(any) {}
@@ -411,57 +496,68 @@ func requireSameScale(s1, s2 float64, op string) {
 	}
 }
 
-func (a *Analysis) Add(c, c2 hisa.Ciphertext) hisa.Ciphertext {
-	x, y := a.ct(c), a.ct(c2)
-	requireSameScale(x.scale, y.scale, "add")
-	a.charge(a.model.Add(a.n, a.state(x)))
-	return a.join(x, y, x.scale)
-}
+func (a *Analysis) Add(c, c2 hisa.Ciphertext) hisa.Ciphertext { return a.add(htc.OpAdd, c, c2) }
+func (a *Analysis) Sub(c, c2 hisa.Ciphertext) hisa.Ciphertext { return a.add(htc.OpSub, c, c2) }
 
-func (a *Analysis) Sub(c, c2 hisa.Ciphertext) hisa.Ciphertext {
+func (a *Analysis) add(op htc.Op, c, c2 hisa.Ciphertext) hisa.Ciphertext {
 	x, y := a.ct(c), a.ct(c2)
-	requireSameScale(x.scale, y.scale, "sub")
+	requireSameScale(x.scale, y.scale, op.String())
 	a.charge(a.model.Add(a.n, a.state(x)))
-	return a.join(x, y, x.scale)
+	return a.emit(htc.Instr{Op: op}, a.join(x, y, x.scale), x, y)
 }
 
 func (a *Analysis) AddPlain(c hisa.Ciphertext, p hisa.Plaintext) hisa.Ciphertext {
-	x := a.ct(c)
-	requireSameScale(x.scale, a.pt(p).scale, "addPlain")
-	a.charge(a.model.Add(a.n, a.state(x)))
-	return a.observe(&analysisCT{scale: x.scale, consumed: x.consumed})
+	return a.addPlain(htc.OpAddPlain, c, p)
 }
 
 func (a *Analysis) SubPlain(c hisa.Ciphertext, p hisa.Plaintext) hisa.Ciphertext {
-	return a.AddPlain(c, p)
+	return a.addPlain(htc.OpSubPlain, c, p)
+}
+
+func (a *Analysis) addPlain(op htc.Op, c hisa.Ciphertext, p hisa.Plaintext) hisa.Ciphertext {
+	x := a.ct(c)
+	requireSameScale(x.scale, a.pt(p).scale, op.String())
+	a.charge(a.model.Add(a.n, a.state(x)))
+	return a.emit(a.plain(op, x, p), a.observe(&analysisCT{scale: x.scale, consumed: x.consumed}), x)
 }
 
 func (a *Analysis) AddScalar(c hisa.Ciphertext, x float64) hisa.Ciphertext {
-	cc := a.ct(c)
-	a.charge(a.model.Add(a.n, a.state(cc)))
-	return a.observe(&analysisCT{scale: cc.scale, consumed: cc.consumed})
+	return a.addScalar(htc.Instr{Op: htc.OpAddScalar, X: x}, c)
 }
 
 func (a *Analysis) SubScalar(c hisa.Ciphertext, x float64) hisa.Ciphertext {
-	return a.AddScalar(c, -x)
+	return a.addScalar(htc.Instr{Op: htc.OpSubScalar, X: x}, c)
 }
 
-func (a *Analysis) Mul(c, c2 hisa.Ciphertext) hisa.Ciphertext {
+func (a *Analysis) addScalar(in htc.Instr, c hisa.Ciphertext) hisa.Ciphertext {
+	cc := a.ct(c)
+	a.charge(a.model.Add(a.n, a.state(cc)))
+	return a.emit(in, a.observe(&analysisCT{scale: cc.scale, consumed: cc.consumed}), cc)
+}
+
+func (a *Analysis) Mul(c, c2 hisa.Ciphertext) hisa.Ciphertext { return a.mul(htc.OpMul, c, c2) }
+
+// MulNoRelin charges like Mul: the dataflow facts (scale, consumed modulus)
+// are identical, and the relinearization cost estimate stays attached to the
+// product for a conservative op model.
+func (a *Analysis) MulNoRelin(c, c2 hisa.Ciphertext) hisa.Ciphertext {
+	return a.mul(htc.OpMulNoRelin, c, c2)
+}
+
+func (a *Analysis) mul(op htc.Op, c, c2 hisa.Ciphertext) hisa.Ciphertext {
 	x, y := a.ct(c), a.ct(c2)
 	a.keySwitch(ksCtMul, x)
 	// The product, at the lower operand's level, is what is relinearized.
 	a.useKey(keyRelin, &analysisCT{consumed: math.Max(x.consumed, y.consumed)})
 	a.charge(a.model.CtMul(a.n, a.state(x)))
-	return a.join(x, y, x.scale*y.scale)
+	return a.emit(htc.Instr{Op: op}, a.join(x, y, x.scale*y.scale), x, y)
 }
 
-// MulNoRelin charges like Mul: the dataflow facts (scale, consumed modulus)
-// are identical, and the relinearization cost estimate stays attached to the
-// product for a conservative op model.
-func (a *Analysis) MulNoRelin(c, c2 hisa.Ciphertext) hisa.Ciphertext { return a.Mul(c, c2) }
-
 // Relinearize is a dataflow no-op: scale and modulus are untouched.
-func (a *Analysis) Relinearize(c hisa.Ciphertext) hisa.Ciphertext { return c }
+func (a *Analysis) Relinearize(c hisa.Ciphertext) hisa.Ciphertext {
+	out := *a.ct(c)
+	return a.emit(htc.Instr{Op: htc.OpRelin}, &out, a.ct(c))
+}
 
 // RelinearizeRescale is Rescale, priced identically: the relinearization is
 // charged to the product (MulNoRelin).
@@ -472,19 +568,26 @@ func (a *Analysis) RelinearizeRescale(c hisa.Ciphertext, x *big.Int) hisa.Cipher
 func (a *Analysis) MulPlain(c hisa.Ciphertext, p hisa.Plaintext) hisa.Ciphertext {
 	x, pp := a.ct(c), a.pt(p)
 	a.charge(a.model.PlainMul(a.n, a.state(x)))
-	return a.observe(&analysisCT{scale: x.scale * pp.scale, consumed: x.consumed})
+	return a.emit(a.plain(htc.OpMulPlain, x, p), a.observe(&analysisCT{scale: x.scale * pp.scale, consumed: x.consumed}), x)
 }
 
 func (a *Analysis) MulScalar(c hisa.Ciphertext, x float64, f float64) hisa.Ciphertext {
 	cc := a.ct(c)
 	a.charge(a.model.ScalarMul(a.n, a.state(cc)))
-	return a.observe(&analysisCT{scale: cc.scale * f, consumed: cc.consumed})
+	return a.emit(htc.Instr{Op: htc.OpMulScalar, X: x, F: f}, a.observe(&analysisCT{scale: cc.scale * f, consumed: cc.consumed}), cc)
 }
 
 func (a *Analysis) RotLeft(c hisa.Ciphertext, x int) hisa.Ciphertext {
-	cc := a.ct(c)
-	steps := hisa.RotationSteps(x, a.slots, a.rotKey)
-	for _, s := range steps {
+	return a.emit(htc.Instr{Op: htc.OpRotLeft, Rot: int32(x)}, a.rotate(a.ct(c), x), a.ct(c))
+}
+
+func (a *Analysis) RotRight(c hisa.Ciphertext, x int) hisa.Ciphertext {
+	return a.emit(htc.Instr{Op: htc.OpRotRight, Rot: int32(x)}, a.rotate(a.ct(c), -x), a.ct(c))
+}
+
+// rotate is the fact of cc rotated left by x, in primitive steps.
+func (a *Analysis) rotate(cc *analysisCT, x int) *analysisCT {
+	for _, s := range hisa.RotationSteps(x, a.slots, a.rotKey) {
 		a.rotations[s]++
 		a.useKey(s, cc)
 		a.keySwitch(ksRotate, cc)
@@ -494,21 +597,37 @@ func (a *Analysis) RotLeft(c hisa.Ciphertext, x int) hisa.Ciphertext {
 	return a.observe(&out)
 }
 
-func (a *Analysis) RotRight(c hisa.Ciphertext, x int) hisa.Ciphertext {
-	return a.RotLeft(c, -x)
-}
-
 // RotSum is the analysis transfer function for sums of rotations: the
-// unfused sequence, run serially (each is unused), with the rotations of a
+// unfused sequence, with the rotations of a
 // source drawn at two or more amounts priced as one hoisted batch — with the
 // RNS target, amounts served by an exact key share one digit decomposition,
 // so setup is charged once and each amount adds only the inner-product step.
 // Amounts that decompose into several primitive steps, a source rotated by
 // a single amount, and the CKKS target are charged per step. The recorded
 // rotation steps are identical to the equivalent RotLeft sequence, so
-// rotation-key selection and op counts do not depend on the pricing.
-func (a *Analysis) RotSum(srcs []hisa.Ciphertext, sums [][]hisa.Term, _ func(n int, fn func(i int))) []hisa.Ciphertext {
-	return hisa.RotSumUnfused(a, srcs, sums, nil, a.rotateBatch)
+// rotation-key selection and op counts do not depend on the pricing. A
+// recording run records the sums as one instruction.
+func (a *Analysis) RotSum(srcs []hisa.Ciphertext, sums [][]hisa.Term) []hisa.Ciphertext {
+	run := func() []hisa.Ciphertext { return hisa.RotSumUnfused(a, srcs, sums, a.rotateBatch) }
+	if a.rec == nil || a.rec.Quiet() {
+		return run()
+	}
+	rs := htc.RotSum{Srcs: make([]int32, 0, len(srcs)), Sums: make([][]htc.Term, len(sums))}
+	for _, c := range srcs {
+		rs.Srcs = append(rs.Srcs, a.ct(c).reg)
+	}
+	for o, terms := range sums {
+		rs.Sums[o] = make([]htc.Term, 0, len(terms))
+		for _, t := range terms {
+			k := int32(-1)
+			if t.Plain != nil {
+				k = a.plain(htc.OpRotSum, a.ct(srcs[t.Src]), t.Plain).K
+			}
+			rs.Sums[o] = append(rs.Sums[o], htc.Term{Src: int32(t.Src), Rot: int32(t.Rot), K: k, X: t.X, F: t.F})
+		}
+	}
+	outs := a.rec.Quietly(run)
+	return a.emitMany(htc.Instr{Op: htc.OpRotSum, K: a.rec.Sum(rs)}, outs)
 }
 
 // rotateBatch rotates c by every amount in ks, hoisting them as RotSum
@@ -533,7 +652,7 @@ func (a *Analysis) rotateBatch(c hisa.Ciphertext, ks []int) []hisa.Ciphertext {
 			outs[i] = a.observe(&out)
 			continue
 		}
-		outs[i] = a.RotLeft(c, x)
+		outs[i] = a.rotate(cc, x)
 	}
 	return outs
 }
@@ -559,7 +678,12 @@ func (a *Analysis) MaxRescale(c hisa.Ciphertext, ub *big.Int) *big.Int {
 	return new(big.Int).Lsh(big.NewInt(1), uint(k*primeBits))
 }
 
+// Rescale runs only inside the scale decisions, which a recording run
+// records whole.
 func (a *Analysis) Rescale(c hisa.Ciphertext, x *big.Int) hisa.Ciphertext {
+	if a.rec != nil && !a.rec.Quiet() {
+		panic("core: a rescale outside a scale decision cannot be recorded")
+	}
 	cc := a.ct(c)
 	if x.Cmp(big.NewInt(1)) == 0 {
 		out := *cc
@@ -585,14 +709,14 @@ func (a *Analysis) Conjugate(c hisa.Ciphertext) hisa.Ciphertext {
 	a.keySwitch(ksRotate, cc)
 	a.charge(a.model.Rotate(a.n, a.state(cc)))
 	out := *cc
-	return a.observe(&out)
+	return a.emit(htc.Instr{Op: htc.OpConj}, a.observe(&out), cc)
 }
 
 func (a *Analysis) EncryptC(m []complex128, f float64) hisa.Ciphertext {
 	if len(m) > a.slots {
 		panic(fmt.Sprintf("core: %d values exceed %d slots", len(m), a.slots))
 	}
-	return a.observe(&analysisCT{scale: f})
+	return a.input(f)
 }
 
 func (a *Analysis) DecryptC(c hisa.Ciphertext) []complex128 {
@@ -603,13 +727,22 @@ func (a *Analysis) DecryptC(c hisa.Ciphertext) []complex128 {
 func (a *Analysis) AddPlainC(c hisa.Ciphertext, m []complex128) hisa.Ciphertext {
 	x := a.ct(c)
 	a.charge(a.model.Add(a.n, a.state(x)))
-	return a.observe(&analysisCT{scale: x.scale, consumed: x.consumed})
+	var k int32 = -1
+	if a.rec != nil {
+		re, im := make([]float64, len(m)), make([]float64, len(m))
+		for i, v := range m {
+			re[i], im[i] = real(v), imag(v)
+		}
+		k = a.rec.Constant(re, im, 0)
+	}
+	return a.emit(htc.Instr{Op: htc.OpAddPlainC, K: k}, a.observe(&analysisCT{scale: x.scale, consumed: x.consumed}), x)
 }
 
 func (a *Analysis) MulScalarC(c hisa.Ciphertext, z complex128, f float64) hisa.Ciphertext {
 	cc := a.ct(c)
 	a.charge(a.model.ScalarMul(a.n, a.state(cc)))
-	return a.observe(&analysisCT{scale: cc.scale * f, consumed: cc.consumed})
+	in := htc.Instr{Op: htc.OpMulScalarC, X: real(z), Y: imag(z), F: f}
+	return a.emit(in, a.observe(&analysisCT{scale: cc.scale * f, consumed: cc.consumed}), cc)
 }
 
 // --- Results ---
@@ -649,15 +782,8 @@ func (a *Analysis) RotationOps() int {
 }
 
 // Cost returns the cost estimate in microseconds (0 unless cost totals
-// were supplied). With CostThreads T > 1 it is the T-thread makespan of
-// the executed ops (see LPTMakespan); otherwise it is the exact serial
-// running sum, unchanged from the single-threaded model.
-func (a *Analysis) Cost() float64 {
-	if a.threads > 1 {
-		return LPTMakespan(a.opCosts, a.threads)
-	}
-	return a.totalCost
-}
+// were supplied): the sum of the executed ops' costs.
+func (a *Analysis) Cost() float64 { return a.totalCost }
 
 // CostPerImage amortizes Cost over the batch lanes: the op sequence of a
 // batched evaluation is identical to the unbatched one (the batch axis

@@ -28,11 +28,11 @@ func (c *Compiled) Encrypt(b hisa.Backend, imgs ...*tensor.Tensor) *htc.CipherTe
 	return htc.EncryptTensor(b, c.Plan(), c.Options.Scales, imgs...)
 }
 
-// Execute runs the compiled program on b under the compiled layout policy
-// and scales: the server side of every session. The input must come from
+// Execute replays the compiled program (Code) on b with up to workers
+// goroutines: the server side of every session. The input must come from
 // Encrypt.
-func (c *Compiled) Execute(b hisa.Backend, in *htc.CipherTensor, opts htc.ExecOptions) *htc.CipherTensor {
-	return htc.Execute(b, c.Program.Circuit, in, c.Best.Policy, c.Options.Scales, opts)
+func (c *Compiled) Execute(b hisa.Backend, in *htc.CipherTensor, workers int) *htc.CipherTensor {
+	return c.Code.Execute(b, in, workers, nil)
 }
 
 // Decrypt recovers the first n images of an encrypted result on b, each in

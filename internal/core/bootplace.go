@@ -1,26 +1,19 @@
 package core
 
-import (
-	"fmt"
-
-	"chet/internal/boot"
-	"chet/internal/hisa"
-)
+import "chet/internal/boot"
 
 // This file is the bootstrap-placement pass. A circuit deeper than any
 // secure modulus chain cannot compile at all without bootstrapping; with
 // Options.Bootstrap the compiler instead lays out a bootstrap chain
 // (boot.Spec.ChainBits: base prime, a working window of data levels, the
 // pipeline's own levels, the CoeffToSlot prime on top) and executes the
-// Analysis interpretation under the runtime's own hisa.Refresher: whenever a
-// multiplicative operand's remaining level falls below the floor, the
-// Refresher bootstraps it, and the analysis records a placement, resets the
-// operand to the fresh level, and charges the bootstrap's full instruction
-// inventory (boot.Spec.Ops) to the cost model. The trigger rule is one
-// function shared with the runtime, and the fresh level and the rescale
-// quantization match the RNS backend's, so the number and order of
-// placements the compiler predicts equal the bootstraps the runtime
-// performs.
+// Analysis interpretation under a hisa.Refresher: whenever a multiplicative
+// operand's remaining level falls below the floor, the Refresher bootstraps
+// it, and the analysis records a placement, resets the operand to the fresh
+// level, and charges the bootstrap's full instruction inventory
+// (boot.Spec.Ops) to the cost model. The recording run's placements are
+// bootstrap instructions of the compiled program (record), so the runtime
+// performs exactly the bootstraps the compiler placed.
 
 // BootstrapOptions enables and configures compiler-placed bootstrapping
 // (Options.Bootstrap). Requires SchemeRNS.
@@ -81,6 +74,9 @@ type BootReport struct {
 	Placements []BootPlacement
 	// EstCost is the summed placement estimate (microseconds).
 	EstCost float64
+	// MinHeadroom is the recording run's low-water mark of levels above the
+	// floor at a refresh decision: zero or below where a refresh fired.
+	MinHeadroom int
 }
 
 // bootSpecFor derives the bootstrap arithmetic for a ring degree under the
@@ -120,19 +116,4 @@ func bootCost(spec boot.Spec, m CostModel, n float64, st state) float64 {
 		float64(ops.CtMuls)*m.CtMul(n, st) +
 		float64(ops.ScalarMuls)*m.ScalarMul(n, st) +
 		float64(ops.Rescales)*m.Rescale(n, st)
-}
-
-// BootBackend wraps a compiled circuit's runtime backend with the
-// hisa.Refresher that realizes the compiler's bootstrap placements; without
-// a BootPlan the backend is returned unchanged. Callers that want the
-// runtime bootstrap tally assert the result to *hisa.Refresher.
-func BootBackend(comp *Compiled, b hisa.Backend) (hisa.Backend, error) {
-	if comp.BootPlan == nil {
-		return b, nil
-	}
-	rf, err := hisa.NewRefresher(b, comp.BootPlan.Floor)
-	if err != nil {
-		return nil, fmt.Errorf("core: wrapping refresher: %w", err)
-	}
-	return rf, nil
 }

@@ -8,6 +8,7 @@ import (
 	"chet/internal/htc"
 	"chet/internal/nn"
 	"chet/internal/ring"
+	"chet/internal/tensor"
 )
 
 // bootOptions compiles at a small insecure ring so real-lattice runs stay
@@ -126,10 +127,11 @@ func TestBootstrapPlacement(t *testing.T) {
 
 // TestBootstrapEndToEnd is the subsystem's closing property: a deep MLP
 // compiles with compiler-placed bootstraps, runs end-to-end encrypted on the
-// real RNS backend under the Refresher, matches the Ref-backend lockstep
-// within the bootstrap epsilon, and performs exactly as many bootstraps as
-// the compiler placed — with and without a constant store — with no key
-// switch above its key's planned level.
+// real RNS backend, matches the Ref-backend lockstep within the bootstrap
+// epsilon, and performs exactly as many bootstraps as the compiler placed —
+// the Meter's bootstrap tally equals len(BootPlan.Placements), also on a
+// second run with the program's constants already encoded, which computes
+// the same bits — with no key switch above its key's planned level.
 func TestBootstrapEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-lattice bootstrap run")
@@ -142,55 +144,37 @@ func TestBootstrapEndToEnd(t *testing.T) {
 
 	img := nn.SyntheticImage(m.InputShape, 7)
 
-	// Plaintext-tracking reference over the same circuit.
+	// Plaintext-tracking reference: the kernels on Ref, which needs no
+	// bootstrap.
 	ref := hisa.NewRefBackend(1 << (comp.Best.LogN - 1))
 	refEnc := htc.EncryptTensor(ref, comp.Plan(), comp.Options.Scales, img)
-	refOut := comp.Execute(ref, refEnc, htc.ExecOptions{})
+	refOut := htc.Execute(ref, comp.Program.Circuit, refEnc, comp.Best.Policy, comp.Options.Scales, htc.ExecOptions{})
 	want := comp.Decrypt(ref, refOut, 1)[0]
 
 	raw, err := BuildBackend(comp, ring.NewTestPRNG(0xDEE9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	backend, err := BootBackend(comp, raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rf := backend.(*hisa.Refresher)
-
+	backend := hisa.NewMeter(raw, nil)
 	enc := htc.EncryptTensor(backend, comp.Plan(), comp.Options.Scales, img)
-	out := comp.Execute(backend, enc, htc.ExecOptions{})
-	got := comp.Decrypt(backend, out, 1)[0]
-
-	if rf.Bootstraps() != len(comp.BootPlan.Placements) {
-		t.Fatalf("runtime performed %d bootstraps, compiler placed %d",
-			rf.Bootstraps(), len(comp.BootPlan.Placements))
-	}
-	if rf.Bootstraps() == 0 {
-		t.Fatal("deep MLP ran without bootstrapping")
+	var outs [2]*tensor.Tensor
+	for run := range outs {
+		before := backend.Counts()[hisa.OpBootstrap]
+		outs[run] = comp.Decrypt(backend, comp.Execute(backend, enc, 2), 1)[0]
+		if n := backend.Counts()[hisa.OpBootstrap] - before; n != len(comp.BootPlan.Placements) || n == 0 {
+			t.Fatalf("run %d: the Meter counted %d bootstraps, the compiler placed %d", run, n, len(comp.BootPlan.Placements))
+		}
 	}
 	if n := raw.(*hisa.RNSBackend).KeyLevelMisses(); n != 0 {
 		t.Fatalf("%d key switches above their key's planned level", n)
 	}
+	got := outs[0]
 	for i := range want.Data {
 		if d := math.Abs(got.Data[i] - want.Data[i]); d > 5e-2 {
 			t.Fatalf("output %d: |%g - %g| = %g exceeds bootstrap epsilon", i, got.Data[i], want.Data[i], d)
 		}
-	}
-
-	// Through a constant store, whose plaintexts sit at the fresh level
-	// because the Refresher may swap a refreshed operand in: the run raises
-	// no level panic, refreshes as often and computes the same bits.
-	before := rf.Bootstraps()
-	stored := comp.Decrypt(backend, comp.Execute(backend, enc, htc.ExecOptions{Constants: htc.NewConstants()}), 1)[0]
-
-	if n := rf.Bootstraps() - before; n != len(comp.BootPlan.Placements) {
-		t.Fatalf("runtime performed %d bootstraps through the store, compiler placed %d",
-			n, len(comp.BootPlan.Placements))
-	}
-	for i := range got.Data {
-		if math.Float64bits(stored.Data[i]) != math.Float64bits(got.Data[i]) {
-			t.Fatalf("output %d: %g through the store, %g without", i, stored.Data[i], got.Data[i])
+		if math.Float64bits(outs[1].Data[i]) != math.Float64bits(got.Data[i]) {
+			t.Fatalf("output %d: %g on the second run, %g on the first", i, outs[1].Data[i], got.Data[i])
 		}
 	}
 }

@@ -37,12 +37,6 @@ type Options struct {
 	// PowerOfTwoRotationsOnly disables CHET's rotation-keys selection and
 	// models the library-default power-of-two keys (the Figure 7 baseline).
 	PowerOfTwoRotationsOnly bool
-	// CostThreads is T in the T-thread cost model: EstimatedCost becomes
-	// the makespan of greedily binning per-op costs onto T threads (the
-	// paper's evaluation machine has 16 cores and its cost analysis takes
-	// the max across threads). 0 or 1 reproduces the serial sum-of-costs
-	// estimate exactly, so existing layout decisions are unchanged.
-	CostThreads int
 	// Batch packs this many images into the slot vector's batch lanes
 	// (nGraph-HE2-style batching): each image occupies a lane of
 	// slots/nextPow2(Batch) slots, one evaluation serves the whole batch,
@@ -178,9 +172,12 @@ type SpecialCandidate struct {
 // trace.
 type Compiled struct {
 	Circuit *circuit.Circuit
-	// Program is the circuit as the runtime executes it (circuit.Fold): analyzed,
-	// priced and recorded by the compiler, executed by every session.
+	// Program is the circuit as the compiler rewrote it (circuit.Fold):
+	// analyzed, priced and recorded.
 	Program *circuit.Program
+	// Code is the recorded HISA program every execution replays
+	// (Compiled.Execute).
+	Code    *htc.Program
 	Options Options
 	Best    PolicyResult
 	Trace   []PolicyResult
@@ -198,7 +195,7 @@ type Compiled struct {
 	// BootPlan is the bootstrap-placement report (Options.Bootstrap set):
 	// the spec the chain was laid out for and every placement, attributed
 	// to circuit nodes. BuildBackend provisions the runtime bootstrapper
-	// from it; BootBackend wraps the backend with the realizing Refresher.
+	// from it; the bootstraps themselves are instructions of Code.
 	BootPlan *BootReport
 }
 
@@ -406,7 +403,6 @@ func compilePolicy(c *circuit.Circuit, policy htc.LayoutPolicy, opts Options) (P
 			CostPrimes:    costPrimes,
 			CostSpecial:   res.SpecialPrimes,
 			Model:         opts.CostModel,
-			CostThreads:   opts.CostThreads,
 			Batch:         opts.Batch,
 			Bootstrap:     bootCfg,
 		})

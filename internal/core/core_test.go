@@ -188,7 +188,7 @@ func TestCompiledSimBackendMeetsPrecision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := comp.Decrypt(b, comp.Execute(b, comp.Encrypt(b, img), htc.ExecOptions{}), 1)[0]
+	got := comp.Decrypt(b, comp.Execute(b, comp.Encrypt(b, img), 1), 1)[0]
 	for i := range want.Data {
 		if math.Abs(got.Data[i]-want.Data[i]) > 1e-2 {
 			t.Fatalf("output %d: got %g want %g", i, got.Data[i], want.Data[i])
@@ -218,7 +218,7 @@ func TestCompiledRNSBackendMeetsPrecision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := comp.Decrypt(b, comp.Execute(b, comp.Encrypt(b, img), htc.ExecOptions{}), 1)[0]
+	got := comp.Decrypt(b, comp.Execute(b, comp.Encrypt(b, img), 1), 1)[0]
 	for i := range want.Data {
 		if math.Abs(got.Data[i]-want.Data[i]) > 1e-2 {
 			t.Fatalf("output %d: got %g want %g", i, got.Data[i], want.Data[i])
@@ -275,7 +275,7 @@ func TestSelectScales(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := c.Evaluate(img)
-	got := comp.Decrypt(b, comp.Execute(b, comp.Encrypt(b, img), htc.ExecOptions{}), 1)[0]
+	got := comp.Decrypt(b, comp.Execute(b, comp.Encrypt(b, img), 1), 1)[0]
 	for i := range want.Data {
 		if math.Abs(got.Data[i]-want.Data[i]) > 0.05 {
 			t.Fatalf("selected scales violate tolerance at output %d: %g vs %g",

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Scheme selects the compilation target.
 type Scheme int
@@ -169,47 +166,6 @@ func (m CostModel) RotateHoistedStep(n float64, st state) float64 {
 		return m.Rotate(n, st)
 	}
 	return m.CRotHoistStep * n * (4*st.digitRows() + math.Log2(n)*2*st.extRows())
-}
-
-// LPTMakespan estimates the wall-clock latency of executing operations
-// with the given per-op costs on T parallel threads: ops are placed in
-// longest-processing-time-first order onto the least-loaded thread and the
-// makespan (maximum thread load) is returned. This is the T-thread
-// extension of the cost analysis — the paper evaluates on a 16-core
-// machine and takes the max across threads rather than the sum. Greedy LPT
-// is within 4/3 of the optimal makespan, which is ample for comparing
-// layout policies.
-//
-// threads <= 1 returns the plain left-to-right running sum, bit-exactly
-// reproducing the serial sum-of-costs model (no reordering, so no
-// floating-point ULP drift against historical estimates).
-func LPTMakespan(costs []float64, threads int) float64 {
-	if threads <= 1 {
-		sum := 0.0
-		for _, c := range costs {
-			sum += c
-		}
-		return sum
-	}
-	sorted := append([]float64(nil), costs...)
-	sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
-	loads := make([]float64, threads)
-	for _, c := range sorted {
-		argmin := 0
-		for i := 1; i < threads; i++ {
-			if loads[i] < loads[argmin] {
-				argmin = i
-			}
-		}
-		loads[argmin] += c
-	}
-	makespan := 0.0
-	for _, l := range loads {
-		if l > makespan {
-			makespan = l
-		}
-	}
-	return makespan
 }
 
 // Rescale returns the cost of a rescaling operation.

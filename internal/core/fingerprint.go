@@ -7,20 +7,22 @@ import (
 	"math"
 	"sort"
 
+	"chet/internal/htc"
 	"chet/internal/tensor"
 )
 
 // fpVersion tags the canonical encoding below; bump it whenever the byte
 // layout of the digest changes, or the program the same inputs compile to
-// (v7: circuit.Fold and the executor's dirty-slot rule), so old and new binaries
-// never agree by accident.
-const fpVersion = "chet-fingerprint-v7"
+// (v8: the recorded program, hashed whole), so old and new binaries never
+// agree by accident.
+const fpVersion = "chet-fingerprint-v8"
 
 // Fingerprint returns a stable digest of everything that must match between
 // two parties for their homomorphic executions of this compilation to be
 // interchangeable: the compiler options, the selected encryption parameters,
 // the layout policy, the fixed-point scales, the rotation-key set, and the
-// circuit itself (structure and weights). Client and server exchange it at
+// circuit itself (structure and weights) and the program it compiles to.
+// Client and server exchange it at
 // session-open so a compilation mismatch is detected before any ciphertext
 // is wasted on an incompatible evaluation.
 //
@@ -100,7 +102,6 @@ func (c *Compiled) Fingerprint() [32]byte {
 	} else {
 		i64(0)
 	}
-	i64(o.CostThreads)
 	i64(o.Batch)
 	if o.Complex {
 		i64(1)
@@ -200,6 +201,48 @@ func (c *Compiled) Fingerprint() [32]byte {
 		ints(n.OutShape)
 	}
 	i64(c.Circuit.Output.ID)
+
+	// The program both parties execute: every instruction and constant,
+	// streamed field by field (a program is megabytes; no copy of it is
+	// made).
+	p := c.Code
+	i64(len(p.Instrs))
+	for _, in := range p.Instrs {
+		for _, v := range [...]int32{int32(in.Op), in.Node, in.Level, in.In[0], in.In[1], in.Out, in.K, in.Rot} {
+			i64(int(v))
+		}
+		for _, v := range [...]float64{in.Scale, in.X, in.Y, in.F} {
+			f64(v)
+		}
+	}
+	for _, rs := range p.Sums {
+		i64(len(rs.Srcs))
+		for _, r := range rs.Srcs {
+			i64(int(r))
+		}
+		for _, terms := range rs.Sums {
+			i64(len(terms))
+			for _, t := range terms {
+				for _, v := range [...]int32{t.Src, t.Rot, t.K} {
+					i64(int(v))
+				}
+				f64(t.X)
+				f64(t.F)
+			}
+		}
+	}
+	for _, k := range p.Consts {
+		for _, runs := range [2][]htc.Run{k.Re, k.Im} {
+			i64(len(runs))
+			for _, r := range runs {
+				i64(int(r.Start))
+				i64(int(r.Len))
+				f64(r.Value)
+			}
+		}
+		f64(k.Scale)
+		i64(k.Level)
+	}
 
 	var out [32]byte
 	h.Sum(out[:0])

@@ -69,7 +69,6 @@ func TestFingerprintFlipsOnOptionsChange(t *testing.T) {
 			o.CostModel = &m
 		},
 		"PowerOfTwoRotationsOnly": func(o *Options) { o.PowerOfTwoRotationsOnly = true },
-		"CostThreads":             func(o *Options) { o.CostThreads = 4 },
 	}
 
 	for name, mutate := range mutations {
@@ -111,20 +110,20 @@ func TestFingerprintFlipsOnPackingOptions(t *testing.T) {
 	}
 }
 
-// TestFingerprintV7Golden pins the canonical v7 encoding to a known digest.
+// TestFingerprintV8Golden pins the canonical v8 encoding to a known digest.
 // The fingerprint is a wire-visible contract — both sides of the session-open
 // handshake must compute the same bytes — so any change to the byte layout
 // must come with a version bump (fpVersion), not a silent drift. If this test
 // fails and you did not intend an encoding change, you broke compatibility
 // with deployed peers; if you did intend it, bump fpVersion and refresh the
 // constant below. The digest also covers what the compiler decided — a kernel
-// change that moves this compilation's rotation-key set or key plan (the
-// packed Dense did) moves it with the byte layout and the version unchanged;
-// paste the digest the failing run prints.
-func TestFingerprintV7Golden(t *testing.T) {
-	const want = "10907a14a98d007ad7db856d8530383e9518a652f9738ad49ef287adce9ea547"
+// change that moves this compilation's program, rotation-key set or key plan
+// moves it with the byte layout and the version unchanged; paste the digest
+// the failing run prints.
+func TestFingerprintV8Golden(t *testing.T) {
+	const want = "4d6009bcec9ceb7696e4a202b1630fc302a1e1e9f7438811117483430696050e"
 	if got := fpCompile(t, fpBaseOptions()).FingerprintHex(); got != want {
-		t.Fatalf("fingerprint v7 golden mismatch:\n got %s\nwant %s", got, want)
+		t.Fatalf("fingerprint v8 golden mismatch:\n got %s\nwant %s", got, want)
 	}
 }
 

@@ -135,7 +135,7 @@ func runtimeRotationsWithinKeys(t *testing.T, name string, comp *Compiled, c *ci
 		}
 	})
 	enc := htc.EncryptTensor(&b, comp.Plan(), comp.Options.Scales, tensor.New(c.Input.OutShape...))
-	comp.Execute(&b, enc, htc.ExecOptions{Workers: 4})
+	comp.Execute(&b, enc, 4)
 	if len(missing) > 0 {
 		t.Errorf("%s: runtime rotated by %v, not among the %d compiled keys", name, missing, len(keys))
 	}
@@ -164,7 +164,7 @@ func keyLevelsWithinPlan(t *testing.T, name string, comp *Compiled, c *circuit.C
 		t.Fatal(err)
 	}
 	enc := htc.EncryptTensor(b, comp.Plan(), comp.Options.Scales, tensor.New(c.Input.OutShape...))
-	comp.Execute(b, enc, htc.ExecOptions{Workers: 2})
+	comp.Execute(b, enc, 2)
 	if n := b.(*hisa.RNSBackend).KeyLevelMisses(); n != 0 {
 		t.Errorf("%s: %d key switches above their key's planned level", name, n)
 	}

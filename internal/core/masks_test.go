@@ -83,17 +83,16 @@ func TestZooMatchesEvaluateOnRef(t *testing.T) {
 			ref := hisa.NewRefBackend(1 << uint(comp.Best.LogN-1))
 			var masks []int // per node after the input, in execution order
 			cur := 0
-			b := hisa.NewInterposer(ref, "masks", nil, func(op *hisa.Op) {
+			b := &nodeScopes{Interposer: hisa.NewInterposer(ref, "masks", nil, func(op *hisa.Op) {
 				if op.Kind == hisa.OpMulPlain && op.Out != nil && ref.Scale(op.Out) == ref.Scale(op.In)*maskScales.Pm {
 					cur++
 				}
-			})
-			out := comp.Execute(&b, comp.Encrypt(&b, img), htc.ExecOptions{OnNode: func(n *circuit.Node, _ *htc.CipherTensor) {
-				if n.Kind != circuit.OpInput {
-					masks = append(masks, cur)
-				}
+			})}
+			b.end = func() {
+				masks = append(masks, cur)
 				cur = 0
-			}})
+			}
+			out := comp.Execute(b, comp.Encrypt(b, img), 1)
 			if len(masks) != len(comp.Nodes) {
 				t.Fatalf("%s: %d nodes ran, Compiled.Nodes has %d", name, len(masks), len(comp.Nodes))
 			}
@@ -112,6 +111,15 @@ func TestZooMatchesEvaluateOnRef(t *testing.T) {
 		}
 	}
 }
+
+// nodeScopes is a backend whose scopes (one per circuit node, opened by the
+// program's execution) end with end.
+type nodeScopes struct {
+	hisa.Interposer
+	end func()
+}
+
+func (s *nodeScopes) StartScope(string) func() { return s.end }
 
 // requireInvalidSlotsZero fails unless every slot of ct outside its valid
 // positions, in every lane, is zero.
@@ -160,7 +168,7 @@ func TestLeNetTinyBatchedComplexRNS(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		outs := comp.Decrypt(b, comp.Execute(b, comp.Encrypt(b, imgs...), htc.ExecOptions{Workers: 2}), len(imgs))
+		outs := comp.Decrypt(b, comp.Execute(b, comp.Encrypt(b, imgs...), 2), len(imgs))
 		for i, img := range imgs {
 			want := m.Circuit.Evaluate(img)
 			for j := range want.Data {
@@ -234,7 +242,7 @@ func TestBatchNormFoldsIntoConv(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		got := comp.Decrypt(b, comp.Execute(b, comp.Encrypt(b, img), htc.ExecOptions{}), 1)[0]
+		got := comp.Decrypt(b, comp.Execute(b, comp.Encrypt(b, img), 1), 1)[0]
 		for i := range want.Data {
 			if d := math.Abs(got.Data[i] - want.Data[i]); d > tc.tol {
 				t.Fatalf("%s: output %d = %g, want %g", tc.name, i, got.Data[i], want.Data[i])
@@ -244,7 +252,7 @@ func TestBatchNormFoldsIntoConv(t *testing.T) {
 }
 
 // TestCHWHoldsNoMoreConstantsThanHW: at the lenet5-small benchmark options
-// a CHW compilation of LeNet-5-small stores no more encoded constants than
+// a CHW compilation of LeNet-5-small holds no more encoded constants than
 // an HW one. Its convolutions read one channel per ciphertext, so they take
 // the HW path's scalar taps under either layout instead of holding a weight
 // plaintext per tap and output channel.
@@ -267,9 +275,8 @@ func TestCHWHoldsNoMoreConstantsThanHW(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		store := htc.NewConstants()
-		comp.Execute(b, comp.Encrypt(b, img), htc.ExecOptions{Workers: 2, Constants: store})
-		plaintexts[i], bytes[i] = store.Plaintexts(), store.Bytes()
+		comp.Execute(b, comp.Encrypt(b, img), 2)
+		plaintexts[i], bytes[i] = comp.Code.Plaintexts(), comp.Code.Bytes()
 	}
 	t.Logf("HW %d plaintexts (%.1f MiB), CHW %d (%.1f MiB)",
 		plaintexts[0], float64(bytes[0])/(1<<20), plaintexts[1], float64(bytes[1])/(1<<20))

@@ -36,7 +36,9 @@ type NodeCost struct {
 // with every refresh attributed to the circuit node and the instruction that
 // triggered it (comp.BootPlan).
 // The run replays the parameter pass's refresh trigger, so its placements
-// are the ones that sized the chain.
+// are the ones that sized the chain. It records the program every execution
+// replays (comp.Code): the analysis records below the Refresher, so every
+// refresh is a bootstrap instruction.
 func record(c *circuit.Circuit, comp *Compiled) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -46,13 +48,18 @@ func record(c *circuit.Circuit, comp *Compiled) (err error) {
 	opts := comp.Options
 	cfg := comp.bootConfig()
 	a := recordAnalysis(comp, cfg)
+	a.rec, a.top = htc.NewRecording(), -1
+	if opts.Scheme == SchemeRNS {
+		a.top = freshLevel(comp, cfg)
+	}
+	below := a.backend()
 
 	// One observer above the Refresher tallies every instruction for the
 	// node table and sees each one complete right after the refreshes it
 	// triggered: those placements take its mnemonic.
 	var counts hisa.OpCounts
 	tagged := 0
-	b := hisa.NewInterposer(a.backend(), "record", nil, func(op *hisa.Op) {
+	b := hisa.NewInterposer(below, "record", nil, func(op *hisa.Op) {
 		counts[op.Kind]++
 		for ps := a.BootPlacements(); tagged < len(ps); tagged++ {
 			ps[tagged].Op = op.Kind.String()
@@ -71,6 +78,7 @@ func record(c *circuit.Circuit, comp *Compiled) (err error) {
 	var prev hisa.OpCounts
 	prevCost, prevMasks := 0.0, 0
 	onNode := func(n *circuit.Node, _ *htc.CipherTensor) {
+		a.rec.EndNode(n.ID)
 		name := fmt.Sprintf("%v:%s", n.Kind, n.Name)
 		attribute(n.ID, name)
 		if n.Kind == circuit.OpInput {
@@ -91,7 +99,10 @@ func record(c *circuit.Circuit, comp *Compiled) (err error) {
 
 	img := tensor.New(c.Input.OutShape...)
 	enc := htc.EncryptTensor(&b, comp.Plan(), opts.Scales, img)
-	htc.Execute(&b, c, enc, comp.Best.Policy, opts.Scales, htc.ExecOptions{OnNode: onNode})
+	out := htc.Execute(&b, c, enc, comp.Best.Policy, opts.Scales, htc.ExecOptions{OnNode: onNode})
+	comp.Code = a.rec.Program(c, enc, out, func(h hisa.Ciphertext) int32 { return a.ct(h).reg })
+	comp.Code.Counts = counts
+	comp.Code.Counts[hisa.OpBootstrap] += len(a.BootPlacements())
 	if opts.Scheme == SchemeRNS {
 		comp.Keys = keyPlan(comp, a, cfg)
 	}
@@ -113,6 +124,7 @@ func record(c *circuit.Circuit, comp *Compiled) (err error) {
 		Placements: placements,
 		EstCost:    total,
 	}
+	comp.BootPlan.MinHeadroom, _ = below.(*hisa.Refresher).MinHeadroom()
 	return nil
 }
 
@@ -143,11 +155,7 @@ func recordAnalysis(comp *Compiled, cfg *BootConfig) *Analysis {
 // add (hisa.RNSConfig.KeyShape).
 func keyPlan(comp *Compiled, a *Analysis, cfg *BootConfig) *hisa.KeyPlan {
 	top := len(comp.Best.RNSChainBits) - 1
-	fresh := top
-	if cfg != nil {
-		fresh = cfg.Window
-	}
-	plan := a.KeyPlan(fresh)
+	plan := a.KeyPlan(freshLevel(comp, cfg))
 	slots := 1 << uint(comp.Best.LogN-1)
 	if comp.Options.PowerOfTwoRotationsOnly {
 		plan.Rotations = map[int]int{}
@@ -156,4 +164,13 @@ func keyPlan(comp *Compiled, a *Analysis, cfg *BootConfig) *hisa.KeyPlan {
 		}
 	}
 	return plan
+}
+
+// freshLevel is the level an input ciphertext starts the program at: the top
+// of the chain, or the bootstrap window's top.
+func freshLevel(comp *Compiled, cfg *BootConfig) int {
+	if cfg != nil {
+		return cfg.Window
+	}
+	return len(comp.Best.RNSChainBits) - 1
 }

@@ -50,7 +50,7 @@ func TestNodeTableMatchesRuntime(t *testing.T) {
 		}
 		m := hisa.NewMeter(b, nil)
 		enc := htc.EncryptTensor(m, comp.Plan(), comp.Options.Scales, tc.img)
-		comp.Execute(m, enc, htc.ExecOptions{Workers: 4})
+		comp.Execute(m, enc, 4)
 		got := m.Counts()
 		runtime := [4]int{got.Rotations(), got[hisa.OpMulPlain], got[hisa.OpRescale], got[hisa.OpRelin]}
 
@@ -64,25 +64,15 @@ func TestNodeTableMatchesRuntime(t *testing.T) {
 	}
 }
 
-// TestAnalysisIssuesRuntimeStream holds the compiler's recording run to the
-// runtime it plans for: the instructions the kernels issue against the
-// recording analysis are, kind for kind and in order, the ones they issue
-// against the real RNS backend (encodes and encryptions aside, which differ
-// by how the input and constants reach the backend, not by the circuit).
-func TestAnalysisIssuesRuntimeStream(t *testing.T) {
+// TestRNSExecutesTheProgram holds the runtime to the compiled program: on
+// the real lattice backend, LeNet-tiny and LeNet-5-small, real and complex
+// packed, run every instruction exactly once, each result at its planned
+// level, and the Meter counts exactly the HISA instructions of every kind
+// that the recording run issued. Encodes and encryptions are the session's,
+// not the program's, and are not compared.
+func TestRNSExecutesTheProgram(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real lattice execution is slow; run without -short")
-	}
-	stream := func(b hisa.Backend, comp *Compiled, img *tensor.Tensor, opts htc.ExecOptions) []hisa.OpKind {
-		var kinds []hisa.OpKind
-		rec := hisa.NewInterposer(b, "stream", nil, func(op *hisa.Op) {
-			if op.Kind != hisa.OpEncode && op.Kind != hisa.OpEncrypt {
-				kinds = append(kinds, op.Kind)
-			}
-		})
-		enc := htc.EncryptTensor(&rec, comp.Plan(), comp.Options.Scales, img)
-		comp.Execute(&rec, enc, opts)
-		return kinds
 	}
 	for _, model := range []*nn.Model{nn.LeNetTiny(), nn.LeNet5Small()} {
 		for _, complexPack := range []bool{false, true} {
@@ -94,20 +84,36 @@ func TestAnalysisIssuesRuntimeStream(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s complex=%v: %v", model.Name, complexPack, err)
 			}
-			img := nn.SyntheticImage(model.InputShape, 7)
-			runtime, err := BuildBackend(comp, ring.NewTestPRNG(7))
+			b, err := BuildBackend(comp, ring.NewTestPRNG(7))
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := stream(recordAnalysis(comp, nil).backend(), comp, img, htc.ExecOptions{})
-			want := stream(runtime, comp, img, htc.ExecOptions{Workers: 1, Constants: htc.NewConstants()})
-			for i := 0; i < len(got) && i < len(want); i++ {
-				if got[i] != want[i] {
-					t.Fatalf("%s complex=%v: op %d is %v in the analysis, %v at run time", model.Name, complexPack, i, got[i], want[i])
+			lv, _ := hisa.AsLeveledEncode(b)
+			m := hisa.NewMeter(b, nil)
+			enc := comp.Encrypt(m, nn.SyntheticImage(model.InputShape, 7))
+			before := m.Counts()
+			runs := make([]int, len(comp.Code.Instrs))
+			comp.Code.Execute(m, enc, 2, func(i int, outs []hisa.Ciphertext) {
+				runs[i]++
+				if got, want := lv.LevelOf(outs[0]), int(comp.Code.Instrs[i].Level); got != want {
+					t.Errorf("%s complex=%v: instruction %d (%v) at level %d, planned %d",
+						model.Name, complexPack, i, comp.Code.Instrs[i].Op, got, want)
+				}
+			})
+			for i, n := range runs {
+				if n != 1 {
+					t.Fatalf("%s complex=%v: instruction %d ran %d times", model.Name, complexPack, i, n)
 				}
 			}
-			if len(got) != len(want) || len(got) == 0 {
-				t.Fatalf("%s complex=%v: analysis issues %d ops, runtime %d", model.Name, complexPack, len(got), len(want))
+			after := m.Counts()
+			for k := hisa.OpKind(0); k < hisa.NumOps; k++ {
+				switch k {
+				case hisa.OpEncode, hisa.OpEncrypt, hisa.OpDecrypt, hisa.OpDecode:
+					continue
+				}
+				if got, want := after[k]-before[k], comp.Code.Counts[k]; got != want {
+					t.Errorf("%s complex=%v: %d %v at run time, the program has %d", model.Name, complexPack, got, k, want)
+				}
 			}
 		}
 	}
@@ -140,7 +146,7 @@ func TestModDownsPerInference(t *testing.T) {
 	enc := htc.EncryptTensor(m, comp.Plan(), comp.Options.Scales, nn.SyntheticImage(tiny.InputShape, 7))
 	before := rns.ModDowns()
 	fwd0, inv0 := rns.NTTs()
-	comp.Execute(m, enc, htc.ExecOptions{Workers: 2})
+	comp.Execute(m, enc, 2)
 	got := rns.ModDowns() - before
 	fwd1, inv1 := rns.NTTs()
 	counts := m.Counts()
@@ -156,9 +162,11 @@ func TestModDownsPerInference(t *testing.T) {
 
 // TestNTTsPerInference pins how many one-row transforms a LeNet-tiny
 // inference runs on RNS-CKKS at N = 2^11, forward and inverse, counted on
-// the backend's ring from encrypted input to encrypted output. The count is
-// fixed by the instruction stream and the key-switch structure (digits,
-// special primes, one ModDown per sum output), not by how a transform or a
+// the backend's ring from encrypted input to encrypted output: the first
+// inference, which encodes the program's constants at their levels, and a
+// later one, which finds them encoded. The count is fixed by the
+// instruction stream and the key-switch structure (digits, special primes,
+// one ModDown per sum output), not by how a transform or a
 // multiply-accumulate is computed, so a kernel rewrite must leave it alone;
 // a change of the count is a change of what the runtime does.
 func TestNTTsPerInference(t *testing.T) {
@@ -176,13 +184,15 @@ func TestNTTsPerInference(t *testing.T) {
 	}
 	rns := b.(*hisa.RNSBackend)
 	enc := htc.EncryptTensor(b, comp.Plan(), comp.Options.Scales, nn.SyntheticImage(tiny.InputShape, 7))
-	fwd0, inv0 := rns.NTTs()
-	comp.Execute(b, enc, htc.ExecOptions{Workers: 2})
-	fwd1, inv1 := rns.NTTs()
-	fwd, inv := fwd1-fwd0, inv1-inv0
-	t.Logf("N = 2^11: %d forward and %d inverse NTTs per inference", fwd, inv)
-	if want := [2]int64{1177, 417}; [2]int64{fwd, inv} != want {
-		t.Fatalf("%d forward and %d inverse NTTs per inference, want %d and %d", fwd, inv, want[0], want[1])
+	for i, want := range [][2]int64{{1017, 417}, {655, 345}} {
+		fwd0, inv0 := rns.NTTs()
+		comp.Execute(b, enc, 2)
+		fwd1, inv1 := rns.NTTs()
+		fwd, inv := fwd1-fwd0, inv1-inv0
+		t.Logf("N = 2^11, inference %d: %d forward and %d inverse NTTs", i+1, fwd, inv)
+		if [2]int64{fwd, inv} != want {
+			t.Fatalf("inference %d: %d forward and %d inverse NTTs, want %d and %d", i+1, fwd, inv, want[0], want[1])
+		}
 	}
 }
 

@@ -120,7 +120,7 @@ func scalesAcceptable(c *circuit.Circuit, inputs, refs []*tensor.Tensor,
 		NoNoise: true, // deterministic values; noise enters via the 6-sigma bound
 	})
 	for i, in := range inputs {
-		out := comp.Execute(b, comp.Encrypt(b, in), htc.ExecOptions{})
+		out := comp.Execute(b, comp.Encrypt(b, in), 1)
 		noiseBound := 0.0
 		for _, ct := range out.CTs {
 			if n := 6 * b.NoiseOf(ct); n > noiseBound {

@@ -33,7 +33,7 @@ type Plaintext any
 // kernel never branches on what the backend can do.
 //
 // Concurrency contract: the executable backends (Ref, Sim, RNS) and the
-// observers over them (Meter, Refresher, telemetry.Tracer) are safe for
+// observers over them (Meter, telemetry.Tracer) are safe for
 // concurrent op execution — any number of goroutines may issue
 // Encode/arith/rotate/rescale calls on one backend, including on shared
 // ciphertext handles, because ciphertexts are immutable once produced. Results are deterministic functions of their inputs, so a
@@ -41,9 +41,9 @@ type Plaintext any
 // bit-identical to the serial one. Encrypt/Decrypt draw from a (possibly
 // seeded) PRNG and are serialized internally; concurrent callers therefore
 // race only on *which* random stream element they consume, not on memory.
-// The compiler's analysis interpretations (core.Analysis) are exempt from
-// this contract: they accumulate dataflow facts without locks and must be
-// executed serially (Workers == 1), which the compiler guarantees.
+// The compiler's analysis interpretations (core.Analysis) and its
+// Refresher are exempt from this contract: they accumulate dataflow facts
+// and record the program without locks and run serially.
 type Backend interface {
 	// Name identifies the backend ("ref", "ckks-sim", "rns-ckks", ...).
 	Name() string
@@ -61,7 +61,8 @@ type Backend interface {
 	Free(h any)
 
 	// Encode encodes a vector of reals (len <= Slots, zero-padded) into a
-	// plaintext with fixed-point scaling factor f.
+	// plaintext with fixed-point scaling factor f. The plaintext does not
+	// hold m: the caller may reuse it.
 	Encode(m []float64, f float64) Plaintext
 	// Decode decodes a plaintext back into a vector of reals.
 	Decode(p Plaintext) []float64
@@ -76,11 +77,9 @@ type Backend interface {
 	// semantics are RotSumUnfused — exactly on backends that compute
 	// exactly, within the key switch's rounding on lattice backends, where
 	// the RNS backend divides by the special modulus once per output instead
-	// of once per rotation (internal/ckks rotsum.go). each spreads an
-	// unfused sequence's rotations and sums across goroutines (nil: one
-	// after another); a backend that computes the sums whole ignores it.
-	// Outputs are fresh ciphertexts; the sources stay the caller's.
-	RotSum(srcs []Ciphertext, sums [][]Term, each func(n int, fn func(i int))) []Ciphertext
+	// of once per rotation (internal/ckks rotsum.go). Outputs are fresh
+	// ciphertexts; the sources stay the caller's.
+	RotSum(srcs []Ciphertext, sums [][]Term) []Ciphertext
 
 	Add(c, c2 Ciphertext) Ciphertext
 	AddPlain(c Ciphertext, p Plaintext) Ciphertext
@@ -197,10 +196,10 @@ func AsBootstrap(b Backend) (BootstrapBackend, bool) {
 // and encoding is row-independent, so a product with a plaintext encoded at
 // the ciphertext's own level is bit-identical to one with a top-level
 // plaintext — at a fraction of the encoding work and memory. It stays
-// optional because only RNS plaintexts carry a level: the kernels encode
-// their constants through the session's store (htc.Constants) only on a
-// backend that has it, and routing the mocks through that store would keep
-// every mock plaintext alive for the session's lifetime to save no work.
+// optional because only RNS plaintexts carry a level: a program
+// (htc.Program) keeps its constants encoded only on a backend that has it,
+// and keeping the mocks' would hold every mock plaintext for the program's
+// lifetime to save no work.
 type LeveledEncodeBackend interface {
 	// LeveledEncodeCapable reports whether the instance actually supports
 	// the capability; the Interposer forwards EncodeAt unconditionally, so

@@ -219,9 +219,9 @@ func (ip *Interposer) RotRight(c Ciphertext, x int) Ciphertext {
 }
 
 // RotSum forwards the sums whole and reports them as their unfused sequence.
-func (ip *Interposer) RotSum(srcs []Ciphertext, sums [][]Term, each func(n int, fn func(i int))) []Ciphertext {
+func (ip *Interposer) RotSum(srcs []Ciphertext, sums [][]Term) []Ciphertext {
 	start := time.Now()
-	outs := ip.inner.RotSum(srcs, sums, each)
+	outs := ip.inner.RotSum(srcs, sums)
 	if ip.after != nil {
 		ip.reportRotSum(srcs, sums, outs, start, time.Since(start))
 	}

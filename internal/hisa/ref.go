@@ -3,6 +3,7 @@ package hisa
 import (
 	"fmt"
 	"math/big"
+	"sync/atomic"
 )
 
 // RefBackend executes HISA instructions on plaintext vectors. It is the
@@ -19,6 +20,9 @@ import (
 // multiplication is the complex slot product, exactly as in the scheme.
 type RefBackend struct {
 	slots int
+	// workers bounds the goroutines one RotSum spreads across
+	// (SetIntraOpWorkers).
+	workers atomic.Int32
 }
 
 // NewRefBackend creates a reference backend with the given SIMD width.
@@ -182,10 +186,15 @@ func (b *RefBackend) RelinearizeRescale(c Ciphertext, x *big.Int) Ciphertext {
 	return b.Rescale(c, x)
 }
 
-// RotSum is the unfused sequence, spread by each.
-func (b *RefBackend) RotSum(srcs []Ciphertext, sums [][]Term, each func(n int, fn func(i int))) []Ciphertext {
-	return RotSumUnfused(b, srcs, sums, each, nil)
+// RotSum is the unfused sequence, its rotations and sums spread across the
+// intra-instruction workers.
+func (b *RefBackend) RotSum(srcs []Ciphertext, sums [][]Term) []Ciphertext {
+	return rotSumUnfused(b, srcs, sums, nil, int(b.workers.Load()))
 }
+
+// SetIntraOpWorkers bounds the goroutines one RotSum spreads its rotations
+// and sums across; 1 is serial, and the result does not depend on it.
+func (b *RefBackend) SetIntraOpWorkers(n int) { b.workers.Store(int32(n)) }
 
 func (b *RefBackend) AddPlain(c Ciphertext, p Plaintext) Ciphertext {
 	x, y := b.ct(c), b.pt(p)

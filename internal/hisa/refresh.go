@@ -3,32 +3,31 @@ package hisa
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 )
 
 // Refresher wraps a bootstrap-capable backend and keeps every ciphertext's
 // multiplicative budget above a floor: before each budget-consuming
 // operation (ciphertext, plaintext, and scalar multiplications) it
 // bootstraps any operand whose remaining budget has fallen below the floor.
-// Fresh encryptions are dropped to the backend's fresh level, so runtime
-// budgets track the compiler's placement model from the first op — the
-// number of bootstraps the Refresher performs on a compiled circuit equals
-// the number the placement pass predicted.
+// Fresh encryptions are dropped to the backend's fresh level, so budgets
+// track the compiler's placement model from the first op. It is the
+// compiler's placement trigger: the recording run executes under it, and
+// the bootstraps and drops it issues are instructions of the compiled
+// program, which every execution replays without it.
 //
 // The Refresher frees every intermediate it creates (bootstrapped operands,
 // pre-drop encryptions) and never frees caller-owned handles, preserving the
-// backend's ownership discipline. Like the backends it wraps, it is safe for
-// concurrent op execution; the bootstrap tally is atomic.
+// backend's ownership discipline. Like the analysis it drives, it runs
+// serially.
 type Refresher struct {
 	Interposer
-	floor int
-
-	bootstraps atomic.Int64
+	floor      int
+	bootstraps int
 	// minHeadroom is the low-water mark of (budget - floor) observed at
 	// refresh decisions — how close any lineage has come to (or gone below)
-	// the refresh trigger. Sentinel math.MaxInt64 means "no multiplicative
-	// op yet".
-	minHeadroom atomic.Int64
+	// the refresh trigger. Sentinel math.MaxInt means "no multiplicative op
+	// yet".
+	minHeadroom int
 }
 
 // NewRefresher wraps inner, which must be bootstrap-capable (possibly
@@ -43,42 +42,21 @@ func NewRefresher(inner Backend, floor int) (*Refresher, error) {
 	if floor <= 0 {
 		floor = 1
 	}
-	r := &Refresher{floor: floor}
+	r := &Refresher{floor: floor, minHeadroom: math.MaxInt}
 	r.Interposer = NewInterposer(inner, "refresh", r.refreshOperands, r.afterOp)
-	r.minHeadroom.Store(math.MaxInt64)
 	return r, nil
 }
 
 // Bootstraps reports how many bootstraps the Refresher has performed
 // (triggered refreshes plus explicit Bootstrap calls).
-func (r *Refresher) Bootstraps() int { return int(r.bootstraps.Load()) }
-
-// Floor reports the configured minimum budget.
-func (r *Refresher) Floor() int { return r.floor }
+func (r *Refresher) Bootstraps() int { return r.bootstraps }
 
 // MinHeadroom reports the low-water mark of (budget - floor) seen at
 // refresh decisions — the closest any multiplicative operand has come to
 // the refresh trigger (zero or negative means a refresh fired). ok is
 // false until the first multiplicative op.
 func (r *Refresher) MinHeadroom() (headroom int, ok bool) {
-	v := r.minHeadroom.Load()
-	if v == math.MaxInt64 {
-		return 0, false
-	}
-	return int(v), true
-}
-
-// observeHeadroom folds one refresh decision into the low-water mark.
-func (r *Refresher) observeHeadroom(h int64) {
-	for {
-		cur := r.minHeadroom.Load()
-		if h >= cur {
-			return
-		}
-		if r.minHeadroom.CompareAndSwap(cur, h) {
-			return
-		}
-	}
+	return r.minHeadroom, r.minHeadroom != math.MaxInt
 }
 
 // refreshOperands is the before-hook: the ciphertext operands of a
@@ -105,7 +83,7 @@ func (r *Refresher) refreshOperands(op *Op) {
 // frees the replacement after the multiplication.
 func (r *Refresher) refreshed(c Ciphertext) Ciphertext {
 	budget := r.BudgetOf(c)
-	r.observeHeadroom(int64(budget - r.floor))
+	r.minHeadroom = min(r.minHeadroom, budget-r.floor)
 	if budget >= r.floor {
 		return c
 	}
@@ -117,7 +95,7 @@ func (r *Refresher) refreshed(c Ciphertext) Ciphertext {
 func (r *Refresher) afterOp(op *Op) {
 	switch op.Kind {
 	case OpBootstrap:
-		r.bootstraps.Add(1)
+		r.bootstraps++
 	case OpEncrypt:
 		op.Out = r.DropToFresh(op.Out)
 	}
@@ -130,7 +108,7 @@ func (r *Refresher) afterOp(op *Op) {
 // through the Refresher, whose multiplications refresh their rotated
 // operands one by one, as they always have; its rotations stay one
 // unit-weight RotSum per source.
-func (r *Refresher) RotSum(srcs []Ciphertext, sums [][]Term, each func(n int, fn func(i int))) []Ciphertext {
+func (r *Refresher) RotSum(srcs []Ciphertext, sums [][]Term) []Ciphertext {
 	refresh := false
 	for _, terms := range sums {
 		for _, t := range terms {
@@ -138,14 +116,14 @@ func (r *Refresher) RotSum(srcs []Ciphertext, sums [][]Term, each func(n int, fn
 				continue
 			}
 			budget := r.BudgetOf(srcs[t.Src])
-			r.observeHeadroom(int64(budget - r.floor))
+			r.minHeadroom = min(r.minHeadroom, budget-r.floor)
 			refresh = refresh || budget < r.floor
 		}
 	}
 	if !refresh {
-		return r.Interposer.RotSum(srcs, sums, each)
+		return r.Interposer.RotSum(srcs, sums)
 	}
-	return RotSumUnfused(r, srcs, sums, nil, func(src Ciphertext, ks []int) []Ciphertext {
+	return RotSumUnfused(r, srcs, sums, func(src Ciphertext, ks []int) []Ciphertext {
 		return RotLeftMany(r, src, ks)
 	})
 }

@@ -322,11 +322,11 @@ func (b *RNSBackend) EncodeAt(m []float64, f float64, level int) Plaintext {
 	return b.encoder.Encode(m, f, level)
 }
 
-// SetLimbWorkers bounds the goroutines one instruction fans its per-limb
+// SetIntraOpWorkers bounds the goroutines one instruction fans its per-limb
 // stages across — decomposition digits, ModUp and ModDown rows, key-switch
 // rows; 1 is serial and the partition is bit-identical to it. The
 // bootstrapper shares the evaluator, so the bound covers refreshes too.
-func (b *RNSBackend) SetLimbWorkers(n int) { b.evaluator.SetIntraOpWorkers(n) }
+func (b *RNSBackend) SetIntraOpWorkers(n int) { b.evaluator.SetIntraOpWorkers(n) }
 
 func (b *RNSBackend) Decode(p Plaintext) []float64 {
 	return b.encoder.Decode(b.pt(p))
@@ -432,7 +432,7 @@ func (b *RNSBackend) RotRight(c Ciphertext, x int) Ciphertext {
 // its source's level — is computed by RotLeft first and enters the sum as an
 // unrotated term, which puts the call's outputs at its level. each is
 // unused: the sums run whole, and the limb workers spread every one of them.
-func (b *RNSBackend) RotSum(srcs []Ciphertext, sums [][]Term, _ func(n int, fn func(i int))) []Ciphertext {
+func (b *RNSBackend) RotSum(srcs []Ciphertext, sums [][]Term) []Ciphertext {
 	slots := b.Slots()
 	cs := make([]*ckks.Ciphertext, len(srcs))
 	for i, c := range srcs {

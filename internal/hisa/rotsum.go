@@ -1,6 +1,10 @@
 package hisa
 
-import "time"
+import (
+	"sync"
+	"sync/atomic"
+	"time"
+)
 
 // Term is one summand of a sum of rotations (Backend.RotSum): the source srcs[Src]
 // rotated left by Rot slots, times a weight — the plaintext Plain when it is
@@ -21,7 +25,7 @@ func RotLeftMany(b Backend, c Ciphertext, ks []int) []Ciphertext {
 	for i, k := range ks {
 		sums[i] = []Term{{Rot: k}}
 	}
-	return b.RotSum([]Ciphertext{c}, sums, nil)
+	return b.RotSum([]Ciphertext{c}, sums)
 }
 
 // sumRotations lists, per source, the rotations the unfused sequence of a
@@ -48,35 +52,33 @@ func sumRotations(slots, nsrc int, sums [][]Term) [][]int {
 // rotate(src, ks), which returns rot_k(src) for every amount in ks, once per
 // source with rotated terms, or — with rotate nil — by one RotLeft per
 // rotation. Then every sum in term order: each term's MulPlain or MulScalar
-// (none for a unit weight), added to the running sum. each spreads the
-// rotations (the sources, when rotate is given) and then the sums across
-// goroutines (nil: one after another); every sum runs on one goroutine in
-// term order, so results do not depend on it. Products and partial sums are
-// freed as they are consumed, rotations once every sum is done; an output
-// that would be a source, or a rotation another output already is, is a
-// Copy.
-func RotSumUnfused(b Backend, srcs []Ciphertext, sums [][]Term, each func(n int, fn func(i int)), rotate func(src Ciphertext, ks []int) []Ciphertext) []Ciphertext {
-	if each == nil {
-		each = func(n int, fn func(i int)) {
-			for i := 0; i < n; i++ {
-				fn(i)
-			}
-		}
-	}
+// (none for a unit weight), added to the running sum. Products and partial
+// sums are freed as they are consumed, rotations once every sum is done; an
+// output that would be a source, or a rotation another output already is, is
+// a Copy.
+func RotSumUnfused(b Backend, srcs []Ciphertext, sums [][]Term, rotate func(src Ciphertext, ks []int) []Ciphertext) []Ciphertext {
+	return rotSumUnfused(b, srcs, sums, rotate, 1)
+}
+
+// rotSumUnfused is RotSumUnfused with the rotations, then the sums, spread
+// across up to workers goroutines: the mocks' intra-instruction parallelism.
+// Every sum runs on one goroutine in term order, so results do not depend
+// on it.
+func rotSumUnfused(b Backend, srcs []Ciphertext, sums [][]Term, rotate func(src Ciphertext, ks []int) []Ciphertext, workers int) []Ciphertext {
 	slots := b.Slots()
 	norm := func(k int) int { return ((k % slots) + slots) % slots }
 	rots := sumRotations(slots, len(srcs), sums)
 	rotated := make([]map[int]Ciphertext, len(srcs))
 	if rotate != nil {
-		each(len(srcs), func(s int) {
-			if len(rots[s]) == 0 {
-				return
+		for s, ks := range rots {
+			if len(ks) == 0 {
+				continue
 			}
-			rotated[s] = make(map[int]Ciphertext, len(rots[s]))
-			for i, c := range rotate(srcs[s], rots[s]) {
-				rotated[s][norm(rots[s][i])] = c
+			rotated[s] = make(map[int]Ciphertext, len(ks))
+			for i, c := range rotate(srcs[s], ks) {
+				rotated[s][norm(ks[i])] = c
 			}
-		})
+		}
 	} else {
 		type job struct{ src, k int }
 		var jobs []job
@@ -86,7 +88,7 @@ func RotSumUnfused(b Backend, srcs []Ciphertext, sums [][]Term, each func(n int,
 			}
 		}
 		outs := make([]Ciphertext, len(jobs))
-		each(len(jobs), func(i int) { outs[i] = b.RotLeft(srcs[jobs[i].src], jobs[i].k) })
+		spread(workers, len(jobs), func(i int) { outs[i] = b.RotLeft(srcs[jobs[i].src], jobs[i].k) })
 		for i, j := range jobs {
 			if rotated[j.src] == nil {
 				rotated[j.src] = map[int]Ciphertext{}
@@ -102,7 +104,7 @@ func RotSumUnfused(b Backend, srcs []Ciphertext, sums [][]Term, each func(n int,
 	}
 	outs := make([]Ciphertext, len(sums))
 	fresh := make([]bool, len(sums)) // outs[o] is a product or a sum, not a source or rotation
-	each(len(sums), func(o int) {
+	spread(workers, len(sums), func(o int) {
 		var acc Ciphertext
 		for _, t := range sums[o] {
 			x := srcs[t.Src]
@@ -204,4 +206,29 @@ func (ip *Interposer) reportRotSum(srcs []Ciphertext, sums [][]Term, outs []Ciph
 			}
 		}
 	}
+}
+
+// spread runs fn(i) for i in [0, n) on up to workers goroutines, claiming
+// indices from a shared counter so uneven work balances itself; workers <= 1
+// runs them in order on the calling goroutine.
+func spread(workers, n int, fn func(i int)) {
+	workers = min(workers, n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -2,7 +2,6 @@ package hisa
 
 import (
 	"reflect"
-	"sync"
 	"testing"
 
 	"chet/internal/ring"
@@ -47,33 +46,19 @@ func unfusedByHand(b Backend, srcs []Ciphertext, sums [][]Term) []Ciphertext {
 
 // TestRotSumRefSimBitIdentical checks the backends that do not fuse: RotSum
 // is the unfused sequence there, and its results are bit-identical to
-// the same ops written out by hand, whether its rotations and sums run one
-// after another or all at once.
+// the same ops written out by hand.
 func TestRotSumRefSimBitIdentical(t *testing.T) {
-	concurrently := func(n int, fn func(i int)) {
-		var wg sync.WaitGroup
-		wg.Add(n)
-		for i := 0; i < n; i++ {
-			go func(i int) {
-				defer wg.Done()
-				fn(i)
-			}(i)
-		}
-		wg.Wait()
-	}
 	for _, b := range []Backend{NewRefBackend(512), NewSimBackend(SimParams{LogN: 10, LogQ: 240, Seed: 9})} {
 		srcs, sums := testSums(b)
 		want := unfusedByHand(b, srcs, sums)
-		for _, each := range []func(int, func(int)){nil, concurrently} {
-			got := b.RotSum(srcs, sums, each)
-			for o := range want {
-				if !reflect.DeepEqual(got[o], want[o]) {
-					t.Fatalf("%s: sum %d differs from the unfused sequence", b.Name(), o)
-				}
+		got := b.RotSum(srcs, sums)
+		for o := range want {
+			if !reflect.DeepEqual(got[o], want[o]) {
+				t.Fatalf("%s: sum %d differs from the unfused sequence", b.Name(), o)
 			}
-			if got[3] == got[4] || got[5] == srcs[0] {
-				t.Fatalf("%s: RotSum outputs alias each other or a source", b.Name())
-			}
+		}
+		if got[3] == got[4] || got[5] == srcs[0] {
+			t.Fatalf("%s: RotSum outputs alias each other or a source", b.Name())
 		}
 	}
 }
@@ -92,9 +77,9 @@ func TestRotSumOpCountsMatchUnfused(t *testing.T) {
 		srcs, sums := testSums(inner)
 		before := m.Counts()
 		if fused {
-			m.RotSum(srcs, sums, nil)
+			m.RotSum(srcs, sums)
 		} else {
-			RotSumUnfused(m, srcs, sums, nil, nil)
+			RotSumUnfused(m, srcs, sums, nil)
 		}
 		after := m.Counts()
 		for k := range after {
@@ -123,8 +108,8 @@ func TestRotSumRNSMatchesUnfused(t *testing.T) {
 	b := newRNSTestBackend(t, nil)
 	n := float64(b.Params().N())
 	srcs, sums := testSums(b)
-	fused := b.RotSum(srcs, sums, nil)
-	unfused := RotSumUnfused(b, srcs, sums, nil, nil)
+	fused := b.RotSum(srcs, sums)
+	unfused := RotSumUnfused(b, srcs, sums, nil)
 	for _, o := range []int{3, 4, 5} {
 		equalRNSCiphertexts(t, b, "single-term sum", fused[o], unfused[o])
 	}
@@ -137,9 +122,9 @@ func TestRotSumRNSMatchesUnfused(t *testing.T) {
 			}
 		}
 	}
-	b.SetLimbWorkers(4)
-	defer b.SetLimbWorkers(1)
-	for o, c := range b.RotSum(srcs, sums, nil) {
+	b.SetIntraOpWorkers(4)
+	defer b.SetIntraOpWorkers(1)
+	for o, c := range b.RotSum(srcs, sums) {
 		equalRNSCiphertexts(t, b, "4 limb workers", c, fused[o])
 	}
 }
@@ -154,7 +139,7 @@ func TestRotSumRNSKeyBelowLevel(t *testing.T) {
 	slots := b.Slots()
 	va := rv(slots, 1, 45)
 	a := b.Encrypt(b.Encode(va, testScale))
-	out := b.RotSum([]Ciphertext{a}, [][]Term{{{Rot: 1}, {Rot: 2}}, {{Rot: 1}}}, nil)
+	out := b.RotSum([]Ciphertext{a}, [][]Term{{{Rot: 1}, {Rot: 2}}, {{Rot: 1}}})
 	if b.KeyLevelMisses() != 1 {
 		t.Fatalf("key-level misses = %d, want 1", b.KeyLevelMisses())
 	}

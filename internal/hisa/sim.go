@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/big"
 	"sync"
+	"sync/atomic"
 
 	"chet/internal/ring"
 )
@@ -82,6 +83,10 @@ type SimBackend struct {
 
 	// sigma is the error-distribution parameter of the mimicked scheme.
 	sigma float64
+
+	// workers bounds the goroutines one RotSum spreads across
+	// (SetIntraOpWorkers).
+	workers atomic.Int32
 }
 
 // NewSimBackend creates the mock HEAAN backend.
@@ -450,10 +455,15 @@ func (b *SimBackend) RelinearizeRescale(c Ciphertext, x *big.Int) Ciphertext {
 	return b.Rescale(c, x)
 }
 
-// RotSum is the unfused sequence, spread by each.
-func (b *SimBackend) RotSum(srcs []Ciphertext, sums [][]Term, each func(n int, fn func(i int))) []Ciphertext {
-	return RotSumUnfused(b, srcs, sums, each, nil)
+// RotSum is the unfused sequence, its rotations and sums spread across the
+// intra-instruction workers.
+func (b *SimBackend) RotSum(srcs []Ciphertext, sums [][]Term) []Ciphertext {
+	return rotSumUnfused(b, srcs, sums, nil, int(b.workers.Load()))
 }
+
+// SetIntraOpWorkers bounds the goroutines one RotSum spreads its rotations
+// and sums across; 1 is serial, and the result does not depend on it.
+func (b *SimBackend) SetIntraOpWorkers(n int) { b.workers.Store(int32(n)) }
 
 func (b *SimBackend) MulPlain(c Ciphertext, p Plaintext) Ciphertext {
 	x, y := b.ct(c), b.pt(p)

@@ -406,8 +406,15 @@ func uniform(v float64) func(int) float64 { return func(int) float64 { return v 
 // tryRescale applies the HISA rescaling protocol: if the ciphertext's scale
 // has grown past base, rescale by the largest divisor the scheme offers
 // under scale/base. Works for both power-of-two (CKKS) and prime-product
-// (RNS-CKKS) divisor rules.
+// (RNS-CKKS) divisor rules. It is a scale decision (decide): a program
+// takes it again at run time.
 func tryRescale(b hisa.Backend, c hisa.Ciphertext, base float64) hisa.Ciphertext {
+	return decide(b, Instr{Op: OpTryRescale, F: base}, nil, []hisa.Ciphertext{c}, func() []hisa.Ciphertext {
+		return []hisa.Ciphertext{rescaled(b, c, base)}
+	})[0]
+}
+
+func rescaled(b hisa.Backend, c hisa.Ciphertext, base float64) hisa.Ciphertext {
 	if d := rescaleDivisor(b, c, base); d != nil {
 		return b.Rescale(c, d)
 	}
@@ -416,8 +423,14 @@ func tryRescale(b hisa.Backend, c hisa.Ciphertext, base float64) hisa.Ciphertext
 
 // reduceRelin closes a MulNoRelin product (or a linear combination of them):
 // it relinearizes at the product's level and applies tryRescale's protocol,
-// as one RelinearizeRescale when there is a divisor.
+// as one RelinearizeRescale when there is a divisor. A scale decision.
 func reduceRelin(b hisa.Backend, c hisa.Ciphertext, base float64) hisa.Ciphertext {
+	return decide(b, Instr{Op: OpReduceRelin, F: base}, nil, []hisa.Ciphertext{c}, func() []hisa.Ciphertext {
+		return []hisa.Ciphertext{relinearized(b, c, base)}
+	})[0]
+}
+
+func relinearized(b hisa.Backend, c hisa.Ciphertext, base float64) hisa.Ciphertext {
 	if d := rescaleDivisor(b, c, base); d != nil {
 		return b.RelinearizeRescale(c, d)
 	}
@@ -443,8 +456,17 @@ func rescaleDivisor(b hisa.Backend, c hisa.Ciphertext, base float64) *big.Int {
 }
 
 // alignScales brings two ciphertexts to a common scale before addition,
-// multiplying the lower-scaled one by 1 at the ratio when they diverge.
+// multiplying the lower-scaled one by 1 at the ratio when they diverge. A
+// scale decision.
 func alignScales(b hisa.Backend, x, y hisa.Ciphertext) (hisa.Ciphertext, hisa.Ciphertext) {
+	outs := decide(b, Instr{Op: OpAlign}, nil, []hisa.Ciphertext{x, y}, func() []hisa.Ciphertext {
+		x, y := aligned(b, x, y)
+		return []hisa.Ciphertext{x, y}
+	})
+	return outs[0], outs[1]
+}
+
+func aligned(b hisa.Backend, x, y hisa.Ciphertext) (hisa.Ciphertext, hisa.Ciphertext) {
 	sx, sy := b.Scale(x), b.Scale(y)
 	switch {
 	case math.Abs(sx-sy) <= 1e-6*math.Max(sx, sy):
@@ -454,4 +476,12 @@ func alignScales(b hisa.Backend, x, y hisa.Ciphertext) (hisa.Ciphertext, hisa.Ci
 	default:
 		return x, b.MulScalar(y, 1, sx/sy)
 	}
+}
+
+// addPlainAt adds the vector v, encoded at c's scale, to c: a scale-neutral
+// addition, and a scale decision.
+func addPlainAt(b hisa.Backend, c hisa.Ciphertext, v []float64) hisa.Ciphertext {
+	return decide(b, Instr{Op: OpAddPlainAt}, v, []hisa.Ciphertext{c}, func() []hisa.Ciphertext {
+		return []hisa.Ciphertext{b.AddPlain(c, b.Encode(v, b.Scale(c)))}
+	})[0]
 }

@@ -16,12 +16,10 @@ import "chet/internal/hisa"
 // addVecBoth adds the real vector v into ciphertext c: plainly for real
 // packing, and as v(1+i) — reaching both slot components — for complex
 // packing. The plaintext is encoded at c's scale either way, so the
-// operation is scale-neutral like every bias addition in the kernels. The
-// real plaintext is a kernel constant (opts.Constants); the complex one is
-// encoded per call.
-func addVecBoth(b hisa.Backend, opts ExecOptions, complexPacked bool, c hisa.Ciphertext, v []float64) hisa.Ciphertext {
+// operation is scale-neutral like every bias addition in the kernels.
+func addVecBoth(b hisa.Backend, complexPacked bool, c hisa.Ciphertext, v []float64) hisa.Ciphertext {
 	if !complexPacked {
-		return b.AddPlain(c, opts.constant(b, v, b.Scale(c)).at(c))
+		return addPlainAt(b, c, v)
 	}
 	m := make([]complex128, len(v))
 	for i, x := range v {

@@ -25,10 +25,6 @@ import (
 // it as it stands. The grid follows from the input's span, so two Dense
 // outputs of one size need not share it; the executor moves the operands of
 // an Add or Concat onto one grid (regrid) when they differ.
-//
-// Input ciphertexts are replicated and neuron groups computed by
-// opts.Workers goroutines, and the groups are added in serial order, so the
-// result is bit-identical to a serial run.
 func Dense(b hisa.Backend, in *CipherTensor, weights, bias *tensor.Tensor, sc Scales, opts ExecOptions) *CipherTensor {
 	inSize := in.C * in.H * in.W
 	if weights.Rank() != 2 || weights.Shape[1] != inSize {
@@ -57,23 +53,22 @@ func Dense(b hisa.Backend, in *CipherTensor, weights, bias *tensor.Tensor, sc Sc
 
 	// Each step doubles the copies; the slots it rotates data into were zero.
 	copies := make([]hisa.Ciphertext, len(in.CTs))
-	parallelFor(opts.workers(), len(in.CTs), func(g int) {
-		c := in.CTs[g]
+	for g, c := range in.CTs {
 		for s := m; s < nextPow2(R)*m; s <<= 1 {
 			c = b.Add(c, b.RotRight(c, s))
 		}
 		copies[g] = c
-	})
+	}
 
 	// One-hot at every copy's origin in every lane — column 0 of the output
 	// grid, moved to the input's Offset: after the folds the dot products
 	// sit there and everything else is partial sums.
 	origins := out
 	origins.W, origins.Offset = 1, in.Offset
-	mask := opts.constant(b, perChannelVector(&origins, 0, b.Slots(), uniform(1)), sc.Pm)
+	mask := b.Encode(perChannelVector(&origins, 0, b.Slots(), uniform(1)), sc.Pm)
 
 	groups := make([]hisa.Ciphertext, G)
-	parallelFor(opts.workers(), G, func(q int) {
+	for q := range groups {
 		var acc hisa.Ciphertext
 		for g := range copies {
 			wv := make([]float64, b.Slots())
@@ -82,14 +77,14 @@ func Dense(b hisa.Backend, in *CipherTensor, weights, bias *tensor.Tensor, sc Sc
 					wv[r*m+slot] = weights.At(r*G+q, (ch*in.H+y)*in.W+x)
 				}
 			})
-			acc = accumulate(b, acc, b.MulPlain(copies[g], opts.constant(b, in.replicate(wv), sc.Pw).at(copies[g])))
+			acc = accumulate(b, acc, b.MulPlain(copies[g], b.Encode(in.replicate(wv), sc.Pw)))
 		}
 		acc = tryRescale(b, acc, sc.Pc)
 		acc = foldStrided(b, acc, in.W, in.ColStride)
 		acc = foldStrided(b, acc, in.H, in.RowStride)
 		acc = foldStrided(b, acc, chIn, in.ChanStride)
 		groups[q] = tryRescale(b, opts.masked(b, acc, mask), sc.Pc)
-	})
+	}
 
 	// Place every group's dot products at its output column: one sum of
 	// rotations, in group order.
@@ -97,17 +92,14 @@ func Dense(b hisa.Backend, in *CipherTensor, weights, bias *tensor.Tensor, sc Sc
 	for q := range place {
 		place[q] = hisa.Term{Src: q, Rot: in.Offset - q}
 	}
-	acc := b.RotSum(groups, [][]hisa.Term{place}, opts.each)[0]
-	for _, g := range groups {
-		b.Free(g)
-	}
+	acc := b.RotSum(groups, [][]hisa.Term{place})[0]
 
 	if bias != nil {
 		bv := make([]float64, b.Slots())
 		for o, v := range bias.Data {
 			bv[o/G*m+o%G] = v
 		}
-		acc = addVecBoth(b, opts, in.Complex, acc, out.replicate(bv))
+		acc = addVecBoth(b, in.Complex, acc, out.replicate(bv))
 	}
 	out.CTs = []hisa.Ciphertext{acc}
 	out.validate(b.Slots())
@@ -188,18 +180,8 @@ func regrid(b hisa.Backend, t, like *CipherTensor, sc Scales, opts ExecOptions) 
 		masks[mv][from] = 1
 	}
 	for _, mv := range moves {
-		t.replicate(masks[mv])
-	}
-
-	moved := make([]hisa.Ciphertext, len(moves))
-	parallelFor(opts.workers(), len(moves), func(i int) {
-		mv := moves[i]
-		c := opts.masked(b, t.CTs[mv.src], opts.constant(b, masks[mv], sc.Pm))
-		moved[i] = rotateRight(b, tryRescale(b, c, sc.Pc), mv.by)
-	})
-	// Fold in serial element order for a bit-identical result.
-	for i, mv := range moves {
-		out.CTs[mv.dst] = accumulate(b, out.CTs[mv.dst], moved[i])
+		c := opts.masked(b, t.CTs[mv.src], b.Encode(t.replicate(masks[mv]), sc.Pm))
+		out.CTs[mv.dst] = accumulate(b, out.CTs[mv.dst], rotateRight(b, tryRescale(b, c, sc.Pc), mv.by))
 	}
 	out.validate(b.Slots())
 	return &out

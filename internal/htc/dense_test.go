@@ -94,10 +94,8 @@ func (dc denseCase) policy() LayoutPolicy {
 }
 
 // denseParity checks every case on one backend family: each lane's output
-// against Circuit.Evaluate of that lane's image, the R each layer picked, and
-// Workers 1 against Workers 4 bit for bit (except under simulated noise,
-// which is drawn in op order).
-func denseParity(t *testing.T, mk func(logN int) hisa.Backend, sc Scales, tol float64, deterministic bool) {
+// against Circuit.Evaluate of that lane's image, and the R each layer picked.
+func denseParity(t *testing.T, mk func(logN int) hisa.Backend, sc Scales, tol float64) {
 	t.Helper()
 	for _, dc := range denseCases {
 		c, imgs := dc.circuitAndImages()
@@ -118,32 +116,23 @@ func denseParity(t *testing.T, mk func(logN int) hisa.Backend, sc Scales, tol fl
 		if fmt.Sprint(gotR) != fmt.Sprint(dc.wantR) {
 			t.Errorf("%s: layers packed R = %v neurons per plaintext, want %v", dc.name, gotR, dc.wantR)
 		}
-		parallel := Execute(b, c, in, dc.policy(), sc, ExecOptions{Workers: 4})
-
 		got := DecryptTensor(b, serial, len(imgs))
-		gotPar := DecryptTensor(b, parallel, len(imgs))
 		for lane, img := range imgs {
-			name := fmt.Sprintf("%s/%s lane %d", b.Name(), dc.name, lane)
-			tensorsClose(t, name, got[lane], c.Evaluate(img), tol)
-			if deterministic {
-				requireBitIdentical(t, name, got[lane], gotPar[lane])
-			} else {
-				tensorsClose(t, name+" workers=4", gotPar[lane], got[lane], tol)
-			}
+			tensorsClose(t, fmt.Sprintf("%s/%s lane %d", b.Name(), dc.name, lane), got[lane], c.Evaluate(img), tol)
 		}
 	}
 }
 
 func TestDensePackedParityRef(t *testing.T) {
 	denseParity(t, func(logN int) hisa.Backend { return hisa.NewRefBackend(1 << uint(logN-1)) },
-		DefaultScales(), 1e-6, true)
+		DefaultScales(), 1e-6)
 }
 
 func TestDensePackedParitySim(t *testing.T) {
 	sc := Scales{Pc: math.Exp2(40), Pw: math.Exp2(30), Pu: math.Exp2(30), Pm: math.Exp2(25)}
 	denseParity(t, func(logN int) hisa.Backend {
 		return hisa.NewSimBackend(hisa.SimParams{LogN: logN, LogQ: 400, Seed: 11})
-	}, sc, 1e-3, false)
+	}, sc, 1e-3)
 }
 
 func TestDensePackedParityRNS(t *testing.T) {
@@ -156,7 +145,7 @@ func TestDensePackedParityRNS(t *testing.T) {
 			t.Fatal(err)
 		}
 		return hisa.NewRNSBackend(hisa.RNSConfig{Params: params, PRNG: ring.NewTestPRNG(103)})
-	}, sc, 1e-3, true)
+	}, sc, 1e-3)
 }
 
 // TestRegrid: elements keep their flatten order across a change of grid,
@@ -169,15 +158,13 @@ func TestRegrid(t *testing.T) {
 	peer := randTensor([]int{3, 2, 4}, 1, 731)
 	from := EncryptTensor(b, Plan{Layout: LayoutCHW, Apron: 1}, sc, src) // 4 channels per ciphertext, 2 ciphertexts
 	like := EncryptTensor(b, Plan{Layout: LayoutCHW}, sc, peer)          // 8 per ciphertext
-	for _, workers := range []int{1, 4} {
-		got := regrid(b, from, like, sc, ExecOptions{Workers: workers})
-		if !sameGrid(got, like) || got.C != 3 {
-			t.Fatalf("regrid left a %dx%dx%d tensor off the target grid", got.C, got.H, got.W)
-		}
-		tensorsClose(t, "regrid", DecryptTensor(b, got, 1)[0], src.Reshape(3, 2, 4), 1e-9)
-		cat := DecryptTensor(b, Concat(b, sc, ExecOptions{}, like, got), 1)[0]
-		tensorsClose(t, "concat after regrid", cat, tensor.ConcatChannels(peer, src.Reshape(3, 2, 4)), 1e-9)
+	got := regrid(b, from, like, sc, ExecOptions{})
+	if !sameGrid(got, like) || got.C != 3 {
+		t.Fatalf("regrid left a %dx%dx%d tensor off the target grid", got.C, got.H, got.W)
 	}
+	tensorsClose(t, "regrid", DecryptTensor(b, got, 1)[0], src.Reshape(3, 2, 4), 1e-9)
+	cat := DecryptTensor(b, Concat(b, sc, ExecOptions{}, like, got), 1)[0]
+	tensorsClose(t, "concat after regrid", cat, tensor.ConcatChannels(peer, src.Reshape(3, 2, 4)), 1e-9)
 	assertPanics(t, "regrid onto a grid the elements do not fill", func() {
 		odd := EncryptTensor(b, Plan{Layout: LayoutCHW}, sc, randTensor([]int{1, 1, 5}, 1, 732))
 		regrid(b, from, odd, sc, ExecOptions{})

@@ -115,56 +115,77 @@ func convert(b hisa.Backend, t *CipherTensor, want Layout, sc Scales, opts ExecO
 		return t
 	}
 	if want == LayoutCHW {
-		return ToCHW(b, t, opts)
+		return ToCHW(b, t)
 	}
 	return ToHW(b, t, sc, opts)
 }
 
-// limbParallel is the structural capability of a backend whose single
-// instructions fan independent per-limb stages across goroutines
-// (hisa.RNSBackend). It is not an instruction, so it is probed through the
-// wrapper chain rather than forwarded.
-type limbParallel interface {
-	SetLimbWorkers(n int)
+// ExecOptions configures a run of the kernels (Execute). The zero value
+// executes as the compiler's analyses and the Ref oracle do.
+type ExecOptions struct {
+	// OnNode, when non-nil, observes each circuit node's output tensor as
+	// it is computed, in circuit order. The compiler's recording run uses
+	// it to split the program by node, and the telemetry precision profiler
+	// to compare every layer against the plaintext oracle; observers must
+	// not mutate the tensor.
+	OnNode func(n *circuit.Node, out *CipherTensor)
+
+	// tally, set by Execute on a backend that counts mask products (see
+	// maskTally), is called once per mask product.
+	tally func()
+}
+
+// maskTally is the structural capability of a backend that counts the mask
+// products it executes: the compiler's recording analysis, which attributes
+// them to circuit nodes. Like scoper it is probed through any wrapper chain,
+// and like every analysis it runs serially.
+type maskTally interface {
+	TallyMask()
+}
+
+// masked multiplies c by the mask m: a plaintext at Pm that keeps c's valid
+// slots (scaled, for a global pool) and zeroes the rest. Every mask product
+// of the kernels goes through it.
+func (o ExecOptions) masked(b hisa.Backend, c hisa.Ciphertext, m hisa.Plaintext) hisa.Ciphertext {
+	if o.tally != nil {
+		o.tally()
+	}
+	return b.MulPlain(c, m)
+}
+
+// intraOpParallel is the structural capability of a backend whose single
+// instructions spread their work across goroutines: RNS-CKKS its per-limb
+// stages, the mocks a sum of rotations' terms. It is not an instruction, so
+// it is probed through the wrapper chain rather than forwarded.
+type intraOpParallel interface {
+	SetIntraOpWorkers(n int)
 }
 
 // scoper is the structural capability a tracing backend
 // (telemetry.Tracer) exposes for attributing ops to the circuit node that
-// issued them. It is probed structurally, through any wrapper chain, so htc
-// carries no dependency on the telemetry package.
+// issued them (Program.Execute). It is probed structurally, through any
+// wrapper chain, so htc carries no dependency on the telemetry package.
 type scoper interface {
 	StartScope(label string) func()
 }
 
-// Execute runs the circuit homomorphically on backend b with the given
-// execution options. The input must have been encrypted with
-// PlanFor(c, policy). All layout conversions demanded by the policy are
-// inserted automatically. With opts.Workers > 1 the kernels fan their
-// independent per-output work across a worker pool and the backend's
-// instructions fan their limbs across as many goroutines (limbParallel); the
-// backend must satisfy the concurrency contract of hisa.Backend (all
-// executable backends do — the compiler's analysis backends do not, and must
-// run serially). The result is bit-identical to a serial run on every
-// executable backend.
+// Execute runs the circuit's kernels on backend b, serially: the
+// compiler's analyses and recording run (which turns the instructions into a
+// Program that every later execution replays) and the Ref oracle. The input
+// must have been encrypted with PlanFor(c, policy). All layout conversions
+// demanded by the policy are inserted automatically.
 //
 // The circuit must be in the form the compiler's rewrite (circuit.Fold) leaves
 // it in: every activation monic (a = 1) and every pool a window sum. The
 // output tensor's invalid slots are zero; an intermediate's are zero only
 // where a reader needs them so (see cleanOutputs).
 func Execute(b hisa.Backend, c *circuit.Circuit, input *CipherTensor, policy LayoutPolicy, sc Scales, opts ExecOptions) *CipherTensor {
-	if lp, ok := hisa.FindCapability[limbParallel](b); ok {
-		lp.SetLimbWorkers(opts.workers())
-	}
 	if t, ok := hisa.FindCapability[maskTally](b); ok {
 		opts.tally = t.TallyMask
 	}
 	clean := cleanOutputs(c, policy)
 	results := make(map[int]*CipherTensor, len(c.Nodes))
 	seenDense := false
-	var startScope func(string) func()
-	if tb, ok := hisa.FindCapability[scoper](b); ok {
-		startScope = tb.StartScope
-	}
 	arg := func(n *circuit.Node, i int) *CipherTensor {
 		t, ok := results[n.Inputs[i].ID]
 		if !ok {
@@ -196,12 +217,7 @@ func Execute(b hisa.Backend, c *circuit.Circuit, input *CipherTensor, policy Lay
 
 	for _, n := range c.Nodes {
 		var out *CipherTensor
-		// The node scope opens before arg() runs so the layout conversions
-		// a node demands are billed to it, not to the gap between nodes.
-		var endScope func()
-		if startScope != nil && n.Kind != circuit.OpInput {
-			endScope = startScope(fmt.Sprintf("%v:%s", n.Kind, n.Name))
-		}
+		// A node's layout conversions (arg) are its own instructions.
 		switch n.Kind {
 		case circuit.OpInput:
 			if input.Layout != policy.inputLayout() {
@@ -222,14 +238,14 @@ func Execute(b hisa.Backend, c *circuit.Circuit, input *CipherTensor, policy Lay
 			if n.ActA != 1 {
 				panic(fmt.Sprintf("htc: activation %q has a = %g: fold the circuit first (circuit.Fold)", n.Name, n.ActA))
 			}
-			out = Activation(b, arg(n, 0), n.ActB, sc, opts)
+			out = Activation(b, arg(n, 0), n.ActB, sc)
 		case circuit.OpPolyEval:
-			out = PolyEval(b, arg(n, 0), n.Coeffs, sc, opts)
+			out = PolyEval(b, arg(n, 0), n.Coeffs, sc)
 		case circuit.OpBatchNorm:
-			out = BatchNorm(b, arg(n, 0), n.Weights, n.Bias, sc, opts)
+			out = BatchNorm(b, arg(n, 0), n.Weights, n.Bias, sc)
 		case circuit.OpAdd:
 			ins := args(n)
-			out = Add(b, ins[0], ins[1], opts)
+			out = Add(b, ins[0], ins[1])
 		case circuit.OpConcat:
 			out = Concat(b, sc, opts, args(n)...)
 		case circuit.OpFlatten:
@@ -238,9 +254,6 @@ func Execute(b hisa.Backend, c *circuit.Circuit, input *CipherTensor, policy Lay
 			out = Pad2D(results[n.Inputs[0].ID], n.Pad)
 		default: // an AvgPool2D included: the executor runs circuit.Fold's output
 			panic(fmt.Sprintf("htc: unhandled op %v in %q", n.Kind, n.Name))
-		}
-		if endScope != nil {
-			endScope()
 		}
 		results[n.ID] = out
 		if opts.OnNode != nil {

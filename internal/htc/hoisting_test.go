@@ -14,8 +14,8 @@ import (
 // wrapped backend: one rotation, product and addition at a time.
 type noSumShim struct{ hisa.Backend }
 
-func (s noSumShim) RotSum(srcs []hisa.Ciphertext, sums [][]hisa.Term, each func(n int, fn func(i int))) []hisa.Ciphertext {
-	return hisa.RotSumUnfused(s.Backend, srcs, sums, each, nil)
+func (s noSumShim) RotSum(srcs []hisa.Ciphertext, sums [][]hisa.Term) []hisa.Ciphertext {
+	return hisa.RotSumUnfused(s.Backend, srcs, sums, nil)
 }
 
 // TestKernelsHoistedParityRNS runs the rotation-heavy kernels on the real
@@ -57,8 +57,8 @@ func TestKernelsHoistedParityRNS(t *testing.T) {
 		// the two executions see the very same input ciphertexts.
 		in := EncryptTensor(b, Plan{Layout: layout, Apron: 1}, sc, img)
 
-		conv := Conv2D(b, in, filters, bias, 1, 1, true, sc, ExecOptions{Workers: 4})
-		convShim := Conv2D(shim, in, filters, bias, 1, 1, true, sc, ExecOptions{Workers: 4})
+		conv := Conv2D(b, in, filters, bias, 1, 1, true, sc, ExecOptions{})
+		convShim := Conv2D(shim, in, filters, bias, 1, 1, true, sc, ExecOptions{})
 		requireWithin(t, layout.String()+"/conv", DecryptTensor(b, conv, 1)[0], DecryptTensor(b, convShim, 1)[0],
 			(2+sumW+float64(filters.Shape[0]))*rounding)
 
@@ -84,6 +84,18 @@ func requireWithin(t *testing.T, name string, got, want *tensor.Tensor, tol floa
 	for i := range got.Data {
 		if d := math.Abs(got.Data[i] - want.Data[i]); d > tol {
 			t.Fatalf("%s: element %d: %v is %g from the unfused %v, bound %g", name, i, got.Data[i], d, want.Data[i], tol)
+		}
+	}
+}
+
+func requireBitIdentical(t *testing.T, name string, want, got *tensor.Tensor) {
+	t.Helper()
+	if want.Size() != got.Size() {
+		t.Fatalf("%s: size mismatch: %d vs %d", name, want.Size(), got.Size())
+	}
+	for i := range want.Data {
+		if want.Data[i] != got.Data[i] {
+			t.Fatalf("%s: slot %d: %v != %v (not bit-identical)", name, i, got.Data[i], want.Data[i])
 		}
 	}
 }

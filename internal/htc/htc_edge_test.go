@@ -64,7 +64,7 @@ func TestScaleProtocolKeepsWorkingScale(t *testing.T) {
 				math.Log2(s), math.Log2(sc.Pc))
 		}
 	}
-	act := Activation(b, conv, 4, sc, ExecOptions{})
+	act := Activation(b, conv, 4, sc)
 	for _, c := range act.CTs {
 		if s := b.Scale(c); math.Abs(math.Log2(s)-math.Log2(sc.Pc)) > 1 {
 			t.Fatalf("activation output scale 2^%.1f drifted", math.Log2(s))
@@ -91,13 +91,13 @@ func TestKernelValidationPanics(t *testing.T) {
 		Dense(b, ct, randTensor([]int{2, 5}, 1, 71), nil, sc, ExecOptions{})
 	})
 	assertPanics(t, "polyeval degree 0", func() {
-		PolyEval(b, ct, []float64{1}, sc, ExecOptions{})
+		PolyEval(b, ct, []float64{1}, sc)
 	})
 	assertPanics(t, "pad without apron", func() {
 		Pad2D(ct, 1)
 	})
 	assertPanics(t, "batchnorm size", func() {
-		BatchNorm(b, ct, tensor.New(3), tensor.New(3), sc, ExecOptions{})
+		BatchNorm(b, ct, tensor.New(3), tensor.New(3), sc)
 	})
 	assertPanics(t, "encrypt non-CHW", func() {
 		EncryptTensor(b, Plan{Layout: LayoutHW}, sc, tensor.New(4))
@@ -109,7 +109,7 @@ func TestKernelValidationPanics(t *testing.T) {
 
 	other := EncryptTensor(b, Plan{Layout: LayoutHW}, sc, randTensor([]int{2, 4, 4}, 1, 73))
 	assertPanics(t, "add layout mismatch", func() {
-		Add(b, ct, other, ExecOptions{})
+		Add(b, ct, other)
 	})
 	assertPanics(t, "concat geometry mismatch", func() {
 		pooled := SumPool2D(b, ct, 2, 2, true, sc, ExecOptions{})
@@ -148,7 +148,7 @@ func TestPolyEvalWithConstantTermKeepsZeroInvariant(t *testing.T) {
 	sc := DefaultScales()
 	in := randTensor([]int{1, 3, 3}, 1, 90)
 	ct := EncryptTensor(b, Plan{Layout: LayoutCHW}, sc, in)
-	out := PolyEval(b, ct, []float64{1, 0, 1}, sc, ExecOptions{})
+	out := PolyEval(b, ct, []float64{1, 0, 1}, sc)
 
 	// Reference values.
 	want := in.Clone()
@@ -206,11 +206,11 @@ func TestZeroInvariantAfterEveryKernel(t *testing.T) {
 
 	conv := Conv2D(b, ct, randTensor([]int{3, 2, 3, 3}, 0.5, 92), randTensor([]int{3}, 0.2, 93), 1, 1, true, sc, ExecOptions{})
 	check("conv", conv)
-	act := Activation(b, conv, 4, sc, ExecOptions{})
+	act := Activation(b, conv, 4, sc)
 	check("activation", act)
 	pool := SumPool2D(b, act, 2, 2, true, sc, ExecOptions{})
 	check("pool", pool)
-	bn := BatchNorm(b, pool, randTensor([]int{3}, 1, 94), randTensor([]int{3}, 1, 95), sc, ExecOptions{})
+	bn := BatchNorm(b, pool, randTensor([]int{3}, 1, 94), randTensor([]int{3}, 1, 95), sc)
 	check("batchnorm", bn)
 	gap := GlobalAvgPool2D(b, bn, sc, ExecOptions{})
 	check("globalpool", gap)

@@ -152,7 +152,7 @@ func TestActivationMatchesReference(t *testing.T) {
 	for _, layout := range []Layout{LayoutHW, LayoutCHW} {
 		got := roundTrip(t, layout, 0, in,
 			func(b hisa.Backend, ct *CipherTensor, sc Scales) *CipherTensor {
-				return Activation(b, ct, -0.7/0.3, sc, ExecOptions{})
+				return Activation(b, ct, -0.7/0.3, sc)
 			})
 		for i := range got.Data {
 			got.Data[i] *= 0.3
@@ -162,7 +162,7 @@ func TestActivationMatchesReference(t *testing.T) {
 	wantSq := tensor.PolyActivation(in, 1, 0)
 	got := roundTrip(t, LayoutCHW, 0, in,
 		func(b hisa.Backend, ct *CipherTensor, sc Scales) *CipherTensor {
-			return Activation(b, ct, 0, sc, ExecOptions{})
+			return Activation(b, ct, 0, sc)
 		})
 	tensorsClose(t, "square", got, wantSq, 1e-6)
 }
@@ -175,7 +175,7 @@ func TestBatchNormMatchesReference(t *testing.T) {
 	for _, layout := range []Layout{LayoutHW, LayoutCHW} {
 		got := roundTrip(t, layout, 0, in,
 			func(b hisa.Backend, ct *CipherTensor, sc Scales) *CipherTensor {
-				return BatchNorm(b, ct, gamma, beta, sc, ExecOptions{})
+				return BatchNorm(b, ct, gamma, beta, sc)
 			})
 		tensorsClose(t, layout.String(), got, want, 1e-6)
 	}
@@ -193,7 +193,7 @@ func TestAddAndConcat(t *testing.T) {
 		plan := Plan{Layout: layout}
 		cx := EncryptTensor(b, plan, sc, x)
 		cy := EncryptTensor(b, plan, sc, y)
-		gotSum := DecryptTensor(b, Add(b, cx, cy, ExecOptions{}), 1)[0]
+		gotSum := DecryptTensor(b, Add(b, cx, cy), 1)[0]
 		tensorsClose(t, layout.String()+"/add", gotSum, wantSum, 1e-9)
 		gotCat := DecryptTensor(b, Concat(b, sc, ExecOptions{}, cx, cy), 1)[0]
 		tensorsClose(t, layout.String()+"/concat", gotCat, wantCat, 1e-6)
@@ -267,7 +267,7 @@ func TestLayoutConversions(t *testing.T) {
 	b := refBackend()
 	sc := DefaultScales()
 	hw := EncryptTensor(b, Plan{Layout: LayoutHW}, sc, in)
-	chw := ToCHW(b, hw, ExecOptions{})
+	chw := ToCHW(b, hw)
 	if chw.Layout != LayoutCHW {
 		t.Fatal("ToCHW did not change layout")
 	}

@@ -73,10 +73,6 @@ func foldRotations(n int) int {
 // holds a single channel), folds the channel blocks, and masks block 0
 // before placing it, whatever clean says: that mask is what keeps the other
 // blocks' partial sums out, and the output stays packed for the next layer.
-//
-// Output channels are computed by opts.Workers goroutines and folded into
-// the output in serial channel order, so the result is bit-identical to a
-// serial run.
 func Conv2D(b hisa.Backend, in *CipherTensor, filters, bias *tensor.Tensor, stride, pad int, clean bool, sc Scales, opts ExecOptions) *CipherTensor {
 	if filters.Rank() != 4 || filters.Shape[1] != in.C {
 		panic(fmt.Sprintf("htc: conv filters %v incompatible with input channels %d", filters.Shape, in.C))
@@ -118,22 +114,22 @@ func Conv2D(b hisa.Backend, in *CipherTensor, filters, bias *tensor.Tensor, stri
 			}
 			sums[oc] = terms
 		}
-		out.CTs = b.RotSum(in.CTs, sums, opts.each)
-		var mask constant
+		out.CTs = b.RotSum(in.CTs, sums)
+		var mask hisa.Plaintext
 		if clean {
-			mask = opts.constant(b, perChannelVector(&out, 0, b.Slots(), uniform(1)), sc.Pm)
+			mask = b.Encode(perChannelVector(&out, 0, b.Slots(), uniform(1)), sc.Pm)
 		}
-		parallelFor(opts.workers(), cout, func(oc int) {
+		for oc := 0; oc < cout; oc++ {
 			acc := tryRescale(b, out.CTs[oc], sc.Pc)
 			if clean {
 				acc = tryRescale(b, opts.masked(b, acc, mask), sc.Pc)
 			}
 			if bias != nil {
 				bv := perChannelVector(&out, 0, b.Slots(), uniform(bias.Data[oc]))
-				acc = addVecBoth(b, opts, out.Complex, acc, bv)
+				acc = addVecBoth(b, out.Complex, acc, bv)
 			}
 			out.CTs[oc] = acc
-		})
+		}
 		out.validate(b.Slots())
 		return &out
 	}
@@ -151,7 +147,7 @@ func Conv2D(b hisa.Backend, in *CipherTensor, filters, bias *tensor.Tensor, stri
 	blockMask := metaClone(&out)
 	blockMask.C = 1
 	blockMask.CPerCT = 1
-	mask := opts.constant(b, perChannelVector(&blockMask, 0, b.Slots(), uniform(1)), sc.Pm)
+	mask := b.Encode(perChannelVector(&blockMask, 0, b.Slots(), uniform(1)), sc.Pm)
 
 	for g := 0; g < numInCTs; g++ {
 		// Partial sums of this ciphertext's occupied channels, one sum of
@@ -162,6 +158,10 @@ func Conv2D(b hisa.Backend, in *CipherTensor, filters, bias *tensor.Tensor, stri
 		chInGroup := min(in.C-g*in.CPerCT, in.CPerCT)
 		sums := make([][]hisa.Term, cout)
 		terms := make([]hisa.Term, 0, cout*kh*kw)
+		// Every weight vector of this group writes the same slots (its
+		// channels' blocks, replicated), so one vector serves them all:
+		// Encode copies what it is given.
+		wv := make([]float64, b.Slots())
 		for oc := range sums {
 			terms = terms[len(terms):]
 			for ky := 0; ky < kh; ky++ {
@@ -172,21 +172,20 @@ func Conv2D(b hisa.Backend, in *CipherTensor, filters, bias *tensor.Tensor, stri
 						terms = append(terms, hisa.Term{Rot: rot(ky, kx), X: filters.At(oc, g*in.CPerCT, ky, kx), F: sc.Pu})
 						continue
 					}
-					wv := make([]float64, b.Slots())
 					for ci := 0; ci < chInGroup; ci++ {
-						w := filters.At(oc, g*in.CPerCT+ci, ky, kx)
-						for s := ci * in.ChanStride; s < (ci+1)*in.ChanStride; s++ {
-							wv[s] = w
+						w, blk := filters.At(oc, g*in.CPerCT+ci, ky, kx), wv[ci*in.ChanStride:(ci+1)*in.ChanStride]
+						for s := range blk {
+							blk[s] = w
 						}
 					}
-					pt := opts.constant(b, in.replicate(wv), sc.Pw).at(in.CTs[g])
+					pt := b.Encode(in.replicate(wv), sc.Pw)
 					terms = append(terms, hisa.Term{Rot: rot(ky, kx), Plain: pt})
 				}
 			}
 			sums[oc] = terms
 		}
-		partial := b.RotSum(in.CTs[g:g+1], sums, opts.each)
-		parallelFor(opts.workers(), cout, func(oc int) {
+		partial := b.RotSum(in.CTs[g:g+1], sums)
+		for oc := 0; oc < cout; oc++ {
 			acc := tryRescale(b, partial[oc], sc.Pc)
 			// Fold the partial sums of this ciphertext's occupied channels
 			// into channel block 0. Rounding the count up is safe here and
@@ -194,7 +193,7 @@ func Conv2D(b hisa.Backend, in *CipherTensor, filters, bias *tensor.Tensor, stri
 			// power-of-two CPerCT lie in this lane and hold zeros.
 			acc = foldStrided(b, acc, nextPow2(chInGroup), in.ChanStride)
 			partial[oc] = tryRescale(b, opts.masked(b, acc, mask), sc.Pc)
-		})
+		}
 		// Place every output channel at its block of its output ciphertext:
 		// one sum of rotations per output ciphertext, continuing the previous
 		// input ciphertext's sum, with the terms in channel order.
@@ -210,16 +209,13 @@ func Conv2D(b hisa.Backend, in *CipherTensor, filters, bias *tensor.Tensor, stri
 			gOut := oc / outCPerCT
 			sums[gOut] = append(sums[gOut], hisa.Term{Src: oc, Rot: -(oc % outCPerCT) * in.ChanStride})
 		}
-		out.CTs = b.RotSum(srcs, sums, opts.each)
-		for _, c := range srcs {
-			b.Free(c)
-		}
+		out.CTs = b.RotSum(srcs, sums)
 	}
 
 	if bias != nil {
 		for gOut := range out.CTs {
 			bv := perChannelVector(&out, gOut, b.Slots(), func(ch int) float64 { return bias.Data[ch] })
-			out.CTs[gOut] = addVecBoth(b, opts, out.Complex, out.CTs[gOut], bv)
+			out.CTs[gOut] = addVecBoth(b, out.Complex, out.CTs[gOut], bv)
 		}
 	}
 	out.validate(b.Slots())
@@ -232,8 +228,6 @@ func Conv2D(b hisa.Backend, in *CipherTensor, filters, bias *tensor.Tensor, stri
 // shared across its channels; it costs no level. The slots around the
 // output grid hold sums of their own windows, so a mask product (one level)
 // zeroes them only when clean is set.
-//
-// Ciphertext groups are masked by opts.Workers goroutines.
 func SumPool2D(b hisa.Backend, in *CipherTensor, window, stride int, clean bool, sc Scales, opts ExecOptions) *CipherTensor {
 	hout := (in.H-window)/stride + 1
 	wout := (in.W-window)/stride + 1
@@ -253,45 +247,39 @@ func SumPool2D(b hisa.Backend, in *CipherTensor, window, stride int, clean bool,
 			}
 		}
 	}
-	out.CTs = b.RotSum(in.CTs, sums, opts.each)
+	out.CTs = b.RotSum(in.CTs, sums)
 	if !clean {
 		out.validate(b.Slots())
 		return &out
 	}
-	// Groups share a mask except a possibly ragged final group. Masks are
-	// prepared up front so the worker pool reads the map without locking.
-	masks := map[int]constant{}
+	// Groups share a mask except a possibly ragged final group.
+	masks := map[int]hisa.Plaintext{}
 	for g := range in.CTs {
 		chInGroup := min(in.C-g*in.CPerCT, in.CPerCT)
-		if _, ok := masks[chInGroup]; !ok {
-			masks[chInGroup] = opts.constant(b, perChannelVector(&out, g, b.Slots(), uniform(1)), sc.Pm)
+		if masks[chInGroup] == nil {
+			masks[chInGroup] = b.Encode(perChannelVector(&out, g, b.Slots(), uniform(1)), sc.Pm)
 		}
+		out.CTs[g] = tryRescale(b, opts.masked(b, out.CTs[g], masks[chInGroup]), sc.Pc)
 	}
-	parallelFor(opts.workers(), len(in.CTs), func(g int) {
-		acc := opts.masked(b, out.CTs[g], masks[min(in.C-g*in.CPerCT, in.CPerCT)])
-		out.CTs[g] = tryRescale(b, acc, sc.Pc)
-	})
 	out.validate(b.Slots())
 	return &out
 }
 
 // GlobalAvgPool2D averages each channel down to a single value at grid
 // position (0, 0) by folding the columns, then the rows (foldStrided).
-//
-// Ciphertext groups are reduced by opts.Workers goroutines.
 func GlobalAvgPool2D(b hisa.Backend, in *CipherTensor, sc Scales, opts ExecOptions) *CipherTensor {
 	out := metaClone(in)
 	out.H, out.W = 1, 1
 	out.CTs = make([]hisa.Ciphertext, in.NumCTs())
 
 	inv := 1.0 / float64(in.H*in.W)
-	mask := opts.constant(b, perChannelVector(&out, 0, b.Slots(), uniform(inv)), sc.Pm)
+	mask := b.Encode(perChannelVector(&out, 0, b.Slots(), uniform(inv)), sc.Pm)
 
-	parallelFor(opts.workers(), len(in.CTs), func(g int) {
+	for g := range in.CTs {
 		acc := foldStrided(b, in.CTs[g], in.W, in.ColStride)
 		acc = foldStrided(b, acc, in.H, in.RowStride)
 		out.CTs[g] = tryRescale(b, opts.masked(b, acc, mask), sc.Pc)
-	})
+	}
 	out.validate(b.Slots())
 	return &out
 }
@@ -301,12 +289,10 @@ func GlobalAvgPool2D(b hisa.Backend, in *CipherTensor, sc Scales, opts ExecOptio
 // a carried forward to a layer that absorbs it): one ciphertext product and
 // one level. Adding shift touches every slot, but the product is zero
 // wherever x is, so a tensor with zero invalid slots keeps them.
-//
-// Ciphertext groups are transformed by opts.Workers goroutines.
-func Activation(b hisa.Backend, in *CipherTensor, shift float64, sc Scales, opts ExecOptions) *CipherTensor {
+func Activation(b hisa.Backend, in *CipherTensor, shift float64, sc Scales) *CipherTensor {
 	out := metaClone(in)
 	out.CTs = make([]hisa.Ciphertext, in.NumCTs())
-	parallelFor(opts.workers(), len(in.CTs), func(g int) {
+	for g := range in.CTs {
 		x := in.CTs[g]
 		var y hisa.Ciphertext
 		if in.Complex {
@@ -318,7 +304,7 @@ func Activation(b hisa.Backend, in *CipherTensor, shift float64, sc Scales, opts
 		// relinearization run as one instruction. The complex path's two
 		// shared-relin products land here too.
 		out.CTs[g] = reduceRelin(b, y, sc.Pc)
-	})
+	}
 	return &out
 }
 
@@ -326,16 +312,14 @@ func Activation(b hisa.Backend, in *CipherTensor, shift float64, sc Scales, opts
 // Horner's rule: degree-1 ciphertext multiplications plus one scalar
 // multiplication. The constant term is added only at valid positions so the
 // zero-slot invariant survives.
-//
-// Ciphertext groups are evaluated by opts.Workers goroutines.
-func PolyEval(b hisa.Backend, in *CipherTensor, coeffs []float64, sc Scales, opts ExecOptions) *CipherTensor {
+func PolyEval(b hisa.Backend, in *CipherTensor, coeffs []float64, sc Scales) *CipherTensor {
 	d := len(coeffs) - 1
 	if d < 1 {
 		panic("htc: PolyEval needs degree >= 1")
 	}
 	out := metaClone(in)
 	out.CTs = make([]hisa.Ciphertext, in.NumCTs())
-	parallelFor(opts.workers(), len(in.CTs), func(g int) {
+	for g := range in.CTs {
 		x := in.CTs[g]
 		// Horner multiplies by the same x every round, so the complex path
 		// conjugates x once per group and shares it across iterations.
@@ -359,10 +343,10 @@ func PolyEval(b hisa.Backend, in *CipherTensor, coeffs []float64, sc Scales, opt
 		}
 		if coeffs[0] != 0 {
 			cv := perChannelVector(in, g, b.Slots(), uniform(coeffs[0]))
-			acc = addVecBoth(b, opts, in.Complex, acc, cv)
+			acc = addVecBoth(b, in.Complex, acc, cv)
 		}
 		out.CTs[g] = acc
-	})
+	}
 	return &out
 }
 
@@ -370,44 +354,40 @@ func PolyEval(b hisa.Backend, in *CipherTensor, coeffs []float64, sc Scales, opt
 // y = gamma[c]*x + beta[c]. In HW layout the per-channel scale is a cheap
 // scalar multiplication; in CHW it requires a plaintext vector — the
 // layout-dependent cost difference the paper highlights.
-//
-// Ciphertext groups are normalized by opts.Workers goroutines.
-func BatchNorm(b hisa.Backend, in *CipherTensor, gamma, beta *tensor.Tensor, sc Scales, opts ExecOptions) *CipherTensor {
+func BatchNorm(b hisa.Backend, in *CipherTensor, gamma, beta *tensor.Tensor, sc Scales) *CipherTensor {
 	if gamma.Size() != in.C || beta.Size() != in.C {
 		panic("htc: batchnorm parameter size mismatch")
 	}
 	out := metaClone(in)
 	out.CTs = make([]hisa.Ciphertext, in.NumCTs())
-	parallelFor(opts.workers(), len(in.CTs), func(g int) {
+	for g := range in.CTs {
 		var t hisa.Ciphertext
 		if in.Layout == LayoutHW {
 			t = b.MulScalar(in.CTs[g], gamma.Data[g], sc.Pu)
 		} else {
 			gv := perChannelVector(in, g, b.Slots(), func(ch int) float64 { return gamma.Data[ch] })
-			t = b.MulPlain(in.CTs[g], opts.constant(b, gv, sc.Pw).at(in.CTs[g]))
+			t = b.MulPlain(in.CTs[g], b.Encode(gv, sc.Pw))
 		}
 		t = tryRescale(b, t, sc.Pc)
 		bv := perChannelVector(in, g, b.Slots(), func(ch int) float64 { return beta.Data[ch] })
-		t = addVecBoth(b, opts, in.Complex, t, bv)
+		t = addVecBoth(b, in.Complex, t, bv)
 		out.CTs[g] = t
-	})
+	}
 	return &out
 }
 
 // Add computes the elementwise sum of two CipherTensors with identical
 // metadata (residual connections).
-//
-// Ciphertext groups are summed by opts.Workers goroutines.
-func Add(b hisa.Backend, x, y *CipherTensor, opts ExecOptions) *CipherTensor {
+func Add(b hisa.Backend, x, y *CipherTensor) *CipherTensor {
 	if x.C != y.C || !sameGrid(x, y) {
 		panic("htc: Add requires identical layouts; insert a layout conversion")
 	}
 	out := metaClone(x)
 	out.CTs = make([]hisa.Ciphertext, x.NumCTs())
-	parallelFor(opts.workers(), len(x.CTs), func(g int) {
+	for g := range x.CTs {
 		a, bb := alignScales(b, x.CTs[g], y.CTs[g])
 		out.CTs[g] = b.Add(a, bb)
-	})
+	}
 	return &out
 }
 
@@ -415,10 +395,6 @@ func Add(b hisa.Backend, x, y *CipherTensor, opts ExecOptions) *CipherTensor {
 // input's channel count is a multiple of the block capacity the
 // concatenation is free (ciphertext list append); otherwise channels are
 // moved individually with mask-and-rotate.
-//
-// On the mask-and-rotate path, per-channel isolation runs on opts.Workers
-// goroutines and the isolated channels are folded into the output in serial
-// channel order.
 func Concat(b hisa.Backend, sc Scales, opts ExecOptions, ins ...*CipherTensor) *CipherTensor {
 	if len(ins) < 2 {
 		panic("htc: Concat needs at least two inputs")
@@ -461,38 +437,18 @@ func Concat(b hisa.Backend, sc Scales, opts ExecOptions, ins ...*CipherTensor) *
 	}
 
 	// Slow path: isolate each channel and place it at its target block.
-	numOutCTs := (totalC + out.CPerCT - 1) / out.CPerCT
-	out.CTs = make([]hisa.Ciphertext, numOutCTs)
-	type job struct {
-		in      *CipherTensor
-		ch, och int
-	}
-	jobs := make([]job, 0, totalC)
-	base := 0
+	out.CTs = make([]hisa.Ciphertext, (totalC+out.CPerCT-1)/out.CPerCT)
+	och := 0
 	for _, in := range ins {
-		for ch := 0; ch < in.C; ch++ {
-			jobs = append(jobs, job{in: in, ch: ch, och: base + ch})
+		for ch := 0; ch < in.C; ch, och = ch+1, och+1 {
+			bIn, bOut := ch%in.CPerCT, och%out.CPerCT
+			single := metaClone(in)
+			single.C, single.CPerCT = 1, 1
+			single.Offset = in.Offset + bIn*in.ChanStride
+			mask := b.Encode(perChannelVector(&single, 0, b.Slots(), uniform(1)), sc.Pm)
+			t := tryRescale(b, opts.masked(b, in.CTs[ch/in.CPerCT], mask), sc.Pc)
+			out.CTs[och/out.CPerCT] = accumulate(b, out.CTs[och/out.CPerCT], rotateRight(b, t, (bOut-bIn)*in.ChanStride))
 		}
-		base += in.C
-	}
-	isolated := make([]hisa.Ciphertext, len(jobs))
-	parallelFor(opts.workers(), len(jobs), func(j int) {
-		in, ch := jobs[j].in, jobs[j].ch
-		gIn, bIn := ch/in.CPerCT, ch%in.CPerCT
-		bOut := jobs[j].och % out.CPerCT
-
-		single := metaClone(in)
-		single.C = 1
-		single.CPerCT = 1
-		single.Offset = in.Offset + bIn*in.ChanStride
-		mv := perChannelVector(&single, 0, b.Slots(), uniform(1))
-		t := tryRescale(b, opts.masked(b, in.CTs[gIn], opts.constant(b, mv, sc.Pm)), sc.Pc)
-		isolated[j] = rotateRight(b, t, (bOut-bIn)*in.ChanStride)
-	})
-	// Fold in original (input, channel) order for a bit-identical result.
-	for j := range jobs {
-		gOut := jobs[j].och / out.CPerCT
-		out.CTs[gOut] = accumulate(b, out.CTs[gOut], isolated[j])
 	}
 	out.validate(b.Slots())
 	return &out
@@ -515,10 +471,7 @@ func Pad2D(in *CipherTensor, pad int) *CipherTensor {
 
 // ToCHW converts an HW-layout tensor to CHW by shifting each channel into
 // its block and adding (no masks needed: invalid slots are zero).
-//
-// Channels are shifted by opts.Workers goroutines and folded into their
-// blocks in serial channel order.
-func ToCHW(b hisa.Backend, in *CipherTensor, opts ExecOptions) *CipherTensor {
+func ToCHW(b hisa.Backend, in *CipherTensor) *CipherTensor {
 	if in.Layout == LayoutCHW {
 		return in
 	}
@@ -527,12 +480,8 @@ func ToCHW(b hisa.Backend, in *CipherTensor, opts ExecOptions) *CipherTensor {
 	cPerCT := blockCapacity(in.BatchStride, in.ChanStride)
 	out.CPerCT = cPerCT
 	out.CTs = make([]hisa.Ciphertext, (in.C+cPerCT-1)/cPerCT)
-	shifted := make([]hisa.Ciphertext, in.C)
-	parallelFor(opts.workers(), in.C, func(ch int) {
-		shifted[ch] = rotateRight(b, in.CTs[ch], ch%cPerCT*in.ChanStride)
-	})
-	for ch, t := range shifted {
-		out.CTs[ch/cPerCT] = accumulate(b, out.CTs[ch/cPerCT], t)
+	for ch, c := range in.CTs {
+		out.CTs[ch/cPerCT] = accumulate(b, out.CTs[ch/cPerCT], rotateRight(b, c, ch%cPerCT*in.ChanStride))
 	}
 	out.validate(b.Slots())
 	return &out
@@ -540,8 +489,6 @@ func ToCHW(b hisa.Backend, in *CipherTensor, opts ExecOptions) *CipherTensor {
 
 // ToHW converts a CHW-layout tensor to HW: each channel is rotated to block
 // zero and isolated with a mask (the conversion that costs depth).
-//
-// Channels are isolated by opts.Workers goroutines.
 func ToHW(b hisa.Backend, in *CipherTensor, sc Scales, opts ExecOptions) *CipherTensor {
 	if in.Layout == LayoutHW {
 		return in
@@ -554,11 +501,11 @@ func ToHW(b hisa.Backend, in *CipherTensor, sc Scales, opts ExecOptions) *Cipher
 	single := metaClone(in)
 	single.C = 1
 	single.CPerCT = 1
-	mask := opts.constant(b, perChannelVector(&single, 0, b.Slots(), uniform(1)), sc.Pm)
-	parallelFor(opts.workers(), in.C, func(ch int) {
+	mask := b.Encode(perChannelVector(&single, 0, b.Slots(), uniform(1)), sc.Pm)
+	for ch := 0; ch < in.C; ch++ {
 		t := rotateRight(b, in.CTs[ch/in.CPerCT], -(ch%in.CPerCT)*in.ChanStride)
 		out.CTs[ch] = tryRescale(b, opts.masked(b, t, mask), sc.Pc)
-	})
+	}
 	out.validate(b.Slots())
 	return &out
 }

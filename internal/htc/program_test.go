@@ -1,0 +1,199 @@
+package htc_test
+
+import (
+	"math"
+	"sync"
+	"testing"
+
+	"chet/internal/ckks"
+	"chet/internal/core"
+	"chet/internal/hisa"
+	"chet/internal/htc"
+	"chet/internal/nn"
+	"chet/internal/ring"
+	"chet/internal/tensor"
+)
+
+// compile compiles m under one layout policy at a fixed ring degree.
+func compile(t *testing.T, m *nn.Model, scheme core.Scheme, logN int, sc htc.Scales, policy htc.LayoutPolicy) *core.Compiled {
+	t.Helper()
+	comp, err := core.Compile(m.Circuit, core.Options{Scheme: scheme, SecurityBits: -1, MinLogN: logN, MaxLogN: logN,
+		Scales: sc, Policies: []htc.LayoutPolicy{policy}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return comp
+}
+
+// kernels runs the compiled circuit's kernels on b: what the program was
+// recorded from.
+func kernels(comp *core.Compiled, b hisa.Backend, in *htc.CipherTensor) *htc.CipherTensor {
+	return htc.Execute(b, comp.Program.Circuit, in, comp.Best.Policy, comp.Options.Scales, htc.ExecOptions{})
+}
+
+// requireReplaysAgree runs comp's kernels on b and replays its program
+// serially and on `workers` goroutines, all on one encryption of img: the
+// three outputs must agree bit for bit. It returns the replay's output.
+func requireReplaysAgree(t *testing.T, name string, comp *core.Compiled, b hisa.Backend, img *tensor.Tensor, workers int) *tensor.Tensor {
+	t.Helper()
+	in := comp.Encrypt(b, img)
+	want := htc.DecryptTensor(b, kernels(comp, b, in), 1)[0]
+	for _, w := range []int{1, workers} {
+		requireBitIdentical(t, name, want, htc.DecryptTensor(b, comp.Execute(b, in, w), 1)[0])
+	}
+	return want
+}
+
+func requireBitIdentical(t *testing.T, name string, want, got *tensor.Tensor) {
+	t.Helper()
+	for i := range want.Data {
+		if math.Float64bits(want.Data[i]) != math.Float64bits(got.Data[i]) {
+			t.Fatalf("%s: slot %d: %v != %v (not bit-identical)", name, i, got.Data[i], want.Data[i])
+		}
+	}
+}
+
+// TestParallelExecuteDeterministicRef checks that an 8-worker replay of
+// LeNet-5-small's program is bit-identical to a serial one, and both to the
+// kernels it was recorded from, on the reference backend, for all four
+// layout policies: every instruction is a deterministic function of its
+// operands.
+func TestParallelExecuteDeterministicRef(t *testing.T) {
+	m := nn.LeNet5Small()
+	img := nn.SyntheticImage(m.InputShape, 7)
+	for _, policy := range htc.AllPolicies {
+		comp := compile(t, m, core.SchemeCKKS, 13, htc.DefaultScales(), policy)
+		requireReplaysAgree(t, "ref/"+policy.String(), comp, hisa.NewRefBackend(1<<(comp.Best.LogN-1)), img, 8)
+	}
+}
+
+// TestParallelExecuteDeterministicSim is the same check on the simulation
+// backend, whose noise-estimate bookkeeping rides along with every op.
+// NoNoise decryption keeps the comparison exact.
+func TestParallelExecuteDeterministicSim(t *testing.T) {
+	m := nn.LeNet5Small()
+	img := nn.SyntheticImage(m.InputShape, 7)
+	sc := htc.Scales{Pc: math.Exp2(40), Pw: math.Exp2(30), Pu: math.Exp2(30), Pm: math.Exp2(25)}
+	for _, policy := range htc.AllPolicies {
+		comp := compile(t, m, core.SchemeCKKS, 13, sc, policy)
+		b := hisa.NewSimBackend(hisa.SimParams{LogN: 13, LogQ: 2400, Seed: 5, NoNoise: true})
+		requireReplaysAgree(t, "sim/"+policy.String(), comp, b, img, 8)
+	}
+}
+
+// rnsScales are one 40-bit chain prime per factor.
+var rnsScales = htc.Scales{Pc: math.Exp2(40), Pw: math.Exp2(40), Pu: math.Exp2(40), Pm: math.Exp2(40)}
+
+// rnsBackend builds the real lattice backend comp selected.
+func rnsBackend(t *testing.T, comp *core.Compiled) *hisa.RNSBackend {
+	t.Helper()
+	b, err := core.BuildBackend(comp, ring.NewTestPRNG(99))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.(*hisa.RNSBackend)
+}
+
+// TestParallelExecuteDeterministicRNS replays LeNet-tiny's program on the
+// real RNS-CKKS backend: all evaluator ops are deterministic, workers also
+// fan every instruction's limbs, and the program's plaintexts sit at their
+// levels — so even lattice execution is bit-identical between 1 and 4
+// workers, and equal to the kernels' per-call top-level plaintexts.
+func TestParallelExecuteDeterministicRNS(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real lattice execution is slow; run without -short")
+	}
+	m := nn.LeNetTiny()
+	comp := compile(t, m, core.SchemeRNS, 11, rnsScales, htc.PolicyCHW)
+	img := nn.SyntheticImage(m.InputShape, 7)
+	got := requireReplaysAgree(t, "rns/CHW", comp, rnsBackend(t, comp), img, 4)
+
+	// And the values are right, not merely consistent with each other.
+	want := m.Circuit.Evaluate(img)
+	for i := range want.Data {
+		if math.Abs(got.Data[i]-want.Data[i]) > 1e-2 {
+			t.Fatalf("rns output diverges from plaintext reference at %d: %v vs %v", i, got.Data[i], want.Data[i])
+		}
+	}
+}
+
+// levelChecker is an RNS backend that checks every plaintext it is handed
+// sits exactly at the level of the ciphertext it meets.
+type levelChecker struct {
+	*hisa.RNSBackend
+	t *testing.T
+}
+
+func (b levelChecker) check(op string, c hisa.Ciphertext, p hisa.Plaintext) {
+	if pl, cl := p.(*ckks.Plaintext).Level(), b.LevelOf(c); pl != cl {
+		b.t.Errorf("%s: plaintext at level %d met a ciphertext at level %d", op, pl, cl)
+	}
+}
+
+func (b levelChecker) MulPlain(c hisa.Ciphertext, p hisa.Plaintext) hisa.Ciphertext {
+	b.check("mulplain", c, p)
+	return b.RNSBackend.MulPlain(c, p)
+}
+
+func (b levelChecker) AddPlain(c hisa.Ciphertext, p hisa.Plaintext) hisa.Ciphertext {
+	b.check("addplain", c, p)
+	return b.RNSBackend.AddPlain(c, p)
+}
+
+// TestConstantStoreLevels replays LeNet-tiny's program under both pure
+// layouts on RNS: every plaintext of its constant table is encoded once, at
+// the level of the ciphertext it meets, so the table holds fewer rows than
+// top-level plaintexts would.
+func TestConstantStoreLevels(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real lattice execution is slow; run without -short")
+	}
+	m := nn.LeNetTiny()
+	img := nn.SyntheticImage(m.InputShape, 3)
+	for _, policy := range []htc.LayoutPolicy{htc.PolicyCHW, htc.PolicyHW} {
+		comp := compile(t, m, core.SchemeRNS, 11, rnsScales, policy)
+		rns := rnsBackend(t, comp)
+		b := levelChecker{RNSBackend: rns, t: t}
+		comp.Execute(b, comp.Encrypt(b, img), 2)
+		n, topRows := int64(2*b.Slots()), int64(rns.Params().MaxLevel()+1)
+		count, bytes := comp.Code.Plaintexts(), comp.Code.Bytes()
+		if count != len(comp.Code.Consts) || bytes%(n*8) != 0 {
+			t.Fatalf("%v: %d of %d constants encoded in %d bytes", policy, count, len(comp.Code.Consts), bytes)
+		}
+		if rows := bytes / (n * 8); rows >= int64(count)*topRows {
+			t.Fatalf("%v: %d plaintexts hold %d rows, no fewer than the %d of top-level plaintexts",
+				policy, count, rows, int64(count)*topRows)
+		}
+	}
+}
+
+// TestConstantStoreConcurrentExecutions runs two executions of one program
+// at once on one backend, sharing its lazily encoded constants and the
+// evaluator (run with -race): both must equal the kernels' run, bit for bit,
+// and every constant is encoded once.
+func TestConstantStoreConcurrentExecutions(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real lattice execution is slow; run without -short")
+	}
+	m := nn.LeNetTiny()
+	comp := compile(t, m, core.SchemeRNS, 11, rnsScales, htc.PolicyCHW)
+	b := rnsBackend(t, comp)
+	in := comp.Encrypt(b, nn.SyntheticImage(m.InputShape, 5))
+	want := htc.DecryptTensor(b, kernels(comp, b, in), 1)[0]
+	outs := make([]*htc.CipherTensor, 2)
+	var wg sync.WaitGroup
+	wg.Add(len(outs))
+	for i := range outs {
+		go func(i int) {
+			defer wg.Done()
+			outs[i] = comp.Execute(b, in, 2)
+		}(i)
+	}
+	wg.Wait()
+	for i, out := range outs {
+		requireBitIdentical(t, "concurrent execution "+string(rune('A'+i)), want, htc.DecryptTensor(b, out, 1)[0])
+	}
+	if comp.Code.Plaintexts() != len(comp.Code.Consts) {
+		t.Fatalf("%d plaintexts encoded for %d constants", comp.Code.Plaintexts(), len(comp.Code.Consts))
+	}
+}

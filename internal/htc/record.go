@@ -1,0 +1,168 @@
+package htc
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+
+	"chet/internal/circuit"
+	"chet/internal/hisa"
+)
+
+// Recording builds the program a recording run issues: the compiler's
+// analysis (core.Analysis) records every instruction it executes into one,
+// each result in a fresh register and each constant in the table. The
+// analysis runs below the compiler's hisa.Refresher, so the refreshes and
+// the drops to the fresh level it triggers are instructions too.
+type Recording struct {
+	p *Program
+	// quiet is set while one recorded instruction runs on instructions of
+	// its own: a scale decision (decide) or the analysis's unfused sum.
+	quiet int
+	start int // the first instruction of the node being recorded
+}
+
+// NewRecording starts an empty program.
+func NewRecording() *Recording { return &Recording{p: &Program{}} }
+
+// recorder is the capability of a backend that records into a Recording
+// (the compiler's analysis): a scale decision's outcome outs, on operands
+// args, is recorded as the one instruction in, with constant vec encoded at
+// the first operand's scale, and returned in the instruction's registers.
+type recorder interface {
+	Recording() *Recording
+	Decided(in Instr, vec []float64, args, outs []hisa.Ciphertext) []hisa.Ciphertext
+}
+
+// decide runs a kernel decision taken from a runtime scale (tryRescale,
+// reduceRelin, alignScales, addPlainAt): in a recording run it is one
+// instruction, which a program's execution takes again.
+func decide(b hisa.Backend, in Instr, vec []float64, args []hisa.Ciphertext, run func() []hisa.Ciphertext) []hisa.Ciphertext {
+	rb, ok := hisa.FindCapability[recorder](b)
+	if !ok || rb.Recording() == nil || rb.Recording().Quiet() {
+		return run()
+	}
+	return rb.Decided(in, vec, args, rb.Recording().Quietly(run))
+}
+
+// Quiet reports whether the instructions running now are inside another.
+func (r *Recording) Quiet() bool { return r.quiet > 0 }
+
+// Quietly runs f as the inside of one instruction.
+func (r *Recording) Quietly(f func() []hisa.Ciphertext) []hisa.Ciphertext {
+	r.quiet++
+	defer func() { r.quiet-- }()
+	return f()
+}
+
+// Emit appends instruction in with operand registers args (none for a
+// rotsum) and n results in fresh registers, and returns the first; inside
+// another instruction it appends nothing and returns -1.
+func (r *Recording) Emit(in Instr, n int, args ...int32) int32 {
+	if r.Quiet() {
+		return -1
+	}
+	in.In, in.Out = [2]int32{-1, -1}, int32(r.p.Regs)
+	copy(in.In[:], args)
+	r.p.Regs += n
+	r.p.Instrs = append(r.p.Instrs, in)
+	return in.Out
+}
+
+// Input is the register of the program's next input ciphertext.
+func (r *Recording) Input() int32 {
+	r.p.InRegs = append(r.p.InRegs, int32(r.p.Regs))
+	r.p.Regs++
+	return int32(r.p.Regs - 1)
+}
+
+// Constant adds the vector re + i·im (im nil for a real one) at scale to the
+// table and returns its index; inside another instruction it adds none.
+func (r *Recording) Constant(re, im []float64, scale float64) int32 {
+	if r.Quiet() {
+		return -1
+	}
+	r.p.Consts = append(r.p.Consts, Const{Re: runsOf(re), Im: runsOf(im), Scale: scale, Level: -1})
+	return int32(len(r.p.Consts) - 1)
+}
+
+// Use raises constant k's level to level, that of a ciphertext it meets.
+func (r *Recording) Use(k int32, level int) {
+	if k >= 0 && !r.Quiet() {
+		r.p.Consts[k].Level = max(r.p.Consts[k].Level, level)
+	}
+}
+
+// Sum adds a rotsum's operands and returns their index (Instr.K).
+func (r *Recording) Sum(rs RotSum) int32 {
+	r.p.Sums = append(r.p.Sums, rs)
+	return int32(len(r.p.Sums) - 1)
+}
+
+// EndNode attributes the instructions since the last call to circuit node id.
+func (r *Recording) EndNode(id int) {
+	for i := r.start; i < len(r.p.Instrs); i++ {
+		r.p.Instrs[i].Node = int32(id)
+	}
+	r.start = len(r.p.Instrs)
+	r.p.Spans = append(r.p.Spans, Span{Node: int32(id), End: int32(r.start)})
+}
+
+// Program finishes the recording of circuit circ: in is the tensor the run
+// encrypted, out the one it computed and reg the register of one of their
+// ciphertexts. Constants nothing reads are dropped and equal ones shared.
+func (r *Recording) Program(circ *circuit.Circuit, in, out *CipherTensor, reg func(hisa.Ciphertext) int32) *Program {
+	p := r.p
+	if len(p.InRegs) != len(in.CTs) {
+		panic(fmt.Sprintf("htc: %d encryptions recorded for a %d-ciphertext input", len(p.InRegs), len(in.CTs)))
+	}
+	p.Circuit, p.In, p.Out = circ, metaClone(in), metaClone(out)
+	for _, c := range out.CTs {
+		p.OutRegs = append(p.OutRegs, reg(c))
+	}
+	index := map[string]int32{}
+	remap := make([]int32, len(p.Consts)) // 1 + the new index
+	var table []Const
+	keep := func(k *int32) {
+		if *k < 0 {
+			return
+		}
+		if remap[*k] == 0 {
+			key := constKey(p.Consts[*k])
+			if _, ok := index[key]; !ok {
+				index[key] = int32(len(table))
+				table = append(table, p.Consts[*k])
+			}
+			remap[*k] = index[key] + 1
+		}
+		*k = remap[*k] - 1
+	}
+	for i := range p.Instrs {
+		switch in := &p.Instrs[i]; in.Op {
+		case OpRotSum:
+			for _, terms := range p.Sums[in.K].Sums {
+				for j := range terms {
+					keep(&terms[j].K)
+				}
+			}
+		case OpAddPlain, OpSubPlain, OpAddPlainC, OpMulPlain, OpAddPlainAt:
+			keep(&in.K)
+		}
+	}
+	p.Consts = table
+	return p
+}
+
+// constKey is the identity of a constant: its runs, scale and level.
+func constKey(c Const) string {
+	var buf []byte
+	for _, rs := range [][]Run{c.Re, c.Im} {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(rs)))
+		for _, x := range rs {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(x.Start)<<32|uint64(x.Len))
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x.Value))
+		}
+	}
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.Scale))
+	return string(binary.LittleEndian.AppendUint64(buf, uint64(c.Level)))
+}

@@ -54,8 +54,8 @@ func writePromMetrics(w io.Writer, m ServerMetrics, sessions []*session, default
 	p.Counter("chet_health_probes_total", "Health probes answered.", m.HealthProbes)
 	p.Counter("chet_registry_syncs_total", "Registry-sync frames merged.", m.RegistrySyncs)
 	p.Gauge("chet_registry_models", "Models in the replicated registry view.", m.RegistryModels)
-	p.Gauge("chet_constant_plaintexts", "Encoded kernel constants in the shared store.", m.ConstantPlaintexts)
-	p.Gauge("chet_constant_bytes", "Bytes held by the shared store of encoded kernel constants.", m.ConstantBytes)
+	p.Gauge("chet_constant_plaintexts", "Encoded constants of the served program.", m.ConstantPlaintexts)
+	p.Gauge("chet_constant_bytes", "Bytes held by the served program's encoded constants.", m.ConstantBytes)
 
 	summary := func(name, help string, l LatencySummary) {
 		p.Summary(name, help, l.P50, l.P90, l.P99, l.Sum, l.Count)
@@ -121,9 +121,9 @@ func writePromMetrics(w io.Writer, m ServerMetrics, sessions []*session, default
 
 	// Ciphertext-budget telemetry. The aggregate refresh counter is always
 	// present (zero without a bootstrap plan) so dashboards can rate() it
-	// unconditionally; headroom only appears once a session has done
-	// multiplicative work, because until then the low-water mark is unknown.
-	p.Counter("chet_bootstrap_refreshes_total", "Bootstrap refreshes across live sessions (hisa.Refresher tally).", m.Bootstraps)
+	// unconditionally; headroom, the compiled plan's, only appears once a
+	// session has run.
+	p.Counter("chet_bootstrap_refreshes_total", "Bootstrap refreshes across live sessions (the Meter's bootstrap tally).", m.Bootstraps)
 	if m.HeadroomKnown {
 		p.Gauge("chet_min_headroom_levels", "Low-water mark of ciphertext levels above the refresh floor.", m.MinHeadroom)
 	}

@@ -7,25 +7,22 @@ import (
 	"testing"
 	"time"
 
+	"chet/internal/core"
 	"chet/internal/hisa"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from the current output")
 
 // TestWorkerScrapeGolden pins the worker's /metrics page byte for byte on a
-// fixed snapshot: one session whose Meter and Refresher saw a fixed
-// instruction sequence over the plaintext backend, under fixed server
-// counters. The session is untraced, since span durations are not
+// fixed snapshot: one session of a bootstrap-planned program whose Meter saw
+// a fixed instruction sequence over the plaintext backend, under fixed
+// server counters. The session is untraced, since span durations are not
 // reproducible. The golden page was rendered by the hand-written exposition
 // code this package had before telemetry.Prom, plus the op="bootstrap" row
 // that code left out of chet_hisa_ops_total and the constant-store gauges.
 func TestWorkerScrapeGolden(t *testing.T) {
 	ref := hisa.NewRefBackend(8)
-	meter := hisa.NewMeter(ref, nil)
-	rf, err := hisa.NewRefresher(meter, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rf := hisa.NewMeter(ref, nil)
 	const scale = float64(1 << 30)
 	p := rf.Encode([]float64{1, 2, 3}, scale)
 	c := rf.Encrypt(p)
@@ -54,7 +51,7 @@ func TestWorkerScrapeGolden(t *testing.T) {
 		BatchSizes:         map[int]uint64{1: 2, 8: 4, 4: 3},
 		ConstantPlaintexts: 61, ConstantBytes: 551 << 18,
 	}
-	sess := &session{id: 7, backend: rf, meter: meter, refresher: rf, latency: newLatencyRecorder()}
+	sess := &session{id: 7, meter: rf, boot: &core.BootReport{MinHeadroom: 63}, latency: newLatencyRecorder()}
 	var got bytes.Buffer
 	writePromMetrics(&got, m, []*session{sess}, 0)
 	checkGolden(t, "testdata/worker_metrics.golden", got.Bytes())

@@ -77,10 +77,10 @@ type SessionMetrics struct {
 	Ops     hisa.OpCounts
 	Latency LatencySummary
 
-	// Bootstraps counts this session's bootstrap refreshes (hisa.Refresher
-	// tally, triggered + explicit); zero when the served circuit has no
-	// bootstrap plan. MinHeadroom is the session's low-water mark of levels
-	// above the refresh floor, valid when HeadroomKnown.
+	// Bootstraps counts this session's bootstrap instructions (the Meter's
+	// bootstrap tally); zero when the served program has no bootstrap plan.
+	// MinHeadroom is the plan's low-water mark of levels above the refresh
+	// floor (the compiler's recording run), valid once the session has run.
 	Bootstraps    uint64
 	MinHeadroom   int64
 	HeadroomKnown bool
@@ -110,10 +110,10 @@ type ServerMetrics struct {
 	RegistrySyncs  uint64
 	RegistryModels int
 
-	// Ciphertext-budget telemetry, aggregated over the live sessions'
-	// refreshers (zero-valued when the served circuit has no bootstrap
-	// plan): cumulative bootstrap refreshes and the worker-wide low-water
-	// mark of levels above the refresh floor (valid when HeadroomKnown).
+	// Ciphertext-budget telemetry, aggregated over the live sessions
+	// (zero-valued when the served program has no bootstrap plan):
+	// cumulative bootstraps and the worker-wide low-water mark of levels
+	// above the refresh floor (valid when HeadroomKnown).
 	Bootstraps    uint64
 	MinHeadroom   int64
 	HeadroomKnown bool
@@ -131,9 +131,9 @@ type ServerMetrics struct {
 	// evaluations of eight images each — the batch lanes' fill.
 	BatchSizes map[int]uint64
 
-	// ConstantPlaintexts and ConstantBytes size the server's store of
-	// encoded weights, masks and biases (htc.Constants), which every session
-	// shares.
+	// ConstantPlaintexts and ConstantBytes size the program's encoded
+	// weights, masks and biases (htc.Program.Plaintexts), which every
+	// session shares.
 	ConstantPlaintexts int
 	ConstantBytes      int64
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"chet/internal/core"
 	"chet/internal/htc"
 	"chet/internal/wire"
 )
@@ -104,11 +105,11 @@ func TestLatencyQuantilesAfterWraparound(t *testing.T) {
 }
 
 // newMetricsTestServer builds the minimal Server state Metrics() touches,
-// without a compiled circuit.
+// around an empty program.
 func newMetricsTestServer() *Server {
 	return &Server{
+		cfg:         Config{Compiled: &core.Compiled{Code: &htc.Program{}}},
 		reg:         wire.NewSessionTable[*session](4),
-		constants:   htc.NewConstants(),
 		latency:     newLatencyRecorder(),
 		queueWait:   newLatencyRecorder(),
 		evalLatency: newLatencyRecorder(),

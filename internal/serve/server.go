@@ -19,6 +19,7 @@ import (
 	"log/slog"
 	"math"
 	"net"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,9 +50,9 @@ type Config struct {
 	// RequestTimeout is the default per-request deadline (queue wait plus
 	// evaluation); a request may tighten it via TimeoutMillis. Default 60s.
 	RequestTimeout time.Duration
-	// Workers is the htc worker-pool size each inference fans kernel work
-	// across, and the number of goroutines one RNS instruction fans its
-	// limbs across. Values <= 1 evaluate serially. Default 1.
+	// Workers is the number of goroutines each inference runs the
+	// program's ready instructions on, and the number one RNS instruction
+	// fans its limbs across. Values <= 1 evaluate serially. Default 1.
 	Workers int
 	// Parallel is the number of inferences evaluated concurrently (the
 	// executor pool draining the admission queue). Default 1.
@@ -151,11 +152,6 @@ type Server struct {
 	// network tensors are checked against it field by field.
 	wantMeta htc.CipherTensor
 
-	// constants holds the program's encoded weights, masks and biases for
-	// every session: plaintexts depend only on the parameters, not on a
-	// client's keys.
-	constants *htc.Constants
-
 	// ep serves the protocol: listener, connections, draining flag, and a
 	// frame loop per connection dispatching to the handle* methods.
 	ep   *wire.Endpoint
@@ -204,14 +200,12 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	in := cfg.Compiled.Circuit.Input.OutShape
 	s := &Server{
 		cfg:         cfg,
 		params:      params,
 		fingerprint: cfg.Compiled.Fingerprint(),
-		wantMeta:    htc.NewLayout(cfg.Compiled.Plan(), in[0], in[1], in[2], params.Slots()),
+		wantMeta:    cfg.Compiled.Code.In,
 		reg:         wire.NewSessionTable[*session](cfg.MaxSessions),
-		constants:   htc.NewConstants(),
 		jobs:        make(chan *job, cfg.QueueDepth),
 		quit:        make(chan struct{}),
 		latency:     newLatencyRecorder(),
@@ -330,7 +324,7 @@ func (s *Server) Metrics() ServerMetrics {
 		Evaluation:        s.evalLatency.summary(),
 		BatchSizes:        map[int]uint64{},
 	}
-	m.ConstantPlaintexts, m.ConstantBytes = s.constants.Plaintexts(), s.constants.Bytes()
+	m.ConstantPlaintexts, m.ConstantBytes = s.cfg.Compiled.Code.Plaintexts(), s.cfg.Compiled.Code.Bytes()
 	m.Bootstraps, m.MinHeadroom, m.HeadroomKnown = s.budgetTelemetry()
 	s.batchMu.Lock()
 	for k, v := range s.batchSizes {
@@ -405,10 +399,9 @@ func (s *Server) admitSession(payload []byte) (uint64, wire.ErrorCode, error) {
 	}
 
 	backend := hisa.NewRNSBackendFromKeys(s.params, keys, nil)
-	// A bootstrap-compiled circuit evaluates through the refresh pipeline:
-	// the session's backend gains a bootstrapper (built over the client's
-	// shipped rotation keys, which NewClient provisions with the pipeline
-	// amounts) and a Refresher realizing the compiler's placements.
+	// A bootstrap-compiled program's bootstrap instructions run on a
+	// bootstrapper built over the client's shipped rotation keys, which
+	// NewClient provisions with the pipeline amounts.
 	if bp := s.cfg.Compiled.BootPlan; bp != nil {
 		if err := backend.EnableBootstrap(bp.Spec); err != nil {
 			return 0, wire.CodeBadMessage, fmt.Errorf("enabling bootstrap: %w", err)
@@ -431,17 +424,8 @@ func (s *Server) admitSession(payload []byte) (uint64, wire.ErrorCode, error) {
 	meter := hisa.NewMeter(inner, func(x int) int {
 		return len(hisa.RotationSteps(x, slots, func(k int) bool { return provisioned[k] }))
 	})
-	var top hisa.Backend = meter
-	var refresher *hisa.Refresher
-	if bp := s.cfg.Compiled.BootPlan; bp != nil {
-		rf, err := hisa.NewRefresher(meter, bp.Floor)
-		if err != nil {
-			return 0, wire.CodeInternal, fmt.Errorf("wrapping refresher: %w", err)
-		}
-		refresher, top = rf, rf
-	}
 	sess := s.reg.Add(func(id uint64) *session {
-		return &session{id: id, backend: top, meter: meter, tracer: tracer, refresher: refresher, latency: newLatencyRecorder()}
+		return &session{id: id, meter: meter, tracer: tracer, boot: s.cfg.Compiled.BootPlan, latency: newLatencyRecorder()}
 	})
 	s.cfg.Logger.Info("session opened", "session", sess.id, "rotation_keys", len(msg.RTKS.Keys))
 	return sess.id, 0, nil
@@ -473,20 +457,15 @@ func (s *Server) handleHealthProbe(c *wire.Conn, payload []byte) bool {
 
 // budgetTelemetry aggregates the live sessions' ciphertext-budget state:
 // the cumulative bootstrap tally and the fleet-reportable low-water mark of
-// levels above the refresh floor (known only once some session has run a
-// multiplicative op).
+// levels above the refresh floor (known only once some session has run).
 func (s *Server) budgetTelemetry() (bootstraps uint64, minHeadroom int64, known bool) {
 	minHeadroom = math.MaxInt64
 	for _, sess := range s.reg.Snapshot() {
-		if sess.refresher == nil {
-			continue
-		}
-		bootstraps += uint64(sess.refresher.Bootstraps())
-		if h, ok := sess.refresher.MinHeadroom(); ok {
+		m := sess.metrics()
+		bootstraps += m.Bootstraps
+		if m.HeadroomKnown {
 			known = true
-			if int64(h) < minHeadroom {
-				minHeadroom = int64(h)
-			}
+			minHeadroom = min(minHeadroom, m.MinHeadroom)
 		}
 	}
 	if !known {
@@ -677,11 +656,8 @@ func (s *Server) checkTensor(ct *htc.CipherTensor) error {
 	if err := ct.Validate(slots); err != nil {
 		return err
 	}
-	w := &s.wantMeta
-	if ct.Layout != w.Layout || ct.C != w.C || ct.H != w.H || ct.W != w.W ||
-		ct.Offset != w.Offset || ct.RowStride != w.RowStride ||
-		ct.ColStride != w.ColStride || ct.ChanStride != w.ChanStride ||
-		ct.CPerCT != w.CPerCT || ct.B != w.B || ct.BatchStride != w.BatchStride || ct.Complex != w.Complex {
+	w, meta := &s.wantMeta, *ct
+	if meta.CTs = nil; !reflect.DeepEqual(meta, *w) {
 		return fmt.Errorf("tensor geometry %dx%dx%d (offset %d, strides %d/%d/%d, batch %dx%d, complex %t) does not match the compiled input layout %dx%dx%d (offset %d, strides %d/%d/%d, batch %dx%d, complex %t)",
 			ct.C, ct.H, ct.W, ct.Offset, ct.RowStride, ct.ColStride, ct.ChanStride, ct.B, ct.BatchStride, ct.Complex,
 			w.C, w.H, w.W, w.Offset, w.RowStride, w.ColStride, w.ChanStride, w.B, w.BatchStride, w.Complex)
@@ -839,29 +815,12 @@ func (s *Server) evaluate(sess *session, in *htc.CipherTensor, label string, tra
 		closeScope, _ := sess.tracer.StartScopeCtx(label, traceID, parent)
 		defer closeScope()
 	}
-	// A bootstrap-compiled circuit starts at the compiler's fresh level:
-	// clients send full-level encryptions (checkTensor demands them), so the
-	// inputs are dropped exactly as Refresher.Encrypt drops local ones. The
-	// dropped copies are Refresher-owned intermediates, freed after the run.
-	if sess.refresher != nil {
-		fresh := *in
-		fresh.CTs = make([]hisa.Ciphertext, len(in.CTs))
-		for i, c := range in.CTs {
-			fresh.CTs[i] = sess.refresher.DropToFresh(c)
-		}
-		defer func() {
-			for _, c := range fresh.CTs {
-				sess.backend.Free(c)
-			}
-		}()
-		in = &fresh
-	}
+	// Clients send full-level encryptions (checkTensor demands them); a
+	// bootstrap-compiled program drops them to its fresh level itself.
 	if s.execHook != nil {
 		s.execHook()
 	}
-	comp := s.cfg.Compiled
-	out = comp.Execute(sess.backend, in, htc.ExecOptions{Workers: s.cfg.Workers, Constants: s.constants})
-	return out, nil
+	return s.cfg.Compiled.Execute(sess.meter, in, s.cfg.Workers), nil
 }
 
 // htcPoly pairs a polynomial with its name for checkTensor diagnostics.

@@ -3,6 +3,7 @@ package serve
 import (
 	"sync/atomic"
 
+	"chet/internal/core"
 	"chet/internal/hisa"
 	"chet/internal/telemetry"
 )
@@ -14,15 +15,14 @@ import (
 // request the session makes; the server's wire.SessionTable caps how many
 // sessions it keeps.
 type session struct {
-	id      uint64
-	backend hisa.Backend // the top of the wrap chain, as the kernels see it
-	meter   *hisa.Meter
+	id uint64
+	// meter tops the wrap chain: the program executes on it.
+	meter *hisa.Meter
 	// tracer records per-op spans when Config.Trace is set; nil otherwise.
 	tracer *telemetry.Tracer
-	// refresher realizes the compiler's bootstrap placements when the served
-	// circuit has a BootPlan; nil otherwise. Its atomic tally feeds the
-	// per-session refresh counters in /metrics and the health acks.
-	refresher *hisa.Refresher
+	// boot is the served program's bootstrap plan, nil without one: its
+	// bootstraps are program instructions, tallied by the meter.
+	boot *core.BootReport
 
 	requests atomic.Uint64
 	errors   atomic.Uint64
@@ -37,10 +37,10 @@ func (s *session) metrics() SessionMetrics {
 		Ops:      s.meter.Counts(),
 		Latency:  s.latency.summary(),
 	}
-	if s.refresher != nil {
-		m.Bootstraps = uint64(s.refresher.Bootstraps())
-		if h, ok := s.refresher.MinHeadroom(); ok {
-			m.MinHeadroom, m.HeadroomKnown = int64(h), true
+	if s.boot != nil {
+		m.Bootstraps = uint64(m.Ops[hisa.OpBootstrap])
+		if m.Ops.Total() > 0 {
+			m.MinHeadroom, m.HeadroomKnown = int64(s.boot.MinHeadroom), true
 		}
 	}
 	return m

@@ -33,15 +33,16 @@ type LayerPrecision struct {
 	Elems int
 }
 
-// PrecisionProfile executes the program twice — once on b, once on a fresh
-// plaintext Ref oracle — and compares every node's decrypted output. A
+// PrecisionProfile runs the program's kernels twice — once on b, once on a
+// fresh plaintext Ref oracle — and compares every node's decrypted output
+// (the kernels issue what the compiled program replays, bit for bit). A
 // node computes its true value divided by its output factor, so each
 // difference is multiplied by that factor. The backend must hold decryption
 // capability (a session backend, not an eval-only one); run it behind a flag,
 // since decrypting every intermediate costs a decrypt+decode per ciphertext
 // per layer.
 func PrecisionProfile(b hisa.Backend, prog *circuit.Program, img *tensor.Tensor,
-	policy htc.LayoutPolicy, sc htc.Scales, workers int) []LayerPrecision {
+	policy htc.LayoutPolicy, sc htc.Scales) []LayerPrecision {
 
 	c := prog.Circuit
 	plan := htc.PlanFor(c, policy)
@@ -51,8 +52,7 @@ func PrecisionProfile(b hisa.Backend, prog *circuit.Program, img *tensor.Tensor,
 	outs := make(map[int]*htc.CipherTensor, len(c.Nodes))
 	encB := htc.EncryptTensor(b, plan, sc, img)
 	htc.Execute(b, c, encB, policy, sc, htc.ExecOptions{
-		Workers: workers,
-		OnNode:  func(n *circuit.Node, out *htc.CipherTensor) { outs[n.ID] = out },
+		OnNode: func(n *circuit.Node, out *htc.CipherTensor) { outs[n.ID] = out },
 	})
 
 	var levelOf func(hisa.Ciphertext) int

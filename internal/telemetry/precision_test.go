@@ -32,7 +32,7 @@ func TestPrecisionProfileTrueUnits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := PrecisionProfile(profiled, comp.Program, img, comp.Best.Policy, comp.Options.Scales, 1)
+	rows := PrecisionProfile(profiled, comp.Program, img, comp.Best.Policy, comp.Options.Scales)
 
 	twin, err := core.BuildBackend(comp, ring.NewTestPRNG(41))
 	if err != nil {
@@ -42,7 +42,6 @@ func TestPrecisionProfileTrueUnits(t *testing.T) {
 	computed := map[string][]float64{}
 	enc := htc.EncryptTensor(twin, htc.PlanFor(prog, comp.Best.Policy), comp.Options.Scales, img)
 	htc.Execute(twin, prog, enc, comp.Best.Policy, comp.Options.Scales, htc.ExecOptions{
-		Workers: 1,
 		OnNode: func(n *circuit.Node, out *htc.CipherTensor) {
 			got := htc.DecryptTensor(twin, out, 1)[0].Data
 			for i := range got {

@@ -145,9 +145,9 @@ func TestTracedExecutionBitExact(t *testing.T) {
 	for _, tb := range backends {
 		t.Run(tb.name, func(t *testing.T) {
 			enc := htc.EncryptTensor(tb.b, plan, sc, img)
-			bare := htc.DecryptTensor(tb.b, comp.Execute(tb.b, enc, htc.ExecOptions{}), 1)[0]
+			bare := htc.DecryptTensor(tb.b, comp.Execute(tb.b, enc, 1), 1)[0]
 			tracer := NewTracer(tb.b, Config{})
-			traced := htc.DecryptTensor(tb.b, comp.Execute(tracer, enc, htc.ExecOptions{}), 1)[0]
+			traced := htc.DecryptTensor(tb.b, comp.Execute(tracer, enc, 1), 1)[0]
 			if len(bare.Data) != len(traced.Data) {
 				t.Fatalf("output sizes differ: %d vs %d", len(bare.Data), len(traced.Data))
 			}

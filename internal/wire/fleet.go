@@ -192,13 +192,14 @@ type HealthAck struct {
 	ActiveSessions uint32
 	Inflight       uint32
 	Draining       bool
-	// Bootstraps is the worker's cumulative bootstrap-refresh tally across
-	// all sessions (hisa.Refresher triggered + explicit).
+	// Bootstraps is the worker's cumulative bootstrap tally across all
+	// sessions (the program's bootstrap instructions, as the Meter counts
+	// them).
 	Bootstraps uint64
-	// MinHeadroom is the worker's low-water mark of remaining levels above
-	// the refresh floor, valid only when HeadroomKnown (no session has run
-	// a multiplicative op yet otherwise). Zero or negative means a refresh
-	// fired.
+	// MinHeadroom is the served program's low-water mark of remaining
+	// levels above the refresh floor (its compiler's plan), valid only when
+	// HeadroomKnown (no session has run yet otherwise). Zero or negative
+	// means a refresh fired.
 	MinHeadroom   int64
 	HeadroomKnown bool
 }
