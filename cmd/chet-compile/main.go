@@ -133,21 +133,23 @@ func explainBootstrap(w io.Writer, compiled *chet.Compiled) {
 
 // explainNodes renders the recording run split by circuit node: which kernel
 // the rotations, plaintext multiplications, rescales and relinearizations
-// come from, which of them are mask products, what each node did with the
-// constant factors the rewrite carries (absorbed, passed on, or set), and
-// each node's share of the estimated cost — the per-layer table of a
-// runtime trace, available at compile time.
+// come from, which of them are mask products, which nodes hold the program's
+// constants and their plaintexts (each billed to its first reader), what
+// each node did with the constant factors the rewrite carries (absorbed,
+// passed on, or set), and each node's share of the estimated cost — the
+// per-layer table of a runtime trace, available at compile time.
 func explainNodes(w io.Writer, compiled *chet.Compiled) {
 	total := 0.0
 	for _, n := range compiled.Nodes {
 		total += n.Cost
 	}
 	fmt.Fprintf(w, "per-node analysis (layout %v, estimated %.1f ms):\n", compiled.Best.Policy, total/1000)
-	fmt.Fprintf(w, "  %-20s %-16s %6s  %8s  %5s  %7s  %5s  %-22s  %9s  %6s\n",
-		"node", "kernel", "rot", "mulplain", "masks", "rescale", "relin", "factor", "est ms", "share")
+	fmt.Fprintf(w, "  %-20s %-16s %6s  %8s  %5s  %7s  %5s  %6s  %8s  %-22s  %9s  %6s\n",
+		"node", "kernel", "rot", "mulplain", "masks", "rescale", "relin", "consts", "MiB", "factor", "est ms", "share")
 	for _, n := range compiled.Nodes {
-		fmt.Fprintf(w, "  %-20s %-16v %6d  %8d  %5d  %7d  %5d  %-22s  %9.1f  %5.1f%%\n",
-			n.Name, n.Kind, n.Rotations, n.MulPlain, n.Masks, n.Rescale, n.Relin, factorNote(n.Factor), n.Cost/1000, 100*n.Cost/total)
+		fmt.Fprintf(w, "  %-20s %-16v %6d  %8d  %5d  %7d  %5d  %6d  %8.2f  %-22s  %9.1f  %5.1f%%\n",
+			n.Name, n.Kind, n.Rotations, n.MulPlain, n.Masks, n.Rescale, n.Relin, n.Consts, float64(n.ConstBytes)/(1<<20),
+			factorNote(n.Factor), n.Cost/1000, 100*n.Cost/total)
 	}
 	if f := compiled.Program.OutFactor; f != 1 {
 		fmt.Fprintf(w, "  output factor %g, applied at decryption\n", f)

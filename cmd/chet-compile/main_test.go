@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -37,16 +38,33 @@ func TestCompileAndDescribeSmoke(t *testing.T) {
 // convolution keeps one per output channel and the Dense its output mask.
 // conv1 scales its output by √(1/8)/2 so that act1 and the pool compute
 // true values, conv2 by √(1/8) for act2, and fc absorbs nothing. The
-// program section sums its instructions by kind and bills its constants.
+// program section sums its instructions by kind and bills its constants,
+// and the table's constant columns add up to that bill.
 func TestExplainNamesMasksAndFactors(t *testing.T) {
 	var sb strings.Builder
 	if err := compileAndDescribe(&sb, compileConfig{model: "LeNet-tiny", scheme: "seal", security: 128, explain: true}); err != nil {
 		t.Fatal(err)
 	}
 	rows := map[string][]string{}
+	tableConsts, tableMiB, tableRows := 0, 0.0, 0
+	inTable := false
 	for _, line := range strings.Split(sb.String(), "\n") {
-		if f := strings.Fields(line); len(f) > 1 {
+		f := strings.Fields(line)
+		if len(f) > 1 {
 			rows[f[0]] = f
+		}
+		switch {
+		case strings.HasPrefix(line, "per-node analysis"):
+			inTable = true
+		case !strings.HasPrefix(line, "  "):
+			inTable = false
+		case inTable && len(f) >= 12 && f[0] != "node":
+			k, err1 := strconv.Atoi(f[7])
+			mib, err2 := strconv.ParseFloat(f[8], 64)
+			if err1 != nil || err2 != nil {
+				t.Fatalf("row %q: constant columns %q %q", line, f[7], f[8])
+			}
+			tableConsts, tableMiB, tableRows = tableConsts+k, tableMiB+mib, tableRows+1
 		}
 	}
 	for _, want := range []struct{ node, masks, factor string }{
@@ -57,10 +75,10 @@ func TestExplainNamesMasksAndFactors(t *testing.T) {
 		{"fc", "", "-"}, // one mask per neuron group; the layout sets the groups
 	} {
 		r := rows[want.node]
-		if len(r) < 10 {
+		if len(r) < 12 {
 			t.Fatalf("%s row %v", want.node, r)
 		}
-		factor := strings.Join(r[7:len(r)-2], " ")
+		factor := strings.Join(r[9:len(r)-2], " ")
 		if (want.masks != "" && r[4] != want.masks) || (want.masks == "" && r[4] == "0") || factor != want.factor {
 			t.Errorf("%s row %v: want masks %q and factor %q", want.node, r, want.masks, want.factor)
 		}
@@ -78,6 +96,11 @@ func TestExplainNamesMasksAndFactors(t *testing.T) {
 		}
 		if consts != 6 || fmt.Sprintf("%.1f", bill) != "3.1" || peak < 1 || runs <= 0 {
 			t.Errorf("program line %q: want 6 constants in 3.1 MiB of plaintexts", line)
+		}
+		// Each row is rounded to 0.005 MiB, the program line to 0.05.
+		if tableConsts != consts || math.Abs(tableMiB-bill) > 0.05+0.005*float64(tableRows) {
+			t.Errorf("the node table bills %d constants in %.2f MiB, the program line %d in %.1f MiB",
+				tableConsts, tableMiB, consts, bill)
 		}
 		f := strings.Fields(lines[i+1])
 		sum := 0

@@ -349,9 +349,9 @@ func (a *Analysis) emitMany(in htc.Instr, outs []hisa.Ciphertext, args ...*analy
 }
 
 // Decided records a scale decision as one instruction (htc's decide).
-func (a *Analysis) Decided(in htc.Instr, vec []float64, args, outs []hisa.Ciphertext) []hisa.Ciphertext {
-	if in.K = -1; vec != nil {
-		in.K = a.constant(vec, nil, 0)
+func (a *Analysis) Decided(in htc.Instr, runs func() []hisa.Run, args, outs []hisa.Ciphertext) []hisa.Ciphertext {
+	if in.K = -1; runs != nil {
+		in.K = a.constant(runs, nil, 0)
 		a.rec.Use(in.K, a.level(a.ct(args[0])))
 	}
 	facts := make([]*analysisCT, len(args))
@@ -361,8 +361,9 @@ func (a *Analysis) Decided(in htc.Instr, vec []float64, args, outs []hisa.Cipher
 	return a.emitMany(in, outs, facts...)
 }
 
-// constant adds a constant to a recording run's table (-1: none).
-func (a *Analysis) constant(re, im []float64, scale float64) int32 {
+// constant adds a constant to a recording run's table (-1: none); no other
+// run builds its runs.
+func (a *Analysis) constant(re, im func() []hisa.Run, scale float64) int32 {
 	if a.rec == nil {
 		return -1
 	}
@@ -372,7 +373,10 @@ func (a *Analysis) constant(re, im []float64, scale float64) int32 {
 // plain is instruction op with the plaintext operand p, which meets x.
 func (a *Analysis) plain(op htc.Op, x *analysisCT, p hisa.Plaintext) htc.Instr {
 	k := a.pt(p).k
-	if a.rec != nil {
+	if a.rec != nil && !a.rec.Quiet() {
+		if k < 0 {
+			panic("core: a plaintext encoded from a slot vector cannot be recorded; kernels hand constants over as runs")
+		}
 		a.rec.Use(k, a.level(x))
 	}
 	return htc.Instr{Op: op, K: k}
@@ -452,11 +456,22 @@ func (a *Analysis) charge(cost float64) {
 
 // --- HISA implementation ---
 
+// Encode keeps only the scale: the kernels hand their constants over as runs
+// (EncodeRuns), and what remains is the input the run encrypts.
 func (a *Analysis) Encode(m []float64, f float64) hisa.Plaintext {
 	if len(m) > a.slots {
 		panic(fmt.Sprintf("core: %d values exceed %d slots", len(m), a.slots))
 	}
-	return &analysisPT{scale: f, k: a.constant(m, nil, f)}
+	return &analysisPT{scale: f, k: -1}
+}
+
+// RunsCapable: the analysis takes the kernels' constants as runs
+// (hisa.RunsBackend), building them only in a recording run.
+func (a *Analysis) RunsCapable() bool { return true }
+
+// EncodeRuns keeps the scale and, in a recording run, the constant.
+func (a *Analysis) EncodeRuns(runs func() []hisa.Run, f float64) hisa.Plaintext {
+	return &analysisPT{scale: f, k: a.constant(runs, nil, f)}
 }
 
 func (a *Analysis) Decode(hisa.Plaintext) []float64 { return make([]float64, a.slots) }
@@ -587,30 +602,73 @@ func (a *Analysis) RotRight(c hisa.Ciphertext, x int) hisa.Ciphertext {
 
 // rotate is the fact of cc rotated left by x, in primitive steps.
 func (a *Analysis) rotate(cc *analysisCT, x int) *analysisCT {
+	a.chargeRotation(cc, x)
+	out := *cc
+	return a.observe(&out)
+}
+
+// chargeRotation charges a rotation of cc left by x, step by step.
+func (a *Analysis) chargeRotation(cc *analysisCT, x int) {
 	for _, s := range hisa.RotationSteps(x, a.slots, a.rotKey) {
 		a.rotations[s]++
 		a.useKey(s, cc)
 		a.keySwitch(ksRotate, cc)
 		a.charge(a.model.Rotate(a.n, a.state(cc)))
 	}
-	out := *cc
-	return a.observe(&out)
 }
 
-// RotSum is the analysis transfer function for sums of rotations: the
-// unfused sequence, with the rotations of a
-// source drawn at two or more amounts priced as one hoisted batch — with the
-// RNS target, amounts served by an exact key share one digit decomposition,
-// so setup is charged once and each amount adds only the inner-product step.
-// Amounts that decompose into several primitive steps, a source rotated by
-// a single amount, and the CKKS target are charged per step. The recorded
-// rotation steps are identical to the equivalent RotLeft sequence, so
-// rotation-key selection and op counts do not depend on the pricing. A
-// recording run records the sums as one instruction.
+// RotSum is the analysis transfer function for sums of rotations. It prices
+// the unfused sequence (hisa.RotSumUnfused) without executing it: the same
+// model calls in the same order — every distinct rotation, then per sum
+// each term's product and its addition to the running sum — and the same
+// rotation, key-use and key-switch bookkeeping, with one fact per output
+// and none per term. The rotations of a source drawn at two or more amounts
+// are priced as one hoisted batch: with the RNS target, amounts served by
+// an exact key share one digit decomposition, so setup is charged once and
+// each amount adds only the inner-product step. Amounts that decompose into
+// several primitive steps, a source rotated by a single amount, and the
+// CKKS target are charged per step. The recorded rotation steps are
+// identical to the equivalent RotLeft sequence, so rotation-key selection
+// and op counts do not depend on the pricing. A recording run records the
+// sums as one instruction.
 func (a *Analysis) RotSum(srcs []hisa.Ciphertext, sums [][]hisa.Term) []hisa.Ciphertext {
-	run := func() []hisa.Ciphertext { return hisa.RotSumUnfused(a, srcs, sums, a.rotateBatch) }
+	for s, ks := range hisa.SumRotations(a.slots, len(srcs), sums) {
+		if len(ks) > 0 {
+			a.rotateBatch(a.ct(srcs[s]), ks)
+		}
+	}
+	outs := make([]hisa.Ciphertext, len(sums))
+	for o, terms := range sums {
+		var acc analysisCT
+		for i, t := range terms {
+			src := a.ct(srcs[t.Src])
+			x := analysisCT{scale: src.scale, consumed: src.consumed}
+			switch {
+			case t.Plain != nil:
+				a.charge(a.model.PlainMul(a.n, a.state(&x)))
+				x.scale *= a.pt(t.Plain).scale
+				a.observe(&x)
+			case t.F != 0:
+				a.charge(a.model.ScalarMul(a.n, a.state(&x)))
+				x.scale *= t.F
+				a.observe(&x)
+			}
+			if i == 0 {
+				acc = x
+				continue
+			}
+			requireSameScale(acc.scale, x.scale, htc.OpAdd.String())
+			a.charge(a.model.Add(a.n, a.state(&acc)))
+			acc.consumed = math.Max(acc.consumed, x.consumed)
+		}
+		if len(terms) > 1 {
+			// Every partial sum's need is at most the whole sum's.
+			a.observe(&acc)
+		}
+		outs[o] = &acc
+	}
 	if a.rec == nil || a.rec.Quiet() {
-		return run()
+		return outs
 	}
 	rs := htc.RotSum{Srcs: make([]int32, 0, len(srcs)), Sums: make([][]htc.Term, len(sums))}
 	for _, c := range srcs {
@@ -626,17 +684,14 @@ func (a *Analysis) RotSum(srcs []hisa.Ciphertext, sums [][]hisa.Term) []hisa.Cip
 			rs.Sums[o] = append(rs.Sums[o], htc.Term{Src: int32(t.Src), Rot: int32(t.Rot), K: k, X: t.X, F: t.F})
 		}
 	}
-	outs := a.rec.Quietly(run)
 	return a.emitMany(htc.Instr{Op: htc.OpRotSum, K: a.rec.Sum(rs)}, outs)
 }
 
-// rotateBatch rotates c by every amount in ks, hoisting them as RotSum
-// describes.
-func (a *Analysis) rotateBatch(c hisa.Ciphertext, ks []int) []hisa.Ciphertext {
-	cc := a.ct(c)
-	outs := make([]hisa.Ciphertext, len(ks))
+// rotateBatch charges the rotations of cc by every amount in ks, hoisting
+// them as RotSum describes.
+func (a *Analysis) rotateBatch(cc *analysisCT, ks []int) {
 	setupCharged := false
-	for i, x := range ks {
+	for _, x := range ks {
 		steps := hisa.RotationSteps(x, a.slots, a.rotKey)
 		if a.scheme == SchemeRNS && len(steps) == 1 && len(ks) > 1 {
 			if !setupCharged {
@@ -648,13 +703,10 @@ func (a *Analysis) rotateBatch(c hisa.Ciphertext, ks []int) []hisa.Ciphertext {
 			a.useKey(steps[0], cc)
 			a.keySwitch(ksHoistStep, cc)
 			a.charge(a.model.RotateHoistedStep(a.n, a.state(cc)))
-			out := *cc
-			outs[i] = a.observe(&out)
 			continue
 		}
-		outs[i] = a.rotate(cc, x)
+		a.chargeRotation(cc, x)
 	}
-	return outs
 }
 
 // MaxRescale implements each scheme's divisor rule on the dataflow fact.
@@ -724,17 +776,16 @@ func (a *Analysis) DecryptC(c hisa.Ciphertext) []complex128 {
 	return make([]complex128, a.slots)
 }
 
-func (a *Analysis) AddPlainC(c hisa.Ciphertext, m []complex128) hisa.Ciphertext {
+// AddPlainC is never called: the kernels hand complex constants over as
+// runs (AddPlainCRuns).
+func (a *Analysis) AddPlainC(hisa.Ciphertext, []complex128) hisa.Ciphertext {
+	panic("core: the analysis takes complex constants as runs")
+}
+
+func (a *Analysis) AddPlainCRuns(c hisa.Ciphertext, re, im func() []hisa.Run) hisa.Ciphertext {
 	x := a.ct(c)
 	a.charge(a.model.Add(a.n, a.state(x)))
-	var k int32 = -1
-	if a.rec != nil {
-		re, im := make([]float64, len(m)), make([]float64, len(m))
-		for i, v := range m {
-			re[i], im[i] = real(v), imag(v)
-		}
-		k = a.rec.Constant(re, im, 0)
-	}
+	k := a.constant(re, im, 0)
 	return a.emit(htc.Instr{Op: htc.OpAddPlainC, K: k}, a.observe(&analysisCT{scale: x.scale, consumed: x.consumed}), x)
 }
 

@@ -7,7 +7,7 @@ import (
 	"math"
 	"sort"
 
-	"chet/internal/htc"
+	"chet/internal/hisa"
 	"chet/internal/tensor"
 )
 
@@ -232,7 +232,7 @@ func (c *Compiled) Fingerprint() [32]byte {
 		}
 	}
 	for _, k := range p.Consts {
-		for _, runs := range [2][]htc.Run{k.Re, k.Im} {
+		for _, runs := range [2][]hisa.Run{k.Re, k.Im} {
 			i64(len(runs))
 			for _, r := range runs {
 				i64(int(r.Start))

@@ -1,0 +1,140 @@
+package core
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"runtime"
+	"testing"
+
+	"chet/internal/nn"
+)
+
+// TestCompilePinned holds the compiler's decisions to their digests: how
+// the kernels build their constants and how the analysis prices a sum of
+// rotations are implementation choices, and no such choice may move a
+// program, a fingerprint, a cost estimate or a layout choice by one bit. The
+// compilations are the benchmark's compile-zoo pass (two LeNet-5 sizes and
+// SqueezeNet-CIFAR for RNS-CKKS at 128 bits, the LeNet-5s for the CKKS
+// mock, NN-20 with bootstrap placement) and LeNet-tiny at the default
+// options.
+func TestCompilePinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles the benchmark's zoo; run without -short")
+	}
+	for _, tc := range []struct {
+		model *nn.Model
+		opts  Options
+		want  string
+	}{
+		{nn.LeNet5Small(), Options{Scheme: SchemeRNS}, "68f33a7793e7e2816223f8d7a2071ddd"},
+		{nn.LeNet5Medium(), Options{Scheme: SchemeRNS}, "73f2f1df742703c2a1813a1968a405f4"},
+		{nn.SqueezeNetCIFAR(), Options{Scheme: SchemeRNS}, "71fadd471efc466b97a4987c56f00eb4"},
+		{nn.LeNet5Small(), Options{Scheme: SchemeCKKS}, "25acab3ab4da4d2c9c1d680538af5ead"},
+		{nn.LeNet5Medium(), Options{Scheme: SchemeCKKS}, "6d950ca4b31ca3ca16676f73d31867df"},
+		{nn.NN20(), Options{Scheme: SchemeRNS, Bootstrap: &BootstrapOptions{Window: 4}}, "15d1922c4485c84bfd6033a254a70b6e"},
+		{nn.LeNetTiny(), Options{Scheme: SchemeRNS}, "2db2869ae193f7c311e85ada6b676c77"},
+	} {
+		comp, err := Compile(tc.model.Circuit, tc.opts)
+		if err != nil {
+			t.Fatalf("%s %v: %v", tc.model.Name, tc.opts.Scheme, err)
+		}
+		if got := compileDigest(comp); got != tc.want {
+			t.Errorf("%s %v (bootstrap %v): digest %s, pinned %s", tc.model.Name, tc.opts.Scheme, tc.opts.Bootstrap != nil, got, tc.want)
+		}
+	}
+}
+
+// compileDigest hashes what a compilation decided: the fingerprint (which
+// covers the winner, its program and its key plan), every layout's search
+// result — the losing layouts' estimates included, which a charge priced in
+// another order would flip and the fingerprint does not hash — the
+// per-node table and the bootstrap plan's estimates.
+func compileDigest(c *Compiled) string {
+	h := sha256.New()
+	fp := c.Fingerprint()
+	h.Write(fp[:])
+	u64 := func(v uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, v)) }
+	i64 := func(v int) { u64(uint64(int64(v))) }
+	f64 := func(v float64) { u64(math.Float64bits(v)) }
+	for _, r := range c.Trace {
+		i64(int(r.Policy))
+		i64(r.LogN)
+		f64(r.LogQ)
+		for _, b := range r.RNSChainBits {
+			i64(b)
+		}
+		i64(r.SpecialBits)
+		i64(r.SpecialPrimes)
+		for _, s := range r.SpecialTrace {
+			i64(s.Alpha)
+			i64(s.Bits)
+			f64(s.KeySwitchCost)
+		}
+		for _, k := range r.Rotations {
+			i64(k)
+		}
+		i64(r.RotationOps)
+		f64(r.EstimatedCost)
+		i64(r.Batch)
+		f64(r.CostPerImage)
+		i64(r.Bootstraps)
+	}
+	for _, n := range c.Nodes {
+		i64(int(n.Kind))
+		h.Write([]byte(n.Name))
+		for _, v := range []int{n.Rotations, n.MulPlain, n.Rescale, n.Relin, n.Masks} {
+			i64(v)
+		}
+		f64(n.Factor.In)
+		f64(n.Factor.Out)
+		f64(n.Cost)
+	}
+	if p := c.BootPlan; p != nil {
+		for _, pl := range p.Placements {
+			i64(pl.Index)
+			i64(pl.Node)
+			h.Write([]byte(pl.Name + "/" + pl.Op))
+			f64(pl.Cost)
+		}
+		f64(p.EstCost)
+		i64(p.MinHeadroom)
+	}
+	return hex.EncodeToString(h.Sum(nil)[:16])
+}
+
+// TestCompileAllocations bounds the garbage one compilation at the default
+// RNS options makes (runtime.MemStats.TotalAlloc): the analysis passes read
+// scales and levels only, so a pass that fills a slot vector per constant or
+// allocates a product per term of a sum of rotations shows here. When the
+// kernels still filled a dense vector per weight, mask and bias and the
+// analysis executed every sum term by term, SqueezeNet-CIFAR allocated
+// 1,749 MiB per compile and LeNet-5-medium 766 MiB; with constants built as
+// runs only by the recording run and sums priced without executing them,
+// 169 and 42 MiB. The bounds are about twice those.
+func TestCompileAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles SqueezeNet-CIFAR; run without -short")
+	}
+	for _, tc := range []struct {
+		model  *nn.Model
+		maxMiB float64
+	}{
+		{nn.SqueezeNetCIFAR(), 340},
+		{nn.LeNet5Medium(), 85},
+	} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if _, err := Compile(tc.model.Circuit, Options{Scheme: SchemeRNS}); err != nil {
+			t.Fatalf("%s: %v", tc.model.Name, err)
+		}
+		runtime.ReadMemStats(&after)
+		mib := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+		t.Logf("%s: %.0f MiB allocated by one compile", tc.model.Name, mib)
+		if mib > tc.maxMiB {
+			t.Errorf("%s: one compile allocated %.0f MiB, bound %.0f MiB", tc.model.Name, mib, tc.maxMiB)
+		}
+	}
+}

@@ -27,6 +27,12 @@ type NodeCost struct {
 	// Cost is the node's estimated cost (microseconds), bootstraps it
 	// triggered included.
 	Cost float64
+	// Consts counts the program's constants this node reads first, and
+	// ConstBytes what their plaintexts hold at their levels, (ℓ+1)·N·8
+	// bytes each (none on a target without levels): a constant several
+	// nodes share is billed once, to its first reader.
+	Consts     int
+	ConstBytes int64
 }
 
 // record executes the winning policy's circuit once more, serially, under an
@@ -77,6 +83,7 @@ func record(c *circuit.Circuit, comp *Compiled) (err error) {
 	}
 	var prev hisa.OpCounts
 	prevCost, prevMasks := 0.0, 0
+	row := map[int32]int{} // comp.Nodes' index of each circuit node
 	onNode := func(n *circuit.Node, _ *htc.CipherTensor) {
 		a.rec.EndNode(n.ID)
 		name := fmt.Sprintf("%v:%s", n.Kind, n.Name)
@@ -84,6 +91,7 @@ func record(c *circuit.Circuit, comp *Compiled) (err error) {
 		if n.Kind == circuit.OpInput {
 			return // issues no instruction
 		}
+		row[int32(n.ID)] = len(comp.Nodes)
 		comp.Nodes = append(comp.Nodes, NodeCost{
 			Kind: n.Kind, Name: n.Name,
 			Rotations: counts.Rotations() - prev.Rotations(),
@@ -103,6 +111,20 @@ func record(c *circuit.Circuit, comp *Compiled) (err error) {
 	comp.Code = a.rec.Program(c, enc, out, func(h hisa.Ciphertext) int32 { return a.ct(h).reg })
 	comp.Code.Counts = counts
 	comp.Code.Counts[hisa.OpBootstrap] += len(a.BootPlacements())
+	billed := make([]bool, len(comp.Code.Consts))
+	for i, in := range comp.Code.Instrs {
+		comp.Code.EachConst(i, func(k *int32) {
+			if billed[*k] {
+				return
+			}
+			billed[*k] = true
+			n := &comp.Nodes[row[in.Node]]
+			n.Consts++
+			if level := comp.Code.Consts[*k].Level; level >= 0 {
+				n.ConstBytes += int64(level+1) << comp.Best.LogN * 8
+			}
+		})
+	}
 	if opts.Scheme == SchemeRNS {
 		comp.Keys = keyPlan(comp, a, cfg)
 	}

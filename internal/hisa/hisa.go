@@ -8,10 +8,10 @@
 // ciphertexts as dataflow facts (modulus consumption, cost, rotation sets).
 //
 // Every backend implements the whole instruction set (Backend), so the
-// kernels issue one instruction stream whatever interprets it. Exactly two
+// kernels issue one instruction stream whatever interprets it. Exactly three
 // capabilities stay optional, because backends genuinely differ in them:
-// bootstrapping (BootstrapBackend) and encoding at a chosen modulus level
-// (LeveledEncodeBackend).
+// bootstrapping (BootstrapBackend), encoding at a chosen modulus level
+// (LeveledEncodeBackend) and taking constants as runs (RunsBackend).
 package hisa
 
 import "math/big"
@@ -207,6 +207,10 @@ type LeveledEncodeBackend interface {
 	LeveledEncodeCapable() bool
 	// EncodeAt is Encode at the given level.
 	EncodeAt(m []float64, f float64, level int) Plaintext
+	// EncodeCAt encodes a complex slot vector at scale f and the given
+	// level: what AddPlainC adds, encoded once for every ciphertext at or
+	// below that level.
+	EncodeCAt(m []complex128, f float64, level int) Plaintext
 	// LevelOf reports a ciphertext's level. It is metadata, like Scale.
 	LevelOf(c Ciphertext) int
 }
@@ -219,6 +223,40 @@ func AsLeveledEncode(b Backend) (LeveledEncodeBackend, bool) {
 		return nil, false
 	}
 	return lb, true
+}
+
+// Run is a stretch of Len equal slot values from slot Start: the form the
+// kernels build their constants in and a compiled program stores them in.
+type Run struct {
+	Start, Len int32
+	Value      float64
+}
+
+// RunsBackend is an optional backend capability: a backend that reads a
+// constant's slot values only sometimes — the compiler's analysis, which
+// keeps them in its recording run and only their scale in every other —
+// takes the kernels' constants as runs, built on demand. A runs function
+// returns a constant's nonzero runs in slot order, no two neighbours of one
+// value (nil: no constant); a backend that needs no values never calls it.
+// Every other backend is handed the expanded slot vectors (htc).
+type RunsBackend interface {
+	// RunsCapable reports whether the instance takes constants as runs; the
+	// Interposer forwards the methods unconditionally, so AsRuns checks it.
+	RunsCapable() bool
+	// EncodeRuns is Encode of the constant runs builds.
+	EncodeRuns(runs func() []Run, f float64) Plaintext
+	// AddPlainCRuns is AddPlainC of the complex constant re + i·im.
+	AddPlainCRuns(c Ciphertext, re, im func() []Run) Ciphertext
+}
+
+// AsRuns returns b as a RunsBackend when b (including every layer of a
+// wrapper chain) takes constants as runs.
+func AsRuns(b Backend) (RunsBackend, bool) {
+	rb, ok := b.(RunsBackend)
+	if !ok || !rb.RunsCapable() {
+		return nil, false
+	}
+	return rb, true
 }
 
 // RotationSteps decomposes a left rotation by x (mod slots) into the

@@ -82,11 +82,12 @@ type Op struct {
 //     add per term after a sum's first — the call's duration split evenly
 //     between them, whether the wrapped backend fuses the sums or not;
 //   - Bootstrap is one instruction: its interior runs below the HISA;
-//   - EncodeAt is an encode, like Encode.
+//   - EncodeAt, EncodeCAt and EncodeRuns are encodes, like Encode, and
+//     AddPlainCRuns an addplain, like AddPlainC.
 //
 // The capability methods exist whatever the wrapped backend supports, so
-// callers gate on AsBootstrap and AsLeveledEncode (which consult the Capable
-// flags forwarded here); calling one the backend lacks panics.
+// callers gate on AsBootstrap, AsLeveledEncode and AsRuns (which consult the
+// Capable flags forwarded here); calling one the backend lacks panics.
 // An Interposer is as safe for concurrent use as its hooks are.
 type Interposer struct {
 	inner  Backend
@@ -96,12 +97,14 @@ type Interposer struct {
 
 	boot  BootstrapBackend
 	level LeveledEncodeBackend
+	runs  RunsBackend
 }
 
 var (
 	_ Backend              = (*Interposer)(nil)
 	_ BootstrapBackend     = (*Interposer)(nil)
 	_ LeveledEncodeBackend = (*Interposer)(nil)
+	_ RunsBackend          = (*Interposer)(nil)
 	_ Unwrapper            = (*Interposer)(nil)
 )
 
@@ -111,6 +114,7 @@ func NewInterposer(inner Backend, tag string, before, after func(*Op)) Interpose
 	ip := Interposer{inner: inner, tag: tag, before: before, after: after}
 	ip.boot, _ = inner.(BootstrapBackend)
 	ip.level, _ = inner.(LeveledEncodeBackend)
+	ip.runs, _ = inner.(RunsBackend)
 	return ip
 }
 
@@ -197,7 +201,26 @@ func (ip *Interposer) EncodeAt(m []float64, f float64, level int) (p Plaintext) 
 	return p
 }
 
+func (ip *Interposer) EncodeCAt(m []complex128, f float64, level int) (p Plaintext) {
+	enc := ip.levelInner()
+	ip.run(&Op{Kind: OpEncode}, func(_, _ Ciphertext) Ciphertext { p = enc.EncodeCAt(m, f, level); return nil })
+	return p
+}
+
 func (ip *Interposer) LevelOf(c Ciphertext) int { return ip.levelInner().LevelOf(c) }
+
+func (ip *Interposer) RunsCapable() bool { return ip.runs != nil && ip.runs.RunsCapable() }
+
+func (ip *Interposer) EncodeRuns(runs func() []Run, f float64) (p Plaintext) {
+	enc := have(ip, ip.runs, "constants as runs")
+	ip.run(&Op{Kind: OpEncode}, func(_, _ Ciphertext) Ciphertext { p = enc.EncodeRuns(runs, f); return nil })
+	return p
+}
+
+func (ip *Interposer) AddPlainCRuns(c Ciphertext, re, im func() []Run) Ciphertext {
+	inner := have(ip, ip.runs, "constants as runs")
+	return ip.run(&Op{Kind: OpAddPlain, In: c}, func(c, _ Ciphertext) Ciphertext { return inner.AddPlainCRuns(c, re, im) })
+}
 
 func (ip *Interposer) Decode(p Plaintext) (m []float64) {
 	ip.run(&Op{Kind: OpDecode}, func(_, _ Ciphertext) Ciphertext { m = ip.inner.Decode(p); return nil })

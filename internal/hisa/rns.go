@@ -322,6 +322,12 @@ func (b *RNSBackend) EncodeAt(m []float64, f float64, level int) Plaintext {
 	return b.encoder.Encode(m, f, level)
 }
 
+// EncodeCAt encodes the complex vector m at scale f over the chain primes
+// 0..level only.
+func (b *RNSBackend) EncodeCAt(m []complex128, f float64, level int) Plaintext {
+	return b.encoder.EncodeComplex(m, f, level)
+}
+
 // SetIntraOpWorkers bounds the goroutines one instruction fans its per-limb
 // stages across — decomposition digits, ModUp and ModDown rows, key-switch
 // rows; 1 is serial and the partition is bit-identical to it. The

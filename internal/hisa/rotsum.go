@@ -28,10 +28,10 @@ func RotLeftMany(b Backend, c Ciphertext, ks []int) []Ciphertext {
 	return b.RotSum([]Ciphertext{c}, sums)
 }
 
-// sumRotations lists, per source, the rotations the unfused sequence of a
+// SumRotations lists, per source, the rotations the unfused sequence of a
 // RotSum issues: each amount that is not a multiple of slots, once per
 // distinct amount mod slots, as the first term drawing on it wrote it.
-func sumRotations(slots, nsrc int, sums [][]Term) [][]int {
+func SumRotations(slots, nsrc int, sums [][]Term) [][]int {
 	rots := make([][]int, nsrc)
 	seen := map[[2]int]bool{}
 	for _, terms := range sums {
@@ -67,7 +67,7 @@ func RotSumUnfused(b Backend, srcs []Ciphertext, sums [][]Term, rotate func(src 
 func rotSumUnfused(b Backend, srcs []Ciphertext, sums [][]Term, rotate func(src Ciphertext, ks []int) []Ciphertext, workers int) []Ciphertext {
 	slots := b.Slots()
 	norm := func(k int) int { return ((k % slots) + slots) % slots }
-	rots := sumRotations(slots, len(srcs), sums)
+	rots := SumRotations(slots, len(srcs), sums)
 	rotated := make([]map[int]Ciphertext, len(srcs))
 	if rotate != nil {
 		for s, ks := range rots {
@@ -156,7 +156,7 @@ func rotSumUnfused(b Backend, srcs []Ciphertext, sums [][]Term, rotate func(src 
 // per sum each term's mulplain or mulscalar and an add per term after the
 // first. The last op of each sum carries the sum's output.
 func (ip *Interposer) reportRotSum(srcs []Ciphertext, sums [][]Term, outs []Ciphertext, start time.Time, dur time.Duration) {
-	rots := sumRotations(ip.Slots(), len(srcs), sums)
+	rots := SumRotations(ip.Slots(), len(srcs), sums)
 	n := 0
 	for _, ks := range rots {
 		n += len(ks)

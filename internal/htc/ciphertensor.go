@@ -16,6 +16,7 @@
 package htc
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/big"
@@ -122,7 +123,7 @@ type CipherTensor struct {
 	// lane-relative (lane 0); kernels are batch-oblivious because every
 	// homomorphic rotation they issue is smaller than BatchStride, the
 	// apron/mask invariant keeps taps from crossing lane boundaries, and
-	// replicate copies each constant's lane-0 vector into every lane.
+	// every constant repeats its lane-0 runs in every lane (constant).
 	B           int
 	BatchStride int
 
@@ -153,19 +154,6 @@ func (ct *CipherTensor) lane(i int) (base, part int) {
 		return i / 2 * ct.BatchStride, i % 2
 	}
 	return i * ct.BatchStride, 0
-}
-
-// replicate copies lane 0 of vec, a constant's slot vector, into every other
-// lane in place, so one plaintext serves every packed image. Kernels build
-// only lane 0; an unbatched tensor copies nothing.
-func (ct *CipherTensor) replicate(vec []float64) []float64 {
-	if ct.Lanes() > 1 {
-		lane0 := vec[:ct.BatchStride]
-		for l := 1; l < ct.Lanes(); l++ {
-			copy(vec[l*ct.BatchStride:], lane0)
-		}
-	}
-	return vec
 }
 
 // forEach calls f with every logical element (ch, y, x) that ciphertext g
@@ -391,13 +379,91 @@ func metaClone(src *CipherTensor) CipherTensor {
 	return out
 }
 
-// perChannelVector builds a plaintext vector assigning val(ch) to every
-// valid position of each channel in group g, replicated into every batch
-// lane (the same weights apply to every packed image).
-func perChannelVector(ct *CipherTensor, g, slots int, val func(ch int) float64) []float64 {
-	vals := make([]float64, slots)
-	ct.forEach(g, func(ch, _, _, slot int) { vals[slot] = val(ch) })
-	return ct.replicate(vals)
+// constant is the constant holding, in every batch lane of ct, the runs
+// lane0 appends for lane 0: kernels build only lane 0, and lane l holds the
+// same runs BatchStride·l slots on. It builds the runs when the backend asks
+// (encode), in the canonical form hisa.RunsBackend takes.
+func (ct *CipherTensor) constant(lane0 func(rs []hisa.Run) []hisa.Run) func() []hisa.Run {
+	return func() []hisa.Run {
+		rs := lane0(nil)
+		n := len(rs)
+		for l := 1; l < ct.Lanes(); l++ {
+			for _, r := range rs[:n] {
+				r.Start += int32(l * ct.BatchStride)
+				rs = append(rs, r)
+			}
+		}
+		return canonical(rs)
+	}
+}
+
+// channels is the constant holding val(ch) at every valid position of each
+// channel of ciphertext g: one run per row, or per element where a row's
+// elements are not adjacent.
+func (ct *CipherTensor) channels(g int, val func(ch int) float64) func() []hisa.Run {
+	return ct.constant(func(rs []hisa.Run) []hisa.Run {
+		n, w := ct.W, 1
+		if ct.ColStride == 1 {
+			n, w = 1, ct.W
+		}
+		for ci := 0; ci < ct.CPerCT && g*ct.CPerCT+ci < ct.C; ci++ {
+			v := val(g*ct.CPerCT + ci)
+			for y := 0; y < ct.H; y++ {
+				for x := 0; x < n; x++ {
+					rs = append(rs, hisa.Run{Start: int32(ct.pos(ci, y, x)), Len: int32(w), Value: v})
+				}
+			}
+		}
+		return rs
+	})
+}
+
+// everySlot is the constant holding v in all n slots.
+func everySlot(n int, v float64) func() []hisa.Run {
+	return func() []hisa.Run { return canonical([]hisa.Run{{Len: int32(n), Value: v}}) }
+}
+
+// canonical sorts rs, which must not overlap, by slot, drops the zero runs
+// and merges neighbours of one value, in place: the one form of a slot
+// vector as runs, so that equal constants are equal runs.
+func canonical(rs []hisa.Run) []hisa.Run {
+	slices.SortFunc(rs, func(a, b hisa.Run) int { return cmp.Compare(a.Start, b.Start) })
+	out := rs[:0]
+	for _, r := range rs {
+		if r.Value == 0 || r.Len == 0 {
+			continue
+		}
+		if n := len(out); n > 0 {
+			end := out[n-1].Start + out[n-1].Len
+			if r.Start < end {
+				panic(fmt.Sprintf("htc: constant runs overlap at slot %d", r.Start))
+			}
+			if r.Start == end && r.Value == out[n-1].Value {
+				out[n-1].Len += r.Len
+				continue
+			}
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
+// built is the constant runs builds, nil for none.
+func built(runs func() []hisa.Run) []hisa.Run {
+	if runs == nil {
+		return nil
+	}
+	return runs()
+}
+
+// encode hands the backend the constant runs builds, at scale f: as its
+// runs to a backend that takes them (the compiler's analysis, which builds
+// them only to record them), expanded to every other.
+func encode(b hisa.Backend, runs func() []hisa.Run, f float64) hisa.Plaintext {
+	if rb, ok := hisa.AsRuns(b); ok {
+		return rb.EncodeRuns(runs, f)
+	}
+	return b.Encode(expand(runs(), b.Slots()), f)
 }
 
 // uniform is the channel value function of a mask: v in every channel.
@@ -478,10 +544,10 @@ func aligned(b hisa.Backend, x, y hisa.Ciphertext) (hisa.Ciphertext, hisa.Cipher
 	}
 }
 
-// addPlainAt adds the vector v, encoded at c's scale, to c: a scale-neutral
-// addition, and a scale decision.
-func addPlainAt(b hisa.Backend, c hisa.Ciphertext, v []float64) hisa.Ciphertext {
-	return decide(b, Instr{Op: OpAddPlainAt}, v, []hisa.Ciphertext{c}, func() []hisa.Ciphertext {
-		return []hisa.Ciphertext{b.AddPlain(c, b.Encode(v, b.Scale(c)))}
+// addPlainAt adds the constant runs builds, encoded at c's scale, to c: a
+// scale-neutral addition, and a scale decision.
+func addPlainAt(b hisa.Backend, c hisa.Ciphertext, runs func() []hisa.Run) hisa.Ciphertext {
+	return decide(b, Instr{Op: OpAddPlainAt}, runs, []hisa.Ciphertext{c}, func() []hisa.Ciphertext {
+		return []hisa.Ciphertext{b.AddPlain(c, encode(b, runs, b.Scale(c)))}
 	})[0]
 }

@@ -13,19 +13,15 @@ import "chet/internal/hisa"
 //   - ciphertext-ciphertext products must be componentwise rather than
 //     complex, which takes the conjugation identity below.
 
-// addVecBoth adds the real vector v into ciphertext c: plainly for real
+// addVecBoth adds the real constant v into ciphertext c: plainly for real
 // packing, and as v(1+i) — reaching both slot components — for complex
 // packing. The plaintext is encoded at c's scale either way, so the
 // operation is scale-neutral like every bias addition in the kernels.
-func addVecBoth(b hisa.Backend, complexPacked bool, c hisa.Ciphertext, v []float64) hisa.Ciphertext {
+func addVecBoth(b hisa.Backend, complexPacked bool, c hisa.Ciphertext, v func() []hisa.Run) hisa.Ciphertext {
 	if !complexPacked {
 		return addPlainAt(b, c, v)
 	}
-	m := make([]complex128, len(v))
-	for i, x := range v {
-		m[i] = complex(x, x)
-	}
-	return b.AddPlainC(c, m)
+	return addPlainC(b, c, v, v)
 }
 
 // addScalarBoth adds the scalar s to every slot: plainly for real packing,
@@ -34,11 +30,17 @@ func addScalarBoth(b hisa.Backend, complexPacked bool, c hisa.Ciphertext, s floa
 	if !complexPacked {
 		return b.AddScalar(c, s)
 	}
-	m := make([]complex128, b.Slots())
-	for i := range m {
-		m[i] = complex(s, s)
+	v := everySlot(b.Slots(), s)
+	return addPlainC(b, c, v, v)
+}
+
+// addPlainC adds the complex constant re + i·im (nil: zero) at c's scale,
+// handing it to the backend as encode does.
+func addPlainC(b hisa.Backend, c hisa.Ciphertext, re, im func() []hisa.Run) hisa.Ciphertext {
+	if rb, ok := hisa.AsRuns(b); ok {
+		return rb.AddPlainCRuns(c, re, im)
 	}
-	return b.AddPlainC(c, m)
+	return b.AddPlainC(c, complexOf(built(re), built(im), b.Slots()))
 }
 
 // mulPairwise computes the componentwise product of two complex-packed
@@ -100,11 +102,7 @@ func activationPairwise(b hisa.Backend, x hisa.Ciphertext, shift float64) hisa.C
 	ts, td := sum, dif
 	if shift != 0 {
 		ts = b.AddScalar(ts, 2*shift)
-		m := make([]complex128, b.Slots())
-		for i := range m {
-			m[i] = complex(0, 2*shift)
-		}
-		td = b.AddPlainC(td, m)
+		td = addPlainC(b, td, nil, everySlot(b.Slots(), 2*shift))
 	}
 	// Everything between the two products and the activation's final rescale
 	// is linear, so both products stay at degree 2 and share a single

@@ -65,19 +65,23 @@ func Dense(b hisa.Backend, in *CipherTensor, weights, bias *tensor.Tensor, sc Sc
 	// sit there and everything else is partial sums.
 	origins := out
 	origins.W, origins.Offset = 1, in.Offset
-	mask := b.Encode(perChannelVector(&origins, 0, b.Slots(), uniform(1)), sc.Pm)
+	mask := encode(b, origins.channels(0, uniform(1)), sc.Pm)
 
 	groups := make([]hisa.Ciphertext, G)
 	for q := range groups {
 		var acc hisa.Ciphertext
 		for g := range copies {
-			wv := make([]float64, b.Slots())
-			in.forEach(g, func(ch, y, x, slot int) {
+			// Neuron r*G + q's weights over copy r: one run per slot.
+			wv := in.constant(func(rs []hisa.Run) []hisa.Run {
 				for r := 0; r < R; r++ {
-					wv[r*m+slot] = weights.At(r*G+q, (ch*in.H+y)*in.W+x)
+					in.forEach(g, func(ch, y, x, slot int) {
+						w := weights.At(r*G+q, (ch*in.H+y)*in.W+x)
+						rs = append(rs, hisa.Run{Start: int32(r*m + slot), Len: 1, Value: w})
+					})
 				}
+				return rs
 			})
-			acc = accumulate(b, acc, b.MulPlain(copies[g], b.Encode(in.replicate(wv), sc.Pw)))
+			acc = accumulate(b, acc, b.MulPlain(copies[g], encode(b, wv, sc.Pw)))
 		}
 		acc = tryRescale(b, acc, sc.Pc)
 		acc = foldStrided(b, acc, in.W, in.ColStride)
@@ -95,11 +99,13 @@ func Dense(b hisa.Backend, in *CipherTensor, weights, bias *tensor.Tensor, sc Sc
 	acc := b.RotSum(groups, [][]hisa.Term{place})[0]
 
 	if bias != nil {
-		bv := make([]float64, b.Slots())
-		for o, v := range bias.Data {
-			bv[o/G*m+o%G] = v
-		}
-		acc = addVecBoth(b, in.Complex, acc, out.replicate(bv))
+		bv := out.constant(func(rs []hisa.Run) []hisa.Run {
+			for o, v := range bias.Data {
+				rs = append(rs, hisa.Run{Start: int32(o/G*m + o%G), Len: 1, Value: v})
+			}
+			return rs
+		})
+		acc = addVecBoth(b, in.Complex, acc, bv)
 	}
 	out.CTs = []hisa.Ciphertext{acc}
 	out.validate(b.Slots())
@@ -166,7 +172,7 @@ func regrid(b hisa.Backend, t, like *CipherTensor, sc Scales, opts ExecOptions) 
 
 	type move struct{ src, dst, by int }
 	var moves []move
-	masks := map[move][]float64{}
+	masks := map[move][]hisa.Run{} // lane 0's, one run per element
 	for i := 0; i < size; i++ {
 		sch, si := i/(t.H*t.W), i%(t.H*t.W)
 		dch, di := i/grid, i%grid
@@ -174,13 +180,13 @@ func regrid(b hisa.Backend, t, like *CipherTensor, sc Scales, opts ExecOptions) 
 		to := out.pos(dch%out.CPerCT, di/out.W, di%out.W)
 		mv := move{sch / t.CPerCT, dch / out.CPerCT, to - from}
 		if masks[mv] == nil {
-			masks[mv] = make([]float64, b.Slots())
 			moves = append(moves, mv)
 		}
-		masks[mv][from] = 1
+		masks[mv] = append(masks[mv], hisa.Run{Start: int32(from), Len: 1, Value: 1})
 	}
 	for _, mv := range moves {
-		c := opts.masked(b, t.CTs[mv.src], b.Encode(t.replicate(masks[mv]), sc.Pm))
+		mask := t.constant(func(rs []hisa.Run) []hisa.Run { return append(rs, masks[mv]...) })
+		c := opts.masked(b, t.CTs[mv.src], encode(b, mask, sc.Pm))
 		out.CTs[mv.dst] = accumulate(b, out.CTs[mv.dst], rotateRight(b, tryRescale(b, c, sc.Pc), mv.by))
 	}
 	out.validate(b.Slots())

@@ -117,7 +117,7 @@ func Conv2D(b hisa.Backend, in *CipherTensor, filters, bias *tensor.Tensor, stri
 		out.CTs = b.RotSum(in.CTs, sums)
 		var mask hisa.Plaintext
 		if clean {
-			mask = b.Encode(perChannelVector(&out, 0, b.Slots(), uniform(1)), sc.Pm)
+			mask = encode(b, out.channels(0, uniform(1)), sc.Pm)
 		}
 		for oc := 0; oc < cout; oc++ {
 			acc := tryRescale(b, out.CTs[oc], sc.Pc)
@@ -125,8 +125,7 @@ func Conv2D(b hisa.Backend, in *CipherTensor, filters, bias *tensor.Tensor, stri
 				acc = tryRescale(b, opts.masked(b, acc, mask), sc.Pc)
 			}
 			if bias != nil {
-				bv := perChannelVector(&out, 0, b.Slots(), uniform(bias.Data[oc]))
-				acc = addVecBoth(b, out.Complex, acc, bv)
+				acc = addVecBoth(b, out.Complex, acc, out.channels(0, uniform(bias.Data[oc])))
 			}
 			out.CTs[oc] = acc
 		}
@@ -147,21 +146,18 @@ func Conv2D(b hisa.Backend, in *CipherTensor, filters, bias *tensor.Tensor, stri
 	blockMask := metaClone(&out)
 	blockMask.C = 1
 	blockMask.CPerCT = 1
-	mask := b.Encode(perChannelVector(&blockMask, 0, b.Slots(), uniform(1)), sc.Pm)
+	mask := encode(b, blockMask.channels(0, uniform(1)), sc.Pm)
 
 	for g := 0; g < numInCTs; g++ {
 		// Partial sums of this ciphertext's occupied channels, one sum of
 		// rotations per output channel with the weight plaintexts
-		// w[oc][ic][ky][kx] spread over channel ic's whole block (invalid
-		// input slots hold zeros, so the product is zero there), then folded
-		// to block 0, masked, and placed at the output channel block.
+		// w[oc][ic][ky][kx] spread over channel ic's whole block — one run
+		// per block (invalid input slots hold zeros, so the product is zero
+		// there) — then folded to block 0, masked, and placed at the output
+		// channel block.
 		chInGroup := min(in.C-g*in.CPerCT, in.CPerCT)
 		sums := make([][]hisa.Term, cout)
 		terms := make([]hisa.Term, 0, cout*kh*kw)
-		// Every weight vector of this group writes the same slots (its
-		// channels' blocks, replicated), so one vector serves them all:
-		// Encode copies what it is given.
-		wv := make([]float64, b.Slots())
 		for oc := range sums {
 			terms = terms[len(terms):]
 			for ky := 0; ky < kh; ky++ {
@@ -172,13 +168,13 @@ func Conv2D(b hisa.Backend, in *CipherTensor, filters, bias *tensor.Tensor, stri
 						terms = append(terms, hisa.Term{Rot: rot(ky, kx), X: filters.At(oc, g*in.CPerCT, ky, kx), F: sc.Pu})
 						continue
 					}
-					for ci := 0; ci < chInGroup; ci++ {
-						w, blk := filters.At(oc, g*in.CPerCT+ci, ky, kx), wv[ci*in.ChanStride:(ci+1)*in.ChanStride]
-						for s := range blk {
-							blk[s] = w
+					pt := encode(b, in.constant(func(rs []hisa.Run) []hisa.Run {
+						for ci := 0; ci < chInGroup; ci++ {
+							w := filters.At(oc, g*in.CPerCT+ci, ky, kx)
+							rs = append(rs, hisa.Run{Start: int32(ci * in.ChanStride), Len: int32(in.ChanStride), Value: w})
 						}
-					}
-					pt := b.Encode(in.replicate(wv), sc.Pw)
+						return rs
+					}), sc.Pw)
 					terms = append(terms, hisa.Term{Rot: rot(ky, kx), Plain: pt})
 				}
 			}
@@ -214,7 +210,7 @@ func Conv2D(b hisa.Backend, in *CipherTensor, filters, bias *tensor.Tensor, stri
 
 	if bias != nil {
 		for gOut := range out.CTs {
-			bv := perChannelVector(&out, gOut, b.Slots(), func(ch int) float64 { return bias.Data[ch] })
+			bv := out.channels(gOut, func(ch int) float64 { return bias.Data[ch] })
 			out.CTs[gOut] = addVecBoth(b, out.Complex, out.CTs[gOut], bv)
 		}
 	}
@@ -257,7 +253,7 @@ func SumPool2D(b hisa.Backend, in *CipherTensor, window, stride int, clean bool,
 	for g := range in.CTs {
 		chInGroup := min(in.C-g*in.CPerCT, in.CPerCT)
 		if masks[chInGroup] == nil {
-			masks[chInGroup] = b.Encode(perChannelVector(&out, g, b.Slots(), uniform(1)), sc.Pm)
+			masks[chInGroup] = encode(b, out.channels(g, uniform(1)), sc.Pm)
 		}
 		out.CTs[g] = tryRescale(b, opts.masked(b, out.CTs[g], masks[chInGroup]), sc.Pc)
 	}
@@ -273,7 +269,7 @@ func GlobalAvgPool2D(b hisa.Backend, in *CipherTensor, sc Scales, opts ExecOptio
 	out.CTs = make([]hisa.Ciphertext, in.NumCTs())
 
 	inv := 1.0 / float64(in.H*in.W)
-	mask := b.Encode(perChannelVector(&out, 0, b.Slots(), uniform(inv)), sc.Pm)
+	mask := encode(b, out.channels(0, uniform(inv)), sc.Pm)
 
 	for g := range in.CTs {
 		acc := foldStrided(b, in.CTs[g], in.W, in.ColStride)
@@ -342,8 +338,7 @@ func PolyEval(b hisa.Backend, in *CipherTensor, coeffs []float64, sc Scales) *Ci
 			}
 		}
 		if coeffs[0] != 0 {
-			cv := perChannelVector(in, g, b.Slots(), uniform(coeffs[0]))
-			acc = addVecBoth(b, in.Complex, acc, cv)
+			acc = addVecBoth(b, in.Complex, acc, in.channels(g, uniform(coeffs[0])))
 		}
 		out.CTs[g] = acc
 	}
@@ -365,12 +360,11 @@ func BatchNorm(b hisa.Backend, in *CipherTensor, gamma, beta *tensor.Tensor, sc 
 		if in.Layout == LayoutHW {
 			t = b.MulScalar(in.CTs[g], gamma.Data[g], sc.Pu)
 		} else {
-			gv := perChannelVector(in, g, b.Slots(), func(ch int) float64 { return gamma.Data[ch] })
-			t = b.MulPlain(in.CTs[g], b.Encode(gv, sc.Pw))
+			gv := in.channels(g, func(ch int) float64 { return gamma.Data[ch] })
+			t = b.MulPlain(in.CTs[g], encode(b, gv, sc.Pw))
 		}
 		t = tryRescale(b, t, sc.Pc)
-		bv := perChannelVector(in, g, b.Slots(), func(ch int) float64 { return beta.Data[ch] })
-		t = addVecBoth(b, in.Complex, t, bv)
+		t = addVecBoth(b, in.Complex, t, in.channels(g, func(ch int) float64 { return beta.Data[ch] }))
 		out.CTs[g] = t
 	}
 	return &out
@@ -445,7 +439,7 @@ func Concat(b hisa.Backend, sc Scales, opts ExecOptions, ins ...*CipherTensor) *
 			single := metaClone(in)
 			single.C, single.CPerCT = 1, 1
 			single.Offset = in.Offset + bIn*in.ChanStride
-			mask := b.Encode(perChannelVector(&single, 0, b.Slots(), uniform(1)), sc.Pm)
+			mask := encode(b, single.channels(0, uniform(1)), sc.Pm)
 			t := tryRescale(b, opts.masked(b, in.CTs[ch/in.CPerCT], mask), sc.Pc)
 			out.CTs[och/out.CPerCT] = accumulate(b, out.CTs[och/out.CPerCT], rotateRight(b, t, (bOut-bIn)*in.ChanStride))
 		}
@@ -501,7 +495,7 @@ func ToHW(b hisa.Backend, in *CipherTensor, sc Scales, opts ExecOptions) *Cipher
 	single := metaClone(in)
 	single.C = 1
 	single.CPerCT = 1
-	mask := b.Encode(perChannelVector(&single, 0, b.Slots(), uniform(1)), sc.Pm)
+	mask := encode(b, single.channels(0, uniform(1)), sc.Pm)
 	for ch := 0; ch < in.C; ch++ {
 		t := rotateRight(b, in.CTs[ch/in.CPerCT], -(ch%in.CPerCT)*in.ChanStride)
 		out.CTs[ch] = tryRescale(b, opts.masked(b, t, mask), sc.Pc)

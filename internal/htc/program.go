@@ -111,44 +111,21 @@ type Term struct {
 	X, F        float64
 }
 
-// Const is a slot vector stored as its nonzero runs (Im: the imaginary
-// part, for addplainc), encoded at Scale (0: at the scale of the ciphertext
-// it meets) and Level, the highest level of a ciphertext it meets (-1 where
-// the target has no levels).
+// Const is a slot vector stored as its nonzero runs, as the kernels built
+// it (Im: the imaginary part, for addplainc), encoded at Scale (0: at the
+// scale of the ciphertext it meets) and Level, the highest level of a
+// ciphertext it meets (-1 where the target has no levels).
 type Const struct {
-	Re, Im []Run
+	Re, Im []hisa.Run
 	Scale  float64
 	Level  int
-}
-
-// Run is a stretch of Len equal slot values from slot Start.
-type Run struct {
-	Start, Len int32
-	Value      float64
 }
 
 // Span closes circuit node Node's instructions: they end before End.
 type Span struct{ Node, End int32 }
 
-// runsOf compresses v into its nonzero runs, in a slice of their own size:
-// a compiled program keeps them.
-func runsOf(v []float64) []Run {
-	var rs []Run
-	for i := 0; i < len(v); {
-		j := i + 1
-		for j < len(v) && v[j] == v[i] {
-			j++
-		}
-		if v[i] != 0 {
-			rs = append(rs, Run{Start: int32(i), Len: int32(j - i), Value: v[i]})
-		}
-		i = j
-	}
-	return append([]Run(nil), rs...)
-}
-
 // expand writes rs into a fresh vector of n slots.
-func expand(rs []Run, n int) []float64 {
+func expand(rs []hisa.Run, n int) []float64 {
 	v := make([]float64, n)
 	for _, r := range rs {
 		for i := r.Start; i < r.Start+r.Len; i++ {
@@ -230,7 +207,8 @@ func (p *Program) prepare() {
 // count.
 //
 // Constants are encoded where used: on a backend with leveled plaintexts once
-// per program, at the constant's level, elsewhere per use. observe, when
+// per program, at the constant's level — complex ones too, but for the
+// slot-uniform ones AddPlainC adds exactly — elsewhere per use. observe, when
 // non-nil, sees each instruction's results as it completes.
 func (p *Program) Execute(b hisa.Backend, in *CipherTensor, workers int, observe func(i int, outs []hisa.Ciphertext)) *CipherTensor {
 	p.prepare()
@@ -402,12 +380,7 @@ func (x *exec) step(i int) (outs []hisa.Ciphertext, failure any) {
 	case OpSubPlain:
 		a = b.SubPlain(a, x.plain(in.K, a))
 	case OpAddPlainC:
-		re, im := expand(x.p.Consts[in.K].Re, b.Slots()), expand(x.p.Consts[in.K].Im, b.Slots())
-		m := make([]complex128, len(re))
-		for s := range m {
-			m[s] = complex(re[s], im[s])
-		}
-		a = b.AddPlainC(a, m)
+		a = x.addPlainC(in.K, a)
 	case OpAddScalar:
 		a = b.AddScalar(a, in.X)
 	case OpSubScalar:
@@ -469,9 +442,10 @@ func (x *exec) rotSum(rs *RotSum) []hisa.Ciphertext {
 }
 
 // plain returns constant k's plaintext for an instruction on ciphertext c.
-// On a leveled backend it is encoded once, at the constant's level; an
-// operand above that level or at another scale than the cached plaintext's
-// (neither happens in the program the compiler planned) gets its own.
+// On a leveled backend it is encoded once, at the constant's level — a
+// complex one (addplainc's) as complex — and an operand above that level or
+// at another scale than the cached plaintext's (neither happens in the
+// program the compiler planned) gets its own.
 func (x *exec) plain(k int32, c hisa.Ciphertext) hisa.Plaintext {
 	con, slots := &x.p.Consts[k], x.b.Slots()
 	scale := con.Scale
@@ -481,17 +455,51 @@ func (x *exec) plain(k int32, c hisa.Ciphertext) hisa.Plaintext {
 	if x.enc == nil {
 		return x.b.Encode(expand(con.Re, slots), scale)
 	}
+	encode := func(level int) hisa.Plaintext {
+		if con.Im != nil {
+			return x.enc.EncodeCAt(complexOf(con.Re, con.Im, slots), scale, level)
+		}
+		return x.enc.EncodeAt(expand(con.Re, slots), scale, level)
+	}
 	level, e := x.enc.LevelOf(c), &x.p.encoded[k]
 	e.once.Do(func() {
 		e.scale, e.level = scale, max(con.Level, level)
-		e.pt = x.enc.EncodeAt(expand(con.Re, slots), scale, e.level)
+		e.pt = encode(e.level)
 		x.p.plaintexts.Add(1)
 		x.p.bytes.Add(int64(e.level+1) * int64(2*slots) * 8)
 	})
 	if e.scale != scale || e.level < level {
-		return x.enc.EncodeAt(expand(con.Re, slots), scale, level)
+		return encode(level)
 	}
 	return e.pt
+}
+
+// addPlainC adds complex constant k to c, at c's scale. On a leveled
+// backend a constant that varies across the slots is encoded once (plain);
+// one that does not — a complex-packed activation's shift or Horner
+// coefficient — takes AddPlainC's exact path, which encodes nothing, as do
+// all of them on the mocks.
+func (x *exec) addPlainC(k int32, c hisa.Ciphertext) hisa.Ciphertext {
+	con, slots := &x.p.Consts[k], x.b.Slots()
+	if x.enc == nil || slotUniform(con.Re, slots) && slotUniform(con.Im, slots) {
+		return x.b.AddPlainC(c, complexOf(con.Re, con.Im, slots))
+	}
+	return x.b.AddPlain(c, x.plain(k, c))
+}
+
+// complexOf expands the complex constant re + i·im into its n slot values.
+func complexOf(reRuns, imRuns []hisa.Run, n int) []complex128 {
+	re, im := expand(reRuns, n), expand(imRuns, n)
+	m := make([]complex128, n)
+	for s := range m {
+		m[s] = complex(re[s], im[s])
+	}
+	return m
+}
+
+// slotUniform reports whether the runs rs hold one value in all n slots.
+func slotUniform(rs []hisa.Run, n int) bool {
+	return len(rs) == 0 || len(rs) == 1 && rs[0].Start == 0 && int(rs[0].Len) == n
 }
 
 // PeakLive is the most registers live at once in a serial run: written and

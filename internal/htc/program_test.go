@@ -1,6 +1,7 @@
 package htc_test
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -141,28 +142,65 @@ func (b levelChecker) AddPlain(c hisa.Ciphertext, p hisa.Plaintext) hisa.Ciphert
 }
 
 // TestConstantStoreLevels replays LeNet-tiny's program under both pure
-// layouts on RNS: every plaintext of its constant table is encoded once, at
-// the level of the ciphertext it meets, so the table holds fewer rows than
-// top-level plaintexts would.
+// layouts on RNS, and complex-packed: every plaintext of its constant table
+// is encoded once, at the level of the ciphertext it meets, so the table
+// holds fewer rows than top-level plaintexts would. A complex constant that
+// varies across the slots (a complex-packed bias) is one of them; one that
+// does not (an activation's shift) is added exactly and never encoded.
 func TestConstantStoreLevels(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real lattice execution is slow; run without -short")
 	}
 	m := nn.LeNetTiny()
 	img := nn.SyntheticImage(m.InputShape, 3)
-	for _, policy := range []htc.LayoutPolicy{htc.PolicyCHW, htc.PolicyHW} {
-		comp := compile(t, m, core.SchemeRNS, 11, rnsScales, policy)
+	for _, tc := range []struct {
+		policy  htc.LayoutPolicy
+		complex bool
+	}{{htc.PolicyCHW, false}, {htc.PolicyHW, false}, {htc.PolicyCHW, true}} {
+		batch := 1
+		if tc.complex {
+			batch = 2
+		}
+		comp, err := core.Compile(m.Circuit, core.Options{Scheme: core.SchemeRNS, SecurityBits: -1, MinLogN: 11, MaxLogN: 11,
+			Scales: rnsScales, Policies: []htc.LayoutPolicy{tc.policy}, Batch: batch, Complex: tc.complex})
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("%v complex %v", tc.policy, tc.complex)
 		rns := rnsBackend(t, comp)
 		b := levelChecker{RNSBackend: rns, t: t}
-		comp.Execute(b, comp.Encrypt(b, img), 2)
+		meter := hisa.NewMeter(b, nil)
+		for i := 0; i < 2; i++ {
+			before := meter.Counts()[hisa.OpEncode]
+			comp.Execute(meter, comp.Encrypt(b, img), 2)
+			if encodes := meter.Counts()[hisa.OpEncode] - before; (i == 0) != (encodes > 0) {
+				t.Fatalf("%s: execution %d encoded %d constants", name, i+1, encodes)
+			}
+		}
 		n, topRows := int64(2*b.Slots()), int64(rns.Params().MaxLevel()+1)
+		want, complexes := len(comp.Code.Consts), 0
+		for _, k := range comp.Code.Consts {
+			if k.Im == nil {
+				continue
+			}
+			complexes++
+			if uniform := func(rs []hisa.Run) bool {
+				return len(rs) == 0 || len(rs) == 1 && rs[0].Start == 0 && int(rs[0].Len) == b.Slots()
+			}; uniform(k.Re) && uniform(k.Im) {
+				want--
+			}
+		}
+		if tc.complex && (complexes == 0 || want == len(comp.Code.Consts)) {
+			t.Fatalf("%s: %d complex constants, %d of them slot-uniform", name, complexes, len(comp.Code.Consts)-want)
+		}
 		count, bytes := comp.Code.Plaintexts(), comp.Code.Bytes()
-		if count != len(comp.Code.Consts) || bytes%(n*8) != 0 {
-			t.Fatalf("%v: %d of %d constants encoded in %d bytes", policy, count, len(comp.Code.Consts), bytes)
+		if count != want || bytes%(n*8) != 0 {
+			t.Fatalf("%s: %d constants encoded in %d bytes after two executions, want %d of %d",
+				name, count, bytes, want, len(comp.Code.Consts))
 		}
 		if rows := bytes / (n * 8); rows >= int64(count)*topRows {
-			t.Fatalf("%v: %d plaintexts hold %d rows, no fewer than the %d of top-level plaintexts",
-				policy, count, rows, int64(count)*topRows)
+			t.Fatalf("%s: %d plaintexts hold %d rows, no fewer than the %d of top-level plaintexts",
+				name, count, rows, int64(count)*topRows)
 		}
 	}
 }

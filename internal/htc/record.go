@@ -27,22 +27,23 @@ func NewRecording() *Recording { return &Recording{p: &Program{}} }
 
 // recorder is the capability of a backend that records into a Recording
 // (the compiler's analysis): a scale decision's outcome outs, on operands
-// args, is recorded as the one instruction in, with constant vec encoded at
-// the first operand's scale, and returned in the instruction's registers.
+// args, is recorded as the one instruction in, with the constant runs builds
+// (nil: none) encoded at the first operand's scale, and returned in the
+// instruction's registers.
 type recorder interface {
 	Recording() *Recording
-	Decided(in Instr, vec []float64, args, outs []hisa.Ciphertext) []hisa.Ciphertext
+	Decided(in Instr, runs func() []hisa.Run, args, outs []hisa.Ciphertext) []hisa.Ciphertext
 }
 
 // decide runs a kernel decision taken from a runtime scale (tryRescale,
 // reduceRelin, alignScales, addPlainAt): in a recording run it is one
 // instruction, which a program's execution takes again.
-func decide(b hisa.Backend, in Instr, vec []float64, args []hisa.Ciphertext, run func() []hisa.Ciphertext) []hisa.Ciphertext {
+func decide(b hisa.Backend, in Instr, runs func() []hisa.Run, args []hisa.Ciphertext, run func() []hisa.Ciphertext) []hisa.Ciphertext {
 	rb, ok := hisa.FindCapability[recorder](b)
 	if !ok || rb.Recording() == nil || rb.Recording().Quiet() {
 		return run()
 	}
-	return rb.Decided(in, vec, args, rb.Recording().Quietly(run))
+	return rb.Decided(in, runs, args, rb.Recording().Quietly(run))
 }
 
 // Quiet reports whether the instructions running now are inside another.
@@ -76,13 +77,17 @@ func (r *Recording) Input() int32 {
 	return int32(r.p.Regs - 1)
 }
 
-// Constant adds the vector re + i·im (im nil for a real one) at scale to the
-// table and returns its index; inside another instruction it adds none.
-func (r *Recording) Constant(re, im []float64, scale float64) int32 {
+// Constant adds the constant re + i·im (im nil for a real one), each built
+// as hisa.RunsBackend describes, at scale to the table and returns its
+// index; inside another instruction it builds and adds none.
+func (r *Recording) Constant(re, im func() []hisa.Run, scale float64) int32 {
 	if r.Quiet() {
 		return -1
 	}
-	r.p.Consts = append(r.p.Consts, Const{Re: runsOf(re), Im: runsOf(im), Scale: scale, Level: -1})
+	// Each in a slice of its own size: the program keeps them.
+	r.p.Consts = append(r.p.Consts, Const{
+		Re: append([]hisa.Run(nil), built(re)...), Im: append([]hisa.Run(nil), built(im)...), Scale: scale, Level: -1,
+	})
 	return int32(len(r.p.Consts) - 1)
 }
 
@@ -124,9 +129,6 @@ func (r *Recording) Program(circ *circuit.Circuit, in, out *CipherTensor, reg fu
 	remap := make([]int32, len(p.Consts)) // 1 + the new index
 	var table []Const
 	keep := func(k *int32) {
-		if *k < 0 {
-			return
-		}
 		if remap[*k] == 0 {
 			key := constKey(p.Consts[*k])
 			if _, ok := index[key]; !ok {
@@ -138,25 +140,35 @@ func (r *Recording) Program(circ *circuit.Circuit, in, out *CipherTensor, reg fu
 		*k = remap[*k] - 1
 	}
 	for i := range p.Instrs {
-		switch in := &p.Instrs[i]; in.Op {
-		case OpRotSum:
-			for _, terms := range p.Sums[in.K].Sums {
-				for j := range terms {
-					keep(&terms[j].K)
-				}
-			}
-		case OpAddPlain, OpSubPlain, OpAddPlainC, OpMulPlain, OpAddPlainAt:
-			keep(&in.K)
-		}
+		p.EachConst(i, keep)
 	}
 	p.Consts = table
 	return p
 }
 
+// EachConst calls f with the index of every constant instruction i reads,
+// in the order it reads them (a rotsum's in its terms).
+func (p *Program) EachConst(i int, f func(k *int32)) {
+	switch in := &p.Instrs[i]; in.Op {
+	case OpRotSum:
+		for _, terms := range p.Sums[in.K].Sums {
+			for j := range terms {
+				if terms[j].K >= 0 {
+					f(&terms[j].K)
+				}
+			}
+		}
+	case OpAddPlain, OpSubPlain, OpAddPlainC, OpMulPlain, OpAddPlainAt:
+		if in.K >= 0 {
+			f(&in.K)
+		}
+	}
+}
+
 // constKey is the identity of a constant: its runs, scale and level.
 func constKey(c Const) string {
 	var buf []byte
-	for _, rs := range [][]Run{c.Re, c.Im} {
+	for _, rs := range [][]hisa.Run{c.Re, c.Im} {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(rs)))
 		for _, x := range rs {
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(x.Start)<<32|uint64(x.Len))
