@@ -160,7 +160,8 @@ func explainNodes(w io.Writer, compiled *chet.Compiled) {
 // instructions by kind, the most registers live at once in a serial run,
 // and the constant table — its entries, the bytes their nonzero runs take,
 // and what their plaintexts take once encoded at their levels, (ℓ+1)·N·8
-// bytes each (leveled targets only; the mock encodes per use).
+// bytes each (leveled targets only; the mock encodes per use), complex ones
+// that vary across the slots included (htc.Program.EncodedLevels).
 func explainProgram(w io.Writer, compiled *chet.Compiled) {
 	p := compiled.Code
 	var kinds [htc.NumOps]int
@@ -170,8 +171,10 @@ func explainProgram(w io.Writer, compiled *chet.Compiled) {
 	var runs, bill int64
 	for _, k := range p.Consts {
 		runs += int64(16 * (len(k.Re) + len(k.Im)))
-		if k.Level >= 0 {
-			bill += int64(k.Level+1) << compiled.Best.LogN * 8
+	}
+	for _, level := range p.EncodedLevels(1 << (compiled.Best.LogN - 1)) {
+		if level >= 0 {
+			bill += int64(level+1) << compiled.Best.LogN * 8
 		}
 	}
 	fmt.Fprintf(w, "program: %d instructions, peak %d live registers, %d constants (%.1f KiB of runs, %.1f MiB of plaintexts)\n",

@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"chet"
 )
 
 // TestCompileAndDescribeSmoke compiles the demo network for both schemes
@@ -39,32 +41,19 @@ func TestCompileAndDescribeSmoke(t *testing.T) {
 // conv1 scales its output by √(1/8)/2 so that act1 and the pool compute
 // true values, conv2 by √(1/8) for act2, and fc absorbs nothing. The
 // program section sums its instructions by kind and bills its constants,
-// and the table's constant columns add up to that bill.
+// and the table's constant columns add up to that bill. Complex-packed at
+// batch 8, the bill is what a replay on the lattice holds: the biases, which
+// vary across the slots, are encoded once each, and the activations' shifts,
+// which do not, never.
 func TestExplainNamesMasksAndFactors(t *testing.T) {
 	var sb strings.Builder
 	if err := compileAndDescribe(&sb, compileConfig{model: "LeNet-tiny", scheme: "seal", security: 128, explain: true}); err != nil {
 		t.Fatal(err)
 	}
 	rows := map[string][]string{}
-	tableConsts, tableMiB, tableRows := 0, 0.0, 0
-	inTable := false
 	for _, line := range strings.Split(sb.String(), "\n") {
-		f := strings.Fields(line)
-		if len(f) > 1 {
+		if f := strings.Fields(line); len(f) > 1 {
 			rows[f[0]] = f
-		}
-		switch {
-		case strings.HasPrefix(line, "per-node analysis"):
-			inTable = true
-		case !strings.HasPrefix(line, "  "):
-			inTable = false
-		case inTable && len(f) >= 12 && f[0] != "node":
-			k, err1 := strconv.Atoi(f[7])
-			mib, err2 := strconv.ParseFloat(f[8], 64)
-			if err1 != nil || err2 != nil {
-				t.Fatalf("row %q: constant columns %q %q", line, f[7], f[8])
-			}
-			tableConsts, tableMiB, tableRows = tableConsts+k, tableMiB+mib, tableRows+1
 		}
 	}
 	for _, want := range []struct{ node, masks, factor string }{
@@ -83,26 +72,74 @@ func TestExplainNamesMasksAndFactors(t *testing.T) {
 			t.Errorf("%s row %v: want masks %q and factor %q", want.node, r, want.masks, want.factor)
 		}
 	}
-
 	// The program: 6 constants whose plaintexts take 3.1 MiB at their
-	// levels, and instructions by kind that add up to the total.
-	lines := strings.Split(sb.String(), "\n")
+	// levels.
+	if consts, bill := requireBillAddsUp(t, sb.String()); consts != 6 || fmt.Sprintf("%.1f", bill) != "3.1" {
+		t.Errorf("%d constants in %.1f MiB of plaintexts, want 6 in 3.1", consts, bill)
+	}
+
+	sb.Reset()
+	cfg := compileConfig{model: "LeNet-tiny", scheme: "seal", security: -1, batch: 8, complex: true, explain: true}
+	if err := compileAndDescribe(&sb, cfg); err != nil {
+		t.Fatal(err)
+	}
+	_, bill := requireBillAddsUp(t, sb.String())
+	m, err := chet.Model(cfg.model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp, err := chet.Compile(m.Circuit, chet.Options{Scheme: chet.SchemeRNS, SecurityBits: -1, Batch: 8, Complex: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	session, err := chet.NewSession(comp, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	session.Infer(session.Encrypt(chet.SyntheticImage(m.InputShape, 1)))
+	if held := float64(comp.Code.Bytes()) / (1 << 20); fmt.Sprintf("%.1f", held) != fmt.Sprintf("%.1f", bill) {
+		t.Errorf("complex-packed: -explain bills %.1f MiB of plaintexts, a replay holds %.2f MiB", bill, held)
+	}
+}
+
+// requireBillAddsUp parses -explain's per-node table and program section:
+// the instructions by kind add up to the program's, and the table's constant
+// columns to the program's constants and plaintext bill, which it returns.
+func requireBillAddsUp(t *testing.T, out string) (consts int, bill float64) {
+	t.Helper()
+	tableConsts, tableMiB, tableRows := 0, 0.0, 0
+	inTable := false
+	lines := strings.Split(out, "\n")
 	for i, line := range lines {
-		var n, peak, consts int
-		var runs, bill float64
+		f := strings.Fields(line)
+		switch {
+		case strings.HasPrefix(line, "per-node analysis"):
+			inTable = true
+		case !strings.HasPrefix(line, "  "):
+			inTable = false
+		case inTable && len(f) >= 12 && f[0] != "node":
+			k, err1 := strconv.Atoi(f[7])
+			mib, err2 := strconv.ParseFloat(f[8], 64)
+			if err1 != nil || err2 != nil {
+				t.Fatalf("row %q: constant columns %q %q", line, f[7], f[8])
+			}
+			tableConsts, tableMiB, tableRows = tableConsts+k, tableMiB+mib, tableRows+1
+		}
+		var n, peak int
+		var runs float64
 		if _, err := fmt.Sscanf(line, "program: %d instructions, peak %d live registers, %d constants (%f KiB of runs, %f MiB of plaintexts)",
 			&n, &peak, &consts, &runs, &bill); err != nil {
 			continue
 		}
-		if consts != 6 || fmt.Sprintf("%.1f", bill) != "3.1" || peak < 1 || runs <= 0 {
-			t.Errorf("program line %q: want 6 constants in 3.1 MiB of plaintexts", line)
+		if peak < 1 || runs <= 0 {
+			t.Errorf("program line %q", line)
 		}
 		// Each row is rounded to 0.005 MiB, the program line to 0.05.
 		if tableConsts != consts || math.Abs(tableMiB-bill) > 0.05+0.005*float64(tableRows) {
 			t.Errorf("the node table bills %d constants in %.2f MiB, the program line %d in %.1f MiB",
 				tableConsts, tableMiB, consts, bill)
 		}
-		f := strings.Fields(lines[i+1])
+		f = strings.Fields(lines[i+1])
 		sum := 0
 		for j := 1; j < len(f); j += 2 {
 			k, _ := strconv.Atoi(f[j])
@@ -111,9 +148,10 @@ func TestExplainNamesMasksAndFactors(t *testing.T) {
 		if sum != n || !strings.Contains(lines[i+1], "rotsum") {
 			t.Errorf("instructions by kind %q add up to %d, not %d", lines[i+1], sum, n)
 		}
-		return
+		return consts, bill
 	}
-	t.Errorf("no program line:\n%s", sb.String())
+	t.Fatalf("no program line:\n%s", out)
+	return 0, 0
 }
 
 // TestExplainSpecialPrimes: -explain's special-prime table gives every α its

@@ -83,10 +83,10 @@ func BootstrapBench(layers, logN, window int, errBudget float64) (BootstrapResul
 
 	img := nn.SyntheticImage(m.InputShape, 7)
 
-	// Plaintext-tracking lockstep over the same circuit and layout.
+	// Plaintext-tracking lockstep: the same program on Ref, whose bootstrap
+	// is the identity.
 	ref := hisa.NewRefBackend(1 << (comp.Best.LogN - 1))
-	want := comp.Decrypt(ref, htc.Execute(ref, comp.Program.Circuit, comp.Encrypt(ref, img),
-		comp.Best.Policy, comp.Options.Scales, htc.ExecOptions{}), 1)[0]
+	want := comp.Decrypt(ref, comp.Execute(ref, comp.Encrypt(ref, img), 1), 1)[0]
 
 	raw, err := core.BuildBackend(comp, ring.NewTestPRNG(0xB007))
 	if err != nil {
@@ -96,8 +96,7 @@ func BootstrapBench(layers, logN, window int, errBudget float64) (BootstrapResul
 
 	// Single-refresh microbenchmark: one ciphertext through the full
 	// ModRaise / CoeffToSlot / EvalMod / SlotToCoeff pipeline.
-	bb, ok := hisa.AsBootstrap(raw)
-	if !ok {
+	if !raw.BootstrapCapable() {
 		return BootstrapResult{}, fmt.Errorf("bench: backend %s lost bootstrap capability", raw.Name())
 	}
 	vals := make([]float64, raw.Slots())
@@ -108,7 +107,7 @@ func BootstrapBench(layers, logN, window int, errBudget float64) (BootstrapResul
 	bootMS := math.MaxFloat64
 	for i := 0; i < 3; i++ {
 		s := time.Now()
-		out := bb.Bootstrap(ct)
+		out := raw.Bootstrap(ct)
 		e := float64(time.Since(s).Nanoseconds()) / 1e6
 		raw.Free(out)
 		if e < bootMS {

@@ -62,9 +62,9 @@ type Analysis struct {
 	// masks counts the mask products the kernels announced (TallyMask).
 	masks int
 
-	// boot, when non-nil, makes the analysis a hisa.BootstrapBackend: run
-	// under a hisa.Refresher (see backend), every refresh it triggers is
-	// recorded as a placement.
+	// boot, when non-nil, makes the analysis bootstrap-capable: run under a
+	// hisa.Refresher (see backend), every refresh it triggers is recorded as
+	// a placement.
 	boot *bootRun
 
 	// rec, when non-nil, records the program the run issues (record); top is
@@ -193,7 +193,7 @@ func NewAnalysis(cfg AnalysisConfig) *Analysis {
 // backend returns what the kernels execute against: the analysis itself or,
 // with bootstrap accounting on, the analysis under a hisa.Refresher, whose
 // refreshes a recording run records as bootstrap instructions.
-func (a *Analysis) backend() hisa.Backend {
+func (a *Analysis) backend() hisa.RunsBackend {
 	if a.boot == nil {
 		return a
 	}
@@ -209,17 +209,24 @@ func (a *Analysis) backend() hisa.Backend {
 // circuit nodes.
 func (a *Analysis) TallyMask() { a.masks++ }
 
-// --- hisa.BootstrapBackend ---
+// --- Bootstrapping ---
 
 func (a *Analysis) BootstrapCapable() bool { return a.boot != nil }
+
+func (a *Analysis) bootRun() *bootRun {
+	if a.boot == nil {
+		panic("core: analysis built without AnalysisConfig.Bootstrap")
+	}
+	return a.boot
+}
 
 // BudgetOf is the fact's remaining level: the window less the chain primes
 // its lineage has consumed.
 func (a *Analysis) BudgetOf(c hisa.Ciphertext) int {
-	return a.boot.cfg.Window - int(math.Round(a.ct(c).consumed/a.rnsPrimeBits))
+	return a.bootRun().cfg.Window - int(math.Round(a.ct(c).consumed/a.rnsPrimeBits))
 }
 
-func (a *Analysis) FreshBudget() int { return a.boot.cfg.Window }
+func (a *Analysis) FreshBudget() int { return a.bootRun().cfg.Window }
 
 // DropToFresh changes no fact: a fresh fact has consumed nothing.
 func (a *Analysis) DropToFresh(c hisa.Ciphertext) hisa.Ciphertext {
@@ -231,14 +238,15 @@ func (a *Analysis) DropToFresh(c hisa.Ciphertext) hisa.Ciphertext {
 // and return a fact reset to the fresh level (consumption zero, scale
 // preserved, exactly what the runtime pipeline produces).
 func (a *Analysis) Bootstrap(c hisa.Ciphertext) hisa.Ciphertext {
-	a.boot.placements = append(a.boot.placements, BootPlacement{
-		Index:       len(a.boot.placements),
+	boot := a.bootRun()
+	boot.placements = append(boot.placements, BootPlacement{
+		Index:       len(boot.placements),
 		Node:        -1, // attributed, like Op, by the recording pass
 		LevelBefore: a.BudgetOf(c),
-		LevelAfter:  a.boot.cfg.Window,
-		Cost:        a.boot.cost,
+		LevelAfter:  boot.cfg.Window,
+		Cost:        boot.cost,
 	})
-	a.charge(a.boot.cost)
+	a.charge(boot.cost)
 	return a.emit(htc.Instr{Op: htc.OpBootstrap}, a.observe(&analysisCT{scale: a.ct(c).scale}), a.ct(c))
 }
 
@@ -464,10 +472,6 @@ func (a *Analysis) Encode(m []float64, f float64) hisa.Plaintext {
 	}
 	return &analysisPT{scale: f, k: -1}
 }
-
-// RunsCapable: the analysis takes the kernels' constants as runs
-// (hisa.RunsBackend), building them only in a recording run.
-func (a *Analysis) RunsCapable() bool { return true }
 
 // EncodeRuns keeps the scale and, in a recording run, the constant.
 func (a *Analysis) EncodeRuns(runs func() []hisa.Run, f float64) hisa.Plaintext {

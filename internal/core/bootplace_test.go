@@ -144,12 +144,10 @@ func TestBootstrapEndToEnd(t *testing.T) {
 
 	img := nn.SyntheticImage(m.InputShape, 7)
 
-	// Plaintext-tracking reference: the kernels on Ref, which needs no
-	// bootstrap.
+	// Plaintext-tracking reference: the program replayed on Ref, whose
+	// bootstrap is the identity.
 	ref := hisa.NewRefBackend(1 << (comp.Best.LogN - 1))
-	refEnc := htc.EncryptTensor(ref, comp.Plan(), comp.Options.Scales, img)
-	refOut := htc.Execute(ref, comp.Program.Circuit, refEnc, comp.Best.Policy, comp.Options.Scales, htc.ExecOptions{})
-	want := comp.Decrypt(ref, refOut, 1)[0]
+	want := execute(comp, ref, []*tensor.Tensor{img}, 1)[0]
 
 	raw, err := BuildBackend(comp, ring.NewTestPRNG(0xDEE9))
 	if err != nil {

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/big"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -171,3 +173,27 @@ func bigPow2(bits int) *big.Int {
 }
 
 func bigOne() *big.Int { return big.NewInt(1) }
+
+// An analysis built without bootstrap accounting says so, and each of its
+// bootstrap methods panics naming the missing configuration.
+func TestAnalysisWithoutBootstrap(t *testing.T) {
+	a := NewAnalysis(AnalysisConfig{Scheme: SchemeRNS, Slots: 64, RNSPrimeBits: 40})
+	if a.BootstrapCapable() {
+		t.Fatal("an analysis without AnalysisConfig.Bootstrap reports the capability")
+	}
+	c := a.Encrypt(a.Encode(make([]float64, 64), 1<<30))
+	for name, call := range map[string]func(){
+		"Bootstrap":   func() { a.Bootstrap(c) },
+		"BudgetOf":    func() { a.BudgetOf(c) },
+		"FreshBudget": func() { a.FreshBudget() },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "without AnalysisConfig.Bootstrap") {
+					t.Errorf("%s panicked with %v, want the missing configuration named", name, r)
+				}
+			}()
+			call()
+		}()
+	}
+}

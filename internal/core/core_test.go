@@ -98,10 +98,11 @@ func TestCostModelShapes(t *testing.T) {
 	}
 }
 
+// TestAnalysisMatchesMeterOnRef: the analysis interpretation executes
+// exactly the instruction stream the program replays on a real backend —
+// the rotation steps a Meter counts over a replay on Ref are the ones the
+// analysis, and the compiler's search result, counted.
 func TestAnalysisMatchesMeterOnRef(t *testing.T) {
-	// The analysis interpretation must execute exactly the same instruction
-	// stream as a real backend: compare rotation-step counts with a metered
-	// reference run.
 	src, img := testCNN()
 	c := circuit.Fold(src).Circuit
 	sc := htc.DefaultScales()
@@ -109,18 +110,20 @@ func TestAnalysisMatchesMeterOnRef(t *testing.T) {
 	slots := 2048
 
 	a := NewAnalysis(AnalysisConfig{Scheme: SchemeCKKS, Slots: slots})
-	plan := htc.PlanFor(c, policy)
-	encA := htc.EncryptTensor(a, plan, sc, tensor.New(img.Shape...))
+	encA := htc.EncryptTensor(a, htc.PlanFor(c, policy), sc, tensor.New(img.Shape...))
 	htc.Execute(a, c, encA, policy, sc, htc.ExecOptions{})
 
-	ref := hisa.NewRefBackend(slots)
-	meter := hisa.NewMeter(ref, nil)
-	encR := htc.EncryptTensor(meter, plan, sc, img)
-	htc.Execute(meter, c, encR, policy, sc, htc.ExecOptions{})
+	comp, err := Compile(src, Options{Scheme: SchemeCKKS, SecurityBits: -1, MinLogN: 12, MaxLogN: 12, Scales: sc,
+		Policies: []htc.LayoutPolicy{policy}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	meter := hisa.NewMeter(hisa.NewRefBackend(slots), nil)
+	comp.Execute(meter, comp.Encrypt(meter, img), 1)
 
-	if a.RotationOps() != meter.Counts().Rotations() {
-		t.Fatalf("analysis rotations %d != metered rotations %d",
-			a.RotationOps(), meter.Counts().Rotations())
+	if a.RotationOps() != meter.Counts().Rotations() || comp.Best.RotationOps != a.RotationOps() {
+		t.Fatalf("analysis rotations %d, compiled %d, metered replay %d",
+			a.RotationOps(), comp.Best.RotationOps, meter.Counts().Rotations())
 	}
 	if len(a.Rotations()) == 0 {
 		t.Fatal("no rotation keys collected")

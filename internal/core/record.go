@@ -84,8 +84,9 @@ func record(c *circuit.Circuit, comp *Compiled) (err error) {
 	var prev hisa.OpCounts
 	prevCost, prevMasks := 0.0, 0
 	row := map[int32]int{} // comp.Nodes' index of each circuit node
-	onNode := func(n *circuit.Node, _ *htc.CipherTensor) {
-		a.rec.EndNode(n.ID)
+	reg := func(h hisa.Ciphertext) int32 { return a.ct(h).reg }
+	onNode := func(n *circuit.Node, out *htc.CipherTensor) {
+		a.rec.EndNode(n.ID, out, reg)
 		name := fmt.Sprintf("%v:%s", n.Kind, n.Name)
 		attribute(n.ID, name)
 		if n.Kind == circuit.OpInput {
@@ -107,11 +108,12 @@ func record(c *circuit.Circuit, comp *Compiled) (err error) {
 
 	img := tensor.New(c.Input.OutShape...)
 	enc := htc.EncryptTensor(&b, comp.Plan(), opts.Scales, img)
-	out := htc.Execute(&b, c, enc, comp.Best.Policy, opts.Scales, htc.ExecOptions{OnNode: onNode})
-	comp.Code = a.rec.Program(c, enc, out, func(h hisa.Ciphertext) int32 { return a.ct(h).reg })
+	htc.Execute(&b, c, enc, comp.Best.Policy, opts.Scales, htc.ExecOptions{OnNode: onNode})
+	comp.Code = a.rec.Program(c, enc)
 	comp.Code.Counts = counts
 	comp.Code.Counts[hisa.OpBootstrap] += len(a.BootPlacements())
 	billed := make([]bool, len(comp.Code.Consts))
+	levels := comp.Code.EncodedLevels(1 << (comp.Best.LogN - 1))
 	for i, in := range comp.Code.Instrs {
 		comp.Code.EachConst(i, func(k *int32) {
 			if billed[*k] {
@@ -120,7 +122,7 @@ func record(c *circuit.Circuit, comp *Compiled) (err error) {
 			billed[*k] = true
 			n := &comp.Nodes[row[in.Node]]
 			n.Consts++
-			if level := comp.Code.Consts[*k].Level; level >= 0 {
+			if level := levels[*k]; level >= 0 {
 				n.ConstBytes += int64(level+1) << comp.Best.LogN * 8
 			}
 		})

@@ -50,14 +50,13 @@ func TestBootstrapIdentityCrossBackend(t *testing.T) {
 		{"rns", newRNSBootBackend(t, 2), 5e-2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			bb, ok := AsBootstrap(tc.b)
-			if !ok {
+			if !tc.b.BootstrapCapable() {
 				t.Fatalf("%s backend not bootstrap-capable", tc.b.Name())
 			}
 			values := rv(tc.b.Slots(), 1, 21)
 			ct := tc.b.Encrypt(tc.b.Encode(values, testScale))
-			out := bb.Bootstrap(ct)
-			if got, want := bb.BudgetOf(out), bb.FreshBudget(); got != want {
+			out := tc.b.Bootstrap(ct)
+			if got, want := tc.b.BudgetOf(out), tc.b.FreshBudget(); got != want {
 				t.Fatalf("bootstrapped budget = %d, want fresh budget %d", got, want)
 			}
 			got := tc.b.Decode(tc.b.Decrypt(out))
@@ -72,14 +71,14 @@ func TestBootstrapIdentityCrossBackend(t *testing.T) {
 	}
 }
 
-// TestBootstrapNotCapable: backends without the capability report false
-// through AsBootstrap, including behind a Meter.
+// TestBootstrapNotCapable: backends without a bootstrapper report false
+// through BootstrapCapable, including behind a Meter.
 func TestBootstrapNotCapable(t *testing.T) {
 	sim := NewSimBackend(SimParams{LogN: 4, LogQ: 120})
-	if _, ok := AsBootstrap(sim); ok {
+	if sim.BootstrapCapable() {
 		t.Fatal("sim without SimParams.Bootstrap must not be capable")
 	}
-	if _, ok := AsBootstrap(NewMeter(sim, nil)); ok {
+	if NewMeter(sim, nil).BootstrapCapable() {
 		t.Fatal("meter over an incapable backend must not be capable")
 	}
 }
@@ -89,12 +88,11 @@ func TestBootstrapNotCapable(t *testing.T) {
 func TestMeterCountsBootstrap(t *testing.T) {
 	sim := NewSimBackend(SimParams{LogN: 4, LogQ: 209, Seed: 3, Bootstrap: &SimBootstrap{}})
 	m := NewMeter(sim, nil)
-	bb, ok := AsBootstrap(m)
-	if !ok {
+	if !m.BootstrapCapable() {
 		t.Fatal("meter over a capable backend must forward the capability")
 	}
 	ct := m.Encrypt(m.Encode(rv(m.Slots(), 1, 4), testScale))
-	out := bb.Bootstrap(ct)
+	out := m.Bootstrap(ct)
 	m.Free(out)
 	m.Free(ct)
 	if c := m.Counts(); c[OpBootstrap] != 1 {

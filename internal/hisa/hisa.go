@@ -7,11 +7,12 @@
 // internal/ckks). The CHET compiler adds further backends that reinterpret
 // ciphertexts as dataflow facts (modulus consumption, cost, rotation sets).
 //
-// Every backend implements the whole instruction set (Backend), so the
-// kernels issue one instruction stream whatever interprets it. Exactly three
-// capabilities stay optional, because backends genuinely differ in them:
-// bootstrapping (BootstrapBackend), encoding at a chosen modulus level
-// (LeveledEncodeBackend) and taking constants as runs (RunsBackend).
+// Every backend implements the whole instruction set (Backend), bootstrapping
+// included, so a program issues one instruction stream whatever interprets
+// it. Exactly one capability stays optional, because backends genuinely
+// differ in it: encoding at a chosen modulus level (LeveledEncodeBackend).
+// The kernels, which run only in the compiler, take their constants as runs
+// (RunsBackend).
 package hisa
 
 import "math/big"
@@ -143,27 +144,22 @@ type Backend interface {
 	// MulScalarC multiplies every slot by the complex constant x encoded at
 	// scale f; the result scale is Scale(c) * f.
 	MulScalarC(c Ciphertext, x complex128, f float64) Ciphertext
-}
 
-// BootstrapBackend is an optional backend capability: backends that can
-// refresh an exhausted ciphertext — one with no multiplicative budget left —
-// into an equivalent ciphertext with a fresh budget implement it. On the RNS
-// backend this is real CKKS bootstrapping (internal/boot); on the mock
-// backends it is the corresponding bookkeeping (budget reset plus the
-// bootstrap's approximation noise), so the compiler's bootstrap placement can
-// be validated cheaply before a lattice run.
-//
-// Budgets are measured in levels: the number of ~PrimeBits rescales a
-// ciphertext can still absorb. Bootstrap's output always has FreshBudget
-// levels; semantically it is the identity on the message within the
-// backend's documented precision (see internal/boot for the error budget of
-// the real pipeline). It stays optional because an instance has it only
-// when a bootstrapper is configured.
-type BootstrapBackend interface {
-	// BootstrapCapable reports whether the instance actually supports the
-	// capability. The Interposer forwards these methods unconditionally, so
-	// the interface assertion alone is not sufficient — AsBootstrap checks
-	// this flag too.
+	// Bootstrapping refreshes an exhausted ciphertext — one with no
+	// multiplicative budget left — into an equivalent ciphertext with a fresh
+	// budget. On the RNS backend this is real CKKS bootstrapping
+	// (internal/boot); on the mock backends it is the corresponding
+	// bookkeeping (budget reset plus the bootstrap's approximation noise), so
+	// the compiler's bootstrap placement can be validated cheaply before a
+	// lattice run; on Ref it is the identity.
+	//
+	// Budgets are measured in levels: the number of ~PrimeBits rescales a
+	// ciphertext can still absorb. Bootstrap's output always has FreshBudget
+	// levels; semantically it is the identity on the message within the
+	// backend's documented precision (see internal/boot for the error budget
+	// of the real pipeline). An instance has a bootstrapper only when one is
+	// configured, which BootstrapCapable reports; the four methods below are
+	// for capable instances (Sim and RNS panic descriptively without one).
 	BootstrapCapable() bool
 	// Bootstrap refreshes c to FreshBudget levels. The input is unchanged
 	// and remains owned by the caller.
@@ -177,16 +173,6 @@ type BootstrapBackend interface {
 	// the top of the bootstrap chain; dropping them to the fresh level makes
 	// every ciphertext's budget match the compiler's placement model.
 	DropToFresh(c Ciphertext) Ciphertext
-}
-
-// AsBootstrap returns b as a BootstrapBackend when b (including every layer
-// of a wrapper chain) supports ciphertext refreshing.
-func AsBootstrap(b Backend) (BootstrapBackend, bool) {
-	bb, ok := FindCapability[BootstrapBackend](b)
-	if !ok || !bb.BootstrapCapable() {
-		return nil, false
-	}
-	return bb, true
 }
 
 // LeveledEncodeBackend is an optional backend capability: backends whose
@@ -232,31 +218,20 @@ type Run struct {
 	Value      float64
 }
 
-// RunsBackend is an optional backend capability: a backend that reads a
-// constant's slot values only sometimes — the compiler's analysis, which
-// keeps them in its recording run and only their scale in every other —
-// takes the kernels' constants as runs, built on demand. A runs function
-// returns a constant's nonzero runs in slot order, no two neighbours of one
-// value (nil: no constant); a backend that needs no values never calls it.
-// Every other backend is handed the expanded slot vectors (htc).
+// RunsBackend is what the kernels execute against: a backend that takes
+// their constants as runs, built on demand. A runs function returns a
+// constant's nonzero runs in slot order, no two neighbours of one value (nil:
+// no constant); a backend that needs no values never calls it. The kernels
+// run only in the compiler, whose analysis (core.Analysis) keeps the values
+// in its recording run and only their scale in every other; every execution
+// replays the program they recorded (htc.Program), which expands the runs it
+// stored.
 type RunsBackend interface {
-	// RunsCapable reports whether the instance takes constants as runs; the
-	// Interposer forwards the methods unconditionally, so AsRuns checks it.
-	RunsCapable() bool
+	Backend
 	// EncodeRuns is Encode of the constant runs builds.
 	EncodeRuns(runs func() []Run, f float64) Plaintext
 	// AddPlainCRuns is AddPlainC of the complex constant re + i·im.
 	AddPlainCRuns(c Ciphertext, re, im func() []Run) Ciphertext
-}
-
-// AsRuns returns b as a RunsBackend when b (including every layer of a
-// wrapper chain) takes constants as runs.
-func AsRuns(b Backend) (RunsBackend, bool) {
-	rb, ok := b.(RunsBackend)
-	if !ok || !rb.RunsCapable() {
-		return nil, false
-	}
-	return rb, true
 }
 
 // RotationSteps decomposes a left rotation by x (mod slots) into the

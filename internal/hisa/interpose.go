@@ -64,10 +64,10 @@ type Op struct {
 	Dur   time.Duration
 }
 
-// Interposer is the single forwarding implementation of Backend and the two
-// optional capabilities: it turns every call into an Op and hands it to a
-// before-hook (ahead of the wrapped call, single-result instructions only)
-// and an after-hook. Meter, Refresher and telemetry.Tracer are observers
+// Interposer is the single forwarding implementation of Backend,
+// RunsBackend and the optional LeveledEncodeBackend: it turns every call
+// into an Op and hands it to a before-hook (ahead of the wrapped call,
+// single-result instructions only) and an after-hook. Meter, Refresher and telemetry.Tracer are observers
 // that embed one. The accounting rules live here and nowhere else:
 //
 //   - a rotation by a multiple of Slots and a rescale by 1 are non-ops:
@@ -85,9 +85,10 @@ type Op struct {
 //   - EncodeAt, EncodeCAt and EncodeRuns are encodes, like Encode, and
 //     AddPlainCRuns an addplain, like AddPlainC.
 //
-// The capability methods exist whatever the wrapped backend supports, so
-// callers gate on AsBootstrap, AsLeveledEncode and AsRuns (which consult the
-// Capable flags forwarded here); calling one the backend lacks panics.
+// The leveled-encoding and runs methods exist whatever the wrapped backend
+// supports, so callers gate on AsLeveledEncode (which consults the
+// LeveledEncodeCapable flag forwarded here); calling one the backend lacks
+// panics, as the wrapped backend's Bootstrap does without a bootstrapper.
 // An Interposer is as safe for concurrent use as its hooks are.
 type Interposer struct {
 	inner  Backend
@@ -95,14 +96,12 @@ type Interposer struct {
 	before func(*Op)
 	after  func(*Op)
 
-	boot  BootstrapBackend
 	level LeveledEncodeBackend
 	runs  RunsBackend
 }
 
 var (
 	_ Backend              = (*Interposer)(nil)
-	_ BootstrapBackend     = (*Interposer)(nil)
 	_ LeveledEncodeBackend = (*Interposer)(nil)
 	_ RunsBackend          = (*Interposer)(nil)
 	_ Unwrapper            = (*Interposer)(nil)
@@ -112,7 +111,6 @@ var (
 // nil.
 func NewInterposer(inner Backend, tag string, before, after func(*Op)) Interposer {
 	ip := Interposer{inner: inner, tag: tag, before: before, after: after}
-	ip.boot, _ = inner.(BootstrapBackend)
 	ip.level, _ = inner.(LeveledEncodeBackend)
 	ip.runs, _ = inner.(RunsBackend)
 	return ip
@@ -172,7 +170,6 @@ func have[T comparable](ip *Interposer, t T, what string) T {
 	return t
 }
 
-func (ip *Interposer) bootInner() BootstrapBackend { return have(ip, ip.boot, "bootstrapping") }
 func (ip *Interposer) levelInner() LeveledEncodeBackend {
 	return have(ip, ip.level, "leveled encoding")
 }
@@ -208,8 +205,6 @@ func (ip *Interposer) EncodeCAt(m []complex128, f float64, level int) (p Plainte
 }
 
 func (ip *Interposer) LevelOf(c Ciphertext) int { return ip.levelInner().LevelOf(c) }
-
-func (ip *Interposer) RunsCapable() bool { return ip.runs != nil && ip.runs.RunsCapable() }
 
 func (ip *Interposer) EncodeRuns(runs func() []Run, f float64) (p Plaintext) {
 	enc := have(ip, ip.runs, "constants as runs")
@@ -344,13 +339,12 @@ func (ip *Interposer) MulScalarC(c Ciphertext, x complex128, f float64) Cipherte
 	return ip.run(&Op{Kind: OpMulScalar, In: c}, func(c, _ Ciphertext) Ciphertext { return ip.inner.MulScalarC(c, x, f) })
 }
 
-func (ip *Interposer) BootstrapCapable() bool { return ip.boot != nil && ip.boot.BootstrapCapable() }
+func (ip *Interposer) BootstrapCapable() bool { return ip.inner.BootstrapCapable() }
 
 func (ip *Interposer) Bootstrap(c Ciphertext) Ciphertext {
-	boot := ip.bootInner()
-	return ip.run(&Op{Kind: OpBootstrap, In: c}, func(c, _ Ciphertext) Ciphertext { return boot.Bootstrap(c) })
+	return ip.run(&Op{Kind: OpBootstrap, In: c}, func(c, _ Ciphertext) Ciphertext { return ip.inner.Bootstrap(c) })
 }
 
-func (ip *Interposer) BudgetOf(c Ciphertext) int           { return ip.bootInner().BudgetOf(c) }
-func (ip *Interposer) FreshBudget() int                    { return ip.bootInner().FreshBudget() }
-func (ip *Interposer) DropToFresh(c Ciphertext) Ciphertext { return ip.bootInner().DropToFresh(c) }
+func (ip *Interposer) BudgetOf(c Ciphertext) int           { return ip.inner.BudgetOf(c) }
+func (ip *Interposer) FreshBudget() int                    { return ip.inner.FreshBudget() }
+func (ip *Interposer) DropToFresh(c Ciphertext) Ciphertext { return ip.inner.DropToFresh(c) }

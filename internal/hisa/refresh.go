@@ -36,7 +36,7 @@ type Refresher struct {
 // operand must have before a multiplicative op; 0 selects 1, the smallest
 // budget that still admits the op's own rescale.
 func NewRefresher(inner Backend, floor int) (*Refresher, error) {
-	if _, ok := AsBootstrap(inner); !ok {
+	if !inner.BootstrapCapable() {
 		return nil, fmt.Errorf("hisa: backend %s is not bootstrap-capable", inner.Name())
 	}
 	if floor <= 0 {

@@ -27,7 +27,7 @@ type RNSConfig struct {
 	Keys *KeyPlan
 	// Bootstrap, when set, provisions the bootstrap pipeline's rotation keys
 	// alongside the plan's and attaches a bootstrapper (internal/boot), making
-	// the backend hisa.BootstrapCapable. Params must have been laid out with
+	// the backend BootstrapCapable. Params must have been laid out with
 	// Bootstrap.ChainBits. Construction panics if the spec and parameters
 	// disagree — a mis-provisioned bootstrap must not fail silently at
 	// inference time.

@@ -25,7 +25,7 @@ type SimParams struct {
 	// sampling.
 	NoNoise bool
 	// Bootstrap enables the mock bootstrap capability; nil leaves the
-	// backend incapable (AsBootstrap reports false).
+	// backend incapable (BootstrapCapable reports false).
 	Bootstrap *SimBootstrap
 }
 

@@ -4,9 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"chet/internal/ckks"
 	"chet/internal/hisa"
-	"chet/internal/ring"
 	"chet/internal/tensor"
 )
 
@@ -23,7 +21,7 @@ func argmax(t *tensor.Tensor) int {
 // batchParity runs the shared property on one backend: a batched evaluation
 // of B images must agree per-lane with B independent unbatched evaluations —
 // elementwise within tol, and with identical argmax predictions.
-func batchParity(t *testing.T, name string, mkBackend func() hisa.Backend, sc Scales, tol float64) {
+func batchParity(t *testing.T, name string, mkBackend func() hisa.RunsBackend, sc Scales, tol float64) {
 	t.Helper()
 	const B = 4
 	c, _ := testCNN()
@@ -63,33 +61,6 @@ func batchParity(t *testing.T, name string, mkBackend func() hisa.Backend, sc Sc
 }
 
 func TestBatchedParityRef(t *testing.T) {
-	batchParity(t, "ref", func() hisa.Backend { return hisa.NewRefBackend(4096) },
+	batchParity(t, "ref", func() hisa.RunsBackend { return refBackend() },
 		DefaultScales(), 1e-5)
-}
-
-func TestBatchedParitySim(t *testing.T) {
-	sc := Scales{Pc: math.Exp2(40), Pw: math.Exp2(30), Pu: math.Exp2(30), Pm: math.Exp2(25)}
-	batchParity(t, "sim", func() hisa.Backend {
-		return hisa.NewSimBackend(hisa.SimParams{LogN: 13, LogQ: 900, Seed: 7})
-	}, sc, 5e-2)
-}
-
-func TestBatchedParityRNS(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real lattice execution is slow; run without -short")
-	}
-	logQ := []int{50}
-	for i := 0; i < 15; i++ {
-		logQ = append(logQ, 40)
-	}
-	params, err := ckks.NewParameters(ckks.ParametersLiteral{
-		LogN: 11, LogQ: logQ, LogP: 50, LogScale: 40,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := Scales{Pc: math.Exp2(40), Pw: math.Exp2(40), Pu: math.Exp2(40), Pm: math.Exp2(40)}
-	batchParity(t, "rns", func() hisa.Backend {
-		return hisa.NewRNSBackend(hisa.RNSConfig{Params: params, PRNG: ring.NewTestPRNG(101)})
-	}, sc, 1e-2)
 }

@@ -1,10 +1,12 @@
 // Package htc implements CHET's Homomorphic Tensor Circuit runtime: the
 // CipherTensor datatype with its layout metadata (HW and CHW layouts,
 // strides, physical apron padding, channel blocking across ciphertexts) and
-// the homomorphic kernels for every tensor operation of the circuit DSL.
-// All kernels are written against the HISA, so they execute unchanged under
-// the plaintext reference backend, both CKKS backends, and the compiler's
-// analysis interpretations.
+// the homomorphic kernels for every tensor operation of the circuit DSL,
+// and the compiled program (Program) every runtime replays. The kernels are
+// written against the HISA and run only in the compiler, under its analysis
+// interpretations (hisa.RunsBackend), whose recording run records the
+// program; the plaintext reference backend, both CKKS backends and the
+// observers over them execute the program.
 //
 // Invariant: all ciphertext slots outside a CipherTensor's valid positions
 // are (approximately) zero wherever a reader needs them so. Kernels restore
@@ -382,7 +384,7 @@ func metaClone(src *CipherTensor) CipherTensor {
 // constant is the constant holding, in every batch lane of ct, the runs
 // lane0 appends for lane 0: kernels build only lane 0, and lane l holds the
 // same runs BatchStride·l slots on. It builds the runs when the backend asks
-// (encode), in the canonical form hisa.RunsBackend takes.
+// (hisa.RunsBackend), in the canonical form the backend takes.
 func (ct *CipherTensor) constant(lane0 func(rs []hisa.Run) []hisa.Run) func() []hisa.Run {
 	return func() []hisa.Run {
 		rs := lane0(nil)
@@ -454,16 +456,6 @@ func built(runs func() []hisa.Run) []hisa.Run {
 		return nil
 	}
 	return runs()
-}
-
-// encode hands the backend the constant runs builds, at scale f: as its
-// runs to a backend that takes them (the compiler's analysis, which builds
-// them only to record them), expanded to every other.
-func encode(b hisa.Backend, runs func() []hisa.Run, f float64) hisa.Plaintext {
-	if rb, ok := hisa.AsRuns(b); ok {
-		return rb.EncodeRuns(runs, f)
-	}
-	return b.Encode(expand(runs(), b.Slots()), f)
 }
 
 // uniform is the channel value function of a mask: v in every channel.
@@ -546,8 +538,8 @@ func aligned(b hisa.Backend, x, y hisa.Ciphertext) (hisa.Ciphertext, hisa.Cipher
 
 // addPlainAt adds the constant runs builds, encoded at c's scale, to c: a
 // scale-neutral addition, and a scale decision.
-func addPlainAt(b hisa.Backend, c hisa.Ciphertext, runs func() []hisa.Run) hisa.Ciphertext {
+func addPlainAt(b hisa.RunsBackend, c hisa.Ciphertext, runs func() []hisa.Run) hisa.Ciphertext {
 	return decide(b, Instr{Op: OpAddPlainAt}, runs, []hisa.Ciphertext{c}, func() []hisa.Ciphertext {
-		return []hisa.Ciphertext{b.AddPlain(c, encode(b, runs, b.Scale(c)))}
+		return []hisa.Ciphertext{b.AddPlain(c, b.EncodeRuns(runs, b.Scale(c)))}
 	})[0]
 }

@@ -17,30 +17,21 @@ import "chet/internal/hisa"
 // packing, and as v(1+i) — reaching both slot components — for complex
 // packing. The plaintext is encoded at c's scale either way, so the
 // operation is scale-neutral like every bias addition in the kernels.
-func addVecBoth(b hisa.Backend, complexPacked bool, c hisa.Ciphertext, v func() []hisa.Run) hisa.Ciphertext {
+func addVecBoth(b hisa.RunsBackend, complexPacked bool, c hisa.Ciphertext, v func() []hisa.Run) hisa.Ciphertext {
 	if !complexPacked {
 		return addPlainAt(b, c, v)
 	}
-	return addPlainC(b, c, v, v)
+	return b.AddPlainCRuns(c, v, v)
 }
 
 // addScalarBoth adds the scalar s to every slot: plainly for real packing,
 // as s(1+i) for complex packing.
-func addScalarBoth(b hisa.Backend, complexPacked bool, c hisa.Ciphertext, s float64) hisa.Ciphertext {
+func addScalarBoth(b hisa.RunsBackend, complexPacked bool, c hisa.Ciphertext, s float64) hisa.Ciphertext {
 	if !complexPacked {
 		return b.AddScalar(c, s)
 	}
 	v := everySlot(b.Slots(), s)
-	return addPlainC(b, c, v, v)
-}
-
-// addPlainC adds the complex constant re + i·im (nil: zero) at c's scale,
-// handing it to the backend as encode does.
-func addPlainC(b hisa.Backend, c hisa.Ciphertext, re, im func() []hisa.Run) hisa.Ciphertext {
-	if rb, ok := hisa.AsRuns(b); ok {
-		return rb.AddPlainCRuns(c, re, im)
-	}
-	return b.AddPlainC(c, complexOf(built(re), built(im), b.Slots()))
+	return b.AddPlainCRuns(c, v, v)
 }
 
 // mulPairwise computes the componentwise product of two complex-packed
@@ -95,14 +86,14 @@ func mulPairwiseY(b hisa.Backend, x, y, ybar hisa.Ciphertext) hisa.Ciphertext {
 // product, with no trailing conjugation at all, and invalid slots stay zero
 // because S and D vanish there. Cost versus the real path: one extra
 // Mul+relin, one conjugation, and two exact /4 constant multiplications.
-func activationPairwise(b hisa.Backend, x hisa.Ciphertext, shift float64) hisa.Ciphertext {
+func activationPairwise(b hisa.RunsBackend, x hisa.Ciphertext, shift float64) hisa.Ciphertext {
 	xbar := b.Conjugate(x)
 	sum := b.Add(x, xbar)
 	dif := b.Sub(x, xbar)
 	ts, td := sum, dif
 	if shift != 0 {
 		ts = b.AddScalar(ts, 2*shift)
-		td = addPlainC(b, td, nil, everySlot(b.Slots(), 2*shift))
+		td = b.AddPlainCRuns(td, nil, everySlot(b.Slots(), 2*shift))
 	}
 	// Everything between the two products and the activation's final rescale
 	// is linear, so both products stay at degree 2 and share a single

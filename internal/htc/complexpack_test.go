@@ -4,9 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"chet/internal/ckks"
 	"chet/internal/hisa"
-	"chet/internal/ring"
 	"chet/internal/tensor"
 )
 
@@ -16,7 +14,7 @@ import (
 // every packing-aware site at once — addVecBoth/addScalarBoth bias reaching
 // both components, activationPairwise's single-conjugation identity, and the
 // deferred relinearization on backends that support it.
-func complexParity(t *testing.T, name string, mkBackend func() hisa.Backend, sc Scales, tol float64) {
+func complexParity(t *testing.T, name string, mkBackend func() hisa.RunsBackend, sc Scales, tol float64) {
 	t.Helper()
 	const B = 4
 	c, _ := testCNN()
@@ -60,35 +58,8 @@ func complexParity(t *testing.T, name string, mkBackend func() hisa.Backend, sc 
 }
 
 func TestComplexParityRef(t *testing.T) {
-	complexParity(t, "ref", func() hisa.Backend { return hisa.NewRefBackend(4096) },
+	complexParity(t, "ref", func() hisa.RunsBackend { return refBackend() },
 		DefaultScales(), 1e-5)
-}
-
-func TestComplexParitySim(t *testing.T) {
-	sc := Scales{Pc: math.Exp2(40), Pw: math.Exp2(30), Pu: math.Exp2(30), Pm: math.Exp2(25)}
-	complexParity(t, "sim", func() hisa.Backend {
-		return hisa.NewSimBackend(hisa.SimParams{LogN: 13, LogQ: 900, Seed: 7})
-	}, sc, 5e-2)
-}
-
-func TestComplexParityRNS(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real lattice execution is slow; run without -short")
-	}
-	logQ := []int{50}
-	for i := 0; i < 15; i++ {
-		logQ = append(logQ, 40)
-	}
-	params, err := ckks.NewParameters(ckks.ParametersLiteral{
-		LogN: 11, LogQ: logQ, LogP: 50, LogScale: 40,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := Scales{Pc: math.Exp2(40), Pw: math.Exp2(40), Pu: math.Exp2(40), Pm: math.Exp2(40)}
-	complexParity(t, "rns", func() hisa.Backend {
-		return hisa.NewRNSBackend(hisa.RNSConfig{Params: params, PRNG: ring.NewTestPRNG(103)})
-	}, sc, 1e-2)
 }
 
 // TestMulPairwiseComponentwise pins the conjugation identity directly: for

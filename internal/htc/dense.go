@@ -25,7 +25,7 @@ import (
 // it as it stands. The grid follows from the input's span, so two Dense
 // outputs of one size need not share it; the executor moves the operands of
 // an Add or Concat onto one grid (regrid) when they differ.
-func Dense(b hisa.Backend, in *CipherTensor, weights, bias *tensor.Tensor, sc Scales, opts ExecOptions) *CipherTensor {
+func Dense(b hisa.RunsBackend, in *CipherTensor, weights, bias *tensor.Tensor, sc Scales, opts ExecOptions) *CipherTensor {
 	inSize := in.C * in.H * in.W
 	if weights.Rank() != 2 || weights.Shape[1] != inSize {
 		panic(fmt.Sprintf("htc: dense weights %v incompatible with input size %d", weights.Shape, inSize))
@@ -65,7 +65,7 @@ func Dense(b hisa.Backend, in *CipherTensor, weights, bias *tensor.Tensor, sc Sc
 	// sit there and everything else is partial sums.
 	origins := out
 	origins.W, origins.Offset = 1, in.Offset
-	mask := encode(b, origins.channels(0, uniform(1)), sc.Pm)
+	mask := b.EncodeRuns(origins.channels(0, uniform(1)), sc.Pm)
 
 	groups := make([]hisa.Ciphertext, G)
 	for q := range groups {
@@ -81,7 +81,7 @@ func Dense(b hisa.Backend, in *CipherTensor, weights, bias *tensor.Tensor, sc Sc
 				}
 				return rs
 			})
-			acc = accumulate(b, acc, b.MulPlain(copies[g], encode(b, wv, sc.Pw)))
+			acc = accumulate(b, acc, b.MulPlain(copies[g], b.EncodeRuns(wv, sc.Pw)))
 		}
 		acc = tryRescale(b, acc, sc.Pc)
 		acc = foldStrided(b, acc, in.W, in.ColStride)
@@ -160,7 +160,7 @@ func sameGrid(x, y *CipherTensor) bool {
 // H by W as t's elements fill. Elements that share source ciphertext,
 // destination ciphertext and displacement travel together: one mask, one
 // rescale and one rotation per such move, one multiplicative level in all.
-func regrid(b hisa.Backend, t, like *CipherTensor, sc Scales, opts ExecOptions) *CipherTensor {
+func regrid(b hisa.RunsBackend, t, like *CipherTensor, sc Scales, opts ExecOptions) *CipherTensor {
 	size, grid := t.C*t.H*t.W, like.H*like.W
 	if size%grid != 0 || t.B != like.B || t.BatchStride != like.BatchStride || t.Complex != like.Complex {
 		panic(fmt.Sprintf("htc: no common grid for a %dx%dx%d and a %dx%dx%d tensor; insert a layout conversion",
@@ -186,7 +186,7 @@ func regrid(b hisa.Backend, t, like *CipherTensor, sc Scales, opts ExecOptions) 
 	}
 	for _, mv := range moves {
 		mask := t.constant(func(rs []hisa.Run) []hisa.Run { return append(rs, masks[mv]...) })
-		c := opts.masked(b, t.CTs[mv.src], encode(b, mask, sc.Pm))
+		c := opts.masked(b, t.CTs[mv.src], b.EncodeRuns(mask, sc.Pm))
 		out.CTs[mv.dst] = accumulate(b, out.CTs[mv.dst], rotateRight(b, tryRescale(b, c, sc.Pc), mv.by))
 	}
 	out.validate(b.Slots())

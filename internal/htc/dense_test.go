@@ -7,59 +7,65 @@ import (
 	"testing"
 
 	"chet/internal/circuit"
-	"chet/internal/ckks"
 	"chet/internal/hisa"
 	"chet/internal/nn"
-	"chet/internal/ring"
 	"chet/internal/tensor"
 )
 
 // denseCase is one geometry the packed Dense kernel must get right. The slot
 // count is part of the case: it fixes the lane stride, hence the copy span's
-// room and the R the kernel picks (wantR, the height of the output grid).
+// room and the R the kernel picks (WantR, the height of the output grid). The
+// fields are exported for the replay tests (DenseCases), which compile each
+// case.
 type denseCase struct {
-	name    string
-	layout  Layout
-	apron   int
-	shape   [3]int // C, H, W of the input
-	outDims []int  // one Dense per entry, chained
-	// residual adds the first Dense's output to the last's: same size,
+	Name    string
+	Layout  Layout
+	Apron   int
+	Shape   [3]int // C, H, W of the input
+	OutDims []int  // one Dense per entry, chained
+	// Residual adds the first Dense's output to the last's: same size,
 	// different grids.
-	residual bool
-	slots    int
-	batch    int // images, one per lane (two per lane when complex)
-	complex  bool
-	wantR    []int
+	Residual bool
+	Slots    int
+	Batch    int // images, one per lane (two per lane when complex)
+	Complex  bool
+	WantR    []int
 }
 
 var denseCases = []denseCase{
 	// 3x3 with ChanStride == H*RowStride: padding a row fold 3 -> 4 would
 	// read the next channel's row 0.
-	{name: "3x3-chw", layout: LayoutCHW, shape: [3]int{2, 3, 3}, outDims: []int{6}, slots: 256, wantR: []int{6}},
-	{name: "5x5-hw-multi-ct", layout: LayoutHW, shape: [3]int{3, 5, 5}, outDims: []int{4}, slots: 256, wantR: []int{4}},
-	{name: "chw-ragged-last-group", layout: LayoutCHW, shape: [3]int{6, 2, 2}, outDims: []int{3}, slots: 16, wantR: []int{1}},
-	{name: "apron-offset", layout: LayoutCHW, apron: 1, shape: [3]int{2, 3, 3}, outDims: []int{8}, slots: 256, wantR: []int{4}},
-	{name: "outdim-prime", layout: LayoutHW, shape: [3]int{1, 4, 4}, outDims: []int{7}, slots: 256, wantR: []int{7}},
-	{name: "outdim-over-capacity", layout: LayoutHW, shape: [3]int{1, 4, 4}, outDims: []int{12}, slots: 64, wantR: []int{4}},
-	{name: "outdim-one", layout: LayoutCHW, shape: [3]int{2, 2, 2}, outDims: []int{1}, slots: 64, wantR: []int{1}},
-	{name: "span-is-lane", layout: LayoutHW, shape: [3]int{1, 4, 4}, outDims: []int{5}, slots: 16, wantR: []int{1}},
-	{name: "rows-must-fit-copy", layout: LayoutHW, shape: [3]int{1, 2, 2}, outDims: []int{24}, slots: 32, wantR: []int{8}},
-	{name: "batch-8", layout: LayoutCHW, shape: [3]int{2, 3, 3}, outDims: []int{6}, slots: 1024, batch: 8, wantR: []int{3}},
-	{name: "complex-4", layout: LayoutCHW, shape: [3]int{2, 3, 3}, outDims: []int{6}, slots: 256, batch: 4, complex: true, wantR: []int{3}},
-	{name: "dense-dense", layout: LayoutHW, shape: [3]int{1, 4, 4}, outDims: []int{8, 3}, slots: 256, wantR: []int{8, 1}},
-	{name: "dense-dense-batch-2", layout: LayoutCHW, apron: 1, shape: [3]int{2, 2, 2}, outDims: []int{6, 4}, slots: 1024, batch: 2, wantR: []int{6, 2}},
-	{name: "dense-dense-add", layout: LayoutHW, shape: [3]int{1, 4, 4}, outDims: []int{8, 8}, residual: true, slots: 256, wantR: []int{8, 2}},
-	{name: "dense-dense-add-complex-4", layout: LayoutCHW, apron: 1, shape: [3]int{2, 2, 2}, outDims: []int{6, 6}, residual: true, slots: 1024, batch: 4, complex: true, wantR: []int{6, 2}},
+	{Name: "3x3-chw", Layout: LayoutCHW, Shape: [3]int{2, 3, 3}, OutDims: []int{6}, Slots: 256, WantR: []int{6}},
+	{Name: "5x5-hw-multi-ct", Layout: LayoutHW, Shape: [3]int{3, 5, 5}, OutDims: []int{4}, Slots: 256, WantR: []int{4}},
+	{Name: "chw-ragged-last-group", Layout: LayoutCHW, Shape: [3]int{6, 2, 2}, OutDims: []int{3}, Slots: 16, WantR: []int{1}},
+	{Name: "apron-offset", Layout: LayoutCHW, Apron: 1, Shape: [3]int{2, 3, 3}, OutDims: []int{8}, Slots: 256, WantR: []int{4}},
+	{Name: "outdim-prime", Layout: LayoutHW, Shape: [3]int{1, 4, 4}, OutDims: []int{7}, Slots: 256, WantR: []int{7}},
+	{Name: "outdim-over-capacity", Layout: LayoutHW, Shape: [3]int{1, 4, 4}, OutDims: []int{12}, Slots: 64, WantR: []int{4}},
+	{Name: "outdim-one", Layout: LayoutCHW, Shape: [3]int{2, 2, 2}, OutDims: []int{1}, Slots: 64, WantR: []int{1}},
+	{Name: "span-is-lane", Layout: LayoutHW, Shape: [3]int{1, 4, 4}, OutDims: []int{5}, Slots: 16, WantR: []int{1}},
+	{Name: "rows-must-fit-copy", Layout: LayoutHW, Shape: [3]int{1, 2, 2}, OutDims: []int{24}, Slots: 32, WantR: []int{8}},
+	{Name: "batch-8", Layout: LayoutCHW, Shape: [3]int{2, 3, 3}, OutDims: []int{6}, Slots: 1024, Batch: 8, WantR: []int{3}},
+	{Name: "complex-4", Layout: LayoutCHW, Shape: [3]int{2, 3, 3}, OutDims: []int{6}, Slots: 256, Batch: 4, Complex: true, WantR: []int{3}},
+	{Name: "dense-dense", Layout: LayoutHW, Shape: [3]int{1, 4, 4}, OutDims: []int{8, 3}, Slots: 256, WantR: []int{8, 1}},
+	{Name: "dense-dense-batch-2", Layout: LayoutCHW, Apron: 1, Shape: [3]int{2, 2, 2}, OutDims: []int{6, 4}, Slots: 1024, Batch: 2, WantR: []int{6, 2}},
+	{Name: "dense-dense-add", Layout: LayoutHW, Shape: [3]int{1, 4, 4}, OutDims: []int{8, 8}, Residual: true, Slots: 256, WantR: []int{8, 2}},
+	{Name: "dense-dense-add-complex-4", Layout: LayoutCHW, Apron: 1, Shape: [3]int{2, 2, 2}, OutDims: []int{6, 6}, Residual: true, Slots: 1024, Batch: 4, Complex: true, WantR: []int{6, 2}},
 }
 
-// circuitAndImages builds Input -> Dense... for the case, with distinct
-// images per lane so that any cross-lane leakage shows as an error.
-func (dc denseCase) circuitAndImages() (*circuit.Circuit, []*tensor.Tensor) {
-	b := circuit.NewBuilder(dc.name)
-	x := b.Input(dc.shape[0], dc.shape[1], dc.shape[2])
-	inSize := dc.shape[0] * dc.shape[1] * dc.shape[2]
+// CircuitAndImages builds Input -> Dense... for the case, with distinct
+// images per lane so that any cross-lane leakage shows as an error. A case
+// with an apron puts a shape-keeping convolution padded by it ahead of the
+// first Dense, so that a compiled plan keeps the apron too.
+func (dc denseCase) CircuitAndImages() (*circuit.Circuit, []*tensor.Tensor) {
+	b := circuit.NewBuilder(dc.Name)
+	x := b.Input(dc.Shape[0], dc.Shape[1], dc.Shape[2])
+	if k := 2*dc.Apron + 1; dc.Apron > 0 {
+		c := dc.Shape[0]
+		x = b.Conv2D(x, randTensor([]int{c, c, k, k}, 0.3, 730), randTensor([]int{c}, 0.2, 731), 1, dc.Apron, "pad")
+	}
+	inSize := dc.Shape[0] * dc.Shape[1] * dc.Shape[2]
 	var first *circuit.Node
-	for i, out := range dc.outDims {
+	for i, out := range dc.OutDims {
 		w := randTensor([]int{out, inSize}, 0.5, int64(700+i))
 		bias := randTensor([]int{out}, 0.2, int64(710+i))
 		x = b.Dense(x, w, bias, fmt.Sprintf("fc%d", i+1))
@@ -68,91 +74,66 @@ func (dc denseCase) circuitAndImages() (*circuit.Circuit, []*tensor.Tensor) {
 			first = x
 		}
 	}
-	if dc.residual {
+	if dc.Residual {
 		x = b.Add(first, x, "add")
 	}
-	n := dc.batch
+	n := dc.Batch
 	if n < 1 {
 		n = 1
 	}
 	imgs := make([]*tensor.Tensor, n)
 	for i := range imgs {
-		imgs[i] = randTensor(dc.shape[:], 1, int64(720+i))
+		imgs[i] = randTensor(dc.Shape[:], 1, int64(720+i))
 	}
 	return b.Build(x), imgs
 }
 
 func (dc denseCase) plan() Plan {
-	return Plan{Layout: dc.layout, Apron: dc.apron, Batch: dc.batch, Complex: dc.complex}
+	return Plan{Layout: dc.Layout, Apron: dc.Apron, Batch: dc.Batch, Complex: dc.Complex}
 }
 
-func (dc denseCase) policy() LayoutPolicy {
-	if dc.layout == LayoutCHW {
+// Policy is the layout policy that keeps the case's layout throughout.
+func (dc denseCase) Policy() LayoutPolicy {
+	if dc.Layout == LayoutCHW {
 		return PolicyCHW
 	}
 	return PolicyHW
 }
 
-// denseParity checks every case on one backend family: each lane's output
-// against Circuit.Evaluate of that lane's image, and the R each layer picked.
-func denseParity(t *testing.T, mk func(logN int) hisa.Backend, sc Scales, tol float64) {
-	t.Helper()
+// TestDensePackedParityRef runs every case's kernels on the reference
+// backend: each lane's output against Circuit.Evaluate of that lane's image,
+// and the R each layer picked. The replay tests check the same on Sim and
+// RNS (TestDensePackedParitySim).
+func TestDensePackedParityRef(t *testing.T) {
+	sc := DefaultScales()
 	for _, dc := range denseCases {
-		c, imgs := dc.circuitAndImages()
-		b := mk(bits.Len(uint(dc.slots)))
-		if b.Slots() != dc.slots {
-			t.Fatalf("%s: backend has %d slots, case wants %d", dc.name, b.Slots(), dc.slots)
-		}
+		c, imgs := dc.CircuitAndImages()
+		b := newRef(dc.Slots)
 		in := EncryptTensor(b, dc.plan(), sc, imgs...)
 
 		var gotR []int
-		serial := Execute(b, c, in, dc.policy(), sc, ExecOptions{
+		serial := Execute(b, c, in, dc.Policy(), sc, ExecOptions{
 			OnNode: func(n *circuit.Node, out *CipherTensor) {
 				if n.Kind == circuit.OpDense {
 					gotR = append(gotR, out.H)
 				}
 			},
 		})
-		if fmt.Sprint(gotR) != fmt.Sprint(dc.wantR) {
-			t.Errorf("%s: layers packed R = %v neurons per plaintext, want %v", dc.name, gotR, dc.wantR)
+		if fmt.Sprint(gotR) != fmt.Sprint(dc.WantR) {
+			t.Errorf("%s: layers packed R = %v neurons per plaintext, want %v", dc.Name, gotR, dc.WantR)
 		}
 		got := DecryptTensor(b, serial, len(imgs))
 		for lane, img := range imgs {
-			tensorsClose(t, fmt.Sprintf("%s/%s lane %d", b.Name(), dc.name, lane), got[lane], c.Evaluate(img), tol)
+			tensorsClose(t, fmt.Sprintf("%s lane %d", dc.Name, lane), got[lane], c.Evaluate(img), 1e-6)
 		}
 	}
-}
-
-func TestDensePackedParityRef(t *testing.T) {
-	denseParity(t, func(logN int) hisa.Backend { return hisa.NewRefBackend(1 << uint(logN-1)) },
-		DefaultScales(), 1e-6)
-}
-
-func TestDensePackedParitySim(t *testing.T) {
-	sc := Scales{Pc: math.Exp2(40), Pw: math.Exp2(30), Pu: math.Exp2(30), Pm: math.Exp2(25)}
-	denseParity(t, func(logN int) hisa.Backend {
-		return hisa.NewSimBackend(hisa.SimParams{LogN: logN, LogQ: 400, Seed: 11})
-	}, sc, 1e-3)
-}
-
-func TestDensePackedParityRNS(t *testing.T) {
-	sc := Scales{Pc: math.Exp2(40), Pw: math.Exp2(40), Pu: math.Exp2(40), Pm: math.Exp2(40)}
-	denseParity(t, func(logN int) hisa.Backend {
-		params, err := ckks.NewParameters(ckks.ParametersLiteral{
-			LogN: logN, LogQ: []int{50, 40, 40, 40, 40}, LogP: 50, LogScale: 40,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return hisa.NewRNSBackend(hisa.RNSConfig{Params: params, PRNG: ring.NewTestPRNG(103)})
-	}, sc, 1e-3)
 }
 
 // TestRegrid: elements keep their flatten order across a change of grid,
 // ciphertext grouping and channel count, and the result concatenates with a
 // tensor that was on the target grid all along.
 func TestRegrid(t *testing.T) {
-	b := hisa.NewRefBackend(64)
+	b := newRef(64)
 	sc := DefaultScales()
 	src := randTensor([]int{6, 2, 2}, 1, 730)
 	peer := randTensor([]int{3, 2, 4}, 1, 731)
@@ -222,7 +203,7 @@ func TestDenseRotationBudget(t *testing.T) {
 		{"13x16-prime-no-fit@2^7", prime, PolicyHW, 1 << 6, map[string]int{"fc": 64}},
 	}
 	for _, tc := range cases {
-		m := hisa.NewMeter(hisa.NewRefBackend(tc.slots), nil)
+		m := hisa.NewMeter(newRef(tc.slots), nil)
 		sc := DefaultScales()
 		enc := EncryptTensor(m, PlanFor(tc.c, tc.policy), sc, tensor.New(tc.c.Input.OutShape...))
 		outs := map[int]*CipherTensor{}

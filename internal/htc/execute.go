@@ -110,7 +110,7 @@ func PlanFor(c *circuit.Circuit, policy LayoutPolicy) Plan {
 }
 
 // convert brings t into the requested layout (no-op when already there).
-func convert(b hisa.Backend, t *CipherTensor, want Layout, sc Scales, opts ExecOptions) *CipherTensor {
+func convert(b hisa.RunsBackend, t *CipherTensor, want Layout, sc Scales, opts ExecOptions) *CipherTensor {
 	if t.Layout == want {
 		return t
 	}
@@ -121,13 +121,14 @@ func convert(b hisa.Backend, t *CipherTensor, want Layout, sc Scales, opts ExecO
 }
 
 // ExecOptions configures a run of the kernels (Execute). The zero value
-// executes as the compiler's analyses and the Ref oracle do.
+// executes as the compiler's analyses do.
 type ExecOptions struct {
 	// OnNode, when non-nil, observes each circuit node's output tensor as
 	// it is computed, in circuit order. The compiler's recording run uses
-	// it to split the program by node, and the telemetry precision profiler
-	// to compare every layer against the plaintext oracle; observers must
-	// not mutate the tensor.
+	// it to split the program by node and to record each node's output
+	// (Recording.EndNode), which the telemetry precision profiler reads
+	// from a replay (Program.ExecuteNodes); observers must not mutate the
+	// tensor.
 	OnNode func(n *circuit.Node, out *CipherTensor)
 
 	// tally, set by Execute on a backend that counts mask products (see
@@ -170,8 +171,8 @@ type scoper interface {
 }
 
 // Execute runs the circuit's kernels on backend b, serially: the
-// compiler's analyses and recording run (which turns the instructions into a
-// Program that every later execution replays) and the Ref oracle. The input
+// compiler's analyses and its recording run, which turns the instructions
+// into a Program that every execution replays. The input
 // must have been encrypted with PlanFor(c, policy). All layout conversions
 // demanded by the policy are inserted automatically.
 //
@@ -179,7 +180,7 @@ type scoper interface {
 // it in: every activation monic (a = 1) and every pool a window sum. The
 // output tensor's invalid slots are zero; an intermediate's are zero only
 // where a reader needs them so (see cleanOutputs).
-func Execute(b hisa.Backend, c *circuit.Circuit, input *CipherTensor, policy LayoutPolicy, sc Scales, opts ExecOptions) *CipherTensor {
+func Execute(b hisa.RunsBackend, c *circuit.Circuit, input *CipherTensor, policy LayoutPolicy, sc Scales, opts ExecOptions) *CipherTensor {
 	if t, ok := hisa.FindCapability[maskTally](b); ok {
 		opts.tally = t.TallyMask
 	}

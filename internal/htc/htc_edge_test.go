@@ -21,7 +21,7 @@ func assertPanics(t *testing.T, name string, f func()) {
 func TestConv2DMultiGroupCHW(t *testing.T) {
 	// Force multiple ciphertexts per tensor: 6 channels of 2x2 on a 16-slot
 	// backend pack 4 channels per ciphertext.
-	b := hisa.NewRefBackend(16)
+	b := newRef(16)
 	sc := DefaultScales()
 	in := randTensor([]int{6, 2, 2}, 1, 61)
 	filters := randTensor([]int{3, 6, 1, 1}, 0.5, 62)
@@ -42,7 +42,7 @@ func TestPoolWindowNotEqualStride(t *testing.T) {
 	want := tensor.SumPool2D(in, 3, 1)
 	for _, layout := range []Layout{LayoutHW, LayoutCHW} {
 		got := roundTrip(t, layout, 0, in,
-			func(b hisa.Backend, ct *CipherTensor, sc Scales) *CipherTensor {
+			func(b hisa.RunsBackend, ct *CipherTensor, sc Scales) *CipherTensor {
 				return SumPool2D(b, ct, 3, 1, true, sc, ExecOptions{})
 			})
 		tensorsClose(t, layout.String(), got, want, 1e-6)
@@ -52,7 +52,7 @@ func TestPoolWindowNotEqualStride(t *testing.T) {
 func TestScaleProtocolKeepsWorkingScale(t *testing.T) {
 	// After each kernel the ciphertext scale must sit near the base Pc —
 	// the rescaling protocol at work (Section 5.5 of the paper).
-	b := hisa.NewRefBackend(1024)
+	b := newRef(1024)
 	sc := DefaultScales()
 	in := randTensor([]int{2, 6, 6}, 1, 66)
 	ct := EncryptTensor(b, Plan{Layout: LayoutCHW}, sc, in)
@@ -73,7 +73,7 @@ func TestScaleProtocolKeepsWorkingScale(t *testing.T) {
 }
 
 func TestKernelValidationPanics(t *testing.T) {
-	b := hisa.NewRefBackend(1024)
+	b := newRef(1024)
 	sc := DefaultScales()
 	in := randTensor([]int{2, 4, 4}, 1, 68)
 	ct := EncryptTensor(b, Plan{Layout: LayoutCHW}, sc, in)
@@ -103,7 +103,7 @@ func TestKernelValidationPanics(t *testing.T) {
 		EncryptTensor(b, Plan{Layout: LayoutHW}, sc, tensor.New(4))
 	})
 	assertPanics(t, "layout too big for slots", func() {
-		small := hisa.NewRefBackend(16)
+		small := newRef(16)
 		EncryptTensor(small, Plan{Layout: LayoutHW}, sc, randTensor([]int{1, 8, 8}, 1, 72))
 	})
 
@@ -128,7 +128,7 @@ func TestExecutePolicyInputMismatchPanics(t *testing.T) {
 }
 
 func TestConcatThreeWay(t *testing.T) {
-	b := hisa.NewRefBackend(1024)
+	b := newRef(1024)
 	sc := DefaultScales()
 	xs := make([]*CipherTensor, 3)
 	plains := make([]*tensor.Tensor, 3)
@@ -144,7 +144,7 @@ func TestConcatThreeWay(t *testing.T) {
 func TestPolyEvalWithConstantTermKeepsZeroInvariant(t *testing.T) {
 	// p(x) = x^2 + 1: the constant must appear only at valid positions so
 	// later kernels still see zeros elsewhere.
-	b := hisa.NewRefBackend(256)
+	b := newRef(256)
 	sc := DefaultScales()
 	in := randTensor([]int{1, 3, 3}, 1, 90)
 	ct := EncryptTensor(b, Plan{Layout: LayoutCHW}, sc, in)
@@ -176,7 +176,7 @@ func TestZeroInvariantAfterEveryKernel(t *testing.T) {
 	// The documented invariant: all slots outside valid positions stay zero
 	// after every kernel asked for a clean output (checked on the exact Ref
 	// backend).
-	b := hisa.NewRefBackend(1024)
+	b := newRef(1024)
 	sc := DefaultScales()
 	in := randTensor([]int{2, 6, 6}, 1, 91)
 	ct := EncryptTensor(b, Plan{Layout: LayoutCHW, Apron: 1}, sc, in)

@@ -6,13 +6,26 @@ import (
 	"testing"
 
 	"chet/internal/circuit"
-	"chet/internal/ckks"
 	"chet/internal/hisa"
-	"chet/internal/ring"
 	"chet/internal/tensor"
 )
 
-func refBackend() hisa.Backend { return hisa.NewRefBackend(4096) }
+// runsRef is the reference backend taking the kernels' constants as runs,
+// which it expands to slot vectors: what the Ref-only kernel tests execute
+// against.
+type runsRef struct{ *hisa.RefBackend }
+
+func (b runsRef) EncodeRuns(runs func() []hisa.Run, f float64) hisa.Plaintext {
+	return b.Encode(expand(runs(), b.Slots()), f)
+}
+
+func (b runsRef) AddPlainCRuns(c hisa.Ciphertext, re, im func() []hisa.Run) hisa.Ciphertext {
+	return b.AddPlainC(c, complexOf(built(re), built(im), b.Slots()))
+}
+
+func newRef(slots int) runsRef { return runsRef{hisa.NewRefBackend(slots)} }
+
+func refBackend() runsRef { return newRef(4096) }
 
 func randTensor(shape []int, bound float64, seed int64) *tensor.Tensor {
 	rng := rand.New(rand.NewSource(seed))
@@ -37,7 +50,7 @@ func tensorsClose(t *testing.T, name string, got, want *tensor.Tensor, tol float
 }
 
 func roundTrip(t *testing.T, layout Layout, apron int, in *tensor.Tensor,
-	f func(b hisa.Backend, ct *CipherTensor, sc Scales) *CipherTensor) *tensor.Tensor {
+	f func(b hisa.RunsBackend, ct *CipherTensor, sc Scales) *CipherTensor) *tensor.Tensor {
 	t.Helper()
 	b := refBackend()
 	sc := DefaultScales()
@@ -54,7 +67,7 @@ func TestEncryptDecryptRoundTrip(t *testing.T) {
 	in := randTensor([]int{3, 5, 4}, 2, 1)
 	for _, layout := range []Layout{LayoutHW, LayoutCHW} {
 		got := roundTrip(t, layout, 2, in,
-			func(b hisa.Backend, ct *CipherTensor, sc Scales) *CipherTensor { return ct })
+			func(b hisa.RunsBackend, ct *CipherTensor, sc Scales) *CipherTensor { return ct })
 		tensorsClose(t, layout.String(), got, in, 1e-9)
 	}
 }
@@ -80,7 +93,7 @@ func TestConv2DMatchesReference(t *testing.T) {
 			for _, clean := range []bool{true, false} {
 				want := tensor.AddBiasPerChannel(tensor.Conv2D(in, filters, tc.stride, tc.pad), bias)
 				got := roundTrip(t, layout, tc.pad, in,
-					func(b hisa.Backend, ct *CipherTensor, sc Scales) *CipherTensor {
+					func(b hisa.RunsBackend, ct *CipherTensor, sc Scales) *CipherTensor {
 						return Conv2D(b, ct, filters, bias, tc.stride, tc.pad, clean, sc, ExecOptions{})
 					})
 				tensorsClose(t, layout.String()+"/"+tc.name, got, want, 1e-6)
@@ -100,7 +113,7 @@ func TestConv2DStacked(t *testing.T) {
 
 	for _, layout := range []Layout{LayoutHW, LayoutCHW} {
 		got := roundTrip(t, layout, 0, in,
-			func(b hisa.Backend, ct *CipherTensor, sc Scales) *CipherTensor {
+			func(b hisa.RunsBackend, ct *CipherTensor, sc Scales) *CipherTensor {
 				c1 := Conv2D(b, ct, f1, nil, 2, 0, false, sc, ExecOptions{})
 				return Conv2D(b, c1, f2, nil, 1, 0, true, sc, ExecOptions{})
 			})
@@ -117,7 +130,7 @@ func TestAvgPool2DMatchesReference(t *testing.T) {
 	for _, layout := range []Layout{LayoutHW, LayoutCHW} {
 		for _, clean := range []bool{true, false} {
 			got := roundTrip(t, layout, 0, in,
-				func(b hisa.Backend, ct *CipherTensor, sc Scales) *CipherTensor {
+				func(b hisa.RunsBackend, ct *CipherTensor, sc Scales) *CipherTensor {
 					return SumPool2D(b, ct, 2, 2, clean, sc, ExecOptions{})
 				})
 			for i := range got.Data {
@@ -134,7 +147,7 @@ func TestGlobalAvgPoolMatchesReference(t *testing.T) {
 		want := tensor.GlobalAvgPool2D(in)
 		for _, layout := range []Layout{LayoutHW, LayoutCHW} {
 			got := roundTrip(t, layout, 0, in,
-				func(b hisa.Backend, ct *CipherTensor, sc Scales) *CipherTensor {
+				func(b hisa.RunsBackend, ct *CipherTensor, sc Scales) *CipherTensor {
 					return GlobalAvgPool2D(b, ct, sc, ExecOptions{})
 				})
 			got = got.Reshape(got.Size())
@@ -151,7 +164,7 @@ func TestActivationMatchesReference(t *testing.T) {
 	want := tensor.PolyActivation(in, 0.3, -0.7)
 	for _, layout := range []Layout{LayoutHW, LayoutCHW} {
 		got := roundTrip(t, layout, 0, in,
-			func(b hisa.Backend, ct *CipherTensor, sc Scales) *CipherTensor {
+			func(b hisa.RunsBackend, ct *CipherTensor, sc Scales) *CipherTensor {
 				return Activation(b, ct, -0.7/0.3, sc)
 			})
 		for i := range got.Data {
@@ -161,7 +174,7 @@ func TestActivationMatchesReference(t *testing.T) {
 	}
 	wantSq := tensor.PolyActivation(in, 1, 0)
 	got := roundTrip(t, LayoutCHW, 0, in,
-		func(b hisa.Backend, ct *CipherTensor, sc Scales) *CipherTensor {
+		func(b hisa.RunsBackend, ct *CipherTensor, sc Scales) *CipherTensor {
 			return Activation(b, ct, 0, sc)
 		})
 	tensorsClose(t, "square", got, wantSq, 1e-6)
@@ -174,7 +187,7 @@ func TestBatchNormMatchesReference(t *testing.T) {
 	want := tensor.BatchNorm(in, gamma, beta)
 	for _, layout := range []Layout{LayoutHW, LayoutCHW} {
 		got := roundTrip(t, layout, 0, in,
-			func(b hisa.Backend, ct *CipherTensor, sc Scales) *CipherTensor {
+			func(b hisa.RunsBackend, ct *CipherTensor, sc Scales) *CipherTensor {
 				return BatchNorm(b, ct, gamma, beta, sc)
 			})
 		tensorsClose(t, layout.String(), got, want, 1e-6)
@@ -202,7 +215,7 @@ func TestAddAndConcat(t *testing.T) {
 
 func TestConcatUnalignedCHW(t *testing.T) {
 	// 3 channels with CPerCT 2 forces the mask-and-rotate slow path.
-	b := hisa.NewRefBackend(64)
+	b := newRef(64)
 	sc := DefaultScales()
 	x := randTensor([]int{3, 2, 2}, 1, 16)
 	y := randTensor([]int{2, 2, 2}, 1, 17)
@@ -223,7 +236,7 @@ func TestDenseMatchesReference(t *testing.T) {
 	want := tensor.MatVec(w, in.Reshape(in.Size()), bias)
 	for _, layout := range []Layout{LayoutHW, LayoutCHW} {
 		got := roundTrip(t, layout, 0, in,
-			func(b hisa.Backend, ct *CipherTensor, sc Scales) *CipherTensor {
+			func(b hisa.RunsBackend, ct *CipherTensor, sc Scales) *CipherTensor {
 				return Dense(b, ct, w, bias, sc, ExecOptions{})
 			})
 		tensorsClose(t, layout.String(), got, want, 1e-6)
@@ -239,7 +252,7 @@ func TestDenseAfterStridedConv(t *testing.T) {
 
 	for _, layout := range []Layout{LayoutHW, LayoutCHW} {
 		got := roundTrip(t, layout, 0, in,
-			func(b hisa.Backend, ct *CipherTensor, sc Scales) *CipherTensor {
+			func(b hisa.RunsBackend, ct *CipherTensor, sc Scales) *CipherTensor {
 				c := Conv2D(b, ct, f, nil, 2, 0, true, sc, ExecOptions{})
 				return Dense(b, c, w, nil, sc, ExecOptions{})
 			})
@@ -279,10 +292,17 @@ func TestLayoutConversions(t *testing.T) {
 	tensorsClose(t, "chw->hw", DecryptTensor(b, back, 1)[0], in, 1e-6)
 }
 
-// testCNN builds a LeNet-style circuit small enough for every backend, in
-// the form the executor runs (circuit.Fold): monic activations, window sums,
-// their factors folded into the next layer's weights.
+// testCNN is SmallCNN in the form the executor runs (circuit.Fold): monic
+// activations, window sums, their factors folded into the next layer's
+// weights.
 func testCNN() (*circuit.Circuit, *tensor.Tensor) {
+	c, img := SmallCNN()
+	return circuit.Fold(c).Circuit, img
+}
+
+// SmallCNN builds a LeNet-style circuit small enough for every backend, and
+// an input image; the replay tests compile it.
+func SmallCNN() (*circuit.Circuit, *tensor.Tensor) {
 	b := circuit.NewBuilder("test-cnn")
 	x := b.Input(1, 8, 8)
 	f1 := randTensor([]int{2, 1, 3, 3}, 0.4, 30)
@@ -296,9 +316,7 @@ func testCNN() (*circuit.Circuit, *tensor.Tensor) {
 	x = b.Dense(x, randTensor([]int{10, 16}, 0.4, 33), randTensor([]int{10}, 0.2, 34), "fc1")
 	x = b.Activation(x, 0.2, 0.8, "act3")
 	x = b.Dense(x, randTensor([]int{3, 10}, 0.4, 35), nil, "fc2")
-	c := circuit.Fold(b.Build(x)).Circuit
-	img := randTensor([]int{1, 8, 8}, 1, 36)
-	return c, img
+	return b.Build(x), randTensor([]int{1, 8, 8}, 1, 36)
 }
 
 func TestExecuteAllPoliciesOnRef(t *testing.T) {
@@ -331,48 +349,4 @@ func TestRequiredApron(t *testing.T) {
 	if got := RequiredApron(c2); got != 2 {
 		t.Fatalf("RequiredApron = %d, want 2", got)
 	}
-}
-
-func TestExecuteOnSimBackend(t *testing.T) {
-	c, img := testCNN()
-	want := c.Evaluate(img)
-	b := hisa.NewSimBackend(hisa.SimParams{LogN: 13, LogQ: 900, Seed: 5})
-	sc := Scales{Pc: math.Exp2(40), Pw: math.Exp2(30), Pu: math.Exp2(30), Pm: math.Exp2(25)}
-	in := EncryptTensor(b, PlanFor(c, PolicyCHW), sc, img)
-	out := Execute(b, c, in, PolicyCHW, sc, ExecOptions{})
-	got := DecryptTensor(b, out, 1)[0]
-	got = got.Reshape(got.Size())
-	tensorsClose(t, "sim", got, want, 5e-2)
-}
-
-func TestExecuteOnRealRNSCKKS(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real lattice execution is slow; run without -short")
-	}
-	c, img := testCNN()
-	want := c.Evaluate(img)
-
-	// The circuit spends ten levels (conv1, act1, conv2 and its mask, act2,
-	// fc1 and its mask, act3, fc2 and its mask); a 16-prime chain leaves
-	// room to spare. Security is irrelevant for this functional test.
-	logQ := []int{50}
-	for i := 0; i < 15; i++ {
-		logQ = append(logQ, 40)
-	}
-	params, err := ckks.NewParameters(ckks.ParametersLiteral{
-		LogN:     11,
-		LogQ:     logQ,
-		LogP:     50,
-		LogScale: 40,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := hisa.NewRNSBackend(hisa.RNSConfig{Params: params, PRNG: ring.NewTestPRNG(99)})
-	sc := Scales{Pc: math.Exp2(40), Pw: math.Exp2(40), Pu: math.Exp2(40), Pm: math.Exp2(40)}
-	in := EncryptTensor(b, PlanFor(c, PolicyCHW), sc, img)
-	out := Execute(b, c, in, PolicyCHW, sc, ExecOptions{})
-	got := DecryptTensor(b, out, 1)[0]
-	got = got.Reshape(got.Size())
-	tensorsClose(t, "rns", got, want, 1e-2)
 }

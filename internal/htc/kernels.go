@@ -73,7 +73,7 @@ func foldRotations(n int) int {
 // holds a single channel), folds the channel blocks, and masks block 0
 // before placing it, whatever clean says: that mask is what keeps the other
 // blocks' partial sums out, and the output stays packed for the next layer.
-func Conv2D(b hisa.Backend, in *CipherTensor, filters, bias *tensor.Tensor, stride, pad int, clean bool, sc Scales, opts ExecOptions) *CipherTensor {
+func Conv2D(b hisa.RunsBackend, in *CipherTensor, filters, bias *tensor.Tensor, stride, pad int, clean bool, sc Scales, opts ExecOptions) *CipherTensor {
 	if filters.Rank() != 4 || filters.Shape[1] != in.C {
 		panic(fmt.Sprintf("htc: conv filters %v incompatible with input channels %d", filters.Shape, in.C))
 	}
@@ -117,7 +117,7 @@ func Conv2D(b hisa.Backend, in *CipherTensor, filters, bias *tensor.Tensor, stri
 		out.CTs = b.RotSum(in.CTs, sums)
 		var mask hisa.Plaintext
 		if clean {
-			mask = encode(b, out.channels(0, uniform(1)), sc.Pm)
+			mask = b.EncodeRuns(out.channels(0, uniform(1)), sc.Pm)
 		}
 		for oc := 0; oc < cout; oc++ {
 			acc := tryRescale(b, out.CTs[oc], sc.Pc)
@@ -146,7 +146,7 @@ func Conv2D(b hisa.Backend, in *CipherTensor, filters, bias *tensor.Tensor, stri
 	blockMask := metaClone(&out)
 	blockMask.C = 1
 	blockMask.CPerCT = 1
-	mask := encode(b, blockMask.channels(0, uniform(1)), sc.Pm)
+	mask := b.EncodeRuns(blockMask.channels(0, uniform(1)), sc.Pm)
 
 	for g := 0; g < numInCTs; g++ {
 		// Partial sums of this ciphertext's occupied channels, one sum of
@@ -168,7 +168,7 @@ func Conv2D(b hisa.Backend, in *CipherTensor, filters, bias *tensor.Tensor, stri
 						terms = append(terms, hisa.Term{Rot: rot(ky, kx), X: filters.At(oc, g*in.CPerCT, ky, kx), F: sc.Pu})
 						continue
 					}
-					pt := encode(b, in.constant(func(rs []hisa.Run) []hisa.Run {
+					pt := b.EncodeRuns(in.constant(func(rs []hisa.Run) []hisa.Run {
 						for ci := 0; ci < chInGroup; ci++ {
 							w := filters.At(oc, g*in.CPerCT+ci, ky, kx)
 							rs = append(rs, hisa.Run{Start: int32(ci * in.ChanStride), Len: int32(in.ChanStride), Value: w})
@@ -224,7 +224,7 @@ func Conv2D(b hisa.Backend, in *CipherTensor, filters, bias *tensor.Tensor, stri
 // shared across its channels; it costs no level. The slots around the
 // output grid hold sums of their own windows, so a mask product (one level)
 // zeroes them only when clean is set.
-func SumPool2D(b hisa.Backend, in *CipherTensor, window, stride int, clean bool, sc Scales, opts ExecOptions) *CipherTensor {
+func SumPool2D(b hisa.RunsBackend, in *CipherTensor, window, stride int, clean bool, sc Scales, opts ExecOptions) *CipherTensor {
 	hout := (in.H-window)/stride + 1
 	wout := (in.W-window)/stride + 1
 	if hout <= 0 || wout <= 0 {
@@ -253,7 +253,7 @@ func SumPool2D(b hisa.Backend, in *CipherTensor, window, stride int, clean bool,
 	for g := range in.CTs {
 		chInGroup := min(in.C-g*in.CPerCT, in.CPerCT)
 		if masks[chInGroup] == nil {
-			masks[chInGroup] = encode(b, out.channels(g, uniform(1)), sc.Pm)
+			masks[chInGroup] = b.EncodeRuns(out.channels(g, uniform(1)), sc.Pm)
 		}
 		out.CTs[g] = tryRescale(b, opts.masked(b, out.CTs[g], masks[chInGroup]), sc.Pc)
 	}
@@ -263,13 +263,13 @@ func SumPool2D(b hisa.Backend, in *CipherTensor, window, stride int, clean bool,
 
 // GlobalAvgPool2D averages each channel down to a single value at grid
 // position (0, 0) by folding the columns, then the rows (foldStrided).
-func GlobalAvgPool2D(b hisa.Backend, in *CipherTensor, sc Scales, opts ExecOptions) *CipherTensor {
+func GlobalAvgPool2D(b hisa.RunsBackend, in *CipherTensor, sc Scales, opts ExecOptions) *CipherTensor {
 	out := metaClone(in)
 	out.H, out.W = 1, 1
 	out.CTs = make([]hisa.Ciphertext, in.NumCTs())
 
 	inv := 1.0 / float64(in.H*in.W)
-	mask := encode(b, out.channels(0, uniform(inv)), sc.Pm)
+	mask := b.EncodeRuns(out.channels(0, uniform(inv)), sc.Pm)
 
 	for g := range in.CTs {
 		acc := foldStrided(b, in.CTs[g], in.W, in.ColStride)
@@ -285,7 +285,7 @@ func GlobalAvgPool2D(b hisa.Backend, in *CipherTensor, sc Scales, opts ExecOptio
 // a carried forward to a layer that absorbs it): one ciphertext product and
 // one level. Adding shift touches every slot, but the product is zero
 // wherever x is, so a tensor with zero invalid slots keeps them.
-func Activation(b hisa.Backend, in *CipherTensor, shift float64, sc Scales) *CipherTensor {
+func Activation(b hisa.RunsBackend, in *CipherTensor, shift float64, sc Scales) *CipherTensor {
 	out := metaClone(in)
 	out.CTs = make([]hisa.Ciphertext, in.NumCTs())
 	for g := range in.CTs {
@@ -308,7 +308,7 @@ func Activation(b hisa.Backend, in *CipherTensor, shift float64, sc Scales) *Cip
 // Horner's rule: degree-1 ciphertext multiplications plus one scalar
 // multiplication. The constant term is added only at valid positions so the
 // zero-slot invariant survives.
-func PolyEval(b hisa.Backend, in *CipherTensor, coeffs []float64, sc Scales) *CipherTensor {
+func PolyEval(b hisa.RunsBackend, in *CipherTensor, coeffs []float64, sc Scales) *CipherTensor {
 	d := len(coeffs) - 1
 	if d < 1 {
 		panic("htc: PolyEval needs degree >= 1")
@@ -349,7 +349,7 @@ func PolyEval(b hisa.Backend, in *CipherTensor, coeffs []float64, sc Scales) *Ci
 // y = gamma[c]*x + beta[c]. In HW layout the per-channel scale is a cheap
 // scalar multiplication; in CHW it requires a plaintext vector — the
 // layout-dependent cost difference the paper highlights.
-func BatchNorm(b hisa.Backend, in *CipherTensor, gamma, beta *tensor.Tensor, sc Scales) *CipherTensor {
+func BatchNorm(b hisa.RunsBackend, in *CipherTensor, gamma, beta *tensor.Tensor, sc Scales) *CipherTensor {
 	if gamma.Size() != in.C || beta.Size() != in.C {
 		panic("htc: batchnorm parameter size mismatch")
 	}
@@ -361,7 +361,7 @@ func BatchNorm(b hisa.Backend, in *CipherTensor, gamma, beta *tensor.Tensor, sc 
 			t = b.MulScalar(in.CTs[g], gamma.Data[g], sc.Pu)
 		} else {
 			gv := in.channels(g, func(ch int) float64 { return gamma.Data[ch] })
-			t = b.MulPlain(in.CTs[g], encode(b, gv, sc.Pw))
+			t = b.MulPlain(in.CTs[g], b.EncodeRuns(gv, sc.Pw))
 		}
 		t = tryRescale(b, t, sc.Pc)
 		t = addVecBoth(b, in.Complex, t, in.channels(g, func(ch int) float64 { return beta.Data[ch] }))
@@ -372,7 +372,7 @@ func BatchNorm(b hisa.Backend, in *CipherTensor, gamma, beta *tensor.Tensor, sc 
 
 // Add computes the elementwise sum of two CipherTensors with identical
 // metadata (residual connections).
-func Add(b hisa.Backend, x, y *CipherTensor) *CipherTensor {
+func Add(b hisa.RunsBackend, x, y *CipherTensor) *CipherTensor {
 	if x.C != y.C || !sameGrid(x, y) {
 		panic("htc: Add requires identical layouts; insert a layout conversion")
 	}
@@ -389,7 +389,7 @@ func Add(b hisa.Backend, x, y *CipherTensor) *CipherTensor {
 // input's channel count is a multiple of the block capacity the
 // concatenation is free (ciphertext list append); otherwise channels are
 // moved individually with mask-and-rotate.
-func Concat(b hisa.Backend, sc Scales, opts ExecOptions, ins ...*CipherTensor) *CipherTensor {
+func Concat(b hisa.RunsBackend, sc Scales, opts ExecOptions, ins ...*CipherTensor) *CipherTensor {
 	if len(ins) < 2 {
 		panic("htc: Concat needs at least two inputs")
 	}
@@ -439,7 +439,7 @@ func Concat(b hisa.Backend, sc Scales, opts ExecOptions, ins ...*CipherTensor) *
 			single := metaClone(in)
 			single.C, single.CPerCT = 1, 1
 			single.Offset = in.Offset + bIn*in.ChanStride
-			mask := encode(b, single.channels(0, uniform(1)), sc.Pm)
+			mask := b.EncodeRuns(single.channels(0, uniform(1)), sc.Pm)
 			t := tryRescale(b, opts.masked(b, in.CTs[ch/in.CPerCT], mask), sc.Pc)
 			out.CTs[och/out.CPerCT] = accumulate(b, out.CTs[och/out.CPerCT], rotateRight(b, t, (bOut-bIn)*in.ChanStride))
 		}
@@ -465,7 +465,7 @@ func Pad2D(in *CipherTensor, pad int) *CipherTensor {
 
 // ToCHW converts an HW-layout tensor to CHW by shifting each channel into
 // its block and adding (no masks needed: invalid slots are zero).
-func ToCHW(b hisa.Backend, in *CipherTensor) *CipherTensor {
+func ToCHW(b hisa.RunsBackend, in *CipherTensor) *CipherTensor {
 	if in.Layout == LayoutCHW {
 		return in
 	}
@@ -483,7 +483,7 @@ func ToCHW(b hisa.Backend, in *CipherTensor) *CipherTensor {
 
 // ToHW converts a CHW-layout tensor to HW: each channel is rotated to block
 // zero and isolated with a mask (the conversion that costs depth).
-func ToHW(b hisa.Backend, in *CipherTensor, sc Scales, opts ExecOptions) *CipherTensor {
+func ToHW(b hisa.RunsBackend, in *CipherTensor, sc Scales, opts ExecOptions) *CipherTensor {
 	if in.Layout == LayoutHW {
 		return in
 	}
@@ -495,7 +495,7 @@ func ToHW(b hisa.Backend, in *CipherTensor, sc Scales, opts ExecOptions) *Cipher
 	single := metaClone(in)
 	single.C = 1
 	single.CPerCT = 1
-	mask := encode(b, single.channels(0, uniform(1)), sc.Pm)
+	mask := b.EncodeRuns(single.channels(0, uniform(1)), sc.Pm)
 	for ch := 0; ch < in.C; ch++ {
 		t := rotateRight(b, in.CTs[ch/in.CPerCT], -(ch%in.CPerCT)*in.ChanStride)
 		out.CTs[ch] = tryRescale(b, opts.masked(b, t, mask), sc.Pc)

@@ -26,11 +26,12 @@ type Program struct {
 	Consts []Const  // the constant table plaintext operands index
 	Sums   []RotSum // the operands of every rotsum (Instr.K indexes it)
 	Regs   int      // the number of virtual registers
-	// In and Out are the input and output tensors' layouts; InRegs and
-	// OutRegs hold their ciphertexts' registers.
-	In, Out         CipherTensor
-	InRegs, OutRegs []int32
-	// Spans closes every circuit node's instructions, in circuit order.
+	// In is the input tensor's layout; InRegs hold its ciphertexts'
+	// registers.
+	In     CipherTensor
+	InRegs []int32
+	// Spans closes every circuit node's instructions, in circuit order; the
+	// output node's span holds the program's output (Output).
 	Spans   []Span
 	Circuit *circuit.Circuit
 	// Counts tallies the HISA instructions the recording run issued, under
@@ -121,8 +122,14 @@ type Const struct {
 	Level  int
 }
 
-// Span closes circuit node Node's instructions: they end before End.
-type Span struct{ Node, End int32 }
+// Span closes circuit node Node's instructions: they end before End. Out is
+// the node's output layout and Regs its ciphertexts' registers, written by
+// the node or by an earlier one (a flatten's are its input's).
+type Span struct {
+	Node, End int32
+	Out       CipherTensor
+	Regs      []int32
+}
 
 // expand writes rs into a fresh vector of n slots.
 func expand(rs []hisa.Run, n int) []float64 {
@@ -211,6 +218,38 @@ func (p *Program) prepare() {
 // slot-uniform ones AddPlainC adds exactly — elsewhere per use. observe, when
 // non-nil, sees each instruction's results as it completes.
 func (p *Program) Execute(b hisa.Backend, in *CipherTensor, workers int, observe func(i int, outs []hisa.Ciphertext)) *CipherTensor {
+	out := p.Output()
+	return p.run(b, in, workers, observe, out.Regs).tensor(out.Out, out.Regs)
+}
+
+// Output is the span of the circuit's output node.
+func (p *Program) Output() *Span {
+	for i := range p.Spans {
+		if int(p.Spans[i].Node) == p.Circuit.Output.ID {
+			return &p.Spans[i]
+		}
+	}
+	panic("htc: program without an output node")
+}
+
+// ExecuteNodes is Execute that returns every circuit node's output, one per
+// span, in circuit order.
+func (p *Program) ExecuteNodes(b hisa.Backend, in *CipherTensor, workers int) []*CipherTensor {
+	var keep []int32
+	for _, s := range p.Spans {
+		keep = append(keep, s.Regs...)
+	}
+	x := p.run(b, in, workers, nil, keep)
+	outs := make([]*CipherTensor, len(p.Spans))
+	for i, s := range p.Spans {
+		outs[i] = x.tensor(s.Out, s.Regs)
+	}
+	return outs
+}
+
+// run executes the program as Execute describes, keeping the registers keep
+// names to the end.
+func (p *Program) run(b hisa.Backend, in *CipherTensor, workers int, observe func(i int, outs []hisa.Ciphertext), keep []int32) *exec {
 	p.prepare()
 	if len(in.CTs) != len(p.InRegs) || !reflect.DeepEqual(metaClone(in), p.In) {
 		panic(fmt.Sprintf("htc: a %dx%dx%d %v tensor of %d ciphertexts is not the program's input layout",
@@ -221,7 +260,7 @@ func (p *Program) Execute(b hisa.Backend, in *CipherTensor, workers int, observe
 	for i, r := range p.InRegs {
 		x.regs[r] = in.CTs[i]
 	}
-	for _, r := range p.OutRegs { // a read no instruction makes: kept to the end
+	for _, r := range keep { // a read no instruction makes
 		x.uses[r]++
 	}
 	workers = max(workers, 1)
@@ -240,11 +279,15 @@ func (p *Program) Execute(b hisa.Backend, in *CipherTensor, workers int, observe
 		}
 		lo = int(s.End)
 	}
-	out := metaClone(&p.Out)
-	for _, r := range p.OutRegs {
-		out.CTs = append(out.CTs, x.regs[r])
+	return x
+}
+
+// tensor is the tensor of layout meta whose ciphertexts are in registers regs.
+func (x *exec) tensor(meta CipherTensor, regs []int32) *CipherTensor {
+	for _, r := range regs {
+		meta.CTs = append(meta.CTs, x.regs[r])
 	}
-	return &out
+	return &meta
 }
 
 // exec is one execution's register file.
@@ -401,16 +444,10 @@ func (x *exec) step(i int) (outs []hisa.Ciphertext, failure any) {
 		a = b.Conjugate(a)
 	case OpCopy:
 		a = b.Copy(a)
-	case OpBootstrap, OpDropToFresh:
-		bb, ok := hisa.AsBootstrap(b)
-		if !ok {
-			panic("htc: the program bootstraps and backend " + b.Name() + " cannot")
-		}
-		if in.Op == OpBootstrap {
-			a = bb.Bootstrap(a)
-		} else {
-			a = bb.DropToFresh(a)
-		}
+	case OpBootstrap: // a backend without a bootstrapper panics descriptively
+		a = b.Bootstrap(a)
+	case OpDropToFresh:
+		a = b.DropToFresh(a)
 	case OpTryRescale:
 		a = rescaled(b, a, in.F)
 	case OpReduceRelin:
@@ -497,6 +534,27 @@ func complexOf(reRuns, imRuns []hisa.Run, n int) []complex128 {
 	return m
 }
 
+// EncodedLevels is the level each constant's plaintext has once a replay on
+// a leveled backend has encoded it (plain), -1 for one it never encodes: the
+// constant's own level or, for a complex constant that varies across the n
+// slots — whose table level the program keeps at -1 — the level of the first
+// instruction adding it. A slot-uniform complex constant is added exactly.
+func (p *Program) EncodedLevels(n int) []int {
+	levels := make([]int, len(p.Consts))
+	for k := range levels {
+		levels[k] = p.Consts[k].Level
+	}
+	for _, in := range p.Instrs {
+		if in.Op != OpAddPlainC || in.K < 0 || levels[in.K] >= 0 {
+			continue
+		}
+		if con := &p.Consts[in.K]; !slotUniform(con.Re, n) || !slotUniform(con.Im, n) {
+			levels[in.K] = int(in.Level)
+		}
+	}
+	return levels
+}
+
 // slotUniform reports whether the runs rs hold one value in all n slots.
 func slotUniform(rs []hisa.Run, n int) bool {
 	return len(rs) == 0 || len(rs) == 1 && rs[0].Start == 0 && int(rs[0].Len) == n
@@ -507,7 +565,7 @@ func slotUniform(rs []hisa.Run, n int) bool {
 func (p *Program) PeakLive() int {
 	p.prepare()
 	uses := append([]int32(nil), p.uses...)
-	for _, r := range p.OutRegs {
+	for _, r := range p.Output().Regs {
 		uses[r]++
 	}
 	live, peak := len(p.InRegs), len(p.InRegs)

@@ -26,22 +26,14 @@ func compile(t *testing.T, m *nn.Model, scheme core.Scheme, logN int, sc htc.Sca
 	return comp
 }
 
-// kernels runs the compiled circuit's kernels on b: what the program was
-// recorded from.
-func kernels(comp *core.Compiled, b hisa.Backend, in *htc.CipherTensor) *htc.CipherTensor {
-	return htc.Execute(b, comp.Program.Circuit, in, comp.Best.Policy, comp.Options.Scales, htc.ExecOptions{})
-}
-
-// requireReplaysAgree runs comp's kernels on b and replays its program
-// serially and on `workers` goroutines, all on one encryption of img: the
-// three outputs must agree bit for bit. It returns the replay's output.
+// requireReplaysAgree replays comp's program serially and on `workers`
+// goroutines, both on one encryption of img: the two outputs must agree bit
+// for bit. It returns the serial replay's output.
 func requireReplaysAgree(t *testing.T, name string, comp *core.Compiled, b hisa.Backend, img *tensor.Tensor, workers int) *tensor.Tensor {
 	t.Helper()
 	in := comp.Encrypt(b, img)
-	want := htc.DecryptTensor(b, kernels(comp, b, in), 1)[0]
-	for _, w := range []int{1, workers} {
-		requireBitIdentical(t, name, want, htc.DecryptTensor(b, comp.Execute(b, in, w), 1)[0])
-	}
+	want := htc.DecryptTensor(b, comp.Execute(b, in, 1), 1)[0]
+	requireBitIdentical(t, name, want, htc.DecryptTensor(b, comp.Execute(b, in, workers), 1)[0])
 	return want
 }
 
@@ -55,10 +47,9 @@ func requireBitIdentical(t *testing.T, name string, want, got *tensor.Tensor) {
 }
 
 // TestParallelExecuteDeterministicRef checks that an 8-worker replay of
-// LeNet-5-small's program is bit-identical to a serial one, and both to the
-// kernels it was recorded from, on the reference backend, for all four
-// layout policies: every instruction is a deterministic function of its
-// operands.
+// LeNet-5-small's program is bit-identical to a serial one on the reference
+// backend, for all four layout policies: every instruction is a
+// deterministic function of its operands.
 func TestParallelExecuteDeterministicRef(t *testing.T) {
 	m := nn.LeNet5Small()
 	img := nn.SyntheticImage(m.InputShape, 7)
@@ -96,10 +87,11 @@ func rnsBackend(t *testing.T, comp *core.Compiled) *hisa.RNSBackend {
 }
 
 // TestParallelExecuteDeterministicRNS replays LeNet-tiny's program on the
-// real RNS-CKKS backend: all evaluator ops are deterministic, workers also
-// fan every instruction's limbs, and the program's plaintexts sit at their
-// levels — so even lattice execution is bit-identical between 1 and 4
-// workers, and equal to the kernels' per-call top-level plaintexts.
+// real RNS-CKKS backend: all evaluator ops are deterministic and workers
+// also fan every instruction's limbs, so even lattice execution is
+// bit-identical between 1 and 4 workers. (TestOutputsPinned pins these
+// outputs, which the kernels computed bit for bit when they still ran on
+// RNS.)
 func TestParallelExecuteDeterministicRNS(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real lattice execution is slow; run without -short")
@@ -207,8 +199,8 @@ func TestConstantStoreLevels(t *testing.T) {
 
 // TestConstantStoreConcurrentExecutions runs two executions of one program
 // at once on one backend, sharing its lazily encoded constants and the
-// evaluator (run with -race): both must equal the kernels' run, bit for bit,
-// and every constant is encoded once.
+// evaluator (run with -race): both must equal a serial execution after
+// them, bit for bit, and every constant is encoded once.
 func TestConstantStoreConcurrentExecutions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real lattice execution is slow; run without -short")
@@ -217,7 +209,6 @@ func TestConstantStoreConcurrentExecutions(t *testing.T) {
 	comp := compile(t, m, core.SchemeRNS, 11, rnsScales, htc.PolicyCHW)
 	b := rnsBackend(t, comp)
 	in := comp.Encrypt(b, nn.SyntheticImage(m.InputShape, 5))
-	want := htc.DecryptTensor(b, kernels(comp, b, in), 1)[0]
 	outs := make([]*htc.CipherTensor, 2)
 	var wg sync.WaitGroup
 	wg.Add(len(outs))
@@ -228,6 +219,7 @@ func TestConstantStoreConcurrentExecutions(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+	want := htc.DecryptTensor(b, comp.Execute(b, in, 1), 1)[0]
 	for i, out := range outs {
 		requireBitIdentical(t, "concurrent execution "+string(rune('A'+i)), want, htc.DecryptTensor(b, out, 1)[0])
 	}

@@ -104,27 +104,29 @@ func (r *Recording) Sum(rs RotSum) int32 {
 	return int32(len(r.p.Sums) - 1)
 }
 
-// EndNode attributes the instructions since the last call to circuit node id.
-func (r *Recording) EndNode(id int) {
+// EndNode attributes the instructions since the last call to circuit node id,
+// whose output is out; reg is the register of one of its ciphertexts.
+func (r *Recording) EndNode(id int, out *CipherTensor, reg func(hisa.Ciphertext) int32) {
 	for i := r.start; i < len(r.p.Instrs); i++ {
 		r.p.Instrs[i].Node = int32(id)
 	}
 	r.start = len(r.p.Instrs)
-	r.p.Spans = append(r.p.Spans, Span{Node: int32(id), End: int32(r.start)})
+	s := Span{Node: int32(id), End: int32(r.start), Out: metaClone(out)}
+	for _, c := range out.CTs {
+		s.Regs = append(s.Regs, reg(c))
+	}
+	r.p.Spans = append(r.p.Spans, s)
 }
 
 // Program finishes the recording of circuit circ: in is the tensor the run
-// encrypted, out the one it computed and reg the register of one of their
-// ciphertexts. Constants nothing reads are dropped and equal ones shared.
-func (r *Recording) Program(circ *circuit.Circuit, in, out *CipherTensor, reg func(hisa.Ciphertext) int32) *Program {
+// encrypted, and the output is the output node's (EndNode). Constants
+// nothing reads are dropped and equal ones shared.
+func (r *Recording) Program(circ *circuit.Circuit, in *CipherTensor) *Program {
 	p := r.p
 	if len(p.InRegs) != len(in.CTs) {
 		panic(fmt.Sprintf("htc: %d encryptions recorded for a %d-ciphertext input", len(p.InRegs), len(in.CTs)))
 	}
-	p.Circuit, p.In, p.Out = circ, metaClone(in), metaClone(out)
-	for _, c := range out.CTs {
-		p.OutRegs = append(p.OutRegs, reg(c))
-	}
+	p.Circuit, p.In = circ, metaClone(in)
 	index := map[string]int32{}
 	remap := make([]int32, len(p.Consts)) // 1 + the new index
 	var table []Const

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"chet/internal/circuit"
+	"chet/internal/core"
 	"chet/internal/hisa"
 	"chet/internal/htc"
 )
@@ -97,24 +98,22 @@ func TestSyntheticImageDeterministic(t *testing.T) {
 }
 
 func TestModelsRunHomomorphicallyOnRef(t *testing.T) {
-	// Every evaluation network must execute through the homomorphic tensor
-	// runtime (functional oracle backend), in the form the compiler rewrites
-	// it into, and match plaintext inference once the output factor the
-	// rewrite left is applied.
+	// Every evaluation network must compile to a HISA program that replays on
+	// the functional oracle backend and matches plaintext inference once
+	// decrypted (the output factor the rewrite left is applied on decryption).
 	for _, m := range []*Model{LeNet5Small(), Industrial(), SqueezeNetCIFAR()} {
 		img := SyntheticImage(m.InputShape, 2)
 		want := m.Circuit.Evaluate(img)
 
-		b := hisa.NewRefBackend(8192)
-		sc := htc.DefaultScales()
-		policy := htc.PolicyCHW
-		prog := circuit.Fold(m.Circuit)
-		in := htc.EncryptTensor(b, htc.PlanFor(prog.Circuit, policy), sc, img)
-		out := htc.Execute(b, prog.Circuit, in, policy, sc, htc.ExecOptions{})
-		got := htc.DecryptTensor(b, out, 1)[0]
-		for i := range got.Data {
-			got.Data[i] *= prog.OutFactor
+		comp, err := core.Compile(m.Circuit, core.Options{
+			Scheme: core.SchemeRNS, SecurityBits: -1, MinLogN: 10,
+			Policies: []htc.LayoutPolicy{htc.PolicyCHW},
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", m.Name, err)
 		}
+		b := hisa.NewRefBackend(1 << uint(comp.Best.LogN-1))
+		got := comp.Decrypt(b, comp.Execute(b, comp.Encrypt(b, img), 1), 1)[0]
 		if got.Size() != want.Size() {
 			t.Fatalf("%s: output size %d want %d", m.Name, got.Size(), want.Size())
 		}

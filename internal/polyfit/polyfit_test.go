@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"chet/internal/circuit"
+	"chet/internal/core"
 	"chet/internal/hisa"
 	"chet/internal/htc"
 	"chet/internal/polyfit"
@@ -112,8 +113,25 @@ func TestChebyshevValidation(t *testing.T) {
 	}
 }
 
+// compile compiles c for the CKKS mock at N = 2^logN under one policy.
+func compile(t *testing.T, c *circuit.Circuit, logN int, sc htc.Scales, policy htc.LayoutPolicy) *core.Compiled {
+	t.Helper()
+	comp, err := core.Compile(c, core.Options{Scheme: core.SchemeCKKS, SecurityBits: -1, MinLogN: logN, MaxLogN: logN,
+		Scales: sc, Policies: []htc.LayoutPolicy{policy}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return comp
+}
+
+// replay executes comp's program on b from an encryption of img.
+func replay(comp *core.Compiled, b hisa.Backend, img *tensor.Tensor) *tensor.Tensor {
+	return comp.Decrypt(b, comp.Execute(b, comp.Encrypt(b, img), 1), 1)[0]
+}
+
 // TestPolyEvalKernelMatchesReference checks the full path: fit tanh,
-// install as a PolyEval circuit op, execute homomorphically, compare.
+// install as a PolyEval circuit op, compile, replay homomorphically,
+// compare.
 func TestPolyEvalKernelMatchesReference(t *testing.T) {
 	tanh, err := polyfit.Tanh(2, 5)
 	if err != nil {
@@ -135,10 +153,8 @@ func TestPolyEvalKernelMatchesReference(t *testing.T) {
 	want := c.Evaluate(img)
 
 	for _, policy := range []htc.LayoutPolicy{htc.PolicyHW, htc.PolicyCHW} {
-		back := hisa.NewRefBackend(256)
-		sc := htc.DefaultScales()
-		enc := htc.EncryptTensor(back, htc.PlanFor(c, policy), sc, img)
-		got := htc.DecryptTensor(back, htc.Execute(back, c, enc, policy, sc, htc.ExecOptions{}), 1)[0]
+		comp := compile(t, c, 9, htc.DefaultScales(), policy)
+		got := replay(comp, hisa.NewRefBackend(256), img)
 		for i := range want.Data {
 			if math.Abs(got.Data[i]-want.Data[i]) > 1e-6 {
 				t.Fatalf("%v: element %d = %g, want %g", policy, i, got.Data[i], want.Data[i])
@@ -157,8 +173,8 @@ func TestPolyEvalKernelMatchesReference(t *testing.T) {
 	}
 }
 
-// TestPolyEvalOnSimBackend confirms the Horner kernel survives the CKKS
-// noise model with sensible scales.
+// TestPolyEvalOnSimBackend confirms the Horner kernel's program survives the
+// CKKS noise model with sensible scales.
 func TestPolyEvalOnSimBackend(t *testing.T) {
 	sig, err := polyfit.Sigmoid(4, 3)
 	if err != nil {
@@ -175,10 +191,13 @@ func TestPolyEvalOnSimBackend(t *testing.T) {
 	}
 	want := c.Evaluate(img)
 
-	back := hisa.NewSimBackend(hisa.SimParams{LogN: 12, LogQ: 400, Seed: 9})
 	sc := htc.Scales{Pc: math.Exp2(40), Pw: math.Exp2(30), Pu: math.Exp2(30), Pm: math.Exp2(25)}
-	enc := htc.EncryptTensor(back, htc.PlanFor(c, htc.PolicyCHW), sc, img)
-	got := htc.DecryptTensor(back, htc.Execute(back, c, enc, htc.PolicyCHW, sc, htc.ExecOptions{}), 1)[0]
+	comp := compile(t, c, 12, sc, htc.PolicyCHW)
+	back, err := core.BuildBackend(comp, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := replay(comp, back, img)
 	for i := range want.Data {
 		if math.Abs(got.Data[i]-want.Data[i]) > 1e-3 {
 			t.Fatalf("element %d = %g, want %g", i, got.Data[i], want.Data[i])

@@ -1,8 +1,10 @@
 package telemetry
 
 import (
+	"fmt"
 	"math"
 	"math/big"
+	"strings"
 	"testing"
 
 	"chet/internal/boot"
@@ -11,16 +13,12 @@ import (
 	"chet/internal/ring"
 )
 
-// The observers inherit the whole HISA surface from hisa.Interposer.
+// The observers inherit the whole HISA surface, bootstrapping included,
+// from hisa.Interposer.
 var (
-	_ hisa.Backend          = (*hisa.Meter)(nil)
-	_ hisa.BootstrapBackend = (*hisa.Meter)(nil)
-
-	_ hisa.Backend          = (*hisa.Refresher)(nil)
-	_ hisa.BootstrapBackend = (*hisa.Refresher)(nil)
-
-	_ hisa.Backend          = (*Tracer)(nil)
-	_ hisa.BootstrapBackend = (*Tracer)(nil)
+	_ hisa.Backend = (*hisa.Meter)(nil)
+	_ hisa.Backend = (*hisa.Refresher)(nil)
+	_ hisa.Backend = (*Tracer)(nil)
 )
 
 // observed is one arrangement of the observers over a backend.
@@ -118,7 +116,6 @@ func burn(b hisa.Backend, c hisa.Ciphertext) hisa.Ciphertext {
 }
 
 func newConformanceInputs(b hisa.Backend) conformanceInputs {
-	bb, _ := hisa.AsBootstrap(b)
 	in := conformanceInputs{values: make([]float64, b.Slots())}
 	for i := range in.values {
 		in.values[i] = 0.25 + float64(i%7)/16
@@ -127,10 +124,10 @@ func newConformanceInputs(b hisa.Backend) conformanceInputs {
 	fresh := func() hisa.Ciphertext {
 		raw := b.Encrypt(in.p)
 		defer b.Free(raw)
-		return bb.DropToFresh(raw)
+		return b.DropToFresh(raw)
 	}
 	in.c, in.c2, in.low = fresh(), fresh(), fresh()
-	for i := 0; bb.BudgetOf(in.low) > 0 && i < 8; i++ {
+	for i := 0; b.BudgetOf(in.low) > 0 && i < 8; i++ {
 		next := burn(b, in.low)
 		b.Free(in.low)
 		in.low = next
@@ -147,7 +144,7 @@ type conformanceRun struct {
 	ints   []int64
 }
 
-// driveEverything calls every Backend method and the bootstrap capability.
+// driveEverything calls every Backend method, bootstrapping included.
 // refreshing says b tops a Refresher: the multiplication on in.low is then
 // left to trigger its own bootstrap, and is preceded by an explicit one
 // otherwise, so both passes compute the same thing.
@@ -205,17 +202,16 @@ func driveEverything(t *testing.T, b hisa.Backend, in conformanceInputs, refresh
 	ct(b.RelinearizeRescale(deg2, b.MaxRescale(deg2, ub)))
 	ct(b.RelinearizeRescale(deg2, big.NewInt(1)))
 
-	bb, ok := hisa.AsBootstrap(b)
-	if !ok {
+	if !b.BootstrapCapable() {
 		t.Fatalf("%s: not bootstrap-capable", b.Name())
 	}
-	r.ints = append(r.ints, int64(bb.FreshBudget()), int64(bb.BudgetOf(prod)), int64(bb.BudgetOf(in.low)))
-	ct(bb.DropToFresh(c))
-	ct(bb.Bootstrap(c))
+	r.ints = append(r.ints, int64(b.FreshBudget()), int64(b.BudgetOf(prod)), int64(b.BudgetOf(in.low)))
+	ct(b.DropToFresh(c))
+	ct(b.Bootstrap(c))
 	if refreshing {
 		ct(b.MulScalar(in.low, 2, testScale))
 	} else {
-		fresh := bb.Bootstrap(in.low)
+		fresh := b.Bootstrap(in.low)
 		ct(b.MulScalar(fresh, 2, testScale))
 		b.Free(fresh)
 	}
@@ -227,13 +223,26 @@ func driveEverything(t *testing.T, b hisa.Backend, in conformanceInputs, refresh
 // bit-identical to the bare backend's, (b) the Meter's count equal to the
 // Tracer's span total for every instruction kind, and (c) on the lattice
 // backend, no arena polynomial left leased by a Refresher-triggered
-// bootstrap.
+// bootstrap. An observer over a backend built without a bootstrapper says
+// so, and its Bootstrap panics descriptively.
 func TestObserverConformance(t *testing.T) {
+	t.Run("ckks-sim without a bootstrapper/meter", func(t *testing.T) {
+		m := hisa.NewMeter(hisa.NewSimBackend(hisa.SimParams{LogN: 4, LogQ: 120}), nil)
+		if m.BootstrapCapable() {
+			t.Fatal("a meter over a sim without a bootstrapper reports the capability")
+		}
+		c := m.Encrypt(m.Encode(make([]float64, m.Slots()), testScale))
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "without SimParams.Bootstrap") {
+				t.Fatalf("Bootstrap panicked with %v, want the missing bootstrapper named", r)
+			}
+		}()
+		m.Bootstrap(c)
+	})
 	for _, bare := range conformanceBackends(t) {
 		in := newConformanceInputs(bare)
 		want := driveEverything(t, bare, in, false)
-		bb, _ := hisa.AsBootstrap(bare)
-		finite := bb.BudgetOf(in.low) == 0
+		finite := bare.BudgetOf(in.low) == 0
 
 		for _, st := range observerStacks {
 			t.Run(bare.Name()+"/"+st.name, func(t *testing.T) {

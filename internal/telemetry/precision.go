@@ -5,7 +5,7 @@ import (
 	"math"
 	"strings"
 
-	"chet/internal/circuit"
+	"chet/internal/core"
 	"chet/internal/hisa"
 	"chet/internal/htc"
 	"chet/internal/tensor"
@@ -33,72 +33,50 @@ type LayerPrecision struct {
 	Elems int
 }
 
-// PrecisionProfile runs the program's kernels twice — once on b, once on a
-// fresh plaintext Ref oracle — and compares every node's decrypted output
-// (the kernels issue what the compiled program replays, bit for bit). A
-// node computes its true value divided by its output factor, so each
-// difference is multiplied by that factor. The backend must hold decryption
-// capability (a session backend, not an eval-only one); run it behind a flag,
-// since decrypting every intermediate costs a decrypt+decode per ciphertext
-// per layer.
-func PrecisionProfile(b hisa.Backend, prog *circuit.Program, img *tensor.Tensor,
-	policy htc.LayoutPolicy, sc htc.Scales) []LayerPrecision {
-
-	c := prog.Circuit
-	plan := htc.PlanFor(c, policy)
+// PrecisionProfile replays the compiled program twice — once on b, once on a
+// fresh plaintext Ref oracle, whose bootstrap is the identity — and compares
+// every circuit node's decrypted output. A node computes its true value
+// divided by its output factor, so each difference is multiplied by that
+// factor. The backend must hold decryption capability (a session backend,
+// not an eval-only one); run it behind a flag, since decrypting every
+// intermediate costs a decrypt+decode per ciphertext per layer.
+func PrecisionProfile(b hisa.Backend, comp *core.Compiled, img *tensor.Tensor) []LayerPrecision {
 	ref := hisa.NewRefBackend(b.Slots())
+	got := comp.Code.ExecuteNodes(b, comp.Encrypt(b, img), 1)
+	want := comp.Code.ExecuteNodes(ref, comp.Encrypt(ref, img), 1)
 
-	// Pass 1: the profiled backend, collecting each node's output tensor.
-	outs := make(map[int]*htc.CipherTensor, len(c.Nodes))
-	encB := htc.EncryptTensor(b, plan, sc, img)
-	htc.Execute(b, c, encB, policy, sc, htc.ExecOptions{
-		OnNode: func(n *circuit.Node, out *htc.CipherTensor) { outs[n.ID] = out },
-	})
-
-	var levelOf func(hisa.Ciphertext) int
-	if lb, ok := hisa.AsLeveledEncode(b); ok {
-		levelOf = lb.LevelOf
+	lb, leveled := hisa.AsLeveledEncode(b)
+	rows := make([]LayerPrecision, len(comp.Code.Spans))
+	for i, s := range comp.Code.Spans {
+		n := comp.Code.Circuit.Nodes[s.Node]
+		g, w := htc.DecryptTensor(b, got[i], 1)[0], htc.DecryptTensor(ref, want[i], 1)[0]
+		row := LayerPrecision{
+			Node:     fmt.Sprintf("%v:%s", n.Kind, n.Name),
+			Scale:    b.Scale(got[i].CTs[0]),
+			RefScale: ref.Scale(want[i].CTs[0]),
+			Level:    -1,
+			Elems:    len(w.Data),
+		}
+		if row.Scale > 0 && row.RefScale > 0 {
+			row.ScaleDrift = math.Log2(row.Scale) - math.Log2(row.RefScale)
+		}
+		if leveled {
+			row.Level = lb.LevelOf(got[i].CTs[0])
+		}
+		var sumSq float64
+		factor := math.Abs(comp.Program.Factors[n.ID].Out)
+		for i := range w.Data {
+			e := factor * math.Abs(g.Data[i]-w.Data[i])
+			if e > row.MaxErr {
+				row.MaxErr = e
+			}
+			sumSq += e * e
+		}
+		if row.Elems > 0 {
+			row.RMSErr = math.Sqrt(sumSq / float64(row.Elems))
+		}
+		rows[i] = row
 	}
-
-	// Pass 2: the oracle in lockstep, comparing node by node.
-	var rows []LayerPrecision
-	encR := htc.EncryptTensor(ref, plan, sc, img)
-	htc.Execute(ref, c, encR, policy, sc, htc.ExecOptions{
-		OnNode: func(n *circuit.Node, refOut *htc.CipherTensor) {
-			bOut := outs[n.ID]
-			if bOut == nil {
-				return
-			}
-			got := htc.DecryptTensor(b, bOut, 1)[0]
-			want := htc.DecryptTensor(ref, refOut, 1)[0]
-			row := LayerPrecision{
-				Node:     fmt.Sprintf("%v:%s", n.Kind, n.Name),
-				Scale:    b.Scale(bOut.CTs[0]),
-				RefScale: ref.Scale(refOut.CTs[0]),
-				Level:    -1,
-				Elems:    len(want.Data),
-			}
-			if row.Scale > 0 && row.RefScale > 0 {
-				row.ScaleDrift = math.Log2(row.Scale) - math.Log2(row.RefScale)
-			}
-			if levelOf != nil {
-				row.Level = levelOf(bOut.CTs[0])
-			}
-			var sumSq float64
-			factor := math.Abs(prog.Factors[n.ID].Out)
-			for i := range want.Data {
-				e := factor * math.Abs(got.Data[i]-want.Data[i])
-				if e > row.MaxErr {
-					row.MaxErr = e
-				}
-				sumSq += e * e
-			}
-			if row.Elems > 0 {
-				row.RMSErr = math.Sqrt(sumSq / float64(row.Elems))
-			}
-			rows = append(rows, row)
-		},
-	})
 	return rows
 }
 

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"chet/internal/circuit"
 	"chet/internal/core"
 	"chet/internal/htc"
 	"chet/internal/nn"
@@ -15,9 +14,9 @@ import (
 // TestPrecisionProfileTrueUnits: on the folded LeNet-tiny, whose conv1, act1
 // and conv2 outputs carry factors other than 1, every row of the profile is
 // the node's error in true units — max|Out·computed − true| against the
-// source circuit's node value. The computed values come from a second
-// backend built from the same seed, which executes bit for bit what the
-// profiled one does.
+// source circuit's node value. The computed values come from a replay on a
+// second backend built from the same seed, which executes bit for bit what
+// the profiled one does.
 func TestPrecisionProfileTrueUnits(t *testing.T) {
 	src := nn.LeNetTiny().Circuit
 	comp, err := core.Compile(src, core.Options{Scheme: core.SchemeRNS, SecurityBits: -1, MinLogN: 11, MaxLogN: 11})
@@ -32,7 +31,7 @@ func TestPrecisionProfileTrueUnits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := PrecisionProfile(profiled, comp.Program, img, comp.Best.Policy, comp.Options.Scales)
+	rows := PrecisionProfile(profiled, comp, img)
 
 	twin, err := core.BuildBackend(comp, ring.NewTestPRNG(41))
 	if err != nil {
@@ -40,16 +39,14 @@ func TestPrecisionProfileTrueUnits(t *testing.T) {
 	}
 	prog := comp.Program.Circuit
 	computed := map[string][]float64{}
-	enc := htc.EncryptTensor(twin, htc.PlanFor(prog, comp.Best.Policy), comp.Options.Scales, img)
-	htc.Execute(twin, prog, enc, comp.Best.Policy, comp.Options.Scales, htc.ExecOptions{
-		OnNode: func(n *circuit.Node, out *htc.CipherTensor) {
-			got := htc.DecryptTensor(twin, out, 1)[0].Data
-			for i := range got {
-				got[i] *= comp.Program.Factors[n.ID].Out
-			}
-			computed[n.Kind.String()+":"+n.Name] = got
-		},
-	})
+	for i, out := range comp.Code.ExecuteNodes(twin, comp.Encrypt(twin, img), 1) {
+		n := prog.Nodes[comp.Code.Spans[i].Node]
+		got := htc.DecryptTensor(twin, out, 1)[0].Data
+		for i := range got {
+			got[i] *= comp.Program.Factors[n.ID].Out
+		}
+		computed[n.Kind.String()+":"+n.Name] = got
+	}
 	truth := map[string][]float64{}
 	sourceValues := src.EvaluateNodes(img)
 	for _, n := range src.Nodes {

@@ -6,9 +6,9 @@
 // goroutine — into a bounded ring, nesting ops under the kernel/layer
 // scopes the htc executor opens. A recorded run exports either a flat
 // per-op/per-scope profile (count, total, p50/p99, % of wall) or Chrome
-// trace_event JSON viewable in Perfetto (chrome.go); precision.go runs the
-// same circuit against the plaintext Ref oracle and records the per-layer
-// error the paper's profile-guided scale search consumes.
+// trace_event JSON viewable in Perfetto (chrome.go); precision.go replays the
+// same program on the plaintext Ref oracle and records the per-layer error
+// the paper's profile-guided scale search consumes.
 //
 // Tracer composes with hisa.Meter and hisa.Refresher in any order: all three
 // observe the op stream of a hisa.Interposer, which alone decides what counts
