@@ -318,10 +318,11 @@ func TestPlannedKeysMatchFullKeys(t *testing.T) {
 				// RelinearizeRescale reports its rescale with the degree-2
 				// input, then a relin marker whose output sits lower;
 				// Relinearize reports its input; a Mul's relin marker carries
-				// the product at its level.
+				// the product at its level. A sum of rotations' rescale has
+				// no input: its division rides in the sum's ModDown.
 				ip := hisa.NewInterposer(session.Backend, "relin", nil, func(op *hisa.Op) {
 					switch {
-					case op.Kind == hisa.OpRescale && op.In.(*ckks.Ciphertext).Degree() == 2:
+					case op.Kind == hisa.OpRescale && op.In != nil && op.In.(*ckks.Ciphertext).Degree() == 2:
 						record(op.In)
 					case op.Kind == hisa.OpRelin && op.In != nil:
 						record(op.In)

@@ -6,7 +6,7 @@ import (
 	"math/big"
 	"math/bits"
 	"math/cmplx"
-	"sync/atomic"
+	"sync"
 
 	"chet/internal/ring"
 )
@@ -19,8 +19,10 @@ type Plaintext struct {
 	Lvl   int
 
 	// special caches the plaintext's rows modulo the special primes, which
-	// a RotSum weight needs and an encoding does not carry (specialRows).
-	special atomic.Pointer[[][]uint64]
+	// a RotSum weight needs and an encoding does not carry (specialRows),
+	// computed once however many sums use the plaintext at once.
+	specialOnce sync.Once
+	special     [][]uint64
 }
 
 // Level returns the plaintext level.

@@ -68,8 +68,9 @@ func (ev *Evaluator) RelinearizeRescale(ct *Ciphertext) *Ciphertext {
 
 // fusedOutput computes rescale(c + acc/P) over rows 0..level-1, where acc is
 // a key-switch accumulator at the level (its special-prime rows are
-// consumed and clobbered here) and c is read-only: one inverse transform of
-// row level, then one forward transform per surviving row.
+// consumed and clobbered here) and c is read-only, or rescale(acc/P) when c
+// is nil: one inverse transform of row level, then one forward transform
+// per surviving row.
 func (ev *Evaluator) fusedOutput(c, acc *ring.Poly, level int) *ring.Poly {
 	params := ev.params
 	r := params.Ring()
@@ -87,9 +88,14 @@ func (ev *Evaluator) fusedOutput(c, acc *ring.Poly, level int) *ring.Poly {
 	tP := ev.getRow()
 	ev.modDownRow(scratch, level, level, tP)
 	pInv, pInvS := tab.pInv[level], tab.pInvShoup[level]
-	cTop, aTop := c.Coeffs[level], acc.Coeffs[level]
+	aTop := acc.Coeffs[level]
 	for k := range top {
-		top[k] = ring.AddMod(cTop[k], ring.MulModShoup(aTop[k], pInv, pInvS, qTop), qTop)
+		top[k] = ring.MulModShoup(aTop[k], pInv, pInvS, qTop)
+	}
+	if c != nil {
+		for k, v := range c.Coeffs[level] {
+			top[k] = ring.AddMod(top[k], v, qTop)
+		}
 	}
 	r.InvNTTSingle(level, top)
 	for k, t := range tP {
@@ -115,9 +121,12 @@ func (ev *Evaluator) fusedOutput(c, acc *ring.Poly, level int) *ring.Poly {
 			u[k] = ring.AddMod(ring.MulModShoup(u[k], pInv, pInvS, qj), a, qj)
 		}
 		r.NTTSingle(j, u)
-		cj, aj, oj := c.Coeffs[j], acc.Coeffs[j], out.Coeffs[j]
+		aj, oj := acc.Coeffs[j], out.Coeffs[j]
 		for k := range oj {
-			s := ring.AddMod(cj[k], ring.MulModShoup(aj[k], pInv, pInvS, qj), qj)
+			s := ring.MulModShoup(aj[k], pInv, pInvS, qj)
+			if c != nil {
+				s = ring.AddMod(c.Coeffs[j][k], s, qj)
+			}
 			oj[k] = ring.MulModShoup(ring.SubMod(s, u[k], qj), qInv, qInvS, qj)
 		}
 		ev.putRow(u)

@@ -26,7 +26,8 @@ import (
 //   - each output multiply-accumulates its terms over rows 0..level plus the
 //     live special rows, weights included — a plaintext weight needs its
 //     rows modulo the special primes too (specialRows);
-//   - each output's two accumulators take one ModDown.
+//   - each output's two accumulators take one ModDown, which also takes the
+//     first prime of a rescale that follows (RotSumRescale).
 //
 // The work runs source by source and, within a source, row by row across
 // the intra-op workers: on one extended-basis row, every pair's key inner
@@ -121,6 +122,18 @@ func (tr *termRows) into(m ring.Modulus, acc0, acc1 []uint64) {
 // plaintext weights must sit at or above the output level. A sum whose terms
 // are all unrotated needs no key switch and is computed in the chain basis.
 func (ev *Evaluator) RotSum(srcs []*Ciphertext, sums [][]SumTerm) []*Ciphertext {
+	return ev.RotSumRescale(srcs, sums, nil)
+}
+
+// RotSumRescale is RotSum with output o then rescaled by its top drops(o, h)
+// chain primes, where h holds only the output's scale and level: drops is
+// called once per output, in order, before any work. It is bit-identical to
+// RescaleMany(RotSum(srcs, sums)[o], drops(o, h)), but an output summed in
+// the extended basis takes the first division inside its ModDown, as
+// RelinearizeRescale does (fusedOutput): one inverse and ℓ forward
+// transforms per component where ModDown and Rescale run ℓ+1 more forward
+// ones. A nil drops rescales nothing.
+func (ev *Evaluator) RotSumRescale(srcs []*Ciphertext, sums [][]SumTerm, drops func(o int, h *Ciphertext) int) []*Ciphertext {
 	params := ev.params
 	r := params.Ring()
 	slots := params.Slots()
@@ -173,6 +186,12 @@ func (ev *Evaluator) RotSum(srcs []*Ciphertext, sums [][]SumTerm) []*Ciphertext 
 		}
 		outs[o] = &Ciphertext{Scale: scale, Lvl: level}
 	}
+	drop := make([]int, len(sums)) // primes each output is divided by
+	if drops != nil {
+		for o, h := range outs {
+			drop[o] = drops(o, &Ciphertext{Scale: h.Scale, Lvl: h.Lvl})
+		}
+	}
 	for o, terms := range sums {
 		for i, t := range terms {
 			w := &weights[o][i]
@@ -207,6 +226,7 @@ func (ev *Evaluator) RotSum(srcs []*Ciphertext, sums [][]SumTerm) []*Ciphertext 
 			tr.into(m, c0.Coeffs[j], c1.Coeffs[j])
 		})
 		outs[o].C0, outs[o].C1 = c0, c1
+		ev.RescaleMany(outs[o], drop[o])
 	}
 
 	rows := params.ksRows(level)
@@ -302,14 +322,34 @@ func (ev *Evaluator) RotSum(srcs []*Ciphertext, sums [][]SumTerm) []*Ciphertext 
 		}
 	}
 	ev.forEach(2*len(sums), func(i int) {
-		switch o := i / 2; {
+		o := i / 2
+		acc := acc0[o]
+		if i%2 == 1 {
+			acc = acc1[o]
+		}
+		var out *ring.Poly
+		switch {
 		case !inQP[o]:
-		case i%2 == 0:
-			outs[o].C0 = ev.modDown(acc0[o], level, nil, nil)
+			return
+		case drop[o] > 0:
+			out = ev.fusedOutput(nil, acc, level)
+			ev.putAcc(acc)
 		default:
-			outs[o].C1 = ev.modDown(acc1[o], level, nil, nil)
+			out = ev.modDown(acc, level, nil, nil)
+		}
+		if i%2 == 0 {
+			outs[o].C0 = out
+		} else {
+			outs[o].C1 = out
 		}
 	})
+	for o, out := range outs {
+		if inQP[o] && drop[o] > 0 {
+			out.Scale /= float64(params.Qi(level))
+			out.Lvl = level - 1
+			ev.RescaleMany(out, drop[o]-1)
+		}
+	}
 	return outs
 }
 
@@ -355,16 +395,19 @@ func (ev *Evaluator) resolveWeight(w *weight, t SumTerm, qp bool) {
 }
 
 // specialRows returns pt's rows modulo the α special primes, in the NTT
-// domain, computing them on the first call and caching them in pt. The
+// domain, computing them on the first call and caching them in pt.
+func (ev *Evaluator) specialRows(pt *Plaintext) [][]uint64 {
+	pt.specialOnce.Do(func() { pt.special = ev.liftSpecial(pt) })
+	return pt.special
+}
+
+// liftSpecial computes pt's rows modulo the α special primes. The
 // encoded integer polynomial is recovered from the residues modulo q_0 and
 // q_1 (q_0 alone at level 0), centered: exact for coefficients below
 // q_0·q_1/2 in magnitude — beyond 2^100 on every chain here, where a
 // plaintext's coefficients are its values times its scale — and at level 0
 // exactly when the plaintext decodes.
-func (ev *Evaluator) specialRows(pt *Plaintext) [][]uint64 {
-	if rows := pt.special.Load(); rows != nil {
-		return *rows
-	}
+func (ev *Evaluator) liftSpecial(pt *Plaintext) [][]uint64 {
 	params := ev.params
 	r := params.Ring()
 	chain := len(params.qChain)
@@ -422,6 +465,5 @@ func (ev *Evaluator) specialRows(pt *Plaintext) [][]uint64 {
 		r.NTTSingle(j, row)
 		rows[s] = row
 	}
-	pt.special.CompareAndSwap(nil, &rows)
-	return *pt.special.Load()
+	return rows
 }

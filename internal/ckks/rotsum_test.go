@@ -134,3 +134,67 @@ func TestRotSumPlaintextSpecialRows(t *testing.T) {
 		}
 	}
 }
+
+// TestRotSumRescaleMatchesPair: a sum of rotations that divides its outputs
+// inside their ModDowns is bit-identical to RotSum followed by RescaleMany,
+// at every level from 1 up, for α = 1, 2, 3, with unit, scalar and
+// plaintext weights, a mask-weighted sum of four rotations (a fold's
+// shape), an all-unrotated sum, and outputs
+// divided by none, one and two primes in one call. Four intra-op workers
+// match one, and no arena lease outlives the call.
+func TestRotSumRescaleMatchesPair(t *testing.T) {
+	for _, alpha := range []int{1, 2, 3} {
+		tc, ev := alphaContext(t, alpha)
+		par := ev.ShallowCopy().SetIntraOpWorkers(4)
+		r := tc.params.Ring()
+		slots := tc.params.Slots()
+		scale := tc.params.DefaultScale()
+		top := tc.params.MaxLevel()
+		cta := tc.encr.Encrypt(tc.enc.Encode(randomVector(slots, 1, 41), scale, top))
+		ctb := tc.encr.Encrypt(tc.enc.Encode(randomVector(slots, 1, 42), scale, top))
+		mask := make([]float64, slots)
+		for j := 0; j < slots; j += 4 {
+			mask[j] = 1
+		}
+		pm := tc.enc.Encode(mask, scale, top)
+		pw := tc.enc.Encode(randomVector(slots, 1, 43), scale, top)
+		for level := 1; level <= top; level++ {
+			a, b := ev.leaseAt(cta, level), ev.leaseAt(ctb, level)
+			srcs := []*Ciphertext{a, b}
+			sums := [][]SumTerm{
+				{{Src: 0, Rot: 1, Pt: pw}, {Src: 1, Rot: 3, Pt: pw}, {Src: 0, Pt: pw}},
+				{{Src: 0, Rot: 16, X: 0.5, F: scale}, {Src: 1, Rot: 1 - slots, X: -1.25, F: scale}, {Src: 1, X: 2, F: scale}},
+				{{Src: 0, Rot: 1}, {Src: 0, Rot: 3}, {Src: 1}},
+				{{Src: 0, Pt: pm}, {Src: 0, Rot: 1, Pt: pm}, {Src: 0, Rot: 3, Pt: pm}, {Src: 0, Rot: 16, Pt: pm}},
+				{{Src: 0, Pt: pw}, {Src: 1, X: 3, F: scale}},
+			}
+			drops := func(o int, h *Ciphertext) int {
+				if h.Lvl != level {
+					t.Fatalf("α=%d level %d: output %d announced at level %d", alpha, level, o, h.Lvl)
+				}
+				switch {
+				case o == 2:
+					return 0
+				case o == 1 && level >= 2:
+					return 2
+				}
+				return 1
+			}
+			leased := r.OutstandingPolys()
+			fused := ev.RotSumRescale(srcs, sums, drops)
+			if got, want := r.OutstandingPolys()-leased, int64(2*len(sums)); got != want {
+				t.Fatalf("α=%d level %d: %d arena leases outlive RotSumRescale, want %d (its outputs)", alpha, level, got, want)
+			}
+			if got, want := ctDigest(par.RotSumRescale(srcs, sums, drops)...), ctDigest(fused...); got != want {
+				t.Fatalf("α=%d level %d: 4 intra-op workers differ from 1", alpha, level)
+			}
+			pair := ev.RotSum(srcs, sums)
+			for o := range pair {
+				ev.RescaleMany(pair[o], drops(o, pair[o]))
+				if !ctEqual(fused[o], pair[o]) {
+					t.Fatalf("α=%d level %d: output %d differs from RotSum then Rescale", alpha, level, o)
+				}
+			}
+		}
+	}
+}

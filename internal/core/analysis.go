@@ -634,8 +634,8 @@ func (a *Analysis) chargeRotation(cc *analysisCT, x int) {
 // CKKS target are charged per step. The recorded rotation steps are
 // identical to the equivalent RotLeft sequence, so rotation-key selection
 // and op counts do not depend on the pricing. A recording run records the
-// sums as one instruction.
-func (a *Analysis) RotSum(srcs []hisa.Ciphertext, sums [][]hisa.Term) []hisa.Ciphertext {
+// sums as one instruction; a divide runs the pair.
+func (a *Analysis) RotSum(srcs []hisa.Ciphertext, sums [][]hisa.Term, divide func(hisa.Ciphertext) *big.Int) []hisa.Ciphertext {
 	for s, ks := range hisa.SumRotations(a.slots, len(srcs), sums) {
 		if len(ks) > 0 {
 			a.rotateBatch(a.ct(srcs[s]), ks)
@@ -670,6 +670,17 @@ func (a *Analysis) RotSum(srcs []hisa.Ciphertext, sums [][]hisa.Term) []hisa.Cip
 			a.observe(&acc)
 		}
 		outs[o] = &acc
+	}
+	if divide != nil {
+		// The kernels issue a sum and then their rescale decisions, which
+		// the recorded program fuses (htc.Recording.Program): a recording
+		// run records no divide, and Rescale refuses one.
+		for o, c := range outs {
+			if d := divide(c); d.Cmp(big.NewInt(1)) != 0 {
+				outs[o] = a.Rescale(c, d)
+			}
+		}
+		return outs
 	}
 	if a.rec == nil || a.rec.Quiet() {
 		return outs

@@ -54,12 +54,14 @@ func TestBootstrapPlacement(t *testing.T) {
 	if len(p.Placements) == 0 {
 		t.Fatal("deep MLP with window 3 must place bootstraps")
 	}
-	// The counts are pinned: the packed Dense refreshes once per neuron group,
-	// and a kernel edit that moves them must be a decision, not an accident.
+	// The counts are pinned: the packed Dense's products are one sum of
+	// rotations, which refreshes each copy of the input once (not once per
+	// neuron group), and a kernel edit that moves them must be a decision,
+	// not an accident.
 	// TestBootstrapEndToEnd and chet-bench -exp bootstrap hold the runtime's
 	// refresh count equal to these.
-	if len(p.Placements) != 51 {
-		t.Fatalf("NN-6 at window 3 places %d bootstraps, want 51", len(p.Placements))
+	if len(p.Placements) != 6 {
+		t.Fatalf("NN-6 at window 3 places %d bootstraps, want 6", len(p.Placements))
 	}
 	if c20, err := Compile(nn.NN20().Circuit, bootOptions(4)); err != nil {
 		t.Fatal(err)

@@ -13,9 +13,10 @@ import (
 
 // fpVersion tags the canonical encoding below; bump it whenever the byte
 // layout of the digest changes, or the program the same inputs compile to
-// (v8: the recorded program, hashed whole), so old and new binaries never
-// agree by accident.
-const fpVersion = "chet-fingerprint-v8"
+// (v8: the recorded program, hashed whole; v9: a rotsum may take its
+// outputs' rescale decision, Instr.F), so old and new binaries never agree
+// by accident.
+const fpVersion = "chet-fingerprint-v9"
 
 // Fingerprint returns a stable digest of everything that must match between
 // two parties for their homomorphic executions of this compilation to be

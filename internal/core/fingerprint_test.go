@@ -110,7 +110,7 @@ func TestFingerprintFlipsOnPackingOptions(t *testing.T) {
 	}
 }
 
-// TestFingerprintV8Golden pins the canonical v8 encoding to a known digest.
+// TestFingerprintV9Golden pins the canonical v9 encoding to a known digest.
 // The fingerprint is a wire-visible contract — both sides of the session-open
 // handshake must compute the same bytes — so any change to the byte layout
 // must come with a version bump (fpVersion), not a silent drift. If this test
@@ -120,10 +120,10 @@ func TestFingerprintFlipsOnPackingOptions(t *testing.T) {
 // change that moves this compilation's program, rotation-key set or key plan
 // moves it with the byte layout and the version unchanged; paste the digest
 // the failing run prints.
-func TestFingerprintV8Golden(t *testing.T) {
-	const want = "4d6009bcec9ceb7696e4a202b1630fc302a1e1e9f7438811117483430696050e"
+func TestFingerprintV9Golden(t *testing.T) {
+	const want = "f2f30e3e4eaf80bf4afc9170918f54c7704e95b85779699d1ac0a12e3bc4387c"
 	if got := fpCompile(t, fpBaseOptions()).FingerprintHex(); got != want {
-		t.Fatalf("fingerprint v8 golden mismatch:\n got %s\nwant %s", got, want)
+		t.Fatalf("fingerprint v9 golden mismatch:\n got %s\nwant %s", got, want)
 	}
 }
 

@@ -61,8 +61,9 @@ func TestLeNetTinySecureOnHalfRing(t *testing.T) {
 // TestZooMatchesEvaluateOnRef runs every zoo network under every layout
 // policy on the plaintext reference backend, as compiled: the decrypted
 // prediction matches Circuit.Evaluate on the source circuit, the output
-// tensor's invalid slots are zero, and the mask products each node issues at
-// run time are the ones Compiled.Nodes reports.
+// tensor's invalid slots are zero, and the masks each node applies at run
+// time — mask products, and outputs of sums whose terms take a mask as
+// their weight — are the ones Compiled.Nodes reports.
 func TestZooMatchesEvaluateOnRef(t *testing.T) {
 	models := []*nn.Model{nn.LeNetTiny(), nn.LeNet5Small(), nn.Industrial()}
 	if !testing.Short() {
@@ -87,7 +88,7 @@ func TestZooMatchesEvaluateOnRef(t *testing.T) {
 				if op.Kind == hisa.OpMulPlain && op.Out != nil && ref.Scale(op.Out) == ref.Scale(op.In)*maskScales.Pm {
 					cur++
 				}
-			})}
+			}), masks: map[hisa.Plaintext]bool{}, count: func(n int) { cur += n }}
 			b.end = func() {
 				masks = append(masks, cur)
 				cur = 0
@@ -113,13 +114,34 @@ func TestZooMatchesEvaluateOnRef(t *testing.T) {
 }
 
 // nodeScopes is a backend whose scopes (one per circuit node, opened by the
-// program's execution) end with end.
+// program's execution) end with end. It remembers the plaintexts encoded at
+// the mask scale and counts the outputs of sums whose first term takes one
+// as its weight.
 type nodeScopes struct {
 	hisa.Interposer
-	end func()
+	end   func()
+	masks map[hisa.Plaintext]bool
+	count func(n int)
 }
 
 func (s *nodeScopes) StartScope(string) func() { return s.end }
+
+func (s *nodeScopes) Encode(m []float64, f float64) hisa.Plaintext {
+	p := s.Interposer.Encode(m, f)
+	if f == maskScales.Pm {
+		s.masks[p] = true
+	}
+	return p
+}
+
+func (s *nodeScopes) RotSum(srcs []hisa.Ciphertext, sums [][]hisa.Term, divide func(hisa.Ciphertext) *big.Int) []hisa.Ciphertext {
+	for _, terms := range sums {
+		if s.masks[terms[0].Plain] {
+			s.count(1)
+		}
+	}
+	return s.Interposer.RotSum(srcs, sums, divide)
+}
 
 // requireInvalidSlotsZero fails unless every slot of ct outside its valid
 // positions, in every lane, is zero.

@@ -49,12 +49,12 @@ func TestOutputsPinned(t *testing.T) {
 		complex bool
 		want    map[string]string // by backend
 	}{
-		{"real", SchemeRNS, 1, false, map[string]string{"ref": "b778007deae456e3", "rns": "7123bb70ef0efd59"}},
-		{"batched", SchemeRNS, 2, false, map[string]string{"ref": "b24f8b24132516e2", "rns": "b963ac6a24ee96a0"}},
-		{"complex", SchemeRNS, 2, true, map[string]string{"ref": "841e87d93024b1d1", "rns": "b5c40c29716f4160"}},
-		{"real", SchemeCKKS, 1, false, map[string]string{"sim": "d5d192b9751debc6"}},
-		{"batched", SchemeCKKS, 2, false, map[string]string{"sim": "eef12f253b0de511"}},
-		{"complex", SchemeCKKS, 2, true, map[string]string{"sim": "34cad38797a108c3"}},
+		{"real", SchemeRNS, 1, false, map[string]string{"ref": "b778007deae456e3", "rns": "e29bbe0c4ec9010a"}},
+		{"batched", SchemeRNS, 2, false, map[string]string{"ref": "b24f8b24132516e2", "rns": "ff9c49fffd1dfb24"}},
+		{"complex", SchemeRNS, 2, true, map[string]string{"ref": "a0368cd80ea1bb52", "rns": "0292293a0437ed42"}},
+		{"real", SchemeCKKS, 1, false, map[string]string{"sim": "2ef4aed0c5e33746"}},
+		{"batched", SchemeCKKS, 2, false, map[string]string{"sim": "2ee7cf312876f935"}},
+		{"complex", SchemeCKKS, 2, true, map[string]string{"sim": "b8065ab42ec70531"}},
 	}
 	for _, tc := range cases {
 		comp, err := Compile(tiny.Circuit, Options{
@@ -95,7 +95,7 @@ func TestOutputsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := outputDigest(execute(comp, b, []*tensor.Tensor{nn.SyntheticImage(deep.InputShape, 7)}, 1))
-	if want := "c8d90d7c50013f36"; got != want {
+	if want := "212e04b419cb8ef0"; got != want {
 		t.Errorf("bootstrapped: digest %s, pinned %s", got, want)
 	}
 }

@@ -176,3 +176,48 @@ func TestRefresherSimLockstep(t *testing.T) {
 		}
 	}
 }
+
+// TestRefresherRefreshesSumSourceOnce: a mask-weighted sum of four rotations
+// of a source below the floor refreshes the source once, not each rotated
+// term, and computes the masked sum; a unit-weight sum of the same source
+// refreshes nothing.
+func TestRefresherRefreshesSumSourceOnce(t *testing.T) {
+	sim := NewSimBackend(SimParams{LogN: 4, LogQ: 209, Seed: 5, NoNoise: true, Bootstrap: &SimBootstrap{}})
+	rf, err := NewRefresher(sim, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slots := rf.Slots()
+	values := rv(slots, 1, 7)
+	ct := rf.Encrypt(rf.Encode(values, testScale))
+	for rf.BudgetOf(ct) >= 1 {
+		ct = burnLevel(t, sim, ct) // below the Refresher: no refresh yet
+	}
+	mask := make([]float64, slots)
+	for j := 0; j < slots; j += 4 {
+		mask[j] = 1
+	}
+	pm := rf.Encode(mask, 1<<30)
+	fold := []Term{{Plain: pm}, {Rot: 1, Plain: pm}, {Rot: 2, Plain: pm}, {Rot: 3, Plain: pm}}
+	rf.RotSum([]Ciphertext{ct}, [][]Term{{{}, {Rot: 1}}}, nil)
+	if n := rf.Bootstraps(); n != 0 {
+		t.Fatalf("a unit-weight sum refreshed %d times, want 0", n)
+	}
+	out := rf.RotSum([]Ciphertext{ct}, [][]Term{fold, {{}, {Rot: 2}}}, nil)
+	if n := rf.Bootstraps(); n != 1 {
+		t.Fatalf("a mask-weighted sum of four rotations refreshed %d times, want 1", n)
+	}
+	if h, ok := rf.MinHeadroom(); !ok || h >= 0 {
+		t.Fatalf("headroom %d (%v), want the refresh observed below the floor", h, ok)
+	}
+	got := rf.Decode(rf.Decrypt(out[0]))
+	for j := range got {
+		want := 0.0
+		for k := 0; k < 4; k++ {
+			want += values[(j+k)%slots]
+		}
+		if d := math.Abs(got[j] - mask[j]*want); d > 1e-6 {
+			t.Fatalf("slot %d: |%g - %g| = %g", j, got[j], mask[j]*want, d)
+		}
+	}
+}

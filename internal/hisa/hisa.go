@@ -30,8 +30,9 @@ type Plaintext any
 // value, cryptographic, and analysis interpretations. A backend without a
 // separate relinearization or a fused sum of rotations implements those
 // instructions by their definitions (MulNoRelin is Mul, Relinearize the
-// identity, RelinearizeRescale a Rescale, RotSum is RotSumUnfused), so a
-// kernel never branches on what the backend can do.
+// identity, RelinearizeRescale a Rescale, RotSum is RotSumUnfused then a
+// Rescale per divided output), so a kernel never branches on what the
+// backend can do.
 //
 // Concurrency contract: the executable backends (Ref, Sim, RNS) and the
 // observers over them (Meter, telemetry.Tracer) are safe for
@@ -78,9 +79,15 @@ type Backend interface {
 	// semantics are RotSumUnfused — exactly on backends that compute
 	// exactly, within the key switch's rounding on lattice backends, where
 	// the RNS backend divides by the special modulus once per output instead
-	// of once per rotation (internal/ckks rotsum.go). Outputs are fresh
-	// ciphertexts; the sources stay the caller's.
-	RotSum(srcs []Ciphertext, sums [][]Term) []Ciphertext
+	// of once per rotation (internal/ckks rotsum.go). With a divide
+	// function, each output is then rescaled by the divisor divide returns
+	// for it (1: none), exactly Rescale(out[o], d): divide is called once
+	// per output, in output order, with a ciphertext that has the output's
+	// metadata but maybe not its data, so it may only read its Scale and ask
+	// MaxRescale about it. The RNS backend divides inside each output's
+	// ModDown, bit-identical to the pair; the others run the pair. Outputs
+	// are fresh ciphertexts; the sources stay the caller's.
+	RotSum(srcs []Ciphertext, sums [][]Term, divide func(Ciphertext) *big.Int) []Ciphertext
 
 	Add(c, c2 Ciphertext) Ciphertext
 	AddPlain(c Ciphertext, p Plaintext) Ciphertext

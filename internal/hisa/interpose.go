@@ -50,8 +50,10 @@ func (k OpKind) String() string { return opNames[k] }
 type Op struct {
 	Kind OpKind
 	// In and In2 are the ciphertext operands, nil where the instruction has
-	// none. A before-hook may replace them; the Interposer frees a
-	// replacement once the instruction and its after-hook have run.
+	// none — or where the operand never exists, as for the rescale of a sum
+	// of rotations that divides inside its ModDown (RotSum with a divide).
+	// A before-hook may replace them; the Interposer frees a replacement
+	// once the instruction and its after-hook have run.
 	In, In2 Ciphertext
 	// Out is the ciphertext result, nil where the instruction has none. An
 	// after-hook may replace it; the Interposer then frees the original.
@@ -80,7 +82,8 @@ type Op struct {
 //   - RotSum is the instructions RotSumUnfused issues for it — one rotl
 //     per distinct rotation, one mulplain or mulscalar per weighted term, an
 //     add per term after a sum's first — the call's duration split evenly
-//     between them, whether the wrapped backend fuses the sums or not;
+//     between them, whether the wrapped backend fuses the sums or not, and
+//     one rescale per output it divides;
 //   - Bootstrap is one instruction: its interior runs below the HISA;
 //   - EncodeAt, EncodeCAt and EncodeRuns are encodes, like Encode, and
 //     AddPlainCRuns an addplain, like AddPlainC.
@@ -236,12 +239,21 @@ func (ip *Interposer) RotRight(c Ciphertext, x int) Ciphertext {
 	return ip.run(&Op{Kind: OpRotRight, In: c, Rot: x}, func(c, _ Ciphertext) Ciphertext { return ip.inner.RotRight(c, x) })
 }
 
-// RotSum forwards the sums whole and reports them as their unfused sequence.
-func (ip *Interposer) RotSum(srcs []Ciphertext, sums [][]Term) []Ciphertext {
+// RotSum forwards the sums whole and reports them as their unfused
+// sequence, each divided output followed by its rescale.
+func (ip *Interposer) RotSum(srcs []Ciphertext, sums [][]Term, divide func(Ciphertext) *big.Int) []Ciphertext {
 	start := time.Now()
-	outs := ip.inner.RotSum(srcs, sums)
+	var divs []*big.Int
+	if divide != nil {
+		inner := divide
+		divide = func(c Ciphertext) *big.Int {
+			divs = append(divs, inner(c))
+			return divs[len(divs)-1]
+		}
+	}
+	outs := ip.inner.RotSum(srcs, sums, divide)
 	if ip.after != nil {
-		ip.reportRotSum(srcs, sums, outs, start, time.Since(start))
+		ip.reportRotSum(srcs, sums, outs, divs, start, time.Since(start))
 	}
 	return outs
 }

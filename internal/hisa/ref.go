@@ -188,8 +188,8 @@ func (b *RefBackend) RelinearizeRescale(c Ciphertext, x *big.Int) Ciphertext {
 
 // RotSum is the unfused sequence, its rotations and sums spread across the
 // intra-instruction workers.
-func (b *RefBackend) RotSum(srcs []Ciphertext, sums [][]Term) []Ciphertext {
-	return rotSumUnfused(b, srcs, sums, nil, int(b.workers.Load()))
+func (b *RefBackend) RotSum(srcs []Ciphertext, sums [][]Term, divide func(Ciphertext) *big.Int) []Ciphertext {
+	return rescaleEach(b, rotSumUnfused(b, srcs, sums, int(b.workers.Load())), divide)
 }
 
 // SetIntraOpWorkers bounds the goroutines one RotSum spreads its rotations

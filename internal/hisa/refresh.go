@@ -3,6 +3,7 @@ package hisa
 import (
 	"fmt"
 	"math"
+	"math/big"
 )
 
 // Refresher wraps a bootstrap-capable backend and keeps every ciphertext's
@@ -101,29 +102,45 @@ func (r *Refresher) afterOp(op *Op) {
 	}
 }
 
-// RotSum keeps the sums fused when no weighted term's source is below the
-// floor — rotation leaves a budget unchanged, so no product of the unfused
-// sequence would have been refreshed — and observes each such product's
-// headroom as that sequence would. Otherwise it runs the unfused sequence
-// through the Refresher, whose multiplications refresh their rotated
-// operands one by one, as they always have; its rotations stay one
-// unit-weight RotSum per source.
-func (r *Refresher) RotSum(srcs []Ciphertext, sums [][]Term) []Ciphertext {
-	refresh := false
-	for _, terms := range sums {
-		for _, t := range terms {
+// RotSum refreshes, once, each source that a weighted term reads below the
+// floor: rotation leaves a budget unchanged, so the refreshed source serves
+// every product the unfused sequence would have refreshed one rotated copy
+// at a time. It observes each weighted term's headroom as that sequence
+// would; the sums then run fused, their weighted terms reading the
+// refreshed sources and their unit terms the originals.
+func (r *Refresher) RotSum(srcs []Ciphertext, sums [][]Term, divide func(Ciphertext) *big.Int) []Ciphertext {
+	n := len(srcs)
+	var copyOf map[int]int // source → its refreshed copy's index in srcs
+	for o, terms := range sums {
+		for i, t := range terms {
 			if t.Plain == nil && t.F == 0 {
 				continue
 			}
 			budget := r.BudgetOf(srcs[t.Src])
 			r.minHeadroom = min(r.minHeadroom, budget-r.floor)
-			refresh = refresh || budget < r.floor
+			if budget >= r.floor {
+				continue
+			}
+			if copyOf == nil {
+				copyOf = map[int]int{}
+				srcs = append([]Ciphertext(nil), srcs...)
+				sums = append([][]Term(nil), sums...)
+			}
+			j, ok := copyOf[t.Src]
+			if !ok {
+				j = len(srcs)
+				srcs = append(srcs, r.Bootstrap(srcs[t.Src]))
+				copyOf[t.Src] = j
+			}
+			if &sums[o][0] == &terms[0] { // still the caller's
+				sums[o] = append([]Term(nil), terms...)
+			}
+			sums[o][i].Src = j
 		}
 	}
-	if !refresh {
-		return r.Interposer.RotSum(srcs, sums)
+	outs := r.Interposer.RotSum(srcs, sums, divide)
+	for _, c := range srcs[n:] {
+		r.inner.Free(c)
 	}
-	return RotSumUnfused(r, srcs, sums, func(src Ciphertext, ks []int) []Ciphertext {
-		return RotLeftMany(r, src, ks)
-	})
+	return outs
 }

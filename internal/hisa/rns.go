@@ -432,13 +432,15 @@ func (b *RNSBackend) RotRight(c Ciphertext, x int) Ciphertext {
 	return b.RotLeft(c, -x)
 }
 
-// RotSum computes the sums with one ModDown per output
-// (ckks.Evaluator.RotSum). A rotation the keys serve in one step at its
-// source's level is fused; an off-plan one — several steps, or a key below
-// its source's level — is computed by RotLeft first and enters the sum as an
-// unrotated term, which puts the call's outputs at its level. each is
-// unused: the sums run whole, and the limb workers spread every one of them.
-func (b *RNSBackend) RotSum(srcs []Ciphertext, sums [][]Term) []Ciphertext {
+// RotSum computes the sums with one ModDown per output, which takes the
+// first prime of the output's divisor when divide picks one
+// (ckks.Evaluator.RotSumRescale; divide sees the output's scale and level
+// before any work). A rotation the keys serve in one step at its source's
+// level is fused; an off-plan one — several steps, or a key below its
+// source's level — is computed by RotLeft first and enters the sum as an
+// unrotated term, which puts the call's outputs at its level. The sums run
+// whole, and the limb workers spread every one of them.
+func (b *RNSBackend) RotSum(srcs []Ciphertext, sums [][]Term, divide func(Ciphertext) *big.Int) []Ciphertext {
 	slots := b.Slots()
 	cs := make([]*ckks.Ciphertext, len(srcs))
 	for i, c := range srcs {
@@ -475,7 +477,11 @@ func (b *RNSBackend) RotSum(srcs []Ciphertext, sums [][]Term) []Ciphertext {
 			terms[o][i] = st
 		}
 	}
-	outs := b.evaluator.RotSum(cs, terms)
+	var drops func(int, *ckks.Ciphertext) int
+	if divide != nil {
+		drops = func(_ int, h *ckks.Ciphertext) int { return b.dropsFor(h, divide(h)) }
+	}
+	outs := b.evaluator.RotSumRescale(cs, terms, drops)
 	for _, c := range offPlan {
 		b.evaluator.Recycle(c)
 	}

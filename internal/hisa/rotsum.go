@@ -1,6 +1,7 @@
 package hisa
 
 import (
+	"math/big"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,76 +26,83 @@ func RotLeftMany(b Backend, c Ciphertext, ks []int) []Ciphertext {
 	for i, k := range ks {
 		sums[i] = []Term{{Rot: k}}
 	}
-	return b.RotSum([]Ciphertext{c}, sums)
+	return b.RotSum([]Ciphertext{c}, sums, nil)
 }
 
 // SumRotations lists, per source, the rotations the unfused sequence of a
 // RotSum issues: each amount that is not a multiple of slots, once per
-// distinct amount mod slots, as the first term drawing on it wrote it.
+// distinct amount mod slots, as the first term drawing on it wrote it. A
+// term is checked against its source's amounts so far, which the kernels
+// keep to a filter's taps or a fold's four: no set is built per call.
 func SumRotations(slots, nsrc int, sums [][]Term) [][]int {
 	rots := make([][]int, nsrc)
-	seen := map[[2]int]bool{}
+	norm := func(k int) int { return ((k % slots) + slots) % slots }
 	for _, terms := range sums {
+	next:
 		for _, t := range terms {
-			k := ((t.Rot % slots) + slots) % slots
-			if k == 0 || seen[[2]int{t.Src, k}] {
+			k := norm(t.Rot)
+			if k == 0 {
 				continue
 			}
-			seen[[2]int{t.Src, k}] = true
+			for _, r := range rots[t.Src] {
+				if norm(r) == k {
+					continue next
+				}
+			}
 			rots[t.Src] = append(rots[t.Src], t.Rot)
 		}
 	}
 	return rots
 }
 
+// rescaleEach is RotSum's division on a backend that runs the pair: outs,
+// the sums, each rescaled by the divisor divide (nil: none) picks for it.
+func rescaleEach(b Backend, outs []Ciphertext, divide func(Ciphertext) *big.Int) []Ciphertext {
+	if divide == nil {
+		return outs
+	}
+	for o, c := range outs {
+		if d := divide(c); d.Cmp(bigOne) != 0 {
+			outs[o] = b.Rescale(c, d)
+			b.Free(c)
+		}
+	}
+	return outs
+}
+
 // RotSumUnfused computes the sums with b's own instructions — the sequence a
-// RotSum stands for. First the rotations, each distinct one once: by
-// rotate(src, ks), which returns rot_k(src) for every amount in ks, once per
-// source with rotated terms, or — with rotate nil — by one RotLeft per
-// rotation. Then every sum in term order: each term's MulPlain or MulScalar
-// (none for a unit weight), added to the running sum. Products and partial
-// sums are freed as they are consumed, rotations once every sum is done; an
-// output that would be a source, or a rotation another output already is, is
-// a Copy.
-func RotSumUnfused(b Backend, srcs []Ciphertext, sums [][]Term, rotate func(src Ciphertext, ks []int) []Ciphertext) []Ciphertext {
-	return rotSumUnfused(b, srcs, sums, rotate, 1)
+// RotSum stands for. First the rotations, each distinct one once, by one
+// RotLeft each. Then every sum in term order: each term's MulPlain or
+// MulScalar (none for a unit weight), added to the running sum. Products and
+// partial sums are freed as they are consumed, rotations once every sum is
+// done; an output that would be a source, or a rotation another output
+// already is, is a Copy.
+func RotSumUnfused(b Backend, srcs []Ciphertext, sums [][]Term) []Ciphertext {
+	return rotSumUnfused(b, srcs, sums, 1)
 }
 
 // rotSumUnfused is RotSumUnfused with the rotations, then the sums, spread
 // across up to workers goroutines: the mocks' intra-instruction parallelism.
 // Every sum runs on one goroutine in term order, so results do not depend
 // on it.
-func rotSumUnfused(b Backend, srcs []Ciphertext, sums [][]Term, rotate func(src Ciphertext, ks []int) []Ciphertext, workers int) []Ciphertext {
+func rotSumUnfused(b Backend, srcs []Ciphertext, sums [][]Term, workers int) []Ciphertext {
 	slots := b.Slots()
 	norm := func(k int) int { return ((k % slots) + slots) % slots }
-	rots := SumRotations(slots, len(srcs), sums)
+	type job struct{ src, k int }
+	var jobs []job
+	for s, ks := range SumRotations(slots, len(srcs), sums) {
+		for _, k := range ks {
+			jobs = append(jobs, job{s, k})
+		}
+	}
+	rotations := make([]Ciphertext, len(jobs))
+	spread(workers, len(jobs), func(i int) { rotations[i] = b.RotLeft(srcs[jobs[i].src], jobs[i].k) })
 	rotated := make([]map[int]Ciphertext, len(srcs))
-	if rotate != nil {
-		for s, ks := range rots {
-			if len(ks) == 0 {
-				continue
-			}
-			rotated[s] = make(map[int]Ciphertext, len(ks))
-			for i, c := range rotate(srcs[s], ks) {
-				rotated[s][norm(ks[i])] = c
-			}
+	for i, j := range jobs {
+		if rotated[j.src] == nil {
+			rotated[j.src] = map[int]Ciphertext{}
 		}
-	} else {
-		type job struct{ src, k int }
-		var jobs []job
-		for s, ks := range rots {
-			for _, k := range ks {
-				jobs = append(jobs, job{s, k})
-			}
-		}
-		outs := make([]Ciphertext, len(jobs))
-		spread(workers, len(jobs), func(i int) { outs[i] = b.RotLeft(srcs[jobs[i].src], jobs[i].k) })
-		for i, j := range jobs {
-			if rotated[j.src] == nil {
-				rotated[j.src] = map[int]Ciphertext{}
-			}
-			rotated[j.src][norm(j.k)] = outs[i]
-		}
+		rotated[j.src][norm(j.k)] = rotations[i]
 	}
 	shared := map[Ciphertext]bool{}
 	for _, m := range rotated {
@@ -151,17 +159,19 @@ func rotSumUnfused(b Backend, srcs []Ciphertext, sums [][]Term, rotate func(src 
 }
 
 // reportRotSum hands the after-hook the instructions RotSumUnfused would
-// have issued for a sum the wrapped backend computed whole, the call's
-// duration split evenly between them: one rotl per distinct rotation, then
-// per sum each term's mulplain or mulscalar and an add per term after the
-// first. The last op of each sum carries the sum's output.
-func (ip *Interposer) reportRotSum(srcs []Ciphertext, sums [][]Term, outs []Ciphertext, start time.Time, dur time.Duration) {
+// have issued for a sum the wrapped backend computed whole, then rescaled
+// by divs (nil, or a divisor per output, 1: none), the call's duration
+// split evenly between them: one rotl per distinct rotation, then per sum
+// each term's mulplain or mulscalar, an add per term after the first and
+// its rescale. The last op of each sum carries the sum's output.
+func (ip *Interposer) reportRotSum(srcs []Ciphertext, sums [][]Term, outs []Ciphertext, divs []*big.Int, start time.Time, dur time.Duration) {
 	rots := SumRotations(ip.Slots(), len(srcs), sums)
+	divided := func(o int) bool { return divs != nil && divs[o].Cmp(bigOne) != 0 }
 	n := 0
 	for _, ks := range rots {
 		n += len(ks)
 	}
-	for _, terms := range sums {
+	for o, terms := range sums {
 		for i, t := range terms {
 			if t.Plain != nil || t.F != 0 {
 				n++
@@ -169,6 +179,9 @@ func (ip *Interposer) reportRotSum(srcs []Ciphertext, sums [][]Term, outs []Ciph
 			if i > 0 {
 				n++
 			}
+		}
+		if divided(o) {
+			n++
 		}
 	}
 	if n == 0 {
@@ -189,7 +202,7 @@ func (ip *Interposer) reportRotSum(srcs []Ciphertext, sums [][]Term, outs []Ciph
 		last := len(terms) - 1
 		for i, t := range terms {
 			var out, mulOut Ciphertext
-			if i == last {
+			if i == last && !divided(o) {
 				out = outs[o]
 			}
 			if i == 0 {
@@ -204,6 +217,9 @@ func (ip *Interposer) reportRotSum(srcs []Ciphertext, sums [][]Term, outs []Ciph
 			if i > 0 {
 				emit(Op{Kind: OpAdd, Out: out})
 			}
+		}
+		if divided(o) {
+			emit(Op{Kind: OpRescale, Out: outs[o]})
 		}
 	}
 }

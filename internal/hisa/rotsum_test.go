@@ -1,6 +1,8 @@
 package hisa
 
 import (
+	"fmt"
+	"math/big"
 	"reflect"
 	"testing"
 
@@ -51,7 +53,7 @@ func TestRotSumRefSimBitIdentical(t *testing.T) {
 	for _, b := range []Backend{NewRefBackend(512), NewSimBackend(SimParams{LogN: 10, LogQ: 240, Seed: 9})} {
 		srcs, sums := testSums(b)
 		want := unfusedByHand(b, srcs, sums)
-		got := b.RotSum(srcs, sums)
+		got := b.RotSum(srcs, sums, nil)
 		for o := range want {
 			if !reflect.DeepEqual(got[o], want[o]) {
 				t.Fatalf("%s: sum %d differs from the unfused sequence", b.Name(), o)
@@ -77,9 +79,9 @@ func TestRotSumOpCountsMatchUnfused(t *testing.T) {
 		srcs, sums := testSums(inner)
 		before := m.Counts()
 		if fused {
-			m.RotSum(srcs, sums)
+			m.RotSum(srcs, sums, nil)
 		} else {
-			RotSumUnfused(m, srcs, sums, nil)
+			RotSumUnfused(m, srcs, sums)
 		}
 		after := m.Counts()
 		for k := range after {
@@ -108,8 +110,8 @@ func TestRotSumRNSMatchesUnfused(t *testing.T) {
 	b := newRNSTestBackend(t, nil)
 	n := float64(b.Params().N())
 	srcs, sums := testSums(b)
-	fused := b.RotSum(srcs, sums)
-	unfused := RotSumUnfused(b, srcs, sums, nil)
+	fused := b.RotSum(srcs, sums, nil)
+	unfused := RotSumUnfused(b, srcs, sums)
 	for _, o := range []int{3, 4, 5} {
 		equalRNSCiphertexts(t, b, "single-term sum", fused[o], unfused[o])
 	}
@@ -124,7 +126,7 @@ func TestRotSumRNSMatchesUnfused(t *testing.T) {
 	}
 	b.SetIntraOpWorkers(4)
 	defer b.SetIntraOpWorkers(1)
-	for o, c := range b.RotSum(srcs, sums) {
+	for o, c := range b.RotSum(srcs, sums, nil) {
 		equalRNSCiphertexts(t, b, "4 limb workers", c, fused[o])
 	}
 }
@@ -139,7 +141,7 @@ func TestRotSumRNSKeyBelowLevel(t *testing.T) {
 	slots := b.Slots()
 	va := rv(slots, 1, 45)
 	a := b.Encrypt(b.Encode(va, testScale))
-	out := b.RotSum([]Ciphertext{a}, [][]Term{{{Rot: 1}, {Rot: 2}}, {{Rot: 1}}})
+	out := b.RotSum([]Ciphertext{a}, [][]Term{{{Rot: 1}, {Rot: 2}}, {{Rot: 1}}}, nil)
 	if b.KeyLevelMisses() != 1 {
 		t.Fatalf("key-level misses = %d, want 1", b.KeyLevelMisses())
 	}
@@ -153,5 +155,130 @@ func TestRotSumRNSKeyBelowLevel(t *testing.T) {
 		if d := got[j] - va[(j+1)%slots] - va[(j+2)%slots]; d > 1e-6 || d < -1e-6 {
 			t.Fatalf("slot %d of rot1(a)+rot2(a) off by %g", j, d)
 		}
+	}
+}
+
+// rescaleSums is testSums plus a mask-weighted base-4 fold step of source 0
+// — {0, 1, 2, 3} weighted by a 0/1 mask — and divide, the rescale rule of
+// the tests below: every output at its weighted scale is divided by the
+// top prime (its power-of-two stand-in on the mocks), the unit-weight ones
+// are left alone. divide tallies its calls in order.
+func rescaleSums(b Backend) ([]Ciphertext, [][]Term, func(Ciphertext) *big.Int, *[]float64) {
+	srcs, sums := testSums(b)
+	mask := make([]float64, b.Slots())
+	for j := 0; j < len(mask); j += 4 {
+		mask[j] = 1
+	}
+	pm := b.Encode(mask, 1<<30)
+	sums = append(sums, []Term{{Plain: pm}, {Rot: 1, Plain: pm}, {Rot: 2, Plain: pm}, {Rot: 3, Plain: pm}})
+	var seen []float64
+	divide := func(c Ciphertext) *big.Int {
+		seen = append(seen, b.Scale(c))
+		if b.Scale(c) <= testScale*1.0001 {
+			return big.NewInt(1)
+		}
+		return b.MaxRescale(c, big.NewInt(1<<41))
+	}
+	return srcs, sums, divide, &seen
+}
+
+// TestRotSumRescaleMatchesPair: RotSum with a divide is bit-identical to RotSum
+// then Rescale by the divisor divide picks, on Ref and Sim (which run the
+// pair) and on RNS, where the division rides in each output's ModDown —
+// off-plan multi-step rotations included (power-of-two keys: 3 and −2 take
+// several steps) — and divide sees every output once, in order, at its
+// scale before the division. Four limb workers reproduce one.
+func TestRotSumRescaleMatchesPair(t *testing.T) {
+	rns := newRNSTestBackend(t, nil)
+	for _, b := range []Backend{NewRefBackend(512), NewSimBackend(SimParams{LogN: 10, LogQ: 240, Seed: 9}), rns} {
+		srcs, sums, divide, seen := rescaleSums(b)
+		got := b.RotSum(srcs, sums, divide)
+		want := b.RotSum(srcs, sums, nil)
+		if len(*seen) != len(sums) {
+			t.Fatalf("%s: divide called %d times for %d outputs", b.Name(), len(*seen), len(sums))
+		}
+		for o := range want {
+			if (*seen)[o] != b.Scale(want[o]) {
+				t.Fatalf("%s: divide saw output %d at scale %g, want %g", b.Name(), o, (*seen)[o], b.Scale(want[o]))
+			}
+			if d := divide(want[o]); d.Cmp(big.NewInt(1)) != 0 {
+				want[o] = b.Rescale(want[o], d)
+			}
+			if b == rns {
+				equalRNSCiphertexts(t, rns, fmt.Sprintf("output %d", o), got[o], want[o])
+			} else if !reflect.DeepEqual(got[o], want[o]) {
+				t.Fatalf("%s: output %d differs from RotSum then Rescale", b.Name(), o)
+			}
+		}
+	}
+	rns.SetIntraOpWorkers(4)
+	defer rns.SetIntraOpWorkers(1)
+	srcs, sums, divide, _ := rescaleSums(rns)
+	one := rns.RotSum(srcs, sums, divide)
+	rns.SetIntraOpWorkers(1)
+	for o, c := range rns.RotSum(srcs, sums, divide) {
+		equalRNSCiphertexts(t, rns, "4 limb workers", one[o], c)
+	}
+}
+
+// TestRotSumRescaleKeyBelowLevel: with a rotation key that stops below its
+// source's level, the off-plan rotation takes the call to the key's level,
+// and the division happens there, bit-identical to the pair.
+func TestRotSumRescaleKeyBelowLevel(t *testing.T) {
+	params := newRNSTestBackend(t, nil).Params()
+	top := params.MaxLevel()
+	b := NewRNSBackend(RNSConfig{Params: params, PRNG: ring.NewTestPRNG(7), Keys: &KeyPlan{Rotations: map[int]int{1: top, 2: 1}, Relin: top, Conjugate: -1}})
+	a := b.Encrypt(b.Encode(rv(b.Slots(), 1, 45), testScale))
+	pw := b.Encode(rv(b.Slots(), 1, 46), 1<<30)
+	sums := [][]Term{{{Rot: 1, Plain: pw}, {Rot: 2, Plain: pw}}, {{Rot: 1, X: 0.5, F: 1 << 30}}}
+	divide := func(c Ciphertext) *big.Int { return b.MaxRescale(c, big.NewInt(1<<41)) }
+	got := b.RotSum([]Ciphertext{a}, sums, divide)
+	want := b.RotSum([]Ciphertext{a}, sums, nil)
+	for o := range want {
+		if lvl := b.LevelOf(got[o]); lvl != 0 {
+			t.Fatalf("output %d at level %d, want the key's level 1 less the division", o, lvl)
+		}
+		equalRNSCiphertexts(t, b, fmt.Sprintf("output %d", o), got[o], b.Rescale(want[o], divide(want[o])))
+	}
+}
+
+// TestRotSumRescaleOpCounts: a Meter counts RotSum with a divide as the RotSum it
+// runs plus one rescale per divided output, and the MaxRescale queries
+// divide makes through it — what RotSum then the rescale decisions count.
+func TestRotSumRescaleOpCounts(t *testing.T) {
+	b := newRNSTestBackend(t, nil)
+	slots := b.Slots()
+	stepsOf := func(x int) int { return len(RotationSteps(x, slots, func(k int) bool { return b.provisioned[k] })) }
+	count := func(fused bool) OpCounts {
+		m := NewMeter(b, stepsOf)
+		srcs, sums, _, _ := rescaleSums(m)
+		divide := func(c Ciphertext) *big.Int {
+			if m.Scale(c) <= testScale*1.0001 {
+				return big.NewInt(1)
+			}
+			return m.MaxRescale(c, big.NewInt(1<<41))
+		}
+		before := m.Counts()
+		if fused {
+			m.RotSum(srcs, sums, divide)
+		} else {
+			for _, c := range m.RotSum(srcs, sums, nil) {
+				if d := divide(c); d.Cmp(big.NewInt(1)) != 0 {
+					m.Rescale(c, d)
+				}
+			}
+		}
+		after := m.Counts()
+		for k := range after {
+			after[k] -= before[k]
+		}
+		return after
+	}
+	fused, pair := count(true), count(false)
+	if fused != pair {
+		t.Fatalf("op counts: fused %v, pair %v", fused, pair)
+	}
+	if fused[OpRescale] != 3 || fused[OpMaxRescale] != 3 || fused[OpMulPlain] != 3+4 {
+		t.Fatalf("op counts %v: want 3 rescales, 3 maxrescale queries, 7 mulplain", fused)
 	}
 }

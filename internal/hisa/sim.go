@@ -131,20 +131,25 @@ func (c *simCT) mag(i int) float64 {
 	if c.ivals == nil {
 		return math.Abs(c.vals[i])
 	}
-	return math.Hypot(c.vals[i], c.ivals[i])
+	return hypot(c.vals[i], c.ivals[i])
 }
+
+// hypot is √(a² + b²) for the noise model's magnitudes, which are far from
+// float64's range limits: math.Hypot's scaling guards cost the mock a third
+// of its time.
+func hypot(a, b float64) float64 { return math.Sqrt(a*a + b*b) }
 
 // hypotInto sets dst[i] = hypot(dst[i], x[i]).
 func hypotInto(dst, x []float64) {
 	for i := range dst {
-		dst[i] = math.Hypot(dst[i], x[i])
+		dst[i] = hypot(dst[i], x[i])
 	}
 }
 
 // hypotConst sets dst[i] = hypot(dst[i], c).
 func hypotConst(dst []float64, c float64) {
 	for i := range dst {
-		dst[i] = math.Hypot(dst[i], c)
+		dst[i] = hypot(dst[i], c)
 	}
 }
 
@@ -351,7 +356,7 @@ func (b *SimBackend) Add(c, c2 Ciphertext) Ciphertext {
 	noise := make([]float64, b.slots)
 	for i := range vals {
 		vals[i] = x.vals[i] + y.vals[i]
-		noise[i] = math.Hypot(x.noise[i], y.noise[i])
+		noise[i] = hypot(x.noise[i], y.noise[i])
 	}
 	ivals := zipIm(x.ivals, y.ivals, b.slots, func(a, bb float64) float64 { return a + bb })
 	return &simCT{vals: vals, ivals: ivals, scale: x.scale, logQ: math.Min(x.logQ, y.logQ), noise: noise}
@@ -364,7 +369,7 @@ func (b *SimBackend) Sub(c, c2 Ciphertext) Ciphertext {
 	noise := make([]float64, b.slots)
 	for i := range vals {
 		vals[i] = x.vals[i] - y.vals[i]
-		noise[i] = math.Hypot(x.noise[i], y.noise[i])
+		noise[i] = hypot(x.noise[i], y.noise[i])
 	}
 	ivals := zipIm(x.ivals, y.ivals, b.slots, func(a, bb float64) float64 { return a - bb })
 	return &simCT{vals: vals, ivals: ivals, scale: x.scale, logQ: math.Min(x.logQ, y.logQ), noise: noise}
@@ -419,9 +424,9 @@ func (b *SimBackend) Mul(c, c2 Ciphertext) Ciphertext {
 	if x.ivals == nil && y.ivals == nil {
 		for i := range vals {
 			vals[i] = x.vals[i] * y.vals[i]
-			noise[i] = math.Hypot(
-				math.Hypot(x.noise[i]*math.Abs(y.vals[i]), y.noise[i]*math.Abs(x.vals[i])),
-				math.Hypot(x.noise[i]*y.noise[i], ks))
+			noise[i] = hypot(
+				hypot(x.noise[i]*math.Abs(y.vals[i]), y.noise[i]*math.Abs(x.vals[i])),
+				hypot(x.noise[i]*y.noise[i], ks))
 		}
 		out := &simCT{vals: vals, scale: x.scale * y.scale, logQ: math.Min(x.logQ, y.logQ), noise: noise}
 		b.checkCapacity(out)
@@ -434,9 +439,9 @@ func (b *SimBackend) Mul(c, c2 Ciphertext) Ciphertext {
 		cr, di := y.vals[i], imAt(y.ivals, i)
 		vals[i] = a*cr - bi*di
 		ivals[i] = a*di + bi*cr
-		noise[i] = math.Hypot(
-			math.Hypot(x.noise[i]*y.mag(i), y.noise[i]*x.mag(i)),
-			math.Hypot(x.noise[i]*y.noise[i], ks))
+		noise[i] = hypot(
+			hypot(x.noise[i]*y.mag(i), y.noise[i]*x.mag(i)),
+			hypot(x.noise[i]*y.noise[i], ks))
 	}
 	out := &simCT{vals: vals, ivals: ivals, scale: x.scale * y.scale, logQ: math.Min(x.logQ, y.logQ), noise: noise}
 	b.checkCapacity(out)
@@ -457,8 +462,8 @@ func (b *SimBackend) RelinearizeRescale(c Ciphertext, x *big.Int) Ciphertext {
 
 // RotSum is the unfused sequence, its rotations and sums spread across the
 // intra-instruction workers.
-func (b *SimBackend) RotSum(srcs []Ciphertext, sums [][]Term) []Ciphertext {
-	return rotSumUnfused(b, srcs, sums, nil, int(b.workers.Load()))
+func (b *SimBackend) RotSum(srcs []Ciphertext, sums [][]Term, divide func(Ciphertext) *big.Int) []Ciphertext {
+	return rescaleEach(b, rotSumUnfused(b, srcs, sums, int(b.workers.Load())), divide)
 }
 
 // SetIntraOpWorkers bounds the goroutines one RotSum spreads its rotations
@@ -476,7 +481,7 @@ func (b *SimBackend) MulPlain(c Ciphertext, p Plaintext) Ciphertext {
 			// Per-slot: the ciphertext's noise multiplies this slot's plaintext
 			// entry, and the plaintext's encoding error multiplies this slot's
 			// (noisy) value.
-			noise[i] = math.Hypot(x.noise[i]*math.Abs(y.vals[i]),
+			noise[i] = hypot(x.noise[i]*math.Abs(y.vals[i]),
 				enc*(math.Abs(x.vals[i])+x.noise[i]))
 		}
 		out := &simCT{vals: vals, scale: x.scale * y.scale, logQ: x.logQ, noise: noise}
@@ -489,8 +494,8 @@ func (b *SimBackend) MulPlain(c Ciphertext, p Plaintext) Ciphertext {
 		cr, di := y.vals[i], imAt(y.ivals, i)
 		vals[i] = a*cr - bi*di
 		ivals[i] = a*di + bi*cr
-		ymag := math.Hypot(cr, di)
-		noise[i] = math.Hypot(x.noise[i]*ymag, enc*(x.mag(i)+x.noise[i]))
+		ymag := hypot(cr, di)
+		noise[i] = hypot(x.noise[i]*ymag, enc*(x.mag(i)+x.noise[i]))
 	}
 	out := &simCT{vals: vals, ivals: ivals, scale: x.scale * y.scale, logQ: x.logQ, noise: noise}
 	b.checkCapacity(out)
@@ -507,7 +512,7 @@ func (b *SimBackend) MulScalar(c Ciphertext, s float64, f float64) Ciphertext {
 	// is smaller than a full plaintext's (footnote 3 in the paper).
 	noise := make([]float64, b.slots)
 	for i := range noise {
-		noise[i] = math.Hypot(x.noise[i]*math.Abs(s), (x.mag(i)+x.noise[i])/(2*f))
+		noise[i] = hypot(x.noise[i]*math.Abs(s), (x.mag(i)+x.noise[i])/(2*f))
 	}
 	var ivals []float64
 	if x.ivals != nil {
@@ -740,7 +745,7 @@ func (b *SimBackend) MulScalarC(c Ciphertext, x complex128, f float64) Ciphertex
 	ivals := make([]float64, b.slots)
 	qr := math.Round(real(x)*f) / f
 	qi := math.Round(imag(x)*f) / f
-	qmag := math.Hypot(qr, qi)
+	qmag := hypot(qr, qi)
 	noise := make([]float64, b.slots)
 	for i := range vals {
 		a, bi := cc.vals[i], imAt(cc.ivals, i)

@@ -2,7 +2,6 @@ package htc
 
 import (
 	"fmt"
-	"math/bits"
 
 	"chet/internal/hisa"
 	"chet/internal/tensor"
@@ -13,18 +12,20 @@ import (
 // the plaintext reference.
 //
 // The input occupies a span of m slots at the bottom of its batch lane and
-// the rest of the lane is zero (the htc invariant), so log2 R rotate-right-
-// and-add steps leave R copies of it at slots r*m. One plaintext then carries
-// R neurons' weights, one neuron per copy; the products are summed over the
-// input ciphertexts and folded along the tensor's own W, H and channel axes
-// (foldStrided), which brings copy r's dot product to slot r*m + Offset
-// without reading outside the copy. One mask keeps those R slots. The
-// G = outDim/R such groups are rotated to columns q = 0..G-1 and added, so
-// neuron r*G + q ends at slot r*m + q: the output is a dense H = R by W = G
-// grid with RowStride m, and any kernel — another Dense included — consumes
-// it as it stands. The grid follows from the input's span, so two Dense
-// outputs of one size need not share it; the executor moves the operands of
-// an Add or Concat onto one grid (regrid) when they differ.
+// the rest of the lane is zero (the htc invariant), so a fold of R right
+// rotations by m (foldStrided) leaves R copies of it at slots r*m. One
+// plaintext then carries R neurons' weights, one neuron per copy; the
+// products, summed over the input ciphertexts — one sum per group, all in
+// one unrotated RotSum — are folded along the tensor's own W, H and channel
+// axes, which brings copy r's dot product to slot r*m + Offset without
+// reading outside the copy. One mask keeps those R slots, as the weight of
+// the last fold's sum. The G = outDim/R such groups are rotated to columns
+// q = 0..G-1 and added, so neuron r*G + q ends at slot r*m + q: the output
+// is a dense H = R by W = G grid with RowStride m, and any kernel — another
+// Dense included — consumes it as it stands. The grid follows from the
+// input's span, so two Dense outputs of one size need not share it; the
+// executor moves the operands of an Add or Concat onto one grid (regrid)
+// when they differ.
 func Dense(b hisa.RunsBackend, in *CipherTensor, weights, bias *tensor.Tensor, sc Scales, opts ExecOptions) *CipherTensor {
 	inSize := in.C * in.H * in.W
 	if weights.Rank() != 2 || weights.Shape[1] != inSize {
@@ -51,13 +52,10 @@ func Dense(b hisa.RunsBackend, in *CipherTensor, weights, bias *tensor.Tensor, s
 		Complex: in.Complex,
 	}
 
-	// Each step doubles the copies; the slots it rotates data into were zero.
+	// The copies land in slots that were zero.
 	copies := make([]hisa.Ciphertext, len(in.CTs))
 	for g, c := range in.CTs {
-		for s := m; s < nextPow2(R)*m; s <<= 1 {
-			c = b.Add(c, b.RotRight(c, s))
-		}
-		copies[g] = c
+		copies[g] = foldStrided(b, c, R, -m, nil)
 	}
 
 	// One-hot at every copy's origin in every lane — column 0 of the output
@@ -67,9 +65,8 @@ func Dense(b hisa.RunsBackend, in *CipherTensor, weights, bias *tensor.Tensor, s
 	origins.W, origins.Offset = 1, in.Offset
 	mask := b.EncodeRuns(origins.channels(0, uniform(1)), sc.Pm)
 
-	groups := make([]hisa.Ciphertext, G)
-	for q := range groups {
-		var acc hisa.Ciphertext
+	products := perOutput(b, G, func(q int) []hisa.Term {
+		terms := make([]hisa.Term, len(copies))
 		for g := range copies {
 			// Neuron r*G + q's weights over copy r: one run per slot.
 			wv := in.constant(func(rs []hisa.Run) []hisa.Run {
@@ -81,13 +78,15 @@ func Dense(b hisa.RunsBackend, in *CipherTensor, weights, bias *tensor.Tensor, s
 				}
 				return rs
 			})
-			acc = accumulate(b, acc, b.MulPlain(copies[g], b.EncodeRuns(wv, sc.Pw)))
+			terms[g] = hisa.Term{Src: g, Plain: b.EncodeRuns(wv, sc.Pw)}
 		}
+		return terms
+	})
+	groups := b.RotSum(copies, products, nil)
+	for q, acc := range groups {
 		acc = tryRescale(b, acc, sc.Pc)
-		acc = foldStrided(b, acc, in.W, in.ColStride)
-		acc = foldStrided(b, acc, in.H, in.RowStride)
-		acc = foldStrided(b, acc, chIn, in.ChanStride)
-		groups[q] = tryRescale(b, opts.masked(b, acc, mask), sc.Pc)
+		acc = opts.foldMasked(b, acc, mask, [2]int{in.W, in.ColStride}, [2]int{in.H, in.RowStride}, [2]int{chIn, in.ChanStride})
+		groups[q] = tryRescale(b, acc, sc.Pc)
 	}
 
 	// Place every group's dot products at its output column: one sum of
@@ -96,7 +95,7 @@ func Dense(b hisa.RunsBackend, in *CipherTensor, weights, bias *tensor.Tensor, s
 	for q := range place {
 		place[q] = hisa.Term{Src: q, Rot: in.Offset - q}
 	}
-	acc := b.RotSum(groups, [][]hisa.Term{place})[0]
+	acc := b.RotSum(groups, [][]hisa.Term{place}, nil)[0]
 
 	if bias != nil {
 		bv := out.constant(func(rs []hisa.Run) []hisa.Run {
@@ -133,7 +132,7 @@ func denseCopies(in *CipherTensor, outDim, m, ls int) int {
 }
 
 // denseRotations is the number of rotations Dense issues when it packs r
-// neurons per plaintext: log2 of the copies made, per input ciphertext; the
+// neurons per plaintext: the fold making r copies, per input ciphertext; the
 // three axis folds, per group; and one placement rotation per group, less
 // the group whose column is already the origin's.
 func denseRotations(in *CipherTensor, outDim, r int) int {
@@ -143,7 +142,7 @@ func denseRotations(in *CipherTensor, outDim, r int) int {
 	if in.Offset < g {
 		place--
 	}
-	return len(in.CTs)*bits.Len(uint(r-1)) + g*fold + place
+	return len(in.CTs)*foldRotations(r) + g*fold + place
 }
 
 // sameGrid reports whether x and y keep a channel's element (y, x) at the

@@ -3,7 +3,6 @@ package htc
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"testing"
 
 	"chet/internal/circuit"
@@ -152,28 +151,44 @@ func TestRegrid(t *testing.T) {
 	})
 }
 
-// TestFoldStridedExact: element 0 receives exactly the n elements, whatever
-// lies beyond them, in foldRotations(n) rotations.
+// TestFoldStridedExact: the base-4 fold of n elements s slots apart is
+// Σ_{j<n} rot_{j·s} at every slot — so element 0 receives exactly the n
+// elements, whatever lies beyond them — in foldRotations(n) rotations, for
+// n = 1…33 (every digit pattern up to three base-4 digits, and past 4^2
+// and 2·4^2). With a weight, every slot of that sum is multiplied by it.
 func TestFoldStridedExact(t *testing.T) {
-	const slots, s = 64, 3
-	for n := 1; n <= 17; n++ {
-		vals := make([]float64, slots)
-		want := 0.0
-		for i := range vals {
-			vals[i] = float64(i + 1) // slots past element n-1 hold data too
-		}
-		for i := 0; i < n; i++ {
-			want += vals[2+i*s]
-		}
-		m := hisa.NewMeter(hisa.NewRefBackend(slots), nil)
-		c := m.Encrypt(m.Encode(vals, 1<<20))
-		before := m.Counts().Rotations()
-		got := m.Decode(m.Decrypt(foldStrided(m, c, n, s)))[2]
-		if math.Abs(got-want) > 1e-9 {
-			t.Errorf("n=%d: element 0 = %g, want %g", n, got, want)
-		}
-		if rot := m.Counts().Rotations() - before; rot != foldRotations(n) {
-			t.Errorf("n=%d: %d rotations, foldRotations says %d", n, rot, foldRotations(n))
+	const slots, s = 256, 3
+	vals := make([]float64, slots)
+	weight := make([]float64, slots)
+	for i := range vals {
+		vals[i] = float64(i + 1) // slots past element n-1 hold data too
+		weight[i] = float64(i%5) - 1.5
+	}
+	for n := 1; n <= 33; n++ {
+		for _, weighted := range []bool{false, true} {
+			m := hisa.NewMeter(hisa.NewRefBackend(slots), nil)
+			c := m.Encrypt(m.Encode(vals, 1<<20))
+			var w hisa.Plaintext
+			if weighted {
+				w = m.Encode(weight, 1<<10)
+			}
+			before := m.Counts().Rotations()
+			got := m.Decode(m.Decrypt(foldStrided(m, c, n, s, w)))
+			for k := range got {
+				want := 0.0
+				for j := 0; j < n; j++ {
+					want += vals[(k+j*s)%slots]
+				}
+				if weighted {
+					want *= weight[k]
+				}
+				if math.Abs(got[k]-want) > 1e-9*math.Max(1, math.Abs(want)) {
+					t.Fatalf("n=%d weighted=%v: slot %d = %g, want %g", n, weighted, k, got[k], want)
+				}
+			}
+			if rot := m.Counts().Rotations() - before; rot != foldRotations(n) {
+				t.Errorf("n=%d: %d rotations, foldRotations says %d", n, rot, foldRotations(n))
+			}
 		}
 	}
 }
@@ -181,7 +196,8 @@ func TestFoldStridedExact(t *testing.T) {
 // TestDenseRotationBudget meters the Dense layers the benchmark and the zoo
 // spend their rotations in, inside the circuits that feed them. Each must
 // issue exactly the rotations of the closed form the kernel minimised over R,
-// and strictly fewer than a log-fold of the span plus a placement per neuron.
+// and strictly fewer than a base-4 fold of the span plus a placement per
+// neuron.
 func TestDenseRotationBudget(t *testing.T) {
 	wb := circuit.NewBuilder("128x512")
 	wide := wb.Build(wb.Dense(wb.Input(8, 8, 8), randTensor([]int{128, 512}, 0.5, 800), nil, "fc"))
@@ -196,11 +212,11 @@ func TestDenseRotationBudget(t *testing.T) {
 		slots  int
 		want   map[string]int // Dense node -> rotations
 	}{
-		{"lenet-tiny@2^14", circuit.Fold(nn.LeNetTiny().Circuit).Circuit, PolicyCHW, 1 << 13, map[string]int{"fc": 9}},
-		{"lenet5-small@2^11", circuit.Fold(nn.LeNet5Small().Circuit).Circuit, PolicyHW, 1 << 10, map[string]int{"fc1": 87, "fc2": 59}},
-		{"nn20@2^9", circuit.Fold(nn.NN20().Circuit).Circuit, PolicyCHW, 1 << 8, map[string]int{"fc1": 8, "fc2": 79, "fc3": 8, "fc20": 79, "out": 8}},
-		{"128x512-hw@2^13", wide, PolicyHW, 1 << 12, map[string]int{"fc": 61}},
-		{"13x16-prime-no-fit@2^7", prime, PolicyHW, 1 << 6, map[string]int{"fc": 64}},
+		{"lenet-tiny@2^14", circuit.Fold(nn.LeNetTiny().Circuit).Circuit, PolicyCHW, 1 << 13, map[string]int{"fc": 12}},
+		{"lenet5-small@2^11", circuit.Fold(nn.LeNet5Small().Circuit).Circuit, PolicyHW, 1 << 10, map[string]int{"fc1": 119, "fc2": 79}},
+		{"nn20@2^9", circuit.Fold(nn.NN20().Circuit).Circuit, PolicyCHW, 1 << 8, map[string]int{"fc1": 12, "fc2": 111, "fc3": 12, "fc20": 111, "out": 12}},
+		{"128x512-hw@2^13", wide, PolicyHW, 1 << 12, map[string]int{"fc": 89}},
+		{"13x16-prime-no-fit@2^7", prime, PolicyHW, 1 << 6, map[string]int{"fc": 90}},
 	}
 	for _, tc := range cases {
 		m := hisa.NewMeter(newRef(tc.slots), nil)
@@ -223,7 +239,7 @@ func TestDenseRotationBudget(t *testing.T) {
 				t.Errorf("%s %s: %d rotations, want %d", tc.name, n.Name, got, want)
 			}
 			span := nextPow2(in.pos(min(in.C, in.CPerCT)-1, in.H-1, in.W-1) + 1)
-			if perNeuron := outDim * (bits.Len(uint(span-1)) + 1); got >= perNeuron {
+			if perNeuron := outDim * (foldRotations(span) + 1); got >= perNeuron {
 				t.Errorf("%s %s: %d rotations, not below the per-neuron kernel's %d", tc.name, n.Name, got, perNeuron)
 			}
 		}})

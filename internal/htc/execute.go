@@ -148,10 +148,43 @@ type maskTally interface {
 // slots (scaled, for a global pool) and zeroes the rest. Every mask product
 // of the kernels goes through it.
 func (o ExecOptions) masked(b hisa.Backend, c hisa.Ciphertext, m hisa.Plaintext) hisa.Ciphertext {
+	o.tallyMask()
+	return b.MulPlain(c, m)
+}
+
+// tallyMask announces one mask: a product of its own or the weight of a
+// sum's terms.
+func (o ExecOptions) tallyMask() {
 	if o.tally != nil {
 		o.tally()
 	}
-	return b.MulPlain(c, m)
+}
+
+// foldMasked folds c along each (n, stride) axis in turn (foldStrided) and
+// multiplies by the mask m, which becomes the weight of the last fold's sum:
+// m ⊙ Σ rot(x) = Σ m ⊙ rot(x), no constant and no level more. Only a
+// unit-weight sum takes a mask so: under scalar taps it would need a
+// plaintext per tap. With no axis of two elements, m is a product of its
+// own.
+func (o ExecOptions) foldMasked(b hisa.Backend, c hisa.Ciphertext, m hisa.Plaintext, axes ...[2]int) hisa.Ciphertext {
+	last := -1
+	for i, ax := range axes {
+		if ax[0] > 1 {
+			last = i
+		}
+	}
+	if last < 0 {
+		return o.masked(b, c, m)
+	}
+	o.tallyMask()
+	for i, ax := range axes[:last+1] {
+		var w hisa.Plaintext
+		if i == last {
+			w = m
+		}
+		c = foldStrided(b, c, ax[0], ax[1], w)
+	}
+	return c
 }
 
 // intraOpParallel is the structural capability of a backend whose single

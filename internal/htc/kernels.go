@@ -2,7 +2,6 @@ package htc
 
 import (
 	"fmt"
-	"math/bits"
 
 	"chet/internal/hisa"
 	"chet/internal/tensor"
@@ -29,33 +28,98 @@ func rotateRight(b hisa.Backend, c hisa.Ciphertext, k int) hisa.Ciphertext {
 	return c
 }
 
-// foldStrided sums the n elements of c that sit s slots apart (element i at
-// slot i*s past any origin) into element 0, exactly: no slot beyond element
-// n-1 is ever read into element 0's sum. A padded log-fold would not do —
-// rounding 3 rows up to 4 reads the next channel's row 0 when ChanStride ==
-// H*RowStride. Double-and-add: w holds at every element the sum of the 2^k
-// elements starting there, and the windows matching n's binary digits tile
-// [0, n). A power-of-two n is the plain log-fold (log2 n rotations); any
-// other n costs floor(log2 n) + popcount(n) - 1 (see foldRotations).
-// Elements other than 0 hold partial sums afterwards.
-func foldStrided(b hisa.Backend, c hisa.Ciphertext, n, s int) hisa.Ciphertext {
-	var sum hisa.Ciphertext
-	w, done := c, 0 // elements [0, done) are in sum
-	for k := 1; k <= n; k <<= 1 {
-		if n&k != 0 {
-			sum = accumulate(b, sum, rotateRight(b, w, -done*s))
-			done += k
+// perOutput builds a sum of rotations' n outputs, output o's terms by
+// terms(o) — or, when b computes nothing from the kernels' weights, output
+// 0's for every output: outside its recording run the compiler's analysis
+// reads only the terms' sources, rotations and scales, which a kernel's
+// outputs share, and building the rest is most of a compile's garbage.
+func perOutput(b hisa.Backend, n int, terms func(o int) []hisa.Term) [][]hisa.Term {
+	sums := make([][]hisa.Term, n)
+	rb, ok := hisa.FindCapability[recorder](b)
+	shared := ok && rb.Recording() == nil
+	for o := range sums {
+		if shared && o > 0 {
+			sums[o] = sums[0]
+			continue
 		}
-		if 2*k <= n {
-			w = b.Add(w, b.RotLeft(w, k*s))
-		}
+		sums[o] = terms(o)
 	}
-	return sum
+	return sums
 }
 
-// foldRotations is the number of rotations foldStrided issues for n elements.
+// foldStrided returns Σ_{j<n} rot_{j·s}(c), each term weighted by w when w
+// is non-nil: element 0 receives the n elements that sit s slots apart
+// (element i at slot i*s past any origin), exactly — no slot beyond element
+// n-1 is ever read into its sum. A padded log-fold would not do: rounding 3
+// rows up to 4 reads the next channel's row 0 when ChanStride ==
+// H*RowStride. Elements other than 0 hold partial sums afterwards.
+//
+// The fold runs in base 4. Window i holds at every element the sum of the
+// 4^i elements from there; each is one sum of rotations of the window
+// before it, {0, a, 2a, 3a} with a = 4^(i-1)·s: one ModUp, three key inner
+// products and one ModDown where two doubling steps pay two of each. n's
+// base-4 digits, the top one in 1..4, say how many windows of each width
+// tile [0, n), narrowest first; one last sum, over every window it draws
+// on, adds them and takes w as its terms' weight. foldRotations counts its
+// rotations.
+func foldStrided(b hisa.Backend, c hisa.Ciphertext, n, s int, w hisa.Plaintext) hisa.Ciphertext {
+	if n <= 1 {
+		if w != nil {
+			return b.MulPlain(c, w)
+		}
+		return c
+	}
+	top, width := foldDigits(n)
+	windows := []hisa.Ciphertext{c}
+	for k := 1; k < width; k *= 4 {
+		sum := make([]hisa.Term, 4)
+		for j := range sum {
+			sum[j] = hisa.Term{Rot: j * k * s}
+		}
+		windows = append(windows, b.RotSum(windows[len(windows)-1:], [][]hisa.Term{sum}, nil)[0])
+	}
+	var last []hisa.Term
+	lo, done := -1, 0 // lo: the narrowest window the last sum reads
+	for i, k := 0, 1; k <= width; i, k = i+1, k*4 {
+		d := n / k % 4
+		if k == width {
+			d = top
+		}
+		if d > 0 && lo < 0 {
+			lo = i
+		}
+		for j := 0; j < d; j++ {
+			last = append(last, hisa.Term{Src: i - lo, Rot: (done + j*k) * s, Plain: w})
+		}
+		done += d * k
+	}
+	return b.RotSum(windows[lo:], [][]hisa.Term{last}, nil)[0]
+}
+
+// foldDigits splits n >= 2 for foldStrided: width is the largest power of 4
+// below n, top the number of width-wide windows n holds (1..4); the rest of
+// n is its base-4 digits below width.
+func foldDigits(n int) (top, width int) {
+	width = 1
+	for width*4 < n {
+		width *= 4
+	}
+	return n / width, width
+}
+
+// foldRotations is the number of rotations foldStrided issues for n
+// elements: three per window it builds, and one per term of its last sum
+// but the first, which is unrotated.
 func foldRotations(n int) int {
-	return bits.Len(uint(n)) + bits.OnesCount(uint(n)) - 2
+	if n <= 1 {
+		return 0
+	}
+	top, width := foldDigits(n)
+	rot := top - 1
+	for k := 1; k < width; k *= 4 {
+		rot += 3 + n/k%4
+	}
+	return rot
 }
 
 // Conv2D computes a homomorphic convolution with plaintext OIHW filters,
@@ -101,10 +165,8 @@ func Conv2D(b hisa.RunsBackend, in *CipherTensor, filters, bias *tensor.Tensor, 
 		// Output channel oc is one sum of rotations of the input channels,
 		// each filter tap a scalar weight.
 		out.CPerCT = 1
-		sums := make([][]hisa.Term, cout)
-		terms := make([]hisa.Term, 0, cout*in.C*kh*kw)
-		for oc := range sums {
-			terms = terms[len(terms):]
+		sums := perOutput(b, cout, func(oc int) []hisa.Term {
+			terms := make([]hisa.Term, 0, in.C*kh*kw)
 			for ic := 0; ic < in.C; ic++ {
 				for ky := 0; ky < kh; ky++ {
 					for kx := 0; kx < kw; kx++ {
@@ -112,9 +174,9 @@ func Conv2D(b hisa.RunsBackend, in *CipherTensor, filters, bias *tensor.Tensor, 
 					}
 				}
 			}
-			sums[oc] = terms
-		}
-		out.CTs = b.RotSum(in.CTs, sums)
+			return terms
+		})
+		out.CTs = b.RotSum(in.CTs, sums, nil)
 		var mask hisa.Plaintext
 		if clean {
 			mask = b.EncodeRuns(out.channels(0, uniform(1)), sc.Pm)
@@ -156,10 +218,8 @@ func Conv2D(b hisa.RunsBackend, in *CipherTensor, filters, bias *tensor.Tensor, 
 		// there) — then folded to block 0, masked, and placed at the output
 		// channel block.
 		chInGroup := min(in.C-g*in.CPerCT, in.CPerCT)
-		sums := make([][]hisa.Term, cout)
-		terms := make([]hisa.Term, 0, cout*kh*kw)
-		for oc := range sums {
-			terms = terms[len(terms):]
+		sums := perOutput(b, cout, func(oc int) []hisa.Term {
+			terms := make([]hisa.Term, 0, kh*kw)
 			for ky := 0; ky < kh; ky++ {
 				for kx := 0; kx < kw; kx++ {
 					if chInGroup == 1 {
@@ -178,17 +238,20 @@ func Conv2D(b hisa.RunsBackend, in *CipherTensor, filters, bias *tensor.Tensor, 
 					terms = append(terms, hisa.Term{Rot: rot(ky, kx), Plain: pt})
 				}
 			}
-			sums[oc] = terms
+			return terms
+		})
+		partial := b.RotSum(in.CTs[g:g+1], sums, nil)
+		// Fold the partial sums of this ciphertext's occupied channels into
+		// channel block 0, masked. Rounding the count up to a power of two
+		// is safe here — the blocks up to the power-of-two CPerCT lie in
+		// this lane and hold zeros — and taken where it rotates less.
+		fold := chInGroup
+		if foldRotations(nextPow2(fold)) < foldRotations(fold) {
+			fold = nextPow2(fold)
 		}
-		partial := b.RotSum(in.CTs[g:g+1], sums)
 		for oc := 0; oc < cout; oc++ {
 			acc := tryRescale(b, partial[oc], sc.Pc)
-			// Fold the partial sums of this ciphertext's occupied channels
-			// into channel block 0. Rounding the count up is safe here and
-			// never dearer than the exact fold: the blocks up to the
-			// power-of-two CPerCT lie in this lane and hold zeros.
-			acc = foldStrided(b, acc, nextPow2(chInGroup), in.ChanStride)
-			partial[oc] = tryRescale(b, opts.masked(b, acc, mask), sc.Pc)
+			partial[oc] = tryRescale(b, opts.foldMasked(b, acc, mask, [2]int{fold, in.ChanStride}), sc.Pc)
 		}
 		// Place every output channel at its block of its output ciphertext:
 		// one sum of rotations per output ciphertext, continuing the previous
@@ -205,7 +268,7 @@ func Conv2D(b hisa.RunsBackend, in *CipherTensor, filters, bias *tensor.Tensor, 
 			gOut := oc / outCPerCT
 			sums[gOut] = append(sums[gOut], hisa.Term{Src: oc, Rot: -(oc % outCPerCT) * in.ChanStride})
 		}
-		out.CTs = b.RotSum(srcs, sums)
+		out.CTs = b.RotSum(srcs, sums, nil)
 	}
 
 	if bias != nil {
@@ -222,8 +285,8 @@ func Conv2D(b hisa.RunsBackend, in *CipherTensor, filters, bias *tensor.Tensor, 
 // division by the window size the compiler carried forward to a layer that
 // absorbs it. The window sum is one sum of rotations per ciphertext group,
 // shared across its channels; it costs no level. The slots around the
-// output grid hold sums of their own windows, so a mask product (one level)
-// zeroes them only when clean is set.
+// output grid hold sums of their own windows, so a mask (one level) zeroes
+// them only when clean is set, as the weight of the window sum's terms.
 func SumPool2D(b hisa.RunsBackend, in *CipherTensor, window, stride int, clean bool, sc Scales, opts ExecOptions) *CipherTensor {
 	hout := (in.H-window)/stride + 1
 	wout := (in.W-window)/stride + 1
@@ -235,34 +298,38 @@ func SumPool2D(b hisa.RunsBackend, in *CipherTensor, window, stride int, clean b
 	out.RowStride = in.RowStride * stride
 	out.ColStride = in.ColStride * stride
 
+	// Groups share a mask except a possibly ragged final group.
+	masks := map[int]hisa.Plaintext{}
 	sums := make([][]hisa.Term, len(in.CTs))
 	for g := range sums {
+		var mask hisa.Plaintext
+		if clean {
+			chInGroup := min(in.C-g*in.CPerCT, in.CPerCT)
+			if masks[chInGroup] == nil {
+				masks[chInGroup] = b.EncodeRuns(out.channels(g, uniform(1)), sc.Pm)
+			}
+			mask = masks[chInGroup]
+			opts.tallyMask()
+		}
 		for ky := 0; ky < window; ky++ {
 			for kx := 0; kx < window; kx++ {
-				sums[g] = append(sums[g], hisa.Term{Src: g, Rot: ky*in.RowStride + kx*in.ColStride})
+				sums[g] = append(sums[g], hisa.Term{Src: g, Rot: ky*in.RowStride + kx*in.ColStride, Plain: mask})
 			}
 		}
 	}
-	out.CTs = b.RotSum(in.CTs, sums)
-	if !clean {
-		out.validate(b.Slots())
-		return &out
-	}
-	// Groups share a mask except a possibly ragged final group.
-	masks := map[int]hisa.Plaintext{}
-	for g := range in.CTs {
-		chInGroup := min(in.C-g*in.CPerCT, in.CPerCT)
-		if masks[chInGroup] == nil {
-			masks[chInGroup] = b.EncodeRuns(out.channels(g, uniform(1)), sc.Pm)
+	out.CTs = b.RotSum(in.CTs, sums, nil)
+	if clean {
+		for g, c := range out.CTs {
+			out.CTs[g] = tryRescale(b, c, sc.Pc)
 		}
-		out.CTs[g] = tryRescale(b, opts.masked(b, out.CTs[g], masks[chInGroup]), sc.Pc)
 	}
 	out.validate(b.Slots())
 	return &out
 }
 
 // GlobalAvgPool2D averages each channel down to a single value at grid
-// position (0, 0) by folding the columns, then the rows (foldStrided).
+// position (0, 0) by folding the columns, then the rows (foldStrided), the
+// last fold weighted by the mask that scales by 1/(H·W).
 func GlobalAvgPool2D(b hisa.RunsBackend, in *CipherTensor, sc Scales, opts ExecOptions) *CipherTensor {
 	out := metaClone(in)
 	out.H, out.W = 1, 1
@@ -272,9 +339,8 @@ func GlobalAvgPool2D(b hisa.RunsBackend, in *CipherTensor, sc Scales, opts ExecO
 	mask := b.EncodeRuns(out.channels(0, uniform(inv)), sc.Pm)
 
 	for g := range in.CTs {
-		acc := foldStrided(b, in.CTs[g], in.W, in.ColStride)
-		acc = foldStrided(b, acc, in.H, in.RowStride)
-		out.CTs[g] = tryRescale(b, opts.masked(b, acc, mask), sc.Pc)
+		acc := opts.foldMasked(b, in.CTs[g], mask, [2]int{in.W, in.ColStride}, [2]int{in.H, in.RowStride})
+		out.CTs[g] = tryRescale(b, acc, sc.Pc)
 	}
 	out.validate(b.Slots())
 	return &out
@@ -464,7 +530,8 @@ func Pad2D(in *CipherTensor, pad int) *CipherTensor {
 }
 
 // ToCHW converts an HW-layout tensor to CHW by shifting each channel into
-// its block and adding (no masks needed: invalid slots are zero).
+// its block and adding (no masks needed: invalid slots are zero): one sum of
+// rotations over the channels, an output per ciphertext.
 func ToCHW(b hisa.RunsBackend, in *CipherTensor) *CipherTensor {
 	if in.Layout == LayoutCHW {
 		return in
@@ -473,10 +540,11 @@ func ToCHW(b hisa.RunsBackend, in *CipherTensor) *CipherTensor {
 	out.Layout = LayoutCHW
 	cPerCT := blockCapacity(in.BatchStride, in.ChanStride)
 	out.CPerCT = cPerCT
-	out.CTs = make([]hisa.Ciphertext, (in.C+cPerCT-1)/cPerCT)
-	for ch, c := range in.CTs {
-		out.CTs[ch/cPerCT] = accumulate(b, out.CTs[ch/cPerCT], rotateRight(b, c, ch%cPerCT*in.ChanStride))
+	sums := make([][]hisa.Term, (in.C+cPerCT-1)/cPerCT)
+	for ch := range in.CTs {
+		sums[ch/cPerCT] = append(sums[ch/cPerCT], hisa.Term{Src: ch, Rot: -(ch % cPerCT) * in.ChanStride})
 	}
+	out.CTs = b.RotSum(in.CTs, sums, nil)
 	out.validate(b.Slots())
 	return &out
 }

@@ -2,6 +2,7 @@ package htc
 
 import (
 	"fmt"
+	"math/big"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -53,7 +54,9 @@ type Op uint8
 
 // The HISA instructions the kernels issue, the bootstrap pipeline's two, and
 // the four scale decisions. In[0] and In[1] are the operands, K a constant
-// (a rotsum's Sums entry), X, Y and F the scalars; a decision's F is its base.
+// (a rotsum's Sums entry), X, Y and F the scalars; a decision's F is its
+// base, and so is a rotsum's that takes its outputs' rescale decisions
+// (Recording.Program fuses them into it; 0: none).
 const (
 	OpRotLeft Op = iota
 	OpRotRight
@@ -413,7 +416,7 @@ func (x *exec) step(i int) (outs []hisa.Ciphertext, failure any) {
 	case OpRotRight:
 		a = b.RotRight(a, int(in.Rot))
 	case OpRotSum:
-		return x.rotSum(&x.p.Sums[in.K]), nil
+		return x.rotSum(&x.p.Sums[in.K], in.F), nil
 	case OpAdd:
 		a = b.Add(a, c)
 	case OpSub:
@@ -459,8 +462,9 @@ func (x *exec) step(i int) (outs []hisa.Ciphertext, failure any) {
 	return []hisa.Ciphertext{a}, nil
 }
 
-// rotSum computes a rotsum's sums.
-func (x *exec) rotSum(rs *RotSum) []hisa.Ciphertext {
+// rotSum computes a rotsum's sums and, with a base, takes each output's
+// rescale decision (tryRescale) inside the one instruction.
+func (x *exec) rotSum(rs *RotSum, base float64) []hisa.Ciphertext {
 	srcs := make([]hisa.Ciphertext, len(rs.Srcs))
 	for i, r := range rs.Srcs {
 		srcs[i] = x.regs[r]
@@ -475,7 +479,16 @@ func (x *exec) rotSum(rs *RotSum) []hisa.Ciphertext {
 			sums[o] = append(sums[o], ht)
 		}
 	}
-	return x.b.RotSum(srcs, sums)
+	var divide func(hisa.Ciphertext) *big.Int
+	if base != 0 {
+		divide = func(c hisa.Ciphertext) *big.Int {
+			if d := rescaleDivisor(x.b, c, base); d != nil {
+				return d
+			}
+			return big.NewInt(1)
+		}
+	}
+	return x.b.RotSum(srcs, sums, divide)
 }
 
 // plain returns constant k's plaintext for an instruction on ciphertext c.

@@ -145,7 +145,88 @@ func (r *Recording) Program(circ *circuit.Circuit, in *CipherTensor) *Program {
 		p.EachConst(i, keep)
 	}
 	p.Consts = table
+	p.fuseRescales()
 	return p
+}
+
+// fuseRescales moves rescale decisions into the rotsums they follow: a
+// rotsum whose every output is read once, by a tryrescale of one base, and
+// is no node's output, takes that base (Instr.F) and the decisions' plan,
+// the decisions are dropped, and their readers read the rotsum's outputs.
+// Under prime-aligned scales every weighted sum meets such a rescale, and
+// RotSum then takes the division inside the sum's ModDown.
+func (p *Program) fuseRescales() {
+	reads := make([]int32, p.Regs)
+	reader := make([]int32, p.Regs)
+	for i := range p.Instrs {
+		for _, r := range p.operands(i) {
+			reads[r]++
+			reader[r] = int32(i)
+		}
+	}
+	for _, s := range p.Spans {
+		for _, r := range s.Regs {
+			reads[r]++ // kept: a node's output is read whole
+		}
+	}
+	rename := make([]int32, p.Regs)
+	for r := range rename {
+		rename[r] = int32(r)
+	}
+	drop := make([]bool, len(p.Instrs))
+	for i := range p.Instrs {
+		in := &p.Instrs[i]
+		if in.Op != OpRotSum {
+			continue
+		}
+		n, base := p.results(i), 0.0
+		for k := int32(0); k < n; k++ {
+			r := in.Out + k
+			j := &p.Instrs[reader[r]]
+			if reads[r] != 1 || j.Op != OpTryRescale || k > 0 && j.F != base {
+				base = 0
+				break
+			}
+			base = j.F
+		}
+		if base == 0 {
+			continue
+		}
+		first := &p.Instrs[reader[in.Out]]
+		in.F, in.Level, in.Scale = base, first.Level, first.Scale
+		for k := int32(0); k < n; k++ {
+			j := reader[in.Out+k]
+			drop[j] = true
+			rename[p.Instrs[j].Out] = in.Out + k
+		}
+	}
+	kept, end := p.Instrs[:0], make([]int32, len(p.Instrs)+1) // end[i]: kept instructions before i
+	for i, in := range p.Instrs {
+		end[i] = int32(len(kept))
+		if drop[i] {
+			continue
+		}
+		for a := range in.In {
+			if in.In[a] >= 0 {
+				in.In[a] = rename[in.In[a]]
+			}
+		}
+		kept = append(kept, in)
+	}
+	end[len(p.Instrs)] = int32(len(kept))
+	p.Instrs = kept
+	for _, rs := range p.Sums {
+		for i, r := range rs.Srcs {
+			rs.Srcs[i] = rename[r]
+		}
+	}
+	for i := range p.Spans {
+		s := &p.Spans[i]
+		s.End = end[s.End]
+		for k, r := range s.Regs {
+			s.Regs[k] = rename[r]
+		}
+	}
 }
 
 // EachConst calls f with the index of every constant instruction i reads,
