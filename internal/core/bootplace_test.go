@@ -65,8 +65,8 @@ func TestBootstrapPlacement(t *testing.T) {
 	}
 	if c20, err := Compile(nn.NN20().Circuit, bootOptions(4)); err != nil {
 		t.Fatal(err)
-	} else if n := len(c20.BootPlan.Placements); n != 95 {
-		t.Fatalf("NN-20 at window 4 places %d bootstraps, want 95", n)
+	} else if n := len(c20.BootPlan.Placements); n != 20 {
+		t.Fatalf("NN-20 at window 4 places %d bootstraps, want 20", n)
 	}
 	if comp.Best.Bootstraps != len(p.Placements) {
 		t.Fatalf("Best.Bootstraps = %d, plan has %d placements", comp.Best.Bootstraps, len(p.Placements))

@@ -121,7 +121,7 @@ func TestFingerprintFlipsOnPackingOptions(t *testing.T) {
 // moves it with the byte layout and the version unchanged; paste the digest
 // the failing run prints.
 func TestFingerprintV9Golden(t *testing.T) {
-	const want = "f2f30e3e4eaf80bf4afc9170918f54c7704e95b85779699d1ac0a12e3bc4387c"
+	const want = "c95e4080c9d7b289346c959a5b05b8f092ef5ebc990c2f2bc756905d8dddcdf7"
 	if got := fpCompile(t, fpBaseOptions()).FingerprintHex(); got != want {
 		t.Fatalf("fingerprint v9 golden mismatch:\n got %s\nwant %s", got, want)
 	}

@@ -28,13 +28,13 @@ func TestCompilePinned(t *testing.T) {
 		opts  Options
 		want  string
 	}{
-		{nn.LeNet5Small(), Options{Scheme: SchemeRNS}, "b5c79e36eba560e17f5e64963e3b3277"},
-		{nn.LeNet5Medium(), Options{Scheme: SchemeRNS}, "37d0fdc8a9862abe3e60151f3b05923d"},
+		{nn.LeNet5Small(), Options{Scheme: SchemeRNS}, "cee0d1be3e526cd5943b3c6f05f6cd7d"},
+		{nn.LeNet5Medium(), Options{Scheme: SchemeRNS}, "4eeecf9e808b97242fc7d5a4872862b0"},
 		{nn.SqueezeNetCIFAR(), Options{Scheme: SchemeRNS}, "f6d0619aa55192650f48e536ef6abe5b"},
-		{nn.LeNet5Small(), Options{Scheme: SchemeCKKS}, "802e6f117cf39acea21b863a354731e6"},
-		{nn.LeNet5Medium(), Options{Scheme: SchemeCKKS}, "2875eb0ee00c50e37cd1a35163cb79e3"},
-		{nn.NN20(), Options{Scheme: SchemeRNS, Bootstrap: &BootstrapOptions{Window: 4}}, "3be9a943a434c6f21c126c5d29fdb929"},
-		{nn.LeNetTiny(), Options{Scheme: SchemeRNS}, "24a90114b7d097d06e79e2ca29fde6ad"},
+		{nn.LeNet5Small(), Options{Scheme: SchemeCKKS}, "911e30207e5deb443fde253b57070481"},
+		{nn.LeNet5Medium(), Options{Scheme: SchemeCKKS}, "de651360054fdee8731918e84a9d2188"},
+		{nn.NN20(), Options{Scheme: SchemeRNS, Bootstrap: &BootstrapOptions{Window: 4}}, "a4a7e277149b4a74fcd3d1dc98f92a58"},
+		{nn.LeNetTiny(), Options{Scheme: SchemeRNS}, "c2a7ec8a3005a59e564652ccaa34ea79"},
 	} {
 		comp, err := Compile(tc.model.Circuit, tc.opts)
 		if err != nil {

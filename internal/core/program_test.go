@@ -49,12 +49,12 @@ func TestOutputsPinned(t *testing.T) {
 		complex bool
 		want    map[string]string // by backend
 	}{
-		{"real", SchemeRNS, 1, false, map[string]string{"ref": "b778007deae456e3", "rns": "e29bbe0c4ec9010a"}},
-		{"batched", SchemeRNS, 2, false, map[string]string{"ref": "b24f8b24132516e2", "rns": "ff9c49fffd1dfb24"}},
-		{"complex", SchemeRNS, 2, true, map[string]string{"ref": "a0368cd80ea1bb52", "rns": "0292293a0437ed42"}},
-		{"real", SchemeCKKS, 1, false, map[string]string{"sim": "2ef4aed0c5e33746"}},
-		{"batched", SchemeCKKS, 2, false, map[string]string{"sim": "2ee7cf312876f935"}},
-		{"complex", SchemeCKKS, 2, true, map[string]string{"sim": "b8065ab42ec70531"}},
+		{"real", SchemeRNS, 1, false, map[string]string{"ref": "b778007deae456e3", "rns": "3dac7055ad349267"}},
+		{"batched", SchemeRNS, 2, false, map[string]string{"ref": "a0368cd80ea1bb52", "rns": "f595814f3179335f"}},
+		{"complex", SchemeRNS, 2, true, map[string]string{"ref": "a0368cd80ea1bb52", "rns": "08e770e4ca33d3a3"}},
+		{"real", SchemeCKKS, 1, false, map[string]string{"sim": "854feab489a22adc"}},
+		{"batched", SchemeCKKS, 2, false, map[string]string{"sim": "9077d84bc33cb8d1"}},
+		{"complex", SchemeCKKS, 2, true, map[string]string{"sim": "250e9f8a0c962e0a"}},
 	}
 	for _, tc := range cases {
 		comp, err := Compile(tiny.Circuit, Options{
@@ -95,7 +95,7 @@ func TestOutputsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := outputDigest(execute(comp, b, []*tensor.Tensor{nn.SyntheticImage(deep.InputShape, 7)}, 1))
-	if want := "212e04b419cb8ef0"; got != want {
+	if want := "c99c9cde69c2d960"; got != want {
 		t.Errorf("bootstrapped: digest %s, pinned %s", got, want)
 	}
 }

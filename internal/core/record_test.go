@@ -122,9 +122,9 @@ func TestRNSExecutesTheProgram(t *testing.T) {
 // TestModDownsPerInference pins what summing rotations in the extended basis
 // buys at secure parameters: a LeNet-tiny inference at 128-bit security
 // (N = 2^14) divides its key-switch accumulators by the special modulus once
-// per sum output instead of once per rotation — at most 16 ModDowns where
-// rotating one amount at a time would take 90, two for each of its 45
-// rotations — while the Meter still counts every rotation the unfused
+// per sum output instead of once per rotation — at most 16 ModDowns (14
+// since Dense copies into its input's gaps) where rotating one amount at a
+// time would take 86, two for each of its 43 rotations — while the Meter still counts every rotation the unfused
 // sequence stands for. A division that rides in a rescale's output pass, a
 // relinearization's or a sum's whose outputs the program rescales, is not
 // one of them. The inference runs fewer forward NTTs than the 596 it ran
@@ -185,7 +185,7 @@ func TestNTTsPerInference(t *testing.T) {
 	}
 	rns := b.(*hisa.RNSBackend)
 	enc := htc.EncryptTensor(b, comp.Plan(), comp.Options.Scales, nn.SyntheticImage(tiny.InputShape, 7))
-	for i, want := range [][2]int64{{849, 391}, {481, 315}} {
+	for i, want := range [][2]int64{{750, 296}, {394, 220}} {
 		fwd0, inv0 := rns.NTTs()
 		comp.Execute(b, enc, 2)
 		fwd1, inv1 := rns.NTTs()

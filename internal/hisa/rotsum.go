@@ -31,24 +31,29 @@ func RotLeftMany(b Backend, c Ciphertext, ks []int) []Ciphertext {
 
 // SumRotations lists, per source, the rotations the unfused sequence of a
 // RotSum issues: each amount that is not a multiple of slots, once per
-// distinct amount mod slots, as the first term drawing on it wrote it. A
-// term is checked against its source's amounts so far, which the kernels
-// keep to a filter's taps or a fold's four: no set is built per call.
+// distinct amount mod slots, as the first term drawing on it wrote it. Each
+// term's amount is reduced once and compared with its source's reduced
+// amounts so far, which the kernels keep to a filter's taps or a sum's
+// copies: no set is built per call.
 func SumRotations(slots, nsrc int, sums [][]Term) [][]int {
 	rots := make([][]int, nsrc)
-	norm := func(k int) int { return ((k % slots) + slots) % slots }
+	reduced := make([][]int, nsrc)
 	for _, terms := range sums {
 	next:
 		for _, t := range terms {
-			k := norm(t.Rot)
+			k := t.Rot % slots
+			if k < 0 {
+				k += slots
+			}
 			if k == 0 {
 				continue
 			}
-			for _, r := range rots[t.Src] {
-				if norm(r) == k {
+			for _, r := range reduced[t.Src] {
+				if r == k {
 					continue next
 				}
 			}
+			reduced[t.Src] = append(reduced[t.Src], k)
 			rots[t.Src] = append(rots[t.Src], t.Rot)
 		}
 	}

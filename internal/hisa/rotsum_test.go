@@ -29,6 +29,19 @@ func testSums(b Backend) ([]Ciphertext, [][]Term) {
 	}
 }
 
+// TestSumRotations: per source, every amount that is not a multiple of the
+// slot count, each distinct one mod slots once, as its first term wrote it.
+func TestSumRotations(t *testing.T) {
+	const slots = 16
+	got := SumRotations(slots, 3, [][]Term{
+		{{Src: 0, Rot: -1}, {Src: 0, Rot: 15}, {Src: 1, Rot: 16}, {Src: 0}},
+		{{Src: 0, Rot: 31}, {Src: 1, Rot: -17}, {Src: 0, Rot: 2}, {Src: 1, Rot: 15}, {Src: 1, Rot: -32}},
+	})
+	if want := [][]int{{-1, 2}, {-17}, nil}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("SumRotations = %v, want %v", got, want)
+	}
+}
+
 // unfusedByHand is testSums' sequence written out op by op, as the kernels
 // issued it before RotSum existed.
 func unfusedByHand(b Backend, srcs []Ciphertext, sums [][]Term) []Ciphertext {

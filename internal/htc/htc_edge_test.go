@@ -214,4 +214,8 @@ func TestZeroInvariantAfterEveryKernel(t *testing.T) {
 	check("batchnorm", bn)
 	gap := GlobalAvgPool2D(b, bn, sc, ExecOptions{})
 	check("globalpool", gap)
+	// The pool's stride leaves gaps between columns and rows: Dense copies
+	// its input into them and keeps only the output grid.
+	dense := Dense(b, pool, randTensor([]int{12, 27}, 0.5, 96), randTensor([]int{12}, 0.2, 97), sc, ExecOptions{})
+	check("dense", dense)
 }

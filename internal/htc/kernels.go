@@ -69,31 +69,45 @@ func foldStrided(b hisa.Backend, c hisa.Ciphertext, n, s int, w hisa.Plaintext) 
 		}
 		return c
 	}
-	top, width := foldDigits(n)
+	built, lo, last := foldPlan(n)
 	windows := []hisa.Ciphertext{c}
-	for k := 1; k < width; k *= 4 {
+	for i, k := 0, 1; i < built; i, k = i+1, k*4 {
 		sum := make([]hisa.Term, 4)
 		for j := range sum {
 			sum[j] = hisa.Term{Rot: j * k * s}
 		}
-		windows = append(windows, b.RotSum(windows[len(windows)-1:], [][]hisa.Term{sum}, nil)[0])
+		windows = append(windows, b.RotSum(windows[i:], [][]hisa.Term{sum}, nil)[0])
 	}
-	var last []hisa.Term
-	lo, done := -1, 0 // lo: the narrowest window the last sum reads
+	terms := make([]hisa.Term, len(last))
+	for t, at := range last {
+		terms[t] = hisa.Term{Src: at[0] - lo, Rot: at[1] * s, Plain: w}
+	}
+	return b.RotSum(windows[lo:], [][]hisa.Term{terms}, nil)[0]
+}
+
+// foldPlan lays out foldStrided for n >= 2 elements one slot apart. It
+// builds windows 1..built, window i the sum of window i-1 at {0, 1, 2, 3}
+// times 4^(i-1) (window 0 is the input); its last sum reads windows lo and
+// up, a term per (window, amount) in last, in order.
+func foldPlan(n int) (built, lo int, last [][2]int) {
+	top, width := foldDigits(n)
+	lo, done := -1, 0
 	for i, k := 0, 1; k <= width; i, k = i+1, k*4 {
 		d := n / k % 4
 		if k == width {
 			d = top
+		} else {
+			built++
 		}
 		if d > 0 && lo < 0 {
 			lo = i
 		}
 		for j := 0; j < d; j++ {
-			last = append(last, hisa.Term{Src: i - lo, Rot: (done + j*k) * s, Plain: w})
+			last = append(last, [2]int{i, done + j*k})
 		}
 		done += d * k
 	}
-	return b.RotSum(windows[lo:], [][]hisa.Term{last}, nil)[0]
+	return built, lo, last
 }
 
 // foldDigits splits n >= 2 for foldStrided: width is the largest power of 4
@@ -114,12 +128,35 @@ func foldRotations(n int) int {
 	if n <= 1 {
 		return 0
 	}
-	top, width := foldDigits(n)
-	rot := top - 1
-	for k := 1; k < width; k *= 4 {
-		rot += 3 + n/k%4
+	built, _, last := foldPlan(n)
+	return 3*built + len(last) - 1
+}
+
+// foldSums is the number of sums of rotations foldStrided issues for n
+// elements: one per window it builds and the last.
+func foldSums(n int) int {
+	if n <= 1 {
+		return 0
 	}
-	return rot
+	built, _, _ := foldPlan(n)
+	return built + 1
+}
+
+// foldAmounts is the number of distinct amounts foldStrided rotates by for
+// n elements, in elements: the rotation keys it needs.
+func foldAmounts(n int) int {
+	if n <= 1 {
+		return 0
+	}
+	built, _, last := foldPlan(n)
+	amounts := map[int]bool{}
+	for i, k := 0, 1; i < built; i, k = i+1, k*4 {
+		amounts[k], amounts[2*k], amounts[3*k] = true, true, true
+	}
+	for _, at := range last[1:] {
+		amounts[at[1]] = true
+	}
+	return len(amounts)
 }
 
 // Conv2D computes a homomorphic convolution with plaintext OIHW filters,

@@ -463,18 +463,36 @@ func (x *exec) step(i int) (outs []hisa.Ciphertext, failure any) {
 }
 
 // rotSum computes a rotsum's sums and, with a base, takes each output's
-// rescale decision (tryRescale) inside the one instruction.
+// rescale decision (tryRescale) inside the one instruction. A backend that
+// encodes per use encodes each constant once per instruction at each scale
+// its terms ask for, not once per term.
 func (x *exec) rotSum(rs *RotSum, base float64) []hisa.Ciphertext {
 	srcs := make([]hisa.Ciphertext, len(rs.Srcs))
 	for i, r := range rs.Srcs {
 		srcs[i] = x.regs[r]
 	}
+	type use struct {
+		k     int32
+		scale float64
+	}
+	var encoded map[use]hisa.Plaintext
 	sums := make([][]hisa.Term, len(rs.Sums))
 	for o, terms := range rs.Sums {
 		for _, t := range terms {
 			ht := hisa.Term{Src: int(t.Src), Rot: int(t.Rot), X: t.X, F: t.F}
-			if t.K >= 0 {
-				ht.Plain = x.plain(t.K, srcs[t.Src])
+			switch c := srcs[t.Src]; {
+			case t.K < 0:
+			case x.enc != nil:
+				ht.Plain = x.plain(t.K, c)
+			default:
+				u := use{t.K, x.scale(t.K, c)}
+				if ht.Plain = encoded[u]; ht.Plain == nil {
+					if encoded == nil {
+						encoded = map[use]hisa.Plaintext{}
+					}
+					ht.Plain = x.plain(t.K, c)
+					encoded[u] = ht.Plain
+				}
 			}
 			sums[o] = append(sums[o], ht)
 		}
@@ -498,10 +516,7 @@ func (x *exec) rotSum(rs *RotSum, base float64) []hisa.Ciphertext {
 // program the compiler planned) gets its own.
 func (x *exec) plain(k int32, c hisa.Ciphertext) hisa.Plaintext {
 	con, slots := &x.p.Consts[k], x.b.Slots()
-	scale := con.Scale
-	if scale == 0 {
-		scale = x.b.Scale(c)
-	}
+	scale := x.scale(k, c)
 	if x.enc == nil {
 		return x.b.Encode(expand(con.Re, slots), scale)
 	}
@@ -522,6 +537,15 @@ func (x *exec) plain(k int32, c hisa.Ciphertext) hisa.Plaintext {
 		return encode(level)
 	}
 	return e.pt
+}
+
+// scale is the scale constant k is encoded at for an instruction on c: its
+// own, or c's for a constant added at the operand's scale.
+func (x *exec) scale(k int32, c hisa.Ciphertext) float64 {
+	if s := x.p.Consts[k].Scale; s != 0 {
+		return s
+	}
+	return x.b.Scale(c)
 }
 
 // addPlainC adds complex constant k to c, at c's scale. On a leveled

@@ -197,6 +197,42 @@ func TestConstantStoreLevels(t *testing.T) {
 	}
 }
 
+// TestMockEncodesOncePerInstruction: a backend without leveled encoding
+// encodes a constant per use, but a sum of rotations whose terms share a
+// constant — a mask as the weight of a fold's terms — encodes it once. One
+// replay of LeNet-tiny on the CKKS mock encodes each instruction's distinct
+// constants once, fewer than its terms read.
+func TestMockEncodesOncePerInstruction(t *testing.T) {
+	m := nn.LeNetTiny()
+	comp := compile(t, m, core.SchemeCKKS, 11, simScales, htc.PolicyHW)
+	want, reads := 0, 0
+	for _, in := range comp.Code.Instrs {
+		switch in.Op {
+		case htc.OpRotSum:
+			distinct := map[int32]bool{}
+			for _, terms := range comp.Code.Sums[in.K].Sums {
+				for _, t := range terms {
+					if t.K >= 0 {
+						distinct[t.K] = true
+						reads++
+					}
+				}
+			}
+			want += len(distinct)
+		case htc.OpAddPlain, htc.OpAddPlainAt, htc.OpSubPlain, htc.OpMulPlain:
+			want++
+			reads++
+		}
+	}
+	meter := hisa.NewMeter(backend(t, comp), nil)
+	in := comp.Encrypt(meter, nn.SyntheticImage(m.InputShape, 4))
+	before := meter.Counts()[hisa.OpEncode]
+	comp.Execute(meter, in, 2)
+	if got := meter.Counts()[hisa.OpEncode] - before; got != want || want >= reads {
+		t.Fatalf("a replay encoded %d constants, want %d (its instructions' distinct ones; their terms read %d)", got, want, reads)
+	}
+}
+
 // TestConstantStoreConcurrentExecutions runs two executions of one program
 // at once on one backend, sharing its lazily encoded constants and the
 // evaluator (run with -race): both must equal a serial execution after

@@ -156,19 +156,19 @@ func denseParity(t *testing.T, scheme core.Scheme, tol float64) {
 		if comp.Plan().Apron != dc.Apron {
 			t.Fatalf("%s: compiled apron %d, want %d", dc.Name, comp.Plan().Apron, dc.Apron)
 		}
-		var gotR []int
+		var grids []string
 		for _, s := range comp.Code.Spans {
 			switch comp.Code.Circuit.Nodes[s.Node].Kind {
 			case circuit.OpDense:
-				gotR = append(gotR, s.Out.H)
+				grids = append(grids, htc.Grid(&s.Out))
 			case circuit.OpConv2D:
-				if s.Out.Offset == 0 {
+				if dc.Apron > 0 && s.Out.Offset == 0 {
 					t.Fatalf("%s: the first Dense reads its input at offset 0, not inside the apron", dc.Name)
 				}
 			}
 		}
-		if fmt.Sprint(gotR) != fmt.Sprint(dc.WantR) {
-			t.Errorf("%s: layers packed R = %v neurons per plaintext, want %v", dc.Name, gotR, dc.WantR)
+		if fmt.Sprint(grids) != fmt.Sprint(dc.WantGrid) {
+			t.Errorf("%s: the layers' output grids are %q, want %q", dc.Name, grids, dc.WantGrid)
 		}
 		got := run(comp, backend(t, comp), imgs...)
 		for lane, img := range imgs {
