@@ -27,18 +27,29 @@ func TestCompilePinned(t *testing.T) {
 		model *nn.Model
 		opts  Options
 		want  string
+		fp    string
 	}{
-		{nn.LeNet5Small(), Options{Scheme: SchemeRNS}, "cee0d1be3e526cd5943b3c6f05f6cd7d"},
-		{nn.LeNet5Medium(), Options{Scheme: SchemeRNS}, "4eeecf9e808b97242fc7d5a4872862b0"},
-		{nn.SqueezeNetCIFAR(), Options{Scheme: SchemeRNS}, "f6d0619aa55192650f48e536ef6abe5b"},
-		{nn.LeNet5Small(), Options{Scheme: SchemeCKKS}, "911e30207e5deb443fde253b57070481"},
-		{nn.LeNet5Medium(), Options{Scheme: SchemeCKKS}, "de651360054fdee8731918e84a9d2188"},
-		{nn.NN20(), Options{Scheme: SchemeRNS, Bootstrap: &BootstrapOptions{Window: 4}}, "a4a7e277149b4a74fcd3d1dc98f92a58"},
-		{nn.LeNetTiny(), Options{Scheme: SchemeRNS}, "c2a7ec8a3005a59e564652ccaa34ea79"},
+		{nn.LeNet5Small(), Options{Scheme: SchemeRNS}, "cee0d1be3e526cd5943b3c6f05f6cd7d",
+			"336e8381105acafdbd1a3fcd307986e83e2d84eb8b85a633f465ca5cabe1b855"},
+		{nn.LeNet5Medium(), Options{Scheme: SchemeRNS}, "4eeecf9e808b97242fc7d5a4872862b0",
+			"f509b2824603626e9ebb8353829d9b5e0f67ac041399a99c7571c7ecab9fc7bb"},
+		{nn.SqueezeNetCIFAR(), Options{Scheme: SchemeRNS}, "f6d0619aa55192650f48e536ef6abe5b",
+			"9490a1ac7202f9f490ba338e43a229853d3466420521b1f8a8c92db516d71890"},
+		{nn.LeNet5Small(), Options{Scheme: SchemeCKKS}, "911e30207e5deb443fde253b57070481",
+			"9a2276597e65a93128099cd7273a91112bf4a0d67fea705e8b17f6b11c346744"},
+		{nn.LeNet5Medium(), Options{Scheme: SchemeCKKS}, "de651360054fdee8731918e84a9d2188",
+			"d67a9ce504d15c229d57e0cb325df11a8d94824ec115411c423b13f4f8460b63"},
+		{nn.NN20(), Options{Scheme: SchemeRNS, Bootstrap: &BootstrapOptions{Window: 4}}, "a4a7e277149b4a74fcd3d1dc98f92a58",
+			"4b20602fdc9234685709a1d2e127f03e21b74589aeb61c8b20d33b24fd55f501"},
+		{nn.LeNetTiny(), Options{Scheme: SchemeRNS}, "c2a7ec8a3005a59e564652ccaa34ea79",
+			"bb91cb573bbe15f6a2fe6c42091e61eb9ad0a844db351a71551d43eac3f6105a"},
 	} {
 		comp, err := Compile(tc.model.Circuit, tc.opts)
 		if err != nil {
 			t.Fatalf("%s %v: %v", tc.model.Name, tc.opts.Scheme, err)
+		}
+		if got := comp.FingerprintHex(); got != tc.fp {
+			t.Errorf("%s %v (bootstrap %v): fingerprint %s, pinned %s", tc.model.Name, tc.opts.Scheme, tc.opts.Bootstrap != nil, got, tc.fp)
 		}
 		if got := compileDigest(comp); got != tc.want {
 			t.Errorf("%s %v (bootstrap %v): digest %s, pinned %s", tc.model.Name, tc.opts.Scheme, tc.opts.Bootstrap != nil, got, tc.want)
