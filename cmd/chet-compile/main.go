@@ -87,8 +87,8 @@ func compileAndDescribe(w io.Writer, cfg compileConfig) error {
 
 // explainSpecial renders the special-prime choice: every count α admitted
 // at the selected ring degree, with the digits it implies, the size of its
-// special primes, its own log2(QP) and the cost model's total over the
-// circuit's key switches (the figure α minimizes).
+// special primes, its own log2(QP) and the cost estimate of the whole
+// circuit at that α (the figure α minimizes, EstimatedCost at the chosen one).
 func explainSpecial(w io.Writer, compiled *chet.Compiled) {
 	b := compiled.Best
 	if len(b.SpecialTrace) == 0 {
@@ -96,7 +96,7 @@ func explainSpecial(w io.Writer, compiled *chet.Compiled) {
 	}
 	fmt.Fprintf(w, "special primes: α = %d of %d admissible (chain %d primes, %d-bit special primes)\n",
 		b.SpecialPrimes, len(b.SpecialTrace), len(b.RNSChainBits), b.SpecialBits)
-	fmt.Fprintf(w, "  %5s  %6s  %4s  %8s  %14s\n", "alpha", "digits", "bits", "log2(QP)", "key-switch ms")
+	fmt.Fprintf(w, "  %5s  %6s  %4s  %8s  %14s\n", "alpha", "digits", "bits", "log2(QP)", "estimate ms")
 	for _, c := range b.SpecialTrace {
 		marker := " "
 		if c.Alpha == b.SpecialPrimes {
@@ -104,7 +104,7 @@ func explainSpecial(w io.Writer, compiled *chet.Compiled) {
 		}
 		digits := (len(b.RNSChainBits) + c.Alpha - 1) / c.Alpha
 		fmt.Fprintf(w, "  %s%4d  %6d  %4d  %8.0f  %14.1f\n",
-			marker, c.Alpha, digits, c.Bits, b.LogQ+float64(c.Alpha*c.Bits), c.KeySwitchCost/1000)
+			marker, c.Alpha, digits, c.Bits, b.LogQ+float64(c.Alpha*c.Bits), c.Cost/1000)
 	}
 }
 

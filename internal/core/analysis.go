@@ -18,13 +18,18 @@ import (
 //
 //   - the modulus consumed by rescaling and the peak modulus requirement
 //     (encryption parameter selection, Section 5.2),
-//   - the estimated execution cost under a scheme cost model when totals
-//     from a prior parameter pass are supplied (layout selection, 5.3),
+//   - a tally of the priced instructions by cost kind and consumed modulus,
+//     which price turns into the cost estimate at any chain and α once the
+//     parameters are known (layout selection, 5.3),
 //   - the set of rotation steps performed (rotation keys selection, 5.4).
+//
+// One run per layout and ring degree answers all three; the recording run
+// (record) is the only other.
 type Analysis struct {
 	scheme Scheme
 	slots  int
 	n      float64
+	model  CostModel
 
 	// rnsPrimeBits is the idealized size of the pre-generated candidate
 	// moduli list for RNS-CKKS (the paper's footnote: 60-bit SEAL primes;
@@ -42,22 +47,12 @@ type Analysis struct {
 	consumedFinal float64 // log2 of modulus consumed on the output path
 	peakNeed      float64 // max over live ciphertexts of consumed+scale+margin
 	rotations     map[int]int
-	// keySwitches counts every key switch by kind and by the chain primes
-	// its operand had consumed (the slice index): enough to reprice the
-	// circuit's key-switch work for any special-prime count without running
-	// it again.
-	keySwitches [numKsKinds][]int
+	// ops tallies every priced instruction (price).
+	ops tally
 	// keyUse is, per switching key (a rotation amount, keyRelin or keyConj),
 	// the fewest chain primes an operand it was applied to had consumed:
 	// the key's highest level once the chain is known (KeyPlan).
 	keyUse map[int]int
-
-	// Cost estimation (active when totals is non-nil).
-	totals    *costTotals
-	model     CostModel
-	totalCost float64
-	// batch amortizes the total cost across packed images (>= 1).
-	batch int
 
 	// masks counts the mask products the kernels announced (TallyMask).
 	masks int
@@ -75,30 +70,41 @@ type Analysis struct {
 
 // bootRun is the bootstrap-placement state of one analysis run.
 type bootRun struct {
-	cfg BootConfig
-	// cost is one bootstrap's cost-model estimate (0 without cost totals).
-	cost       float64
+	cfg        BootConfig
 	placements []BootPlacement
 }
 
-// costTotals fixes the overall modulus so per-op costs can use the current
-// modulus size.
-type costTotals struct {
-	logQ   float64 // CKKS: total modulus bits
-	primes float64 // RNS: total chain primes
-	alpha  float64 // RNS: special primes (chain primes per key-switch digit)
-}
-
-// ksKind is how the cost model prices a key switch.
-type ksKind int
+// costKind is the CostModel method that prices an instruction.
+type costKind int
 
 const (
-	ksRotate     ksKind = iota // CostModel.Rotate: a rotation or conjugation on its own
-	ksHoistSetup               // CostModel.RotateHoistedSetup: a hoisted batch's decomposition
-	ksHoistStep                // CostModel.RotateHoistedStep: one amount of a hoisted batch
-	ksCtMul                    // CostModel.CtMul: the relinearization of a product
-	numKsKinds
+	costAdd        costKind = iota // Add: additions and subtractions, of plaintexts and scalars too
+	costScalarMul                  // ScalarMul
+	costPlainMul                   // PlainMul
+	costRescale                    // Rescale
+	costRotate                     // Rotate: a rotation step or a conjugation on its own
+	costHoistSetup                 // RotateHoistedSetup: a hoisted batch's decomposition
+	costHoistStep                  // RotateHoistedStep: one amount of a hoisted batch
+	costCtMul                      // CtMul: a product and its relinearization
+	costBootstrap                  // bootCost: one bootstrap, priced at the top of the chain
+	numCostKinds
 )
+
+// tally counts priced instructions by cost kind and by the modulus their
+// operand had consumed (the slice index: chain primes for RNS, bits for
+// CKKS). It depends on the circuit, the layout and the ring degree only, so
+// one tally prices every chain and α (price).
+type tally [numCostKinds][]int
+
+// add counts one instruction of kind on an operand that consumed used.
+func (t *tally) add(kind costKind, used int) {
+	h := t[kind]
+	for len(h) <= used {
+		h = append(h, 0)
+	}
+	h[used]++
+	t[kind] = h
+}
 
 // The keyUse names of the relinearization and conjugation keys; rotation
 // keys are named by their amount, which is positive.
@@ -121,71 +127,32 @@ type analysisPT struct {
 	k     int32
 }
 
-// AnalysisConfig parameterizes an analysis run.
-type AnalysisConfig struct {
-	Scheme        Scheme
-	Slots         int
-	RNSPrimeBits  int
-	MagMarginBits float64
-	// RotKey restricts available single-step rotation keys (nil = all).
-	RotKey func(int) bool
-	// CostTotals enables cost estimation: total modulus bits (CKKS) or
-	// total chain primes (RNS) from a prior parameter pass.
-	CostLogQ   float64
-	CostPrimes float64
-	// CostSpecial is the RNS special-prime count α the key switches are
-	// priced at (0 means 1).
-	CostSpecial int
-	Model       *CostModel
-	// Batch is the number of images packed per evaluation; CostPerImage
-	// divides the total estimate by it. Values <= 1 mean unbatched.
-	Batch int
-	// Bootstrap enables bootstrap-aware level accounting: the analysis
-	// reports each ciphertext's remaining level (Window minus consumed chain
-	// primes) as its budget and executes under hisa.Refresher with Floor, so
-	// the compiler's placements are the refreshes the runtime performs.
-	Bootstrap *BootConfig
-}
-
-// NewAnalysis creates an analysis interpretation of the HISA.
-func NewAnalysis(cfg AnalysisConfig) *Analysis {
-	if cfg.Slots <= 0 || cfg.Slots&(cfg.Slots-1) != 0 {
-		panic(fmt.Sprintf("core: analysis slots %d must be a power of two", cfg.Slots))
-	}
+// newAnalysis is the analysis of a compile under the filled options opts at
+// ring degree 2^logN. With boot non-nil it is bootstrap-capable: it reports
+// each ciphertext's remaining level (Window less the chain primes consumed)
+// as its budget and runs under a hisa.Refresher with boot.Floor, so its
+// placements are the refreshes the runtime performs. Every run of one
+// compile is built here, so they agree on everything the options say.
+func newAnalysis(opts *Options, logN int, boot *BootConfig) *Analysis {
+	slots := 1 << (logN - 1)
 	a := &Analysis{
-		scheme:        cfg.Scheme,
-		slots:         cfg.Slots,
-		n:             float64(2 * cfg.Slots),
-		rnsPrimeBits:  40,
-		magMarginBits: 12,
-		rotKey:        cfg.RotKey,
+		scheme:        opts.Scheme,
+		slots:         slots,
+		n:             float64(2 * slots),
+		model:         DefaultCostModel(opts.Scheme),
+		rnsPrimeBits:  float64(opts.RNSPrimeBits),
+		magMarginBits: opts.MagMarginBits,
 		rotations:     map[int]int{},
 		keyUse:        map[int]int{},
 	}
-	if cfg.RNSPrimeBits > 0 {
-		a.rnsPrimeBits = float64(cfg.RNSPrimeBits)
+	if opts.CostModel != nil {
+		a.model = *opts.CostModel
 	}
-	if cfg.MagMarginBits > 0 {
-		a.magMarginBits = cfg.MagMarginBits
+	if opts.PowerOfTwoRotationsOnly {
+		a.rotKey = func(int) bool { return false }
 	}
-	if cfg.CostLogQ > 0 || cfg.CostPrimes > 0 {
-		a.totals = &costTotals{logQ: cfg.CostLogQ, primes: cfg.CostPrimes, alpha: float64(cfg.CostSpecial)}
-		if cfg.Model != nil {
-			a.model = *cfg.Model
-		} else {
-			a.model = DefaultCostModel(cfg.Scheme)
-		}
-	}
-	a.batch = cfg.Batch
-	if a.batch < 1 {
-		a.batch = 1
-	}
-	if cfg.Bootstrap != nil {
-		a.boot = &bootRun{cfg: *cfg.Bootstrap}
-		if a.totals != nil {
-			st := state{logQ: a.totals.logQ, r: a.totals.primes, alpha: a.totals.alpha}
-			a.boot.cost = bootCost(a.boot.cfg.Spec, a.model, a.n, st)
-		}
+	if boot != nil {
+		a.boot = &bootRun{cfg: *boot}
 	}
 	return a
 }
@@ -215,7 +182,7 @@ func (a *Analysis) BootstrapCapable() bool { return a.boot != nil }
 
 func (a *Analysis) bootRun() *bootRun {
 	if a.boot == nil {
-		panic("core: analysis built without AnalysisConfig.Bootstrap")
+		panic("core: analysis built without a BootConfig")
 	}
 	return a.boot
 }
@@ -234,19 +201,18 @@ func (a *Analysis) DropToFresh(c hisa.Ciphertext) hisa.Ciphertext {
 	return a.emit(htc.Instr{Op: htc.OpDropToFresh}, &out, a.ct(c))
 }
 
-// Bootstrap places a bootstrap: record it, charge its instruction inventory,
-// and return a fact reset to the fresh level (consumption zero, scale
-// preserved, exactly what the runtime pipeline produces).
+// Bootstrap places a bootstrap: record it, tally it, and return a fact reset
+// to the fresh level (consumption zero, scale preserved, exactly what the
+// runtime pipeline produces).
 func (a *Analysis) Bootstrap(c hisa.Ciphertext) hisa.Ciphertext {
 	boot := a.bootRun()
 	boot.placements = append(boot.placements, BootPlacement{
 		Index:       len(boot.placements),
-		Node:        -1, // attributed, like Op, by the recording pass
+		Node:        -1, // attributed, like Op and Cost, by the recording pass
 		LevelBefore: a.BudgetOf(c),
 		LevelAfter:  boot.cfg.Window,
-		Cost:        boot.cost,
 	})
-	a.charge(boot.cost)
+	a.ops.add(costBootstrap, 0)
 	return a.emit(htc.Instr{Op: htc.OpBootstrap}, a.observe(&analysisCT{scale: a.ct(c).scale}), a.ct(c))
 }
 
@@ -296,17 +262,6 @@ func (a *Analysis) observe(c *analysisCT) *analysisCT {
 		a.consumedFinal = c.consumed
 	}
 	return c
-}
-
-// state translates a fact into the modulus state a cost model consumes.
-func (a *Analysis) state(c *analysisCT) state {
-	if a.totals == nil {
-		return state{}
-	}
-	if a.scheme == SchemeCKKS {
-		return state{logQ: math.Max(1, a.totals.logQ-c.consumed)}
-	}
-	return rnsState(a.totals.primes, a.usedPrimes(c), a.totals.alpha)
 }
 
 // usedPrimes is the number of chain primes a fact's lineage has consumed.
@@ -390,21 +345,13 @@ func (a *Analysis) plain(op htc.Op, x *analysisCT, p hisa.Plaintext) htc.Instr {
 	return htc.Instr{Op: op, K: k}
 }
 
-// rnsState is the RNS modulus state of an operand that has consumed `used`
-// of `primes` chain primes, under α special primes.
-func rnsState(primes, used, alpha float64) state {
-	return state{r: math.Max(1, primes-used), alpha: alpha}
-}
-
-// keySwitch records one key switch on operand c in the histogram.
-func (a *Analysis) keySwitch(kind ksKind, c *analysisCT) {
-	used := int(math.Round(a.usedPrimes(c)))
-	h := a.keySwitches[kind]
-	for len(h) <= used {
-		h = append(h, 0)
+// count tallies one instruction of kind on operand c.
+func (a *Analysis) count(kind costKind, c *analysisCT) {
+	used := c.consumed
+	if a.scheme == SchemeRNS {
+		used = a.usedPrimes(c)
 	}
-	h[used]++
-	a.keySwitches[kind] = h
+	a.ops.add(kind, int(math.Round(used)))
 }
 
 // useKey records that the named key was applied to operand c.
@@ -433,33 +380,27 @@ func (a *Analysis) KeyPlan(top int) *hisa.KeyPlan {
 	return plan
 }
 
-// KeySwitchCost reprices every key switch this run executed (and every
-// bootstrap it placed) under the model for a chain of `primes` primes and
-// α = alpha special primes. It reads only the histogram the run recorded,
-// so candidates for α are compared without executing the circuit again.
-func (a *Analysis) KeySwitchCost(m CostModel, primes float64, alpha int) float64 {
-	price := [numKsKinds]func(float64, state) float64{
-		ksRotate: m.Rotate, ksHoistSetup: m.RotateHoistedSetup, ksHoistStep: m.RotateHoistedStep, ksCtMul: m.CtMul,
+// price is the cost model's estimate of tally t, in microseconds, on a
+// chain whose fresh ciphertexts are in modulus state fresh: each instruction
+// is priced at the state its operand reached on the way down, and each
+// bootstrap at fresh.
+func (a *Analysis) price(t *tally, fresh state) float64 {
+	m := a.model
+	each := [numCostKinds]func(float64, state) float64{
+		costAdd: m.Add, costScalarMul: m.ScalarMul, costPlainMul: m.PlainMul, costRescale: m.Rescale,
+		costRotate: m.Rotate, costHoistSetup: m.RotateHoistedSetup, costHoistStep: m.RotateHoistedStep,
+		costCtMul:     m.CtMul,
+		costBootstrap: func(n float64, st state) float64 { return bootCost(a.boot.cfg.Spec, m, n, st) },
 	}
 	total := 0.0
-	for kind, h := range a.keySwitches {
+	for kind, h := range t {
 		for used, count := range h {
 			if count > 0 {
-				total += float64(count) * price[kind](a.n, rnsState(primes, float64(used), float64(alpha)))
+				total += float64(count) * each[kind](a.n, fresh.after(a.scheme, used))
 			}
 		}
 	}
-	if a.boot != nil {
-		st := rnsState(primes, 0, float64(alpha))
-		total += float64(len(a.boot.placements)) * bootCost(a.boot.cfg.Spec, m, a.n, st)
-	}
 	return total
-}
-
-func (a *Analysis) charge(cost float64) {
-	if a.totals != nil {
-		a.totalCost += cost
-	}
 }
 
 // --- HISA implementation ---
@@ -521,7 +462,7 @@ func (a *Analysis) Sub(c, c2 hisa.Ciphertext) hisa.Ciphertext { return a.add(htc
 func (a *Analysis) add(op htc.Op, c, c2 hisa.Ciphertext) hisa.Ciphertext {
 	x, y := a.ct(c), a.ct(c2)
 	requireSameScale(x.scale, y.scale, op.String())
-	a.charge(a.model.Add(a.n, a.state(x)))
+	a.count(costAdd, x)
 	return a.emit(htc.Instr{Op: op}, a.join(x, y, x.scale), x, y)
 }
 
@@ -536,7 +477,7 @@ func (a *Analysis) SubPlain(c hisa.Ciphertext, p hisa.Plaintext) hisa.Ciphertext
 func (a *Analysis) addPlain(op htc.Op, c hisa.Ciphertext, p hisa.Plaintext) hisa.Ciphertext {
 	x := a.ct(c)
 	requireSameScale(x.scale, a.pt(p).scale, op.String())
-	a.charge(a.model.Add(a.n, a.state(x)))
+	a.count(costAdd, x)
 	return a.emit(a.plain(op, x, p), a.observe(&analysisCT{scale: x.scale, consumed: x.consumed}), x)
 }
 
@@ -550,26 +491,27 @@ func (a *Analysis) SubScalar(c hisa.Ciphertext, x float64) hisa.Ciphertext {
 
 func (a *Analysis) addScalar(in htc.Instr, c hisa.Ciphertext) hisa.Ciphertext {
 	cc := a.ct(c)
-	a.charge(a.model.Add(a.n, a.state(cc)))
+	a.count(costAdd, cc)
 	return a.emit(in, a.observe(&analysisCT{scale: cc.scale, consumed: cc.consumed}), cc)
 }
 
 func (a *Analysis) Mul(c, c2 hisa.Ciphertext) hisa.Ciphertext { return a.mul(htc.OpMul, c, c2) }
 
-// MulNoRelin charges like Mul: the dataflow facts (scale, consumed modulus)
-// are identical, and the relinearization cost estimate stays attached to the
-// product for a conservative op model.
+// MulNoRelin is tallied like Mul: the dataflow facts (scale, consumed
+// modulus) are identical, and the relinearization's price stays attached to
+// the product for a conservative op model.
 func (a *Analysis) MulNoRelin(c, c2 hisa.Ciphertext) hisa.Ciphertext {
 	return a.mul(htc.OpMulNoRelin, c, c2)
 }
 
 func (a *Analysis) mul(op htc.Op, c, c2 hisa.Ciphertext) hisa.Ciphertext {
 	x, y := a.ct(c), a.ct(c2)
-	a.keySwitch(ksCtMul, x)
-	// The product, at the lower operand's level, is what is relinearized.
-	a.useKey(keyRelin, &analysisCT{consumed: math.Max(x.consumed, y.consumed)})
-	a.charge(a.model.CtMul(a.n, a.state(x)))
-	return a.emit(htc.Instr{Op: op}, a.join(x, y, x.scale*y.scale), x, y)
+	// The product sits at the lower operand's level (ckks aligns them
+	// first): it is what is multiplied and relinearized.
+	out := a.join(x, y, x.scale*y.scale)
+	a.useKey(keyRelin, out)
+	a.count(costCtMul, out)
+	return a.emit(htc.Instr{Op: op}, out, x, y)
 }
 
 // Relinearize is a dataflow no-op: scale and modulus are untouched.
@@ -578,21 +520,21 @@ func (a *Analysis) Relinearize(c hisa.Ciphertext) hisa.Ciphertext {
 	return a.emit(htc.Instr{Op: htc.OpRelin}, &out, a.ct(c))
 }
 
-// RelinearizeRescale is Rescale, priced identically: the relinearization is
-// charged to the product (MulNoRelin).
+// RelinearizeRescale is Rescale, tallied identically: the relinearization
+// is priced with the product (MulNoRelin).
 func (a *Analysis) RelinearizeRescale(c hisa.Ciphertext, x *big.Int) hisa.Ciphertext {
 	return a.Rescale(c, x)
 }
 
 func (a *Analysis) MulPlain(c hisa.Ciphertext, p hisa.Plaintext) hisa.Ciphertext {
 	x, pp := a.ct(c), a.pt(p)
-	a.charge(a.model.PlainMul(a.n, a.state(x)))
+	a.count(costPlainMul, x)
 	return a.emit(a.plain(htc.OpMulPlain, x, p), a.observe(&analysisCT{scale: x.scale * pp.scale, consumed: x.consumed}), x)
 }
 
 func (a *Analysis) MulScalar(c hisa.Ciphertext, x float64, f float64) hisa.Ciphertext {
 	cc := a.ct(c)
-	a.charge(a.model.ScalarMul(a.n, a.state(cc)))
+	a.count(costScalarMul, cc)
 	return a.emit(htc.Instr{Op: htc.OpMulScalar, X: x, F: f}, a.observe(&analysisCT{scale: cc.scale * f, consumed: cc.consumed}), cc)
 }
 
@@ -606,32 +548,31 @@ func (a *Analysis) RotRight(c hisa.Ciphertext, x int) hisa.Ciphertext {
 
 // rotate is the fact of cc rotated left by x, in primitive steps.
 func (a *Analysis) rotate(cc *analysisCT, x int) *analysisCT {
-	a.chargeRotation(cc, x)
+	a.rotateSteps(cc, x)
 	out := *cc
 	return a.observe(&out)
 }
 
-// chargeRotation charges a rotation of cc left by x, step by step.
-func (a *Analysis) chargeRotation(cc *analysisCT, x int) {
+// rotateSteps tallies a rotation of cc left by x, step by step.
+func (a *Analysis) rotateSteps(cc *analysisCT, x int) {
 	for _, s := range hisa.RotationSteps(x, a.slots, a.rotKey) {
 		a.rotations[s]++
 		a.useKey(s, cc)
-		a.keySwitch(ksRotate, cc)
-		a.charge(a.model.Rotate(a.n, a.state(cc)))
+		a.count(costRotate, cc)
 	}
 }
 
-// RotSum is the analysis transfer function for sums of rotations. It prices
+// RotSum is the analysis transfer function for sums of rotations. It tallies
 // the unfused sequence (hisa.RotSumUnfused) without executing it: the same
-// model calls in the same order — every distinct rotation, then per sum
+// instructions at the same levels — every distinct rotation, then per sum
 // each term's product and its addition to the running sum — and the same
-// rotation, key-use and key-switch bookkeeping, with one fact per output
-// and none per term. The rotations of a source drawn at two or more amounts
-// are priced as one hoisted batch: with the RNS target, amounts served by
-// an exact key share one digit decomposition, so setup is charged once and
-// each amount adds only the inner-product step. Amounts that decompose into
-// several primitive steps, a source rotated by a single amount, and the
-// CKKS target are charged per step. The recorded rotation steps are
+// rotation and key-use bookkeeping, with one fact per output and none per
+// term. The rotations of a source drawn at two or more amounts are tallied
+// as one hoisted batch: with the RNS target, amounts served by an exact key
+// share one digit decomposition, so setup is counted once and each amount
+// adds only the inner-product step. Amounts that decompose into several
+// primitive steps, a source rotated by a single amount, and the CKKS target
+// are counted per step. The recorded rotation steps are
 // identical to the equivalent RotLeft sequence, so rotation-key selection
 // and op counts do not depend on the pricing. A recording run records the
 // sums as one instruction; a divide runs the pair.
@@ -649,11 +590,11 @@ func (a *Analysis) RotSum(srcs []hisa.Ciphertext, sums [][]hisa.Term, divide fun
 			x := analysisCT{scale: src.scale, consumed: src.consumed}
 			switch {
 			case t.Plain != nil:
-				a.charge(a.model.PlainMul(a.n, a.state(&x)))
+				a.count(costPlainMul, &x)
 				x.scale *= a.pt(t.Plain).scale
 				a.observe(&x)
 			case t.F != 0:
-				a.charge(a.model.ScalarMul(a.n, a.state(&x)))
+				a.count(costScalarMul, &x)
 				x.scale *= t.F
 				a.observe(&x)
 			}
@@ -662,7 +603,7 @@ func (a *Analysis) RotSum(srcs []hisa.Ciphertext, sums [][]hisa.Term, divide fun
 				continue
 			}
 			requireSameScale(acc.scale, x.scale, htc.OpAdd.String())
-			a.charge(a.model.Add(a.n, a.state(&acc)))
+			a.count(costAdd, &acc)
 			acc.consumed = math.Max(acc.consumed, x.consumed)
 		}
 		if len(terms) > 1 {
@@ -702,25 +643,23 @@ func (a *Analysis) RotSum(srcs []hisa.Ciphertext, sums [][]hisa.Term, divide fun
 	return a.emitMany(htc.Instr{Op: htc.OpRotSum, K: a.rec.Sum(rs)}, outs)
 }
 
-// rotateBatch charges the rotations of cc by every amount in ks, hoisting
+// rotateBatch tallies the rotations of cc by every amount in ks, hoisting
 // them as RotSum describes.
 func (a *Analysis) rotateBatch(cc *analysisCT, ks []int) {
-	setupCharged := false
+	setup := false
 	for _, x := range ks {
 		steps := hisa.RotationSteps(x, a.slots, a.rotKey)
 		if a.scheme == SchemeRNS && len(steps) == 1 && len(ks) > 1 {
-			if !setupCharged {
-				a.keySwitch(ksHoistSetup, cc)
-				a.charge(a.model.RotateHoistedSetup(a.n, a.state(cc)))
-				setupCharged = true
+			if !setup {
+				a.count(costHoistSetup, cc)
+				setup = true
 			}
 			a.rotations[steps[0]]++
 			a.useKey(steps[0], cc)
-			a.keySwitch(ksHoistStep, cc)
-			a.charge(a.model.RotateHoistedStep(a.n, a.state(cc)))
+			a.count(costHoistStep, cc)
 			continue
 		}
-		a.chargeRotation(cc, x)
+		a.rotateSteps(cc, x)
 	}
 }
 
@@ -757,7 +696,7 @@ func (a *Analysis) Rescale(c hisa.Ciphertext, x *big.Int) hisa.Ciphertext {
 		return &out
 	}
 	bits := float64(x.BitLen() - 1)
-	a.charge(a.model.Rescale(a.n, a.state(cc)))
+	a.count(costRescale, cc)
 	return a.observe(&analysisCT{scale: cc.scale / math.Exp2(bits), consumed: cc.consumed + bits})
 }
 
@@ -773,8 +712,7 @@ func (a *Analysis) Scale(c hisa.Ciphertext) float64 { return a.ct(c).scale }
 func (a *Analysis) Conjugate(c hisa.Ciphertext) hisa.Ciphertext {
 	cc := a.ct(c)
 	a.useKey(keyConj, cc)
-	a.keySwitch(ksRotate, cc)
-	a.charge(a.model.Rotate(a.n, a.state(cc)))
+	a.count(costRotate, cc)
 	out := *cc
 	return a.emit(htc.Instr{Op: htc.OpConj}, a.observe(&out), cc)
 }
@@ -799,14 +737,14 @@ func (a *Analysis) AddPlainC(hisa.Ciphertext, []complex128) hisa.Ciphertext {
 
 func (a *Analysis) AddPlainCRuns(c hisa.Ciphertext, re, im func() []hisa.Run) hisa.Ciphertext {
 	x := a.ct(c)
-	a.charge(a.model.Add(a.n, a.state(x)))
+	a.count(costAdd, x)
 	k := a.constant(re, im, 0)
 	return a.emit(htc.Instr{Op: htc.OpAddPlainC, K: k}, a.observe(&analysisCT{scale: x.scale, consumed: x.consumed}), x)
 }
 
 func (a *Analysis) MulScalarC(c hisa.Ciphertext, z complex128, f float64) hisa.Ciphertext {
 	cc := a.ct(c)
-	a.charge(a.model.ScalarMul(a.n, a.state(cc)))
+	a.count(costScalarMul, cc)
 	in := htc.Instr{Op: htc.OpMulScalarC, X: real(z), Y: imag(z), F: f}
 	return a.emit(in, a.observe(&analysisCT{scale: cc.scale * f, consumed: cc.consumed}), cc)
 }
@@ -845,15 +783,4 @@ func (a *Analysis) RotationOps() int {
 		total += c
 	}
 	return total
-}
-
-// Cost returns the cost estimate in microseconds (0 unless cost totals
-// were supplied): the sum of the executed ops' costs.
-func (a *Analysis) Cost() float64 { return a.totalCost }
-
-// CostPerImage amortizes Cost over the batch lanes: the op sequence of a
-// batched evaluation is identical to the unbatched one (the batch axis
-// rides along in the slot strides), so per-image cost is total/B.
-func (a *Analysis) CostPerImage() float64 {
-	return a.Cost() / float64(a.batch)
 }

@@ -10,10 +10,11 @@ import "chet/internal/boot"
 // Analysis interpretation under a hisa.Refresher: whenever a multiplicative
 // operand's remaining level falls below the floor, the Refresher bootstraps
 // it, and the analysis records a placement, resets the operand to the fresh
-// level, and charges the bootstrap's full instruction inventory
-// (boot.Spec.Ops) to the cost model. The recording run's placements are
-// bootstrap instructions of the compiled program (record), so the runtime
-// performs exactly the bootstraps the compiler placed.
+// level, and tallies one bootstrap, which the cost model prices as its full
+// instruction inventory (boot.Spec.Ops, bootCost) once the chain is known.
+// The recording run's placements are bootstrap instructions of the compiled
+// program (record), so the runtime performs exactly the bootstraps the
+// compiler placed.
 
 // BootstrapOptions enables and configures compiler-placed bootstrapping
 // (Options.Bootstrap). Requires SchemeRNS.
@@ -32,7 +33,7 @@ type BootstrapOptions struct {
 }
 
 // BootConfig is the analysis-side bootstrap configuration: the derived
-// arithmetic spec plus the placement parameters (AnalysisConfig.Bootstrap).
+// arithmetic spec plus the placement parameters (newAnalysis).
 type BootConfig struct {
 	Spec   boot.Spec
 	Window int

@@ -122,8 +122,8 @@ type PolicyResult struct {
 	SpecialBits  int     // RNS-CKKS key-switching special prime size (each), sized by chooseSpecialPrimes
 	// SpecialPrimes is α, the number of key-switching special primes: a key
 	// switch groups α chain primes per digit. The compiler picks the α that
-	// minimizes the cost model's total key-switch cost among those the
-	// security budget at LogN admits; SpecialTrace lists what it weighed.
+	// minimizes the cost estimate among those the security budget at LogN
+	// admits; SpecialTrace lists what it weighed.
 	SpecialPrimes int
 	SpecialTrace  []SpecialCandidate
 
@@ -132,7 +132,8 @@ type PolicyResult struct {
 	// RotationOps is the number of primitive rotations executed.
 	RotationOps int
 
-	// EstimatedCost is the cost-model latency estimate (microseconds).
+	// EstimatedCost is the cost-model latency estimate (microseconds): for
+	// RNS-CKKS, the chosen SpecialTrace candidate's Cost.
 	EstimatedCost float64
 
 	// Batch is the number of images packed per evaluation (>= 1) and
@@ -161,9 +162,9 @@ type SpecialCandidate struct {
 	Alpha int
 	// Bits is the size of each of its special primes.
 	Bits int
-	// KeySwitchCost is the cost model's total over the circuit's key
-	// switches (and bootstraps) at this α, in microseconds.
-	KeySwitchCost float64
+	// Cost is the cost model's estimate of the whole circuit, bootstraps
+	// included, at this α, in microseconds.
+	Cost float64
 }
 
 // Compiled is the result of compiling a tensor circuit: the optimized
@@ -202,8 +203,9 @@ type Compiled struct {
 // Compile runs CHET's compilation pipeline on a tensor circuit: it rewrites
 // the circuit so that constant factors cost no level (circuit.Fold), then for every
 // candidate data layout it selects encryption parameters with the
-// modulus-consumption analysis, prices the program with the scheme cost
-// model, and returns the cheapest policy along with its rotation-key set.
+// modulus-consumption analysis, prices the same run's tally with the scheme
+// cost model, and returns the cheapest policy along with its rotation-key
+// set.
 func Compile(c *circuit.Circuit, opts Options) (*Compiled, error) {
 	opts.fillDefaults()
 	// A factor at or below 1 never grows a scale the rescale protocol can
@@ -292,15 +294,8 @@ func runAnalysis(c *circuit.Circuit, policy htc.LayoutPolicy, opts Options, a *A
 }
 
 func compilePolicy(c *circuit.Circuit, policy htc.LayoutPolicy, opts Options) (PolicyResult, error) {
-	var rotKey func(int) bool
-	if opts.PowerOfTwoRotationsOnly {
-		rotKey = func(int) bool { return false }
-	}
-
 	var firstErr error
 	for logN := opts.MinLogN; logN <= opts.MaxLogN; logN++ {
-		slots := 1 << uint(logN-1)
-
 		// With bootstrapping requested, the chain is laid out from the
 		// bootstrap spec instead of the circuit's consumption, and the
 		// analysis runs under the runtime's refresh trigger.
@@ -316,16 +311,10 @@ func compilePolicy(c *circuit.Circuit, policy htc.LayoutPolicy, opts Options) (P
 			bootCfg = &BootConfig{Spec: spec, Window: opts.Bootstrap.Window, Floor: opts.Bootstrap.Floor}
 		}
 
-		// Pass 1: encryption parameter selection (Section 5.2). The same
-		// run collects the rotation set (Section 5.4).
-		params := NewAnalysis(AnalysisConfig{
-			Scheme:        opts.Scheme,
-			Slots:         slots,
-			RNSPrimeBits:  opts.RNSPrimeBits,
-			MagMarginBits: opts.MagMarginBits,
-			RotKey:        rotKey,
-			Bootstrap:     bootCfg,
-		})
+		// Encryption parameter selection (Section 5.2). The same run
+		// collects the rotation set (Section 5.4) and the tally the cost
+		// estimate prices (5.3).
+		params := newAnalysis(&opts, logN, bootCfg)
 		if err := runAnalysis(c, policy, opts, params, opts.Scales); err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -343,7 +332,6 @@ func compilePolicy(c *circuit.Circuit, policy htc.LayoutPolicy, opts Options) (P
 		}
 
 		logQP := res.LogQ
-		costPrimes := 0.0
 		switch {
 		case bootCfg != nil:
 			// Bootstrap chain: base prime, the working window, the
@@ -367,7 +355,6 @@ func compilePolicy(c *circuit.Circuit, policy htc.LayoutPolicy, opts Options) (P
 			res.Rotations = mergeRotations(res.Rotations, bootCfg.Spec.RotationAmounts())
 			res.Bootstraps = params.Bootstraps()
 			logQP = res.LogQ + float64(res.SpecialBits)
-			costPrimes = float64(len(res.RNSChainBits))
 		case opts.Scheme == SchemeRNS:
 			consumed := params.ConsumedPrimes()
 			baseBits := int(res.LogQ) - consumed*opts.RNSPrimeBits
@@ -382,7 +369,6 @@ func compilePolicy(c *circuit.Circuit, policy htc.LayoutPolicy, opts Options) (P
 				res.LogQ += float64(b)
 			}
 			logQP = res.LogQ + float64(res.SpecialBits)
-			costPrimes = float64(len(res.RNSChainBits))
 		}
 
 		if opts.SecurityBits > 0 && float64(MaxLogQ(logN, opts.SecurityBits)) < logQP {
@@ -390,27 +376,10 @@ func compilePolicy(c *circuit.Circuit, policy htc.LayoutPolicy, opts Options) (P
 		}
 		if opts.Scheme == SchemeRNS {
 			chooseSpecialPrimes(&res, params, opts)
+		} else {
+			res.EstimatedCost = params.price(&params.ops, res.freshState())
 		}
-
-		// Pass 2: cost estimation (Section 5.3) at the chosen parameters.
-		cost := NewAnalysis(AnalysisConfig{
-			Scheme:        opts.Scheme,
-			Slots:         slots,
-			RNSPrimeBits:  opts.RNSPrimeBits,
-			MagMarginBits: opts.MagMarginBits,
-			RotKey:        rotKey,
-			CostLogQ:      res.LogQ,
-			CostPrimes:    costPrimes,
-			CostSpecial:   res.SpecialPrimes,
-			Model:         opts.CostModel,
-			Batch:         opts.Batch,
-			Bootstrap:     bootCfg,
-		})
-		if err := runAnalysis(c, policy, opts, cost, opts.Scales); err != nil {
-			return PolicyResult{}, err
-		}
-		res.EstimatedCost = cost.Cost()
-		res.CostPerImage = cost.CostPerImage()
+		res.CostPerImage = res.EstimatedCost / float64(res.Batch)
 		return res, nil
 	}
 	if firstErr != nil {
@@ -421,24 +390,27 @@ func compilePolicy(c *circuit.Circuit, policy htc.LayoutPolicy, opts Options) (P
 		opts.MinLogN, opts.MaxLogN, opts.SecurityBits)
 }
 
+// freshState is the modulus state of a fresh ciphertext under r's
+// parameters: what the cost model prices an analysis tally from.
+func (r PolicyResult) freshState() state {
+	return state{logQ: r.LogQ, r: float64(len(r.RNSChainBits)), alpha: float64(r.SpecialPrimes)}
+}
+
 // chooseSpecialPrimes picks res.SpecialPrimes, and their size
-// res.SpecialBits, for the chain the parameter pass just fixed. The ring
-// degree is already decided with one 60-bit special prime (α never grows N);
-// whatever the security table leaves above logQ at that degree is slack, and
-// α special primes share it: each gets min(60, ⌊slack/α⌋) bits (60 with the
-// security check off). α = 1 is always a candidate; a larger α is admissible
-// only when its P is at least 2^8 times its largest digit, the margin a 60-bit
-// special prime has over a 52-bit base prime, which keeps the key switch's
-// noise under ModDown's own rounding (ckks.KeySwitchMarginBits; below level
-// α-1, where the one digit is partial, ckks takes as many of the special
-// primes as that margin needs). Among the admissible α ≤ chain length,
-// α is the argmin of the cost model's total key-switch cost, repriced from
-// the histogram the parameter pass recorded; ties go to the smaller α.
+// res.SpecialBits, for the chain the parameter pass just fixed, and sets
+// res.EstimatedCost to its estimate. The ring degree is already decided with
+// one 60-bit special prime (α never grows N); whatever the security table
+// leaves above logQ at that degree is slack, and α special primes share it:
+// each gets min(60, ⌊slack/α⌋) bits (60 with the security check off). α = 1
+// is always a candidate; a larger α is admissible only when its P is at least
+// 2^8 times its largest digit, the margin a 60-bit special prime has over a
+// 52-bit base prime, which keeps the key switch's noise under ModDown's own
+// rounding (ckks.KeySwitchMarginBits; below level α-1, where the one digit is
+// partial, ckks takes as many of the special primes as that margin needs).
+// Among the admissible α ≤ chain length, α is the argmin of the cost
+// estimate, the parameter pass's tally priced at each α; ties go to the
+// smaller α.
 func chooseSpecialPrimes(res *PolicyResult, params *Analysis, opts Options) {
-	model := DefaultCostModel(opts.Scheme)
-	if opts.CostModel != nil {
-		model = *opts.CostModel
-	}
 	primes := len(res.RNSChainBits)
 	res.SpecialTrace = nil
 	best := 0
@@ -450,14 +422,16 @@ func chooseSpecialPrimes(res *PolicyResult, params *Analysis, opts Options) {
 		if alpha > 1 && alpha*bits < largestDigitBits(res.RNSChainBits, alpha)+ckks.KeySwitchMarginBits {
 			continue
 		}
-		c := SpecialCandidate{Alpha: alpha, Bits: bits, KeySwitchCost: params.KeySwitchCost(model, float64(primes), alpha)}
+		fresh := state{r: float64(primes), alpha: float64(alpha)}
+		c := SpecialCandidate{Alpha: alpha, Bits: bits, Cost: params.price(&params.ops, fresh)}
 		res.SpecialTrace = append(res.SpecialTrace, c)
-		if c.KeySwitchCost < res.SpecialTrace[best].KeySwitchCost {
+		if c.Cost < res.SpecialTrace[best].Cost {
 			best = len(res.SpecialTrace) - 1
 		}
 	}
 	res.SpecialPrimes = res.SpecialTrace[best].Alpha
 	res.SpecialBits = res.SpecialTrace[best].Bits
+	res.EstimatedCost = res.SpecialTrace[best].Cost
 }
 
 // maxSpecialBits is the size of a special prime when the security table

@@ -13,10 +13,17 @@ import (
 	"chet/internal/tensor"
 )
 
+// testAnalysis is the analysis a compile under opts, filled with the
+// defaults, runs at ring degree 2^logN without bootstrapping.
+func testAnalysis(opts Options, logN int) *Analysis {
+	opts.fillDefaults()
+	return newAnalysis(&opts, logN, nil)
+}
+
 func TestAnalysisResultsAreDeterministic(t *testing.T) {
 	c := testProgram()
 	run := func() ([]int, float64, float64) {
-		a := NewAnalysis(AnalysisConfig{Scheme: SchemeCKKS, Slots: 2048})
+		a := testAnalysis(Options{Scheme: SchemeCKKS}, 12)
 		sc := htc.DefaultScales()
 		plan := htc.PlanFor(c, htc.PolicyCHW)
 		enc := htc.EncryptTensor(a, plan, sc, tensor.New(1, 8, 8))
@@ -38,7 +45,7 @@ func TestAnalysisResultsAreDeterministic(t *testing.T) {
 func TestPeakCoversConsumption(t *testing.T) {
 	c := testProgram()
 	for _, scheme := range []Scheme{SchemeCKKS, SchemeRNS} {
-		a := NewAnalysis(AnalysisConfig{Scheme: scheme, Slots: 2048})
+		a := testAnalysis(Options{Scheme: scheme}, 12)
 		sc := htc.DefaultScales()
 		plan := htc.PlanFor(c, htc.PolicyHW)
 		enc := htc.EncryptTensor(a, plan, sc, tensor.New(1, 8, 8))
@@ -110,8 +117,8 @@ func TestRNSChainSumsToLogQ(t *testing.T) {
 
 func TestMaxRescaleRules(t *testing.T) {
 	// CKKS: power-of-two divisors. RNS: products of idealized 40-bit primes.
-	ck := NewAnalysis(AnalysisConfig{Scheme: SchemeCKKS, Slots: 64})
-	rn := NewAnalysis(AnalysisConfig{Scheme: SchemeRNS, Slots: 64, RNSPrimeBits: 40})
+	ck := testAnalysis(Options{Scheme: SchemeCKKS}, 7)
+	rn := testAnalysis(Options{Scheme: SchemeRNS, RNSPrimeBits: 40}, 7)
 	ct := ck.Encrypt(ck.Encode([]float64{1}, 1<<20))
 	ctR := rn.Encrypt(rn.Encode([]float64{1}, 1<<20))
 
@@ -136,7 +143,7 @@ func TestMaxRescaleRules(t *testing.T) {
 }
 
 func TestAnalysisScaleMismatchCaught(t *testing.T) {
-	a := NewAnalysis(AnalysisConfig{Scheme: SchemeCKKS, Slots: 64})
+	a := testAnalysis(Options{Scheme: SchemeCKKS}, 7)
 	x := a.Encrypt(a.Encode([]float64{1}, 1<<20))
 	y := a.Encrypt(a.Encode([]float64{1}, 1<<21))
 	defer func() {
@@ -157,7 +164,7 @@ func TestDeeperCircuitConsumesMoreModulus(t *testing.T) {
 		return circuit.Fold(b.Build(x)).Circuit
 	}
 	measure := func(c *circuit.Circuit) float64 {
-		a := NewAnalysis(AnalysisConfig{Scheme: SchemeCKKS, Slots: 64})
+		a := testAnalysis(Options{Scheme: SchemeCKKS}, 7)
 		sc := htc.DefaultScales()
 		enc := htc.EncryptTensor(a, htc.PlanFor(c, htc.PolicyCHW), sc, tensor.New(1, 4, 4))
 		htc.Execute(a, c, enc, htc.PolicyCHW, sc, htc.ExecOptions{})
@@ -177,9 +184,9 @@ func bigOne() *big.Int { return big.NewInt(1) }
 // An analysis built without bootstrap accounting says so, and each of its
 // bootstrap methods panics naming the missing configuration.
 func TestAnalysisWithoutBootstrap(t *testing.T) {
-	a := NewAnalysis(AnalysisConfig{Scheme: SchemeRNS, Slots: 64, RNSPrimeBits: 40})
+	a := testAnalysis(Options{Scheme: SchemeRNS, RNSPrimeBits: 40}, 7)
 	if a.BootstrapCapable() {
-		t.Fatal("an analysis without AnalysisConfig.Bootstrap reports the capability")
+		t.Fatal("an analysis without a BootConfig reports the capability")
 	}
 	c := a.Encrypt(a.Encode(make([]float64, 64), 1<<30))
 	for name, call := range map[string]func(){
@@ -189,11 +196,34 @@ func TestAnalysisWithoutBootstrap(t *testing.T) {
 	} {
 		func() {
 			defer func() {
-				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "without AnalysisConfig.Bootstrap") {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "without a BootConfig") {
 					t.Errorf("%s panicked with %v, want the missing configuration named", name, r)
 				}
 			}()
 			call()
 		}()
+	}
+}
+
+// A ciphertext product is tallied at the level of its lower operand, where
+// ckks multiplies and relinearizes it and where the key plan cuts the
+// relinearization key, whichever operand comes first.
+func TestCtMulTalliedAtProductLevel(t *testing.T) {
+	for _, lowFirst := range []bool{false, true} {
+		a := testAnalysis(Options{Scheme: SchemeRNS}, 7)
+		x := a.Encrypt(a.Encode(nil, 0x1p80))
+		y := a.Rescale(a.Encrypt(a.Encode(nil, 0x1p80)), bigPow2(40))
+		if lowFirst {
+			x, y = y, x
+		}
+		a.Mul(x, y)
+		const top = 5
+		got := a.ops[costCtMul]
+		if len(got) != 2 || got[0] != 0 || got[1] != 1 {
+			t.Errorf("low operand first %v: products tallied by consumed primes %v, want [0 1]", lowFirst, got)
+		}
+		if relin := a.KeyPlan(top).Relin; relin != top-1 {
+			t.Errorf("low operand first %v: relinearization key planned at level %d, want %d", lowFirst, relin, top-1)
+		}
 	}
 }

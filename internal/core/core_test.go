@@ -109,7 +109,7 @@ func TestAnalysisMatchesMeterOnRef(t *testing.T) {
 	policy := htc.PolicyCHW
 	slots := 2048
 
-	a := NewAnalysis(AnalysisConfig{Scheme: SchemeCKKS, Slots: slots})
+	a := testAnalysis(Options{Scheme: SchemeCKKS}, 12)
 	encA := htc.EncryptTensor(a, htc.PlanFor(c, policy), sc, tensor.New(img.Shape...))
 	htc.Execute(a, c, encA, policy, sc, htc.ExecOptions{})
 

@@ -80,6 +80,15 @@ type state struct {
 	alpha float64 // RNS: special primes α = chain primes per key-switch digit (0 means 1)
 }
 
+// after is the modulus state of an operand that has consumed used (bits for
+// CKKS, chain primes for RNS) of a chain whose fresh state is st.
+func (st state) after(s Scheme, used int) state {
+	if s == SchemeCKKS {
+		return state{logQ: math.Max(1, st.logQ-float64(used))}
+	}
+	return state{r: math.Max(1, st.r-float64(used)), alpha: st.alpha}
+}
+
 // extRows is the height of the key-switch extended basis: the r live chain
 // primes plus the special primes the switch works over, min(α, r) — no more
 // of them than the largest digit has chain primes. (ckks takes more below

@@ -44,17 +44,13 @@ func TestHoistedRotationPricing(t *testing.T) {
 // rotation batch (a RotSum of single unit-weight terms) against the
 // sequential one: identical rotation-step records (so key
 // selection and op counts don't depend on batching) and a strictly lower
-// cost estimate on the RNS target, including amounts that fall back to
+// priced tally on the RNS target, including amounts that fall back to
 // multi-step decomposition.
 func TestAnalysisRotLeftManyConsistency(t *testing.T) {
-	pow2 := func(k int) bool { return k&(k-1) == 0 }
 	mk := func() *Analysis {
-		return NewAnalysis(AnalysisConfig{
-			Scheme: SchemeRNS, Slots: 4096,
-			RotKey:     pow2,
-			CostPrimes: 6,
-		})
+		return testAnalysis(Options{Scheme: SchemeRNS, PowerOfTwoRotationsOnly: true}, 13)
 	}
+	cost := func(a *Analysis) float64 { return a.price(&a.ops, state{r: 6}) }
 	ks := []int{1, 2, 4, 8, 16, 32, 64, 128, 3, 0} // 3 = 1+2 fallback, 0 free
 
 	batch := mk()
@@ -79,10 +75,10 @@ func TestAnalysisRotLeftManyConsistency(t *testing.T) {
 			t.Fatalf("rotation key sets diverge: %v vs %v", bk, sk)
 		}
 	}
-	if batch.Cost() >= seq.Cost() {
-		t.Fatalf("hoisted batch cost %g should beat sequential %g", batch.Cost(), seq.Cost())
+	if cost(batch) >= cost(seq) {
+		t.Fatalf("hoisted batch cost %g should beat sequential %g", cost(batch), cost(seq))
 	}
-	if seq.Cost() < 1.5*batch.Cost() {
-		t.Fatalf("8 single-step amounts should be >=1.5x cheaper hoisted: %g vs %g", batch.Cost(), seq.Cost())
+	if cost(seq) < 1.5*cost(batch) {
+		t.Fatalf("8 single-step amounts should be >=1.5x cheaper hoisted: %g vs %g", cost(batch), cost(seq))
 	}
 }

@@ -35,12 +35,13 @@ type NodeCost struct {
 	ConstBytes int64
 }
 
-// record executes the winning policy's circuit once more, serially, under an
-// analysis priced at the selected parameters, and attaches what only a run at
-// those parameters can tell: the per-node table (comp.Nodes), the key plan
-// (comp.Keys, RNS only) and, for a bootstrap compilation, the placement plan
-// with every refresh attributed to the circuit node and the instruction that
-// triggered it (comp.BootPlan).
+// record executes the winning policy's circuit once more, serially, under
+// the analysis its parameter pass ran (newAnalysis at the winner's ring
+// degree), and attaches what only the winner's parameters tell: the per-node
+// table (comp.Nodes), each node's tally priced at the winner's chain and α,
+// the key plan (comp.Keys, RNS only) and, for a bootstrap compilation, the
+// placement plan with every refresh attributed to the circuit node and the
+// instruction that triggered it (comp.BootPlan).
 // The run replays the parameter pass's refresh trigger, so its placements
 // are the ones that sized the chain. It records the program every execution
 // replays (comp.Code): the analysis records below the Refresher, so every
@@ -53,7 +54,8 @@ func record(c *circuit.Circuit, comp *Compiled) (err error) {
 	}()
 	opts := comp.Options
 	cfg := comp.bootConfig()
-	a := recordAnalysis(comp, cfg)
+	a := newAnalysis(&opts, comp.Best.LogN, cfg)
+	fresh := comp.Best.freshState()
 	a.rec, a.top = htc.NewRecording(), -1
 	if opts.Scheme == SchemeRNS {
 		a.top = freshLevel(comp, cfg)
@@ -82,7 +84,7 @@ func record(c *circuit.Circuit, comp *Compiled) (err error) {
 		}
 	}
 	var prev hisa.OpCounts
-	prevCost, prevMasks := 0.0, 0
+	prevMasks := 0
 	row := map[int32]int{} // comp.Nodes' index of each circuit node
 	reg := func(h hisa.Ciphertext) int32 { return a.ct(h).reg }
 	onNode := func(n *circuit.Node, out *htc.CipherTensor) {
@@ -101,9 +103,9 @@ func record(c *circuit.Circuit, comp *Compiled) (err error) {
 			Relin:     counts[hisa.OpRelin] - prev[hisa.OpRelin],
 			Masks:     a.masks - prevMasks,
 			Factor:    comp.Program.Factors[n.ID],
-			Cost:      a.totalCost - prevCost,
+			Cost:      a.price(&a.ops, fresh),
 		})
-		prev, prevCost, prevMasks = counts, a.totalCost, a.masks
+		prev, prevMasks, a.ops = counts, a.masks, tally{}
 	}
 
 	img := tensor.New(c.Input.OutShape...)
@@ -135,9 +137,11 @@ func record(c *circuit.Circuit, comp *Compiled) (err error) {
 	}
 	attribute(-1, "(output)")
 
-	total := 0.0
-	for _, p := range placements {
-		total += p.Cost
+	var one tally
+	one.add(costBootstrap, 0)
+	each := a.price(&one, fresh)
+	for i := range placements {
+		placements[i].Cost = each
 	}
 	comp.BootPlan = &BootReport{
 		Spec:       cfg.Spec,
@@ -146,29 +150,10 @@ func record(c *circuit.Circuit, comp *Compiled) (err error) {
 		FreshLevel: cfg.Window,
 		Depth:      cfg.Spec.Depth(),
 		Placements: placements,
-		EstCost:    total,
+		EstCost:    each * float64(len(placements)),
 	}
 	comp.BootPlan.MinHeadroom, _ = below.(*hisa.Refresher).MinHeadroom()
 	return nil
-}
-
-// recordAnalysis is the analysis the recording run executes against: priced
-// at the selected parameters, with bootstrap accounting under cfg (nil:
-// none).
-func recordAnalysis(comp *Compiled, cfg *BootConfig) *Analysis {
-	opts := comp.Options
-	return NewAnalysis(AnalysisConfig{
-		Scheme:        opts.Scheme,
-		Slots:         1 << uint(comp.Best.LogN-1),
-		RNSPrimeBits:  opts.RNSPrimeBits,
-		MagMarginBits: opts.MagMarginBits,
-		CostLogQ:      comp.Best.LogQ,
-		CostPrimes:    float64(len(comp.Best.RNSChainBits)),
-		CostSpecial:   comp.Best.SpecialPrimes,
-		Model:         opts.CostModel,
-		Batch:         opts.Batch,
-		Bootstrap:     cfg,
-	})
 }
 
 // keyPlan is the recording run's key plan at the compiled chain: every key

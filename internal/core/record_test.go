@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -207,6 +208,67 @@ func TestCompileRejectsBadScales(t *testing.T) {
 		_, err := Compile(c, Options{Scheme: SchemeCKKS, Scales: sc})
 		if err == nil || !strings.Contains(err.Error(), "Pm") {
 			t.Errorf("Pm = %g: got error %v, want one naming Pm", pm, err)
+		}
+	}
+}
+
+// TestNodeCostsSumToEstimate: the node table and the layout estimate are one
+// tally priced at one chain and α — the parameter pass's for the estimate,
+// the recording run's split by node for the table — so the table sums to
+// the estimate, the Figure 7 baseline's power-of-two rotations, batching,
+// complex packing and bootstrapping included. For RNS the estimate is the
+// chosen α's candidate, bit for bit.
+func TestNodeCostsSumToEstimate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles LeNet-5-small and NN-20; run without -short")
+	}
+	type compile struct {
+		model *nn.Model
+		opts  Options
+	}
+	var cases []compile
+	for _, m := range []*nn.Model{nn.LeNetTiny(), nn.LeNet5Small()} {
+		for _, scheme := range []Scheme{SchemeRNS, SchemeCKKS} {
+			cases = append(cases,
+				compile{m, Options{Scheme: scheme}},
+				compile{m, Options{Scheme: scheme, PowerOfTwoRotationsOnly: true}},
+				compile{m, Options{Scheme: scheme, Batch: 8}},
+				compile{m, Options{Scheme: scheme, Complex: true}})
+		}
+	}
+	cases = append(cases, compile{nn.NN20(), Options{Scheme: SchemeRNS, Bootstrap: &BootstrapOptions{Window: 4}}})
+	for _, tc := range cases {
+		name := fmt.Sprintf("%s %+v", tc.model.Name, tc.opts)
+		comp, err := Compile(tc.model.Circuit, tc.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		best := comp.Best
+		sum := 0.0
+		for _, n := range comp.Nodes {
+			sum += n.Cost
+		}
+		if math.Abs(sum-best.EstimatedCost) > 1e-9*best.EstimatedCost {
+			t.Errorf("%s: nodes sum to %.17g µs, estimate %.17g µs", name, sum, best.EstimatedCost)
+		}
+		if best.CostPerImage != best.EstimatedCost/float64(best.Batch) {
+			t.Errorf("%s: %g µs per image, estimate %g over %d images", name, best.CostPerImage, best.EstimatedCost, best.Batch)
+		}
+		if tc.opts.Scheme == SchemeRNS {
+			for _, c := range best.SpecialTrace {
+				if c.Alpha == best.SpecialPrimes && c.Cost != best.EstimatedCost {
+					t.Errorf("%s: α = %d candidate costs %.17g µs, estimate %.17g µs", name, c.Alpha, c.Cost, best.EstimatedCost)
+				}
+			}
+		}
+		if p := comp.BootPlan; p != nil {
+			boots := 0.0
+			for _, pl := range p.Placements {
+				boots += pl.Cost
+			}
+			if len(p.Placements) == 0 || math.Abs(boots-p.EstCost) > 1e-9*p.EstCost {
+				t.Errorf("%s: %d placements cost %g µs, plan %g µs", name, len(p.Placements), boots, p.EstCost)
+			}
 		}
 	}
 }

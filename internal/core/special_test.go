@@ -167,9 +167,9 @@ func TestSpecialPrimesSpendOnlySlack(t *testing.T) {
 					if c.Alpha != admissible[i].Alpha || c.Bits != admissible[i].Bits {
 						t.Fatalf("%s/%d/%v: candidate %d is α = %d at %d bits, want α = %d at %d", m.Name, sec, r.Policy, i, c.Alpha, c.Bits, admissible[i].Alpha, admissible[i].Bits)
 					}
-					if c.KeySwitchCost < chosen.KeySwitchCost || (c.KeySwitchCost == chosen.KeySwitchCost && c.Alpha < r.SpecialPrimes) {
+					if c.Cost < chosen.Cost || (c.Cost == chosen.Cost && c.Alpha < r.SpecialPrimes) {
 						t.Errorf("%s/%d/%v: α = %d (cost %g) chosen over α = %d (cost %g)",
-							m.Name, sec, r.Policy, r.SpecialPrimes, chosen.KeySwitchCost, c.Alpha, c.KeySwitchCost)
+							m.Name, sec, r.Policy, r.SpecialPrimes, chosen.Cost, c.Alpha, c.Cost)
 					}
 				}
 			}
@@ -290,43 +290,5 @@ func TestSpecialPrimesDeterministic(t *testing.T) {
 	flipped.Best.SpecialPrimes++
 	if flipped.Fingerprint() == a.Fingerprint() {
 		t.Fatal("changing the special-prime count did not change the fingerprint")
-	}
-}
-
-// TestKeySwitchCostMatchesCostPass: repricing the parameter pass's histogram
-// at the chosen α must equal what the cost pass charges for key switches
-// when it actually runs at that α — the histogram is a faithful stand-in for
-// one analysis run per candidate.
-func TestKeySwitchCostMatchesCostPass(t *testing.T) {
-	src, _ := testCNN()
-	comp, err := Compile(src, Options{Scheme: SchemeRNS})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := comp.Options
-	best := comp.Best
-	mk := func(special int, model *CostModel) *Analysis {
-		a := NewAnalysis(AnalysisConfig{
-			Scheme: SchemeRNS, Slots: 1 << uint(best.LogN-1),
-			RNSPrimeBits: opts.RNSPrimeBits, MagMarginBits: opts.MagMarginBits,
-			CostPrimes: float64(len(best.RNSChainBits)), CostSpecial: special, Model: model,
-		})
-		if err := runAnalysis(comp.Program.Circuit, best.Policy, opts, a, opts.Scales); err != nil {
-			t.Fatal(err)
-		}
-		return a
-	}
-	// A model that charges only key switches isolates them in Cost().
-	ksOnly := DefaultCostModel(SchemeRNS)
-	ksOnly.CAdd, ksOnly.CScalarMul, ksOnly.CPlainMul, ksOnly.CRescale = 0, 0, 0, 0
-	for _, cand := range best.SpecialTrace {
-		run := mk(cand.Alpha, &ksOnly)
-		want := run.KeySwitchCost(DefaultCostModel(SchemeRNS), float64(len(best.RNSChainBits)), cand.Alpha)
-		if got := run.Cost(); math.Abs(got-want) > 1e-9*want {
-			t.Fatalf("α=%d: cost pass charges %g for key switches, histogram reprices to %g", cand.Alpha, got, want)
-		}
-		if math.Abs(cand.KeySwitchCost-want) > 1e-9*want {
-			t.Fatalf("α=%d: candidate cost %g, histogram of a fresh run %g", cand.Alpha, cand.KeySwitchCost, want)
-		}
 	}
 }
