@@ -115,8 +115,8 @@ func TestZooMatchesEvaluateOnRef(t *testing.T) {
 
 // nodeScopes is a backend whose scopes (one per circuit node, opened by the
 // program's execution) end with end. It remembers the plaintexts encoded at
-// the mask scale and counts the outputs of sums whose first term takes one
-// as its weight.
+// the mask scale — a replay on Ref encodes each constant from its runs —
+// and counts the outputs of sums whose first term takes one as its weight.
 type nodeScopes struct {
 	hisa.Interposer
 	end   func()
@@ -126,8 +126,8 @@ type nodeScopes struct {
 
 func (s *nodeScopes) StartScope(string) func() { return s.end }
 
-func (s *nodeScopes) Encode(m []float64, f float64) hisa.Plaintext {
-	p := s.Interposer.Encode(m, f)
+func (s *nodeScopes) EncodeRuns(runs func() []hisa.Run, f float64) hisa.Plaintext {
+	p := s.Interposer.EncodeRuns(runs, f)
 	if f == maskScales.Pm {
 		s.masks[p] = true
 	}

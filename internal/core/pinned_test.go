@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"chet/internal/nn"
+	"chet/internal/ring"
+	"chet/internal/tensor"
 )
 
 // TestCompilePinned holds the compiler's decisions to their digests: how
@@ -151,5 +153,40 @@ func TestCompileAllocations(t *testing.T) {
 		if mib > tc.maxMiB {
 			t.Errorf("%s: one compile allocated %.0f MiB, bound %.0f MiB", tc.model.Name, mib, tc.maxMiB)
 		}
+	}
+}
+
+// TestMockInferenceAllocations bounds the garbage one inference of
+// LeNet-5-small on the CKKS mock makes (runtime.MemStats.TotalAlloc over
+// encrypt, execute and decrypt), the work compile-zoo checks every CKKS
+// program by. When the mock's sum of rotations ran the unfused sequence —
+// a rotated copy per distinct rotation, a product per weighted term and a
+// partial sum per added term — one inference allocated 312 MiB; computing
+// each output in one accumulator brought it to 46 MiB, most of it the
+// constants the mock encodes per use.
+func TestMockInferenceAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles LeNet-5-small; run without -short")
+	}
+	const maxMiB = 60.0
+	m := nn.LeNet5Small()
+	comp, err := Compile(m.Circuit, Options{Scheme: SchemeCKKS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := BuildBackend(comp, ring.NewTestPRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := []*tensor.Tensor{nn.SyntheticImage(m.InputShape, 1)}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	execute(comp, b, img, 2)
+	runtime.ReadMemStats(&after)
+	mib := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+	t.Logf("%s: %.0f MiB allocated by one mock inference", m.Name, mib)
+	if mib > maxMiB {
+		t.Errorf("%s: one mock inference allocated %.0f MiB, bound %.0f MiB", m.Name, mib, maxMiB)
 	}
 }

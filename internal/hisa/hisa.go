@@ -28,11 +28,12 @@ type Plaintext any
 // Backend implements the HISA instructions. All operations are functional
 // (inputs are never mutated) so the same kernel source can be executed under
 // value, cryptographic, and analysis interpretations. A backend without a
-// separate relinearization or a fused sum of rotations implements those
-// instructions by their definitions (MulNoRelin is Mul, Relinearize the
-// identity, RelinearizeRescale a Rescale, RotSum is RotSumUnfused then a
-// Rescale per divided output), so a kernel never branches on what the
-// backend can do.
+// separate relinearization implements those instructions by their
+// definitions (MulNoRelin is Mul, Relinearize the identity,
+// RelinearizeRescale a Rescale), and RotSum is defined as RotSumUnfused
+// then a Rescale per divided output, which Ref runs as written and Sim
+// computes bit for bit in one accumulator per output, so a kernel never
+// branches on what the backend can do.
 //
 // Concurrency contract: the executable backends (Ref, Sim, RNS) and the
 // observers over them (Meter, telemetry.Tracer) are safe for
@@ -85,8 +86,9 @@ type Backend interface {
 	// per output, in output order, with a ciphertext that has the output's
 	// metadata but maybe not its data, so it may only read its Scale and ask
 	// MaxRescale about it. The RNS backend divides inside each output's
-	// ModDown, bit-identical to the pair; the others run the pair. Outputs
-	// are fresh ciphertexts; the sources stay the caller's.
+	// ModDown, bit-identical to the pair; Sim divides each output in place,
+	// Ref runs the pair. Outputs are fresh ciphertexts; the sources stay
+	// the caller's.
 	RotSum(srcs []Ciphertext, sums [][]Term, divide func(Ciphertext) *big.Int) []Ciphertext
 
 	Add(c, c2 Ciphertext) Ciphertext
@@ -231,14 +233,60 @@ type Run struct {
 // no constant); a backend that needs no values never calls it. The kernels
 // run only in the compiler, whose analysis (core.Analysis) keeps the values
 // in its recording run and only their scale in every other; every execution
-// replays the program they recorded (htc.Program), which expands the runs it
-// stored.
+// replays the program they recorded (htc.Program), which stores the runs.
+// Ref and Sim take runs too, so a replay on them, which encodes a constant
+// per use, fills one slot vector straight from its runs (AsRuns).
 type RunsBackend interface {
 	Backend
 	// EncodeRuns is Encode of the constant runs builds.
 	EncodeRuns(runs func() []Run, f float64) Plaintext
 	// AddPlainCRuns is AddPlainC of the complex constant re + i·im.
 	AddPlainCRuns(c Ciphertext, re, im func() []Run) Ciphertext
+}
+
+// AsRuns returns b as a RunsBackend when every backend in b's wrapper chain
+// (FindCapability's walk) takes constants as runs. The Interposer forwards
+// EncodeRuns whatever it wraps, so b answering the assertion is not enough.
+func AsRuns(b Backend) (RunsBackend, bool) {
+	rb, ok := b.(RunsBackend)
+	for inner := b; ok; {
+		u, wrapped := inner.(Unwrapper)
+		if !wrapped {
+			return rb, true
+		}
+		inner = u.Unwrap()
+		_, ok = inner.(RunsBackend)
+	}
+	return nil, false
+}
+
+// Expand writes rs into a fresh vector of n slots.
+func Expand(rs []Run, n int) []float64 {
+	v := make([]float64, n)
+	for _, r := range rs {
+		for i := r.Start; i < r.Start+r.Len; i++ {
+			v[i] = r.Value
+		}
+	}
+	return v
+}
+
+// ExpandC expands the complex constant re + i·im into its n slot values.
+func ExpandC(re, im []Run, n int) []complex128 {
+	vr, vi := Expand(re, n), Expand(im, n)
+	m := make([]complex128, n)
+	for s := range m {
+		m[s] = complex(vr[s], vi[s])
+	}
+	return m
+}
+
+// built is the runs a runs function builds; nil builds none.
+func built(runs func() []Run) []Run {
+	if runs == nil {
+		return nil
+	}
+	return runs()
 }
 
 // RotationSteps decomposes a left rotation by x (mod slots) into the

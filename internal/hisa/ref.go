@@ -89,6 +89,17 @@ func (b *RefBackend) Encode(m []float64, f float64) Plaintext {
 	return &refPT{vals: vals, scale: f}
 }
 
+// EncodeRuns is Encode of the runs' expansion, filling the one slot vector
+// the plaintext keeps.
+func (b *RefBackend) EncodeRuns(runs func() []Run, f float64) Plaintext {
+	return &refPT{vals: Expand(built(runs), b.slots), scale: f}
+}
+
+// AddPlainCRuns is AddPlainC of the expanded constant.
+func (b *RefBackend) AddPlainCRuns(c Ciphertext, re, im func() []Run) Ciphertext {
+	return b.AddPlainC(c, ExpandC(built(re), built(im), b.slots))
+}
+
 func (b *RefBackend) Decode(p Plaintext) []float64 {
 	return append([]float64(nil), b.pt(p).vals...)
 }

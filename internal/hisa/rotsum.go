@@ -87,7 +87,7 @@ func RotSumUnfused(b Backend, srcs []Ciphertext, sums [][]Term) []Ciphertext {
 }
 
 // rotSumUnfused is RotSumUnfused with the rotations, then the sums, spread
-// across up to workers goroutines: the mocks' intra-instruction parallelism.
+// across up to workers goroutines: Ref's intra-instruction parallelism.
 // Every sum runs on one goroutine in term order, so results do not depend
 // on it.
 func rotSumUnfused(b Backend, srcs []Ciphertext, sums [][]Term, workers int) []Ciphertext {
@@ -231,7 +231,9 @@ func (ip *Interposer) reportRotSum(srcs []Ciphertext, sums [][]Term, outs []Ciph
 
 // spread runs fn(i) for i in [0, n) on up to workers goroutines, claiming
 // indices from a shared counter so uneven work balances itself; workers <= 1
-// runs them in order on the calling goroutine.
+// runs them in order on the calling goroutine. A panic is raised again on
+// the calling goroutine once every index has run: the lowest index's, the
+// one the serial order raises.
 func spread(workers, n int, fn func(i int)) {
 	workers = min(workers, n)
 	if workers <= 1 {
@@ -242,14 +244,31 @@ func spread(workers, n int, fn func(i int)) {
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
+	var mu sync.Mutex
+	failed, failure := n, any(nil)
+	run := func(i int) {
+		defer func() {
+			if r := recover(); r != nil {
+				mu.Lock()
+				if i < failed {
+					failed, failure = i, r
+				}
+				mu.Unlock()
+			}
+		}()
+		fn(i)
+	}
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
 			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-				fn(i)
+				run(i)
 			}
 		}()
 	}
 	wg.Wait()
+	if failed < n {
+		panic(failure)
+	}
 }

@@ -17,9 +17,17 @@ func testSums(b Backend) ([]Ciphertext, [][]Term) {
 	slots := b.Slots()
 	a := b.Encrypt(b.Encode(rv(slots, 1, 41), testScale))
 	c := b.Encrypt(b.Encode(rv(slots, 1, 42), testScale))
-	const wScale = 1 << 30
 	pa, pc := b.Encode(rv(slots, 1, 43), wScale), b.Encode(rv(slots, 0.5, 44), wScale)
-	return []Ciphertext{a, c}, [][]Term{
+	return []Ciphertext{a, c}, testTerms(slots, pa, pc)
+}
+
+// wScale is the scale of testSums' weights.
+const wScale = 1 << 30
+
+// testTerms is testSums' sum set over sources 0 and 1 and plaintexts pa and
+// pc.
+func testTerms(slots int, pa, pc Plaintext) [][]Term {
+	return [][]Term{
 		{{Src: 0, Rot: 1, Plain: pa}, {Src: 1, Rot: -2, Plain: pc}, {Src: 0, Plain: pc}},
 		{{Src: 0, Rot: 8, X: 0.5, F: wScale}, {Src: 1, Rot: 1 + slots, X: -1.25, F: wScale}, {Src: 1, X: 2, F: wScale}},
 		{{Src: 0, Rot: 1}, {Src: 0, Rot: 3}, {Src: 1}},
@@ -27,6 +35,35 @@ func testSums(b Backend) ([]Ciphertext, [][]Term) {
 		{{Src: 1, Rot: 2}},
 		{{Src: 0}},
 	}
+}
+
+// complexSums is testSums with source 0 and its plaintext pa complex, or
+// with source 1 and pc complex: the first mixes complex and real operands
+// in every sum, the second starts sums real and adds complex terms to them.
+func complexSums(b Backend, second bool) ([]Ciphertext, [][]Term) {
+	slots := b.Slots()
+	cv := func(seed int64) []complex128 {
+		re, im := rv(slots, 1, seed), rv(slots, 1, seed+100)
+		m := make([]complex128, slots)
+		for i := range m {
+			m[i] = complex(re[i], im[i])
+		}
+		return m
+	}
+	cp := func(seed int64) Plaintext {
+		re, im := rv(slots, 1, seed), rv(slots, 0.5, seed+100)
+		if _, ok := b.(*SimBackend); ok {
+			return &simPT{vals: re, ivals: im, scale: wScale}
+		}
+		return &refPT{vals: re, ivals: im, scale: wScale}
+	}
+	a, c := b.EncryptC(cv(41), testScale), b.Encrypt(b.Encode(rv(slots, 1, 42), testScale))
+	pa, pc := cp(43), b.Encode(rv(slots, 0.5, 44), wScale)
+	if second {
+		a, c = b.Encrypt(b.Encode(rv(slots, 1, 41), testScale)), b.EncryptC(cv(42), testScale)
+		pa, pc = b.Encode(rv(slots, 1, 43), wScale), cp(44)
+	}
+	return []Ciphertext{a, c}, testTerms(slots, pa, pc)
 }
 
 // TestSumRotations: per source, every amount that is not a multiple of the
@@ -47,7 +84,6 @@ func TestSumRotations(t *testing.T) {
 func unfusedByHand(b Backend, srcs []Ciphertext, sums [][]Term) []Ciphertext {
 	a, c := srcs[0], srcs[1]
 	pa, pc := sums[0][0].Plain, sums[0][1].Plain
-	const wScale = 1 << 30
 	slots := b.Slots()
 	return []Ciphertext{
 		b.Add(b.Add(b.MulPlain(b.RotLeft(a, 1), pa), b.MulPlain(b.RotLeft(c, -2), pc)), b.MulPlain(a, pc)),
@@ -61,19 +97,103 @@ func unfusedByHand(b Backend, srcs []Ciphertext, sums [][]Term) []Ciphertext {
 
 // TestRotSumRefSimBitIdentical checks the backends that do not fuse: RotSum
 // is the unfused sequence there, and its results are bit-identical to
-// the same ops written out by hand.
+// the same ops written out by hand — on Sim, which computes each output in
+// one accumulator, also with complex sources and plaintexts, with
+// rotations that take several key-switch steps (power-of-two keys only) and
+// with a divide, which must equal the sequence then Rescale; every case at
+// 1 and 4 intra-instruction workers.
 func TestRotSumRefSimBitIdentical(t *testing.T) {
-	for _, b := range []Backend{NewRefBackend(512), NewSimBackend(SimParams{LogN: 10, LogQ: 240, Seed: 9})} {
-		srcs, sums := testSums(b)
-		want := unfusedByHand(b, srcs, sums)
-		got := b.RotSum(srcs, sums, nil)
-		for o := range want {
-			if !reflect.DeepEqual(got[o], want[o]) {
-				t.Fatalf("%s: sum %d differs from the unfused sequence", b.Name(), o)
+	pow2 := map[int]bool{}
+	for k := 1; k < 512; k <<= 1 {
+		pow2[k] = true
+	}
+	sim := func(rotations map[int]bool) Backend {
+		return NewSimBackend(SimParams{LogN: 10, LogQ: 240, Rotations: rotations, Seed: 9})
+	}
+	divide := func(b Backend) func(Ciphertext) *big.Int {
+		return func(c Ciphertext) *big.Int {
+			if b.Scale(c) <= testScale*1.0001 {
+				return big.NewInt(1)
+			}
+			return b.MaxRescale(c, big.NewInt(1<<41))
+		}
+	}
+	real := func(b Backend) ([]Ciphertext, [][]Term) { return testSums(b) }
+	first := func(b Backend) ([]Ciphertext, [][]Term) { return complexSums(b, false) }
+	second := func(b Backend) ([]Ciphertext, [][]Term) { return complexSums(b, true) }
+	for _, tc := range []struct {
+		name   string
+		b      Backend
+		sums   func(Backend) ([]Ciphertext, [][]Term)
+		divide bool
+	}{
+		{"ref", NewRefBackend(512), real, false},
+		{"ref/complex", NewRefBackend(512), first, false},
+		{"sim", sim(nil), real, false},
+		{"sim/complex a, pa", sim(nil), first, false},
+		{"sim/complex c, pc", sim(nil), second, false},
+		{"sim/power-of-two keys", sim(pow2), real, false},
+		{"sim/power-of-two keys, complex", sim(pow2), second, false},
+		{"sim/divide", sim(nil), real, true},
+		{"sim/divide, power-of-two keys, complex", sim(pow2), first, true},
+	} {
+		for _, workers := range []int{1, 4} {
+			b := tc.b
+			b.(interface{ SetIntraOpWorkers(int) }).SetIntraOpWorkers(workers)
+			srcs, sums := tc.sums(b)
+			want := unfusedByHand(b, srcs, sums)
+			var div func(Ciphertext) *big.Int
+			if tc.divide {
+				div = divide(b)
+				for o, c := range want {
+					if d := div(c); d.Cmp(big.NewInt(1)) != 0 {
+						want[o] = b.Rescale(c, d)
+					}
+				}
+			}
+			got := b.RotSum(srcs, sums, div)
+			for o := range want {
+				if !reflect.DeepEqual(got[o], want[o]) {
+					t.Fatalf("%s, %d workers: sum %d differs from the unfused sequence", tc.name, workers, o)
+				}
+			}
+			if got[3] == got[4] || got[5] == srcs[0] {
+				t.Fatalf("%s: RotSum outputs alias each other or a source", tc.name)
 			}
 		}
-		if got[3] == got[4] || got[5] == srcs[0] {
-			t.Fatalf("%s: RotSum outputs alias each other or a source", b.Name())
+	}
+}
+
+// TestRotSumSimOverCapacity: a sum whose product outgrows the modulus
+// panics on Sim with the message the unfused sequence's first such product
+// raises — here the second term of the first sum, ahead of a larger
+// overflow in the second — at 1 and 4 workers.
+func TestRotSumSimOverCapacity(t *testing.T) {
+	b := NewSimBackend(SimParams{LogN: 10, LogQ: 100, Seed: 9})
+	slots := b.Slots()
+	a := b.Encrypt(b.Encode(rv(slots, 1, 41), testScale))
+	large := make([]float64, slots)
+	for i := range large {
+		large[i] = 1e12
+	}
+	srcs := []Ciphertext{a}
+	sums := [][]Term{
+		{{Rot: 1, Plain: b.Encode(rv(slots, 1, 43), wScale)}, {Rot: 2, Plain: b.Encode(large, wScale)}},
+		{{Rot: 3, X: 1e20, F: wScale}},
+	}
+	panicOf := func(f func()) (r any) {
+		defer func() { r = recover() }()
+		f()
+		return nil
+	}
+	want := panicOf(func() { RotSumUnfused(b, srcs, sums) })
+	if want == nil {
+		t.Fatal("the unfused sequence did not overflow")
+	}
+	for _, workers := range []int{1, 4} {
+		b.SetIntraOpWorkers(workers)
+		if got := panicOf(func() { b.RotSum(srcs, sums, nil) }); got != want {
+			t.Fatalf("%d workers: RotSum panicked with %v, want %v", workers, got, want)
 		}
 	}
 }

@@ -71,6 +71,9 @@ func (s SimBootstrap) withDefaults(logQ int) SimBootstrap {
 // bookkeeping rules. Decryption injects the accumulated Gaussian noise, so
 // precision experiments (and CHET's profile-guided scale selection) observe
 // CKKS-like behaviour. See DESIGN.md for the substitution rationale.
+// Every op returns fresh slot vectors, except that a sum of rotations
+// (RotSum) is computed in one accumulator per output, bit-identical to the
+// unfused sequence without its rotated copies, products and partial sums.
 type SimBackend struct {
 	params SimParams
 	slots  int
@@ -206,17 +209,24 @@ func (b *SimBackend) pt(p Plaintext) *simPT {
 // modulus — the "corrupted and unrecoverable" overflow the paper's parameter
 // selection exists to prevent.
 func (b *SimBackend) checkCapacity(c *simCT) {
-	mag := 1.0
+	peak := 1.0
 	for i := range c.vals {
-		if m := c.mag(i) + 6*c.noise[i]; m > mag {
-			mag = m
+		if m := c.mag(i) + 6*c.noise[i]; m > peak {
+			peak = m
 		}
 	}
-	need := math.Log2(c.scale) + math.Log2(mag+1) + 1
-	if need > c.logQ {
+	checkFits(peak, c.scale, c.logQ)
+}
+
+// checkFits is checkCapacity's verdict on a ciphertext at scale and logQ
+// whose largest slot magnitude plus six noise deviations is peak (at least
+// 1).
+func checkFits(peak, scale, logQ float64) {
+	need := math.Log2(scale) + math.Log2(peak+1) + 1
+	if need > logQ {
 		panic(fmt.Sprintf(
 			"hisa: ckks-sim modulus exhausted: message needs %.1f bits but only %.1f remain (scale 2^%.1f); increase Q",
-			need, c.logQ, math.Log2(c.scale)))
+			need, logQ, math.Log2(scale)))
 	}
 }
 
@@ -227,6 +237,17 @@ func (b *SimBackend) Encode(m []float64, f float64) Plaintext {
 	vals := make([]float64, b.slots)
 	copy(vals, m)
 	return &simPT{vals: vals, scale: f}
+}
+
+// EncodeRuns is Encode of the runs' expansion, filling the one slot vector
+// the plaintext keeps.
+func (b *SimBackend) EncodeRuns(runs func() []Run, f float64) Plaintext {
+	return &simPT{vals: Expand(built(runs), b.slots), scale: f}
+}
+
+// AddPlainCRuns is AddPlainC of the expanded constant.
+func (b *SimBackend) AddPlainCRuns(c Ciphertext, re, im func() []Run) Ciphertext {
+	return b.AddPlainC(c, ExpandC(built(re), built(im), b.slots))
 }
 
 func (b *SimBackend) Decode(p Plaintext) []float64 {
@@ -295,30 +316,22 @@ func (b *SimBackend) RotLeft(c Ciphertext, x int) Ciphertext {
 	cc := b.ct(c)
 	n := b.slots
 	x = ((x % n) + n) % n
-	steps := RotationSteps(x, n, b.rotationAvailable())
-	vals := append([]float64(nil), cc.vals...)
-	ivals := imOrNil(cc.ivals)
-	noise := append([]float64(nil), cc.noise...)
-	if x != 0 {
-		rotV := make([]float64, n)
-		rotN := make([]float64, n)
-		for i := 0; i < n; i++ {
-			rotV[i] = vals[(i+x)%n]
-			rotN[i] = noise[(i+x)%n]
-		}
-		vals, noise = rotV, rotN
-		if ivals != nil {
-			rotI := make([]float64, n)
-			for i := 0; i < n; i++ {
-				rotI[i] = cc.ivals[(i+x)%n]
-			}
-			ivals = rotI
-		}
+	out := &simCT{vals: rotated(cc.vals, x), scale: cc.scale, logQ: cc.logQ, noise: rotated(cc.noise, x)}
+	if cc.ivals != nil {
+		out.ivals = rotated(cc.ivals, x)
 	}
-	for range steps {
-		hypotConst(noise, b.keySwitchNoise(cc.scale))
+	for range RotationSteps(x, n, b.rotationAvailable()) {
+		hypotConst(out.noise, b.keySwitchNoise(cc.scale))
 	}
-	return &simCT{vals: vals, ivals: ivals, scale: cc.scale, logQ: cc.logQ, noise: noise}
+	return out
+}
+
+// rotated returns a fresh copy of v rotated left by k, 0 <= k < len(v).
+func rotated(v []float64, k int) []float64 {
+	out := make([]float64, len(v))
+	copy(out, v[k:])
+	copy(out[len(v)-k:], v[:k])
+	return out
 }
 
 func (b *SimBackend) rotationAvailable() func(int) bool {
@@ -460,10 +473,134 @@ func (b *SimBackend) RelinearizeRescale(c Ciphertext, x *big.Int) Ciphertext {
 	return b.Rescale(c, x)
 }
 
-// RotSum is the unfused sequence, its rotations and sums spread across the
-// intra-instruction workers.
+// RotSum computes each output in one accumulator of its own, allocated once:
+// every term reads its source at the rotation's offset and is weighted and
+// added slot by slot, with no rotated copy, product or partial sum
+// allocated. Each slot goes through exactly the float operations RotLeft,
+// MulPlain or MulScalar, and Add apply in RotSumUnfused, in the same order,
+// so the outputs, every product's capacity check and every panic are the
+// unfused sequence's. The outputs are spread across the intra-instruction
+// workers; a divided output is rescaled in its own accumulator.
 func (b *SimBackend) RotSum(srcs []Ciphertext, sums [][]Term, divide func(Ciphertext) *big.Int) []Ciphertext {
-	return rescaleEach(b, rotSumUnfused(b, srcs, sums, int(b.workers.Load())), divide)
+	outs := make([]Ciphertext, len(sums))
+	spread(int(b.workers.Load()), len(sums), func(o int) { outs[o] = b.sum(srcs, sums[o]) })
+	if divide != nil {
+		for _, c := range outs {
+			if d := divide(c); d.Cmp(bigOne) != 0 {
+				b.rescale(b.ct(c), d)
+			}
+		}
+	}
+	return outs
+}
+
+// sum computes one output of RotSum, term by term, into a fresh accumulator.
+// A term's product is checked against the modulus after its pass, and its
+// scale against the sum's, as MulPlain, MulScalar and Add check them.
+func (b *SimBackend) sum(srcs []Ciphertext, terms []Term) *simCT {
+	if len(terms) == 0 {
+		panic("hisa: a sum of rotations with no terms")
+	}
+	n := b.slots
+	acc := &simCT{vals: make([]float64, n), noise: make([]float64, n)}
+	avail := b.rotationAvailable()
+	for t, term := range terms {
+		x := b.ct(srcs[term.Src])
+		k := ((term.Rot % n) + n) % n
+		steps := len(RotationSteps(k, n, avail))
+		ks := b.keySwitchNoise(x.scale)
+		// The product's scale and whether it has imaginary parts; a unit
+		// weight's product is the rotation itself.
+		var y *simPT
+		var enc float64
+		scale, s, f := x.scale, term.X, term.F
+		switch {
+		case term.Plain != nil:
+			y = b.pt(term.Plain)
+			enc = b.encodingNoise(y.scale)
+			scale *= y.scale
+		case f != 0:
+			scale *= f
+		}
+		weighted := y != nil || f != 0
+		cplx := x.ivals != nil || y != nil && y.ivals != nil
+		if cplx && acc.ivals == nil {
+			acc.ivals = make([]float64, n) // Add reads a real sum's imaginary parts as 0
+		}
+		peak := 1.0
+		for i := 0; i < n; i++ {
+			j := i + k
+			if j >= n {
+				j -= n
+			}
+			// The rotation: RotLeft's slot j and its key switches.
+			a, e := x.vals[j], x.noise[j]
+			for range steps {
+				e = hypot(e, ks)
+			}
+			var bi float64
+			if x.ivals != nil {
+				bi = x.ivals[j]
+			}
+			// The product: v + i·iv with noise e, iv = 0 when it is real.
+			// The conversions round each part as the unfused op's store
+			// does, so no platform fuses it into the sum's addition.
+			v, iv := a, bi
+			switch {
+			case y != nil && !cplx: // MulPlain, real
+				yv := y.vals[i]
+				v = float64(a * yv)
+				e = hypot(e*math.Abs(yv), enc*(math.Abs(a)+e))
+			case y != nil: // MulPlain, complex
+				cr, di := y.vals[i], imAt(y.ivals, i)
+				v, iv = float64(a*cr-bi*di), float64(a*di+bi*cr)
+				e = hypot(e*hypot(cr, di), enc*(slotMag(a, bi, x.ivals != nil)+e))
+			case f != 0: // MulScalar
+				v = float64(a * s)
+				if x.ivals != nil {
+					iv = float64(bi * s)
+				}
+				e = hypot(e*math.Abs(s), (slotMag(a, bi, x.ivals != nil)+e)/(2*f))
+			}
+			if weighted {
+				if m := slotMag(v, iv, cplx) + 6*e; m > peak {
+					peak = m
+				}
+			}
+			// The sum: the first term is the accumulator, later ones Add.
+			if t == 0 {
+				acc.vals[i], acc.noise[i] = v, e
+				if cplx {
+					acc.ivals[i] = iv
+				}
+				continue
+			}
+			acc.vals[i] += v
+			acc.noise[i] = hypot(acc.noise[i], e)
+			if acc.ivals != nil {
+				acc.ivals[i] += iv
+			}
+		}
+		if weighted {
+			checkFits(peak, scale, x.logQ)
+		}
+		if t == 0 {
+			acc.scale, acc.logQ = scale, x.logQ
+			continue
+		}
+		b.requireSameScale(acc.scale, scale, "add")
+		acc.logQ = math.Min(acc.logQ, x.logQ)
+	}
+	return acc
+}
+
+// slotMag is simCT.mag of a slot with real part a and imaginary part bi,
+// complex or not.
+func slotMag(a, bi float64, complex bool) float64 {
+	if !complex {
+		return math.Abs(a)
+	}
+	return hypot(a, bi)
 }
 
 // SetIntraOpWorkers bounds the goroutines one RotSum spreads its rotations
@@ -527,7 +664,13 @@ func (b *SimBackend) MulScalar(c Ciphertext, s float64, f float64) Ciphertext {
 }
 
 func (b *SimBackend) Rescale(c Ciphertext, x *big.Int) Ciphertext {
-	cc := b.ct(c)
+	out := b.ct(b.Copy(c))
+	b.rescale(out, x)
+	return out
+}
+
+// rescale divides c by x in place.
+func (b *SimBackend) rescale(c *simCT, x *big.Int) {
 	if x.BitLen() > 1024 {
 		panic("hisa: sim rescale divisor out of range")
 	}
@@ -536,25 +679,17 @@ func (b *SimBackend) Rescale(c Ciphertext, x *big.Int) Ciphertext {
 		panic("hisa: sim rescale divisor < 1")
 	}
 	bitsUsed := math.Log2(d)
-	newLogQ := cc.logQ - bitsUsed
+	newLogQ := c.logQ - bitsUsed
 	if newLogQ < 0 {
 		panic(fmt.Sprintf("hisa: ckks-sim modulus exhausted by rescale: need %.1f bits, have %.1f",
-			bitsUsed, cc.logQ))
+			bitsUsed, c.logQ))
 	}
-	newScale := cc.scale / d
+	c.scale /= d
+	c.logQ = newLogQ
 	// Message-unit noise is unchanged by exact division; rounding adds
 	// sqrt(N)/2 coefficient units at the new scale.
-	noise := append([]float64(nil), cc.noise...)
-	hypotConst(noise, math.Sqrt(b.n())/(2*newScale))
-	out := &simCT{
-		vals:  append([]float64(nil), cc.vals...),
-		ivals: imOrNil(cc.ivals),
-		scale: newScale,
-		logQ:  newLogQ,
-		noise: noise,
-	}
-	b.checkCapacity(out)
-	return out
+	hypotConst(c.noise, math.Sqrt(b.n())/(2*c.scale))
+	b.checkCapacity(c)
 }
 
 // MaxRescale implements the CKKS restriction that divisors are powers of

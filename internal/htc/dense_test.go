@@ -257,7 +257,7 @@ func TestFoldStridedExact(t *testing.T) {
 // sumCounter counts the sums of rotations that switch keys: the outputs of
 // a RotSum with a rotated term, each of which takes a ModDown.
 type sumCounter struct {
-	runsRef
+	*hisa.RefBackend
 	n int
 }
 
@@ -270,7 +270,7 @@ func (s *sumCounter) RotSum(srcs []hisa.Ciphertext, sums [][]hisa.Term, divide f
 			}
 		}
 	}
-	return s.runsRef.RotSum(srcs, sums, divide)
+	return s.RefBackend.RotSum(srcs, sums, divide)
 }
 
 // TestDenseRotationBudget meters the Dense layers the benchmark and the zoo
@@ -299,7 +299,7 @@ func TestDenseRotationBudget(t *testing.T) {
 		{"13x16-prime-no-fit@2^7", prime, PolicyHW, 1 << 6, map[string][2]int{"fc": {90, 27}}},
 	}
 	for _, tc := range cases {
-		counter := &sumCounter{runsRef: newRef(tc.slots)}
+		counter := &sumCounter{RefBackend: newRef(tc.slots)}
 		m := hisa.NewMeter(counter, nil)
 		sc := DefaultScales()
 		enc := EncryptTensor(m, PlanFor(tc.c, tc.policy), sc, tensor.New(tc.c.Input.OutShape...))

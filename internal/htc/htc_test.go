@@ -10,22 +10,9 @@ import (
 	"chet/internal/tensor"
 )
 
-// runsRef is the reference backend taking the kernels' constants as runs,
-// which it expands to slot vectors: what the Ref-only kernel tests execute
-// against.
-type runsRef struct{ *hisa.RefBackend }
+func newRef(slots int) *hisa.RefBackend { return hisa.NewRefBackend(slots) }
 
-func (b runsRef) EncodeRuns(runs func() []hisa.Run, f float64) hisa.Plaintext {
-	return b.Encode(expand(runs(), b.Slots()), f)
-}
-
-func (b runsRef) AddPlainCRuns(c hisa.Ciphertext, re, im func() []hisa.Run) hisa.Ciphertext {
-	return b.AddPlainC(c, complexOf(built(re), built(im), b.Slots()))
-}
-
-func newRef(slots int) runsRef { return runsRef{hisa.NewRefBackend(slots)} }
-
-func refBackend() runsRef { return newRef(4096) }
+func refBackend() *hisa.RefBackend { return newRef(4096) }
 
 func randTensor(shape []int, bound float64, seed int64) *tensor.Tensor {
 	rng := rand.New(rand.NewSource(seed))

@@ -134,17 +134,6 @@ type Span struct {
 	Regs      []int32
 }
 
-// expand writes rs into a fresh vector of n slots.
-func expand(rs []hisa.Run, n int) []float64 {
-	v := make([]float64, n)
-	for _, r := range rs {
-		for i := r.Start; i < r.Start+r.Len; i++ {
-			v[i] = r.Value
-		}
-	}
-	return v
-}
-
 type encoded struct {
 	once  sync.Once
 	pt    hisa.Plaintext
@@ -259,7 +248,9 @@ func (p *Program) run(b hisa.Backend, in *CipherTensor, workers int, observe fun
 			in.C, in.H, in.W, in.Layout, len(in.CTs)))
 	}
 	x := &exec{p: p, b: b, observe: observe, regs: make([]hisa.Ciphertext, p.Regs), uses: append([]int32(nil), p.uses...)}
-	x.enc, _ = hisa.AsLeveledEncode(b)
+	if x.enc, _ = hisa.AsLeveledEncode(b); x.enc == nil {
+		x.runs, _ = hisa.AsRuns(b)
+	}
 	for i, r := range p.InRegs {
 		x.regs[r] = in.CTs[i]
 	}
@@ -298,6 +289,7 @@ type exec struct {
 	p       *Program
 	b       hisa.Backend
 	enc     hisa.LeveledEncodeBackend
+	runs    hisa.RunsBackend // a backend without enc that takes runs
 	observe func(i int, outs []hisa.Ciphertext)
 	regs    []hisa.Ciphertext
 	uses    []int32 // reads still to come
@@ -510,21 +502,27 @@ func (x *exec) rotSum(rs *RotSum, base float64) []hisa.Ciphertext {
 }
 
 // plain returns constant k's plaintext for an instruction on ciphertext c.
-// On a leveled backend it is encoded once, at the constant's level — a
-// complex one (addplainc's) as complex — and an operand above that level or
-// at another scale than the cached plaintext's (neither happens in the
-// program the compiler planned) gets its own.
+// A backend without leveled encoding encodes it per use, straight from its
+// runs where the backend takes runs (AsRuns: one slot vector, not the
+// expansion and Encode's copy of it). On a leveled backend it is encoded
+// once, at the constant's level — a complex one (addplainc's) as complex —
+// and an operand above that level or at another scale than the cached
+// plaintext's (neither happens in the program the compiler planned) gets
+// its own.
 func (x *exec) plain(k int32, c hisa.Ciphertext) hisa.Plaintext {
 	con, slots := &x.p.Consts[k], x.b.Slots()
 	scale := x.scale(k, c)
+	if x.runs != nil {
+		return x.runs.EncodeRuns(func() []hisa.Run { return con.Re }, scale)
+	}
 	if x.enc == nil {
-		return x.b.Encode(expand(con.Re, slots), scale)
+		return x.b.Encode(hisa.Expand(con.Re, slots), scale)
 	}
 	encode := func(level int) hisa.Plaintext {
 		if con.Im != nil {
-			return x.enc.EncodeCAt(complexOf(con.Re, con.Im, slots), scale, level)
+			return x.enc.EncodeCAt(hisa.ExpandC(con.Re, con.Im, slots), scale, level)
 		}
-		return x.enc.EncodeAt(expand(con.Re, slots), scale, level)
+		return x.enc.EncodeAt(hisa.Expand(con.Re, slots), scale, level)
 	}
 	level, e := x.enc.LevelOf(c), &x.p.encoded[k]
 	e.once.Do(func() {
@@ -556,19 +554,9 @@ func (x *exec) scale(k int32, c hisa.Ciphertext) float64 {
 func (x *exec) addPlainC(k int32, c hisa.Ciphertext) hisa.Ciphertext {
 	con, slots := &x.p.Consts[k], x.b.Slots()
 	if x.enc == nil || slotUniform(con.Re, slots) && slotUniform(con.Im, slots) {
-		return x.b.AddPlainC(c, complexOf(con.Re, con.Im, slots))
+		return x.b.AddPlainC(c, hisa.ExpandC(con.Re, con.Im, slots))
 	}
 	return x.b.AddPlain(c, x.plain(k, c))
-}
-
-// complexOf expands the complex constant re + i·im into its n slot values.
-func complexOf(reRuns, imRuns []hisa.Run, n int) []complex128 {
-	re, im := expand(reRuns, n), expand(imRuns, n)
-	m := make([]complex128, n)
-	for s := range m {
-		m[s] = complex(re[s], im[s])
-	}
-	return m
 }
 
 // EncodedLevels is the level each constant's plaintext has once a replay on

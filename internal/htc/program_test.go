@@ -233,6 +233,37 @@ func TestMockEncodesOncePerInstruction(t *testing.T) {
 	}
 }
 
+// TestReplayEncodesFromRuns: a replay on a backend that encodes per use
+// encodes each constant straight from its runs when every backend in the
+// wrapper chain takes runs (hisa.AsRuns), and by Encode of the expanded
+// constant when one does not. An Interposer forwards EncodeRuns whatever it
+// wraps, so a Meter over a backend without runs must not ask for them. The
+// outputs and the Meter's encodes agree, on Ref and on Sim.
+func TestReplayEncodesFromRuns(t *testing.T) {
+	m := nn.LeNetTiny()
+	comp := compile(t, m, core.SchemeCKKS, 11, simScales, htc.PolicyHW)
+	img := nn.SyntheticImage(m.InputShape, 4)
+	type withoutRuns struct{ hisa.Backend }
+	for name, fresh := range map[string]func() hisa.Backend{
+		"sim": func() hisa.Backend { return backend(t, comp) },
+		"ref": func() hisa.Backend { return hisa.NewRefBackend(1 << (comp.Best.LogN - 1)) },
+	} {
+		want := run(comp, fresh(), img)[0]
+		var encodes []int
+		for _, b := range []hisa.Backend{fresh(), withoutRuns{fresh()}} {
+			meter := hisa.NewMeter(b, nil)
+			if _, ok := hisa.AsRuns(meter); ok != (len(encodes) == 0) {
+				t.Fatalf("%s: AsRuns = %v for the Meter over %T", name, ok, b)
+			}
+			requireBitIdentical(t, fmt.Sprintf("%s: Meter over %T", name, b), want, run(comp, meter, img)[0])
+			encodes = append(encodes, meter.Counts()[hisa.OpEncode])
+		}
+		if encodes[0] != encodes[1] {
+			t.Fatalf("%s: %d encodes from runs, %d by Encode", name, encodes[0], encodes[1])
+		}
+	}
+}
+
 // TestConstantStoreConcurrentExecutions runs two executions of one program
 // at once on one backend, sharing its lazily encoded constants and the
 // evaluator (run with -race): both must equal a serial execution after
