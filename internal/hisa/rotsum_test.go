@@ -118,24 +118,24 @@ func TestRotSumRefSimBitIdentical(t *testing.T) {
 			return b.MaxRescale(c, big.NewInt(1<<41))
 		}
 	}
-	real := func(b Backend) ([]Ciphertext, [][]Term) { return testSums(b) }
-	first := func(b Backend) ([]Ciphertext, [][]Term) { return complexSums(b, false) }
-	second := func(b Backend) ([]Ciphertext, [][]Term) { return complexSums(b, true) }
+	realSums := func(b Backend) ([]Ciphertext, [][]Term) { return testSums(b) }
+	complexA := func(b Backend) ([]Ciphertext, [][]Term) { return complexSums(b, false) }
+	complexC := func(b Backend) ([]Ciphertext, [][]Term) { return complexSums(b, true) }
 	for _, tc := range []struct {
 		name   string
 		b      Backend
 		sums   func(Backend) ([]Ciphertext, [][]Term)
 		divide bool
 	}{
-		{"ref", NewRefBackend(512), real, false},
-		{"ref/complex", NewRefBackend(512), first, false},
-		{"sim", sim(nil), real, false},
-		{"sim/complex a, pa", sim(nil), first, false},
-		{"sim/complex c, pc", sim(nil), second, false},
-		{"sim/power-of-two keys", sim(pow2), real, false},
-		{"sim/power-of-two keys, complex", sim(pow2), second, false},
-		{"sim/divide", sim(nil), real, true},
-		{"sim/divide, power-of-two keys, complex", sim(pow2), first, true},
+		{"ref", NewRefBackend(512), realSums, false},
+		{"ref/complex", NewRefBackend(512), complexA, false},
+		{"sim", sim(nil), realSums, false},
+		{"sim/complex a, pa", sim(nil), complexA, false},
+		{"sim/complex c, pc", sim(nil), complexC, false},
+		{"sim/power-of-two keys", sim(pow2), realSums, false},
+		{"sim/power-of-two keys, complex", sim(pow2), complexC, false},
+		{"sim/divide", sim(nil), realSums, true},
+		{"sim/divide, power-of-two keys, complex", sim(pow2), complexA, true},
 	} {
 		for _, workers := range []int{1, 4} {
 			b := tc.b
