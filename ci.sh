@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # ci.sh — the repository's tier-1 gate plus the race-detector pass over the
 # concurrency-sensitive packages (evaluator scratch pools, the program
-# executor's worker pool and shared constants, atomic op meter). Run before
-# every commit.
+# executor's worker pool and shared constants, atomic op meter, the
+# compiler's concurrent layout search). Run before every commit.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -18,12 +18,12 @@ go build ./...
 echo "== go test ./..."
 go test ./...
 
-echo "== kernel promises (Dense issues the rotations and key-switching sums its closed form says, fewer rotations than one fold per neuron; its copies land only in slots its input leaves free, and it refuses copies that would overlap or leave their lane; every zoo model under every policy reads its Dense inputs clean; every runtime rotation has a compiled key, at or below the key's planned level, and every planned key is applied, batched compiles included; keys cut at a level compute what full keys compute and do not depend on the core count; the conjugation key only when used; the compiler's node table equals the runtime's op counts; the node table sums to each layout's estimate, power-of-two baseline included; the runtime executes exactly the compiled program, every instruction once and at its planned level; outputs are pinned bit for bit on Ref, Sim and RNS, real, batched, complex and bootstrapped, at 1 and 4 workers; impossible scales are rejected; the Meter's bootstraps equal the placements; the program's constants are encoded once, at their level, bit-identically, also under bootstrapping and complex packing; input scales are admitted exactly; a lying input scale is refused without harming a concurrent session; a tensor off the compiled input layout, complex flag and batch metadata included, is refused at admission; and a panicking evaluation fails only its own request; sums of rotations list each source's distinct amounts once and match the unfused sequence — bit for bit on Ref/Sim, within the rounding bound on RNS, op for op in the Meter — and divide by P once per output; the mock computes each output in one accumulator of its own, bit for bit the unfused sequence with complex sources and plaintexts, multi-step rotations and a divide at 1 and 4 workers, and panics as it does on a product over capacity; a sum that takes its outputs' rescale divides inside its ModDown bit-identically to the sum then the rescale, at every level and α, off-plan keys and mask weights included, and counts as the pair; base-4 folds are exact for n = 1…33 in the rotations their closed form counts; a mask-weighted sum under the Refresher refreshes its source once, and a mock replay encodes its constant once, straight from its runs wherever the whole wrapper chain takes them; the kernels run only in the compiler, and the programs they record, replayed on Sim and RNS, match Circuit.Evaluate real, batched, complex-packed and through every packed-Dense geometry; the NTTs per inference are pinned; the circuit rewrite preserves what every circuit computes; LeNet-tiny at the default 128-bit options compiles to N = 2^14; every zoo model under every policy matches Circuit.Evaluate on Ref, with zero invalid output slots and as many mask products per node as Compiled.Nodes reports, and LeNet-tiny does on RNS, batched and complex; BatchNorm folds into its convolution and the result matches on Ref, Sim and RNS; LeNet-5-small at the lenet5-small options holds no more constants under CHW than under HW; -explain names the masks kept and the factors absorbed and bills the program's constants, node by node, complex ones as a replay holds them; the compiler's decisions — fingerprint, every layout's estimates, the node table — are pinned for the benchmark's zoo and LeNet-tiny; one compile of SqueezeNet-CIFAR or LeNet-5-medium, and one LeNet-5-small inference on the CKKS mock, allocates under its bound)"
+echo "== kernel promises (Dense issues the rotations and key-switching sums its closed form says, fewer rotations than one fold per neuron; its copies land only in slots its input leaves free, and it refuses copies that would overlap or leave their lane; every zoo model under every policy reads its Dense inputs clean; every runtime rotation has a compiled key, at or below the key's planned level, and every planned key is applied, batched compiles included; keys cut at a level compute what full keys compute and do not depend on the core count; the conjugation key only when used; the compiler's node table equals the runtime's op counts; the node table sums to each layout's estimate, power-of-two baseline included; the runtime executes exactly the compiled program, every instruction once and at its planned level; outputs are pinned bit for bit on Ref, Sim and RNS, real, batched, complex and bootstrapped, at 1 and 4 workers; impossible scales are rejected; the Meter's bootstraps equal the placements; the program's constants are encoded once, at their level, bit-identically, also under bootstrapping and complex packing; input scales are admitted exactly; a lying input scale is refused without harming a concurrent session; a tensor off the compiled input layout, complex flag and batch metadata included, is refused at admission; and a panicking evaluation fails only its own request; sums of rotations list each source's distinct amounts once and match the unfused sequence — bit for bit on Ref/Sim, within the rounding bound on RNS, op for op in the Meter — and divide by P once per output; the mock computes each output in one accumulator of its own, bit for bit the unfused sequence with complex sources and plaintexts, multi-step rotations and a divide at 1 and 4 workers, and panics as it does on a product over capacity; a sum that takes its outputs' rescale divides inside its ModDown bit-identically to the sum then the rescale, at every level and α, off-plan keys and mask weights included, and counts as the pair; base-4 folds are exact for n = 1…33 in the rotations their closed form counts; a mask-weighted sum under the Refresher refreshes its source once, and a mock replay encodes its constant once, straight from its runs wherever the whole wrapper chain takes them; the kernels run only in the compiler, and the programs they record, replayed on Sim and RNS, match Circuit.Evaluate real, batched, complex-packed and through every packed-Dense geometry; the NTTs per inference are pinned; the circuit rewrite preserves what every circuit computes; LeNet-tiny at the default 128-bit options compiles to N = 2^14; every zoo model under every policy matches Circuit.Evaluate on Ref, with zero invalid output slots and as many mask products per node as Compiled.Nodes reports, and LeNet-tiny does on RNS, batched and complex; BatchNorm folds into its convolution and the result matches on Ref, Sim and RNS; LeNet-5-small at the lenet5-small options holds no more constants under CHW than under HW; -explain names the masks kept and the factors absorbed and bills the program's constants, node by node, complex ones as a replay holds them; the compiler's decisions — fingerprint, every layout's estimates, the node table — are pinned for the benchmark's zoo and LeNet-tiny; one compile of SqueezeNet-CIFAR or LeNet-5-medium, and one LeNet-5-small inference on the CKKS mock, allocates under its bound; the layout searches, run concurrently, give the serial search's fingerprint, trace, winner and error bit for bit, infeasible layouts included; the key switch's inner product allocates nothing per row)"
 go test -count=1 -run 'TestFoldPreservesEvaluate|TestFoldFactors' ./internal/circuit
 go test -count=1 -run 'TestExplainNamesMasksAndFactors' ./cmd/chet-compile
 go test -count=1 -run 'TestDenseRotationBudget|TestDenseInputsClean|TestDenseCopiesChecked|TestZeroInvariantAfterEveryKernel|TestMockEncodesOncePerInstruction|TestReplayEncodesFromRuns|TestFoldStridedExact|TestConstantStore|TestParallelExecuteDeterministic|TestKernelsHoistedParityRNS|TestExecuteOn|TestBatchedParity|TestComplexParity|TestDensePackedParity' ./internal/htc
-go test -count=1 -run 'TestRuntimeRotationsWithinCompiledKeys|TestConjugationKeyOnlyWhenUsed|TestNodeTableMatchesRuntime|TestRNSExecutesTheProgram|TestOutputsPinned|TestModDownsPerInference|TestNTTsPerInference|TestCompileRejectsBadScales|TestBootstrapPlacement|TestBootstrapEndToEnd|TestLeNetTinySecureOnHalfRing|TestZooMatchesEvaluateOnRef|TestLeNetTinyBatchedComplexRNS|TestBatchNormFoldsIntoConv|TestCHWHoldsNoMoreConstantsThanHW|TestCompilePinned|TestCompileAllocations|TestMockInferenceAllocations|TestNodeCostsSumToEstimate' ./internal/core
-go test -count=1 -run 'TestLeveledKeyParity|TestKeyGenDeterministicAcrossProcs|TestOverLevelKeySwitchIsDescriptive|TestRotSum' ./internal/ckks
+go test -count=1 -run 'TestRuntimeRotationsWithinCompiledKeys|TestConjugationKeyOnlyWhenUsed|TestNodeTableMatchesRuntime|TestRNSExecutesTheProgram|TestOutputsPinned|TestModDownsPerInference|TestNTTsPerInference|TestCompileRejectsBadScales|TestBootstrapPlacement|TestBootstrapEndToEnd|TestLeNetTinySecureOnHalfRing|TestZooMatchesEvaluateOnRef|TestLeNetTinyBatchedComplexRNS|TestBatchNormFoldsIntoConv|TestCHWHoldsNoMoreConstantsThanHW|TestCompilePinned|TestCompileAllocations|TestMockInferenceAllocations|TestNodeCostsSumToEstimate|TestCompileParallelMatchesSerial' ./internal/core
+go test -count=1 -run 'TestLeveledKeyParity|TestKeyGenDeterministicAcrossProcs|TestOverLevelKeySwitchIsDescriptive|TestRotSum|TestInnerProductRowAllocatesNothing' ./internal/ckks
 go test -count=1 -run 'TestRotSum|TestSumRotations|TestRefresherRefreshesSumSourceOnce' ./internal/hisa
 go test -count=1 -run 'TestSessionEncodesConstantsOnce|TestPlannedKeysMatchFullKeys' .
 go test -count=1 -run 'TestInputScaleAdmittedExactly|TestPoisonedTensorRejected|TestEvalPanicFailsOnlyItsRequest|TestBadTensorRejected' ./internal/serve
@@ -40,6 +40,9 @@ go test -race ./internal/ring/... ./internal/hisa/... ./internal/htc/... ./inter
 
 echo "== go test -race (hybrid key switch: α = 1 digests, hoisted/fused/worker parity for α in {1,2,3,L+1}, noise bound, arena gate; fused sums of rotations against the unfused sequence, and with their rescale against the pair, for α in {1,2,3}, 1 ≡ 4 workers)"
 go test -race -count=3 -run 'TestAlphaOneMatchesPerPrimeKeySwitch|TestHybridKeySwitch|TestRotSumMatchesUnfused|TestRotSumRescaleMatchesPair' ./internal/ckks
+
+echo "== go test -race (compiler: the concurrent layout search, one search per layout policy on up to GOMAXPROCS goroutines, against the serial one)"
+go test -race -count=1 -run TestCompileParallelMatchesSerial ./internal/core
 
 echo "== go test -race (serving subsystem: wire protocol + server engine)"
 go test -race ./internal/serve/... ./internal/wire/...

@@ -212,3 +212,31 @@ func TestLiveSpecialKeepsMargin(t *testing.T) {
 		}
 	}
 }
+
+// TestInnerProductRowAllocatesNothing pins the key switch's inner product,
+// which runs once per extended-basis row of every key switch, to zero heap
+// allocations: its per-digit row slices live on the stack. They escaped
+// while the ring's multiply-accumulate passes were called through a table
+// of functions, 4.6 KiB per call.
+func TestInnerProductRowAllocatesNothing(t *testing.T) {
+	tc := newTestContext(t)
+	rtks := tc.kgen.GenRotationKeys(tc.sk, []int{1}, false)
+	ev := NewEvaluator(tc.params, nil, rtks)
+	ct := tc.encr.Encrypt(tc.enc.Encode(randomVector(tc.params.Slots(), 1, 5), tc.params.DefaultScale(), tc.params.MaxLevel()))
+	r := tc.params.Ring()
+	galEl := r.GaloisElementForRotation(1)
+	swk, err := rtks.RotationKeyFor(galEl, ct.Lvl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := ev.hoistedDecompose(ct.C1, ct.Lvl)
+	defer dec.Release()
+	out0, out1 := make([]uint64, r.N), make([]uint64, r.N)
+	for _, perm := range [][]int{nil, r.NTTPermutation(galEl)} {
+		for _, j := range tc.params.ksRows(ct.Lvl) {
+			if n := testing.AllocsPerRun(10, func() { dec.innerProductRow(j, perm, swk, out0, out1) }); n != 0 {
+				t.Errorf("row %d (permuted %v): %v allocations per call, want 0", j, perm != nil, n)
+			}
+		}
+	}
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"runtime"
 
 	"chet/internal/circuit"
 	"chet/internal/ckks"
@@ -205,7 +206,11 @@ type Compiled struct {
 // candidate data layout it selects encryption parameters with the
 // modulus-consumption analysis, prices the same run's tally with the scheme
 // cost model, and returns the cheapest policy along with its rotation-key
-// set.
+// set. The layout searches are independent and run concurrently on up to
+// runtime.GOMAXPROCS(0) goroutines, like key generation; there is no knob.
+// Their results are gathered in policy order, so the trace, the winner (the
+// first cheapest) and the error are those of a serial search. The one
+// recording run, at the winner's parameters, follows serially.
 func Compile(c *circuit.Circuit, opts Options) (*Compiled, error) {
 	opts.fillDefaults()
 	// A factor at or below 1 never grows a scale the rescale protocol can
@@ -241,13 +246,18 @@ func Compile(c *circuit.Circuit, opts Options) (*Compiled, error) {
 	}
 	prog := circuit.Fold(c)
 	out := &Compiled{Circuit: c, Program: prog, Options: opts}
+	results := make([]PolicyResult, len(opts.Policies))
+	errs := make([]error, len(opts.Policies))
+	hisa.Spread(runtime.GOMAXPROCS(0), len(opts.Policies), func(i int) {
+		results[i], errs[i] = compilePolicy(prog.Circuit, opts.Policies[i], opts)
+	})
 	var firstErr error
-	for _, policy := range opts.Policies {
-		res, err := compilePolicy(prog.Circuit, policy, opts)
+	for i, policy := range opts.Policies {
+		res, err := results[i], errs[i]
 		if err != nil {
 			// A policy can be infeasible (e.g. its layout consumes too much
 			// modulus for any secure ring degree) while others still work;
-			// record the failure and keep searching.
+			// record the first failure in policy order and keep the others.
 			if firstErr == nil {
 				firstErr = fmt.Errorf("policy %v: %w", policy, err)
 			}

@@ -4,10 +4,14 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
+	"chet/internal/htc"
 	"chet/internal/nn"
 	"chet/internal/ring"
 	"chet/internal/tensor"
@@ -59,6 +63,82 @@ func TestCompilePinned(t *testing.T) {
 			t.Errorf("%s %v (bootstrap %v): digest %s, pinned %s", tc.model.Name, tc.opts.Scheme, tc.opts.Bootstrap != nil, got, tc.want)
 		}
 	}
+}
+
+// TestCompileParallelMatchesSerial holds the concurrent layout search to the
+// serial one: each compilation of the benchmark's compile-zoo pass, one where
+// a layout finds no secure ring degree (LeNet-tiny's HW-conv/CHW-rest at
+// MaxLogN 14) and one where none does (LeNet-5-small at MaxLogN 14, the
+// policies in reverse so the reported first failure is not HW's) is
+// compiled under GOMAXPROCS 1 and 4. Both must give the same fingerprint,
+// the same trace (policy order, ring degree, chain, α and every estimate
+// bit for bit), the same special-prime candidates, the same winner and the
+// same error text.
+func TestCompileParallelMatchesSerial(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles the benchmark's zoo; run without -short")
+	}
+	reversed := slices.Clone(htc.AllPolicies)
+	slices.Reverse(reversed)
+	for _, tc := range []struct {
+		name  string
+		model *nn.Model
+		opts  Options
+		// feasible is how many layouts compile; 0 means the compile fails.
+		feasible int
+	}{
+		{"LeNet-5-small/rns", nn.LeNet5Small(), Options{Scheme: SchemeRNS}, 4},
+		{"LeNet-5-medium/rns", nn.LeNet5Medium(), Options{Scheme: SchemeRNS}, 4},
+		{"SqueezeNet-CIFAR/rns", nn.SqueezeNetCIFAR(), Options{Scheme: SchemeRNS}, 4},
+		{"LeNet-5-small/ckks", nn.LeNet5Small(), Options{Scheme: SchemeCKKS}, 4},
+		{"LeNet-5-medium/ckks", nn.LeNet5Medium(), Options{Scheme: SchemeCKKS}, 4},
+		{"NN-20/boot", nn.NN20(), Options{Scheme: SchemeRNS, Bootstrap: &BootstrapOptions{Window: 4}}, 4},
+		{"LeNet-tiny/one-infeasible", nn.LeNetTiny(), Options{Scheme: SchemeRNS, MaxLogN: 14}, 3},
+		{"LeNet-5-small/none-feasible", nn.LeNet5Small(), Options{Scheme: SchemeRNS, MaxLogN: 14, Policies: reversed}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			serial, serialErr := compileOnProcs(1, tc.model, tc.opts)
+			par, parErr := compileOnProcs(4, tc.model, tc.opts)
+			if fmt.Sprint(serialErr) != fmt.Sprint(parErr) {
+				t.Fatalf("error %q in parallel, %q serially", parErr, serialErr)
+			}
+			if tc.feasible == 0 {
+				if serialErr == nil {
+					t.Fatal("compiled; the case wants every layout infeasible")
+				}
+				return
+			}
+			if serialErr != nil {
+				t.Fatal(serialErr)
+			}
+			if len(serial.Trace) != tc.feasible {
+				t.Fatalf("%d layouts compile, the case wants %d", len(serial.Trace), tc.feasible)
+			}
+			if got, want := par.FingerprintHex(), serial.FingerprintHex(); got != want {
+				t.Errorf("fingerprint %s in parallel, %s serially", got, want)
+			}
+			if got, want := compileDigest(par), compileDigest(serial); got != want {
+				t.Errorf("digest %s in parallel, %s serially", got, want)
+			}
+			if !reflect.DeepEqual(par.Trace, serial.Trace) {
+				t.Errorf("trace in parallel:\n%+v\nserially:\n%+v", par.Trace, serial.Trace)
+			}
+			for i := range min(len(par.Trace), len(serial.Trace)) {
+				if p, s := par.Trace[i].EstimatedCost, serial.Trace[i].EstimatedCost; math.Float64bits(p) != math.Float64bits(s) {
+					t.Errorf("trace %d (%v): estimate %x in parallel, %x serially", i, serial.Trace[i].Policy, math.Float64bits(p), math.Float64bits(s))
+				}
+			}
+			if !reflect.DeepEqual(par.Best, serial.Best) {
+				t.Errorf("winner %v (logN %d) in parallel, %v (logN %d) serially", par.Best.Policy, par.Best.LogN, serial.Best.Policy, serial.Best.LogN)
+			}
+		})
+	}
+}
+
+// compileOnProcs compiles m under runtime.GOMAXPROCS(procs).
+func compileOnProcs(procs int, m *nn.Model, opts Options) (*Compiled, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	return Compile(m.Circuit, opts)
 }
 
 // compileDigest hashes what a compilation decided: the fingerprint (which

@@ -101,7 +101,7 @@ func rotSumUnfused(b Backend, srcs []Ciphertext, sums [][]Term, workers int) []C
 		}
 	}
 	rotations := make([]Ciphertext, len(jobs))
-	spread(workers, len(jobs), func(i int) { rotations[i] = b.RotLeft(srcs[jobs[i].src], jobs[i].k) })
+	Spread(workers, len(jobs), func(i int) { rotations[i] = b.RotLeft(srcs[jobs[i].src], jobs[i].k) })
 	rotated := make([]map[int]Ciphertext, len(srcs))
 	for i, j := range jobs {
 		if rotated[j.src] == nil {
@@ -117,7 +117,7 @@ func rotSumUnfused(b Backend, srcs []Ciphertext, sums [][]Term, workers int) []C
 	}
 	outs := make([]Ciphertext, len(sums))
 	fresh := make([]bool, len(sums)) // outs[o] is a product or a sum, not a source or rotation
-	spread(workers, len(sums), func(o int) {
+	Spread(workers, len(sums), func(o int) {
 		var acc Ciphertext
 		for _, t := range sums[o] {
 			x := srcs[t.Src]
@@ -229,12 +229,12 @@ func (ip *Interposer) reportRotSum(srcs []Ciphertext, sums [][]Term, outs []Ciph
 	}
 }
 
-// spread runs fn(i) for i in [0, n) on up to workers goroutines, claiming
+// Spread runs fn(i) for i in [0, n) on up to workers goroutines, claiming
 // indices from a shared counter so uneven work balances itself; workers <= 1
 // runs them in order on the calling goroutine. A panic is raised again on
 // the calling goroutine once every index has run: the lowest index's, the
 // one the serial order raises.
-func spread(workers, n int, fn func(i int)) {
+func Spread(workers, n int, fn func(i int)) {
 	workers = min(workers, n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {

@@ -483,7 +483,7 @@ func (b *SimBackend) RelinearizeRescale(c Ciphertext, x *big.Int) Ciphertext {
 // workers; a divided output is rescaled in its own accumulator.
 func (b *SimBackend) RotSum(srcs []Ciphertext, sums [][]Term, divide func(Ciphertext) *big.Int) []Ciphertext {
 	outs := make([]Ciphertext, len(sums))
-	spread(int(b.workers.Load()), len(sums), func(o int) { outs[o] = b.sum(srcs, sums[o]) })
+	Spread(int(b.workers.Load()), len(sums), func(o int) { outs[o] = b.sum(srcs, sums[o]) })
 	if divide != nil {
 		for _, c := range outs {
 			if d := divide(c); d.Cmp(bigOne) != 0 {

@@ -50,11 +50,20 @@ func (m Modulus) MulAddConst(out, c []uint64, xs [][]uint64) {
 // out1 = Σ_i s[i][π(k)]·y1[i][k], π being perm or the identity. Every term
 // is a product of two residues, so a pass takes up to m.lazy of them.
 func (m Modulus) macRows(out0, out1 []uint64, s [][]uint64, perm []int, y0, y1 [][]uint64, add bool) {
-	width := min(m.lazy, len(macRowsPass)-1)
-	for i := 0; i < len(s); {
-		g := min(width, len(s)-i)
-		macRowsPass[g](m, out0, out1, s[i:i+g], perm, y0[i:i+g], y1[i:i+g], add || i > 0)
-		i += g
+	width := min(m.lazy, 4)
+	for fromOut := add; len(s) > 0; fromOut = true {
+		g := min(width, len(s))
+		switch g {
+		case 1:
+			macRows1(m, out0, out1, s, perm, y0, y1, fromOut)
+		case 2:
+			macRows2(m, out0, out1, s, perm, y0, y1, fromOut)
+		case 3:
+			macRows3(m, out0, out1, s, perm, y0, y1, fromOut)
+		default:
+			macRows4(m, out0, out1, s, perm, y0, y1, fromOut)
+		}
+		s, y0, y1 = s[g:], y0[g:], y1[g:]
 	}
 }
 
@@ -63,20 +72,37 @@ func (m Modulus) macRows(out0, out1 []uint64, s [][]uint64, perm []int, y0, y1 [
 // row value on top of one residue: bias, out, or the previous pass's
 // result.
 func (m Modulus) macConst(out, c []uint64, xs [][]uint64, lazy int, add bool, bias uint64) {
-	width := min(lazy, len(macConstPass)-1)
-	for i := 0; i < len(xs); {
-		g := min(width, len(xs)-i)
-		macConstPass[g](m, out, c[i:i+g], xs[i:i+g], add || i > 0, bias)
-		i += g
+	width := min(lazy, 8)
+	for fromOut := add; len(xs) > 0; fromOut = true {
+		g := min(width, len(xs))
+		switch g {
+		case 1:
+			macConst1(m, out, c, xs, fromOut, bias)
+		case 2:
+			macConst2(m, out, c, xs, fromOut, bias)
+		case 3:
+			macConst3(m, out, c, xs, fromOut, bias)
+		case 4:
+			macConst4(m, out, c, xs, fromOut, bias)
+		case 5:
+			macConst5(m, out, c, xs, fromOut, bias)
+		case 6:
+			macConst6(m, out, c, xs, fromOut, bias)
+		case 7:
+			macConst7(m, out, c, xs, fromOut, bias)
+		default:
+			macConst8(m, out, c, xs, fromOut, bias)
+		}
+		c, xs = c[g:], xs[g:]
 	}
 }
 
-// macRowsPass[g] and macConstPass[g] run one pass of g terms; each starts
-// from the outputs when fromOut is set, else from zero or the bias.
-var (
-	macRowsPass  = [...]func(m Modulus, out0, out1 []uint64, s [][]uint64, p []int, y0, y1 [][]uint64, fromOut bool){nil, macRows1, macRows2, macRows3, macRows4}
-	macConstPass = [...]func(m Modulus, out, w []uint64, xs [][]uint64, fromOut bool, bias uint64){nil, macConst1, macConst2, macConst3, macConst4, macConst5, macConst6, macConst7, macConst8}
-)
+// macRows1 … macRows4 and macConst1 … macConst8 each run one pass of as
+// many terms, reading only that many of the rows they are passed; each
+// starts from the outputs when fromOut is set, else from zero or the bias.
+// macRows and macConst call them directly, not through a table of
+// functions: an indirect call makes every slice its caller passes escape,
+// so a key switch's digit rows would be heap-allocated on every call.
 
 // macConst1 … macConst8 are macConst's passes of 1 … 8 terms.
 
